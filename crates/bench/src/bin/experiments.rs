@@ -1,13 +1,12 @@
 //! Regenerates every table and figure of the paper as text tables.
 //!
 //! ```text
-//! experiments [--scale F] [--seeds N] [--timing] [--threads T] <command>
+//! experiments [--scale F] [--seeds N] [--timing] <command>
 //! commands: table1 fig4 fig7 fig9 fig10 fig11 fig12 fig13 all
 //!           observe <target> [--out report.jsonl]
 //!           timeline <target> [--out report.jsonl]
 //!           compare <a.jsonl|BENCH_a.json> <b> [--threshold-pct P]
 //!           scale [NODES,...] [--out BENCH_scale.json]
-//!           parallel [NODES] [--out BENCH_parallel_engine.json]
 //! ```
 //!
 //! `--scale` shrinks trace duration and contact count proportionally
@@ -30,11 +29,6 @@
 //! `BENCH_*.json` documents), prints every per-window / per-phase /
 //! per-counter delta, and exits non-zero when a gated outcome metric
 //! regresses past `--threshold-pct` (default 5).
-//!
-//! `--threads T` runs `observe` and `scale` on the windowed parallel
-//! executor; `parallel` sweeps a thread-count curve (1/2/4/8) over one
-//! city-scale point plus a fig10 point, asserts every run is
-//! bit-identical to serial, and emits `BENCH_parallel_engine.json`.
 
 use std::env;
 use std::fs;
@@ -60,8 +54,6 @@ struct Options {
     out: Option<PathBuf>,
     timing: bool,
     epoch: Option<Duration>,
-    /// `SimConfig::threads` for `observe`/`scale`; 1 = serial engine.
-    threads: usize,
     /// Relative regression threshold for `compare`, in percent.
     threshold_pct: f64,
     /// `serve`: run only the CI-sized smoke configuration.
@@ -81,7 +73,6 @@ fn parse_args() -> Result<Options, String> {
     let mut second = None;
     let mut timing = false;
     let mut epoch = None;
-    let mut threads = 1;
     let mut threshold_pct = 5.0f64;
     let mut smoke = false;
     let mut differential = false;
@@ -127,13 +118,6 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--out needs a file path")?;
                 out = Some(PathBuf::from(v));
             }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a count")?;
-                threads = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                if threads == 0 {
-                    return Err("threads must be positive".into());
-                }
-            }
             "--threshold-pct" => {
                 let v = args.next().ok_or("--threshold-pct needs a percentage")?;
                 threshold_pct = v.parse().map_err(|_| format!("bad threshold {v:?}"))?;
@@ -166,7 +150,6 @@ fn parse_args() -> Result<Options, String> {
         out,
         timing,
         epoch,
-        threads,
         threshold_pct,
         smoke,
         differential,
@@ -272,12 +255,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            "parallel" => {
-                if let Err(e) = parallel_cmd(&opts) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
             "regimes" => {
                 if let Err(e) = regimes_cmd(&opts) {
                     eprintln!("error: {e}");
@@ -296,15 +273,13 @@ fn main() -> ExitCode {
                      [--epoch SECS] \
                      <table1|fig4|fig7|fig9|fig10|fig11|fig12|fig13|ablation|ncl|bounds|churn|all>\n\
                      \x20      experiments observe <{targets}> [--out report.jsonl] [--scale F] \
-                     [--seeds SEED] [--threads T]\n\
+                     [--seeds SEED]\n\
                      \x20      experiments timeline <{targets}> [--out report.jsonl] [--scale F] \
-                     [--seeds SEED] [--threads T]\n\
+                     [--seeds SEED]\n\
                      \x20      experiments compare <a.jsonl|BENCH_a.json> <b> [--threshold-pct P]\n\
-                     \x20      experiments scale [NODES,NODES,...] [--out BENCH_scale.json] \
-                     [--threads T]\n\
-                     \x20      experiments parallel [NODES] [--out BENCH_parallel_engine.json]\n\
+                     \x20      experiments scale [NODES,NODES,...] [--out BENCH_scale.json]\n\
                      \x20      experiments regimes [PROCESS,...] [--out BENCH_regimes.json] \
-                     [--scale F] [--seeds N] [--threads T]\n\
+                     [--scale F] [--seeds N]\n\
                      \x20      experiments serve [--smoke] [--differential] \
                      [--out BENCH_serve.json]",
                     targets = bench::observe::TARGETS.join("|")
@@ -676,7 +651,7 @@ fn captured_run(opts: &Options, command: &str) -> Result<bench::observe::Observe
             bench::observe::TARGETS.join(", ")
         )
     })?;
-    let run = bench::observe::observe_any(target, opts.scale, u64::from(opts.seeds), opts.threads)?;
+    let run = bench::observe::observe_any(target, opts.scale, u64::from(opts.seeds))?;
     if let Some(path) = &opts.out {
         let lines = bench::observe::write_jsonl_file(&run, path)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -745,13 +720,11 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     let mut runs = Vec::new();
     for &nodes in &sizes {
         let smoke = nodes >= 500_000;
-        let mut cfg = if smoke {
+        let cfg = if smoke {
             ScaleConfig::city(nodes).smoke()
         } else {
             ScaleConfig::city(nodes)
         };
-        cfg.threads = opts.threads;
-        cfg.batch_stats = opts.threads > 1;
         eprintln!(
             "[scale] {nodes} nodes ({})...",
             if smoke { "smoke" } else { "city" }
@@ -768,7 +741,6 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     eprintln!("[scale] audited 2000-node case...");
     let audited = run_scale(&ScaleConfig {
         audit: true,
-        threads: opts.threads,
         ..ScaleConfig::city(2_000)
     });
     let (sweeps, violations) = audited.audit.expect("audit was enabled");
@@ -888,150 +860,6 @@ fn serve_cmd(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The `parallel` command: thread-count scaling curve of the windowed
-/// executor. Runs the city-scale point (default 10000 nodes, override
-/// with a positional count) at 1/2/4/8 threads with batch statistics
-/// on, plus one fig10 point serial vs 4 threads, asserts each parallel
-/// run reproduced its serial baseline, and emits the
-/// `BENCH_parallel_engine.json` document to `--out` or stdout.
-fn parallel_cmd(opts: &Options) -> Result<(), String> {
-    use bench::scale::{run_scale, ScaleConfig};
-    let nodes: usize = match opts.figure.as_deref() {
-        Some(s) => s
-            .trim()
-            .replace('_', "")
-            .parse()
-            .map_err(|_| format!("bad node count {s:?}"))?,
-        None => 10_000,
-    };
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    const CURVE: [usize; 4] = [1, 2, 4, 8];
-
-    let mut runs = Vec::new();
-    for threads in CURVE {
-        eprintln!("[parallel] {nodes} nodes, {threads} thread(s)...");
-        let report = run_scale(&ScaleConfig {
-            threads,
-            batch_stats: true,
-            ..ScaleConfig::city(nodes)
-        });
-        eprintln!(
-            "[parallel] {threads} thread(s): measured {:.1}s, {:.0} contacts/s{}",
-            report.measured_secs,
-            report.contacts_per_sec,
-            report.parallel.as_ref().map_or(String::new(), |p| format!(
-                ", mean batch width {:.2}",
-                p.mean_batch_width()
-            )),
-        );
-        runs.push(report);
-    }
-    // The equivalence contract, checked on the real scale point: every
-    // parallel run must land on the serial run's exact outcome.
-    let serial = &runs[0];
-    for report in &runs[1..] {
-        let identical = report.contacts == serial.contacts
-            && report.queries_issued == serial.queries_issued
-            && report.success_ratio.to_bits() == serial.success_ratio.to_bits()
-            && report.central_nodes == serial.central_nodes;
-        if !identical {
-            return Err(format!(
-                "{} threads diverged from serial at {nodes} nodes",
-                report.threads
-            ));
-        }
-    }
-
-    eprintln!("[parallel] fig10 point, serial vs 4 threads...");
-    let mut fig10_runs = Vec::new();
-    for threads in [1usize, 4] {
-        let started = std::time::Instant::now();
-        let run = bench::observe::observe_figure_threaded(
-            "fig10",
-            opts.scale,
-            u64::from(opts.seeds),
-            threads,
-        )?;
-        fig10_runs.push((threads, started.elapsed().as_secs_f64(), run));
-    }
-    let (_, _, fig10_serial) = &fig10_runs[0];
-    for (threads, _, run) in &fig10_runs[1..] {
-        if run.metrics != fig10_serial.metrics || run.ncl_query_load != fig10_serial.ncl_query_load
-        {
-            return Err(format!("{threads} threads diverged from serial on fig10"));
-        }
-    }
-
-    let mut doc = format!(
-        "{{\n  \"benchmark\": \"windowed parallel executor (SimConfig::threads)\",\n  \
-         \"command\": \"cargo run --release -p bench --bin experiments -- parallel --out \
-         BENCH_parallel_engine.json\",\n  \
-         \"host_cores\": {cores},\n  \
-         \"scale_point\": {{\n    \"nodes\": {nodes},\n    \"bit_identical_to_serial\": true,\n    \
-         \"runs\": [\n"
-    );
-    for (i, report) in runs.iter().enumerate() {
-        doc.push_str(&format!(
-            "      {{\n        \"report\":\n{}\n      }}{}\n",
-            report.to_json(8),
-            if i + 1 < runs.len() { "," } else { "" },
-        ));
-    }
-    doc.push_str("    ]\n  },\n  \"fig10_point\": {\n");
-    doc.push_str(&format!(
-        "    \"scale\": {},\n    \"seed\": {},\n    \"metrics_identical_to_serial\": true,\n    \
-         \"runs\": [\n",
-        opts.scale, opts.seeds
-    ));
-    for (i, (threads, wall_secs, run)) in fig10_runs.iter().enumerate() {
-        let p = run.probe.parallel_counters();
-        let parallel = if p.windows > 0 {
-            format!(
-                "{{\"windows\": {}, \"contacts\": {}, \"batches\": {}, \"widest\": {}, \
-                 \"mean_batch_width\": {:.4}, \"conflict_rate\": {:.4}}}",
-                p.windows,
-                p.contacts,
-                p.batches,
-                p.widest,
-                p.mean_batch_width(),
-                p.conflict_rate(),
-            )
-        } else {
-            "null".into()
-        };
-        doc.push_str(&format!(
-            "      {{\"threads\": {}, \"wall_secs\": {:.3}, \"queries_satisfied\": {}, \
-             \"parallel\": {}}}{}\n",
-            threads,
-            wall_secs,
-            run.metrics.queries_satisfied,
-            parallel,
-            if i + 1 < fig10_runs.len() { "," } else { "" },
-        ));
-    }
-    doc.push_str(
-        "    ]\n  },\n  \"notes\": [\n    \
-         \"host_cores is std::thread::available_parallelism at measurement time; wall-clock \
-         speedup is bounded by it. On a single-core host the curve measures executor overhead, \
-         not speedup -- mean_batch_width and conflict_rate report the parallelism the batcher \
-         exposes for multi-core hosts.\",\n    \
-         \"bit_identical_to_serial is asserted by this command (contacts, queries, success-ratio \
-         bits, elected NCLs); the full probe-stream equivalence lives in \
-         tests/parallel_equivalence.rs and simcheck --threads.\",\n    \
-         \"every run has batch_stats on (a counters-only probe) so thread counts pay symmetric \
-         instrumentation overhead; threads=1 reports parallel: null because the serial engine \
-         never forms windows.\"\n  ]\n}\n",
-    );
-    match &opts.out {
-        Some(path) => {
-            fs::write(path, &doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            println!("[parallel] wrote {}", path.display());
-        }
-        None => print!("{doc}"),
-    }
-    Ok(())
-}
-
 /// The `regimes` command: the hostile-regime matrix (contact process ×
 /// overlay × NCL-maintenance policy). An optional positional narrows
 /// the process list (comma-separated kebab-case names); every overlay
@@ -1063,7 +891,6 @@ fn regimes_cmd(opts: &Options) -> Result<(), String> {
         scale: opts.scale,
         seeds: opts.seeds,
         processes,
-        threads: opts.threads,
         ..RegimeMatrixConfig::default()
     };
     eprintln!(

@@ -1,8 +1,7 @@
 //! Randomized invariant fuzzer over the simulation engine.
 //!
 //! ```text
-//! simcheck [--seeds N] [--seed BASE] [--streaming M] [--threads T]
-//!          [--process <name|all>]
+//! simcheck [--seeds N] [--seed BASE] [--streaming M] [--process <name|all>]
 //! ```
 //!
 //! Runs `N` seeds (default 32) starting at `BASE` (default 0). Each
@@ -25,26 +24,17 @@
 //! workload. `all` covers every non-Poisson process. Both schemes see
 //! the identical overlaid stream, so epoch-free cases keep the
 //! optimized-vs-reference differential.
-//!
-//! `--threads T` (T ≥ 2) reruns every main-batch seed as a
-//! serial-vs-`T`-thread differential: the windowed parallel executor
-//! must reproduce the serial run's metrics, per-NCL query load and
-//! probe event stream bit for bit (modulo its own `parallel_window`
-//! planning events).
 
 use std::env;
 use std::process::ExitCode;
 
-use bench::simcheck::{
-    check_parallel_seed, check_process_seed, check_seed, check_streaming_seed, CaseParams,
-};
+use bench::simcheck::{check_process_seed, check_seed, check_streaming_seed, CaseParams};
 use dtn_trace::process::ContactProcessKind;
 
 struct Options {
     seeds: u64,
     base: u64,
     streaming: u64,
-    threads: usize,
     /// Non-Poisson contact processes to fuzz (`--process <name|all>`).
     processes: Vec<ContactProcessKind>,
 }
@@ -53,7 +43,6 @@ fn parse_args() -> Result<Options, String> {
     let mut seeds = 32;
     let mut base = 0;
     let mut streaming = 0;
-    let mut threads = 0;
     let mut processes = Vec::new();
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -71,13 +60,6 @@ fn parse_args() -> Result<Options, String> {
                 streaming = v
                     .parse()
                     .map_err(|_| format!("bad streaming count {v:?}"))?;
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a count")?;
-                threads = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                if threads < 2 {
-                    return Err("--threads needs at least 2".into());
-                }
             }
             "--process" => {
                 let v = args.next().ok_or("--process needs a name or 'all'")?;
@@ -110,7 +92,6 @@ fn parse_args() -> Result<Options, String> {
         seeds,
         base,
         streaming,
-        threads,
         processes,
     })
 }
@@ -121,8 +102,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("simcheck: {msg}");
             eprintln!(
-                "usage: simcheck [--seeds N] [--seed BASE] [--streaming M] [--threads T] \
-                 [--process <name|all>]"
+                "usage: simcheck [--seeds N] [--seed BASE] [--streaming M] [--process <name|all>]"
             );
             return ExitCode::FAILURE;
         }
@@ -198,28 +178,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    if opts.threads >= 2 {
-        for seed in opts.base..opts.base + opts.seeds {
-            match check_parallel_seed(seed, opts.threads) {
-                Ok(stats) => {
-                    sweeps += stats.sweeps;
-                    differentials += 1;
-                    println!(
-                        "parallel seed {seed:>4}: clean ({} sweeps, {}-thread == serial)",
-                        stats.sweeps, opts.threads
-                    );
-                }
-                Err(failure) => {
-                    failures += 1;
-                    println!("parallel seed {seed:>4}: FAILED");
-                    println!("  {failure}");
-                    println!("  original case: {}", CaseParams::from_seed(seed));
-                }
-            }
-        }
-    }
     println!(
-        "simcheck: {} seeds + {} streaming{}{}, {failures} failures, {sweeps} audit sweeps, \
+        "simcheck: {} seeds + {} streaming{}, {failures} failures, {sweeps} audit sweeps, \
          {differentials} differential cases",
         opts.seeds,
         opts.streaming,
@@ -229,11 +189,6 @@ fn main() -> ExitCode {
                 process_cases,
                 opts.processes.len()
             )
-        } else {
-            String::new()
-        },
-        if opts.threads >= 2 {
-            format!(" + {} parallel ({} threads)", opts.seeds, opts.threads)
         } else {
             String::new()
         }

@@ -133,19 +133,6 @@ fn figure_setup(figure: &str, scale: f64, seed: u64) -> Option<(ContactTrace, Ex
 /// Runs the named figure's base configuration once with a recording
 /// probe covering the measurement phase. `Err` names the unknown figure.
 pub fn observe_figure(figure: &str, scale: f64, seed: u64) -> Result<ObserveRun, String> {
-    observe_figure_threaded(figure, scale, seed, 1)
-}
-
-/// [`observe_figure`] on the windowed parallel executor: `threads > 1`
-/// adds `parallel_window` planning events to the stream and an achieved-
-/// parallelism section to the report; everything else is bit-identical
-/// to the serial run by the engine's equivalence contract.
-pub fn observe_figure_threaded(
-    figure: &str,
-    scale: f64,
-    seed: u64,
-    threads: usize,
-) -> Result<ObserveRun, String> {
     let (trace, config) = figure_setup(figure, scale, seed)
         .ok_or_else(|| format!("unknown figure {figure:?}; expected one of {FIGURES:?}"))?;
     let kind = SchemeKind::Intentional;
@@ -157,7 +144,6 @@ pub fn observe_figure_threaded(
         path_refresh: config.path_refresh,
         seed,
         profile: true,
-        threads,
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(&trace, scheme, sim_config);
@@ -234,20 +220,15 @@ pub fn observe_figure_threaded(
 }
 
 /// The unified capture entry point: figures run through
-/// [`observe_figure_threaded`], `regimes` runs the instrumented
+/// [`observe_figure`], `regimes` runs the instrumented
 /// NCL-blackout cell, `scale` runs the instrumented streaming smoke
 /// city. Every target returns the same [`ObserveRun`] and therefore
 /// shares one JSONL emitter and one report/timeline renderer.
-pub fn observe_any(
-    target: &str,
-    scale: f64,
-    seed: u64,
-    threads: usize,
-) -> Result<ObserveRun, String> {
+pub fn observe_any(target: &str, scale: f64, seed: u64) -> Result<ObserveRun, String> {
     match target {
-        "regimes" => Ok(crate::regimes::observe_blackout(scale, seed, threads)),
-        "scale" => Ok(crate::scale::observe_city_smoke(seed, threads)),
-        _ => observe_figure_threaded(target, scale, seed, threads),
+        "regimes" => Ok(crate::regimes::observe_blackout(scale, seed)),
+        "scale" => Ok(crate::scale::observe_city_smoke(seed)),
+        _ => observe_figure(target, scale, seed),
     }
     .map_err(|_| format!("unknown target {target:?}; expected one of {TARGETS:?}"))
 }
@@ -530,25 +511,6 @@ pub fn render_report(run: &ObserveRun) -> String {
         );
     }
 
-    // Achieved parallelism: per-window batch statistics from the
-    // windowed executor's planning phase (absent in serial runs).
-    let par = run.probe.parallel_counters();
-    if par.windows > 0 {
-        let _ = writeln!(out, "\n-- achieved parallelism --");
-        let _ = writeln!(
-            out,
-            "{} windows over {} contacts: {:.1} contacts/window, {} batches \
-             (mean width {:.2}, widest {}), conflict rate {:.1}%",
-            par.windows,
-            par.contacts,
-            par.contacts as f64 / par.windows as f64,
-            par.batches,
-            par.mean_batch_width(),
-            par.widest,
-            par.conflict_rate() * 100.0,
-        );
-    }
-
     // Histograms (alloc-free fixed buckets, recorded in the hot loop).
     if run.probe.delay_hist().count() > 0 {
         let _ = writeln!(out, "\n{}", run.probe.delay_hist().render("delay", "s"));
@@ -673,7 +635,7 @@ mod tests {
         let first = text.lines().next().unwrap();
         assert!(first.contains("\"type\":\"run\""));
         assert!(first.contains("\"schema\":\"dtn-observe/2\""));
-        assert!(first.contains("\"telemetry_schema\":\"dtn-telemetry/1\""));
+        assert!(first.contains("\"telemetry_schema\":\"dtn-telemetry/2\""));
         assert!(text.contains("\"type\":\"event\""));
         assert!(text.contains("\"type\":\"trace\""));
         assert!(text.contains("\"type\":\"window\""));
@@ -698,7 +660,7 @@ mod tests {
 
     #[test]
     fn observe_any_rejects_unknown_targets() {
-        let err = observe_any("fig99", 0.02, 1, 1).unwrap_err();
+        let err = observe_any("fig99", 0.02, 1).unwrap_err();
         assert!(err.contains("regimes") && err.contains("scale"), "{err}");
     }
 
@@ -711,24 +673,6 @@ mod tests {
         assert!(report.contains("NCL query arrivals"));
         assert!(report.contains("probe counters"));
         assert!(!report.contains("MISMATCH"), "{report}");
-    }
-
-    #[test]
-    fn threaded_observe_matches_serial_and_reports_parallelism() {
-        let serial = observe_figure("fig10", 0.02, 7).expect("known figure");
-        let par = observe_figure_threaded("fig10", 0.02, 7, 4).expect("known figure");
-        // Equivalence contract: identical metrics, and the parallel run
-        // actually formed windows.
-        assert_eq!(serial.metrics, par.metrics);
-        assert_eq!(serial.central_nodes, par.central_nodes);
-        assert_eq!(serial.ncl_query_load, par.ncl_query_load);
-        assert_eq!(serial.probe.parallel_counters().windows, 0);
-        assert!(par.probe.parallel_counters().windows > 0);
-        // The report surfaces achieved parallelism only when windows ran.
-        assert!(!render_report(&serial).contains("achieved parallelism"));
-        let report = render_report(&par);
-        assert!(report.contains("achieved parallelism"), "{report}");
-        assert!(report.contains("conflict rate"), "{report}");
     }
 
     #[test]

@@ -59,8 +59,6 @@ pub struct RegimeMatrixConfig {
     pub processes: Vec<ContactProcessKind>,
     /// Overlay slots to sweep (subset of [`OVERLAY_SLOTS`]).
     pub overlays: Vec<String>,
-    /// Worker threads for the cell fan-out (0 = all cores).
-    pub threads: usize,
     /// Run every simulation with the invariant audit on.
     pub audit: bool,
 }
@@ -72,7 +70,6 @@ impl Default for RegimeMatrixConfig {
             seeds: 3,
             processes: ContactProcessKind::ALL.to_vec(),
             overlays: OVERLAY_SLOTS.iter().map(|s| s.to_string()).collect(),
-            threads: 0,
             audit: true,
         }
     }
@@ -375,7 +372,7 @@ fn run_one(
 /// the matrix's `run_one`; the probes are installed after `configure`, so the
 /// capture covers the measurement half, and the blackout window is
 /// marked on the telemetry series.
-pub fn observe_blackout(scale: f64, seed: u64, threads: usize) -> ObserveRun {
+pub fn observe_blackout(scale: f64, seed: u64) -> ObserveRun {
     let scale = scale.max(0.02);
     let plan = RunPlan::new(scale);
     let trace = trace_builder(ContactProcessKind::Poisson, scale, seed).build();
@@ -391,7 +388,6 @@ pub fn observe_blackout(scale: f64, seed: u64, threads: usize) -> ObserveRun {
         seed,
         epoch_interval: Some(plan.epoch),
         profile: true,
-        threads,
         ..SimConfig::default()
     };
     let mut sim = Simulator::from_source(source, scheme, config);
@@ -487,7 +483,7 @@ fn diagnose(process: ContactProcessKind, scale: f64) -> ProcessDiagnostics {
 
 /// Runs the full matrix: `processes × overlays`, each cell
 /// seed-averaged and run under both NCL policies. Cells fan out over
-/// [`dtn_core::par::map_slice_threads`]; every cell is deterministic in
+/// [`dtn_core::par::map_slice`]; every cell is deterministic in
 /// (process, overlay, seed) alone, so the fan-out order is irrelevant.
 pub fn run_regime_matrix(cfg: &RegimeMatrixConfig) -> RegimeReport {
     assert!(cfg.seeds > 0, "at least one seed per cell");
@@ -501,7 +497,7 @@ pub fn run_regime_matrix(cfg: &RegimeMatrixConfig) -> RegimeReport {
         .flat_map(|&p| cfg.overlays.iter().map(move |o| (p, o.clone())))
         .collect();
 
-    let results = dtn_core::par::map_slice_threads(cfg.threads, &cells, |(process, slot)| {
+    let results = dtn_core::par::map_slice(&cells, |(process, slot)| {
         let mut frozen = Vec::with_capacity(cfg.seeds as usize);
         let mut adaptive = Vec::with_capacity(cfg.seeds as usize);
         for s in 0..u64::from(cfg.seeds) {
@@ -533,8 +529,7 @@ pub fn run_regime_matrix(cfg: &RegimeMatrixConfig) -> RegimeReport {
         }
     });
 
-    let diagnostics =
-        dtn_core::par::map_slice_threads(cfg.threads, &cfg.processes, |&p| diagnose(p, cfg.scale));
+    let diagnostics = dtn_core::par::map_slice(&cfg.processes, |&p| diagnose(p, cfg.scale));
 
     RegimeReport {
         nodes: NODES,
@@ -646,7 +641,6 @@ mod tests {
             seeds: 1,
             processes: vec![ContactProcessKind::Poisson, ContactProcessKind::PARETO],
             overlays: vec!["none".into(), "ncl-blackout".into()],
-            threads: 1,
             audit: true,
         }
     }
@@ -693,7 +687,7 @@ mod tests {
 
     #[test]
     fn observed_blackout_marks_the_window_and_profiles() {
-        let run = observe_blackout(0.02, MATRIX_SEED, 1);
+        let run = observe_blackout(0.02, MATRIX_SEED);
         assert_eq!(run.figure, "regimes");
         assert!(run.metrics.queries_issued > 0);
         // The blackout overlay is marked on at least one window.

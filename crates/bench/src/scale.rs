@@ -34,7 +34,7 @@ use dtn_core::ncl::SelectionStrategy;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{SimConfig, Simulator, StreamSource, WorkloadEvent};
 use dtn_sim::message::DataItem;
-use dtn_sim::probe::{ParallelCounters, RecordingProbe, TeeProbe};
+use dtn_sim::probe::{RecordingProbe, TeeProbe};
 use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 
@@ -81,14 +81,6 @@ pub struct ScaleConfig {
     /// Run the full invariant audit after every contact (the audited
     /// mid-size configuration; far too slow for 100k nodes).
     pub audit: bool,
-    /// Worker threads for the engine's windowed parallel executor
-    /// (`SimConfig::threads`); 1 keeps the classic serial loop.
-    pub threads: usize,
-    /// Install a counters-only probe and report per-window batch
-    /// statistics (exploitable parallelism). Symmetric overhead: the
-    /// probe is installed at every thread count so scaling curves stay
-    /// comparable.
-    pub batch_stats: bool,
     /// Print an engine heartbeat to stderr every N contacts (contacts/s,
     /// peak RSS, ETA). City runs at 10⁵–10⁶ nodes take minutes; the
     /// heartbeat is the only sign of life before the report prints.
@@ -122,8 +114,6 @@ impl ScaleConfig {
             reach_cache_slots: nodes,
             seed: 42,
             audit: false,
-            threads: 1,
-            batch_stats: false,
             // Silent below half a million contacts: smokes and tests
             // finish before the first beat would fire.
             heartbeat_every_contacts: Some(500_000),
@@ -178,11 +168,6 @@ pub struct ScaleReport {
     pub central_nodes: usize,
     /// `(sweeps, violations)` when the invariant audit ran.
     pub audit: Option<(u64, u64)>,
-    /// Engine worker threads this run used.
-    pub threads: usize,
-    /// Per-window batch statistics when `ScaleConfig::batch_stats` was
-    /// on (all zero in a serial run — no windows form).
-    pub parallel: Option<ParallelCounters>,
 }
 
 impl ScaleReport {
@@ -197,19 +182,6 @@ impl ScaleReport {
             }
             None => "null".to_string(),
         };
-        let parallel = match &self.parallel {
-            Some(p) => format!(
-                "{{ \"windows\": {}, \"contacts\": {}, \"batches\": {}, \"widest\": {}, \
-                 \"mean_batch_width\": {:.3}, \"conflict_rate\": {:.4} }}",
-                p.windows,
-                p.contacts,
-                p.batches,
-                p.widest,
-                p.mean_batch_width(),
-                p.conflict_rate(),
-            ),
-            None => "null".to_string(),
-        };
         format!(
             "{pad}{{\n\
              {pad}  \"nodes\": {},\n\
@@ -222,8 +194,6 @@ impl ScaleReport {
              {pad}  \"queries_issued\": {},\n\
              {pad}  \"success_ratio\": {:.4},\n\
              {pad}  \"central_nodes\": {},\n\
-             {pad}  \"threads\": {},\n\
-             {pad}  \"parallel\": {parallel},\n\
              {pad}  \"audit\": {audit}\n\
              {pad}}}",
             self.nodes,
@@ -236,7 +206,6 @@ impl ScaleReport {
             self.queries_issued,
             self.success_ratio,
             self.central_nodes,
-            self.threads,
         )
     }
 }
@@ -322,38 +291,25 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
             buffer_range: cfg.buffer_range,
             audit: cfg.audit,
             seed: cfg.seed,
-            threads: cfg.threads,
             profile: observe,
             heartbeat_every_contacts: cfg.heartbeat_every_contacts,
             ..SimConfig::default()
         },
     );
-    // Observed runs keep the full event stream (the JSONL export needs
-    // it); batch-stats-only runs stay counters-only so the probe cost
-    // is symmetric across thread counts.
-    let recorder = (cfg.batch_stats || observe).then(|| {
-        Rc::new(RefCell::new(if observe {
-            RecordingProbe::new()
-        } else {
-            RecordingProbe::new().without_event_stream()
-        }))
-    });
-    let telemetry = observe.then(|| {
-        Rc::new(RefCell::new(Telemetry::new(&TelemetryConfig::spanning(
+    let instruments = observe.then(|| {
+        let recorder = Rc::new(RefCell::new(RecordingProbe::new()));
+        let telemetry = Rc::new(RefCell::new(Telemetry::new(&TelemetryConfig::spanning(
             Time(0),
             cfg.duration,
             TIMELINE_WINDOWS,
             cfg.ncl_count,
-        ))))
+        ))));
+        sim.set_probe(Box::new(TeeProbe::new(
+            Box::new(Rc::clone(&recorder)),
+            Box::new(Rc::clone(&telemetry)),
+        )));
+        (recorder, telemetry)
     });
-    match (&recorder, &telemetry) {
-        (Some(r), Some(t)) => sim.set_probe(Box::new(TeeProbe::new(
-            Box::new(Rc::clone(r)),
-            Box::new(Rc::clone(t)),
-        ))),
-        (Some(r), None) => sim.set_probe(Box::new(Rc::clone(r))),
-        _ => {}
-    }
 
     // Phase 1: warm-up over the first half of the stream.
     let started = Instant::now();
@@ -391,21 +347,6 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
     sim.run_to_end();
     let measured_secs = measured_started.elapsed().as_secs_f64();
 
-    if recorder.is_some() {
-        drop(sim.take_probe());
-    }
-    let probe = recorder.map(|r| {
-        Rc::try_unwrap(r)
-            .expect("engine returned its probe handle")
-            .into_inner()
-    });
-    // `parallel` keeps its batch-stats-only meaning: an observed serial
-    // run reports `null` there exactly like before.
-    let parallel = if cfg.batch_stats {
-        probe.as_ref().map(RecordingProbe::parallel_counters)
-    } else {
-        None
-    };
     let metrics = sim.metrics().clone();
     let contacts = contacts_seen.get();
     let loop_secs = warmup_secs + measured_secs;
@@ -427,33 +368,33 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
         audit: sim
             .audit_report()
             .map(|r| (r.sweeps(), r.violations_total())),
-        threads: cfg.threads,
-        parallel,
     };
-    let observed = observe.then(|| ObserveRun {
-        figure: "scale".to_string(),
-        scheme: SchemeKind::Intentional,
-        seed: cfg.seed,
-        metrics,
-        probe: probe.expect("observe installs the recorder"),
-        telemetry: Rc::try_unwrap(telemetry.expect("observe installs the telemetry"))
-            .expect("engine returned its telemetry handle")
-            .into_inner(),
-        profile: sim.profile_report(),
-        central_nodes: sim.scheme().central_nodes().to_vec(),
-        ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
+    let observed = instruments.map(|(recorder, telemetry)| {
+        drop(sim.take_probe());
+        ObserveRun {
+            figure: "scale".to_string(),
+            scheme: SchemeKind::Intentional,
+            seed: cfg.seed,
+            metrics,
+            probe: Rc::try_unwrap(recorder)
+                .expect("engine returned its probe handle")
+                .into_inner(),
+            telemetry: Rc::try_unwrap(telemetry)
+                .expect("engine returned its telemetry handle")
+                .into_inner(),
+            profile: sim.profile_report(),
+            central_nodes: sim.scheme().central_nodes().to_vec(),
+            ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
+        }
     });
     (report, observed)
 }
 
 /// The instrumented city smoke behind `observe scale` / `timeline
-/// scale`: a 2 000-node city at full density, telemetry from t=0, batch
-/// stats whenever the run is threaded.
-pub fn observe_city_smoke(seed: u64, threads: usize) -> ObserveRun {
+/// scale`: a 2 000-node city at full density, telemetry from t=0.
+pub fn observe_city_smoke(seed: u64) -> ObserveRun {
     let cfg = ScaleConfig {
         seed,
-        threads,
-        batch_stats: threads > 1,
         ..ScaleConfig::city(2_000)
     };
     run_scale_observed(&cfg, true).1.expect("observe requested")
@@ -501,35 +442,7 @@ mod tests {
         let json = report.to_json(2);
         assert!(json.contains("\"contacts_per_sec\""));
         assert!(json.contains("\"peak_rss_bytes\""));
-        assert!(json.contains("\"threads\": 1"));
-        assert!(json.contains("\"parallel\": null"));
         assert!(json.trim_start().starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn parallel_city_run_matches_serial_and_reports_batches() {
-        let serial = run_scale(&tiny());
-        let parallel = run_scale(&ScaleConfig {
-            threads: 4,
-            batch_stats: true,
-            ..tiny()
-        });
-        // Deterministic equivalence surfaces through every outcome the
-        // report carries.
-        assert_eq!(serial.contacts, parallel.contacts);
-        assert_eq!(serial.queries_issued, parallel.queries_issued);
-        assert_eq!(
-            serial.success_ratio.to_bits(),
-            parallel.success_ratio.to_bits()
-        );
-        assert_eq!(serial.central_nodes, parallel.central_nodes);
-        let counters = parallel.parallel.expect("batch stats requested");
-        assert!(counters.windows > 0, "no windows formed at city density");
-        assert!(counters.contacts <= parallel.contacts);
-        assert!(counters.mean_batch_width() >= 1.0);
-        let json = parallel.to_json(2);
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"mean_batch_width\""));
     }
 
     #[test]
@@ -546,8 +459,6 @@ mod tests {
         assert_eq!(totals.contacts, run.probe.count("contact_begin"));
         assert_eq!(totals.queries_issued, run.metrics.queries_issued);
         assert!(run.profile.as_ref().is_some_and(|p| p.total_ns() > 0));
-        // `parallel` keeps its batch-stats-only meaning under observe.
-        assert!(report.parallel.is_none());
         // The plain runner reports identical throughput-facing outcomes.
         let plain = run_scale(&tiny());
         assert_eq!(plain.contacts, report.contacts);

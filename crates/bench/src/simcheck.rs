@@ -41,7 +41,7 @@ use dtn_sim::engine::{
 use dtn_sim::message::DataItem;
 use dtn_sim::metrics::Metrics;
 use dtn_sim::overlay::{OverlayKind, OverlaySource, RegimeOverlay};
-use dtn_sim::probe::{ProbeEvent, RecordingProbe, TeeProbe};
+use dtn_sim::probe::{RecordingProbe, TeeProbe};
 use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
 use dtn_trace::process::ContactProcessKind;
 use dtn_trace::synthetic::SyntheticTraceBuilder;
@@ -178,8 +178,6 @@ struct RunResult {
     metrics: Metrics,
     load: Vec<u64>,
     sweeps: u64,
-    /// The full probe event stream, for cross-run bit comparison.
-    events: Vec<ProbeEvent>,
     /// `Some(summary)` when the audit or probe cross-check failed.
     failure: Option<String>,
 }
@@ -253,7 +251,7 @@ fn run_instrumented_from<S: CachingScheme, C: ContactSource>(
     mid: Time,
     nodes: usize,
 ) -> RunResult {
-    let probe = Rc::new(RefCell::new(RecordingProbe::new()));
+    let probe = Rc::new(RefCell::new(RecordingProbe::new().without_event_stream()));
     // A flight recorder rides along on every fuzz case: its window sums
     // must conserve the engine totals and the probe's event counts
     // exactly, on every seed the fuzzer throws at it. The horizon is
@@ -296,12 +294,10 @@ fn run_instrumented_from<S: CachingScheme, C: ContactSource>(
     if failure.is_none() {
         failure = check_telemetry_conservation(&telemetry.borrow(), &probe.borrow(), sim.metrics());
     }
-    let events = probe.borrow().events().to_vec();
     RunResult {
         metrics: sim.metrics().clone(),
         load: sim.scheme().ncl_query_load().to_vec(),
         sweeps,
-        events,
         failure,
     }
 }
@@ -316,12 +312,7 @@ fn check_telemetry_conservation(
 ) -> Option<String> {
     let t = telemetry.totals();
     let (_, oracle_recomputes, oracle_hits) = probe.oracle_counters();
-    let parallel_contacts: u64 = telemetry
-        .windows()
-        .iter()
-        .map(|w| w.parallel_contacts)
-        .sum();
-    let checks: [(&str, u64, u64); 14] = [
+    let checks: [(&str, u64, u64); 13] = [
         ("queries_issued", t.queries_issued, metrics.queries_issued),
         ("deliveries", t.deliveries, metrics.queries_satisfied),
         ("delay_sum_secs", t.delay_sum_secs, metrics.total_delay_secs),
@@ -358,11 +349,6 @@ fn check_telemetry_conservation(
             "oracle_rebuilds",
             t.oracle_rebuilds,
             probe.count("oracle_rebuilt"),
-        ),
-        (
-            "parallel_contacts",
-            parallel_contacts,
-            probe.parallel_counters().contacts,
         ),
     ];
     for (name, folded, expected) in checks {
@@ -544,97 +530,6 @@ pub fn run_streaming_case(params: &CaseParams) -> Result<CaseStats, String> {
     })
 }
 
-/// Runs one parallel-executor differential case: the seed's full
-/// configuration serially and again with `SimConfig::threads` set, both
-/// audited, then compares metrics, per-NCL query load and the probe
-/// event stream bit for bit. The parallel stream is allowed exactly one
-/// extra event kind — `parallel_window`, emitted by the planning phase —
-/// which is filtered out before the comparison; a serial run emitting it
-/// is itself a failure.
-///
-/// # Errors
-///
-/// Returns the audit summary or divergence description on failure.
-pub fn run_parallel_case(params: &CaseParams, threads: usize) -> Result<CaseStats, String> {
-    assert!(threads > 1, "a parallel case needs at least two threads");
-    let trace = SyntheticTraceBuilder::new(params.nodes)
-        .duration(Duration::days(2))
-        .target_contacts(params.contacts)
-        .seed(params.seed)
-        .build();
-    let events = workload(params, &trace);
-    let cfg = IntentionalConfig {
-        ncl_count: params.ncl_count,
-        replacement: params.replacement,
-        response: params.response,
-        response_routing: params.routing,
-        probabilistic_selection: params.probabilistic,
-        ..IntentionalConfig::default()
-    };
-
-    let serial = run_instrumented(
-        &trace,
-        IntentionalScheme::new(cfg.clone()),
-        events.clone(),
-        sim_config(params),
-    );
-    if let Some(detail) = serial.failure {
-        return Err(format!("serial run: {detail}"));
-    }
-    if serial
-        .events
-        .iter()
-        .any(|e| matches!(e, ProbeEvent::ParallelWindow { .. }))
-    {
-        return Err("serial run emitted parallel_window events".into());
-    }
-
-    let parallel = run_instrumented(
-        &trace,
-        IntentionalScheme::new(cfg),
-        events,
-        SimConfig {
-            threads,
-            ..sim_config(params)
-        },
-    );
-    if let Some(detail) = parallel.failure {
-        return Err(format!("{threads}-thread run: {detail}"));
-    }
-    if serial.metrics != parallel.metrics {
-        return Err(format!(
-            "{threads}-thread metrics diverged: {:?} vs serial {:?}",
-            parallel.metrics, serial.metrics
-        ));
-    }
-    if serial.load != parallel.load {
-        return Err(format!(
-            "{threads}-thread NCL query load diverged: {:?} vs serial {:?}",
-            parallel.load, serial.load
-        ));
-    }
-    let filtered: Vec<&ProbeEvent> = parallel
-        .events
-        .iter()
-        .filter(|e| !matches!(e, ProbeEvent::ParallelWindow { .. }))
-        .collect();
-    if filtered.len() != serial.events.len()
-        || filtered.iter().zip(&serial.events).any(|(a, b)| **a != *b)
-    {
-        return Err(format!(
-            "{threads}-thread probe stream diverged: {} events (after filtering) vs serial {}",
-            filtered.len(),
-            serial.events.len()
-        ));
-    }
-
-    Ok(CaseStats {
-        sweeps: serial.sweeps + parallel.sweeps,
-        queries_issued: serial.metrics.queries_issued,
-        differential: true,
-    })
-}
-
 /// Derives this seed's hostile overlay for the process batch: the kind
 /// rotates with the seed, the window covers the middle of the workload
 /// half, and the blackout targets the top central nodes of the
@@ -793,39 +688,6 @@ pub fn check_process_seed(
     }
 }
 
-/// Checks one seed's serial-vs-parallel differential; failures come
-/// back shrunk like the main batch (the executor divergence dimension
-/// survives shrinking — every shrunk case still runs both ways).
-///
-/// # Errors
-///
-/// Returns the (shrunk) failing case on any invariant breach or
-/// divergence.
-pub fn check_parallel_seed(seed: u64, threads: usize) -> Result<CaseStats, Box<SimcheckFailure>> {
-    let params = CaseParams::from_seed(seed);
-    match run_parallel_case(&params, threads) {
-        Ok(stats) => Ok(stats),
-        Err(detail) => {
-            let mut failure = SimcheckFailure { params, detail };
-            // Greedy shrink against the parallel differential itself.
-            loop {
-                let step = shrink_steps(&failure.params).into_iter().find_map(|cand| {
-                    run_parallel_case(&cand, threads)
-                        .err()
-                        .map(|detail| SimcheckFailure {
-                            params: cand,
-                            detail,
-                        })
-                });
-                match step {
-                    Some(smaller) => failure = smaller,
-                    None => break Err(Box::new(failure)),
-                }
-            }
-        }
-    }
-}
-
 /// Checks one seed's streaming/CSR case. Streaming failures are not
 /// shrunk: the interesting dimension (population size) is pinned by the
 /// case derivation, and `shrink` reduces toward the dense regime the
@@ -950,16 +812,6 @@ mod tests {
                 stats.queries_issued > 0,
                 "process seed {seed} issued no queries"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_case_first_seeds_clean() {
-        for seed in 0..2u64 {
-            let stats = check_parallel_seed(seed, 2)
-                .unwrap_or_else(|f| panic!("parallel seed {seed} failed: {f}"));
-            assert!(stats.differential, "parallel case skipped the diff");
-            assert!(stats.sweeps > 0, "parallel case never audited");
         }
     }
 

@@ -94,7 +94,7 @@ use std::mem;
 use dtn_core::ids::{DataId, NodeId, QueryId};
 use dtn_core::time::{Duration, Time};
 use dtn_sim::buffer::Buffer;
-use dtn_sim::engine::{CacheStats, Epoch, PlanCtx, Scheme, SimCtx};
+use dtn_sim::engine::{CacheStats, Epoch, Scheme, SimCtx};
 use dtn_sim::message::{DataItem, Query};
 use dtn_sim::oracle::PathOracle;
 use dtn_sim::probe::ProbeEvent;
@@ -451,30 +451,6 @@ impl Scheme for IntentionalScheme {
         ctx.profile_enter(Phase::OracleRebuild);
         self.reelect(ctx);
         ctx.profile_exit();
-    }
-
-    fn plan_contacts(&mut self, plan: &PlanCtx<'_>, batch: &[Contact]) {
-        if !self.configured() {
-            return;
-        }
-        let Some(oracle) = &mut self.oracle else {
-            return;
-        };
-        // Every oracle query the contact hooks make is sourced at one of
-        // the contact's endpoints, so priming the deduplicated endpoint
-        // set covers the whole batch. The batch is endpoint-disjoint by
-        // construction, which is what makes the per-source searches
-        // independent.
-        let mut sources: Vec<NodeId> = Vec::with_capacity(batch.len() * 2);
-        for c in batch {
-            if !sources.contains(&c.a) {
-                sources.push(c.a);
-            }
-            if !sources.contains(&c.b) {
-                sources.push(c.b);
-            }
-        }
-        oracle.prime_sources(plan.rate_table(), plan.now(), &sources, plan.threads());
     }
 
     fn cache_stats(&self, now: Time) -> CacheStats {

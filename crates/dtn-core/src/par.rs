@@ -11,39 +11,19 @@
 //! exactly what the serial `iter().map().collect()` would produce, which
 //! keeps tie-breaking and downstream sorting deterministic.
 //!
-//! Worker counts come from three places, in priority order: an explicit
-//! request ([`map_slice_threads`]), the `DTN_THREADS` environment
-//! variable, and finally `available_parallelism`. All three are capped
-//! at the item count so no worker ever receives an empty chunk.
+//! The worker count is the machine's `available_parallelism`, capped at
+//! the item count so no worker ever receives an empty chunk.
 
 use std::num::NonZeroUsize;
 
-/// The worker count requested through the `DTN_THREADS` environment
-/// variable, if set to a positive integer. Benches and CI use this to
-/// pin parallelism without plumbing a thread count through every call
-/// site.
-fn env_threads() -> Option<usize> {
-    std::env::var("DTN_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-}
-
-/// Resolves the worker count for `len` items. `requested == 0` means
-/// auto: the `DTN_THREADS` override if set, otherwise the machine's
-/// available parallelism. The result is always capped at the item count
-/// (a 3-item slice never spawns more than 3 workers — no empty chunks)
-/// and at least 1.
-pub fn effective_workers(requested: usize, len: usize) -> usize {
-    let base = if requested == 0 {
-        env_threads()
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-    } else {
-        requested
-    };
-    base.min(len).max(1)
+/// Worker count for `len` items: available parallelism, capped at the
+/// item count (a 3-item slice never spawns more than 3 workers — no
+/// empty chunks) and at least 1.
+fn worker_count(len: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(len)
+        .max(1)
 }
 
 /// Maps `f` over `items` in parallel, preserving input order.
@@ -69,32 +49,9 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_slice_threads(0, items, f)
-}
-
-/// [`map_slice`] with an explicit worker count. `threads == 0` means
-/// auto (the `DTN_THREADS` override, then available parallelism);
-/// any request is capped at the item count. A cap of 1 runs the plain
-/// serial map on the calling thread — no scope, no spawns — which is
-/// what makes parallelism zero-cost when off.
-///
-/// # Example
-///
-/// ```
-/// use dtn_core::par::map_slice_threads;
-///
-/// let doubled = map_slice_threads(2, &[1u64, 2, 3], |&x| x * 2);
-/// assert_eq!(doubled, vec![2, 4, 6]);
-/// ```
-pub fn map_slice_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
     let n = items.len();
-    let workers = effective_workers(threads, n);
-    if workers <= 1 || n < 2 {
+    let workers = worker_count(n);
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
 
@@ -148,70 +105,19 @@ mod tests {
     }
 
     #[test]
-    fn uneven_chunking_is_covered() {
+    fn worker_count_caps_at_item_count() {
+        // A tiny slice must never spawn more workers than items —
+        // otherwise `chunks_mut` would carve empty chunks.
+        assert_eq!(worker_count(0), 1);
+        assert_eq!(worker_count(1), 1);
+        for len in [2usize, 3, 7, 1000] {
+            assert!((1..=len).contains(&worker_count(len)));
+        }
         // Lengths around worker-count multiples exercise the last,
         // shorter chunk.
         for n in [2usize, 3, 5, 17, 31, 64, 65] {
             let items: Vec<usize> = (0..n).collect();
             assert_eq!(map_slice(&items, |&x| x + 1), (1..=n).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn worker_count_caps_at_item_count() {
-        // Regression: a tiny slice must never spawn more workers than
-        // items — an 8-worker request over 3 items would otherwise carve
-        // empty chunks.
-        assert_eq!(effective_workers(8, 3), 3);
-        assert_eq!(effective_workers(0, 1), 1);
-        assert_eq!(effective_workers(0, 0), 1);
-        assert_eq!(effective_workers(1, 1000), 1);
-        assert_eq!(effective_workers(4, 1000), 4);
-        // Auto mode caps at the item count too, whatever the machine has.
-        for len in [1usize, 2, 3, 7] {
-            assert!(effective_workers(0, len) <= len.max(1));
-        }
-    }
-
-    #[test]
-    fn explicit_thread_counts_match_serial() {
-        let items: Vec<u64> = (0..100).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        for threads in [1usize, 2, 3, 4, 8, 200] {
-            assert_eq!(
-                map_slice_threads(threads, &items, |&x| x * x + 1),
-                serial,
-                "threads={threads} diverged from the serial map"
-            );
-        }
-    }
-
-    #[test]
-    fn small_slice_stays_serial() {
-        // n < 2 short-circuits before any scope is created, for every
-        // explicit worker request.
-        assert_eq!(map_slice_threads(8, &[41u32], |&x| x + 1), vec![42]);
-        let empty: Vec<u32> = Vec::new();
-        assert!(map_slice_threads(8, &empty, |&x| x).is_empty());
-    }
-
-    /// The single test that touches `DTN_THREADS`: the env var is
-    /// process-global, so concentrating every read here keeps the suite
-    /// race-free under the parallel test runner.
-    #[test]
-    fn dtn_threads_env_overrides_auto_mode() {
-        std::env::set_var("DTN_THREADS", "3");
-        assert_eq!(effective_workers(0, 100), 3);
-        // Explicit requests beat the env override.
-        assert_eq!(effective_workers(5, 100), 5);
-        // The override is still capped at the item count.
-        assert_eq!(effective_workers(0, 2), 2);
-        // Garbage and non-positive values fall back to auto.
-        std::env::set_var("DTN_THREADS", "0");
-        assert!(effective_workers(0, 100) >= 1);
-        std::env::set_var("DTN_THREADS", "lots");
-        assert!(effective_workers(0, 100) >= 1);
-        std::env::remove_var("DTN_THREADS");
-        assert!(effective_workers(0, 100) >= 1);
     }
 }

@@ -15,19 +15,15 @@
 //!   with the highest opportunistic weight from the requester plus the
 //!   best next relay toward it ([`RouteDecision`]).
 //!
-//! # Concurrency model (snapshot reads, background refresh)
+//! # Snapshot reads
 //!
 //! Every decision reads through the scheme's
 //! [`DecisionPoint`](dtn_sim::decision::DecisionPoint), whose oracle
 //! reads go to the [`PathOracle`](dtn_sim::oracle::PathOracle)'s
 //! generation-versioned snapshot: a decision never waits for a refresh;
 //! it reads the current snapshot, and staleness is bounded by the
-//! oracle's refresh interval. [`DecisionService::refresh`] is the
-//! background arm — it pre-stages path searches for the hot sources on
-//! worker threads against the same snapshot, so subsequent decisions
-//! hit staged results instead of recomputing inline. Priming is
-//! byte-identical to the lazy miss path, so serving with or without
-//! refresh produces the same answers (the differential tests pin this).
+//! oracle's refresh interval. A source whose table the last rebuild
+//! orphaned is recomputed inline by the first decision that reads it.
 //! Epoch-driven NCL re-election arrives through the engine's own epoch
 //! channel: [`DecisionService::decide`] ingests the contact stream up
 //! to the request time before answering, so re-elections are visible to
@@ -119,6 +115,10 @@ pub enum ServeError {
     /// The scheme has not been configured yet (no NCL election, no
     /// oracle) — call [`DecisionService::configure_at`] first.
     NotConfigured,
+    /// The request names a node id outside the population. Refused
+    /// before any work: it is not a decision, so it touches neither the
+    /// checksum nor the latency histogram.
+    UnknownNode(NodeId),
 }
 
 impl std::fmt::Display for ServeError {
@@ -126,6 +126,9 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::NotConfigured => {
                 write!(f, "decision service not configured: no NCLs elected yet")
+            }
+            ServeError::UnknownNode(node) => {
+                write!(f, "request names unknown node {node}")
             }
         }
     }
@@ -145,6 +148,8 @@ pub struct ServeStats {
     pub checksum: u64,
     /// Maximum observed service time, ns.
     pub max_service_ns: u64,
+    /// Requests refused with [`ServeError::UnknownNode`].
+    pub unknown_node_requests: u64,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -175,6 +180,7 @@ pub struct DecisionService<C: ContactSource> {
     budget_violations: u64,
     checksum: u64,
     max_service_ns: u64,
+    unknown_node_requests: u64,
     log: Option<Vec<Decision>>,
 }
 
@@ -195,6 +201,7 @@ impl<C: ContactSource> DecisionService<C> {
             budget_violations: 0,
             checksum: FNV_OFFSET,
             max_service_ns: 0,
+            unknown_node_requests: 0,
             log: None,
         }
     }
@@ -239,8 +246,18 @@ impl<C: ContactSource> DecisionService<C> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NotConfigured`] until the scheme has elected NCLs.
+    /// [`ServeError::UnknownNode`] if the request's node id is outside
+    /// the population; [`ServeError::NotConfigured`] until the scheme
+    /// has elected NCLs.
     pub fn decide(&mut self, at: Time, request: Request) -> Result<Decision, ServeError> {
+        let node = match request {
+            Request::Place { source, .. } => source,
+            Request::Route { requester, .. } => requester,
+        };
+        if node.index() >= self.nodes.len() {
+            self.unknown_node_requests += 1;
+            return Err(ServeError::UnknownNode(node));
+        }
         let at = at.max(self.sim.now());
         self.sim.run_until(at);
         let (scheme, rates, now) = self.sim.decision_inputs();
@@ -278,21 +295,6 @@ impl<C: ContactSource> DecisionService<C> {
         Ok(decision)
     }
 
-    /// Background refresh: pre-stages path searches for `sources` (all
-    /// nodes when empty) on up to `threads` workers against the current
-    /// oracle snapshot. No-op before configuration; never changes what
-    /// any decision answers — only how fast.
-    pub fn refresh(&mut self, sources: &[NodeId], threads: usize) {
-        let (scheme, rates, now) = self.sim.decision_inputs();
-        if let Some(mut dp) = scheme.decision_point(rates, now) {
-            if sources.is_empty() {
-                dp.prime(&self.nodes, threads);
-            } else {
-                dp.prime(sources, threads);
-            }
-        }
-    }
-
     /// Aggregate statistics so far.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
@@ -300,6 +302,7 @@ impl<C: ContactSource> DecisionService<C> {
             budget_violations: self.budget_violations,
             checksum: self.checksum,
             max_service_ns: self.max_service_ns,
+            unknown_node_requests: self.unknown_node_requests,
         }
     }
 
@@ -448,8 +451,16 @@ mod tests {
     fn service(
         trace: &dtn_trace::ContactTrace,
     ) -> DecisionService<dtn_sim::engine::TraceSource<'_>> {
+        service_with(trace, None)
+    }
+
+    fn service_with(
+        trace: &dtn_trace::ContactTrace,
+        bounded_reach: Option<(usize, usize)>,
+    ) -> DecisionService<dtn_sim::engine::TraceSource<'_>> {
         let scheme = IntentionalScheme::new(IntentionalConfig {
             ncl_count: 3,
+            bounded_reach,
             ..IntentionalConfig::default()
         });
         let sim = Simulator::new(trace, scheme, SimConfig::default());
@@ -475,6 +486,45 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ServeError::NotConfigured);
         assert!(err.to_string().contains("not configured"));
+    }
+
+    #[test]
+    fn unknown_node_is_refused_without_touching_the_decision_stream() {
+        let t = trace();
+        for bounded_reach in [None, Some((3, 20))] {
+            let mut svc = service_with(&t, bounded_reach);
+            let at = Time(t.midpoint().0 + 60);
+            let good = Request::Route {
+                requester: NodeId(1),
+                data: DataId(1),
+            };
+            svc.decide(at, good).expect("configured");
+            let before = svc.stats();
+            for bad in [NodeId(20), NodeId(u32::MAX)] {
+                for request in [
+                    Request::Place {
+                        data: DataId(2),
+                        source: bad,
+                    },
+                    Request::Route {
+                        requester: bad,
+                        data: DataId(2),
+                    },
+                ] {
+                    let err = svc.decide(at, request).unwrap_err();
+                    assert_eq!(err, ServeError::UnknownNode(bad));
+                    assert!(err.to_string().contains("unknown node"));
+                }
+            }
+            let after = svc.stats();
+            assert_eq!(after.unknown_node_requests, 4);
+            assert_eq!(after.decisions, before.decisions);
+            assert_eq!(after.checksum, before.checksum);
+            assert_eq!(svc.latency_hist().count(), 1);
+            assert_eq!(svc.decisions().len(), 1);
+            // The service keeps answering after a refusal.
+            svc.decide(at, good).expect("still serving");
+        }
     }
 
     #[test]
@@ -518,13 +568,10 @@ mod tests {
     #[test]
     fn identical_streams_produce_identical_checksums() {
         let t = trace();
-        let run = |refresh: bool| {
+        let run = || {
             let mut svc = service(&t);
             let mid = t.midpoint();
             for i in 0..30u64 {
-                if refresh && i % 10 == 0 {
-                    svc.refresh(&[], 2);
-                }
                 let at = Time(mid.0 + i * 120);
                 svc.decide(
                     at,
@@ -537,16 +584,13 @@ mod tests {
             }
             (svc.stats().checksum, svc.decisions().to_vec())
         };
-        let (c1, d1) = run(false);
-        let (c2, d2) = run(false);
+        let (c1, d1) = run();
+        let (c2, d2) = run();
         assert_eq!(c1, c2);
         assert_eq!(d1.len(), d2.len());
         for (a, b) in d1.iter().zip(&d2) {
             assert_eq!(a.answer, b.answer);
         }
-        // Background priming never changes answers, only speed.
-        let (c3, _) = run(true);
-        assert_eq!(c1, c3, "refresh must not change any decision");
     }
 
     #[test]

@@ -129,17 +129,6 @@ impl<'a> DecisionPoint<'a> {
         self.oracle.snapshot_epoch()
     }
 
-    /// Pre-stages the path searches for `sources` against the current
-    /// snapshot on up to `threads` workers (the background-refresh arm
-    /// of the serving loop) — see [`PathOracle::prime_sources`].
-    /// Decision reads never block on this: they consume staged results
-    /// when fresh and fall back to the serial miss path otherwise, with
-    /// bit-identical weights either way.
-    pub fn prime(&mut self, sources: &[NodeId], threads: usize) {
-        self.oracle
-            .prime_sources(self.rates, self.now, sources, threads);
-    }
-
     /// THE greedy relay rule (§V-A): forward a message carried by
     /// `from` to `to` iff `to` has a strictly better opportunistic-path
     /// weight to `dest`. The destination always accepts; a carrier at

@@ -102,15 +102,6 @@ pub struct SimConfig {
     /// watching long city-scale runs. Default `None`: off, one
     /// predicted branch per contact.
     pub heartbeat_every_contacts: Option<u64>,
-    /// Worker threads for the deterministic intra-run parallel executor.
-    /// `0` or `1` (the default) runs the classic serial event loop
-    /// untouched; `n > 1` switches [`Simulator::run_until`] to the
-    /// windowed executor: contacts are gathered into bounded windows,
-    /// batched by endpoint disjointness, planned in parallel through
-    /// [`Scheme::plan_contacts`], and committed in original trace order
-    /// — metrics, probe streams (modulo `parallel_window` events) and
-    /// audit sweeps are bit-identical to the serial engine.
-    pub threads: usize,
     /// RNG seed for buffer assignment and scheme randomness.
     pub seed: u64,
 }
@@ -130,7 +121,6 @@ impl Default for SimConfig {
             audit: false,
             profile: false,
             heartbeat_every_contacts: None,
-            threads: 1,
             seed: 0,
         }
     }
@@ -239,44 +229,6 @@ pub trait Scheme {
     /// so schemes without redundant state need no implementation. See
     /// [`crate::audit`] for the laws.
     fn audit(&self, _now: Time, _report: &mut AuditReport) {}
-
-    /// Parallel plan phase of the windowed executor: `batch` is one
-    /// endpoint-disjoint set of upcoming contacts, about to be committed
-    /// in trace order. The scheme may precompute pure, read-only work
-    /// for the batch's endpoints (e.g. warming per-source path caches on
-    /// [`PlanCtx::threads`] worker threads) but must not change any
-    /// observable state — `PlanCtx` deliberately exposes no RNG, no
-    /// metrics and no transmission, so purity holds by construction.
-    /// Only called when [`SimConfig::threads`] `> 1`; the default does
-    /// nothing.
-    fn plan_contacts(&mut self, _plan: &PlanCtx<'_>, _batch: &[Contact]) {}
-}
-
-/// Read-only view handed to [`Scheme::plan_contacts`]: enough to
-/// precompute path searches, nothing that could perturb the simulation.
-pub struct PlanCtx<'a> {
-    rates: &'a RateTable,
-    now: Time,
-    threads: usize,
-}
-
-impl PlanCtx<'_> {
-    /// The live pairwise contact-rate table (as of the window start —
-    /// the commits of this window have not happened yet).
-    pub fn rate_table(&self) -> &RateTable {
-        self.rates
-    }
-
-    /// The start time of the window's first contact.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Worker threads the plan phase may use (always `> 1` when the
-    /// hook fires).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
 }
 
 /// Internal record of an issued query.
@@ -752,7 +704,6 @@ pub struct Simulator<S, C> {
     epoch_index: u64,
     bandwidth: u64,
     contact_loss: f64,
-    threads: usize,
     heartbeat: Option<Heartbeat>,
 }
 
@@ -811,12 +762,6 @@ fn heartbeat_progress(sim_now: u64, known_end: Option<Time>) -> String {
     }
 }
 
-/// Maximum contacts gathered into one window of the parallel executor.
-/// Bounds plan-phase memory (staged path tables) and keeps the commit
-/// loop's rate-table view close to the plan's, so staged results rarely
-/// outlive their snapshot.
-const MAX_WINDOW: usize = 256;
-
 impl<'t, S: Scheme> Simulator<S, TraceSource<'t>> {
     /// Creates a simulator over `trace` driving `scheme`.
     pub fn new(trace: &'t ContactTrace, scheme: S, config: SimConfig) -> Self {
@@ -874,7 +819,6 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
             epoch_index: 0,
             bandwidth: config.bandwidth_bytes_per_sec,
             contact_loss: config.contact_loss_probability,
-            threads: config.threads,
             heartbeat: config.heartbeat_every_contacts.map(|every| Heartbeat {
                 every: every.max(1),
                 contacts: 0,
@@ -1070,15 +1014,7 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
 
     /// Processes every event strictly before `until`, then advances the
     /// clock to `until`.
-    ///
-    /// With [`SimConfig::threads`] `> 1` this runs the windowed parallel
-    /// executor (see [`Scheme::plan_contacts`]); results are bit-identical
-    /// to the serial loop by construction.
     pub fn run_until(&mut self, until: Time) {
-        if self.threads > 1 {
-            self.run_until_windowed(until);
-            return;
-        }
         loop {
             let next_c = self.source.peek();
             let next_w = self.workload.get(self.next_workload).copied();
@@ -1125,175 +1061,6 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
         let end = Time(self.source.end_time().0 + 1);
         self.run_until(end);
         &self.shared.metrics
-    }
-
-    /// The windowed parallel executor. The protocol per iteration:
-    ///
-    /// 1. **Gather** — pull consecutive contacts into a window while no
-    ///    other event source can fire first: every gathered contact
-    ///    starts strictly before the next workload event (workload wins
-    ///    ties, as in the serial loop), the next due sample, the next
-    ///    due epoch, and `until`; the window is capped at [`MAX_WINDOW`].
-    ///    Within a window, contacts are therefore the only events, and
-    ///    the per-event `sample_if_due`/`fire_epoch_if_due` calls are
-    ///    provably no-ops.
-    /// 2. **Batch** — greedy first-fit interval coloring over node ids:
-    ///    each contact joins the earliest batch containing neither of
-    ///    its endpoints. Within a batch every endpoint appears exactly
-    ///    once, so per-endpoint precomputation is conflict-free.
-    /// 3. **Plan** — for each batch in order, hand the scheme a
-    ///    read-only [`PlanCtx`] to precompute pure per-endpoint work in
-    ///    parallel ([`Scheme::plan_contacts`]).
-    /// 4. **Commit** — dispatch the window's contacts in original trace
-    ///    order through the identical serial code path: RNG draws, rate
-    ///    updates, transmissions, probes and audits all happen here, in
-    ///    the exact serial sequence.
-    ///
-    /// Workload events and contacts that coincide with a sample/epoch
-    /// boundary fall through to the serial per-event path unchanged.
-    fn run_until_windowed(&mut self, until: Time) {
-        let mut window: Vec<Contact> = Vec::with_capacity(MAX_WINDOW);
-        let mut batch_of: Vec<u32> = Vec::with_capacity(MAX_WINDOW);
-        loop {
-            let next_c = self.source.peek();
-            let next_w = self.workload.get(self.next_workload).copied();
-            let (event_time, is_workload) = match (next_c.map(|c| c.start), next_w.map(|e| e.at()))
-            {
-                (None, None) => break,
-                (Some(c), None) => (c, false),
-                (None, Some(w)) => (w, true),
-                (Some(c), Some(w)) => {
-                    if w <= c {
-                        (w, true)
-                    } else {
-                        (c, false)
-                    }
-                }
-            };
-            if event_time >= until {
-                break;
-            }
-            if is_workload {
-                self.shared.now = event_time;
-                self.sample_if_due();
-                self.fire_epoch_if_due();
-                self.next_workload += 1;
-                self.prof_enter(Phase::Workload);
-                self.dispatch_workload(next_w.expect("is_workload implies a workload event"));
-                self.prof_exit();
-                continue;
-            }
-            // Gather the window: consecutive contacts none of which any
-            // other event source can preempt.
-            self.prof_enter(Phase::ContactGather);
-            window.clear();
-            let workload_bound = next_w.map(|e| e.at());
-            while window.len() < MAX_WINDOW {
-                let Some(c) = self.source.peek() else { break };
-                let preempted = c.start >= until
-                    || workload_bound.is_some_and(|w| w <= c.start)
-                    || c.start >= self.next_sample
-                    || (self.epoch_interval.is_some() && c.start >= self.next_epoch);
-                if preempted {
-                    break;
-                }
-                window.push(c);
-                self.source.advance();
-            }
-            self.prof_exit();
-            if window.is_empty() {
-                // The very next contact coincides with a sample or epoch
-                // boundary: fire those and dispatch it serially.
-                self.shared.now = event_time;
-                self.sample_if_due();
-                self.fire_epoch_if_due();
-                self.source.advance();
-                self.prof_enter(Phase::ContactCommit);
-                self.dispatch_contact(next_c.expect("!is_workload implies a contact"));
-                self.prof_exit();
-                continue;
-            }
-            self.run_window(&window, &mut batch_of);
-        }
-        self.shared.now = self.shared.now.max(until);
-        self.sample_if_due();
-        self.fire_epoch_if_due();
-    }
-
-    /// Batches, plans and commits one gathered window (stages 2–4 of
-    /// [`Self::run_until_windowed`]). `batch_of` is caller-owned scratch.
-    fn run_window(&mut self, window: &[Contact], batch_of: &mut Vec<u32>) {
-        // Greedy first-fit endpoint-disjoint batching in trace order: a
-        // contact conflicts exactly with contacts sharing an endpoint,
-        // so it joins the earliest batch whose endpoint set misses both
-        // of its nodes. The fixed scan order is the deterministic
-        // tie-break — the same trace always yields the same batches.
-        batch_of.clear();
-        batch_of.resize(window.len(), 0);
-        let mut batch_nodes: Vec<Vec<NodeId>> = Vec::new();
-        let mut widest = 0u64;
-        let mut batch_sizes: Vec<u64> = Vec::new();
-        for (i, c) in window.iter().enumerate() {
-            let slot = batch_nodes
-                .iter()
-                .position(|nodes| !nodes.contains(&c.a) && !nodes.contains(&c.b))
-                .unwrap_or(batch_nodes.len());
-            if slot == batch_nodes.len() {
-                batch_nodes.push(Vec::new());
-                batch_sizes.push(0);
-            }
-            batch_nodes[slot].push(c.a);
-            batch_nodes[slot].push(c.b);
-            batch_sizes[slot] += 1;
-            widest = widest.max(batch_sizes[slot]);
-            batch_of[i] = slot as u32;
-        }
-        let batches = batch_nodes.len() as u64;
-        let conflicts = window.len() as u64 - batch_sizes[0];
-        let at = window[0].start;
-        let (contacts, widest_stat) = (window.len() as u64, widest);
-        self.shared.probe.emit(|| ProbeEvent::ParallelWindow {
-            at,
-            contacts,
-            batches,
-            widest: widest_stat,
-            conflicts,
-        });
-
-        // Plan phase: per batch, let the scheme warm its per-endpoint
-        // caches in parallel. Read-only by construction; the scheme and
-        // the shared engine state are disjoint borrows.
-        self.prof_enter(Phase::ContactPlan);
-        let mut batch: Vec<Contact> = Vec::with_capacity(widest as usize);
-        for b in 0..batch_nodes.len() as u32 {
-            batch.clear();
-            batch.extend(
-                window
-                    .iter()
-                    .zip(batch_of.iter())
-                    .filter(|&(_, &slot)| slot == b)
-                    .map(|(c, _)| *c),
-            );
-            let plan = PlanCtx {
-                rates: &self.shared.rate_table,
-                now: at,
-                threads: self.threads,
-            };
-            self.scheme.plan_contacts(&plan, &batch);
-        }
-        self.prof_exit();
-
-        // Commit phase: original trace order through the serial path.
-        // The sample/epoch calls are provably no-ops (the gather bound
-        // excluded due boundaries) but run for exact structural parity.
-        for &contact in window {
-            self.shared.now = contact.start;
-            self.sample_if_due();
-            self.fire_epoch_if_due();
-            self.prof_enter(Phase::ContactCommit);
-            self.dispatch_contact(contact);
-            self.prof_exit();
-        }
     }
 
     fn dispatch_workload(&mut self, event: WorkloadEvent) {
@@ -1808,6 +1575,8 @@ mod tests {
         assert_eq!(sim.now(), Time(1000));
         sim.run_until(Time(1001));
         assert_eq!(sim.scheme().contacts_seen, 1);
+        sim.run_to_end();
+        assert_eq!(sim.scheme().contacts_seen, 2, "last contact dispatched");
     }
 
     #[test]
@@ -2154,202 +1923,6 @@ mod tests {
         let report = sim.audit_report().expect("audit enabled");
         assert!(!report.is_clean());
         assert_eq!(report.violations()[0].law, AuditLaw::CopyConservation);
-    }
-
-    use crate::probe::RecordingProbe;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    /// Runs the full stress configuration (audits, epochs, sampling,
-    /// contact loss) at the given thread count and returns everything
-    /// observable: metrics, probe events, rate-table totals, scheme
-    /// state.
-    fn stressed_run(threads: usize) -> (Metrics, Vec<ProbeEvent>, u64, u64, usize) {
-        let trace = SyntheticTraceBuilder::new(15)
-            .duration(Duration::days(1))
-            .target_contacts(1_500)
-            .seed(11)
-            .build();
-        let total_contacts = trace.contact_count();
-        let cfg = SimConfig {
-            seed: 5,
-            threads,
-            audit: true,
-            epoch_interval: Some(Duration(7_000)),
-            sample_interval: Duration(11_000),
-            contact_loss_probability: 0.1,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&trace, DirectDelivery::default(), cfg);
-        let recorder = Rc::new(RefCell::new(RecordingProbe::new()));
-        sim.set_probe(Box::new(Rc::clone(&recorder)));
-        sim.add_workload(vec![
-            gen_event(1, 0, 1000, 100, 80_000),
-            gen_event(2, 3, 500, 150, 80_000),
-            query_event(200, 1, 1, 50_000),
-            query_event(900, 5, 1, 50_000),
-            query_event(1_000, 7, 2, 50_000),
-        ]);
-        sim.run_to_end();
-        assert!(
-            sim.audit_report().expect("audit enabled").is_clean(),
-            "threads={threads} audit dirty"
-        );
-        drop(sim.take_probe());
-        let probe = Rc::try_unwrap(recorder)
-            .unwrap_or_else(|_| panic!("probe back"))
-            .into_inner();
-        (
-            sim.metrics().clone(),
-            probe.events().to_vec(),
-            sim.rate_table().total_contacts(),
-            sim.scheme().contacts_seen,
-            total_contacts,
-        )
-    }
-
-    #[test]
-    fn windowed_executor_matches_serial_bit_for_bit() {
-        // The central tentpole claim: for any thread count, metrics,
-        // rate tables, scheme state and the probe stream (modulo the
-        // extra `parallel_window` planning events) are identical to the
-        // serial engine — same RNG draws, same order, same everything.
-        let (serial_m, serial_events, serial_rates, serial_seen, _) = stressed_run(1);
-        assert!(
-            !serial_events
-                .iter()
-                .any(|e| matches!(e, ProbeEvent::ParallelWindow { .. })),
-            "serial runs must not emit planning events"
-        );
-        for threads in [2usize, 4] {
-            let (m, events, rates, seen, _) = stressed_run(threads);
-            let filtered: Vec<ProbeEvent> = events
-                .into_iter()
-                .filter(|e| !matches!(e, ProbeEvent::ParallelWindow { .. }))
-                .collect();
-            assert_eq!(serial_m, m, "metrics diverged at threads={threads}");
-            assert_eq!(
-                serial_events, filtered,
-                "probe stream diverged at threads={threads}"
-            );
-            assert_eq!(serial_rates, rates);
-            assert_eq!(serial_seen, seen);
-        }
-    }
-
-    #[test]
-    fn windowed_executor_reports_batch_statistics() {
-        let (_, events, _, _, total) = stressed_run(2);
-        let mut windows = 0u64;
-        let mut contacts = 0u64;
-        for e in &events {
-            if let ProbeEvent::ParallelWindow {
-                contacts: c,
-                batches,
-                widest,
-                conflicts,
-                ..
-            } = e
-            {
-                windows += 1;
-                contacts += c;
-                assert!(*batches >= 1 && *batches <= *c);
-                assert!(*widest >= 1 && *widest <= *c);
-                assert!(*conflicts < *c, "batch 0 always holds one contact");
-            }
-        }
-        assert!(windows > 0, "a dense trace must form windows");
-        // Every windowed contact is also dispatched; the few contacts
-        // that coincide with a sample/epoch boundary bypass windowing
-        // through the serial fallback, so the tally can only undershoot.
-        assert!(contacts <= total as u64, "window tally overshot the trace");
-        assert!(
-            contacts > total as u64 / 2,
-            "most contacts should go through windows ({contacts} of {total})"
-        );
-    }
-
-    /// A scheme that records what the planning phase shows it, to pin
-    /// the batching contract: endpoint-disjoint batches, trace-order
-    /// coverage of every windowed contact.
-    #[derive(Default)]
-    struct PlanRecorder {
-        batches: Vec<Vec<Contact>>,
-        planned_now: Vec<Time>,
-        dispatched: Vec<Contact>,
-    }
-
-    impl Scheme for PlanRecorder {
-        fn on_data_generated(&mut self, _: &mut SimCtx<'_>, _: DataItem) {}
-        fn on_query_issued(&mut self, _: &mut SimCtx<'_>, _: Query) {}
-        fn on_contact(&mut self, _: &mut SimCtx<'_>, contact: Contact) {
-            self.dispatched.push(contact);
-        }
-        fn plan_contacts(&mut self, plan: &PlanCtx<'_>, batch: &[Contact]) {
-            self.batches.push(batch.to_vec());
-            self.planned_now.push(plan.now());
-            assert!(plan.threads() > 1, "planning only runs in parallel mode");
-        }
-        fn cache_stats(&self, _: Time) -> CacheStats {
-            CacheStats::default()
-        }
-    }
-
-    #[test]
-    fn plan_batches_are_endpoint_disjoint_and_cover_the_window() {
-        let trace = SyntheticTraceBuilder::new(10)
-            .duration(Duration::days(1))
-            .target_contacts(600)
-            .seed(4)
-            .build();
-        let cfg = SimConfig {
-            threads: 2,
-            // Push sampling past the trace end so no contact coincides
-            // with a sample boundary and bypasses the planning phase.
-            sample_interval: Duration::days(30),
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&trace, PlanRecorder::default(), cfg);
-        sim.run_to_end();
-        let scheme = sim.scheme();
-        assert!(!scheme.batches.is_empty());
-        let mut planned = 0usize;
-        for batch in &scheme.batches {
-            let mut nodes = Vec::new();
-            for c in batch {
-                assert!(
-                    !nodes.contains(&c.a) && !nodes.contains(&c.b),
-                    "endpoint repeated within a batch"
-                );
-                nodes.push(c.a);
-                nodes.push(c.b);
-            }
-            planned += batch.len();
-        }
-        // No loss, no samples, no epochs: every contact goes through
-        // exactly one planning batch, then gets dispatched.
-        assert_eq!(planned, trace.contact_count());
-        assert_eq!(scheme.dispatched.len(), trace.contact_count());
-        for w in scheme.dispatched.windows(2) {
-            assert!(w[0].start <= w[1].start, "commit must keep trace order");
-        }
-    }
-
-    #[test]
-    fn windowed_executor_respects_run_until_boundary() {
-        let trace = two_node_trace();
-        let cfg = SimConfig {
-            threads: 4,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&trace, DirectDelivery::default(), cfg);
-        sim.run_until(Time(1000));
-        assert_eq!(sim.scheme().contacts_seen, 0, "t=1000 contact excluded");
-        assert_eq!(sim.now(), Time(1000));
-        sim.run_until(Time(1001));
-        assert_eq!(sim.scheme().contacts_seen, 1);
-        sim.run_to_end();
-        assert_eq!(sim.scheme().contacts_seen, 2);
     }
 
     #[test]

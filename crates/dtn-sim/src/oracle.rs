@@ -29,7 +29,6 @@
 
 use dtn_core::graph::{ContactGraph, CsrGraph};
 use dtn_core::ids::NodeId;
-use dtn_core::par::map_slice_threads;
 use dtn_core::path::{
     bounded_shortest_paths, shortest_paths, PathTable, ReachScratch, SparseReach,
 };
@@ -116,14 +115,6 @@ pub struct PathOracle {
     sparse: Vec<Option<(NodeId, u64, SparseReach)>>,
     scratch: ReachScratch,
     stats: OracleStats,
-    /// Results precomputed by [`PathOracle::prime_sources`] for
-    /// `staged_epoch`, consumed by the first cache miss on the same
-    /// source. Staging is a pure cache warm-up: it never touches the
-    /// snapshot, the epoch, or the stats, so a primed oracle is
-    /// observably identical to an unprimed one.
-    staged_epoch: u64,
-    staged_dense: Vec<(NodeId, Option<PathTable>)>,
-    staged_sparse: Vec<(NodeId, Option<SparseReach>)>,
 }
 
 impl PathOracle {
@@ -149,9 +140,6 @@ impl PathOracle {
             sparse: Vec::new(),
             scratch: ReachScratch::new(),
             stats: OracleStats::default(),
-            staged_epoch: 0,
-            staged_dense: Vec::new(),
-            staged_sparse: Vec::new(),
         }
     }
 
@@ -242,23 +230,11 @@ impl PathOracle {
         if valid {
             self.stats.table_hits += 1;
         } else {
-            // A recompute, whether served live or from the plan phase's
-            // staging area: the staged table was built against this very
-            // snapshot, so consuming it is the same pure computation —
-            // stats included — just done earlier on another thread.
             self.stats.table_recomputes += 1;
-            let staged = (self.staged_epoch == self.epoch)
-                .then(|| {
-                    self.staged_dense
-                        .iter_mut()
-                        .find(|(n, t)| *n == source && t.is_some())
-                })
-                .flatten()
-                .and_then(|(_, t)| t.take());
-            let table = staged.unwrap_or_else(|| match &snapshot.graph {
+            let table = match &snapshot.graph {
                 SnapshotGraph::Adjacency(g) => shortest_paths(g, source, self.horizon),
                 SnapshotGraph::Csr(g) => shortest_paths(g, source, self.horizon),
-            });
+            };
             *slot = Some((self.epoch, table));
         }
         &slot.as_ref().expect("just computed").1
@@ -284,127 +260,17 @@ impl PathOracle {
         } else {
             // A collision evicts the previous tenant (direct-mapped).
             self.stats.table_recomputes += 1;
-            let staged = (self.staged_epoch == self.epoch)
-                .then(|| {
-                    self.staged_sparse
-                        .iter_mut()
-                        .find(|(n, r)| *n == source && r.is_some())
-                })
-                .flatten()
-                .and_then(|(_, r)| r.take());
-            let reach = staged.unwrap_or_else(|| match &snapshot.graph {
+            let reach = match &snapshot.graph {
                 SnapshotGraph::Adjacency(g) => {
                     bounded_shortest_paths(g, source, self.horizon, hops, &mut self.scratch)
                 }
                 SnapshotGraph::Csr(g) => {
                     bounded_shortest_paths(g, source, self.horizon, hops, &mut self.scratch)
                 }
-            });
+            };
             *slot = Some((source, self.epoch, reach));
         }
         slot.as_ref().expect("just computed").2.weight_to(dest)
-    }
-
-    /// Precomputes the path searches for `sources` against the *current*
-    /// snapshot on up to `threads` scoped worker threads, staging the
-    /// results for later cache misses ([`PathOracle::table`] in dense
-    /// mode, [`PathOracle::weight`] in scale mode).
-    ///
-    /// This is the parallel plan phase of the windowed executor: each
-    /// source's search is an independent pure function of the shared
-    /// snapshot, so the staged result is byte-identical to what the
-    /// serial miss path would compute — the miss still counts a
-    /// `table_recomputes` when it consumes a staged entry, keeping
-    /// [`OracleStats`] bit-identical to an unprimed run.
-    ///
-    /// Priming **never** refreshes the snapshot (the serial engine
-    /// records the triggering contact before any query, so a plan-time
-    /// rebuild would snapshot a different rate table) and is skipped
-    /// entirely when no snapshot exists or the staleness rule already
-    /// fires at `now`: a consumption-time rebuild bumps the epoch and
-    /// orphans every staged entry, so eager work would be wasted.
-    /// Skipping is a pure performance heuristic — correctness never
-    /// depends on it.
-    pub fn prime_sources(
-        &mut self,
-        rates: &RateTable,
-        now: Time,
-        sources: &[NodeId],
-        threads: usize,
-    ) {
-        let Some(s) = &self.snapshot else { return };
-        let wall_stale = now.saturating_since(s.built_at) >= self.refresh;
-        let gen_stale = rates.generation()
-            > s.generation
-                .saturating_add(s.generation.max(GENERATION_SLACK));
-        if wall_stale || gen_stale {
-            return;
-        }
-        let epoch = self.epoch;
-        if self.staged_epoch != epoch {
-            self.staged_dense.clear();
-            self.staged_sparse.clear();
-            self.staged_epoch = epoch;
-        }
-        let horizon = self.horizon;
-        match self.max_hops {
-            None => {
-                let todo: Vec<NodeId> = sources
-                    .iter()
-                    .copied()
-                    .filter(|src| {
-                        !matches!(&self.tables[src.index()], Some((e, _)) if *e == epoch)
-                            && !self
-                                .staged_dense
-                                .iter()
-                                .any(|(n, t)| n == src && t.is_some())
-                    })
-                    .collect();
-                if todo.is_empty() {
-                    return;
-                }
-                let tables: Vec<PathTable> = match &s.graph {
-                    SnapshotGraph::Adjacency(g) => {
-                        map_slice_threads(threads, &todo, |&src| shortest_paths(g, src, horizon))
-                    }
-                    SnapshotGraph::Csr(g) => {
-                        map_slice_threads(threads, &todo, |&src| shortest_paths(g, src, horizon))
-                    }
-                };
-                self.staged_dense
-                    .extend(todo.into_iter().zip(tables.into_iter().map(Some)));
-            }
-            Some(hops) => {
-                let todo: Vec<NodeId> = sources
-                    .iter()
-                    .copied()
-                    .filter(|src| {
-                        let slot = &self.sparse[src.index() % self.sparse.len()];
-                        !matches!(slot, Some((n, e, _)) if n == src && *e == epoch)
-                            && !self
-                                .staged_sparse
-                                .iter()
-                                .any(|(n, r)| n == src && r.is_some())
-                    })
-                    .collect();
-                if todo.is_empty() {
-                    return;
-                }
-                // Each worker call gets a fresh scratch: the search is
-                // pure with respect to scratch history (epoch-stamped
-                // first-touch init), so fresh ≡ reused bit for bit.
-                let reaches: Vec<SparseReach> = match &s.graph {
-                    SnapshotGraph::Adjacency(g) => map_slice_threads(threads, &todo, |&src| {
-                        bounded_shortest_paths(g, src, horizon, hops, &mut ReachScratch::new())
-                    }),
-                    SnapshotGraph::Csr(g) => map_slice_threads(threads, &todo, |&src| {
-                        bounded_shortest_paths(g, src, horizon, hops, &mut ReachScratch::new())
-                    }),
-                };
-                self.staged_sparse
-                    .extend(todo.into_iter().zip(reaches.into_iter().map(Some)));
-            }
-        }
     }
 
     /// Drops the snapshot and every cached table (e.g. after a
@@ -417,8 +283,6 @@ impl PathOracle {
         for slot in &mut self.sparse {
             *slot = None;
         }
-        self.staged_dense.clear();
-        self.staged_sparse.clear();
         self.stats.invalidations += 1;
     }
 }
@@ -648,101 +512,6 @@ mod tests {
         for d in 0..4u32 {
             assert_eq!(te.weight_to(NodeId(d)), ts.weight_to(NodeId(d)));
         }
-    }
-
-    #[test]
-    fn primed_oracle_is_observably_identical_dense() {
-        // Prime every source up front on 2 threads, then replay the
-        // same queries on an unprimed oracle: weights AND stats must
-        // match bit for bit — priming is invisible.
-        let rates = rates_line();
-        let now = Time(1000);
-        let mut plain = PathOracle::new(4, 3600.0, Duration::hours(1));
-        let mut primed = PathOracle::new(4, 3600.0, Duration::hours(1));
-        // The snapshot must exist before priming (prime never builds one).
-        let _ = primed.table(&rates, now, NodeId(0));
-        let _ = plain.table(&rates, now, NodeId(0));
-        let sources: Vec<NodeId> = (0..4u32).map(NodeId).collect();
-        primed.prime_sources(&rates, now, &sources, 2);
-        for s in 0..4u32 {
-            for d in 0..4u32 {
-                assert_eq!(
-                    plain.weight(&rates, now, NodeId(s), NodeId(d)),
-                    primed.weight(&rates, now, NodeId(s), NodeId(d)),
-                    "weight {s}→{d} diverged after priming"
-                );
-            }
-        }
-        assert_eq!(plain.stats(), primed.stats(), "stats diverged");
-        assert_eq!(plain.snapshot_epoch(), primed.snapshot_epoch());
-    }
-
-    #[test]
-    fn primed_oracle_is_observably_identical_sparse() {
-        let rates = rates_line();
-        let now = Time(1000);
-        let mut plain = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(3, 4);
-        let mut primed = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(3, 4);
-        let _ = plain.weight(&rates, now, NodeId(0), NodeId(1));
-        let _ = primed.weight(&rates, now, NodeId(0), NodeId(1));
-        let sources: Vec<NodeId> = (0..4u32).map(NodeId).collect();
-        primed.prime_sources(&rates, now, &sources, 2);
-        for s in 0..4u32 {
-            for d in 0..4u32 {
-                assert_eq!(
-                    plain.weight(&rates, now, NodeId(s), NodeId(d)),
-                    primed.weight(&rates, now, NodeId(s), NodeId(d)),
-                    "sparse weight {s}→{d} diverged after priming"
-                );
-            }
-        }
-        assert_eq!(plain.stats(), primed.stats(), "stats diverged");
-    }
-
-    #[test]
-    fn priming_without_a_snapshot_is_a_no_op() {
-        let rates = rates_line();
-        let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
-        o.prime_sources(&rates, Time(1000), &[NodeId(0), NodeId(1)], 2);
-        assert_eq!(o.stats(), OracleStats::default());
-        assert_eq!(o.snapshot_epoch(), 0, "priming must never build a snapshot");
-    }
-
-    #[test]
-    fn stale_staged_entries_are_orphaned_by_rebuild() {
-        // Stage against epoch 1, force a generation rebuild, then query:
-        // the miss must compute fresh weights from the *new* snapshot,
-        // not serve the stale staged table.
-        let mut rates = rates_line();
-        let mut o = PathOracle::new(4, 3600.0, Duration::hours(10_000));
-        let w_old = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
-        o.prime_sources(&rates, Time(1000), &[NodeId(1)], 2);
-        for t in 6..=150u64 {
-            rates.record(NodeId(0), NodeId(1), Time(t * 10));
-        }
-        let w_new = o.weight(&rates, Time(1001), NodeId(1), NodeId(0));
-        assert!(o.snapshot_epoch() >= 2, "generation rebuild expected");
-        assert!(
-            w_new > w_old,
-            "stale staged weight {w_new} served after the snapshot moved on"
-        );
-    }
-
-    #[test]
-    fn invalidate_clears_staged_entries() {
-        let mut rates = rates_line();
-        let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
-        let _ = o.table(&rates, Time(1000), NodeId(0));
-        o.prime_sources(&rates, Time(1000), &[NodeId(1)], 2);
-        for t in 6..=50u64 {
-            rates.record(NodeId(1), NodeId(0), Time(t * 10));
-        }
-        o.invalidate();
-        // Post-invalidate the epoch advances; the old staged entry must
-        // be gone, and the fresh snapshot serves the updated weight.
-        let w = o.weight(&rates, Time(1000), NodeId(1), NodeId(0));
-        let mut fresh = PathOracle::new(4, 3600.0, Duration::hours(1));
-        assert_eq!(w, fresh.weight(&rates, Time(1000), NodeId(1), NodeId(0)));
     }
 
     #[test]

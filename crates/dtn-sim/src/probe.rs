@@ -166,26 +166,11 @@ pub enum ProbeEvent {
     },
     /// The oracle's snapshot was explicitly invalidated (re-election).
     OracleInvalidated { at: Time },
-
-    // -------- parallel executor --------
-    /// The windowed executor processed one contact window: `contacts`
-    /// contacts packed into `batches` endpoint-disjoint batches, the
-    /// widest holding `widest` contacts; `conflicts` counts contacts
-    /// that a node collision kept out of the window's first batch.
-    /// Emitted only when `SimConfig::threads > 1` — the one deliberate
-    /// difference between serial and parallel probe streams.
-    ParallelWindow {
-        at: Time,
-        contacts: u64,
-        batches: u64,
-        widest: u64,
-        conflicts: u64,
-    },
 }
 
 impl ProbeEvent {
     /// Every event kind, in the order of the counter table.
-    pub const KINDS: [&'static str; 23] = [
+    pub const KINDS: [&'static str; 22] = [
         "contact_begin",
         "contact_end",
         "contact_lost",
@@ -208,7 +193,6 @@ impl ProbeEvent {
         "central_reelected",
         "oracle_rebuilt",
         "oracle_invalidated",
-        "parallel_window",
     ];
 
     /// Stable snake-case name of this event's kind.
@@ -236,7 +220,6 @@ impl ProbeEvent {
             ProbeEvent::CentralReelected { .. } => "central_reelected",
             ProbeEvent::OracleRebuilt { .. } => "oracle_rebuilt",
             ProbeEvent::OracleInvalidated { .. } => "oracle_invalidated",
-            ProbeEvent::ParallelWindow { .. } => "parallel_window",
         }
     }
 
@@ -264,8 +247,7 @@ impl ProbeEvent {
             | ProbeEvent::ReplacementEvicted { at, .. }
             | ProbeEvent::CentralReelected { at, .. }
             | ProbeEvent::OracleRebuilt { at, .. }
-            | ProbeEvent::OracleInvalidated { at, .. }
-            | ProbeEvent::ParallelWindow { at, .. } => *at,
+            | ProbeEvent::OracleInvalidated { at, .. } => *at,
         }
     }
 
@@ -410,18 +392,6 @@ impl ProbeEvent {
                 );
             }
             ProbeEvent::OracleInvalidated { .. } => {}
-            ProbeEvent::ParallelWindow {
-                contacts,
-                batches,
-                widest,
-                conflicts,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"contacts\":{contacts},\"batches\":{batches},\"widest\":{widest},\"conflicts\":{conflicts}"
-                );
-            }
         }
         s.push('}');
         s
@@ -717,44 +687,6 @@ pub struct RecordingProbe {
     oracle_rebuilds: u64,
     oracle_table_hits: u64,
     oracle_table_recomputes: u64,
-    parallel: ParallelCounters,
-}
-
-/// Accumulated window/batch statistics from `parallel_window` events —
-/// the achieved-parallelism evidence the `observe` command reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelCounters {
-    /// Contact windows the executor processed.
-    pub windows: u64,
-    /// Contacts across all windows.
-    pub contacts: u64,
-    /// Endpoint-disjoint batches across all windows.
-    pub batches: u64,
-    /// The widest single batch seen.
-    pub widest: u64,
-    /// Contacts a node collision kept out of their window's first batch.
-    pub conflicts: u64,
-}
-
-impl ParallelCounters {
-    /// Mean contacts per batch — the average exploitable width.
-    pub fn mean_batch_width(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.contacts as f64 / self.batches as f64
-        }
-    }
-
-    /// Share of contacts that conflicted out of their window's first
-    /// batch.
-    pub fn conflict_rate(&self) -> f64 {
-        if self.contacts == 0 {
-            0.0
-        } else {
-            self.conflicts as f64 / self.contacts as f64
-        }
-    }
 }
 
 impl Default for RecordingProbe {
@@ -778,7 +710,6 @@ impl RecordingProbe {
             oracle_rebuilds: 0,
             oracle_table_hits: 0,
             oracle_table_recomputes: 0,
-            parallel: ParallelCounters::default(),
         }
     }
 
@@ -850,12 +781,6 @@ impl RecordingProbe {
             self.oracle_table_recomputes,
             self.oracle_table_hits,
         )
-    }
-
-    /// Accumulated `parallel_window` statistics (all zero on serial
-    /// runs, which never emit the event).
-    pub fn parallel_counters(&self) -> ParallelCounters {
-        self.parallel
     }
 
     /// Sums the delay decomposition over every delivered query. The
@@ -965,19 +890,6 @@ impl Probe for RecordingProbe {
                 self.oracle_rebuilds = self.oracle_rebuilds.max(epoch);
                 self.oracle_table_recomputes = table_recomputes;
                 self.oracle_table_hits = table_hits;
-            }
-            ProbeEvent::ParallelWindow {
-                contacts,
-                batches,
-                widest,
-                conflicts,
-                ..
-            } => {
-                self.parallel.windows += 1;
-                self.parallel.contacts += contacts;
-                self.parallel.batches += batches;
-                self.parallel.widest = self.parallel.widest.max(widest);
-                self.parallel.conflicts += conflicts;
             }
             _ => {}
         }
@@ -1172,43 +1084,5 @@ mod tests {
         assert!(ProbeEvent::KINDS.contains(&sample.kind()));
         let unique: std::collections::HashSet<_> = ProbeEvent::KINDS.iter().collect();
         assert_eq!(unique.len(), ProbeEvent::KINDS.len());
-    }
-
-    #[test]
-    fn parallel_window_accumulates_and_serializes() {
-        let ev = ProbeEvent::ParallelWindow {
-            at: Time(50),
-            contacts: 10,
-            batches: 4,
-            widest: 5,
-            conflicts: 6,
-        };
-        assert_eq!(ev.kind(), "parallel_window");
-        assert_eq!(ev.at(), Time(50));
-        let json = ev.to_json();
-        assert!(json.starts_with("{\"type\":\"event\",\"kind\":\"parallel_window\",\"at\":50"));
-        assert!(json.contains("\"contacts\":10"));
-        assert!(json.contains("\"batches\":4"));
-        assert!(json.contains("\"widest\":5"));
-        assert!(json.contains("\"conflicts\":6"));
-
-        let mut p = RecordingProbe::new();
-        assert_eq!(p.parallel_counters(), ParallelCounters::default());
-        p.record(&ev);
-        p.record(&ProbeEvent::ParallelWindow {
-            at: Time(60),
-            contacts: 2,
-            batches: 2,
-            widest: 1,
-            conflicts: 1,
-        });
-        let c = p.parallel_counters();
-        assert_eq!(c.windows, 2);
-        assert_eq!(c.contacts, 12);
-        assert_eq!(c.batches, 6);
-        assert_eq!(c.widest, 5);
-        assert_eq!(c.conflicts, 7);
-        assert_eq!(c.mean_batch_width(), 2.0);
-        assert!((c.conflict_rate() - 7.0 / 12.0).abs() < 1e-12);
     }
 }

@@ -23,13 +23,7 @@ use std::time::Instant;
 /// sites never format strings on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Windowed executor: pulling contacts into a bounded window.
-    ContactGather,
-    /// Windowed executor: the read-only parallel plan over batches
-    /// (in practice: parallel path-oracle priming).
-    ContactPlan,
-    /// Committing one contact through the serial dispatch path (serial
-    /// runs spend almost everything here).
+    /// Dispatching one contact (runs spend almost everything here).
     ContactCommit,
     /// Workload injection (data generation and query issue hooks).
     Workload,
@@ -52,8 +46,6 @@ impl Phase {
     /// Stable snake-case name, used by reports and the JSONL export.
     pub fn name(self) -> &'static str {
         match self {
-            Phase::ContactGather => "contact_gather",
-            Phase::ContactPlan => "contact_plan",
             Phase::ContactCommit => "contact_commit",
             Phase::Workload => "workload",
             Phase::EpochMaintenance => "epoch_maintenance",
@@ -303,14 +295,14 @@ mod tests {
     #[test]
     fn render_and_jsonl_cover_every_row() {
         let mut p = Profiler::new();
-        p.enter(Phase::ContactGather);
+        p.enter(Phase::Workload);
         p.exit();
-        p.enter(Phase::ContactPlan);
+        p.enter(Phase::Sample);
         p.exit();
         let report = p.report();
         let table = report.render();
-        assert!(table.contains("contact_gather"));
-        assert!(table.contains("contact_plan"));
+        assert!(table.contains("workload"));
+        assert!(table.contains("sample"));
         let jsonl = report.to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
         assert!(jsonl

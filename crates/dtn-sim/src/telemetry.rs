@@ -4,14 +4,14 @@
 //! fixed-width simulation-time windows of counters and gauges instead
 //! of retaining raw events: deliveries and their delay sum, per-NCL
 //! query load and hit credit, transmission byte counts, oracle
-//! recompute/reuse deltas, parallel batch shape, cache occupancy. A
-//! ten-day city run that would retain millions of events folds into a
-//! few hundred windows of fixed-size counters.
+//! recompute/reuse deltas, cache occupancy. A ten-day city run that
+//! would retain millions of events folds into a few hundred windows of
+//! fixed-size counters.
 //!
-//! Commit order is trace order even under the windowed parallel
-//! executor, so simulation time only moves forward through the probe —
-//! the fold is a flat window array indexed by `(at − origin) / width`,
-//! preallocated from the horizon hint and touched append-only.
+//! The engine dispatches in trace order, so simulation time only moves
+//! forward through the probe — the fold is a flat window array indexed
+//! by `(at − origin) / width`, preallocated from the horizon hint and
+//! touched append-only.
 //! Recording is alloc-free after setup except for two amortised
 //! growths: the per-query first-NCL table (grown on `query_injected`)
 //! and the window array itself if the run overruns the hint (tracked in
@@ -127,16 +127,6 @@ pub struct WindowStats {
     pub oracle_recomputes: u64,
     /// Path-table hits this window (delta, as above).
     pub oracle_hits: u64,
-    /// Contact windows the parallel executor processed.
-    pub parallel_windows: u64,
-    /// Contacts across those windows.
-    pub parallel_contacts: u64,
-    /// Endpoint-disjoint batches across those windows.
-    pub parallel_batches: u64,
-    /// Widest single batch seen this window.
-    pub parallel_widest: u64,
-    /// Contacts conflicted out of their window's first batch.
-    pub parallel_conflicts: u64,
     /// Cached copies at the last occupancy sample in this window
     /// (gauge; valid only when `sampled`).
     pub cache_copies: u64,
@@ -174,11 +164,6 @@ impl WindowStats {
             oracle_rebuilds: 0,
             oracle_recomputes: 0,
             oracle_hits: 0,
-            parallel_windows: 0,
-            parallel_contacts: 0,
-            parallel_batches: 0,
-            parallel_widest: 0,
-            parallel_conflicts: 0,
             cache_copies: 0,
             cache_bytes: 0,
             sampled: false,
@@ -205,7 +190,6 @@ impl WindowStats {
             && self.reelections == 0
             && self.oracle_invalidations == 0
             && self.oracle_rebuilds == 0
-            && self.parallel_windows == 0
             && !self.sampled
             && self.ncl_overflow == 0
             && self.ncl_load.iter().all(|&c| c == 0)
@@ -287,7 +271,7 @@ impl Telemetry {
     /// Version tag of the JSONL window schema. Bump on any change to
     /// the line layout; `experiments compare` refuses unknown versions
     /// rather than misaligning series.
-    pub const SCHEMA: &'static str = "dtn-telemetry/1";
+    pub const SCHEMA: &'static str = "dtn-telemetry/2";
 
     /// A recorder with the given layout; the window array is
     /// preallocated to cover `config.horizon`.
@@ -438,11 +422,6 @@ impl Telemetry {
                 out,
                 ",\"epochs\":{},\"reelections\":{},\"oracle_invalidations\":{},\"oracle_rebuilds\":{},\"oracle_recomputes\":{},\"oracle_hits\":{}",
                 w.epochs, w.reelections, w.oracle_invalidations, w.oracle_rebuilds, w.oracle_recomputes, w.oracle_hits
-            );
-            let _ = write!(
-                out,
-                ",\"parallel_windows\":{},\"parallel_contacts\":{},\"parallel_batches\":{},\"parallel_widest\":{},\"parallel_conflicts\":{}",
-                w.parallel_windows, w.parallel_contacts, w.parallel_batches, w.parallel_widest, w.parallel_conflicts
             );
             if w.sampled {
                 let _ = write!(
@@ -632,20 +611,6 @@ impl Probe for Telemetry {
             }
             ProbeEvent::OracleInvalidated { at } => {
                 self.window_mut(at).oracle_invalidations += 1;
-            }
-            ProbeEvent::ParallelWindow {
-                at,
-                contacts,
-                batches,
-                widest,
-                conflicts,
-            } => {
-                let w = self.window_mut(at);
-                w.parallel_windows += 1;
-                w.parallel_contacts += contacts;
-                w.parallel_batches += batches;
-                w.parallel_widest = w.parallel_widest.max(widest);
-                w.parallel_conflicts += conflicts;
             }
             ProbeEvent::PushRelay { .. }
             | ProbeEvent::PushSettled { .. }
