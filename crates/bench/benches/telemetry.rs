@@ -2,8 +2,9 @@
 //! uninstrumented, with the windowed [`Telemetry`] recorder tee'd onto
 //! the probe layer, and with the hierarchical phase profiler enabled.
 //!
-//! Three arms over one manual warm-up → configure → workload protocol
-//! (the exact sequence `run_experiment` and `observe` perform):
+//! Three arms over the two stages of `run_experiment`
+//! (`prepare_experiment`, then the measured half), the instrument
+//! attached in between:
 //!
 //! - `off` — no probe, `profile: false`. This is the zero-cost-off
 //!   gate arm: its time must stay within 5% of the committed
@@ -15,27 +16,24 @@
 //! - `profiler` — `profile: true`. Measures the scoped span tree
 //!   (monotonic clock reads around engine phases).
 //!
-//! Before measuring, the `off` arm asserts bit-identical [`Metrics`]
-//! against `run_experiment` (same protocol, so same numbers) and the
-//! instrumented arms assert they perturb nothing. The committed
-//! `BENCH_telemetry.json` records the gate; `cargo bench -p bench
-//! --bench telemetry -- --test` runs each body once as a CI smoke.
+//! Before measuring, the instrumented arms assert bit-identical
+//! [`Metrics`] against the `off` arm — they perturb nothing. The
+//! committed `BENCH_telemetry.json` records the gate; `cargo bench -p
+//! bench --bench telemetry -- --test` runs each body once as a CI smoke.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use dtn_cache::experiment::{build_scheme, run_experiment, ExperimentConfig};
-use dtn_cache::{NetworkSetup, SchemeKind};
-use dtn_core::ids::NodeId;
-use dtn_core::time::{Duration, Time};
-use dtn_sim::engine::{SimConfig, Simulator};
+use dtn_cache::experiment::{build_scheme, prepare_experiment, ExperimentConfig};
+use dtn_cache::SchemeKind;
+use dtn_core::time::Duration;
+use dtn_sim::engine::SimConfig;
 use dtn_sim::metrics::Metrics;
 use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 use dtn_trace::trace::ContactTrace;
 use dtn_trace::TracePreset;
-use dtn_workload::{Workload, WorkloadConfig};
 
 /// Same reduced fig10 point as `benches/sim_engine.rs`, so the `off`
 /// arm is directly comparable to the committed optimized baseline.
@@ -66,66 +64,27 @@ fn fig10_config() -> ExperimentConfig {
     }
 }
 
-/// The `run_experiment` protocol spelled out so an instrument can be
-/// attached: warm-up over the first half, NCL selection + configure,
-/// workload over the second half.
+/// One benchmark point: the instrument rides the measured half only.
 fn run_point(trace: &ContactTrace, config: &ExperimentConfig, instrument: Instrument) -> Metrics {
-    let scheme = build_scheme(SchemeKind::Intentional, config);
-    let mut sim = Simulator::new(
-        trace,
-        scheme,
-        SimConfig {
-            buffer_range: config.buffer_range,
-            sample_interval: config.sample_interval,
-            epoch_interval: config.epoch_interval,
-            path_refresh: config.path_refresh,
-            seed: SEED,
-            profile: instrument == Instrument::Profiler,
-            ..SimConfig::default()
-        },
-    );
-
-    let mid = trace.midpoint();
-    sim.run_until(mid);
-
-    let capacities: Vec<u64> = (0..trace.node_count() as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: mid,
-        capacities,
-        horizon: config
-            .horizon
-            .unwrap_or_else(|| config.mean_data_lifetime.as_secs_f64().max(3600.0)),
-        path_refresh: config.path_refresh,
+    let engine = SimConfig {
+        seed: SEED,
+        profile: instrument == Instrument::Profiler,
+        ..SimConfig::default()
     };
-    sim.scheme_mut().configure(&setup);
+    let scheme = build_scheme(SchemeKind::Intentional, config);
+    let mut sim = prepare_experiment(trace, scheme, config, engine);
 
-    let end = Time(trace.duration().as_secs());
     let telemetry = (instrument == Instrument::Telemetry).then(|| {
+        let mid = trace.midpoint();
         let recorder = Rc::new(RefCell::new(Telemetry::new(&TelemetryConfig::spanning(
             mid,
-            Duration(end.0 - mid.0),
+            Duration(trace.duration().as_secs() - mid.0),
             24,
             config.ncl_count,
         ))));
         sim.set_probe(Box::new(Rc::clone(&recorder)));
         recorder
     });
-
-    let workload_cfg = WorkloadConfig {
-        generation_probability: config.generation_probability,
-        mean_lifetime: config.mean_data_lifetime,
-        mean_size: config.mean_data_size,
-        zipf_exponent: config.zipf_exponent,
-        query_constraint: config.query_constraint,
-        window: (mid, end),
-        seed: SEED,
-    };
-    let workload = Workload::generate(trace.node_count(), &workload_cfg);
-    sim.add_workload(workload.into_events());
     sim.run_to_end();
 
     if let Some(recorder) = telemetry {
@@ -142,14 +101,8 @@ fn bench_telemetry(c: &mut Criterion) {
     let trace = fig10_trace();
     let cfg = fig10_config();
 
-    // Self-checks: the spelled-out protocol reproduces `run_experiment`
-    // bit-for-bit, and neither instrument perturbs the engine.
-    let reference = run_experiment(&trace, SchemeKind::Intentional, &cfg, SEED);
+    // Self-checks: neither instrument perturbs the engine.
     let off = run_point(&trace, &cfg, Instrument::Off);
-    assert_eq!(
-        off, reference.metrics,
-        "manual protocol diverged from run_experiment on the benchmark point"
-    );
     assert_eq!(
         run_point(&trace, &cfg, Instrument::Telemetry),
         off,

@@ -770,7 +770,7 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
          \"peak_rss_bytes is VmHWM: the process-lifetime high-water mark. Runs execute in ascending size, so each run's value is its own peak, but the trailing audited_case inherits the largest run's.\",\n    \
          \"sparse-reach cache resized from 4096 fixed slots to one slot per node: direct-mapped collisions had nearly every forwarding decision recompute a bounded Dijkstra; 10k-node city run went 17314 -> 28396 contacts/s.\",\n    \
          \"oracle wall-clock refresh pinned to the trace duration in the scale harness (generation-doubling rebuilds still fire): each snapshot rebuild invalidates all ~N cached reaches, and recomputing them dominated the measured phase; 30k-node city run went 6534 -> 15275 contacts/s (measured phase 114.5s -> 48.8s).\",\n    \
-         \"Metrics::delays_secs bounded by SimConfig::max_delay_samples (default 65536), so delay sampling is O(cap) not O(delivered queries) at city scale.\",\n    \
+         \"Metrics keeps the exact delay sum and count only (O(1) in delivered queries); the delay distribution is RecordingProbe::delay_hist, present when a probe is installed.\",\n    \
          \"CommunityPartition stores members/offsets as flat u32 CSR arrays (no per-community Vec allocations); RateTable switches to sparse pair storage above its density threshold, keeping per-contact updates allocation-free at 100k+ nodes.\"\n  ]\n}\n",
     );
     match &opts.out {

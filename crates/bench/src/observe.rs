@@ -29,11 +29,11 @@ use std::io::{self, Write as _};
 use std::path::Path;
 use std::rc::Rc;
 
-use dtn_cache::experiment::{build_scheme, ExperimentConfig};
-use dtn_cache::{NetworkSetup, SchemeKind};
+use dtn_cache::experiment::{build_scheme, prepare_experiment, ExperimentConfig};
+use dtn_cache::{CachingScheme, SchemeKind};
 use dtn_core::ids::NodeId;
-use dtn_core::time::{Duration, Time};
-use dtn_sim::engine::{SimConfig, Simulator};
+use dtn_core::time::Duration;
+use dtn_sim::engine::{ContactSource, Scheme, SimConfig, Simulator};
 use dtn_sim::metrics::Metrics;
 use dtn_sim::probe::{ProbeEvent, QueryTrace, RecordingProbe, TeeProbe};
 use dtn_sim::profiler::ProfileReport;
@@ -41,7 +41,6 @@ use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
 use dtn_trace::synthetic::regime_shift_trace;
 use dtn_trace::trace::ContactTrace;
 use dtn_trace::TracePreset;
-use dtn_workload::{Workload, WorkloadConfig};
 
 use crate::figures::{mit_config, preset_trace};
 
@@ -76,6 +75,73 @@ pub struct ObserveRun {
     pub ncl_query_load: Vec<u64>,
 }
 
+/// The capture pair every instrumented harness rides on: a
+/// [`RecordingProbe`] and a windowed [`Telemetry`] recorder folding the
+/// identical event stream behind one [`TeeProbe`].
+pub struct Instruments {
+    recorder: Rc<RefCell<RecordingProbe>>,
+    telemetry: Rc<RefCell<Telemetry>>,
+}
+
+impl Instruments {
+    /// Installs both recorders as `sim`'s probe; events flow into them
+    /// from now on.
+    pub fn install<S: Scheme, C: ContactSource>(
+        sim: &mut Simulator<S, C>,
+        recorder: RecordingProbe,
+        telemetry: Telemetry,
+    ) -> Self {
+        let recorder = Rc::new(RefCell::new(recorder));
+        let telemetry = Rc::new(RefCell::new(telemetry));
+        sim.set_probe(Box::new(TeeProbe::new(
+            Box::new(Rc::clone(&recorder)),
+            Box::new(Rc::clone(&telemetry)),
+        )));
+        Instruments {
+            recorder,
+            telemetry,
+        }
+    }
+
+    /// Detaches the probe from `sim` and returns both recorders.
+    pub fn finish<S: Scheme, C: ContactSource>(
+        self,
+        sim: &mut Simulator<S, C>,
+    ) -> (RecordingProbe, Telemetry) {
+        drop(sim.take_probe());
+        let recorder = Rc::try_unwrap(self.recorder)
+            .expect("engine returned its probe handle")
+            .into_inner();
+        let telemetry = Rc::try_unwrap(self.telemetry)
+            .expect("engine returned its telemetry handle")
+            .into_inner();
+        (recorder, telemetry)
+    }
+}
+
+impl ObserveRun {
+    /// Collects a finished, instrumented intentional-scheme run.
+    pub(crate) fn capture<S: CachingScheme, C: ContactSource>(
+        figure: &str,
+        seed: u64,
+        sim: &mut Simulator<S, C>,
+        instruments: Instruments,
+    ) -> Self {
+        let (probe, telemetry) = instruments.finish(sim);
+        ObserveRun {
+            figure: figure.to_string(),
+            scheme: SchemeKind::Intentional,
+            seed,
+            metrics: sim.metrics().clone(),
+            probe,
+            telemetry,
+            profile: sim.profile_report(),
+            central_nodes: sim.scheme().central_nodes().to_vec(),
+            ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
+        }
+    }
+}
+
 /// The figures `observe` knows base configurations for.
 pub const FIGURES: [&str; 5] = ["fig10", "fig11", "fig12", "fig13", "churn"];
 
@@ -85,8 +151,9 @@ pub const TARGETS: [&str; 7] = [
     "fig10", "fig11", "fig12", "fig13", "churn", "regimes", "scale",
 ];
 
-/// The trace and base configuration behind one figure, at `scale`.
-fn figure_setup(figure: &str, scale: f64, seed: u64) -> Option<(ContactTrace, ExperimentConfig)> {
+/// The trace and base configuration behind one figure, at `scale`
+/// (trace seeds are pinned to the figures' 42).
+fn figure_setup(figure: &str, scale: f64) -> Option<(ContactTrace, ExperimentConfig)> {
     match figure {
         // The three MIT Reality sweeps share one base point.
         "fig10" | "fig11" | "fig12" => Some((
@@ -124,99 +191,33 @@ fn figure_setup(figure: &str, scale: f64, seed: u64) -> Option<(ContactTrace, Ex
         }
         _ => None,
     }
-    .map(|(trace, cfg)| {
-        let _ = seed; // trace seeds are pinned to the figures' 42
-        (trace, cfg)
-    })
 }
 
 /// Runs the named figure's base configuration once with a recording
 /// probe covering the measurement phase. `Err` names the unknown figure.
 pub fn observe_figure(figure: &str, scale: f64, seed: u64) -> Result<ObserveRun, String> {
-    let (trace, config) = figure_setup(figure, scale, seed)
+    let (trace, config) = figure_setup(figure, scale)
         .ok_or_else(|| format!("unknown figure {figure:?}; expected one of {FIGURES:?}"))?;
-    let kind = SchemeKind::Intentional;
-    let scheme = build_scheme(kind, &config);
-    let sim_config = SimConfig {
-        buffer_range: config.buffer_range,
-        sample_interval: config.sample_interval,
-        epoch_interval: config.epoch_interval,
-        path_refresh: config.path_refresh,
+    let engine = SimConfig {
         seed,
         profile: true,
         ..SimConfig::default()
     };
-    let mut sim = Simulator::new(&trace, scheme, sim_config);
+    let scheme = build_scheme(SchemeKind::Intentional, &config);
+    let mut sim = prepare_experiment(&trace, scheme, &config, engine);
 
-    // Phase 1: warm-up over the first half of the trace (unobserved —
-    // figures measure the second half only).
+    // Warm-up and configure ran unobserved: the recording probe and the
+    // windowed flight recorder cover the measurement half only.
     let mid = trace.midpoint();
-    sim.run_until(mid);
-
-    // Phase 2: NCL selection and scheme configuration.
-    let capacities: Vec<u64> = (0..trace.node_count() as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: mid,
-        capacities,
-        horizon: config
-            .horizon
-            .unwrap_or_else(|| config.mean_data_lifetime.as_secs_f64().max(3600.0)),
-        path_refresh: config.path_refresh,
-    };
-    sim.scheme_mut().configure(&setup);
-
-    // Install the probes now, so the export covers the measurement
-    // phase: the recording probe and the windowed flight recorder fold
-    // the identical event stream.
-    let end = Time(trace.duration().as_secs());
-    let recorder = Rc::new(RefCell::new(RecordingProbe::new()));
-    let telemetry = Rc::new(RefCell::new(Telemetry::new(&TelemetryConfig::spanning(
+    let telemetry = Telemetry::new(&TelemetryConfig::spanning(
         mid,
-        Duration(end.0 - mid.0),
+        Duration(trace.duration().as_secs() - mid.0),
         TIMELINE_WINDOWS,
         config.ncl_count,
-    ))));
-    sim.set_probe(Box::new(TeeProbe::new(
-        Box::new(Rc::clone(&recorder)),
-        Box::new(Rc::clone(&telemetry)),
-    )));
-
-    // Phase 3: workload over the second half.
-    let workload_cfg = WorkloadConfig {
-        generation_probability: config.generation_probability,
-        mean_lifetime: config.mean_data_lifetime,
-        mean_size: config.mean_data_size,
-        zipf_exponent: config.zipf_exponent,
-        query_constraint: config.query_constraint,
-        window: (mid, end),
-        seed,
-    };
-    let workload = Workload::generate(trace.node_count(), &workload_cfg);
-    sim.add_workload(workload.into_events());
+    ));
+    let instruments = Instruments::install(&mut sim, RecordingProbe::new(), telemetry);
     sim.run_to_end();
-
-    drop(sim.take_probe());
-    let probe = Rc::try_unwrap(recorder)
-        .expect("engine returned its probe handle")
-        .into_inner();
-    let telemetry = Rc::try_unwrap(telemetry)
-        .expect("engine returned its telemetry handle")
-        .into_inner();
-    Ok(ObserveRun {
-        figure: figure.to_string(),
-        scheme: kind,
-        seed,
-        metrics: sim.metrics().clone(),
-        probe,
-        telemetry,
-        profile: sim.profile_report(),
-        central_nodes: sim.scheme().central_nodes().to_vec(),
-        ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
-    })
+    Ok(ObserveRun::capture(figure, seed, &mut sim, instruments))
 }
 
 /// The unified capture entry point: figures run through

@@ -16,11 +16,8 @@
 //! exponent, mean gap CV²) quantify how far each process pushes the
 //! rate estimator from the Poisson world it was built for.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
+use dtn_cache::experiment::configure_from_live_state;
 use dtn_cache::intentional::{IntentionalConfig, IntentionalScheme};
-use dtn_cache::{CachingScheme, NetworkSetup, SchemeKind};
 use dtn_core::graph::ContactGraph;
 use dtn_core::ids::{DataId, NodeId};
 use dtn_core::ncl::select_central_nodes;
@@ -28,14 +25,14 @@ use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{SimConfig, Simulator, TraceSource, WorkloadEvent};
 use dtn_sim::message::DataItem;
 use dtn_sim::overlay::{OverlayKind, OverlaySource, RegimeOverlay};
-use dtn_sim::probe::{RecordingProbe, TeeProbe};
+use dtn_sim::probe::RecordingProbe;
 use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
 use dtn_trace::process::ContactProcessKind;
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 use dtn_trace::trace::ContactTrace;
 use dtn_trace::{analysis, stats};
 
-use crate::observe::{ObserveRun, TIMELINE_WINDOWS};
+use crate::observe::{Instruments, ObserveRun, TIMELINE_WINDOWS};
 
 /// The overlay slots of the matrix, in report order. `"none"` is the
 /// unperturbed baseline every other slot is read against.
@@ -297,17 +294,17 @@ struct SingleRun {
     audit_sweeps: u64,
 }
 
-/// One simulation: warm-up to the midpoint, configure the intentional
-/// scheme from the live rate table, inject base + overlay workload, run
-/// to the end through the overlay-filtered contact stream.
-fn run_one(
-    trace: &ContactTrace,
+/// A cell's simulator, ready for its measured half: warmed to the
+/// midpoint through the overlay-filtered contact stream, the
+/// intentional scheme configured from the live rate table, base +
+/// overlay workload queued. `engine` carries the seed, the epoch
+/// interval and the instrument switches.
+fn prepare_cell<'t>(
+    trace: &'t ContactTrace,
     plan: &RunPlan,
     overlay: Option<&RegimeOverlay>,
-    epoch: Option<Duration>,
-    seed: u64,
-    audit: bool,
-) -> SingleRun {
+    engine: SimConfig,
+) -> Simulator<IntentionalScheme, OverlaySource<TraceSource<'t>>> {
     let overlays: Vec<RegimeOverlay> = overlay.cloned().into_iter().collect();
     let source = OverlaySource::new(TraceSource::new(trace), overlays);
     let scheme = IntentionalScheme::new(IntentionalConfig {
@@ -316,30 +313,35 @@ fn run_one(
     });
     let config = SimConfig {
         buffer_range: (64_000, 96_000),
-        seed,
-        audit,
-        epoch_interval: epoch,
-        ..SimConfig::default()
+        ..engine
     };
     let mut sim = Simulator::from_source(source, scheme, config);
     sim.run_until(plan.mid);
-    let capacities: Vec<u64> = (0..NODES as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: plan.mid,
-        capacities,
-        horizon: 7_200.0,
-        path_refresh: None,
-    };
-    sim.scheme_mut().configure(&setup);
+    configure_from_live_state(&mut sim, 7_200.0, None);
     let mut events = base_workload(plan);
     if let Some(o) = overlay {
         events.extend(o.workload_events(NODES, SPARE_ITEM_BASE));
     }
     sim.add_workload(events);
+    sim
+}
+
+/// One matrix simulation, run to the end of the trace.
+fn run_one(
+    trace: &ContactTrace,
+    plan: &RunPlan,
+    overlay: Option<&RegimeOverlay>,
+    epoch: Option<Duration>,
+    seed: u64,
+    audit: bool,
+) -> SingleRun {
+    let engine = SimConfig {
+        seed,
+        audit,
+        epoch_interval: epoch,
+        ..SimConfig::default()
+    };
+    let mut sim = prepare_cell(trace, plan, overlay, engine);
     sim.run_to_end();
 
     let m = sim.metrics();
@@ -347,16 +349,8 @@ fn run_one(
         .audit_report()
         .map_or((0, 0), |r| (r.violations_total(), r.sweeps()));
     SingleRun {
-        success_ratio: if m.queries_issued > 0 {
-            m.queries_satisfied as f64 / m.queries_issued as f64
-        } else {
-            0.0
-        },
-        delay_hours: if m.queries_satisfied > 0 {
-            m.total_delay_secs as f64 / m.queries_satisfied as f64 / 3_600.0
-        } else {
-            0.0
-        },
+        success_ratio: m.success_ratio(),
+        delay_hours: m.avg_delay_hours(),
         queries_issued: m.queries_issued,
         contacts_dropped: sim.source().dropped(),
         audit_violations: violations,
@@ -372,78 +366,29 @@ fn run_one(
 /// the matrix's `run_one`; the probes are installed after `configure`, so the
 /// capture covers the measurement half, and the blackout window is
 /// marked on the telemetry series.
-pub fn observe_blackout(scale: f64, seed: u64) -> ObserveRun {
+pub(crate) fn observe_blackout(scale: f64, seed: u64) -> ObserveRun {
     let scale = scale.max(0.02);
     let plan = RunPlan::new(scale);
     let trace = trace_builder(ContactProcessKind::Poisson, scale, seed).build();
     let overlay = build_overlay("ncl-blackout", &plan, &trace).expect("blackout slot");
-
-    let source = OverlaySource::new(TraceSource::new(&trace), vec![overlay.clone()]);
-    let scheme = IntentionalScheme::new(IntentionalConfig {
-        ncl_count: NCL_COUNT,
-        ..IntentionalConfig::default()
-    });
-    let config = SimConfig {
-        buffer_range: (64_000, 96_000),
+    let engine = SimConfig {
         seed,
         epoch_interval: Some(plan.epoch),
         profile: true,
         ..SimConfig::default()
     };
-    let mut sim = Simulator::from_source(source, scheme, config);
-    sim.run_until(plan.mid);
+    let mut sim = prepare_cell(&trace, &plan, Some(&overlay), engine);
 
-    let capacities: Vec<u64> = (0..NODES as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: plan.mid,
-        capacities,
-        horizon: 7_200.0,
-        path_refresh: None,
-    };
-    sim.scheme_mut().configure(&setup);
-
-    let end = Time(plan.duration.as_secs());
-    let recorder = Rc::new(RefCell::new(RecordingProbe::new()));
     let mut telemetry = Telemetry::new(&TelemetryConfig::spanning(
         plan.mid,
-        Duration(end.0 - plan.mid.0),
+        Duration(plan.duration.as_secs() - plan.mid.0),
         TIMELINE_WINDOWS,
         NCL_COUNT,
     ));
     telemetry.mark_overlay("ncl-blackout", plan.w_start, plan.w_end);
-    let telemetry = Rc::new(RefCell::new(telemetry));
-    sim.set_probe(Box::new(TeeProbe::new(
-        Box::new(Rc::clone(&recorder)),
-        Box::new(Rc::clone(&telemetry)),
-    )));
-
-    let mut events = base_workload(&plan);
-    events.extend(overlay.workload_events(NODES, SPARE_ITEM_BASE));
-    sim.add_workload(events);
+    let instruments = Instruments::install(&mut sim, RecordingProbe::new(), telemetry);
     sim.run_to_end();
-
-    drop(sim.take_probe());
-    let probe = Rc::try_unwrap(recorder)
-        .expect("engine returned its probe handle")
-        .into_inner();
-    let telemetry = Rc::try_unwrap(telemetry)
-        .expect("engine returned its telemetry handle")
-        .into_inner();
-    ObserveRun {
-        figure: "regimes".to_string(),
-        scheme: SchemeKind::Intentional,
-        seed,
-        metrics: sim.metrics().clone(),
-        probe,
-        telemetry,
-        profile: sim.profile_report(),
-        central_nodes: sim.scheme().central_nodes().to_vec(),
-        ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
-    }
+    ObserveRun::capture("regimes", seed, &mut sim, instruments)
 }
 
 fn aggregate(runs: &[SingleRun]) -> RegimeOutcome {

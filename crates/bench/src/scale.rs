@@ -20,27 +20,28 @@
 //! Reported numbers (contacts/sec, peak RSS) feed `BENCH_scale.json`;
 //! the `experiments scale` subcommand drives it from the command line.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use dtn_cache::experiment::configure_from_live_state;
 use dtn_cache::intentional::{IntentionalConfig, IntentionalScheme};
-use dtn_cache::{CachingScheme, NetworkSetup, SchemeKind};
+use dtn_cache::CachingScheme;
 use dtn_core::ids::{DataId, NodeId};
 use dtn_core::ncl::SelectionStrategy;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{SimConfig, Simulator, StreamSource, WorkloadEvent};
 use dtn_sim::message::DataItem;
-use dtn_sim::probe::{RecordingProbe, TeeProbe};
+use dtn_sim::probe::RecordingProbe;
 use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 
 use dtn_core::sys::peak_rss_bytes;
 
-use crate::observe::{ObserveRun, TIMELINE_WINDOWS};
+use crate::observe::{Instruments, ObserveRun, TIMELINE_WINDOWS};
 
 /// All knobs of one city-scale run.
 #[derive(Debug, Clone)]
@@ -266,7 +267,10 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 /// throughput report. Unlike the figure captures, the telemetry spans
 /// the *whole* run from t=0 — warm-up visibility is what a streaming
 /// timeline is for.
-pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Option<ObserveRun>) {
+pub(crate) fn run_scale_observed(
+    cfg: &ScaleConfig,
+    observe: bool,
+) -> (ScaleReport, Option<ObserveRun>) {
     let contacts_seen = Rc::new(Cell::new(0u64));
     let counter = Rc::clone(&contacts_seen);
     let stream = cfg.builder().stream();
@@ -297,18 +301,13 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
         },
     );
     let instruments = observe.then(|| {
-        let recorder = Rc::new(RefCell::new(RecordingProbe::new()));
-        let telemetry = Rc::new(RefCell::new(Telemetry::new(&TelemetryConfig::spanning(
+        let telemetry = Telemetry::new(&TelemetryConfig::spanning(
             Time(0),
             cfg.duration,
             TIMELINE_WINDOWS,
             cfg.ncl_count,
-        ))));
-        sim.set_probe(Box::new(TeeProbe::new(
-            Box::new(Rc::clone(&recorder)),
-            Box::new(Rc::clone(&telemetry)),
-        )));
-        (recorder, telemetry)
+        ));
+        Instruments::install(&mut sim, RecordingProbe::new(), telemetry)
     });
 
     // Phase 1: warm-up over the first half of the stream.
@@ -319,25 +318,14 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
 
     // Phase 2: community-scoped NCL selection from accumulated rates.
     let configure_started = Instant::now();
-    let capacities: Vec<u64> = (0..cfg.nodes as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: mid,
-        capacities,
-        horizon: cfg.data_lifetime.as_secs_f64().max(3600.0),
-        // Every snapshot rebuild invalidates all ~N cached reaches, and
-        // recomputing them (not the contact loop itself) dominates the
-        // measured phase. Pin the wall-clock refresh to the whole trace:
-        // the oracle's generation-doubling rule still rebuilds when the
-        // observed contact count doubles, which bounds staleness the way
-        // §III-B's "rates remain relatively constant" assumes.
-        path_refresh: Some(cfg.duration),
-    };
-    sim.scheme_mut().configure(&setup);
-    drop(rate_table);
+    let horizon = cfg.data_lifetime.as_secs_f64().max(3600.0);
+    // Every snapshot rebuild invalidates all ~N cached reaches, and
+    // recomputing them (not the contact loop itself) dominates the
+    // measured phase. Pin the wall-clock refresh to the whole trace:
+    // the oracle's generation-doubling rule still rebuilds when the
+    // observed contact count doubles, which bounds staleness the way
+    // §III-B's "rates remain relatively constant" assumes.
+    configure_from_live_state(&mut sim, horizon, Some(cfg.duration));
     let central_nodes = sim.scheme().central_nodes().len();
     let configure_secs = configure_started.elapsed().as_secs_f64();
 
@@ -369,30 +357,13 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
             .audit_report()
             .map(|r| (r.sweeps(), r.violations_total())),
     };
-    let observed = instruments.map(|(recorder, telemetry)| {
-        drop(sim.take_probe());
-        ObserveRun {
-            figure: "scale".to_string(),
-            scheme: SchemeKind::Intentional,
-            seed: cfg.seed,
-            metrics,
-            probe: Rc::try_unwrap(recorder)
-                .expect("engine returned its probe handle")
-                .into_inner(),
-            telemetry: Rc::try_unwrap(telemetry)
-                .expect("engine returned its telemetry handle")
-                .into_inner(),
-            profile: sim.profile_report(),
-            central_nodes: sim.scheme().central_nodes().to_vec(),
-            ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
-        }
-    });
+    let observed = instruments.map(|i| ObserveRun::capture("scale", cfg.seed, &mut sim, i));
     (report, observed)
 }
 
 /// The instrumented city smoke behind `observe scale` / `timeline
 /// scale`: a 2 000-node city at full density, telemetry from t=0.
-pub fn observe_city_smoke(seed: u64) -> ObserveRun {
+pub(crate) fn observe_city_smoke(seed: u64) -> ObserveRun {
     let cfg = ScaleConfig {
         seed,
         ..ScaleConfig::city(2_000)

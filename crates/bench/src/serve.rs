@@ -444,7 +444,7 @@ pub fn run_serve_differential(cfg: &ServeBenchConfig) -> Vec<String> {
     }
 
     // Kernel equivalence on a sample of recorded Place decisions.
-    let rates = first.sim().rate_table().clone();
+    let rates = first.sim().rate_table();
     let nodes = cfg.nodes;
     for d in first.decisions().iter().take(40) {
         let dtn_serve::Request::Place { source, .. } = d.request else {
@@ -461,7 +461,7 @@ pub fn run_serve_differential(cfg: &ServeBenchConfig) -> Vec<String> {
                 if n == source
                     || !dtn_cache::common::better_relay(
                         &mut fresh,
-                        &rates,
+                        rates,
                         d.at,
                         source,
                         n,
@@ -473,7 +473,7 @@ pub fn run_serve_differential(cfg: &ServeBenchConfig) -> Vec<String> {
                 let w = if n == plan.central {
                     f64::INFINITY
                 } else {
-                    fresh.weight(&rates, d.at, n, plan.central)
+                    fresh.weight(rates, d.at, n, plan.central)
                 };
                 if best.is_none_or(|(_, bw)| w > bw) {
                     best = Some((n, w));

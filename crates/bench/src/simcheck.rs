@@ -22,15 +22,14 @@
 //! [`AuditLaw`]: dtn_sim::audit::AuditLaw
 //! [`RecordingProbe`]: dtn_sim::probe::RecordingProbe
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
+use dtn_cache::experiment::configure_from_live_state;
 use dtn_cache::intentional::{IntentionalConfig, IntentionalScheme, ResponseStrategy};
 use dtn_cache::reference::ReferenceIntentionalScheme;
 use dtn_cache::replacement::ReplacementKind;
 use dtn_cache::routing::ForwardingStrategy;
-use dtn_cache::{CachingScheme, NetworkSetup};
+use dtn_cache::CachingScheme;
 use dtn_core::ids::{DataId, NodeId};
 use dtn_core::ncl::SelectionStrategy;
 use dtn_core::time::{Duration, Time};
@@ -41,13 +40,15 @@ use dtn_sim::engine::{
 use dtn_sim::message::DataItem;
 use dtn_sim::metrics::Metrics;
 use dtn_sim::overlay::{OverlayKind, OverlaySource, RegimeOverlay};
-use dtn_sim::probe::{RecordingProbe, TeeProbe};
+use dtn_sim::probe::RecordingProbe;
 use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
 use dtn_trace::process::ContactProcessKind;
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 use dtn_trace::trace::ContactTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::observe::Instruments;
 
 /// One fully-specified fuzz case, derived deterministically from a seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,8 +237,7 @@ fn run_instrumented<S: CachingScheme>(
     sim_cfg: SimConfig,
 ) -> RunResult {
     let mid = trace.midpoint();
-    let nodes = trace.node_count();
-    run_instrumented_from(TraceSource::new(trace), scheme, events, sim_cfg, mid, nodes)
+    run_instrumented_from(TraceSource::new(trace), scheme, events, sim_cfg, mid)
 }
 
 /// [`run_instrumented`] over any contact source — the streaming batch
@@ -249,50 +249,36 @@ fn run_instrumented_from<S: CachingScheme, C: ContactSource>(
     events: Vec<WorkloadEvent>,
     sim_cfg: SimConfig,
     mid: Time,
-    nodes: usize,
 ) -> RunResult {
-    let probe = Rc::new(RefCell::new(RecordingProbe::new().without_event_stream()));
+    let mut sim = Simulator::from_source(source, scheme, sim_cfg);
     // A flight recorder rides along on every fuzz case: its window sums
     // must conserve the engine totals and the probe's event counts
     // exactly, on every seed the fuzzer throws at it. The horizon is
     // only a preallocation hint; overrunning it is fine.
-    let telemetry = Rc::new(RefCell::new(Telemetry::new(&TelemetryConfig::spanning(
+    let telemetry = Telemetry::new(&TelemetryConfig::spanning(
         Time(0),
         Duration((mid.0 * 2).max(1)),
         16,
         16,
-    ))));
-    let mut sim = Simulator::from_source(source, scheme, sim_cfg);
-    sim.set_probe(Box::new(TeeProbe::new(
-        Box::new(Rc::clone(&probe)),
-        Box::new(Rc::clone(&telemetry)),
-    )));
+    ));
+    let recorder = RecordingProbe::new().without_event_stream();
+    let instruments = Instruments::install(&mut sim, recorder, telemetry);
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..nodes as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: mid,
-        capacities,
-        horizon: 7200.0,
-        path_refresh: None,
-    };
-    sim.scheme_mut().configure(&setup);
+    configure_from_live_state(&mut sim, 7200.0, None);
     sim.add_workload(events);
     sim.run_to_end();
+    let (probe, telemetry) = instruments.finish(&mut sim);
 
     let report = sim.audit_report().expect("simcheck always enables audit");
     let mut failure = (!report.is_clean()).then(|| report.summary());
     let sweeps = report.sweeps();
     if failure.is_none() {
         let mut probe_report = AuditReport::default();
-        check_delay_decomposition(&probe.borrow(), sim.metrics(), sim.now(), &mut probe_report);
+        check_delay_decomposition(&probe, sim.metrics(), sim.now(), &mut probe_report);
         failure = (!probe_report.is_clean()).then(|| probe_report.summary());
     }
     if failure.is_none() {
-        failure = check_telemetry_conservation(&telemetry.borrow(), &probe.borrow(), sim.metrics());
+        failure = check_telemetry_conservation(&telemetry, &probe, sim.metrics());
     }
     RunResult {
         metrics: sim.metrics().clone(),
@@ -489,7 +475,6 @@ pub fn run_streaming_case(params: &CaseParams) -> Result<CaseStats, String> {
         events.clone(),
         sim_config(&params),
         mid,
-        nodes,
     );
     if let Some(detail) = by_stream.failure {
         return Err(format!("streamed run: {detail}"));
@@ -517,7 +502,6 @@ pub fn run_streaming_case(params: &CaseParams) -> Result<CaseStats, String> {
         events,
         sim_config(&params),
         mid,
-        nodes,
     );
     if let Some(detail) = scaled.failure {
         return Err(format!("city-scale run: {detail}"));
@@ -608,7 +592,6 @@ pub fn run_process_case(
         events.clone(),
         sim_config(params),
         mid,
-        params.nodes,
     );
     if let Some(detail) = fast.failure {
         return Err(format!("optimized scheme ({}): {detail}", process.name()));
@@ -626,7 +609,6 @@ pub fn run_process_case(
             events,
             sim_config(params),
             mid,
-            params.nodes,
         );
         if let Some(detail) = reference.failure {
             return Err(format!("reference scheme ({}): {detail}", process.name()));

@@ -504,6 +504,7 @@ impl<P: IncidentalPolicy> CachingScheme for IncidentalScheme<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::configure_from_live_state;
     use dtn_core::ids::QueryId;
     use dtn_core::time::Duration;
     use dtn_sim::engine::{SimConfig, Simulator, WorkloadEvent};
@@ -524,27 +525,23 @@ mod tests {
         events: Vec<WorkloadEvent>,
         seed: u64,
     ) -> dtn_sim::metrics::Metrics {
-        let mut sim = Simulator::new(
-            trace,
-            IncidentalScheme::new(policy),
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        );
+        run_scheme(trace, IncidentalScheme::new(policy), events, seed)
+    }
+
+    fn run_scheme<P: IncidentalPolicy>(
+        trace: &ContactTrace,
+        scheme: IncidentalScheme<P>,
+        events: Vec<WorkloadEvent>,
+        seed: u64,
+    ) -> dtn_sim::metrics::Metrics {
+        let engine = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(trace, scheme, engine);
         let mid = trace.midpoint();
         sim.run_until(mid);
-        let capacities: Vec<u64> = (0..trace.node_count() as u32)
-            .map(|n| sim.buffer_capacity(NodeId(n)))
-            .collect();
-        let rt = sim.rate_table().clone();
-        sim.scheme_mut().configure(&NetworkSetup {
-            rate_table: &rt,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        });
+        configure_from_live_state(&mut sim, 3600.0, None);
         sim.add_workload(events);
         sim.run_to_end();
         sim.metrics().clone()
@@ -637,34 +634,12 @@ mod tests {
         let trace = busy_trace(18);
         let events = basic_events(&trace);
         let greedy = run(&trace, RandomCachePolicy, events.clone(), 18);
-        let mut sim = Simulator::new(
-            &trace,
-            IncidentalScheme::with_routing(
-                RandomCachePolicy,
-                crate::routing::ForwardingStrategy::Epidemic,
-                crate::routing::ForwardingStrategy::Epidemic,
-            ),
-            SimConfig {
-                seed: 18,
-                ..SimConfig::default()
-            },
+        let flooding = IncidentalScheme::with_routing(
+            RandomCachePolicy,
+            crate::routing::ForwardingStrategy::Epidemic,
+            crate::routing::ForwardingStrategy::Epidemic,
         );
-        let mid = trace.midpoint();
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..trace.node_count() as u32)
-            .map(|n| sim.buffer_capacity(NodeId(n)))
-            .collect();
-        let rt = sim.rate_table().clone();
-        sim.scheme_mut().configure(&NetworkSetup {
-            rate_table: &rt,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        });
-        sim.add_workload(events);
-        sim.run_to_end();
-        let epidemic = sim.metrics().clone();
+        let epidemic = run_scheme(&trace, flooding, events, 18);
         assert!(
             epidemic.queries_satisfied >= greedy.queries_satisfied,
             "epidemic {} < greedy {}",
@@ -679,15 +654,12 @@ mod tests {
 
     #[test]
     fn contact_rate_has_no_warmup_bias() {
-        let mut scheme = IncidentalScheme::new(BundleCachePolicy::default());
-        let rt = dtn_core::rate::RateTable::new(2, Time(1_000));
-        scheme.configure(&NetworkSetup {
-            rate_table: &rt,
-            now: Time(1_000),
-            capacities: vec![1_000; 2],
-            horizon: 3600.0,
-            path_refresh: None,
-        });
+        let trace = ContactTrace::new(2, Vec::new(), Duration(2_000));
+        let scheme = IncidentalScheme::new(BundleCachePolicy::default());
+        let mut sim = Simulator::new(&trace, scheme, SimConfig::default());
+        sim.run_until(Time(1_000));
+        configure_from_live_state(&mut sim, 3600.0, None);
+        let scheme = sim.scheme_mut();
         scheme.node_contacts[0] = 5;
         // At the configure instant no time has been observed yet: no
         // rate estimate — not the raw contact count the old `.max(1.0)`

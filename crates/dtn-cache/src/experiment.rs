@@ -1,9 +1,14 @@
 //! End-to-end experiment runner: warm-up → NCL selection → workload →
 //! metrics (the §VI-A protocol used by every table and figure).
+//!
+//! The protocol lives here once. [`configure_from_live_state`] is its
+//! NCL-selection step over any warmed simulator; [`prepare_experiment`]
+//! and [`experiment_report`] are the two stages of [`run_experiment`],
+//! split so an instrumented harness can attach probes in between.
 
 use dtn_core::ids::NodeId;
 use dtn_core::time::{Duration, Time};
-use dtn_sim::engine::{SimConfig, Simulator};
+use dtn_sim::engine::{ContactSource, SimConfig, Simulator, TraceSource};
 use dtn_sim::metrics::Metrics;
 use dtn_trace::trace::ContactTrace;
 use dtn_workload::{Workload, WorkloadConfig};
@@ -55,8 +60,6 @@ pub struct ExperimentConfig {
     /// Interval between maintenance epochs (online NCL re-election);
     /// `None` keeps the warm-up NCLs frozen for the whole run.
     pub epoch_interval: Option<Duration>,
-    /// Overrides the scheme's default path-oracle refresh interval.
-    pub path_refresh: Option<Duration>,
 }
 
 impl Default for ExperimentConfig {
@@ -80,13 +83,14 @@ impl Default for ExperimentConfig {
             ncl_selection: dtn_core::ncl::SelectionStrategy::PathMetric,
             sample_interval: Duration::hours(6),
             epoch_interval: None,
-            path_refresh: None,
         }
     }
 }
 
 impl ExperimentConfig {
-    fn effective_horizon(&self) -> f64 {
+    /// The horizon `T` in seconds: [`horizon`](Self::horizon) if set,
+    /// else `T_L` bounded to ≥ 1 h.
+    pub fn effective_horizon(&self) -> f64 {
         self.horizon
             .unwrap_or_else(|| self.mean_data_lifetime.as_secs_f64().max(3600.0))
     }
@@ -196,13 +200,58 @@ pub fn run_experiment_with(
     config: &ExperimentConfig,
     seed: u64,
 ) -> ExperimentReport {
+    let engine = SimConfig {
+        seed,
+        ..SimConfig::default()
+    };
+    let mut sim = prepare_experiment(trace, scheme, config, engine);
+    sim.run_to_end();
+    experiment_report(kind, &sim)
+}
+
+/// NCL selection and scheme configuration (§VI-A phase 2) from the
+/// simulator's own state: the live rate table, the engine clock and the
+/// assigned buffer capacities, borrowed in place — the rate table is
+/// not copied and the clock the rates are read at cannot disagree with
+/// the clock they were accumulated to.
+pub fn configure_from_live_state<S: CachingScheme, C: ContactSource>(
+    sim: &mut Simulator<S, C>,
+    horizon: f64,
+    path_refresh: Option<Duration>,
+) {
+    let (scheme, rate_table, now, capacities) = sim.live_state();
+    scheme.configure(&NetworkSetup {
+        rate_table,
+        now,
+        capacities: capacities.to_vec(),
+        horizon,
+        path_refresh,
+    });
+}
+
+/// The "prepare" stage of [`run_experiment`]: builds the simulator,
+/// warms it up over the first half of `trace`, configures `scheme` from
+/// the accumulated rates and queues the generated workload for the
+/// second half. The caller runs it (`run_to_end`) and reads it back
+/// with [`experiment_report`]; probes attached in between observe the
+/// measurement phase only.
+///
+/// `engine` carries the seed (buffer assignment, workload generation
+/// and every probabilistic protocol decision) and the instrument
+/// switches (`audit`, `profile`, heartbeat); its buffer range, sample
+/// interval and epoch interval are taken from `config`.
+pub fn prepare_experiment<'t, S: CachingScheme>(
+    trace: &'t ContactTrace,
+    scheme: S,
+    config: &ExperimentConfig,
+    engine: SimConfig,
+) -> Simulator<S, TraceSource<'t>> {
+    let seed = engine.seed;
     let sim_config = SimConfig {
         buffer_range: config.buffer_range,
         sample_interval: config.sample_interval,
         epoch_interval: config.epoch_interval,
-        path_refresh: config.path_refresh,
-        seed,
-        ..SimConfig::default()
+        ..engine
     };
     let mut sim = Simulator::new(trace, scheme, sim_config);
 
@@ -212,38 +261,32 @@ pub fn run_experiment_with(
 
     // Phase 2: NCL selection and scheme configuration from the
     // accumulated network information.
-    let capacities: Vec<u64> = (0..trace.node_count() as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: mid,
-        capacities,
-        horizon: config.effective_horizon(),
-        path_refresh: config.path_refresh,
-    };
-    sim.scheme_mut().configure(&setup);
+    configure_from_live_state(&mut sim, config.effective_horizon(), None);
 
     // Phase 3: workload over the second half.
-    let end = Time(trace.duration().as_secs());
     let workload_cfg = WorkloadConfig {
         generation_probability: config.generation_probability,
         mean_lifetime: config.mean_data_lifetime,
         mean_size: config.mean_data_size,
         zipf_exponent: config.zipf_exponent,
         query_constraint: config.query_constraint,
-        window: (mid, end),
+        window: (mid, Time(trace.duration().as_secs())),
         seed,
     };
-    let workload = Workload::generate(trace.node_count(), &workload_cfg);
-    let data_items = workload.items().len() as u64;
-    sim.add_workload(workload.into_events());
-    sim.run_to_end();
+    sim.add_workload(Workload::generate(trace.node_count(), &workload_cfg).into_events());
+    sim
+}
 
-    // The central set is read back *after* the run so reports reflect
-    // any online re-elections (with epochs off it equals the warm-up
-    // selection).
+/// The "report" stage of [`run_experiment`]: one figure point from a
+/// finished simulator. `kind` is only recorded.
+///
+/// The central set is read back *after* the run so reports reflect any
+/// online re-elections (with epochs off it equals the warm-up
+/// selection).
+pub fn experiment_report<S: CachingScheme, C: ContactSource>(
+    kind: SchemeKind,
+    sim: &Simulator<S, C>,
+) -> ExperimentReport {
     let metrics = sim.metrics().clone();
     ExperimentReport {
         scheme: kind,
@@ -252,7 +295,7 @@ pub fn run_experiment_with(
         avg_delay_hours: metrics.avg_delay_hours(),
         avg_copies_per_item: metrics.avg_copies_per_item(),
         avg_replacements_per_item: metrics.avg_replacements_per_item(),
-        data_items,
+        data_items: metrics.data_generated,
         central_nodes: sim.scheme().central_nodes().to_vec(),
         ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
         bytes_per_satisfied_query: metrics.bytes_per_satisfied_query(),
@@ -341,6 +384,66 @@ mod tests {
             ours > theirs,
             "intentional {ours:.3} must beat nocache {theirs:.3}"
         );
+    }
+
+    #[test]
+    fn live_state_driver_matches_hand_built_setup() {
+        // The reference: the NetworkSetup literal every harness used to
+        // spell out, fed a cloned rate table and a caller-supplied `now`.
+        let trace = small_trace(4);
+        let cfg = small_config();
+        let mid = trace.midpoint();
+        let warmed = || {
+            let engine = SimConfig {
+                buffer_range: cfg.buffer_range,
+                seed: 11,
+                ..SimConfig::default()
+            };
+            let mut sim =
+                Simulator::new(&trace, build_scheme(SchemeKind::Intentional, &cfg), engine);
+            sim.run_until(mid);
+            sim
+        };
+        let finish = |mut sim: Simulator<Box<dyn CachingScheme>, TraceSource<'_>>| {
+            let window = (mid, Time(trace.duration().as_secs()));
+            let workload = Workload::generate(
+                trace.node_count(),
+                &WorkloadConfig {
+                    mean_lifetime: Duration::hours(8),
+                    mean_size: 1 << 20,
+                    seed: 11,
+                    ..WorkloadConfig::new(window)
+                },
+            );
+            sim.add_workload(workload.into_events());
+            sim.run_to_end();
+            (
+                sim.scheme().central_nodes().to_vec(),
+                sim.scheme().cache_stats(sim.now()),
+                sim.metrics().clone(),
+            )
+        };
+
+        let mut by_hand = warmed();
+        let rate_table = by_hand.rate_table().clone();
+        let capacities = (0..trace.node_count() as u32)
+            .map(|n| by_hand.buffer_capacity(NodeId(n)))
+            .collect();
+        by_hand.scheme_mut().configure(&NetworkSetup {
+            rate_table: &rate_table,
+            now: mid,
+            capacities,
+            horizon: 7_200.0,
+            path_refresh: None,
+        });
+
+        let mut driven = warmed();
+        configure_from_live_state(&mut driven, 7_200.0, None);
+
+        let (centrals, buffers, metrics) = finish(driven);
+        assert_eq!(centrals.len(), 3);
+        assert!(metrics.queries_satisfied > 0, "run exercised the caches");
+        assert_eq!((centrals, buffers, metrics), finish(by_hand));
     }
 
     #[test]

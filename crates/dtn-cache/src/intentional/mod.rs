@@ -550,38 +550,31 @@ impl CachingScheme for IntentionalScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::configure_from_live_state;
     use crate::reference::ReferenceIntentionalScheme;
     use dtn_core::time::Duration;
-    use dtn_sim::engine::{SimConfig, Simulator, WorkloadEvent};
+    use dtn_sim::engine::{SimConfig, Simulator, TraceSource, WorkloadEvent};
     use dtn_trace::synthetic::SyntheticTraceBuilder;
     use dtn_trace::trace::ContactTrace;
 
-    fn run_scheme<S: CachingScheme>(
+    /// Warm-up → configure → `events` over the second half; the
+    /// finished simulator.
+    fn run_sim<S: CachingScheme>(
         trace: &ContactTrace,
         scheme: S,
         events: Vec<WorkloadEvent>,
         sim_cfg: SimConfig,
-    ) -> dtn_sim::metrics::Metrics {
+    ) -> Simulator<S, TraceSource<'_>> {
         let mut sim = Simulator::new(trace, scheme, sim_cfg);
-        let mid = trace.midpoint();
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..trace.node_count() as u32)
-            .map(|n| sim.buffer_capacity(NodeId(n)))
-            .collect();
-        let rate_table = sim.rate_table().clone();
-        let setup = NetworkSetup {
-            rate_table: &rate_table,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        };
-        sim.scheme_mut().configure(&setup);
+        sim.run_until(trace.midpoint());
+        configure_from_live_state(&mut sim, 3600.0, None);
         sim.add_workload(events);
         sim.run_to_end();
-        sim.metrics().clone()
+        sim
     }
 
+    /// Epochs are off, so the central set read after the run is the
+    /// warm-up election.
     fn run_intentional(
         trace: &ContactTrace,
         cfg: IntentionalConfig,
@@ -592,25 +585,8 @@ mod tests {
             seed,
             ..SimConfig::default()
         };
-        let mut sim = Simulator::new(trace, IntentionalScheme::new(cfg), sim_cfg);
-        let mid = trace.midpoint();
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..trace.node_count() as u32)
-            .map(|n| sim.buffer_capacity(NodeId(n)))
-            .collect();
-        let rate_table = sim.rate_table().clone();
-        let setup = NetworkSetup {
-            rate_table: &rate_table,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        };
-        sim.scheme_mut().configure(&setup);
-        let centrals = sim.scheme().central_nodes().to_vec();
-        sim.add_workload(events);
-        sim.run_to_end();
-        (sim.metrics().clone(), centrals)
+        let sim = run_sim(trace, IntentionalScheme::new(cfg), events, sim_cfg);
+        (sim.metrics().clone(), sim.scheme().central_nodes().to_vec())
     }
 
     fn busy_trace(seed: u64) -> ContactTrace {
@@ -810,26 +786,15 @@ mod tests {
             seed: 7,
             ..SimConfig::default()
         };
-        let mut sim = Simulator::new(
+        let sim = run_sim(
             &trace,
             IntentionalScheme::new(IntentionalConfig {
                 ncl_count: 2,
                 ..IntentionalConfig::default()
             }),
+            events,
             sim_cfg,
         );
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..16u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-        let rt = sim.rate_table().clone();
-        sim.scheme_mut().configure(&NetworkSetup {
-            rate_table: &rt,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        });
-        sim.add_workload(events);
-        sim.run_to_end();
         let m = sim.metrics();
         assert!(m.queries_satisfied > 0, "nothing satisfied under pressure");
         // Buffers must never be over-committed.
@@ -859,27 +824,16 @@ mod tests {
             seed: 8,
             ..SimConfig::default()
         };
-        let mut sim = Simulator::new(
+        let sim = run_sim(
             &trace,
             IntentionalScheme::new(IntentionalConfig {
                 ncl_count: 2,
                 replacement: ReplacementKind::Lru,
                 ..IntentionalConfig::default()
             }),
+            events,
             sim_cfg,
         );
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..16u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-        let rt = sim.rate_table().clone();
-        sim.scheme_mut().configure(&NetworkSetup {
-            rate_table: &rt,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        });
-        sim.add_workload(events);
-        sim.run_to_end();
         assert!(
             sim.metrics().replacement_ops > 0,
             "LRU under pressure must evict"
@@ -902,29 +856,18 @@ mod tests {
                 });
             }
         }
-        let mut sim = Simulator::new(
+        let sim = run_sim(
             &trace,
             IntentionalScheme::new(IntentionalConfig {
                 ncl_count: 3,
                 ..IntentionalConfig::default()
             }),
+            events,
             SimConfig {
                 seed: 9,
                 ..SimConfig::default()
             },
         );
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..16u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-        let rt = sim.rate_table().clone();
-        sim.scheme_mut().configure(&NetworkSetup {
-            rate_table: &rt,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        });
-        sim.add_workload(events);
-        sim.run_to_end();
         let load = sim.scheme().ncl_query_load();
         assert_eq!(load.len(), 3);
         let total: u64 = load.iter().sum();
@@ -969,19 +912,23 @@ mod tests {
                 seed,
                 ..SimConfig::default()
             };
-            let fast = run_scheme(
+            let fast = run_sim(
                 &trace,
                 IntentionalScheme::new(cfg.clone()),
                 events.clone(),
                 sim_cfg.clone(),
             );
-            let reference = run_scheme(
+            let reference = run_sim(
                 &trace,
                 ReferenceIntentionalScheme::new(cfg),
                 events,
                 sim_cfg,
             );
-            assert_eq!(fast, reference, "seed {seed} diverged from reference");
+            assert_eq!(
+                fast.metrics(),
+                reference.metrics(),
+                "seed {seed} diverged from reference"
+            );
         }
     }
 
@@ -1000,19 +947,19 @@ mod tests {
             seed: 14,
             ..SimConfig::default()
         };
-        let fast = run_scheme(
+        let fast = run_sim(
             &trace,
             IntentionalScheme::new(cfg.clone()),
             events.clone(),
             sim_cfg.clone(),
         );
-        let reference = run_scheme(
+        let reference = run_sim(
             &trace,
             ReferenceIntentionalScheme::new(cfg),
             events,
             sim_cfg,
         );
-        assert_eq!(fast, reference);
+        assert_eq!(fast.metrics(), reference.metrics());
     }
 
     #[test]
@@ -1021,32 +968,20 @@ mod tests {
         // corrupting the per-node indexes, and an unchanged central set
         // must migrate nothing.
         let trace = busy_trace(21);
-        let mid = trace.midpoint();
         let sim_cfg = SimConfig {
             seed: 21,
             epoch_interval: Some(Duration::hours(4)),
             ..SimConfig::default()
         };
-        let mut sim = Simulator::new(
+        let sim = run_sim(
             &trace,
             IntentionalScheme::new(IntentionalConfig {
                 ncl_count: 3,
                 ..IntentionalConfig::default()
             }),
+            mixed_workload(&trace, 10, 900),
             sim_cfg,
         );
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..16u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-        let rt = sim.rate_table().clone();
-        sim.scheme_mut().configure(&NetworkSetup {
-            rate_table: &rt,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        });
-        sim.add_workload(mixed_workload(&trace, 10, 900));
-        sim.run_to_end();
         let stats = sim.scheme().reelection_stats();
         assert!(stats.elections > 0, "no epoch fired in the workload half");
         sim.scheme().validate().expect("indexes stay consistent");
@@ -1067,27 +1002,15 @@ mod tests {
             audit: true,
             ..SimConfig::default()
         };
-        let mut sim = Simulator::new(
+        let mut sim = run_sim(
             &trace,
             IntentionalScheme::new(IntentionalConfig {
                 ncl_count: 2,
                 ..IntentionalConfig::default()
             }),
+            mixed_workload(&trace, 8, 900),
             sim_cfg,
         );
-        let mid = trace.midpoint();
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..16u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-        let rt = sim.rate_table().clone();
-        sim.scheme_mut().configure(&NetworkSetup {
-            rate_table: &rt,
-            now: mid,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        });
-        sim.add_workload(mixed_workload(&trace, 8, 900));
-        sim.run_to_end();
         let engine_report = sim.audit_report().expect("audit was enabled");
         assert!(engine_report.is_clean(), "{}", engine_report.summary());
         assert!(engine_report.sweeps() > 0);

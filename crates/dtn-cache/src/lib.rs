@@ -125,11 +125,9 @@ pub struct NetworkSetup<'a> {
     /// Time horizon `T` (seconds) for opportunistic path weights.
     pub horizon: f64,
     /// Overrides the scheme's default [`PathOracle`] refresh interval
-    /// when set (plumbed from [`SimConfig::path_refresh`] by the
-    /// experiment harness).
+    /// when set.
     ///
     /// [`PathOracle`]: dtn_sim::oracle::PathOracle
-    /// [`SimConfig::path_refresh`]: dtn_sim::engine::SimConfig::path_refresh
     pub path_refresh: Option<dtn_core::time::Duration>,
 }
 
@@ -180,6 +178,18 @@ impl Scheme for Box<dyn CachingScheme> {
     }
     fn audit(&self, now: Time, report: &mut dtn_sim::audit::AuditReport) {
         (**self).audit(now, report);
+    }
+}
+
+impl CachingScheme for Box<dyn CachingScheme> {
+    fn configure(&mut self, setup: &NetworkSetup<'_>) {
+        (**self).configure(setup);
+    }
+    fn central_nodes(&self) -> &[NodeId] {
+        (**self).central_nodes()
+    }
+    fn ncl_query_load(&self) -> &[u64] {
+        (**self).ncl_query_load()
     }
 }
 

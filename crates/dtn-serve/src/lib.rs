@@ -216,6 +216,9 @@ impl<C: ContactSource> DecisionService<C> {
     /// Ingests the stream up to `now`, then runs NCL election and
     /// scheme configuration from the engine's live state — the serving
     /// analog of the experiment protocol's warm-up/configure phases.
+    /// A `now` behind the engine clock configures at the engine clock
+    /// (the clamp [`decide`](Self::decide) applies): the live rates are
+    /// never read at a time earlier than the one they were counted to.
     pub fn configure_at(
         &mut self,
         now: Time,
@@ -223,20 +226,7 @@ impl<C: ContactSource> DecisionService<C> {
         path_refresh: Option<dtn_core::time::Duration>,
     ) {
         self.sim.run_until(now);
-        let capacities: Vec<u64> = self
-            .nodes
-            .iter()
-            .map(|&n| self.sim.buffer_capacity(n))
-            .collect();
-        let rate_table = self.sim.rate_table().clone();
-        use dtn_cache::CachingScheme;
-        self.sim.scheme_mut().configure(&dtn_cache::NetworkSetup {
-            rate_table: &rate_table,
-            now,
-            capacities,
-            horizon,
-            path_refresh,
-        });
+        dtn_cache::experiment::configure_from_live_state(&mut self.sim, horizon, path_refresh);
     }
 
     /// Serves one decision: ingests the contact stream (and any epoch
@@ -260,7 +250,7 @@ impl<C: ContactSource> DecisionService<C> {
         }
         let at = at.max(self.sim.now());
         self.sim.run_until(at);
-        let (scheme, rates, now) = self.sim.decision_inputs();
+        let (scheme, rates, now, _) = self.sim.live_state();
         let started = Instant::now();
         let mut dp = scheme
             .decision_point(rates, now)
@@ -489,6 +479,29 @@ mod tests {
     }
 
     #[test]
+    fn stale_configure_time_elects_from_the_engine_clock() {
+        // The engine has already ingested the first half; a caller clock
+        // still at t=600 must not date the live rate table back to 600.
+        let t = trace();
+        let mid = t.midpoint();
+        let centrals_configured_at = |now: Time| {
+            let scheme = IntentionalScheme::new(IntentionalConfig {
+                ncl_count: 4,
+                ..IntentionalConfig::default()
+            });
+            let sim = Simulator::new(&t, scheme, SimConfig::default());
+            let mut svc = DecisionService::new(sim, ServeConfig::default());
+            svc.sim_mut().run_until(mid);
+            svc.configure_at(now, 3600.0 * 6.0, None);
+            svc.sim().scheme().central_nodes().to_vec()
+        };
+        assert_eq!(
+            centrals_configured_at(Time(600)),
+            centrals_configured_at(mid)
+        );
+    }
+
+    #[test]
     fn unknown_node_is_refused_without_touching_the_decision_stream() {
         let t = trace();
         for bounded_reach in [None, Some((3, 20))] {
@@ -661,7 +674,7 @@ mod tests {
             panic!("place answer expected")
         };
         assert_eq!(p.ncls, centrals);
-        let rates = svc.sim().rate_table().clone();
+        let rates = svc.sim().rate_table();
         let horizon = 3600.0 * 6.0;
         for plan in &p.plan {
             let mut fresh = dtn_sim::oracle::PathOracle::new(20, horizon, Duration::hours(1));
@@ -670,7 +683,7 @@ mod tests {
                 if n == NodeId(5)
                     || !dtn_cache::common::better_relay(
                         &mut fresh,
-                        &rates,
+                        rates,
                         d.at,
                         NodeId(5),
                         n,
@@ -682,7 +695,7 @@ mod tests {
                 let w = if n == plan.central {
                     f64::INFINITY
                 } else {
-                    fresh.weight(&rates, d.at, n, plan.central)
+                    fresh.weight(rates, d.at, n, plan.central)
                 };
                 if best.is_none_or(|(_, bw)| w > bw) {
                     best = Some((n, w));

@@ -67,25 +67,6 @@ pub struct SimConfig {
     /// `None` (the default) never fires the hook, making the epoch
     /// runtime a strict no-op.
     pub epoch_interval: Option<Duration>,
-    /// Overrides the scheme's cached-path refresh interval when set.
-    /// The engine itself does not consume this; harnesses forward it to
-    /// scheme configuration (e.g. `NetworkSetup::path_refresh` in
-    /// `dtn-cache`). Default `None` (use the scheme's own setting).
-    pub path_refresh: Option<Duration>,
-    /// Caps [`Metrics::delays_secs`] at this many samples. Default:
-    /// `Some(65_536)` — enough for exact percentiles on every paper
-    /// workload while keeping city-scale runs from growing an unbounded
-    /// vector; set `None` to keep every delay. Runs needing full delay
-    /// distributions past the cap should read the delay *histogram*
-    /// instead (see `delay_histogram`); `total_delay_secs` and the
-    /// exact mean are unaffected by the cap.
-    pub max_delay_samples: Option<usize>,
-    /// When set, [`Metrics::delay_hist`] collects satisfied-query
-    /// delays into `(bucket_width_secs, bucket_count)` fixed buckets —
-    /// an alloc-free alternative to the unbounded `delays_secs` vector.
-    /// Default `None` (field stays `None`, metric comparisons across
-    /// schemes are unaffected).
-    pub delay_histogram: Option<(u64, usize)>,
     /// Runs the invariant audit (see [`crate::audit`]) after every
     /// contact and epoch, accumulating an [`AuditReport`] readable via
     /// [`Simulator::audit_report`]. Default `false`: the engine carries
@@ -115,9 +96,6 @@ impl Default for SimConfig {
             sample_interval: Duration::hours(6),
             contact_loss_probability: 0.0,
             epoch_interval: None,
-            path_refresh: None,
-            max_delay_samples: Some(65_536),
-            delay_histogram: None,
             audit: false,
             profile: false,
             heartbeat_every_contacts: None,
@@ -249,7 +227,6 @@ struct Shared {
     queries: Vec<QueryRecord>, // indexed by QueryId
     query_size: u64,
     link_budget: Option<u64>, // bytes left in the current contact
-    max_delay_samples: Option<usize>,
     probe: ProbeSink,
     /// `Some` iff `SimConfig::audit` was set; boxed so the audit-off
     /// hot path carries one machine word.
@@ -393,16 +370,6 @@ impl SimCtx<'_> {
             let delay = now - rec.issued_at;
             self.shared.metrics.queries_satisfied += 1;
             self.shared.metrics.total_delay_secs += delay.as_secs();
-            if self
-                .shared
-                .max_delay_samples
-                .is_none_or(|cap| self.shared.metrics.delays_secs.len() < cap)
-            {
-                self.shared.metrics.delays_secs.push(delay.as_secs());
-            }
-            if let Some(hist) = &mut self.shared.metrics.delay_hist {
-                hist.record(delay.as_secs());
-            }
             DeliveryOutcome::Accepted { delay }
         };
         if let Some(audit) = &mut self.shared.audit {
@@ -788,10 +755,6 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
         let buffer_capacities = (0..source.node_count())
             .map(|_| rng.gen_range(config.buffer_range.0..=config.buffer_range.1))
             .collect();
-        let mut metrics = Metrics::default();
-        if let Some((width, buckets)) = config.delay_histogram {
-            metrics.delay_hist = Some(dtn_core::hist::Histogram::new(width, buckets));
-        }
         let nodes = source.node_count();
         Simulator {
             source,
@@ -799,13 +762,12 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
             shared: Shared {
                 now: Time::ZERO,
                 rate_table: RateTable::new(nodes, Time::ZERO),
-                metrics,
+                metrics: Metrics::default(),
                 rng,
                 buffer_capacities,
                 queries: Vec::new(),
                 query_size: config.query_size_bytes,
                 link_budget: None,
-                max_delay_samples: config.max_delay_samples,
                 probe: ProbeSink::Noop,
                 audit: config.audit.then(|| Box::new(AuditState::default())),
                 profiler: config.profile.then(|| Box::new(Profiler::new())),
@@ -858,12 +820,18 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
         &self.shared.rate_table
     }
 
-    /// Split borrow for online decision serving: the scheme (mutably,
-    /// so it can hand out a `DecisionPoint` over its own oracle) plus
-    /// the live rate table and current simulation time it needs to
-    /// answer with the engine's exact state.
-    pub fn decision_inputs(&mut self) -> (&mut S, &RateTable, Time) {
-        (&mut self.scheme, &self.shared.rate_table, self.shared.now)
+    /// Split borrow of the engine's live state: the scheme (mutably, so
+    /// it can be configured, or hand out a `DecisionPoint` over its own
+    /// oracle) plus the live rate table, the current simulation time and
+    /// the per-node buffer capacities — everything NCL election and
+    /// online decisions read, with no copy and no caller-supplied clock.
+    pub fn live_state(&mut self) -> (&mut S, &RateTable, Time, &[u64]) {
+        (
+            &mut self.scheme,
+            &self.shared.rate_table,
+            self.shared.now,
+            &self.shared.buffer_capacities,
+        )
     }
 
     /// The buffer capacity assigned to `node`.
@@ -873,6 +841,17 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
     /// Panics if `node` is out of range.
     pub fn buffer_capacity(&self, node: NodeId) -> u64 {
         self.shared.buffer_capacities[node.index()]
+    }
+
+    /// Overrides the capacity drawn for `node`, for scenarios that need
+    /// one specific node tight or roomy. Schemes size their buffers at
+    /// configuration, so call this before configuring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn set_buffer_capacity(&mut self, node: NodeId, bytes: u64) {
+        self.shared.buffer_capacities[node.index()] = bytes;
     }
 
     /// Metrics accumulated so far.
@@ -1923,49 +1902,6 @@ mod tests {
         let report = sim.audit_report().expect("audit enabled");
         assert!(!report.is_clean());
         assert_eq!(report.violations()[0].law, AuditLaw::CopyConservation);
-    }
-
-    #[test]
-    fn capped_delay_samples_keep_quantiles_exact_via_histogram() {
-        // 12 satisfied queries under max_delay_samples=8: the raw
-        // vector keeps only the first 8 (earliest-issued → largest
-        // delays here), but the histogram sees all 12, so quantiles
-        // stay population-exact at bucket resolution.
-        let trace = two_node_trace();
-        let cfg = SimConfig {
-            max_delay_samples: Some(8),
-            delay_histogram: Some((60, 32)),
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&trace, DirectDelivery::default(), cfg);
-        let mut events = vec![gen_event(1, 0, 1000, 50, 9000)];
-        for i in 0..12u64 {
-            events.push(query_event(100 + i * 50, 1, 1, 5000));
-        }
-        sim.add_workload(events);
-        sim.run_to_end();
-        let m = sim.metrics();
-        assert_eq!(m.queries_satisfied, 12);
-        assert_eq!(m.delays_secs.len(), 8, "cap honoured");
-        assert!(m.delay_samples_capped());
-        let hist = m.delay_hist.as_ref().expect("histogram enabled");
-        assert_eq!(hist.count(), 12, "histogram sees every delivery");
-        assert_eq!(
-            m.delay_quantile(0.5).map(|d| d.0),
-            hist.quantile_bucket(0.5),
-            "capped quantile routes through the histogram"
-        );
-        // The capped prefix holds the *largest* delays (earliest
-        // queries wait longest), so the raw-vector median would be
-        // biased upward; the histogram answer must sit below it.
-        let mut prefix = m.delays_secs.clone();
-        prefix.sort_unstable();
-        assert!(
-            m.delay_quantile(0.5).unwrap().0 < prefix[prefix.len() / 2],
-            "histogram median {:?} not below biased prefix median {}",
-            m.delay_quantile(0.5),
-            prefix[prefix.len() / 2]
-        );
     }
 
     #[test]

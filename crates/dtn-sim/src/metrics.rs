@@ -48,22 +48,6 @@ pub struct Metrics {
     pub contacts_lost: u64,
     /// Periodic cache-occupancy samples.
     pub samples: Vec<CacheSample>,
-    /// Individual response delays (seconds) of satisfied queries, in
-    /// satisfaction order — enables distribution analysis beyond the
-    /// paper's mean.
-    ///
-    /// For large runs this vector is superseded by [`delay_hist`]
-    /// (alloc-free, fixed memory): cap its growth with
-    /// `SimConfig::max_delay_samples` and enable the histogram with
-    /// `SimConfig::delay_histogram` instead.
-    ///
-    /// [`delay_hist`]: Metrics::delay_hist
-    pub delays_secs: Vec<u64>,
-    /// Fixed-bucket response-delay histogram, populated when
-    /// `SimConfig::delay_histogram` is set. Keeps the exact count and
-    /// sum, so [`avg_delay_secs_f64`](Metrics::avg_delay_secs_f64) stays
-    /// exact even when `delays_secs` is capped.
-    pub delay_hist: Option<dtn_core::hist::Histogram>,
 }
 
 impl Metrics {
@@ -86,19 +70,11 @@ impl Metrics {
         }
     }
 
-    /// Exact mean response delay in fractional seconds; 0 if no query
-    /// was satisfied.
-    ///
-    /// When the delay histogram is enabled the mean is derived from its
-    /// exact running sum/count (identical by construction); otherwise it
-    /// is `total_delay_secs / queries_satisfied` in floating point —
-    /// either way, no integer truncation.
+    /// Exact mean response delay in fractional seconds
+    /// (`total_delay_secs / queries_satisfied`, no integer truncation);
+    /// 0 if no query was satisfied. The delay *distribution* is the
+    /// probe layer's: `RecordingProbe::delay_hist`.
     pub fn avg_delay_secs_f64(&self) -> f64 {
-        if let Some(hist) = &self.delay_hist {
-            if hist.count() > 0 {
-                return hist.mean().unwrap_or(0.0);
-            }
-        }
         if self.queries_satisfied == 0 {
             0.0
         } else {
@@ -137,56 +113,6 @@ impl Metrics {
         } else {
             self.bytes_transmitted as f64 / self.queries_satisfied as f64
         }
-    }
-
-    /// Whether `delays_secs` was truncated by `SimConfig::max_delay_samples`
-    /// — i.e. fewer individual samples were kept than queries satisfied.
-    /// When true, statistics computed from the raw vector describe only
-    /// the *first* `delays_secs.len()` satisfied queries (a biased
-    /// prefix, not a random sample) and should be labelled "sampled".
-    pub fn delay_samples_capped(&self) -> bool {
-        (self.delays_secs.len() as u64) < self.queries_satisfied
-    }
-
-    /// The `q`-quantile of the response-delay distribution (0 ≤ q ≤ 1),
-    /// or `None` if no query was satisfied.
-    ///
-    /// When `delays_secs` holds every satisfied query the quantile is
-    /// exact (sorted-sample). When the vector was capped by
-    /// `SimConfig::max_delay_samples` the sample prefix is biased
-    /// toward early deliveries, so the quantile is instead answered
-    /// from the full-population [`delay_hist`](Metrics::delay_hist)
-    /// at bucket resolution; with the histogram disabled too, the
-    /// capped prefix is used as a last resort — check
-    /// [`delay_samples_capped`](Metrics::delay_samples_capped) and
-    /// label such values "sampled".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn delay_quantile(&self, q: f64) -> Option<Duration> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.delay_samples_capped() {
-            if let Some(hist) = &self.delay_hist {
-                if hist.count() > 0 {
-                    return hist.quantile_bucket(q).map(Duration);
-                }
-            }
-        }
-        if self.delays_secs.is_empty() {
-            return None;
-        }
-        let mut sorted = self.delays_secs.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        Some(Duration(sorted[idx]))
-    }
-
-    /// Median response delay, or `None` if no query was satisfied.
-    /// Follows the [`delay_quantile`](Metrics::delay_quantile) routing:
-    /// exact when uncapped, histogram-backed when capped.
-    pub fn median_delay(&self) -> Option<Duration> {
-        self.delay_quantile(0.5)
     }
 
     /// Mean replacement operations per generated item — the
@@ -240,93 +166,6 @@ mod tests {
         assert_eq!(m.avg_delay(), Duration(3));
         assert!((m.avg_delay_secs_f64() - 10.0 / 3.0).abs() < 1e-12);
         assert!((m.avg_delay_hours() - 10.0 / 3.0 / 3600.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn avg_delay_prefers_histogram_when_populated() {
-        let mut hist = dtn_core::hist::Histogram::new(1_000, 4);
-        hist.record(7);
-        hist.record(8);
-        let m = Metrics {
-            // Deliberately inconsistent counters: the histogram wins.
-            queries_satisfied: 1,
-            total_delay_secs: 100,
-            delay_hist: Some(hist),
-            ..Metrics::default()
-        };
-        assert_eq!(m.avg_delay_secs_f64(), 7.5);
-
-        // An enabled-but-empty histogram falls back to the counters.
-        let m = Metrics {
-            queries_satisfied: 2,
-            total_delay_secs: 9,
-            delay_hist: Some(dtn_core::hist::Histogram::new(1_000, 4)),
-            ..Metrics::default()
-        };
-        assert_eq!(m.avg_delay_secs_f64(), 4.5);
-    }
-
-    #[test]
-    fn delay_quantiles() {
-        let m = Metrics {
-            delays_secs: vec![100, 400, 200, 300, 500],
-            ..Metrics::default()
-        };
-        assert_eq!(m.delay_quantile(0.0), Some(Duration(100)));
-        assert_eq!(m.median_delay(), Some(Duration(300)));
-        assert_eq!(m.delay_quantile(1.0), Some(Duration(500)));
-        assert_eq!(Metrics::default().median_delay(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn out_of_range_quantile_panics() {
-        let _ = Metrics::default().delay_quantile(1.5);
-    }
-
-    #[test]
-    fn capped_quantiles_route_through_the_histogram() {
-        // 20 satisfied queries, but only the first 3 (smallest) delays
-        // survived the cap: the raw vector would report a wildly
-        // optimistic median.
-        let mut hist = dtn_core::hist::Histogram::new(100, 10);
-        for d in (0..20u64).map(|i| i * 50) {
-            hist.record(d);
-        }
-        let m = Metrics {
-            queries_satisfied: 20,
-            delays_secs: vec![0, 50, 100],
-            delay_hist: Some(hist.clone()),
-            ..Metrics::default()
-        };
-        assert!(m.delay_samples_capped());
-        assert_eq!(
-            m.delay_quantile(0.5).map(|d| d.0),
-            hist.quantile_bucket(0.5),
-            "capped quantile must come from the full-population histogram"
-        );
-        assert_eq!(m.median_delay(), Some(Duration(400)));
-
-        // Without the histogram the capped prefix is the fallback —
-        // callers label it via delay_samples_capped().
-        let sampled = Metrics {
-            queries_satisfied: 20,
-            delays_secs: vec![0, 50, 100],
-            ..Metrics::default()
-        };
-        assert!(sampled.delay_samples_capped());
-        assert_eq!(sampled.median_delay(), Some(Duration(50)));
-
-        // Uncapped metrics keep the exact sorted-sample path even with
-        // a histogram present (sub-bucket resolution).
-        let exact = Metrics {
-            queries_satisfied: 3,
-            delays_secs: vec![7, 11, 13],
-            delay_hist: Some(dtn_core::hist::Histogram::new(100, 10)),
-            ..Metrics::default()
-        };
-        assert!(!exact.delay_samples_capped());
-        assert_eq!(exact.median_delay(), Some(Duration(11)));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! cargo run --release --example protocol_trace
 //! ```
 
+use dtn_coop_cache::cache::experiment::configure_from_live_state;
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme, ProtocolEvent};
-use dtn_coop_cache::cache::{CachingScheme, NetworkSetup};
-use dtn_coop_cache::core::ids::NodeId;
+use dtn_coop_cache::cache::CachingScheme;
 use dtn_coop_cache::core::time::Time;
 use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator};
@@ -31,17 +31,7 @@ fn main() {
     let mut sim = Simulator::new(&trace, scheme, SimConfig::default());
     let mid = trace.midpoint();
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..trace.node_count() as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rt = sim.rate_table().clone();
-    sim.scheme_mut().configure(&NetworkSetup {
-        rate_table: &rt,
-        now: mid,
-        capacities,
-        horizon: 3600.0 * 6.0,
-        path_refresh: None,
-    });
+    configure_from_live_state(&mut sim, 3600.0 * 6.0, None);
     println!("central nodes: {:?}\n", sim.scheme().central_nodes());
 
     let workload = Workload::generate(
@@ -100,17 +90,10 @@ fn main() {
         .count();
     let m = sim.metrics();
     println!(
-        "\n{} push copies settled; {}/{} queries satisfied (median delay {:?}{})",
+        "\n{} push copies settled; {}/{} queries satisfied (mean delay {:.2} h)",
         settled,
         m.queries_satisfied,
         m.queries_issued,
-        m.median_delay(),
-        // With a capped sample vector and no histogram the median is
-        // computed from a biased prefix — say so.
-        if m.delay_samples_capped() && m.delay_hist.is_none() {
-            ", sampled"
-        } else {
-            ""
-        },
+        m.avg_delay_hours(),
     );
 }

@@ -2,9 +2,7 @@
 //! monotonically-ish with the loss rate, never crash, and the loss must
 //! be invisible to the protocol (no rate-table pollution).
 
-use dtn_coop_cache::cache::experiment::build_scheme;
-use dtn_coop_cache::cache::NetworkSetup;
-use dtn_coop_cache::core::ids::NodeId;
+use dtn_coop_cache::cache::experiment::{build_scheme, configure_from_live_state};
 use dtn_coop_cache::core::time::Time;
 use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator};
@@ -37,15 +35,7 @@ fn run_with_loss(loss: f64, seed: u64) -> dtn_coop_cache::sim::Metrics {
     );
     let mid = trace.midpoint();
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..18u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-    let rt = sim.rate_table().clone();
-    sim.scheme_mut().configure(&NetworkSetup {
-        rate_table: &rt,
-        now: mid,
-        capacities,
-        horizon: 3600.0 * 4.0,
-        path_refresh: None,
-    });
+    configure_from_live_state(&mut sim, 3600.0 * 4.0, None);
     let workload = Workload::generate(
         18,
         &WorkloadConfig {

@@ -1,6 +1,7 @@
 //! Property tests on the simulation engine: under arbitrary (valid)
 //! workloads and traces, the metrics must stay internally consistent.
 
+use dtn_coop_cache::cache::experiment::configure_from_live_state;
 use dtn_coop_cache::core::ids::{DataId, NodeId};
 use dtn_coop_cache::core::time::{Duration, Time};
 use dtn_coop_cache::prelude::*;
@@ -53,9 +54,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For every scheme and arbitrary workloads: counters stay
-    /// consistent — satisfied ≤ issued, one recorded delay per
-    /// satisfied query, delays within constraints, generated counts
-    /// match, and success ratio is a probability.
+    /// consistent — satisfied ≤ issued, generated counts match, and
+    /// success ratio is a probability.
     #[test]
     fn metrics_are_internally_consistent(
         events in arbitrary_workload(10, 40_000),
@@ -80,16 +80,7 @@ proptest! {
             SimConfig { seed, buffer_range: cfg.buffer_range, ..SimConfig::default() },
         );
         // Configure at time zero so the whole span carries workload.
-        let rt = sim.rate_table().clone();
-        let capacities: Vec<u64> =
-            (0..10u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-        sim.scheme_mut().configure(&dtn_coop_cache::cache::NetworkSetup {
-            rate_table: &rt,
-            now: Time::ZERO,
-            capacities,
-            horizon: 3600.0,
-            path_refresh: None,
-        });
+        configure_from_live_state(&mut sim, 3600.0, None);
         let generated = events
             .iter()
             .filter(|e| matches!(e, WorkloadEvent::GenerateData { .. }))
@@ -104,11 +95,6 @@ proptest! {
         prop_assert_eq!(m.data_generated, generated);
         prop_assert_eq!(m.queries_issued, issued);
         prop_assert!(m.queries_satisfied <= m.queries_issued);
-        prop_assert_eq!(m.delays_secs.len() as u64, m.queries_satisfied);
-        prop_assert_eq!(
-            m.delays_secs.iter().sum::<u64>(),
-            m.total_delay_secs
-        );
         prop_assert!((0.0..=1.0).contains(&m.success_ratio()));
         // Every sample is well-formed.
         for s in &m.samples {

@@ -11,8 +11,9 @@
 //! at least one central node and (b) strictly beat the frozen-NCL run
 //! on successful-delivery ratio at the same seed.
 
+use dtn_coop_cache::cache::experiment::configure_from_live_state;
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme, ReelectionStats};
-use dtn_coop_cache::cache::{CachingScheme, NetworkSetup};
+use dtn_coop_cache::cache::CachingScheme;
 use dtn_coop_cache::core::ids::{DataId, NodeId};
 use dtn_coop_cache::core::time::Duration;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator, WorkloadEvent};
@@ -77,17 +78,7 @@ fn run(epoch_interval: Option<Duration>) -> RunOutcome {
     );
     let mid = trace.midpoint();
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..NODES as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    sim.scheme_mut().configure(&NetworkSetup {
-        rate_table: &rate_table,
-        now: mid,
-        capacities,
-        horizon: 3600.0 * 8.0,
-        path_refresh: None,
-    });
+    configure_from_live_state(&mut sim, 3600.0 * 8.0, None);
     let initial_centrals = sim.scheme().central_nodes().to_vec();
     sim.add_workload(workload(&trace));
     sim.run_to_end();

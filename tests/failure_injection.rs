@@ -2,8 +2,7 @@
 //! workloads. The stack must degrade gracefully, never panic or
 //! over-commit resources.
 
-use dtn_coop_cache::cache::experiment::build_scheme;
-use dtn_coop_cache::cache::NetworkSetup;
+use dtn_coop_cache::cache::experiment::{build_scheme, configure_from_live_state};
 use dtn_coop_cache::core::ids::{DataId, NodeId};
 use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator, WorkloadEvent};
@@ -39,17 +38,7 @@ fn run_with_sim_config(
     let mut sim = Simulator::new(trace, scheme, sim_config);
     let mid = trace.midpoint();
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..trace.node_count() as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rt = sim.rate_table().clone();
-    sim.scheme_mut().configure(&NetworkSetup {
-        rate_table: &rt,
-        now: mid,
-        capacities,
-        horizon: 3600.0,
-        path_refresh: None,
-    });
+    configure_from_live_state(&mut sim, 3600.0, None);
     let mut events = Vec::new();
     for i in 0..6u64 {
         events.push(WorkloadEvent::GenerateData {
@@ -125,15 +114,7 @@ fn queries_for_expired_data_fail_cleanly() {
     let mut sim = Simulator::new(&trace, scheme, SimConfig::default());
     let mid = trace.midpoint();
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..12u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-    let rt = sim.rate_table().clone();
-    sim.scheme_mut().configure(&NetworkSetup {
-        rate_table: &rt,
-        now: mid,
-        capacities,
-        horizon: 3600.0,
-        path_refresh: None,
-    });
+    configure_from_live_state(&mut sim, 3600.0, None);
     sim.add_workload(vec![
         WorkloadEvent::GenerateData {
             item: DataItem::new(

@@ -4,10 +4,11 @@
 //! is full, the query reaches the central node, gets broadcast inside
 //! the NCL, and the caching node returns the data to the requester.
 
+use dtn_coop_cache::cache::experiment::configure_from_live_state;
 use dtn_coop_cache::cache::intentional::{
     IntentionalConfig, IntentionalScheme, ProtocolEvent, ResponseStrategy,
 };
-use dtn_coop_cache::cache::{CachingScheme, NetworkSetup};
+use dtn_coop_cache::cache::CachingScheme;
 use dtn_coop_cache::core::ids::{DataId, NodeId};
 use dtn_coop_cache::core::time::Time;
 use dtn_coop_cache::prelude::*;
@@ -93,15 +94,13 @@ fn run_walkthrough(
     sim.run_until(mid);
     // The central node's buffer is too small for the 1000-byte item;
     // everyone else has plenty of room.
-    let capacities = vec![1_000_000, 1_000_000, 500, 1_000_000];
-    let rt = sim.rate_table().clone();
-    sim.scheme_mut().configure(&NetworkSetup {
-        rate_table: &rt,
-        now: mid,
-        capacities,
-        horizon: 3600.0,
-        path_refresh: None,
-    });
+    for (node, bytes) in [1_000_000, 1_000_000, 500, 1_000_000]
+        .into_iter()
+        .enumerate()
+    {
+        sim.set_buffer_capacity(NodeId(node as u32), bytes);
+    }
+    configure_from_live_state(&mut sim, 3600.0, None);
     assert_eq!(
         sim.scheme().central_nodes(),
         &[NodeId(2)],

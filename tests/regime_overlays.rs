@@ -9,8 +9,8 @@
 //! - every composed [`RegimeOverlay`] stream stays audit-clean: the
 //!   drop-only filtering cannot manufacture a violation of its own.
 
+use dtn_coop_cache::cache::experiment::configure_from_live_state;
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme};
-use dtn_coop_cache::cache::{CachingScheme, NetworkSetup};
 use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::sim::engine::{ContactSource, SimConfig, Simulator, TraceSource};
 use dtn_coop_cache::sim::AuditLaw;
@@ -204,15 +204,7 @@ fn every_overlay_kind_runs_audit_clean() {
             },
         );
         sim.run_until(mid);
-        let capacities: Vec<u64> = (0..16u32).map(|n| sim.buffer_capacity(NodeId(n))).collect();
-        let table = sim.rate_table().clone();
-        sim.scheme_mut().configure(&NetworkSetup {
-            rate_table: &table,
-            now: mid,
-            capacities,
-            horizon: 7_200.0,
-            path_refresh: None,
-        });
+        configure_from_live_state(&mut sim, 7_200.0, None);
         sim.add_workload(extra);
         sim.run_to_end();
         let report = sim.audit_report().expect("audit was enabled");

@@ -11,15 +11,17 @@
 //! asserted here with exact equality across randomized traces,
 //! workloads and configurations.
 
-use dtn_coop_cache::cache::experiment::{run_experiment, run_experiment_with, ExperimentConfig};
+use dtn_coop_cache::cache::experiment::{
+    configure_from_live_state, run_experiment, run_experiment_with, ExperimentConfig,
+};
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme, ResponseStrategy};
 use dtn_coop_cache::cache::reference::ReferenceIntentionalScheme;
 use dtn_coop_cache::cache::replacement::ReplacementKind;
 use dtn_coop_cache::cache::routing::ForwardingStrategy;
-use dtn_coop_cache::cache::{CachingScheme, NetworkSetup, SchemeKind};
+use dtn_coop_cache::cache::{CachingScheme, SchemeKind};
 use dtn_coop_cache::core::ids::{DataId, NodeId};
 use dtn_coop_cache::core::time::Duration;
-use dtn_coop_cache::sim::engine::{SimConfig, Simulator, WorkloadEvent};
+use dtn_coop_cache::sim::engine::{SimConfig, Simulator, TraceSource, WorkloadEvent};
 use dtn_coop_cache::sim::message::DataItem;
 use dtn_coop_cache::sim::metrics::Metrics;
 use dtn_coop_cache::trace::synthetic::SyntheticTraceBuilder;
@@ -36,14 +38,14 @@ fn trace_with(nodes: usize, contacts: u64, seed: u64) -> ContactTrace {
 }
 
 /// Runs one scheme through the standard warm-up → configure → workload
-/// protocol and returns its metrics plus per-NCL query load. Every run
-/// executes with the invariant audit enabled and must come back clean.
-fn run_one<S: CachingScheme>(
+/// protocol and returns the finished simulator. Every run executes with
+/// the invariant audit enabled and must come back clean.
+fn run_audited<S: CachingScheme>(
     trace: &ContactTrace,
     scheme: S,
     events: Vec<WorkloadEvent>,
     sim_cfg: SimConfig,
-) -> (Metrics, Vec<u64>) {
+) -> Simulator<S, TraceSource<'_>> {
     let sim_cfg = SimConfig {
         audit: true,
         ..sim_cfg
@@ -51,22 +53,22 @@ fn run_one<S: CachingScheme>(
     let mut sim = Simulator::new(trace, scheme, sim_cfg);
     let mid = trace.midpoint();
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..trace.node_count() as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: mid,
-        capacities,
-        horizon: 7200.0,
-        path_refresh: None,
-    };
-    sim.scheme_mut().configure(&setup);
+    configure_from_live_state(&mut sim, 7200.0, None);
     sim.add_workload(events);
     sim.run_to_end();
     let report = sim.audit_report().expect("audit enabled");
     assert!(report.is_clean(), "{}", report.summary());
+    sim
+}
+
+/// [`run_audited`], reduced to its metrics plus per-NCL query load.
+fn run_one<S: CachingScheme>(
+    trace: &ContactTrace,
+    scheme: S,
+    events: Vec<WorkloadEvent>,
+    sim_cfg: SimConfig,
+) -> (Metrics, Vec<u64>) {
+    let sim = run_audited(trace, scheme, events, sim_cfg);
     let load = sim.scheme().ncl_query_load().to_vec();
     (sim.metrics().clone(), load)
 }
@@ -361,41 +363,6 @@ fn event_streams_are_equivalent() {
     // Beyond bit-identical metrics, both implementations must narrate
     // the run identically: the same ProtocolEvent milestones, in the
     // same order, with the same timestamps and payloads.
-    use dtn_coop_cache::cache::intentional::ProtocolEvent;
-
-    fn run_logged<S: CachingScheme>(
-        trace: &ContactTrace,
-        scheme: S,
-        events: Vec<WorkloadEvent>,
-        sim_cfg: SimConfig,
-        extract: impl FnOnce(&S) -> Vec<ProtocolEvent>,
-    ) -> Vec<ProtocolEvent> {
-        let sim_cfg = SimConfig {
-            audit: true,
-            ..sim_cfg
-        };
-        let mut sim = Simulator::new(trace, scheme, sim_cfg);
-        let mid = trace.midpoint();
-        sim.run_until(mid);
-        let capacities: Vec<u64> = (0..trace.node_count() as u32)
-            .map(|n| sim.buffer_capacity(NodeId(n)))
-            .collect();
-        let rate_table = sim.rate_table().clone();
-        let setup = NetworkSetup {
-            rate_table: &rate_table,
-            now: mid,
-            capacities,
-            horizon: 7200.0,
-            path_refresh: None,
-        };
-        sim.scheme_mut().configure(&setup);
-        sim.add_workload(events);
-        sim.run_to_end();
-        let report = sim.audit_report().expect("audit enabled");
-        assert!(report.is_clean(), "{}", report.summary());
-        extract(sim.scheme())
-    }
-
     let trace = trace_with(14, 5_000, 29);
     let cfg = IntentionalConfig {
         ncl_count: 3,
@@ -406,20 +373,19 @@ fn event_streams_are_equivalent() {
         seed: 29,
         ..SimConfig::default()
     };
-    let fast = run_logged(
+    let fast = run_audited(
         &trace,
         IntentionalScheme::new(cfg.clone()).enable_event_log(),
         events.clone(),
         sim_cfg.clone(),
-        |s| s.events().to_vec(),
     );
-    let reference = run_logged(
+    let reference = run_audited(
         &trace,
         ReferenceIntentionalScheme::new(cfg).enable_event_log(),
         events,
         sim_cfg,
-        |s| s.events().to_vec(),
     );
+    let (fast, reference) = (fast.scheme().events(), reference.scheme().events());
     assert!(
         !fast.is_empty(),
         "expected protocol milestones on a busy trace"

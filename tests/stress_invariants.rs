@@ -2,10 +2,9 @@
 //! invariants (buffer accounting, copy/holder consistency) across many
 //! seeds, trace shapes and buffer pressures.
 
+use dtn_coop_cache::cache::experiment::configure_from_live_state;
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme};
 use dtn_coop_cache::cache::replacement::ReplacementKind;
-use dtn_coop_cache::cache::{CachingScheme, NetworkSetup};
-use dtn_coop_cache::core::ids::NodeId;
 use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator};
 use dtn_coop_cache::workload::{Workload, WorkloadConfig};
@@ -38,17 +37,7 @@ fn stress_once(
     );
     let mid = trace.midpoint();
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..nodes as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rt = sim.rate_table().clone();
-    sim.scheme_mut().configure(&NetworkSetup {
-        rate_table: &rt,
-        now: mid,
-        capacities,
-        horizon: 3600.0,
-        path_refresh: None,
-    });
+    configure_from_live_state(&mut sim, 3600.0, None);
     let workload = Workload::generate(
         nodes,
         &WorkloadConfig {

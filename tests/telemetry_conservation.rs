@@ -8,16 +8,14 @@
 //! identical stream. The run is fully audited so the totals being
 //! conserved are themselves invariant-checked.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
+use bench::observe::Instruments;
+use dtn_coop_cache::cache::experiment::configure_from_live_state;
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme};
-use dtn_coop_cache::cache::{CachingScheme, NetworkSetup};
 use dtn_coop_cache::core::ids::{DataId, NodeId};
 use dtn_coop_cache::core::time::{Duration, Time};
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator, WorkloadEvent};
 use dtn_coop_cache::sim::message::DataItem;
-use dtn_coop_cache::sim::probe::{RecordingProbe, TeeProbe};
+use dtn_coop_cache::sim::probe::RecordingProbe;
 use dtn_coop_cache::sim::telemetry::{Telemetry, TelemetryConfig};
 use dtn_coop_cache::trace::synthetic::SyntheticTraceBuilder;
 use dtn_coop_cache::trace::trace::ContactTrace;
@@ -59,7 +57,6 @@ fn window_sums_reproduce_metrics_totals_on_an_audited_run() {
         .seed(SEED)
         .build();
     let mid = trace.midpoint();
-    let end = Time(trace.duration().as_secs());
 
     let scheme = IntentionalScheme::new(IntentionalConfig {
         ncl_count: 4,
@@ -79,44 +76,18 @@ fn window_sums_reproduce_metrics_totals_on_an_audited_run() {
 
     // Probes from t=0: the capture covers warm-up and measurement, so
     // every counter the engine ever bumps is in some window.
-    let recorder = Rc::new(RefCell::new(RecordingProbe::new()));
-    let telemetry = Rc::new(RefCell::new(Telemetry::new(&TelemetryConfig::spanning(
-        Time(0),
-        Duration(end.0),
-        20,
-        4,
-    ))));
-    sim.set_probe(Box::new(TeeProbe::new(
-        Box::new(Rc::clone(&recorder)),
-        Box::new(Rc::clone(&telemetry)),
-    )));
+    let telemetry = Telemetry::new(&TelemetryConfig::spanning(Time(0), trace.duration(), 20, 4));
+    let instruments = Instruments::install(&mut sim, RecordingProbe::new(), telemetry);
 
     sim.run_until(mid);
-    let capacities: Vec<u64> = (0..NODES as u32)
-        .map(|n| sim.buffer_capacity(NodeId(n)))
-        .collect();
-    let rate_table = sim.rate_table().clone();
-    let setup = NetworkSetup {
-        rate_table: &rate_table,
-        now: mid,
-        capacities,
-        horizon: 7_200.0,
-        path_refresh: None,
-    };
-    sim.scheme_mut().configure(&setup);
+    configure_from_live_state(&mut sim, 7_200.0, None);
     sim.add_workload(workload(&trace));
     sim.run_to_end();
 
     let audit = sim.audit_report().expect("audit was enabled");
     assert!(audit.is_clean(), "audit violations: {}", audit.summary());
 
-    drop(sim.take_probe());
-    let probe = Rc::try_unwrap(recorder)
-        .expect("probe handle back")
-        .into_inner();
-    let telemetry = Rc::try_unwrap(telemetry)
-        .expect("telemetry handle back")
-        .into_inner();
+    let (probe, telemetry) = instruments.finish(&mut sim);
     let m = sim.metrics();
     let t = telemetry.totals();
 
