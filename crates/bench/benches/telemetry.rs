@@ -1,6 +1,7 @@
 //! Flight-recorder overhead benchmark: the same fig10-style point run
-//! uninstrumented, with the windowed [`Telemetry`] recorder tee'd onto
-//! the probe layer, and with the hierarchical phase profiler enabled.
+//! uninstrumented, with a counters-only [`RecordingProbe`] carrying the
+//! windowed [`Telemetry`] series, and with the hierarchical phase
+//! profiler enabled.
 //!
 //! Three arms over the two stages of `run_experiment`
 //! (`prepare_experiment`, then the measured half), the instrument
@@ -10,9 +11,11 @@
 //!   gate arm: its time must stay within 5% of the committed
 //!   `BENCH_sim_engine.json` optimized baseline, because with
 //!   everything disabled the engine runs the identical hot loop.
-//! - `telemetry` — a [`Telemetry`] window recorder installed as the
-//!   probe. Measures the cost of folding every engine event into the
-//!   fixed window array (alloc-free after setup).
+//! - `telemetry` — the recorder (raw event stream off) with its window
+//!   series installed as the probe. Measures the cost of counting every
+//!   engine event, assembling the per-query traces and folding into the
+//!   fixed window array. (Numbers committed before the window fold
+//!   moved into the recorder timed the fold alone.)
 //! - `profiler` — `profile: true`. Measures the scoped span tree
 //!   (monotonic clock reads around engine phases).
 //!
@@ -21,16 +24,15 @@
 //! committed `BENCH_telemetry.json` records the gate; `cargo bench -p
 //! bench --bench telemetry -- --test` runs each body once as a CI smoke.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
+use bench::observe::Instruments;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtn_cache::experiment::{build_scheme, prepare_experiment, ExperimentConfig};
 use dtn_cache::SchemeKind;
 use dtn_core::time::Duration;
 use dtn_sim::engine::SimConfig;
 use dtn_sim::metrics::Metrics;
-use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
+use dtn_sim::probe::RecordingProbe;
+use dtn_sim::telemetry::Telemetry;
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 use dtn_trace::trace::ContactTrace;
 use dtn_trace::TracePreset;
@@ -74,25 +76,24 @@ fn run_point(trace: &ContactTrace, config: &ExperimentConfig, instrument: Instru
     let scheme = build_scheme(SchemeKind::Intentional, config);
     let mut sim = prepare_experiment(trace, scheme, config, engine);
 
-    let telemetry = (instrument == Instrument::Telemetry).then(|| {
+    let instruments = (instrument == Instrument::Telemetry).then(|| {
         let mid = trace.midpoint();
-        let recorder = Rc::new(RefCell::new(Telemetry::new(&TelemetryConfig::spanning(
+        let telemetry = Telemetry::spanning(
             mid,
             Duration(trace.duration().as_secs() - mid.0),
             24,
             config.ncl_count,
-        ))));
-        sim.set_probe(Box::new(Rc::clone(&recorder)));
-        recorder
+        );
+        let recorder = RecordingProbe::new()
+            .without_event_stream()
+            .with_telemetry(telemetry);
+        Instruments::install(&mut sim, recorder)
     });
     sim.run_to_end();
 
-    if let Some(recorder) = telemetry {
-        drop(sim.take_probe());
-        let telemetry = Rc::try_unwrap(recorder)
-            .expect("engine returned its telemetry handle")
-            .into_inner();
-        black_box(telemetry.totals());
+    if let Some(instruments) = instruments {
+        let recorder = instruments.finish(&mut sim);
+        black_box(recorder.telemetry().map(Telemetry::totals));
     }
     sim.metrics().clone()
 }

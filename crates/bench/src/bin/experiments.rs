@@ -36,6 +36,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bench::figures;
+use bench::json::JsonValue;
 use dtn_cache::replacement::ReplacementKind;
 use dtn_cache::SchemeKind;
 use dtn_core::time::Duration;
@@ -642,6 +643,19 @@ fn churn(opts: &Options) {
     print_timings(opts, "epoch", &columns, &timing_rows);
 }
 
+/// Writes a `BENCH_*.json` document to `--out`, or prints it.
+fn write_document(opts: &Options, command: &str, doc: &JsonValue) -> Result<(), String> {
+    let text = doc.pretty() + "\n";
+    match &opts.out {
+        Some(path) => {
+            fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            println!("[{command}] wrote {}", path.display());
+        }
+        None => print!("{text}"),
+    }
+    Ok(())
+}
+
 /// Runs the shared capture behind `observe`/`timeline`: one fully
 /// instrumented run of the named target, JSONL export via `--out`.
 fn captured_run(opts: &Options, command: &str) -> Result<bench::observe::ObserveRun, String> {
@@ -746,40 +760,35 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     let (sweeps, violations) = audited.audit.expect("audit was enabled");
     eprintln!("[scale] audit: {sweeps} sweeps, {violations} violations");
 
-    let mut doc = String::from(
-        "{\n  \"benchmark\": \"crates/bench/src/scale.rs\",\n  \
-         \"command\": \"cargo run --release -p bench --bin experiments -- scale\",\n  \
-         \"runs\": [\n",
-    );
-    for (i, (smoke, report)) in runs.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\n      \"preset\": \"{}\",\n      \"report\":\n{}\n    }}{}\n",
-            if *smoke { "smoke" } else { "city" },
-            report.to_json(6),
-            if i + 1 < runs.len() { "," } else { "" },
-        ));
-    }
-    doc.push_str("  ],\n  \"audited_case\":\n");
-    doc.push_str(&audited.to_json(2));
+    let runs = runs.iter().map(|(smoke, report)| {
+        JsonValue::object()
+            .with("preset", if *smoke { "smoke" } else { "city" })
+            .with("report", report.to_json())
+    });
     // Memory/throughput hot spots found while bringing the city-scale
     // path up, with before/after measurements (single-core container,
     // 30k-node city run unless stated). Static text: it documents the
     // engine the numbers above were taken on.
-    doc.push_str(
-        ",\n  \"memory_notes\": [\n    \
-         \"peak_rss_bytes is VmHWM: the process-lifetime high-water mark. Runs execute in ascending size, so each run's value is its own peak, but the trailing audited_case inherits the largest run's.\",\n    \
-         \"sparse-reach cache resized from 4096 fixed slots to one slot per node: direct-mapped collisions had nearly every forwarding decision recompute a bounded Dijkstra; 10k-node city run went 17314 -> 28396 contacts/s.\",\n    \
-         \"oracle wall-clock refresh pinned to the trace duration in the scale harness (generation-doubling rebuilds still fire): each snapshot rebuild invalidates all ~N cached reaches, and recomputing them dominated the measured phase; 30k-node city run went 6534 -> 15275 contacts/s (measured phase 114.5s -> 48.8s).\",\n    \
-         \"Metrics keeps the exact delay sum and count only (O(1) in delivered queries); the delay distribution is RecordingProbe::delay_hist, present when a probe is installed.\",\n    \
-         \"CommunityPartition stores members/offsets as flat u32 CSR arrays (no per-community Vec allocations); RateTable switches to sparse pair storage above its density threshold, keeping per-contact updates allocation-free at 100k+ nodes.\"\n  ]\n}\n",
-    );
-    match &opts.out {
-        Some(path) => {
-            fs::write(path, &doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            println!("[scale] wrote {}", path.display());
-        }
-        None => print!("{doc}"),
-    }
+    let memory_notes = [
+        "peak_rss_bytes is VmHWM: the process-lifetime high-water mark. Runs execute in ascending size, so each run's value is its own peak, but the trailing audited_case inherits the largest run's.",
+        "sparse-reach cache resized from 4096 fixed slots to one slot per node: direct-mapped collisions had nearly every forwarding decision recompute a bounded Dijkstra; 10k-node city run went 17314 -> 28396 contacts/s.",
+        "oracle wall-clock refresh pinned to the trace duration in the scale harness (generation-doubling rebuilds still fire): each snapshot rebuild invalidates all ~N cached reaches, and recomputing them dominated the measured phase; 30k-node city run went 6534 -> 15275 contacts/s (measured phase 114.5s -> 48.8s).",
+        "Metrics keeps the exact delay sum and count only (O(1) in delivered queries); the delay distribution is RecordingProbe::delay_hist, present when a probe is installed.",
+        "CommunityPartition stores members/offsets as flat u32 CSR arrays (no per-community Vec allocations); RateTable switches to sparse pair storage above its density threshold, keeping per-contact updates allocation-free at 100k+ nodes.",
+    ];
+    let doc = JsonValue::object()
+        .with("benchmark", "crates/bench/src/scale.rs")
+        .with(
+            "command",
+            "cargo run --release -p bench --bin experiments -- scale",
+        )
+        .with("runs", runs.collect::<JsonValue>())
+        .with("audited_case", audited.to_json())
+        .with(
+            "memory_notes",
+            memory_notes.into_iter().collect::<JsonValue>(),
+        );
+    write_document(opts, "scale", &doc)?;
     if violations > 0 {
         return Err(format!("audited scale case found {violations} violations"));
     }
@@ -833,31 +842,25 @@ fn serve_cmd(opts: &Options) -> Result<(), String> {
         Some(full)
     };
 
-    let mut doc = String::from(
-        "{\n  \"benchmark\": \"crates/bench/src/serve.rs\",\n  \
-         \"command\": \"cargo run --release -p bench --bin experiments -- serve\",\n  \
-         \"results\": {\n    \"smoke\":\n",
-    );
-    doc.push_str(&smoke.to_json(4, true));
+    let mut results = JsonValue::object().with("smoke", smoke.to_json(true));
     if let Some(full) = &full {
-        doc.push_str(",\n    \"full\":\n");
-        doc.push_str(&full.to_json(4, false));
+        results.set("full", full.to_json(false));
     }
-    doc.push_str(
-        "\n  },\n  \"notes\": [\n    \
-         \"Latency is open-loop: measured per-decision service times replayed against a virtual wall cursor, so queueing delay behind slow decisions is included and the percentiles are free of coordinated omission.\",\n    \
-         \"smoke.*_exact and smoke.decision_checksum are the determinism contract: a fresh `experiments serve --smoke` on any machine must reproduce them bit-identically (gated by `experiments compare`).\",\n    \
-         \"Wall-clock keys (_usec, per_wall_second) are informational; their names deliberately match no compare gate direction because CI machines differ from the machine that produced the committed numbers.\",\n    \
-         \"Target: the full sweep's 2000/s offered point must hold open-loop p99 within the 1 ms latency budget on the reference machine; the saturation knee (achieved < offered) marks sustained capacity. See EXPERIMENTS.md for the recorded table.\"\n  ]\n}\n",
-    );
-    match &opts.out {
-        Some(path) => {
-            fs::write(path, &doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            println!("[serve] wrote {}", path.display());
-        }
-        None => print!("{doc}"),
-    }
-    Ok(())
+    let notes = [
+        "Latency is open-loop: measured per-decision service times replayed against a virtual wall cursor, so queueing delay behind slow decisions is included and the percentiles are free of coordinated omission.",
+        "smoke.*_exact and smoke.decision_checksum are the determinism contract: a fresh `experiments serve --smoke` on any machine must reproduce them bit-identically (gated by `experiments compare`).",
+        "Wall-clock keys (_usec, per_wall_second) are informational; their names deliberately match no compare gate direction because CI machines differ from the machine that produced the committed numbers.",
+        "Target: the full sweep's 2000/s offered point must hold open-loop p99 within the 1 ms latency budget on the reference machine; the saturation knee (achieved < offered) marks sustained capacity. See EXPERIMENTS.md for the recorded table.",
+    ];
+    let doc = JsonValue::object()
+        .with("benchmark", "crates/bench/src/serve.rs")
+        .with(
+            "command",
+            "cargo run --release -p bench --bin experiments -- serve",
+        )
+        .with("results", results)
+        .with("notes", notes.into_iter().collect::<JsonValue>());
+    write_document(opts, "serve", &doc)
 }
 
 /// The `regimes` command: the hostile-regime matrix (contact process ×
@@ -912,14 +915,7 @@ fn regimes_cmd(opts: &Options) -> Result<(), String> {
         );
     }
     let violations = report.total_violations();
-    let doc = report_to_json(&report);
-    match &opts.out {
-        Some(path) => {
-            fs::write(path, &doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            println!("[regimes] wrote {}", path.display());
-        }
-        None => print!("{doc}"),
-    }
+    write_document(opts, "regimes", &report_to_json(&report))?;
     if violations > 0 {
         return Err(format!("audited regime runs found {violations} violations"));
     }

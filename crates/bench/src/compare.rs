@@ -29,9 +29,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use dtn_sim::telemetry::Telemetry;
-
 use crate::json::JsonValue;
+use crate::observe::RUN_SCHEMA;
 
 /// One aligned series whose value differs between the runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,12 +170,14 @@ pub fn compare_strings(
 ) -> Result<CompareReport, String> {
     let a_doc = JsonValue::parse(a_text).ok();
     let b_doc = JsonValue::parse(b_text).ok();
+    let mut regressions = Vec::new();
     let (mode, a_series, b_series) = match (a_doc, b_doc) {
         (Some(a), Some(b)) => {
-            let mut sa = BTreeMap::new();
-            let mut sb = BTreeMap::new();
-            flatten(&a, "", &mut sa);
-            flatten(&b, "", &mut sb);
+            let (mut sa, mut ea) = (BTreeMap::new(), BTreeMap::new());
+            let (mut sb, mut eb) = (BTreeMap::new(), BTreeMap::new());
+            flatten(&a, "", &mut sa, &mut ea);
+            flatten(&b, "", &mut sb, &mut eb);
+            regressions = exact_key_regressions(&ea, &eb);
             ("bench", sa, sb)
         }
         (None, None) => (
@@ -216,11 +217,11 @@ pub fn compare_strings(
         .cloned()
         .collect();
 
-    let regressions = if mode == "bench" {
+    regressions.extend(if mode == "bench" {
         bench_regressions(&a_series, &b_series, threshold_pct)
     } else {
         jsonl_regressions(&a_series, &b_series, threshold_pct)
-    };
+    });
 
     Ok(CompareReport {
         mode,
@@ -237,11 +238,23 @@ pub fn compare_strings(
 
 /// Flattens every numeric leaf of a JSON document to a dotted path
 /// (array elements as `[i]`). Strings, booleans and nulls are dropped —
-/// the diff aligns numbers.
-fn flatten(value: &JsonValue, prefix: &str, out: &mut BTreeMap<String, f64>) {
+/// the diff aligns numbers. Leaves under an exactness key
+/// ([`bench_exactness`]) also land in `exact` as their literal token:
+/// the `f64` series cannot tell two 64-bit digests apart above 2^53.
+fn flatten<'a>(
+    value: &'a JsonValue,
+    prefix: &str,
+    out: &mut BTreeMap<String, f64>,
+    exact: &mut BTreeMap<String, &'a str>,
+) {
     match value {
-        JsonValue::Num(n) => {
-            out.insert(prefix.to_string(), *n);
+        JsonValue::Num(token) => {
+            if let Some(n) = value.as_f64() {
+                out.insert(prefix.to_string(), n);
+            }
+            if bench_exactness(prefix) {
+                exact.insert(prefix.to_string(), token);
+            }
         }
         JsonValue::Obj(fields) => {
             for (k, v) in fields {
@@ -250,12 +263,12 @@ fn flatten(value: &JsonValue, prefix: &str, out: &mut BTreeMap<String, f64>) {
                 } else {
                     format!("{prefix}.{k}")
                 };
-                flatten(v, &path, out);
+                flatten(v, &path, out, exact);
             }
         }
         JsonValue::Arr(items) => {
             for (i, v) in items.iter().enumerate() {
-                flatten(v, &format!("{prefix}[{i}]"), out);
+                flatten(v, &format!("{prefix}[{i}]"), out, exact);
             }
         }
         _ => {}
@@ -276,17 +289,16 @@ fn jsonl_series(text: &str, label: &str) -> Result<BTreeMap<String, f64>, String
         }
         let v = JsonValue::parse(line).map_err(|e| format!("{label}:{}: {e}", idx + 1))?;
         match v.get("type").and_then(JsonValue::as_str).unwrap_or("") {
-            "run" => {
-                if let Some(ts) = v.get("telemetry_schema").and_then(JsonValue::as_str) {
-                    if ts != Telemetry::SCHEMA {
-                        return Err(format!(
-                            "{label}: unsupported telemetry schema {ts:?} (this build \
-                             reads {:?})",
-                            Telemetry::SCHEMA
-                        ));
-                    }
+            kind @ ("run" | "footer") => {
+                let tag = v.get("schema").and_then(JsonValue::as_str);
+                if tag != Some(RUN_SCHEMA) {
+                    return Err(format!(
+                        "{label}:{}: unsupported capture schema {tag:?} (this build reads \
+                         {RUN_SCHEMA:?})",
+                        idx + 1
+                    ));
                 }
-                collect_numeric(&v, "run", &mut out);
+                flatten(&v, kind, &mut out, &mut BTreeMap::new());
             }
             "event" => {
                 let kind = v.get("kind").and_then(JsonValue::as_str).unwrap_or("?");
@@ -298,7 +310,7 @@ fn jsonl_series(text: &str, label: &str) -> Result<BTreeMap<String, f64>, String
                     .get("index")
                     .and_then(JsonValue::as_f64)
                     .ok_or_else(|| format!("{label}:{}: window without index", idx + 1))?;
-                collect_numeric(&v, &format!("window[{i}]"), &mut out);
+                flatten(&v, &format!("window[{i}]"), &mut out, &mut BTreeMap::new());
             }
             "phase" => {
                 let name = v.get("phase").and_then(JsonValue::as_str).unwrap_or("?");
@@ -306,14 +318,10 @@ fn jsonl_series(text: &str, label: &str) -> Result<BTreeMap<String, f64>, String
                 // Order + depth pin the key to the tree position, so a
                 // reshaped call tree misaligns instead of silently
                 // pairing different spans.
-                collect_numeric(
-                    &v,
-                    &format!("phase[{phase_order}:{name}@{depth}]"),
-                    &mut out,
-                );
+                let key = format!("phase[{phase_order}:{name}@{depth}]");
+                flatten(&v, &key, &mut out, &mut BTreeMap::new());
                 phase_order += 1;
             }
-            "footer" => collect_numeric(&v, "footer", &mut out),
             _ => {}
         }
     }
@@ -324,38 +332,9 @@ fn jsonl_series(text: &str, label: &str) -> Result<BTreeMap<String, f64>, String
     Ok(out)
 }
 
-/// Hoists every numeric field (and numeric array lane) of one parsed
-/// line under `prefix`.
-fn collect_numeric(v: &JsonValue, prefix: &str, out: &mut BTreeMap<String, f64>) {
-    let JsonValue::Obj(fields) = v else { return };
-    for (k, val) in fields {
-        if k == "type" || k == "index" || k == "depth" || k == "phase" {
-            continue;
-        }
-        match val {
-            JsonValue::Num(n) => {
-                out.insert(format!("{prefix}.{k}"), *n);
-            }
-            JsonValue::Arr(items) => {
-                for (j, item) in items.iter().enumerate() {
-                    if let JsonValue::Num(n) = item {
-                        out.insert(format!("{prefix}.{k}[{j}]"), *n);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Reads a whole-run counter, preferring the authoritative footer and
-/// falling back to the legacy header totals (`dtn-observe/1` captures
-/// have no footer).
+/// Reads a whole-run counter from the capture's footer.
 fn run_total(series: &BTreeMap<String, f64>, name: &str) -> Option<f64> {
-    series
-        .get(&format!("footer.{name}"))
-        .or_else(|| series.get(&format!("run.{name}")))
-        .copied()
+    series.get(&format!("footer.{name}")).copied()
 }
 
 /// The JSONL gates: deterministic outcome counters only. Wall-clock
@@ -457,6 +436,25 @@ fn bench_exactness(key: &str) -> bool {
     last.ends_with("_exact") || last.ends_with("_checksum")
 }
 
+/// The exact-key gate. Exact keys are integers written by the one
+/// writer, so the literal tokens themselves must match — all 64 bits of
+/// a digest, not the 53 an `f64` keeps.
+fn exact_key_regressions(a: &BTreeMap<String, &str>, b: &BTreeMap<String, &str>) -> Vec<String> {
+    let mut out = Vec::new();
+    for (key, va) in a {
+        match b.get(key) {
+            None => out.push(format!(
+                "missing exact key: {key} present in baseline but absent from candidate"
+            )),
+            Some(vb) if vb != va => {
+                out.push(format!("exact key {key} changed ({va} -> {vb})"));
+            }
+            Some(_) => {}
+        }
+    }
+    out
+}
+
 fn bench_regressions(
     a: &BTreeMap<String, f64>,
     b: &BTreeMap<String, f64>,
@@ -466,15 +464,6 @@ fn bench_regressions(
     let t = threshold_pct / 100.0;
     for (key, &va) in a {
         if bench_exactness(key) {
-            match b.get(key) {
-                None => out.push(format!(
-                    "missing exact key: {key} present in baseline but absent from candidate"
-                )),
-                Some(&vb) if vb != va => {
-                    out.push(format!("exact key {key} changed ({va} -> {vb})"));
-                }
-                Some(_) => {}
-            }
             continue;
         }
         let Some(&vb) = b.get(key) else { continue };
@@ -538,8 +527,8 @@ mod tests {
 
     #[test]
     fn success_ratio_drop_is_gated() {
-        let a = "{\"type\":\"run\",\"schema\":\"dtn-observe/2\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800}\n{\"type\":\"footer\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800,\"bytes_transmitted\":1000}\n";
-        let b = "{\"type\":\"run\",\"schema\":\"dtn-observe/2\",\"queries_issued\":100,\"queries_satisfied\":60,\"total_delay_secs\":800}\n{\"type\":\"footer\",\"queries_issued\":100,\"queries_satisfied\":60,\"total_delay_secs\":800,\"bytes_transmitted\":1000}\n";
+        let a = "{\"type\":\"run\",\"schema\":\"dtn-observe/3\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800}\n{\"type\":\"footer\",\"schema\":\"dtn-observe/3\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800,\"bytes_transmitted\":1000}\n";
+        let b = "{\"type\":\"run\",\"schema\":\"dtn-observe/3\",\"queries_issued\":100,\"queries_satisfied\":60,\"total_delay_secs\":800}\n{\"type\":\"footer\",\"schema\":\"dtn-observe/3\",\"queries_issued\":100,\"queries_satisfied\":60,\"total_delay_secs\":800,\"bytes_transmitted\":1000}\n";
         let report = compare_strings(a, "a", b, "b", 5.0).expect("same format");
         assert!(report.has_regressions());
         assert!(report.regressions[0].contains("success ratio"));
@@ -600,18 +589,18 @@ mod tests {
     fn mixed_formats_are_an_error() {
         let bench = "{\"results\": {\"x\": 1}}";
         let jsonl =
-            "{\"type\":\"run\",\"queries_issued\":1}\n{\"type\":\"footer\",\"queries_issued\":1}\n";
+            "{\"type\":\"run\",\"queries_issued\":1}\n{\"type\":\"footer\",\"schema\":\"dtn-observe/3\",\"queries_issued\":1}\n";
         assert!(compare_strings(bench, "a", jsonl, "b", 5.0).is_err());
     }
 
     #[test]
     fn truncated_capture_missing_gated_series_fails() {
-        let full = "{\"type\":\"run\",\"schema\":\"dtn-observe/2\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800}\n{\"type\":\"footer\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800,\"bytes_transmitted\":1000}\n";
-        // The candidate capture was cut off before its footer: the
-        // header still carries ratio/delay totals (so those gates run
-        // and pass), but `bytes_transmitted` exists nowhere in the
-        // file. Before the missing-series gate this compared clean.
-        let truncated = "{\"type\":\"run\",\"schema\":\"dtn-observe/2\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800}\n{\"type\":\"event\",\"kind\":\"x\",\"at\":1}\n";
+        let full = "{\"type\":\"run\",\"schema\":\"dtn-observe/3\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800}\n{\"type\":\"footer\",\"schema\":\"dtn-observe/3\",\"queries_issued\":100,\"queries_satisfied\":80,\"total_delay_secs\":800,\"bytes_transmitted\":1000}\n";
+        // The candidate capture was cut off before its footer, the only
+        // home of the whole-run totals: no threshold gate has anything
+        // to compare. Before the missing-series gate this compared
+        // clean.
+        let truncated = "{\"type\":\"run\",\"schema\":\"dtn-observe/3\",\"seed\":7}\n{\"type\":\"event\",\"kind\":\"x\",\"at\":1}\n";
         let report = compare_strings(full, "a", truncated, "b", 5.0).expect("same format");
         assert!(report.has_regressions(), "{report:?}");
         assert!(
@@ -623,7 +612,7 @@ mod tests {
             report.regressions
         );
         assert!(report.render().contains("verdict: REGRESSED"));
-        // Absent on both sides is a legacy capture pair, not a loss.
+        // Absent on both sides is a truncated pair, not a loss.
         let pair = compare_strings(truncated, "a", truncated, "b", 5.0).expect("same format");
         assert!(!pair.has_regressions(), "{:?}", pair.regressions);
         // A series the candidate *gained* never gates either.
@@ -632,12 +621,53 @@ mod tests {
     }
 
     #[test]
-    fn legacy_headers_without_footer_still_gate() {
-        // dtn-observe/1 captures had no footer; the gates fall back to
-        // the header totals.
-        let a = "{\"type\":\"run\",\"queries_issued\":50,\"queries_satisfied\":40,\"total_delay_secs\":100}\n{\"type\":\"event\",\"kind\":\"x\",\"at\":1}\n";
-        let b = "{\"type\":\"run\",\"queries_issued\":50,\"queries_satisfied\":20,\"total_delay_secs\":100}\n{\"type\":\"event\",\"kind\":\"x\",\"at\":1}\n";
-        let report = compare_strings(a, "a", b, "b", 5.0).expect("same format");
-        assert!(report.has_regressions());
+    fn any_capture_tag_but_the_current_one_is_refused() {
+        let current = capture(7);
+        assert!(current.starts_with("{\"type\":\"run\",\"schema\":\"dtn-observe/3\""));
+        for stale in ["dtn-observe/2", "dtn-observe/9", "dtn-telemetry/2"] {
+            // A stale header is refused…
+            let header = current.replacen(RUN_SCHEMA, stale, 1);
+            let err = compare_strings(&current, "a", &header, "b", 5.0).unwrap_err();
+            assert!(err.contains(stale) && err.contains("b:1"), "{err}");
+            // …and so is a stale footer under a current header.
+            let at = current.rfind(RUN_SCHEMA).expect("footer tag");
+            let mut footer = current.clone();
+            footer.replace_range(at..at + RUN_SCHEMA.len(), stale);
+            let err = compare_strings(&footer, "a", &current, "b", 5.0).unwrap_err();
+            assert!(err.contains(stale) && err.contains("a:"), "{err}");
+        }
+        // A header with no tag at all (`dtn-observe/1`) is refused too.
+        let untagged =
+            "{\"type\":\"run\",\"queries_issued\":50}\n{\"type\":\"event\",\"kind\":\"x\",\"at\":1}\n";
+        assert!(compare_strings(untagged, "a", untagged, "b", 5.0).is_err());
+    }
+
+    #[test]
+    fn checksums_differing_in_the_last_bit_fail_the_exact_gate() {
+        // 14485680915734382006 > 2^53 (ulp 2048): as f64 series both
+        // digests are the same number, so the old gate passed silently.
+        let doc = |checksum: u64| {
+            JsonValue::object()
+                .with(
+                    "results",
+                    JsonValue::object().with(
+                        "smoke",
+                        JsonValue::object()
+                            .with("decisions_exact", 2000u64)
+                            .with("decision_checksum", checksum),
+                    ),
+                )
+                .pretty()
+        };
+        let a = doc(14_485_680_915_734_382_006);
+        let b = doc(14_485_680_915_734_382_007);
+        let report = compare_strings(&a, "a", &b, "b", 50.0).expect("bench mode");
+        assert_eq!(
+            report.regressions,
+            ["exact key results.smoke.decision_checksum changed \
+              (14485680915734382006 -> 14485680915734382007)"]
+        );
+        let clean = compare_strings(&a, "a", &a, "b", 50.0).expect("bench mode");
+        assert!(!clean.has_regressions(), "{clean:?}");
     }
 }

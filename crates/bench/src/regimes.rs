@@ -26,12 +26,13 @@ use dtn_sim::engine::{SimConfig, Simulator, TraceSource, WorkloadEvent};
 use dtn_sim::message::DataItem;
 use dtn_sim::overlay::{OverlayKind, OverlaySource, RegimeOverlay};
 use dtn_sim::probe::RecordingProbe;
-use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
+use dtn_sim::telemetry::Telemetry;
 use dtn_trace::process::ContactProcessKind;
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 use dtn_trace::trace::ContactTrace;
 use dtn_trace::{analysis, stats};
 
+use crate::json::JsonValue;
 use crate::observe::{Instruments, ObserveRun, TIMELINE_WINDOWS};
 
 /// The overlay slots of the matrix, in report order. `"none"` is the
@@ -379,14 +380,15 @@ pub(crate) fn observe_blackout(scale: f64, seed: u64) -> ObserveRun {
     };
     let mut sim = prepare_cell(&trace, &plan, Some(&overlay), engine);
 
-    let mut telemetry = Telemetry::new(&TelemetryConfig::spanning(
+    let mut telemetry = Telemetry::spanning(
         plan.mid,
         Duration(plan.duration.as_secs() - plan.mid.0),
         TIMELINE_WINDOWS,
         NCL_COUNT,
-    ));
+    );
     telemetry.mark_overlay("ncl-blackout", plan.w_start, plan.w_end);
-    let instruments = Instruments::install(&mut sim, RecordingProbe::new(), telemetry);
+    let instruments =
+        Instruments::install(&mut sim, RecordingProbe::new().with_telemetry(telemetry));
     sim.run_to_end();
     ObserveRun::capture("regimes", seed, &mut sim, instruments)
 }
@@ -487,98 +489,77 @@ pub fn run_regime_matrix(cfg: &RegimeMatrixConfig) -> RegimeReport {
     }
 }
 
-fn json_opt(v: Option<f64>) -> String {
-    v.map_or("null".into(), |x| format!("{x:.4}"))
+fn outcome_json(o: &RegimeOutcome) -> JsonValue {
+    JsonValue::object()
+        .with("success_ratio", JsonValue::fixed(o.success_ratio, 4))
+        .with("delay_hours", JsonValue::fixed(o.delay_hours, 3))
+        .with("queries_issued", JsonValue::fixed(o.queries_issued, 1))
+        .with("contacts_dropped", JsonValue::fixed(o.contacts_dropped, 1))
+        .with("audit_violations", o.audit_violations)
+        .with("audit_sweeps", o.audit_sweeps)
 }
 
-fn outcome_json(o: &RegimeOutcome) -> String {
-    format!(
-        "{{\"success_ratio\": {:.4}, \"delay_hours\": {:.3}, \"queries_issued\": {:.1}, \
-         \"contacts_dropped\": {:.1}, \"audit_violations\": {}, \"audit_sweeps\": {}}}",
-        o.success_ratio,
-        o.delay_hours,
-        o.queries_issued,
-        o.contacts_dropped,
-        o.audit_violations,
-        o.audit_sweeps,
-    )
-}
-
-/// Renders the report as the `BENCH_regimes.json` document.
-pub fn report_to_json(report: &RegimeReport) -> String {
-    let mut doc = format!(
-        "{{\n  \"benchmark\": \"crates/bench/src/regimes.rs\",\n  \
-         \"command\": \"cargo run --release -p bench --bin experiments -- regimes\",\n  \
-         \"nodes\": {},\n  \"scale\": {},\n  \"seeds\": {},\n  \"epoch_secs\": {},\n  \
-         \"audited\": {},\n  \"total_audit_violations\": {},\n  \"process_diagnostics\": [\n",
-        report.nodes,
-        report.scale,
-        report.seeds,
-        report.epoch_secs,
-        report.audited,
-        report.total_violations(),
-    );
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\"process\": \"{}\", \"exp_fit_r2\": {:.4}, \"hill_tail\": {}, \
-             \"configured_tail\": {}, \"mean_gap_cv2\": {:.4}, \"contacts\": {}}}{}\n",
-            d.process.name(),
-            d.exp_fit_r2,
-            json_opt(d.hill_tail),
-            json_opt(d.configured_tail),
-            d.mean_gap_cv2,
-            d.contacts,
-            if i + 1 < report.diagnostics.len() {
-                ","
-            } else {
-                ""
-            },
-        ));
-    }
-    doc.push_str("  ],\n  \"cells\": [\n");
-    for (i, c) in report.cells.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\n      \"process\": \"{}\",\n      \"overlay\": \"{}\",\n      \
-             \"frozen\": {},\n      \"adaptive\": {},\n      \"recovery\": {:.4}\n    }}{}\n",
-            c.process.name(),
-            c.overlay,
-            outcome_json(&c.frozen),
-            outcome_json(&c.adaptive),
-            c.recovery(),
-            if i + 1 < report.cells.len() { "," } else { "" },
-        ));
-    }
-    let best = report.best_recovery().map_or_else(
-        || "null".to_string(),
-        |c| {
-            format!(
-                "{{\"process\": \"{}\", \"overlay\": \"{}\", \"recovery\": {:.4}}}",
-                c.process.name(),
-                c.overlay,
-                c.recovery()
-            )
-        },
-    );
-    doc.push_str(&format!(
-        "  ],\n  \"best_recovery\": {best},\n  \"notes\": [\n    \
-         \"Every cell runs the intentional scheme twice on identical traces and workload: \
+/// Builds the report as the `BENCH_regimes.json` document.
+pub fn report_to_json(report: &RegimeReport) -> JsonValue {
+    let fixed4 = |x: f64| JsonValue::fixed(x, 4);
+    let diagnostics = report.diagnostics.iter().map(|d| {
+        JsonValue::object()
+            .with("process", d.process.name())
+            .with("exp_fit_r2", fixed4(d.exp_fit_r2))
+            .with("hill_tail", d.hill_tail.map(fixed4))
+            .with("configured_tail", d.configured_tail.map(fixed4))
+            .with("mean_gap_cv2", fixed4(d.mean_gap_cv2))
+            .with("contacts", d.contacts)
+    });
+    let cells = report.cells.iter().map(|c| {
+        JsonValue::object()
+            .with("process", c.process.name())
+            .with("overlay", c.overlay.as_str())
+            .with("frozen", outcome_json(&c.frozen))
+            .with("adaptive", outcome_json(&c.adaptive))
+            .with("recovery", fixed4(c.recovery()))
+    });
+    let best = report.best_recovery().map(|c| {
+        JsonValue::object()
+            .with("process", c.process.name())
+            .with("overlay", c.overlay.as_str())
+            .with("recovery", fixed4(c.recovery()))
+    });
+    let notes = [
+        "Every cell runs the intentional scheme twice on identical traces and workload: \
          frozen (NCLs elected once at the trace midpoint) and adaptive (epoch re-election \
-         every epoch_secs). recovery = adaptive.success_ratio - frozen.success_ratio.\",\n    \
-         \"The overlay window covers [mid + 15%, mid + 75%] of the second half; the \
+         every epoch_secs). recovery = adaptive.success_ratio - frozen.success_ratio.",
+        "The overlay window covers [mid + 15%, mid + 75%] of the second half; the \
          ncl-blackout slot blacks out exactly the top-K central nodes the frozen policy \
          elects, so frozen NCLs lose their caching infrastructure until the heal while \
-         adaptive policies can re-elect around it.\",\n    \
-         \"process_diagnostics quantify estimator stress on unperturbed traces: exp_fit_r2 \
+         adaptive policies can re-elect around it.",
+        "process_diagnostics quantify estimator stress on unperturbed traces: exp_fit_r2 \
          is the log-CCDF exponential fit (Poisson = 1), hill_tail the Hill estimator over \
          the top decile of inter-contact gaps, mean_gap_cv2 the contact-weighted squared \
-         coefficient of gap variation as the live RateTable measures it (Poisson = 1).\"\n  ]\n}}\n",
-    ));
-    doc
+         coefficient of gap variation as the live RateTable measures it (Poisson = 1).",
+    ];
+    JsonValue::object()
+        .with("benchmark", "crates/bench/src/regimes.rs")
+        .with(
+            "command",
+            "cargo run --release -p bench --bin experiments -- regimes",
+        )
+        .with("nodes", report.nodes)
+        .with("scale", JsonValue::Num(report.scale.to_string()))
+        .with("seeds", report.seeds)
+        .with("epoch_secs", report.epoch_secs)
+        .with("audited", report.audited)
+        .with("total_audit_violations", report.total_violations())
+        .with("process_diagnostics", diagnostics.collect::<JsonValue>())
+        .with("cells", cells.collect::<JsonValue>())
+        .with("best_recovery", best)
+        .with("notes", notes.into_iter().collect::<JsonValue>())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtn_sim::telemetry::Counter;
 
     fn tiny_config() -> RegimeMatrixConfig {
         RegimeMatrixConfig {
@@ -616,7 +597,7 @@ mod tests {
                 assert_eq!(cell.frozen.contacts_dropped, 0.0);
             }
         }
-        let json = report_to_json(&report);
+        let json = report_to_json(&report).pretty();
         assert!(json.contains("\"best_recovery\""));
         assert!(json.contains("\"ncl-blackout\""));
         assert!(json.contains("\"pareto\""));
@@ -636,13 +617,13 @@ mod tests {
         assert_eq!(run.figure, "regimes");
         assert!(run.metrics.queries_issued > 0);
         // The blackout overlay is marked on at least one window.
-        let marked =
-            (0..run.telemetry.windows().len()).any(|i| !run.telemetry.overlays_in(i).is_empty());
+        let telemetry = run.telemetry();
+        let marked = (0..telemetry.windows().len()).any(|i| !telemetry.overlays_in(i).is_empty());
         assert!(marked, "no window carries the blackout overlay");
         // Telemetry conserves the engine totals.
-        let totals = run.telemetry.totals();
-        assert_eq!(totals.queries_issued, run.metrics.queries_issued);
-        assert_eq!(totals.deliveries, run.metrics.queries_satisfied);
+        let totals = telemetry.totals();
+        assert_eq!(totals[Counter::QueriesIssued], run.metrics.queries_issued);
+        assert_eq!(totals[Counter::Deliveries], run.metrics.queries_satisfied);
         // The profiler ran.
         assert!(run.profile.as_ref().is_some_and(|p| p.total_ns() > 0));
     }

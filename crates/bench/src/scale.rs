@@ -36,11 +36,12 @@ use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{SimConfig, Simulator, StreamSource, WorkloadEvent};
 use dtn_sim::message::DataItem;
 use dtn_sim::probe::RecordingProbe;
-use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
+use dtn_sim::telemetry::Telemetry;
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 
 use dtn_core::sys::peak_rss_bytes;
 
+use crate::json::JsonValue;
 use crate::observe::{Instruments, ObserveRun, TIMELINE_WINDOWS};
 
 /// All knobs of one city-scale run.
@@ -172,42 +173,29 @@ pub struct ScaleReport {
 }
 
 impl ScaleReport {
-    /// Renders the report as one pretty-printed JSON object (the
-    /// repository carries no serde; the format is a hand-rolled
-    /// stable mapping used by `BENCH_scale.json`).
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let audit = match self.audit {
-            Some((sweeps, violations)) => {
-                format!("{{ \"sweeps\": {sweeps}, \"violations\": {violations} }}")
-            }
-            None => "null".to_string(),
-        };
-        format!(
-            "{pad}{{\n\
-             {pad}  \"nodes\": {},\n\
-             {pad}  \"contacts\": {},\n\
-             {pad}  \"warmup_secs\": {:.3},\n\
-             {pad}  \"configure_secs\": {:.3},\n\
-             {pad}  \"measured_secs\": {:.3},\n\
-             {pad}  \"contacts_per_sec\": {:.0},\n\
-             {pad}  \"peak_rss_bytes\": {},\n\
-             {pad}  \"queries_issued\": {},\n\
-             {pad}  \"success_ratio\": {:.4},\n\
-             {pad}  \"central_nodes\": {},\n\
-             {pad}  \"audit\": {audit}\n\
-             {pad}}}",
-            self.nodes,
-            self.contacts,
-            self.warmup_secs,
-            self.configure_secs,
-            self.measured_secs,
-            self.contacts_per_sec,
-            self.peak_rss_bytes,
-            self.queries_issued,
-            self.success_ratio,
-            self.central_nodes,
-        )
+    /// The report as one JSON object — a `report` member of
+    /// `BENCH_scale.json`.
+    pub fn to_json(&self) -> JsonValue {
+        let audit = self.audit.map(|(sweeps, violations)| {
+            JsonValue::object()
+                .with("sweeps", sweeps)
+                .with("violations", violations)
+        });
+        JsonValue::object()
+            .with("nodes", self.nodes)
+            .with("contacts", self.contacts)
+            .with("warmup_secs", JsonValue::fixed(self.warmup_secs, 3))
+            .with("configure_secs", JsonValue::fixed(self.configure_secs, 3))
+            .with("measured_secs", JsonValue::fixed(self.measured_secs, 3))
+            .with(
+                "contacts_per_sec",
+                JsonValue::fixed(self.contacts_per_sec, 0),
+            )
+            .with("peak_rss_bytes", self.peak_rss_bytes)
+            .with("queries_issued", self.queries_issued)
+            .with("success_ratio", JsonValue::fixed(self.success_ratio, 4))
+            .with("central_nodes", self.central_nodes)
+            .with("audit", audit)
     }
 }
 
@@ -262,7 +250,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 }
 
 /// [`run_scale`] with optional full instrumentation: when `observe` is
-/// on, a recording probe + windowed [`Telemetry`] tee and the phase
+/// on, a recording probe with its window series and the phase
 /// profiler ride along and come back as an [`ObserveRun`] next to the
 /// throughput report. Unlike the figure captures, the telemetry spans
 /// the *whole* run from t=0 — warm-up visibility is what a streaming
@@ -301,13 +289,8 @@ pub(crate) fn run_scale_observed(
         },
     );
     let instruments = observe.then(|| {
-        let telemetry = Telemetry::new(&TelemetryConfig::spanning(
-            Time(0),
-            cfg.duration,
-            TIMELINE_WINDOWS,
-            cfg.ncl_count,
-        ));
-        Instruments::install(&mut sim, RecordingProbe::new(), telemetry)
+        let telemetry = Telemetry::spanning(Time(0), cfg.duration, TIMELINE_WINDOWS, cfg.ncl_count);
+        Instruments::install(&mut sim, RecordingProbe::new().with_telemetry(telemetry))
     });
 
     // Phase 1: warm-up over the first half of the stream.
@@ -374,6 +357,7 @@ pub(crate) fn observe_city_smoke(seed: u64) -> ObserveRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtn_sim::telemetry::Counter;
 
     fn tiny() -> ScaleConfig {
         ScaleConfig {
@@ -410,25 +394,29 @@ mod tests {
     #[test]
     fn report_renders_as_json() {
         let report = run_scale(&tiny());
-        let json = report.to_json(2);
-        assert!(json.contains("\"contacts_per_sec\""));
-        assert!(json.contains("\"peak_rss_bytes\""));
-        assert!(json.trim_start().starts_with('{') && json.ends_with('}'));
+        let json = report.to_json();
+        assert_eq!(
+            json.get("contacts").and_then(JsonValue::as_u64),
+            Some(report.contacts)
+        );
+        assert!(json.get("contacts_per_sec").is_some());
+        assert!(json.get("peak_rss_bytes").is_some());
+        assert_eq!(json.get("audit"), Some(&JsonValue::Null));
     }
 
     #[test]
-    fn observed_run_tees_telemetry_and_profile() {
+    fn observed_run_carries_telemetry_and_profile() {
         let (report, observed) = run_scale_observed(&tiny(), true);
         let run = observed.expect("observe requested");
         assert_eq!(run.figure, "scale");
         assert_eq!(report.queries_issued, run.metrics.queries_issued);
         // The capture spans the whole run from t=0, warm-up included:
         // every contact the engine processed is in some window.
-        assert_eq!(run.telemetry.origin(), Time(0));
-        let totals = run.telemetry.totals();
-        assert!(totals.contacts > 0);
-        assert_eq!(totals.contacts, run.probe.count("contact_begin"));
-        assert_eq!(totals.queries_issued, run.metrics.queries_issued);
+        assert_eq!(run.telemetry().origin(), Time(0));
+        let totals = run.telemetry().totals();
+        assert!(totals[Counter::Contacts] > 0);
+        assert_eq!(totals[Counter::Contacts], run.probe.count("contact_begin"));
+        assert_eq!(totals[Counter::QueriesIssued], run.metrics.queries_issued);
         assert!(run.profile.as_ref().is_some_and(|p| p.total_ns() > 0));
         // The plain runner reports identical throughput-facing outcomes.
         let plain = run_scale(&tiny());

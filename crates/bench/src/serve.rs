@@ -33,6 +33,8 @@ use dtn_sim::engine::{SimConfig, Simulator};
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 use dtn_trace::ContactTrace;
 
+use crate::json::JsonValue;
+
 /// All knobs of one serving benchmark run.
 #[derive(Debug, Clone)]
 pub struct ServeBenchConfig {
@@ -317,63 +319,45 @@ impl ServeBenchReport {
     /// in the committed baseline. The wall-clock numbers use `_usec` /
     /// `per_wall_second` names that no compare direction matches, so
     /// CI never gates this machine's timings against another's.
-    pub fn to_json(&self, indent: usize, exact: bool) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
+    pub fn to_json(&self, exact: bool) -> JsonValue {
         let e = if exact { "_exact" } else { "" };
         let checksum_key = if exact {
             "decision_checksum"
         } else {
             "decision_stream_hash"
         };
-        let usec = |ns: u64| ns as f64 / 1_000.0;
-        let mut points = String::new();
-        for (i, p) in self.points.iter().enumerate() {
-            points.push_str(&format!(
-                "{inner}  {{ \"offered_per_wall_second\": {:.0}, \"achieved_per_wall_second\": {:.0}, \
-                 \"p50_usec\": {:.1}, \"p99_usec\": {:.1}, \"p999_usec\": {:.1}, \
-                 \"max_usec\": {:.1}, \"budget_violations\": {} }}{}",
-                p.offered,
-                p.achieved,
-                usec(p.p50_ns),
-                usec(p.p99_ns),
-                usec(p.p999_ns),
-                usec(p.max_ns),
-                p.budget_violations,
-                if i + 1 < self.points.len() { ",\n" } else { "" },
-            ));
-        }
-        format!(
-            "{pad}{{\n\
-             {inner}\"nodes{e}\": {},\n\
-             {inner}\"contacts{e}\": {},\n\
-             {inner}\"central_nodes{e}\": {},\n\
-             {inner}\"decisions{e}\": {},\n\
-             {inner}\"place_decisions{e}\": {},\n\
-             {inner}\"routed_decisions{e}\": {},\n\
-             {inner}\"{checksum_key}\": {},\n\
-             {inner}\"latency_budget_usec\": {:.0},\n\
-             {inner}\"service_p50_usec\": {:.1},\n\
-             {inner}\"service_p99_usec\": {:.1},\n\
-             {inner}\"service_p999_usec\": {:.1},\n\
-             {inner}\"service_max_usec\": {:.1},\n\
-             {inner}\"sustained_per_wall_second\": {:.0},\n\
-             {inner}\"points\": [\n{points}\n{inner}]\n\
-             {pad}}}",
-            self.nodes,
-            self.contacts,
-            self.central_nodes,
-            self.decisions,
-            self.place_decisions,
-            self.routed_decisions,
-            self.decision_checksum,
-            usec(self.latency_budget_ns),
-            usec(self.service_p50_ns),
-            usec(self.service_p99_ns),
-            usec(self.service_p999_ns),
-            usec(self.service_max_ns),
-            self.sustained_per_sec,
-        )
+        let usec = |ns: u64| JsonValue::fixed(ns as f64 / 1_000.0, 1);
+        let points = self.points.iter().map(|p| {
+            JsonValue::object()
+                .with("offered_per_wall_second", JsonValue::fixed(p.offered, 0))
+                .with("achieved_per_wall_second", JsonValue::fixed(p.achieved, 0))
+                .with("p50_usec", usec(p.p50_ns))
+                .with("p99_usec", usec(p.p99_ns))
+                .with("p999_usec", usec(p.p999_ns))
+                .with("max_usec", usec(p.max_ns))
+                .with("budget_violations", p.budget_violations)
+        });
+        JsonValue::object()
+            .with(&format!("nodes{e}"), self.nodes)
+            .with(&format!("contacts{e}"), self.contacts)
+            .with(&format!("central_nodes{e}"), self.central_nodes)
+            .with(&format!("decisions{e}"), self.decisions)
+            .with(&format!("place_decisions{e}"), self.place_decisions)
+            .with(&format!("routed_decisions{e}"), self.routed_decisions)
+            .with(checksum_key, self.decision_checksum)
+            .with(
+                "latency_budget_usec",
+                JsonValue::fixed(self.latency_budget_ns as f64 / 1_000.0, 0),
+            )
+            .with("service_p50_usec", usec(self.service_p50_ns))
+            .with("service_p99_usec", usec(self.service_p99_ns))
+            .with("service_p999_usec", usec(self.service_p999_ns))
+            .with("service_max_usec", usec(self.service_max_ns))
+            .with(
+                "sustained_per_wall_second",
+                JsonValue::fixed(self.sustained_per_sec, 0),
+            )
+            .with("points", points.collect::<JsonValue>())
     }
 }
 
@@ -519,16 +503,19 @@ mod tests {
         assert_eq!(a.place_decisions, 30);
         assert!(a.sustained_per_sec > 0.0);
         assert_eq!(a.points.len(), 2);
-        let json = a.to_json(4, true);
-        let doc = crate::json::JsonValue::parse(&json).expect("valid JSON");
+        let doc = JsonValue::parse(&a.to_json(true).pretty()).expect("valid JSON");
         assert_eq!(
-            doc.get("decisions_exact").and_then(|v| v.as_f64()),
-            Some(cfg.decisions as f64)
+            doc.get("decisions_exact").and_then(JsonValue::as_u64),
+            Some(cfg.decisions)
         );
-        assert!(doc.get("decision_checksum").is_some());
+        assert_eq!(
+            doc.get("decision_checksum").and_then(JsonValue::as_u64),
+            Some(a.decision_checksum),
+            "the digest survives the document on all 64 bits"
+        );
         // The non-exact rendering (the `full` section) must not carry
         // exactness-gated keys, or a CI smoke run would regress on them.
-        let loose = a.to_json(4, false);
+        let loose = a.to_json(false).compact();
         assert!(!loose.contains("_exact") && !loose.contains("decision_checksum"));
         assert!(loose.contains("decision_stream_hash"));
     }

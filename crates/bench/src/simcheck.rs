@@ -41,7 +41,7 @@ use dtn_sim::message::DataItem;
 use dtn_sim::metrics::Metrics;
 use dtn_sim::overlay::{OverlayKind, OverlaySource, RegimeOverlay};
 use dtn_sim::probe::RecordingProbe;
-use dtn_sim::telemetry::{Telemetry, TelemetryConfig};
+use dtn_sim::telemetry::{Counter, Telemetry};
 use dtn_trace::process::ContactProcessKind;
 use dtn_trace::synthetic::SyntheticTraceBuilder;
 use dtn_trace::trace::ContactTrace;
@@ -255,19 +255,16 @@ fn run_instrumented_from<S: CachingScheme, C: ContactSource>(
     // must conserve the engine totals and the probe's event counts
     // exactly, on every seed the fuzzer throws at it. The horizon is
     // only a preallocation hint; overrunning it is fine.
-    let telemetry = Telemetry::new(&TelemetryConfig::spanning(
-        Time(0),
-        Duration((mid.0 * 2).max(1)),
-        16,
-        16,
-    ));
-    let recorder = RecordingProbe::new().without_event_stream();
-    let instruments = Instruments::install(&mut sim, recorder, telemetry);
+    let telemetry = Telemetry::spanning(Time(0), Duration((mid.0 * 2).max(1)), 16, 16);
+    let recorder = RecordingProbe::new()
+        .without_event_stream()
+        .with_telemetry(telemetry);
+    let instruments = Instruments::install(&mut sim, recorder);
     sim.run_until(mid);
     configure_from_live_state(&mut sim, 7200.0, None);
     sim.add_workload(events);
     sim.run_to_end();
-    let (probe, telemetry) = instruments.finish(&mut sim);
+    let probe = instruments.finish(&mut sim);
 
     let report = sim.audit_report().expect("simcheck always enables audit");
     let mut failure = (!report.is_clean()).then(|| report.summary());
@@ -278,7 +275,7 @@ fn run_instrumented_from<S: CachingScheme, C: ContactSource>(
         failure = (!probe_report.is_clean()).then(|| probe_report.summary());
     }
     if failure.is_none() {
-        failure = check_telemetry_conservation(&telemetry, &probe, sim.metrics());
+        failure = check_telemetry_conservation(&probe, sim.metrics());
     }
     RunResult {
         metrics: sim.metrics().clone(),
@@ -291,63 +288,40 @@ fn run_instrumented_from<S: CachingScheme, C: ContactSource>(
 /// Strict-equality conservation: the telemetry window sums must
 /// reproduce the engine totals and the recording probe's independent
 /// event counts. Returns a failure description on the first mismatch.
-fn check_telemetry_conservation(
-    telemetry: &Telemetry,
-    probe: &RecordingProbe,
-    metrics: &Metrics,
-) -> Option<String> {
-    let t = telemetry.totals();
+fn check_telemetry_conservation(probe: &RecordingProbe, metrics: &Metrics) -> Option<String> {
+    use Counter::*;
+    let t = probe.telemetry().expect("window series installed").totals();
     let (_, oracle_recomputes, oracle_hits) = probe.oracle_counters();
-    let checks: [(&str, u64, u64); 13] = [
-        ("queries_issued", t.queries_issued, metrics.queries_issued),
-        ("deliveries", t.deliveries, metrics.queries_satisfied),
-        ("delay_sum_secs", t.delay_sum_secs, metrics.total_delay_secs),
-        (
-            "duplicate_deliveries",
-            t.duplicate_deliveries,
-            metrics.duplicate_deliveries,
-        ),
-        (
-            "late_deliveries",
-            t.late_deliveries,
-            metrics.late_deliveries,
-        ),
-        ("data_injected", t.data_injected, metrics.data_generated),
-        (
-            "bytes_transmitted",
-            t.bytes_transmitted,
-            metrics.bytes_transmitted,
-        ),
-        (
-            "transfers_rejected",
-            t.transfers_rejected,
-            metrics.transfers_rejected,
-        ),
-        ("contacts_lost", t.contacts_lost, metrics.contacts_lost),
-        ("contacts", t.contacts, probe.count("contact_begin")),
-        ("ncl_load", t.ncl_load, probe.count("query_at_central")),
-        (
-            "replacements",
-            t.replacements,
-            probe.count("replacement_evicted"),
-        ),
-        (
-            "oracle_rebuilds",
-            t.oracle_rebuilds,
-            probe.count("oracle_rebuilt"),
-        ),
+    let checks: [(Counter, u64); 14] = [
+        (QueriesIssued, metrics.queries_issued),
+        (Deliveries, metrics.queries_satisfied),
+        (DelaySumSecs, metrics.total_delay_secs),
+        (DuplicateDeliveries, metrics.duplicate_deliveries),
+        (LateDeliveries, metrics.late_deliveries),
+        (DataInjected, metrics.data_generated),
+        (BytesTransmitted, metrics.bytes_transmitted),
+        (TransfersRejected, metrics.transfers_rejected),
+        (ContactsLost, metrics.contacts_lost),
+        (Contacts, probe.count("contact_begin")),
+        (Replacements, probe.count("replacement_evicted")),
+        (OracleRebuilds, probe.count("oracle_rebuilt")),
+        (OracleRecomputes, oracle_recomputes),
+        (OracleHits, oracle_hits),
     ];
-    for (name, folded, expected) in checks {
-        if folded != expected {
+    for (counter, expected) in checks {
+        if t[counter] != expected {
             return Some(format!(
-                "telemetry conservation: {name} folded {folded} != {expected}"
+                "telemetry conservation: {} folded {} != {expected}",
+                counter.name(),
+                t[counter]
             ));
         }
     }
-    if (t.oracle_recomputes, t.oracle_hits) != (oracle_recomputes, oracle_hits) {
+    let arrivals = probe.count("query_at_central");
+    if t.ncl_load_total() != arrivals {
         return Some(format!(
-            "telemetry conservation: oracle deltas folded ({}, {}) != ({oracle_recomputes}, {oracle_hits})",
-            t.oracle_recomputes, t.oracle_hits
+            "telemetry conservation: ncl_load folded {} != {arrivals}",
+            t.ncl_load_total()
         ));
     }
     None

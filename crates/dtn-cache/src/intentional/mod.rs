@@ -29,9 +29,9 @@
 //!
 //! # Module layout
 //!
-//! Each §V sub-protocol lives in its own module behind the typed
-//! [`ProtocolEvent`] surface, so the stages can be read — and tested —
-//! independently:
+//! Each §V sub-protocol lives in its own module and narrates its
+//! milestones through the engine's [`ProbeEvent`] vocabulary, so the
+//! stages can be read — and tested — independently:
 //!
 //! - [`pending`](self) — the slab/queue arenas for in-flight pulls,
 //!   broadcasts and responses, with monotone sequence numbers;
@@ -91,7 +91,7 @@ use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::mem;
 
-use dtn_core::ids::{DataId, NodeId, QueryId};
+use dtn_core::ids::NodeId;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::{CacheStats, Epoch, Scheme, SimCtx};
@@ -186,104 +186,6 @@ impl Default for IntentionalConfig {
     }
 }
 
-/// One protocol milestone, recorded when event logging is enabled
-/// (see [`IntentionalScheme::enable_event_log`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolEvent {
-    /// A push copy settled: `node` became a caching location of NCL
-    /// `ncl` for `data`.
-    PushSettled {
-        /// When it settled.
-        at: Time,
-        /// The item.
-        data: DataId,
-        /// The new caching node.
-        node: NodeId,
-        /// NCL index.
-        ncl: usize,
-    },
-    /// A query copy arrived at the central node of NCL `ncl`.
-    QueryAtCentral {
-        /// Arrival time.
-        at: Time,
-        /// The query.
-        query: QueryId,
-        /// NCL index.
-        ncl: usize,
-    },
-    /// The query was broadcast to one more caching node of the NCL.
-    BroadcastSpread {
-        /// When the copy spread.
-        at: Time,
-        /// The query.
-        query: QueryId,
-        /// The node that received the broadcast copy.
-        node: NodeId,
-    },
-    /// A caching node decided to return the data (§V-C succeeded).
-    ResponseSpawned {
-        /// Decision time.
-        at: Time,
-        /// The query being answered.
-        query: QueryId,
-        /// The responding caching node.
-        node: NodeId,
-    },
-    /// The requester received the data.
-    Delivered {
-        /// Delivery time.
-        at: Time,
-        /// The satisfied query.
-        query: QueryId,
-    },
-    /// An epoch election moved NCL `ncl`'s central node.
-    CentralReelected {
-        /// Election time.
-        at: Time,
-        /// NCL index whose central node changed.
-        ncl: usize,
-        /// The demoted central node.
-        old: NodeId,
-        /// The newly elected central node.
-        new: NodeId,
-    },
-}
-
-impl ProtocolEvent {
-    /// The same milestone in the engine-wide [`ProbeEvent`] vocabulary,
-    /// or `None` for [`ProtocolEvent::Delivered`]: the engine's
-    /// `mark_delivered` emits the probe-level `Delivery` event at the
-    /// same instant, so mapping it here would double-count deliveries.
-    pub(super) fn probe_event(self) -> Option<ProbeEvent> {
-        match self {
-            ProtocolEvent::PushSettled {
-                at,
-                data,
-                node,
-                ncl,
-            } => Some(ProbeEvent::PushSettled {
-                at,
-                data,
-                node,
-                ncl,
-            }),
-            ProtocolEvent::QueryAtCentral { at, query, ncl } => {
-                Some(ProbeEvent::QueryAtCentral { at, query, ncl })
-            }
-            ProtocolEvent::BroadcastSpread { at, query, node } => {
-                Some(ProbeEvent::BroadcastSpread { at, query, node })
-            }
-            ProtocolEvent::ResponseSpawned { at, query, node } => {
-                Some(ProbeEvent::ResponseSpawned { at, query, node })
-            }
-            ProtocolEvent::Delivered { .. } => None,
-            ProtocolEvent::CentralReelected { at, ncl, old, new } => {
-                Some(ProbeEvent::CentralReelected { at, ncl, old, new })
-            }
-        }
-    }
-}
-
 impl IntentionalScheme {
     /// Epoch-based NCL re-election (driven by [`Scheme::on_epoch`]).
     ///
@@ -334,15 +236,12 @@ impl IntentionalScheme {
                 .emit(|| ProbeEvent::OracleInvalidated { at: now });
         }
         for &(k, old, new) in &changed {
-            self.log(
-                ctx,
-                ProtocolEvent::CentralReelected {
-                    at: now,
-                    ncl: k,
-                    old,
-                    new,
-                },
-            );
+            ctx.probe().emit(|| ProbeEvent::CentralReelected {
+                at: now,
+                ncl: k,
+                old,
+                new,
+            });
             let (copies, bytes) = self.migrate_ncl(now, k);
             self.reelection.migrated_copies += copies;
             self.reelection.migrated_bytes += bytes;
@@ -383,13 +282,6 @@ impl Scheme for IntentionalScheme {
         // Local hit: the requester happens to cache the data already.
         if self.buffers[query.requester.index()].contains(query.data) {
             ctx.mark_delivered(query.id);
-            self.log(
-                ctx,
-                ProtocolEvent::Delivered {
-                    at: ctx.now(),
-                    query: query.id,
-                },
-            );
             return;
         }
         let centrals = self.centrals.clone();
@@ -552,6 +444,7 @@ mod tests {
     use super::*;
     use crate::experiment::configure_from_live_state;
     use crate::reference::ReferenceIntentionalScheme;
+    use dtn_core::ids::DataId;
     use dtn_core::time::Duration;
     use dtn_sim::engine::{SimConfig, Simulator, TraceSource, WorkloadEvent};
     use dtn_trace::synthetic::SyntheticTraceBuilder;

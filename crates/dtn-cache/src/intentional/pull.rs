@@ -14,7 +14,6 @@ use crate::common::better_relay;
 
 use super::pending::{remove_u32, BroadcastCopy, GC_BCAST};
 use super::state::IntentionalScheme;
-use super::ProtocolEvent;
 
 impl IntentionalScheme {
     /// §V-B: advance query copies toward their central nodes.
@@ -90,14 +89,12 @@ impl IntentionalScheme {
         if let Some(slot) = self.ncl_query_load.get_mut(ncl) {
             *slot += 1;
         }
-        self.log(
-            ctx,
-            ProtocolEvent::QueryAtCentral {
-                at: ctx.now(),
-                query: query.id,
-                ncl,
-            },
-        );
+        let at = ctx.now();
+        ctx.probe().emit(|| ProbeEvent::QueryAtCentral {
+            at,
+            query: query.id,
+            ncl,
+        });
         let central = self.centrals[ncl];
         if self.buffers[central.index()].contains(query.data) {
             // "a central node immediately replies to the requester with
@@ -185,14 +182,12 @@ impl IntentionalScheme {
             if self.buffers[to.index()].contains(query.data) {
                 decisions.push((query, to, ncl));
             }
-            self.log(
-                ctx,
-                ProtocolEvent::BroadcastSpread {
-                    at: ctx.now(),
-                    query: query.id,
-                    node: to,
-                },
-            );
+            let at = ctx.now();
+            ctx.probe().emit(|| ProbeEvent::BroadcastSpread {
+                at,
+                query: query.id,
+                node: to,
+            });
         }
         for &(query, node, ncl) in &decisions {
             let before = self.responses.len();

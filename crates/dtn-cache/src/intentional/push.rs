@@ -10,7 +10,6 @@ use crate::common::better_relay;
 use crate::replacement::ReplacementKind;
 
 use super::state::{CopyState, IntentionalScheme};
-use super::ProtocolEvent;
 use dtn_sim::engine::SimCtx;
 use dtn_sim::probe::ProbeEvent;
 
@@ -77,15 +76,12 @@ impl IntentionalScheme {
             {
                 // Next relay's buffer is full: cache here.
                 self.set_copy(data, k, CopyState::Settled(from));
-                self.log(
-                    ctx,
-                    ProtocolEvent::PushSettled {
-                        at: now,
-                        data,
-                        node: from,
-                        ncl: k,
-                    },
-                );
+                ctx.probe().emit(|| ProbeEvent::PushSettled {
+                    at: now,
+                    data,
+                    node: from,
+                    ncl: k,
+                });
                 continue;
             }
             if !ctx.try_transmit(item.size) {
@@ -101,29 +97,23 @@ impl IntentionalScheme {
                     ncl: k,
                 });
                 if to == central {
-                    self.log(
-                        ctx,
-                        ProtocolEvent::PushSettled {
-                            at: now,
-                            data,
-                            node: to,
-                            ncl: k,
-                        },
-                    );
+                    ctx.probe().emit(|| ProbeEvent::PushSettled {
+                        at: now,
+                        data,
+                        node: to,
+                        ncl: k,
+                    });
                 }
                 self.drop_physical_if_unreferenced(from, data);
             } else {
                 // Traditional policy could not make room either.
                 self.set_copy(data, k, CopyState::Settled(from));
-                self.log(
-                    ctx,
-                    ProtocolEvent::PushSettled {
-                        at: now,
-                        data,
-                        node: from,
-                        ncl: k,
-                    },
-                );
+                ctx.probe().emit(|| ProbeEvent::PushSettled {
+                    at: now,
+                    data,
+                    node: from,
+                    ncl: k,
+                });
             }
         }
         batch.clear();

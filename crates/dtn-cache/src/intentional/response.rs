@@ -19,7 +19,7 @@ use crate::routing::{ForwardingStrategy, RoutedMessage};
 
 use super::pending::{remove_u32, ResponseInFlight, GC_RESP};
 use super::state::IntentionalScheme;
-use super::{ProtocolEvent, ResponseStrategy};
+use super::ResponseStrategy;
 
 impl IntentionalScheme {
     /// §V-C: one response decision per (query, caching node).
@@ -73,23 +73,14 @@ impl IntentionalScheme {
     }
 
     pub(super) fn spawn_response(&mut self, ctx: &mut SimCtx<'_>, query: Query, from: NodeId) {
-        self.log(
-            ctx,
-            ProtocolEvent::ResponseSpawned {
-                at: ctx.now(),
-                query: query.id,
-                node: from,
-            },
-        );
+        let at = ctx.now();
+        ctx.probe().emit(|| ProbeEvent::ResponseSpawned {
+            at,
+            query: query.id,
+            node: from,
+        });
         if from == query.requester {
             ctx.mark_delivered(query.id);
-            self.log(
-                ctx,
-                ProtocolEvent::Delivered {
-                    at: ctx.now(),
-                    query: query.id,
-                },
-            );
             return;
         }
         let Some(&item) = self.registry.get(query.data) else {
@@ -191,14 +182,8 @@ impl IntentionalScheme {
                 to,
             });
         }
-        let at = ctx.now();
         for &(id, query) in &delivered {
-            if matches!(
-                ctx.mark_delivered(query),
-                dtn_sim::engine::DeliveryOutcome::Accepted { .. }
-            ) {
-                self.log(ctx, ProtocolEvent::Delivered { at, query });
-            }
+            ctx.mark_delivered(query);
             self.remove_response(id);
         }
         delivered.clear();

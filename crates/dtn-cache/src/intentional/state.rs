@@ -28,7 +28,7 @@ use super::pending::{
     remove_copy_entry, remove_u32, BroadcastCopy, PendingSlab, PullCopy, ResponseInFlight,
     GC_BCAST, GC_PULL,
 };
-use super::{IntentionalConfig, ProtocolEvent};
+use super::IntentionalConfig;
 
 /// Where one NCL's copy of a data item currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,8 +134,6 @@ pub struct IntentionalScheme {
     pub(super) ncl_query_load: Vec<u64>,
     /// Responses spawned on behalf of each NCL (central or member).
     pub(super) ncl_response_load: Vec<u64>,
-    /// Protocol milestones, recorded when enabled.
-    pub(super) event_log: Option<Vec<ProtocolEvent>>,
     /// Last oracle snapshot epoch relayed to an installed probe; only
     /// consulted while a probe is enabled.
     pub(super) last_oracle_epoch: u64,
@@ -195,7 +193,6 @@ impl IntentionalScheme {
             solver,
             ncl_query_load: Vec::new(),
             ncl_response_load: Vec::new(),
-            event_log: None,
             last_oracle_epoch: 0,
             horizon: 0.0,
             reelect_graph: ContactGraph::default(),
@@ -214,32 +211,6 @@ impl IntentionalScheme {
             sx_rest_items: Vec::new(),
             sx_in_first: Vec::new(),
             sx_in_second: Vec::new(),
-        }
-    }
-
-    /// Turns on protocol-event recording (off by default; events cost
-    /// memory on long runs). Returns `self` for builder-style use.
-    pub fn enable_event_log(mut self) -> Self {
-        self.event_log = Some(Vec::new());
-        self
-    }
-
-    /// Recorded protocol milestones (empty slice when logging is off).
-    pub fn events(&self) -> &[ProtocolEvent] {
-        self.event_log.as_deref().unwrap_or(&[])
-    }
-
-    /// Records a protocol milestone: re-emitted through the engine's
-    /// probe vocabulary (when a probe is installed), and appended to the
-    /// opt-in event log.
-    pub(super) fn log(&mut self, ctx: &mut SimCtx<'_>, event: ProtocolEvent) {
-        if ctx.probe_enabled() {
-            if let Some(probe_event) = event.probe_event() {
-                ctx.probe().emit(|| probe_event);
-            }
-        }
-        if let Some(log) = &mut self.event_log {
-            log.push(event);
         }
     }
 

@@ -33,10 +33,11 @@ use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::{CacheStats, Scheme, SimCtx};
 use dtn_sim::message::{DataItem, Query};
 use dtn_sim::oracle::PathOracle;
+use dtn_sim::probe::ProbeEvent;
 use dtn_trace::trace::Contact;
 
 use crate::common::{better_relay, DataRegistry};
-use crate::intentional::{IntentionalConfig, ProtocolEvent, ResponseStrategy};
+use crate::intentional::{IntentionalConfig, ResponseStrategy};
 use crate::replacement::{make_room, NodeCacheMeta, ReplacementKind};
 use crate::routing::{ForwardingStrategy, RoutedMessage};
 use crate::{CachingScheme, NetworkSetup};
@@ -116,13 +117,6 @@ pub struct ReferenceIntentionalScheme {
     ncl_query_load: Vec<u64>,
     /// Responses spawned on behalf of each NCL (central or member).
     ncl_response_load: Vec<u64>,
-    /// Opt-in protocol-milestone log, recording the same
-    /// [`ProtocolEvent`] stream the optimized scheme emits so the
-    /// differential suite can assert event-for-event equality. Unlike
-    /// the optimized scheme, the reference never re-emits through the
-    /// engine probe — it is the boring baseline, not an observability
-    /// surface.
-    event_log: Option<Vec<ProtocolEvent>>,
 }
 
 impl ReferenceIntentionalScheme {
@@ -144,7 +138,6 @@ impl ReferenceIntentionalScheme {
             solver,
             ncl_query_load: Vec::new(),
             ncl_response_load: Vec::new(),
-            event_log: None,
         }
     }
 
@@ -152,24 +145,6 @@ impl ReferenceIntentionalScheme {
     /// members), by NCL index.
     pub fn ncl_response_load(&self) -> &[u64] {
         &self.ncl_response_load
-    }
-
-    /// Turns on protocol-event recording (off by default; events cost
-    /// memory on long runs). Returns `self` for builder-style use.
-    pub fn enable_event_log(mut self) -> Self {
-        self.event_log = Some(Vec::new());
-        self
-    }
-
-    /// Recorded protocol milestones (empty slice when logging is off).
-    pub fn events(&self) -> &[ProtocolEvent] {
-        self.event_log.as_deref().unwrap_or(&[])
-    }
-
-    fn log(&mut self, event: ProtocolEvent) {
-        if let Some(log) = &mut self.event_log {
-            log.push(event);
-        }
     }
 
     fn configured(&self) -> bool {
@@ -306,7 +281,7 @@ impl ReferenceIntentionalScheme {
                 {
                     // Next relay's buffer is full: cache here.
                     self.set_copy(data, k, CopyState::Settled(from));
-                    self.log(ProtocolEvent::PushSettled {
+                    ctx.probe().emit(|| ProbeEvent::PushSettled {
                         at: now,
                         data,
                         node: from,
@@ -320,7 +295,7 @@ impl ReferenceIntentionalScheme {
                 if self.insert_physical(ctx, to, item) {
                     self.set_copy(data, k, CopyState::transit(to, central));
                     if to == central {
-                        self.log(ProtocolEvent::PushSettled {
+                        ctx.probe().emit(|| ProbeEvent::PushSettled {
                             at: now,
                             data,
                             node: to,
@@ -331,7 +306,7 @@ impl ReferenceIntentionalScheme {
                 } else {
                     // Traditional policy could not make room either.
                     self.set_copy(data, k, CopyState::Settled(from));
-                    self.log(ProtocolEvent::PushSettled {
+                    ctx.probe().emit(|| ProbeEvent::PushSettled {
                         at: now,
                         data,
                         node: from,
@@ -396,8 +371,9 @@ impl ReferenceIntentionalScheme {
         if let Some(slot) = self.ncl_query_load.get_mut(ncl) {
             *slot += 1;
         }
-        self.log(ProtocolEvent::QueryAtCentral {
-            at: ctx.now(),
+        let at = ctx.now();
+        ctx.probe().emit(|| ProbeEvent::QueryAtCentral {
+            at,
             query: query.id,
             ncl,
         });
@@ -458,8 +434,9 @@ impl ReferenceIntentionalScheme {
             if self.buffers[to.index()].contains(data) {
                 decisions.push((query, to, bc.ncl));
             }
-            self.log(ProtocolEvent::BroadcastSpread {
-                at: ctx.now(),
+            let at = ctx.now();
+            ctx.probe().emit(|| ProbeEvent::BroadcastSpread {
+                at,
                 query: query.id,
                 node: to,
             });
@@ -508,17 +485,14 @@ impl ReferenceIntentionalScheme {
     }
 
     fn spawn_response(&mut self, ctx: &mut SimCtx<'_>, query: Query, from: NodeId) {
-        self.log(ProtocolEvent::ResponseSpawned {
-            at: ctx.now(),
+        let at = ctx.now();
+        ctx.probe().emit(|| ProbeEvent::ResponseSpawned {
+            at,
             query: query.id,
             node: from,
         });
         if from == query.requester {
             ctx.mark_delivered(query.id);
-            self.log(ProtocolEvent::Delivered {
-                at: ctx.now(),
-                query: query.id,
-            });
             return;
         }
         let Some(&item) = self.registry.get(query.data) else {
@@ -555,14 +529,8 @@ impl ReferenceIntentionalScheme {
                 }
             }
         }
-        let at = ctx.now();
         for id in delivered {
-            if matches!(
-                ctx.mark_delivered(id),
-                dtn_sim::engine::DeliveryOutcome::Accepted { .. }
-            ) {
-                self.log(ProtocolEvent::Delivered { at, query: id });
-            }
+            ctx.mark_delivered(id);
         }
         self.responses.retain(|r| !r.msg.is_delivered());
     }
@@ -727,10 +695,6 @@ impl Scheme for ReferenceIntentionalScheme {
         // Local hit: the requester happens to cache the data already.
         if self.buffers[query.requester.index()].contains(query.data) {
             ctx.mark_delivered(query.id);
-            self.log(ProtocolEvent::Delivered {
-                at: ctx.now(),
-                query: query.id,
-            });
             return;
         }
         let centrals = self.centrals.clone();

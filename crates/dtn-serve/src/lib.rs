@@ -33,12 +33,10 @@
 //!
 //! Each decision's service time is measured with a monotonic clock and
 //! recorded in a nanosecond histogram plus a budget-violation counter
-//! against [`ServeConfig::latency_budget_ns`]. [`write_jsonl`] exports
-//! the per-decision trace in the `dtn-serve/1` JSONL schema (header,
-//! one line per decision, stats footer) alongside the
-//! `dtn-observe/2` captures.
+//! against [`ServeConfig::latency_budget_ns`];
+//! [`DecisionService::with_decision_log`] keeps every decision for the
+//! differential harness.
 
-use std::io::{self, Write};
 use std::time::Instant;
 
 use dtn_cache::intentional::IntentionalScheme;
@@ -89,7 +87,7 @@ pub enum Answer {
     Route(Option<RouteDecision>),
 }
 
-/// One served decision, as recorded in the `dtn-serve/1` trace.
+/// One served decision, as kept by the decision log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// Sequence number in the decision stream.
@@ -206,8 +204,8 @@ impl<C: ContactSource> DecisionService<C> {
         }
     }
 
-    /// Turns on per-decision recording (for the JSONL export and the
-    /// differential harness). Returns `self` for builder-style use.
+    /// Turns on per-decision recording (for the differential harness).
+    /// Returns `self` for builder-style use.
     pub fn with_decision_log(mut self) -> Self {
         self.log = Some(Vec::new());
         self
@@ -359,65 +357,6 @@ fn checksum_fold(mut h: u64, at: Time, request: &Request, answer: &Answer) -> u6
         },
     }
     h
-}
-
-/// Writes the recorded decision trace as `dtn-serve/1` JSONL: a header
-/// line, one line per decision, and a stats footer. Returns the number
-/// of lines written.
-///
-/// # Errors
-///
-/// Propagates write failures from `out`.
-pub fn write_jsonl<C: ContactSource>(
-    service: &DecisionService<C>,
-    out: &mut dyn Write,
-) -> io::Result<usize> {
-    let stats = service.stats();
-    let mut lines = 0usize;
-    writeln!(
-        out,
-        "{{\"schema\":\"dtn-serve/1\",\"type\":\"header\",\"nodes\":{},\"budget_ns\":{}}}",
-        service.nodes.len(),
-        service.cfg.latency_budget_ns,
-    )?;
-    lines += 1;
-    for d in service.decisions() {
-        let (kind, a, b) = match d.request {
-            Request::Place { data, source } => ("place", data.0, source.0 as u64),
-            Request::Route { requester, data } => ("route", requester.0 as u64, data.0),
-        };
-        let target = match &d.answer {
-            Answer::Place(p) => p
-                .plan
-                .first()
-                .and_then(|plan| plan.next_hop)
-                .map_or(-1, |n| n.0 as i64),
-            Answer::Route(r) => r.as_ref().map_or(-1, |r| r.central.0 as i64),
-        };
-        writeln!(
-            out,
-            "{{\"type\":\"decision\",\"seq\":{},\"at\":{},\"kind\":\"{kind}\",\"a\":{a},\"b\":{b},\
-             \"target\":{target},\"epoch\":{},\"service_ns\":{}}}",
-            d.seq, d.at.0, d.oracle_epoch, d.service_ns,
-        )?;
-        lines += 1;
-    }
-    let hist = service.latency_hist();
-    let q = |p: f64| hist.quantile_bucket(p).unwrap_or(0);
-    writeln!(
-        out,
-        "{{\"type\":\"footer\",\"decisions\":{},\"budget_violations\":{},\
-         \"p50_service_ns\":{},\"p99_service_ns\":{},\"max_service_ns\":{},\
-         \"decision_checksum\":{}}}",
-        stats.decisions,
-        stats.budget_violations,
-        q(0.5),
-        q(0.99),
-        stats.max_service_ns,
-        stats.checksum,
-    )?;
-    lines += 1;
-    Ok(lines)
 }
 
 #[cfg(test)]
@@ -604,27 +543,6 @@ mod tests {
         for (a, b) in d1.iter().zip(&d2) {
             assert_eq!(a.answer, b.answer);
         }
-    }
-
-    #[test]
-    fn jsonl_export_has_header_decisions_and_footer() {
-        let t = trace();
-        let mut svc = service(&t);
-        svc.decide(
-            Time(t.midpoint().0 + 60),
-            Request::Place {
-                data: DataId(9),
-                source: NodeId(4),
-            },
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        let lines = write_jsonl(&svc, &mut buf).unwrap();
-        assert_eq!(lines, 3);
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.contains("\"schema\":\"dtn-serve/1\""));
-        assert!(s.contains("\"kind\":\"place\""));
-        assert!(s.contains("\"decision_checksum\":"));
     }
 
     #[test]

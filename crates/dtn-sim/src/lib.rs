@@ -34,8 +34,8 @@ pub use metrics::Metrics;
 pub use oracle::{OracleStats, PathOracle};
 pub use overlay::{OverlayKind, OverlaySource, RegimeOverlay};
 pub use probe::{
-    DelayDecomposition, HopPhase, HopRecord, NoopProbe, Probe, ProbeEvent, ProbeSink, QueryTrace,
-    RecordingProbe, TeeProbe,
+    DelayDecomposition, FieldValue, HopPhase, HopRecord, NoopProbe, Probe, ProbeEvent, ProbeSink,
+    QueryTrace, RecordingProbe,
 };
 pub use profiler::{Phase, ProfileEntry, ProfileReport, Profiler};
-pub use telemetry::{Telemetry, TelemetryConfig, TelemetryTotals, WindowStats};
+pub use telemetry::{Counter, Telemetry, TelemetryConfig, WindowStats};

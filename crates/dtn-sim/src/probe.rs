@@ -15,12 +15,14 @@
 //! noop sink and must stay within noise of the committed
 //! `BENCH_*.json` baselines.
 //!
-//! [`RecordingProbe`] is the batteries-included sink: it counts every
-//! event kind, assembles a per-query [`QueryTrace`] (issue →
-//! first-central-arrival → broadcast fan-out → response → delivery,
-//! with per-hop timestamps), buckets delays/hops/occupancy into
-//! alloc-free [`Histogram`]s, and can retain the raw event stream for
-//! JSONL export (`experiments -- observe`).
+//! [`RecordingProbe`] is the one recorder: it counts every event kind,
+//! assembles a per-query [`QueryTrace`] (issue → first-central-arrival
+//! → broadcast fan-out → response → delivery, with per-hop timestamps),
+//! buckets delays/hops/occupancy into alloc-free [`Histogram`]s, can
+//! retain the raw event stream, and — when a [`Telemetry`] series is
+//! installed — folds the same stream into fixed simulation-time
+//! windows. Nothing here serialises: `bench::observe::write_jsonl` is
+//! the capture emitter and walks events through [`ProbeEvent::fields`].
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -31,371 +33,160 @@ use dtn_core::ids::{DataId, NodeId, QueryId};
 use dtn_core::time::Time;
 
 use crate::engine::DeliveryOutcome;
+use crate::telemetry::Telemetry;
 
-/// One structured observation, emitted by the engine, a scheme or the
-/// path oracle. `at` is always the simulation time of the emission.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProbeEvent {
+/// One payload field of a [`ProbeEvent`], as [`ProbeEvent::fields`]
+/// hands it to a capture emitter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldValue {
+    /// Ids, timestamps, byte and event counts.
+    Int(u64),
+    /// A probability.
+    Real(f64),
+    /// A yes/no outcome.
+    Flag(bool),
+    /// How the engine classified a reported delivery.
+    Outcome(DeliveryOutcome),
+}
+
+macro_rules! field_from {
+    ($($ty:ty => |$v:ident| $conv:expr),* $(,)?) => {$(
+        impl From<$ty> for FieldValue {
+            fn from($v: $ty) -> Self {
+                $conv
+            }
+        }
+    )*};
+}
+
+field_from! {
+    u64 => |v| FieldValue::Int(v),
+    usize => |v| FieldValue::Int(v as u64),
+    Time => |v| FieldValue::Int(v.0),
+    NodeId => |v| FieldValue::Int(u64::from(v.0)),
+    DataId => |v| FieldValue::Int(v.0),
+    QueryId => |v| FieldValue::Int(v.0),
+    f64 => |v| FieldValue::Real(v),
+    bool => |v| FieldValue::Flag(v),
+    DeliveryOutcome => |v| FieldValue::Outcome(v),
+}
+
+/// Declares the event vocabulary once: the enum, the kind-name table,
+/// `kind()`, `at()` and the payload walk are all derived from this one
+/// list, so a new kind is a one-line addition here.
+macro_rules! probe_events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $kind:literal { $($field:ident: $ty:ty),* $(,)? }
+    )*) => {
+        /// One structured observation, emitted by the engine, a scheme
+        /// or the path oracle. `at` is always the simulation time of
+        /// the emission.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum ProbeEvent {
+            $(
+                $(#[$doc])*
+                $variant {
+                    at: Time,
+                    $($field: $ty,)*
+                },
+            )*
+        }
+
+        impl ProbeEvent {
+            /// Every event kind, in the order of the counter table.
+            pub const KINDS: [&'static str; [$($kind),*].len()] = [$($kind),*];
+
+            /// Stable snake-case name of this event's kind.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(ProbeEvent::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// The event's timestamp.
+            pub fn at(&self) -> Time {
+                match self {
+                    $(ProbeEvent::$variant { at, .. } => *at,)*
+                }
+            }
+
+            /// Walks the payload (everything but `at`) in declaration
+            /// order as `(field name, value)` pairs.
+            pub fn fields(&self, visit: &mut dyn FnMut(&'static str, FieldValue)) {
+                match self {
+                    $(ProbeEvent::$variant { $($field,)* .. } => {
+                        $(visit(stringify!($field), FieldValue::from(*$field));)*
+                    })*
+                }
+            }
+        }
+    };
+}
+
+probe_events! {
     // -------- engine --------
     /// A contact opened; `budget` is its total transmission capacity.
-    ContactBegin {
-        at: Time,
-        a: NodeId,
-        b: NodeId,
-        budget: u64,
-    },
+    ContactBegin = "contact_begin" { a: NodeId, b: NodeId, budget: u64 }
     /// The contact's scheme hook returned; `bytes_used` of the budget
     /// were consumed.
-    ContactEnd {
-        at: Time,
-        a: NodeId,
-        b: NodeId,
-        bytes_used: u64,
-    },
+    ContactEnd = "contact_end" { a: NodeId, b: NodeId, bytes_used: u64 }
     /// Fault injection dropped the contact before the nodes saw it.
-    ContactLost { at: Time, a: NodeId, b: NodeId },
+    ContactLost = "contact_lost" { a: NodeId, b: NodeId }
     /// A workload data item entered the network at its source.
-    DataInjected {
-        at: Time,
-        data: DataId,
-        source: NodeId,
-        size: u64,
-    },
+    DataInjected = "data_injected" { data: DataId, source: NodeId, size: u64 }
     /// A workload query was issued.
-    QueryInjected {
-        at: Time,
+    QueryInjected = "query_injected" {
         query: QueryId,
         requester: NodeId,
         data: DataId,
         expires_at: Time,
-    },
+    }
     /// The periodic maintenance epoch fired.
-    EpochFired { at: Time, index: u64 },
+    EpochFired = "epoch_fired" { index: u64 }
     /// A transmission fit the remaining contact budget.
-    TransmitAccepted { at: Time, bytes: u64 },
+    TransmitAccepted = "transmit_accepted" { bytes: u64 }
     /// A transmission exceeded the remaining contact budget.
-    TransmitRejected { at: Time, bytes: u64 },
+    TransmitRejected = "transmit_rejected" { bytes: u64 }
     /// A delivery was reported to the engine (any outcome).
-    Delivery {
-        at: Time,
-        query: QueryId,
-        outcome: DeliveryOutcome,
-    },
+    Delivery = "delivery" { query: QueryId, outcome: DeliveryOutcome }
     /// A periodic cache-occupancy sample was taken.
-    CacheSampled { at: Time, copies: u64, bytes: u64 },
+    CacheSampled = "cache_sampled" { copies: u64, bytes: u64 }
 
     // -------- schemes --------
     /// §V-A: a push copy moved one hop toward its central node.
-    PushRelay {
-        at: Time,
-        data: DataId,
-        from: NodeId,
-        to: NodeId,
-        ncl: usize,
-    },
+    PushRelay = "push_relay" { data: DataId, from: NodeId, to: NodeId, ncl: usize }
     /// §V-A: a push copy settled (cached) at `node` for NCL `ncl`.
-    PushSettled {
-        at: Time,
-        data: DataId,
-        node: NodeId,
-        ncl: usize,
-    },
+    PushSettled = "push_settled" { data: DataId, node: NodeId, ncl: usize }
     /// A query copy moved one hop (pull phase, or baseline forwarding).
-    QueryRelay {
-        at: Time,
-        query: QueryId,
-        from: NodeId,
-        to: NodeId,
-    },
+    QueryRelay = "query_relay" { query: QueryId, from: NodeId, to: NodeId }
     /// §V-B: a query copy reached its central node.
-    QueryAtCentral {
-        at: Time,
-        query: QueryId,
-        ncl: usize,
-    },
+    QueryAtCentral = "query_at_central" { query: QueryId, ncl: usize }
     /// §V-B: an NCL-internal broadcast reached one more member.
-    BroadcastSpread {
-        at: Time,
-        query: QueryId,
-        node: NodeId,
-    },
+    BroadcastSpread = "broadcast_spread" { query: QueryId, node: NodeId }
     /// §V-C: a caching node drew its probabilistic response decision.
-    ResponseDecision {
-        at: Time,
+    ResponseDecision = "response_decision" {
         query: QueryId,
         node: NodeId,
         probability: f64,
         responded: bool,
-    },
+    }
     /// A data response to `query` was created at `node`.
-    ResponseSpawned {
-        at: Time,
-        query: QueryId,
-        node: NodeId,
-    },
+    ResponseSpawned = "response_spawned" { query: QueryId, node: NodeId }
     /// A response message moved one hop toward the requester.
-    ResponseRelay {
-        at: Time,
-        query: QueryId,
-        from: NodeId,
-        to: NodeId,
-    },
+    ResponseRelay = "response_relay" { query: QueryId, from: NodeId, to: NodeId }
     /// Cache replacement evicted `data` from `node`'s buffer.
-    ReplacementEvicted {
-        at: Time,
-        node: NodeId,
-        data: DataId,
-    },
+    ReplacementEvicted = "replacement_evicted" { node: NodeId, data: DataId }
     /// Online re-election changed NCL slot `ncl` from `old` to `new`.
-    CentralReelected {
-        at: Time,
-        ncl: usize,
-        old: NodeId,
-        new: NodeId,
-    },
+    CentralReelected = "central_reelected" { ncl: usize, old: NodeId, new: NodeId }
 
     // -------- oracle --------
     /// The path oracle rebuilt its contact-graph snapshot. The counters
     /// are cumulative [`OracleStats`](crate::oracle::OracleStats)
     /// values at the time of the rebuild.
-    OracleRebuilt {
-        at: Time,
-        epoch: u64,
-        table_recomputes: u64,
-        table_hits: u64,
-    },
+    OracleRebuilt = "oracle_rebuilt" { epoch: u64, table_recomputes: u64, table_hits: u64 }
     /// The oracle's snapshot was explicitly invalidated (re-election).
-    OracleInvalidated { at: Time },
-}
-
-impl ProbeEvent {
-    /// Every event kind, in the order of the counter table.
-    pub const KINDS: [&'static str; 22] = [
-        "contact_begin",
-        "contact_end",
-        "contact_lost",
-        "data_injected",
-        "query_injected",
-        "epoch_fired",
-        "transmit_accepted",
-        "transmit_rejected",
-        "delivery",
-        "cache_sampled",
-        "push_relay",
-        "push_settled",
-        "query_relay",
-        "query_at_central",
-        "broadcast_spread",
-        "response_decision",
-        "response_spawned",
-        "response_relay",
-        "replacement_evicted",
-        "central_reelected",
-        "oracle_rebuilt",
-        "oracle_invalidated",
-    ];
-
-    /// Stable snake-case name of this event's kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ProbeEvent::ContactBegin { .. } => "contact_begin",
-            ProbeEvent::ContactEnd { .. } => "contact_end",
-            ProbeEvent::ContactLost { .. } => "contact_lost",
-            ProbeEvent::DataInjected { .. } => "data_injected",
-            ProbeEvent::QueryInjected { .. } => "query_injected",
-            ProbeEvent::EpochFired { .. } => "epoch_fired",
-            ProbeEvent::TransmitAccepted { .. } => "transmit_accepted",
-            ProbeEvent::TransmitRejected { .. } => "transmit_rejected",
-            ProbeEvent::Delivery { .. } => "delivery",
-            ProbeEvent::CacheSampled { .. } => "cache_sampled",
-            ProbeEvent::PushRelay { .. } => "push_relay",
-            ProbeEvent::PushSettled { .. } => "push_settled",
-            ProbeEvent::QueryRelay { .. } => "query_relay",
-            ProbeEvent::QueryAtCentral { .. } => "query_at_central",
-            ProbeEvent::BroadcastSpread { .. } => "broadcast_spread",
-            ProbeEvent::ResponseDecision { .. } => "response_decision",
-            ProbeEvent::ResponseSpawned { .. } => "response_spawned",
-            ProbeEvent::ResponseRelay { .. } => "response_relay",
-            ProbeEvent::ReplacementEvicted { .. } => "replacement_evicted",
-            ProbeEvent::CentralReelected { .. } => "central_reelected",
-            ProbeEvent::OracleRebuilt { .. } => "oracle_rebuilt",
-            ProbeEvent::OracleInvalidated { .. } => "oracle_invalidated",
-        }
-    }
-
-    /// The event's timestamp.
-    pub fn at(&self) -> Time {
-        match self {
-            ProbeEvent::ContactBegin { at, .. }
-            | ProbeEvent::ContactEnd { at, .. }
-            | ProbeEvent::ContactLost { at, .. }
-            | ProbeEvent::DataInjected { at, .. }
-            | ProbeEvent::QueryInjected { at, .. }
-            | ProbeEvent::EpochFired { at, .. }
-            | ProbeEvent::TransmitAccepted { at, .. }
-            | ProbeEvent::TransmitRejected { at, .. }
-            | ProbeEvent::Delivery { at, .. }
-            | ProbeEvent::CacheSampled { at, .. }
-            | ProbeEvent::PushRelay { at, .. }
-            | ProbeEvent::PushSettled { at, .. }
-            | ProbeEvent::QueryRelay { at, .. }
-            | ProbeEvent::QueryAtCentral { at, .. }
-            | ProbeEvent::BroadcastSpread { at, .. }
-            | ProbeEvent::ResponseDecision { at, .. }
-            | ProbeEvent::ResponseSpawned { at, .. }
-            | ProbeEvent::ResponseRelay { at, .. }
-            | ProbeEvent::ReplacementEvicted { at, .. }
-            | ProbeEvent::CentralReelected { at, .. }
-            | ProbeEvent::OracleRebuilt { at, .. }
-            | ProbeEvent::OracleInvalidated { at, .. } => *at,
-        }
-    }
-
-    /// Renders the event as one JSON object (no trailing newline). The
-    /// format is hand-rolled — the workspace carries no serde — and
-    /// kept flat: `{"type":"event","kind":...,"at":...,<fields>}`.
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"type\":\"event\",\"kind\":\"{}\",\"at\":{}",
-            self.kind(),
-            self.at().0
-        );
-        use std::fmt::Write as _;
-        match self {
-            ProbeEvent::ContactBegin { a, b, budget, .. } => {
-                let _ = write!(s, ",\"a\":{},\"b\":{},\"budget\":{budget}", a.0, b.0);
-            }
-            ProbeEvent::ContactEnd {
-                a, b, bytes_used, ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"a\":{},\"b\":{},\"bytes_used\":{bytes_used}",
-                    a.0, b.0
-                );
-            }
-            ProbeEvent::ContactLost { a, b, .. } => {
-                let _ = write!(s, ",\"a\":{},\"b\":{}", a.0, b.0);
-            }
-            ProbeEvent::DataInjected {
-                data, source, size, ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"data\":{},\"source\":{},\"size\":{size}",
-                    data.0, source.0
-                );
-            }
-            ProbeEvent::QueryInjected {
-                query,
-                requester,
-                data,
-                expires_at,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"query\":{},\"requester\":{},\"data\":{},\"expires_at\":{}",
-                    query.0, requester.0, data.0, expires_at.0
-                );
-            }
-            ProbeEvent::EpochFired { index, .. } => {
-                let _ = write!(s, ",\"index\":{index}");
-            }
-            ProbeEvent::TransmitAccepted { bytes, .. }
-            | ProbeEvent::TransmitRejected { bytes, .. } => {
-                let _ = write!(s, ",\"bytes\":{bytes}");
-            }
-            ProbeEvent::Delivery { query, outcome, .. } => {
-                let _ = write!(s, ",\"query\":{}", query.0);
-                match outcome {
-                    DeliveryOutcome::Accepted { delay } => {
-                        let _ = write!(
-                            s,
-                            ",\"outcome\":\"accepted\",\"delay_secs\":{}",
-                            delay.as_secs()
-                        );
-                    }
-                    DeliveryOutcome::Duplicate => s.push_str(",\"outcome\":\"duplicate\""),
-                    DeliveryOutcome::Late => s.push_str(",\"outcome\":\"late\""),
-                    DeliveryOutcome::Unknown => s.push_str(",\"outcome\":\"unknown\""),
-                }
-            }
-            ProbeEvent::CacheSampled { copies, bytes, .. } => {
-                let _ = write!(s, ",\"copies\":{copies},\"bytes\":{bytes}");
-            }
-            ProbeEvent::PushRelay {
-                data,
-                from,
-                to,
-                ncl,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"data\":{},\"from\":{},\"to\":{},\"ncl\":{ncl}",
-                    data.0, from.0, to.0
-                );
-            }
-            ProbeEvent::PushSettled {
-                data, node, ncl, ..
-            } => {
-                let _ = write!(s, ",\"data\":{},\"node\":{},\"ncl\":{ncl}", data.0, node.0);
-            }
-            ProbeEvent::QueryRelay {
-                query, from, to, ..
-            }
-            | ProbeEvent::ResponseRelay {
-                query, from, to, ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"query\":{},\"from\":{},\"to\":{}",
-                    query.0, from.0, to.0
-                );
-            }
-            ProbeEvent::QueryAtCentral { query, ncl, .. } => {
-                let _ = write!(s, ",\"query\":{},\"ncl\":{ncl}", query.0);
-            }
-            ProbeEvent::BroadcastSpread { query, node, .. }
-            | ProbeEvent::ResponseSpawned { query, node, .. } => {
-                let _ = write!(s, ",\"query\":{},\"node\":{}", query.0, node.0);
-            }
-            ProbeEvent::ResponseDecision {
-                query,
-                node,
-                probability,
-                responded,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"query\":{},\"node\":{},\"probability\":{probability:.6},\"responded\":{responded}",
-                    query.0, node.0
-                );
-            }
-            ProbeEvent::ReplacementEvicted { node, data, .. } => {
-                let _ = write!(s, ",\"node\":{},\"data\":{}", node.0, data.0);
-            }
-            ProbeEvent::CentralReelected { ncl, old, new, .. } => {
-                let _ = write!(s, ",\"ncl\":{ncl},\"old\":{},\"new\":{}", old.0, new.0);
-            }
-            ProbeEvent::OracleRebuilt {
-                epoch,
-                table_recomputes,
-                table_hits,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"epoch\":{epoch},\"table_recomputes\":{table_recomputes},\"table_hits\":{table_hits}"
-                );
-            }
-            ProbeEvent::OracleInvalidated { .. } => {}
-        }
-        s.push('}');
-        s
-    }
+    OracleInvalidated = "oracle_invalidated" {}
 }
 
 /// A recorder of [`ProbeEvent`]s.
@@ -423,28 +214,6 @@ impl Probe for NoopProbe {
 impl<P: Probe> Probe for Rc<RefCell<P>> {
     fn record(&mut self, event: &ProbeEvent) {
         self.borrow_mut().record(event);
-    }
-}
-
-/// Fans one event stream out to two probes in order — e.g. a
-/// [`RecordingProbe`] and a [`Telemetry`](crate::telemetry::Telemetry)
-/// recorder observing the same run. Nest tees for wider fan-out.
-pub struct TeeProbe {
-    first: Box<dyn Probe>,
-    second: Box<dyn Probe>,
-}
-
-impl TeeProbe {
-    /// A tee delivering every event to `first`, then `second`.
-    pub fn new(first: Box<dyn Probe>, second: Box<dyn Probe>) -> Self {
-        TeeProbe { first, second }
-    }
-}
-
-impl Probe for TeeProbe {
-    fn record(&mut self, event: &ProbeEvent) {
-        self.first.record(event);
-        self.second.record(event);
     }
 }
 
@@ -489,7 +258,8 @@ pub enum HopPhase {
 }
 
 impl HopPhase {
-    fn name(self) -> &'static str {
+    /// Stable lowercase name (`pull` / `response`).
+    pub fn name(self) -> &'static str {
         match self {
             HopPhase::Pull => "pull",
             HopPhase::Response => "response",
@@ -619,62 +389,11 @@ impl QueryTrace {
             response_secs: delivered - response,
         })
     }
-
-    /// Renders the trace as one JSON object
-    /// (`{"type":"trace","query":...}`).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!(
-            "{{\"type\":\"trace\",\"query\":{},\"requester\":{},\"data\":{},\"issued_at\":{},\"expires_at\":{}",
-            self.query.0, self.requester.0, self.data.0, self.issued_at.0, self.expires_at.0
-        );
-        if let Some(t) = self.first_central_at {
-            let _ = write!(
-                s,
-                ",\"first_central_at\":{},\"first_central_ncl\":{}",
-                t.0,
-                self.first_central_ncl.unwrap_or(0)
-            );
-        }
-        let _ = write!(s, ",\"broadcast_fanout\":{}", self.broadcast_fanout);
-        if let Some(t) = self.first_response_at {
-            let _ = write!(s, ",\"first_response_at\":{}", t.0);
-        }
-        if let Some(n) = self.responder {
-            let _ = write!(s, ",\"responder\":{}", n.0);
-        }
-        if let Some(t) = self.delivered_at {
-            let _ = write!(s, ",\"delivered_at\":{}", t.0);
-        }
-        if let Some(d) = self.decomposition() {
-            let _ = write!(
-                s,
-                ",\"pull_secs\":{},\"ncl_secs\":{},\"response_secs\":{}",
-                d.pull_secs, d.ncl_secs, d.response_secs
-            );
-        }
-        s.push_str(",\"hops\":[");
-        for (i, h) in self.hops.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"at\":{},\"phase\":\"{}\",\"from\":{},\"to\":{}}}",
-                h.at.0,
-                h.phase.name(),
-                h.from.0,
-                h.to.0
-            );
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
-/// The batteries-included probe: per-kind counters, per-query lifecycle
-/// traces, and alloc-free delay/hop/occupancy histograms; optionally
-/// retains the raw event stream for JSONL export.
+/// The one recorder: per-kind counters, per-query lifecycle traces,
+/// alloc-free delay/hop/occupancy histograms; optionally the raw event
+/// stream and a windowed [`Telemetry`] series folded from it.
 #[derive(Debug)]
 pub struct RecordingProbe {
     keep_events: bool,
@@ -687,6 +406,7 @@ pub struct RecordingProbe {
     oracle_rebuilds: u64,
     oracle_table_hits: u64,
     oracle_table_recomputes: u64,
+    telemetry: Option<Telemetry>,
 }
 
 impl Default for RecordingProbe {
@@ -710,19 +430,8 @@ impl RecordingProbe {
             oracle_rebuilds: 0,
             oracle_table_hits: 0,
             oracle_table_recomputes: 0,
+            telemetry: None,
         }
-    }
-
-    /// Replaces the delay histogram layout (`width` seconds × `n`).
-    pub fn with_delay_buckets(mut self, width: u64, n: usize) -> Self {
-        self.delay_hist = Histogram::new(width, n);
-        self
-    }
-
-    /// Replaces the occupancy histogram layout (`width` bytes × `n`).
-    pub fn with_occupancy_buckets(mut self, width: u64, n: usize) -> Self {
-        self.occupancy_hist = Histogram::new(width, n);
-        self
     }
 
     /// Disables raw-event retention (traces/counters/histograms only) —
@@ -730,6 +439,18 @@ impl RecordingProbe {
     pub fn without_event_stream(mut self) -> Self {
         self.keep_events = false;
         self
+    }
+
+    /// Installs a window series: every event from now on is also folded
+    /// into `telemetry`'s fixed simulation-time windows.
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// The installed window series, if any.
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry.as_ref()
     }
 
     /// The retained raw event stream (empty with
@@ -801,6 +522,9 @@ impl RecordingProbe {
 impl Probe for RecordingProbe {
     fn record(&mut self, event: &ProbeEvent) {
         *self.counters.entry(event.kind()).or_insert(0) += 1;
+        // The window fold turns the cumulative oracle counters into
+        // per-window deltas against the values seen so far.
+        let oracle_before = (self.oracle_table_recomputes, self.oracle_table_hits);
         match *event {
             ProbeEvent::QueryInjected {
                 at,
@@ -892,6 +616,9 @@ impl Probe for RecordingProbe {
                 self.oracle_table_hits = table_hits;
             }
             _ => {}
+        }
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry.fold(event, &self.traces, oracle_before);
         }
         if self.keep_events {
             self.events.push(event.clone());
@@ -1058,31 +785,23 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_are_flat_objects() {
-        let ev = delivered(5, 600, 500);
-        let json = ev.to_json();
-        assert!(json.starts_with("{\"type\":\"event\",\"kind\":\"delivery\""));
-        assert!(json.contains("\"outcome\":\"accepted\""));
-        assert!(json.contains("\"delay_secs\":500"));
-        assert!(json.ends_with('}'));
-
-        let mut p = RecordingProbe::new();
-        p.record(&ev_query(5, 100, 10_000));
-        p.record(&ev);
-        let tj = p.trace(QueryId(5)).unwrap().to_json();
-        assert!(tj.starts_with("{\"type\":\"trace\",\"query\":5"));
-        assert!(tj.contains("\"delivered_at\":600"));
-        assert!(tj.contains("\"pull_secs\":500"));
-        assert!(tj.contains("\"hops\":[]"));
-    }
-
-    #[test]
-    fn every_kind_name_is_covered() {
-        // KINDS and kind() must stay in sync (the counter table and the
-        // JSONL schema both key on these names).
-        let sample = ev_query(0, 0, 1);
-        assert!(ProbeEvent::KINDS.contains(&sample.kind()));
+    fn vocabulary_tables_are_derived_from_one_declaration() {
+        // The counter table and the capture schema key on these names.
         let unique: std::collections::HashSet<_> = ProbeEvent::KINDS.iter().collect();
         assert_eq!(unique.len(), ProbeEvent::KINDS.len());
+        let sample = ev_query(4, 9, 11);
+        assert_eq!(sample.kind(), "query_injected");
+        assert_eq!(sample.at(), Time(9));
+        let mut fields = Vec::new();
+        sample.fields(&mut |name, value| fields.push((name, value)));
+        assert_eq!(
+            fields,
+            vec![
+                ("query", FieldValue::Int(4)),
+                ("requester", FieldValue::Int(3)),
+                ("data", FieldValue::Int(7)),
+                ("expires_at", FieldValue::Int(11)),
+            ]
+        );
     }
 }

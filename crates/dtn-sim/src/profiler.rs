@@ -43,7 +43,8 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Stable snake-case name, used by reports and the JSONL export.
+    /// Stable snake-case name, used by reports and the capture's phase
+    /// rows.
     pub fn name(self) -> &'static str {
         match self {
             Phase::ContactCommit => "contact_commit",
@@ -214,22 +215,6 @@ impl ProfileReport {
         }
         out
     }
-
-    /// One `{"type":"phase",...}` JSONL line per row (hand-rolled, the
-    /// workspace carries no serde). Consumed by `experiments compare`.
-    pub fn to_jsonl(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"phase\",\"phase\":\"{}\",\"depth\":{},\"calls\":{},\
-                 \"total_ns\":{},\"self_ns\":{}}}",
-                e.phase, e.depth, e.calls, e.total_ns, e.self_ns
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn render_and_jsonl_cover_every_row() {
+    fn render_covers_every_row() {
         let mut p = Profiler::new();
         p.enter(Phase::Workload);
         p.exit();
@@ -303,11 +288,7 @@ mod tests {
         let table = report.render();
         assert!(table.contains("workload"));
         assert!(table.contains("sample"));
-        let jsonl = report.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl
-            .lines()
-            .all(|l| l.starts_with("{\"type\":\"phase\"") && l.ends_with('}')));
+        assert_eq!(report.entries.len(), 2);
     }
 
     #[test]

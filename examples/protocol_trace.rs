@@ -6,13 +6,29 @@
 //! cargo run --release --example protocol_trace
 //! ```
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use dtn_coop_cache::cache::experiment::configure_from_live_state;
-use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme, ProtocolEvent};
+use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme};
 use dtn_coop_cache::cache::CachingScheme;
+use dtn_coop_cache::core::ids::QueryId;
 use dtn_coop_cache::core::time::Time;
 use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator};
+use dtn_coop_cache::sim::probe::{FieldValue, ProbeEvent, RecordingProbe};
 use dtn_coop_cache::workload::{Workload, WorkloadConfig};
+
+/// The query an event belongs to, if it carries one.
+fn query_of(event: &ProbeEvent) -> Option<QueryId> {
+    let mut query = None;
+    event.fields(&mut |name, value| {
+        if let ("query", FieldValue::Int(q)) = (name, value) {
+            query = Some(QueryId(q));
+        }
+    });
+    query
+}
 
 fn main() {
     let trace = SyntheticTraceBuilder::new(24)
@@ -25,14 +41,18 @@ fn main() {
     let scheme = IntentionalScheme::new(IntentionalConfig {
         ncl_count: 3,
         ..IntentionalConfig::default()
-    })
-    .enable_event_log();
+    });
 
     let mut sim = Simulator::new(&trace, scheme, SimConfig::default());
     let mid = trace.midpoint();
     sim.run_until(mid);
     configure_from_live_state(&mut sim, 3600.0 * 6.0, None);
     println!("central nodes: {:?}\n", sim.scheme().central_nodes());
+
+    // Record the measurement phase: the probe layer narrates every
+    // protocol milestone.
+    let recorder = Rc::new(RefCell::new(RecordingProbe::new()));
+    sim.set_probe(Box::new(Rc::clone(&recorder)));
 
     let workload = Workload::generate(
         trace.node_count(),
@@ -45,38 +65,20 @@ fn main() {
     );
     sim.add_workload(workload.into_events());
     sim.run_to_end();
+    let recorder = recorder.borrow();
 
     // Pick a delivered query with the richest lifecycle (reached a
     // central node, got broadcast, answered) and print it.
-    let events = sim.scheme().events();
-    let query_of = |e: &ProtocolEvent| match e {
-        ProtocolEvent::QueryAtCentral { query, .. }
-        | ProtocolEvent::BroadcastSpread { query, .. }
-        | ProtocolEvent::ResponseSpawned { query, .. }
-        | ProtocolEvent::Delivered { query, .. } => Some(*query),
-        ProtocolEvent::PushSettled { .. } | ProtocolEvent::CentralReelected { .. } => None,
-    };
-    let delivered = events
-        .iter()
-        .filter_map(|e| match e {
-            ProtocolEvent::Delivered { query, .. } => Some(*query),
-            _ => None,
-        })
-        .max_by_key(|q| events.iter().filter(|e| query_of(e) == Some(*q)).count());
-    match delivered {
+    let richest = recorder
+        .traces()
+        .filter(|t| t.delivered())
+        .max_by_key(|t| t.hops.len() as u64 + t.broadcast_fanout)
+        .map(|t| t.query);
+    match richest {
         Some(q) => {
             println!("lifecycle of query {q}:");
-            for e in events {
-                let relevant = match e {
-                    ProtocolEvent::QueryAtCentral { query, .. }
-                    | ProtocolEvent::BroadcastSpread { query, .. }
-                    | ProtocolEvent::ResponseSpawned { query, .. }
-                    | ProtocolEvent::Delivered { query, .. } => *query == q,
-                    ProtocolEvent::PushSettled { .. } | ProtocolEvent::CentralReelected { .. } => {
-                        false
-                    }
-                };
-                if relevant {
+            for e in recorder.events() {
+                if query_of(e) == Some(q) {
                     println!("  {e:?}");
                 }
             }
@@ -84,14 +86,10 @@ fn main() {
         None => println!("no query delivered in this run — try another seed"),
     }
 
-    let settled = events
-        .iter()
-        .filter(|e| matches!(e, ProtocolEvent::PushSettled { .. }))
-        .count();
     let m = sim.metrics();
     println!(
         "\n{} push copies settled; {}/{} queries satisfied (mean delay {:.2} h)",
-        settled,
+        recorder.count("push_settled"),
         m.queries_satisfied,
         m.queries_issued,
         m.avg_delay_hours(),

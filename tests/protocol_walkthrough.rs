@@ -4,16 +4,16 @@
 //! is full, the query reaches the central node, gets broadcast inside
 //! the NCL, and the caching node returns the data to the requester.
 
+use bench::observe::Instruments;
 use dtn_coop_cache::cache::experiment::configure_from_live_state;
-use dtn_coop_cache::cache::intentional::{
-    IntentionalConfig, IntentionalScheme, ProtocolEvent, ResponseStrategy,
-};
+use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme, ResponseStrategy};
 use dtn_coop_cache::cache::CachingScheme;
 use dtn_coop_cache::core::ids::{DataId, NodeId};
 use dtn_coop_cache::core::time::Time;
 use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator, WorkloadEvent};
 use dtn_coop_cache::sim::message::DataItem;
+use dtn_coop_cache::sim::probe::{ProbeEvent, RecordingProbe};
 use dtn_coop_cache::trace::trace::Contact;
 
 /// Nodes: 0 = source, 1 = bystander, 2 = hub (central), 3 = requester.
@@ -71,16 +71,15 @@ fn walkthrough_trace() -> ContactTrace {
     ContactTrace::new(4, contacts, dtn_coop_cache::core::Duration(20_000))
 }
 
-fn run_walkthrough(
-    response: ResponseStrategy,
-) -> (dtn_coop_cache::sim::Metrics, Vec<ProtocolEvent>) {
+/// Runs the walkthrough; returns the metrics and the §V milestones the
+/// probe recorded during the evaluation phase.
+fn run_walkthrough(response: ResponseStrategy) -> (dtn_coop_cache::sim::Metrics, Vec<ProbeEvent>) {
     let trace = walkthrough_trace();
     let scheme = IntentionalScheme::new(IntentionalConfig {
         ncl_count: 1,
         response,
         ..IntentionalConfig::default()
-    })
-    .enable_event_log();
+    });
     let mut sim = Simulator::new(
         &trace,
         scheme,
@@ -106,6 +105,7 @@ fn run_walkthrough(
         &[NodeId(2)],
         "the hub must be selected as the central node"
     );
+    let instruments = Instruments::install(&mut sim, RecordingProbe::new());
     sim.add_workload(vec![
         WorkloadEvent::GenerateData {
             item: DataItem::new(
@@ -124,7 +124,18 @@ fn run_walkthrough(
         },
     ]);
     sim.run_to_end();
-    (sim.metrics().clone(), sim.scheme().events().to_vec())
+    let recorder = instruments.finish(&mut sim);
+    let milestones = recorder.events().iter().filter(|e| {
+        [
+            "push_settled",
+            "query_at_central",
+            "broadcast_spread",
+            "response_spawned",
+            "delivery",
+        ]
+        .contains(&e.kind())
+    });
+    (sim.metrics().clone(), milestones.cloned().collect())
 }
 
 #[test]
@@ -140,26 +151,24 @@ fn broadcast_path_delivers_from_non_central_caching_node() {
     // Delivered at the t = 14 000 contact; issued at 11 500.
     assert_eq!(m.total_delay_secs, 2_500);
 
-    // The event log records the full Fig. 5/6 lifecycle in order:
-    // settle at the relay → query at central → broadcast → response →
+    // The probe records the full Fig. 5/6 lifecycle in order: settle
+    // at the relay → query at central → broadcast → response →
     // delivery.
-    let kind_order: Vec<u8> = events
-        .iter()
-        .map(|e| match e {
-            ProtocolEvent::PushSettled { .. } => 0,
-            ProtocolEvent::QueryAtCentral { .. } => 1,
-            ProtocolEvent::BroadcastSpread { .. } => 2,
-            ProtocolEvent::ResponseSpawned { .. } => 3,
-            ProtocolEvent::Delivered { .. } => 4,
-            // Epochs are disabled in this walkthrough; no re-elections
-            // can appear in the log.
-            ProtocolEvent::CentralReelected { .. } => unreachable!("epochs disabled"),
-        })
-        .collect();
-    assert_eq!(kind_order, vec![0, 1, 2, 3, 4], "events: {events:?}");
+    let kind_order: Vec<&str> = events.iter().map(ProbeEvent::kind).collect();
+    assert_eq!(
+        kind_order,
+        [
+            "push_settled",
+            "query_at_central",
+            "broadcast_spread",
+            "response_spawned",
+            "delivery"
+        ],
+        "events: {events:?}"
+    );
     assert!(matches!(
         events[0],
-        ProtocolEvent::PushSettled {
+        ProbeEvent::PushSettled {
             node: NodeId(0),
             ncl: 0,
             ..
@@ -167,7 +176,7 @@ fn broadcast_path_delivers_from_non_central_caching_node() {
     ));
     assert!(matches!(
         events[2],
-        ProtocolEvent::BroadcastSpread {
+        ProbeEvent::BroadcastSpread {
             node: NodeId(0),
             ..
         }

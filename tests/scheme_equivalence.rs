@@ -11,6 +11,7 @@
 //! asserted here with exact equality across randomized traces,
 //! workloads and configurations.
 
+use bench::observe::Instruments;
 use dtn_coop_cache::cache::experiment::{
     configure_from_live_state, run_experiment, run_experiment_with, ExperimentConfig,
 };
@@ -24,6 +25,7 @@ use dtn_coop_cache::core::time::Duration;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator, TraceSource, WorkloadEvent};
 use dtn_coop_cache::sim::message::DataItem;
 use dtn_coop_cache::sim::metrics::Metrics;
+use dtn_coop_cache::sim::probe::{ProbeEvent, RecordingProbe};
 use dtn_coop_cache::trace::synthetic::SyntheticTraceBuilder;
 use dtn_coop_cache::trace::trace::ContactTrace;
 
@@ -46,11 +48,24 @@ fn run_audited<S: CachingScheme>(
     events: Vec<WorkloadEvent>,
     sim_cfg: SimConfig,
 ) -> Simulator<S, TraceSource<'_>> {
+    run_audited_with(trace, scheme, events, sim_cfg, |_| ()).0
+}
+
+/// [`run_audited`] with a hook on the fresh simulator (probe install);
+/// also returns what the hook returned.
+fn run_audited_with<'t, S: CachingScheme, R>(
+    trace: &'t ContactTrace,
+    scheme: S,
+    events: Vec<WorkloadEvent>,
+    sim_cfg: SimConfig,
+    prepare: impl FnOnce(&mut Simulator<S, TraceSource<'t>>) -> R,
+) -> (Simulator<S, TraceSource<'t>>, R) {
     let sim_cfg = SimConfig {
         audit: true,
         ..sim_cfg
     };
     let mut sim = Simulator::new(trace, scheme, sim_cfg);
+    let prepared = prepare(&mut sim);
     let mid = trace.midpoint();
     sim.run_until(mid);
     configure_from_live_state(&mut sim, 7200.0, None);
@@ -58,7 +73,38 @@ fn run_audited<S: CachingScheme>(
     sim.run_to_end();
     let report = sim.audit_report().expect("audit enabled");
     assert!(report.is_clean(), "{}", report.summary());
-    sim
+    (sim, prepared)
+}
+
+/// One audited run's probe stream from t=0, minus the hop-level and
+/// oracle diagnostics only the optimized scheme narrates: what is left
+/// — every engine event plus the §V milestones (`push_settled`,
+/// `query_at_central`, `broadcast_spread`, `response_spawned`,
+/// `delivery`) — is the story both implementations must tell alike.
+fn narrated<S: CachingScheme>(
+    trace: &ContactTrace,
+    scheme: S,
+    events: Vec<WorkloadEvent>,
+    sim_cfg: SimConfig,
+) -> Vec<ProbeEvent> {
+    const DIAGNOSTICS: [&str; 7] = [
+        "push_relay",
+        "query_relay",
+        "response_decision",
+        "response_relay",
+        "replacement_evicted",
+        "oracle_rebuilt",
+        "oracle_invalidated",
+    ];
+    let (mut sim, instruments) = run_audited_with(trace, scheme, events, sim_cfg, |sim| {
+        Instruments::install(sim, RecordingProbe::new())
+    });
+    let recorder = instruments.finish(&mut sim);
+    let narrated = recorder.events().iter();
+    narrated
+        .filter(|e| !DIAGNOSTICS.contains(&e.kind()))
+        .cloned()
+        .collect()
 }
 
 /// [`run_audited`], reduced to its metrics plus per-NCL query load.
@@ -361,8 +407,8 @@ proptest! {
 #[test]
 fn event_streams_are_equivalent() {
     // Beyond bit-identical metrics, both implementations must narrate
-    // the run identically: the same ProtocolEvent milestones, in the
-    // same order, with the same timestamps and payloads.
+    // the run identically: the same engine events and §V milestones, in
+    // the same order, with the same timestamps and payloads.
     let trace = trace_with(14, 5_000, 29);
     let cfg = IntentionalConfig {
         ncl_count: 3,
@@ -373,24 +419,33 @@ fn event_streams_are_equivalent() {
         seed: 29,
         ..SimConfig::default()
     };
-    let fast = run_audited(
+    let fast = narrated(
         &trace,
-        IntentionalScheme::new(cfg.clone()).enable_event_log(),
+        IntentionalScheme::new(cfg.clone()),
         events.clone(),
         sim_cfg.clone(),
     );
-    let reference = run_audited(
+    let reference = narrated(
         &trace,
-        ReferenceIntentionalScheme::new(cfg).enable_event_log(),
+        ReferenceIntentionalScheme::new(cfg),
         events,
         sim_cfg,
     );
-    let (fast, reference) = (fast.scheme().events(), reference.scheme().events());
-    assert!(
-        !fast.is_empty(),
-        "expected protocol milestones on a busy trace"
-    );
-    assert_eq!(fast, reference, "protocol event streams diverged");
+    for milestone in [
+        "push_settled",
+        "query_at_central",
+        "response_spawned",
+        "delivery",
+    ] {
+        assert!(
+            reference.iter().any(|e| e.kind() == milestone),
+            "expected {milestone} milestones on a busy trace"
+        );
+    }
+    assert_eq!(fast.len(), reference.len(), "event counts diverged");
+    for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
+        assert_eq!(f, r, "probe event streams diverged at event {i}");
+    }
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! Conservation of the windowed flight recorder on an audited run.
 //!
-//! A [`Telemetry`] recorder tee'd onto the probe layer folds the event
+//! A [`RecordingProbe`] with a [`Telemetry`] series folds its event
 //! stream into fixed simulation-time windows. Folding must lose
 //! nothing: summing every window has to reproduce the engine's
 //! [`Metrics`] totals *exactly* — strict equality, not approximation —
-//! and agree with an independently recording [`RecordingProbe`] fed the
-//! identical stream. The run is fully audited so the totals being
+//! and agree with the recorder's own per-kind event counts. The run is fully audited so the totals being
 //! conserved are themselves invariant-checked.
 
 use bench::observe::Instruments;
@@ -16,7 +15,8 @@ use dtn_coop_cache::core::time::{Duration, Time};
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator, WorkloadEvent};
 use dtn_coop_cache::sim::message::DataItem;
 use dtn_coop_cache::sim::probe::RecordingProbe;
-use dtn_coop_cache::sim::telemetry::{Telemetry, TelemetryConfig};
+use dtn_coop_cache::sim::telemetry::Counter::*;
+use dtn_coop_cache::sim::telemetry::Telemetry;
 use dtn_coop_cache::trace::synthetic::SyntheticTraceBuilder;
 use dtn_coop_cache::trace::trace::ContactTrace;
 
@@ -76,8 +76,9 @@ fn window_sums_reproduce_metrics_totals_on_an_audited_run() {
 
     // Probes from t=0: the capture covers warm-up and measurement, so
     // every counter the engine ever bumps is in some window.
-    let telemetry = Telemetry::new(&TelemetryConfig::spanning(Time(0), trace.duration(), 20, 4));
-    let instruments = Instruments::install(&mut sim, RecordingProbe::new(), telemetry);
+    let telemetry = Telemetry::spanning(Time(0), trace.duration(), 20, 4);
+    let instruments =
+        Instruments::install(&mut sim, RecordingProbe::new().with_telemetry(telemetry));
 
     sim.run_until(mid);
     configure_from_live_state(&mut sim, 7_200.0, None);
@@ -87,7 +88,8 @@ fn window_sums_reproduce_metrics_totals_on_an_audited_run() {
     let audit = sim.audit_report().expect("audit was enabled");
     assert!(audit.is_clean(), "audit violations: {}", audit.summary());
 
-    let (probe, telemetry) = instruments.finish(&mut sim);
+    let probe = instruments.finish(&mut sim);
+    let telemetry = probe.telemetry().expect("window series installed");
     let m = sim.metrics();
     let t = telemetry.totals();
 
@@ -100,22 +102,22 @@ fn window_sums_reproduce_metrics_totals_on_an_audited_run() {
     );
 
     // Strict conservation against the engine metrics.
-    assert_eq!(t.queries_issued, m.queries_issued);
-    assert_eq!(t.deliveries, m.queries_satisfied);
-    assert_eq!(t.delay_sum_secs, m.total_delay_secs);
-    assert_eq!(t.duplicate_deliveries, m.duplicate_deliveries);
-    assert_eq!(t.late_deliveries, m.late_deliveries);
-    assert_eq!(t.data_injected, m.data_generated);
-    assert_eq!(t.bytes_transmitted, m.bytes_transmitted);
-    assert_eq!(t.transfers_rejected, m.transfers_rejected);
-    assert_eq!(t.contacts_lost, m.contacts_lost);
+    assert_eq!(t[QueriesIssued], m.queries_issued);
+    assert_eq!(t[Deliveries], m.queries_satisfied);
+    assert_eq!(t[DelaySumSecs], m.total_delay_secs);
+    assert_eq!(t[DuplicateDeliveries], m.duplicate_deliveries);
+    assert_eq!(t[LateDeliveries], m.late_deliveries);
+    assert_eq!(t[DataInjected], m.data_generated);
+    assert_eq!(t[BytesTransmitted], m.bytes_transmitted);
+    assert_eq!(t[TransfersRejected], m.transfers_rejected);
+    assert_eq!(t[ContactsLost], m.contacts_lost);
 
-    // And against the independently recording probe.
-    assert_eq!(t.contacts, probe.count("contact_begin"));
-    assert_eq!(t.ncl_load, probe.count("query_at_central"));
-    assert_eq!(t.replacements, probe.count("replacement_evicted"));
-    assert_eq!(t.epochs, probe.count("epoch_fired"));
-    assert_eq!(t.oracle_rebuilds, probe.count("oracle_rebuilt"));
+    // And against the recorder's per-kind event counts.
+    assert_eq!(t[Contacts], probe.count("contact_begin"));
+    assert_eq!(t.ncl_load_total(), probe.count("query_at_central"));
+    assert_eq!(t[Replacements], probe.count("replacement_evicted"));
+    assert_eq!(t[Epochs], probe.count("epoch_fired"));
+    assert_eq!(t[OracleRebuilds], probe.count("oracle_rebuilt"));
     let (_, recomputes, hits) = probe.oracle_counters();
-    assert_eq!((t.oracle_recomputes, t.oracle_hits), (recomputes, hits));
+    assert_eq!((t[OracleRecomputes], t[OracleHits]), (recomputes, hits));
 }
