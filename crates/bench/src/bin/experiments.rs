@@ -1,19 +1,22 @@
 //! Regenerates every table and figure of the paper as text tables.
 //!
 //! ```text
-//! experiments [--scale F] [--seeds N] [--timing] <command>
+//! experiments [--scale F] [--seeds N] <command>
 //! commands: table1 fig4 fig7 fig9 fig10 fig11 fig12 fig13 all
 //!           observe <target> [--out report.jsonl]
 //!           timeline <target> [--out report.jsonl]
 //!           compare <a.jsonl|BENCH_a.json> <b> [--threshold-pct P]
 //!           scale [NODES,...] [--out BENCH_scale.json]
+//!           regimes [PROCESS,...] [--out BENCH_regimes.json]
+//!           serve [--smoke] [--differential] [--out BENCH_serve.json]
 //! ```
 //!
 //! `--scale` shrinks trace duration and contact count proportionally
 //! (default 0.1 — a laptop-friendly run preserving contact density);
-//! `--seeds` sets repetitions per point (default 3); `--timing` prints
-//! simulation throughput (events/sec) per figure point; `--epoch SECS`
+//! `--seeds` sets repetitions per point (default 3); `--epoch SECS`
 //! narrows the `churn` sweep to frozen NCLs vs one re-election cadence.
+//! What a run costs in wall clock and memory is measured by
+//! `benchmark/` (see `benchmark/README.md`), not by this binary.
 //!
 //! `observe <target>` re-runs a target's base configuration — any
 //! figure, the `regimes` blackout cell, or the `scale` streaming smoke
@@ -27,8 +30,9 @@
 //!
 //! `compare <a> <b>` aligns two captures (JSONL exports or committed
 //! `BENCH_*.json` documents), prints every per-window / per-phase /
-//! per-counter delta, and exits non-zero when a gated outcome metric
-//! regresses past `--threshold-pct` (default 5).
+//! per-counter delta, and exits non-zero when a gated outcome counter
+//! of a JSONL capture regresses past `--threshold-pct` (default 5) or
+//! an `_exact`/`_checksum` key of a document changes at all.
 
 use std::env;
 use std::fs;
@@ -53,12 +57,9 @@ struct Options {
     csv_dir: Option<PathBuf>,
     /// JSONL output path for `observe`/`timeline`.
     out: Option<PathBuf>,
-    timing: bool,
     epoch: Option<Duration>,
     /// Relative regression threshold for `compare`, in percent.
     threshold_pct: f64,
-    /// `serve`: run only the CI-sized smoke configuration.
-    smoke: bool,
     /// `serve`: run the serve-vs-engine differential instead of the
     /// benchmark.
     differential: bool,
@@ -72,20 +73,15 @@ fn parse_args() -> Result<Options, String> {
     let mut csv_dir = None;
     let mut out = None;
     let mut second = None;
-    let mut timing = false;
     let mut epoch = None;
     let mut threshold_pct = 5.0f64;
-    let mut smoke = false;
     let mut differential = false;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--timing" => {
-                timing = true;
-            }
-            "--smoke" => {
-                smoke = true;
-            }
+            // `serve` has one configuration, the smoke one; the flag is
+            // how CI and the docs spell the command.
+            "--smoke" => {}
             "--differential" => {
                 differential = true;
             }
@@ -149,150 +145,74 @@ fn parse_args() -> Result<Options, String> {
         second,
         csv_dir,
         out,
-        timing,
         epoch,
         threshold_pct,
-        smoke,
         differential,
     })
 }
 
-/// Prints one `--timing` table: events/sec for every (row, column)
-/// figure point.
-fn print_timings(
-    opts: &Options,
-    row_label: &str,
-    columns: &[String],
-    rows: &[(String, Vec<&bench::PointTiming>)],
-) {
-    if !opts.timing {
-        return;
-    }
-    println!("\n(timing) simulation throughput, events/sec");
-    print!("{row_label:>8}");
-    for c in columns {
-        print!(" {c:>14}");
-    }
-    println!();
-    for (label, timings) in rows {
-        print!("{label:>8}");
-        for t in timings {
-            print!(" {:>14.0}", t.events_per_sec());
+fn main() -> ExitCode {
+    let result = parse_args().and_then(|opts| {
+        let commands: Vec<&str> = if opts.command == "all" {
+            vec![
+                "table1", "fig4", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13", "ablation",
+                "ncl", "bounds", "churn",
+            ]
+        } else {
+            vec![opts.command.as_str()]
+        };
+        commands.into_iter().try_for_each(|cmd| run(cmd, &opts))
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
-        println!();
-    }
-    // Peak RSS is process-wide, so the max over points is the figure's
-    // memory footprint (0 where the platform exposes no high-water mark).
-    let peak = rows
-        .iter()
-        .flat_map(|(_, timings)| timings.iter())
-        .map(|t| t.peak_rss_bytes)
-        .max()
-        .unwrap_or(0);
-    if peak > 0 {
-        println!(
-            "(timing) peak RSS {:.1} MiB",
-            peak as f64 / (1 << 20) as f64
-        );
     }
 }
 
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+/// Dispatches one subcommand.
+fn run(cmd: &str, opts: &Options) -> Result<(), String> {
+    match cmd {
+        "table1" => table1(opts),
+        "fig4" => fig4(opts),
+        "fig7" => fig7(),
+        "fig9" => fig9(opts),
+        "fig10" => fig10(opts),
+        "fig11" => fig11(opts),
+        "fig12" => fig12(opts),
+        "fig13" => fig13(opts),
+        "ablation" => ablation(opts),
+        "ncl" => ncl(opts),
+        "bounds" => bounds(opts),
+        "churn" => churn(opts),
+        "observe" => return observe(opts),
+        "timeline" => return timeline(opts),
+        "compare" => return compare(opts),
+        "scale" => return scale_cmd(opts),
+        "regimes" => return regimes_cmd(opts),
+        "serve" => return serve_cmd(opts),
+        "help" => {
+            println!(
+                "usage: experiments [--scale F] [--seeds N] [--csv DIR] [--epoch SECS] \
+                 <table1|fig4|fig7|fig9|fig10|fig11|fig12|fig13|ablation|ncl|bounds|churn|all>\n\
+                 \x20      experiments observe <{targets}> [--out report.jsonl] [--scale F] \
+                 [--seeds SEED]\n\
+                 \x20      experiments timeline <{targets}> [--out report.jsonl] [--scale F] \
+                 [--seeds SEED]\n\
+                 \x20      experiments compare <a.jsonl|BENCH_a.json> <b> [--threshold-pct P]\n\
+                 \x20      experiments scale [NODES,NODES,...] [--out BENCH_scale.json]\n\
+                 \x20      experiments regimes [PROCESS,...] [--out BENCH_regimes.json] \
+                 [--scale F] [--seeds N]\n\
+                 \x20      experiments serve [--smoke] [--differential] \
+                 [--out BENCH_serve.json]",
+                targets = bench::observe::TARGETS.join("|")
+            );
         }
-    };
-    let commands: Vec<&str> = if opts.command == "all" {
-        vec![
-            "table1", "fig4", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13", "ablation",
-            "ncl", "bounds", "churn",
-        ]
-    } else {
-        vec![opts.command.as_str()]
-    };
-    for cmd in commands {
-        match cmd {
-            "table1" => table1(&opts),
-            "fig4" => fig4(&opts),
-            "fig7" => fig7(),
-            "fig9" => fig9(&opts),
-            "fig10" => fig10(&opts),
-            "fig11" => fig11(&opts),
-            "fig12" => fig12(&opts),
-            "fig13" => fig13(&opts),
-            "ablation" => ablation(&opts),
-            "ncl" => ncl(&opts),
-            "bounds" => bounds(&opts),
-            "churn" => churn(&opts),
-            "observe" => {
-                if let Err(e) = observe(&opts) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "timeline" => {
-                if let Err(e) = timeline(&opts) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "compare" => match compare(&opts) {
-                Ok(clean) => {
-                    if !clean {
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "scale" => {
-                if let Err(e) = scale_cmd(&opts) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "regimes" => {
-                if let Err(e) = regimes_cmd(&opts) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "serve" => {
-                if let Err(e) = serve_cmd(&opts) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "help" => {
-                println!(
-                    "usage: experiments [--scale F] [--seeds N] [--csv DIR] [--timing] \
-                     [--epoch SECS] \
-                     <table1|fig4|fig7|fig9|fig10|fig11|fig12|fig13|ablation|ncl|bounds|churn|all>\n\
-                     \x20      experiments observe <{targets}> [--out report.jsonl] [--scale F] \
-                     [--seeds SEED]\n\
-                     \x20      experiments timeline <{targets}> [--out report.jsonl] [--scale F] \
-                     [--seeds SEED]\n\
-                     \x20      experiments compare <a.jsonl|BENCH_a.json> <b> [--threshold-pct P]\n\
-                     \x20      experiments scale [NODES,NODES,...] [--out BENCH_scale.json]\n\
-                     \x20      experiments regimes [PROCESS,...] [--out BENCH_regimes.json] \
-                     [--scale F] [--seeds N]\n\
-                     \x20      experiments serve [--smoke] [--differential] \
-                     [--out BENCH_serve.json]",
-                    targets = bench::observe::TARGETS.join("|")
-                );
-            }
-            other => {
-                eprintln!("error: unknown command {other:?}; try --help");
-                return ExitCode::FAILURE;
-            }
-        }
+        other => return Err(format!("unknown command {other:?}; try --help")),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn header(title: &str, opts: &Options) {
@@ -445,15 +365,6 @@ fn comparison_tables(opts: &Options, fig: &str, rows: &[figures::ComparisonRow],
             println!();
         }
     }
-    let columns: Vec<String> = SchemeKind::ALL
-        .iter()
-        .map(|k| k.name().to_string())
-        .collect();
-    let timing_rows: Vec<(String, Vec<&bench::PointTiming>)> = rows
-        .iter()
-        .map(|row| (row.label.clone(), row.timings.iter().collect()))
-        .collect();
-    print_timings(opts, x_label, &columns, &timing_rows);
 }
 
 fn fig10(opts: &Options) {
@@ -495,15 +406,6 @@ fn fig12(opts: &Options) {
             println!();
         }
     }
-    let columns: Vec<String> = ReplacementKind::ALL
-        .iter()
-        .map(|k| k.name().to_string())
-        .collect();
-    let timing_rows: Vec<(String, Vec<&bench::PointTiming>)> = rows
-        .iter()
-        .map(|row| (row.label.clone(), row.timings.iter().collect()))
-        .collect();
-    print_timings(opts, "s_avg", &columns, &timing_rows);
 }
 
 fn ablation(opts: &Options) {
@@ -532,12 +434,6 @@ fn ablation(opts: &Options) {
         }
         println!();
     }
-    let columns: Vec<String> = sizes.iter().map(|mb| format!("{mb}Mb")).collect();
-    let timing_rows: Vec<(String, Vec<&bench::PointTiming>)> = rows
-        .iter()
-        .map(|row| (row.label.clone(), row.timings.iter().collect()))
-        .collect();
-    print_timings(opts, "variant", &columns, &timing_rows);
 }
 
 fn bounds(opts: &Options) {
@@ -559,12 +455,6 @@ fn bounds(opts: &Options) {
             row.report.bytes_per_satisfied_query / 1e6,
         );
     }
-    let columns = vec!["events/s".to_string()];
-    let timing_rows: Vec<(String, Vec<&bench::PointTiming>)> = rows
-        .iter()
-        .map(|row| (row.scheme.name().to_string(), vec![&row.timing]))
-        .collect();
-    print_timings(opts, "scheme", &columns, &timing_rows);
 }
 
 fn ncl(opts: &Options) {
@@ -586,12 +476,6 @@ fn ncl(opts: &Options) {
         }
         println!();
     }
-    let columns: Vec<String> = presets.iter().map(|p| p.name().to_string()).collect();
-    let timing_rows: Vec<(String, Vec<&bench::PointTiming>)> = rows
-        .iter()
-        .map(|row| (row.label.clone(), row.timings.iter().collect()))
-        .collect();
-    print_timings(opts, "strategy", &columns, &timing_rows);
 }
 
 fn churn(opts: &Options) {
@@ -635,12 +519,6 @@ fn churn(opts: &Options) {
         "epoch,epoch_secs,success_ratio,delay_hours,copies_per_item",
         &csv_rows,
     );
-    let columns = vec!["events/s".to_string()];
-    let timing_rows: Vec<(String, Vec<&bench::PointTiming>)> = rows
-        .iter()
-        .map(|row| (row.label.clone(), vec![&row.timing]))
-        .collect();
-    print_timings(opts, "epoch", &columns, &timing_rows);
 }
 
 /// Writes a `BENCH_*.json` document to `--out`, or prints it.
@@ -691,9 +569,9 @@ fn timeline(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The `compare <a> <b>` command. `Ok(true)` means no regression;
-/// `Ok(false)` prints the report and fails the process.
-fn compare(opts: &Options) -> Result<bool, String> {
+/// The `compare <a> <b>` command: prints the report, fails on a
+/// regression.
+fn compare(opts: &Options) -> Result<(), String> {
     let a = opts
         .figure
         .as_deref()
@@ -708,7 +586,26 @@ fn compare(opts: &Options) -> Result<bool, String> {
         opts.threshold_pct,
     )?;
     print!("{}", report.render());
-    Ok(!report.has_regressions())
+    if report.has_regressions() {
+        return Err(format!(
+            "compare found {} regression(s)",
+            report.regressions.len()
+        ));
+    }
+    Ok(())
+}
+
+/// Parses the `scale` node-count list: comma-separated, `_` allowed as
+/// a digit separator, every count at least 2 (the smallest population
+/// the trace builder accepts).
+fn parse_node_counts(list: &str) -> Result<Vec<usize>, String> {
+    list.split(',')
+        .map(|s| match s.trim().replace('_', "").parse::<usize>() {
+            Ok(n) if n >= 2 => Ok(n),
+            Ok(n) => Err(format!("node count {n} is below the minimum of 2")),
+            Err(_) => Err(format!("bad node count {s:?}")),
+        })
+        .collect()
 }
 
 /// The `scale` command: city-scale streaming runs over a comma-
@@ -718,18 +615,7 @@ fn compare(opts: &Options) -> Result<bool, String> {
 /// or stdout and fails if the audited case reports violations.
 fn scale_cmd(opts: &Options) -> Result<(), String> {
     use bench::scale::{run_scale, ScaleConfig};
-    let sizes: Vec<usize> = opts
-        .figure
-        .as_deref()
-        .unwrap_or("10000,100000")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .replace('_', "")
-                .parse::<usize>()
-                .map_err(|_| format!("bad node count {s:?}"))
-        })
-        .collect::<Result<_, _>>()?;
+    let sizes = parse_node_counts(opts.figure.as_deref().unwrap_or("10000,100000"))?;
     let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
     let mut runs = Vec::new();
     for &nodes in &sizes {
@@ -795,12 +681,12 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The `serve` command: the open-loop serving benchmark
+/// The `serve` command: the decision-service determinism document
 /// (`BENCH_serve.json`) or, with `--differential`, the serve-vs-engine
-/// equivalence check. `--smoke` runs only the CI-sized configuration —
-/// its deterministic `_exact`/`_checksum` keys must reproduce the
-/// committed baseline bit-identically on any machine, while the
-/// wall-clock numbers are informational (CI never gates wall clock).
+/// equivalence check. A fresh run's `_exact`/`_checksum` keys must
+/// reproduce the committed document bit-identically on any machine
+/// (`experiments compare` gates them). Serving latency and throughput
+/// are the `serve_churn` workload of `benchmark/`.
 fn serve_cmd(opts: &Options) -> Result<(), String> {
     use bench::serve::{run_serve_bench, run_serve_differential, ServeBenchConfig};
     if opts.differential {
@@ -820,45 +706,25 @@ fn serve_cmd(opts: &Options) -> Result<(), String> {
     }
 
     eprintln!("[serve] smoke configuration...");
-    let smoke = run_serve_bench("smoke", &ServeBenchConfig::smoke());
+    let smoke = run_serve_bench(&ServeBenchConfig::smoke());
     eprintln!(
-        "[serve] smoke: {} decisions, sustained {:.0}/s, service p99 {:.1}us, checksum {}",
-        smoke.decisions,
-        smoke.sustained_per_sec,
-        smoke.service_p99_ns as f64 / 1e3,
-        smoke.decision_checksum,
+        "[serve] smoke: {} decisions, checksum {}",
+        smoke.decisions, smoke.decision_checksum,
     );
-    let full = if opts.smoke {
-        None
-    } else {
-        eprintln!("[serve] full configuration...");
-        let full = run_serve_bench("full", &ServeBenchConfig::full());
-        eprintln!(
-            "[serve] full: {} decisions, sustained {:.0}/s, service p99 {:.1}us",
-            full.decisions,
-            full.sustained_per_sec,
-            full.service_p99_ns as f64 / 1e3,
-        );
-        Some(full)
-    };
-
-    let mut results = JsonValue::object().with("smoke", smoke.to_json(true));
-    if let Some(full) = &full {
-        results.set("full", full.to_json(false));
-    }
     let notes = [
-        "Latency is open-loop: measured per-decision service times replayed against a virtual wall cursor, so queueing delay behind slow decisions is included and the percentiles are free of coordinated omission.",
         "smoke.*_exact and smoke.decision_checksum are the determinism contract: a fresh `experiments serve --smoke` on any machine must reproduce them bit-identically (gated by `experiments compare`).",
-        "Wall-clock keys (_usec, per_wall_second) are informational; their names deliberately match no compare gate direction because CI machines differ from the machine that produced the committed numbers.",
-        "Target: the full sweep's 2000/s offered point must hold open-loop p99 within the 1 ms latency budget on the reference machine; the saturation knee (achieved < offered) marks sustained capacity. See EXPERIMENTS.md for the recorded table.",
+        "Serving latency and throughput are measured by the serve_churn workload of benchmark/ (dtn-serve.decide_p999_us, dtn-serve.budget_miss_ratio), not here.",
     ];
     let doc = JsonValue::object()
         .with("benchmark", "crates/bench/src/serve.rs")
         .with(
             "command",
-            "cargo run --release -p bench --bin experiments -- serve",
+            "cargo run --release -p bench --bin experiments -- serve --smoke",
         )
-        .with("results", results)
+        .with(
+            "results",
+            JsonValue::object().with("smoke", smoke.to_json()),
+        )
         .with("notes", notes.into_iter().collect::<JsonValue>());
     write_document(opts, "serve", &doc)
 }
@@ -950,10 +816,18 @@ fn fig13(opts: &Options) {
             println!();
         }
     }
-    let columns: Vec<String> = sizes.iter().map(|mb| format!("s_avg={mb}Mb")).collect();
-    let timing_rows: Vec<(String, Vec<&bench::PointTiming>)> = rows
-        .iter()
-        .map(|row| (row.ncl_count.to_string(), row.timings.iter().collect()))
-        .collect();
-    print_timings(opts, "K", &columns, &timing_rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_node_counts;
+
+    #[test]
+    fn node_counts_parse_or_explain() {
+        assert_eq!(parse_node_counts("2, 10_000"), Ok(vec![2, 10_000]));
+        for (list, needle) in [("0", "minimum"), ("1", "minimum"), ("10_000,x", "\"x\"")] {
+            let err = parse_node_counts(list).expect_err(list);
+            assert!(err.contains(needle), "{list}: {err}");
+        }
+    }
 }

@@ -17,10 +17,11 @@
 //!   wire); phase wall-clock rows are informational — CI machines are
 //!   too noisy for timed gates, per the repo's benching convention.
 //! - **bench**: one JSON document per file (`BENCH_*.json`). Every
-//!   numeric leaf becomes a dotted-path series; gate direction is
-//!   inferred from the key name (`*_ns`/`*_secs`/`peak_rss_bytes` are
-//!   lower-better, `*per_sec`/`success_ratio`/`speedup`/`*hit*` are
-//!   higher-better, anything else is ungated).
+//!   numeric leaf becomes a dotted-path series and every difference is
+//!   reported; only the determinism contract is *gated* — an `_exact`
+//!   or `_checksum` key that changes or vanishes fails regardless of
+//!   threshold. Wall-clock numbers are never gated here: performance
+//!   is compared by `benchmark/run.sh compare`.
 //!
 //! A run compared against itself aligns exactly: zero differing rows,
 //! zero regressions, exit 0.
@@ -35,7 +36,7 @@ use crate::observe::RUN_SCHEMA;
 /// One aligned series whose value differs between the runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaRow {
-    /// Series key (`window[3].deliveries`, `results...optimized_ns`, …).
+    /// Series key (`window[3].deliveries`, `results.smoke.decisions_exact`, …).
     pub key: String,
     /// Value in the first run.
     pub a: f64,
@@ -170,21 +171,21 @@ pub fn compare_strings(
 ) -> Result<CompareReport, String> {
     let a_doc = JsonValue::parse(a_text).ok();
     let b_doc = JsonValue::parse(b_text).ok();
-    let mut regressions = Vec::new();
-    let (mode, a_series, b_series) = match (a_doc, b_doc) {
+    let (mode, a_series, b_series, regressions) = match (a_doc, b_doc) {
         (Some(a), Some(b)) => {
             let (mut sa, mut ea) = (BTreeMap::new(), BTreeMap::new());
             let (mut sb, mut eb) = (BTreeMap::new(), BTreeMap::new());
             flatten(&a, "", &mut sa, &mut ea);
             flatten(&b, "", &mut sb, &mut eb);
-            regressions = exact_key_regressions(&ea, &eb);
-            ("bench", sa, sb)
+            let regressions = exact_key_regressions(&ea, &eb);
+            ("bench", sa, sb, regressions)
         }
-        (None, None) => (
-            "jsonl",
-            jsonl_series(a_text, a_label)?,
-            jsonl_series(b_text, b_label)?,
-        ),
+        (None, None) => {
+            let sa = jsonl_series(a_text, a_label)?;
+            let sb = jsonl_series(b_text, b_label)?;
+            let regressions = jsonl_regressions(&sa, &sb, threshold_pct);
+            ("jsonl", sa, sb, regressions)
+        }
         (Some(_), None) | (None, Some(_)) => {
             return Err(format!(
                 "format mismatch: one of {a_label} / {b_label} is a single JSON \
@@ -216,12 +217,6 @@ pub fn compare_strings(
         .filter(|k| !a_series.contains_key(*k))
         .cloned()
         .collect();
-
-    regressions.extend(if mode == "bench" {
-        bench_regressions(&a_series, &b_series, threshold_pct)
-    } else {
-        jsonl_regressions(&a_series, &b_series, threshold_pct)
-    });
 
     Ok(CompareReport {
         mode,
@@ -337,9 +332,6 @@ fn run_total(series: &BTreeMap<String, f64>, name: &str) -> Option<f64> {
     series.get(&format!("footer.{name}")).copied()
 }
 
-/// The JSONL gates: deterministic outcome counters only. Wall-clock
-/// phase rows are never gated here — that is what the locally-refreshed
-/// `BENCH_*.json` documents are for.
 /// The whole-run counters the JSONL gates are built from. A capture
 /// that *loses* one of these (truncated file, exporter drift) must not
 /// sail through just because the corresponding threshold gate had
@@ -351,6 +343,8 @@ const GATED_COUNTERS: [&str; 4] = [
     "bytes_transmitted",
 ];
 
+/// The JSONL gates: deterministic outcome counters only; wall-clock
+/// phase rows are never gated.
 fn jsonl_regressions(
     a: &BTreeMap<String, f64>,
     b: &BTreeMap<String, f64>,
@@ -406,27 +400,6 @@ fn jsonl_regressions(
     out
 }
 
-/// Gate direction for one bench-document key, by naming convention.
-fn bench_direction(key: &str) -> Option<bool> {
-    // `true` = lower is better.
-    let last = key.rsplit('.').next().unwrap_or(key);
-    if last.ends_with("_ns")
-        || last.ends_with("_secs")
-        || last == "peak_rss_bytes"
-        || last.ends_with("wall_secs")
-    {
-        Some(true)
-    } else if last.ends_with("per_sec")
-        || last.contains("success_ratio")
-        || last.contains("speedup")
-        || last.contains("hit")
-    {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 /// Keys carrying a determinism contract rather than a performance
 /// number: `_exact` counts and `_checksum` digests must reproduce
 /// bit-identically, so any drift — or the key vanishing from the
@@ -450,40 +423,6 @@ fn exact_key_regressions(a: &BTreeMap<String, &str>, b: &BTreeMap<String, &str>)
                 out.push(format!("exact key {key} changed ({va} -> {vb})"));
             }
             Some(_) => {}
-        }
-    }
-    out
-}
-
-fn bench_regressions(
-    a: &BTreeMap<String, f64>,
-    b: &BTreeMap<String, f64>,
-    threshold_pct: f64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    let t = threshold_pct / 100.0;
-    for (key, &va) in a {
-        if bench_exactness(key) {
-            continue;
-        }
-        let Some(&vb) = b.get(key) else { continue };
-        let Some(lower_better) = bench_direction(key) else {
-            continue;
-        };
-        if va == 0.0 {
-            continue;
-        }
-        let worse = if lower_better {
-            vb > va * (1.0 + t)
-        } else {
-            vb < va * (1.0 - t)
-        };
-        if worse {
-            out.push(format!(
-                "{key} {} {:.1}% ({va} -> {vb})",
-                if lower_better { "rose" } else { "fell" },
-                ((vb - va) / va * 100.0).abs()
-            ));
         }
     }
     out
@@ -541,20 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_documents_gate_by_key_direction() {
-        let a = "{\"results\": {\"fig\": {\"optimized_ns\": 100000, \"speedup\": 3.5, \"note\": \"x\"}}}";
-        let slower = "{\"results\": {\"fig\": {\"optimized_ns\": 120000, \"speedup\": 3.5, \"note\": \"x\"}}}";
-        let report = compare_strings(a, "a", slower, "b", 5.0).expect("bench mode");
-        assert_eq!(report.mode, "bench");
-        assert!(report.has_regressions(), "{report:?}");
-        assert!(report.regressions[0].contains("optimized_ns"));
-        let faster = "{\"results\": {\"fig\": {\"optimized_ns\": 80000, \"speedup\": 4.4, \"note\": \"x\"}}}";
-        let ok = compare_strings(a, "a", faster, "b", 5.0).expect("bench mode");
-        assert!(!ok.has_regressions(), "{ok:?}");
-        assert_eq!(ok.rows.len(), 2, "both numeric leaves moved");
-    }
-
-    #[test]
     fn exact_keys_gate_on_any_change_and_on_loss() {
         let a = "{\"results\": {\"serve\": {\"decisions_exact\": 400, \"decision_checksum\": 123456, \"p99_service_ns\": 5000}}}";
         // Threshold-sized drift in an `_exact` key still regresses.
@@ -583,6 +508,12 @@ mod tests {
         // Identical documents stay clean.
         let clean = compare_strings(a, "a", a, "b", 50.0).expect("bench mode");
         assert!(!clean.has_regressions(), "{clean:?}");
+        // A key outside the contract is reported, never gated.
+        let slower = a.replace("5000", "9000");
+        let report = compare_strings(a, "a", &slower, "b", 5.0).expect("bench mode");
+        assert_eq!(report.mode, "bench");
+        assert_eq!(report.rows.len(), 1, "{:?}", report.rows);
+        assert!(!report.has_regressions(), "{report:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every function regenerates the data behind one table or figure of the
 //! paper. A global `scale` parameter shrinks trace duration and contact
 //! counts proportionally (contact density preserved) so the same code
-//! runs as a full reproduction, a quick check, or a criterion bench.
+//! runs as a full reproduction or a quick check.
 //! Data lifetimes scale with the trace so the lifetime-to-duration ratio
 //! — the quantity that shapes the curves — is preserved.
 
@@ -20,28 +20,7 @@ use dtn_trace::trace::ContactTrace;
 use dtn_trace::TracePreset;
 use dtn_workload::{Workload, WorkloadConfig, Zipf};
 
-use crate::runner::{timed_averaged_sweep, AveragedReport, PointTiming, SweepPoint};
-
-/// Splits fanned-out `(report, timing)` results back into row-sized
-/// chunks, in input order.
-fn into_rows(
-    results: Vec<(AveragedReport, PointTiming)>,
-    row_len: usize,
-) -> Vec<(Vec<AveragedReport>, Vec<PointTiming>)> {
-    let mut rows = Vec::with_capacity(results.len().div_ceil(row_len.max(1)));
-    let mut iter = results.into_iter().peekable();
-    while iter.peek().is_some() {
-        let mut reports = Vec::with_capacity(row_len);
-        let mut timings = Vec::with_capacity(row_len);
-        for _ in 0..row_len {
-            let Some((r, t)) = iter.next() else { break };
-            reports.push(r);
-            timings.push(t);
-        }
-        rows.push((reports, timings));
-    }
-    rows
-}
+use crate::runner::{averaged_sweep, AveragedReport, SweepPoint};
 
 /// Builds the synthetic stand-in for a preset trace at the given scale.
 pub fn preset_trace(preset: TracePreset, scale: f64, seed: u64) -> ContactTrace {
@@ -197,8 +176,6 @@ pub struct ComparisonRow {
     pub label: String,
     /// Reports in [`SchemeKind::ALL`] order.
     pub reports: Vec<AveragedReport>,
-    /// Throughput accounting per report (same order).
-    pub timings: Vec<PointTiming>,
 }
 
 /// The Fig. 10 lifetime sweep, scaled with the trace so the
@@ -248,14 +225,12 @@ pub fn fig10(scale: f64, seeds: u32) -> Vec<ComparisonRow> {
             });
         }
     }
-    let results = timed_averaged_sweep(&points, seeds);
+    let mut results = averaged_sweep(&points, seeds).into_iter();
     lifetimes
         .into_iter()
-        .zip(into_rows(results, SchemeKind::ALL.len()))
-        .map(|(lifetime, (reports, timings))| ComparisonRow {
+        .map(|lifetime| ComparisonRow {
             label: human_duration(lifetime),
-            reports,
-            timings,
+            reports: results.by_ref().take(SchemeKind::ALL.len()).collect(),
         })
         .collect()
 }
@@ -284,14 +259,12 @@ pub fn fig11(scale: f64, seeds: u32) -> Vec<ComparisonRow> {
             });
         }
     }
-    let results = timed_averaged_sweep(&points, seeds);
+    let mut results = averaged_sweep(&points, seeds).into_iter();
     sizes
         .into_iter()
-        .zip(into_rows(results, SchemeKind::ALL.len()))
-        .map(|(mb, (reports, timings))| ComparisonRow {
+        .map(|mb| ComparisonRow {
             label: format!("{mb}Mb"),
-            reports,
-            timings,
+            reports: results.by_ref().take(SchemeKind::ALL.len()).collect(),
         })
         .collect()
 }
@@ -306,8 +279,6 @@ pub struct ReplacementRow {
     pub label: String,
     /// Reports in [`ReplacementKind::ALL`] order.
     pub reports: Vec<AveragedReport>,
-    /// Throughput accounting per report (same order).
-    pub timings: Vec<PointTiming>,
 }
 
 /// Regenerates Fig. 12: cache-replacement strategies vs data size on
@@ -329,14 +300,12 @@ pub fn fig12(scale: f64, seeds: u32) -> Vec<ReplacementRow> {
             });
         }
     }
-    let results = timed_averaged_sweep(&points, seeds);
+    let mut results = averaged_sweep(&points, seeds).into_iter();
     sizes
         .into_iter()
-        .zip(into_rows(results, ReplacementKind::ALL.len()))
-        .map(|(mb, (reports, timings))| ReplacementRow {
+        .map(|mb| ReplacementRow {
             label: format!("{mb}Mb"),
-            reports,
-            timings,
+            reports: results.by_ref().take(ReplacementKind::ALL.len()).collect(),
         })
         .collect()
 }
@@ -350,8 +319,6 @@ pub struct Fig13Row {
     pub ncl_count: usize,
     /// Reports per data size, in [`fig13_sizes_mb`] order.
     pub reports: Vec<AveragedReport>,
-    /// Throughput accounting per report (same order).
-    pub timings: Vec<PointTiming>,
 }
 
 /// The data sizes of the Fig. 13 curves.
@@ -381,13 +348,11 @@ pub fn fig13(scale: f64, seeds: u32) -> Vec<Fig13Row> {
             });
         }
     }
-    let results = timed_averaged_sweep(&points, seeds);
+    let mut results = averaged_sweep(&points, seeds).into_iter();
     (1..=10)
-        .zip(into_rows(results, sizes.len()))
-        .map(|(ncl_count, (reports, timings))| Fig13Row {
+        .map(|ncl_count| Fig13Row {
             ncl_count,
-            reports,
-            timings,
+            reports: results.by_ref().take(sizes.len()).collect(),
         })
         .collect()
 }
@@ -402,8 +367,6 @@ pub struct AblationRow {
     /// Averaged metrics of the variant per data size (see
     /// [`ablation_sizes_mb`]).
     pub reports: Vec<AveragedReport>,
-    /// Throughput accounting per report (same order).
-    pub timings: Vec<PointTiming>,
 }
 
 /// The data sizes used by the ablation study.
@@ -412,7 +375,7 @@ pub fn ablation_sizes_mb() -> Vec<u64> {
 }
 
 /// Ablation study of the paper's two probabilistic design choices
-/// (DESIGN.md: "ablation benches for the design choices"):
+/// (DESIGN.md §4, "Ablation"):
 ///
 /// 1. Algorithm 1's probabilistic knapsack selection vs the
 ///    deterministic basic strategy (§V-D-2 vs §V-D-3),
@@ -484,14 +447,12 @@ pub fn ablation(scale: f64, seeds: u32) -> Vec<AblationRow> {
             });
         }
     }
-    let results = timed_averaged_sweep(&points, seeds);
+    let mut results = averaged_sweep(&points, seeds).into_iter();
     variants
         .into_iter()
-        .zip(into_rows(results, sizes.len()))
-        .map(|((label, _, _, _), (reports, timings))| AblationRow {
+        .map(|(label, _, _, _)| AblationRow {
             label,
-            reports,
-            timings,
+            reports: results.by_ref().take(sizes.len()).collect(),
         })
         .collect()
 }
@@ -505,8 +466,6 @@ pub struct BoundsRow {
     pub scheme: SchemeKind,
     /// Averaged metrics on the study configuration.
     pub report: AveragedReport,
-    /// Throughput accounting for this scheme's runs.
-    pub timing: PointTiming,
 }
 
 /// Compares the paper's five schemes against the epidemic-flooding
@@ -523,15 +482,10 @@ pub fn bounds(scale: f64, seeds: u32) -> Vec<BoundsRow> {
             config: cfg.clone(),
         })
         .collect();
-    let results = timed_averaged_sweep(&points, seeds);
     SchemeKind::ALL_WITH_BOUNDS
         .iter()
-        .zip(results)
-        .map(|(&scheme, (report, timing))| BoundsRow {
-            scheme,
-            report,
-            timing,
-        })
+        .zip(averaged_sweep(&points, seeds))
+        .map(|(&scheme, report)| BoundsRow { scheme, report })
         .collect()
 }
 
@@ -544,8 +498,6 @@ pub struct NclStrategyRow {
     pub label: String,
     /// One report per entry of [`ncl_study_presets`].
     pub reports: Vec<AveragedReport>,
-    /// Throughput accounting per report (same order).
-    pub timings: Vec<PointTiming>,
 }
 
 /// The traces the NCL-strategy study runs on.
@@ -594,14 +546,12 @@ pub fn ncl_strategies(scale: f64, seeds: u32) -> Vec<NclStrategyRow> {
             });
         }
     }
-    let results = timed_averaged_sweep(&points, seeds);
+    let mut results = averaged_sweep(&points, seeds).into_iter();
     strategies
         .into_iter()
-        .zip(into_rows(results, traces.len()))
-        .map(|((label, _), (reports, timings))| NclStrategyRow {
+        .map(|(label, _)| NclStrategyRow {
             label,
-            reports,
-            timings,
+            reports: results.by_ref().take(traces.len()).collect(),
         })
         .collect()
 }
@@ -617,8 +567,6 @@ pub struct ChurnRow {
     pub epoch_interval: Option<Duration>,
     /// Averaged intentional-scheme metrics at this cadence.
     pub report: AveragedReport,
-    /// Throughput accounting for this point's runs.
-    pub timing: PointTiming,
 }
 
 /// The epoch cadences of the churn sweep, scaled with the trace. The
@@ -673,15 +621,14 @@ pub fn churn_with(scale: f64, seeds: u32, intervals: Vec<Option<Duration>>) -> V
             },
         })
         .collect();
-    let results = timed_averaged_sweep(&points, seeds);
+    let results = averaged_sweep(&points, seeds);
     intervals
         .into_iter()
         .zip(results)
-        .map(|(epoch_interval, (report, timing))| ChurnRow {
+        .map(|(epoch_interval, report)| ChurnRow {
             label: epoch_interval.map_or_else(|| "frozen".into(), human_duration),
             epoch_interval,
             report,
-            timing,
         })
         .collect()
 }

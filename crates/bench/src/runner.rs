@@ -10,8 +10,6 @@
 //! figure's numbers are independent of thread scheduling. [`averaged_run`]
 //! is the single-point convenience wrapper.
 
-use std::time::Instant;
-
 use dtn_cache::experiment::{run_experiment, ExperimentConfig, ExperimentReport};
 use dtn_cache::SchemeKind;
 use dtn_core::par::map_slice;
@@ -27,40 +25,6 @@ pub struct SweepPoint<'a> {
     pub scheme: SchemeKind,
     /// The experiment configuration of this point.
     pub config: ExperimentConfig,
-}
-
-/// Peak resident set size of this process in bytes — re-exported from
-/// the shared [`dtn_core::sys`] sampler so existing bench call sites
-/// keep their import path.
-pub use dtn_core::sys::peak_rss_bytes;
-
-/// Wall-clock accounting for one sweep point, summed across its seeds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointTiming {
-    /// Simulation events processed: contacts in the trace plus data
-    /// items generated plus queries issued, summed over all seeds.
-    pub events: u64,
-    /// Total busy time across the point's seed runs (CPU-side wall
-    /// time; seeds may have run concurrently, so this can exceed the
-    /// elapsed wall clock of the sweep).
-    pub busy: std::time::Duration,
-    /// Process peak RSS ([`peak_rss_bytes`]) sampled when the point's
-    /// seeds finished — an upper bound on the point's memory footprint
-    /// (0 where the platform exposes no high-water mark).
-    pub peak_rss_bytes: u64,
-}
-
-impl PointTiming {
-    /// Simulation events processed per busy second — the `--timing`
-    /// throughput figure of `bench/bin/experiments`.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.busy.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Seed-averaged metrics for one experiment point.
@@ -84,69 +48,41 @@ pub struct AveragedReport {
     pub seeds: u32,
 }
 
-fn aggregate(
-    point: &SweepPoint<'_>,
-    runs: &[(ExperimentReport, std::time::Duration)],
-    seeds: u32,
-) -> (AveragedReport, PointTiming) {
-    let n = f64::from(seeds);
-    let reports = || runs.iter().map(|(r, _)| r);
-    let report = AveragedReport {
+fn aggregate(point: &SweepPoint<'_>, runs: &[ExperimentReport], seeds: u32) -> AveragedReport {
+    let mean = |f: fn(&ExperimentReport) -> f64| runs.iter().map(f).sum::<f64>() / f64::from(seeds);
+    AveragedReport {
         scheme: point.scheme,
-        success_ratio: reports().map(|r| r.success_ratio).sum::<f64>() / n,
-        avg_delay_hours: reports().map(|r| r.avg_delay_hours).sum::<f64>() / n,
-        avg_copies_per_item: reports().map(|r| r.avg_copies_per_item).sum::<f64>() / n,
-        avg_replacements_per_item: reports().map(|r| r.avg_replacements_per_item).sum::<f64>() / n,
-        queries_issued: reports().map(|r| r.queries_issued as f64).sum::<f64>() / n,
-        bytes_per_satisfied_query: reports().map(|r| r.bytes_per_satisfied_query).sum::<f64>() / n,
+        success_ratio: mean(|r| r.success_ratio),
+        avg_delay_hours: mean(|r| r.avg_delay_hours),
+        avg_copies_per_item: mean(|r| r.avg_copies_per_item),
+        avg_replacements_per_item: mean(|r| r.avg_replacements_per_item),
+        queries_issued: mean(|r| r.queries_issued as f64),
+        bytes_per_satisfied_query: mean(|r| r.bytes_per_satisfied_query),
         seeds,
-    };
-    let timing = PointTiming {
-        events: reports()
-            .map(|r| {
-                point.trace.contact_count() as u64 + r.metrics.data_generated + r.queries_issued
-            })
-            .sum(),
-        busy: runs.iter().map(|(_, d)| *d).sum(),
-        peak_rss_bytes: peak_rss_bytes(),
-    };
-    (report, timing)
+    }
 }
 
 /// Runs every sweep point over `seeds` repetitions, fanning the whole
 /// (point × seed) grid out in parallel, and returns per-point averaged
-/// reports with throughput accounting. Results are in input-point order
-/// and identical to a serial nested loop (seed `s` of a point runs with
-/// RNG seed `s + 1`, and averages are summed in seed order).
+/// reports. Results are in input-point order and identical to a serial
+/// nested loop (seed `s` of a point runs with RNG seed `s + 1`, and
+/// averages are summed in seed order).
 ///
 /// # Panics
 ///
 /// Panics if `seeds == 0` or a worker panics.
-pub fn timed_averaged_sweep(
-    points: &[SweepPoint<'_>],
-    seeds: u32,
-) -> Vec<(AveragedReport, PointTiming)> {
+pub fn averaged_sweep(points: &[SweepPoint<'_>], seeds: u32) -> Vec<AveragedReport> {
     assert!(seeds > 0, "need at least one seed");
     let jobs: Vec<(usize, u64)> = (0..points.len())
         .flat_map(|p| (0..seeds).map(move |s| (p, u64::from(s) + 1)))
         .collect();
     let runs = map_slice(&jobs, |&(p, seed)| {
         let point = &points[p];
-        let start = Instant::now();
-        let report = run_experiment(point.trace, point.scheme, &point.config, seed);
-        (report, start.elapsed())
+        run_experiment(point.trace, point.scheme, &point.config, seed)
     });
     runs.chunks(seeds as usize)
         .zip(points)
         .map(|(chunk, point)| aggregate(point, chunk, seeds))
-        .collect()
-}
-
-/// [`timed_averaged_sweep`] without the timing accounting.
-pub fn averaged_sweep(points: &[SweepPoint<'_>], seeds: u32) -> Vec<AveragedReport> {
-    timed_averaged_sweep(points, seeds)
-        .into_iter()
-        .map(|(report, _)| report)
         .collect()
 }
 
@@ -226,24 +162,6 @@ mod tests {
         for (point, report) in points.iter().zip(&swept) {
             let single = averaged_run(&trace, point.scheme, &point.config, 2);
             assert_eq!(&single, report, "{} diverged", point.scheme);
-        }
-    }
-
-    #[test]
-    fn timing_counts_simulation_events() {
-        let trace = small_trace();
-        let points = [SweepPoint {
-            trace: &trace,
-            scheme: SchemeKind::Intentional,
-            config: small_config(),
-        }];
-        let timed = timed_averaged_sweep(&points, 2);
-        let (_, timing) = &timed[0];
-        // Two seeds → at least two full trace passes worth of contacts.
-        assert!(timing.events >= 2 * trace.contact_count() as u64);
-        assert!(timing.events_per_sec() > 0.0);
-        if cfg!(target_os = "linux") {
-            assert!(timing.peak_rss_bytes > 0, "VmHWM should be readable");
         }
     }
 

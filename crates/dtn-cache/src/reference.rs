@@ -6,16 +6,11 @@
 //! table, and freshly allocated pools for every knapsack exchange. It is
 //! kept verbatim (modulo a deterministic `BTreeMap` for the copy table —
 //! the original `HashMap` iteration order was process-nondeterministic)
-//! as the semantic baseline:
-//!
-//! - `tests/scheme_equivalence.rs` asserts the optimized
-//!   [`IntentionalScheme`](crate::intentional::IntentionalScheme)
-//!   produces bit-identical [`Metrics`](dtn_sim::metrics::Metrics)
-//!   against this implementation across randomized traces, seeds and
-//!   configurations;
-//! - `crates/bench/benches/sim_engine.rs` measures the end-to-end
-//!   speedup of the indexed-queue engine against this baseline
-//!   (`BENCH_sim_engine.json`).
+//! as the semantic baseline: `tests/scheme_equivalence.rs` asserts the
+//! optimized [`IntentionalScheme`](crate::intentional::IntentionalScheme)
+//! produces bit-identical [`Metrics`](dtn_sim::metrics::Metrics) against
+//! this implementation across randomized traces, seeds and
+//! configurations.
 //!
 //! Keep this file boring. Performance work belongs in
 //! [`intentional`](crate::intentional); behavior changes must land in

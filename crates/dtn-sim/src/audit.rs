@@ -14,8 +14,7 @@
 //! (query/delivery conservation) and then calls [`Scheme::audit`], which
 //! re-derives the scheme's canonical state and reports any drift. With
 //! the flag off (the default) the engine carries a single `None` option
-//! and the per-event cost is one predicted branch — the timed benches
-//! run audit-free.
+//! and the per-event cost is one predicted branch.
 //!
 //! [`SimConfig::audit`]: crate::engine::SimConfig::audit
 //! [`Scheme::audit`]: crate::engine::Scheme::audit

@@ -751,6 +751,16 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
             (0.0..=1.0).contains(&config.contact_loss_probability),
             "contact loss must be a probability"
         );
+        // A zero interval would never advance `next_sample`/`next_epoch`
+        // past the clock: the catch-up loops would spin forever.
+        assert!(
+            config.sample_interval > Duration(0),
+            "sample interval must be positive"
+        );
+        assert!(
+            config.epoch_interval != Some(Duration(0)),
+            "epoch interval must be positive"
+        );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let buffer_capacities = (0..source.node_count())
             .map(|_| rng.gen_range(config.buffer_range.0..=config.buffer_range.1))
@@ -1716,6 +1726,28 @@ mod tests {
         let trace = two_node_trace();
         let cfg = SimConfig {
             contact_loss_probability: 1.5,
+            ..SimConfig::default()
+        };
+        let _ = Simulator::new(&trace, DirectDelivery::default(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample interval must be positive")]
+    fn zero_sample_interval_panics() {
+        let trace = two_node_trace();
+        let cfg = SimConfig {
+            sample_interval: Duration(0),
+            ..SimConfig::default()
+        };
+        let _ = Simulator::new(&trace, DirectDelivery::default(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch interval must be positive")]
+    fn zero_epoch_interval_panics() {
+        let trace = two_node_trace();
+        let cfg = SimConfig {
+            epoch_interval: Some(Duration(0)),
             ..SimConfig::default()
         };
         let _ = Simulator::new(&trace, DirectDelivery::default(), cfg);

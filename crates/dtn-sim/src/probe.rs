@@ -11,9 +11,7 @@
 //! [`ProbeSink::emit`], which takes a *closure* producing the event, so
 //! with the default [`NoopProbe`] the only cost per site is a single
 //! predicted branch on the sink's enum tag — the event is never even
-//! constructed. The `sim_engine`/`path_engine` benches run with the
-//! noop sink and must stay within noise of the committed
-//! `BENCH_*.json` baselines.
+//! constructed.
 //!
 //! [`RecordingProbe`] is the one recorder: it counts every event kind,
 //! assembles a per-query [`QueryTrace`] (issue → first-central-arrival

@@ -11,8 +11,7 @@
 //!
 //! Zero-cost discipline matches [`ProbeSink`]: the engine carries
 //! `Option<Box<Profiler>>` — one machine word, one predicted branch per
-//! span site when disabled, and the `sim_engine`/`telemetry` benches
-//! hold the disabled overhead within 5 % of the committed baseline.
+//! span site when disabled.
 //!
 //! [`SimCtx`]: crate::engine::SimCtx
 //! [`ProbeSink`]: crate::probe::ProbeSink

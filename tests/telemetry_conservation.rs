@@ -6,14 +6,22 @@
 //! [`Metrics`] totals *exactly* — strict equality, not approximation —
 //! and agree with the recorder's own per-kind event counts. The run is fully audited so the totals being
 //! conserved are themselves invariant-checked.
+//!
+//! Recording must also perturb nothing: the same experiment run with
+//! every instrument off, with the recorder installed, with the phase
+//! profiler on and with the audit on ends in `==` [`Metrics`].
 
 use bench::observe::Instruments;
-use dtn_coop_cache::cache::experiment::configure_from_live_state;
+use dtn_coop_cache::cache::experiment::{
+    build_scheme, configure_from_live_state, prepare_experiment, ExperimentConfig,
+};
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme};
+use dtn_coop_cache::cache::SchemeKind;
 use dtn_coop_cache::core::ids::{DataId, NodeId};
 use dtn_coop_cache::core::time::{Duration, Time};
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator, WorkloadEvent};
 use dtn_coop_cache::sim::message::DataItem;
+use dtn_coop_cache::sim::metrics::Metrics;
 use dtn_coop_cache::sim::probe::RecordingProbe;
 use dtn_coop_cache::sim::telemetry::Counter::*;
 use dtn_coop_cache::sim::telemetry::Telemetry;
@@ -22,6 +30,14 @@ use dtn_coop_cache::trace::trace::ContactTrace;
 
 const NODES: usize = 24;
 const SEED: u64 = 5;
+
+fn trace() -> ContactTrace {
+    SyntheticTraceBuilder::new(NODES)
+        .duration(Duration::days(2))
+        .target_contacts(7_000)
+        .seed(SEED)
+        .build()
+}
 
 fn workload(trace: &ContactTrace) -> Vec<WorkloadEvent> {
     let mid = trace.midpoint();
@@ -51,11 +67,7 @@ fn workload(trace: &ContactTrace) -> Vec<WorkloadEvent> {
 
 #[test]
 fn window_sums_reproduce_metrics_totals_on_an_audited_run() {
-    let trace = SyntheticTraceBuilder::new(NODES)
-        .duration(Duration::days(2))
-        .target_contacts(7_000)
-        .seed(SEED)
-        .build();
+    let trace = trace();
     let mid = trace.midpoint();
 
     let scheme = IntentionalScheme::new(IntentionalConfig {
@@ -120,4 +132,69 @@ fn window_sums_reproduce_metrics_totals_on_an_audited_run() {
     assert_eq!(t[OracleRebuilds], probe.count("oracle_rebuilt"));
     let (_, recomputes, hits) = probe.oracle_counters();
     assert_eq!((t[OracleRecomputes], t[OracleHits]), (recomputes, hits));
+}
+
+/// Which instrument the run carries.
+#[derive(Clone, Copy, PartialEq)]
+enum Instrument {
+    Off,
+    Recorder,
+    Profiler,
+    Audit,
+}
+
+fn instrumented_run(
+    trace: &ContactTrace,
+    config: &ExperimentConfig,
+    instrument: Instrument,
+) -> Metrics {
+    let engine = SimConfig {
+        seed: SEED,
+        profile: instrument == Instrument::Profiler,
+        audit: instrument == Instrument::Audit,
+        ..SimConfig::default()
+    };
+    let scheme = build_scheme(SchemeKind::Intentional, config);
+    let mut sim = prepare_experiment(trace, scheme, config, engine);
+    let instruments = (instrument == Instrument::Recorder).then(|| {
+        let mid = trace.midpoint();
+        let telemetry = Telemetry::spanning(
+            mid,
+            Duration(trace.duration().as_secs() - mid.0),
+            24,
+            config.ncl_count,
+        );
+        Instruments::install(&mut sim, RecordingProbe::new().with_telemetry(telemetry))
+    });
+    sim.run_to_end();
+    if let Some(instruments) = instruments {
+        let recorder = instruments.finish(&mut sim);
+        assert!(recorder.count("contact_begin") > 0, "recorder saw the run");
+    }
+    sim.metrics().clone()
+}
+
+#[test]
+fn instruments_perturb_nothing() {
+    let trace = trace();
+    let config = ExperimentConfig {
+        ncl_count: 4,
+        mean_data_lifetime: Duration::hours(8),
+        mean_data_size: 2 << 20,
+        buffer_range: (16 << 20, 48 << 20),
+        ..ExperimentConfig::default()
+    };
+    let off = instrumented_run(&trace, &config, Instrument::Off);
+    assert!(off.queries_issued > 0 && off.bytes_transmitted > 0);
+    for (name, instrument) in [
+        ("recorder + telemetry", Instrument::Recorder),
+        ("profiler", Instrument::Profiler),
+        ("audit", Instrument::Audit),
+    ] {
+        assert_eq!(
+            instrumented_run(&trace, &config, instrument),
+            off,
+            "{name} perturbed the run"
+        );
+    }
 }
