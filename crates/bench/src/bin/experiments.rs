@@ -708,11 +708,15 @@ fn serve_cmd(opts: &Options) -> Result<(), String> {
     eprintln!("[serve] smoke configuration...");
     let smoke = run_serve_bench(&ServeBenchConfig::smoke());
     eprintln!(
-        "[serve] smoke: {} decisions, checksum {}",
-        smoke.decisions, smoke.decision_checksum,
+        "[serve] smoke: {} decisions, checksum {}, {} path searches settling {} nodes",
+        smoke.decisions,
+        smoke.decision_checksum,
+        smoke.oracle_table_recomputes,
+        smoke.oracle_nodes_settled,
     );
     let notes = [
         "smoke.*_exact and smoke.decision_checksum are the determinism contract: a fresh `experiments serve --smoke` on any machine must reproduce them bit-identically (gated by `experiments compare`).",
+        "smoke.oracle_table_recomputes_exact and smoke.oracle_nodes_settled_exact are the oracle's work over the pass, counted not timed. A path search that no longer stops once the central nodes have settled settles every node every time (nodes_settled = table_recomputes x nodes) and fails the same gate on any machine.",
         "Serving latency and throughput are measured by the serve_churn workload of benchmark/ (dtn-serve.decide_p999_us, dtn-serve.budget_miss_ratio), not here.",
     ];
     let doc = JsonValue::object()

@@ -73,6 +73,11 @@ pub struct ServeBenchReport {
     pub routed_decisions: u64,
     /// FNV-1a checksum over the decision stream (request + answer).
     pub decision_checksum: u64,
+    /// Path searches the oracle ran over the whole pass.
+    pub oracle_table_recomputes: u64,
+    /// Nodes those searches settled: the work counter that rises if the
+    /// early exit at the central nodes is lost, on any machine.
+    pub oracle_nodes_settled: u64,
 }
 
 /// The deterministic request sequence: alternating `Place`/`Route`
@@ -156,6 +161,11 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchReport {
     }
 
     let stats = svc.stats();
+    let oracle = svc
+        .sim()
+        .scheme()
+        .oracle_stats()
+        .expect("service configured");
     ServeBenchReport {
         nodes: cfg.nodes,
         contacts: trace.contact_count(),
@@ -164,6 +174,8 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchReport {
         place_decisions,
         routed_decisions: routed,
         decision_checksum: stats.checksum,
+        oracle_table_recomputes: oracle.table_recomputes,
+        oracle_nodes_settled: oracle.nodes_settled,
     }
 }
 
@@ -181,6 +193,11 @@ impl ServeBenchReport {
             .with("place_decisions_exact", self.place_decisions)
             .with("routed_decisions_exact", self.routed_decisions)
             .with("decision_checksum", self.decision_checksum)
+            .with(
+                "oracle_table_recomputes_exact",
+                self.oracle_table_recomputes,
+            )
+            .with("oracle_nodes_settled_exact", self.oracle_nodes_settled)
     }
 }
 
@@ -321,6 +338,10 @@ mod tests {
         assert_eq!(a.decisions, cfg.decisions);
         assert_eq!(a.decision_checksum, b.decision_checksum);
         assert_eq!(a.contacts, b.contacts);
+        assert_eq!(a.oracle_nodes_settled, b.oracle_nodes_settled);
+        // Early exit: fewer nodes settled than searches × population.
+        assert!(a.oracle_table_recomputes > 0);
+        assert!(a.oracle_nodes_settled < a.oracle_table_recomputes * cfg.nodes as u64);
         assert_eq!(a.place_decisions, 30);
         let doc = JsonValue::parse(&a.to_json().pretty()).expect("valid JSON");
         assert_eq!(

@@ -232,6 +232,7 @@ impl IntentionalScheme {
         self.centrals = new_centrals;
         if let Some(oracle) = &mut self.oracle {
             oracle.invalidate();
+            oracle.set_targets(&self.centrals);
             ctx.probe()
                 .emit(|| ProbeEvent::OracleInvalidated { at: now });
         }
@@ -393,11 +394,14 @@ impl CachingScheme for IntentionalScheme {
         self.centrals = scores.iter().map(|s| s.node).collect();
         self.ncl_query_load = vec![0; self.centrals.len()];
         self.ncl_response_load = vec![0; self.centrals.len()];
-        let oracle = PathOracle::new(
+        let mut oracle = PathOracle::new(
             setup.capacities.len(),
             setup.horizon,
             setup.path_refresh.unwrap_or(self.cfg.path_refresh),
         );
+        // Push, pull and cache exchange read weights *to the centrals*:
+        // the oracle's searches stop once those have settled.
+        oracle.set_targets(&self.centrals);
         self.oracle = Some(match self.cfg.bounded_reach {
             Some((hops, slots)) => oracle.with_bounded_reach(hops, slots),
             None => oracle,

@@ -26,9 +26,21 @@
 //! [`PathTable::path_to`]. [`shortest_paths_naive`] retains the original
 //! owned-path formulation as a differential-testing and benchmarking
 //! reference.
+//!
+//! Nodes settle in decreasing weight order and a settled weight is
+//! final, so a caller that only needs the weights to a few targets (the
+//! paper's nodes keep paths *to the K central nodes*, §IV Eq. 3) can stop
+//! the same loop as soon as the last target settles:
+//! [`shortest_paths_until`] returns a *partial* [`PathTable`] whose
+//! settled entries carry exactly the bits the exhaustive search would
+//! have produced. The search is greedy from the source — a path's weight
+//! is not a sum of per-edge terms, so the tree rooted at a destination is
+//! not the reverse of the trees rooted at its sources — which is why the
+//! exact shortcut is "stop early", not "search from the target".
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::mem;
 
 use crate::graph::{ContactGraph, Topology};
 use crate::hypoexp;
@@ -119,29 +131,42 @@ impl OpportunisticPath {
 /// Best opportunistic paths from one source to every node, at a fixed
 /// time horizon.
 ///
-/// Produced by [`shortest_paths`]. The table is what each mobile node
-/// maintains in the paper ("a node maintains its shortest opportunistic
-/// path to each NCL", §IV-A; optionally to all nodes, §V-C).
+/// Produced by [`shortest_paths`] (complete) or [`shortest_paths_until`]
+/// (possibly partial). The table is what each mobile node maintains in
+/// the paper ("a node maintains its shortest opportunistic path to each
+/// NCL", §IV-A; optionally to all nodes, §V-C).
 ///
 /// The table stores the route *tree* compactly — a predecessor and an
 /// incoming rate per node plus the settled weight — so [`weight_to`] is
 /// `O(1)` and concrete paths are only materialised on demand by
 /// [`path_to`].
 ///
+/// A **complete** table answers for every node: settled nodes carry
+/// their weight, the rest are unreachable (weight 0). A **partial**
+/// table — the search stopped once its targets had settled — answers
+/// only for the nodes it settled; for any other node it knows nothing
+/// yet, and says so ([`settled_weight`] is `None`) rather than reporting
+/// it unreachable.
+///
 /// [`weight_to`]: PathTable::weight_to
 /// [`path_to`]: PathTable::path_to
+/// [`settled_weight`]: PathTable::settled_weight
 #[derive(Debug, Clone)]
 pub struct PathTable {
     source: NodeId,
     horizon: f64,
     /// Predecessor on the best path; `None` for the source and for
-    /// unreachable nodes.
+    /// unreachable nodes. Final only for settled nodes.
     prev: Vec<Option<NodeId>>,
     /// Rate of the edge `prev[v] → v`; meaningless unless `prev[v]` is set.
     rate_into: Vec<f64>,
-    /// Settled best weight; 0 for unreachable nodes, 1 for the source.
+    /// Settled best weight; 0 for unsettled nodes, 1 for the source.
     weight: Vec<f64>,
-    reached: Vec<bool>,
+    /// Nodes whose weight and route are final. In a complete table every
+    /// reachable node is settled.
+    settled: Vec<bool>,
+    /// The search ran to exhaustion: unsettled means unreachable.
+    complete: bool,
 }
 
 impl PathTable {
@@ -155,14 +180,51 @@ impl PathTable {
         self.horizon
     }
 
+    /// Whether the search ran to exhaustion, so the table answers for
+    /// every node. `false` for a table [`shortest_paths_until`] cut short.
+    pub fn is_complete(&self) -> bool {
+        self.complete
+    }
+
+    /// How many nodes the search settled (the source included) — the
+    /// machine-independent size of the work it did.
+    pub fn settled_count(&self) -> usize {
+        self.settled.iter().filter(|&&s| s).count()
+    }
+
+    /// Refuses a read the table cannot answer: a partial table asked
+    /// about a node it never settled.
+    fn assert_final_for(&self, dest: NodeId) {
+        assert!(
+            self.complete || self.settled[dest.index()],
+            "partial path table from {} never settled {dest}",
+            self.source
+        );
+    }
+
+    /// The weight of the best path to `dest` if the table is final for
+    /// it: the settled weight, or 0 for a node a complete table never
+    /// reached. `None` when a partial table stopped before settling
+    /// `dest` — the answer is unknown, not zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dest` is out of range.
+    pub fn settled_weight(&self, dest: NodeId) -> Option<f64> {
+        (self.complete || self.settled[dest.index()]).then(|| self.weight[dest.index()])
+    }
+
     /// The weight of the best path to `dest`: 1 for the source itself,
     /// 0 if `dest` is unreachable. `O(1)` — the weight was fixed when the
     /// search settled `dest`.
     ///
     /// # Panics
     ///
-    /// Panics if `dest` is out of range.
+    /// Panics if `dest` is out of range, or if the table is partial and
+    /// never settled `dest` (read partial tables through
+    /// [`settled_weight`](Self::settled_weight)).
     pub fn weight_to(&self, dest: NodeId) -> f64 {
+        self.assert_final_for(dest);
         self.weight[dest.index()]
     }
 
@@ -171,9 +233,10 @@ impl PathTable {
     ///
     /// # Panics
     ///
-    /// Panics if `dest` is out of range.
+    /// Panics on the same reads as [`weight_to`](Self::weight_to).
     pub fn path_to(&self, dest: NodeId) -> Option<OpportunisticPath> {
-        if !self.reached[dest.index()] {
+        self.assert_final_for(dest);
+        if !self.settled[dest.index()] {
             return None;
         }
         let mut nodes = vec![dest];
@@ -189,10 +252,11 @@ impl PathTable {
         Some(OpportunisticPath::new(nodes, rates))
     }
 
-    /// Iterates over `(destination, weight)` for every reachable node,
-    /// including the source itself with weight 1.
+    /// Iterates over `(destination, weight)` for every settled node —
+    /// every reachable node of a complete table — including the source
+    /// itself with weight 1.
     pub fn iter_weights(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.reached
+        self.settled
             .iter()
             .enumerate()
             .filter(|&(_, &r)| r)
@@ -261,6 +325,36 @@ impl Ord for Label {
 /// assert_eq!(table.path_to(NodeId(2)).unwrap().hops(), 2);
 /// ```
 pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> PathTable {
+    shortest_paths_until(graph, source, horizon, &[])
+}
+
+/// [`shortest_paths`] with a stop condition: the search ends as soon as
+/// every node of `targets` has settled, and the returned table is
+/// partial ([`PathTable::is_complete`] is `false`).
+///
+/// Exact, not approximate: the loop settles nodes in decreasing weight
+/// order and never revisits a settled node, so everything settled before
+/// the stop — the targets, and the whole route tree above them — holds
+/// the same bits and the same routes the exhaustive search produces.
+/// Nodes not yet settled are unknown, and the table reports them as such
+/// ([`PathTable::settled_weight`]).
+///
+/// With no targets there is nothing to stop for and the search runs to
+/// exhaustion — [`shortest_paths`] is that call. The same happens when a
+/// target is unreachable (it never settles): the table comes back
+/// complete and the target reads weight 0. Duplicate targets count once;
+/// the source is a valid target (it settles first); targets out of range
+/// for the graph are ignored.
+///
+/// # Panics
+///
+/// Panics on the same invalid inputs as [`shortest_paths`].
+pub fn shortest_paths_until<G: Topology>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    targets: &[NodeId],
+) -> PathTable {
     assert!(
         horizon.is_finite() && horizon > 0.0,
         "horizon must be finite and positive, got {horizon}"
@@ -271,8 +365,17 @@ pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> P
         "source n{source} out of range for graph of {n} nodes"
     );
 
+    // Targets still to settle; the search stops when the count hits zero.
+    let mut wanted = vec![false; n];
+    let mut outstanding = 0usize;
+    for &t in targets {
+        if let Some(w) = wanted.get_mut(t.index()) {
+            outstanding += usize::from(!mem::replace(w, true));
+        }
+    }
+
     let mut settled = vec![false; n];
-    let mut reached = vec![false; n];
+    let mut complete = true;
     let mut prev: Vec<Option<NodeId>> = vec![None; n];
     let mut rate_into = vec![0.0f64; n];
     let mut best = vec![f64::NEG_INFINITY; n];
@@ -289,7 +392,6 @@ pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> P
         node: source,
     });
     best[source.index()] = 1.0;
-    reached[source.index()] = true;
 
     while let Some(Label { weight: w, node }) = heap.pop() {
         if settled[node.index()] {
@@ -297,6 +399,15 @@ pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> P
         }
         settled[node.index()] = true;
         weight[node.index()] = w;
+        if wanted[node.index()] {
+            outstanding -= 1;
+            if outstanding == 0 {
+                // Every target is final; nothing relaxed from here on
+                // could change a settled entry.
+                complete = false;
+                break;
+            }
+        }
         let acc = match prev[node.index()] {
             None => hypoexp::HorizonAccumulator::new(horizon),
             Some(parent) => {
@@ -317,7 +428,6 @@ pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> P
                 best[peer.index()] = cand;
                 prev[peer.index()] = Some(node);
                 rate_into[peer.index()] = rate;
-                reached[peer.index()] = true;
                 heap.push(Label {
                     weight: cand,
                     node: peer,
@@ -333,7 +443,8 @@ pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> P
         prev,
         rate_into,
         weight,
-        reached,
+        settled,
+        complete,
     }
 }
 

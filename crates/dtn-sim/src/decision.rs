@@ -25,15 +25,22 @@
 //! differential tests pin.
 //!
 //! All oracle reads go through the generation-versioned snapshot inside
-//! [`PathOracle`]: a decision never blocks on a refresh, it reads the
-//! current snapshot; staleness is bounded by the oracle's refresh
-//! interval.
+//! [`PathOracle`], and staleness is bounded by the oracle's refresh
+//! interval. There is no background refresh: the first read after the
+//! interval elapses rebuilds the snapshot inline, and the first read of
+//! each source in the new epoch runs that source's path search inline —
+//! stopped as soon as the central nodes have settled, since weights *to
+//! the centrals* are all a decision asks for. A `Place` over `N`
+//! candidates therefore pays up to `N` early-exit searches once per
+//! epoch and one table read per candidate afterwards
+//! ([`DecisionPoint::best_relay`] reads the carrier's weight once, not
+//! once per candidate).
 
 use dtn_core::ids::NodeId;
 use dtn_core::rate::RateTable;
 use dtn_core::time::Time;
 
-use crate::oracle::PathOracle;
+use crate::oracle::{OracleStats, PathOracle};
 
 /// One NCL's slice of a placement decision: the central node the copy
 /// should migrate toward and the best currently-known next relay.
@@ -123,10 +130,17 @@ impl<'a> DecisionPoint<'a> {
     }
 
     /// The oracle's generation-versioned snapshot epoch — bumps when a
-    /// background refresh replaces the snapshot, so a serving loop can
-    /// report which oracle generation answered each decision.
+    /// read replaces a stale snapshot, so a serving loop can report
+    /// which oracle generation answered each decision.
     pub fn snapshot_epoch(&self) -> u64 {
         self.oracle.snapshot_epoch()
+    }
+
+    /// The oracle's cumulative work counters; their difference around a
+    /// decision is what that decision paid for (snapshot rebuild, path
+    /// searches).
+    pub fn oracle_stats(&self) -> OracleStats {
+        self.oracle.stats()
     }
 
     /// THE greedy relay rule (§V-A): forward a message carried by
@@ -152,21 +166,35 @@ impl<'a> DecisionPoint<'a> {
     /// answers true). Ties break toward the earlier candidate, so the
     /// answer is deterministic for a fixed candidate order. `None` when
     /// no candidate beats the carrier.
+    ///
+    /// One oracle read per candidate: the carrier's own weight is the
+    /// same for all of them and is read once, the first time a candidate
+    /// needs comparing against it.
     pub fn best_relay(
         &mut self,
         carrier: NodeId,
         dest: NodeId,
         candidates: &[NodeId],
     ) -> Option<NodeId> {
+        let mut carrier_weight: Option<f64> = None;
         let mut best: Option<(NodeId, f64)> = None;
         for &c in candidates {
-            if c == carrier || !self.forward(carrier, c, dest) {
+            if c == carrier {
                 continue;
             }
+            // `forward(carrier, c, dest)`, with its weight kept.
             let w = if c == dest {
                 f64::INFINITY
+            } else if carrier == dest {
+                continue;
             } else {
-                self.weight(c, dest)
+                let w = self.weight(c, dest);
+                let cw = *carrier_weight.get_or_insert_with(|| self.weight(carrier, dest));
+                if w > cw {
+                    w
+                } else {
+                    continue;
+                }
             };
             if best.is_none_or(|(_, bw)| w > bw) {
                 best = Some((c, w));
@@ -290,6 +318,88 @@ mod tests {
         let r = dp.route(NodeId(3), &nodes).expect("centrals elected");
         assert_eq!(r.ncl, 0);
         assert_eq!(r.next_hop, Some(NodeId(2)), "destination always accepts");
+    }
+
+    /// `best_relay` as first written: ask `forward` about each candidate,
+    /// then read the accepted candidate's weight again.
+    fn best_relay_by_definition(
+        dp: &mut DecisionPoint<'_>,
+        carrier: NodeId,
+        dest: NodeId,
+        candidates: &[NodeId],
+    ) -> Option<NodeId> {
+        let mut best: Option<(NodeId, f64)> = None;
+        for &c in candidates {
+            if c == carrier || !dp.forward(carrier, c, dest) {
+                continue;
+            }
+            let w = if c == dest {
+                f64::INFINITY
+            } else {
+                dp.weight(c, dest)
+            };
+            if best.is_none_or(|(_, bw)| w > bw) {
+                best = Some((c, w));
+            }
+        }
+        best.map(|(n, _)| n)
+    }
+
+    #[test]
+    fn best_relay_matches_its_definition_on_every_pair() {
+        // Nodes 0–5 meet at pseudo-random times; 6 and 7 each meet only
+        // node 0, at the same instants, so their weights tie toward
+        // every destination; 8 and 9 never meet anyone.
+        const N: u32 = 10;
+        let mut rates = RateTable::new(N as usize, Time::ZERO);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for t in 1..=300u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let (a, b) = ((x >> 33) % 6, (x >> 43) % 6);
+            if a != b {
+                rates.record(NodeId(a as u32), NodeId(b as u32), Time(t * 10));
+            }
+        }
+        for t in [500, 1500, 2500] {
+            rates.record(NodeId(6), NodeId(0), Time(t));
+            rates.record(NodeId(7), NodeId(0), Time(t));
+        }
+        let now = Time(3100);
+        let ascending: Vec<NodeId> = (0..N).map(NodeId).collect();
+        let descending: Vec<NodeId> = ascending.iter().rev().copied().collect();
+        let without_ends: Vec<NodeId> = (1..N - 1).map(NodeId).collect();
+
+        let mut hoisted_oracle = PathOracle::new(N as usize, 1000.0, Duration::hours(1));
+        let mut literal_oracle = PathOracle::new(N as usize, 1000.0, Duration::hours(1));
+        let mut hoisted = DecisionPoint::new(&mut hoisted_oracle, &rates, now, &[]);
+        let mut literal = DecisionPoint::new(&mut literal_oracle, &rates, now, &[]);
+        assert_eq!(
+            hoisted.weight(NodeId(6), NodeId(3)).to_bits(),
+            hoisted.weight(NodeId(7), NodeId(3)).to_bits(),
+            "the tie this test relies on"
+        );
+        let mut chose_a_relay = 0;
+        for &carrier in &ascending {
+            for &dest in &ascending {
+                for candidates in [&ascending, &descending, &without_ends, &Vec::new()] {
+                    let got = hoisted.best_relay(carrier, dest, candidates);
+                    let want = best_relay_by_definition(&mut literal, carrier, dest, candidates);
+                    assert_eq!(got, want, "{carrier} → {dest} over {candidates:?}");
+                    chose_a_relay += usize::from(got.is_some());
+                }
+            }
+        }
+        assert!(chose_a_relay > 100, "degenerate fixture: {chose_a_relay}");
+        // Tied candidates: the earlier one in candidate order wins.
+        let tied = [NodeId(7), NodeId(6)];
+        assert_eq!(
+            hoisted.best_relay(NodeId(8), NodeId(3), &tied),
+            Some(NodeId(7))
+        );
+        // Same answers from a third of the reads.
+        let (h, l) = (hoisted.oracle_stats(), literal.oracle_stats());
+        assert_eq!(h.table_recomputes, l.table_recomputes);
+        assert!(h.table_hits * 2 < l.table_hits, "{h:?} vs {l:?}");
     }
 
     #[test]

@@ -8,8 +8,18 @@
 //! the paper's observation that contact rates "remain relatively
 //! constant" over long periods (§III-B).
 //!
-//! Two structural properties keep the oracle cheap and correct:
+//! Three structural properties keep the oracle cheap and correct:
 //!
+//! - **Searches stop at the targets.** The paper's nodes keep their
+//!   shortest opportunistic path *to the K central nodes* (§IV Eq. 3),
+//!   and that is what nearly every read asks for. The scheme names those
+//!   nodes with [`PathOracle::set_targets`]; the first read of an epoch
+//!   from a source to a target runs the label-setting search only until
+//!   the last target settles ([`shortest_paths_until`]) and caches the
+//!   *partial* table. Settled weights are final, so the answer is the
+//!   exhaustive search's to the bit. A read the partial table cannot
+//!   answer — a non-target destination, or [`PathOracle::table`] — runs
+//!   the exhaustive search and replaces it.
 //! - **One shared snapshot per epoch.** The [`ContactGraph`] is built
 //!   from the rate table once per refresh epoch and shared by the path
 //!   searches of *all* sources, instead of being rebuilt per source per
@@ -30,7 +40,7 @@
 use dtn_core::graph::{ContactGraph, CsrGraph};
 use dtn_core::ids::NodeId;
 use dtn_core::path::{
-    bounded_shortest_paths, shortest_paths, PathTable, ReachScratch, SparseReach,
+    bounded_shortest_paths, shortest_paths_until, PathTable, ReachScratch, SparseReach,
 };
 use dtn_core::rate::RateTable;
 use dtn_core::time::{Duration, Time};
@@ -58,11 +68,15 @@ struct Snapshot {
 
 /// Cumulative oracle work counters, for probes and diagnostics.
 ///
-/// `table_hits` counts [`PathOracle::table`] calls served from a cached
-/// per-source table; `table_recomputes` counts calls that had to run a
-/// fresh path search. `rebuilds` counts shared-snapshot constructions
-/// (equals [`PathOracle::snapshot_epoch`]); `invalidations` counts
-/// explicit [`PathOracle::invalidate`] calls.
+/// `table_hits` counts reads served from a cached per-source table;
+/// `table_recomputes` counts reads that had to run a path search — early
+/// exit, exhaustive or bounded, including the exhaustive search that
+/// replaces a partial table which could not answer. `nodes_settled` sums
+/// the nodes those searches settled: exact and machine-independent, it
+/// is the counter that moves when a search does more or less work for
+/// the same `table_recomputes`. `rebuilds` counts shared-snapshot
+/// constructions (equals [`PathOracle::snapshot_epoch`]);
+/// `invalidations` counts explicit [`PathOracle::invalidate`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Shared contact-graph snapshot (re)builds.
@@ -73,6 +87,8 @@ pub struct OracleStats {
     pub table_recomputes: u64,
     /// Per-source path-table cache hits.
     pub table_hits: u64,
+    /// Nodes settled, summed over every path search.
+    pub nodes_settled: u64,
 }
 
 /// Memoised single-source opportunistic path tables over a shared,
@@ -105,6 +121,10 @@ pub struct PathOracle {
     /// epoch it was computed in.
     epoch: u64,
     tables: Vec<Option<(u64, PathTable)>>,
+    /// The destinations the scheme reads weights to (its central nodes):
+    /// the stop set of the early-exit search. Empty = every search is
+    /// exhaustive.
+    targets: Vec<NodeId>,
     /// Scale mode (see [`PathOracle::with_bounded_reach`]): hop bound
     /// for [`PathOracle::weight`] searches. `None` (the default) keeps
     /// the exact dense path.
@@ -136,6 +156,7 @@ impl PathOracle {
             snapshot: None,
             epoch: 0,
             tables: (0..nodes).map(|_| None).collect(),
+            targets: Vec::new(),
             max_hops: None,
             sparse: Vec::new(),
             scratch: ReachScratch::new(),
@@ -168,6 +189,22 @@ impl PathOracle {
             .map(|_| None)
             .collect();
         self
+    }
+
+    /// Names the destinations [`weight`](Self::weight) is mostly asked
+    /// about — the scheme's central nodes. A search started by a read
+    /// *to* one of them stops once all of them have settled.
+    ///
+    /// Purely a work hint: every answer is bit-identical with or without
+    /// it, so cached tables stay valid and nothing is invalidated. Node
+    /// ids outside the population are ignored (they can never be a
+    /// `dest` the oracle answers for), never a panic. Has no effect on
+    /// the bounded-reach branch.
+    pub fn set_targets(&mut self, targets: &[NodeId]) {
+        let nodes = self.tables.len();
+        self.targets.clear();
+        self.targets
+            .extend(targets.iter().filter(|t| t.index() < nodes));
     }
 
     /// The horizon `T` used for path weights.
@@ -216,39 +253,78 @@ impl PathOracle {
         }
     }
 
-    /// The path table from `source`, recomputed against the shared
-    /// snapshot if the cached copy belongs to an older epoch.
-    ///
-    /// Always an exact, unbounded search — in scale mode this is the
-    /// expensive dense escape hatch (an `O(nodes)` table per distinct
-    /// source per epoch); hot paths should prefer [`PathOracle::weight`].
-    pub fn table(&mut self, rates: &RateTable, now: Time, source: NodeId) -> &PathTable {
+    /// The cached table from `source` if it belongs to the current epoch
+    /// and is final for `dest` (`None`: for every node); otherwise a
+    /// fresh search against the shared snapshot replaces it.
+    fn table_answering(
+        &mut self,
+        rates: &RateTable,
+        now: Time,
+        source: NodeId,
+        dest: Option<NodeId>,
+    ) -> &PathTable {
         self.refresh_snapshot(rates, now);
         let snapshot = self.snapshot.as_ref().expect("snapshot just refreshed");
         let slot = &mut self.tables[source.index()];
-        let valid = matches!(slot, Some((epoch, _)) if *epoch == self.epoch);
-        if valid {
+        let cached = match slot {
+            Some((epoch, table)) if *epoch == self.epoch => Some(&*table),
+            _ => None,
+        };
+        let answers = |table: &PathTable| match dest {
+            Some(d) => table.settled_weight(d).is_some(),
+            None => table.is_complete(),
+        };
+        if cached.is_some_and(answers) {
             self.stats.table_hits += 1;
         } else {
-            self.stats.table_recomputes += 1;
-            let table = match &snapshot.graph {
-                SnapshotGraph::Adjacency(g) => shortest_paths(g, source, self.horizon),
-                SnapshotGraph::Csr(g) => shortest_paths(g, source, self.horizon),
+            // Stop early only on the first read of the epoch, and only
+            // when it asks for a target. A current table that could not
+            // answer is a partial one: the exhaustive search settles the
+            // matter for the rest of the epoch.
+            let stop: &[NodeId] = match dest {
+                Some(d) if cached.is_none() && self.targets.contains(&d) => &self.targets,
+                _ => &[],
             };
+            let table = match &snapshot.graph {
+                SnapshotGraph::Adjacency(g) => shortest_paths_until(g, source, self.horizon, stop),
+                SnapshotGraph::Csr(g) => shortest_paths_until(g, source, self.horizon, stop),
+            };
+            self.stats.table_recomputes += 1;
+            self.stats.nodes_settled += table.settled_count() as u64;
             *slot = Some((self.epoch, table));
         }
         &slot.as_ref().expect("just computed").1
     }
 
+    /// The complete path table from `source`, recomputed against the
+    /// shared snapshot if the cached copy belongs to an older epoch or is
+    /// a partial table left by an early-exit [`weight`](Self::weight)
+    /// read.
+    ///
+    /// Always an exact, unbounded, exhaustive search — in scale mode this
+    /// is the expensive dense escape hatch (an `O(nodes)` table per
+    /// distinct source per epoch); hot paths should prefer
+    /// [`PathOracle::weight`].
+    pub fn table(&mut self, rates: &RateTable, now: Time, source: NodeId) -> &PathTable {
+        self.table_answering(rates, now, source, None)
+    }
+
     /// The best-path weight from `source` to `dest` (1 if equal,
     /// 0 if unreachable — including, in scale mode, destinations past
     /// the hop bound).
+    ///
+    /// With `dest` one of the [targets](Self::set_targets) and no table
+    /// for `source` in the current epoch, the search stops once every
+    /// target has settled; the weight is the exhaustive search's, bit
+    /// for bit.
     pub fn weight(&mut self, rates: &RateTable, now: Time, source: NodeId, dest: NodeId) -> f64 {
         if source == dest {
             return 1.0;
         }
         let Some(hops) = self.max_hops else {
-            return self.table(rates, now, source).weight_to(dest);
+            return self
+                .table_answering(rates, now, source, Some(dest))
+                .weight_to(dest);
         };
         self.refresh_snapshot(rates, now);
         let snapshot = self.snapshot.as_ref().expect("snapshot just refreshed");
@@ -268,6 +344,7 @@ impl PathOracle {
                     bounded_shortest_paths(g, source, self.horizon, hops, &mut self.scratch)
                 }
             };
+            self.stats.nodes_settled += reach.entries().len() as u64;
             *slot = Some((source, self.epoch, reach));
         }
         slot.as_ref().expect("just computed").2.weight_to(dest)
@@ -441,12 +518,131 @@ mod tests {
         assert_eq!(s.table_recomputes, 2);
         assert_eq!(s.table_hits, 1);
         assert_eq!(s.invalidations, 0);
+        assert_eq!(
+            s.nodes_settled, 8,
+            "two exhaustive searches of the 4-node line"
+        );
         o.invalidate();
         let _ = o.weight(&rates, Time(1004), NodeId(0), NodeId(3));
         let s = o.stats();
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.rebuilds, 2);
         assert_eq!(s.table_recomputes, 3);
+    }
+
+    /// Node 0 meets every other node often; the spokes never meet each
+    /// other. Every spoke-to-spoke path runs through the hub.
+    fn rates_star(nodes: u32) -> RateTable {
+        let mut r = RateTable::new(nodes as usize, Time::ZERO);
+        for t in 1..=5u64 {
+            for spoke in 1..nodes {
+                r.record(NodeId(0), NodeId(spoke), Time(t * 100 + u64::from(spoke)));
+            }
+        }
+        r
+    }
+
+    /// One interleaving of every kind of read and every kind of
+    /// invalidation, returning the bits of everything the oracle said.
+    fn drive(o: &mut PathOracle, retarget: impl Fn(&mut PathOracle, &[NodeId])) -> Vec<u64> {
+        const N: u32 = 12;
+        let mut rates = rates_star(N);
+        // A few spoke-to-spoke contacts so routes are not all via the hub.
+        for (a, b) in [(3, 4), (4, 5), (7, 9), (2, 11)] {
+            rates.record(NodeId(a), NodeId(b), Time(650));
+        }
+        let mut said = Vec::new();
+        let mut sweep = |o: &mut PathOracle, rates: &RateTable, now: Time| {
+            // Target reads from every source: early exit where allowed.
+            for s in 0..N {
+                for d in [0, 3] {
+                    said.push(o.weight(rates, now, NodeId(s), NodeId(d)).to_bits());
+                }
+            }
+            // Non-target reads: a partial table cannot answer these.
+            for (s, d) in [(5, 7), (5, 0), (9, 10), (0, 4), (11, 2)] {
+                said.push(o.weight(rates, now, NodeId(s), NodeId(d)).to_bits());
+            }
+            // Whole tables, over a partial one (6) and a complete one (5).
+            for s in [6, 5] {
+                let table = o.table(rates, now, NodeId(s));
+                assert!(table.is_complete(), "table() handed out a partial table");
+                said.extend((0..N).map(|d| table.weight_to(NodeId(d)).to_bits()));
+            }
+            // And target reads again, now against whatever is cached.
+            for s in 0..N {
+                said.push(o.weight(rates, now, NodeId(s), NodeId(3)).to_bits());
+            }
+        };
+        retarget(o, &[NodeId(0), NodeId(3)]);
+        sweep(o, &rates, Time(1000));
+        // Wall-clock refresh.
+        sweep(o, &rates, Time(1000 + 3600));
+        assert_eq!(o.snapshot_epoch(), 2);
+        // Generation-triggered rebuild inside the refresh window.
+        for t in 0..400u64 {
+            rates.record(NodeId(1), NodeId(2), Time(4700 + t));
+        }
+        sweep(o, &rates, Time(5200));
+        assert_eq!(o.snapshot_epoch(), 3);
+        // Re-election: invalidate, new targets (one of them bogus).
+        o.invalidate();
+        retarget(o, &[NodeId(3), NodeId(8), NodeId(N + 5)]);
+        sweep(o, &rates, Time(5300));
+        assert_eq!(o.snapshot_epoch(), 4);
+        said
+    }
+
+    #[test]
+    fn targets_change_work_never_answers() {
+        let oracle = || PathOracle::new(12, 3600.0, Duration::hours(1));
+        let mut plain = oracle();
+        let mut targeted = oracle();
+        let reference = drive(&mut plain, |_, _| {});
+        let answers = drive(&mut targeted, |o, targets| o.set_targets(targets));
+        assert_eq!(answers, reference, "a target set changed an answer");
+        let (p, t) = (plain.stats(), targeted.stats());
+        assert_eq!(p.rebuilds, t.rebuilds);
+        assert_eq!(p.invalidations, t.invalidations);
+        assert!(t.nodes_settled < p.nodes_settled, "{t:?} vs {p:?}");
+    }
+
+    #[test]
+    fn targets_cut_the_nodes_settled_per_recompute() {
+        // Spoke → hub with the hub as the only target: the spoke settles
+        // itself, then the hub, and stops. Without targets every one of
+        // the searches settles the whole star.
+        const N: u32 = 40;
+        let rates = rates_star(N);
+        let run = |targets: &[NodeId]| {
+            let mut o = PathOracle::new(N as usize, 3600.0, Duration::hours(1));
+            o.set_targets(targets);
+            for spoke in 1..N {
+                assert!(o.weight(&rates, Time(1000), NodeId(spoke), NodeId(0)) > 0.0);
+            }
+            o.stats()
+        };
+        let (plain, targeted) = (run(&[]), run(&[NodeId(0)]));
+        assert_eq!(plain.table_recomputes, u64::from(N - 1));
+        assert_eq!(targeted.table_recomputes, plain.table_recomputes);
+        assert_eq!(plain.nodes_settled, u64::from(N) * plain.table_recomputes);
+        assert_eq!(targeted.nodes_settled, 2 * targeted.table_recomputes);
+    }
+
+    #[test]
+    fn out_of_range_targets_are_ignored() {
+        let rates = rates_line();
+        let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+        o.set_targets(&[NodeId(4), NodeId(u32::MAX)]);
+        // No usable target: the search is exhaustive, the answer exact.
+        let w = o.weight(&rates, Time(1000), NodeId(0), NodeId(3));
+        assert!(w > 0.0);
+        assert_eq!(o.stats().nodes_settled, 4);
+        // Mixed: the in-range one still stops the search.
+        o.invalidate();
+        o.set_targets(&[NodeId(9), NodeId(1)]);
+        assert!(o.weight(&rates, Time(1000), NodeId(0), NodeId(1)) > 0.0);
+        assert_eq!(o.stats().nodes_settled, 4 + 2);
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //! constructed so that incremental and batch evaluation run identical
 //! floating-point operations — so weights must agree to the last bit
 //! (asserted here with a 1e-12 band and an exact route comparison).
+//!
+//! The same graphs also hold the early exit (`shortest_paths_until`)
+//! against the exhaustive search: whatever a partial table answers, it
+//! answers with the exhaustive table's bits and routes, and what it did
+//! not settle it reports as unanswered — never as unreachable.
 
 use dtn_coop_cache::core::graph::ContactGraph;
 use dtn_coop_cache::core::ids::NodeId;
-use dtn_coop_cache::core::path::{shortest_paths, shortest_paths_naive};
+use dtn_coop_cache::core::path::{shortest_paths, shortest_paths_naive, shortest_paths_until};
 
 use proptest::prelude::*;
 
@@ -79,6 +84,92 @@ fn assert_equivalent(g: &ContactGraph, source: NodeId, horizon: f64) -> Result<(
     Ok(())
 }
 
+/// Holds the search stopped at `targets` against the exhaustive one.
+fn assert_early_exit_exact(
+    g: &ContactGraph,
+    source: NodeId,
+    horizon: f64,
+    targets: &[NodeId],
+) -> Result<(), String> {
+    let full = shortest_paths(g, source, horizon);
+    let partial = shortest_paths_until(g, source, horizon, targets);
+    let in_range: Vec<NodeId> = targets
+        .iter()
+        .copied()
+        .filter(|t| t.index() < g.node_count())
+        .collect();
+
+    // Every target is answered, with the exhaustive bits and route.
+    for &t in &in_range {
+        let Some(w) = partial.settled_weight(t) else {
+            return Err(format!("target {t} left unanswered (targets {targets:?})"));
+        };
+        if w.to_bits() != full.weight_to(t).to_bits() {
+            return Err(format!(
+                "weight to target {t} differs: {w} vs {}",
+                full.weight_to(t)
+            ));
+        }
+        if partial.path_to(t) != full.path_to(t) {
+            return Err(format!("route to target {t} differs"));
+        }
+    }
+
+    // Nothing to stop for, or a target that never settles: exhaustion.
+    let must_exhaust = in_range.is_empty() || in_range.iter().any(|&t| full.path_to(t).is_none());
+    if must_exhaust && !partial.is_complete() {
+        return Err(format!(
+            "targets {targets:?} cannot stop the search, yet the table is partial"
+        ));
+    }
+    if partial.settled_count() > full.settled_count() {
+        return Err("early exit settled more nodes than exhaustion".into());
+    }
+
+    // Every node is either answered exactly or reported unanswered; a
+    // partial table never passes "not settled yet" off as weight 0.
+    let settled: Vec<NodeId> = partial.iter_weights().map(|(v, _)| v).collect();
+    if settled.len() != partial.settled_count() {
+        return Err("settled_count disagrees with iter_weights".into());
+    }
+    for v in g.nodes() {
+        match partial.settled_weight(v) {
+            Some(w) if w.to_bits() == full.weight_to(v).to_bits() => {}
+            Some(w) => {
+                return Err(format!(
+                    "{v} answered {w}, exhaustive search says {}",
+                    full.weight_to(v)
+                ));
+            }
+            None if partial.is_complete() || settled.contains(&v) => {
+                return Err(format!("final entry {v} reported unanswered"));
+            }
+            None => {}
+        }
+    }
+    Ok(())
+}
+
+/// [`assert_early_exit_exact`] over target sets that cover the edge
+/// cases on any graph: none, the source alone, each single node, a
+/// duplicated pair, everything, and an id outside the graph.
+fn assert_early_exit_cases(g: &ContactGraph, source: NodeId, horizon: f64) {
+    let all: Vec<NodeId> = g.nodes().collect();
+    let last = *all.last().expect("non-empty graph");
+    let mut cases: Vec<Vec<NodeId>> = vec![
+        vec![],
+        vec![source],
+        vec![last, source, last],
+        all.clone(),
+        vec![NodeId(all.len() as u32 + 7)],
+        vec![last, NodeId(u32::MAX)],
+    ];
+    cases.extend(all.iter().map(|&v| vec![v]));
+    for targets in &cases {
+        assert_early_exit_exact(g, source, horizon, targets).unwrap();
+    }
+}
+
 #[test]
 fn line_graph_is_equivalent() {
     let mut g = ContactGraph::new(6);
@@ -87,6 +178,13 @@ fn line_graph_is_equivalent() {
     }
     assert_equivalent(&g, NodeId(0), 5000.0).unwrap();
     assert_equivalent(&g, NodeId(3), 5000.0).unwrap();
+    assert_early_exit_cases(&g, NodeId(0), 5000.0);
+    assert_early_exit_cases(&g, NodeId(3), 5000.0);
+    // On a line from one end the stop is visible: n2 settles third.
+    let partial = shortest_paths_until(&g, NodeId(0), 5000.0, &[NodeId(2)]);
+    assert!(!partial.is_complete());
+    assert_eq!(partial.settled_count(), 3);
+    assert_eq!(partial.settled_weight(NodeId(3)), None);
 }
 
 #[test]
@@ -98,6 +196,15 @@ fn disconnected_components_are_equivalent() {
     assert_equivalent(&g, NodeId(0), 2000.0).unwrap();
     assert_equivalent(&g, NodeId(4), 2000.0).unwrap();
     assert_equivalent(&g, NodeId(6), 2000.0).unwrap();
+    for source in [0, 4, 6] {
+        assert_early_exit_cases(&g, NodeId(source), 2000.0);
+    }
+    // A target in another component never settles: the search falls
+    // through to exhaustion and the table is complete, weight 0.
+    let table = shortest_paths_until(&g, NodeId(0), 2000.0, &[NodeId(1), NodeId(5)]);
+    assert!(table.is_complete());
+    assert_eq!(table.settled_weight(NodeId(5)), Some(0.0));
+    assert!(table.path_to(NodeId(5)).is_none());
 }
 
 #[test]
@@ -112,6 +219,7 @@ fn clustered_rates_are_equivalent() {
     g.set_rate(NodeId(0), NodeId(4), base * (1.0 - 1e-10));
     g.set_rate(NodeId(4), NodeId(3), base);
     assert_equivalent(&g, NodeId(0), 3000.0).unwrap();
+    assert_early_exit_cases(&g, NodeId(0), 3000.0);
 }
 
 proptest! {
@@ -129,6 +237,25 @@ proptest! {
         let g = graph_from_edges(n, &edges);
         let source = NodeId(source % n as u32);
         if let Err(message) = assert_equivalent(&g, source, horizon) {
+            prop_assert!(false, "{}", message);
+        }
+    }
+
+    /// The same graphs with random target sets (duplicates, the source,
+    /// unreachable nodes and the empty set all occur): stopping at the
+    /// targets changes no bit and no route of anything it answers.
+    #[test]
+    fn early_exit_is_exact_on_random_graphs(
+        n in 2usize..24,
+        edges in prop::collection::vec((0u32..24, 0u32..24, 1e-6f64..1e-1), 1..80),
+        horizon in 50.0f64..1e6,
+        source in 0u32..24,
+        targets in prop::collection::vec(0u32..24, 0..6),
+    ) {
+        let g = graph_from_edges(n, &edges);
+        let source = NodeId(source % n as u32);
+        let targets: Vec<NodeId> = targets.iter().map(|t| NodeId(t % n as u32)).collect();
+        if let Err(message) = assert_early_exit_exact(&g, source, horizon, &targets) {
             prop_assert!(false, "{}", message);
         }
     }
