@@ -83,7 +83,7 @@ pub struct ScaleConfig {
     /// Run the full invariant audit after every contact (the audited
     /// mid-size configuration; far too slow for 100k nodes).
     pub audit: bool,
-    /// Print an engine heartbeat to stderr every N contacts (contacts/s,
+    /// Print a heartbeat to stderr every N streamed contacts (contacts/s,
     /// peak RSS, ETA). City runs at 10⁵–10⁶ nodes take minutes; the
     /// heartbeat is the only sign of life before the report prints.
     pub heartbeat_every_contacts: Option<u64>,
@@ -242,6 +242,69 @@ fn scale_workload(cfg: &ScaleConfig, start: Time, end: Time) -> Vec<WorkloadEven
     events
 }
 
+/// Progress line for long city runs, written to stderr (stdout stays
+/// free for JSONL): simulation progress, contact throughput since the
+/// last beat, peak RSS, and an ETA extrapolated from overall progress.
+/// Started at the first streamed contact, so stream set-up distorts
+/// neither the rate nor the ETA.
+struct Heartbeat {
+    /// Wall clock and simulation time at the first contact.
+    started: (Instant, Time),
+    /// Wall clock and contact count at the last beat.
+    last: (Instant, u64),
+}
+
+impl Heartbeat {
+    fn start(sim_now: Time) -> Self {
+        let now = Instant::now();
+        Heartbeat {
+            started: (now, sim_now),
+            last: (now, 0),
+        }
+    }
+
+    fn beat(&mut self, contacts: u64, sim_now: Time, end: Time) {
+        let now = Instant::now();
+        let secs = now.duration_since(self.last.0).as_secs_f64();
+        let rate = if secs > 0.0 {
+            (contacts - self.last.1) as f64 / secs
+        } else {
+            0.0
+        };
+        let wall = now.duration_since(self.started.0).as_secs_f64();
+        eprintln!(
+            "[heartbeat] {} contacts={contacts} ({rate:.0}/s) rss={:.1}MB eta={}",
+            heartbeat_progress(sim_now.0, end),
+            peak_rss_bytes() as f64 / (1024.0 * 1024.0),
+            heartbeat_eta(wall, self.started.1 .0, sim_now.0, end),
+        );
+        self.last = (now, contacts);
+    }
+}
+
+/// Formats the heartbeat ETA field: `-` before any simulated progress
+/// (nothing to extrapolate from — and the naive formula would divide
+/// by zero), otherwise wall clock scaled by the remaining fraction of
+/// simulated time.
+fn heartbeat_eta(wall_secs: f64, started_sim: u64, sim_now: u64, end: Time) -> String {
+    let progressed = sim_now.saturating_sub(started_sim);
+    if progressed == 0 {
+        return "-".to_string();
+    }
+    let remaining = end.0.saturating_sub(sim_now);
+    format!("{:.0}s", wall_secs * remaining as f64 / progressed as f64)
+}
+
+/// Formats the heartbeat progress field: `t=<now>s/<end>s (<pct>%)`.
+fn heartbeat_progress(sim_now: u64, end: Time) -> String {
+    let pct = if end.0 > 0 {
+        sim_now as f64 / end.0 as f64 * 100.0
+    } else {
+        100.0
+    };
+    format!("t={sim_now}s/{}s ({pct:.1}%)", end.0)
+}
+
 /// Runs one city-scale experiment end to end and reports throughput
 /// and memory. Panics on configuration errors (fewer than two nodes,
 /// zero NCLs) — this is a benchmark harness, not a library API.
@@ -263,8 +326,20 @@ pub(crate) fn run_scale_observed(
     let counter = Rc::clone(&contacts_seen);
     let stream = cfg.builder().stream();
     let (nodes, duration) = (stream.node_count(), stream.duration());
+    let beat_every = cfg.heartbeat_every_contacts.map(|every| every.max(1));
+    let end = Time(duration.as_secs());
+    let mut heartbeat: Option<Heartbeat> = None;
     let source = StreamSource::new(
-        stream.inspect(move |_| counter.set(counter.get() + 1)),
+        stream.inspect(move |contact| {
+            let seen = counter.get() + 1;
+            counter.set(seen);
+            if let Some(every) = beat_every {
+                let hb = heartbeat.get_or_insert_with(|| Heartbeat::start(contact.start));
+                if seen.is_multiple_of(every) {
+                    hb.beat(seen, contact.start, end);
+                }
+            }
+        }),
         nodes,
         duration,
     );
@@ -284,7 +359,6 @@ pub(crate) fn run_scale_observed(
             audit: cfg.audit,
             seed: cfg.seed,
             profile: observe,
-            heartbeat_every_contacts: cfg.heartbeat_every_contacts,
             ..SimConfig::default()
         },
     );
@@ -426,6 +500,30 @@ mod tests {
             plain.success_ratio.to_bits(),
             report.success_ratio.to_bits()
         );
+    }
+
+    #[test]
+    fn heartbeat_eta_is_dash_before_any_progress() {
+        // progressed == 0: nothing to extrapolate from — never a
+        // division by zero.
+        assert_eq!(heartbeat_eta(12.0, 500, 500, Time(10_000)), "-");
+        // started_sim ahead of sim_now (clock skew) saturates to zero.
+        assert_eq!(heartbeat_eta(12.0, 800, 500, Time(10_000)), "-");
+    }
+
+    #[test]
+    fn heartbeat_eta_extrapolates_to_the_horizon() {
+        // 10 wall seconds covered 2000 of 10000 sim seconds → 8000
+        // remain → 40s of wall clock left.
+        assert_eq!(heartbeat_eta(10.0, 0, 2_000, Time(10_000)), "40s");
+        assert_eq!(
+            heartbeat_progress(2_000, Time(10_000)),
+            "t=2000s/10000s (20.0%)"
+        );
+        // Past the horizon: remaining saturates, ETA collapses to 0.
+        assert_eq!(heartbeat_eta(10.0, 0, 12_000, Time(10_000)), "0s");
+        // Degenerate zero-length horizon reads as complete.
+        assert_eq!(heartbeat_progress(0, Time(0)), "t=0s/0s (100.0%)");
     }
 
     #[test]

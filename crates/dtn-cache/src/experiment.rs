@@ -238,7 +238,7 @@ pub fn configure_from_live_state<S: CachingScheme, C: ContactSource>(
 ///
 /// `engine` carries the seed (buffer assignment, workload generation
 /// and every probabilistic protocol decision) and the instrument
-/// switches (`audit`, `profile`, heartbeat); its buffer range, sample
+/// switches (`audit`, `profile`); its buffer range, sample
 /// interval and epoch interval are taken from `config`.
 pub fn prepare_experiment<'t, S: CachingScheme>(
     trace: &'t ContactTrace,

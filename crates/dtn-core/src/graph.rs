@@ -62,36 +62,9 @@ impl ContactGraph {
     }
 
     /// Rebuilds this graph in place from a [`RateTable`], reusing the
-    /// per-node adjacency allocations. Equivalent to replacing `self`
-    /// with [`ContactGraph::from_rate_table`], but allocation-free once
-    /// the graph has reached its steady-state size — the path periodic
-    /// re-elections take.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dtn_core::graph::ContactGraph;
-    /// use dtn_core::ids::NodeId;
-    /// use dtn_core::rate::RateTable;
-    /// use dtn_core::time::Time;
-    ///
-    /// let mut table = RateTable::new(3, Time::ZERO);
-    /// table.record(NodeId(0), NodeId(1), Time(50));
-    /// let mut g = ContactGraph::new(0);
-    /// g.refresh_from_rate_table(&table, Time(100));
-    /// assert_eq!(g.node_count(), 3);
-    /// assert_eq!(g.edge_count(), 1);
-    /// ```
-    pub fn refresh_from_rate_table(&mut self, table: &RateTable, now: Time) {
-        self.reset_for(table.node_count());
-        for (a, b, rate) in table.iter_rates(now) {
-            self.set_rate(a, b, rate);
-        }
-    }
-
-    /// Like [`ContactGraph::refresh_from_rate_table`], but weighting
-    /// edges by the regime-tracking
-    /// [`current_rate`](crate::rate::RateEstimator::current_rate)
+    /// per-node adjacency allocations — allocation-free once the graph
+    /// has reached its steady-state size. Edges are weighted by each
+    /// pair's regime-tracking rate `1 / max(ewma_gap, now − last_contact)`
     /// instead of the cumulative time average. Pairs that have gone
     /// silent see their rates decay, so the graph reflects the *current*
     /// contact regime — the view online NCL re-election needs to demote
@@ -180,73 +153,6 @@ impl ContactGraph {
     /// Iterates over all node ids of the graph.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.adjacency.len() as u32).map(NodeId)
-    }
-
-    /// Assigns each node a connected-component id (`0..component
-    /// count`, in order of first discovery).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dtn_core::graph::ContactGraph;
-    /// use dtn_core::ids::NodeId;
-    ///
-    /// let mut g = ContactGraph::new(4);
-    /// g.set_rate(NodeId(0), NodeId(1), 0.1);
-    /// let comps = g.connected_components();
-    /// assert_eq!(comps[0], comps[1]);
-    /// assert_ne!(comps[0], comps[2]);
-    /// ```
-    pub fn connected_components(&self) -> Vec<usize> {
-        let n = self.adjacency.len();
-        let mut component = vec![usize::MAX; n];
-        let mut next = 0;
-        let mut stack = Vec::new();
-        for start in 0..n {
-            if component[start] != usize::MAX {
-                continue;
-            }
-            component[start] = next;
-            stack.push(start);
-            while let Some(u) = stack.pop() {
-                for &(peer, _) in &self.adjacency[u] {
-                    if component[peer.index()] == usize::MAX {
-                        component[peer.index()] = next;
-                        stack.push(peer.index());
-                    }
-                }
-            }
-            next += 1;
-        }
-        component
-    }
-
-    /// Whether the subgraph induced by `nodes` is connected — the
-    /// structural property the paper claims for each NCL's caching
-    /// nodes ("the set of caching nodes at each NCL forms a connected
-    /// subgraph of the network contact graph", §V-A).
-    ///
-    /// An empty or single-node set counts as connected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node is out of range.
-    pub fn is_connected_subset(&self, nodes: &[NodeId]) -> bool {
-        if nodes.len() <= 1 {
-            return true;
-        }
-        let member: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![nodes[0]];
-        seen.insert(nodes[0]);
-        while let Some(u) = stack.pop() {
-            for &(peer, _) in self.neighbors(u) {
-                if member.contains(&peer) && seen.insert(peer) {
-                    stack.push(peer);
-                }
-            }
-        }
-        seen.len() == member.len()
     }
 }
 
@@ -447,21 +353,21 @@ mod tests {
     }
 
     #[test]
-    fn refresh_matches_from_rate_table_and_drops_stale_edges() {
+    fn refresh_matches_the_rate_table_and_drops_stale_edges() {
         let mut t = RateTable::new(4, Time::ZERO);
         t.record(NodeId(0), NodeId(1), Time(10));
-        let mut g = ContactGraph::new(4);
+        let mut g = ContactGraph::new(2);
         // A stale edge from a previous refresh must disappear.
-        g.set_rate(NodeId(2), NodeId(3), 0.9);
-        g.refresh_from_rate_table(&t, Time(100));
-        let fresh = ContactGraph::from_rate_table(&t, Time(100));
-        assert_eq!(g.node_count(), fresh.node_count());
-        assert_eq!(g.edge_count(), fresh.edge_count());
-        assert_eq!(
-            g.rate(NodeId(0), NodeId(1)),
-            fresh.rate(NodeId(0), NodeId(1))
-        );
-        assert_eq!(g.rate(NodeId(2), NodeId(3)), None);
+        g.set_rate(NodeId(0), NodeId(1), 0.9);
+        g.refresh_from_current_rates(&t, Time(100));
+        let fresh: Vec<_> = t.iter_current_rates(Time(100)).collect();
+        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.edge_count(), fresh.len());
+        for (a, b, rate) in fresh {
+            assert_eq!(g.rate(a, b), Some(rate));
+        }
+        g.refresh_from_current_rates(&RateTable::new(4, Time::ZERO), Time(100));
+        assert_eq!(g.edge_count(), 0);
     }
 
     #[test]
@@ -479,36 +385,6 @@ mod tests {
         let g = ContactGraph::new(3);
         let ids: Vec<_> = g.nodes().collect();
         assert_eq!(ids, vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn components_identify_islands() {
-        let mut g = ContactGraph::new(6);
-        g.set_rate(NodeId(0), NodeId(1), 0.1);
-        g.set_rate(NodeId(1), NodeId(2), 0.1);
-        g.set_rate(NodeId(3), NodeId(4), 0.1);
-        let comps = g.connected_components();
-        assert_eq!(comps[0], comps[1]);
-        assert_eq!(comps[1], comps[2]);
-        assert_eq!(comps[3], comps[4]);
-        assert_ne!(comps[0], comps[3]);
-        assert_ne!(comps[5], comps[0]);
-        assert_ne!(comps[5], comps[3]);
-    }
-
-    #[test]
-    fn connected_subset_checks_induced_graph() {
-        let mut g = ContactGraph::new(5);
-        // path 0-1-2-3
-        g.set_rate(NodeId(0), NodeId(1), 0.1);
-        g.set_rate(NodeId(1), NodeId(2), 0.1);
-        g.set_rate(NodeId(2), NodeId(3), 0.1);
-        assert!(g.is_connected_subset(&[NodeId(0), NodeId(1), NodeId(2)]));
-        // 0 and 2 are connected in G but not in the induced subgraph
-        // (the connecting node 1 is excluded).
-        assert!(!g.is_connected_subset(&[NodeId(0), NodeId(2)]));
-        assert!(g.is_connected_subset(&[NodeId(4)]));
-        assert!(g.is_connected_subset(&[]));
     }
 
     #[test]

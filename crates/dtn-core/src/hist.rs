@@ -100,61 +100,8 @@ impl Histogram {
     }
 
     /// The inclusive lower bound of bucket `i`.
-    pub fn bucket_start(&self, i: usize) -> u64 {
+    fn bucket_start(&self, i: usize) -> u64 {
         self.width * i as u64
-    }
-
-    /// Smallest bucket lower bound whose cumulative count reaches
-    /// quantile `q` (a bucket-resolution quantile, not exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= q <= 1.0`.
-    pub fn quantile_bucket(&self, q: f64) -> Option<u64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.bucket_start(i));
-            }
-        }
-        Some(self.bucket_start(self.counts.len() - 1))
-    }
-
-    /// Merges `other` into `self` bucket by bucket.
-    ///
-    /// Merging is only defined between histograms of identical geometry
-    /// — same bucket width *and* same bucket count. A width-mismatched
-    /// merge would silently re-bucket one side's shape, so it is
-    /// rejected rather than approximated: the error names both
-    /// geometries and `self` is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the geometry mismatch when widths or
-    /// bucket counts differ.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), String> {
-        if self.width != other.width || self.counts.len() != other.counts.len() {
-            return Err(format!(
-                "histogram geometry mismatch: {}x{} vs {}x{} (width x buckets)",
-                self.width,
-                self.counts.len(),
-                other.width,
-                other.counts.len()
-            ));
-        }
-        for (dst, &src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        Ok(())
     }
 
     /// Renders a compact one-line-per-bucket ASCII view (empty tail
@@ -220,18 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_bucket_walks_cumulative_counts() {
-        let mut h = Histogram::new(10, 10);
-        for v in 0..100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile_bucket(0.0), Some(0));
-        assert_eq!(h.quantile_bucket(0.5), Some(40));
-        assert_eq!(h.quantile_bucket(1.0), Some(90));
-        assert_eq!(Histogram::new(1, 1).quantile_bucket(0.5), None);
-    }
-
-    #[test]
     fn render_skips_empty_tail() {
         let mut h = Histogram::new(10, 100);
         h.record(5);
@@ -246,78 +181,5 @@ mod tests {
     #[should_panic(expected = "width")]
     fn zero_width_panics() {
         let _ = Histogram::new(0, 4);
-    }
-
-    #[test]
-    fn overflow_bucket_quantiles_clamp_to_last_start() {
-        // Everything lands in the overflow bucket: every quantile must
-        // answer with the overflow bucket's start, never beyond it.
-        let mut h = Histogram::new(10, 4); // overflow bucket starts at 30
-        for v in [30, 1_000, u64::MAX / 2] {
-            h.record(v);
-        }
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile_bucket(q), Some(30), "q={q}");
-        }
-        // Mixed case: only the top quantiles reach the overflow bucket.
-        let mut m = Histogram::new(10, 4);
-        m.record(5);
-        m.record(500);
-        assert_eq!(m.quantile_bucket(0.5), Some(0));
-        assert_eq!(m.quantile_bucket(1.0), Some(30));
-    }
-
-    #[test]
-    fn zero_count_quantile_is_none_for_any_q() {
-        let h = Histogram::new(10, 4);
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(h.quantile_bucket(q), None, "q={q}");
-        }
-        assert_eq!(h.mean(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn out_of_range_quantile_panics() {
-        let mut h = Histogram::new(10, 4);
-        h.record(1);
-        let _ = h.quantile_bucket(1.5);
-    }
-
-    #[test]
-    fn merge_sums_matching_geometries_exactly() {
-        let mut a = Histogram::new(100, 5);
-        let mut b = Histogram::new(100, 5);
-        for v in [0, 99, 10_000] {
-            a.record(v);
-        }
-        for v in [150, 350, 10_000] {
-            b.record(v);
-        }
-        a.merge(&b).expect("same geometry merges");
-        assert_eq!(a.count(), 6);
-        assert_eq!(a.sum(), 99 + 10_000 + 150 + 350 + 10_000);
-        assert_eq!(a.max(), 10_000);
-        assert_eq!(a.counts(), &[2, 1, 0, 1, 2]);
-        // The merged mean stays exact (sum/count, not bucket midpoints).
-        assert_eq!(a.mean(), Some(a.sum() as f64 / 6.0));
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_widths_and_counts() {
-        let mut a = Histogram::new(100, 5);
-        a.record(42);
-        let before = a.clone();
-
-        let wrong_width = Histogram::new(50, 5);
-        let err = a.merge(&wrong_width).expect_err("width mismatch");
-        assert!(err.contains("mismatch"), "{err}");
-        assert_eq!(a, before, "failed merge must leave self untouched");
-
-        let wrong_buckets = Histogram::new(100, 6);
-        let err = a.merge(&wrong_buckets).expect_err("bucket-count mismatch");
-        assert!(err.contains("5"), "{err}");
-        assert!(err.contains("6"), "{err}");
-        assert_eq!(a, before, "failed merge must leave self untouched");
     }
 }

@@ -49,7 +49,7 @@ const REL_PERTURBATION: f64 = 1e-3;
 /// Pushing a rate costs `O(r)`; evaluating the CDF costs `O(r)`;
 /// [`Accumulator::extended_cdf`] evaluates the CDF of the sequence plus
 /// one extra stage in `O(r)` **without allocating or mutating** — the
-/// exact value a `clone → push → cdf_at` round trip would produce.
+/// exact value a `clone → push → evaluate` round trip would produce.
 ///
 /// # Example
 ///
@@ -59,7 +59,6 @@ const REL_PERTURBATION: f64 = 1e-3;
 /// let mut acc = Accumulator::new();
 /// acc.push(1e-3);
 /// acc.push(2e-3);
-/// assert_eq!(acc.cdf_at(1500.0), cdf(&[1e-3, 2e-3], 1500.0));
 /// // Candidate evaluation without materialising the extension:
 /// assert_eq!(acc.extended_cdf(5e-4, 1500.0), cdf(&[1e-3, 2e-3, 5e-4], 1500.0));
 /// ```
@@ -160,7 +159,7 @@ impl Accumulator {
     /// # Panics
     ///
     /// Panics if `t` is NaN.
-    pub fn cdf_at(&self, t: f64) -> f64 {
+    fn cdf_at(&self, t: f64) -> f64 {
         assert!(!t.is_nan(), "time must not be NaN");
         if t <= 0.0 {
             return if self.rates.is_empty() { 1.0 } else { 0.0 };
@@ -234,7 +233,7 @@ impl Accumulator {
 /// [`push`]: HorizonAccumulator::push
 /// [`extended_cdf`]: HorizonAccumulator::extended_cdf
 #[derive(Debug, Clone)]
-pub struct HorizonAccumulator {
+pub(crate) struct HorizonAccumulator {
     acc: Accumulator,
     t: f64,
     /// `-(-spread[k] * t).exp_m1()` per stage.
@@ -247,7 +246,7 @@ impl HorizonAccumulator {
     /// # Panics
     ///
     /// Panics if `t` is NaN.
-    pub fn new(t: f64) -> Self {
+    pub(crate) fn new(t: f64) -> Self {
         assert!(!t.is_nan(), "time must not be NaN");
         HorizonAccumulator {
             acc: Accumulator::new(),
@@ -256,31 +255,16 @@ impl HorizonAccumulator {
         }
     }
 
-    /// The underlying rate accumulator.
-    pub fn accumulator(&self) -> &Accumulator {
-        &self.acc
-    }
-
-    /// The fixed evaluation time.
-    pub fn time(&self) -> f64 {
-        self.t
-    }
-
     /// Appends one exponential stage, extending the exponential cache by
     /// the new stage's factor — one `exp` regardless of path length.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is non-positive or non-finite.
-    pub fn push(&mut self, rate: f64) {
+    pub(crate) fn push(&mut self, rate: f64) {
         self.acc.push(rate);
         let eff = *self.acc.spread.last().expect("push appended a stage");
         self.em1.push(-(-eff * self.t).exp_m1());
-    }
-
-    /// CDF of the accumulated sequence at the fixed time.
-    pub fn cdf(&self) -> f64 {
-        self.acc.cdf_at(self.t)
     }
 
     /// CDF at the fixed time of the accumulated sequence extended by one
@@ -296,7 +280,7 @@ impl HorizonAccumulator {
     /// # Panics
     ///
     /// Panics if `rate` is non-positive or non-finite.
-    pub fn extended_cdf(&self, rate: f64) -> f64 {
+    pub(crate) fn extended_cdf(&self, rate: f64) -> f64 {
         Accumulator::assert_rate(rate);
         if self.t <= 0.0 {
             return 0.0;
@@ -389,60 +373,6 @@ pub fn cdf(rates: &[f64], t: f64) -> f64 {
     acc.cdf_at(t)
 }
 
-/// Mean of the hypoexponential distribution: `Σ 1/λ_k`, the expected
-/// end-to-end delay of the path.
-///
-/// # Panics
-///
-/// Panics if any rate is non-positive or non-finite.
-///
-/// # Example
-///
-/// ```
-/// use dtn_core::hypoexp::mean;
-/// assert_eq!(mean(&[0.5, 0.25]), 2.0 + 4.0);
-/// ```
-pub fn mean(rates: &[f64]) -> f64 {
-    rates
-        .iter()
-        .map(|&r| {
-            assert!(r.is_finite() && r > 0.0, "rates must be positive, got {r}");
-            1.0 / r
-        })
-        .sum()
-}
-
-/// Probability density of the hypoexponential distribution at `t`,
-/// evaluated numerically as the derivative of [`cdf`] (central
-/// difference with a step scaled to the distribution's mean).
-///
-/// Returns 0 for `t < 0` and for the empty path.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`cdf`].
-///
-/// # Example
-///
-/// ```
-/// use dtn_core::hypoexp::pdf;
-/// // Single hop: f(t) = λ e^{−λt}.
-/// let l = 0.01;
-/// let approx = pdf(&[l], 50.0);
-/// let exact = l * (-l * 50.0f64).exp();
-/// assert!((approx - exact).abs() < 1e-6);
-/// ```
-pub fn pdf(rates: &[f64], t: f64) -> f64 {
-    assert!(!t.is_nan(), "time must not be NaN");
-    if rates.is_empty() || t < 0.0 {
-        return 0.0;
-    }
-    let h = (mean(rates) * 1e-6).max(1e-9);
-    let lo = (t - h).max(0.0);
-    let hi = t + h;
-    ((cdf(rates, hi) - cdf(rates, lo)) / (hi - lo)).max(0.0)
-}
-
 /// Erlang CDF: sum of `k` i.i.d. exponentials with rate `rate`.
 ///
 /// `P(Y ≤ t) = 1 − e^{−λt} Σ_{n=0}^{k−1} (λt)^n / n!`
@@ -450,16 +380,7 @@ pub fn pdf(rates: &[f64], t: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `rate` is non-positive or `k == 0`.
-///
-/// # Example
-///
-/// ```
-/// use dtn_core::hypoexp::erlang_cdf;
-/// // One stage reduces to the exponential CDF.
-/// let p = erlang_cdf(2.0, 1, 0.5);
-/// assert!((p - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-/// ```
-pub fn erlang_cdf(rate: f64, k: u32, t: f64) -> f64 {
+fn erlang_cdf(rate: f64, k: u32, t: f64) -> f64 {
     assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
     assert!(k > 0, "Erlang shape must be at least 1");
     if t <= 0.0 {
@@ -576,42 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn pdf_matches_exponential_for_one_hop() {
-        let l = 1.0 / 500.0;
-        for t in [10.0f64, 250.0, 2000.0] {
-            let exact = l * (-l * t).exp();
-            assert!((pdf(&[l], t) - exact).abs() < 1e-7, "t={t}");
-        }
-    }
-
-    #[test]
-    fn pdf_integrates_to_cdf() {
-        // Trapezoid integral of the pdf tracks the CDF.
-        let rates = [1e-3, 2e-3];
-        let (mut acc, dt) = (0.0, 5.0);
-        let mut t = 0.0;
-        while t < 3000.0 {
-            acc += 0.5 * (pdf(&rates, t) + pdf(&rates, t + dt)) * dt;
-            t += dt;
-        }
-        let exact = cdf(&rates, 3000.0);
-        assert!((acc - exact).abs() < 1e-3, "{acc} vs {exact}");
-    }
-
-    #[test]
-    fn pdf_edge_cases() {
-        assert_eq!(pdf(&[], 5.0), 0.0);
-        assert_eq!(pdf(&[0.1], -1.0), 0.0);
-        assert!(pdf(&[0.1, 0.1], 0.0) >= 0.0);
-    }
-
-    #[test]
-    fn mean_is_sum_of_inverse_rates() {
-        assert!((mean(&[0.1, 0.2]) - 15.0).abs() < 1e-12);
-        assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn rejects_zero_rate() {
         let _ = cdf(&[0.0], 1.0);
@@ -697,7 +582,6 @@ mod tests {
                     acc.push(r);
                     hacc.push(r);
                 }
-                assert_eq!(hacc.cdf(), acc.cdf_at(t));
                 for &ext in &extensions {
                     let hoisted = hacc.extended_cdf(ext);
                     let inline = acc.extended_cdf(ext, t);

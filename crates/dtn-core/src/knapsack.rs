@@ -268,56 +268,6 @@ impl KnapsackSolver {
         );
     }
 
-    /// Greedy density-order approximation: picks items by descending
-    /// `utility / size` while they fit. `O(n log n)` — useful when the
-    /// DP's `capacity / quantum` table would be large — and never worse
-    /// than half the optimum when combined with the best single item
-    /// (the classic knapsack bound); this method returns the better of
-    /// the two.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid items as [`solve`](Self::solve).
-    pub fn solve_greedy(&self, items: &[CacheItem], capacity: u64) -> Selection {
-        validate_items(items);
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_by(|&a, &b| {
-            let da = items[a].utility / items[a].size as f64;
-            let db = items[b].utility / items[b].size as f64;
-            db.total_cmp(&da).then(a.cmp(&b))
-        });
-        let mut indices = Vec::new();
-        let mut free = capacity;
-        let mut total_utility = 0.0;
-        for i in order {
-            if items[i].size <= free {
-                free -= items[i].size;
-                total_utility += items[i].utility;
-                indices.push(i);
-            }
-        }
-        indices.sort_unstable();
-        // Compare against the single best-fitting item (2-approximation).
-        let best_single = (0..items.len())
-            .filter(|&i| items[i].size <= capacity)
-            .max_by(|&a, &b| items[a].utility.total_cmp(&items[b].utility));
-        if let Some(b) = best_single {
-            if items[b].utility > total_utility {
-                return Selection {
-                    indices: vec![b],
-                    total_utility: items[b].utility,
-                    total_size: items[b].size,
-                };
-            }
-        }
-        let total_size = indices.iter().map(|&i| items[i].size).sum();
-        Selection {
-            indices,
-            total_utility,
-            total_size,
-        }
-    }
-
     /// Algorithm 1: probabilistic data selection.
     ///
     /// Equivalent to
@@ -580,33 +530,6 @@ mod tests {
         assert_eq!(s.solve_in(&small, 5).indices, vec![0]);
         assert_eq!(s.solve_in(&big, 6).indices, vec![1, 2]);
         assert!(s.solve_in(&small, 4).indices.is_empty());
-    }
-
-    #[test]
-    fn greedy_respects_capacity_and_half_bound() {
-        let s = KnapsackSolver::new(1);
-        let it = items(&[(3, 0.2), (5, 0.9), (2, 0.3), (4, 0.55), (1, 0.05)]);
-        for cap in 0..=15u64 {
-            let greedy = s.solve_greedy(&it, cap);
-            let optimal = brute_force(&it, cap);
-            assert!(greedy.total_size <= cap);
-            assert!(
-                greedy.total_utility >= 0.5 * optimal - 1e-9,
-                "cap {cap}: greedy {} below half of {optimal}",
-                greedy.total_utility
-            );
-        }
-    }
-
-    #[test]
-    fn greedy_beats_density_trap_via_single_item() {
-        // Density ordering alone would pick the small item (density 1.0)
-        // and waste the space for the big high-utility one; the
-        // best-single-item fallback rescues it.
-        let s = KnapsackSolver::new(1);
-        let it = items(&[(1, 0.1), (10, 0.9)]);
-        let sel = s.solve_greedy(&it, 10);
-        assert_eq!(sel.indices, vec![1]);
     }
 
     #[test]

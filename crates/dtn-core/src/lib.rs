@@ -19,7 +19,7 @@
 //! - [`hist`] — alloc-free fixed-bucket histograms for hot-loop
 //!   instrumentation (delays, hop counts, buffer occupancy),
 //! - [`sys`] — process-level introspection (the shared VmHWM peak-RSS
-//!   sampler behind bench reports and the engine heartbeat).
+//!   sampler behind bench reports and the city-scale progress line).
 //!
 //! # Example
 //!

@@ -32,22 +32,7 @@ pub struct CentralityScore {
 ///
 /// Panics if `node` is out of range, `horizon` is not positive and
 /// finite, or the graph has fewer than two nodes.
-///
-/// # Example
-///
-/// ```
-/// use dtn_core::graph::ContactGraph;
-/// use dtn_core::ids::NodeId;
-/// use dtn_core::ncl::selection_metric;
-///
-/// let mut g = ContactGraph::new(3);
-/// g.set_rate(NodeId(0), NodeId(1), 0.01);
-/// g.set_rate(NodeId(0), NodeId(2), 0.01);
-/// // the hub is easier to reach on average than a leaf
-/// assert!(selection_metric(&g, NodeId(0), 600.0)
-///     > selection_metric(&g, NodeId(1), 600.0));
-/// ```
-pub fn selection_metric<G: Topology>(graph: &G, node: NodeId, horizon: f64) -> f64 {
+fn selection_metric<G: Topology>(graph: &G, node: NodeId, horizon: f64) -> f64 {
     let n = graph.node_count();
     assert!(n >= 2, "the metric needs at least two nodes, got {n}");
     // Contacts are symmetric, so p_ij = p_ji and one single-source search
@@ -232,16 +217,14 @@ pub fn select_by_strategy<G: Topology + Sync>(
 /// [`SelectionStrategy::CommunityPathMetric`]. Label propagation almost
 /// always converges in a handful of sweeps; the cap only guards against
 /// oscillation on adversarial graphs.
-pub const LABEL_PROPAGATION_ROUNDS: usize = 16;
+const LABEL_PROPAGATION_ROUNDS: usize = 16;
 
 /// A partition of the node set into communities `0..count`.
 ///
-/// Produced by [`label_propagation_communities`], by
-/// [`CommunityPartition::single`] (everything in one community), or by
-/// [`CommunityPartition::round_robin`] (the layout
-/// `SyntheticTraceBuilder::communities` assigns, node `i` in community
-/// `i % m`). Community ids are compact and ordered by first appearance
-/// in node-id order.
+/// Produced by [`label_propagation_communities`] or by
+/// [`CommunityPartition::single`] (everything in one community).
+/// Community ids are compact and ordered by first appearance in node-id
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommunityPartition {
     /// `assignment[i]` = community of node `i`.
@@ -257,7 +240,7 @@ impl CommunityPartition {
     /// # Panics
     ///
     /// Panics if `labels` is empty.
-    pub fn from_labels(labels: &[u32]) -> Self {
+    fn from_labels(labels: &[u32]) -> Self {
         assert!(!labels.is_empty(), "a partition needs at least one node");
         let max_label = *labels.iter().max().expect("non-empty") as usize;
         let mut compact: Vec<u32> = vec![u32::MAX; max_label + 1];
@@ -287,28 +270,12 @@ impl CommunityPartition {
         }
     }
 
-    /// Node `i` in community `i % communities` — the ground-truth layout
-    /// of `SyntheticTraceBuilder::communities`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0` or `communities == 0`.
-    pub fn round_robin(nodes: usize, communities: usize) -> Self {
-        assert!(nodes > 0, "a partition needs at least one node");
-        assert!(communities > 0, "need at least one community");
-        let m = communities.min(nodes) as u32;
-        CommunityPartition {
-            assignment: (0..nodes as u32).map(|i| i % m).collect(),
-            count: m as usize,
-        }
-    }
-
     /// The community of `node`.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn community_of(&self, node: NodeId) -> u32 {
+    fn community_of(&self, node: NodeId) -> u32 {
         self.assignment[node.index()]
     }
 
@@ -969,18 +936,6 @@ mod tests {
         let p = label_propagation_communities(&g, LABEL_PROPAGATION_ROUNDS);
         let direct = select_central_nodes_scoped(&g, &p, 2, 3600.0, None);
         assert_eq!(via, direct);
-    }
-
-    #[test]
-    fn round_robin_partition_matches_builder_layout() {
-        let p = CommunityPartition::round_robin(7, 3);
-        assert_eq!(p.count(), 3);
-        for i in 0..7u32 {
-            assert_eq!(p.community_of(NodeId(i)), i % 3);
-        }
-        // More communities than nodes degrades gracefully.
-        let tiny = CommunityPartition::round_robin(2, 5);
-        assert_eq!(tiny.count(), 2);
     }
 
     #[test]

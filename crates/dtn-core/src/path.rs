@@ -13,19 +13,20 @@
 //! the weight of its prefix — the same monotonicity Dijkstra's algorithm
 //! requires.
 //!
-//! The search is allocation-free on its hot path: heap labels carry only
-//! `(weight, node)`, the route tree lives in predecessor arrays, and each
-//! relaxation evaluates the candidate weight with
-//! [`hypoexp::HorizonAccumulator::extended_cdf`] — `O(r)` multiply-adds
-//! plus a single fresh exponential, without materialising the extended
-//! path (the per-stage exponentials are cached and extended incrementally
-//! along the route tree). One [`hypoexp::HorizonAccumulator`] is built
-//! per *settled* node (by extending its parent's), so the whole search
-//! performs `O(N)` allocations instead of `O(E)` path clones. Concrete
-//! [`OpportunisticPath`] values are reconstructed lazily by
-//! [`PathTable::path_to`]. [`shortest_paths_naive`] retains the original
-//! owned-path formulation as a differential-testing and benchmarking
-//! reference.
+//! There is one search loop. It is allocation-free on its hot path: heap
+//! labels carry only `(weight, node)`, the route tree lives in
+//! predecessor arrays of an epoch-stamped [`ReachScratch`], and each
+//! relaxation evaluates the candidate weight by extending the settled
+//! node's cached CDF accumulator ([`crate::hypoexp`]) — `O(r)`
+//! multiply-adds plus a single fresh exponential, without materialising
+//! the extended path. One accumulator is built per *settled* node (by
+//! extending its parent's). Two extractors read the settled set out of
+//! the scratch: the dense, route-carrying [`PathTable`]
+//! ([`shortest_paths`], [`shortest_paths_until`]) and the sparse
+//! [`SparseReach`] ([`bounded_shortest_paths`], the same loop under a hop
+//! bound). Concrete [`OpportunisticPath`] values are reconstructed lazily
+//! by [`PathTable::path_to`]. [`shortest_paths_naive`] retains the
+//! original owned-path formulation as a differential-testing reference.
 //!
 //! Nodes settle in decreasing weight order and a settled weight is
 //! final, so a caller that only needs the weights to a few targets (the
@@ -40,7 +41,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::mem;
 
 use crate::graph::{ContactGraph, Topology};
 use crate::hypoexp;
@@ -58,7 +58,6 @@ use crate::ids::NodeId;
 /// let p = OpportunisticPath::new(vec![NodeId(0), NodeId(3)], vec![0.001]);
 /// assert_eq!(p.hops(), 1);
 /// assert!(p.weight(10_000.0) > 0.9999);
-/// assert_eq!(p.expected_delay(), 1000.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpportunisticPath {
@@ -84,7 +83,7 @@ impl OpportunisticPath {
     }
 
     /// The trivial zero-hop path from a node to itself (weight 1).
-    pub fn trivial(node: NodeId) -> Self {
+    fn trivial(node: NodeId) -> Self {
         OpportunisticPath {
             nodes: vec![node],
             rates: Vec::new(),
@@ -120,11 +119,6 @@ impl OpportunisticPath {
     /// `horizon` seconds (Eq. 2 of the paper).
     pub fn weight(&self, horizon: f64) -> f64 {
         hypoexp::cdf(&self.rates, horizon)
-    }
-
-    /// Expected end-to-end delay `Σ 1/λ_k` in seconds.
-    pub fn expected_delay(&self) -> f64 {
-        hypoexp::mean(&self.rates)
     }
 }
 
@@ -165,6 +159,8 @@ pub struct PathTable {
     /// Nodes whose weight and route are final. In a complete table every
     /// reachable node is settled.
     settled: Vec<bool>,
+    /// How many entries of `settled` are set, counted by the search.
+    settled_count: usize,
     /// The search ran to exhaustion: unsettled means unreachable.
     complete: bool,
 }
@@ -189,7 +185,7 @@ impl PathTable {
     /// How many nodes the search settled (the source included) — the
     /// machine-independent size of the work it did.
     pub fn settled_count(&self) -> usize {
-        self.settled.iter().filter(|&&s| s).count()
+        self.settled_count
     }
 
     /// Refuses a read the table cannot answer: a partial table asked
@@ -297,12 +293,11 @@ impl Ord for Label {
 ///
 /// Runs a label-setting search in `O(E log E)` heap operations. Each
 /// relaxation evaluates the extended path's hypoexponential weight
-/// incrementally ([`hypoexp::HorizonAccumulator::extended_cdf`] — `O(r)`
-/// multiply-adds plus one exponential, allocation-free) instead of
-/// rebuilding the coefficient set from scratch (`O(r²)` plus two clones
-/// per relaxation in the naive formulation, retained as
-/// [`shortest_paths_naive`]). Both evaluate the exact same arithmetic,
-/// so the computed weights are bit-identical.
+/// incrementally (`O(r)` multiply-adds plus one exponential,
+/// allocation-free) instead of rebuilding the coefficient set from
+/// scratch (`O(r²)` plus two clones per relaxation in the naive
+/// formulation, retained as [`shortest_paths_naive`]). Both evaluate the
+/// exact same arithmetic, so the computed weights are bit-identical.
 ///
 /// # Panics
 ///
@@ -355,97 +350,25 @@ pub fn shortest_paths_until<G: Topology>(
     horizon: f64,
     targets: &[NodeId],
 ) -> PathTable {
-    assert!(
-        horizon.is_finite() && horizon > 0.0,
-        "horizon must be finite and positive, got {horizon}"
-    );
-    let n = graph.node_count();
-    assert!(
-        source.index() < n,
-        "source n{source} out of range for graph of {n} nodes"
-    );
+    shortest_paths_until_in(graph, source, horizon, targets, &mut ReachScratch::new())
+}
 
-    // Targets still to settle; the search stops when the count hits zero.
-    let mut wanted = vec![false; n];
-    let mut outstanding = 0usize;
-    for &t in targets {
-        if let Some(w) = wanted.get_mut(t.index()) {
-            outstanding += usize::from(!mem::replace(w, true));
-        }
-    }
-
-    let mut settled = vec![false; n];
-    let mut complete = true;
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut rate_into = vec![0.0f64; n];
-    let mut best = vec![f64::NEG_INFINITY; n];
-    let mut weight = vec![0.0f64; n];
-    // CDF accumulator of each settled node's best path (with its cached
-    // per-stage exponentials), built by extending the parent's by the
-    // tree edge — one allocation and one exp per settled node, none per
-    // relaxation.
-    let mut accs: Vec<Option<hypoexp::HorizonAccumulator>> = vec![None; n];
-
-    let mut heap = BinaryHeap::new();
-    heap.push(Label {
-        weight: 1.0,
-        node: source,
-    });
-    best[source.index()] = 1.0;
-
-    while let Some(Label { weight: w, node }) = heap.pop() {
-        if settled[node.index()] {
-            continue;
-        }
-        settled[node.index()] = true;
-        weight[node.index()] = w;
-        if wanted[node.index()] {
-            outstanding -= 1;
-            if outstanding == 0 {
-                // Every target is final; nothing relaxed from here on
-                // could change a settled entry.
-                complete = false;
-                break;
-            }
-        }
-        let acc = match prev[node.index()] {
-            None => hypoexp::HorizonAccumulator::new(horizon),
-            Some(parent) => {
-                let mut acc = accs[parent.index()]
-                    .as_ref()
-                    .expect("parent settles before child")
-                    .clone();
-                acc.push(rate_into[node.index()]);
-                acc
-            }
-        };
-        for &(peer, rate) in graph.neighbors(node) {
-            if settled[peer.index()] {
-                continue;
-            }
-            let cand = acc.extended_cdf(rate);
-            if cand > best[peer.index()] {
-                best[peer.index()] = cand;
-                prev[peer.index()] = Some(node);
-                rate_into[peer.index()] = rate;
-                heap.push(Label {
-                    weight: cand,
-                    node: peer,
-                });
-            }
-        }
-        accs[node.index()] = Some(acc);
-    }
-
-    PathTable {
-        source,
-        horizon,
-        prev,
-        rate_into,
-        weight,
-        settled,
-        complete,
-    }
+/// [`shortest_paths_until`] searching through a caller-owned
+/// [`ReachScratch`]: a caller that searches repeatedly keeps one scratch
+/// and pays only for the returned table's arrays per call.
+///
+/// # Panics
+///
+/// Panics on the same invalid inputs as [`shortest_paths`].
+pub fn shortest_paths_until_in<G: Topology>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    targets: &[NodeId],
+    scratch: &mut ReachScratch,
+) -> PathTable {
+    let complete = search(graph, source, horizon, targets, usize::MAX, scratch);
+    scratch.path_table(graph.node_count(), source, horizon, complete)
 }
 
 /// Best-path weights from one source, stored sparsely — only the nodes
@@ -490,7 +413,9 @@ impl SparseReach {
     }
 }
 
-/// Reusable workspace for [`bounded_shortest_paths`].
+/// Reusable workspace of the label-setting search — what
+/// [`bounded_shortest_paths`] and [`shortest_paths_until_in`] search
+/// through.
 ///
 /// All per-node arrays are epoch-stamped: a search only initializes the
 /// slots it actually touches, and the next search invalidates them by
@@ -502,6 +427,9 @@ impl SparseReach {
 pub struct ReachScratch {
     epoch: u64,
     stamp: Vec<u64>,
+    /// `wanted[i] == epoch` marks node `i` as a stop target of the
+    /// current search.
+    wanted: Vec<u64>,
     settled: Vec<bool>,
     best: Vec<f64>,
     weight: Vec<f64>,
@@ -509,9 +437,15 @@ pub struct ReachScratch {
     /// Predecessor in the route tree; `u32::MAX` = none (source).
     prev: Vec<u32>,
     rate_into: Vec<f64>,
+    /// CDF accumulator of each settled node's best path (with its cached
+    /// per-stage exponentials), built by extending the parent's by the
+    /// tree edge — one allocation and one exp per settled node, none per
+    /// relaxation.
     accs: Vec<Option<hypoexp::HorizonAccumulator>>,
     touched: Vec<u32>,
     heap: BinaryHeap<Label>,
+    /// Nodes the current search has settled, the source included.
+    settled_count: usize,
 }
 
 impl ReachScratch {
@@ -525,6 +459,7 @@ impl ReachScratch {
     fn prepare(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
+            self.wanted.resize(n, 0);
             self.settled.resize(n, false);
             self.best.resize(n, f64::NEG_INFINITY);
             self.weight.resize(n, 0.0);
@@ -540,6 +475,7 @@ impl ReachScratch {
         }
         self.touched.clear();
         self.heap.clear();
+        self.settled_count = 0;
         self.epoch += 1;
     }
 
@@ -554,6 +490,50 @@ impl ReachScratch {
             self.prev[i] = u32::MAX;
             self.rate_into[i] = 0.0;
             self.touched.push(i as u32);
+        }
+    }
+
+    /// The last search's outcome as a dense, route-carrying table over
+    /// `n` nodes.
+    fn path_table(&self, n: usize, source: NodeId, horizon: f64, complete: bool) -> PathTable {
+        let mut table = PathTable {
+            source,
+            horizon,
+            prev: vec![None; n],
+            rate_into: vec![0.0; n],
+            weight: vec![0.0; n],
+            settled: vec![false; n],
+            settled_count: self.settled_count,
+            complete,
+        };
+        for &i in &self.touched {
+            let i = i as usize;
+            if self.prev[i] != u32::MAX {
+                table.prev[i] = Some(NodeId(self.prev[i]));
+                table.rate_into[i] = self.rate_into[i];
+            }
+            if self.settled[i] {
+                table.settled[i] = true;
+                table.weight[i] = self.weight[i];
+            }
+        }
+        table
+    }
+
+    /// The last search's settled set as sorted `(destination, weight)`
+    /// entries.
+    fn sparse_reach(&self, source: NodeId, horizon: f64) -> SparseReach {
+        let mut entries: Vec<(NodeId, f64)> = self
+            .touched
+            .iter()
+            .filter(|&&i| self.settled[i as usize])
+            .map(|&i| (NodeId(i), self.weight[i as usize]))
+            .collect();
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        SparseReach {
+            source,
+            horizon,
+            entries,
         }
     }
 }
@@ -582,6 +562,26 @@ pub fn bounded_shortest_paths<G: Topology>(
     max_hops: usize,
     scratch: &mut ReachScratch,
 ) -> SparseReach {
+    assert!(max_hops > 0, "a zero-hop search reaches nothing");
+    search(graph, source, horizon, &[], max_hops, scratch);
+    scratch.sparse_reach(source, horizon)
+}
+
+/// The one label-setting loop. Settles nodes in decreasing weight order
+/// from `source`, relaxing only from nodes whose best path has fewer
+/// than `max_hops` hops, and leaves the settled set in `scratch` for
+/// [`ReachScratch::path_table`] / [`ReachScratch::sparse_reach`] to read.
+/// Stops as soon as every in-range node of `targets` has settled and
+/// returns `false`; returns `true` when it ran to exhaustion (always,
+/// with no targets or an unreachable one).
+fn search<G: Topology>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    targets: &[NodeId],
+    max_hops: usize,
+    scratch: &mut ReachScratch,
+) -> bool {
     assert!(
         horizon.is_finite() && horizon > 0.0,
         "horizon must be finite and positive, got {horizon}"
@@ -591,9 +591,18 @@ pub fn bounded_shortest_paths<G: Topology>(
         source.index() < n,
         "source n{source} out of range for graph of {n} nodes"
     );
-    assert!(max_hops > 0, "a zero-hop search reaches nothing");
 
     scratch.prepare(n);
+    // Targets still to settle; the search stops when the count hits zero.
+    let mut outstanding = 0usize;
+    for &t in targets {
+        // `n`, not the array length: the scratch may have served a
+        // larger graph before.
+        if t.index() < n && scratch.wanted[t.index()] != scratch.epoch {
+            scratch.wanted[t.index()] = scratch.epoch;
+            outstanding += 1;
+        }
+    }
     scratch.touch(source.index());
     scratch.best[source.index()] = 1.0;
     scratch.heap.push(Label {
@@ -608,6 +617,15 @@ pub fn bounded_shortest_paths<G: Topology>(
         }
         scratch.settled[ni] = true;
         scratch.weight[ni] = w;
+        scratch.settled_count += 1;
+        if scratch.wanted[ni] == scratch.epoch {
+            outstanding -= 1;
+            if outstanding == 0 {
+                // Every target is final; nothing relaxed from here on
+                // could change a settled entry.
+                return false;
+            }
+        }
         let (hops, acc) = if scratch.prev[ni] == u32::MAX {
             (0u32, hypoexp::HorizonAccumulator::new(horizon))
         } else {
@@ -641,19 +659,7 @@ pub fn bounded_shortest_paths<G: Topology>(
         }
         scratch.accs[ni] = Some(acc);
     }
-
-    let mut entries: Vec<(NodeId, f64)> = scratch
-        .touched
-        .iter()
-        .filter(|&&i| scratch.settled[i as usize])
-        .map(|&i| (NodeId(i), scratch.weight[i as usize]))
-        .collect();
-    entries.sort_unstable_by_key(|&(id, _)| id);
-    SparseReach {
-        source,
-        horizon,
-        entries,
-    }
+    true
 }
 
 /// The original owned-path formulation of the search, kept as a reference
@@ -663,9 +669,8 @@ pub fn bounded_shortest_paths<G: Topology>(
 /// unreachable; the source maps to its trivial path).
 ///
 /// This exists for differential testing (`tests/path_equivalence.rs`
-/// asserts [`shortest_paths`] matches it exactly) and as the baseline leg
-/// of the `path_engine` benchmark. Simulation and selection code should
-/// always use [`shortest_paths`].
+/// asserts [`shortest_paths`] matches it exactly). Simulation and
+/// selection code should always use [`shortest_paths`].
 ///
 /// # Panics
 ///
@@ -1001,6 +1006,74 @@ mod tests {
         let _ = bounded_shortest_paths(&g, NodeId(3), 200.0, 8, &mut scratch);
         let again = bounded_shortest_paths(&g, NodeId(0), 200.0, 8, &mut scratch);
         assert_eq!(first.entries(), again.entries());
+    }
+
+    /// Everything a [`PathTable`] holds, floats by bit pattern.
+    type TableBits = (bool, usize, Vec<(bool, u64, Option<NodeId>, u64)>);
+
+    fn table_bits(t: &PathTable) -> TableBits {
+        let nodes = (0..t.settled.len())
+            .map(|i| {
+                let (w, r) = (t.weight[i].to_bits(), t.rate_into[i].to_bits());
+                (t.settled[i], w, t.prev[i], r)
+            })
+            .collect();
+        (t.complete, t.settled_count, nodes)
+    }
+
+    #[test]
+    fn one_scratch_serves_alternating_graphs_targets_and_bounds() {
+        // A 40-node graph with LCG-chosen edges and a 6-node line: the
+        // scratch arrays stay sized for the large one while the small one
+        // is searched, so an id that is out of range for the line is
+        // still a valid slot of the scratch.
+        let mut large = ContactGraph::new(40);
+        let mut x = 12345u64;
+        for _ in 0..110 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (a, b) = ((x >> 33) as u32 % 40, (x >> 13) as u32 % 40);
+            if a != b {
+                large.set_rate(NodeId(a), NodeId(b), 1e-4 * (1 + (x >> 50) % 90) as f64);
+            }
+        }
+        let small = line_graph(&[2e-3, 4e-3, 1e-3, 3e-3, 5e-3]);
+        let target_sets: [&[NodeId]; 6] = [
+            &[],
+            &[NodeId(3), NodeId(3)],
+            &[NodeId(0)],
+            &[NodeId(2), NodeId(20)],
+            &[NodeId(u32::MAX)],
+            &[NodeId(5), NodeId(1), NodeId(4)],
+        ];
+        let mut scratch = ReachScratch::new();
+        let mut partial_tables = 0;
+        for round in 0..18usize {
+            // large, small, large under each target set in turn.
+            let g = if round % 3 == 1 { &small } else { &large };
+            let source = NodeId((round * 7 % g.node_count()) as u32);
+            let horizon = 900.0 + 400.0 * round as f64;
+            let targets = target_sets[round / 3];
+            let reused = shortest_paths_until_in(g, source, horizon, targets, &mut scratch);
+            let fresh = shortest_paths_until(g, source, horizon, targets);
+            assert_eq!(table_bits(&reused), table_bits(&fresh), "round {round}");
+            partial_tables += usize::from(!reused.is_complete());
+
+            let max_hops = [1, 2, 3, 64][round % 4];
+            let reused = bounded_shortest_paths(g, source, horizon, max_hops, &mut scratch);
+            let fresh =
+                bounded_shortest_paths(g, source, horizon, max_hops, &mut ReachScratch::new());
+            let bits = |r: &SparseReach| -> Vec<(NodeId, u64)> {
+                r.entries().iter().map(|&(v, w)| (v, w.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&reused),
+                bits(&fresh),
+                "round {round}, {max_hops} hops"
+            );
+        }
+        assert!(partial_tables > 0, "no search stopped early");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::time::Time;
 
-/// Sliding-window Poisson estimator of a data item's request popularity.
+/// Poisson estimator of a data item's request popularity.
 ///
 /// # Example
 ///
@@ -44,8 +44,6 @@ pub struct PopularityEstimator {
     first_request: Option<Time>,
     last_request: Option<Time>,
     requests: u64,
-    /// Optional sliding window: `(k, timestamps of the last k requests)`.
-    window: Option<(usize, std::collections::VecDeque<Time>)>,
 }
 
 impl PopularityEstimator {
@@ -55,21 +53,6 @@ impl PopularityEstimator {
         Self::default()
     }
 
-    /// Creates an estimator that derives `λ_d` from only the **last
-    /// `k` requests** — the literal reading of Eq. 5's "past k
-    /// requests", which adapts faster when popularity shifts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2` (a rate needs at least two timestamps).
-    pub fn with_window(k: usize) -> Self {
-        assert!(k >= 2, "window must hold at least two requests, got {k}");
-        PopularityEstimator {
-            window: Some((k, std::collections::VecDeque::with_capacity(k + 1))),
-            ..Self::default()
-        }
-    }
-
     /// Records one request to the item at time `at`.
     pub fn record_request(&mut self, at: Time) {
         if self.first_request.is_none() {
@@ -77,12 +60,6 @@ impl PopularityEstimator {
         }
         self.last_request = Some(self.last_request.map_or(at, |t| t.max(at)));
         self.requests += 1;
-        if let Some((k, win)) = &mut self.window {
-            win.push_back(at);
-            while win.len() > *k {
-                win.pop_front();
-            }
-        }
     }
 
     /// Number of requests observed.
@@ -92,17 +69,7 @@ impl PopularityEstimator {
 
     /// The estimated request rate `λ_d` (requests per second), or `None`
     /// if fewer than two requests (or zero elapsed time) were observed.
-    /// Windowed estimators ([`with_window`](Self::with_window)) use the
-    /// last `k` requests only.
-    pub fn request_rate(&self) -> Option<f64> {
-        if let Some((_, win)) = &self.window {
-            let first = win.front()?;
-            let last = win.back()?;
-            if win.len() < 2 || *last <= *first {
-                return None;
-            }
-            return Some(win.len() as f64 / (*last - *first).as_secs_f64());
-        }
+    fn request_rate(&self) -> Option<f64> {
         let (first, last) = (self.first_request?, self.last_request?);
         if self.requests < 2 || last <= first {
             return None;
@@ -204,40 +171,6 @@ mod tests {
         est.record_request(Time(100)); // late-arriving record
                                        // first stays 500, last stays 500; rate undefined → prior path.
         assert!(est.popularity(Time(600), Time(1000)) >= 0.0);
-    }
-
-    #[test]
-    fn windowed_estimator_adapts_faster() {
-        // Slow early history, fast recent history.
-        let mut full = PopularityEstimator::new();
-        let mut windowed = PopularityEstimator::with_window(4);
-        let times: Vec<u64> = vec![0, 10_000, 20_000, 30_000, 30_010, 30_020, 30_030, 30_040];
-        for &t in &times {
-            full.record_request(Time(t));
-            windowed.record_request(Time(t));
-        }
-        let r_full = full.request_rate().expect("enough data");
-        let r_win = windowed.request_rate().expect("enough data");
-        assert!(
-            r_win > 10.0 * r_full,
-            "windowed {r_win} must track the recent burst vs {r_full}"
-        );
-    }
-
-    #[test]
-    fn windowed_needs_enough_requests() {
-        let mut e = PopularityEstimator::with_window(3);
-        assert_eq!(e.request_rate(), None);
-        e.record_request(Time(10));
-        assert_eq!(e.request_rate(), None);
-        e.record_request(Time(20));
-        assert!(e.request_rate().is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two")]
-    fn tiny_window_panics() {
-        let _ = PopularityEstimator::with_window(1);
     }
 
     mod properties {

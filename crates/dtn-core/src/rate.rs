@@ -3,29 +3,15 @@
 //! The paper models the contacts of each node pair as a Poisson process
 //! whose rate `λ_ij` "is calculated at real-time from the cumulative
 //! contacts between nodes i and j in a time-average manner" (§III-B).
-//! [`RateEstimator`] implements exactly that estimator for one pair;
-//! [`RateTable`] holds one estimator per unordered pair of a fixed node
-//! population.
+//! [`RateTable`] holds one such estimator per unordered pair of a fixed
+//! node population.
 
 use crate::ids::NodeId;
 use crate::time::Time;
 
 /// Cumulative time-averaged Poisson rate estimator for one node pair.
-///
-/// # Example
-///
-/// ```
-/// use dtn_core::rate::RateEstimator;
-/// use dtn_core::time::Time;
-///
-/// let mut est = RateEstimator::new(Time::ZERO);
-/// est.record_contact(Time(100));
-/// est.record_contact(Time(200));
-/// // two contacts over 1000 seconds of observation
-/// assert_eq!(est.rate(Time(1000)), Some(2e-3));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RateEstimator {
+struct RateEstimator {
     observed_since: Time,
     contacts: u64,
     last_contact: Option<Time>,
@@ -41,11 +27,11 @@ pub struct RateEstimator {
 
 /// Smoothing factor of the EWMA inter-contact estimator: the weight of
 /// the newest gap.
-pub const EWMA_ALPHA: f64 = 0.25;
+const EWMA_ALPHA: f64 = 0.25;
 
 impl RateEstimator {
     /// Creates an estimator observing from `since` with no contacts yet.
-    pub fn new(since: Time) -> Self {
+    fn new(since: Time) -> Self {
         RateEstimator {
             observed_since: since,
             contacts: 0,
@@ -58,7 +44,7 @@ impl RateEstimator {
     }
 
     /// Records one contact between the pair.
-    pub fn record_contact(&mut self, at: Time) {
+    fn record_contact(&mut self, at: Time) {
         if let Some(prev) = self.last_contact {
             let gap = at.saturating_since(prev).as_secs_f64();
             if gap > 0.0 {
@@ -76,14 +62,14 @@ impl RateEstimator {
     }
 
     /// Number of contacts recorded so far.
-    pub fn contact_count(&self) -> u64 {
+    fn contact_count(&self) -> u64 {
         self.contacts
     }
 
     /// The cumulative time-averaged rate `contacts / elapsed`, or `None`
     /// if no contact has been observed yet (the pair's edge does not exist
     /// in the contact graph) or no time has elapsed.
-    pub fn rate(&self, now: Time) -> Option<f64> {
+    fn rate(&self, now: Time) -> Option<f64> {
         let elapsed = now.saturating_since(self.observed_since).as_secs_f64();
         if self.contacts == 0 || elapsed <= 0.0 {
             return None;
@@ -94,13 +80,9 @@ impl RateEstimator {
     /// A recency-weighted rate `1 / ewma(gap)` that tracks changes in
     /// the contact pattern faster than the paper's cumulative average.
     /// `None` until two gapped contacts have been observed.
-    pub fn recent_rate(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn recent_rate(&self) -> Option<f64> {
         self.ewma_gap_secs.map(|g| 1.0 / g)
-    }
-
-    /// When this pair last met, if ever.
-    pub fn last_contact(&self) -> Option<Time> {
-        self.last_contact
     }
 
     /// A regime-tracking rate estimate: the EWMA inter-contact gap,
@@ -109,13 +91,13 @@ impl RateEstimator {
     ///
     /// Unlike [`RateEstimator::rate`], which averages over the whole
     /// observation window and never forgets, and
-    /// [`RateEstimator::recent_rate`], which freezes at the last
+    /// the plain EWMA rate `1 / ewma(gap)`, which freezes at the last
     /// observed gap when a pair stops meeting, this estimate decays as
     /// a pair goes quiet: a once-busy pair that has been silent for
     /// `Δt ≫ ewma_gap` is rated `1/Δt`. Used by online NCL re-election,
     /// where yesterday's hubs must lose their rank once they stop
     /// meeting anyone. `None` until the first contact.
-    pub fn current_rate(&self, now: Time) -> Option<f64> {
+    fn current_rate(&self, now: Time) -> Option<f64> {
         let last = self.last_contact?;
         let silence = now.saturating_since(last).as_secs_f64();
         let gap = match self.ewma_gap_secs {
@@ -144,7 +126,7 @@ impl RateEstimator {
     /// so a `gap_cv2` far from 1 warns that those predictions are
     /// optimistic. `None` until three gapped contacts (two gaps) have
     /// been observed.
-    pub fn gap_cv2(&self) -> Option<f64> {
+    fn gap_cv2(&self) -> Option<f64> {
         if self.gap_count < 2 {
             return None;
         }
@@ -158,7 +140,7 @@ impl RateEstimator {
     }
 }
 
-/// Symmetric table of [`RateEstimator`]s for all `N·(N−1)/2` node pairs.
+/// Symmetric table of rate estimators for all `N·(N−1)/2` node pairs.
 ///
 /// Contacts are symmetric (§III-B), so the table stores each unordered
 /// pair once and `record` / `rate` accept the endpoints in either order.
@@ -190,7 +172,7 @@ pub struct RateTable {
 /// table switches to sparse adjacency storage: real contact traces are
 /// sparse (each node meets a bounded peer set), so `O(N²)` cells —
 /// 240 GB at 100 000 nodes — would be almost entirely never-met pairs.
-pub const DENSE_NODE_LIMIT: usize = 2048;
+const DENSE_NODE_LIMIT: usize = 2048;
 
 /// Storage behind a [`RateTable`]. A pair absent from the sparse map is
 /// semantically a fresh [`RateEstimator`] (no contacts yet), so the two
@@ -213,7 +195,7 @@ enum Cells {
 impl RateTable {
     /// Creates a table for `nodes` nodes, all pairs observed from `since`.
     ///
-    /// Populations up to [`DENSE_NODE_LIMIT`] use a dense packed
+    /// Populations up to 2048 nodes (`DENSE_NODE_LIMIT`) use a dense packed
     /// triangle; larger ones use sparse adjacency storage with identical
     /// observable behavior.
     ///
@@ -308,30 +290,11 @@ impl RateTable {
         self.estimator(a, b).map_or(0, RateEstimator::contact_count)
     }
 
-    /// The pair's recency-weighted rate (see
-    /// [`RateEstimator::recent_rate`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either node is out of range.
-    #[inline]
-    pub fn recent_rate(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        self.estimator(a, b).and_then(RateEstimator::recent_rate)
-    }
-
-    /// The pair's gap-dispersion diagnostic (see
-    /// [`RateEstimator::gap_cv2`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either node is out of range.
-    #[inline]
-    pub fn gap_cv2(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        self.estimator(a, b).and_then(RateEstimator::gap_cv2)
-    }
-
-    /// Contact-weighted mean of [`RateEstimator::gap_cv2`] over all
-    /// pairs with a defined dispersion, or `None` if no pair has one.
+    /// Contact-weighted mean, over all pairs with a defined dispersion,
+    /// of the squared coefficient of variation of the pair's
+    /// inter-contact gaps (`Var(gap) / E[gap]²`: ≈ 1 for a Poisson pair,
+    /// well above 1 for heavy tails, near 0 for periodic schedules), or
+    /// `None` if no pair has one.
     ///
     /// Weighting by gap count makes the aggregate answer "how
     /// Poisson-like is the traffic the estimator actually sees", rather
@@ -365,14 +328,17 @@ impl RateTable {
 
     /// Iterates over all pairs that have met at least once, yielding
     /// `(a, b, rate)` with `a < b`.
-    pub fn iter_rates(&self, now: Time) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
+    pub(crate) fn iter_rates(&self, now: Time) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
         self.iter_estimators()
             .filter_map(move |(a, b, e)| e.rate(now).map(|r| (a, b, r)))
     }
 
-    /// Like [`RateTable::iter_rates`], but yielding the regime-tracking
-    /// [`RateEstimator::current_rate`] of each pair.
-    pub fn iter_current_rates(
+    /// Like [`RateTable::iter_rates`], but yielding each pair's
+    /// regime-tracking rate `1 / max(ewma_gap, now − last_contact)`: the
+    /// EWMA inter-contact gap damped by how long the pair has been
+    /// silent, so a once-busy pair that stopped meeting decays as
+    /// `1/silence` instead of keeping its historical average.
+    pub(crate) fn iter_current_rates(
         &self,
         now: Time,
     ) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
@@ -492,7 +458,7 @@ mod tests {
             fast > cumulative,
             "ewma {fast} must outrun cumulative {cumulative}"
         );
-        assert_eq!(e.last_contact(), Some(Time(1300)));
+        assert_eq!(e.last_contact, Some(Time(1300)));
     }
 
     #[test]
@@ -506,7 +472,7 @@ mod tests {
         assert_eq!(e.contact_count(), 2);
         assert_eq!(e.rate(Time(200)), Some(0.01));
         assert_eq!(e.recent_rate(), None, "zero gap recorded into EWMA");
-        assert_eq!(e.last_contact(), Some(Time(100)));
+        assert_eq!(e.last_contact, Some(Time(100)));
         // The next gapped contact seeds the EWMA from its real gap.
         e.record_contact(Time(150));
         assert_eq!(e.recent_rate(), Some(1.0 / 50.0));
@@ -642,8 +608,6 @@ mod tests {
         let mean = t.mean_gap_cv2().expect("two pairs have dispersion");
         let expect = (0.0 * 10.0 + 0.25 * 2.0) / 12.0;
         assert!((mean - expect).abs() < 1e-9, "got {mean}, want {expect}");
-        assert_eq!(t.gap_cv2(NodeId(0), NodeId(2)), None);
-        assert!(t.gap_cv2(NodeId(2), NodeId(1)).expect("met") > 0.2);
 
         let empty = RateTable::new(2, Time::ZERO);
         assert_eq!(empty.mean_gap_cv2(), None);
@@ -735,8 +699,6 @@ mod tests {
                 let (a, b) = (NodeId(a), NodeId(b));
                 assert_eq!(dense.rate(a, b, now), sparse.rate(a, b, now));
                 assert_eq!(dense.contact_count(a, b), sparse.contact_count(a, b));
-                assert_eq!(dense.recent_rate(a, b), sparse.recent_rate(a, b));
-                assert_eq!(dense.gap_cv2(a, b), sparse.gap_cv2(a, b));
             }
         }
         assert_eq!(dense.mean_gap_cv2(), sparse.mean_gap_cv2());

@@ -1,7 +1,7 @@
 //! Process-level system introspection.
 //!
 //! One shared home for the VmHWM peak-RSS sampler that the bench
-//! runner, the city-scale harness, the engine heartbeat and the
+//! runner, the city-scale harness (report and progress line) and the
 //! run-diff harness all report — previously each call site carried its
 //! own copy of the `/proc` parse.
 

@@ -344,12 +344,6 @@ impl<C: ContactSource> DecisionService<C> {
     pub fn sim_mut(&mut self) -> &mut Simulator<IntentionalScheme, C> {
         &mut self.sim
     }
-
-    /// Consumes the service, returning the engine (for post-run metric
-    /// and differential checks).
-    pub fn into_sim(self) -> Simulator<IntentionalScheme, C> {
-        self.sim
-    }
 }
 
 /// Folds one decision into the stream checksum: request identity, the

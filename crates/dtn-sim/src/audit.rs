@@ -118,7 +118,7 @@ impl fmt::Display for AuditViolation {
 /// Violations stored verbatim before the report switches to counting
 /// only — a broken invariant usually cascades, and the first few
 /// violations are the diagnostic ones.
-pub const MAX_STORED_VIOLATIONS: usize = 64;
+const MAX_STORED_VIOLATIONS: usize = 64;
 
 /// Accumulated audit results for one simulation run.
 #[derive(Debug, Default)]
@@ -134,7 +134,7 @@ impl AuditReport {
         self.violations_total == 0
     }
 
-    /// The stored violations (capped at [`MAX_STORED_VIOLATIONS`]; see
+    /// The stored violations (capped at 64, `MAX_STORED_VIOLATIONS`; see
     /// [`violations_total`](Self::violations_total) for the full count).
     pub fn violations(&self) -> &[AuditViolation] {
         &self.violations
@@ -151,7 +151,7 @@ impl AuditReport {
     }
 
     /// Counts one audit sweep.
-    pub fn begin_sweep(&mut self) {
+    pub(crate) fn begin_sweep(&mut self) {
         self.sweeps += 1;
     }
 
@@ -179,16 +179,16 @@ impl AuditReport {
 /// Engine-side audit bookkeeping, carried behind
 /// [`SimConfig::audit`](crate::engine::SimConfig::audit).
 #[derive(Debug, Default)]
-pub struct AuditState {
+pub(crate) struct AuditState {
     /// The accumulated report.
-    pub report: AuditReport,
+    pub(crate) report: AuditReport,
     /// Deliveries reported through `SimCtx::mark_delivered`.
-    pub deliveries_reported: u64,
+    pub(crate) deliveries_reported: u64,
     /// Deliveries naming a query id that was never issued.
-    pub unknown_deliveries: u64,
+    pub(crate) unknown_deliveries: u64,
     /// High-water mark of dispatched contact starts, for
     /// [`AuditLaw::TraceMonotonicity`].
-    pub last_contact_start: Time,
+    pub(crate) last_contact_start: Time,
 }
 
 /// Checks [`AuditLaw::TraceMonotonicity`] on one contact about to be
@@ -207,7 +207,11 @@ pub struct AuditState {
 ///
 /// [`StreamSource`]: crate::engine::StreamSource
 /// [`ContactSource`]: crate::engine::ContactSource
-pub fn check_contact_well_formed(contact: &Contact, nodes: usize, state: &mut AuditState) -> bool {
+pub(crate) fn check_contact_well_formed(
+    contact: &Contact,
+    nodes: usize,
+    state: &mut AuditState,
+) -> bool {
     let at = contact.start;
     let mut flag = |detail: String, node: Option<NodeId>| {
         state.report.violate(AuditViolation {

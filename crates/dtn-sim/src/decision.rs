@@ -33,8 +33,8 @@
 //! the centrals* are all a decision asks for. A `Place` over `N`
 //! candidates therefore pays up to `N` early-exit searches once per
 //! epoch and one table read per candidate afterwards
-//! ([`DecisionPoint::best_relay`] reads the carrier's weight once, not
-//! once per candidate).
+//! (the relay search reads the carrier's weight once, not once per
+//! candidate).
 
 use dtn_core::ids::NodeId;
 use dtn_core::rate::RateTable;
@@ -170,7 +170,7 @@ impl<'a> DecisionPoint<'a> {
     /// One oracle read per candidate: the carrier's own weight is the
     /// same for all of them and is read once, the first time a candidate
     /// needs comparing against it.
-    pub fn best_relay(
+    fn best_relay(
         &mut self,
         carrier: NodeId,
         dest: NodeId,

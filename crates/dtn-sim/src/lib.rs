@@ -23,7 +23,7 @@ pub mod probe;
 pub mod profiler;
 pub mod telemetry;
 
-pub use audit::{AuditLaw, AuditReport, AuditState, AuditViolation};
+pub use audit::{AuditLaw, AuditReport, AuditViolation};
 pub use buffer::Buffer;
 pub use decision::{DecisionPoint, PlacementDecision, RelayPlan, RouteDecision};
 pub use engine::{
@@ -34,8 +34,8 @@ pub use metrics::Metrics;
 pub use oracle::{OracleStats, PathOracle};
 pub use overlay::{OverlayKind, OverlaySource, RegimeOverlay};
 pub use probe::{
-    DelayDecomposition, FieldValue, HopPhase, HopRecord, NoopProbe, Probe, ProbeEvent, ProbeSink,
-    QueryTrace, RecordingProbe,
+    DelayDecomposition, FieldValue, HopPhase, HopRecord, Probe, ProbeEvent, ProbeSink, QueryTrace,
+    RecordingProbe,
 };
 pub use profiler::{Phase, ProfileEntry, ProfileReport, Profiler};
 pub use telemetry::{Counter, Telemetry, TelemetryConfig, WindowStats};

@@ -62,7 +62,7 @@ impl Metrics {
 
     /// Mean response delay over satisfied queries, floored to whole
     /// seconds by the `Duration` representation. Prefer
-    /// [`avg_delay_secs_f64`](Metrics::avg_delay_secs_f64) for plotting.
+    /// [`avg_delay_hours`](Metrics::avg_delay_hours) for plotting.
     pub fn avg_delay(&self) -> Duration {
         match self.total_delay_secs.checked_div(self.queries_satisfied) {
             None => Duration::ZERO,
@@ -74,7 +74,7 @@ impl Metrics {
     /// (`total_delay_secs / queries_satisfied`, no integer truncation);
     /// 0 if no query was satisfied. The delay *distribution* is the
     /// probe layer's: `RecordingProbe::delay_hist`.
-    pub fn avg_delay_secs_f64(&self) -> f64 {
+    fn avg_delay_secs_f64(&self) -> f64 {
         if self.queries_satisfied == 0 {
             0.0
         } else {

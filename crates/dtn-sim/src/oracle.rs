@@ -15,7 +15,7 @@
 //!   and that is what nearly every read asks for. The scheme names those
 //!   nodes with [`PathOracle::set_targets`]; the first read of an epoch
 //!   from a source to a target runs the label-setting search only until
-//!   the last target settles ([`shortest_paths_until`]) and caches the
+//!   the last target settles ([`shortest_paths_until_in`]) and caches the
 //!   *partial* table. Settled weights are final, so the answer is the
 //!   exhaustive search's to the bit. A read the partial table cannot
 //!   answer — a non-target destination, or [`PathOracle::table`] — runs
@@ -40,7 +40,7 @@
 use dtn_core::graph::{ContactGraph, CsrGraph};
 use dtn_core::ids::NodeId;
 use dtn_core::path::{
-    bounded_shortest_paths, shortest_paths_until, PathTable, ReachScratch, SparseReach,
+    bounded_shortest_paths, shortest_paths_until_in, PathTable, ReachScratch, SparseReach,
 };
 use dtn_core::rate::RateTable;
 use dtn_core::time::{Duration, Time};
@@ -133,6 +133,8 @@ pub struct PathOracle {
     /// indexed by `source % len` — bounded memory no matter how many
     /// distinct sources query within an epoch.
     sparse: Vec<Option<(NodeId, u64, SparseReach)>>,
+    /// The one search workspace: dense and bounded searches both run
+    /// through it.
     scratch: ReachScratch,
     stats: OracleStats,
 }
@@ -285,9 +287,14 @@ impl PathOracle {
                 Some(d) if cached.is_none() && self.targets.contains(&d) => &self.targets,
                 _ => &[],
             };
+            let scratch = &mut self.scratch;
             let table = match &snapshot.graph {
-                SnapshotGraph::Adjacency(g) => shortest_paths_until(g, source, self.horizon, stop),
-                SnapshotGraph::Csr(g) => shortest_paths_until(g, source, self.horizon, stop),
+                SnapshotGraph::Adjacency(g) => {
+                    shortest_paths_until_in(g, source, self.horizon, stop, scratch)
+                }
+                SnapshotGraph::Csr(g) => {
+                    shortest_paths_until_in(g, source, self.horizon, stop, scratch)
+                }
             };
             self.stats.table_recomputes += 1;
             self.stats.nodes_settled += table.settled_count() as u64;

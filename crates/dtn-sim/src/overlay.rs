@@ -148,7 +148,7 @@ impl RegimeOverlay {
 
     /// Whether the overlay window covers `at` (start inclusive, end
     /// exclusive: the heal instant itself is already healthy).
-    pub fn active_at(&self, at: Time) -> bool {
+    fn active_at(&self, at: Time) -> bool {
         self.start <= at && at < self.end
     }
 
@@ -255,10 +255,6 @@ impl<C: ContactSource> ContactSource for OverlaySource<C> {
 
     fn end_time(&self) -> Time {
         self.inner.end_time()
-    }
-
-    fn known_end(&self) -> Option<Time> {
-        self.inner.known_end()
     }
 
     fn peek(&mut self) -> Option<Contact> {

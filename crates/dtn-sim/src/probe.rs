@@ -9,7 +9,7 @@
 //!
 //! The engine stores a [`ProbeSink`]; every emission site goes through
 //! [`ProbeSink::emit`], which takes a *closure* producing the event, so
-//! with the default [`NoopProbe`] the only cost per site is a single
+//! with no probe installed (the default) the only cost per site is a single
 //! predicted branch on the sink's enum tag — the event is never even
 //! constructed.
 //!
@@ -198,15 +198,6 @@ pub trait Probe {
     fn record(&mut self, event: &ProbeEvent);
 }
 
-/// The default probe: discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopProbe;
-
-impl Probe for NoopProbe {
-    #[inline]
-    fn record(&mut self, _event: &ProbeEvent) {}
-}
-
 /// A shared handle: lets the caller keep reading a probe that the
 /// simulator owns (install `Box::new(rc.clone())`, inspect via `rc`).
 impl<P: Probe> Probe for Rc<RefCell<P>> {
@@ -241,7 +232,7 @@ impl ProbeSink {
     /// instrumentation work that a lazy closure cannot express (e.g.
     /// polling oracle counters).
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         matches!(self, ProbeSink::Enabled(_))
     }
 }

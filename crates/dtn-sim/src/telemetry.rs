@@ -13,8 +13,8 @@
 //! forward through the probe — the fold is a flat window array indexed
 //! by `(at − origin) / width`, preallocated from the horizon hint and
 //! touched append-only. Folding is alloc-free after setup except for
-//! the window array itself if the run overruns the hint (tracked in
-//! [`Telemetry::overran_hint`], bounded by `MAX_OVERRUN`).
+//! the window array itself if the run overruns the hint (noted at the
+//! foot of [`Telemetry::render_table`], bounded by `MAX_OVERRUN`).
 //!
 //! Every window counter lives in one [`Counter`]-indexed array, so
 //! emptiness, [`Telemetry::totals`] and the capture emitter are loops;
@@ -47,8 +47,7 @@ pub struct TelemetryConfig {
     pub origin: Time,
     /// Expected span of the recording, used to preallocate the window
     /// array. Overrunning it still works (the array grows, up to four
-    /// times) but is reported via
-    /// [`Telemetry::overran_hint`].
+    /// times) but is noted at the foot of [`Telemetry::render_table`].
     pub horizon: Duration,
     /// Per-NCL slot count for the load/hit columns; slots at or beyond
     /// this land in the per-window overflow counter.
@@ -225,7 +224,7 @@ impl WindowStats {
     /// when no queries were issued — note this relates deliveries to
     /// *issues of the same window*, so it dips below run-level success
     /// when delays push deliveries into later windows.
-    pub fn success_rate(&self) -> Option<f64> {
+    fn success_rate(&self) -> Option<f64> {
         let issued = self[Counter::QueriesIssued];
         (issued > 0).then(|| self[Counter::Deliveries] as f64 / issued as f64)
     }
@@ -299,7 +298,7 @@ impl Telemetry {
     /// Whether recording outgrew the preallocated horizon (the array
     /// reallocated mid-run, or events past four times the horizon
     /// folded into the last window — sums are still exact).
-    pub fn overran_hint(&self) -> bool {
+    fn overran_hint(&self) -> bool {
         self.windows.len() > self.preallocated
     }
 

@@ -14,41 +14,6 @@ use dtn_core::time::Duration;
 
 use crate::trace::ContactTrace;
 
-/// Inter-contact times (end of one contact to start of the next) of a
-/// single node pair, in chronological order.
-///
-/// # Example
-///
-/// ```
-/// use dtn_core::ids::NodeId;
-/// use dtn_core::time::{Duration, Time};
-/// use dtn_trace::analysis::pair_intercontact_times;
-/// use dtn_trace::trace::{Contact, ContactTrace};
-///
-/// let trace = ContactTrace::new(
-///     2,
-///     vec![
-///         Contact::new(NodeId(0), NodeId(1), Time(0), Time(10)),
-///         Contact::new(NodeId(0), NodeId(1), Time(100), Time(120)),
-///         Contact::new(NodeId(0), NodeId(1), Time(500), Time(520)),
-///     ],
-///     Duration(1000),
-/// );
-/// let gaps = pair_intercontact_times(&trace, NodeId(0), NodeId(1));
-/// assert_eq!(gaps, vec![Duration(90), Duration(380)]);
-/// ```
-pub fn pair_intercontact_times(trace: &ContactTrace, a: NodeId, b: NodeId) -> Vec<Duration> {
-    let mut ends = Vec::new();
-    for c in trace.contacts() {
-        if (c.a == a && c.b == b) || (c.a == b && c.b == a) {
-            ends.push((c.start, c.end));
-        }
-    }
-    ends.windows(2)
-        .map(|w| w[1].0.saturating_since(w[0].1))
-        .collect()
-}
-
 /// Pools the inter-contact times of every pair that met at least twice.
 pub fn aggregate_intercontact_times(trace: &ContactTrace) -> Vec<Duration> {
     use std::collections::HashMap;
@@ -176,25 +141,6 @@ mod tests {
     use dtn_core::time::Time;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn pair_gaps_measure_end_to_start() {
-        use crate::trace::Contact;
-        let t = ContactTrace::new(
-            3,
-            vec![
-                Contact::new(NodeId(0), NodeId(1), Time(0), Time(10)),
-                Contact::new(NodeId(0), NodeId(2), Time(5), Time(15)), // other pair
-                Contact::new(NodeId(1), NodeId(0), Time(50), Time(60)),
-            ],
-            Duration(100),
-        );
-        assert_eq!(
-            pair_intercontact_times(&t, NodeId(1), NodeId(0)),
-            vec![Duration(40)]
-        );
-        assert!(pair_intercontact_times(&t, NodeId(1), NodeId(2)).is_empty());
-    }
 
     #[test]
     fn aggregate_pools_all_pairs() {

@@ -32,7 +32,7 @@ pub mod stats;
 pub mod synthetic;
 pub mod trace;
 
-pub use process::{ContactProcess, ContactProcessKind};
+pub use process::ContactProcessKind;
 pub use stats::TraceStats;
 pub use synthetic::SyntheticTraceBuilder;
 pub use trace::{Contact, ContactTrace};
@@ -69,14 +69,6 @@ impl TracePreset {
             TracePreset::Infocom06 => "Infocom06",
             TracePreset::MitReality => "MIT Reality",
             TracePreset::Ucsd => "UCSD",
-        }
-    }
-
-    /// Radio type of the original trace ("Bluetooth" / "WiFi").
-    pub fn network_type(self) -> &'static str {
-        match self {
-            TracePreset::Ucsd => "WiFi",
-            _ => "Bluetooth",
         }
     }
 
@@ -168,10 +160,8 @@ mod tests {
     }
 
     #[test]
-    fn names_and_types() {
+    fn names() {
         assert_eq!(TracePreset::MitReality.name(), "MIT Reality");
-        assert_eq!(TracePreset::Ucsd.network_type(), "WiFi");
-        assert_eq!(TracePreset::Infocom05.network_type(), "Bluetooth");
         assert_eq!(TracePreset::ALL.len(), 4);
     }
 }

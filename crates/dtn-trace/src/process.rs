@@ -9,7 +9,7 @@
 //! measure how far the Poisson-assuming machinery degrades under model
 //! mismatch.
 //!
-//! A [`ContactProcess`] is a resumable per-pair sampler: given the
+//! A `ContactProcess` is a resumable per-pair sampler: given the
 //! current session clock it returns the start of the next co-location
 //! session, drawing only from the pair's private RNG. Every process is
 //! **calibrated to the same mean session rate** — the expected number of
@@ -93,17 +93,17 @@ impl ContactProcessKind {
     pub const PARETO: ContactProcessKind = ContactProcessKind::Pareto { shape: 1.5 };
 
     /// Default lognormal: σ = 1.6 (gaps span ~3 orders of magnitude).
-    pub const LOGNORMAL: ContactProcessKind = ContactProcessKind::Lognormal { sigma: 1.6 };
+    pub(crate) const LOGNORMAL: ContactProcessKind = ContactProcessKind::Lognormal { sigma: 1.6 };
 
     /// Default bounded power law: α = 0.8 truncated at 1000× the
     /// minimum gap.
-    pub const BOUNDED_POWER_LAW: ContactProcessKind = ContactProcessKind::BoundedPowerLaw {
+    pub(crate) const BOUNDED_POWER_LAW: ContactProcessKind = ContactProcessKind::BoundedPowerLaw {
         shape: 0.8,
         cap: 1000.0,
     };
 
     /// Default duty cycle: 6 h period, available 30% of it.
-    pub const DUTY_CYCLED: ContactProcessKind = ContactProcessKind::DutyCycled {
+    pub(crate) const DUTY_CYCLED: ContactProcessKind = ContactProcessKind::DutyCycled {
         period_secs: 21_600.0,
         duty: 0.3,
     };
@@ -185,7 +185,7 @@ impl ContactProcessKind {
     /// inter-session gap is `1 / rate`. `pair_seed` derives per-pair
     /// constants (the duty-cycle phase) without consuming the pair's
     /// contact RNG.
-    pub fn sampler(self, rate: f64, pair_seed: u64) -> PairSampler {
+    pub(crate) fn sampler(self, rate: f64, pair_seed: u64) -> PairSampler {
         match self {
             ContactProcessKind::Poisson => PairSampler::Poisson(Poisson { rate }),
             ContactProcessKind::Pareto { shape } => {
@@ -233,7 +233,7 @@ impl ContactProcessKind {
 /// A resumable per-pair inter-contact sampler: advances the pair's
 /// session clock to the next co-location session, drawing only from the
 /// pair's private RNG.
-pub trait ContactProcess {
+pub(crate) trait ContactProcess {
     /// Given the current session clock `t` (seconds since trace start),
     /// returns the start of the next session. Must be strictly
     /// increasing in expectation and must never return less than `t`.
@@ -271,7 +271,7 @@ impl ContactProcess for Pareto {
 
 /// Lognormal gaps: `exp(μ + σZ)` with Z a Box–Muller standard normal.
 #[derive(Debug, Clone, Copy)]
-pub struct Lognormal {
+pub(crate) struct Lognormal {
     mu: f64,
     sigma: f64,
 }
@@ -288,7 +288,7 @@ impl ContactProcess for Lognormal {
 /// Truncated power-law gaps via inverse-CDF sampling on
 /// `[x_m, cap·x_m]`.
 #[derive(Debug, Clone, Copy)]
-pub struct BoundedPowerLaw {
+pub(crate) struct BoundedPowerLaw {
     scale: f64,
     inv_shape: f64,
     /// `1 − cap^(−α)`: the CDF mass between the truncation bounds.
@@ -307,7 +307,7 @@ impl ContactProcess for BoundedPowerLaw {
 /// drawn in *active time* and mapped to wall-clock time by skipping the
 /// off windows, so the process resumes exactly where it stopped.
 #[derive(Debug, Clone, Copy)]
-pub struct DutyCycled {
+pub(crate) struct DutyCycled {
     inv_active_rate: f64,
     period: f64,
     on_len: f64,
@@ -342,7 +342,7 @@ impl ContactProcess for DutyCycled {
 /// Enum dispatch over the five processes: one concrete, `Copy`-able
 /// sampler per planned pair, no boxing in the per-pair hot loop.
 #[derive(Debug, Clone, Copy)]
-pub enum PairSampler {
+pub(crate) enum PairSampler {
     /// See [`Poisson`].
     Poisson(Poisson),
     /// See [`Pareto`].

@@ -7,7 +7,6 @@ use dtn_core::graph::ContactGraph;
 use dtn_core::ncl::{all_metrics, CentralityScore};
 use dtn_core::time::{Duration, Time};
 
-use crate::analysis;
 use crate::trace::ContactTrace;
 
 /// Summary statistics of a contact trace — the columns of the paper's
@@ -108,17 +107,6 @@ pub fn metric_distribution(trace: &ContactTrace, horizon: f64) -> Vec<Centrality
     scores
 }
 
-/// Empirical CCDF of the trace's pooled inter-contact times, as
-/// `(gap_secs, P(gap > t))` pairs ascending in `t`. Empty when no pair
-/// met twice.
-pub fn intercontact_ccdf(trace: &ContactTrace) -> Vec<(f64, f64)> {
-    let gaps = analysis::aggregate_intercontact_times(trace);
-    if gaps.is_empty() {
-        return Vec::new();
-    }
-    analysis::ccdf(&gaps)
-}
-
 /// Hill estimator of the power-law tail exponent α over the largest
 /// `tail_fraction` of the samples: the maximum-likelihood exponent of a
 /// Pareto fitted to the exceedances over the tail threshold. For a
@@ -200,18 +188,6 @@ mod tests {
         for s in &dist {
             assert!((0.0..=1.0).contains(&s.metric));
         }
-    }
-
-    #[test]
-    fn intercontact_ccdf_matches_pooled_gaps() {
-        let t = small_trace();
-        let c = intercontact_ccdf(&t);
-        let gaps = crate::analysis::aggregate_intercontact_times(&t);
-        assert!(!c.is_empty());
-        assert_eq!(c, crate::analysis::ccdf(&gaps));
-        // And an empty trace yields an empty CCDF, not a panic.
-        let empty = ContactTrace::new(2, Vec::new(), Duration::hours(1));
-        assert!(intercontact_ccdf(&empty).is_empty());
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub struct SyntheticTraceBuilder {
     granularity: Duration,
     target_contacts: u64,
     pareto_shape: f64,
-    pareto_cap: f64,
     activity_sigma: f64,
     communities: usize,
     community_boost: f64,
@@ -81,7 +80,6 @@ impl SyntheticTraceBuilder {
             granularity: Duration::secs(120),
             target_contacts: 50 * nodes as u64,
             pareto_shape: 1.8,
-            pareto_cap: 25.0,
             activity_sigma: 0.8,
             communities: 1,
             community_boost: 4.0,
@@ -197,19 +195,6 @@ impl SyntheticTraceBuilder {
     pub fn community_boost(mut self, boost: f64) -> Self {
         assert!(boost >= 1.0, "community boost must be at least 1");
         self.community_boost = boost;
-        self
-    }
-
-    /// Sets the cap on sociability weights (default 25). Higher caps let
-    /// hub nodes absorb a larger share of all contacts, increasing the
-    /// skew of the metric distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cap >= 1.0`.
-    pub fn sociability_cap(mut self, cap: f64) -> Self {
-        assert!(cap >= 1.0, "sociability cap must be at least 1, got {cap}");
-        self.pareto_cap = cap;
         self
     }
 
@@ -352,7 +337,7 @@ impl SyntheticTraceBuilder {
         let weights: Vec<f64> = (0..self.nodes)
             .map(|_| {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let pareto = u.powf(-1.0 / self.pareto_shape).min(self.pareto_cap);
+                let pareto = u.powf(-1.0 / self.pareto_shape).min(SOCIABILITY_CAP);
                 // Box-Muller standard normal for the activity factor.
                 let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
                 let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
@@ -545,6 +530,10 @@ impl SyntheticTraceBuilder {
     }
 }
 
+/// Cap on the Pareto sociability weights: bounds the share of all
+/// contacts a hub node can absorb.
+const SOCIABILITY_CAP: f64 = 25.0;
+
 /// Populations up to this size select pairs by exact enumeration
 /// ([`SyntheticTraceBuilder::plan`]); larger ones switch to skip
 /// sampling. `C(2048, 2) ≈ 2.1 M` pairs is the last cheap sweep.
@@ -607,7 +596,7 @@ struct PlannedPair {
 }
 
 /// Lazy generator of one pair's raw contact sequence — the pluggable
-/// session process ([`ContactProcess`]) with geometric re-detection
+/// session process (`ContactProcess`) with geometric re-detection
 /// runs, emitted one contact at a time. Both generation paths run this
 /// exact state machine, so their per-pair sequences are identical by
 /// construction.

@@ -214,63 +214,6 @@ impl ContactTrace {
         ContactTrace::new(self.node_count, contacts, to - from)
     }
 
-    /// Restricts the trace to the given nodes, renumbering them densely
-    /// in the order supplied. Contacts involving excluded nodes are
-    /// dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` is empty, contains duplicates, or references a
-    /// node outside the population.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dtn_core::ids::NodeId;
-    /// use dtn_core::time::{Duration, Time};
-    /// use dtn_trace::trace::{Contact, ContactTrace};
-    ///
-    /// let trace = ContactTrace::new(
-    ///     4,
-    ///     vec![
-    ///         Contact::new(NodeId(0), NodeId(3), Time(10), Time(20)),
-    ///         Contact::new(NodeId(1), NodeId(2), Time(30), Time(40)),
-    ///     ],
-    ///     Duration(100),
-    /// );
-    /// let sub = trace.restrict_to(&[NodeId(3), NodeId(0)]);
-    /// assert_eq!(sub.node_count(), 2);
-    /// assert_eq!(sub.contact_count(), 1);
-    /// // node 3 became node 0, node 0 became node 1
-    /// assert_eq!(sub.contacts()[0].a, NodeId(0));
-    /// ```
-    pub fn restrict_to(&self, keep: &[NodeId]) -> ContactTrace {
-        assert!(!keep.is_empty(), "must keep at least one node");
-        let mut renumber = vec![None; self.node_count];
-        for (new, old) in keep.iter().enumerate() {
-            assert!(
-                old.index() < self.node_count,
-                "{old} outside population of {}",
-                self.node_count
-            );
-            assert!(
-                renumber[old.index()].is_none(),
-                "duplicate node {old} in keep list"
-            );
-            renumber[old.index()] = Some(NodeId(new as u32));
-        }
-        let contacts = self
-            .contacts
-            .iter()
-            .filter_map(|c| {
-                let a = renumber[c.a.index()]?;
-                let b = renumber[c.b.index()]?;
-                Some(Contact::new(a, b, c.start, c.end))
-            })
-            .collect();
-        ContactTrace::new(keep.len(), contacts, self.duration)
-    }
-
     /// Removes every contact of `node` that starts at or after `from` —
     /// the node fails / leaves the network at that instant. Earlier
     /// contacts (including ones still in progress) are kept.
@@ -324,18 +267,6 @@ impl ContactTrace {
             counts[c.b.index()] += 1;
         }
         counts
-    }
-
-    /// Number of distinct peers each node ever meets (contact-graph
-    /// degree).
-    pub fn node_degrees(&self) -> Vec<usize> {
-        let mut peers: Vec<std::collections::HashSet<NodeId>> =
-            vec![std::collections::HashSet::new(); self.node_count];
-        for c in &self.contacts {
-            peers[c.a.index()].insert(c.b);
-            peers[c.b.index()].insert(c.a);
-        }
-        peers.into_iter().map(|s| s.len()).collect()
     }
 }
 
@@ -450,29 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn restrict_to_renumbers_and_filters() {
-        let t = sample_trace();
-        // Keep only nodes 0 and 1 (their two contacts survive).
-        let sub = t.restrict_to(&[NodeId(1), NodeId(0)]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.contact_count(), 2);
-        for c in sub.contacts() {
-            assert!(c.b.index() < 2);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate node")]
-    fn restrict_rejects_duplicates() {
-        let _ = sample_trace().restrict_to(&[NodeId(0), NodeId(0)]);
-    }
-
-    #[test]
-    fn contact_counts_and_degrees() {
+    fn contact_counts_per_node() {
         let t = sample_trace();
         let counts = t.node_contact_counts();
         assert_eq!(counts, vec![2, 3, 2, 1]);
-        let degrees = t.node_degrees();
-        assert_eq!(degrees, vec![1, 2, 2, 1]);
     }
 }

@@ -57,7 +57,7 @@ impl WorkloadConfig {
     }
 
     /// The effective query constraint (`T_L/2` unless overridden).
-    pub fn effective_query_constraint(&self) -> Duration {
+    fn effective_query_constraint(&self) -> Duration {
         self.query_constraint
             .unwrap_or_else(|| self.mean_lifetime.div_by(2))
     }

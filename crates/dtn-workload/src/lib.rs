@@ -20,7 +20,6 @@
 //! ```
 
 pub mod generator;
-pub mod io;
 pub mod zipf;
 
 pub use generator::{Workload, WorkloadConfig};

@@ -13,11 +13,16 @@
 //! The same graphs also hold the early exit (`shortest_paths_until`)
 //! against the exhaustive search: whatever a partial table answers, it
 //! answers with the exhaustive table's bits and routes, and what it did
-//! not settle it reports as unanswered — never as unreachable.
+//! not settle it reports as unanswered — never as unreachable. And they
+//! hold the hop-bounded search (`bounded_shortest_paths`) with a bound
+//! of at least `n` hops against the unbounded one, weight for weight.
 
 use dtn_coop_cache::core::graph::ContactGraph;
 use dtn_coop_cache::core::ids::NodeId;
-use dtn_coop_cache::core::path::{shortest_paths, shortest_paths_naive, shortest_paths_until};
+use dtn_coop_cache::core::path::{
+    bounded_shortest_paths, shortest_paths, shortest_paths_naive, shortest_paths_until,
+    ReachScratch,
+};
 
 use proptest::prelude::*;
 
@@ -34,7 +39,10 @@ fn graph_from_edges(n: usize, edges: &[(u32, u32, f64)]) -> ContactGraph {
 }
 
 /// Compares the optimized search against the naive reference for every
-/// destination: same reachability, same route, same weight.
+/// destination: same reachability, same route, same weight. The
+/// hop-bounded search with a bound no path can reach (`max_hops ≥ n`) is
+/// the same loop read through the sparse extractor, so it must list the
+/// same settled set with the same bits.
 fn assert_equivalent(g: &ContactGraph, source: NodeId, horizon: f64) -> Result<(), String> {
     let table = shortest_paths(g, source, horizon);
     let naive = shortest_paths_naive(g, source, horizon);
@@ -79,6 +87,26 @@ fn assert_equivalent(g: &ContactGraph, source: NodeId, horizon: f64) -> Result<(
                     b.map(|p| p.nodes().to_vec())
                 ));
             }
+        }
+    }
+    let n = g.node_count();
+    let dense: Vec<(NodeId, u64)> = table
+        .iter_weights()
+        .map(|(v, w)| (v, w.to_bits()))
+        .collect();
+    let mut scratch = ReachScratch::new();
+    for max_hops in [n, n + 5, usize::MAX] {
+        let bounded: Vec<(NodeId, u64)> =
+            bounded_shortest_paths(g, source, horizon, max_hops, &mut scratch)
+                .entries()
+                .iter()
+                .map(|&(v, w)| (v, w.to_bits()))
+                .collect();
+        if bounded != dense {
+            return Err(format!(
+                "bounded search (max_hops {max_hops}) differs from the dense one: \
+                 {bounded:?} vs {dense:?}"
+            ));
         }
     }
     Ok(())
