@@ -35,6 +35,7 @@ use dtn_core::ncl::SelectionStrategy;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{SimConfig, Simulator, StreamSource, WorkloadEvent};
 use dtn_sim::message::DataItem;
+use dtn_sim::oracle::OracleStats;
 use dtn_sim::probe::RecordingProbe;
 use dtn_sim::telemetry::Telemetry;
 use dtn_trace::synthetic::SyntheticTraceBuilder;
@@ -170,11 +171,15 @@ pub struct ScaleReport {
     pub central_nodes: usize,
     /// `(sweeps, violations)` when the invariant audit ran.
     pub audit: Option<(u64, u64)>,
+    /// The scheme's path-oracle work counters at the end of the run:
+    /// counted, not timed, so equal on every machine.
+    pub oracle: OracleStats,
 }
 
 impl ScaleReport {
     /// The report as one JSON object — a `report` member of
-    /// `BENCH_scale.json`.
+    /// `BENCH_scale.json`. Wall-clock and memory numbers only: nothing
+    /// here is gated.
     pub fn to_json(&self) -> JsonValue {
         let audit = self.audit.map(|(sweeps, violations)| {
             JsonValue::object()
@@ -196,6 +201,23 @@ impl ScaleReport {
             .with("success_ratio", JsonValue::fixed(self.success_ratio, 4))
             .with("central_nodes", self.central_nodes)
             .with("audit", audit)
+    }
+
+    /// [`to_json`](Self::to_json) plus the oracle's work counters as
+    /// `_exact` keys, which `experiments compare` gates: the
+    /// `audited_case` of `BENCH_scale.json`, the one run of the scale
+    /// command whose size is fixed.
+    pub fn to_json_exact(&self) -> JsonValue {
+        self.to_json()
+            .with(
+                "oracle_table_recomputes_exact",
+                self.oracle.table_recomputes,
+            )
+            .with("oracle_nodes_settled_exact", self.oracle.nodes_settled)
+            .with(
+                "oracle_accumulators_built_exact",
+                self.oracle.accumulators_built,
+            )
     }
 }
 
@@ -343,14 +365,14 @@ pub(crate) fn run_scale_observed(
         nodes,
         duration,
     );
-    let scheme: Box<dyn CachingScheme> = Box::new(IntentionalScheme::new(IntentionalConfig {
+    let scheme = IntentionalScheme::new(IntentionalConfig {
         ncl_count: cfg.ncl_count,
         ncl_selection: SelectionStrategy::CommunityPathMetric {
             max_hops: Some(cfg.max_hops),
         },
         bounded_reach: Some((cfg.max_hops, cfg.reach_cache_slots)),
         ..IntentionalConfig::default()
-    }));
+    });
     let mut sim = Simulator::from_source(
         source,
         scheme,
@@ -413,6 +435,7 @@ pub(crate) fn run_scale_observed(
         audit: sim
             .audit_report()
             .map(|r| (r.sweeps(), r.violations_total())),
+        oracle: sim.scheme().oracle_stats().expect("scheme configured"),
     };
     let observed = instruments.map(|i| ObserveRun::capture("scale", cfg.seed, &mut sim, i));
     (report, observed)
@@ -476,6 +499,30 @@ mod tests {
         assert!(json.get("contacts_per_sec").is_some());
         assert!(json.get("peak_rss_bytes").is_some());
         assert_eq!(json.get("audit"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn exact_report_carries_the_oracle_work_counters() {
+        let report = run_scale(&tiny());
+        let oracle = report.oracle;
+        assert!(oracle.table_recomputes > 0);
+        // Three hops over mean degree 12: most settled nodes are leaves
+        // of the bound and build no accumulator.
+        assert!(
+            oracle.accumulators_built * 2 < oracle.nodes_settled,
+            "{oracle:?}"
+        );
+        assert_eq!(run_scale(&tiny()).oracle, oracle, "counted, not timed");
+        let json = report.to_json_exact();
+        for (key, value) in [
+            ("oracle_table_recomputes_exact", oracle.table_recomputes),
+            ("oracle_nodes_settled_exact", oracle.nodes_settled),
+            ("oracle_accumulators_built_exact", oracle.accumulators_built),
+        ] {
+            assert_eq!(json.get(key).and_then(JsonValue::as_u64), Some(value));
+        }
+        // The sized runs of the document carry nothing that is gated.
+        assert!(report.to_json().get("oracle_nodes_settled_exact").is_none());
     }
 
     #[test]

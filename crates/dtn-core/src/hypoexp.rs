@@ -255,6 +255,44 @@ impl HorizonAccumulator {
         }
     }
 
+    /// Makes `self` the empty accumulator at time `t` —
+    /// `*self = HorizonAccumulator::new(t)` with the buffers kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is NaN.
+    pub(crate) fn reset(&mut self, t: f64) {
+        assert!(!t.is_nan(), "time must not be NaN");
+        self.acc.rates.clear();
+        self.acc.spread.clear();
+        self.acc.coeffs.clear();
+        self.acc.all_equal = true;
+        self.t = t;
+        self.em1.clear();
+    }
+
+    /// Makes `self` a copy of `parent` extended by one stage of `rate` —
+    /// `*self = parent.clone(); self.push(rate)` to the bit, but refilling
+    /// the buffers `self` already owns. The derived `Clone::clone_from`
+    /// would not: it drops the four vectors and clones fresh ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is non-positive or non-finite.
+    pub(crate) fn assign_extended(&mut self, parent: &Self, rate: f64) {
+        let refill = |dst: &mut Vec<f64>, src: &[f64]| {
+            dst.clear();
+            dst.extend_from_slice(src);
+        };
+        refill(&mut self.acc.rates, &parent.acc.rates);
+        refill(&mut self.acc.spread, &parent.acc.spread);
+        refill(&mut self.acc.coeffs, &parent.acc.coeffs);
+        refill(&mut self.em1, &parent.em1);
+        self.acc.all_equal = parent.acc.all_equal;
+        self.t = parent.t;
+        self.push(rate);
+    }
+
     /// Appends one exponential stage, extending the exponential cache by
     /// the new stage's factor — one `exp` regardless of path length.
     ///
@@ -315,6 +353,19 @@ impl HorizonAccumulator {
         }
         sum += c_new * -(-rate * self.t).exp_m1();
         clamp01(sum)
+    }
+
+    /// Address and capacity of each of the four buffers — what a test
+    /// compares to show that a refill reallocated nothing.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(*const f64, usize); 4] {
+        [
+            &self.acc.rates,
+            &self.acc.spread,
+            &self.acc.coeffs,
+            &self.em1,
+        ]
+        .map(|v| (v.as_ptr(), v.capacity()))
     }
 
     /// Slow path for clustered candidates: derive the perturbed
@@ -592,6 +643,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn refilled_horizon_accumulator_equals_clone_and_push() {
+        // Everything an accumulator holds, floats by bit pattern.
+        fn bits(h: &HorizonAccumulator) -> (Vec<Vec<u64>>, bool, u64) {
+            let vecs = [&h.acc.rates, &h.acc.spread, &h.acc.coeffs, &h.em1];
+            let vecs = vecs.map(|v| v.iter().map(|x| x.to_bits()).collect());
+            (vecs.to_vec(), h.acc.all_equal, h.t.to_bits())
+        }
+        let t = 3_000.0;
+        // Equal rates (Erlang branch), a clustered pair, a plain tail.
+        let rates = [4e-3, 4e-3, 4e-3 * (1.0 + 1e-9), 1e-5, 2e-3];
+        // The recycled buffer starts out holding a longer, unrelated path
+        // evaluated at another time.
+        let mut recycled = HorizonAccumulator::new(17.0);
+        for r in [1e-2, 3e-4, 5e-3, 7e-4, 9e-3, 1e-6, 2e-2] {
+            recycled.push(r);
+        }
+        let warm = recycled.buffers();
+        let mut parent = HorizonAccumulator::new(t);
+        for &r in &rates {
+            let mut cloned = parent.clone();
+            cloned.push(r);
+            recycled.assign_extended(&parent, r);
+            assert_eq!(bits(&recycled), bits(&cloned), "extending by {r}");
+            assert_eq!(recycled.extended_cdf(6e-4), cloned.extended_cdf(6e-4));
+            assert_eq!(recycled.buffers(), warm, "a refill reallocated");
+            parent = cloned;
+        }
+        recycled.reset(t);
+        assert_eq!(bits(&recycled), bits(&HorizonAccumulator::new(t)));
+        assert_eq!(recycled.buffers(), warm, "a reset reallocated");
     }
 
     #[test]

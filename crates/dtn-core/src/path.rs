@@ -19,14 +19,17 @@
 //! relaxation evaluates the candidate weight by extending the settled
 //! node's cached CDF accumulator ([`crate::hypoexp`]) — `O(r)`
 //! multiply-adds plus a single fresh exponential, without materialising
-//! the extended path. One accumulator is built per *settled* node (by
-//! extending its parent's). Two extractors read the settled set out of
-//! the scratch: the dense, route-carrying [`PathTable`]
-//! ([`shortest_paths`], [`shortest_paths_until`]) and the sparse
-//! [`SparseReach`] ([`bounded_shortest_paths`], the same loop under a hop
-//! bound). Concrete [`OpportunisticPath`] values are reconstructed lazily
-//! by [`PathTable::path_to`]. [`shortest_paths_naive`] retains the
-//! original owned-path formulation as a differential-testing reference.
+//! the extended path. An accumulator is built only for a settled node
+//! that goes on to relax its edges (by extending its parent's, into a
+//! buffer recycled from the previous search); a node settled at the hop
+//! bound keeps its weight and nothing else. Two extractors read the
+//! settled set out of the scratch: the dense, route-carrying
+//! [`PathTable`] ([`shortest_paths`], [`shortest_paths_until`]) and the
+//! sparse [`SparseReach`] ([`bounded_shortest_paths`], the same loop
+//! under a hop bound). Concrete [`OpportunisticPath`] values are
+//! reconstructed lazily by [`PathTable::path_to`].
+//! [`shortest_paths_naive`] retains the original owned-path formulation
+//! as a differential-testing reference.
 //!
 //! Nodes settle in decreasing weight order and a settled weight is
 //! final, so a caller that only needs the weights to a few targets (the
@@ -419,10 +422,13 @@ impl SparseReach {
 ///
 /// All per-node arrays are epoch-stamped: a search only initializes the
 /// slots it actually touches, and the next search invalidates them by
-/// bumping the epoch instead of clearing `O(N)` memory. Keep one scratch
-/// per thread and pass it to every call; repeated searches on a large
-/// graph then cost `O(touched)` time and zero allocations (beyond heap
-/// growth on the first calls).
+/// bumping the epoch instead of clearing `O(N)` memory. The CDF
+/// accumulators are recycled the same way: the ones a search built go
+/// back on a free list when the next search starts and are refilled in
+/// place. Keep one scratch per thread and pass it to every call; once it
+/// is warm (heap, touched list and free list grown to the largest search
+/// it has served) a search costs `O(touched)` time and calls the
+/// allocator only for the table it returns.
 #[derive(Debug, Default)]
 pub struct ReachScratch {
     epoch: u64,
@@ -437,11 +443,18 @@ pub struct ReachScratch {
     /// Predecessor in the route tree; `u32::MAX` = none (source).
     prev: Vec<u32>,
     rate_into: Vec<f64>,
-    /// CDF accumulator of each settled node's best path (with its cached
-    /// per-stage exponentials), built by extending the parent's by the
-    /// tree edge — one allocation and one exp per settled node, none per
-    /// relaxation.
-    accs: Vec<Option<hypoexp::HorizonAccumulator>>,
+    /// Where in `accs` a node's accumulator lives. Written when a node
+    /// that will relax settles, read only through such a node's children
+    /// in the same search — never stamped, never cleared.
+    acc_slot: Vec<u32>,
+    /// CDF accumulators of settled paths (with their cached per-stage
+    /// exponentials), in settle order: `accs[..accs_built]` belong to the
+    /// current search, the rest is the free list — buffers of earlier
+    /// searches waiting to be refilled. Only a node that relaxes its
+    /// edges gets one; it never shrinks, so its length is the most
+    /// accumulators any one search through this scratch has built.
+    accs: Vec<hypoexp::HorizonAccumulator>,
+    accs_built: usize,
     touched: Vec<u32>,
     heap: BinaryHeap<Label>,
     /// Nodes the current search has settled, the source included.
@@ -455,6 +468,14 @@ impl ReachScratch {
         ReachScratch::default()
     }
 
+    /// How many CDF accumulators the last search built: one per settled
+    /// node that went on to relax its edges. A node settled at the hop
+    /// bound, or the target that ended an early-exit search, builds none.
+    /// Exact and machine-independent, like [`PathTable::settled_count`].
+    pub fn accumulators_built(&self) -> usize {
+        self.accs_built
+    }
+
     /// Starts a fresh search epoch over `n` nodes.
     fn prepare(&mut self, n: usize) {
         if self.stamp.len() < n {
@@ -466,13 +487,10 @@ impl ReachScratch {
             self.hops.resize(n, 0);
             self.prev.resize(n, u32::MAX);
             self.rate_into.resize(n, 0.0);
-            self.accs.resize(n, None);
+            self.acc_slot.resize(n, 0);
         }
-        // Drop the previous search's accumulators so resident memory
-        // stays proportional to one touched set, not the whole graph.
-        for &i in &self.touched {
-            self.accs[i as usize] = None;
-        }
+        // The previous search's accumulators all return to the free list.
+        self.accs_built = 0;
         self.touched.clear();
         self.heap.clear();
         self.settled_count = 0;
@@ -520,16 +538,18 @@ impl ReachScratch {
         table
     }
 
-    /// The last search's settled set as sorted `(destination, weight)`
-    /// entries.
-    fn sparse_reach(&self, source: NodeId, horizon: f64) -> SparseReach {
-        let mut entries: Vec<(NodeId, f64)> = self
-            .touched
-            .iter()
-            .filter(|&&i| self.settled[i as usize])
-            .map(|&i| (NodeId(i), self.weight[i as usize]))
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
+    /// The last search's settled set as `(destination, weight)` entries
+    /// in ascending id order — sorted as bare `u32` ids, weights gathered
+    /// afterwards.
+    fn sparse_reach(&mut self, source: NodeId, horizon: f64) -> SparseReach {
+        self.touched.sort_unstable();
+        let mut entries = Vec::with_capacity(self.settled_count);
+        entries.extend(
+            self.touched
+                .iter()
+                .filter(|&&i| self.settled[i as usize])
+                .map(|&i| (NodeId(i), self.weight[i as usize])),
+        );
         SparseReach {
             source,
             horizon,
@@ -569,7 +589,8 @@ pub fn bounded_shortest_paths<G: Topology>(
 
 /// The one label-setting loop. Settles nodes in decreasing weight order
 /// from `source`, relaxing only from nodes whose best path has fewer
-/// than `max_hops` hops, and leaves the settled set in `scratch` for
+/// than `max_hops` hops — only those get a CDF accumulator, refilled
+/// from the scratch's free list — and leaves the settled set in `scratch` for
 /// [`ReachScratch::path_table`] / [`ReachScratch::sparse_reach`] to read.
 /// Stops as soon as every in-range node of `targets` has settled and
 /// returns `false`; returns `true` when it ran to exhaustion (always,
@@ -610,6 +631,10 @@ fn search<G: Topology>(
         node: source,
     });
 
+    // The accumulators leave the scratch for the duration of the loop, so
+    // a settled node's can be read while the per-node arrays are written.
+    let mut accs = std::mem::take(&mut scratch.accs);
+    let mut complete = true;
     while let Some(Label { weight: w, node }) = scratch.heap.pop() {
         let ni = node.index();
         if scratch.settled[ni] {
@@ -623,43 +648,58 @@ fn search<G: Topology>(
             if outstanding == 0 {
                 // Every target is final; nothing relaxed from here on
                 // could change a settled entry.
-                return false;
+                complete = false;
+                break;
             }
         }
-        let (hops, acc) = if scratch.prev[ni] == u32::MAX {
-            (0u32, hypoexp::HorizonAccumulator::new(horizon))
+        let parent = scratch.prev[ni];
+        let hops = if parent == u32::MAX {
+            0
         } else {
-            let parent = scratch.prev[ni] as usize;
-            let mut acc = scratch.accs[parent]
-                .as_ref()
-                .expect("parent settles before child")
-                .clone();
-            acc.push(scratch.rate_into[ni]);
-            (scratch.hops[parent] + 1, acc)
+            scratch.hops[parent as usize] + 1
         };
         scratch.hops[ni] = hops;
-        if (hops as usize) < max_hops {
-            for &(peer, rate) in graph.neighbors(node) {
-                let pi = peer.index();
-                scratch.touch(pi);
-                if scratch.settled[pi] {
-                    continue;
-                }
-                let cand = acc.extended_cdf(rate);
-                if cand > scratch.best[pi] {
-                    scratch.best[pi] = cand;
-                    scratch.prev[pi] = ni as u32;
-                    scratch.rate_into[pi] = rate;
-                    scratch.heap.push(Label {
-                        weight: cand,
-                        node: peer,
-                    });
-                }
+        if hops as usize >= max_hops {
+            // A leaf of the hop bound: its weight is final and nothing
+            // is relaxed from it, so nothing would read its accumulator.
+            continue;
+        }
+        // Refill the next accumulator of the free list; `accs[..built]`
+        // are this search's, the parent's among them.
+        let built = scratch.accs_built;
+        if built == accs.len() {
+            accs.push(hypoexp::HorizonAccumulator::new(horizon));
+        }
+        let (mine, free) = accs.split_at_mut(built);
+        if parent == u32::MAX {
+            free[0].reset(horizon);
+        } else {
+            let parent_acc = &mine[scratch.acc_slot[parent as usize] as usize];
+            free[0].assign_extended(parent_acc, scratch.rate_into[ni]);
+        }
+        scratch.acc_slot[ni] = built as u32;
+        scratch.accs_built += 1;
+        let acc = &accs[built];
+        for &(peer, rate) in graph.neighbors(node) {
+            let pi = peer.index();
+            scratch.touch(pi);
+            if scratch.settled[pi] {
+                continue;
+            }
+            let cand = acc.extended_cdf(rate);
+            if cand > scratch.best[pi] {
+                scratch.best[pi] = cand;
+                scratch.prev[pi] = ni as u32;
+                scratch.rate_into[pi] = rate;
+                scratch.heap.push(Label {
+                    weight: cand,
+                    node: peer,
+                });
             }
         }
-        scratch.accs[ni] = Some(acc);
     }
-    true
+    scratch.accs = accs;
+    complete
 }
 
 /// The original owned-path formulation of the search, kept as a reference
@@ -1021,13 +1061,9 @@ mod tests {
         (t.complete, t.settled_count, nodes)
     }
 
-    #[test]
-    fn one_scratch_serves_alternating_graphs_targets_and_bounds() {
-        // A 40-node graph with LCG-chosen edges and a 6-node line: the
-        // scratch arrays stay sized for the large one while the small one
-        // is searched, so an id that is out of range for the line is
-        // still a valid slot of the scratch.
-        let mut large = ContactGraph::new(40);
+    /// A 40-node graph with 110 LCG-chosen edges.
+    fn lcg_graph() -> ContactGraph {
+        let mut g = ContactGraph::new(40);
         let mut x = 12345u64;
         for _ in 0..110 {
             x = x
@@ -1035,10 +1071,59 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let (a, b) = ((x >> 33) as u32 % 40, (x >> 13) as u32 % 40);
             if a != b {
-                large.set_rate(NodeId(a), NodeId(b), 1e-4 * (1 + (x >> 50) % 90) as f64);
+                g.set_rate(NodeId(a), NodeId(b), 1e-4 * (1 + (x >> 50) % 90) as f64);
             }
         }
+        g
+    }
+
+    fn reach_bits(r: &SparseReach) -> Vec<(NodeId, u64)> {
+        r.entries().iter().map(|&(v, w)| (v, w.to_bits())).collect()
+    }
+
+    #[test]
+    fn one_scratch_serves_alternating_graphs_targets_and_bounds() {
+        // A 40-node graph and a 6-node line: the scratch arrays stay
+        // sized for the large one while the small one is searched, so an
+        // id that is out of range for the line is still a valid slot of
+        // the scratch.
+        let large = lcg_graph();
         let small = line_graph(&[2e-3, 4e-3, 1e-3, 3e-3, 5e-3]);
+
+        // The free list is filled by a dense search over the large graph;
+        // an early-exit search and a bounded one over the small graph
+        // then refill accumulators that held longer, unrelated paths.
+        let mut scratch = ReachScratch::new();
+        let dense = shortest_paths_until_in(&large, NodeId(0), 1500.0, &[], &mut scratch);
+        assert_eq!(
+            table_bits(&dense),
+            table_bits(&shortest_paths(&large, NodeId(0), 1500.0))
+        );
+        let free_list = scratch.accs.len();
+        assert_eq!(free_list, dense.settled_count(), "dense: one per settled");
+        assert!(free_list > small.node_count());
+        let stop = [NodeId(3)];
+        let partial = shortest_paths_until_in(&small, NodeId(5), 700.0, &stop, &mut scratch);
+        assert!(!partial.is_complete());
+        assert_eq!(
+            table_bits(&partial),
+            table_bits(&shortest_paths_until(&small, NodeId(5), 700.0, &stop))
+        );
+        // n5 and n4 relaxed; the target n3 ended the search and built none.
+        assert_eq!(
+            (partial.settled_count(), scratch.accumulators_built()),
+            (3, 2)
+        );
+        let bounded = bounded_shortest_paths(&small, NodeId(2), 900.0, 2, &mut scratch);
+        let fresh = bounded_shortest_paths(&small, NodeId(2), 900.0, 2, &mut ReachScratch::new());
+        assert_eq!(reach_bits(&bounded), reach_bits(&fresh));
+        // n2 and its neighbours n1, n3 relaxed; n0 and n4 are leaves.
+        assert_eq!(
+            (bounded.entries().len(), scratch.accumulators_built()),
+            (5, 3)
+        );
+        assert_eq!(scratch.accs.len(), free_list, "the free list never shrinks");
+
         let target_sets: [&[NodeId]; 6] = [
             &[],
             &[NodeId(3), NodeId(3)],
@@ -1047,7 +1132,6 @@ mod tests {
             &[NodeId(u32::MAX)],
             &[NodeId(5), NodeId(1), NodeId(4)],
         ];
-        let mut scratch = ReachScratch::new();
         let mut partial_tables = 0;
         for round in 0..18usize {
             // large, small, large under each target set in turn.
@@ -1064,16 +1148,74 @@ mod tests {
             let reused = bounded_shortest_paths(g, source, horizon, max_hops, &mut scratch);
             let fresh =
                 bounded_shortest_paths(g, source, horizon, max_hops, &mut ReachScratch::new());
-            let bits = |r: &SparseReach| -> Vec<(NodeId, u64)> {
-                r.entries().iter().map(|&(v, w)| (v, w.to_bits())).collect()
-            };
             assert_eq!(
-                bits(&reused),
-                bits(&fresh),
+                reach_bits(&reused),
+                reach_bits(&fresh),
                 "round {round}, {max_hops} hops"
             );
         }
         assert!(partial_tables > 0, "no search stopped early");
+    }
+
+    #[test]
+    fn hop_bound_leaves_build_no_accumulator() {
+        // A star: from the hub every spoke is a 1-hop leaf; from a spoke
+        // the hub relaxes and the other spokes are 2-hop leaves.
+        let mut star = ContactGraph::new(9);
+        for spoke in 1..9u32 {
+            star.set_rate(NodeId(0), NodeId(spoke), 1e-3 * f64::from(spoke));
+        }
+        let mut scratch = ReachScratch::new();
+        for (source, max_hops, settled, built) in
+            [(0, 1, 9, 1), (0, 2, 9, 9), (4, 1, 2, 1), (4, 2, 9, 2)]
+        {
+            let reach = bounded_shortest_paths(&star, NodeId(source), 2e3, max_hops, &mut scratch);
+            assert_eq!(reach.entries().len(), settled, "n{source}, {max_hops} hops");
+            assert_eq!(
+                scratch.accumulators_built(),
+                built,
+                "n{source}, {max_hops} hops"
+            );
+            // The leaves' weights are the unbounded search's all the same.
+            let full = shortest_paths(&star, NodeId(source), 2e3);
+            for &(v, w) in reach.entries() {
+                assert_eq!(w.to_bits(), full.weight_to(v).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn warm_scratch_searches_without_allocating() {
+        // Dense, early-exit and bounded searches from every source, twice
+        // over: the second pass finds every buffer the first one grew and
+        // moves or regrows none of them — per-node arrays, heap, touched
+        // list, and each recycled accumulator's four vectors.
+        let g = lcg_graph();
+        let pass = |scratch: &mut ReachScratch| {
+            for source in g.nodes() {
+                search(&g, source, 1800.0, &[], usize::MAX, scratch);
+                search(
+                    &g,
+                    source,
+                    1800.0,
+                    &[NodeId(7), NodeId(31)],
+                    usize::MAX,
+                    scratch,
+                );
+                search(&g, source, 1800.0, &[], 2, scratch);
+            }
+        };
+        let buffers = |s: &ReachScratch| {
+            let accs: Vec<_> = s.accs.iter().map(|a| a.buffers()).collect();
+            let arrays = (s.stamp.as_ptr(), s.best.as_ptr(), s.acc_slot.as_ptr());
+            (accs, arrays, s.heap.capacity(), s.touched.capacity())
+        };
+        let mut scratch = ReachScratch::new();
+        pass(&mut scratch);
+        let warm = buffers(&scratch);
+        assert_eq!(warm.0.len(), 40, "a dense search builds one per node");
+        pass(&mut scratch);
+        assert_eq!(buffers(&scratch), warm);
     }
 
     #[test]

@@ -74,9 +74,15 @@ struct Snapshot {
 /// replaces a partial table which could not answer. `nodes_settled` sums
 /// the nodes those searches settled: exact and machine-independent, it
 /// is the counter that moves when a search does more or less work for
-/// the same `table_recomputes`. `rebuilds` counts shared-snapshot
-/// constructions (equals [`PathOracle::snapshot_epoch`]);
-/// `invalidations` counts explicit [`PathOracle::invalidate`] calls.
+/// the same `table_recomputes` (it fell when searches began to stop at
+/// the targets). `accumulators_built` sums the CDF accumulators the same
+/// searches built, one per settled node that relaxed its edges: it moves
+/// on per-settle work that leaves the settled set alone — under a hop
+/// bound most settled nodes are leaves and build none, so it sits well
+/// below `nodes_settled`, and would equal it if they did. `rebuilds`
+/// counts shared-snapshot constructions (equals
+/// [`PathOracle::snapshot_epoch`]); `invalidations` counts explicit
+/// [`PathOracle::invalidate`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Shared contact-graph snapshot (re)builds.
@@ -89,6 +95,8 @@ pub struct OracleStats {
     pub table_hits: u64,
     /// Nodes settled, summed over every path search.
     pub nodes_settled: u64,
+    /// CDF accumulators built, summed over every path search.
+    pub accumulators_built: u64,
 }
 
 /// Memoised single-source opportunistic path tables over a shared,
@@ -298,6 +306,7 @@ impl PathOracle {
             };
             self.stats.table_recomputes += 1;
             self.stats.nodes_settled += table.settled_count() as u64;
+            self.stats.accumulators_built += scratch.accumulators_built() as u64;
             *slot = Some((self.epoch, table));
         }
         &slot.as_ref().expect("just computed").1
@@ -352,6 +361,7 @@ impl PathOracle {
                 }
             };
             self.stats.nodes_settled += reach.entries().len() as u64;
+            self.stats.accumulators_built += self.scratch.accumulators_built() as u64;
             *slot = Some((source, self.epoch, reach));
         }
         slot.as_ref().expect("just computed").2.weight_to(dest)
@@ -529,6 +539,10 @@ mod tests {
             s.nodes_settled, 8,
             "two exhaustive searches of the 4-node line"
         );
+        assert_eq!(
+            s.accumulators_built, 8,
+            "no hop bound, no target: every settled node relaxes"
+        );
         o.invalidate();
         let _ = o.weight(&rates, Time(1004), NodeId(0), NodeId(3));
         let s = o.stats();
@@ -686,6 +700,13 @@ mod tests {
         // One hop: direct neighbor reachable, two hops away is not.
         assert!(o.weight(&rates, now, NodeId(0), NodeId(1)) > 0.0);
         assert_eq!(o.weight(&rates, now, NodeId(0), NodeId(2)), 0.0);
+        // One search settled n0 and n1; n1 sits at the bound and built
+        // no accumulator.
+        let s = o.stats();
+        assert_eq!(
+            (s.table_recomputes, s.nodes_settled, s.accumulators_built),
+            (1, 2, 1)
+        );
     }
 
     #[test]

@@ -16,12 +16,24 @@
 //! not settle it reports as unanswered — never as unreachable. And they
 //! hold the hop-bounded search (`bounded_shortest_paths`) with a bound
 //! of at least `n` hops against the unbounded one, weight for weight.
+//!
+//! Under a bound that bites (1–4 hops) the search has its own reference,
+//! [`bounded_reference`], written here the way `shortest_paths_naive` is
+//! written in the crate: the search builds a CDF accumulator only for
+//! the nodes it relaxes from and recycles those between searches, the
+//! reference carries an owned rate vector in every label and knows
+//! neither trick. Leaves of the bound and interior nodes must agree
+//! `to_bits`, on adjacency-list and CSR storage alike.
 
-use dtn_coop_cache::core::graph::ContactGraph;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use dtn_coop_cache::core::graph::{ContactGraph, CsrGraph, Topology};
+use dtn_coop_cache::core::hypoexp;
 use dtn_coop_cache::core::ids::NodeId;
 use dtn_coop_cache::core::path::{
     bounded_shortest_paths, shortest_paths, shortest_paths_naive, shortest_paths_until,
-    ReachScratch,
+    ReachScratch, SparseReach,
 };
 
 use proptest::prelude::*;
@@ -36,6 +48,28 @@ fn graph_from_edges(n: usize, edges: &[(u32, u32, f64)]) -> ContactGraph {
         }
     }
     g
+}
+
+/// [`graph_from_edges`] in CSR storage: the same edges, the last rate
+/// given to a pair winning, in CSR's own neighbour order.
+fn csr_from_edges(n: usize, edges: &[(u32, u32, f64)]) -> CsrGraph {
+    let modulo = |v: u32| NodeId(v % n as u32);
+    CsrGraph::from_edges(
+        n,
+        edges
+            .iter()
+            .map(|&(a, b, r)| (modulo(a), modulo(b), r))
+            .filter(|&(a, b, _)| a != b),
+    )
+}
+
+/// A sparse reach's entries, weights by bit pattern.
+fn reach_bits(reach: &SparseReach) -> Vec<(NodeId, u64)> {
+    reach
+        .entries()
+        .iter()
+        .map(|&(v, w)| (v, w.to_bits()))
+        .collect()
 }
 
 /// Compares the optimized search against the naive reference for every
@@ -96,17 +130,129 @@ fn assert_equivalent(g: &ContactGraph, source: NodeId, horizon: f64) -> Result<(
         .collect();
     let mut scratch = ReachScratch::new();
     for max_hops in [n, n + 5, usize::MAX] {
-        let bounded: Vec<(NodeId, u64)> =
-            bounded_shortest_paths(g, source, horizon, max_hops, &mut scratch)
-                .entries()
-                .iter()
-                .map(|&(v, w)| (v, w.to_bits()))
-                .collect();
+        let bounded = reach_bits(&bounded_shortest_paths(
+            g,
+            source,
+            horizon,
+            max_hops,
+            &mut scratch,
+        ));
         if bounded != dense {
             return Err(format!(
                 "bounded search (max_hops {max_hops}) differs from the dense one: \
                  {bounded:?} vs {dense:?}"
             ));
+        }
+    }
+    Ok(())
+}
+
+/// The hop-bounded search in its owned-path formulation: every label
+/// carries the rates of its tentative path, every relaxation re-evaluates
+/// the batch `hypoexp::cdf` over the extended rate vector, and a path
+/// that already has `max_hops` hops settles without relaxing anything.
+/// Same max-heap order and id tie-break as the crate's loop. Returns the
+/// settled `(node, weight bits)` in ascending id order — what
+/// `SparseReach::entries` lists.
+fn bounded_reference<G: Topology>(
+    g: &G,
+    source: NodeId,
+    horizon: f64,
+    max_hops: usize,
+) -> Vec<(NodeId, u64)> {
+    struct Label {
+        weight: f64,
+        node: NodeId,
+        rates: Vec<f64>,
+    }
+    impl PartialEq for Label {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for Label {}
+    impl PartialOrd for Label {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Label {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.weight
+                .total_cmp(&other.weight)
+                .then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    let n = g.node_count();
+    let mut settled = vec![false; n];
+    let mut best = vec![f64::NEG_INFINITY; n];
+    let mut out = Vec::new();
+    let mut heap = BinaryHeap::new();
+    best[source.index()] = 1.0;
+    heap.push(Label {
+        weight: 1.0,
+        node: source,
+        rates: Vec::new(),
+    });
+    while let Some(Label {
+        weight,
+        node,
+        rates,
+    }) = heap.pop()
+    {
+        if settled[node.index()] {
+            continue;
+        }
+        settled[node.index()] = true;
+        out.push((node, weight.to_bits()));
+        if rates.len() >= max_hops {
+            continue;
+        }
+        for &(peer, rate) in g.neighbors(node) {
+            if settled[peer.index()] {
+                continue;
+            }
+            let mut extended = rates.clone();
+            extended.push(rate);
+            let w = hypoexp::cdf(&extended, horizon);
+            if w > best[peer.index()] {
+                best[peer.index()] = w;
+                heap.push(Label {
+                    weight: w,
+                    node: peer,
+                    rates: extended,
+                });
+            }
+        }
+    }
+    out.sort_unstable_by_key(|&(v, _)| v);
+    out
+}
+
+/// Holds `bounded_shortest_paths` at bounds 1..=4 against
+/// [`bounded_reference`] on one graph. All four searches (and the
+/// caller's earlier ones) share `scratch`, so recycled accumulators are
+/// part of what is tested.
+fn assert_bounded_equivalent<G: Topology>(
+    g: &G,
+    source: NodeId,
+    horizon: f64,
+    scratch: &mut ReachScratch,
+) -> Result<(), String> {
+    for max_hops in 1..=4 {
+        let got = reach_bits(&bounded_shortest_paths(
+            g, source, horizon, max_hops, scratch,
+        ));
+        let want = bounded_reference(g, source, horizon, max_hops);
+        if got != want {
+            return Err(format!(
+                "{max_hops}-hop search from {source} differs from the reference: \
+                 {got:?} vs {want:?}"
+            ));
+        }
+        if scratch.accumulators_built() > got.len() {
+            return Err("more accumulators built than nodes settled".into());
         }
     }
     Ok(())
@@ -266,6 +412,31 @@ proptest! {
         let source = NodeId(source % n as u32);
         if let Err(message) = assert_equivalent(&g, source, horizon) {
             prop_assert!(false, "{}", message);
+        }
+    }
+
+    /// The hop-bounded search at bounds 1..=4 equals its owned-path
+    /// reference on every entry — leaves of the bound, which build no
+    /// accumulator, and interior nodes alike — on both graph storages,
+    /// through one scratch that is never fresh after the first search.
+    #[test]
+    fn bounded_search_matches_its_reference_on_random_graphs(
+        n in 2usize..24,
+        edges in prop::collection::vec((0u32..24, 0u32..24, 1e-6f64..1e-1), 1..80),
+        horizon in 50.0f64..1e6,
+        source in 0u32..24,
+    ) {
+        let g = graph_from_edges(n, &edges);
+        let csr = csr_from_edges(n, &edges);
+        let source = NodeId(source % n as u32);
+        let mut scratch = ReachScratch::new();
+        for result in [
+            assert_bounded_equivalent(&g, source, horizon, &mut scratch),
+            assert_bounded_equivalent(&csr, source, horizon, &mut scratch),
+        ] {
+            if let Err(message) = result {
+                prop_assert!(false, "{}", message);
+            }
         }
     }
 
