@@ -36,6 +36,7 @@ use dtn_core::ids::NodeId;
 use dtn_core::time::Duration;
 use dtn_sim::engine::{ContactSource, Scheme, SimConfig, Simulator};
 use dtn_sim::metrics::Metrics;
+use dtn_sim::oracle::OracleStats;
 use dtn_sim::probe::{FieldValue, ProbeEvent, QueryTrace, RecordingProbe};
 use dtn_sim::profiler::{ProfileEntry, ProfileReport};
 use dtn_sim::telemetry::{Counter, Telemetry, WindowStats};
@@ -75,6 +76,8 @@ pub struct ObserveRun {
     pub central_nodes: Vec<NodeId>,
     /// Queries that arrived at each central node, by NCL index.
     pub ncl_query_load: Vec<u64>,
+    /// The scheme's path-oracle work counters at the end of the run.
+    pub oracle: Option<OracleStats>,
 }
 
 /// The capture every instrumented harness rides on: one
@@ -121,6 +124,7 @@ impl ObserveRun {
             profile: sim.profile_report(),
             central_nodes: sim.scheme().central_nodes().to_vec(),
             ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
+            oracle: sim.scheme().oracle_stats(),
         }
     }
 
@@ -350,11 +354,14 @@ fn phase_line(e: &ProfileEntry) -> JsonValue {
 /// The closing `footer` line: whole-run totals from the engine metrics
 /// (the authoritative side of the conservation check) plus the
 /// non-empty telemetry window count, so `compare` can align and
-/// sanity-check a capture without replaying its event stream.
+/// sanity-check a capture without replaying its event stream — and,
+/// when the scheme keeps a path oracle, its final work counters
+/// (`oracle_table_hits + oracle_table_recomputes` = reads that were not
+/// self-reads).
 fn footer_line(run: &ObserveRun) -> JsonValue {
     let m = &run.metrics;
     let windows = run.telemetry().windows().iter();
-    JsonValue::object()
+    let mut line = JsonValue::object()
         .with("type", "footer")
         .with("schema", RUN_SCHEMA)
         .with("queries_issued", m.queries_issued)
@@ -366,7 +373,16 @@ fn footer_line(run: &ObserveRun) -> JsonValue {
         .with("bytes_transmitted", m.bytes_transmitted)
         .with("transfers_rejected", m.transfers_rejected)
         .with("contacts_lost", m.contacts_lost)
-        .with("windows", windows.filter(|w| !w.is_empty()).count())
+        .with("windows", windows.filter(|w| !w.is_empty()).count());
+    if let Some(o) = run.oracle {
+        line.set("oracle_rebuilds", o.rebuilds);
+        line.set("oracle_table_hits", o.table_hits);
+        line.set("oracle_table_recomputes", o.table_recomputes);
+        line.set("oracle_nodes_settled", o.nodes_settled);
+        line.set("oracle_accumulators_built", o.accumulators_built);
+        line.set("oracle_leaf_evaluations", o.leaf_evaluations);
+    }
+    line
 }
 
 /// Streams the run as [`RUN_SCHEMA`] JSONL — the single capture
@@ -744,6 +760,15 @@ mod tests {
             }),
             central_nodes: vec![NodeId(3), NodeId(4)],
             ncl_query_load: vec![0, 1],
+            oracle: Some(OracleStats {
+                rebuilds: 1,
+                table_hits: 9,
+                table_recomputes: 2,
+                nodes_settled: 7,
+                accumulators_built: 4,
+                leaf_evaluations: 3,
+                ..OracleStats::default()
+            }),
         }
     }
 
@@ -789,7 +814,7 @@ mod tests {
 {"type":"window","index":1,"start":350,"end":600,"contacts":0,"contacts_lost":0,"data_injected":0,"queries_issued":0,"deliveries":1,"duplicate_deliveries":1,"late_deliveries":1,"unknown_deliveries":1,"delay_sum_secs":450,"bytes_transmitted":0,"transfers_rejected":0,"replacements":1,"epochs":1,"reelections":1,"oracle_invalidations":1,"oracle_rebuilds":1,"oracle_recomputes":40,"oracle_hits":100,"cache_copies":2,"cache_bytes":1600,"ncl_load":[0,0],"ncl_hits":[0,1],"ncl_overflow":0,"overlays":["ncl-blackout"]}
 {"type":"phase","phase":"contact_commit","depth":0,"calls":3,"total_ns":900,"self_ns":600}
 {"type":"phase","phase":"knapsack_solve","depth":1,"calls":2,"total_ns":300,"self_ns":300}
-{"type":"footer","schema":"dtn-observe/3","queries_issued":1,"queries_satisfied":1,"total_delay_secs":450,"duplicate_deliveries":1,"late_deliveries":1,"data_generated":1,"bytes_transmitted":800,"transfers_rejected":1,"contacts_lost":1,"windows":2}
+{"type":"footer","schema":"dtn-observe/3","queries_issued":1,"queries_satisfied":1,"total_delay_secs":450,"duplicate_deliveries":1,"late_deliveries":1,"data_generated":1,"bytes_transmitted":800,"transfers_rejected":1,"contacts_lost":1,"windows":2,"oracle_rebuilds":1,"oracle_table_hits":9,"oracle_table_recomputes":2,"oracle_nodes_settled":7,"oracle_accumulators_built":4,"oracle_leaf_evaluations":3}
 "#;
 
     #[test]

@@ -218,6 +218,10 @@ impl ScaleReport {
                 "oracle_accumulators_built_exact",
                 self.oracle.accumulators_built,
             )
+            .with(
+                "oracle_leaf_evaluations_exact",
+                self.oracle.leaf_evaluations,
+            )
     }
 }
 
@@ -340,10 +344,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 /// throughput report. Unlike the figure captures, the telemetry spans
 /// the *whole* run from t=0 — warm-up visibility is what a streaming
 /// timeline is for.
-pub(crate) fn run_scale_observed(
-    cfg: &ScaleConfig,
-    observe: bool,
-) -> (ScaleReport, Option<ObserveRun>) {
+pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Option<ObserveRun>) {
     let contacts_seen = Rc::new(Cell::new(0u64));
     let counter = Rc::clone(&contacts_seen);
     let stream = cfg.builder().stream();
@@ -506,10 +507,15 @@ mod tests {
         let report = run_scale(&tiny());
         let oracle = report.oracle;
         assert!(oracle.table_recomputes > 0);
-        // Three hops over mean degree 12: most settled nodes are leaves
-        // of the bound and build no accumulator.
+        // Three hops over mean degree 12: the searches settle the inner
+        // ball only, most of it two hops out and relaxing, and the leaves
+        // beyond it are weighed by the few reads that ask for one.
         assert!(
-            oracle.accumulators_built * 2 < oracle.nodes_settled,
+            oracle.accumulators_built * 4 > oracle.nodes_settled,
+            "{oracle:?}"
+        );
+        assert!(
+            0 < oracle.leaf_evaluations && oracle.leaf_evaluations < oracle.nodes_settled,
             "{oracle:?}"
         );
         assert_eq!(run_scale(&tiny()).oracle, oracle, "counted, not timed");
@@ -518,6 +524,7 @@ mod tests {
             ("oracle_table_recomputes_exact", oracle.table_recomputes),
             ("oracle_nodes_settled_exact", oracle.nodes_settled),
             ("oracle_accumulators_built_exact", oracle.accumulators_built),
+            ("oracle_leaf_evaluations_exact", oracle.leaf_evaluations),
         ] {
             assert_eq!(json.get(key).and_then(JsonValue::as_u64), Some(value));
         }

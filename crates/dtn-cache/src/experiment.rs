@@ -10,6 +10,7 @@ use dtn_core::ids::NodeId;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{ContactSource, SimConfig, Simulator, TraceSource};
 use dtn_sim::metrics::Metrics;
+use dtn_sim::oracle::OracleStats;
 use dtn_trace::trace::ContactTrace;
 use dtn_workload::{Workload, WorkloadConfig};
 
@@ -124,6 +125,12 @@ pub struct ExperimentReport {
     pub bytes_per_satisfied_query: f64,
     /// Full raw metrics for deeper analysis.
     pub metrics: Metrics,
+    /// The scheme's path-oracle work at the end of the run — hits,
+    /// recomputes, nodes settled, accumulators built, leaf evaluations.
+    /// Counted, not timed; `None` for the baselines. Work, not outcome:
+    /// it lives here and not in [`Metrics`], so two implementations of
+    /// one scheme can agree on every metric and differ in this.
+    pub oracle: Option<OracleStats>,
 }
 
 /// Builds an unconfigured scheme instance of the requested kind.
@@ -300,6 +307,7 @@ pub fn experiment_report<S: CachingScheme, C: ContactSource>(
         ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
         bytes_per_satisfied_query: metrics.bytes_per_satisfied_query(),
         metrics,
+        oracle: sim.scheme().oracle_stats(),
     }
 }
 

@@ -96,7 +96,7 @@ use dtn_core::time::{Duration, Time};
 use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::{CacheStats, Epoch, Scheme, SimCtx};
 use dtn_sim::message::{DataItem, Query};
-use dtn_sim::oracle::PathOracle;
+use dtn_sim::oracle::{OracleStats, PathOracle};
 use dtn_sim::probe::ProbeEvent;
 use dtn_sim::profiler::Phase;
 use dtn_trace::trace::Contact;
@@ -440,6 +440,10 @@ impl CachingScheme for IntentionalScheme {
 
     fn ncl_query_load(&self) -> &[u64] {
         &self.ncl_query_load
+    }
+
+    fn oracle_stats(&self) -> Option<OracleStats> {
+        self.oracle.as_ref().map(PathOracle::stats)
     }
 }
 

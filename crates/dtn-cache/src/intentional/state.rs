@@ -17,7 +17,7 @@ use dtn_sim::buffer::Buffer;
 use dtn_sim::decision::DecisionPoint;
 use dtn_sim::engine::SimCtx;
 use dtn_sim::message::DataItem;
-use dtn_sim::oracle::{OracleStats, PathOracle};
+use dtn_sim::oracle::PathOracle;
 use dtn_sim::probe::ProbeEvent;
 use dtn_sim::profiler::Phase;
 
@@ -245,12 +245,6 @@ impl IntentionalScheme {
     ) -> Option<DecisionPoint<'a>> {
         let oracle = self.oracle.as_mut()?;
         Some(DecisionPoint::new(oracle, rates, now, &self.centrals))
-    }
-
-    /// Cumulative work counters of the scheme's path oracle; `None` until
-    /// [`configure`](crate::CachingScheme::configure) has built it.
-    pub fn oracle_stats(&self) -> Option<OracleStats> {
-        self.oracle.as_ref().map(PathOracle::stats)
     }
 
     /// Counters accumulated by epoch-based NCL re-election. All zero

@@ -49,6 +49,7 @@ use dtn_core::ids::NodeId;
 use dtn_core::rate::RateTable;
 use dtn_core::time::Time;
 use dtn_sim::engine::Scheme;
+use dtn_sim::oracle::OracleStats;
 
 /// Which data-access scheme to run — the five lines of Fig. 10/11/13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,6 +147,13 @@ pub trait CachingScheme: Scheme {
     fn ncl_query_load(&self) -> &[u64] {
         &[]
     }
+
+    /// Cumulative work counters of the scheme's path oracle: `None` for
+    /// a scheme that keeps none (the baselines), and until
+    /// [`configure`](Self::configure) has built it.
+    fn oracle_stats(&self) -> Option<OracleStats> {
+        None
+    }
 }
 
 impl Scheme for Box<dyn CachingScheme> {
@@ -190,6 +198,9 @@ impl CachingScheme for Box<dyn CachingScheme> {
     }
     fn ncl_query_load(&self) -> &[u64] {
         (**self).ncl_query_load()
+    }
+    fn oracle_stats(&self) -> Option<OracleStats> {
+        (**self).oracle_stats()
     }
 }
 

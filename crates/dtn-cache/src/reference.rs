@@ -27,7 +27,7 @@ use dtn_core::time::{Duration, Time};
 use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::{CacheStats, Scheme, SimCtx};
 use dtn_sim::message::{DataItem, Query};
-use dtn_sim::oracle::PathOracle;
+use dtn_sim::oracle::{OracleStats, PathOracle};
 use dtn_sim::probe::ProbeEvent;
 use dtn_trace::trace::Contact;
 
@@ -803,5 +803,9 @@ impl CachingScheme for ReferenceIntentionalScheme {
 
     fn ncl_query_load(&self) -> &[u64] {
         &self.ncl_query_load
+    }
+
+    fn oracle_stats(&self) -> Option<OracleStats> {
+        self.oracle.as_ref().map(PathOracle::stats)
     }
 }

@@ -43,6 +43,26 @@ const REL_SEPARATION: f64 = 1e-4;
 /// Relative perturbation applied to break rate clusters.
 const REL_PERTURBATION: f64 = 1e-3;
 
+/// Effective rate for a new stage: `rate` nudged upward until it is
+/// well-separated from every rate in `spread`, the effective rates
+/// already backing the coefficients. Deterministic, and a function of
+/// the push prefix only — so any two evaluations that share a prefix
+/// share its perturbations.
+fn effective_rate(spread: &[f64], rate: f64) -> f64 {
+    let mut eff = rate;
+    let mut adjusted = true;
+    while adjusted {
+        adjusted = false;
+        for &s in spread {
+            if (eff - s).abs() <= REL_SEPARATION * eff.max(s) {
+                eff = eff.max(s) * (1.0 + REL_PERTURBATION);
+                adjusted = true;
+            }
+        }
+    }
+    eff
+}
+
 /// Incrementally maintained hypoexponential CDF of a growing rate
 /// sequence.
 ///
@@ -107,25 +127,6 @@ impl Accumulator {
         );
     }
 
-    /// Effective rate for a new stage: `rate` nudged upward until it is
-    /// well-separated from every rate already backing the coefficients.
-    /// Deterministic, and a function of the push prefix only — so any two
-    /// evaluations that share a prefix share its perturbations.
-    fn effective_rate(&self, rate: f64) -> f64 {
-        let mut eff = rate;
-        let mut adjusted = true;
-        while adjusted {
-            adjusted = false;
-            for &s in &self.spread {
-                if (eff - s).abs() <= REL_SEPARATION * eff.max(s) {
-                    eff = eff.max(s) * (1.0 + REL_PERTURBATION);
-                    adjusted = true;
-                }
-            }
-        }
-        eff
-    }
-
     /// Appends one exponential stage with the given contact rate.
     ///
     /// # Panics
@@ -136,7 +137,7 @@ impl Accumulator {
         if !self.rates.is_empty() && rate != self.rates[0] {
             self.all_equal = false;
         }
-        let eff = self.effective_rate(rate);
+        let eff = effective_rate(&self.spread, rate);
         let mut c_new = 1.0;
         for k in 0..self.spread.len() {
             let lk = self.spread[k];
@@ -197,7 +198,7 @@ impl Accumulator {
         if self.all_equal && (self.rates.is_empty() || rate == self.rates[0]) {
             return erlang_cdf(rate, self.rates.len() as u32 + 1, t);
         }
-        let eff = self.effective_rate(rate);
+        let eff = effective_rate(&self.spread, rate);
         let mut c_new = 1.0;
         let mut acc = 0.0;
         for k in 0..self.spread.len() {
@@ -305,54 +306,30 @@ impl HorizonAccumulator {
         self.em1.push(-(-eff * self.t).exp_m1());
     }
 
+    /// The accumulated stages as a borrowed view — what
+    /// [`extended_cdf`](Self::extended_cdf) evaluates, and what a caller
+    /// copies out to evaluate an extension after this accumulator has
+    /// been recycled.
+    #[inline]
+    pub(crate) fn stages(&self) -> Stages<'_> {
+        Stages {
+            spread: &self.acc.spread,
+            coeffs: &self.acc.coeffs,
+            em1: &self.em1,
+            all_equal: self.acc.all_equal,
+            t: self.t,
+        }
+    }
+
     /// CDF at the fixed time of the accumulated sequence extended by one
-    /// stage of `rate` — bit-identical to
-    /// [`Accumulator::extended_cdf`] with the same arguments, in `O(r)`
-    /// multiply-adds and exactly one fresh exponential.
-    ///
-    /// When `rate` is well-separated from every existing stage (the
-    /// common case), a branchless separation scan clears the way for a
-    /// flat, autovectorizable evaluation loop; a clustered candidate
-    /// falls back to the perturbing path before anything accumulates.
+    /// stage of `rate` — [`Stages::extended_cdf`] over
+    /// [`stages`](Self::stages).
     ///
     /// # Panics
     ///
     /// Panics if `rate` is non-positive or non-finite.
     pub(crate) fn extended_cdf(&self, rate: f64) -> f64 {
-        Accumulator::assert_rate(rate);
-        if self.t <= 0.0 {
-            return 0.0;
-        }
-        let a = &self.acc;
-        if a.all_equal && (a.rates.is_empty() || rate == a.rates[0]) {
-            return erlang_cdf(rate, a.rates.len() as u32 + 1, self.t);
-        }
-        // Separation scan first, as its own branchless reduction: the
-        // original fused check forced an early exit in every iteration
-        // of the evaluation loop, defeating autovectorization. Hoisted,
-        // the scan is a pure max/compare reduction and the evaluation
-        // loop below runs flat. Bit-identical either way: the fused form
-        // also bailed to the perturbed path before accumulating anything.
-        let mut clustered = false;
-        for &lk in &a.spread {
-            clustered |= (rate - lk).abs() <= REL_SEPARATION * rate.max(lk);
-        }
-        if clustered {
-            return self.extended_cdf_perturbed(rate);
-        }
-        // Flat evaluation: independent multiply-adds per stage, one
-        // running product. Per-stage operation order matches the fused
-        // original exactly — f64 accumulation is never reassociated.
-        let mut c_new = 1.0;
-        let mut sum = 0.0;
-        for k in 0..a.spread.len() {
-            let lk = a.spread[k];
-            let inv = 1.0 / (lk - rate);
-            sum += (a.coeffs[k] * (-rate * inv)) * self.em1[k];
-            c_new *= lk * inv;
-        }
-        sum += c_new * -(-rate * self.t).exp_m1();
-        clamp01(sum)
+        self.stages().extended_cdf(rate)
     }
 
     /// Address and capacity of each of the four buffers — what a test
@@ -367,20 +344,97 @@ impl HorizonAccumulator {
         ]
         .map(|v| (v.as_ptr(), v.capacity()))
     }
+}
+
+/// Everything a [`HorizonAccumulator`] reads to evaluate a one-stage
+/// extension, borrowed: per stage the effective rate, the closed-form
+/// coefficient and the cached `1 − e^{−λ_k t}`, plus the Erlang flag and
+/// the evaluation time. The raw rates are not among them — the first
+/// stage is never perturbed (`spread[0]` *is* the first raw rate) and
+/// `all_equal` says whether the others equal it, which is all the Erlang
+/// branch asks.
+///
+/// The view exists so that the stages can live somewhere other than an
+/// accumulator's four vectors (the path search keeps the rim of a
+/// bounded search flat, [`crate::path::LazyReach`]) and still be
+/// evaluated by the one implementation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stages<'a> {
+    /// Effective (possibly perturbed) rate per stage.
+    pub(crate) spread: &'a [f64],
+    /// Closed-form coefficient `C_k` per stage.
+    pub(crate) coeffs: &'a [f64],
+    /// `-(-spread[k] * t).exp_m1()` per stage.
+    pub(crate) em1: &'a [f64],
+    /// All raw rates are bitwise equal (Erlang fast path).
+    pub(crate) all_equal: bool,
+    /// The evaluation time.
+    pub(crate) t: f64,
+}
+
+impl Stages<'_> {
+    /// CDF at `t` of the stages extended by one stage of `rate` —
+    /// bit-identical to [`Accumulator::extended_cdf`] with the same
+    /// arguments, in `O(r)` multiply-adds and exactly one fresh
+    /// exponential.
+    ///
+    /// When `rate` is well-separated from every existing stage (the
+    /// common case), a branchless separation scan clears the way for a
+    /// flat, autovectorizable evaluation loop; a clustered candidate
+    /// falls back to the perturbing path before anything accumulates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is non-positive or non-finite.
+    #[inline]
+    pub(crate) fn extended_cdf(&self, rate: f64) -> f64 {
+        Accumulator::assert_rate(rate);
+        if self.t <= 0.0 {
+            return 0.0;
+        }
+        if self.all_equal && (self.spread.is_empty() || rate == self.spread[0]) {
+            return erlang_cdf(rate, self.spread.len() as u32 + 1, self.t);
+        }
+        // Separation scan first, as its own branchless reduction: the
+        // original fused check forced an early exit in every iteration
+        // of the evaluation loop, defeating autovectorization. Hoisted,
+        // the scan is a pure max/compare reduction and the evaluation
+        // loop below runs flat. Bit-identical either way: the fused form
+        // also bailed to the perturbed path before accumulating anything.
+        let mut clustered = false;
+        for &lk in self.spread {
+            clustered |= (rate - lk).abs() <= REL_SEPARATION * rate.max(lk);
+        }
+        if clustered {
+            return self.extended_cdf_perturbed(rate);
+        }
+        // Flat evaluation: independent multiply-adds per stage, one
+        // running product. Per-stage operation order matches the fused
+        // original exactly — f64 accumulation is never reassociated.
+        let mut c_new = 1.0;
+        let mut sum = 0.0;
+        for k in 0..self.spread.len() {
+            let lk = self.spread[k];
+            let inv = 1.0 / (lk - rate);
+            sum += (self.coeffs[k] * (-rate * inv)) * self.em1[k];
+            c_new *= lk * inv;
+        }
+        sum += c_new * -(-rate * self.t).exp_m1();
+        clamp01(sum)
+    }
 
     /// Slow path for clustered candidates: derive the perturbed
     /// effective rate exactly as [`Accumulator::push`] would, then
     /// evaluate with the cached exponentials.
     #[cold]
     fn extended_cdf_perturbed(&self, rate: f64) -> f64 {
-        let a = &self.acc;
-        let eff = a.effective_rate(rate);
+        let eff = effective_rate(self.spread, rate);
         let mut c_new = 1.0;
         let mut sum = 0.0;
-        for k in 0..a.spread.len() {
-            let lk = a.spread[k];
+        for k in 0..self.spread.len() {
+            let lk = self.spread[k];
             let inv = 1.0 / (lk - eff);
-            sum += (a.coeffs[k] * (-eff * inv)) * self.em1[k];
+            sum += (self.coeffs[k] * (-eff * inv)) * self.em1[k];
             c_new *= lk * inv;
         }
         sum += c_new * -(-eff * self.t).exp_m1();

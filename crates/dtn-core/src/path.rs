@@ -22,12 +22,15 @@
 //! the extended path. An accumulator is built only for a settled node
 //! that goes on to relax its edges (by extending its parent's, into a
 //! buffer recycled from the previous search); a node settled at the hop
-//! bound keeps its weight and nothing else. Two extractors read the
+//! bound keeps its weight and nothing else. Three extractors read the
 //! settled set out of the scratch: the dense, route-carrying
-//! [`PathTable`] ([`shortest_paths`], [`shortest_paths_until`]) and the
+//! [`PathTable`] ([`shortest_paths`], [`shortest_paths_until`]), the
 //! sparse [`SparseReach`] ([`bounded_shortest_paths`], the same loop
-//! under a hop bound). Concrete [`OpportunisticPath`] values are
-//! reconstructed lazily by [`PathTable::path_to`].
+//! under a hop bound) and the [`LazyReach`] ([`bounded_reach`], the
+//! bounded loop kept inside the ball of radius `max_hops − 1`, with the
+//! leaves beyond it weighed when a read asks for one). Concrete
+//! [`OpportunisticPath`] values are reconstructed lazily by
+//! [`PathTable::path_to`].
 //! [`shortest_paths_naive`] retains the original owned-path formulation
 //! as a differential-testing reference.
 //!
@@ -151,7 +154,6 @@ impl OpportunisticPath {
 #[derive(Debug, Clone)]
 pub struct PathTable {
     source: NodeId,
-    horizon: f64,
     /// Predecessor on the best path; `None` for the source and for
     /// unreachable nodes. Final only for settled nodes.
     prev: Vec<Option<NodeId>>,
@@ -169,16 +171,6 @@ pub struct PathTable {
 }
 
 impl PathTable {
-    /// The source node the table was computed for.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// The time horizon `T` used for path weights.
-    pub fn horizon(&self) -> f64 {
-        self.horizon
-    }
-
     /// Whether the search ran to exhaustion, so the table answers for
     /// every node. `false` for a table [`shortest_paths_until`] cut short.
     pub fn is_complete(&self) -> bool {
@@ -370,8 +362,8 @@ pub fn shortest_paths_until_in<G: Topology>(
     targets: &[NodeId],
     scratch: &mut ReachScratch,
 ) -> PathTable {
-    let complete = search(graph, source, horizon, targets, usize::MAX, scratch);
-    scratch.path_table(graph.node_count(), source, horizon, complete)
+    let complete = search::<G, false>(graph, source, horizon, targets, usize::MAX, scratch);
+    scratch.path_table(graph.node_count(), source, complete)
 }
 
 /// Best-path weights from one source, stored sparsely — only the nodes
@@ -383,24 +375,12 @@ pub fn shortest_paths_until_in<G: Topology>(
 /// blow-up.
 #[derive(Debug, Clone)]
 pub struct SparseReach {
-    source: NodeId,
-    horizon: f64,
     /// `(destination, weight)` sorted by ascending destination id; the
     /// source itself appears with weight 1.
     entries: Vec<(NodeId, f64)>,
 }
 
 impl SparseReach {
-    /// The source node the reach was computed for.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// The time horizon `T` used for path weights.
-    pub fn horizon(&self) -> f64 {
-        self.horizon
-    }
-
     /// The weight of the best bounded path to `dest`; 0 if the search
     /// never settled `dest`. `O(log touched)` binary search.
     pub fn weight_to(&self, dest: NodeId) -> f64 {
@@ -416,9 +396,156 @@ impl SparseReach {
     }
 }
 
+/// `rim_of` entry of an inner node that is not a rim node.
+const NOT_RIM: u32 = u32::MAX;
+
+/// Best-path weights from one source under a hop bound, with the leaves
+/// of the bound weighed when a read asks for one, not when the search
+/// passes by.
+///
+/// Produced by [`bounded_reach`]; answers every read exactly as the
+/// [`SparseReach`] of [`bounded_shortest_paths`] does, to the bit. With a
+/// bound of `h` hops, only a node within `h − 1` hops of the source (the
+/// *inner* ball) can ever settle with fewer than `h` hops and relax its
+/// edges, so only inner nodes shape the search; every other node the
+/// eager search settles is a leaf whose label is the best one-hop
+/// extension of a *rim* node (an inner node settled with exactly `h − 1`
+/// hops) and influences no other label. The reach therefore holds the
+/// settled inner nodes, the order they popped in, and the CDF stages of
+/// each rim node's path; [`weight_to`](Self::weight_to) reads an inner
+/// node's weight directly and replays a leaf's label from the rim on
+/// demand. In a sparse city most of what an `h`-hop search settles are
+/// such leaves, and most of them are never read.
+#[derive(Debug, Clone)]
+pub struct LazyReach {
+    horizon: f64,
+    /// Stages of every rim node's path: `max_hops − 1`.
+    stages: usize,
+    /// The settled inner nodes in ascending id order (the source among
+    /// them) and, in parallel, their settled weights.
+    ids: Vec<NodeId>,
+    weights: Vec<f64>,
+    /// The order the inner nodes popped in, as indexes into `ids`.
+    pops: Vec<u32>,
+    /// Per inner node, its rim slot — the index of its entries in the
+    /// three `rim_*` arrays — or [`NOT_RIM`].
+    rim_of: Vec<u32>,
+    /// Per rim node, in pop order: where in `pops` it popped.
+    rim_pops: Vec<u32>,
+    /// Per rim node: the `spread`, `coeffs` and `em1` of its path's
+    /// accumulator, `stages` values each, back to back.
+    rim_stages: Vec<f64>,
+    /// Per rim node: the accumulator's Erlang flag.
+    rim_all_equal: Vec<bool>,
+}
+
+impl LazyReach {
+    /// How many nodes the search settled: the inner ones, the source
+    /// included. The leaves beyond the ball never entered it.
+    pub fn settled_count(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The weight of the best bounded path to `dest` over `graph` — the
+    /// graph the reach was searched on — and how many CDF evaluations
+    /// the read made: none for an inner node (`O(log inner)` binary
+    /// search) and none for a node with no rim neighbour, which the
+    /// bound does not reach (weight 0).
+    ///
+    /// Otherwise `dest` is a leaf and its label is replayed as the eager
+    /// search built it: its rim neighbours relax it in the order they
+    /// popped, a candidate replaces the label only if strictly heavier,
+    /// and the label is final as soon as its heap key `(weight, id)`
+    /// beats that of a node still to pop — the eager search would have
+    /// popped `dest` there, and ignored every later relaxation. The scan
+    /// holds the label against *every* pop up to the next rim neighbour,
+    /// not just against that neighbour: settled weights are
+    /// non-increasing in exact arithmetic only, and a one-ulp inversion
+    /// between the two is enough to end the replay one candidate late.
+    pub fn weight_to<G: Topology>(&self, graph: &G, dest: NodeId) -> (f64, u32) {
+        if let Ok(i) = self.ids.binary_search(&dest) {
+            return (self.weights[i], 0);
+        }
+        if dest.index() >= graph.node_count() {
+            return (0.0, 0);
+        }
+        // The loop's `best` before any relaxation: heavier than nothing,
+        // so the first candidate replaces it and no pop is held below it.
+        let mut label = f64::NEG_INFINITY;
+        let mut evaluations = 0;
+        // `pops[..from]` were held against the label already.
+        let mut from = 0;
+        loop {
+            // The rim neighbour of `dest` that pops next. A leaf has a
+            // handful of neighbours and fewer on the rim, so selecting
+            // the minimum again per candidate beats sorting them.
+            let next = graph
+                .neighbors(dest)
+                .iter()
+                .filter_map(|&(peer, rate)| {
+                    let slot = self.rim_of[self.ids.binary_search(&peer).ok()?];
+                    // `NOT_RIM` indexes past the end of any rim.
+                    let pos = *self.rim_pops.get(slot as usize)? as usize;
+                    (pos >= from).then_some((pos, slot as usize, rate))
+                })
+                .min_by_key(|&(pos, ..)| pos);
+            let Some((pos, slot, rate)) = next else {
+                break;
+            };
+            let mine = Label {
+                weight: label,
+                node: dest,
+            };
+            let popped_first = |&i: &u32| {
+                let theirs = Label {
+                    weight: self.weights[i as usize],
+                    node: self.ids[i as usize],
+                };
+                mine > theirs
+            };
+            if self.pops[from..=pos].iter().any(popped_first) {
+                break;
+            }
+            let candidate = self.rim(slot).extended_cdf(rate);
+            if candidate > label {
+                label = candidate;
+            }
+            evaluations += 1;
+            from = pos + 1;
+        }
+        (if evaluations == 0 { 0.0 } else { label }, evaluations)
+    }
+
+    /// The path stages of the rim node in `slot`.
+    fn rim(&self, slot: usize) -> hypoexp::Stages<'_> {
+        let flat = &self.rim_stages[slot * 3 * self.stages..][..3 * self.stages];
+        let (spread, rest) = flat.split_at(self.stages);
+        let (coeffs, em1) = rest.split_at(self.stages);
+        hypoexp::Stages {
+            spread,
+            coeffs,
+            em1,
+            all_equal: self.rim_all_equal[slot],
+            t: self.horizon,
+        }
+    }
+
+    /// Bytes of heap the reach owns.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ids.capacity() * size_of::<NodeId>()
+            + self.weights.capacity() * size_of::<f64>()
+            + (self.pops.capacity() + self.rim_of.capacity() + self.rim_pops.capacity())
+                * size_of::<u32>()
+            + self.rim_stages.capacity() * size_of::<f64>()
+            + self.rim_all_equal.capacity()
+    }
+}
+
 /// Reusable workspace of the label-setting search — what
-/// [`bounded_shortest_paths`] and [`shortest_paths_until_in`] search
-/// through.
+/// [`bounded_shortest_paths`], [`bounded_reach`] and
+/// [`shortest_paths_until_in`] search through.
 ///
 /// All per-node arrays are epoch-stamped: a search only initializes the
 /// slots it actually touches, and the next search invalidates them by
@@ -426,9 +553,10 @@ impl SparseReach {
 /// accumulators are recycled the same way: the ones a search built go
 /// back on a free list when the next search starts and are refilled in
 /// place. Keep one scratch per thread and pass it to every call; once it
-/// is warm (heap, touched list and free list grown to the largest search
-/// it has served) a search costs `O(touched)` time and calls the
-/// allocator only for the table it returns.
+/// is warm (heap, touched list, free list and — for [`bounded_reach`] —
+/// the ball's queue and the pop order grown to the largest search it has
+/// served) a search costs `O(touched)` time and calls the allocator only
+/// for the table it returns.
 #[derive(Debug, Default)]
 pub struct ReachScratch {
     epoch: u64,
@@ -436,6 +564,9 @@ pub struct ReachScratch {
     /// `wanted[i] == epoch` marks node `i` as a stop target of the
     /// current search.
     wanted: Vec<u64>,
+    /// `inner[i] == epoch` marks node `i` as within `max_hops − 1` hops
+    /// of the source of the current [`bounded_reach`] search.
+    inner: Vec<u64>,
     settled: Vec<bool>,
     best: Vec<f64>,
     weight: Vec<f64>,
@@ -456,6 +587,10 @@ pub struct ReachScratch {
     accs: Vec<hypoexp::HorizonAccumulator>,
     accs_built: usize,
     touched: Vec<u32>,
+    /// [`bounded_reach`] only: the breadth-first queue that marked
+    /// `inner`, and the nodes of the current search in settle order.
+    queue: Vec<u32>,
+    pops: Vec<u32>,
     heap: BinaryHeap<Label>,
     /// Nodes the current search has settled, the source included.
     settled_count: usize,
@@ -481,6 +616,7 @@ impl ReachScratch {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.wanted.resize(n, 0);
+            self.inner.resize(n, 0);
             self.settled.resize(n, false);
             self.best.resize(n, f64::NEG_INFINITY);
             self.weight.resize(n, 0.0);
@@ -492,9 +628,33 @@ impl ReachScratch {
         // The previous search's accumulators all return to the free list.
         self.accs_built = 0;
         self.touched.clear();
+        self.pops.clear();
         self.heap.clear();
         self.settled_count = 0;
         self.epoch += 1;
+    }
+
+    /// Stamps `inner` on every node within `radius` hops of `source`,
+    /// breadth first.
+    fn mark_inner<G: Topology>(&mut self, graph: &G, source: NodeId, radius: usize) {
+        self.queue.clear();
+        self.inner[source.index()] = self.epoch;
+        self.queue.push(source.0);
+        let mut level = 0..1;
+        for _ in 0..radius {
+            if level.is_empty() {
+                break;
+            }
+            for at in level.clone() {
+                for &(peer, _) in graph.neighbors(NodeId(self.queue[at])) {
+                    if self.inner[peer.index()] != self.epoch {
+                        self.inner[peer.index()] = self.epoch;
+                        self.queue.push(peer.0);
+                    }
+                }
+            }
+            level = level.end..self.queue.len();
+        }
     }
 
     /// First-touch initialization of node `i` in the current epoch.
@@ -513,10 +673,9 @@ impl ReachScratch {
 
     /// The last search's outcome as a dense, route-carrying table over
     /// `n` nodes.
-    fn path_table(&self, n: usize, source: NodeId, horizon: f64, complete: bool) -> PathTable {
+    fn path_table(&self, n: usize, source: NodeId, complete: bool) -> PathTable {
         let mut table = PathTable {
             source,
-            horizon,
             prev: vec![None; n],
             rate_into: vec![0.0; n],
             weight: vec![0.0; n],
@@ -541,7 +700,7 @@ impl ReachScratch {
     /// The last search's settled set as `(destination, weight)` entries
     /// in ascending id order — sorted as bare `u32` ids, weights gathered
     /// afterwards.
-    fn sparse_reach(&mut self, source: NodeId, horizon: f64) -> SparseReach {
+    fn sparse_reach(&mut self) -> SparseReach {
         self.touched.sort_unstable();
         let mut entries = Vec::with_capacity(self.settled_count);
         entries.extend(
@@ -550,11 +709,49 @@ impl ReachScratch {
                 .filter(|&&i| self.settled[i as usize])
                 .map(|&i| (NodeId(i), self.weight[i as usize])),
         );
-        SparseReach {
-            source,
+        SparseReach { entries }
+    }
+
+    /// The last [`bounded_reach`] search as a [`LazyReach`]: the settled
+    /// (inner) nodes by id, their pop order, and a flat copy of the CDF
+    /// stages of every node that settled with `max_hops − 1` hops — the
+    /// accumulators themselves return to the free list with the next
+    /// search. Every vector is allocated at its final size.
+    fn lazy_reach(&self, horizon: f64, max_hops: usize) -> LazyReach {
+        let is_rim = |node: u32| self.hops[node as usize] as usize + 1 == max_hops;
+        let rims = self.pops.iter().filter(|&&node| is_rim(node)).count();
+        // Only read where a rim node exists, whose path has this many hops.
+        let stages = max_hops - 1;
+        let mut ids: Vec<NodeId> = self.pops.iter().map(|&node| NodeId(node)).collect();
+        ids.sort_unstable();
+        let mut reach = LazyReach {
             horizon,
-            entries,
+            stages,
+            weights: ids.iter().map(|v| self.weight[v.index()]).collect(),
+            pops: Vec::with_capacity(ids.len()),
+            rim_of: vec![NOT_RIM; ids.len()],
+            rim_pops: Vec::with_capacity(rims),
+            rim_stages: Vec::with_capacity(rims * 3 * stages),
+            rim_all_equal: Vec::with_capacity(rims),
+            ids,
+        };
+        for (pos, &node) in self.pops.iter().enumerate() {
+            let i = reach
+                .ids
+                .binary_search(&NodeId(node))
+                .expect("every popped node is listed");
+            reach.pops.push(i as u32);
+            if is_rim(node) {
+                let path = self.accs[self.acc_slot[node as usize] as usize].stages();
+                reach.rim_of[i] = reach.rim_pops.len() as u32;
+                reach.rim_pops.push(pos as u32);
+                reach.rim_stages.extend_from_slice(path.spread);
+                reach.rim_stages.extend_from_slice(path.coeffs);
+                reach.rim_stages.extend_from_slice(path.em1);
+                reach.rim_all_equal.push(path.all_equal);
+            }
         }
+        reach
     }
 }
 
@@ -583,19 +780,54 @@ pub fn bounded_shortest_paths<G: Topology>(
     scratch: &mut ReachScratch,
 ) -> SparseReach {
     assert!(max_hops > 0, "a zero-hop search reaches nothing");
-    search(graph, source, horizon, &[], max_hops, scratch);
-    scratch.sparse_reach(source, horizon)
+    search::<G, false>(graph, source, horizon, &[], max_hops, scratch);
+    scratch.sparse_reach()
+}
+
+/// [`bounded_shortest_paths`] for a caller that will read a few
+/// destinations rather than every weight: the same search, kept inside
+/// the ball of radius `max_hops − 1` around `source`, returning a
+/// [`LazyReach`] that weighs a node beyond the ball when
+/// [`LazyReach::weight_to`] is asked for it. Every answer equals the
+/// eager search's, bit for bit; the work is `O(inner)` rather than
+/// `O(touched)`, which in a sparse graph is most of it.
+///
+/// A breadth-first pass marks the ball first. A node settled with
+/// `max_hops − 1` hops then relaxes only its neighbours inside the ball:
+/// a neighbour outside could only settle with `max_hops` hops, relax
+/// nothing, and so change no other node's label — the nodes inside
+/// settle with the bits and in the order the eager search gives them.
+///
+/// # Panics
+///
+/// Panics on the same invalid inputs as [`bounded_shortest_paths`].
+pub fn bounded_reach<G: Topology>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    max_hops: usize,
+    scratch: &mut ReachScratch,
+) -> LazyReach {
+    assert!(max_hops > 0, "a zero-hop search reaches nothing");
+    search::<G, true>(graph, source, horizon, &[], max_hops, scratch);
+    scratch.lazy_reach(horizon, max_hops)
 }
 
 /// The one label-setting loop. Settles nodes in decreasing weight order
 /// from `source`, relaxing only from nodes whose best path has fewer
 /// than `max_hops` hops — only those get a CDF accumulator, refilled
 /// from the scratch's free list — and leaves the settled set in `scratch` for
-/// [`ReachScratch::path_table`] / [`ReachScratch::sparse_reach`] to read.
-/// Stops as soon as every in-range node of `targets` has settled and
-/// returns `false`; returns `true` when it ran to exhaustion (always,
-/// with no targets or an unreachable one).
-fn search<G: Topology>(
+/// [`ReachScratch::path_table`] / [`ReachScratch::sparse_reach`] /
+/// [`ReachScratch::lazy_reach`] to read. Stops as soon as every in-range
+/// node of `targets` has settled and returns `false`; returns `true`
+/// when it ran to exhaustion (always, with no targets or an unreachable
+/// one).
+///
+/// With `INNER_ONLY`, the search stays inside the ball of radius
+/// `max_hops − 1` around `source` ([`bounded_reach`] says why that
+/// changes nothing inside it) and records the settle order. A const
+/// parameter, so the dense searches compile without the checks.
+fn search<G: Topology, const INNER_ONLY: bool>(
     graph: &G,
     source: NodeId,
     horizon: f64,
@@ -624,6 +856,9 @@ fn search<G: Topology>(
             outstanding += 1;
         }
     }
+    if INNER_ONLY {
+        scratch.mark_inner(graph, source, max_hops - 1);
+    }
     scratch.touch(source.index());
     scratch.best[source.index()] = 1.0;
     scratch.heap.push(Label {
@@ -643,6 +878,9 @@ fn search<G: Topology>(
         scratch.settled[ni] = true;
         scratch.weight[ni] = w;
         scratch.settled_count += 1;
+        if INNER_ONLY {
+            scratch.pops.push(ni as u32);
+        }
         if scratch.wanted[ni] == scratch.epoch {
             outstanding -= 1;
             if outstanding == 0 {
@@ -680,8 +918,14 @@ fn search<G: Topology>(
         scratch.acc_slot[ni] = built as u32;
         scratch.accs_built += 1;
         let acc = &accs[built];
+        // Only a node one hop short of the bound has neighbours outside
+        // the ball; they are the leaves a `LazyReach` weighs on demand.
+        let rim = INNER_ONLY && hops as usize + 1 == max_hops;
         for &(peer, rate) in graph.neighbors(node) {
             let pi = peer.index();
+            if rim && scratch.inner[pi] != scratch.epoch {
+                continue;
+            }
             scratch.touch(pi);
             if scratch.settled[pi] {
                 continue;
@@ -1000,8 +1244,6 @@ mod tests {
         // Node 6 is isolated: never settled from 0, weight 0.
         let reach = bounded_shortest_paths(&g, NodeId(0), horizon, 64, &mut scratch);
         assert_eq!(reach.weight_to(NodeId(6)), 0.0);
-        assert_eq!(reach.source(), NodeId(0));
-        assert_eq!(reach.horizon(), horizon);
     }
 
     #[test]
@@ -1063,13 +1305,19 @@ mod tests {
 
     /// A 40-node graph with 110 LCG-chosen edges.
     fn lcg_graph() -> ContactGraph {
-        let mut g = ContactGraph::new(40);
+        lcg_graph_of(40, 110)
+    }
+
+    /// `nodes` nodes and `edges` LCG-chosen edges, rates from a palette
+    /// of 90 (so exact ties occur).
+    fn lcg_graph_of(nodes: u32, edges: usize) -> ContactGraph {
+        let mut g = ContactGraph::new(nodes as usize);
         let mut x = 12345u64;
-        for _ in 0..110 {
+        for _ in 0..edges {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let (a, b) = ((x >> 33) as u32 % 40, (x >> 13) as u32 % 40);
+            let (a, b) = ((x >> 33) as u32 % nodes, (x >> 13) as u32 % nodes);
             if a != b {
                 g.set_rate(NodeId(a), NodeId(b), 1e-4 * (1 + (x >> 50) % 90) as f64);
             }
@@ -1185,16 +1433,112 @@ mod tests {
     }
 
     #[test]
+    fn lazy_reach_answers_every_read_as_the_eager_search_does() {
+        // Every (source, dest) pair at bounds that bite and one that does
+        // not; ids past the graph read 0 like any node out of reach.
+        let g = lcg_graph();
+        let mut scratch = ReachScratch::new();
+        let (mut inner_reads, mut replayed, mut evaluated) = (0, 0, 0);
+        for max_hops in [1, 2, 3, 4, 64] {
+            for source in g.nodes() {
+                let eager = bounded_shortest_paths(&g, source, 1800.0, max_hops, &mut scratch);
+                let built = scratch.accumulators_built();
+                let lazy = bounded_reach(&g, source, 1800.0, max_hops, &mut scratch);
+                assert_eq!(scratch.accumulators_built(), built, "same nodes relax");
+                assert!(lazy.settled_count() <= eager.entries().len());
+                for dest in g.nodes().chain([NodeId(40), NodeId(u32::MAX)]) {
+                    let (w, evaluations) = lazy.weight_to(&g, dest);
+                    assert_eq!(
+                        w.to_bits(),
+                        eager.weight_to(dest).to_bits(),
+                        "{max_hops} hops, {source} to {dest}: {w} vs {}",
+                        eager.weight_to(dest)
+                    );
+                    inner_reads += usize::from(lazy.ids.binary_search(&dest).is_ok());
+                    replayed += usize::from(evaluations > 0);
+                    evaluated += evaluations;
+                }
+            }
+        }
+        // Both kinds of read occurred, and some leaves had a choice.
+        assert!(
+            inner_reads > 1000 && replayed > 1000,
+            "{inner_reads} / {replayed}"
+        );
+        assert!(evaluated as usize > replayed, "{evaluated} / {replayed}");
+    }
+
+    #[test]
+    fn lazy_search_settles_the_inner_ball_only() {
+        // From a spoke of the star under two hops, the ball of radius one
+        // is the spoke and the hub; the hub is the rim and the other seven
+        // spokes are leaves, each one CDF evaluation away.
+        let mut star = ContactGraph::new(9);
+        for spoke in 1..9u32 {
+            star.set_rate(NodeId(0), NodeId(spoke), 1e-3 * f64::from(spoke));
+        }
+        let mut scratch = ReachScratch::new();
+        let reach = bounded_reach(&star, NodeId(4), 2e3, 2, &mut scratch);
+        assert_eq!(
+            (reach.settled_count(), scratch.accumulators_built()),
+            (2, 2)
+        );
+        let full = shortest_paths(&star, NodeId(4), 2e3);
+        for dest in star.nodes() {
+            let (w, evaluations) = reach.weight_to(&star, dest);
+            assert_eq!(w.to_bits(), full.weight_to(dest).to_bits());
+            assert_eq!(
+                evaluations,
+                u32::from(dest != NodeId(0) && dest != NodeId(4))
+            );
+        }
+        // Under one hop the source is its own rim: nothing but itself
+        // settles, and the hub is a leaf; a spoke is out of reach.
+        let reach = bounded_reach(&star, NodeId(4), 2e3, 1, &mut scratch);
+        assert_eq!(reach.settled_count(), 1);
+        assert_eq!(
+            reach.weight_to(&star, NodeId(0)),
+            (full.weight_to(NodeId(0)), 1)
+        );
+        assert_eq!(reach.weight_to(&star, NodeId(5)), (0.0, 0));
+    }
+
+    #[test]
+    fn lazy_reach_is_no_larger_than_the_sparse_reach_it_replaces() {
+        // A sparse city in miniature: 1 500 nodes of mean degree 12 under
+        // three hops, where most of what the eager search settles are
+        // leaves. The lazy reach pays 20 B per inner node and 24 B per
+        // stage of a rim node against 16 B per settled node.
+        let g = lcg_graph_of(1500, 9000);
+        let mut scratch = ReachScratch::new();
+        let (mut lazy_bytes, mut eager_bytes) = (0, 0);
+        for source in (0..1500).step_by(50).map(NodeId) {
+            let eager = bounded_shortest_paths(&g, source, 1800.0, 3, &mut scratch);
+            let lazy = bounded_reach(&g, source, 1800.0, 3, &mut scratch);
+            assert!(lazy.settled_count() * 2 < eager.entries().len());
+            assert_eq!(lazy.ids.capacity(), lazy.ids.len());
+            assert_eq!(lazy.rim_stages.capacity(), lazy.rim_stages.len());
+            lazy_bytes += lazy.heap_bytes();
+            eager_bytes += eager.entries.capacity() * std::mem::size_of::<(NodeId, f64)>();
+        }
+        assert!(
+            lazy_bytes <= eager_bytes,
+            "{lazy_bytes} B vs {eager_bytes} B"
+        );
+    }
+
+    #[test]
     fn warm_scratch_searches_without_allocating() {
-        // Dense, early-exit and bounded searches from every source, twice
-        // over: the second pass finds every buffer the first one grew and
-        // moves or regrows none of them — per-node arrays, heap, touched
-        // list, and each recycled accumulator's four vectors.
+        // Dense, early-exit, bounded and inner-only searches from every
+        // source, twice over: the second pass finds every buffer the
+        // first one grew and moves or regrows none of them — per-node
+        // arrays, heap, touched list, the ball's queue, the pop order,
+        // and each recycled accumulator's four vectors.
         let g = lcg_graph();
         let pass = |scratch: &mut ReachScratch| {
             for source in g.nodes() {
-                search(&g, source, 1800.0, &[], usize::MAX, scratch);
-                search(
+                search::<_, false>(&g, source, 1800.0, &[], usize::MAX, scratch);
+                search::<_, false>(
                     &g,
                     source,
                     1800.0,
@@ -1202,13 +1546,20 @@ mod tests {
                     usize::MAX,
                     scratch,
                 );
-                search(&g, source, 1800.0, &[], 2, scratch);
+                search::<_, false>(&g, source, 1800.0, &[], 2, scratch);
+                search::<_, true>(&g, source, 1800.0, &[], 3, scratch);
             }
         };
         let buffers = |s: &ReachScratch| {
             let accs: Vec<_> = s.accs.iter().map(|a| a.buffers()).collect();
-            let arrays = (s.stamp.as_ptr(), s.best.as_ptr(), s.acc_slot.as_ptr());
-            (accs, arrays, s.heap.capacity(), s.touched.capacity())
+            let arrays = (
+                s.stamp.as_ptr(),
+                s.best.as_ptr(),
+                s.acc_slot.as_ptr(),
+                s.inner.as_ptr(),
+            );
+            let lists = (s.touched.capacity(), s.queue.capacity(), s.pops.capacity());
+            (accs, arrays, s.heap.capacity(), lists)
         };
         let mut scratch = ReachScratch::new();
         pass(&mut scratch);

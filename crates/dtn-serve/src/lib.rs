@@ -41,16 +41,16 @@
 //!
 //! # Latency accounting
 //!
-//! Each decision's service time is measured with a monotonic clock and
-//! recorded in a nanosecond histogram plus a budget-violation counter
-//! against [`ServeConfig::latency_budget_ns`];
+//! Each decision's service time is measured with a monotonic clock,
+//! returned on the [`Decision`] and held against
+//! [`ServeConfig::latency_budget_ns`] by a budget-violation counter;
 //! [`DecisionService::with_decision_log`] keeps every decision for the
-//! differential harness.
+//! differential harness. Percentiles are the caller's to compute from
+//! the decisions it gets back (the benchmark does).
 
 use std::time::Instant;
 
 use dtn_cache::intentional::IntentionalScheme;
-use dtn_core::hist::Histogram;
 use dtn_core::ids::{DataId, NodeId};
 use dtn_core::time::Time;
 use dtn_sim::decision::{PlacementDecision, RouteDecision};
@@ -62,19 +62,12 @@ pub struct ServeConfig {
     /// Per-decision latency budget; decisions slower than this bump the
     /// violation counter. Default 1 ms.
     pub latency_budget_ns: u64,
-    /// Bucket width of the service-time histogram, in nanoseconds.
-    pub hist_bucket_ns: u64,
-    /// Bucket count of the service-time histogram (overflow clamps to
-    /// the last bucket).
-    pub hist_buckets: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             latency_budget_ns: 1_000_000,
-            hist_bucket_ns: 10_000,
-            hist_buckets: 512,
         }
     }
 }
@@ -131,7 +124,7 @@ pub enum ServeError {
     NotConfigured,
     /// The request names a node id outside the population. Refused
     /// before any work: it is not a decision, so it touches neither the
-    /// checksum nor the latency histogram.
+    /// checksum nor the decision count.
     UnknownNode(NodeId),
 }
 
@@ -193,7 +186,6 @@ pub struct DecisionService<C: ContactSource> {
     sim: Simulator<IntentionalScheme, C>,
     nodes: Vec<NodeId>,
     cfg: ServeConfig,
-    hist: Histogram,
     decisions: u64,
     budget_violations: u64,
     checksum: u64,
@@ -210,12 +202,10 @@ impl<C: ContactSource> DecisionService<C> {
     /// `configure`).
     pub fn new(sim: Simulator<IntentionalScheme, C>, cfg: ServeConfig) -> Self {
         let nodes = (0..sim.source().node_count() as u32).map(NodeId).collect();
-        let hist = Histogram::new(cfg.hist_bucket_ns.max(1), cfg.hist_buckets.max(1));
         DecisionService {
             sim,
             nodes,
             cfg,
-            hist,
             decisions: 0,
             budget_violations: 0,
             checksum: FNV_OFFSET,
@@ -288,8 +278,6 @@ impl<C: ContactSource> DecisionService<C> {
 
         self.decisions += 1;
         self.cold_decisions += u64::from(snapshot_rebuilt || tables_recomputed > 0);
-        let clamp = (self.hist.bucket_width() * (self.cfg.hist_buckets.max(1) as u64 - 1)).max(1);
-        self.hist.record(service_ns.min(clamp));
         self.max_service_ns = self.max_service_ns.max(service_ns);
         if service_ns > self.cfg.latency_budget_ns {
             self.budget_violations += 1;
@@ -322,11 +310,6 @@ impl<C: ContactSource> DecisionService<C> {
             unknown_node_requests: self.unknown_node_requests,
             cold_decisions: self.cold_decisions,
         }
-    }
-
-    /// The service-time histogram (nanosecond buckets).
-    pub fn latency_hist(&self) -> &Histogram {
-        &self.hist
     }
 
     /// Recorded decisions (empty slice when the log is off).
@@ -497,7 +480,6 @@ mod tests {
             assert_eq!(after.unknown_node_requests, 4);
             assert_eq!(after.decisions, before.decisions);
             assert_eq!(after.checksum, before.checksum);
-            assert_eq!(svc.latency_hist().count(), 1);
             assert_eq!(svc.decisions().len(), 1);
             // The service keeps answering after a refusal.
             svc.decide(at, good).expect("still serving");
@@ -537,7 +519,6 @@ mod tests {
         }
         let stats = svc.stats();
         assert_eq!(stats.decisions, 40);
-        assert_eq!(svc.latency_hist().count(), 40);
         assert_eq!(svc.decisions().len(), 40);
         assert!(stats.max_service_ns > 0);
     }
@@ -591,7 +572,6 @@ mod tests {
         assert!(log
             .iter()
             .all(|d| !d.snapshot_rebuilt || d.tables_recomputed > 0));
-        assert_eq!(svc.latency_hist().count(), stats.decisions);
     }
 
     #[test]

@@ -36,12 +36,25 @@
 //!   contact count has roughly doubled) bounds the number of rebuilds by
 //!   `O(log contacts)` so per-contact `record` calls never cause
 //!   per-contact rebuilds.
+//!
+//! In scale mode ([`PathOracle::with_bounded_reach`]) the per-source
+//! cache holds hop-bounded [`LazyReach`]es instead of dense tables, and
+//! the first property takes another form: **a bounded search weighs a
+//! leaf of its bound only when a read asks for that leaf.** A relay
+//! decision compares weights to the K centrals and, for a response, to
+//! one requester, while an `h`-hop search in a sparse city settles
+//! mostly nodes exactly `h` hops out — leaves that relax nothing and so
+//! shape no other node's label. [`bounded_reach`] runs the search
+//! inside the ball of radius `h − 1` and keeps the path stages of the
+//! ball's rim; a read of an inner node is a binary search, a read of a
+//! leaf replays that one label from its rim neighbours over the epoch's
+//! snapshot, and a read of anything else is 0. Every answer is the
+//! eager [`bounded_shortest_paths`](dtn_core::path::bounded_shortest_paths)
+//! answer to the bit (`tests/path_equivalence.rs`).
 
 use dtn_core::graph::{ContactGraph, CsrGraph};
 use dtn_core::ids::NodeId;
-use dtn_core::path::{
-    bounded_shortest_paths, shortest_paths_until_in, PathTable, ReachScratch, SparseReach,
-};
+use dtn_core::path::{bounded_reach, shortest_paths_until_in, LazyReach, PathTable, ReachScratch};
 use dtn_core::rate::RateTable;
 use dtn_core::time::{Duration, Time};
 
@@ -68,19 +81,25 @@ struct Snapshot {
 
 /// Cumulative oracle work counters, for probes and diagnostics.
 ///
-/// `table_hits` counts reads served from a cached per-source table;
-/// `table_recomputes` counts reads that had to run a path search — early
-/// exit, exhaustive or bounded, including the exhaustive search that
-/// replaces a partial table which could not answer. `nodes_settled` sums
-/// the nodes those searches settled: exact and machine-independent, it
-/// is the counter that moves when a search does more or less work for
-/// the same `table_recomputes` (it fell when searches began to stop at
-/// the targets). `accumulators_built` sums the CDF accumulators the same
-/// searches built, one per settled node that relaxed its edges: it moves
-/// on per-settle work that leaves the settled set alone — under a hop
-/// bound most settled nodes are leaves and build none, so it sits well
-/// below `nodes_settled`, and would equal it if they did. `rebuilds`
-/// counts shared-snapshot constructions (equals
+/// `table_hits` counts reads served from a cached per-source table or
+/// reach; `table_recomputes` counts reads that had to run a path search
+/// first — early exit, exhaustive or bounded, including the exhaustive
+/// search that replaces a partial table which could not answer — so on
+/// either branch the two sum to the reads that were not self-reads.
+/// `nodes_settled` sums the nodes those searches settled: exact and
+/// machine-independent, it is the counter that moves when a search does
+/// more or less work for the same `table_recomputes`. A dense search
+/// that stops at the targets settles the nodes heavier than the last
+/// target; a bounded search settles the ball of radius `max_hops − 1`
+/// around its source and nothing beyond it — the leaves of the bound
+/// never enter the search (a rim node that relaxed every neighbour again
+/// would read several times higher). `leaf_evaluations` counts what
+/// those leaves cost instead: the CDF evaluations bounded reads made to
+/// weigh the leaf they asked for, zero for a read of an inner node or of
+/// a node the bound does not reach. `accumulators_built` sums the CDF
+/// accumulators the searches built, one per settled node that relaxed
+/// its edges: it moves on per-settle work that leaves the settled set
+/// alone. `rebuilds` counts shared-snapshot constructions (equals
 /// [`PathOracle::snapshot_epoch`]); `invalidations` counts explicit
 /// [`PathOracle::invalidate`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,6 +116,8 @@ pub struct OracleStats {
     pub nodes_settled: u64,
     /// CDF accumulators built, summed over every path search.
     pub accumulators_built: u64,
+    /// CDF evaluations made by bounded reads that weighed a leaf.
+    pub leaf_evaluations: u64,
 }
 
 /// Memoised single-source opportunistic path tables over a shared,
@@ -137,10 +158,10 @@ pub struct PathOracle {
     /// for [`PathOracle::weight`] searches. `None` (the default) keeps
     /// the exact dense path.
     max_hops: Option<usize>,
-    /// Scale mode: direct-mapped cache of bounded sparse reaches,
-    /// indexed by `source % len` — bounded memory no matter how many
-    /// distinct sources query within an epoch.
-    sparse: Vec<Option<(NodeId, u64, SparseReach)>>,
+    /// Scale mode: direct-mapped cache of bounded reaches, indexed by
+    /// `source % len` — bounded memory no matter how many distinct
+    /// sources query within an epoch.
+    sparse: Vec<Option<(NodeId, u64, LazyReach)>>,
     /// The one search workspace: dense and bounded searches both run
     /// through it.
     scratch: ReachScratch,
@@ -175,12 +196,17 @@ impl PathOracle {
     }
 
     /// Switches the oracle into scale mode: [`PathOracle::weight`] runs
-    /// hop-bounded sparse searches (`max_hops` relaxation levels) whose
-    /// results live in a direct-mapped cache of `cache_slots` entries,
-    /// and the shared snapshot is stored as CSR. Memory per epoch is
+    /// hop-bounded searches (`max_hops` relaxation levels) over the ball
+    /// of radius `max_hops − 1` around the source, whose results live in
+    /// a direct-mapped cache of `cache_slots` entries, and the shared
+    /// snapshot is stored as CSR. Memory per epoch is
     /// `O(edges + cache_slots · reach)` instead of
     /// `O(edges + sources · nodes)` — the difference between a 100k-node
-    /// population fitting in RAM or not.
+    /// population fitting in RAM or not — where a cached reach costs
+    /// 20 B per inner node plus `24 · (max_hops − 1) + 5` B per rim node
+    /// (an inner node settled one hop short of the bound): nothing per
+    /// leaf, which is where a 3-hop search in a sparse city ends five
+    /// times in six.
     ///
     /// Weights within `max_hops` hops are exact; destinations further
     /// away read as unreachable (weight 0). Opportunistic path weights
@@ -354,17 +380,25 @@ impl PathOracle {
             self.stats.table_recomputes += 1;
             let reach = match &snapshot.graph {
                 SnapshotGraph::Adjacency(g) => {
-                    bounded_shortest_paths(g, source, self.horizon, hops, &mut self.scratch)
+                    bounded_reach(g, source, self.horizon, hops, &mut self.scratch)
                 }
                 SnapshotGraph::Csr(g) => {
-                    bounded_shortest_paths(g, source, self.horizon, hops, &mut self.scratch)
+                    bounded_reach(g, source, self.horizon, hops, &mut self.scratch)
                 }
             };
-            self.stats.nodes_settled += reach.entries().len() as u64;
+            self.stats.nodes_settled += reach.settled_count() as u64;
             self.stats.accumulators_built += self.scratch.accumulators_built() as u64;
             *slot = Some((source, self.epoch, reach));
         }
-        slot.as_ref().expect("just computed").2.weight_to(dest)
+        // The reach belongs to this epoch, so the snapshot is the graph
+        // it was searched on: a leaf's label is replayed over it.
+        let reach = &slot.as_ref().expect("just computed").2;
+        let (weight, evaluations) = match &snapshot.graph {
+            SnapshotGraph::Adjacency(g) => reach.weight_to(g, dest),
+            SnapshotGraph::Csr(g) => reach.weight_to(g, dest),
+        };
+        self.stats.leaf_evaluations += u64::from(evaluations);
+        weight
     }
 
     /// Drops the snapshot and every cached table (e.g. after a
@@ -700,13 +734,15 @@ mod tests {
         // One hop: direct neighbor reachable, two hops away is not.
         assert!(o.weight(&rates, now, NodeId(0), NodeId(1)) > 0.0);
         assert_eq!(o.weight(&rates, now, NodeId(0), NodeId(2)), 0.0);
-        // One search settled n0 and n1; n1 sits at the bound and built
-        // no accumulator.
+        // One search, and it settled n0 alone: under one hop the source
+        // is its own rim and n1 a leaf, weighed by the read that asked
+        // for it. n2 has no rim neighbour and cost nothing.
         let s = o.stats();
         assert_eq!(
-            (s.table_recomputes, s.nodes_settled, s.accumulators_built),
-            (1, 2, 1)
+            (s.table_recomputes, s.table_hits, s.nodes_settled),
+            (1, 1, 1)
         );
+        assert_eq!((s.accumulators_built, s.leaf_evaluations), (1, 1));
     }
 
     #[test]

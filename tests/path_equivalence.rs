@@ -24,6 +24,16 @@
 //! reference carries an owned rate vector in every label and knows
 //! neither trick. Leaves of the bound and interior nodes must agree
 //! `to_bits`, on adjacency-list and CSR storage alike.
+//!
+//! The lazy reach (`bounded_reach`) is held against that eager search in
+//! turn: it settles the inner ball only and weighs a leaf when
+//! `weight_to` is asked for it, and every `(source, dest)` read must
+//! equal the eager reach's `to_bits` — over graphs whose rates come from
+//! a four-value palette (exact ties, decided by the id tie-break), from
+//! a band with λT ≫ 40 (weights that round to 1, where the pop order is
+//! not monotone at the ulp level) and from the continuous range. The
+//! bounded `PathOracle::weight` is held against the same reference
+//! across every way its cache turns over.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -32,9 +42,12 @@ use dtn_coop_cache::core::graph::{ContactGraph, CsrGraph, Topology};
 use dtn_coop_cache::core::hypoexp;
 use dtn_coop_cache::core::ids::NodeId;
 use dtn_coop_cache::core::path::{
-    bounded_shortest_paths, shortest_paths, shortest_paths_naive, shortest_paths_until,
-    ReachScratch, SparseReach,
+    bounded_reach, bounded_shortest_paths, shortest_paths, shortest_paths_naive,
+    shortest_paths_until, ReachScratch, SparseReach,
 };
+use dtn_coop_cache::core::rate::RateTable;
+use dtn_coop_cache::core::time::{Duration, Time};
+use dtn_coop_cache::sim::oracle::PathOracle;
 
 use proptest::prelude::*;
 
@@ -258,6 +271,65 @@ fn assert_bounded_equivalent<G: Topology>(
     Ok(())
 }
 
+/// What [`assert_lazy_equivalent`] saw: reads answered from the inner
+/// set, reads that replayed a leaf's label to a non-zero weight, and
+/// the CDF evaluations those replays made.
+#[derive(Debug, Default, Clone, Copy)]
+struct LazyReads {
+    inner: usize,
+    replayed: usize,
+    evaluations: usize,
+}
+
+/// Holds `bounded_reach(..).weight_to` at bounds 1..=4 against
+/// `bounded_shortest_paths(..).weight_to` for every `(source, dest)`
+/// pair of one graph, plus one id past it.
+fn assert_lazy_equivalent<G: Topology>(
+    g: &G,
+    horizon: f64,
+    scratch: &mut ReachScratch,
+    reads: &mut LazyReads,
+) -> Result<(), String> {
+    let n = g.node_count() as u32;
+    for max_hops in 1..=4 {
+        for source in (0..n).map(NodeId) {
+            let eager = bounded_shortest_paths(g, source, horizon, max_hops, scratch);
+            let lazy = bounded_reach(g, source, horizon, max_hops, scratch);
+            if lazy.settled_count() > eager.entries().len() {
+                return Err("the lazy search settled more than the eager one".into());
+            }
+            for dest in (0..=n).map(NodeId) {
+                let want = eager.weight_to(dest);
+                let (got, evaluations) = lazy.weight_to(g, dest);
+                if got.to_bits() != want.to_bits() {
+                    return Err(format!(
+                        "{max_hops} hops, {source} to {dest}: lazy {got:?} vs eager {want:?} \
+                         after {evaluations} evaluations"
+                    ));
+                }
+                if evaluations == 0 {
+                    reads.inner += usize::from(want != 0.0);
+                } else {
+                    reads.replayed += usize::from(want != 0.0);
+                    reads.evaluations += evaluations as usize;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The rate of a generated edge: a four-value palette (exact ties), a
+/// band with `λT` between 50 and 1 050 (every weight rounds to 1 or one
+/// ulp below it), or the drawn rate itself.
+fn mixed_rate(kind: u32, drawn: f64, horizon: f64) -> f64 {
+    match kind {
+        0..=3 => [2e-4, 5e-4, 1e-3, 4e-3][kind as usize],
+        4 | 5 => (50.0 + drawn * 1e4) / horizon,
+        _ => drawn,
+    }
+}
+
 /// Holds the search stopped at `targets` against the exhaustive one.
 fn assert_early_exit_exact(
     g: &ContactGraph,
@@ -396,8 +468,168 @@ fn clustered_rates_are_equivalent() {
     assert_early_exit_cases(&g, NodeId(0), 3000.0);
 }
 
+/// A deterministic 104-node graph with three edges in four in the rate
+/// band where every weight is 1 or an ulp or two below it: under four
+/// hops the pop order is not monotone, and a replay that compares a
+/// leaf's label against the next rim neighbour only — rather than
+/// against every pop before it — ends one candidate late on five of its
+/// pairs (`1` where the eager search says `0.9999999999999999`).
+#[test]
+fn lazy_reach_survives_a_non_monotone_pop_order() {
+    let horizon = 3600.0;
+    let mut edges = Vec::new();
+    let mut x = 0x2545_f491_4f6c_dd1du64.wrapping_mul(26);
+    for _ in 0..300 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let drawn = ((x >> 11) % 100_000) as f64 * 1e-6 + 1e-6;
+        let kind = if (x >> 40) % 8 < 6 { 4 } else { 6 };
+        edges.push((
+            (x >> 3) as u32 % 104,
+            (x >> 23) as u32 % 104,
+            mixed_rate(kind, drawn, horizon),
+        ));
+    }
+    let mut scratch = ReachScratch::new();
+    let mut reads = LazyReads::default();
+    for result in [
+        assert_lazy_equivalent(
+            &graph_from_edges(104, &edges),
+            horizon,
+            &mut scratch,
+            &mut reads,
+        ),
+        assert_lazy_equivalent(
+            &csr_from_edges(104, &edges),
+            horizon,
+            &mut scratch,
+            &mut reads,
+        ),
+    ] {
+        result.unwrap();
+    }
+    assert!(reads.inner > 10_000 && reads.replayed > 10_000, "{reads:?}");
+    assert!(reads.evaluations > reads.replayed, "{reads:?}");
+}
+
+/// The bounded `PathOracle::weight` equals the eager reach over the
+/// same rates, for all pairs, across everything that turns its cache
+/// over: a wall-clock refresh, a generation rebuild, `invalidate()`, and
+/// a one-slot cache where every change of source is a collision.
+#[test]
+fn bounded_oracle_reads_equal_the_eager_reach() {
+    const N: u32 = 60;
+    let horizon = 3600.0;
+    let mut rates = RateTable::new(N as usize, Time::ZERO);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut meet = |rates: &mut RateTable, contacts: usize, at: u64| {
+        for i in 0..contacts {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // A ring plus a few long chords: three hops do not span it.
+            let a = (x >> 33) as u32 % N;
+            let b = if (x >> 20).is_multiple_of(12) {
+                (x >> 8) as u32 % N
+            } else {
+                (a + 1) % N
+            };
+            if a != b {
+                rates.record(NodeId(a), NodeId(b), Time(at + i as u64));
+            }
+        }
+    };
+    meet(&mut rates, 160, 10);
+    for slots in [1, 7, N as usize] {
+        let mut rates = rates.clone();
+        let mut oracle =
+            PathOracle::new(N as usize, horizon, Duration::hours(1)).with_bounded_reach(3, slots);
+        let mut scratch = ReachScratch::new();
+        let mut sweep = |oracle: &mut PathOracle, rates: &RateTable, now: Time| {
+            let snapshot = CsrGraph::from_rate_table(rates, now);
+            let (mut zero, mut leaf) = (0, oracle.stats().leaf_evaluations);
+            // Destination-major, so that with few slots consecutive
+            // reads collide; source-major again for the hits.
+            for (s, d) in (0..N * N)
+                .map(|i| (i % N, i / N))
+                .chain((0..N * N).map(|i| (i / N, i % N)))
+            {
+                let want = match s == d {
+                    true => 1.0,
+                    false => bounded_shortest_paths(&snapshot, NodeId(s), horizon, 3, &mut scratch)
+                        .weight_to(NodeId(d)),
+                };
+                let got = oracle.weight(rates, now, NodeId(s), NodeId(d));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{slots} slots, n{s} to n{d} at {now:?}"
+                );
+                zero += usize::from(want == 0.0);
+            }
+            leaf = oracle.stats().leaf_evaluations - leaf;
+            assert!(
+                zero > 0 && leaf > 0,
+                "bound never bit ({zero}) or no leaf was read ({leaf})"
+            );
+        };
+        sweep(&mut oracle, &rates, Time(1_000));
+        assert_eq!(oracle.snapshot_epoch(), 1);
+        // Wall-clock refresh, same rates read later.
+        sweep(&mut oracle, &rates, Time(1_000 + 3_600));
+        assert_eq!(oracle.snapshot_epoch(), 2);
+        // Generation rebuild inside the refresh window.
+        meet(&mut rates, 400, 4_700);
+        sweep(&mut oracle, &rates, Time(5_200));
+        assert_eq!(oracle.snapshot_epoch(), 3);
+        oracle.invalidate();
+        sweep(&mut oracle, &rates, Time(5_300));
+        assert_eq!(oracle.snapshot_epoch(), 4);
+        let stats = oracle.stats();
+        assert_eq!(
+            stats.table_hits + stats.table_recomputes,
+            4 * 2 * u64::from(N * (N - 1)),
+            "every read that is not a self-read is a hit or a recompute"
+        );
+        if slots == 1 {
+            // Destination-major reads change source every time.
+            assert!(
+                stats.table_recomputes >= 4 * u64::from(N * (N - 1)),
+                "{stats:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lazy reach answers every read of every source as the eager
+    /// bounded search does, at bounds 1..=4, on both graph storages,
+    /// over rates that tie exactly, rates whose weights round to 1, and
+    /// ordinary ones.
+    #[test]
+    fn lazy_reach_matches_the_eager_search_on_random_graphs(
+        n in 2usize..48,
+        edges in prop::collection::vec((0u32..48, 0u32..48, 0u32..12, 1e-6f64..1e-1), 1..160),
+        horizon in 50.0f64..1e6,
+    ) {
+        let edges: Vec<(u32, u32, f64)> = edges
+            .iter()
+            .map(|&(a, b, kind, drawn)| (a, b, mixed_rate(kind, drawn, horizon)))
+            .collect();
+        let mut scratch = ReachScratch::new();
+        let mut reads = LazyReads::default();
+        for result in [
+            assert_lazy_equivalent(&graph_from_edges(n, &edges), horizon, &mut scratch, &mut reads),
+            assert_lazy_equivalent(&csr_from_edges(n, &edges), horizon, &mut scratch, &mut reads),
+        ] {
+            if let Err(message) = result {
+                prop_assert!(false, "{}", message);
+            }
+        }
+    }
 
     /// Randomized graphs of up to 24 nodes: the optimized engine must
     /// produce the naive reference's routes and weights everywhere.

@@ -14,6 +14,7 @@
 use bench::observe::Instruments;
 use dtn_coop_cache::cache::experiment::{
     configure_from_live_state, run_experiment, run_experiment_with, ExperimentConfig,
+    ExperimentReport,
 };
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme, ResponseStrategy};
 use dtn_coop_cache::cache::reference::ReferenceIntentionalScheme;
@@ -320,7 +321,15 @@ fn full_experiment_pipeline_is_equivalent() {
             &cfg,
             seed,
         );
-        assert_eq!(fast, reference, "seed {seed}");
+        // Everything but the oracle's work counters: the reference names
+        // no targets, so its searches settle more nodes for the same
+        // answers.
+        assert!(fast.oracle.is_some() && reference.oracle.is_some());
+        let outcome = |report| ExperimentReport {
+            oracle: None,
+            ..report
+        };
+        assert_eq!(outcome(fast), outcome(reference), "seed {seed}");
     }
 }
 

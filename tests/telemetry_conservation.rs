@@ -10,8 +10,15 @@
 //! Recording must also perturb nothing: the same experiment run with
 //! every instrument off, with the recorder installed, with the phase
 //! profiler on and with the audit on ends in `==` [`Metrics`].
+//!
+//! The path oracle's work counters ride outside [`Metrics`] — in the
+//! report and the capture footer — and obey a law of their own: every
+//! read that is not a self-read is a hit or a recompute, whatever the
+//! geometry of the cache that decided which.
 
-use bench::observe::Instruments;
+use bench::json::JsonValue;
+use bench::observe::{write_jsonl, Instruments};
+use bench::scale::{run_scale_observed, ScaleConfig};
 use dtn_coop_cache::cache::experiment::{
     build_scheme, configure_from_live_state, prepare_experiment, ExperimentConfig,
 };
@@ -197,4 +204,67 @@ fn instruments_perturb_nothing() {
             "{name} perturbed the run"
         );
     }
+}
+
+#[test]
+fn oracle_reads_are_conserved_on_a_bounded_run() {
+    // A 400-node city on the bounded-reach branch (three hops), once
+    // with a reach-cache slot per node and once with seven slots, where
+    // most changes of source evict a reach. Answers are bit-identical
+    // either way, so the scheme makes the same reads in the same order:
+    // hits + recomputes (the reads) and the leaf evaluations (a function
+    // of the read and the epoch's reach) may not move; only the split
+    // between hits and recomputes, and the search work behind it, may.
+    let run = |reach_cache_slots| {
+        let cfg = ScaleConfig {
+            data_items: 48,
+            queries: 96,
+            reach_cache_slots,
+            heartbeat_every_contacts: None,
+            ..ScaleConfig::city(400)
+        };
+        let (report, observed) = run_scale_observed(&cfg, true);
+        let observed = observed.expect("observed run");
+        // The report, the capture and its footer carry one set of counters.
+        let oracle = observed.oracle.expect("intentional scheme, configured");
+        assert_eq!(oracle, report.oracle);
+        let mut jsonl = Vec::new();
+        write_jsonl(&observed, &mut jsonl).expect("in-memory write");
+        let jsonl = String::from_utf8(jsonl).expect("utf-8");
+        let footer = JsonValue::parse(jsonl.lines().last().expect("footer")).expect("parses");
+        for (key, value) in [
+            ("oracle_rebuilds", oracle.rebuilds),
+            ("oracle_table_hits", oracle.table_hits),
+            ("oracle_table_recomputes", oracle.table_recomputes),
+            ("oracle_nodes_settled", oracle.nodes_settled),
+            ("oracle_accumulators_built", oracle.accumulators_built),
+            ("oracle_leaf_evaluations", oracle.leaf_evaluations),
+        ] {
+            assert_eq!(
+                footer.get(key).and_then(JsonValue::as_u64),
+                Some(value),
+                "{key}"
+            );
+        }
+        (oracle, observed.metrics)
+    };
+    let (roomy, roomy_metrics) = run(400);
+    let (tight, tight_metrics) = run(7);
+    assert_eq!(
+        roomy_metrics, tight_metrics,
+        "cache geometry changed an answer"
+    );
+    assert!(
+        roomy.table_hits > 0 && roomy.leaf_evaluations > 0,
+        "{roomy:?}"
+    );
+    assert_eq!(
+        roomy.table_hits + roomy.table_recomputes,
+        tight.table_hits + tight.table_recomputes,
+        "a read went uncounted: {roomy:?} vs {tight:?}"
+    );
+    assert_eq!(roomy.leaf_evaluations, tight.leaf_evaluations);
+    assert_eq!(roomy.rebuilds, tight.rebuilds);
+    assert!(tight.table_recomputes > roomy.table_recomputes, "{tight:?}");
+    assert!(tight.nodes_settled > roomy.nodes_settled, "{tight:?}");
 }
