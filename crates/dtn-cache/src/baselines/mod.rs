@@ -17,7 +17,7 @@
 
 mod policy;
 
-pub use policy::{BundleCachePolicy, CacheDataPolicy, NoCachePolicy, RandomCachePolicy};
+pub(crate) use policy::{BundleCachePolicy, CacheDataPolicy, NoCachePolicy, RandomCachePolicy};
 
 use std::collections::{HashMap, HashSet};
 use std::mem;
@@ -33,25 +33,23 @@ use dtn_trace::trace::Contact;
 
 use crate::common::DataRegistry;
 use crate::routing::{ForwardingStrategy, RoutedMessage};
-use crate::{CachingScheme, NetworkSetup};
+use crate::{CachingScheme, NetworkSetup, PATH_REFRESH};
 
 /// Per-node view a policy uses to score items.
 #[derive(Debug, Clone, Copy)]
-pub struct PolicyCtx<'a> {
+pub(crate) struct PolicyCtx<'a> {
     /// The node making the decision.
-    pub node: NodeId,
-    /// Current time.
-    pub now: Time,
+    pub(crate) node: NodeId,
     /// Queries for each item this node has personally carried or seen —
     /// the only query history available without global coordination.
-    pub local_seen: &'a HashMap<(NodeId, DataId), u32>,
+    pub(crate) local_seen: &'a HashMap<(NodeId, DataId), u32>,
     /// How often this node contacts others, per second (its long-term
     /// contact pattern).
-    pub contact_rate: f64,
+    pub(crate) contact_rate: f64,
 }
 
 /// The caching rule distinguishing the four baselines.
-pub trait IncidentalPolicy {
+pub(crate) trait IncidentalPolicy {
     /// Whether a requester caches data it receives.
     fn cache_at_requester(&self) -> bool;
 
@@ -82,7 +80,7 @@ struct QueryInFlight {
 
 /// Generic incidental caching scheme driven by a policy.
 #[derive(Debug)]
-pub struct IncidentalScheme<P> {
+pub(crate) struct IncidentalScheme<P> {
     policy: P,
     query_routing: ForwardingStrategy,
     response_routing: ForwardingStrategy,
@@ -108,7 +106,7 @@ pub struct IncidentalScheme<P> {
 impl<P: IncidentalPolicy> IncidentalScheme<P> {
     /// Creates an unconfigured scheme with the given policy and the
     /// greedy forwarding the paper's evaluation assumes.
-    pub fn new(policy: P) -> Self {
+    pub(crate) fn new(policy: P) -> Self {
         Self::with_routing(
             policy,
             ForwardingStrategy::Greedy,
@@ -118,7 +116,7 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
 
     /// Creates a scheme with explicit query/response forwarding
     /// strategies — e.g. epidemic/epidemic for a delivery upper bound.
-    pub fn with_routing(
+    pub(crate) fn with_routing(
         policy: P,
         query_routing: ForwardingStrategy,
         response_routing: ForwardingStrategy,
@@ -162,7 +160,6 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
         };
         PolicyCtx {
             node,
-            now,
             local_seen: &self.local_seen,
             contact_rate,
         }
@@ -493,7 +490,7 @@ impl<P: IncidentalPolicy> CachingScheme for IncidentalScheme<P> {
         self.oracle = Some(PathOracle::new(
             setup.capacities.len(),
             setup.horizon,
-            dtn_core::time::Duration::hours(12),
+            PATH_REFRESH,
         ));
         self.buffers = setup.capacities.iter().map(|&c| Buffer::new(c)).collect();
         self.node_contacts = vec![0; setup.capacities.len()];

@@ -10,7 +10,7 @@ use super::{IncidentalPolicy, PolicyCtx};
 /// Only the source's own items ever sit in a buffer; eviction order is
 /// oldest-created first (effectively FIFO over the node's own data).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoCachePolicy;
+pub(crate) struct NoCachePolicy;
 
 impl IncidentalPolicy for NoCachePolicy {
     fn cache_at_requester(&self) -> bool {
@@ -31,7 +31,7 @@ impl IncidentalPolicy for NoCachePolicy {
 /// observed request count — requesters blindly keep what they fetched
 /// most recently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RandomCachePolicy;
+pub(crate) struct RandomCachePolicy;
 
 impl IncidentalPolicy for RandomCachePolicy {
     fn cache_at_requester(&self) -> bool {
@@ -51,10 +51,10 @@ impl IncidentalPolicy for RandomCachePolicy {
 /// knows the queries it personally carried, which is exactly why the
 /// paper finds it ineffective here (§III-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheDataPolicy {
+pub(crate) struct CacheDataPolicy {
     /// A relay caches a pass-by item once it has locally seen at least
     /// this many queries for it.
-    pub popularity_threshold: u32,
+    pub(crate) popularity_threshold: u32,
 }
 
 impl Default for CacheDataPolicy {
@@ -92,11 +92,11 @@ impl IncidentalPolicy for CacheDataPolicy {
 /// access delay" — the caching utility weights locally observed
 /// popularity by how well-connected the caching node itself is.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BundleCachePolicy {
+pub(crate) struct BundleCachePolicy {
     /// Contact rate (contacts/sec) at which a node counts as fully
     /// connected; utilities saturate above it. Default: one contact per
     /// 10 minutes.
-    pub reference_contact_rate: f64,
+    pub(crate) reference_contact_rate: f64,
 }
 
 impl Default for BundleCachePolicy {
@@ -152,7 +152,6 @@ mod tests {
     ) -> PolicyCtx<'a> {
         PolicyCtx {
             node: NodeId(node),
-            now: Time(100),
             local_seen: seen,
             contact_rate,
         }

@@ -12,62 +12,35 @@ use dtn_sim::oracle::PathOracle;
 
 /// Registry of all data items a scheme has seen, with global query
 /// popularity estimators.
-///
-/// # Example
-///
-/// ```
-/// use dtn_cache::common::DataRegistry;
-/// use dtn_core::ids::{DataId, NodeId};
-/// use dtn_core::time::{Duration, Time};
-/// use dtn_sim::message::DataItem;
-///
-/// let mut reg = DataRegistry::default();
-/// let item = DataItem::new(DataId(1), NodeId(0), 100, Time(0), Duration(1000));
-/// reg.register(item);
-/// reg.record_request(DataId(1), Time(10));
-/// assert_eq!(reg.get(DataId(1)).unwrap().size, 100);
-/// assert!(reg.popularity(DataId(1), Time(20)) >= 0.0);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct DataRegistry {
+pub(crate) struct DataRegistry {
     items: HashMap<DataId, DataItem>,
     popularity: HashMap<DataId, PopularityEstimator>,
 }
 
 impl DataRegistry {
     /// Registers a newly generated item.
-    pub fn register(&mut self, item: DataItem) {
+    pub(crate) fn register(&mut self, item: DataItem) {
         self.items.insert(item.id, item);
         self.popularity.entry(item.id).or_default();
     }
 
     /// Looks up an item by id.
-    pub fn get(&self, id: DataId) -> Option<&DataItem> {
+    pub(crate) fn get(&self, id: DataId) -> Option<&DataItem> {
         self.items.get(&id)
     }
 
     /// Records a query for `id` at time `at` (drives Eq. 6).
-    pub fn record_request(&mut self, id: DataId, at: Time) {
+    pub(crate) fn record_request(&mut self, id: DataId, at: Time) {
         self.popularity.entry(id).or_default().record_request(at);
     }
 
     /// The popularity `w_i` of `id` at `now` (0 for unknown items).
-    pub fn popularity(&self, id: DataId, now: Time) -> f64 {
+    pub(crate) fn popularity(&self, id: DataId, now: Time) -> f64 {
         match (self.items.get(&id), self.popularity.get(&id)) {
             (Some(item), Some(est)) => est.popularity(now, item.expires_at()),
             _ => 0.0,
         }
-    }
-
-    /// Number of locally observed requests for `id` — available to
-    /// schemes that only use local history.
-    pub fn request_count(&self, id: DataId) -> u64 {
-        self.popularity.get(&id).map_or(0, |e| e.request_count())
-    }
-
-    /// Iterates over all registered items.
-    pub fn iter(&self) -> impl Iterator<Item = &DataItem> {
-        self.items.values()
     }
 }
 
@@ -111,19 +84,17 @@ mod tests {
         let item = DataItem::new(DataId(5), NodeId(1), 10, Time(0), Duration(10_000));
         reg.register(item);
         assert_eq!(reg.get(DataId(5)).unwrap().source, NodeId(1));
+        assert_eq!(reg.get(DataId(5)).unwrap().size, 10);
         assert_eq!(reg.popularity(DataId(5), Time(1)), 0.0, "no requests yet");
         reg.record_request(DataId(5), Time(100));
         reg.record_request(DataId(5), Time(200));
         assert!(reg.popularity(DataId(5), Time(300)) > 0.5);
-        assert_eq!(reg.request_count(DataId(5)), 2);
-        assert_eq!(reg.iter().count(), 1);
     }
 
     #[test]
     fn unknown_item_has_zero_popularity() {
         let reg = DataRegistry::default();
         assert_eq!(reg.popularity(DataId(9), Time(0)), 0.0);
-        assert_eq!(reg.request_count(DataId(9)), 0);
         assert!(reg.get(DataId(9)).is_none());
     }
 

@@ -3,8 +3,8 @@
 //!
 //! The protocol lives here once. [`configure_from_live_state`] is its
 //! NCL-selection step over any warmed simulator; [`prepare_experiment`]
-//! and [`experiment_report`] are the two stages of [`run_experiment`],
-//! split so an instrumented harness can attach probes in between.
+//! is the set-up stage of [`run_experiment`], public so an instrumented
+//! harness can attach probes before the measurement phase runs.
 
 use dtn_core::ids::NodeId;
 use dtn_core::time::{Duration, Time};
@@ -41,9 +41,6 @@ pub struct ExperimentConfig {
     pub query_constraint: Option<Duration>,
     /// Per-node buffer range in bytes.
     pub buffer_range: (u64, u64),
-    /// Time horizon `T` (seconds) for path weights and NCL selection;
-    /// `None` picks `T_L` (bounded to ≥ 1 h).
-    pub horizon: Option<f64>,
     /// Cache replacement policy (Fig. 12 swaps this).
     pub replacement: ReplacementKind,
     /// Probabilistic response strategy (§V-C).
@@ -76,7 +73,6 @@ impl Default for ExperimentConfig {
                 dtn_sim::engine::megabits(200),
                 dtn_sim::engine::megabits(600),
             ),
-            horizon: None,
             replacement: ReplacementKind::UtilityKnapsack,
             response: ResponseStrategy::default(),
             probabilistic_selection: true,
@@ -89,11 +85,10 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// The horizon `T` in seconds: [`horizon`](Self::horizon) if set,
-    /// else `T_L` bounded to ≥ 1 h.
-    pub fn effective_horizon(&self) -> f64 {
-        self.horizon
-            .unwrap_or_else(|| self.mean_data_lifetime.as_secs_f64().max(3600.0))
+    /// The time horizon `T` in seconds for path weights and NCL
+    /// selection: `T_L`, bounded to ≥ 1 h.
+    fn effective_horizon(&self) -> f64 {
+        self.mean_data_lifetime.as_secs_f64().max(3600.0)
     }
 }
 
@@ -239,8 +234,8 @@ pub fn configure_from_live_state<S: CachingScheme, C: ContactSource>(
 /// The "prepare" stage of [`run_experiment`]: builds the simulator,
 /// warms it up over the first half of `trace`, configures `scheme` from
 /// the accumulated rates and queues the generated workload for the
-/// second half. The caller runs it (`run_to_end`) and reads it back
-/// with [`experiment_report`]; probes attached in between observe the
+/// second half. The caller runs it (`run_to_end`) and reads the
+/// metrics off the simulator; probes attached in between observe the
 /// measurement phase only.
 ///
 /// `engine` carries the seed (buffer assignment, workload generation
@@ -290,7 +285,7 @@ pub fn prepare_experiment<'t, S: CachingScheme>(
 /// The central set is read back *after* the run so reports reflect any
 /// online re-elections (with epochs off it equals the warm-up
 /// selection).
-pub fn experiment_report<S: CachingScheme, C: ContactSource>(
+fn experiment_report<S: CachingScheme, C: ContactSource>(
     kind: SchemeKind,
     sim: &Simulator<S, C>,
 ) -> ExperimentReport {

@@ -92,7 +92,7 @@ use std::collections::HashSet;
 use std::mem;
 
 use dtn_core::ids::NodeId;
-use dtn_core::time::{Duration, Time};
+use dtn_core::time::Time;
 use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::{CacheStats, Epoch, Scheme, SimCtx};
 use dtn_sim::message::{DataItem, Query};
@@ -103,7 +103,7 @@ use dtn_trace::trace::Contact;
 
 use crate::replacement::{NodeCacheMeta, ReplacementKind};
 use crate::routing::ForwardingStrategy;
-use crate::{CachingScheme, NetworkSetup};
+use crate::{CachingScheme, NetworkSetup, PATH_REFRESH};
 
 use self::pending::{PullCopy, GC_PULL};
 use self::state::CopyState;
@@ -155,9 +155,6 @@ pub struct IntentionalConfig {
     /// How central nodes are picked from warm-up information. Default:
     /// the paper's probabilistic path metric (Eq. 3).
     pub ncl_selection: dtn_core::ncl::SelectionStrategy,
-    /// How often cached path tables are refreshed. Overridable per run
-    /// via [`NetworkSetup::path_refresh`].
-    pub path_refresh: Duration,
     /// Knapsack size quantum in bytes (see
     /// [`dtn_core::knapsack::KnapsackSolver`]).
     pub knapsack_quantum: u64,
@@ -179,7 +176,6 @@ impl Default for IntentionalConfig {
             probabilistic_selection: true,
             response_routing: ForwardingStrategy::Greedy,
             ncl_selection: dtn_core::ncl::SelectionStrategy::PathMetric,
-            path_refresh: Duration::hours(12),
             knapsack_quantum: 1 << 20,
             bounded_reach: None,
         }
@@ -393,11 +389,10 @@ impl CachingScheme for IntentionalScheme {
         };
         self.centrals = scores.iter().map(|s| s.node).collect();
         self.ncl_query_load = vec![0; self.centrals.len()];
-        self.ncl_response_load = vec![0; self.centrals.len()];
         let mut oracle = PathOracle::new(
             setup.capacities.len(),
             setup.horizon,
-            setup.path_refresh.unwrap_or(self.cfg.path_refresh),
+            setup.path_refresh.unwrap_or(PATH_REFRESH),
         );
         // Push, pull and cache exchange read weights *to the centrals*:
         // the oracle's searches stop once those have settled.

@@ -106,9 +106,6 @@ impl IntentionalScheme {
                 pop,
                 self.registry.get(query.data).map_or(1, |d| d.size),
             );
-            if let Some(slot) = self.ncl_response_load.get_mut(ncl) {
-                *slot += 1;
-            }
             self.spawn_response(ctx, query, central);
         } else {
             // Otherwise broadcast among the NCL's caching nodes.
@@ -177,10 +174,10 @@ impl IntentionalScheme {
             }
             let bc = self.broadcasts.get_mut(id).expect("live");
             bc.holders.insert(to);
-            let (query, ncl) = (bc.query, bc.ncl);
+            let query = bc.query;
             self.bcast_at[to.index()].push(id);
             if self.buffers[to.index()].contains(query.data) {
-                decisions.push((query, to, ncl));
+                decisions.push((query, to));
             }
             let at = ctx.now();
             ctx.probe().emit(|| ProbeEvent::BroadcastSpread {
@@ -189,14 +186,8 @@ impl IntentionalScheme {
                 node: to,
             });
         }
-        for &(query, node, ncl) in &decisions {
-            let before = self.responses.len();
+        for &(query, node) in &decisions {
             self.maybe_respond(ctx, query, node);
-            if self.responses.len() > before {
-                if let Some(slot) = self.ncl_response_load.get_mut(ncl) {
-                    *slot += 1;
-                }
-            }
         }
         decisions.clear();
         self.sx_decisions = decisions;

@@ -132,8 +132,6 @@ pub struct IntentionalScheme {
     pub(super) solver: KnapsackSolver,
     /// Queries that arrived at each central node (NCL load, by index).
     pub(super) ncl_query_load: Vec<u64>,
-    /// Responses spawned on behalf of each NCL (central or member).
-    pub(super) ncl_response_load: Vec<u64>,
     /// Last oracle snapshot epoch relayed to an installed probe; only
     /// consulted while a probe is enabled.
     pub(super) last_oracle_epoch: u64,
@@ -151,7 +149,7 @@ pub struct IntentionalScheme {
     pub(super) sx_push_batch: Vec<(DataId, u32)>,
     pub(super) sx_arrived: Vec<u32>,
     pub(super) sx_spreads: Vec<(u32, NodeId)>,
-    pub(super) sx_decisions: Vec<(dtn_sim::message::Query, NodeId, usize)>,
+    pub(super) sx_decisions: Vec<(dtn_sim::message::Query, NodeId)>,
     pub(super) sx_process: Vec<u32>,
     pub(super) sx_delivered: Vec<(u32, QueryId)>,
     pub(super) sx_pool: Vec<(DataItem, NodeId)>,
@@ -192,7 +190,6 @@ impl IntentionalScheme {
             responded_gc: BinaryHeap::new(),
             solver,
             ncl_query_load: Vec::new(),
-            ncl_response_load: Vec::new(),
             last_oracle_epoch: 0,
             horizon: 0.0,
             reelect_graph: ContactGraph::default(),
@@ -218,12 +215,6 @@ impl IntentionalScheme {
     /// load-balance view across the NCLs.
     pub fn ncl_query_load(&self) -> &[u64] {
         &self.ncl_query_load
-    }
-
-    /// Responses contributed by each NCL (its central node or caching
-    /// members), by NCL index.
-    pub fn ncl_response_load(&self) -> &[u64] {
-        &self.ncl_response_load
     }
 
     /// The configuration the scheme was built with.
@@ -257,7 +248,8 @@ impl IntentionalScheme {
 
     /// Checks the scheme's internal invariants; used by stress tests.
     ///
-    /// Thin wrapper over [`audit_into`](Self::audit_into).
+    /// Thin wrapper over the sweep behind
+    /// [`Scheme::audit`](dtn_sim::engine::Scheme::audit).
     ///
     /// # Errors
     ///
@@ -282,7 +274,7 @@ impl IntentionalScheme {
     /// per-node copy lists and membership counters match the copy
     /// table), and index consistency for the pull/broadcast/response
     /// locators. Drives [`Scheme::audit`](dtn_sim::engine::Scheme::audit).
-    pub fn audit_into(&self, at: Time, report: &mut AuditReport) {
+    pub(crate) fn audit_into(&self, at: Time, report: &mut AuditReport) {
         check_buffers(&self.buffers, at, report);
         let n = self.buffers.len();
         let k_count = self.centrals.len();

@@ -6,9 +6,10 @@
 //! - [`intentional`] — the paper's contribution: intentional caching at
 //!   Network Central Locations with push/pull data access, probabilistic
 //!   response and utility-knapsack cache replacement;
-//! - [`baselines`] — the four comparison schemes: **NoCache**,
+//! - `baselines` — the four comparison schemes: **NoCache**,
 //!   **RandomCache**, **CacheData** \[29\] and **BundleCache** \[23\],
-//!   all built on incidental caching along forwarding paths;
+//!   all built on incidental caching along forwarding paths (built
+//!   through [`experiment::build_scheme`]);
 //! - [`replacement`] — the cache-replacement policies of Fig. 12:
 //!   FIFO, LRU, Greedy-Dual-Size, and the paper's utility knapsack;
 //! - [`experiment`] — the end-to-end runner (warm-up → NCL selection →
@@ -37,7 +38,7 @@
 //! assert!(report.queries_issued > 0);
 //! ```
 
-pub mod baselines;
+mod baselines;
 pub mod common;
 pub mod experiment;
 pub mod intentional;
@@ -47,7 +48,7 @@ pub mod routing;
 
 use dtn_core::ids::NodeId;
 use dtn_core::rate::RateTable;
-use dtn_core::time::Time;
+use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::Scheme;
 use dtn_sim::oracle::OracleStats;
 
@@ -111,6 +112,11 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
+/// How often a scheme's [`PathOracle`](dtn_sim::oracle::PathOracle)
+/// refreshes its cached path tables: 12 h, unless the run overrides it
+/// through [`NetworkSetup::path_refresh`].
+pub(crate) const PATH_REFRESH: Duration = Duration(12 * 3600);
+
 /// Network information handed to a scheme after the warm-up period
 /// (§VI-A: "the first half of the trace is used as the warm-up period
 /// for the accumulation of network information and subsequent NCL
@@ -129,7 +135,7 @@ pub struct NetworkSetup<'a> {
     /// when set.
     ///
     /// [`PathOracle`]: dtn_sim::oracle::PathOracle
-    pub path_refresh: Option<dtn_core::time::Duration>,
+    pub path_refresh: Option<Duration>,
 }
 
 /// A [`Scheme`] that can be configured from warm-up network information.

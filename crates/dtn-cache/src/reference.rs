@@ -35,7 +35,7 @@ use crate::common::{better_relay, DataRegistry};
 use crate::intentional::{IntentionalConfig, ResponseStrategy};
 use crate::replacement::{make_room, NodeCacheMeta, ReplacementKind};
 use crate::routing::{ForwardingStrategy, RoutedMessage};
-use crate::{CachingScheme, NetworkSetup};
+use crate::{CachingScheme, NetworkSetup, PATH_REFRESH};
 
 /// Where one NCL's copy of a data item currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,8 +110,6 @@ pub struct ReferenceIntentionalScheme {
     solver: KnapsackSolver,
     /// Queries that arrived at each central node (NCL load, by index).
     ncl_query_load: Vec<u64>,
-    /// Responses spawned on behalf of each NCL (central or member).
-    ncl_response_load: Vec<u64>,
 }
 
 impl ReferenceIntentionalScheme {
@@ -132,14 +130,7 @@ impl ReferenceIntentionalScheme {
             responded: HashSet::new(),
             solver,
             ncl_query_load: Vec::new(),
-            ncl_response_load: Vec::new(),
         }
-    }
-
-    /// Responses contributed by each NCL (its central node or caching
-    /// members), by NCL index.
-    pub fn ncl_response_load(&self) -> &[u64] {
-        &self.ncl_response_load
     }
 
     fn configured(&self) -> bool {
@@ -383,9 +374,6 @@ impl ReferenceIntentionalScheme {
                 pop,
                 self.registry.get(query.data).map_or(1, |d| d.size),
             );
-            if let Some(slot) = self.ncl_response_load.get_mut(ncl) {
-                *slot += 1;
-            }
             self.spawn_response(ctx, query, central);
         } else {
             // Otherwise broadcast among the NCL's caching nodes.
@@ -403,7 +391,7 @@ impl ReferenceIntentionalScheme {
     /// caching the data decide probabilistically whether to respond.
     fn advance_broadcasts(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
         let query_size = ctx.query_size();
-        let mut decisions: Vec<(Query, NodeId, usize)> = Vec::new();
+        let mut decisions: Vec<(Query, NodeId)> = Vec::new();
         // Collect membership checks first to appease the borrow checker.
         let mut spreads: Vec<(usize, NodeId)> = Vec::new();
         for (i, bc) in self.broadcasts.iter().enumerate() {
@@ -427,7 +415,7 @@ impl ReferenceIntentionalScheme {
             bc.holders.insert(to);
             let (query, data) = (bc.query, bc.query.data);
             if self.buffers[to.index()].contains(data) {
-                decisions.push((query, to, bc.ncl));
+                decisions.push((query, to));
             }
             let at = ctx.now();
             ctx.probe().emit(|| ProbeEvent::BroadcastSpread {
@@ -436,14 +424,8 @@ impl ReferenceIntentionalScheme {
                 node: to,
             });
         }
-        for (query, node, ncl) in decisions {
-            let before = self.responses.len();
+        for (query, node) in decisions {
             self.maybe_respond(ctx, query, node);
-            if self.responses.len() > before {
-                if let Some(slot) = self.ncl_response_load.get_mut(ncl) {
-                    *slot += 1;
-                }
-            }
         }
     }
 
@@ -783,11 +765,10 @@ impl CachingScheme for ReferenceIntentionalScheme {
         );
         self.centrals = scores.iter().map(|s| s.node).collect();
         self.ncl_query_load = vec![0; self.centrals.len()];
-        self.ncl_response_load = vec![0; self.centrals.len()];
         self.oracle = Some(PathOracle::new(
             setup.capacities.len(),
             setup.horizon,
-            setup.path_refresh.unwrap_or(self.cfg.path_refresh),
+            setup.path_refresh.unwrap_or(PATH_REFRESH),
         ));
         self.buffers = setup.capacities.iter().map(|&c| Buffer::new(c)).collect();
         self.meta = setup

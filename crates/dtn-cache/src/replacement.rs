@@ -6,10 +6,9 @@
 //! policies the paper compares against: **FIFO**, **LRU** and
 //! **Greedy-Dual-Size** \[6\].
 //!
-//! This module implements the evict-on-insert side: a
-//! [`NodeCacheMeta`] keeps per-item bookkeeping (insertion time, last
-//! use, GDS credit) and [`make_room`] frees space according to the
-//! selected policy.
+//! This module implements the evict-on-insert side: a `NodeCacheMeta`
+//! keeps per-item bookkeeping (insertion time, last use, GDS credit)
+//! and `make_room` frees space according to the selected policy.
 
 use std::collections::HashMap;
 
@@ -60,7 +59,7 @@ impl std::fmt::Display for ReplacementKind {
 
 /// Per-node bookkeeping for the evict-on-insert policies.
 #[derive(Debug, Clone, Default)]
-pub struct NodeCacheMeta {
+pub(crate) struct NodeCacheMeta {
     inserted: HashMap<DataId, Time>,
     last_used: HashMap<DataId, Time>,
     gds_credit: HashMap<DataId, f64>,
@@ -70,7 +69,7 @@ pub struct NodeCacheMeta {
 impl NodeCacheMeta {
     /// Records that `id` was inserted now with the given popularity and
     /// size (popularity/size feeds the GDS credit).
-    pub fn on_insert(&mut self, id: DataId, now: Time, popularity: f64, size: u64) {
+    pub(crate) fn on_insert(&mut self, id: DataId, now: Time, popularity: f64, size: u64) {
         self.inserted.insert(id, now);
         self.last_used.insert(id, now);
         self.gds_credit
@@ -79,14 +78,14 @@ impl NodeCacheMeta {
 
     /// Records a use (query hit) of `id`, refreshing LRU recency and GDS
     /// credit.
-    pub fn on_use(&mut self, id: DataId, now: Time, popularity: f64, size: u64) {
+    pub(crate) fn on_use(&mut self, id: DataId, now: Time, popularity: f64, size: u64) {
         self.last_used.insert(id, now);
         self.gds_credit
             .insert(id, self.gds_floor + popularity / size.max(1) as f64);
     }
 
     /// Forgets `id` after removal.
-    pub fn on_remove(&mut self, id: DataId) {
+    pub(crate) fn on_remove(&mut self, id: DataId) {
         self.inserted.remove(&id);
         self.last_used.remove(&id);
         self.gds_credit.remove(&id);
@@ -111,27 +110,7 @@ impl NodeCacheMeta {
 /// evict (the paper's scheme never evicts on insert — forwarding stops
 /// instead, §V-A) and returns an empty vector unless the item already
 /// fits.
-///
-/// # Example
-///
-/// ```
-/// use dtn_cache::replacement::{make_room, NodeCacheMeta, ReplacementKind};
-/// use dtn_core::ids::{DataId, NodeId};
-/// use dtn_core::time::{Duration, Time};
-/// use dtn_sim::buffer::Buffer;
-/// use dtn_sim::message::DataItem;
-///
-/// let mut buf = Buffer::new(100);
-/// let mut meta = NodeCacheMeta::default();
-/// let old = DataItem::new(DataId(1), NodeId(0), 80, Time(0), Duration(1000));
-/// buf.insert(old).unwrap();
-/// meta.on_insert(DataId(1), Time(0), 0.1, 80);
-///
-/// let evicted = make_room(ReplacementKind::Lru, &mut buf, &mut meta, 50);
-/// assert_eq!(evicted, vec![DataId(1)]);
-/// assert!(buf.fits(50));
-/// ```
-pub fn make_room(
+pub(crate) fn make_room(
     kind: ReplacementKind,
     buffer: &mut Buffer,
     meta: &mut NodeCacheMeta,
@@ -222,6 +201,17 @@ mod tests {
         // A new low-popularity insert now starts above the old credit.
         meta.on_insert(DataId(3), Time(5), 0.0, 10);
         assert!(meta.gds_credit[&DataId(3)] >= meta.gds_floor);
+    }
+
+    #[test]
+    fn a_lone_item_is_evicted_to_fit_a_larger_one() {
+        let mut buf = Buffer::new(100);
+        let mut meta = NodeCacheMeta::default();
+        buf.insert(item(1, 80)).unwrap();
+        meta.on_insert(DataId(1), Time(0), 0.1, 80);
+        let evicted = make_room(ReplacementKind::Lru, &mut buf, &mut meta, 50);
+        assert_eq!(evicted, vec![DataId(1)]);
+        assert!(buf.fits(50));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! - [`Epidemic`](ForwardingStrategy::Epidemic) — replicate to every
 //!   encountered node (delivery-optimal, bandwidth-hungry).
 //!
-//! [`RoutedMessage`] tracks the copies of one message and advances them
+//! `RoutedMessage` tracks the copies of one message and advances them
 //! on contacts, charging every replication/move to the simulator's link
 //! budget through a caller-supplied `transmit` closure.
 
@@ -61,48 +61,17 @@ struct RoutedCopy {
 
 /// What happened to a message during one contact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ContactOutcome {
+pub(crate) struct ContactOutcome {
     /// The destination received the message during this contact.
-    pub delivered: bool,
+    pub(crate) delivered: bool,
     /// Relay hops performed: `(from, to)` pairs, destination hops
     /// included.
-    pub transfers: Vec<(NodeId, NodeId)>,
+    pub(crate) transfers: Vec<(NodeId, NodeId)>,
 }
 
 /// A message with one destination and a set of carried copies.
-///
-/// # Example
-///
-/// ```
-/// use dtn_cache::routing::{ForwardingStrategy, RoutedMessage};
-/// use dtn_core::ids::NodeId;
-/// use dtn_core::rate::RateTable;
-/// use dtn_core::time::{Duration, Time};
-/// use dtn_sim::engine::Link;
-/// use dtn_sim::oracle::PathOracle;
-///
-/// struct Wire(RateTable);
-/// impl Link for Wire {
-///     fn rate_table(&self) -> &RateTable { &self.0 }
-///     fn try_transmit(&mut self, _bytes: u64) -> bool { true }
-/// }
-///
-/// let mut wire = Wire(RateTable::new(3, Time::ZERO));
-/// let mut oracle = PathOracle::new(3, 3600.0, Duration::hours(1));
-/// let mut msg = RoutedMessage::new(NodeId(2), 100, NodeId(0));
-/// // Direct delivery: carrying node 0 meets the destination 2.
-/// let out = msg.on_contact(
-///     ForwardingStrategy::Direct,
-///     &mut oracle,
-///     Time(10),
-///     NodeId(0),
-///     NodeId(2),
-///     &mut wire,
-/// );
-/// assert!(out.delivered);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutedMessage {
+pub(crate) struct RoutedMessage {
     destination: NodeId,
     size: u64,
     copies: Vec<RoutedCopy>,
@@ -116,7 +85,7 @@ impl RoutedMessage {
     ///
     /// Panics if `origin == destination` (nothing to route) or
     /// `size == 0`.
-    pub fn new(destination: NodeId, size: u64, origin: NodeId) -> Self {
+    pub(crate) fn new(destination: NodeId, size: u64, origin: NodeId) -> Self {
         assert_ne!(origin, destination, "message already at its destination");
         assert!(size > 0, "messages have positive size");
         RoutedMessage {
@@ -131,7 +100,7 @@ impl RoutedMessage {
     }
 
     /// Sets the Spray-and-Wait token budget on the initial copy.
-    pub fn with_copy_budget(mut self, tokens: u32) -> Self {
+    pub(crate) fn with_copy_budget(mut self, tokens: u32) -> Self {
         for c in &mut self.copies {
             c.tokens = tokens.max(1);
         }
@@ -139,32 +108,22 @@ impl RoutedMessage {
     }
 
     /// The destination node.
-    pub fn destination(&self) -> NodeId {
+    pub(crate) fn destination(&self) -> NodeId {
         self.destination
     }
 
-    /// Message size in bytes.
-    pub fn size(&self) -> u64 {
-        self.size
-    }
-
     /// Whether the destination has received the message.
-    pub fn is_delivered(&self) -> bool {
+    pub(crate) fn is_delivered(&self) -> bool {
         self.delivered
     }
 
     /// Nodes currently carrying a copy.
-    pub fn carriers(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn carriers(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.copies.iter().map(|c| c.carrier)
     }
 
-    /// Number of physical copies in flight.
-    pub fn copy_count(&self) -> usize {
-        self.copies.len()
-    }
-
     /// Whether `node` currently carries a copy.
-    pub fn carries(&self, node: NodeId) -> bool {
+    pub(crate) fn carries(&self, node: NodeId) -> bool {
         self.carried_by(node).is_some()
     }
 
@@ -178,7 +137,7 @@ impl RoutedMessage {
     /// [`SimCtx::link_access`](dtn_sim::engine::SimCtx::link_access)).
     ///
     /// Returns what happened; once delivered, later contacts are no-ops.
-    pub fn on_contact(
+    pub(crate) fn on_contact(
         &mut self,
         strategy: ForwardingStrategy,
         oracle: &mut PathOracle,
@@ -198,7 +157,7 @@ impl RoutedMessage {
     /// only reports delivery, skipping the per-hop transfer log — for
     /// hot paths that never read `ContactOutcome::transfers`. Same state
     /// transitions and the same `link` charge sequence.
-    pub fn on_contact_fast(
+    pub(crate) fn on_contact_fast(
         &mut self,
         strategy: ForwardingStrategy,
         oracle: &mut PathOracle,
@@ -336,7 +295,7 @@ mod tests {
             &mut w,
         );
         assert!(!out.delivered && out.transfers.is_empty());
-        assert_eq!(m.copy_count(), 1);
+        assert_eq!(m.carriers().count(), 1);
         // Meeting the destination delivers.
         let out = m.on_contact(
             ForwardingStrategy::Direct,
@@ -364,7 +323,7 @@ mod tests {
             &mut w,
         );
         assert_eq!(out.transfers, vec![(NodeId(0), NodeId(1))]);
-        assert_eq!(m.copy_count(), 1, "greedy keeps a single copy");
+        assert_eq!(m.carriers().count(), 1, "greedy keeps a single copy");
         assert_eq!(m.carriers().next(), Some(NodeId(1)));
         // Backwards move is refused.
         let out = m.on_contact(
@@ -385,10 +344,10 @@ mod tests {
         let mut m = RoutedMessage::new(NodeId(3), 100, NodeId(0)).with_copy_budget(4);
         let strat = ForwardingStrategy::SprayAndWait { initial_copies: 4 };
         let _ = m.on_contact(strat, &mut o, Time(600), NodeId(0), NodeId(1), &mut w);
-        assert_eq!(m.copy_count(), 2);
+        assert_eq!(m.carriers().count(), 2);
         // 4 tokens split 2/2; the new copy can spray once more…
         let _ = m.on_contact(strat, &mut o, Time(700), NodeId(1), NodeId(2), &mut w);
-        assert_eq!(m.copy_count(), 3);
+        assert_eq!(m.carriers().count(), 3);
         // …but single-token copies wait for the destination.
         let out = m.on_contact(strat, &mut o, Time(800), NodeId(2), NodeId(0), &mut w);
         assert!(out.transfers.is_empty(), "wait phase must not spray");
@@ -415,7 +374,7 @@ mod tests {
             NodeId(2),
             &mut w,
         );
-        assert_eq!(m.copy_count(), 3);
+        assert_eq!(m.carriers().count(), 3);
         // No duplicate copies at the same node.
         let _ = m.on_contact(
             ForwardingStrategy::Epidemic,
@@ -425,7 +384,7 @@ mod tests {
             NodeId(1),
             &mut w,
         );
-        assert_eq!(m.copy_count(), 3);
+        assert_eq!(m.carriers().count(), 3);
     }
 
     #[test]
@@ -444,7 +403,7 @@ mod tests {
         );
         assert!(!out.delivered);
         assert!(!m.is_delivered());
-        assert_eq!(m.copy_count(), 1);
+        assert_eq!(m.carriers().count(), 1);
     }
 
     #[test]
@@ -579,10 +538,10 @@ mod tests {
                     prop_assert_eq!(carriers.len(), len, "duplicate carriers");
                     // Spray copy count bounded by the budget.
                     if let ForwardingStrategy::SprayAndWait { initial_copies } = strategy {
-                        prop_assert!(m.copy_count() <= initial_copies as usize);
+                        prop_assert!(m.carriers().count() <= initial_copies as usize);
                     }
                     if matches!(strategy, ForwardingStrategy::Direct | ForwardingStrategy::Greedy) {
-                        prop_assert_eq!(m.copy_count(), 1);
+                        prop_assert_eq!(m.carriers().count(), 1);
                     }
                     // Delivery is sticky: once delivered, stays delivered
                     // and nothing further happens.

@@ -51,7 +51,7 @@ impl ContactGraph {
     /// let mut table = RateTable::new(3, Time::ZERO);
     /// table.record(NodeId(0), NodeId(1), Time(50));
     /// let g = ContactGraph::from_rate_table(&table, Time(100));
-    /// assert_eq!(g.edge_count(), 1);
+    /// assert_eq!(g.degree(NodeId(0)), 1);
     /// ```
     pub fn from_rate_table(table: &RateTable, now: Time) -> Self {
         let mut g = ContactGraph::new(table.node_count());
@@ -87,11 +87,6 @@ impl ContactGraph {
     /// Number of nodes (including isolated ones).
     pub fn node_count(&self) -> usize {
         self.adjacency.len()
-    }
-
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Sets (or replaces) the contact rate of the pair `a`–`b`.
@@ -286,11 +281,6 @@ impl CsrGraph {
         CsrGraph::from_edges(table.node_count(), table.iter_rates(now))
     }
 
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.entries.len() / 2
-    }
-
     /// The contact rate of the pair, or `None` if they never meet.
     pub fn rate(&self, a: NodeId, b: NodeId) -> Option<f64> {
         let list = Topology::neighbors(self, a);
@@ -321,11 +311,17 @@ mod tests {
     use super::*;
     use crate::rate::RateTable;
 
+    /// Undirected edges: each is listed at both of its endpoints.
+    fn edge_count<G: Topology>(g: &G) -> usize {
+        let nodes = (0..g.node_count() as u32).map(NodeId);
+        nodes.map(|i| g.degree(i)).sum::<usize>() / 2
+    }
+
     #[test]
     fn empty_graph() {
         let g = ContactGraph::new(5);
         assert_eq!(g.node_count(), 5);
-        assert_eq!(g.edge_count(), 0);
+        assert_eq!(edge_count(&g), 0);
         assert_eq!(g.degree(NodeId(0)), 0);
         assert_eq!(g.rate(NodeId(0), NodeId(1)), None);
     }
@@ -338,7 +334,7 @@ mod tests {
         assert_eq!(g.rate(NodeId(1), NodeId(0)), Some(0.25));
         g.set_rate(NodeId(1), NodeId(0), 0.5);
         assert_eq!(g.rate(NodeId(0), NodeId(1)), Some(0.5));
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(edge_count(&g), 1);
     }
 
     #[test]
@@ -362,12 +358,12 @@ mod tests {
         g.refresh_from_current_rates(&t, Time(100));
         let fresh: Vec<_> = t.iter_current_rates(Time(100)).collect();
         assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), fresh.len());
+        assert_eq!(edge_count(&g), fresh.len());
         for (a, b, rate) in fresh {
             assert_eq!(g.rate(a, b), Some(rate));
         }
         g.refresh_from_current_rates(&RateTable::new(4, Time::ZERO), Time(100));
-        assert_eq!(g.edge_count(), 0);
+        assert_eq!(edge_count(&g), 0);
     }
 
     #[test]
@@ -376,7 +372,7 @@ mod tests {
         t.record(NodeId(0), NodeId(2), Time(10));
         t.record(NodeId(0), NodeId(2), Time(20));
         let g = ContactGraph::from_rate_table(&t, Time(100));
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(edge_count(&g), 1);
         assert_eq!(g.rate(NodeId(0), NodeId(2)), Some(0.02));
     }
 
@@ -397,7 +393,7 @@ mod tests {
         let dense = ContactGraph::from_rate_table(&t, Time(100));
         let csr = CsrGraph::from_rate_table(&t, Time(100));
         assert_eq!(Topology::node_count(&csr), dense.node_count());
-        assert_eq!(csr.edge_count(), dense.edge_count());
+        assert_eq!(edge_count(&csr), edge_count(&dense));
         for a in dense.nodes() {
             assert_eq!(Topology::degree(&csr, a), dense.degree(a));
             for b in dense.nodes() {
@@ -425,7 +421,7 @@ mod tests {
         assert_eq!(peers, vec![1, 2, 3]);
         assert_eq!(g.rate(NodeId(3), NodeId(0)), Some(0.2));
         assert_eq!(g.rate(NodeId(1), NodeId(2)), None);
-        assert_eq!(g.edge_count(), 3);
+        assert_eq!(edge_count(&g), 3);
     }
 
     #[test]
@@ -435,7 +431,7 @@ mod tests {
             [(NodeId(0), NodeId(1), 0.1), (NodeId(1), NodeId(0), 0.9)],
         );
         assert_eq!(g.rate(NodeId(0), NodeId(1)), Some(0.9));
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(edge_count(&g), 1);
         assert_eq!(Topology::degree(&g, NodeId(0)), 1);
     }
 
@@ -443,7 +439,7 @@ mod tests {
     fn csr_empty_and_isolated_nodes() {
         let g = CsrGraph::from_edges(3, []);
         assert_eq!(Topology::node_count(&g), 3);
-        assert_eq!(g.edge_count(), 0);
+        assert_eq!(edge_count(&g), 0);
         assert_eq!(Topology::degree(&g, NodeId(2)), 0);
         let empty = CsrGraph::default();
         assert_eq!(Topology::node_count(&empty), 0);

@@ -89,11 +89,6 @@ impl Histogram {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
-    /// Bucket width.
-    pub fn bucket_width(&self) -> u64 {
-        self.width
-    }
-
     /// Per-bucket counts; the last entry includes overflow.
     pub fn counts(&self) -> &[u64] {
         &self.counts

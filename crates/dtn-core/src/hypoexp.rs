@@ -221,9 +221,9 @@ impl Accumulator {
 /// - **extension** ([`push`]) appends one cached exponential instead of
 ///   recomputing all of them, so extending a path costs one `exp`;
 /// - **candidate evaluation** ([`extended_cdf`]) reuses the cached
-///   factors and needs only a single fresh exponential per candidate,
-///   with the cluster scan fused into the evaluation loop in the
-///   (overwhelmingly common) well-separated case.
+///   factors and needs only a single fresh exponential per candidate;
+///   the cluster scan runs ahead of the evaluation loop as its own
+///   branchless reduction, so the loop itself stays flat.
 ///
 /// The cached factors are the exact bit patterns the inline expression
 /// `-(-λ_k t).exp_m1()` produces (`exp_m1` is deterministic), and the
@@ -378,11 +378,6 @@ impl Stages<'_> {
     /// arguments, in `O(r)` multiply-adds and exactly one fresh
     /// exponential.
     ///
-    /// When `rate` is well-separated from every existing stage (the
-    /// common case), a branchless separation scan clears the way for a
-    /// flat, autovectorizable evaluation loop; a clustered candidate
-    /// falls back to the perturbing path before anything accumulates.
-    ///
     /// # Panics
     ///
     /// Panics if `rate` is non-positive or non-finite.
@@ -395,40 +390,25 @@ impl Stages<'_> {
         if self.all_equal && (self.spread.is_empty() || rate == self.spread[0]) {
             return erlang_cdf(rate, self.spread.len() as u32 + 1, self.t);
         }
-        // Separation scan first, as its own branchless reduction: the
-        // original fused check forced an early exit in every iteration
-        // of the evaluation loop, defeating autovectorization. Hoisted,
-        // the scan is a pure max/compare reduction and the evaluation
-        // loop below runs flat. Bit-identical either way: the fused form
-        // also bailed to the perturbed path before accumulating anything.
+        // Separation scan first, as its own branchless max/compare
+        // reduction: fused into the evaluation loop it forces an early
+        // exit per iteration and defeats autovectorization.
         let mut clustered = false;
         for &lk in self.spread {
             clustered |= (rate - lk).abs() <= REL_SEPARATION * rate.max(lk);
         }
-        if clustered {
-            return self.extended_cdf_perturbed(rate);
-        }
+        // A clustered candidate (rare) is perturbed exactly as
+        // [`Accumulator::push`] would. A separated one is its own
+        // effective rate: the scan is `effective_rate`'s first pass,
+        // which returns `rate` untouched when nothing trips it.
+        let eff = if clustered {
+            effective_rate(self.spread, rate)
+        } else {
+            rate
+        };
         // Flat evaluation: independent multiply-adds per stage, one
-        // running product. Per-stage operation order matches the fused
-        // original exactly — f64 accumulation is never reassociated.
-        let mut c_new = 1.0;
-        let mut sum = 0.0;
-        for k in 0..self.spread.len() {
-            let lk = self.spread[k];
-            let inv = 1.0 / (lk - rate);
-            sum += (self.coeffs[k] * (-rate * inv)) * self.em1[k];
-            c_new *= lk * inv;
-        }
-        sum += c_new * -(-rate * self.t).exp_m1();
-        clamp01(sum)
-    }
-
-    /// Slow path for clustered candidates: derive the perturbed
-    /// effective rate exactly as [`Accumulator::push`] would, then
-    /// evaluate with the cached exponentials.
-    #[cold]
-    fn extended_cdf_perturbed(&self, rate: f64) -> f64 {
-        let eff = effective_rate(self.spread, rate);
+        // running product, the operation order of `Accumulator::push` —
+        // f64 accumulation is never reassociated.
         let mut c_new = 1.0;
         let mut sum = 0.0;
         for k in 0..self.spread.len() {
@@ -674,11 +654,33 @@ mod tests {
 
     #[test]
     fn horizon_accumulator_matches_extended_cdf_bitwise() {
-        let prefixes: [&[f64]; 4] = [&[], &[1e-3], &[4e-3, 4e-3], &[1e-2, 1e-5, 3e-3, 7e-4]];
-        // Includes a clustered extension (relative gap 1e-9) to force the
-        // perturbing slow path, and exact-duplicate rates for the Erlang
-        // branch.
-        let extensions = [2e-3, 4e-3, 4e-3 * (1.0 + 1e-9), 1e-6];
+        let prefixes: [&[f64]; 6] = [
+            &[],
+            &[1e-3],
+            &[4e-3, 4e-3],
+            &[1e-2, 1e-5, 3e-3, 7e-4],
+            // Two stages a hair apart: the second is stored perturbed.
+            &[2e-3, 2e-3 * (1.0 + 1e-9), 6e-4],
+            // Two stored stages within REL_SEPARATION of one candidate.
+            &[5e-3, 5e-3 * (1.0 + 1.5e-4), 9e-5],
+        ];
+        // Exact duplicates take the Erlang branch; the rest sit on both
+        // sides of the separation scan: clear of every stage, within
+        // REL_SEPARATION of one stage (from above, from below, and by a
+        // relative 1e-9), of two stages at once, and equal to a stage as
+        // it is stored after perturbation.
+        let extensions = [
+            2e-3,
+            4e-3,
+            1e-6,
+            4e-3 * (1.0 + 1e-9),
+            1e-2 * (1.0 + 0.9 * REL_SEPARATION),
+            3e-3 * (1.0 - 0.9 * REL_SEPARATION),
+            1e-2 * (1.0 + 1.1 * REL_SEPARATION),
+            5e-3 * (1.0 + 0.75e-4),
+            2e-3 * (1.0 + 1e-9) * (1.0 + REL_PERTURBATION),
+        ];
+        let (mut clustered, mut separated) = (0, 0);
         for prefix in prefixes {
             for t in [0.0, 120.0, 5_000.0] {
                 let mut acc = Accumulator::new();
@@ -691,12 +693,32 @@ mod tests {
                     let hoisted = hacc.extended_cdf(ext);
                     let inline = acc.extended_cdf(ext, t);
                     assert!(
-                        hoisted == inline,
+                        hoisted.to_bits() == inline.to_bits(),
                         "prefix {prefix:?} ext {ext} t={t}: hoisted {hoisted} != inline {inline}"
                     );
+                    if effective_rate(&acc.spread, ext) == ext {
+                        separated += 1;
+                    } else {
+                        clustered += 1;
+                    }
                 }
             }
         }
+        // Both sides of the scan were exercised; the two-stage cluster
+        // and the perturbed-stage collision are what their names say.
+        assert!(clustered > 0 && separated > 0, "{clustered} / {separated}");
+        let two = [5e-3, 5e-3 * (1.0 + 1.5e-4)];
+        let between = 5e-3 * (1.0 + 0.75e-4);
+        assert!(two
+            .iter()
+            .all(|&s: &f64| (between - s).abs() <= REL_SEPARATION * between.max(s)));
+        let mut acc = Accumulator::new();
+        acc.push(2e-3);
+        acc.push(2e-3 * (1.0 + 1e-9));
+        assert_eq!(
+            acc.spread[1],
+            2e-3 * (1.0 + 1e-9) * (1.0 + REL_PERTURBATION)
+        );
     }
 
     #[test]

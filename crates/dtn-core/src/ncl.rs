@@ -26,43 +26,40 @@ pub struct CentralityScore {
     pub metric: f64,
 }
 
-/// Computes the NCL selection metric `C_i` for a single node.
-///
-/// # Panics
-///
-/// Panics if `node` is out of range, `horizon` is not positive and
-/// finite, or the graph has fewer than two nodes.
-fn selection_metric<G: Topology>(graph: &G, node: NodeId, horizon: f64) -> f64 {
-    let n = graph.node_count();
-    assert!(n >= 2, "the metric needs at least two nodes, got {n}");
-    // Contacts are symmetric, so p_ij = p_ji and one single-source search
-    // from `node` covers all terms of Eq. (3).
-    let table = shortest_paths(graph, node, horizon);
-    let sum: f64 = (0..n as u32)
-        .map(NodeId)
-        .filter(|&j| j != node)
-        .map(|j| table.weight_to(j))
-        .sum();
-    sum / (n - 1) as f64
-}
-
 /// Computes `C_i` for every node of the graph.
 ///
-/// Returns one [`CentralityScore`] per node, in node-id order. The
-/// per-node single-source searches are independent, so they run on all
-/// available hardware threads ([`crate::par`]); the order-preserving
-/// parallel map guarantees the result is identical to the serial sweep,
-/// so downstream tie-breaking stays deterministic.
+/// Returns one [`CentralityScore`] per node, in node-id order:
+/// [`scoped_metrics`] with every node in one community and no hop bound,
+/// where "the paths inside `i`'s community" are all of Eq. 3's paths.
+/// Contacts are symmetric, so `p_ij = p_ji` and one single-source search
+/// from `i` covers every term of its sum; the per-node searches are
+/// independent and run on all available hardware threads
+/// ([`crate::par`]), in an order-preserving map.
 ///
 /// # Panics
 ///
 /// Panics if the graph has fewer than two nodes or `horizon` is invalid.
 pub fn all_metrics<G: Topology + Sync>(graph: &G, horizon: f64) -> Vec<CentralityScore> {
-    let nodes: Vec<NodeId> = (0..graph.node_count() as u32).map(NodeId).collect();
-    map_slice(&nodes, |&node| CentralityScore {
-        node,
-        metric: selection_metric(graph, node, horizon),
-    })
+    let everyone = CommunityPartition::single(graph.node_count());
+    scoped_metrics(graph, &everyone, horizon, None)
+}
+
+/// The best `k` of `scores`, best first: metric descending, ties broken
+/// by ascending node id so that selection is deterministic. All of them
+/// if there are fewer than `k`.
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+fn top_k(mut scores: Vec<CentralityScore>, k: usize) -> Vec<CentralityScore> {
+    assert!(k > 0, "must select at least one central node");
+    scores.sort_by(|a, b| {
+        b.metric
+            .total_cmp(&a.metric)
+            .then_with(|| a.node.cmp(&b.node))
+    });
+    scores.truncate(k);
+    scores
 }
 
 /// Selects the top `k` central nodes by metric value, best first.
@@ -94,15 +91,7 @@ pub fn select_central_nodes<G: Topology + Sync>(
     k: usize,
     horizon: f64,
 ) -> Vec<CentralityScore> {
-    assert!(k > 0, "must select at least one central node");
-    let mut scores = all_metrics(graph, horizon);
-    scores.sort_by(|a, b| {
-        b.metric
-            .total_cmp(&a.metric)
-            .then_with(|| a.node.cmp(&b.node))
-    });
-    scores.truncate(k);
-    scores
+    top_k(all_metrics(graph, horizon), k)
 }
 
 /// Alternative central-node selection strategies, for comparing the
@@ -170,11 +159,10 @@ pub fn select_by_strategy<G: Topology + Sync>(
     horizon: f64,
     strategy: SelectionStrategy,
 ) -> Vec<CentralityScore> {
-    assert!(k > 0, "must select at least one central node");
     let n = graph.node_count();
     assert!(n >= 2, "selection needs at least two nodes, got {n}");
     let nodes: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let mut scores: Vec<CentralityScore> = match strategy {
+    let scores: Vec<CentralityScore> = match strategy {
         SelectionStrategy::PathMetric => return select_central_nodes(graph, k, horizon),
         SelectionStrategy::CommunityPathMetric { max_hops } => {
             let partition = label_propagation_communities(graph, LABEL_PROPAGATION_ROUNDS);
@@ -204,13 +192,7 @@ pub fn select_by_strategy<G: Topology + Sync>(
             })
         }
     };
-    scores.sort_by(|a, b| {
-        b.metric
-            .total_cmp(&a.metric)
-            .then_with(|| a.node.cmp(&b.node))
-    });
-    scores.truncate(k);
-    scores
+    top_k(scores, k)
 }
 
 /// Rounds of weighted label propagation run by
@@ -363,8 +345,8 @@ pub fn label_propagation_communities<G: Topology>(
 /// graph (merely dropping non-members). With a single community this
 /// makes the induced graph structurally identical to the parent — same
 /// ids, same iteration order, same tie-breaks — which is what lets
-/// [`select_central_nodes_scoped`] match [`select_central_nodes`]
-/// bit-for-bit there.
+/// [`all_metrics`] be this sweep over one community and still sum
+/// Eq. 3 in the order its definition reads.
 struct InducedCommunity {
     /// Ascending global ids of the members; index = local id.
     members: Vec<NodeId>,
@@ -492,14 +474,9 @@ pub fn scoped_metrics<G: Topology + Sync>(
 }
 
 /// Selects the top `k` central nodes from community-scoped metrics,
-/// merging the per-community rankings into one list with the same
-/// ordering rule as [`select_central_nodes`] (metric descending, node id
-/// ascending).
-///
-/// With `partition` = [`CommunityPartition::single`] and no hop bound,
-/// the result is bit-for-bit identical to [`select_central_nodes`]: the
-/// induced "community" *is* the graph, so every search, sum, and
-/// tie-break runs in the same order on the same floats.
+/// merging the per-community rankings into one list (metric descending,
+/// node id ascending). [`select_central_nodes`] is this selection with
+/// `partition` = [`CommunityPartition::single`] and no hop bound.
 ///
 /// # Panics
 ///
@@ -511,15 +488,7 @@ pub fn select_central_nodes_scoped<G: Topology + Sync>(
     horizon: f64,
     max_hops: Option<usize>,
 ) -> Vec<CentralityScore> {
-    assert!(k > 0, "must select at least one central node");
-    let mut scores = scoped_metrics(graph, partition, horizon, max_hops);
-    scores.sort_by(|a, b| {
-        b.metric
-            .total_cmp(&a.metric)
-            .then_with(|| a.node.cmp(&b.node))
-    });
-    scores.truncate(k);
-    scores
+    top_k(scoped_metrics(graph, partition, horizon, max_hops), k)
 }
 
 /// Re-assigns an elected central set onto the previous NCL slots with
@@ -652,15 +621,14 @@ mod tests {
     fn isolated_node_has_zero_metric() {
         let mut g = ContactGraph::new(3);
         g.set_rate(NodeId(0), NodeId(1), 1e-3);
-        let m = selection_metric(&g, NodeId(2), 3600.0);
-        assert_eq!(m, 0.0);
+        assert_eq!(all_metrics(&g, 3600.0)[2].metric, 0.0);
     }
 
     #[test]
     fn metric_grows_with_horizon() {
         let g = star(5, 1e-4);
-        let short = selection_metric(&g, NodeId(0), 600.0);
-        let long = selection_metric(&g, NodeId(0), 86_400.0);
+        let short = all_metrics(&g, 600.0)[0].metric;
+        let long = all_metrics(&g, 86_400.0)[0].metric;
         assert!(long > short);
     }
 
@@ -826,7 +794,7 @@ mod tests {
     #[should_panic(expected = "at least two nodes")]
     fn single_node_graph_panics() {
         let g = ContactGraph::new(1);
-        let _ = selection_metric(&g, NodeId(0), 600.0);
+        let _ = all_metrics(&g, 600.0);
     }
 
     /// Two star communities bridged by one weak edge.
@@ -873,14 +841,28 @@ mod tests {
         assert_eq!(p.count(), 3);
     }
 
+    /// Eq. 3 as the paper writes it: the mean, over the other `N − 1`
+    /// nodes in id order, of the best path weight from `i`.
+    fn eq3<G: Topology>(graph: &G, i: NodeId, horizon: f64) -> f64 {
+        let table = crate::path::shortest_paths(graph, i, horizon);
+        let others = (0..graph.node_count() as u32).map(NodeId);
+        let sum: f64 = others.filter(|&j| j != i).map(|j| table.weight_to(j)).sum();
+        sum / (graph.node_count() - 1) as f64
+    }
+
     #[test]
-    fn scoped_selection_matches_global_on_single_community() {
-        let g = two_stars();
-        let single = CommunityPartition::single(g.node_count());
-        for k in [1, 3, 10] {
-            let global = select_central_nodes(&g, k, 3600.0);
-            let scoped = select_central_nodes_scoped(&g, &single, k, 3600.0, None);
-            assert_eq!(global, scoped, "k = {k}");
+    fn metrics_equal_the_eq3_definition() {
+        // Exact ties among the leaves of two bridged stars, the smallest
+        // graph the metric is defined on, and one whose nodes never met.
+        // (`tests/streaming_equivalence.rs` repeats this on random graphs,
+        // on CSR storage and through every selection entry point.)
+        let mut pair = ContactGraph::new(2);
+        pair.set_rate(NodeId(0), NodeId(1), 2e-4);
+        for g in [two_stars(), pair, ContactGraph::new(2)] {
+            for score in all_metrics(&g, 3600.0) {
+                let metric = eq3(&g, score.node, 3600.0);
+                assert_eq!(score.metric.to_bits(), metric.to_bits(), "{score:?}");
+            }
         }
     }
 

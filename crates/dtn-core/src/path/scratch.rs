@@ -1,0 +1,222 @@
+//! [`ReachScratch`]: the reusable workspace every search runs through.
+
+use std::collections::BinaryHeap;
+
+use super::reach::NOT_RIM;
+use super::search::Label;
+use super::{LazyReach, PathTable, SparseReach};
+use crate::graph::Topology;
+use crate::hypoexp;
+use crate::ids::NodeId;
+
+/// Reusable workspace of the label-setting search — what
+/// [`bounded_shortest_paths`](super::bounded_shortest_paths), [`bounded_reach`](super::bounded_reach) and
+/// [`shortest_paths_until_in`](super::shortest_paths_until_in) search through.
+///
+/// All per-node arrays are epoch-stamped: a search only initializes the
+/// slots it actually touches, and the next search invalidates them by
+/// bumping the epoch instead of clearing `O(N)` memory. The CDF
+/// accumulators are recycled the same way: the ones a search built go
+/// back on a free list when the next search starts and are refilled in
+/// place. Keep one scratch per thread and pass it to every call; once it
+/// is warm (heap, touched list, free list and — for [`bounded_reach`](super::bounded_reach) —
+/// the ball's queue and the pop order grown to the largest search it has
+/// served) a search costs `O(touched)` time and calls the allocator only
+/// for the table it returns.
+#[derive(Debug, Default)]
+pub struct ReachScratch {
+    pub(super) epoch: u64,
+    pub(super) stamp: Vec<u64>,
+    /// `wanted[i] == epoch` marks node `i` as a stop target of the
+    /// current search.
+    pub(super) wanted: Vec<u64>,
+    /// `inner[i] == epoch` marks node `i` as within `max_hops − 1` hops
+    /// of the source of the current [`bounded_reach`](super::bounded_reach) search.
+    pub(super) inner: Vec<u64>,
+    pub(super) settled: Vec<bool>,
+    pub(super) best: Vec<f64>,
+    pub(super) weight: Vec<f64>,
+    pub(super) hops: Vec<u32>,
+    /// Predecessor in the route tree; `u32::MAX` = none (source).
+    pub(super) prev: Vec<u32>,
+    pub(super) rate_into: Vec<f64>,
+    /// Where in `accs` a node's accumulator lives. Written when a node
+    /// that will relax settles, read only through such a node's children
+    /// in the same search — never stamped, never cleared.
+    pub(super) acc_slot: Vec<u32>,
+    /// CDF accumulators of settled paths (with their cached per-stage
+    /// exponentials), in settle order: `accs[..accs_built]` belong to the
+    /// current search, the rest is the free list — buffers of earlier
+    /// searches waiting to be refilled. Only a node that relaxes its
+    /// edges gets one; it never shrinks, so its length is the most
+    /// accumulators any one search through this scratch has built.
+    pub(super) accs: Vec<hypoexp::HorizonAccumulator>,
+    pub(super) accs_built: usize,
+    pub(super) touched: Vec<u32>,
+    /// [`bounded_reach`](super::bounded_reach) only: the breadth-first queue that marked
+    /// `inner`, and the nodes of the current search in settle order.
+    pub(super) queue: Vec<u32>,
+    pub(super) pops: Vec<u32>,
+    pub(super) heap: BinaryHeap<Label>,
+    /// Nodes the current search has settled, the source included.
+    pub(super) settled_count: usize,
+}
+
+impl ReachScratch {
+    /// Creates an empty scratch; arrays grow to the graph size on first
+    /// use.
+    pub fn new() -> Self {
+        ReachScratch::default()
+    }
+
+    /// How many CDF accumulators the last search built: one per settled
+    /// node that went on to relax its edges. A node settled at the hop
+    /// bound, or the target that ended an early-exit search, builds none.
+    /// Exact and machine-independent, like [`PathTable::settled_count`].
+    pub fn accumulators_built(&self) -> usize {
+        self.accs_built
+    }
+
+    /// Starts a fresh search epoch over `n` nodes.
+    pub(super) fn prepare(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.wanted.resize(n, 0);
+            self.inner.resize(n, 0);
+            self.settled.resize(n, false);
+            self.best.resize(n, f64::NEG_INFINITY);
+            self.weight.resize(n, 0.0);
+            self.hops.resize(n, 0);
+            self.prev.resize(n, u32::MAX);
+            self.rate_into.resize(n, 0.0);
+            self.acc_slot.resize(n, 0);
+        }
+        // The previous search's accumulators all return to the free list.
+        self.accs_built = 0;
+        self.touched.clear();
+        self.pops.clear();
+        self.heap.clear();
+        self.settled_count = 0;
+        self.epoch += 1;
+    }
+
+    /// Stamps `inner` on every node within `radius` hops of `source`,
+    /// breadth first.
+    pub(super) fn mark_inner<G: Topology>(&mut self, graph: &G, source: NodeId, radius: usize) {
+        self.queue.clear();
+        self.inner[source.index()] = self.epoch;
+        self.queue.push(source.0);
+        let mut level = 0..1;
+        for _ in 0..radius {
+            if level.is_empty() {
+                break;
+            }
+            for at in level.clone() {
+                for &(peer, _) in graph.neighbors(NodeId(self.queue[at])) {
+                    if self.inner[peer.index()] != self.epoch {
+                        self.inner[peer.index()] = self.epoch;
+                        self.queue.push(peer.0);
+                    }
+                }
+            }
+            level = level.end..self.queue.len();
+        }
+    }
+
+    /// First-touch initialization of node `i` in the current epoch.
+    pub(super) fn touch(&mut self, i: usize) {
+        if self.stamp[i] != self.epoch {
+            self.stamp[i] = self.epoch;
+            self.settled[i] = false;
+            self.best[i] = f64::NEG_INFINITY;
+            self.weight[i] = 0.0;
+            self.hops[i] = 0;
+            self.prev[i] = u32::MAX;
+            self.rate_into[i] = 0.0;
+            self.touched.push(i as u32);
+        }
+    }
+
+    /// The last search's outcome as a dense, route-carrying table over
+    /// `n` nodes.
+    pub(super) fn path_table(&self, n: usize, source: NodeId, complete: bool) -> PathTable {
+        let mut table = PathTable {
+            source,
+            prev: vec![None; n],
+            rate_into: vec![0.0; n],
+            weight: vec![0.0; n],
+            settled: vec![false; n],
+            settled_count: self.settled_count,
+            complete,
+        };
+        for &i in &self.touched {
+            let i = i as usize;
+            if self.prev[i] != u32::MAX {
+                table.prev[i] = Some(NodeId(self.prev[i]));
+                table.rate_into[i] = self.rate_into[i];
+            }
+            if self.settled[i] {
+                table.settled[i] = true;
+                table.weight[i] = self.weight[i];
+            }
+        }
+        table
+    }
+
+    /// The last search's settled set as `(destination, weight)` entries
+    /// in ascending id order — sorted as bare `u32` ids, weights gathered
+    /// afterwards.
+    pub(super) fn sparse_reach(&mut self) -> SparseReach {
+        self.touched.sort_unstable();
+        let mut entries = Vec::with_capacity(self.settled_count);
+        entries.extend(
+            self.touched
+                .iter()
+                .filter(|&&i| self.settled[i as usize])
+                .map(|&i| (NodeId(i), self.weight[i as usize])),
+        );
+        SparseReach { entries }
+    }
+
+    /// The last [`bounded_reach`](super::bounded_reach) search as a [`LazyReach`]: the settled
+    /// (inner) nodes by id, their pop order, and a flat copy of the CDF
+    /// stages of every node that settled with `max_hops − 1` hops — the
+    /// accumulators themselves return to the free list with the next
+    /// search. Every vector is allocated at its final size.
+    pub(super) fn lazy_reach(&self, horizon: f64, max_hops: usize) -> LazyReach {
+        let is_rim = |node: u32| self.hops[node as usize] as usize + 1 == max_hops;
+        let rims = self.pops.iter().filter(|&&node| is_rim(node)).count();
+        // Only read where a rim node exists, whose path has this many hops.
+        let stages = max_hops - 1;
+        let mut ids: Vec<NodeId> = self.pops.iter().map(|&node| NodeId(node)).collect();
+        ids.sort_unstable();
+        let mut reach = LazyReach {
+            horizon,
+            stages,
+            weights: ids.iter().map(|v| self.weight[v.index()]).collect(),
+            pops: Vec::with_capacity(ids.len()),
+            rim_of: vec![NOT_RIM; ids.len()],
+            rim_pops: Vec::with_capacity(rims),
+            rim_stages: Vec::with_capacity(rims * 3 * stages),
+            rim_all_equal: Vec::with_capacity(rims),
+            ids,
+        };
+        for (pos, &node) in self.pops.iter().enumerate() {
+            let i = reach
+                .ids
+                .binary_search(&NodeId(node))
+                .expect("every popped node is listed");
+            reach.pops.push(i as u32);
+            if is_rim(node) {
+                let path = self.accs[self.acc_slot[node as usize] as usize].stages();
+                reach.rim_of[i] = reach.rim_pops.len() as u32;
+                reach.rim_pops.push(pos as u32);
+                reach.rim_stages.extend_from_slice(path.spread);
+                reach.rim_stages.extend_from_slice(path.coeffs);
+                reach.rim_stages.extend_from_slice(path.em1);
+                reach.rim_all_equal.push(path.all_equal);
+            }
+        }
+        reach
+    }
+}

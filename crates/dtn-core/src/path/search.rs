@@ -1,0 +1,310 @@
+//! The one label-setting loop and the public searches that run it.
+
+use std::cmp::Ordering;
+
+use super::{LazyReach, PathTable, ReachScratch, SparseReach};
+use crate::graph::Topology;
+use crate::hypoexp;
+use crate::ids::NodeId;
+
+/// Heap entry: the tentative best weight of a node. Routes live in the
+/// predecessor arrays, so labels are two words and never allocate.
+#[derive(Debug)]
+pub(super) struct Label {
+    pub(super) weight: f64,
+    pub(super) node: NodeId,
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Self) -> bool {
+        self.weight == other.weight && self.node == other.node
+    }
+}
+impl Eq for Label {}
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Label {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Max-heap on weight; tie-break on node id for determinism.
+        self.weight
+            .total_cmp(&other.weight)
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+/// Computes the best (maximum-weight) opportunistic path from `source` to
+/// every other node within time horizon `horizon` seconds.
+///
+/// Runs a label-setting search in `O(E log E)` heap operations. Each
+/// relaxation evaluates the extended path's hypoexponential weight
+/// incrementally (`O(r)` multiply-adds plus one exponential,
+/// allocation-free) instead of rebuilding the coefficient set from
+/// scratch (`O(r²)` plus two clones per relaxation in the naive
+/// formulation, retained as [`shortest_paths_naive`](super::shortest_paths_naive)). Both evaluate the
+/// exact same arithmetic, so the computed weights are bit-identical.
+///
+/// # Panics
+///
+/// Panics if `source` is out of range or `horizon` is not finite and
+/// positive.
+///
+/// # Example
+///
+/// ```
+/// use dtn_core::graph::ContactGraph;
+/// use dtn_core::ids::NodeId;
+/// use dtn_core::path::shortest_paths;
+///
+/// let mut g = ContactGraph::new(3);
+/// g.set_rate(NodeId(0), NodeId(1), 0.01);
+/// g.set_rate(NodeId(1), NodeId(2), 0.01);
+/// let table = shortest_paths(&g, NodeId(0), 1000.0);
+/// assert_eq!(table.weight_to(NodeId(0)), 1.0);
+/// assert!(table.weight_to(NodeId(1)) > table.weight_to(NodeId(2)));
+/// assert_eq!(table.path_to(NodeId(2)).unwrap().hops(), 2);
+/// ```
+pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> PathTable {
+    shortest_paths_until(graph, source, horizon, &[])
+}
+
+/// [`shortest_paths`] with a stop condition: the search ends as soon as
+/// every node of `targets` has settled, and the returned table is
+/// partial ([`PathTable::is_complete`] is `false`).
+///
+/// Exact, not approximate: the loop settles nodes in decreasing weight
+/// order and never revisits a settled node, so everything settled before
+/// the stop — the targets, and the whole route tree above them — holds
+/// the same bits and the same routes the exhaustive search produces.
+/// Nodes not yet settled are unknown, and the table reports them as such
+/// ([`PathTable::settled_weight`]).
+///
+/// With no targets there is nothing to stop for and the search runs to
+/// exhaustion — [`shortest_paths`] is that call. The same happens when a
+/// target is unreachable (it never settles): the table comes back
+/// complete and the target reads weight 0. Duplicate targets count once;
+/// the source is a valid target (it settles first); targets out of range
+/// for the graph are ignored.
+///
+/// # Panics
+///
+/// Panics on the same invalid inputs as [`shortest_paths`].
+pub fn shortest_paths_until<G: Topology>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    targets: &[NodeId],
+) -> PathTable {
+    shortest_paths_until_in(graph, source, horizon, targets, &mut ReachScratch::new())
+}
+
+/// [`shortest_paths_until`] searching through a caller-owned
+/// [`ReachScratch`]: a caller that searches repeatedly keeps one scratch
+/// and pays only for the returned table's arrays per call.
+///
+/// # Panics
+///
+/// Panics on the same invalid inputs as [`shortest_paths`].
+pub fn shortest_paths_until_in<G: Topology>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    targets: &[NodeId],
+    scratch: &mut ReachScratch,
+) -> PathTable {
+    let complete = search::<G, false>(graph, source, horizon, targets, usize::MAX, scratch);
+    scratch.path_table(graph.node_count(), source, complete)
+}
+
+/// [`shortest_paths`] with a hop bound and sparse output: the search
+/// settles nodes exactly like the unbounded algorithm but stops relaxing
+/// from nodes whose settled best path already has `max_hops` hops.
+///
+/// With `max_hops` at least the graph diameter the result is identical
+/// to [`shortest_paths`] (same arithmetic, same tie-breaks). With a
+/// smaller bound, weights are exact over the ≤`max_hops`-hop path space
+/// and *lower bounds* on the unbounded weights — the standard truncation
+/// the paper's multi-hop analysis itself applies ("opportunistic paths
+/// with at most r hops", §III-B). Work and memory are `O(touched)`
+/// rather than `O(N)`, which is what makes per-source caching viable at
+/// city scale.
+///
+/// # Panics
+///
+/// Panics if `source` is out of range, `horizon` is not finite and
+/// positive, or `max_hops == 0`.
+pub fn bounded_shortest_paths<G: Topology>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    max_hops: usize,
+    scratch: &mut ReachScratch,
+) -> SparseReach {
+    assert!(max_hops > 0, "a zero-hop search reaches nothing");
+    search::<G, false>(graph, source, horizon, &[], max_hops, scratch);
+    scratch.sparse_reach()
+}
+
+/// [`bounded_shortest_paths`] for a caller that will read a few
+/// destinations rather than every weight: the same search, kept inside
+/// the ball of radius `max_hops − 1` around `source`, returning a
+/// [`LazyReach`] that weighs a node beyond the ball when
+/// [`LazyReach::weight_to`] is asked for it. Every answer equals the
+/// eager search's, bit for bit; the work is `O(inner)` rather than
+/// `O(touched)`, which in a sparse graph is most of it.
+///
+/// A breadth-first pass marks the ball first. A node settled with
+/// `max_hops − 1` hops then relaxes only its neighbours inside the ball:
+/// a neighbour outside could only settle with `max_hops` hops, relax
+/// nothing, and so change no other node's label — the nodes inside
+/// settle with the bits and in the order the eager search gives them.
+///
+/// # Panics
+///
+/// Panics on the same invalid inputs as [`bounded_shortest_paths`].
+pub fn bounded_reach<G: Topology>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    max_hops: usize,
+    scratch: &mut ReachScratch,
+) -> LazyReach {
+    assert!(max_hops > 0, "a zero-hop search reaches nothing");
+    search::<G, true>(graph, source, horizon, &[], max_hops, scratch);
+    scratch.lazy_reach(horizon, max_hops)
+}
+
+/// The one label-setting loop. Settles nodes in decreasing weight order
+/// from `source`, relaxing only from nodes whose best path has fewer
+/// than `max_hops` hops — only those get a CDF accumulator, refilled
+/// from the scratch's free list — and leaves the settled set in `scratch` for
+/// [`ReachScratch::path_table`] / [`ReachScratch::sparse_reach`] /
+/// [`ReachScratch::lazy_reach`] to read. Stops as soon as every in-range
+/// node of `targets` has settled and returns `false`; returns `true`
+/// when it ran to exhaustion (always, with no targets or an unreachable
+/// one).
+///
+/// With `INNER_ONLY`, the search stays inside the ball of radius
+/// `max_hops − 1` around `source` ([`bounded_reach`] says why that
+/// changes nothing inside it) and records the settle order. A const
+/// parameter, so the dense searches compile without the checks.
+pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
+    graph: &G,
+    source: NodeId,
+    horizon: f64,
+    targets: &[NodeId],
+    max_hops: usize,
+    scratch: &mut ReachScratch,
+) -> bool {
+    assert!(
+        horizon.is_finite() && horizon > 0.0,
+        "horizon must be finite and positive, got {horizon}"
+    );
+    let n = graph.node_count();
+    assert!(
+        source.index() < n,
+        "source n{source} out of range for graph of {n} nodes"
+    );
+
+    scratch.prepare(n);
+    // Targets still to settle; the search stops when the count hits zero.
+    let mut outstanding = 0usize;
+    for &t in targets {
+        // `n`, not the array length: the scratch may have served a
+        // larger graph before.
+        if t.index() < n && scratch.wanted[t.index()] != scratch.epoch {
+            scratch.wanted[t.index()] = scratch.epoch;
+            outstanding += 1;
+        }
+    }
+    if INNER_ONLY {
+        scratch.mark_inner(graph, source, max_hops - 1);
+    }
+    scratch.touch(source.index());
+    scratch.best[source.index()] = 1.0;
+    scratch.heap.push(Label {
+        weight: 1.0,
+        node: source,
+    });
+
+    // The accumulators leave the scratch for the duration of the loop, so
+    // a settled node's can be read while the per-node arrays are written.
+    let mut accs = std::mem::take(&mut scratch.accs);
+    let mut complete = true;
+    while let Some(Label { weight: w, node }) = scratch.heap.pop() {
+        let ni = node.index();
+        if scratch.settled[ni] {
+            continue;
+        }
+        scratch.settled[ni] = true;
+        scratch.weight[ni] = w;
+        scratch.settled_count += 1;
+        if INNER_ONLY {
+            scratch.pops.push(ni as u32);
+        }
+        if scratch.wanted[ni] == scratch.epoch {
+            outstanding -= 1;
+            if outstanding == 0 {
+                // Every target is final; nothing relaxed from here on
+                // could change a settled entry.
+                complete = false;
+                break;
+            }
+        }
+        let parent = scratch.prev[ni];
+        let hops = if parent == u32::MAX {
+            0
+        } else {
+            scratch.hops[parent as usize] + 1
+        };
+        scratch.hops[ni] = hops;
+        if hops as usize >= max_hops {
+            // A leaf of the hop bound: its weight is final and nothing
+            // is relaxed from it, so nothing would read its accumulator.
+            continue;
+        }
+        // Refill the next accumulator of the free list; `accs[..built]`
+        // are this search's, the parent's among them.
+        let built = scratch.accs_built;
+        if built == accs.len() {
+            accs.push(hypoexp::HorizonAccumulator::new(horizon));
+        }
+        let (mine, free) = accs.split_at_mut(built);
+        if parent == u32::MAX {
+            free[0].reset(horizon);
+        } else {
+            let parent_acc = &mine[scratch.acc_slot[parent as usize] as usize];
+            free[0].assign_extended(parent_acc, scratch.rate_into[ni]);
+        }
+        scratch.acc_slot[ni] = built as u32;
+        scratch.accs_built += 1;
+        let acc = &accs[built];
+        // Only a node one hop short of the bound has neighbours outside
+        // the ball; they are the leaves a `LazyReach` weighs on demand.
+        let rim = INNER_ONLY && hops as usize + 1 == max_hops;
+        for &(peer, rate) in graph.neighbors(node) {
+            let pi = peer.index();
+            if rim && scratch.inner[pi] != scratch.epoch {
+                continue;
+            }
+            scratch.touch(pi);
+            if scratch.settled[pi] {
+                continue;
+            }
+            let cand = acc.extended_cdf(rate);
+            if cand > scratch.best[pi] {
+                scratch.best[pi] = cand;
+                scratch.prev[pi] = ni as u32;
+                scratch.rate_into[pi] = rate;
+                scratch.heap.push(Label {
+                    weight: cand,
+                    node: peer,
+                });
+            }
+        }
+    }
+    scratch.accs = accs;
+    complete
+}

@@ -1,0 +1,613 @@
+use super::search::search;
+use super::*;
+use crate::graph::ContactGraph;
+
+fn line_graph(rates: &[f64]) -> ContactGraph {
+    let mut g = ContactGraph::new(rates.len() + 1);
+    for (i, &r) in rates.iter().enumerate() {
+        g.set_rate(NodeId(i as u32), NodeId(i as u32 + 1), r);
+    }
+    g
+}
+
+#[test]
+fn source_has_weight_one() {
+    let g = line_graph(&[0.1]);
+    let t = shortest_paths(&g, NodeId(0), 100.0);
+    assert_eq!(t.weight_to(NodeId(0)), 1.0);
+    assert_eq!(t.path_to(NodeId(0)).unwrap().hops(), 0);
+}
+
+#[test]
+fn unreachable_node_has_weight_zero() {
+    let mut g = ContactGraph::new(3);
+    g.set_rate(NodeId(0), NodeId(1), 0.1);
+    let t = shortest_paths(&g, NodeId(0), 100.0);
+    assert_eq!(t.weight_to(NodeId(2)), 0.0);
+    assert!(t.path_to(NodeId(2)).is_none());
+}
+
+#[test]
+fn picks_relay_over_weak_direct_edge() {
+    // 0—2 direct but very slow; 0—1—2 via two fast hops wins.
+    let mut g = ContactGraph::new(3);
+    g.set_rate(NodeId(0), NodeId(2), 1e-7);
+    g.set_rate(NodeId(0), NodeId(1), 1e-2);
+    g.set_rate(NodeId(1), NodeId(2), 1e-2);
+    let t = shortest_paths(&g, NodeId(0), 3600.0);
+    let p = t.path_to(NodeId(2)).unwrap();
+    assert_eq!(p.hops(), 2, "expected relay path, got {:?}", p.nodes());
+    assert_eq!(p.nodes(), &[NodeId(0), NodeId(1), NodeId(2)]);
+}
+
+#[test]
+fn picks_fast_direct_edge_over_detour() {
+    let mut g = ContactGraph::new(3);
+    g.set_rate(NodeId(0), NodeId(2), 1e-2);
+    g.set_rate(NodeId(0), NodeId(1), 1e-2);
+    g.set_rate(NodeId(1), NodeId(2), 1e-2);
+    let t = shortest_paths(&g, NodeId(0), 3600.0);
+    assert_eq!(t.path_to(NodeId(2)).unwrap().hops(), 1);
+}
+
+#[test]
+fn path_endpoints_are_consistent() {
+    let g = line_graph(&[0.1, 0.2, 0.3]);
+    let t = shortest_paths(&g, NodeId(0), 50.0);
+    for dest in g.nodes() {
+        let p = t.path_to(dest).unwrap();
+        assert_eq!(p.source(), NodeId(0));
+        assert_eq!(p.destination(), dest);
+    }
+}
+
+#[test]
+fn stored_weight_matches_reconstructed_path() {
+    // The O(1) cached weight must be exactly the weight of the path
+    // that path_to reconstructs.
+    let mut g = ContactGraph::new(6);
+    let edges = [
+        (0, 1, 2e-3),
+        (1, 2, 5e-3),
+        (0, 2, 1e-3),
+        (2, 3, 4e-3),
+        (1, 4, 6e-4),
+        (4, 5, 9e-3),
+        (3, 5, 2e-4),
+    ];
+    for &(a, b, r) in &edges {
+        g.set_rate(NodeId(a), NodeId(b), r);
+    }
+    let horizon = 1800.0;
+    let t = shortest_paths(&g, NodeId(0), horizon);
+    for dest in g.nodes() {
+        if let Some(p) = t.path_to(dest) {
+            assert_eq!(
+                t.weight_to(dest),
+                p.weight(horizon),
+                "cached vs reconstructed weight differ for n{dest}"
+            );
+        }
+    }
+}
+
+#[test]
+fn matches_naive_reference_exactly() {
+    let mut g = ContactGraph::new(7);
+    let edges = [
+        (0, 1, 2e-3),
+        (1, 2, 5e-3),
+        (0, 2, 1e-3),
+        (2, 3, 4e-3),
+        (1, 3, 1e-4),
+        (3, 4, 8e-3),
+        (0, 4, 5e-5),
+        (4, 5, 3e-3),
+        (2, 6, 7e-4),
+    ];
+    for &(a, b, r) in &edges {
+        g.set_rate(NodeId(a), NodeId(b), r);
+    }
+    let horizon = 2500.0;
+    let table = shortest_paths(&g, NodeId(0), horizon);
+    let naive = shortest_paths_naive(&g, NodeId(0), horizon);
+    for dest in g.nodes() {
+        let opt = table.path_to(dest);
+        let refp = naive[dest.index()].as_ref();
+        match (opt, refp) {
+            (None, None) => {}
+            (Some(p), Some(r)) => {
+                assert_eq!(p.nodes(), r.nodes(), "route mismatch to n{dest}");
+                assert_eq!(
+                    table.weight_to(dest),
+                    r.weight(horizon),
+                    "weight mismatch to n{dest}"
+                );
+            }
+            (a, b) => panic!("reachability mismatch to n{dest}: {a:?} vs {b:?}"),
+        }
+    }
+}
+
+#[test]
+fn weights_match_brute_force_on_small_graphs() {
+    // Exhaustively enumerate all simple paths and compare.
+    let mut g = ContactGraph::new(5);
+    let edges = [
+        (0, 1, 2e-3),
+        (1, 2, 5e-3),
+        (0, 2, 1e-3),
+        (2, 3, 4e-3),
+        (1, 3, 1e-4),
+        (3, 4, 8e-3),
+        (0, 4, 5e-5),
+    ];
+    for &(a, b, r) in &edges {
+        g.set_rate(NodeId(a), NodeId(b), r);
+    }
+    let horizon = 2000.0;
+    let table = shortest_paths(&g, NodeId(0), horizon);
+
+    for dest in 1..5u32 {
+        let mut visited = vec![false; 5];
+        visited[0] = true;
+        let mut best = 0.0;
+        tests_dfs(
+            &g,
+            NodeId(0),
+            NodeId(dest),
+            &mut visited,
+            &mut Vec::new(),
+            horizon,
+            &mut best,
+        );
+        let got = table.weight_to(NodeId(dest));
+        assert!(
+            (got - best).abs() < 1e-9,
+            "dest {dest}: label-setting {got} vs brute force {best}"
+        );
+    }
+}
+
+#[test]
+fn bounded_search_matches_unbounded_with_slack_hops() {
+    let mut g = ContactGraph::new(7);
+    let edges = [
+        (0, 1, 2e-3),
+        (1, 2, 5e-3),
+        (0, 2, 1e-3),
+        (2, 3, 4e-3),
+        (1, 3, 1e-4),
+        (3, 4, 8e-3),
+        (0, 4, 5e-5),
+        (4, 5, 3e-3),
+    ];
+    for &(a, b, r) in &edges {
+        g.set_rate(NodeId(a), NodeId(b), r);
+    }
+    let horizon = 2500.0;
+    let mut scratch = ReachScratch::new();
+    for src in g.nodes() {
+        let full = shortest_paths(&g, src, horizon);
+        let reach = bounded_shortest_paths(&g, src, horizon, 64, &mut scratch);
+        let reachable: Vec<_> = full.iter_weights().collect();
+        assert_eq!(reach.entries(), &reachable[..], "source {src:?}");
+        for dest in g.nodes() {
+            assert_eq!(
+                reach.weight_to(dest),
+                full.weight_to(dest),
+                "source {src:?} dest {dest:?}"
+            );
+        }
+    }
+    // Node 6 is isolated: never settled from 0, weight 0.
+    let reach = bounded_shortest_paths(&g, NodeId(0), horizon, 64, &mut scratch);
+    assert_eq!(reach.weight_to(NodeId(6)), 0.0);
+}
+
+#[test]
+fn bounded_search_runs_on_csr_storage() {
+    use crate::graph::CsrGraph;
+    let mut g = ContactGraph::new(5);
+    let edges = [(0, 1, 2e-3), (1, 2, 5e-3), (2, 3, 4e-3), (0, 3, 1e-4)];
+    for &(a, b, r) in &edges {
+        g.set_rate(NodeId(a), NodeId(b), r);
+    }
+    let csr = CsrGraph::from_edges(5, edges.iter().map(|&(a, b, r)| (NodeId(a), NodeId(b), r)));
+    let mut scratch = ReachScratch::new();
+    let dense = bounded_shortest_paths(&g, NodeId(0), 1800.0, 64, &mut scratch);
+    let sparse = bounded_shortest_paths(&csr, NodeId(0), 1800.0, 64, &mut scratch);
+    // Same weights; routes may differ only where neighbor-iteration
+    // order breaks exact ties, which these rates do not produce.
+    assert_eq!(dense.entries(), sparse.entries());
+}
+
+#[test]
+fn hop_bound_truncates_reach() {
+    let g = line_graph(&[0.1, 0.1, 0.1]);
+    let mut scratch = ReachScratch::new();
+    let one = bounded_shortest_paths(&g, NodeId(0), 100.0, 1, &mut scratch);
+    assert!(one.weight_to(NodeId(1)) > 0.0);
+    assert_eq!(one.weight_to(NodeId(2)), 0.0);
+    let two = bounded_shortest_paths(&g, NodeId(0), 100.0, 2, &mut scratch);
+    assert!(two.weight_to(NodeId(2)) > 0.0);
+    assert_eq!(two.weight_to(NodeId(3)), 0.0);
+    // Weights inside the bound match the unbounded search exactly.
+    let full = shortest_paths(&g, NodeId(0), 100.0);
+    assert_eq!(two.weight_to(NodeId(1)), full.weight_to(NodeId(1)));
+    assert_eq!(two.weight_to(NodeId(2)), full.weight_to(NodeId(2)));
+}
+
+#[test]
+fn scratch_reuse_is_stateless_across_searches() {
+    let g = line_graph(&[0.2, 0.05, 0.01]);
+    let mut scratch = ReachScratch::new();
+    let first = bounded_shortest_paths(&g, NodeId(0), 200.0, 8, &mut scratch);
+    // A different source in between must not contaminate the repeat.
+    let _ = bounded_shortest_paths(&g, NodeId(3), 200.0, 8, &mut scratch);
+    let again = bounded_shortest_paths(&g, NodeId(0), 200.0, 8, &mut scratch);
+    assert_eq!(first.entries(), again.entries());
+}
+
+/// Everything a [`PathTable`] holds, floats by bit pattern.
+type TableBits = (bool, usize, Vec<(bool, u64, Option<NodeId>, u64)>);
+
+fn table_bits(t: &PathTable) -> TableBits {
+    let nodes = (0..t.settled.len())
+        .map(|i| {
+            let (w, r) = (t.weight[i].to_bits(), t.rate_into[i].to_bits());
+            (t.settled[i], w, t.prev[i], r)
+        })
+        .collect();
+    (t.complete, t.settled_count, nodes)
+}
+
+/// A 40-node graph with 110 LCG-chosen edges.
+fn lcg_graph() -> ContactGraph {
+    lcg_graph_of(40, 110)
+}
+
+/// `nodes` nodes and `edges` LCG-chosen edges, rates from a palette
+/// of 90 (so exact ties occur).
+fn lcg_graph_of(nodes: u32, edges: usize) -> ContactGraph {
+    let mut g = ContactGraph::new(nodes as usize);
+    let mut x = 12345u64;
+    for _ in 0..edges {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let (a, b) = ((x >> 33) as u32 % nodes, (x >> 13) as u32 % nodes);
+        if a != b {
+            g.set_rate(NodeId(a), NodeId(b), 1e-4 * (1 + (x >> 50) % 90) as f64);
+        }
+    }
+    g
+}
+
+fn reach_bits(r: &SparseReach) -> Vec<(NodeId, u64)> {
+    r.entries().iter().map(|&(v, w)| (v, w.to_bits())).collect()
+}
+
+#[test]
+fn one_scratch_serves_alternating_graphs_targets_and_bounds() {
+    // A 40-node graph and a 6-node line: the scratch arrays stay
+    // sized for the large one while the small one is searched, so an
+    // id that is out of range for the line is still a valid slot of
+    // the scratch.
+    let large = lcg_graph();
+    let small = line_graph(&[2e-3, 4e-3, 1e-3, 3e-3, 5e-3]);
+
+    // The free list is filled by a dense search over the large graph;
+    // an early-exit search and a bounded one over the small graph
+    // then refill accumulators that held longer, unrelated paths.
+    let mut scratch = ReachScratch::new();
+    let dense = shortest_paths_until_in(&large, NodeId(0), 1500.0, &[], &mut scratch);
+    assert_eq!(
+        table_bits(&dense),
+        table_bits(&shortest_paths(&large, NodeId(0), 1500.0))
+    );
+    let free_list = scratch.accs.len();
+    assert_eq!(free_list, dense.settled_count(), "dense: one per settled");
+    assert!(free_list > small.node_count());
+    let stop = [NodeId(3)];
+    let partial = shortest_paths_until_in(&small, NodeId(5), 700.0, &stop, &mut scratch);
+    assert!(!partial.is_complete());
+    assert_eq!(
+        table_bits(&partial),
+        table_bits(&shortest_paths_until(&small, NodeId(5), 700.0, &stop))
+    );
+    // n5 and n4 relaxed; the target n3 ended the search and built none.
+    assert_eq!(
+        (partial.settled_count(), scratch.accumulators_built()),
+        (3, 2)
+    );
+    let bounded = bounded_shortest_paths(&small, NodeId(2), 900.0, 2, &mut scratch);
+    let fresh = bounded_shortest_paths(&small, NodeId(2), 900.0, 2, &mut ReachScratch::new());
+    assert_eq!(reach_bits(&bounded), reach_bits(&fresh));
+    // n2 and its neighbours n1, n3 relaxed; n0 and n4 are leaves.
+    assert_eq!(
+        (bounded.entries().len(), scratch.accumulators_built()),
+        (5, 3)
+    );
+    assert_eq!(scratch.accs.len(), free_list, "the free list never shrinks");
+
+    let target_sets: [&[NodeId]; 6] = [
+        &[],
+        &[NodeId(3), NodeId(3)],
+        &[NodeId(0)],
+        &[NodeId(2), NodeId(20)],
+        &[NodeId(u32::MAX)],
+        &[NodeId(5), NodeId(1), NodeId(4)],
+    ];
+    let mut partial_tables = 0;
+    for round in 0..18usize {
+        // large, small, large under each target set in turn.
+        let g = if round % 3 == 1 { &small } else { &large };
+        let source = NodeId((round * 7 % g.node_count()) as u32);
+        let horizon = 900.0 + 400.0 * round as f64;
+        let targets = target_sets[round / 3];
+        let reused = shortest_paths_until_in(g, source, horizon, targets, &mut scratch);
+        let fresh = shortest_paths_until(g, source, horizon, targets);
+        assert_eq!(table_bits(&reused), table_bits(&fresh), "round {round}");
+        partial_tables += usize::from(!reused.is_complete());
+
+        let max_hops = [1, 2, 3, 64][round % 4];
+        let reused = bounded_shortest_paths(g, source, horizon, max_hops, &mut scratch);
+        let fresh = bounded_shortest_paths(g, source, horizon, max_hops, &mut ReachScratch::new());
+        assert_eq!(
+            reach_bits(&reused),
+            reach_bits(&fresh),
+            "round {round}, {max_hops} hops"
+        );
+    }
+    assert!(partial_tables > 0, "no search stopped early");
+}
+
+#[test]
+fn hop_bound_leaves_build_no_accumulator() {
+    // A star: from the hub every spoke is a 1-hop leaf; from a spoke
+    // the hub relaxes and the other spokes are 2-hop leaves.
+    let mut star = ContactGraph::new(9);
+    for spoke in 1..9u32 {
+        star.set_rate(NodeId(0), NodeId(spoke), 1e-3 * f64::from(spoke));
+    }
+    let mut scratch = ReachScratch::new();
+    for (source, max_hops, settled, built) in
+        [(0, 1, 9, 1), (0, 2, 9, 9), (4, 1, 2, 1), (4, 2, 9, 2)]
+    {
+        let reach = bounded_shortest_paths(&star, NodeId(source), 2e3, max_hops, &mut scratch);
+        assert_eq!(reach.entries().len(), settled, "n{source}, {max_hops} hops");
+        assert_eq!(
+            scratch.accumulators_built(),
+            built,
+            "n{source}, {max_hops} hops"
+        );
+        // The leaves' weights are the unbounded search's all the same.
+        let full = shortest_paths(&star, NodeId(source), 2e3);
+        for &(v, w) in reach.entries() {
+            assert_eq!(w.to_bits(), full.weight_to(v).to_bits());
+        }
+    }
+}
+
+#[test]
+fn lazy_reach_answers_every_read_as_the_eager_search_does() {
+    // Every (source, dest) pair at bounds that bite and one that does
+    // not; ids past the graph read 0 like any node out of reach.
+    let g = lcg_graph();
+    let mut scratch = ReachScratch::new();
+    let (mut inner_reads, mut replayed, mut evaluated) = (0, 0, 0);
+    for max_hops in [1, 2, 3, 4, 64] {
+        for source in g.nodes() {
+            let eager = bounded_shortest_paths(&g, source, 1800.0, max_hops, &mut scratch);
+            let built = scratch.accumulators_built();
+            let lazy = bounded_reach(&g, source, 1800.0, max_hops, &mut scratch);
+            assert_eq!(scratch.accumulators_built(), built, "same nodes relax");
+            assert!(lazy.settled_count() <= eager.entries().len());
+            for dest in g.nodes().chain([NodeId(40), NodeId(u32::MAX)]) {
+                let (w, evaluations) = lazy.weight_to(&g, dest);
+                assert_eq!(
+                    w.to_bits(),
+                    eager.weight_to(dest).to_bits(),
+                    "{max_hops} hops, {source} to {dest}: {w} vs {}",
+                    eager.weight_to(dest)
+                );
+                inner_reads += usize::from(lazy.ids.binary_search(&dest).is_ok());
+                replayed += usize::from(evaluations > 0);
+                evaluated += evaluations;
+            }
+        }
+    }
+    // Both kinds of read occurred, and some leaves had a choice.
+    assert!(
+        inner_reads > 1000 && replayed > 1000,
+        "{inner_reads} / {replayed}"
+    );
+    assert!(evaluated as usize > replayed, "{evaluated} / {replayed}");
+}
+
+#[test]
+fn lazy_search_settles_the_inner_ball_only() {
+    // From a spoke of the star under two hops, the ball of radius one
+    // is the spoke and the hub; the hub is the rim and the other seven
+    // spokes are leaves, each one CDF evaluation away.
+    let mut star = ContactGraph::new(9);
+    for spoke in 1..9u32 {
+        star.set_rate(NodeId(0), NodeId(spoke), 1e-3 * f64::from(spoke));
+    }
+    let mut scratch = ReachScratch::new();
+    let reach = bounded_reach(&star, NodeId(4), 2e3, 2, &mut scratch);
+    assert_eq!(
+        (reach.settled_count(), scratch.accumulators_built()),
+        (2, 2)
+    );
+    let full = shortest_paths(&star, NodeId(4), 2e3);
+    for dest in star.nodes() {
+        let (w, evaluations) = reach.weight_to(&star, dest);
+        assert_eq!(w.to_bits(), full.weight_to(dest).to_bits());
+        assert_eq!(
+            evaluations,
+            u32::from(dest != NodeId(0) && dest != NodeId(4))
+        );
+    }
+    // Under one hop the source is its own rim: nothing but itself
+    // settles, and the hub is a leaf; a spoke is out of reach.
+    let reach = bounded_reach(&star, NodeId(4), 2e3, 1, &mut scratch);
+    assert_eq!(reach.settled_count(), 1);
+    assert_eq!(
+        reach.weight_to(&star, NodeId(0)),
+        (full.weight_to(NodeId(0)), 1)
+    );
+    assert_eq!(reach.weight_to(&star, NodeId(5)), (0.0, 0));
+}
+
+#[test]
+fn lazy_reach_is_no_larger_than_the_sparse_reach_it_replaces() {
+    // A sparse city in miniature: 1 500 nodes of mean degree 12 under
+    // three hops, where most of what the eager search settles are
+    // leaves. The lazy reach pays 20 B per inner node and 24 B per
+    // stage of a rim node against 16 B per settled node.
+    let g = lcg_graph_of(1500, 9000);
+    let mut scratch = ReachScratch::new();
+    let (mut lazy_bytes, mut eager_bytes) = (0, 0);
+    for source in (0..1500).step_by(50).map(NodeId) {
+        let eager = bounded_shortest_paths(&g, source, 1800.0, 3, &mut scratch);
+        let lazy = bounded_reach(&g, source, 1800.0, 3, &mut scratch);
+        assert!(lazy.settled_count() * 2 < eager.entries().len());
+        assert_eq!(lazy.ids.capacity(), lazy.ids.len());
+        assert_eq!(lazy.rim_stages.capacity(), lazy.rim_stages.len());
+        lazy_bytes += lazy.heap_bytes();
+        eager_bytes += eager.entries.capacity() * std::mem::size_of::<(NodeId, f64)>();
+    }
+    assert!(
+        lazy_bytes <= eager_bytes,
+        "{lazy_bytes} B vs {eager_bytes} B"
+    );
+}
+
+#[test]
+fn warm_scratch_searches_without_allocating() {
+    // Dense, early-exit, bounded and inner-only searches from every
+    // source, twice over: the second pass finds every buffer the
+    // first one grew and moves or regrows none of them — per-node
+    // arrays, heap, touched list, the ball's queue, the pop order,
+    // and each recycled accumulator's four vectors.
+    let g = lcg_graph();
+    let pass = |scratch: &mut ReachScratch| {
+        for source in g.nodes() {
+            search::<_, false>(&g, source, 1800.0, &[], usize::MAX, scratch);
+            search::<_, false>(
+                &g,
+                source,
+                1800.0,
+                &[NodeId(7), NodeId(31)],
+                usize::MAX,
+                scratch,
+            );
+            search::<_, false>(&g, source, 1800.0, &[], 2, scratch);
+            search::<_, true>(&g, source, 1800.0, &[], 3, scratch);
+        }
+    };
+    let buffers = |s: &ReachScratch| {
+        let accs: Vec<_> = s.accs.iter().map(|a| a.buffers()).collect();
+        let arrays = (
+            s.stamp.as_ptr(),
+            s.best.as_ptr(),
+            s.acc_slot.as_ptr(),
+            s.inner.as_ptr(),
+        );
+        let lists = (s.touched.capacity(), s.queue.capacity(), s.pops.capacity());
+        (accs, arrays, s.heap.capacity(), lists)
+    };
+    let mut scratch = ReachScratch::new();
+    pass(&mut scratch);
+    let warm = buffers(&scratch);
+    assert_eq!(warm.0.len(), 40, "a dense search builds one per node");
+    pass(&mut scratch);
+    assert_eq!(buffers(&scratch), warm);
+}
+
+#[test]
+#[should_panic(expected = "zero-hop")]
+fn bounded_rejects_zero_hops() {
+    let g = line_graph(&[0.1]);
+    let _ = bounded_shortest_paths(&g, NodeId(0), 100.0, 0, &mut ReachScratch::new());
+}
+
+#[test]
+fn iter_weights_covers_reachable_set() {
+    let g = line_graph(&[0.1, 0.1]);
+    let t = shortest_paths(&g, NodeId(1), 100.0);
+    let all: Vec<_> = t.iter_weights().collect();
+    assert_eq!(all.len(), 3);
+}
+
+#[test]
+#[should_panic(expected = "horizon")]
+fn rejects_bad_horizon() {
+    let g = line_graph(&[0.1]);
+    let _ = shortest_paths(&g, NodeId(0), 0.0);
+}
+
+mod properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// On random graphs the label-setting result must match brute
+        /// force enumeration of simple paths.
+        #[test]
+        fn matches_brute_force(
+            n in 2usize..6,
+            edges in prop::collection::vec((0u32..6, 0u32..6, 1e-5f64..1e-1), 1..12),
+            horizon in 100.0f64..1e5,
+        ) {
+            let mut g = ContactGraph::new(n);
+            for (a, b, r) in edges {
+                let (a, b) = (a % n as u32, b % n as u32);
+                if a != b {
+                    g.set_rate(NodeId(a), NodeId(b), r);
+                }
+            }
+            let table = shortest_paths(&g, NodeId(0), horizon);
+            for dest in 1..n as u32 {
+                let mut visited = vec![false; n];
+                visited[0] = true;
+                let mut best = 0.0;
+                super::tests_dfs(&g, NodeId(0), NodeId(dest), &mut visited,
+                    &mut Vec::new(), horizon, &mut best);
+                let got = table.weight_to(NodeId(dest));
+                prop_assert!((got - best).abs() < 1e-6,
+                    "dest {}: {} vs {}", dest, got, best);
+            }
+        }
+    }
+}
+
+/// Shared DFS helper for the brute-force comparisons above.
+fn tests_dfs(
+    g: &ContactGraph,
+    cur: NodeId,
+    target: NodeId,
+    visited: &mut Vec<bool>,
+    rates: &mut Vec<f64>,
+    horizon: f64,
+    best: &mut f64,
+) {
+    if cur == target {
+        let w = crate::hypoexp::cdf(rates, horizon);
+        if w > *best {
+            *best = w;
+        }
+        return;
+    }
+    for &(peer, rate) in g.neighbors(cur) {
+        if !visited[peer.index()] {
+            visited[peer.index()] = true;
+            rates.push(rate);
+            tests_dfs(g, peer, target, visited, rates, horizon, best);
+            rates.pop();
+            visited[peer.index()] = false;
+        }
+    }
+}

@@ -62,11 +62,6 @@ impl PopularityEstimator {
         self.requests += 1;
     }
 
-    /// Number of requests observed.
-    pub fn request_count(&self) -> u64 {
-        self.requests
-    }
-
     /// The estimated request rate `λ_d` (requests per second), or `None`
     /// if fewer than two requests (or zero elapsed time) were observed.
     fn request_rate(&self) -> Option<f64> {
@@ -132,7 +127,7 @@ mod tests {
         est.record_request(Time(300));
         // 3 requests over 200 s
         assert_eq!(est.request_rate(), Some(0.015));
-        assert_eq!(est.request_count(), 3);
+        assert_eq!(est.requests, 3);
     }
 
     #[test]

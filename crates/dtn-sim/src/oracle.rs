@@ -15,8 +15,8 @@
 //!   and that is what nearly every read asks for. The scheme names those
 //!   nodes with [`PathOracle::set_targets`]; the first read of an epoch
 //!   from a source to a target runs the label-setting search only until
-//!   the last target settles ([`shortest_paths_until_in`]) and caches the
-//!   *partial* table. Settled weights are final, so the answer is the
+//!   the last target settles ([`shortest_paths_until_in`], the one loop
+//!   of `dtn-core/src/path/search.rs`) and caches the *partial* table. Settled weights are final, so the answer is the
 //!   exhaustive search's to the bit. A read the partial table cannot
 //!   answer — a non-target destination, or [`PathOracle::table`] — runs
 //!   the exhaustive search and replaces it.
@@ -46,7 +46,7 @@
 //! mostly nodes exactly `h` hops out — leaves that relax nothing and so
 //! shape no other node's label. [`bounded_reach`] runs the search
 //! inside the ball of radius `h − 1` and keeps the path stages of the
-//! ball's rim; a read of an inner node is a binary search, a read of a
+//! ball's rim (the [`LazyReach`] of `dtn-core/src/path/reach.rs`); a read of an inner node is a binary search, a read of a
 //! leaf replays that one label from its rim neighbours over the epoch's
 //! snapshot, and a read of anything else is 0. Every answer is the
 //! eager [`bounded_shortest_paths`](dtn_core::path::bounded_shortest_paths)

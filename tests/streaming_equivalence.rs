@@ -6,16 +6,17 @@
 //!   sequence `build()` materializes — same seed, same contacts, same
 //!   order (proptest over builder configurations, plus a large-N
 //!   time-ordering regression through the sampled pair-selection path);
-//! - [`select_central_nodes_scoped`] must equal the global
-//!   [`select_central_nodes`] bit for bit when the partition is a
-//!   single community, and at multi-community scale its metric
-//!   distribution must stay as skewed as §IV-B expects.
+//! - [`select_central_nodes_scoped`] over a single community — which is
+//!   what the global [`select_central_nodes`] runs — must equal Eq. 3 as
+//!   the paper defines it bit for bit, and at multi-community scale its
+//!   metric distribution must stay as skewed as §IV-B expects.
 
 use dtn_coop_cache::core::graph::{ContactGraph, CsrGraph, Topology};
 use dtn_coop_cache::core::ncl::{
-    label_propagation_communities, metric_skew, scoped_metrics, select_central_nodes,
-    select_central_nodes_scoped, CommunityPartition,
+    all_metrics, label_propagation_communities, metric_skew, scoped_metrics, select_by_strategy,
+    select_central_nodes, select_central_nodes_scoped, CommunityPartition, SelectionStrategy,
 };
+use dtn_coop_cache::core::path::shortest_paths;
 use dtn_coop_cache::prelude::*;
 use proptest::prelude::*;
 
@@ -104,28 +105,69 @@ fn random_graph(n: usize, extra_edges: usize, seed: u64) -> ContactGraph {
     g
 }
 
-/// With one community and no hop bound, the scoped sweep must reduce to
-/// the global §IV selection exactly — same nodes, same metric bits.
+/// Eq. 3 as the paper writes it — the reference, kept in the test: the
+/// mean, over the other `N − 1` nodes in id order, of the best path
+/// weight from `i`.
+fn eq3<G: Topology>(graph: &G, i: NodeId, horizon: f64) -> f64 {
+    let table = shortest_paths(graph, i, horizon);
+    let others = (0..graph.node_count() as u32).map(NodeId);
+    let sum: f64 = others.filter(|&j| j != i).map(|j| table.weight_to(j)).sum();
+    sum / (graph.node_count() - 1) as f64
+}
+
+/// With one community and no hop bound, the scoped sweep — the one
+/// implementation behind `all_metrics`, `select_central_nodes` and the
+/// `PathMetric` strategy — must be Eq. 3 exactly: same nodes, same
+/// metric bits, on adjacency-list and CSR storage alike.
 #[test]
 fn scoped_selection_matches_global_on_single_community() {
-    for (n, extras, seed) in [(24usize, 40usize, 1u64), (60, 150, 5), (120, 400, 9)] {
-        let g = random_graph(n, extras, seed);
+    fn check<G: Topology + Sync>(g: &G, what: &str) {
+        let n = g.node_count();
+        let mut by_definition: Vec<(NodeId, f64)> = (0..n as u32)
+            .map(|i| (NodeId(i), eq3(g, NodeId(i), 7_200.0)))
+            .collect();
+        for (score, &(node, metric)) in all_metrics(g, 7_200.0).iter().zip(&by_definition) {
+            assert_eq!(score.node, node);
+            assert_eq!(score.metric.to_bits(), metric.to_bits(), "{what}: C_{node}");
+        }
+        by_definition.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let partition = CommunityPartition::single(n);
         for k in [1, 3, 8] {
-            let global = select_central_nodes(&g, k, 7_200.0);
-            let scoped = select_central_nodes_scoped(&g, &partition, k, 7_200.0, None);
-            assert_eq!(global.len(), scoped.len(), "n={n} k={k}");
-            for (a, b) in global.iter().zip(&scoped) {
-                assert_eq!(a.node, b.node, "n={n} k={k}: selection diverged");
-                assert_eq!(
-                    a.metric.to_bits(),
-                    b.metric.to_bits(),
-                    "n={n} k={k}: metric bits diverged at {:?}",
-                    a.node
-                );
+            let global = select_central_nodes(g, k, 7_200.0);
+            let scoped = select_central_nodes_scoped(g, &partition, k, 7_200.0, None);
+            let by_strategy = select_by_strategy(g, k, 7_200.0, SelectionStrategy::PathMetric);
+            let want: Vec<_> = by_definition[..k.min(n)]
+                .iter()
+                .map(|&(node, metric)| (node, metric.to_bits()))
+                .collect();
+            for selected in [&global, &scoped, &by_strategy] {
+                let got: Vec<_> = selected
+                    .iter()
+                    .map(|s| (s.node, s.metric.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{what} k={k}: selection diverged from Eq. 3");
             }
         }
     }
+    for (n, extras, seed) in [(24usize, 40usize, 1u64), (60, 150, 5), (120, 400, 9)] {
+        let g = random_graph(n, extras, seed);
+        check(&g, &format!("n={n}"));
+        let edges = g.nodes().flat_map(|a| {
+            let to_higher = g.neighbors(a).iter().filter(move |&&(b, _)| a < b);
+            to_higher.map(move |&(b, rate)| (a, b, rate))
+        });
+        check(&CsrGraph::from_edges(n, edges), &format!("n={n} (csr)"));
+    }
+    // Exact metric ties (a ring: every node scores the same, ids decide)
+    // and the smallest graph the metric is defined on.
+    let mut ring = ContactGraph::new(6);
+    for i in 0..6u32 {
+        ring.set_rate(NodeId(i), NodeId((i + 1) % 6), 2e-4);
+    }
+    check(&ring, "ring");
+    let mut pair = ContactGraph::new(2);
+    pair.set_rate(NodeId(0), NodeId(1), 2e-4);
+    check(&pair, "pair");
 }
 
 /// At multi-community scale the scoped metric distribution must keep
