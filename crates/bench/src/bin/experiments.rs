@@ -670,7 +670,8 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
         "(retired 1-core box) sparse-reach cache resized from 4096 fixed slots to one slot per node: direct-mapped collisions had nearly every forwarding decision recompute a bounded Dijkstra; 10k-node city run went 17314 -> 28396 contacts/s.",
         "(retired 1-core box) oracle wall-clock refresh pinned to the trace duration in the scale harness (generation-doubling rebuilds still fire): each snapshot rebuild invalidates all ~N cached reaches, and recomputing them dominated the measured phase; 30k-node city run went 6534 -> 15275 contacts/s (measured phase 114.5s -> 48.8s).",
         "Metrics keeps the exact delay sum and count only (O(1) in delivered queries); the delay distribution is RecordingProbe::delay_hist, present when a probe is installed.",
-        "CommunityPartition stores members/offsets as flat u32 CSR arrays (no per-community Vec allocations); RateTable switches to sparse pair storage above its density threshold, keeping per-contact updates allocation-free at 100k+ nodes.",
+        "audited_case.ncl_*_exact are the work of the NCL selection inside configure, counted and gated the same way: searches_run nodes had their Eq. 3 metric computed by a path search, candidates_pruned nodes were never evaluated because an upper bound on their metric (nodes within the hop bound x weight of the fastest contact) was below the K-th best exact metric. A bound that stops pruning fails the gate on any machine: without the ball count the audited case reads 406 searches for 349, with the contact weight replaced by 1 it reads 627.",
+        "RateTable switches to sparse pair storage above its density threshold, keeping per-contact updates allocation-free at 100k+ nodes.",
     ];
     let doc = JsonValue::object()
         .with("benchmark", "crates/bench/src/scale.rs")

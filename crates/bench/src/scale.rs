@@ -31,7 +31,7 @@ use dtn_cache::experiment::configure_from_live_state;
 use dtn_cache::intentional::{IntentionalConfig, IntentionalScheme};
 use dtn_cache::CachingScheme;
 use dtn_core::ids::{DataId, NodeId};
-use dtn_core::ncl::SelectionStrategy;
+use dtn_core::ncl::{SelectionStrategy, SweepWork};
 use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{SimConfig, Simulator, StreamSource, WorkloadEvent};
 use dtn_sim::message::DataItem;
@@ -174,6 +174,8 @@ pub struct ScaleReport {
     /// The scheme's path-oracle work counters at the end of the run:
     /// counted, not timed, so equal on every machine.
     pub oracle: OracleStats,
+    /// The work of the scheme's NCL selection, counted likewise.
+    pub ncl: SweepWork,
 }
 
 impl ScaleReport {
@@ -203,10 +205,10 @@ impl ScaleReport {
             .with("audit", audit)
     }
 
-    /// [`to_json`](Self::to_json) plus the oracle's work counters as
-    /// `_exact` keys, which `experiments compare` gates: the
-    /// `audited_case` of `BENCH_scale.json`, the one run of the scale
-    /// command whose size is fixed.
+    /// [`to_json`](Self::to_json) plus the oracle's and the NCL
+    /// selection's work counters as `_exact` keys, which `experiments
+    /// compare` gates: the `audited_case` of `BENCH_scale.json`, the one
+    /// run of the scale command whose size is fixed.
     pub fn to_json_exact(&self) -> JsonValue {
         self.to_json()
             .with(
@@ -222,6 +224,9 @@ impl ScaleReport {
                 "oracle_leaf_evaluations_exact",
                 self.oracle.leaf_evaluations,
             )
+            .with("ncl_searches_run_exact", self.ncl.searches_run)
+            .with("ncl_candidates_pruned_exact", self.ncl.candidates_pruned)
+            .with("ncl_communities_exact", self.ncl.communities)
     }
 }
 
@@ -437,6 +442,7 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
             .audit_report()
             .map(|r| (r.sweeps(), r.violations_total())),
         oracle: sim.scheme().oracle_stats().expect("scheme configured"),
+        ncl: sim.scheme().ncl_work().expect("scheme selects NCLs"),
     };
     let observed = instruments.map(|i| ObserveRun::capture("scale", cfg.seed, &mut sim, i));
     (report, observed)
@@ -530,6 +536,28 @@ mod tests {
         }
         // The sized runs of the document carry nothing that is gated.
         assert!(report.to_json().get("oracle_nodes_settled_exact").is_none());
+    }
+
+    #[test]
+    fn exact_report_carries_the_ncl_selection_work() {
+        let report = run_scale(&tiny());
+        let ncl = report.ncl;
+        // The bound leaves a fraction of the city to search and names the
+        // rest; what it searched, it searched in a real community.
+        assert!(0 < ncl.searches_run && ncl.searches_run * 2 < report.nodes as u64);
+        assert!(ncl.candidates_pruned * 2 > report.nodes as u64, "{ncl:?}");
+        assert!(ncl.searches_run + ncl.candidates_pruned <= report.nodes as u64);
+        assert!(0 < ncl.communities && ncl.communities < report.nodes as u64);
+        assert_eq!(run_scale(&tiny()).ncl, ncl, "counted, not timed");
+        let json = report.to_json_exact();
+        for (key, value) in [
+            ("ncl_searches_run_exact", ncl.searches_run),
+            ("ncl_candidates_pruned_exact", ncl.candidates_pruned),
+            ("ncl_communities_exact", ncl.communities),
+        ] {
+            assert_eq!(json.get(key).and_then(JsonValue::as_u64), Some(value));
+        }
+        assert!(report.to_json().get("ncl_searches_run_exact").is_none());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! harness can attach probes before the measurement phase runs.
 
 use dtn_core::ids::NodeId;
+use dtn_core::ncl::SweepWork;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{ContactSource, SimConfig, Simulator, TraceSource};
 use dtn_sim::metrics::Metrics;
@@ -126,6 +127,10 @@ pub struct ExperimentReport {
     /// it lives here and not in [`Metrics`], so two implementations of
     /// one scheme can agree on every metric and differ in this.
     pub oracle: Option<OracleStats>,
+    /// The work of the scheme's NCL selections — searches run,
+    /// candidates pruned, communities swept. Counted like
+    /// [`oracle`](Self::oracle), and `None` for the baselines.
+    pub ncl: Option<SweepWork>,
 }
 
 /// Builds an unconfigured scheme instance of the requested kind.
@@ -303,6 +308,7 @@ fn experiment_report<S: CachingScheme, C: ContactSource>(
         bytes_per_satisfied_query: metrics.bytes_per_satisfied_query(),
         metrics,
         oracle: sim.scheme().oracle_stats(),
+        ncl: sim.scheme().ncl_work(),
     }
 }
 
@@ -342,8 +348,13 @@ mod tests {
             );
             if kind == SchemeKind::Intentional {
                 assert_eq!(report.central_nodes.len(), 3);
+                // One community, every node searched or pruned by name.
+                let ncl = report.ncl.expect("the scheme selects NCLs");
+                assert_eq!(ncl.communities, 1);
+                assert!(ncl.searches_run >= 3 && ncl.searches_run + ncl.candidates_pruned == 14);
             } else {
                 assert!(report.central_nodes.is_empty());
+                assert_eq!(report.ncl, None);
             }
         }
     }

@@ -92,6 +92,7 @@ use std::collections::HashSet;
 use std::mem;
 
 use dtn_core::ids::NodeId;
+use dtn_core::ncl::SweepWork;
 use dtn_core::time::Time;
 use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::{CacheStats, Epoch, Scheme, SimCtx};
@@ -204,12 +205,13 @@ impl IntentionalScheme {
         let now = ctx.now();
         let mut graph = mem::take(&mut self.reelect_graph);
         graph.refresh_from_current_rates(ctx.rate_table(), now);
-        let scores = dtn_core::ncl::select_by_strategy(
+        let (scores, work) = dtn_core::ncl::select_by_strategy_counted(
             &graph,
             self.cfg.ncl_count,
             self.horizon,
             self.cfg.ncl_selection,
         );
+        self.ncl_work += work;
         self.reelect_graph = graph;
         let new_centrals = dtn_core::ncl::reassign_central_nodes(&self.centrals, &scores);
         self.reelection.elections += 1;
@@ -370,9 +372,9 @@ impl CachingScheme for IntentionalScheme {
         // Scale mode swaps the adjacency-list graph for CSR storage (one
         // allocation, tighter cache lines); the selection arithmetic is
         // identical either way.
-        let scores = if self.cfg.bounded_reach.is_some() {
+        let (scores, work) = if self.cfg.bounded_reach.is_some() {
             let graph = dtn_core::graph::CsrGraph::from_rate_table(setup.rate_table, setup.now);
-            dtn_core::ncl::select_by_strategy(
+            dtn_core::ncl::select_by_strategy_counted(
                 &graph,
                 self.cfg.ncl_count,
                 setup.horizon,
@@ -380,13 +382,14 @@ impl CachingScheme for IntentionalScheme {
             )
         } else {
             let graph = dtn_core::graph::ContactGraph::from_rate_table(setup.rate_table, setup.now);
-            dtn_core::ncl::select_by_strategy(
+            dtn_core::ncl::select_by_strategy_counted(
                 &graph,
                 self.cfg.ncl_count,
                 setup.horizon,
                 self.cfg.ncl_selection,
             )
         };
+        self.ncl_work = work;
         self.centrals = scores.iter().map(|s| s.node).collect();
         self.ncl_query_load = vec![0; self.centrals.len()];
         let mut oracle = PathOracle::new(
@@ -439,6 +442,10 @@ impl CachingScheme for IntentionalScheme {
 
     fn oracle_stats(&self) -> Option<OracleStats> {
         self.oracle.as_ref().map(PathOracle::stats)
+    }
+
+    fn ncl_work(&self) -> Option<SweepWork> {
+        Some(self.ncl_work)
     }
 }
 

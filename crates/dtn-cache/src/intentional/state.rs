@@ -10,6 +10,7 @@ use std::mem;
 use dtn_core::graph::ContactGraph;
 use dtn_core::ids::{DataId, NodeId, QueryId};
 use dtn_core::knapsack::{CacheItem, KnapsackSolver};
+use dtn_core::ncl::SweepWork;
 use dtn_core::rate::RateTable;
 use dtn_core::time::Time;
 use dtn_sim::audit::{check_buffers, AuditLaw, AuditReport, AuditViolation};
@@ -143,6 +144,8 @@ pub struct IntentionalScheme {
     pub(super) reelect_graph: ContactGraph,
     /// Re-election counters (zero while epochs are off).
     pub(super) reelection: ReelectionStats,
+    /// Work of every NCL selection since `configure`, its own included.
+    pub(super) ncl_work: SweepWork,
     // Reusable per-contact scratch buffers (all logically empty between
     // contacts; kept to avoid re-allocation in the hot loop).
     pub(super) sx_batch: Vec<(u64, u32)>,
@@ -194,6 +197,7 @@ impl IntentionalScheme {
             horizon: 0.0,
             reelect_graph: ContactGraph::default(),
             reelection: ReelectionStats::default(),
+            ncl_work: SweepWork::default(),
             sx_batch: Vec::new(),
             sx_push_batch: Vec::new(),
             sx_arrived: Vec::new(),

@@ -47,6 +47,7 @@ pub mod replacement;
 pub mod routing;
 
 use dtn_core::ids::NodeId;
+use dtn_core::ncl::SweepWork;
 use dtn_core::rate::RateTable;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::Scheme;
@@ -160,6 +161,13 @@ pub trait CachingScheme: Scheme {
     fn oracle_stats(&self) -> Option<OracleStats> {
         None
     }
+
+    /// Cumulative work of the scheme's NCL selections —
+    /// [`configure`](Self::configure) and every re-election since:
+    /// `None` for a scheme that selects no NCLs.
+    fn ncl_work(&self) -> Option<SweepWork> {
+        None
+    }
 }
 
 impl Scheme for Box<dyn CachingScheme> {
@@ -207,6 +215,9 @@ impl CachingScheme for Box<dyn CachingScheme> {
     }
     fn oracle_stats(&self) -> Option<OracleStats> {
         (**self).oracle_stats()
+    }
+    fn ncl_work(&self) -> Option<SweepWork> {
+        (**self).ncl_work()
     }
 }
 

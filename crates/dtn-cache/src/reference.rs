@@ -22,6 +22,7 @@ use rand::Rng;
 
 use dtn_core::ids::{DataId, NodeId, QueryId};
 use dtn_core::knapsack::{CacheItem, KnapsackSolver};
+use dtn_core::ncl::SweepWork;
 use dtn_core::sigmoid::ResponseFunction;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::buffer::Buffer;
@@ -110,6 +111,7 @@ pub struct ReferenceIntentionalScheme {
     solver: KnapsackSolver,
     /// Queries that arrived at each central node (NCL load, by index).
     ncl_query_load: Vec<u64>,
+    ncl_work: SweepWork,
 }
 
 impl ReferenceIntentionalScheme {
@@ -130,6 +132,7 @@ impl ReferenceIntentionalScheme {
             responded: HashSet::new(),
             solver,
             ncl_query_load: Vec::new(),
+            ncl_work: SweepWork::default(),
         }
     }
 
@@ -757,12 +760,13 @@ impl Scheme for ReferenceIntentionalScheme {
 impl CachingScheme for ReferenceIntentionalScheme {
     fn configure(&mut self, setup: &NetworkSetup<'_>) {
         let graph = dtn_core::graph::ContactGraph::from_rate_table(setup.rate_table, setup.now);
-        let scores = dtn_core::ncl::select_by_strategy(
+        let (scores, work) = dtn_core::ncl::select_by_strategy_counted(
             &graph,
             self.cfg.ncl_count,
             setup.horizon,
             self.cfg.ncl_selection,
         );
+        self.ncl_work = work;
         self.centrals = scores.iter().map(|s| s.node).collect();
         self.ncl_query_load = vec![0; self.centrals.len()];
         self.oracle = Some(PathOracle::new(
@@ -788,5 +792,9 @@ impl CachingScheme for ReferenceIntentionalScheme {
 
     fn oracle_stats(&self) -> Option<OracleStats> {
         self.oracle.as_ref().map(PathOracle::stats)
+    }
+
+    fn ncl_work(&self) -> Option<SweepWork> {
+        Some(self.ncl_work)
     }
 }

@@ -43,6 +43,40 @@ const REL_SEPARATION: f64 = 1e-4;
 /// Relative perturbation applied to break rate clusters.
 const REL_PERTURBATION: f64 = 1e-3;
 
+/// Longest path, in stages, whose weight [`weight_cap`] bounds by its
+/// first stage. Past three stages the closed form's rounding error is
+/// no longer small against a weight: four stages spaced just over
+/// [`REL_SEPARATION`] apart come out up to 3e-7 above their first
+/// stage's CDF, five up to 6e-4, six anywhere in `[0, 1]`.
+const FIRST_STAGE_CAP_STAGES: usize = 3;
+
+/// Absolute slack of [`weight_cap`]. The worst excess found over a path
+/// of up to [`FIRST_STAGE_CAP_STAGES`] stages is 1.4e-10 (three stages
+/// each 1e-4 apart, coefficients near 1e8); the single-stage weight is
+/// `1 − e^{−λt}` evaluated without `exp_m1` and sits up to 1.2e-16 above
+/// it. Also covers the rounding of a sum of up to 10⁸ capped weights.
+const WEIGHT_CAP_SLACK: f64 = 1e-7;
+
+/// An upper bound on every weight the path search can give a path of at
+/// most `max_stages` stages (`None`: any number) whose first stage has a
+/// rate of at most `first_rate` (which may be 0: no such path), at
+/// horizon `t`.
+///
+/// A sum of independent delays exceeds its first term, so a path's CDF
+/// is at most its first stage's, `1 − e^{−λ₁t}`; perturbing a clustered
+/// rate only ever raises a *later* stage, which keeps that true of the
+/// path actually evaluated. What the cap adds is the evaluation's own
+/// rounding, which the property tests hold below [`WEIGHT_CAP_SLACK`]
+/// for short paths; a longer path is capped by the clamp to 1 alone.
+/// NCL selection ([`crate::ncl`]) prunes by this bound.
+pub(crate) fn weight_cap(first_rate: f64, t: f64, max_stages: Option<usize>) -> f64 {
+    let first = match max_stages {
+        Some(stages) if stages <= FIRST_STAGE_CAP_STAGES => -(-first_rate * t).exp_m1(),
+        _ => 1.0,
+    };
+    first + WEIGHT_CAP_SLACK
+}
+
 /// Effective rate for a new stage: `rate` nudged upward until it is
 /// well-separated from every rate in `spread`, the effective rates
 /// already backing the coefficients. Deterministic, and a function of
@@ -777,6 +811,95 @@ mod tests {
         fn rate_strategy() -> impl Strategy<Value = f64> {
             // Rates from ~1/month to ~1/10s, the realistic DTN range.
             (1e-7f64..1e-1).prop_map(|x| x)
+        }
+
+        /// A rate sequence built to stress the closed form: the first
+        /// stage anywhere in the DTN range, each later stage either up
+        /// to 10⁶ times faster than the slowest, an exact duplicate of an
+        /// earlier one (Erlang branch while all are), within
+        /// `REL_SEPARATION` of one (perturbed), just outside it (largest
+        /// coefficients) or a relative 1e-9 away.
+        fn adversarial_rates(base: f64, stages: &[(u32, f64, usize)]) -> Vec<f64> {
+            let mut rates: Vec<f64> = Vec::with_capacity(stages.len());
+            for &(mode, u, pick) in stages {
+                let earlier = rates.get(pick % rates.len().max(1)).copied();
+                rates.push(match (earlier, mode) {
+                    (None, _) | (_, 0) => base * 10f64.powf(6.0 * u),
+                    (Some(r), 1) => r,
+                    (Some(r), 2) => r * (1.0 + (2.0 * u - 1.0) * REL_SEPARATION),
+                    (Some(r), 3) => r * (1.0 + (1.0 + 2.0 * u) * REL_SEPARATION),
+                    (Some(r), _) => r * (1.0 + (2.0 * u - 1.0) * 1e-9),
+                });
+            }
+            rates
+        }
+
+        /// A horizon from 0 through `≪ 1/λ₁` to `≫ 1/λ_min`.
+        fn adversarial_horizon(rates: &[f64], mode: u32, u: f64) -> f64 {
+            let slowest = rates.iter().copied().fold(f64::INFINITY, f64::min);
+            match mode {
+                0 => 0.0,
+                1 => 10f64.powf(8.0 * u - 6.0) / slowest,
+                2 => 10f64.powf(13.0 * u - 12.0) / rates[0],
+                _ => 1e7 * u,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+            /// What NCL selection prunes by: no weight the search can
+            /// compute for a path exceeds [`weight_cap`] of its first
+            /// stage — at every prefix, so at every stage count up to 6.
+            #[test]
+            fn weight_never_exceeds_its_first_stage_cap(
+                base_exp in -7.0f64..-1.0,
+                stages in prop::collection::vec((0u32..5, 0.0f64..1.0, 0usize..6), 1..7),
+                t_mode in 0u32..4,
+                t_u in 0.0f64..1.0,
+            ) {
+                let rates = adversarial_rates(10f64.powf(base_exp), &stages);
+                let t = adversarial_horizon(&rates, t_mode, t_u);
+                let mut path = HorizonAccumulator::new(t);
+                for (i, &rate) in rates.iter().enumerate() {
+                    let weight = path.extended_cdf(rate);
+                    path.push(rate);
+                    let cap = weight_cap(rates[0], t, Some(i + 1));
+                    prop_assert!(weight <= cap,
+                        "{:?} at t={t}: weight {weight} above cap {cap}", &rates[..=i]);
+                    // A faster first hop only raises the cap, and an
+                    // unbounded path is capped by the clamp alone.
+                    prop_assert!(cap <= weight_cap(2.0 * rates[0], t, Some(i + 1)));
+                    prop_assert!(weight <= weight_cap(rates[0], t, None));
+                }
+            }
+
+            /// One more stage never raises the weight by more than the
+            /// cluster perturbation can: leaving the Erlang branch stores
+            /// the duplicates `REL_PERTURBATION` apart, which moves the
+            /// CDF by up to 3e-4 — far above [`WEIGHT_CAP_SLACK`], which
+            /// is why the cap rests on the first stage and not on this.
+            #[test]
+            fn one_more_stage_never_helps_beyond_the_perturbation(
+                base_exp in -7.0f64..-1.0,
+                stages in prop::collection::vec((0u32..5, 0.0f64..1.0, 0usize..6), 2..5),
+                t_mode in 0u32..4,
+                t_u in 0.0f64..1.0,
+            ) {
+                let rates = adversarial_rates(10f64.powf(base_exp), &stages);
+                let t = adversarial_horizon(&rates, t_mode, t_u);
+                let mut path = HorizonAccumulator::new(t);
+                let mut shorter = 1.0;
+                for (i, &rate) in rates.iter().enumerate() {
+                    let weight = path.extended_cdf(rate);
+                    path.push(rate);
+                    if i < FIRST_STAGE_CAP_STAGES {
+                        prop_assert!(weight <= shorter + REL_PERTURBATION,
+                            "{:?} at t={t}: {shorter} -> {weight}", &rates[..=i]);
+                    }
+                    shorter = weight;
+                }
+            }
         }
 
         proptest! {

@@ -3,37 +3,38 @@
 //! The NCL selection metric runs one single-source path search per node
 //! — an embarrassingly parallel workload — but this build environment
 //! cannot pull in `rayon`. This module provides the one primitive the
-//! crate needs: a parallel, **order-preserving** map over a slice.
+//! crate needs: a parallel, **order-preserving** map over a slice, with
+//! a piece of per-worker state (`map_on`; [`map_slice`] is the
+//! stateless case).
 //!
-//! Results are written into per-index slots carved out of one output
-//! buffer with `chunks_mut`, so the returned vector is always in input
-//! order no matter how the worker threads interleave — callers observe
-//! exactly what the serial `iter().map().collect()` would produce, which
-//! keeps tie-breaking and downstream sorting deterministic.
+//! Items are handed out one at a time from a shared counter, so a few
+//! items that cost a hundred times the rest (the members of one giant
+//! community in an NCL sweep) do not pin one worker while the others
+//! idle. Every result is returned with its index and put back in its
+//! slot, so the returned vector is always in input order no matter how
+//! the worker threads interleave — callers observe exactly what the
+//! serial `iter().map().collect()` would produce, which keeps
+//! tie-breaking and downstream sorting deterministic.
 //!
 //! The worker count is the machine's `available_parallelism`, capped at
-//! the item count so no worker ever receives an empty chunk.
+//! the item count so no worker is spawned without an item to take. One
+//! call is one `thread::scope`; the calling thread is one of the workers.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker count for `len` items: available parallelism, capped at the
-/// item count (a 3-item slice never spawns more than 3 workers — no
-/// empty chunks) and at least 1.
-fn worker_count(len: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, NonZeroUsize::get)
-        .min(len)
-        .max(1)
+/// The machine's available parallelism, at least 1.
+pub(crate) fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 /// Maps `f` over `items` in parallel, preserving input order.
 ///
 /// Equivalent to `items.iter().map(f).collect()` — including the order of
-/// the results — but splits the slice into contiguous chunks processed by
-/// scoped worker threads. Falls back to the serial map when the slice is
-/// small or only one hardware thread is available. `f` must be pure with
-/// respect to ordering: it is called exactly once per item, but calls
-/// from different chunks run concurrently.
+/// the results: `map_on` with as many workers as the machine has
+/// hardware threads and no state. `f` must be pure with respect to
+/// ordering: it is called exactly once per item, but calls for different
+/// items run concurrently.
 ///
 /// # Example
 ///
@@ -49,27 +50,83 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = worker_count(n);
+    map_on(items, &mut vec![(); workers()], |(), item| f(item))
+}
+
+/// Maps `f` over `items` in parallel, preserving input order, on one
+/// worker per state of `states` (the calling thread is the first),
+/// capped at the item count — a 3-item slice never runs on more than 3.
+/// Every call a worker makes gets that worker's state: a search
+/// workspace, say, expensive to build and reusable, which a caller that
+/// maps batch after batch keeps and pays for once.
+///
+/// `f` is called exactly once per item; which worker (and so which
+/// state) serves an item is not determined, so the result must not
+/// depend on what earlier calls left in the state. Runs as a serial loop
+/// over the first state when there is one item or one state.
+///
+/// # Panics
+///
+/// Panics if there are items and no state to map them with.
+pub(crate) fn map_on<T, S, R, F>(items: &[T], states: &mut [S], f: F) -> Vec<R>
+where
+    T: Sync,
+    S: Send,
+    R: Send,
+    F: Fn(&mut S, &T) -> R + Sync,
+{
+    let workers = states.len().min(items.len());
     if workers <= 1 {
-        return items.iter().map(f).collect();
+        return match states.first_mut() {
+            Some(state) => items.iter().map(|item| f(state, item)).collect(),
+            None => {
+                assert!(
+                    items.is_empty(),
+                    "no state to map {} items with",
+                    items.len()
+                );
+                Vec::new()
+            }
+        };
     }
 
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
+    // The hand-out publishes nothing but the index itself.
+    let next = AtomicUsize::new(0);
+    let work = |state: &mut S| {
+        let mut done: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(state, item)));
+        }
+    };
+    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
+    out.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, item) in out_chunk.iter_mut().zip(in_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
+        let (mine, theirs) = states[..workers]
+            .split_first_mut()
+            .expect("two workers or more");
+        let spawned: Vec<_> = theirs
+            .iter_mut()
+            .map(|state| scope.spawn(|| work(state)))
+            .collect();
+        let mut done = work(mine);
+        for handle in spawned {
+            // A worker's panic surfaces as itself, message intact.
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        for (i, result) in done {
+            out[i] = Some(result);
         }
     });
     out.into_iter()
-        .map(|slot| slot.expect("every chunk fills all its slots"))
+        .map(|slot| slot.expect("every index is handed out exactly once"))
         .collect()
 }
 
@@ -106,18 +163,88 @@ mod tests {
 
     #[test]
     fn worker_count_caps_at_item_count() {
-        // A tiny slice must never spawn more workers than items —
-        // otherwise `chunks_mut` would carve empty chunks.
-        assert_eq!(worker_count(0), 1);
-        assert_eq!(worker_count(1), 1);
-        for len in [2usize, 3, 7, 1000] {
-            assert!((1..=len).contains(&worker_count(len)));
+        // A tiny slice must never run on more workers than it has items:
+        // the states past the item count are left as they were.
+        for (len, states) in [(0usize, 4usize), (1, 4), (3, 8), (7, 2), (1000, 5)] {
+            let items: Vec<usize> = (0..len).collect();
+            let mut calls = vec![0usize; states];
+            let mapped = map_on(&items, &mut calls, |mine, &x| {
+                *mine += 1;
+                x + 1
+            });
+            assert_eq!(mapped, (1..=len).collect::<Vec<_>>());
+            assert_eq!(calls.iter().sum::<usize>(), len, "`f` runs once per item");
+            assert!(
+                calls[len.min(states)..].iter().all(|&c| c == 0),
+                "{calls:?}"
+            );
         }
-        // Lengths around worker-count multiples exercise the last,
-        // shorter chunk.
+        // Lengths around worker-count multiples.
         for n in [2usize, 3, 5, 17, 31, 64, 65] {
             let items: Vec<usize> = (0..n).collect();
             assert_eq!(map_slice(&items, |&x| x + 1), (1..=n).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no state")]
+    fn items_without_a_state_panic() {
+        let _ = map_on(&[1u8], &mut [] as &mut [()], |(), &x| x);
+    }
+
+    #[test]
+    fn map_on_preserves_order_on_any_worker_count() {
+        let items: Vec<u64> = (0..1000).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
+        for workers in [1, 2, 5] {
+            let mapped = map_on(&items, &mut vec![(); workers], |(), &x| x * 3);
+            assert_eq!(mapped, serial, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn map_on_calls_f_once_per_item_with_its_workers_own_state() {
+        let items: Vec<u32> = (0..257).collect();
+        for workers in [1, 2, 5] {
+            // Each state counts its own worker's calls; each call reports
+            // the count it brought its state to.
+            let mut calls = vec![0usize; workers];
+            let nth = map_on(&items, &mut calls, |mine, _| {
+                *mine += 1;
+                *mine
+            });
+            assert_eq!(calls.iter().sum::<usize>(), items.len());
+            // A state that made m calls reported 1..=m, once each.
+            let mut reported = vec![0usize; items.len() + 1];
+            for &c in &nth {
+                reported[c] += 1;
+            }
+            for (c, &times) in reported.iter().enumerate().skip(1) {
+                let reached = calls.iter().filter(|&&m| m >= c).count();
+                assert_eq!(times, reached, "{workers} workers, count {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn skewed_item_costs_are_shared_out() {
+        // The first eight items cost a thousand times the rest — the
+        // giant community of an NCL sweep, whose members are contiguous.
+        // With one item handed out at a time every worker takes some of
+        // them; contiguous halves would give them all to worker 0. The
+        // barrier holds each worker's first item until both have one.
+        use std::sync::Barrier;
+        let items: Vec<u32> = (0..64).collect();
+        let started = Barrier::new(2);
+        let mut states = [(0usize, true), (1, true)];
+        let served_by = map_on(&items, &mut states, |(me, first), &x| {
+            if std::mem::take(first) {
+                started.wait();
+            }
+            let spins = if x < 8 { 200_000u64 } else { 200 };
+            std::hint::black_box((0..spins).fold(0u64, |a, b| a ^ b.wrapping_mul(x.into())));
+            *me
+        });
+        assert!(served_by[..8].contains(&0) && served_by[..8].contains(&1));
     }
 }

@@ -123,6 +123,16 @@ impl ReachScratch {
         }
     }
 
+    /// The nodes within `radius` hops of `source`, breadth first, `source`
+    /// first: everything a search from it under that hop bound can
+    /// settle, found without weighing a path. The slice lasts until the
+    /// scratch is next used.
+    pub(crate) fn ball<G: Topology>(&mut self, graph: &G, source: NodeId, radius: usize) -> &[u32] {
+        self.prepare(graph.node_count());
+        self.mark_inner(graph, source, radius);
+        &self.queue
+    }
+
     /// First-touch initialization of node `i` in the current epoch.
     pub(super) fn touch(&mut self, i: usize) {
         if self.stamp[i] != self.epoch {

@@ -9,12 +9,17 @@
 //! - [`select_central_nodes_scoped`] over a single community — which is
 //!   what the global [`select_central_nodes`] runs — must equal Eq. 3 as
 //!   the paper defines it bit for bit, and at multi-community scale its
-//!   metric distribution must stay as skewed as §IV-B expects.
+//!   metric distribution must stay as skewed as §IV-B expects;
+//! - the pruned selection every strategy entry point runs must be the
+//!   top `k` of the full sweep, bit for bit, on a seeded city graph —
+//!   while searching a fraction of it (`dtn-core`'s own tests hold the
+//!   same on hand-built partitions, ties and zero metrics).
 
 use dtn_coop_cache::core::graph::{ContactGraph, CsrGraph, Topology};
 use dtn_coop_cache::core::ncl::{
     all_metrics, label_propagation_communities, metric_skew, scoped_metrics, select_by_strategy,
-    select_central_nodes, select_central_nodes_scoped, CommunityPartition, SelectionStrategy,
+    select_by_strategy_counted, select_central_nodes, select_central_nodes_scoped, CentralityScore,
+    CommunityPartition, SelectionStrategy,
 };
 use dtn_coop_cache::core::path::shortest_paths;
 use dtn_coop_cache::prelude::*;
@@ -199,4 +204,49 @@ fn scoped_metrics_stay_skewed_at_community_scale() {
         skew.max_over_median > 1.5,
         "scoped metric distribution lost its skew: {skew:?}"
     );
+}
+
+/// The selection `configure` runs at city scale — label propagation,
+/// three-hop community-scoped Eq. 3, pruned by bound — against the full
+/// sweep sorted: same `k` nodes, same order, same metric bits, on both
+/// graph storages, for a fraction of the searches.
+#[test]
+fn pruned_selection_is_the_full_sweeps_top_k_on_a_city_graph() {
+    let trace = SyntheticTraceBuilder::new(2_000)
+        .duration(Duration::days(1))
+        .target_contacts(50_000)
+        .communities(10)
+        .edge_density(12.0 / 1_999.0)
+        .seed(42)
+        .build();
+    let now = Time(trace.duration().as_secs() / 2);
+    let table = trace.rate_table(now);
+    let csr = CsrGraph::from_rate_table(&table, now);
+    let lists = ContactGraph::from_rate_table(&table, now);
+
+    /// Returns the searches the `k = 8` selection ran.
+    fn check<G: Topology + Sync>(g: &G, what: &str) -> u64 {
+        let partition = label_propagation_communities(g, 16);
+        let mut full = scoped_metrics(g, &partition, 7_200.0, Some(3));
+        full.sort_by(|a, b| b.metric.total_cmp(&a.metric).then(a.node.cmp(&b.node)));
+        let bits = |scores: &[CentralityScore]| -> Vec<(NodeId, u64)> {
+            scores
+                .iter()
+                .map(|s| (s.node, s.metric.to_bits()))
+                .collect()
+        };
+        let strategy = SelectionStrategy::CommunityPathMetric { max_hops: Some(3) };
+        let n = g.node_count() as u64;
+        let searches = [1, 8, 200].map(|k| {
+            let (selected, work) = select_by_strategy_counted(g, k, 7_200.0, strategy);
+            assert_eq!(selected, select_by_strategy(g, k, 7_200.0, strategy));
+            assert_eq!(bits(&selected), bits(&full[..k]), "{what} k={k}");
+            assert_eq!(work.communities, partition.count() as u64);
+            assert!(work.searches_run + work.candidates_pruned <= n, "{work:?}");
+            work.searches_run
+        });
+        assert!(searches[1] * 3 < n, "{what}: {searches:?} searches of {n}");
+        searches[1]
+    }
+    assert_eq!(check(&csr, "csr"), check(&lists, "lists"));
 }
