@@ -24,12 +24,12 @@
 
 use std::fmt;
 
-use dtn_cache::experiment::configure_from_live_state;
+use dtn_cache::experiment::{build_scheme, configure_from_live_state, ExperimentConfig};
 use dtn_cache::intentional::{IntentionalConfig, IntentionalScheme, ResponseStrategy};
 use dtn_cache::reference::ReferenceIntentionalScheme;
 use dtn_cache::replacement::ReplacementKind;
 use dtn_cache::routing::ForwardingStrategy;
-use dtn_cache::CachingScheme;
+use dtn_cache::{CachingScheme, SchemeKind};
 use dtn_core::ids::{DataId, NodeId};
 use dtn_core::ncl::SelectionStrategy;
 use dtn_core::time::{Duration, Time};
@@ -327,6 +327,32 @@ fn check_telemetry_conservation(probe: &RecordingProbe, metrics: &Metrics) -> Op
     None
 }
 
+/// Runs the seed's pick of the incidental schemes — the four baselines
+/// and the epidemic bound, whose messages have many carriers — over the
+/// same stream and workload under every law, the baselines' carrier-index
+/// and expiry-watermark laws among them. Returns the sweeps run.
+fn audit_incidental<C: ContactSource>(
+    source: C,
+    params: &CaseParams,
+    events: Vec<WorkloadEvent>,
+    mid: Time,
+) -> Result<u64, String> {
+    const INCIDENTAL: [SchemeKind; 5] = [
+        SchemeKind::NoCache,
+        SchemeKind::RandomCache,
+        SchemeKind::CacheData,
+        SchemeKind::BundleCache,
+        SchemeKind::Flooding,
+    ];
+    let kind = INCIDENTAL[(params.seed % 5) as usize];
+    let scheme = build_scheme(kind, &ExperimentConfig::default());
+    let run = run_instrumented_from(source, scheme, events, sim_config(params), mid);
+    match run.failure {
+        Some(detail) => Err(format!("{kind}: {detail}")),
+        None => Ok(run.sweeps),
+    }
+}
+
 /// Runs one case: optimized scheme under audit, plus the reference
 /// differential when the case has no epochs.
 ///
@@ -363,6 +389,8 @@ pub fn run_case(params: &CaseParams) -> Result<CaseStats, String> {
         queries_issued: fast.metrics.queries_issued,
         differential: false,
     };
+    let source = TraceSource::new(&trace);
+    stats.sweeps += audit_incidental(source, params, events.clone(), trace.midpoint())?;
 
     // The reference scheme keeps its NCLs frozen across epochs by
     // design, so the differential comparison only holds without
@@ -575,6 +603,8 @@ pub fn run_process_case(
         queries_issued: fast.metrics.queries_issued,
         differential: false,
     };
+    stats.sweeps += audit_incidental(source(), params, events.clone(), mid)
+        .map_err(|detail| format!("{detail} ({})", process.name()))?;
 
     if params.epoch_hours.is_none() {
         let reference = run_instrumented_from(

@@ -14,26 +14,40 @@
 //! | `RandomCache` | every requester         | LRU                       |
 //! | `CacheData`   | relays, by local query popularity | least locally popular |
 //! | `BundleCache` | relays, by popularity × own contact pattern | lowest utility |
+//!
+//! # Hot-loop layout
+//!
+//! The same as the intentional scheme's (DESIGN.md §7): queries and
+//! responses in flight live in [`RoutedSlab`]s listed under their
+//! carriers, a contact gathers only its two endpoints' messages and
+//! replays them in sequence order, closed queries' messages leave when
+//! touched or when their expiry comes due, and buffers are swept for
+//! expired data only when the earliest expiry held anywhere is reached
+//! (`caches`). The walk-everything bookkeeping this replaced survives as
+//! the `full_scan` test reference, driven contact by contact beside it.
 
+mod caches;
+#[cfg(test)]
+mod full_scan;
 mod policy;
 
 pub(crate) use policy::{BundleCachePolicy, CacheDataPolicy, NoCachePolicy, RandomCachePolicy};
 
-use std::collections::{HashMap, HashSet};
 use std::mem;
 
-use dtn_core::ids::{DataId, NodeId};
+use dtn_core::ids::{DataId, IdMap, NodeId, QueryId};
 use dtn_core::time::Time;
-use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::{CacheStats, Scheme, SimCtx};
 use dtn_sim::message::{DataItem, Query};
-use dtn_sim::oracle::PathOracle;
+use dtn_sim::oracle::{OracleStats, PathOracle};
 use dtn_sim::probe::ProbeEvent;
 use dtn_trace::trace::Contact;
 
-use crate::common::DataRegistry;
-use crate::routing::{ForwardingStrategy, RoutedMessage};
+use crate::pending::RoutedSlab;
+use crate::routing::ForwardingStrategy;
 use crate::{CachingScheme, NetworkSetup, PATH_REFRESH};
+
+use self::caches::Caches;
 
 /// Per-node view a policy uses to score items.
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +56,7 @@ pub(crate) struct PolicyCtx<'a> {
     pub(crate) node: NodeId,
     /// Queries for each item this node has personally carried or seen —
     /// the only query history available without global coordination.
-    pub(crate) local_seen: &'a HashMap<(NodeId, DataId), u32>,
+    pub(crate) local_seen: &'a IdMap<(NodeId, DataId), u32>,
     /// How often this node contacts others, per second (its long-term
     /// contact pattern).
     pub(crate) contact_rate: f64,
@@ -63,42 +77,25 @@ pub(crate) trait IncidentalPolicy {
     fn eviction_score(&self, item: &DataItem, ctx: PolicyCtx<'_>) -> f64;
 }
 
-/// A data copy traveling back to its requester.
-#[derive(Debug, Clone)]
-struct ResponseInFlight {
-    query: dtn_sim::message::Query,
-    msg: RoutedMessage,
-}
-
-/// A query traveling toward the data source.
-#[derive(Debug, Clone)]
-struct QueryInFlight {
-    query: Query,
-    msg: RoutedMessage,
-    answered: bool,
-}
-
 /// Generic incidental caching scheme driven by a policy.
 #[derive(Debug)]
 pub(crate) struct IncidentalScheme<P> {
-    policy: P,
+    caches: Caches<P>,
     query_routing: ForwardingStrategy,
     response_routing: ForwardingStrategy,
     oracle: Option<PathOracle>,
-    buffers: Vec<Buffer>,
-    registry: DataRegistry,
-    queries: Vec<QueryInFlight>,
-    responses: Vec<ResponseInFlight>,
-    local_seen: HashMap<(NodeId, DataId), u32>,
-    /// Cumulative contacts per node, to estimate contact patterns.
-    node_contacts: Vec<u64>,
-    started_at: Time,
+    /// Queries traveling toward the data source.
+    queries: RoutedSlab,
+    /// Data copies traveling back to their requesters.
+    responses: RoutedSlab,
     // Reusable per-contact scratch buffers (logically empty between
     // contacts; kept to avoid re-allocation in the hot loop).
-    sx_open: Vec<bool>,
+    sx_process: Vec<u32>,
+    sx_hops: Vec<(NodeId, NodeId)>,
+    sx_done: Vec<u32>,
     sx_respond: Vec<(Query, NodeId)>,
     sx_bumps: Vec<(NodeId, DataId)>,
-    sx_delivered: Vec<dtn_core::ids::QueryId>,
+    sx_delivered: Vec<(u32, QueryId)>,
     sx_passby: Vec<(NodeId, DataItem)>,
     sx_req_caches: Vec<(NodeId, DataItem)>,
 }
@@ -122,18 +119,15 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
         response_routing: ForwardingStrategy,
     ) -> Self {
         IncidentalScheme {
-            policy,
+            caches: Caches::new(policy),
             query_routing,
             response_routing,
             oracle: None,
-            buffers: Vec::new(),
-            registry: DataRegistry::default(),
-            queries: Vec::new(),
-            responses: Vec::new(),
-            local_seen: HashMap::new(),
-            node_contacts: Vec::new(),
-            started_at: Time::ZERO,
-            sx_open: Vec::new(),
+            queries: RoutedSlab::default(),
+            responses: RoutedSlab::default(),
+            sx_process: Vec::new(),
+            sx_hops: Vec::new(),
+            sx_done: Vec::new(),
             sx_respond: Vec::new(),
             sx_bumps: Vec::new(),
             sx_delivered: Vec::new(),
@@ -146,135 +140,68 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
         self.oracle.is_some()
     }
 
-    fn policy_ctx(&self, node: NodeId, now: Time) -> PolicyCtx<'_> {
-        // No observation window yet → no rate estimate, matching
-        // `RateEstimator::rate` (which returns `None` until time has
-        // elapsed). The old `.max(1.0)` clamp instead reported the raw
-        // contact count as a per-second rate at `now == started_at`,
-        // inflating every node's contact pattern during warm-up.
-        let elapsed = now.saturating_since(self.started_at).as_secs_f64();
-        let contact_rate = if elapsed > 0.0 {
-            self.node_contacts[node.index()] as f64 / elapsed
-        } else {
-            0.0
-        };
-        PolicyCtx {
-            node,
-            local_seen: &self.local_seen,
-            contact_rate,
-        }
-    }
-
-    /// Caches `item` at `node`, evicting lowest-score items if needed.
-    fn cache_at(&mut self, ctx: &mut SimCtx<'_>, node: NodeId, item: DataItem) -> bool {
-        let now = ctx.now();
-        if self.buffers[node.index()].contains(item.id) {
-            return true;
-        }
-        if item.size > self.buffers[node.index()].capacity() {
-            return false;
-        }
-        while !self.buffers[node.index()].fits(item.size) {
-            // Evict the lowest-scoring item, but never to make room for
-            // something the policy scores even lower.
-            let pctx = self.policy_ctx(node, now);
-            let candidate = self.buffers[node.index()]
-                .iter()
-                .map(|d| (self.policy.eviction_score(d, pctx), d.id))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            let Some((score, victim)) = candidate else {
-                return false;
-            };
-            let new_score = self.policy.eviction_score(&item, pctx);
-            if new_score <= score {
-                return false;
-            }
-            self.buffers[node.index()].remove(victim);
-            ctx.note_replacements(1);
-            ctx.probe().emit(|| ProbeEvent::ReplacementEvicted {
-                at: now,
-                node,
-                data: victim,
-            });
-        }
-        self.buffers[node.index()].insert(item).is_ok()
-    }
-
-    fn prune(&mut self, ctx: &SimCtx<'_>) {
-        let now = ctx.now();
-        for buf in &mut self.buffers {
-            buf.drop_expired(now);
-        }
-        self.queries.retain(|q| ctx.query_is_open(q.query.id));
-        self.responses.retain(|r| ctx.query_is_open(r.query.id));
-    }
-
-    /// Answers `query` from `holder`'s copy (holder caches or sources
-    /// the data).
-    fn respond(&mut self, ctx: &mut SimCtx<'_>, query: &dtn_sim::message::Query, holder: NodeId) {
-        let at = ctx.now();
-        let query_id = query.id;
-        ctx.probe().emit(|| ProbeEvent::ResponseSpawned {
-            at,
-            query: query_id,
-            node: holder,
-        });
-        if holder == query.requester {
-            ctx.mark_delivered(query.id);
-            return;
-        }
-        let Some(&item) = self.registry.get(query.data) else {
-            return;
-        };
-        self.responses.push(ResponseInFlight {
-            query: *query,
-            msg: RoutedMessage::new(query.requester, item.size, holder),
-        });
+    /// Expired data leaves the buffers and expired queries' messages
+    /// leave the slabs — each only when its expiry has come due.
+    fn prune(&mut self, now: Time) {
+        self.caches.drop_expired(now);
+        self.queries.expire(now);
+        self.responses.expire(now);
     }
 
     fn advance_queries(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
         let now = ctx.now();
-        let mut open = mem::take(&mut self.sx_open);
-        open.clear();
-        open.extend(self.queries.iter().map(|q| ctx.query_is_open(q.query.id)));
+        let mut process = mem::take(&mut self.sx_process);
+        self.queries.gather_open(ctx, a, b, &mut process);
         let strategy = self.query_routing;
         let oracle = self.oracle.as_mut().expect("configured");
+        let mut hops = mem::take(&mut self.sx_hops);
+        let mut answered = mem::take(&mut self.sx_done);
         let mut to_respond = mem::take(&mut self.sx_respond);
-        to_respond.clear();
         let mut seen_bumps = mem::take(&mut self.sx_bumps);
-        seen_bumps.clear();
         // Relay hops observed this contact, replayed to the probe after
         // the link borrow ends (empty and alloc-free when no probe is
         // installed).
         let probing = ctx.probe_enabled();
-        let mut relay_hops: Vec<(dtn_core::ids::QueryId, NodeId, NodeId)> = Vec::new();
+        let mut relay_hops: Vec<(QueryId, NodeId, NodeId)> = Vec::new();
         {
             let mut link = ctx.link_access();
-            for (qc, is_open) in self.queries.iter_mut().zip(&open) {
-                if !*is_open || qc.answered {
-                    continue;
-                }
-                let out = qc.msg.on_contact(strategy, oracle, now, a, b, &mut link);
+            for &id in &process {
+                hops.clear();
+                let delivered = self.queries.advance(
+                    id,
+                    strategy,
+                    oracle,
+                    now,
+                    a,
+                    b,
+                    &mut link,
+                    &mut |f, t| hops.push((f, t)),
+                );
+                let entry = self.queries.get(id);
+                let query = entry.query;
                 if probing {
-                    let query = qc.query.id;
-                    relay_hops.extend(out.transfers.iter().map(|&(f, t)| (query, f, t)));
+                    relay_hops.extend(hops.iter().map(|&(f, t)| (query.id, f, t)));
                 }
-                for &(_, to) in &out.transfers {
-                    seen_bumps.push((to, qc.query.data));
+                let mut is_answered = false;
+                for &(_, to) in &hops {
+                    seen_bumps.push((to, query.data));
                     // En-route hit: a new carrier holds the data.
-                    if !qc.answered && self.buffers[to.index()].contains(qc.query.data) {
-                        to_respond.push((qc.query, to));
-                        qc.answered = true;
+                    if !is_answered && self.caches.holds(to, query.data) {
+                        to_respond.push((query, to));
+                        is_answered = true;
                     }
                 }
-                if out.delivered && !qc.answered {
+                if delivered && !is_answered {
                     // Reached the source: answer if the source still has
                     // the item (it may have expired).
-                    let dest = qc.msg.destination();
-                    if self.buffers[dest.index()].contains(qc.query.data) {
-                        to_respond.push((qc.query, dest));
+                    let dest = entry.msg.destination();
+                    if self.caches.holds(dest, query.data) {
+                        to_respond.push((query, dest));
                     }
-                    qc.answered = true;
+                    is_answered = true;
+                }
+                if is_answered {
+                    answered.push(id);
                 }
             }
         }
@@ -286,57 +213,62 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
                 to,
             });
         }
-        for &(node, data) in &seen_bumps {
-            *self.local_seen.entry((node, data)).or_insert(0) += 1;
+        for (node, data) in seen_bumps.drain(..) {
+            self.caches.note_seen(node, data);
         }
-        for &(query, holder) in &to_respond {
-            self.respond(ctx, &query, holder);
+        for (query, holder) in to_respond.drain(..) {
+            if let Some(msg) = self.caches.answer(ctx, &query, holder) {
+                self.responses.insert(query, msg);
+            }
         }
-        self.queries.retain(|q| !q.answered);
-        seen_bumps.clear();
+        for id in answered.drain(..) {
+            self.queries.remove(id);
+        }
         self.sx_bumps = seen_bumps;
-        to_respond.clear();
         self.sx_respond = to_respond;
-        open.clear();
-        self.sx_open = open;
+        self.sx_done = answered;
+        self.sx_hops = hops;
+        self.sx_process = process;
     }
 
     fn advance_responses(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
         let now = ctx.now();
-        let mut open = mem::take(&mut self.sx_open);
-        open.clear();
-        open.extend(self.responses.iter().map(|r| ctx.query_is_open(r.query.id)));
+        let mut process = mem::take(&mut self.sx_process);
+        self.responses.gather_open(ctx, a, b, &mut process);
         let response_routing = self.response_routing;
         let oracle = self.oracle.as_mut().expect("configured");
+        let mut hops = mem::take(&mut self.sx_hops);
         let mut delivered = mem::take(&mut self.sx_delivered);
-        delivered.clear();
         let mut passby = mem::take(&mut self.sx_passby);
-        passby.clear();
         let mut requester_caches = mem::take(&mut self.sx_req_caches);
-        requester_caches.clear();
         let probing = ctx.probe_enabled();
-        let mut relay_hops: Vec<(dtn_core::ids::QueryId, NodeId, NodeId)> = Vec::new();
+        let mut relay_hops: Vec<(QueryId, NodeId, NodeId)> = Vec::new();
         {
             let mut link = ctx.link_access();
-            for (resp, is_open) in self.responses.iter_mut().zip(&open) {
-                if !*is_open {
-                    continue;
-                }
-                let Some(&item) = self.registry.get(resp.query.data) else {
+            for &id in &process {
+                let query = self.responses.get(id).query;
+                let Some(&item) = self.caches.item(query.data) else {
                     continue;
                 };
                 // Greedy delegation by default (the paper's evaluation);
                 // the Flooding bound overrides this with Epidemic.
-                let out = resp
-                    .msg
-                    .on_contact(response_routing, oracle, now, a, b, &mut link);
+                hops.clear();
+                let arrived = self.responses.advance(
+                    id,
+                    response_routing,
+                    oracle,
+                    now,
+                    a,
+                    b,
+                    &mut link,
+                    &mut |f, t| hops.push((f, t)),
+                );
                 if probing {
-                    let query = resp.query.id;
-                    relay_hops.extend(out.transfers.iter().map(|&(f, t)| (query, f, t)));
+                    relay_hops.extend(hops.iter().map(|&(f, t)| (query.id, f, t)));
                 }
-                for &(_, to) in &out.transfers {
-                    if to == resp.query.requester {
-                        if self.policy.cache_at_requester() {
+                for &(_, to) in &hops {
+                    if to == query.requester {
+                        if self.caches.policy().cache_at_requester() {
                             requester_caches.push((to, item));
                         }
                     } else {
@@ -345,8 +277,8 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
                         passby.push((to, item));
                     }
                 }
-                if out.delivered {
-                    delivered.push(resp.query.id);
+                if arrived {
+                    delivered.push((id, query.id));
                 }
             }
         }
@@ -358,100 +290,53 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
                 to,
             });
         }
-        for &id in &delivered {
-            ctx.mark_delivered(id);
+        for &(_, query) in &delivered {
+            ctx.mark_delivered(query);
         }
-        for &(node, item) in &passby {
-            let pctx = self.policy_ctx(node, now);
-            if self.policy.cache_passby(&item, pctx) {
-                self.cache_at(ctx, node, item);
-            }
+        for (node, item) in passby.drain(..) {
+            self.caches.offer_passby(ctx, node, item);
         }
-        for &(node, item) in &requester_caches {
-            self.cache_at(ctx, node, item);
+        for (node, item) in requester_caches.drain(..) {
+            self.caches.cache_at(ctx, node, item);
         }
-        self.responses.retain(|r| !r.msg.is_delivered());
-        delivered.clear();
+        for (id, _) in delivered.drain(..) {
+            self.responses.remove(id);
+        }
         self.sx_delivered = delivered;
-        passby.clear();
         self.sx_passby = passby;
-        requester_caches.clear();
         self.sx_req_caches = requester_caches;
+        self.sx_hops = hops;
+        self.sx_process = process;
     }
 }
 
 impl<P: IncidentalPolicy> Scheme for IncidentalScheme<P> {
     fn on_data_generated(&mut self, ctx: &mut SimCtx<'_>, item: DataItem) {
-        if !self.configured() {
-            return;
+        if self.configured() {
+            self.caches.store_at_source(ctx, item);
         }
-        self.registry.register(item);
-        // The source always tries to keep its own data, evicting its
-        // lowest-score cached items if necessary.
-        let node = item.source;
-        if !self.buffers[node.index()].fits(item.size) {
-            while !self.buffers[node.index()].fits(item.size) {
-                let victim = self.buffers[node.index()]
-                    .iter()
-                    .map(|d| {
-                        let pctx = self.policy_ctx(node, ctx.now());
-                        (self.policy.eviction_score(d, pctx), d.id)
-                    })
-                    .min_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
-                match victim {
-                    Some((_, id)) => {
-                        self.buffers[node.index()].remove(id);
-                        ctx.note_replacements(1);
-                        let at = ctx.now();
-                        ctx.probe()
-                            .emit(|| ProbeEvent::ReplacementEvicted { at, node, data: id });
-                    }
-                    None => break,
-                }
-            }
-        }
-        let _ = self.buffers[node.index()].insert(item);
     }
 
     fn on_query_issued(&mut self, ctx: &mut SimCtx<'_>, query: Query) {
         if !self.configured() {
             return;
         }
-        self.registry.record_request(query.data, ctx.now());
-        *self
-            .local_seen
-            .entry((query.requester, query.data))
-            .or_insert(0) += 1;
-        if self.buffers[query.requester.index()].contains(query.data) {
-            ctx.mark_delivered(query.id);
-            return;
-        }
-        let Some(item) = self.registry.get(query.data) else {
+        let Some(mut msg) = self.caches.admit(ctx, query) else {
             return;
         };
-        let destination = item.source;
-        if destination == query.requester {
-            // Own expired data regenerated? Nothing to route.
-            return;
-        }
-        let mut msg = RoutedMessage::new(destination, ctx.query_size(), query.requester);
         if let ForwardingStrategy::SprayAndWait { initial_copies } = self.query_routing {
             msg = msg.with_copy_budget(initial_copies);
         }
-        self.queries.push(QueryInFlight {
-            query,
-            msg,
-            answered: false,
-        });
+        self.queries.insert(query, msg);
     }
 
     fn on_contact(&mut self, ctx: &mut SimCtx<'_>, contact: Contact) {
         if !self.configured() {
             return;
         }
-        self.node_contacts[contact.a.index()] += 1;
-        self.node_contacts[contact.b.index()] += 1;
-        self.prune(ctx);
+        self.caches.node_contacts[contact.a.index()] += 1;
+        self.caches.node_contacts[contact.b.index()] += 1;
+        self.prune(ctx.now());
         self.advance_queries(ctx, contact.a, contact.b);
         self.advance_responses(ctx, contact.a, contact.b);
     }
@@ -461,40 +346,27 @@ impl<P: IncidentalPolicy> Scheme for IncidentalScheme<P> {
     }
 
     fn cache_stats(&self, now: Time) -> CacheStats {
-        let mut copies = 0u64;
-        let mut bytes = 0u64;
-        let mut distinct = HashSet::new();
-        for buf in &self.buffers {
-            for item in buf.iter().filter(|d| d.is_alive(now)) {
-                copies += 1;
-                bytes += item.size;
-                distinct.insert(item.id);
-            }
-        }
-        CacheStats {
-            copies,
-            distinct: distinct.len() as u64,
-            bytes,
-        }
+        crate::common::cache_stats(&self.caches.buffers, now)
     }
 
     fn audit(&self, now: Time, report: &mut dtn_sim::audit::AuditReport) {
-        // Incidental caching keeps no redundant copy indexes; buffer
-        // byte-accounting is the only law with scheme-side state.
-        dtn_sim::audit::check_buffers(&self.buffers, now, report);
+        self.caches.audit(now, report);
+        self.queries.audit("query", now, report);
+        self.responses.audit("response", now, report);
     }
 }
 
 impl<P: IncidentalPolicy> CachingScheme for IncidentalScheme<P> {
     fn configure(&mut self, setup: &NetworkSetup<'_>) {
-        self.oracle = Some(PathOracle::new(
-            setup.capacities.len(),
-            setup.horizon,
-            PATH_REFRESH,
-        ));
-        self.buffers = setup.capacities.iter().map(|&c| Buffer::new(c)).collect();
-        self.node_contacts = vec![0; setup.capacities.len()];
-        self.started_at = setup.now;
+        let nodes = setup.capacities.len();
+        self.oracle = Some(PathOracle::new(nodes, setup.horizon, PATH_REFRESH));
+        self.caches.configure(setup);
+        self.queries.reset(nodes);
+        self.responses.reset(nodes);
+    }
+
+    fn oracle_stats(&self) -> Option<OracleStats> {
+        self.oracle.as_ref().map(PathOracle::stats)
     }
 }
 
@@ -657,14 +529,99 @@ mod tests {
         sim.run_until(Time(1_000));
         configure_from_live_state(&mut sim, 3600.0, None);
         let scheme = sim.scheme_mut();
-        scheme.node_contacts[0] = 5;
+        scheme.caches.node_contacts[0] = 5;
         // At the configure instant no time has been observed yet: no
         // rate estimate — not the raw contact count the old `.max(1.0)`
         // clamp reported (5.0 contacts/s here).
-        assert_eq!(scheme.policy_ctx(NodeId(0), Time(1_000)).contact_rate, 0.0);
+        assert_eq!(
+            scheme
+                .caches
+                .policy_ctx(NodeId(0), Time(1_000))
+                .contact_rate,
+            0.0
+        );
         // Once time elapses the estimate aligns with `RateEstimator`:
         // contacts / observed seconds.
-        assert_eq!(scheme.policy_ctx(NodeId(0), Time(1_010)).contact_rate, 0.5);
+        assert_eq!(
+            scheme
+                .caches
+                .policy_ctx(NodeId(0), Time(1_010))
+                .contact_rate,
+            0.5
+        );
+    }
+
+    #[test]
+    fn audit_catches_seeded_corruption() {
+        use dtn_sim::audit::{AuditLaw, AuditReport};
+        let trace = busy_trace(19);
+        let engine = SimConfig {
+            seed: 19,
+            audit: true,
+            ..SimConfig::default()
+        };
+        let flooding = IncidentalScheme::with_routing(
+            RandomCachePolicy,
+            ForwardingStrategy::Epidemic,
+            ForwardingStrategy::Epidemic,
+        );
+        let mut sim = Simulator::new(&trace, flooding, engine);
+        sim.run_until(trace.midpoint());
+        configure_from_live_state(&mut sim, 3600.0, None);
+        sim.add_workload(basic_events(&trace));
+        // Stop while queries are still spreading.
+        sim.run_until(trace.midpoint() + Duration::hours(3));
+        let report = sim.audit_report().expect("audit was enabled");
+        assert!(report.is_clean(), "{}", report.summary());
+        let now = sim.now();
+        let scheme = sim.scheme_mut();
+        assert!(scheme.queries.len() > 0, "nothing in flight to corrupt");
+        let broken = |scheme: &IncidentalScheme<RandomCachePolicy>| {
+            let mut report = AuditReport::default();
+            scheme.audit(now, &mut report);
+            report
+                .violations()
+                .iter()
+                .filter(|v| v.law == AuditLaw::IndexConsistency)
+                .count()
+        };
+        assert_eq!(broken(scheme), 0);
+
+        // A message listed under a node that does not carry it.
+        let stray = (0..16)
+            .map(NodeId)
+            .find(|&n| scheme.queries.iter().any(|m| !m.msg.carries(n)))
+            .expect("some node lacks some query");
+        let id = scheme
+            .queries
+            .ids()
+            .find(|&id| !scheme.queries.get(id).msg.carries(stray))
+            .expect("found above");
+        scheme.queries.list_mut(stray).push(id);
+        assert!(broken(scheme) > 0, "stray carrier entry went undetected");
+        scheme.queries.list_mut(stray).pop();
+        assert_eq!(broken(scheme), 0);
+
+        // A message that an expiry sweep should have taken.
+        let late = scheme.queries.get(id).clone();
+        scheme.queries.expire(late.query.expires_at);
+        assert_eq!(broken(scheme), 0, "the sweep itself leaves no debris");
+        scheme.queries.insert(late.query, late.msg);
+        assert!(broken(scheme) > 0, "overdue message went undetected");
+
+        // An item expiring before the sweep watermark.
+        let mut sim = Simulator::new(&trace, IncidentalScheme::new(NoCachePolicy), {
+            SimConfig::default()
+        });
+        sim.run_until(trace.midpoint());
+        configure_from_live_state(&mut sim, 3600.0, None);
+        let now = sim.now();
+        let scheme = sim.scheme_mut();
+        let item = DataItem::new(DataId(0), NodeId(3), 1000, now, Duration::hours(1));
+        scheme.caches.buffers[3].insert(item).expect("fits");
+        let mut report = AuditReport::default();
+        scheme.audit(now, &mut report);
+        assert!(!report.is_clean(), "unwatched expiry went undetected");
     }
 
     #[test]

@@ -137,9 +137,8 @@ impl IncidentalPolicy for BundleCachePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_core::ids::{DataId, NodeId};
+    use dtn_core::ids::{DataId, IdMap, NodeId};
     use dtn_core::time::{Duration, Time};
-    use std::collections::HashMap;
 
     fn item(id: u64) -> DataItem {
         DataItem::new(DataId(id), NodeId(0), 100, Time(50), Duration(1000))
@@ -147,7 +146,7 @@ mod tests {
 
     fn pctx<'a>(
         node: u32,
-        seen: &'a HashMap<(NodeId, DataId), u32>,
+        seen: &'a IdMap<(NodeId, DataId), u32>,
         contact_rate: f64,
     ) -> PolicyCtx<'a> {
         PolicyCtx {
@@ -159,7 +158,7 @@ mod tests {
 
     #[test]
     fn no_cache_never_caches() {
-        let seen = HashMap::new();
+        let seen = IdMap::default();
         let p = NoCachePolicy;
         assert!(!p.cache_at_requester());
         assert!(!p.cache_passby(&item(1), pctx(2, &seen, 0.01)));
@@ -167,7 +166,7 @@ mod tests {
 
     #[test]
     fn random_cache_caches_at_requester_only() {
-        let seen = HashMap::new();
+        let seen = IdMap::default();
         let p = RandomCachePolicy;
         assert!(p.cache_at_requester());
         assert!(!p.cache_passby(&item(1), pctx(2, &seen, 0.01)));
@@ -175,7 +174,7 @@ mod tests {
 
     #[test]
     fn cache_data_needs_local_popularity() {
-        let mut seen = HashMap::new();
+        let mut seen = IdMap::default();
         let p = CacheDataPolicy::default();
         assert!(!p.cache_passby(&item(1), pctx(2, &seen, 0.01)));
         seen.insert((NodeId(2), DataId(1)), 2);
@@ -186,7 +185,7 @@ mod tests {
 
     #[test]
     fn cache_data_evicts_least_locally_popular() {
-        let mut seen = HashMap::new();
+        let mut seen = IdMap::default();
         seen.insert((NodeId(2), DataId(1)), 5);
         seen.insert((NodeId(2), DataId(2)), 1);
         let p = CacheDataPolicy::default();
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn bundle_cache_prefers_connected_nodes() {
-        let seen = HashMap::new();
+        let seen = IdMap::default();
         let p = BundleCachePolicy::default();
         let hub = p.eviction_score(&item(1), pctx(2, &seen, 1.0 / 60.0));
         let loner = p.eviction_score(&item(1), pctx(2, &seen, 1.0 / 86_400.0));
@@ -210,7 +209,7 @@ mod tests {
 
     #[test]
     fn bundle_cache_utility_grows_with_popularity() {
-        let mut seen = HashMap::new();
+        let mut seen = IdMap::default();
         let p = BundleCachePolicy::default();
         let before = p.eviction_score(&item(1), pctx(2, &seen, 1.0 / 60.0));
         seen.insert((NodeId(2), DataId(1)), 4);

@@ -1,12 +1,12 @@
 //! Shared building blocks for the caching schemes: the data registry,
 //! in-flight message records and greedy opportunistic forwarding.
 
-use std::collections::HashMap;
-
-use dtn_core::ids::{DataId, NodeId};
+use dtn_core::ids::{DataId, IdMap, IdSet, NodeId};
 use dtn_core::popularity::PopularityEstimator;
 use dtn_core::rate::RateTable;
 use dtn_core::time::Time;
+use dtn_sim::buffer::Buffer;
+use dtn_sim::engine::CacheStats;
 use dtn_sim::message::DataItem;
 use dtn_sim::oracle::PathOracle;
 
@@ -14,8 +14,8 @@ use dtn_sim::oracle::PathOracle;
 /// popularity estimators.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DataRegistry {
-    items: HashMap<DataId, DataItem>,
-    popularity: HashMap<DataId, PopularityEstimator>,
+    items: IdMap<DataId, DataItem>,
+    popularity: IdMap<DataId, PopularityEstimator>,
 }
 
 impl DataRegistry {
@@ -41,6 +41,26 @@ impl DataRegistry {
             (Some(item), Some(est)) => est.popularity(now, item.expires_at()),
             _ => 0.0,
         }
+    }
+}
+
+/// Cache occupancy over a scheme's buffers: live copies, their bytes,
+/// and how many distinct items they are.
+pub(crate) fn cache_stats(buffers: &[Buffer], now: Time) -> CacheStats {
+    let mut copies = 0u64;
+    let mut bytes = 0u64;
+    let mut distinct = IdSet::default();
+    for buf in buffers {
+        for item in buf.iter().filter(|d| d.is_alive(now)) {
+            copies += 1;
+            bytes += item.size;
+            distinct.insert(item.id);
+        }
+    }
+    CacheStats {
+        copies,
+        distinct: distinct.len() as u64,
+        bytes,
     }
 }
 

@@ -123,9 +123,10 @@ pub struct ExperimentReport {
     pub metrics: Metrics,
     /// The scheme's path-oracle work at the end of the run — hits,
     /// recomputes, nodes settled, accumulators built, leaf evaluations.
-    /// Counted, not timed; `None` for the baselines. Work, not outcome:
-    /// it lives here and not in [`Metrics`], so two implementations of
-    /// one scheme can agree on every metric and differ in this.
+    /// Counted, not timed; the baselines route through an oracle too
+    /// and report theirs. Work, not outcome: it lives here and not in
+    /// [`Metrics`], so two implementations of one scheme can agree on
+    /// every metric and differ in this.
     pub oracle: Option<OracleStats>,
     /// The work of the scheme's NCL selections — searches run,
     /// candidates pruned, communities swept. Counted like

@@ -33,8 +33,9 @@
 //! milestones through the engine's [`ProbeEvent`] vocabulary, so the
 //! stages can be read — and tested — independently:
 //!
-//! - [`pending`](self) — the slab/queue arenas for in-flight pulls,
-//!   broadcasts and responses, with monotone sequence numbers;
+//! - [`pending`](self) — pull and broadcast records (the slabs they
+//!   and the responses live in are `crate::pending`, shared with the
+//!   baselines);
 //! - `state` — per-node cache state: the copy table, the per-holder
 //!   indexes behind `set_copy`, expiry GC, and the §V-D exchange;
 //! - `push` — the §V-A push stage and the epoch-time cache migration;
@@ -65,9 +66,11 @@
 //! - pending pulls/broadcasts/responses live in slab allocators with
 //!   monotone sequence numbers; per-node lists point into the slabs and
 //!   a contact gathers only the two endpoints' entries, sorted by
-//!   sequence number to reproduce the original global processing order;
+//!   sequence number to reproduce the original global processing order
+//!   (`crate::pending`);
 //! - expired messages, data items and response-decision memos are
 //!   garbage-collected from time-ordered heaps instead of full sweeps;
+//! - id-keyed maps hash with `dtn_core::ids::IdHasher`, not SipHash;
 //! - push copies and settled copies are indexed per holder node, and
 //!   NCL membership is a counter (`member_count`) instead of a scan of
 //!   every copy record;
@@ -88,7 +91,6 @@ mod state;
 pub use state::{IntentionalScheme, ReelectionStats};
 
 use std::cmp::Reverse;
-use std::collections::HashSet;
 use std::mem;
 
 use dtn_core::ids::NodeId;
@@ -345,21 +347,7 @@ impl Scheme for IntentionalScheme {
     }
 
     fn cache_stats(&self, now: Time) -> CacheStats {
-        let mut copies = 0u64;
-        let mut bytes = 0u64;
-        let mut distinct = HashSet::new();
-        for buf in &self.buffers {
-            for item in buf.iter().filter(|d| d.is_alive(now)) {
-                copies += 1;
-                bytes += item.size;
-                distinct.insert(item.id);
-            }
-        }
-        CacheStats {
-            copies,
-            distinct: distinct.len() as u64,
-            bytes,
-        }
+        crate::common::cache_stats(&self.buffers, now)
     }
 
     fn audit(&self, now: Time, report: &mut dtn_sim::audit::AuditReport) {
@@ -414,10 +402,9 @@ impl CachingScheme for IntentionalScheme {
         self.copies.clear();
         self.pulls.clear();
         self.broadcasts.clear();
-        self.responses.clear();
+        self.responses.reset(n);
         self.pull_at = vec![Vec::new(); n];
         self.bcast_at = vec![Vec::new(); n];
-        self.resp_at = vec![Vec::new(); n];
         self.carried_at = vec![Vec::new(); n];
         self.settled_at = vec![Vec::new(); n];
         self.member_count = vec![0; n * self.centrals.len()];
@@ -543,7 +530,7 @@ mod tests {
             1,
         );
         assert_eq!(centrals.len(), 3);
-        let distinct: HashSet<_> = centrals.iter().collect();
+        let distinct: dtn_core::ids::IdSet<_> = centrals.iter().collect();
         assert_eq!(distinct.len(), 3);
     }
 

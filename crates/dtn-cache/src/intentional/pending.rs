@@ -1,17 +1,10 @@
-//! Slab/queue arenas for pending protocol messages.
-//!
-//! Pulls, broadcasts and in-flight responses all live in
-//! [`PendingSlab`] allocators; per-node index lists point into the
-//! slabs so a contact gathers only the two endpoints' entries. Monotone
-//! sequence numbers restore the original global insertion order and
-//! detect stale expiry-heap references to reused slots.
+//! The pending messages only this scheme has: pull copies and NCL
+//! broadcasts, kept in [`PendingSlab`](crate::pending::PendingSlab)s
+//! behind per-node index lists (responses are a
+//! [`RoutedSlab`](crate::pending::RoutedSlab)).
 
-use std::collections::HashSet;
-
-use dtn_core::ids::{DataId, NodeId};
+use dtn_core::ids::{DataId, IdSet, NodeId};
 use dtn_sim::message::Query;
-
-use crate::routing::RoutedMessage;
 
 /// A query copy traveling toward one central node.
 #[derive(Debug, Clone, Copy)]
@@ -26,118 +19,12 @@ pub(super) struct PullCopy {
 pub(super) struct BroadcastCopy {
     pub(super) query: Query,
     pub(super) ncl: usize,
-    pub(super) holders: HashSet<NodeId>,
-}
-
-/// A cached data copy traveling back to a requester.
-#[derive(Debug, Clone)]
-pub(super) struct ResponseInFlight {
-    pub(super) query: Query,
-    pub(super) msg: RoutedMessage,
-}
-
-/// Slab of pending protocol messages. Slots are reused via a free list;
-/// each live entry carries a monotone sequence number so (a) gathered
-/// entries can be replayed in global insertion order and (b) stale heap
-/// references to a reused slot can be detected.
-#[derive(Debug)]
-pub(super) struct PendingSlab<T> {
-    entries: Vec<Option<(u64, T)>>,
-    free: Vec<u32>,
-    next_seq: u64,
-    len: usize,
-}
-
-impl<T> Default for PendingSlab<T> {
-    fn default() -> Self {
-        PendingSlab {
-            entries: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-            len: 0,
-        }
-    }
-}
-
-impl<T> PendingSlab<T> {
-    pub(super) fn insert(&mut self, value: T) -> (u32, u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.len += 1;
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.entries[id as usize] = Some((seq, value));
-                id
-            }
-            None => {
-                self.entries.push(Some((seq, value)));
-                (self.entries.len() - 1) as u32
-            }
-        };
-        (id, seq)
-    }
-
-    pub(super) fn get(&self, id: u32) -> Option<&T> {
-        self.entries
-            .get(id as usize)
-            .and_then(|e| e.as_ref())
-            .map(|(_, v)| v)
-    }
-
-    pub(super) fn get_mut(&mut self, id: u32) -> Option<&mut T> {
-        self.entries
-            .get_mut(id as usize)
-            .and_then(|e| e.as_mut())
-            .map(|(_, v)| v)
-    }
-
-    pub(super) fn seq(&self, id: u32) -> Option<u64> {
-        self.entries
-            .get(id as usize)
-            .and_then(|e| e.as_ref())
-            .map(|&(seq, _)| seq)
-    }
-
-    pub(super) fn remove(&mut self, id: u32) -> Option<T> {
-        let slot = self.entries.get_mut(id as usize)?;
-        let (_, value) = slot.take()?;
-        self.free.push(id);
-        self.len -= 1;
-        Some(value)
-    }
-
-    pub(super) fn len(&self) -> usize {
-        self.len
-    }
-
-    pub(super) fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|(_, v)| (i as u32, v)))
-    }
-
-    pub(super) fn clear(&mut self) {
-        self.entries.clear();
-        self.free.clear();
-        self.next_seq = 0;
-        self.len = 0;
-    }
+    pub(super) holders: IdSet<NodeId>,
 }
 
 /// Tags distinguishing slab kinds in the shared expiry heap.
 pub(super) const GC_PULL: u8 = 0;
 pub(super) const GC_BCAST: u8 = 1;
-pub(super) const GC_RESP: u8 = 2;
-
-/// Removes one occurrence of `id` from a per-node index list.
-pub(super) fn remove_u32(list: &mut Vec<u32>, id: u32) {
-    let pos = list
-        .iter()
-        .position(|&x| x == id)
-        .expect("pending index entry missing");
-    list.swap_remove(pos);
-}
 
 /// Removes the `(data, k)` entry from a per-node copy index list.
 pub(super) fn remove_copy_entry(list: &mut Vec<(DataId, u32)>, data: DataId, k: u32) {

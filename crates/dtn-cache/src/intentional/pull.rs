@@ -2,17 +2,17 @@
 //! NCL's caching nodes once a query reaches its central node.
 
 use std::cmp::Reverse;
-use std::collections::HashSet;
 use std::mem;
 
-use dtn_core::ids::NodeId;
+use dtn_core::ids::{IdSet, NodeId};
 use dtn_sim::engine::SimCtx;
 use dtn_sim::message::Query;
 use dtn_sim::probe::ProbeEvent;
 
 use crate::common::better_relay;
+use crate::pending::{gather, remove_u32};
 
-use super::pending::{remove_u32, BroadcastCopy, GC_BCAST};
+use super::pending::{BroadcastCopy, GC_BCAST};
 use super::state::IntentionalScheme;
 
 impl IntentionalScheme {
@@ -21,20 +21,7 @@ impl IntentionalScheme {
         let now = ctx.now();
         let query_size = ctx.query_size();
         let mut batch = mem::take(&mut self.sx_batch);
-        batch.clear();
-        batch.extend(
-            self.pull_at[a.index()]
-                .iter()
-                .map(|&id| (self.pulls.seq(id).expect("indexed pull live"), id)),
-        );
-        if b != a {
-            batch.extend(
-                self.pull_at[b.index()]
-                    .iter()
-                    .map(|&id| (self.pulls.seq(id).expect("indexed pull live"), id)),
-            );
-        }
-        batch.sort_unstable();
+        gather(&self.pulls, &self.pull_at, a, b, &mut batch);
         let mut arrived = mem::take(&mut self.sx_arrived);
         arrived.clear();
         for &(_, id) in &batch {
@@ -109,7 +96,7 @@ impl IntentionalScheme {
             self.spawn_response(ctx, query, central);
         } else {
             // Otherwise broadcast among the NCL's caching nodes.
-            let mut holders = HashSet::new();
+            let mut holders = IdSet::default();
             holders.insert(central);
             let (id, seq) = self.broadcasts.insert(BroadcastCopy {
                 query,
@@ -127,21 +114,7 @@ impl IntentionalScheme {
     pub(super) fn advance_broadcasts(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
         let query_size = ctx.query_size();
         let mut batch = mem::take(&mut self.sx_batch);
-        batch.clear();
-        batch.extend(
-            self.bcast_at[a.index()]
-                .iter()
-                .map(|&id| (self.broadcasts.seq(id).expect("indexed broadcast live"), id)),
-        );
-        if b != a {
-            batch.extend(
-                self.bcast_at[b.index()]
-                    .iter()
-                    .map(|&id| (self.broadcasts.seq(id).expect("indexed broadcast live"), id)),
-            );
-        }
-        batch.sort_unstable();
-        batch.dedup(); // a broadcast held by both endpoints appears twice
+        gather(&self.broadcasts, &self.bcast_at, a, b, &mut batch);
         let mut spreads = mem::take(&mut self.sx_spreads);
         spreads.clear();
         for &(_, id) in &batch {

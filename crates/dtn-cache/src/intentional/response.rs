@@ -3,12 +3,11 @@
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::HashSet;
 use std::mem;
 
 use rand::Rng;
 
-use dtn_core::ids::NodeId;
+use dtn_core::ids::{IdSet, NodeId};
 use dtn_core::sigmoid::ResponseFunction;
 use dtn_core::time::Duration;
 use dtn_sim::engine::SimCtx;
@@ -17,7 +16,6 @@ use dtn_sim::probe::ProbeEvent;
 
 use crate::routing::{ForwardingStrategy, RoutedMessage};
 
-use super::pending::{remove_u32, ResponseInFlight, GC_RESP};
 use super::state::IntentionalScheme;
 use super::ResponseStrategy;
 
@@ -31,7 +29,7 @@ impl IntentionalScheme {
                 }
             }
             Entry::Vacant(v) => {
-                v.insert(HashSet::from([node]));
+                v.insert(IdSet::from_iter([node]));
                 self.responded_gc
                     .push(Reverse((query.expires_at, query.id)));
             }
@@ -90,86 +88,36 @@ impl IntentionalScheme {
         if let ForwardingStrategy::SprayAndWait { initial_copies } = self.cfg.response_routing {
             msg = msg.with_copy_budget(initial_copies);
         }
-        let (id, seq) = self.responses.insert(ResponseInFlight { query, msg });
-        self.resp_at[from.index()].push(id);
-        self.pending_gc
-            .push(Reverse((query.expires_at, GC_RESP, id, seq)));
+        self.responses.insert(query, msg);
     }
 
     /// Return cached data copies to their requesters using the
     /// configured forwarding strategy (§V-B).
     pub(super) fn advance_responses(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
         let now = ctx.now();
-        let mut batch = mem::take(&mut self.sx_batch);
-        batch.clear();
-        batch.extend(
-            self.resp_at[a.index()]
-                .iter()
-                .map(|&id| (self.responses.seq(id).expect("indexed response live"), id)),
-        );
-        if b != a {
-            batch.extend(
-                self.resp_at[b.index()]
-                    .iter()
-                    .map(|&id| (self.responses.seq(id).expect("indexed response live"), id)),
-            );
-        }
-        batch.sort_unstable();
-        batch.dedup(); // multi-copy responses may be carried by both ends
         let mut process = mem::take(&mut self.sx_process);
-        process.clear();
-        for &(_, id) in &batch {
-            let Some(resp) = self.responses.get(id) else {
-                continue;
-            };
-            if ctx.query_is_open(resp.query.id) {
-                process.push(id);
-            } else {
-                self.remove_response(id);
-            }
-        }
+        self.responses.gather_open(ctx, a, b, &mut process);
         let strategy = self.cfg.response_routing;
         let mut delivered = mem::take(&mut self.sx_delivered);
         delivered.clear();
-        // With a probe installed, use the transfer-logging routed path
-        // (same state transitions and link charges as the fast path) and
-        // replay the hops after the link borrow ends.
+        // The hops are only logged for an installed probe, and replayed
+        // to it after the link borrow ends.
         let probing = ctx.probe_enabled();
         let mut relay_hops: Vec<(dtn_core::ids::QueryId, NodeId, NodeId)> = Vec::new();
         {
             let oracle = self.oracle.as_mut().expect("configured");
             let mut link = ctx.link_access();
             for &id in &process {
-                let resp = self.responses.get_mut(id).expect("live");
-                let had_a = resp.msg.carries(a);
-                let had_b = resp.msg.carries(b);
-                let done = if probing {
-                    let out = resp.msg.on_contact(strategy, oracle, now, a, b, &mut link);
-                    let query = resp.query.id;
-                    relay_hops.extend(out.transfers.iter().map(|&(f, t)| (query, f, t)));
-                    out.delivered
-                } else {
-                    resp.msg
-                        .on_contact_fast(strategy, oracle, now, a, b, &mut link)
+                let query = self.responses.get(id).query.id;
+                let mut log = |from, to| {
+                    if probing {
+                        relay_hops.push((query, from, to));
+                    }
                 };
-                let has_a = resp.msg.carries(a);
-                let has_b = resp.msg.carries(b);
-                let query = resp.query.id;
-                if had_a != has_a {
-                    if has_a {
-                        self.resp_at[a.index()].push(id);
-                    } else {
-                        remove_u32(&mut self.resp_at[a.index()], id);
-                    }
-                }
-                if b != a && had_b != has_b {
-                    if has_b {
-                        self.resp_at[b.index()].push(id);
-                    } else {
-                        remove_u32(&mut self.resp_at[b.index()], id);
-                    }
-                }
-                if done {
+                if self
+                    .responses
+                    .advance(id, strategy, oracle, now, a, b, &mut link, &mut log)
+                {
                     delivered.push((id, query));
                 }
             }
@@ -184,13 +132,11 @@ impl IntentionalScheme {
         }
         for &(id, query) in &delivered {
             ctx.mark_delivered(query);
-            self.remove_response(id);
+            self.responses.remove(id);
         }
         delivered.clear();
         self.sx_delivered = delivered;
         process.clear();
         self.sx_process = process;
-        batch.clear();
-        self.sx_batch = batch;
     }
 }

@@ -4,11 +4,11 @@
 //! contact-time cache exchange.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::mem;
 
 use dtn_core::graph::ContactGraph;
-use dtn_core::ids::{DataId, NodeId, QueryId};
+use dtn_core::ids::{DataId, IdMap, IdSet, NodeId, QueryId};
 use dtn_core::knapsack::{CacheItem, KnapsackSolver};
 use dtn_core::ncl::SweepWork;
 use dtn_core::rate::RateTable;
@@ -23,12 +23,10 @@ use dtn_sim::probe::ProbeEvent;
 use dtn_sim::profiler::Phase;
 
 use crate::common::DataRegistry;
+use crate::pending::{remove_u32, PendingSlab, RoutedSlab};
 use crate::replacement::{make_room, NodeCacheMeta, ReplacementKind};
 
-use super::pending::{
-    remove_copy_entry, remove_u32, BroadcastCopy, PendingSlab, PullCopy, ResponseInFlight,
-    GC_BCAST, GC_PULL,
-};
+use super::pending::{remove_copy_entry, BroadcastCopy, PullCopy, GC_PULL};
 use super::IntentionalConfig;
 
 /// Where one NCL's copy of a data item currently is.
@@ -95,16 +93,15 @@ pub struct IntentionalScheme {
     /// copies[data][k] — the k-th NCL's copy of `data`. Never iterated
     /// in map order; all ordered traversal goes through the per-node
     /// indexes below.
-    pub(super) copies: HashMap<DataId, Vec<CopyState>>,
+    pub(super) copies: IdMap<DataId, Vec<CopyState>>,
     pub(super) pulls: PendingSlab<PullCopy>,
     pub(super) broadcasts: PendingSlab<BroadcastCopy>,
-    pub(super) responses: PendingSlab<ResponseInFlight>,
+    /// In-flight responses, listed under every node carrying a copy.
+    pub(super) responses: RoutedSlab,
     /// pull_at[n] — pending pulls currently carried by node `n`.
     pub(super) pull_at: Vec<Vec<u32>>,
     /// bcast_at[n] — broadcasts whose holder set contains node `n`.
     pub(super) bcast_at: Vec<Vec<u32>>,
-    /// resp_at[n] — in-flight responses with a copy carried by `n`.
-    pub(super) resp_at: Vec<Vec<u32>>,
     /// carried_at[n] — `(data, k)` push copies in `Carried(n)` state.
     pub(super) carried_at: Vec<Vec<(DataId, u32)>>,
     /// settled_at[n] — `(data, k)` copies in `Settled(n)` state.
@@ -120,14 +117,15 @@ pub struct IntentionalScheme {
     /// Last all-pools-empty exchange per ordered node pair:
     /// `(cache_gen_lo, cache_gen_hi, buffer_gen_lo, buffer_gen_hi)`.
     /// A pair whose generations are unchanged is skipped.
-    pub(super) pair_clean: HashMap<(NodeId, NodeId), (u64, u64, u64, u64)>,
-    /// Expiry heap over pending messages: `(query expiry, kind, id,
-    /// seq)`. Entries referencing reused slots are detected via `seq`.
+    pub(super) pair_clean: IdMap<(NodeId, NodeId), (u64, u64, u64, u64)>,
+    /// Expiry heap over pending pulls and broadcasts: `(query expiry,
+    /// kind, id, seq)`. Entries referencing reused slots are detected
+    /// via `seq`.
     pub(super) pending_gc: BinaryHeap<Reverse<(Time, u8, u32, u64)>>,
     /// Expiry heap over data items (replaces the all-buffer dead scan).
     pub(super) data_gc: BinaryHeap<Reverse<(Time, DataId)>>,
     /// Nodes that already made their response decision, per query.
-    pub(super) responded: HashMap<QueryId, HashSet<NodeId>>,
+    pub(super) responded: IdMap<QueryId, IdSet<NodeId>>,
     /// Expiry heap over `responded` entries.
     pub(super) responded_gc: BinaryHeap<Reverse<(Time, QueryId)>>,
     pub(super) solver: KnapsackSolver,
@@ -175,21 +173,20 @@ impl IntentionalScheme {
             buffers: Vec::new(),
             meta: Vec::new(),
             registry: DataRegistry::default(),
-            copies: HashMap::new(),
+            copies: IdMap::default(),
             pulls: PendingSlab::default(),
             broadcasts: PendingSlab::default(),
-            responses: PendingSlab::default(),
+            responses: RoutedSlab::default(),
             pull_at: Vec::new(),
             bcast_at: Vec::new(),
-            resp_at: Vec::new(),
             carried_at: Vec::new(),
             settled_at: Vec::new(),
             member_count: Vec::new(),
             cache_gen: Vec::new(),
-            pair_clean: HashMap::new(),
+            pair_clean: IdMap::default(),
             pending_gc: BinaryHeap::new(),
             data_gc: BinaryHeap::new(),
-            responded: HashMap::new(),
+            responded: IdMap::default(),
             responded_gc: BinaryHeap::new(),
             solver,
             ncl_query_load: Vec::new(),
@@ -415,43 +412,7 @@ impl IntentionalScheme {
                 detail: "broadcast index entry count != holder count".into(),
             });
         }
-        for (node, list) in self.resp_at.iter().enumerate() {
-            for &id in list {
-                let Some(resp) = self.responses.get(id) else {
-                    report.violate(AuditViolation {
-                        law: AuditLaw::IndexConsistency,
-                        at,
-                        node: Some(NodeId(node as u32)),
-                        item: None,
-                        detail: format!("resp_at references freed slot {id}"),
-                    });
-                    continue;
-                };
-                if !resp.msg.carries(NodeId(node as u32)) {
-                    report.violate(AuditViolation {
-                        law: AuditLaw::IndexConsistency,
-                        at,
-                        node: Some(NodeId(node as u32)),
-                        item: None,
-                        detail: format!("response {id} indexed at a non-carrier"),
-                    });
-                }
-            }
-        }
-        let carrier_total: usize = self
-            .responses
-            .iter()
-            .map(|(_, r)| r.msg.carriers().count())
-            .sum();
-        if self.resp_at.iter().map(Vec::len).sum::<usize>() != carrier_total {
-            report.violate(AuditViolation {
-                law: AuditLaw::IndexConsistency,
-                at,
-                node: None,
-                item: None,
-                detail: "response index entry count != carrier count".into(),
-            });
-        }
+        self.responses.audit("response", at, report);
     }
 
     pub(super) fn configured(&self) -> bool {
@@ -478,15 +439,6 @@ impl IntentionalScheme {
             remove_u32(&mut self.bcast_at[h.index()], id);
         }
         Some(bc)
-    }
-
-    /// Removes an in-flight response and its index entries.
-    pub(super) fn remove_response(&mut self, id: u32) -> Option<ResponseInFlight> {
-        let resp = self.responses.remove(id)?;
-        for c in resp.msg.carriers() {
-            remove_u32(&mut self.resp_at[c.index()], id);
-        }
-        Some(resp)
     }
 
     /// Garbage-collects expired data and dead in-flight state from the
@@ -535,18 +487,14 @@ impl IntentionalScheme {
                         self.remove_pull(id);
                     }
                 }
-                GC_BCAST => {
+                _ => {
                     if self.broadcasts.seq(id) == Some(seq) {
                         self.remove_broadcast(id);
                     }
                 }
-                _ => {
-                    if self.responses.seq(id) == Some(seq) {
-                        self.remove_response(id);
-                    }
-                }
             }
         }
+        self.responses.expire(now);
         while let Some(&Reverse((t, query))) = self.responded_gc.peek() {
             if t > now {
                 break;

@@ -42,6 +42,7 @@ mod baselines;
 pub mod common;
 pub mod experiment;
 pub mod intentional;
+mod pending;
 pub mod reference;
 pub mod replacement;
 pub mod routing;
@@ -155,9 +156,9 @@ pub trait CachingScheme: Scheme {
         &[]
     }
 
-    /// Cumulative work counters of the scheme's path oracle: `None` for
-    /// a scheme that keeps none (the baselines), and until
-    /// [`configure`](Self::configure) has built it.
+    /// Cumulative work counters of the scheme's path oracle — the
+    /// baselines route through one too. `None` for a scheme that keeps
+    /// none, and until [`configure`](Self::configure) has built it.
     fn oracle_stats(&self) -> Option<OracleStats> {
         None
     }
@@ -227,7 +228,7 @@ mod tests {
 
     #[test]
     fn scheme_kind_names_are_distinct() {
-        let names: std::collections::HashSet<_> = SchemeKind::ALL_WITH_BOUNDS
+        let names: std::collections::BTreeSet<_> = SchemeKind::ALL_WITH_BOUNDS
             .iter()
             .map(|k| k.name())
             .collect();

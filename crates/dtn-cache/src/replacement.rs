@@ -10,9 +10,7 @@
 //! keeps per-item bookkeeping (insertion time, last use, GDS credit)
 //! and `make_room` frees space according to the selected policy.
 
-use std::collections::HashMap;
-
-use dtn_core::ids::DataId;
+use dtn_core::ids::{DataId, IdMap};
 use dtn_core::time::Time;
 use dtn_sim::buffer::Buffer;
 
@@ -60,9 +58,9 @@ impl std::fmt::Display for ReplacementKind {
 /// Per-node bookkeeping for the evict-on-insert policies.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeCacheMeta {
-    inserted: HashMap<DataId, Time>,
-    last_used: HashMap<DataId, Time>,
-    gds_credit: HashMap<DataId, f64>,
+    inserted: IdMap<DataId, Time>,
+    last_used: IdMap<DataId, Time>,
+    gds_credit: IdMap<DataId, f64>,
     gds_floor: f64,
 }
 
@@ -250,7 +248,7 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let names: std::collections::HashSet<_> =
+        let names: std::collections::BTreeSet<_> =
             ReplacementKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), 4);
     }

@@ -131,12 +131,9 @@ impl RoutedMessage {
         self.copies.iter().position(|c| c.carrier == node)
     }
 
-    /// Advances the message over a contact between `a` and `b`.
-    ///
-    /// Every attempted hop is charged to `link` (wire it to
-    /// [`SimCtx::link_access`](dtn_sim::engine::SimCtx::link_access)).
-    ///
-    /// Returns what happened; once delivered, later contacts are no-ops.
+    /// Advances the message over a contact between `a` and `b`,
+    /// collecting the relay hops into a [`ContactOutcome`] — for callers
+    /// that keep no carrier index (the reference scheme, tests).
     pub(crate) fn on_contact(
         &mut self,
         strategy: ForwardingStrategy,
@@ -147,33 +144,23 @@ impl RoutedMessage {
         link: &mut impl Link,
     ) -> ContactOutcome {
         let mut outcome = ContactOutcome::default();
-        outcome.delivered = self.advance_inner(strategy, oracle, now, a, b, link, &mut |f, t| {
+        outcome.delivered = self.advance(strategy, oracle, now, a, b, link, &mut |f, t| {
             outcome.transfers.push((f, t))
         });
         outcome
     }
 
-    /// Advances the message like [`on_contact`](Self::on_contact) but
-    /// only reports delivery, skipping the per-hop transfer log — for
-    /// hot paths that never read `ContactOutcome::transfers`. Same state
-    /// transitions and the same `link` charge sequence.
-    pub(crate) fn on_contact_fast(
-        &mut self,
-        strategy: ForwardingStrategy,
-        oracle: &mut PathOracle,
-        now: Time,
-        a: NodeId,
-        b: NodeId,
-        link: &mut impl Link,
-    ) -> bool {
-        self.advance_inner(strategy, oracle, now, a, b, link, &mut |_, _| {})
-    }
-
-    /// Shared advancement core; `transfers` observes each relay hop.
+    /// Advances the message over a contact between `a` and `b`;
+    /// `transfers` observes each relay hop `(from, to)`, the hop into the
+    /// destination included.
+    ///
+    /// Every attempted hop is charged to `link` (wire it to
+    /// [`SimCtx::link_access`](dtn_sim::engine::SimCtx::link_access)).
+    ///
     /// Returns whether the destination received the message during this
-    /// contact.
+    /// contact; once delivered, later contacts are no-ops.
     #[allow(clippy::too_many_arguments)]
-    fn advance_inner(
+    pub(crate) fn advance(
         &mut self,
         strategy: ForwardingStrategy,
         oracle: &mut PathOracle,
@@ -435,41 +422,6 @@ mod tests {
     #[should_panic(expected = "already at its destination")]
     fn message_to_self_panics() {
         let _ = RoutedMessage::new(NodeId(1), 10, NodeId(1));
-    }
-
-    #[test]
-    fn fast_path_matches_logged_path() {
-        // on_contact and on_contact_fast must produce identical state and
-        // delivery results for the same contact sequence.
-        let mut w = wire();
-        let mut o = oracle();
-        let mut logged = RoutedMessage::new(NodeId(3), 100, NodeId(0));
-        let mut fast = logged.clone();
-        for (a, b, t) in [(0u32, 1u32, 600u64), (1, 2, 700), (2, 3, 800)] {
-            let out = logged.on_contact(
-                ForwardingStrategy::Greedy,
-                &mut o,
-                Time(t),
-                NodeId(a),
-                NodeId(b),
-                &mut w,
-            );
-            let delivered = fast.on_contact_fast(
-                ForwardingStrategy::Greedy,
-                &mut o,
-                Time(t),
-                NodeId(a),
-                NodeId(b),
-                &mut w,
-            );
-            assert_eq!(out.delivered, delivered);
-            assert_eq!(logged, fast);
-        }
-        assert!(fast.is_delivered());
-        assert!(
-            fast.carries(NodeId(2)),
-            "copy stays where it delivered from"
-        );
     }
 
     mod properties {

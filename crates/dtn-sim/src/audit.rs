@@ -51,8 +51,9 @@ pub enum AuditLaw {
     /// The probe's per-query delay decomposition sums to the metrics'
     /// `total_delay_secs` (probe/metric cross-check).
     DelayDecomposition,
-    /// Side indexes (pull/broadcast/response locators) agree with the
-    /// slabs they index.
+    /// Side indexes agree with what they index: pull/broadcast/carrier
+    /// lists with their slabs (no message outliving an expiry sweep), a
+    /// buffer-expiry watermark with the buffers.
     IndexConsistency,
     /// The contact stream feeding the engine is well-formed: starts are
     /// nondecreasing, durations positive, endpoints distinct and in
@@ -388,7 +389,7 @@ mod tests {
             AuditLaw::IndexConsistency,
             AuditLaw::TraceMonotonicity,
         ];
-        let names: std::collections::HashSet<_> = laws.iter().map(|l| l.name()).collect();
+        let names: std::collections::BTreeSet<_> = laws.iter().map(|l| l.name()).collect();
         assert_eq!(names.len(), laws.len());
     }
 

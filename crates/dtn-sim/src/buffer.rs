@@ -16,9 +16,7 @@
 //!
 //! [`generation`]: Buffer::generation
 
-use std::collections::HashMap;
-
-use dtn_core::ids::DataId;
+use dtn_core::ids::{DataId, IdMap};
 use dtn_core::time::Time;
 
 use crate::message::DataItem;
@@ -49,7 +47,7 @@ pub struct Buffer {
     /// `swap_remove`s — deterministic for a deterministic op sequence.
     slots: Vec<DataItem>,
     /// `DataId → position in slots`.
-    index: HashMap<DataId, usize>,
+    index: IdMap<DataId, usize>,
     /// Bumped on every successful insert and remove (not on duplicate
     /// inserts or missing removes).
     generation: u64,
@@ -83,7 +81,7 @@ impl Buffer {
             capacity,
             used: 0,
             slots: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             generation: 0,
         }
     }

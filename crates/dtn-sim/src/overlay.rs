@@ -375,7 +375,7 @@ mod tests {
         let events = overlay.workload_events(10, 100);
         assert_eq!(events, overlay.workload_events(10, 100), "deterministic");
         assert_eq!(events.len(), 5);
-        let mut requesters = std::collections::HashSet::new();
+        let mut requesters = std::collections::BTreeSet::new();
         for e in &events {
             let WorkloadEvent::IssueQuery {
                 at,

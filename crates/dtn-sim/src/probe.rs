@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn vocabulary_tables_are_derived_from_one_declaration() {
         // The counter table and the capture schema key on these names.
-        let unique: std::collections::HashSet<_> = ProbeEvent::KINDS.iter().collect();
+        let unique: std::collections::BTreeSet<_> = ProbeEvent::KINDS.iter().collect();
         assert_eq!(unique.len(), ProbeEvent::KINDS.len());
         let sample = ev_query(4, 9, 11);
         assert_eq!(sample.kind(), "query_injected");
