@@ -183,6 +183,33 @@ struct RunResult {
     failure: Option<String>,
 }
 
+impl RunResult {
+    /// The run itself, or its audit / cross-check failure under `who`'s name.
+    fn clean(self, who: &str) -> Result<RunResult, String> {
+        match self.failure {
+            Some(detail) => Err(format!("{who}: {detail}")),
+            None => Ok(self),
+        }
+    }
+
+    /// `Err` unless this run (`name`) and `other` agree on the metrics
+    /// and the NCL query load, bit for bit.
+    fn agrees_with(&self, name: &str, other: &RunResult, other_name: &str) -> Result<(), String> {
+        let diverged = |what: &str, mine: &dyn fmt::Debug, theirs: &dyn fmt::Debug| {
+            Err(format!(
+                "{what} diverged: {name} {mine:?} vs {other_name} {theirs:?}"
+            ))
+        };
+        if self.metrics != other.metrics {
+            return diverged("metrics", &self.metrics, &other.metrics);
+        }
+        if self.load != other.load {
+            return diverged("NCL query load", &self.load, &other.load);
+        }
+        Ok(())
+    }
+}
+
 fn workload(params: &CaseParams, trace: &ContactTrace) -> Vec<WorkloadEvent> {
     let mid = trace.midpoint();
     let life = Duration::hours(20);
@@ -227,23 +254,10 @@ fn sim_config(params: &CaseParams) -> SimConfig {
     }
 }
 
-/// Runs one scheme through warm-up → configure → workload with audits
-/// on and a recording probe installed, then cross-checks the probe's
-/// delay decomposition against the metrics.
-fn run_instrumented<S: CachingScheme>(
-    trace: &ContactTrace,
-    scheme: S,
-    events: Vec<WorkloadEvent>,
-    sim_cfg: SimConfig,
-) -> RunResult {
-    let mid = trace.midpoint();
-    run_instrumented_from(TraceSource::new(trace), scheme, events, sim_cfg, mid)
-}
-
-/// [`run_instrumented`] over any contact source — the streaming batch
-/// feeds a [`StreamSource`] through the identical warm-up → configure →
-/// workload protocol.
-fn run_instrumented_from<S: CachingScheme, C: ContactSource>(
+/// Runs one scheme over `source` through warm-up (to `mid`) → configure
+/// → workload with audits on and a recording probe installed, then
+/// cross-checks the probe's delay decomposition against the metrics.
+fn run_instrumented<S: CachingScheme, C: ContactSource>(
     source: C,
     scheme: S,
     events: Vec<WorkloadEvent>,
@@ -327,16 +341,32 @@ fn check_telemetry_conservation(probe: &RecordingProbe, metrics: &Metrics) -> Op
     None
 }
 
-/// Runs the seed's pick of the incidental schemes — the four baselines
-/// and the epidemic bound, whose messages have many carriers — over the
-/// same stream and workload under every law, the baselines' carrier-index
-/// and expiry-watermark laws among them. Returns the sweeps run.
-fn audit_incidental<C: ContactSource>(
-    source: C,
+/// The intentional-scheme configuration a case puts under test.
+fn intentional_config(params: &CaseParams) -> IntentionalConfig {
+    IntentionalConfig {
+        ncl_count: params.ncl_count,
+        replacement: params.replacement,
+        response: params.response,
+        response_routing: params.routing,
+        probabilistic_selection: params.probabilistic,
+        ..IntentionalConfig::default()
+    }
+}
+
+/// The body of a differential case over the contacts `source` yields
+/// (`label` names them in a failure): the optimized scheme under audit;
+/// the seed's pick of the incidental schemes — the four baselines and
+/// the epidemic bound, whose messages have many carriers — under every
+/// law, their carrier-index and expiry-watermark laws among them; and,
+/// when the case has no epochs, the reference scheme, whose metrics and
+/// NCL query load the optimized one must reproduce.
+fn run_differential<C: ContactSource>(
     params: &CaseParams,
-    events: Vec<WorkloadEvent>,
+    events: &[WorkloadEvent],
     mid: Time,
-) -> Result<u64, String> {
+    label: &str,
+    source: impl Fn() -> C,
+) -> Result<CaseStats, String> {
     const INCIDENTAL: [SchemeKind; 5] = [
         SchemeKind::NoCache,
         SchemeKind::RandomCache,
@@ -344,13 +374,38 @@ fn audit_incidental<C: ContactSource>(
         SchemeKind::BundleCache,
         SchemeKind::Flooding,
     ];
+    let cfg = intentional_config(params);
+    let run = |scheme: Box<dyn CachingScheme>, who: &str| {
+        run_instrumented(source(), scheme, events.to_vec(), sim_config(params), mid)
+            .clean(&format!("{who}{label}"))
+    };
+    let fast = run(
+        Box::new(IntentionalScheme::new(cfg.clone())),
+        "optimized scheme",
+    )?;
     let kind = INCIDENTAL[(params.seed % 5) as usize];
-    let scheme = build_scheme(kind, &ExperimentConfig::default());
-    let run = run_instrumented_from(source, scheme, events, sim_config(params), mid);
-    match run.failure {
-        Some(detail) => Err(format!("{kind}: {detail}")),
-        None => Ok(run.sweeps),
+    let incidental = run(
+        build_scheme(kind, &ExperimentConfig::default()),
+        kind.name(),
+    )?;
+    let mut stats = CaseStats {
+        sweeps: fast.sweeps + incidental.sweeps,
+        queries_issued: fast.metrics.queries_issued,
+        differential: false,
+    };
+    // The reference scheme keeps its NCLs frozen across epochs by
+    // design, so the differential comparison only holds without
+    // re-elections.
+    if params.epoch_hours.is_none() {
+        let reference = run(
+            Box::new(ReferenceIntentionalScheme::new(cfg)),
+            "reference scheme",
+        )?;
+        fast.agrees_with(&format!("optimized{label}"), &reference, "reference")?;
+        stats.sweeps += reference.sweeps;
+        stats.differential = true;
     }
+    Ok(stats)
 }
 
 /// Runs one case: optimized scheme under audit, plus the reference
@@ -366,61 +421,9 @@ pub fn run_case(params: &CaseParams) -> Result<CaseStats, String> {
         .seed(params.seed)
         .build();
     let events = workload(params, &trace);
-    let cfg = IntentionalConfig {
-        ncl_count: params.ncl_count,
-        replacement: params.replacement,
-        response: params.response,
-        response_routing: params.routing,
-        probabilistic_selection: params.probabilistic,
-        ..IntentionalConfig::default()
-    };
-
-    let fast = run_instrumented(
-        &trace,
-        IntentionalScheme::new(cfg.clone()),
-        events.clone(),
-        sim_config(params),
-    );
-    if let Some(detail) = fast.failure {
-        return Err(format!("optimized scheme: {detail}"));
-    }
-    let mut stats = CaseStats {
-        sweeps: fast.sweeps,
-        queries_issued: fast.metrics.queries_issued,
-        differential: false,
-    };
-    let source = TraceSource::new(&trace);
-    stats.sweeps += audit_incidental(source, params, events.clone(), trace.midpoint())?;
-
-    // The reference scheme keeps its NCLs frozen across epochs by
-    // design, so the differential comparison only holds without
-    // re-elections.
-    if params.epoch_hours.is_none() {
-        let reference = run_instrumented(
-            &trace,
-            ReferenceIntentionalScheme::new(cfg),
-            events,
-            sim_config(params),
-        );
-        if let Some(detail) = reference.failure {
-            return Err(format!("reference scheme: {detail}"));
-        }
-        if fast.metrics != reference.metrics {
-            return Err(format!(
-                "metrics diverged: optimized {:?} vs reference {:?}",
-                fast.metrics, reference.metrics
-            ));
-        }
-        if fast.load != reference.load {
-            return Err(format!(
-                "NCL query load diverged: optimized {:?} vs reference {:?}",
-                fast.load, reference.load
-            ));
-        }
-        stats.sweeps += reference.sweeps;
-        stats.differential = true;
-    }
-    Ok(stats)
+    run_differential(params, &events, trace.midpoint(), "", || {
+        TraceSource::new(&trace)
+    })
 }
 
 /// Runs one streaming/CSR case: the seed's protocol configuration is
@@ -453,48 +456,27 @@ pub fn run_streaming_case(params: &CaseParams) -> Result<CaseStats, String> {
     let trace = builder.build();
     let events = workload(&params, &trace);
     let mid = trace.midpoint();
-    let cfg = IntentionalConfig {
-        ncl_count: params.ncl_count,
-        replacement: params.replacement,
-        response: params.response,
-        response_routing: params.routing,
-        probabilistic_selection: params.probabilistic,
-        ..IntentionalConfig::default()
-    };
+    let cfg = intentional_config(&params);
 
     let by_trace = run_instrumented(
-        &trace,
+        TraceSource::new(&trace),
         IntentionalScheme::new(cfg.clone()),
         events.clone(),
         sim_config(&params),
-    );
-    if let Some(detail) = by_trace.failure {
-        return Err(format!("materialized run: {detail}"));
-    }
-    let by_stream = run_instrumented_from(
+        mid,
+    )
+    .clean("materialized run")?;
+    let by_stream = run_instrumented(
         StreamSource::from_synthetic(builder.stream()),
         IntentionalScheme::new(cfg.clone()),
         events.clone(),
         sim_config(&params),
         mid,
-    );
-    if let Some(detail) = by_stream.failure {
-        return Err(format!("streamed run: {detail}"));
-    }
-    if by_trace.metrics != by_stream.metrics {
-        return Err(format!(
-            "streamed metrics diverged from materialized: {:?} vs {:?}",
-            by_stream.metrics, by_trace.metrics
-        ));
-    }
-    if by_trace.load != by_stream.load {
-        return Err(format!(
-            "streamed NCL query load diverged: {:?} vs {:?}",
-            by_stream.load, by_trace.load
-        ));
-    }
+    )
+    .clean("streamed run")?;
+    by_stream.agrees_with("streamed", &by_trace, "materialized")?;
 
-    let scaled = run_instrumented_from(
+    let scaled = run_instrumented(
         StreamSource::from_synthetic(builder.stream()),
         IntentionalScheme::new(IntentionalConfig {
             ncl_selection: SelectionStrategy::CommunityPathMetric { max_hops: Some(3) },
@@ -504,10 +486,8 @@ pub fn run_streaming_case(params: &CaseParams) -> Result<CaseStats, String> {
         events,
         sim_config(&params),
         mid,
-    );
-    if let Some(detail) = scaled.failure {
-        return Err(format!("city-scale run: {detail}"));
-    }
+    )
+    .clean("city-scale run")?;
 
     Ok(CaseStats {
         sweeps: by_trace.sweeps + by_stream.sweeps + scaled.sweeps,
@@ -573,70 +553,14 @@ pub fn run_process_case(
         .contact_process(process)
         .seed(params.seed)
         .build();
-    let mid = trace.midpoint();
     let overlay = process_case_overlay(params, &trace);
     let mut events = workload(params, &trace);
     // Famine fillers start above the workload's item-id range.
     events.extend(overlay.workload_events(params.nodes, params.items));
-    let cfg = IntentionalConfig {
-        ncl_count: params.ncl_count,
-        replacement: params.replacement,
-        response: params.response,
-        response_routing: params.routing,
-        probabilistic_selection: params.probabilistic,
-        ..IntentionalConfig::default()
-    };
-    let source = || OverlaySource::new(TraceSource::new(&trace), vec![overlay.clone()]);
-
-    let fast = run_instrumented_from(
-        source(),
-        IntentionalScheme::new(cfg.clone()),
-        events.clone(),
-        sim_config(params),
-        mid,
-    );
-    if let Some(detail) = fast.failure {
-        return Err(format!("optimized scheme ({}): {detail}", process.name()));
-    }
-    let mut stats = CaseStats {
-        sweeps: fast.sweeps,
-        queries_issued: fast.metrics.queries_issued,
-        differential: false,
-    };
-    stats.sweeps += audit_incidental(source(), params, events.clone(), mid)
-        .map_err(|detail| format!("{detail} ({})", process.name()))?;
-
-    if params.epoch_hours.is_none() {
-        let reference = run_instrumented_from(
-            source(),
-            ReferenceIntentionalScheme::new(cfg),
-            events,
-            sim_config(params),
-            mid,
-        );
-        if let Some(detail) = reference.failure {
-            return Err(format!("reference scheme ({}): {detail}", process.name()));
-        }
-        if fast.metrics != reference.metrics {
-            return Err(format!(
-                "metrics diverged under {}: optimized {:?} vs reference {:?}",
-                process.name(),
-                fast.metrics,
-                reference.metrics
-            ));
-        }
-        if fast.load != reference.load {
-            return Err(format!(
-                "NCL query load diverged under {}: optimized {:?} vs reference {:?}",
-                process.name(),
-                fast.load,
-                reference.load
-            ));
-        }
-        stats.sweeps += reference.sweeps;
-        stats.differential = true;
-    }
-    Ok(stats)
+    let label = format!(" ({})", process.name());
+    run_differential(params, &events, trace.midpoint(), &label, || {
+        OverlaySource::new(TraceSource::new(&trace), vec![overlay.clone()])
+    })
 }
 
 /// Checks one seed's process/overlay case; failures come back shrunk
@@ -651,27 +575,7 @@ pub fn check_process_seed(
     seed: u64,
     process: ContactProcessKind,
 ) -> Result<CaseStats, Box<SimcheckFailure>> {
-    let params = CaseParams::from_seed(seed);
-    match run_process_case(&params, process) {
-        Ok(stats) => Ok(stats),
-        Err(detail) => {
-            let mut failure = SimcheckFailure { params, detail };
-            loop {
-                let step = shrink_steps(&failure.params).into_iter().find_map(|cand| {
-                    run_process_case(&cand, process)
-                        .err()
-                        .map(|detail| SimcheckFailure {
-                            params: cand,
-                            detail,
-                        })
-                });
-                match step {
-                    Some(smaller) => failure = smaller,
-                    None => break Err(Box::new(failure)),
-                }
-            }
-        }
-    }
+    check_shrinking(seed, |params| run_process_case(params, process))
 }
 
 /// Checks one seed's streaming/CSR case. Streaming failures are not
@@ -693,11 +597,17 @@ pub fn check_streaming_seed(seed: u64) -> Result<CaseStats, Box<SimcheckFailure>
 ///
 /// Returns the (shrunk) failing case on any invariant breach.
 pub fn check_seed(seed: u64) -> Result<CaseStats, Box<SimcheckFailure>> {
+    check_shrinking(seed, run_case)
+}
+
+/// Runs the seed's case through `run`; a failure comes back shrunk
+/// against the same runner.
+fn check_shrinking(
+    seed: u64,
+    run: impl Fn(&CaseParams) -> Result<CaseStats, String>,
+) -> Result<CaseStats, Box<SimcheckFailure>> {
     let params = CaseParams::from_seed(seed);
-    match run_case(&params) {
-        Ok(stats) => Ok(stats),
-        Err(detail) => Err(Box::new(shrink(SimcheckFailure { params, detail }))),
-    }
+    run(&params).map_err(|detail| Box::new(shrink(SimcheckFailure { params, detail }, run)))
 }
 
 /// Candidate one-step reductions of a case, most aggressive first.
@@ -737,24 +647,21 @@ pub fn shrink_steps(params: &CaseParams) -> Vec<CaseParams> {
     steps
 }
 
-/// Greedily shrinks a failing case: applies the first reduction that
-/// still fails, repeating until no reduction reproduces the failure.
-pub fn shrink(failure: SimcheckFailure) -> SimcheckFailure {
+/// Greedily shrinks a case failing under `run`: applies the first
+/// reduction that still fails, repeating until no reduction reproduces
+/// the failure.
+pub fn shrink(
+    failure: SimcheckFailure,
+    run: impl Fn(&CaseParams) -> Result<CaseStats, String>,
+) -> SimcheckFailure {
     let mut best = failure;
     loop {
-        let mut reduced = false;
-        for candidate in shrink_steps(&best.params) {
-            if let Err(detail) = run_case(&candidate) {
-                best = SimcheckFailure {
-                    params: candidate,
-                    detail,
-                };
-                reduced = true;
-                break;
-            }
-        }
-        if !reduced {
-            return best;
+        let step = shrink_steps(&best.params)
+            .into_iter()
+            .find_map(|params| Some((run(&params).err()?, params)));
+        match step {
+            Some((detail, params)) => best = SimcheckFailure { params, detail },
+            None => return best,
         }
     }
 }

@@ -44,11 +44,15 @@ impl<P: IncidentalPolicy> Caches<P> {
         }
     }
 
+    /// A fresh start over `setup`'s nodes: nothing of an earlier run —
+    /// items, query history, contact counts — survives.
     pub(super) fn configure(&mut self, setup: &NetworkSetup<'_>) {
-        self.buffers = setup.capacities.iter().map(|&c| Buffer::new(c)).collect();
-        self.node_contacts = vec![0; setup.capacities.len()];
-        self.started_at = setup.now;
-        self.next_expiry = Time(u64::MAX);
+        *self = Caches {
+            buffers: setup.capacities.iter().map(|&c| Buffer::new(c)).collect(),
+            node_contacts: vec![0; setup.capacities.len()],
+            started_at: setup.now,
+            ..Caches::new(self.policy.clone())
+        };
     }
 
     pub(super) fn policy(&self) -> &P {

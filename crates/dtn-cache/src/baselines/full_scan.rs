@@ -224,12 +224,15 @@ trait Inspect {
 
 impl<P> Inspect for IncidentalScheme<P> {
     fn buffers(&self) -> &[Buffer] {
-        &self.caches.buffers
+        &self.live().caches.buffers
     }
     fn in_flight(&self) -> Vec<(bool, InFlight)> {
-        let queries = self.queries.iter().map(|m| (false, m.clone()));
+        let Some((live, _)) = &self.live else {
+            return Vec::new(); // warm-up: not configured yet
+        };
+        let queries = live.queries.iter().map(|m| (false, m.clone()));
         queries
-            .chain(self.responses.iter().map(|m| (true, m.clone())))
+            .chain(live.responses.iter().map(|m| (true, m.clone())))
             .collect()
     }
 }
@@ -549,7 +552,7 @@ mod tests {
         let mut sim = start(&trace, indexed, events.clone(), audited(2));
         sim.run_until(Time(12_001));
         {
-            let scheme = &sim.scheme().inner;
+            let scheme = sim.scheme().inner.live();
             assert!(!scheme.caches.holds(NodeId(3), DataId(0)), "swept on time");
             assert!(scheme.caches.holds(NodeId(3), DataId(1)));
             // Query 0 left at its expiry; query 1 moved on to node 1.
@@ -578,7 +581,7 @@ mod tests {
             }
             // Events strictly before the contact, then the contact.
             sim.run_until(now);
-            let scheme = &sim.scheme().inner;
+            let scheme = sim.scheme().inner.live();
             let carried = |slab: &crate::pending::RoutedSlab| {
                 slab.iter()
                     .filter(|m| m.query.expires_at > now)
@@ -592,7 +595,7 @@ mod tests {
             );
             in_flight_total += (scheme.queries.len() + scheme.responses.len()) as u64;
             sim.run_until(Time(now.0 + 1));
-            let scheme = &sim.scheme().inner;
+            let scheme = sim.scheme().inner.live();
             let examined = scheme.queries.examined + scheme.responses.examined - before.0;
             // Responses spawned by this contact's queries are carried by
             // an endpoint and take their first step in the same contact.

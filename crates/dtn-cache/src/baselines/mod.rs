@@ -33,8 +33,6 @@ mod policy;
 
 pub(crate) use policy::{BundleCachePolicy, CacheDataPolicy, NoCachePolicy, RandomCachePolicy};
 
-use std::mem;
-
 use dtn_core::ids::{DataId, IdMap, NodeId, QueryId};
 use dtn_core::time::Time;
 use dtn_sim::engine::{CacheStats, Scheme, SimCtx};
@@ -43,7 +41,7 @@ use dtn_sim::oracle::{OracleStats, PathOracle};
 use dtn_sim::probe::ProbeEvent;
 use dtn_trace::trace::Contact;
 
-use crate::pending::RoutedSlab;
+use crate::pending::{AdvanceScratch, CarrierSlab, InFlight, RoutedSlab};
 use crate::routing::ForwardingStrategy;
 use crate::{CachingScheme, NetworkSetup, PATH_REFRESH};
 
@@ -63,7 +61,7 @@ pub(crate) struct PolicyCtx<'a> {
 }
 
 /// The caching rule distinguishing the four baselines.
-pub(crate) trait IncidentalPolicy {
+pub(crate) trait IncidentalPolicy: Clone {
     /// Whether a requester caches data it receives.
     fn cache_at_requester(&self) -> bool;
 
@@ -80,24 +78,37 @@ pub(crate) trait IncidentalPolicy {
 /// Generic incidental caching scheme driven by a policy.
 #[derive(Debug)]
 pub(crate) struct IncidentalScheme<P> {
-    caches: Caches<P>,
+    policy: P,
     query_routing: ForwardingStrategy,
     response_routing: ForwardingStrategy,
-    oracle: Option<PathOracle>,
+    /// What `configure` built, beside the per-contact scratch it lends
+    /// each phase; `None` until then, and every hook is a no-op while
+    /// it is.
+    live: Option<(Live<P>, Scratch)>,
+}
+
+/// The configured scheme: caches, oracle, and the messages in flight.
+#[derive(Debug)]
+struct Live<P> {
+    caches: Caches<P>,
+    oracle: PathOracle,
     /// Queries traveling toward the data source.
     queries: RoutedSlab,
     /// Data copies traveling back to their requesters.
     responses: RoutedSlab,
-    // Reusable per-contact scratch buffers (logically empty between
-    // contacts; kept to avoid re-allocation in the hot loop).
-    sx_process: Vec<u32>,
-    sx_hops: Vec<(NodeId, NodeId)>,
-    sx_done: Vec<u32>,
-    sx_respond: Vec<(Query, NodeId)>,
-    sx_bumps: Vec<(NodeId, DataId)>,
-    sx_delivered: Vec<(u32, QueryId)>,
-    sx_passby: Vec<(NodeId, DataItem)>,
-    sx_req_caches: Vec<(NodeId, DataItem)>,
+}
+
+/// Per-contact scratch (empty between contacts; kept to avoid
+/// re-allocation in the hot loop).
+#[derive(Debug, Default)]
+struct Scratch {
+    advance: AdvanceScratch,
+    answered: Vec<u32>,
+    respond: Vec<(Query, NodeId)>,
+    bumps: Vec<(NodeId, DataId)>,
+    delivered: Vec<(u32, QueryId)>,
+    passby: Vec<(NodeId, DataItem)>,
+    req_caches: Vec<(NodeId, DataItem)>,
 }
 
 impl<P: IncidentalPolicy> IncidentalScheme<P> {
@@ -119,27 +130,15 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
         response_routing: ForwardingStrategy,
     ) -> Self {
         IncidentalScheme {
-            caches: Caches::new(policy),
+            policy,
             query_routing,
             response_routing,
-            oracle: None,
-            queries: RoutedSlab::default(),
-            responses: RoutedSlab::default(),
-            sx_process: Vec::new(),
-            sx_hops: Vec::new(),
-            sx_done: Vec::new(),
-            sx_respond: Vec::new(),
-            sx_bumps: Vec::new(),
-            sx_delivered: Vec::new(),
-            sx_passby: Vec::new(),
-            sx_req_caches: Vec::new(),
+            live: None,
         }
     }
+}
 
-    fn configured(&self) -> bool {
-        self.oracle.is_some()
-    }
-
+impl<P: IncidentalPolicy> Live<P> {
     /// Expired data leaves the buffers and expired queries' messages
     /// leave the slabs — each only when its expiry has come due.
     fn prune(&mut self, now: Time) {
@@ -148,205 +147,62 @@ impl<P: IncidentalPolicy> IncidentalScheme<P> {
         self.responses.expire(now);
     }
 
-    fn advance_queries(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
-        let now = ctx.now();
-        let mut process = mem::take(&mut self.sx_process);
-        self.queries.gather_open(ctx, a, b, &mut process);
-        let strategy = self.query_routing;
-        let oracle = self.oracle.as_mut().expect("configured");
-        let mut hops = mem::take(&mut self.sx_hops);
-        let mut answered = mem::take(&mut self.sx_done);
-        let mut to_respond = mem::take(&mut self.sx_respond);
-        let mut seen_bumps = mem::take(&mut self.sx_bumps);
-        // Relay hops observed this contact, replayed to the probe after
-        // the link borrow ends (empty and alloc-free when no probe is
-        // installed).
-        let probing = ctx.probe_enabled();
-        let mut relay_hops: Vec<(QueryId, NodeId, NodeId)> = Vec::new();
-        {
-            let mut link = ctx.link_access();
-            for &id in &process {
-                hops.clear();
-                let delivered = self.queries.advance(
-                    id,
-                    strategy,
-                    oracle,
-                    now,
-                    a,
-                    b,
-                    &mut link,
-                    &mut |f, t| hops.push((f, t)),
-                );
-                let entry = self.queries.get(id);
-                let query = entry.query;
-                if probing {
-                    relay_hops.extend(hops.iter().map(|&(f, t)| (query.id, f, t)));
-                }
+    fn advance_queries(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        sx: &mut Scratch,
+        strategy: ForwardingStrategy,
+        ends: (NodeId, NodeId),
+    ) {
+        let caches = &self.caches;
+        self.queries.advance(
+            ctx,
+            &mut self.oracle,
+            strategy,
+            ends,
+            &mut sx.advance,
+            |at, query, from, to| ProbeEvent::QueryRelay {
+                at,
+                query,
+                from,
+                to,
+            },
+            |id, m, hops, delivered| {
+                let query = m.query;
                 let mut is_answered = false;
-                for &(_, to) in &hops {
-                    seen_bumps.push((to, query.data));
+                for &(_, to) in hops {
+                    sx.bumps.push((to, query.data));
                     // En-route hit: a new carrier holds the data.
-                    if !is_answered && self.caches.holds(to, query.data) {
-                        to_respond.push((query, to));
+                    if !is_answered && caches.holds(to, query.data) {
+                        sx.respond.push((query, to));
                         is_answered = true;
                     }
                 }
                 if delivered && !is_answered {
                     // Reached the source: answer if the source still has
                     // the item (it may have expired).
-                    let dest = entry.msg.destination();
-                    if self.caches.holds(dest, query.data) {
-                        to_respond.push((query, dest));
+                    let dest = m.msg.destination();
+                    if caches.holds(dest, query.data) {
+                        sx.respond.push((query, dest));
                     }
                     is_answered = true;
                 }
                 if is_answered {
-                    answered.push(id);
+                    sx.answered.push(id);
                 }
-            }
-        }
-        for &(query, from, to) in &relay_hops {
-            ctx.probe().emit(|| ProbeEvent::QueryRelay {
-                at: now,
-                query,
-                from,
-                to,
-            });
-        }
-        for (node, data) in seen_bumps.drain(..) {
+            },
+        );
+        for (node, data) in sx.bumps.drain(..) {
             self.caches.note_seen(node, data);
         }
-        for (query, holder) in to_respond.drain(..) {
+        for (query, holder) in sx.respond.drain(..) {
             if let Some(msg) = self.caches.answer(ctx, &query, holder) {
-                self.responses.insert(query, msg);
+                self.responses.insert(InFlight { query, msg });
             }
         }
-        for id in answered.drain(..) {
+        for id in sx.answered.drain(..) {
             self.queries.remove(id);
         }
-        self.sx_bumps = seen_bumps;
-        self.sx_respond = to_respond;
-        self.sx_done = answered;
-        self.sx_hops = hops;
-        self.sx_process = process;
-    }
-
-    fn advance_responses(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
-        let now = ctx.now();
-        let mut process = mem::take(&mut self.sx_process);
-        self.responses.gather_open(ctx, a, b, &mut process);
-        let response_routing = self.response_routing;
-        let oracle = self.oracle.as_mut().expect("configured");
-        let mut hops = mem::take(&mut self.sx_hops);
-        let mut delivered = mem::take(&mut self.sx_delivered);
-        let mut passby = mem::take(&mut self.sx_passby);
-        let mut requester_caches = mem::take(&mut self.sx_req_caches);
-        let probing = ctx.probe_enabled();
-        let mut relay_hops: Vec<(QueryId, NodeId, NodeId)> = Vec::new();
-        {
-            let mut link = ctx.link_access();
-            for &id in &process {
-                let query = self.responses.get(id).query;
-                let Some(&item) = self.caches.item(query.data) else {
-                    continue;
-                };
-                // Greedy delegation by default (the paper's evaluation);
-                // the Flooding bound overrides this with Epidemic.
-                hops.clear();
-                let arrived = self.responses.advance(
-                    id,
-                    response_routing,
-                    oracle,
-                    now,
-                    a,
-                    b,
-                    &mut link,
-                    &mut |f, t| hops.push((f, t)),
-                );
-                if probing {
-                    relay_hops.extend(hops.iter().map(|&(f, t)| (query.id, f, t)));
-                }
-                for &(_, to) in &hops {
-                    if to == query.requester {
-                        if self.caches.policy().cache_at_requester() {
-                            requester_caches.push((to, item));
-                        }
-                    } else {
-                        // Pass-by caching decision at the relay
-                        // (CacheData / BundleCache).
-                        passby.push((to, item));
-                    }
-                }
-                if arrived {
-                    delivered.push((id, query.id));
-                }
-            }
-        }
-        for &(query, from, to) in &relay_hops {
-            ctx.probe().emit(|| ProbeEvent::ResponseRelay {
-                at: now,
-                query,
-                from,
-                to,
-            });
-        }
-        for &(_, query) in &delivered {
-            ctx.mark_delivered(query);
-        }
-        for (node, item) in passby.drain(..) {
-            self.caches.offer_passby(ctx, node, item);
-        }
-        for (node, item) in requester_caches.drain(..) {
-            self.caches.cache_at(ctx, node, item);
-        }
-        for (id, _) in delivered.drain(..) {
-            self.responses.remove(id);
-        }
-        self.sx_delivered = delivered;
-        self.sx_passby = passby;
-        self.sx_req_caches = requester_caches;
-        self.sx_hops = hops;
-        self.sx_process = process;
-    }
-}
-
-impl<P: IncidentalPolicy> Scheme for IncidentalScheme<P> {
-    fn on_data_generated(&mut self, ctx: &mut SimCtx<'_>, item: DataItem) {
-        if self.configured() {
-            self.caches.store_at_source(ctx, item);
-        }
-    }
-
-    fn on_query_issued(&mut self, ctx: &mut SimCtx<'_>, query: Query) {
-        if !self.configured() {
-            return;
-        }
-        let Some(mut msg) = self.caches.admit(ctx, query) else {
-            return;
-        };
-        if let ForwardingStrategy::SprayAndWait { initial_copies } = self.query_routing {
-            msg = msg.with_copy_budget(initial_copies);
-        }
-        self.queries.insert(query, msg);
-    }
-
-    fn on_contact(&mut self, ctx: &mut SimCtx<'_>, contact: Contact) {
-        if !self.configured() {
-            return;
-        }
-        self.caches.node_contacts[contact.a.index()] += 1;
-        self.caches.node_contacts[contact.b.index()] += 1;
-        self.prune(ctx.now());
-        self.advance_queries(ctx, contact.a, contact.b);
-        self.advance_responses(ctx, contact.a, contact.b);
-    }
-
-    fn on_epoch(&mut self, _ctx: &mut SimCtx<'_>, _epoch: dtn_sim::engine::Epoch) {
-        // Incidental caching has no NCLs to re-elect; epochs are no-ops.
-    }
-
-    fn cache_stats(&self, now: Time) -> CacheStats {
-        crate::common::cache_stats(&self.caches.buffers, now)
     }
 
     fn audit(&self, now: Time, report: &mut dtn_sim::audit::AuditReport) {
@@ -354,19 +210,138 @@ impl<P: IncidentalPolicy> Scheme for IncidentalScheme<P> {
         self.queries.audit("query", now, report);
         self.responses.audit("response", now, report);
     }
+
+    /// Greedy delegation by default (the paper's evaluation); the
+    /// Flooding bound overrides this with Epidemic.
+    fn advance_responses(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        sx: &mut Scratch,
+        strategy: ForwardingStrategy,
+        ends: (NodeId, NodeId),
+    ) {
+        let caches = &self.caches;
+        self.responses.advance(
+            ctx,
+            &mut self.oracle,
+            strategy,
+            ends,
+            &mut sx.advance,
+            |at, query, from, to| ProbeEvent::ResponseRelay {
+                at,
+                query,
+                from,
+                to,
+            },
+            |id, m, hops, arrived| {
+                if arrived {
+                    sx.delivered.push((id, m.query.id));
+                }
+                let Some(&item) = caches.item(m.query.data) else {
+                    return;
+                };
+                for &(_, to) in hops {
+                    if to != m.query.requester {
+                        // Pass-by caching decision at the relay
+                        // (CacheData / BundleCache).
+                        sx.passby.push((to, item));
+                    } else if caches.policy().cache_at_requester() {
+                        sx.req_caches.push((to, item));
+                    }
+                }
+            },
+        );
+        for &(_, query) in &sx.delivered {
+            ctx.mark_delivered(query);
+        }
+        for (node, item) in sx.passby.drain(..) {
+            self.caches.offer_passby(ctx, node, item);
+        }
+        for (node, item) in sx.req_caches.drain(..) {
+            self.caches.cache_at(ctx, node, item);
+        }
+        for (id, _) in sx.delivered.drain(..) {
+            self.responses.remove(id);
+        }
+    }
+}
+
+impl<P: IncidentalPolicy> Scheme for IncidentalScheme<P> {
+    fn on_data_generated(&mut self, ctx: &mut SimCtx<'_>, item: DataItem) {
+        if let Some((live, _)) = &mut self.live {
+            live.caches.store_at_source(ctx, item);
+        }
+    }
+
+    fn on_query_issued(&mut self, ctx: &mut SimCtx<'_>, query: Query) {
+        let Some((live, _)) = &mut self.live else {
+            return;
+        };
+        let Some(mut msg) = live.caches.admit(ctx, query) else {
+            return;
+        };
+        if let ForwardingStrategy::SprayAndWait { initial_copies } = self.query_routing {
+            msg = msg.with_copy_budget(initial_copies);
+        }
+        live.queries.insert(InFlight { query, msg });
+    }
+
+    fn on_contact(&mut self, ctx: &mut SimCtx<'_>, contact: Contact) {
+        let Some((live, sx)) = &mut self.live else {
+            return;
+        };
+        let ends = (contact.a, contact.b);
+        live.caches.node_contacts[contact.a.index()] += 1;
+        live.caches.node_contacts[contact.b.index()] += 1;
+        live.prune(ctx.now());
+        live.advance_queries(ctx, sx, self.query_routing, ends);
+        live.advance_responses(ctx, sx, self.response_routing, ends);
+    }
+
+    fn on_epoch(&mut self, _ctx: &mut SimCtx<'_>, _epoch: dtn_sim::engine::Epoch) {
+        // Incidental caching has no NCLs to re-elect; epochs are no-ops.
+    }
+
+    fn cache_stats(&self, now: Time) -> CacheStats {
+        let live = self.live.as_ref();
+        crate::common::cache_stats(live.map_or(&[], |(l, _)| &l.caches.buffers), now)
+    }
+
+    fn audit(&self, now: Time, report: &mut dtn_sim::audit::AuditReport) {
+        if let Some((live, _)) = &self.live {
+            live.audit(now, report);
+        }
+    }
 }
 
 impl<P: IncidentalPolicy> CachingScheme for IncidentalScheme<P> {
     fn configure(&mut self, setup: &NetworkSetup<'_>) {
         let nodes = setup.capacities.len();
-        self.oracle = Some(PathOracle::new(nodes, setup.horizon, PATH_REFRESH));
-        self.caches.configure(setup);
-        self.queries.reset(nodes);
-        self.responses.reset(nodes);
+        let mut caches = Caches::new(self.policy.clone());
+        caches.configure(setup);
+        let live = Live {
+            caches,
+            oracle: PathOracle::new(nodes, setup.horizon, PATH_REFRESH),
+            queries: CarrierSlab::new(nodes),
+            responses: CarrierSlab::new(nodes),
+        };
+        self.live = Some((live, Scratch::default()));
     }
 
     fn oracle_stats(&self) -> Option<OracleStats> {
-        self.oracle.as_ref().map(PathOracle::stats)
+        self.live.as_ref().map(|(l, _)| l.oracle.stats())
+    }
+}
+
+#[cfg(test)]
+impl<P> IncidentalScheme<P> {
+    /// The configured state, for tests that inspect or corrupt it.
+    fn live(&self) -> &Live<P> {
+        &self.live.as_ref().expect("configure ran").0
+    }
+
+    fn live_mut(&mut self) -> &mut Live<P> {
+        &mut self.live.as_mut().expect("configure ran").0
     }
 }
 
@@ -528,7 +503,7 @@ mod tests {
         let mut sim = Simulator::new(&trace, scheme, SimConfig::default());
         sim.run_until(Time(1_000));
         configure_from_live_state(&mut sim, 3600.0, None);
-        let scheme = sim.scheme_mut();
+        let scheme = sim.scheme_mut().live_mut();
         scheme.caches.node_contacts[0] = 5;
         // At the configure instant no time has been observed yet: no
         // rate estimate — not the raw contact count the old `.max(1.0)`
@@ -574,9 +549,9 @@ mod tests {
         let report = sim.audit_report().expect("audit was enabled");
         assert!(report.is_clean(), "{}", report.summary());
         let now = sim.now();
-        let scheme = sim.scheme_mut();
+        let scheme = sim.scheme_mut().live_mut();
         assert!(scheme.queries.len() > 0, "nothing in flight to corrupt");
-        let broken = |scheme: &IncidentalScheme<RandomCachePolicy>| {
+        let broken = |scheme: &Live<RandomCachePolicy>| {
             let mut report = AuditReport::default();
             scheme.audit(now, &mut report);
             report
@@ -606,7 +581,7 @@ mod tests {
         let late = scheme.queries.get(id).clone();
         scheme.queries.expire(late.query.expires_at);
         assert_eq!(broken(scheme), 0, "the sweep itself leaves no debris");
-        scheme.queries.insert(late.query, late.msg);
+        scheme.queries.insert(late);
         assert!(broken(scheme) > 0, "overdue message went undetected");
 
         // An item expiring before the sweep watermark.
@@ -618,7 +593,9 @@ mod tests {
         let now = sim.now();
         let scheme = sim.scheme_mut();
         let item = DataItem::new(DataId(0), NodeId(3), 1000, now, Duration::hours(1));
-        scheme.caches.buffers[3].insert(item).expect("fits");
+        scheme.live_mut().caches.buffers[3]
+            .insert(item)
+            .expect("fits");
         let mut report = AuditReport::default();
         scheme.audit(now, &mut report);
         assert!(!report.is_clean(), "unwatched expiry went undetected");

@@ -33,8 +33,8 @@
 //! milestones through the engine's [`ProbeEvent`] vocabulary, so the
 //! stages can be read — and tested — independently:
 //!
-//! - [`pending`](self) — pull and broadcast records (the slabs they
-//!   and the responses live in are `crate::pending`, shared with the
+//! - [`pending`](self) — pull and broadcast records (the arena they
+//!   and the responses ride is `crate::pending`, shared with the
 //!   baselines);
 //! - `state` — per-node cache state: the copy table, the per-holder
 //!   indexes behind `set_copy`, expiry GC, and the §V-D exchange;
@@ -63,11 +63,11 @@
 //! original retain-based bookkeeping it is differentially tested
 //! against):
 //!
-//! - pending pulls/broadcasts/responses live in slab allocators with
-//!   monotone sequence numbers; per-node lists point into the slabs and
-//!   a contact gathers only the two endpoints' entries, sorted by
-//!   sequence number to reproduce the original global processing order
-//!   (`crate::pending`);
+//! - pending pulls/broadcasts/responses ride one kind of arena
+//!   (`crate::pending::CarrierSlab`): monotone sequence numbers,
+//!   per-carrier lists, and a contact gathers only the two endpoints'
+//!   entries, sorted by sequence number to reproduce the original global
+//!   processing order;
 //! - expired messages, data items and response-decision memos are
 //!   garbage-collected from time-ordered heaps instead of full sweeps;
 //! - id-keyed maps hash with `dtn_core::ids::IdHasher`, not SipHash;
@@ -93,8 +93,10 @@ pub use state::{IntentionalScheme, ReelectionStats};
 use std::cmp::Reverse;
 use std::mem;
 
-use dtn_core::ids::NodeId;
-use dtn_core::ncl::SweepWork;
+use dtn_core::graph::{ContactGraph, CsrGraph, Topology};
+use dtn_core::ids::{IdMap, NodeId};
+use dtn_core::knapsack::KnapsackSolver;
+use dtn_core::ncl::{CentralityScore, SweepWork};
 use dtn_core::time::Time;
 use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::{CacheStats, Epoch, Scheme, SimCtx};
@@ -104,12 +106,14 @@ use dtn_sim::probe::ProbeEvent;
 use dtn_sim::profiler::Phase;
 use dtn_trace::trace::Contact;
 
+use crate::common::DataRegistry;
+use crate::pending::CarrierSlab;
 use crate::replacement::{NodeCacheMeta, ReplacementKind};
 use crate::routing::ForwardingStrategy;
 use crate::{CachingScheme, NetworkSetup, PATH_REFRESH};
 
-use self::pending::{PullCopy, GC_PULL};
-use self::state::CopyState;
+use self::pending::PullCopy;
+use self::state::{CopyState, Live, Scratch};
 
 /// How a caching node decides whether to return data (§V-C).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,7 +189,70 @@ impl Default for IntentionalConfig {
     }
 }
 
-impl IntentionalScheme {
+/// The configured NCL selection over `graph`, with the work it took.
+fn select_ncls<G: Topology + Sync>(
+    cfg: &IntentionalConfig,
+    graph: &G,
+    horizon: f64,
+) -> (Vec<CentralityScore>, SweepWork) {
+    dtn_core::ncl::select_by_strategy_counted(graph, cfg.ncl_count, horizon, cfg.ncl_selection)
+}
+
+impl Live {
+    /// Elects the NCLs from the warm-up rates and builds empty caches.
+    fn new(cfg: &IntentionalConfig, setup: &NetworkSetup<'_>) -> Live {
+        // Scale mode swaps the adjacency-list graph for CSR storage (one
+        // allocation, tighter cache lines); the selection arithmetic is
+        // identical either way.
+        let (rates, now) = (setup.rate_table, setup.now);
+        let (scores, ncl_work) = if cfg.bounded_reach.is_some() {
+            select_ncls(cfg, &CsrGraph::from_rate_table(rates, now), setup.horizon)
+        } else {
+            select_ncls(
+                cfg,
+                &ContactGraph::from_rate_table(rates, now),
+                setup.horizon,
+            )
+        };
+        let centrals: Vec<NodeId> = scores.iter().map(|s| s.node).collect();
+        let n = setup.capacities.len();
+        let mut oracle =
+            PathOracle::new(n, setup.horizon, setup.path_refresh.unwrap_or(PATH_REFRESH));
+        // Push, pull and cache exchange read weights *to the centrals*:
+        // the oracle's searches stop once those have settled.
+        oracle.set_targets(&centrals);
+        if let Some((hops, slots)) = cfg.bounded_reach {
+            oracle = oracle.with_bounded_reach(hops, slots);
+        }
+        Live {
+            cfg: cfg.clone(),
+            oracle,
+            buffers: setup.capacities.iter().map(|&c| Buffer::new(c)).collect(),
+            meta: vec![NodeCacheMeta::default(); n],
+            registry: DataRegistry::default(),
+            copies: IdMap::default(),
+            pulls: CarrierSlab::new(n),
+            broadcasts: CarrierSlab::new(n),
+            responses: CarrierSlab::new(n),
+            carried_at: vec![Vec::new(); n],
+            settled_at: vec![Vec::new(); n],
+            member_count: vec![0; n * centrals.len()],
+            cache_gen: vec![0; n],
+            pair_clean: IdMap::default(),
+            data_gc: Default::default(),
+            responded: IdMap::default(),
+            responded_gc: Default::default(),
+            solver: KnapsackSolver::new(cfg.knapsack_quantum),
+            ncl_query_load: vec![0; centrals.len()],
+            last_oracle_epoch: 0,
+            horizon: setup.horizon,
+            reelect_graph: ContactGraph::default(),
+            reelection: ReelectionStats::default(),
+            ncl_work,
+            centrals,
+        }
+    }
+
     /// Epoch-based NCL re-election (driven by [`Scheme::on_epoch`]).
     ///
     /// Rebuilds the contact graph from the live rate table's
@@ -207,12 +274,7 @@ impl IntentionalScheme {
         let now = ctx.now();
         let mut graph = mem::take(&mut self.reelect_graph);
         graph.refresh_from_current_rates(ctx.rate_table(), now);
-        let (scores, work) = dtn_core::ncl::select_by_strategy_counted(
-            &graph,
-            self.cfg.ncl_count,
-            self.horizon,
-            self.cfg.ncl_selection,
-        );
+        let (scores, work) = select_ncls(&self.cfg, &graph, self.horizon);
         self.ncl_work += work;
         self.reelect_graph = graph;
         let new_centrals = dtn_core::ncl::reassign_central_nodes(&self.centrals, &scores);
@@ -230,12 +292,10 @@ impl IntentionalScheme {
         }
         self.reelection.central_changes += changed.len() as u64;
         self.centrals = new_centrals;
-        if let Some(oracle) = &mut self.oracle {
-            oracle.invalidate();
-            oracle.set_targets(&self.centrals);
-            ctx.probe()
-                .emit(|| ProbeEvent::OracleInvalidated { at: now });
-        }
+        self.oracle.invalidate();
+        self.oracle.set_targets(&self.centrals);
+        ctx.probe()
+            .emit(|| ProbeEvent::OracleInvalidated { at: now });
         for &(k, old, new) in &changed {
             ctx.probe().emit(|| ProbeEvent::CentralReelected {
                 at: now,
@@ -252,187 +312,121 @@ impl IntentionalScheme {
 
 impl Scheme for IntentionalScheme {
     fn on_data_generated(&mut self, ctx: &mut SimCtx<'_>, item: DataItem) {
-        if !self.configured() {
+        let Some((live, _)) = &mut self.live else {
             return;
-        }
-        self.registry.register(item);
-        self.data_gc.push(Reverse((item.expires_at, item.id)));
+        };
+        live.registry.register(item);
+        live.data_gc.push(Reverse((item.expires_at, item.id)));
         // The source holds one physical copy and owes one to each NCL.
-        let k_count = self.centrals.len();
-        if self.insert_physical(ctx, item.source, item) {
-            self.copies
+        let k_count = live.centrals.len();
+        if live.insert_physical(ctx, item.source, item) {
+            live.copies
                 .insert(item.id, vec![CopyState::Carried(item.source); k_count]);
             let src = item.source.index();
             for k in 0..k_count {
-                self.carried_at[src].push((item.id, k as u32));
-                self.member_count[src * k_count + k] += 1;
+                live.carried_at[src].push((item.id, k as u32));
+                live.member_count[src * k_count + k] += 1;
             }
-            self.cache_gen[src] += 1;
+            live.cache_gen[src] += 1;
         } else {
             // The item never fits anywhere; it is lost.
-            self.copies
+            live.copies
                 .insert(item.id, vec![CopyState::Dropped; k_count]);
         }
     }
 
     fn on_query_issued(&mut self, ctx: &mut SimCtx<'_>, query: Query) {
-        if !self.configured() {
+        let Some((live, _)) = &mut self.live else {
             return;
-        }
-        self.registry.record_request(query.data, ctx.now());
+        };
+        live.registry.record_request(query.data, ctx.now());
         // Local hit: the requester happens to cache the data already.
-        if self.buffers[query.requester.index()].contains(query.data) {
+        if live.buffers[query.requester.index()].contains(query.data) {
             ctx.mark_delivered(query.id);
             return;
         }
-        let centrals = self.centrals.clone();
-        for (k, &central) in centrals.iter().enumerate() {
-            if central == query.requester {
-                self.handle_query_at_central(ctx, query, k);
+        for ncl in 0..live.centrals.len() {
+            if live.centrals[ncl] == query.requester {
+                live.handle_query_at_central(ctx, query, ncl);
             } else {
-                let (id, seq) = self.pulls.insert(PullCopy {
+                live.pulls.insert(PullCopy {
                     query,
-                    ncl: k,
+                    ncl,
                     carrier: query.requester,
                 });
-                self.pull_at[query.requester.index()].push(id);
-                self.pending_gc
-                    .push(Reverse((query.expires_at, GC_PULL, id, seq)));
             }
         }
     }
 
     fn on_contact(&mut self, ctx: &mut SimCtx<'_>, contact: Contact) {
-        if !self.configured() {
+        let Some((live, sx)) = &mut self.live else {
             return;
-        }
+        };
         let (a, b) = (contact.a, contact.b);
-        self.prune(ctx);
-        self.advance_pushes(ctx, a, b);
-        self.advance_pulls(ctx, a, b);
-        self.advance_broadcasts(ctx, a, b);
-        self.advance_responses(ctx, a, b);
-        self.exchange_caches(ctx, a, b);
+        live.prune(ctx);
+        live.advance_pushes(ctx, sx, a, b);
+        live.advance_pulls(ctx, sx, a, b);
+        live.advance_broadcasts(ctx, sx, a, b);
+        live.advance_responses(ctx, sx, a, b);
+        live.exchange_caches(ctx, sx, a, b);
         // Relay oracle rebuilds to an installed probe. The oracle cannot
         // emit directly (it is queried under a rate-table borrow), so the
         // scheme watches its epoch counter between contacts instead.
-        if ctx.probe_enabled() {
-            if let Some(oracle) = &self.oracle {
-                let epoch = oracle.snapshot_epoch();
-                if epoch > self.last_oracle_epoch {
-                    self.last_oracle_epoch = epoch;
-                    let stats = oracle.stats();
-                    let at = ctx.now();
-                    ctx.probe().emit(|| ProbeEvent::OracleRebuilt {
-                        at,
-                        epoch,
-                        table_recomputes: stats.table_recomputes,
-                        table_hits: stats.table_hits,
-                    });
-                }
-            }
+        let epoch = live.oracle.snapshot_epoch();
+        if ctx.probe_enabled() && epoch > live.last_oracle_epoch {
+            live.last_oracle_epoch = epoch;
+            let stats = live.oracle.stats();
+            let at = ctx.now();
+            ctx.probe().emit(|| ProbeEvent::OracleRebuilt {
+                at,
+                epoch,
+                table_recomputes: stats.table_recomputes,
+                table_hits: stats.table_hits,
+            });
         }
     }
 
     fn on_epoch(&mut self, ctx: &mut SimCtx<'_>, _epoch: Epoch) {
-        if !self.configured() {
-            return;
+        if let Some((live, _)) = &mut self.live {
+            // The whole re-election pass — contact-graph refresh, central
+            // re-selection, oracle invalidation, copy migration — is the
+            // maintenance-driven oracle-rebuild phase of the profile.
+            ctx.profile_enter(Phase::OracleRebuild);
+            live.reelect(ctx);
+            ctx.profile_exit();
         }
-        // The whole re-election pass — contact-graph refresh, central
-        // re-selection, oracle invalidation, copy migration — is the
-        // maintenance-driven oracle-rebuild phase of the profile.
-        ctx.profile_enter(Phase::OracleRebuild);
-        self.reelect(ctx);
-        ctx.profile_exit();
     }
 
     fn cache_stats(&self, now: Time) -> CacheStats {
-        crate::common::cache_stats(&self.buffers, now)
+        crate::common::cache_stats(self.live().map_or(&[], |l| &l.buffers), now)
     }
 
     fn audit(&self, now: Time, report: &mut dtn_sim::audit::AuditReport) {
-        self.audit_into(now, report);
+        if let Some(live) = self.live() {
+            live.audit_into(now, report);
+        }
     }
 }
 
 impl CachingScheme for IntentionalScheme {
     fn configure(&mut self, setup: &NetworkSetup<'_>) {
-        // Scale mode swaps the adjacency-list graph for CSR storage (one
-        // allocation, tighter cache lines); the selection arithmetic is
-        // identical either way.
-        let (scores, work) = if self.cfg.bounded_reach.is_some() {
-            let graph = dtn_core::graph::CsrGraph::from_rate_table(setup.rate_table, setup.now);
-            dtn_core::ncl::select_by_strategy_counted(
-                &graph,
-                self.cfg.ncl_count,
-                setup.horizon,
-                self.cfg.ncl_selection,
-            )
-        } else {
-            let graph = dtn_core::graph::ContactGraph::from_rate_table(setup.rate_table, setup.now);
-            dtn_core::ncl::select_by_strategy_counted(
-                &graph,
-                self.cfg.ncl_count,
-                setup.horizon,
-                self.cfg.ncl_selection,
-            )
-        };
-        self.ncl_work = work;
-        self.centrals = scores.iter().map(|s| s.node).collect();
-        self.ncl_query_load = vec![0; self.centrals.len()];
-        let mut oracle = PathOracle::new(
-            setup.capacities.len(),
-            setup.horizon,
-            setup.path_refresh.unwrap_or(PATH_REFRESH),
-        );
-        // Push, pull and cache exchange read weights *to the centrals*:
-        // the oracle's searches stop once those have settled.
-        oracle.set_targets(&self.centrals);
-        self.oracle = Some(match self.cfg.bounded_reach {
-            Some((hops, slots)) => oracle.with_bounded_reach(hops, slots),
-            None => oracle,
-        });
-        self.buffers = setup.capacities.iter().map(|&c| Buffer::new(c)).collect();
-        self.meta = setup
-            .capacities
-            .iter()
-            .map(|_| NodeCacheMeta::default())
-            .collect();
-        let n = setup.capacities.len();
-        self.copies.clear();
-        self.pulls.clear();
-        self.broadcasts.clear();
-        self.responses.reset(n);
-        self.pull_at = vec![Vec::new(); n];
-        self.bcast_at = vec![Vec::new(); n];
-        self.carried_at = vec![Vec::new(); n];
-        self.settled_at = vec![Vec::new(); n];
-        self.member_count = vec![0; n * self.centrals.len()];
-        self.cache_gen = vec![0; n];
-        self.pair_clean.clear();
-        self.pending_gc.clear();
-        self.data_gc.clear();
-        self.responded.clear();
-        self.responded_gc.clear();
-        self.horizon = setup.horizon;
-        self.reelection = ReelectionStats::default();
-        self.last_oracle_epoch = 0;
+        self.live = Some((Live::new(&self.cfg, setup), Scratch::default()));
     }
 
     fn central_nodes(&self) -> &[NodeId] {
-        &self.centrals
+        self.live().map_or(&[], |l| &l.centrals)
     }
 
     fn ncl_query_load(&self) -> &[u64] {
-        &self.ncl_query_load
+        self.live().map_or(&[], |l| &l.ncl_query_load)
     }
 
     fn oracle_stats(&self) -> Option<OracleStats> {
-        self.oracle.as_ref().map(PathOracle::stats)
+        self.live().map(|l| l.oracle.stats())
     }
 
     fn ncl_work(&self) -> Option<SweepWork> {
-        Some(self.ncl_work)
+        Some(self.live().map(|l| l.ncl_work).unwrap_or_default())
     }
 }
 
@@ -479,7 +473,7 @@ mod tests {
         (sim.metrics().clone(), sim.scheme().central_nodes().to_vec())
     }
 
-    fn busy_trace(seed: u64) -> ContactTrace {
+    pub(super) fn busy_trace(seed: u64) -> ContactTrace {
         SyntheticTraceBuilder::new(16)
             .duration(Duration::days(2))
             .target_contacts(6_000)
@@ -493,7 +487,11 @@ mod tests {
         }
     }
 
-    fn mixed_workload(trace: &ContactTrace, items: u64, size: u64) -> Vec<WorkloadEvent> {
+    pub(super) fn mixed_workload(
+        trace: &ContactTrace,
+        items: u64,
+        size: u64,
+    ) -> Vec<WorkloadEvent> {
         let mid = trace.midpoint();
         let life = Duration::days(1);
         let mut events = Vec::new();
@@ -688,7 +686,7 @@ mod tests {
         let m = sim.metrics();
         assert!(m.queries_satisfied > 0, "nothing satisfied under pressure");
         // Buffers must never be over-committed.
-        for buf in &sim.scheme().buffers {
+        for buf in &sim.scheme().live().expect("configure ran").buffers {
             assert!(buf.used() <= buf.capacity());
         }
         sim.scheme().validate().expect("indexes stay consistent");
@@ -879,67 +877,5 @@ mod tests {
             assert_eq!(stats.migrated_copies, 0);
             assert_eq!(stats.migrated_bytes, 0);
         }
-    }
-
-    #[test]
-    fn audit_catches_seeded_corruption() {
-        // The audit must not just pass on healthy runs — it must *fail*
-        // when the canonical state is perturbed, else it proves nothing.
-        use dtn_sim::audit::{AuditLaw, AuditReport};
-        let trace = busy_trace(31);
-        let sim_cfg = SimConfig {
-            seed: 31,
-            audit: true,
-            ..SimConfig::default()
-        };
-        let mut sim = run_sim(
-            &trace,
-            IntentionalScheme::new(IntentionalConfig {
-                ncl_count: 2,
-                ..IntentionalConfig::default()
-            }),
-            mixed_workload(&trace, 8, 900),
-            sim_cfg,
-        );
-        let engine_report = sim.audit_report().expect("audit was enabled");
-        assert!(engine_report.is_clean(), "{}", engine_report.summary());
-        assert!(engine_report.sweeps() > 0);
-        let now = sim.now();
-        let scheme = sim.scheme_mut();
-
-        let mut clean = AuditReport::default();
-        scheme.audit_into(now, &mut clean);
-        assert!(clean.is_clean(), "{}", clean.summary());
-
-        // Seed a membership-counter drift: copy conservation must trip.
-        scheme.member_count[0] += 1;
-        let mut report = AuditReport::default();
-        scheme.audit_into(now, &mut report);
-        assert!(
-            report
-                .violations()
-                .iter()
-                .any(|v| v.law == AuditLaw::CopyConservation),
-            "seeded member_count drift went undetected: {}",
-            report.summary()
-        );
-        scheme.member_count[0] -= 1;
-
-        let mut healed = AuditReport::default();
-        scheme.audit_into(now, &mut healed);
-        assert!(healed.is_clean(), "{}", healed.summary());
-
-        // Seed a dangling pending-pull locator: index consistency trips.
-        scheme.pull_at[0].push(9_999);
-        let mut report = AuditReport::default();
-        scheme.audit_into(now, &mut report);
-        assert!(
-            report
-                .violations()
-                .iter()
-                .any(|v| v.law == AuditLaw::IndexConsistency),
-            "seeded dangling pull locator went undetected: {}",
-            report.summary()
-        );
     }
 }

@@ -1,10 +1,11 @@
 //! The pending messages only this scheme has: pull copies and NCL
-//! broadcasts, kept in [`PendingSlab`](crate::pending::PendingSlab)s
-//! behind per-node index lists (responses are a
-//! [`RoutedSlab`](crate::pending::RoutedSlab)).
+//! broadcasts. Like the responses they ride a
+//! [`CarrierSlab`](crate::pending::CarrierSlab).
 
-use dtn_core::ids::{DataId, IdSet, NodeId};
+use dtn_core::ids::{IdSet, NodeId};
 use dtn_sim::message::Query;
+
+use crate::pending::Carried;
 
 /// A query copy traveling toward one central node.
 #[derive(Debug, Clone, Copy)]
@@ -12,6 +13,18 @@ pub(super) struct PullCopy {
     pub(super) query: Query,
     pub(super) ncl: usize,
     pub(super) carrier: NodeId,
+}
+
+impl Carried for PullCopy {
+    fn query(&self) -> &Query {
+        &self.query
+    }
+    fn carries(&self, node: NodeId) -> bool {
+        self.carrier == node
+    }
+    fn carriers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::once(self.carrier)
+    }
 }
 
 /// A query being broadcast among the caching nodes of one NCL.
@@ -22,15 +35,14 @@ pub(super) struct BroadcastCopy {
     pub(super) holders: IdSet<NodeId>,
 }
 
-/// Tags distinguishing slab kinds in the shared expiry heap.
-pub(super) const GC_PULL: u8 = 0;
-pub(super) const GC_BCAST: u8 = 1;
-
-/// Removes the `(data, k)` entry from a per-node copy index list.
-pub(super) fn remove_copy_entry(list: &mut Vec<(DataId, u32)>, data: DataId, k: u32) {
-    let pos = list
-        .iter()
-        .position(|&e| e == (data, k))
-        .expect("copy index entry missing");
-    list.swap_remove(pos);
+impl Carried for BroadcastCopy {
+    fn query(&self) -> &Query {
+        &self.query
+    }
+    fn carries(&self, node: NodeId) -> bool {
+        self.holders.contains(&node)
+    }
+    fn carriers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.holders.iter().copied()
+    }
 }

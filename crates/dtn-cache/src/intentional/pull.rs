@@ -1,49 +1,40 @@
 //! §V-B: query pull toward the central nodes and the broadcast among an
 //! NCL's caching nodes once a query reaches its central node.
 
-use std::cmp::Reverse;
-use std::mem;
-
 use dtn_core::ids::{IdSet, NodeId};
 use dtn_sim::engine::SimCtx;
 use dtn_sim::message::Query;
 use dtn_sim::probe::ProbeEvent;
 
 use crate::common::better_relay;
-use crate::pending::{gather, remove_u32};
 
-use super::pending::{BroadcastCopy, GC_BCAST};
-use super::state::IntentionalScheme;
+use super::pending::BroadcastCopy;
+use super::state::{Live, Scratch};
 
-impl IntentionalScheme {
+impl Live {
     /// §V-B: advance query copies toward their central nodes.
-    pub(super) fn advance_pulls(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
+    pub(super) fn advance_pulls(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        sx: &mut Scratch,
+        a: NodeId,
+        b: NodeId,
+    ) {
         let now = ctx.now();
         let query_size = ctx.query_size();
-        let mut batch = mem::take(&mut self.sx_batch);
-        gather(&self.pulls, &self.pull_at, a, b, &mut batch);
-        let mut arrived = mem::take(&mut self.sx_arrived);
-        arrived.clear();
-        for &(_, id) in &batch {
-            let Some(&pull) = self.pulls.get(id) else {
-                continue;
-            };
-            if !ctx.query_is_open(pull.query.id) {
-                self.remove_pull(id);
-                continue;
-            }
+        self.pulls.gather_open(ctx, a, b, &mut sx.open);
+        sx.arrived.clear();
+        for &id in &sx.open {
+            let pull = *self.pulls.get(id);
             let (from, to) = if pull.carrier == a { (a, b) } else { (b, a) };
             let central = self.centrals[pull.ncl];
-            let oracle = self.oracle.as_mut().expect("configured");
-            if !better_relay(oracle, ctx.rate_table(), now, from, to, central) {
+            if !better_relay(&mut self.oracle, ctx.rate_table(), now, from, to, central) {
                 continue;
             }
             if !ctx.try_transmit(query_size) {
                 continue;
             }
-            self.pulls.get_mut(id).expect("live").carrier = to;
-            remove_u32(&mut self.pull_at[from.index()], id);
-            self.pull_at[to.index()].push(id);
+            self.pulls.update(id, [a, b], |p| p.carrier = to);
             ctx.probe().emit(|| ProbeEvent::QueryRelay {
                 at: now,
                 query: pull.query.id,
@@ -51,19 +42,15 @@ impl IntentionalScheme {
                 to,
             });
             if to == central {
-                arrived.push(id);
+                sx.arrived.push(id);
             }
         }
         // Handle arrivals (immediate reply or NCL broadcast) in the
         // order they advanced, dropping the delivered pull copies.
-        for &id in &arrived {
-            let pull = self.remove_pull(id).expect("arrived pull live");
+        for &id in &sx.arrived {
+            let pull = self.pulls.remove(id).expect("arrived pull live");
             self.handle_query_at_central(ctx, pull.query, pull.ncl);
         }
-        arrived.clear();
-        self.sx_arrived = arrived;
-        batch.clear();
-        self.sx_batch = batch;
     }
 
     /// A query reached central node `centrals[ncl]` (§V-B, Fig. 6).
@@ -96,61 +83,48 @@ impl IntentionalScheme {
             self.spawn_response(ctx, query, central);
         } else {
             // Otherwise broadcast among the NCL's caching nodes.
-            let mut holders = IdSet::default();
-            holders.insert(central);
-            let (id, seq) = self.broadcasts.insert(BroadcastCopy {
+            self.broadcasts.insert(BroadcastCopy {
                 query,
                 ncl,
-                holders,
+                holders: IdSet::from_iter([central]),
             });
-            self.bcast_at[central.index()].push(id);
-            self.pending_gc
-                .push(Reverse((query.expires_at, GC_BCAST, id, seq)));
         }
     }
 
     /// §V-B: spread broadcast queries among NCL members; §V-C: members
     /// caching the data decide probabilistically whether to respond.
-    pub(super) fn advance_broadcasts(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
+    pub(super) fn advance_broadcasts(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        sx: &mut Scratch,
+        a: NodeId,
+        b: NodeId,
+    ) {
         let query_size = ctx.query_size();
-        let mut batch = mem::take(&mut self.sx_batch);
-        gather(&self.broadcasts, &self.bcast_at, a, b, &mut batch);
-        let mut spreads = mem::take(&mut self.sx_spreads);
-        spreads.clear();
-        for &(_, id) in &batch {
-            let Some(open) = self
-                .broadcasts
-                .get(id)
-                .map(|bc| ctx.query_is_open(bc.query.id))
-            else {
-                continue;
-            };
-            if !open {
-                self.remove_broadcast(id);
-                continue;
-            }
-            let bc = self.broadcasts.get(id).expect("live");
+        self.broadcasts.gather_open(ctx, a, b, &mut sx.open);
+        sx.spreads.clear();
+        for &id in &sx.open {
+            let bc = self.broadcasts.get(id);
             for (from, to) in [(a, b), (b, a)] {
                 if bc.holders.contains(&from)
                     && !bc.holders.contains(&to)
                     && (self.is_member(to, bc.ncl) || to == self.centrals[bc.ncl])
                 {
-                    spreads.push((id, to));
+                    sx.spreads.push((id, to));
                 }
             }
         }
-        let mut decisions = mem::take(&mut self.sx_decisions);
-        decisions.clear();
-        for &(id, to) in &spreads {
+        sx.decisions.clear();
+        for &(id, to) in &sx.spreads {
             if !ctx.try_transmit(query_size) {
                 continue;
             }
-            let bc = self.broadcasts.get_mut(id).expect("live");
-            bc.holders.insert(to);
-            let query = bc.query;
-            self.bcast_at[to.index()].push(id);
+            let query = self.broadcasts.update(id, [a, b], |bc| {
+                bc.holders.insert(to);
+                bc.query
+            });
             if self.buffers[to.index()].contains(query.data) {
-                decisions.push((query, to));
+                sx.decisions.push((query, to));
             }
             let at = ctx.now();
             ctx.probe().emit(|| ProbeEvent::BroadcastSpread {
@@ -159,14 +133,8 @@ impl IntentionalScheme {
                 node: to,
             });
         }
-        for &(query, node) in &decisions {
+        for &(query, node) in &sx.decisions {
             self.maybe_respond(ctx, query, node);
         }
-        decisions.clear();
-        self.sx_decisions = decisions;
-        spreads.clear();
-        self.sx_spreads = spreads;
-        batch.clear();
-        self.sx_batch = batch;
     }
 }

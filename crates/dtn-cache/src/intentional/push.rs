@@ -2,18 +2,16 @@
 //! epoch-time cache migration that re-enters demoted copies into the
 //! push pipeline after an NCL re-election.
 
-use std::mem;
-
 use dtn_core::ids::NodeId;
 
 use crate::common::better_relay;
 use crate::replacement::ReplacementKind;
 
-use super::state::{CopyState, IntentionalScheme};
+use super::state::{CopyState, Live, Scratch};
 use dtn_sim::engine::SimCtx;
 use dtn_sim::probe::ProbeEvent;
 
-impl IntentionalScheme {
+impl Live {
     /// §V-A: advance the push copies carried by either contact endpoint.
     ///
     /// Gathers the two endpoints' carried copies from `carried_at` and
@@ -21,16 +19,22 @@ impl IntentionalScheme {
     /// the reference implementation's full copy-table scan visits the
     /// same entries. States are re-read at visit time because an
     /// eviction earlier in the batch can drop a later entry.
-    pub(super) fn advance_pushes(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
+    pub(super) fn advance_pushes(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        sx: &mut Scratch,
+        a: NodeId,
+        b: NodeId,
+    ) {
         let now = ctx.now();
-        let mut batch = mem::take(&mut self.sx_push_batch);
+        let batch = &mut sx.copies;
         batch.clear();
         batch.extend_from_slice(&self.carried_at[a.index()]);
         if b != a {
             batch.extend_from_slice(&self.carried_at[b.index()]);
         }
         batch.sort_unstable();
-        for &(data, k32) in &batch {
+        for &(data, k32) in batch.iter() {
             let k = k32 as usize;
             let Some(&item) = self.registry.get(data) else {
                 continue;
@@ -52,43 +56,31 @@ impl IntentionalScheme {
                 continue;
             };
             let central = self.centrals[k];
-            let oracle = self.oracle.as_mut().expect("configured");
-            if !better_relay(oracle, ctx.rate_table(), now, from, to, central) {
+            if !better_relay(&mut self.oracle, ctx.rate_table(), now, from, to, central) {
                 continue;
             }
             // The next selected relay: forward if it can hold the
             // item, otherwise settle at the current relay (§V-A).
             let already_there = self.buffers[to.index()].contains(data);
-            if already_there {
-                self.set_copy(data, k, CopyState::transit(to, central));
-                ctx.probe().emit(|| ProbeEvent::PushRelay {
-                    at: now,
-                    data,
-                    from,
-                    to,
-                    ncl: k,
-                });
-                self.drop_physical_if_unreferenced(from, data);
-                continue;
-            }
-            if !self.buffers[to.index()].fits(item.size)
+            let moves = if already_there {
+                true
+            } else if !self.buffers[to.index()].fits(item.size)
                 && self.cfg.replacement == ReplacementKind::UtilityKnapsack
             {
-                // Next relay's buffer is full: cache here.
-                self.set_copy(data, k, CopyState::Settled(from));
-                ctx.probe().emit(|| ProbeEvent::PushSettled {
-                    at: now,
-                    data,
-                    node: from,
-                    ncl: k,
-                });
-                continue;
-            }
-            if !ctx.try_transmit(item.size) {
+                false // next relay's buffer is full: cache here
+            } else if !ctx.try_transmit(item.size) {
                 continue; // contact too short; retry later
-            }
-            if self.insert_physical(ctx, to, item) {
-                self.set_copy(data, k, CopyState::transit(to, central));
+            } else {
+                // `false`: a traditional policy could not make room either.
+                self.insert_physical(ctx, to, item)
+            };
+            let (node, state) = if moves {
+                (to, CopyState::transit(to, central))
+            } else {
+                (from, CopyState::Settled(from))
+            };
+            self.set_copy(data, k, state);
+            if moves {
                 ctx.probe().emit(|| ProbeEvent::PushRelay {
                     at: now,
                     data,
@@ -96,28 +88,19 @@ impl IntentionalScheme {
                     to,
                     ncl: k,
                 });
-                if to == central {
-                    ctx.probe().emit(|| ProbeEvent::PushSettled {
-                        at: now,
-                        data,
-                        node: to,
-                        ncl: k,
-                    });
-                }
                 self.drop_physical_if_unreferenced(from, data);
-            } else {
-                // Traditional policy could not make room either.
-                self.set_copy(data, k, CopyState::Settled(from));
+            }
+            // A copy that was carried in settles; one that found the
+            // bytes already there just re-tags them.
+            if !already_there && state == CopyState::Settled(node) {
                 ctx.probe().emit(|| ProbeEvent::PushSettled {
                     at: now,
                     data,
-                    node: from,
+                    node,
                     ncl: k,
                 });
             }
         }
-        batch.clear();
-        self.sx_push_batch = batch;
     }
 
     /// Re-enters NCL `k`'s settled copies into the §V-A push pipeline
@@ -132,15 +115,11 @@ impl IntentionalScheme {
     /// counters.
     pub(super) fn migrate_ncl(&mut self, now: dtn_core::time::Time, k: usize) -> (u64, u64) {
         let new_central = self.centrals[k];
-        let mut batch = mem::take(&mut self.sx_push_batch);
-        batch.clear();
-        for list in &self.settled_at {
-            for &(data, kk) in list {
-                if kk as usize == k {
-                    batch.push((data, kk));
-                }
-            }
-        }
+        let settled = self.settled_at.iter().flatten();
+        let mut batch: Vec<_> = settled
+            .filter(|&&(_, kk)| kk as usize == k)
+            .copied()
+            .collect();
         batch.sort_unstable();
         let mut copies = 0u64;
         let mut bytes = 0u64;
@@ -161,8 +140,6 @@ impl IntentionalScheme {
             copies += 1;
             bytes += item.size;
         }
-        batch.clear();
-        self.sx_push_batch = batch;
         (copies, bytes)
     }
 }

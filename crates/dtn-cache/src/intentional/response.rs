@@ -3,7 +3,6 @@
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::mem;
 
 use rand::Rng;
 
@@ -14,12 +13,13 @@ use dtn_sim::engine::SimCtx;
 use dtn_sim::message::Query;
 use dtn_sim::probe::ProbeEvent;
 
+use crate::pending::InFlight;
 use crate::routing::{ForwardingStrategy, RoutedMessage};
 
-use super::state::IntentionalScheme;
+use super::state::{Live, Scratch};
 use super::ResponseStrategy;
 
-impl IntentionalScheme {
+impl Live {
     /// §V-C: one response decision per (query, caching node).
     pub(super) fn maybe_respond(&mut self, ctx: &mut SimCtx<'_>, query: Query, node: NodeId) {
         match self.responded.entry(query.id) {
@@ -46,8 +46,7 @@ impl IntentionalScheme {
                 }
             }
             ResponseStrategy::PathAware => {
-                let oracle = self.oracle.as_mut().expect("configured");
-                let table = oracle.table(ctx.rate_table(), ctx.now(), node);
+                let table = self.oracle.table(ctx.rate_table(), ctx.now(), node);
                 table
                     .path_to(query.requester)
                     .map_or(0.0, |p| p.weight(remaining.as_secs_f64()))
@@ -88,55 +87,41 @@ impl IntentionalScheme {
         if let ForwardingStrategy::SprayAndWait { initial_copies } = self.cfg.response_routing {
             msg = msg.with_copy_budget(initial_copies);
         }
-        self.responses.insert(query, msg);
+        self.responses.insert(InFlight { query, msg });
     }
 
     /// Return cached data copies to their requesters using the
     /// configured forwarding strategy (§V-B).
-    pub(super) fn advance_responses(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
-        let now = ctx.now();
-        let mut process = mem::take(&mut self.sx_process);
-        self.responses.gather_open(ctx, a, b, &mut process);
-        let strategy = self.cfg.response_routing;
-        let mut delivered = mem::take(&mut self.sx_delivered);
+    pub(super) fn advance_responses(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        sx: &mut Scratch,
+        a: NodeId,
+        b: NodeId,
+    ) {
+        let delivered = &mut sx.delivered;
         delivered.clear();
-        // The hops are only logged for an installed probe, and replayed
-        // to it after the link borrow ends.
-        let probing = ctx.probe_enabled();
-        let mut relay_hops: Vec<(dtn_core::ids::QueryId, NodeId, NodeId)> = Vec::new();
-        {
-            let oracle = self.oracle.as_mut().expect("configured");
-            let mut link = ctx.link_access();
-            for &id in &process {
-                let query = self.responses.get(id).query.id;
-                let mut log = |from, to| {
-                    if probing {
-                        relay_hops.push((query, from, to));
-                    }
-                };
-                if self
-                    .responses
-                    .advance(id, strategy, oracle, now, a, b, &mut link, &mut log)
-                {
-                    delivered.push((id, query));
-                }
-            }
-        }
-        for &(query, from, to) in &relay_hops {
-            ctx.probe().emit(|| ProbeEvent::ResponseRelay {
-                at: now,
+        self.responses.advance(
+            ctx,
+            &mut self.oracle,
+            self.cfg.response_routing,
+            (a, b),
+            &mut sx.advance,
+            |at, query, from, to| ProbeEvent::ResponseRelay {
+                at,
                 query,
                 from,
                 to,
-            });
-        }
-        for &(id, query) in &delivered {
+            },
+            |id, m, _, arrived| {
+                if arrived {
+                    delivered.push((id, m.query.id));
+                }
+            },
+        );
+        for &(id, query) in delivered.iter() {
             ctx.mark_delivered(query);
             self.responses.remove(id);
         }
-        delivered.clear();
-        self.sx_delivered = delivered;
-        process.clear();
-        self.sx_process = process;
     }
 }

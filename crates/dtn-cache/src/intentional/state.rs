@@ -5,7 +5,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::mem;
 
 use dtn_core::graph::ContactGraph;
 use dtn_core::ids::{DataId, IdMap, IdSet, NodeId, QueryId};
@@ -17,16 +16,16 @@ use dtn_sim::audit::{check_buffers, AuditLaw, AuditReport, AuditViolation};
 use dtn_sim::buffer::Buffer;
 use dtn_sim::decision::DecisionPoint;
 use dtn_sim::engine::SimCtx;
-use dtn_sim::message::DataItem;
+use dtn_sim::message::{DataItem, Query};
 use dtn_sim::oracle::PathOracle;
 use dtn_sim::probe::ProbeEvent;
 use dtn_sim::profiler::Phase;
 
 use crate::common::DataRegistry;
-use crate::pending::{remove_u32, PendingSlab, RoutedSlab};
+use crate::pending::{remove_entry, AdvanceScratch, CarrierSlab, RoutedSlab};
 use crate::replacement::{make_room, NodeCacheMeta, ReplacementKind};
 
-use super::pending::{remove_copy_entry, BroadcastCopy, PullCopy, GC_PULL};
+use super::pending::{BroadcastCopy, PullCopy};
 use super::IntentionalConfig;
 
 /// Where one NCL's copy of a data item currently is.
@@ -85,8 +84,18 @@ pub struct ReelectionStats {
 #[derive(Debug)]
 pub struct IntentionalScheme {
     pub(super) cfg: IntentionalConfig,
+    /// What [`configure`](crate::CachingScheme::configure) built, beside
+    /// the per-contact scratch it lends each phase; `None` until then,
+    /// and every hook is a no-op while it is.
+    pub(super) live: Option<(Live, Scratch)>,
+}
+
+/// The configured scheme: NCLs, oracle, and every node's cache state.
+#[derive(Debug)]
+pub(super) struct Live {
+    pub(super) cfg: IntentionalConfig,
     pub(super) centrals: Vec<NodeId>,
-    pub(super) oracle: Option<PathOracle>,
+    pub(super) oracle: PathOracle,
     pub(super) buffers: Vec<Buffer>,
     pub(super) meta: Vec<NodeCacheMeta>,
     pub(super) registry: DataRegistry,
@@ -94,14 +103,11 @@ pub struct IntentionalScheme {
     /// in map order; all ordered traversal goes through the per-node
     /// indexes below.
     pub(super) copies: IdMap<DataId, Vec<CopyState>>,
-    pub(super) pulls: PendingSlab<PullCopy>,
-    pub(super) broadcasts: PendingSlab<BroadcastCopy>,
-    /// In-flight responses, listed under every node carrying a copy.
+    /// In-flight pulls, broadcasts and responses, each listed under
+    /// every node carrying a copy.
+    pub(super) pulls: CarrierSlab<PullCopy>,
+    pub(super) broadcasts: CarrierSlab<BroadcastCopy>,
     pub(super) responses: RoutedSlab,
-    /// pull_at[n] — pending pulls currently carried by node `n`.
-    pub(super) pull_at: Vec<Vec<u32>>,
-    /// bcast_at[n] — broadcasts whose holder set contains node `n`.
-    pub(super) bcast_at: Vec<Vec<u32>>,
     /// carried_at[n] — `(data, k)` push copies in `Carried(n)` state.
     pub(super) carried_at: Vec<Vec<(DataId, u32)>>,
     /// settled_at[n] — `(data, k)` copies in `Settled(n)` state.
@@ -118,10 +124,6 @@ pub struct IntentionalScheme {
     /// `(cache_gen_lo, cache_gen_hi, buffer_gen_lo, buffer_gen_hi)`.
     /// A pair whose generations are unchanged is skipped.
     pub(super) pair_clean: IdMap<(NodeId, NodeId), (u64, u64, u64, u64)>,
-    /// Expiry heap over pending pulls and broadcasts: `(query expiry,
-    /// kind, id, seq)`. Entries referencing reused slots are detected
-    /// via `seq`.
-    pub(super) pending_gc: BinaryHeap<Reverse<(Time, u8, u32, u64)>>,
     /// Expiry heap over data items (replaces the all-buffer dead scan).
     pub(super) data_gc: BinaryHeap<Reverse<(Time, DataId)>>,
     /// Nodes that already made their response decision, per query.
@@ -134,9 +136,8 @@ pub struct IntentionalScheme {
     /// Last oracle snapshot epoch relayed to an installed probe; only
     /// consulted while a probe is enabled.
     pub(super) last_oracle_epoch: u64,
-    /// Path horizon `T` installed by `configure`; reused by epoch
-    /// re-elections so they score candidates exactly like the initial
-    /// selection did.
+    /// Path horizon `T` of the initial selection; epoch re-elections
+    /// score candidates with it too.
     pub(super) horizon: f64,
     /// Scratch contact graph rebuilt in place on every re-election.
     pub(super) reelect_graph: ContactGraph,
@@ -144,78 +145,36 @@ pub struct IntentionalScheme {
     pub(super) reelection: ReelectionStats,
     /// Work of every NCL selection since `configure`, its own included.
     pub(super) ncl_work: SweepWork,
-    // Reusable per-contact scratch buffers (all logically empty between
-    // contacts; kept to avoid re-allocation in the hot loop).
-    pub(super) sx_batch: Vec<(u64, u32)>,
-    pub(super) sx_push_batch: Vec<(DataId, u32)>,
-    pub(super) sx_arrived: Vec<u32>,
-    pub(super) sx_spreads: Vec<(u32, NodeId)>,
-    pub(super) sx_decisions: Vec<(dtn_sim::message::Query, NodeId)>,
-    pub(super) sx_process: Vec<u32>,
-    pub(super) sx_delivered: Vec<(u32, QueryId)>,
-    pub(super) sx_pool: Vec<(DataItem, NodeId)>,
-    pub(super) sx_items: Vec<CacheItem>,
-    pub(super) sx_chosen: Vec<usize>,
-    pub(super) sx_rest: Vec<usize>,
-    pub(super) sx_rest_items: Vec<CacheItem>,
-    pub(super) sx_in_first: Vec<bool>,
-    pub(super) sx_in_second: Vec<bool>,
+}
+
+/// Per-contact scratch, lent to each phase of [`Live`] (contents mean
+/// nothing between phases; kept to avoid re-allocation in the hot loop).
+#[derive(Debug, Default)]
+pub(super) struct Scratch {
+    pub(super) copies: Vec<(DataId, u32)>,
+    pub(super) open: Vec<u32>,
+    pub(super) arrived: Vec<u32>,
+    pub(super) spreads: Vec<(u32, NodeId)>,
+    pub(super) decisions: Vec<(Query, NodeId)>,
+    pub(super) advance: AdvanceScratch,
+    pub(super) delivered: Vec<(u32, QueryId)>,
+    pool: Vec<(DataItem, NodeId)>,
+    items: Vec<CacheItem>,
+    chosen: Vec<usize>,
+    rest: Vec<usize>,
+    rest_items: Vec<CacheItem>,
+    in_first: Vec<bool>,
+    in_second: Vec<bool>,
 }
 
 impl IntentionalScheme {
     /// Creates an unconfigured scheme.
     pub fn new(cfg: IntentionalConfig) -> Self {
-        let solver = KnapsackSolver::new(cfg.knapsack_quantum);
-        IntentionalScheme {
-            cfg,
-            centrals: Vec::new(),
-            oracle: None,
-            buffers: Vec::new(),
-            meta: Vec::new(),
-            registry: DataRegistry::default(),
-            copies: IdMap::default(),
-            pulls: PendingSlab::default(),
-            broadcasts: PendingSlab::default(),
-            responses: RoutedSlab::default(),
-            pull_at: Vec::new(),
-            bcast_at: Vec::new(),
-            carried_at: Vec::new(),
-            settled_at: Vec::new(),
-            member_count: Vec::new(),
-            cache_gen: Vec::new(),
-            pair_clean: IdMap::default(),
-            pending_gc: BinaryHeap::new(),
-            data_gc: BinaryHeap::new(),
-            responded: IdMap::default(),
-            responded_gc: BinaryHeap::new(),
-            solver,
-            ncl_query_load: Vec::new(),
-            last_oracle_epoch: 0,
-            horizon: 0.0,
-            reelect_graph: ContactGraph::default(),
-            reelection: ReelectionStats::default(),
-            ncl_work: SweepWork::default(),
-            sx_batch: Vec::new(),
-            sx_push_batch: Vec::new(),
-            sx_arrived: Vec::new(),
-            sx_spreads: Vec::new(),
-            sx_decisions: Vec::new(),
-            sx_process: Vec::new(),
-            sx_delivered: Vec::new(),
-            sx_pool: Vec::new(),
-            sx_items: Vec::new(),
-            sx_chosen: Vec::new(),
-            sx_rest: Vec::new(),
-            sx_rest_items: Vec::new(),
-            sx_in_first: Vec::new(),
-            sx_in_second: Vec::new(),
-        }
+        IntentionalScheme { cfg, live: None }
     }
 
-    /// Queries that reached each central node, by NCL index — a
-    /// load-balance view across the NCLs.
-    pub fn ncl_query_load(&self) -> &[u64] {
-        &self.ncl_query_load
+    pub(super) fn live(&self) -> Option<&Live> {
+        self.live.as_ref().map(|(live, _)| live)
     }
 
     /// The configuration the scheme was built with.
@@ -235,8 +194,13 @@ impl IntentionalScheme {
         rates: &'a RateTable,
         now: Time,
     ) -> Option<DecisionPoint<'a>> {
-        let oracle = self.oracle.as_mut()?;
-        Some(DecisionPoint::new(oracle, rates, now, &self.centrals))
+        let (live, _) = self.live.as_mut()?;
+        Some(DecisionPoint::new(
+            &mut live.oracle,
+            rates,
+            now,
+            &live.centrals,
+        ))
     }
 
     /// Counters accumulated by epoch-based NCL re-election. All zero
@@ -244,7 +208,7 @@ impl IntentionalScheme {
     /// [`Scheme::on_epoch`](dtn_sim::engine::Scheme::on_epoch) via
     /// `SimConfig::epoch_interval`.
     pub fn reelection_stats(&self) -> ReelectionStats {
-        self.reelection
+        self.live().map(|l| l.reelection).unwrap_or_default()
     }
 
     /// Checks the scheme's internal invariants; used by stress tests.
@@ -261,13 +225,17 @@ impl IntentionalScheme {
     /// out of sync with the canonical state.
     pub fn validate(&self) -> Result<(), String> {
         let mut report = AuditReport::default();
-        self.audit_into(Time::ZERO, &mut report);
+        if let Some(live) = self.live() {
+            live.audit_into(Time::ZERO, &mut report);
+        }
         match report.violations().first() {
             Some(v) => Err(v.to_string()),
             None => Ok(()),
         }
     }
+}
 
+impl Live {
     /// Re-derives the canonical copy/index state and reports every
     /// broken conservation law into `report` (the laws of
     /// [`dtn_sim::audit`]): buffer byte-accounting, copy conservation
@@ -347,98 +315,15 @@ impl IntentionalScheme {
                 ),
             });
         }
-        for (node, list) in self.pull_at.iter().enumerate() {
-            for &id in list {
-                let Some(pull) = self.pulls.get(id) else {
-                    report.violate(AuditViolation {
-                        law: AuditLaw::IndexConsistency,
-                        at,
-                        node: Some(NodeId(node as u32)),
-                        item: None,
-                        detail: format!("pull_at references freed slot {id}"),
-                    });
-                    continue;
-                };
-                if pull.carrier.index() != node {
-                    report.violate(AuditViolation {
-                        law: AuditLaw::IndexConsistency,
-                        at,
-                        node: Some(NodeId(node as u32)),
-                        item: None,
-                        detail: format!("pull {id} indexed here, carried elsewhere"),
-                    });
-                }
-            }
-        }
-        if self.pull_at.iter().map(Vec::len).sum::<usize>() != self.pulls.len() {
-            report.violate(AuditViolation {
-                law: AuditLaw::IndexConsistency,
-                at,
-                node: None,
-                item: None,
-                detail: "pull index entry count != pull slab len".into(),
-            });
-        }
-        for (node, list) in self.bcast_at.iter().enumerate() {
-            for &id in list {
-                let Some(bc) = self.broadcasts.get(id) else {
-                    report.violate(AuditViolation {
-                        law: AuditLaw::IndexConsistency,
-                        at,
-                        node: Some(NodeId(node as u32)),
-                        item: None,
-                        detail: format!("bcast_at references freed slot {id}"),
-                    });
-                    continue;
-                };
-                if !bc.holders.contains(&NodeId(node as u32)) {
-                    report.violate(AuditViolation {
-                        law: AuditLaw::IndexConsistency,
-                        at,
-                        node: Some(NodeId(node as u32)),
-                        item: None,
-                        detail: format!("broadcast {id} indexed at a non-holder"),
-                    });
-                }
-            }
-        }
-        let holder_total: usize = self.broadcasts.iter().map(|(_, bc)| bc.holders.len()).sum();
-        if self.bcast_at.iter().map(Vec::len).sum::<usize>() != holder_total {
-            report.violate(AuditViolation {
-                law: AuditLaw::IndexConsistency,
-                at,
-                node: None,
-                item: None,
-                detail: "broadcast index entry count != holder count".into(),
-            });
-        }
+        self.pulls.audit("pull", at, report);
+        self.broadcasts.audit("broadcast", at, report);
         self.responses.audit("response", at, report);
-    }
-
-    pub(super) fn configured(&self) -> bool {
-        self.oracle.is_some()
     }
 
     /// Whether `node` currently holds a copy (carried or settled) on
     /// behalf of NCL `ncl`.
     pub(super) fn is_member(&self, node: NodeId, ncl: usize) -> bool {
         self.member_count[node.index() * self.centrals.len() + ncl] > 0
-    }
-
-    /// Removes a pending pull and its index entry.
-    pub(super) fn remove_pull(&mut self, id: u32) -> Option<PullCopy> {
-        let pull = self.pulls.remove(id)?;
-        remove_u32(&mut self.pull_at[pull.carrier.index()], id);
-        Some(pull)
-    }
-
-    /// Removes a pending broadcast and its index entries.
-    pub(super) fn remove_broadcast(&mut self, id: u32) -> Option<BroadcastCopy> {
-        let bc = self.broadcasts.remove(id)?;
-        for h in &bc.holders {
-            remove_u32(&mut self.bcast_at[h.index()], id);
-        }
-        Some(bc)
     }
 
     /// Garbage-collects expired data and dead in-flight state from the
@@ -461,10 +346,10 @@ impl IntentionalScheme {
                 let Some(h) = s.holder() else { continue };
                 match s {
                     CopyState::Carried(_) => {
-                        remove_copy_entry(&mut self.carried_at[h.index()], data, k as u32);
+                        remove_entry(&mut self.carried_at[h.index()], (data, k as u32));
                     }
                     CopyState::Settled(_) => {
-                        remove_copy_entry(&mut self.settled_at[h.index()], data, k as u32);
+                        remove_entry(&mut self.settled_at[h.index()], (data, k as u32));
                     }
                     CopyState::Dropped => unreachable!("holder implies not dropped"),
                 }
@@ -476,24 +361,8 @@ impl IntentionalScheme {
                 }
             }
         }
-        while let Some(&Reverse((t, tag, id, seq))) = self.pending_gc.peek() {
-            if t > now {
-                break;
-            }
-            self.pending_gc.pop();
-            match tag {
-                GC_PULL => {
-                    if self.pulls.seq(id) == Some(seq) {
-                        self.remove_pull(id);
-                    }
-                }
-                _ => {
-                    if self.broadcasts.seq(id) == Some(seq) {
-                        self.remove_broadcast(id);
-                    }
-                }
-            }
-        }
+        self.pulls.expire(now);
+        self.broadcasts.expire(now);
         self.responses.expire(now);
         while let Some(&Reverse((t, query))) = self.responded_gc.peek() {
             if t > now {
@@ -578,12 +447,12 @@ impl IntentionalScheme {
         let k32 = k as u32;
         match old {
             CopyState::Carried(h) => {
-                remove_copy_entry(&mut self.carried_at[h.index()], data, k32);
+                remove_entry(&mut self.carried_at[h.index()], (data, k32));
                 self.member_count[h.index() * self.centrals.len() + k] -= 1;
                 self.cache_gen[h.index()] += 1;
             }
             CopyState::Settled(h) => {
-                remove_copy_entry(&mut self.settled_at[h.index()], data, k32);
+                remove_entry(&mut self.settled_at[h.index()], (data, k32));
                 self.member_count[h.index() * self.centrals.len() + k] -= 1;
                 self.cache_gen[h.index()] += 1;
             }
@@ -619,7 +488,13 @@ impl IntentionalScheme {
     /// generations match), the whole exchange is provably a no-op — the
     /// reference implementation returns before any oracle or RNG use on
     /// empty pools — and is skipped.
-    pub(super) fn exchange_caches(&mut self, ctx: &mut SimCtx<'_>, a: NodeId, b: NodeId) {
+    pub(super) fn exchange_caches(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        sx: &mut Scratch,
+        a: NodeId,
+        b: NodeId,
+    ) {
         if self.cfg.replacement != ReplacementKind::UtilityKnapsack {
             return;
         }
@@ -636,7 +511,7 @@ impl IntentionalScheme {
         let now = ctx.now();
         let mut all_empty = true;
         for k in 0..self.centrals.len() {
-            if !self.exchange_ncl(ctx, a, b, k, now) {
+            if !self.exchange_ncl(ctx, sx, a, b, k, now) {
                 all_empty = false;
             }
         }
@@ -652,34 +527,40 @@ impl IntentionalScheme {
     fn exchange_ncl(
         &mut self,
         ctx: &mut SimCtx<'_>,
+        sx: &mut Scratch,
         a: NodeId,
         b: NodeId,
         k: usize,
         now: Time,
     ) -> bool {
+        let Scratch {
+            copies: cand,
+            pool,
+            items,
+            chosen: chosen_first,
+            rest,
+            rest_items,
+            in_first,
+            in_second,
+            ..
+        } = sx;
         // Pool the settled copies of NCL k held by either node, skipping
         // copies whose physical bytes are pinned by another NCL's tag at
         // the same node (they are not free to move). Candidates come
         // from the per-holder indexes, sorted by data id to match the
         // reference implementation's copy-table iteration order.
-        let mut cand = mem::take(&mut self.sx_push_batch);
         cand.clear();
-        for &(data, kk) in &self.settled_at[a.index()] {
-            if kk as usize == k {
-                cand.push((data, a.0));
-            }
-        }
-        if b != a {
-            for &(data, kk) in &self.settled_at[b.index()] {
-                if kk as usize == k {
-                    cand.push((data, b.0));
-                }
-            }
+        for &holder in &[a, b][..if a == b { 1 } else { 2 }] {
+            let settled = self.settled_at[holder.index()].iter();
+            cand.extend(
+                settled
+                    .filter(|&&(_, kk)| kk as usize == k)
+                    .map(|&(data, _)| (data, holder.0)),
+            );
         }
         cand.sort_unstable();
-        let mut pool = mem::take(&mut self.sx_pool);
         pool.clear();
-        for &(data, holder_raw) in &cand {
+        for &(data, holder_raw) in cand.iter() {
             let holder = NodeId(holder_raw);
             let Some(&item) = self.registry.get(data) else {
                 continue;
@@ -696,28 +577,23 @@ impl IntentionalScheme {
                 pool.push((item, holder));
             }
         }
-        cand.clear();
-        self.sx_push_batch = cand;
         if pool.is_empty() {
-            self.sx_pool = pool;
             return true;
         }
         // Nothing to optimise if only one node participates and already
         // holds everything — still run when both hold copies or the
         // better-placed node differs.
         let central = self.centrals[k];
-        let oracle = self.oracle.as_mut().expect("configured");
-        let wa = oracle.weight(ctx.rate_table(), now, a, central);
-        let wb = oracle.weight(ctx.rate_table(), now, b, central);
+        let wa = self.oracle.weight(ctx.rate_table(), now, a, central);
+        let wb = self.oracle.weight(ctx.rate_table(), now, b, central);
         let (first, second) = if wa >= wb { (a, b) } else { (b, a) };
 
         // Extract the pooled physical copies, remembering prior holders.
-        for (item, holder) in &pool {
+        for (item, holder) in pool.iter() {
             self.buffers[holder.index()].remove(item.id);
             self.meta[holder.index()].on_remove(item.id);
         }
 
-        let mut items = mem::take(&mut self.sx_items);
         items.clear();
         items.extend(pool.iter().map(|(d, _)| CacheItem {
             size: d.size,
@@ -729,39 +605,34 @@ impl IntentionalScheme {
         // the other. The solver reuses its DP scratch across calls.
         ctx.profile_enter(Phase::KnapsackSolve);
         let cap_first = self.buffers[first.index()].free();
-        let mut chosen_first = mem::take(&mut self.sx_chosen);
         chosen_first.clear();
         if self.cfg.probabilistic_selection {
             chosen_first.extend_from_slice(self.solver.probabilistic_select_in(
-                &items,
+                items,
                 cap_first,
                 ctx.rng(),
             ));
         } else {
-            chosen_first.extend_from_slice(&self.solver.solve_in(&items, cap_first).indices);
+            chosen_first.extend_from_slice(&self.solver.solve_in(items, cap_first).indices);
         }
-        let mut in_first = mem::take(&mut self.sx_in_first);
         in_first.clear();
         in_first.resize(items.len(), false);
-        for &i in &chosen_first {
+        for &i in chosen_first.iter() {
             in_first[i] = true;
         }
-        let mut rest = mem::take(&mut self.sx_rest);
         rest.clear();
         rest.extend((0..items.len()).filter(|&i| !in_first[i]));
-        let mut rest_items = mem::take(&mut self.sx_rest_items);
         rest_items.clear();
         rest_items.extend(rest.iter().map(|&i| items[i]));
         let cap_second = self.buffers[second.index()].free();
-        let mut in_second = mem::take(&mut self.sx_in_second);
         in_second.clear();
         in_second.resize(items.len(), false);
         {
             let chosen_second: &[usize] = if self.cfg.probabilistic_selection {
                 self.solver
-                    .probabilistic_select_in(&rest_items, cap_second, ctx.rng())
+                    .probabilistic_select_in(rest_items, cap_second, ctx.rng())
             } else {
-                &self.solver.solve_in(&rest_items, cap_second).indices
+                &self.solver.solve_in(rest_items, cap_second).indices
             };
             for &j in chosen_second {
                 in_second[rest[j]] = true;
@@ -815,21 +686,219 @@ impl IntentionalScheme {
             }
         }
         ctx.note_replacements(moves);
-
-        pool.clear();
-        self.sx_pool = pool;
-        items.clear();
-        self.sx_items = items;
-        chosen_first.clear();
-        self.sx_chosen = chosen_first;
-        in_first.clear();
-        self.sx_in_first = in_first;
-        rest.clear();
-        self.sx_rest = rest;
-        rest_items.clear();
-        self.sx_rest_items = rest_items;
-        in_second.clear();
-        self.sx_in_second = in_second;
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{busy_trace, mixed_workload};
+    use super::*;
+    use crate::experiment::configure_from_live_state;
+    use crate::pending::Carried;
+    use dtn_core::time::Duration;
+    use dtn_sim::engine::{SimConfig, Simulator, WorkloadEvent};
+    use dtn_trace::trace::{Contact, ContactTrace};
+
+    /// [`mixed_workload`] plus late queries for an item nobody ever
+    /// generates: their pulls reach the centrals, find nothing, and turn
+    /// into broadcasts that live until the queries expire.
+    fn workload_with_misses(trace: &ContactTrace) -> Vec<WorkloadEvent> {
+        let mut events = mixed_workload(trace, 8, 900);
+        for i in 0..12u64 {
+            events.push(WorkloadEvent::IssueQuery {
+                at: trace.midpoint() + Duration::hours(2) + Duration::minutes(20 * i),
+                requester: NodeId((i * 3 % 16) as u32),
+                data: DataId(99),
+                constraint: Duration::hours(12),
+            });
+        }
+        events
+    }
+
+    /// Seeds each way a carrier list can go wrong into one slab of a
+    /// running scheme; the scheme's own audit must name every one as an
+    /// index-consistency violation, and none may panic.
+    fn seed_carrier_list_corruption<T: Carried + Clone>(
+        live: &mut Live,
+        now: Time,
+        slab: fn(&mut Live) -> &mut CarrierSlab<T>,
+    ) {
+        use dtn_sim::audit::{AuditLaw, AuditReport};
+        let broken = |live: &Live| {
+            let mut report = AuditReport::default();
+            live.audit_into(now, &mut report);
+            let found = report.violations();
+            assert!(found.iter().all(|v| v.law == AuditLaw::IndexConsistency));
+            found.len()
+        };
+        assert_eq!(broken(live), 0);
+        let id = slab(live).ids().next().expect("a message in flight");
+        let msg = slab(live).get(id).clone();
+        let carrier = msg.carriers().next().expect("carried by someone");
+        let stray = (0..16).map(NodeId).find(|&n| !msg.carries(n));
+        let stray = stray.expect("some node does not carry it");
+
+        slab(live).list_mut(stray).push(id);
+        assert!(
+            broken(live) > 0,
+            "entry under a non-carrier went undetected"
+        );
+        slab(live).list_mut(stray).pop();
+
+        slab(live).list_mut(carrier).push(id);
+        assert!(broken(live) > 0, "double listing went undetected");
+        slab(live).list_mut(carrier).pop();
+        assert_eq!(broken(live), 0);
+
+        slab(live).remove(id);
+        slab(live).list_mut(carrier).push(id);
+        assert!(broken(live) > 0, "freed slot still listed went undetected");
+        slab(live).list_mut(carrier).pop();
+        assert_eq!(broken(live), 0);
+
+        slab(live).expire(msg.query().expires_at);
+        assert_eq!(broken(live), 0, "the sweep itself leaves no debris");
+        let overdue = slab(live).insert(msg);
+        assert!(
+            broken(live) > 0,
+            "entry past an expiry sweep went undetected"
+        );
+        slab(live).remove(overdue);
+        assert_eq!(broken(live), 0);
+    }
+
+    #[test]
+    fn audit_catches_seeded_corruption() {
+        // The audit must not just pass on healthy runs — it must *fail*
+        // when the canonical state is perturbed, else it proves nothing.
+        use dtn_sim::audit::{AuditLaw, AuditReport};
+        let trace = busy_trace(31);
+        let sim_cfg = SimConfig {
+            seed: 31,
+            audit: true,
+            ..SimConfig::default()
+        };
+        let scheme = IntentionalScheme::new(IntentionalConfig {
+            ncl_count: 2,
+            ..IntentionalConfig::default()
+        });
+        let mut sim = Simulator::new(&trace, scheme, sim_cfg);
+        sim.run_until(trace.midpoint());
+        configure_from_live_state(&mut sim, 3600.0, None);
+        sim.add_workload(workload_with_misses(&trace));
+        // Stop while pulls are still traveling and broadcasts spreading.
+        let in_flight = |sim: &Simulator<IntentionalScheme, _>| {
+            let live = sim.scheme().live().expect("configure ran");
+            live.pulls.len() > 0 && live.broadcasts.len() > 0
+        };
+        let mut at = trace.midpoint() + Duration::hours(2);
+        while !in_flight(&sim) {
+            at += Duration::minutes(5);
+            assert!(
+                at < Time(trace.duration().as_secs()),
+                "never both in flight"
+            );
+            sim.run_until(at);
+        }
+        let engine_report = sim.audit_report().expect("audit was enabled");
+        assert!(engine_report.is_clean(), "{}", engine_report.summary());
+        assert!(engine_report.sweeps() > 0);
+        let now = sim.now();
+        let (live, _) = sim.scheme_mut().live.as_mut().expect("configure ran");
+
+        // Seed a membership-counter drift: copy conservation must trip.
+        live.member_count[0] += 1;
+        let mut report = AuditReport::default();
+        live.audit_into(now, &mut report);
+        assert!(
+            report
+                .violations()
+                .iter()
+                .any(|v| v.law == AuditLaw::CopyConservation),
+            "seeded member_count drift went undetected: {}",
+            report.summary()
+        );
+        live.member_count[0] -= 1;
+
+        seed_carrier_list_corruption(live, now, |l| &mut l.pulls);
+        seed_carrier_list_corruption(live, now, |l| &mut l.broadcasts);
+    }
+
+    #[test]
+    fn a_contact_examines_only_its_endpoints_messages() {
+        // Fails by count if a gather ever walks a whole slab again: per
+        // contact, each slab looks at what the two endpoints carried
+        // going in plus what the contact itself put in flight (an
+        // arriving pull's broadcast, a response spawned on the spot —
+        // both carried by an endpoint, both stepped in the same contact).
+        let mut contacts = busy_trace(71).contacts().to_vec();
+        contacts.dedup_by_key(|c| c.start); // one contact a second
+        let trace = ContactTrace::new(16, contacts, Duration::days(2));
+        let events = workload_with_misses(&trace);
+        let event_times: Vec<Time> = events.iter().map(WorkloadEvent::at).collect();
+        let scheme = IntentionalScheme::new(IntentionalConfig {
+            ncl_count: 3,
+            ..IntentionalConfig::default()
+        });
+        let sim_cfg = SimConfig {
+            seed: 71,
+            audit: true,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&trace, scheme, sim_cfg);
+        sim.run_until(trace.midpoint());
+        configure_from_live_state(&mut sim, 3600.0, None);
+        sim.add_workload(events);
+
+        fn counts<T: Carried>(slab: &CarrierSlab<T>, c: &Contact) -> [u64; 4] {
+            let open = slab.iter().filter(|m| m.query().expires_at > c.start);
+            let carried = open.filter(|m| m.carries(c.a) || m.carries(c.b));
+            let (examined, inserted) = (slab.examined, slab.inserted());
+            [
+                carried.count() as u64,
+                examined,
+                inserted,
+                slab.len() as u64,
+            ]
+        }
+        let snapshot = |sim: &Simulator<IntentionalScheme, _>, c: &Contact| {
+            let live = sim.scheme().live().expect("configure ran");
+            [
+                counts(&live.pulls, c),
+                counts(&live.broadcasts, c),
+                counts(&live.responses, c),
+            ]
+        };
+        let (mut examined_total, mut in_flight_total) = ([0u64; 3], 0u64);
+        for contact in trace.contacts_between(trace.midpoint(), Time(u64::MAX)) {
+            if event_times.contains(&contact.start) {
+                continue; // a query issued in this very second muddies the count
+            }
+            // Events strictly before the contact, then the contact.
+            sim.run_until(contact.start);
+            let before = snapshot(&sim, contact);
+            sim.run_until(Time(contact.start.0 + 1));
+            let after = snapshot(&sim, contact);
+            for slab in 0..3 {
+                let [carried, examined_before, inserted_before, len] = before[slab];
+                let [_, examined, inserted, _] = after[slab];
+                assert_eq!(
+                    examined - examined_before,
+                    carried + (inserted - inserted_before),
+                    "slab {slab}, contact {contact:?}"
+                );
+                examined_total[slab] += examined - examined_before;
+                in_flight_total += len;
+            }
+        }
+        assert!(
+            examined_total.iter().all(|&n| n > 50),
+            "workload too thin: {examined_total:?}"
+        );
+        assert!(
+            examined_total.iter().sum::<u64>() * 2 < in_flight_total,
+            "examined {examined_total:?} of {in_flight_total} in flight"
+        );
     }
 }

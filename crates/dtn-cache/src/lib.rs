@@ -225,6 +225,65 @@ impl CachingScheme for Box<dyn CachingScheme> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{CacheDataPolicy, IncidentalScheme};
+    use crate::experiment::configure_from_live_state;
+    use crate::intentional::{IntentionalConfig, IntentionalScheme};
+    use dtn_core::ids::DataId;
+    use dtn_sim::engine::{SimConfig, Simulator, WorkloadEvent};
+    use dtn_sim::message::DataItem;
+    use dtn_trace::synthetic::SyntheticTraceBuilder;
+
+    /// `configure` → workload → `configure` again at `t2` must leave the
+    /// scheme exactly as one `configure` at `t2` leaves a scheme that
+    /// never ran: no item, popularity count, query history or message of
+    /// the first run survives.
+    fn reconfigured_equals_fresh<S: CachingScheme + std::fmt::Debug>(make: impl Fn() -> S) {
+        let trace = SyntheticTraceBuilder::new(16)
+            .duration(Duration::days(2))
+            .target_contacts(6_000)
+            .seed(23)
+            .build();
+        let (mid, t2) = (trace.midpoint(), trace.midpoint() + Duration::hours(8));
+        let mut events = Vec::new();
+        for i in 0..8u64 {
+            let at = mid + Duration::minutes(i);
+            events.push(WorkloadEvent::GenerateData {
+                item: DataItem::new(DataId(i), NodeId(i as u32), 900, at, Duration::days(1)),
+            });
+            events.push(WorkloadEvent::IssueQuery {
+                at: at + Duration::hours(1),
+                requester: NodeId((i as u32 + 5) % 16),
+                data: DataId(i),
+                constraint: Duration::hours(12),
+            });
+        }
+        let mut used = Simulator::new(&trace, make(), SimConfig::default());
+        used.run_until(mid);
+        configure_from_live_state(&mut used, 3600.0, None);
+        used.add_workload(events);
+        used.run_until(t2);
+        assert!(used.metrics().bytes_transmitted > 0, "the first run ran");
+        configure_from_live_state(&mut used, 3600.0, None);
+
+        let mut fresh = Simulator::new(&trace, make(), SimConfig::default());
+        fresh.run_until(t2);
+        configure_from_live_state(&mut fresh, 3600.0, None);
+
+        let (used, fresh) = (
+            format!("{:#?}", used.scheme()),
+            format!("{:#?}", fresh.scheme()),
+        );
+        for (line, (u, f)) in used.lines().zip(fresh.lines()).enumerate() {
+            assert_eq!(u, f, "line {line} of the dump");
+        }
+        assert_eq!(used.lines().count(), fresh.lines().count());
+    }
+
+    #[test]
+    fn reconfigure_is_a_fresh_start() {
+        reconfigured_equals_fresh(|| IntentionalScheme::new(IntentionalConfig::default()));
+        reconfigured_equals_fresh(|| IncidentalScheme::new(CacheDataPolicy::default()));
+    }
 
     #[test]
     fn scheme_kind_names_are_distinct() {

@@ -124,26 +124,18 @@ impl SimCtx<'_> {
     /// Panics if called outside a contact hook — transmission without a
     /// contact is impossible in a DTN and indicates a scheme bug.
     pub fn try_transmit(&mut self, bytes: u64) -> bool {
-        let at = self.shared.now;
-        let budget = self
-            .shared
+        let shared = &mut *self.shared;
+        let budget = shared
             .link_budget
             .as_mut()
             .expect("try_transmit is only valid inside on_contact");
-        if *budget >= bytes {
-            *budget -= bytes;
-            self.shared.metrics.bytes_transmitted += bytes;
-            self.shared
-                .probe
-                .emit(|| ProbeEvent::TransmitAccepted { at, bytes });
-            true
-        } else {
-            self.shared.metrics.transfers_rejected += 1;
-            self.shared
-                .probe
-                .emit(|| ProbeEvent::TransmitRejected { at, bytes });
-            false
-        }
+        transmit(
+            budget,
+            &mut shared.metrics,
+            &mut shared.probe,
+            shared.now,
+            bytes,
+        )
     }
 
     /// Remaining transmission capacity of the current contact, if inside
@@ -258,19 +250,28 @@ impl Link for LinkAccess<'_> {
     }
 
     fn try_transmit(&mut self, bytes: u64) -> bool {
-        let at = self.now;
-        if *self.budget >= bytes {
-            *self.budget -= bytes;
-            self.metrics.bytes_transmitted += bytes;
-            self.probe
-                .emit(|| ProbeEvent::TransmitAccepted { at, bytes });
-            true
-        } else {
-            self.metrics.transfers_rejected += 1;
-            self.probe
-                .emit(|| ProbeEvent::TransmitRejected { at, bytes });
-            false
-        }
+        transmit(self.budget, self.metrics, self.probe, self.now, bytes)
+    }
+}
+
+/// Charges `bytes` to a contact's remaining `budget` if they fit, and
+/// counts a rejected transfer if they do not.
+fn transmit(
+    budget: &mut u64,
+    metrics: &mut Metrics,
+    probe: &mut ProbeSink,
+    at: Time,
+    bytes: u64,
+) -> bool {
+    if *budget >= bytes {
+        *budget -= bytes;
+        metrics.bytes_transmitted += bytes;
+        probe.emit(|| ProbeEvent::TransmitAccepted { at, bytes });
+        true
+    } else {
+        metrics.transfers_rejected += 1;
+        probe.emit(|| ProbeEvent::TransmitRejected { at, bytes });
+        false
     }
 }
 
@@ -348,6 +349,26 @@ mod tests {
         // The expired query is "delivered" at both contacts, both late.
         assert_eq!(m.late_deliveries, 2);
         assert!((m.success_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "try_transmit is only valid inside on_contact")]
+    fn try_transmit_outside_a_contact_panics() {
+        struct Eager;
+        impl Scheme for Eager {
+            fn on_data_generated(&mut self, _: &mut SimCtx<'_>, _: DataItem) {}
+            fn on_query_issued(&mut self, ctx: &mut SimCtx<'_>, _: Query) {
+                ctx.try_transmit(1);
+            }
+            fn on_contact(&mut self, _: &mut SimCtx<'_>, _: Contact) {}
+            fn cache_stats(&self, _: Time) -> CacheStats {
+                CacheStats::default()
+            }
+        }
+        let trace = two_node_trace();
+        let mut sim = Simulator::new(&trace, Eager, SimConfig::default());
+        sim.add_workload(vec![query_event(200, 1, 1, 9000)]);
+        sim.run_to_end();
     }
 
     #[test]
