@@ -665,13 +665,13 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     // they document why the engine is configured the way it is, not this
     // host's throughput.
     let memory_notes = [
-        "peak_rss_bytes is VmHWM, the process-lifetime high-water mark: a run reads the larger of its own peak and every earlier run's. The audited case runs first, so its value is its own (a 2000-node city sits below the 2048-node threshold and uses the dense rate and affinity tables); the sized runs follow in ascending order, and one whose own peak is below the audited case's reads the audited case's.",
+        "peak_rss_bytes is VmHWM, the process-lifetime high-water mark: a run reads the larger of its own peak and every earlier run's. The audited case runs first, so its value is its own (a 2000-node city sits below the trace plan's 2048-node exact pair sweep); the sized runs follow in ascending order, and one whose own peak is below the audited case's reads the audited case's.",
         "audited_case.oracle_*_exact are the path oracle's work over the audited run, counted not timed, and gated by `experiments compare`. nodes_settled counts the ball of radius max_hops - 1 around each searched source: the leaves of the hop bound never enter the search and are weighed by the reads that ask for one (leaf_evaluations). A rim node that relaxes every neighbour again, not just the inner ones, reads nodes_settled about 2.3x higher for the same table_recomputes and fails that gate on any machine.",
         "(retired 1-core box) sparse-reach cache resized from 4096 fixed slots to one slot per node: direct-mapped collisions had nearly every forwarding decision recompute a bounded Dijkstra; 10k-node city run went 17314 -> 28396 contacts/s.",
         "(retired 1-core box) oracle wall-clock refresh pinned to the trace duration in the scale harness (generation-doubling rebuilds still fire): each snapshot rebuild invalidates all ~N cached reaches, and recomputing them dominated the measured phase; 30k-node city run went 6534 -> 15275 contacts/s (measured phase 114.5s -> 48.8s).",
         "Metrics keeps the exact delay sum and count only (O(1) in delivered queries); the delay distribution is RecordingProbe::delay_hist, present when a probe is installed.",
         "audited_case.ncl_*_exact are the work of the NCL selection inside configure, counted and gated the same way: searches_run nodes had their Eq. 3 metric computed by a path search, candidates_pruned nodes were never evaluated because an upper bound on their metric (nodes within the hop bound x weight of the fastest contact) was below the K-th best exact metric. A bound that stops pruning fails the gate on any machine: without the ball count the audited case reads 406 searches for 349, with the contact weight replaced by 1 it reads 627.",
-        "RateTable switches to sparse pair storage above its density threshold, keeping per-contact updates allocation-free at 100k+ nodes.",
+        "RateTable holds an estimator (56 B) only for a pair that has met, at every population: O(N + pairs met), never O(N^2).",
     ];
     let doc = JsonValue::object()
         .with("benchmark", "crates/bench/src/scale.rs")

@@ -210,8 +210,8 @@ impl ServeBenchReport {
 /// 2. **Reproducibility** — two serving passes over the same stream
 ///    must produce the same decision checksum.
 /// 3. **Kernel equivalence** — every recorded `Place` next hop must
-///    equal an independent recomputation through the public
-///    `better_relay` kernel on a fresh oracle over the same rates.
+///    equal an independent recomputation through the §V-A rule,
+///    `PathOracle::forward`, on a fresh oracle over the same rates.
 pub fn run_serve_differential(cfg: &ServeBenchConfig) -> Vec<String> {
     let mut problems = Vec::new();
     let trace = serve_trace(cfg);
@@ -282,16 +282,7 @@ pub fn run_serve_differential(cfg: &ServeBenchConfig) -> Vec<String> {
                 dtn_sim::oracle::PathOracle::new(nodes, 3600.0 * 6.0, Duration::hours(1));
             let mut best: Option<(NodeId, f64)> = None;
             for n in (0..nodes as u32).map(NodeId) {
-                if n == source
-                    || !dtn_cache::common::better_relay(
-                        &mut fresh,
-                        rates,
-                        d.at,
-                        source,
-                        n,
-                        plan.central,
-                    )
-                {
+                if n == source || !fresh.forward(rates, d.at, source, n, plan.central) {
                     continue;
                 }
                 let w = if n == plan.central {

@@ -1,14 +1,12 @@
-//! Shared building blocks for the caching schemes: the data registry,
-//! in-flight message records and greedy opportunistic forwarding.
+//! Shared building blocks for the caching schemes: the data registry and
+//! cache occupancy.
 
-use dtn_core::ids::{DataId, IdMap, IdSet, NodeId};
+use dtn_core::ids::{DataId, IdMap, IdSet};
 use dtn_core::popularity::PopularityEstimator;
-use dtn_core::rate::RateTable;
 use dtn_core::time::Time;
 use dtn_sim::buffer::Buffer;
 use dtn_sim::engine::CacheStats;
 use dtn_sim::message::DataItem;
-use dtn_sim::oracle::PathOracle;
 
 /// Registry of all data items a scheme has seen, with global query
 /// popularity estimators.
@@ -64,39 +62,11 @@ pub(crate) fn cache_stats(buffers: &[Buffer], now: Time) -> CacheStats {
     }
 }
 
-/// Greedy relay decision (§V-A): forward a message carried by `from`
-/// to `to` iff `to` has a strictly better opportunistic-path weight to
-/// `dest` — "a relay forwards data to another node with higher metric
-/// than itself". Returns the new carrier.
-///
-/// Thin wrapper over [`dtn_sim::decision::DecisionPoint::forward`] so
-/// the engine's contact-time forwarding and the online serving mode
-/// share one code path.
-pub fn better_relay(
-    oracle: &mut PathOracle,
-    rates: &RateTable,
-    now: Time,
-    from: NodeId,
-    to: NodeId,
-    dest: NodeId,
-) -> bool {
-    dtn_sim::decision::DecisionPoint::new(oracle, rates, now, &[]).forward(from, to, dest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtn_core::ids::NodeId;
     use dtn_core::time::Duration;
-
-    fn rates_line() -> RateTable {
-        // 0 — 1 — 2 with frequent contacts
-        let mut r = RateTable::new(3, Time::ZERO);
-        for t in 1..=5u64 {
-            r.record(NodeId(0), NodeId(1), Time(t * 100));
-            r.record(NodeId(1), NodeId(2), Time(t * 100));
-        }
-        r
-    }
 
     #[test]
     fn registry_tracks_items_and_popularity() {
@@ -116,56 +86,5 @@ mod tests {
         let reg = DataRegistry::default();
         assert_eq!(reg.popularity(DataId(9), Time(0)), 0.0);
         assert!(reg.get(DataId(9)).is_none());
-    }
-
-    #[test]
-    fn destination_is_always_a_better_relay() {
-        let rates = rates_line();
-        let mut o = PathOracle::new(3, 1000.0, Duration::hours(1));
-        assert!(better_relay(
-            &mut o,
-            &rates,
-            Time(600),
-            NodeId(0),
-            NodeId(2),
-            NodeId(2)
-        ));
-    }
-
-    #[test]
-    fn carrier_at_destination_never_forwards() {
-        let rates = rates_line();
-        let mut o = PathOracle::new(3, 1000.0, Duration::hours(1));
-        assert!(!better_relay(
-            &mut o,
-            &rates,
-            Time(600),
-            NodeId(2),
-            NodeId(0),
-            NodeId(2)
-        ));
-    }
-
-    #[test]
-    fn closer_node_is_better_relay() {
-        let rates = rates_line();
-        let mut o = PathOracle::new(3, 1000.0, Duration::hours(1));
-        // 1 is closer to 2 than 0 is.
-        assert!(better_relay(
-            &mut o,
-            &rates,
-            Time(600),
-            NodeId(0),
-            NodeId(1),
-            NodeId(2)
-        ));
-        assert!(!better_relay(
-            &mut o,
-            &rates,
-            Time(600),
-            NodeId(1),
-            NodeId(0),
-            NodeId(2)
-        ));
     }
 }

@@ -6,8 +6,6 @@ use dtn_sim::engine::SimCtx;
 use dtn_sim::message::Query;
 use dtn_sim::probe::ProbeEvent;
 
-use crate::common::better_relay;
-
 use super::pending::BroadcastCopy;
 use super::state::{Live, Scratch};
 
@@ -28,7 +26,10 @@ impl Live {
             let pull = *self.pulls.get(id);
             let (from, to) = if pull.carrier == a { (a, b) } else { (b, a) };
             let central = self.centrals[pull.ncl];
-            if !better_relay(&mut self.oracle, ctx.rate_table(), now, from, to, central) {
+            if !self
+                .oracle
+                .forward(ctx.rate_table(), now, from, to, central)
+            {
                 continue;
             }
             if !ctx.try_transmit(query_size) {

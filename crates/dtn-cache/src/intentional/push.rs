@@ -4,7 +4,6 @@
 
 use dtn_core::ids::NodeId;
 
-use crate::common::better_relay;
 use crate::replacement::ReplacementKind;
 
 use super::state::{CopyState, Live, Scratch};
@@ -56,7 +55,10 @@ impl Live {
                 continue;
             };
             let central = self.centrals[k];
-            if !better_relay(&mut self.oracle, ctx.rate_table(), now, from, to, central) {
+            if !self
+                .oracle
+                .forward(ctx.rate_table(), now, from, to, central)
+            {
                 continue;
             }
             // The next selected relay: forward if it can hold the

@@ -184,9 +184,8 @@ impl IntentionalScheme {
 
     /// A [`DecisionPoint`] borrowing this scheme's own path oracle and
     /// elected central set — the scheme-side decision API for the online
-    /// serving mode. Decisions answered through it are computed by
-    /// exactly the code path (`DecisionPoint::forward` ==
-    /// `better_relay`) and exactly the state the engine uses at the next
+    /// serving mode. Decisions answered through it read exactly the
+    /// weights the engine's [`PathOracle::forward`] reads at the next
     /// contact. `None` until [`configure`](crate::CachingScheme::configure)
     /// has elected central nodes and built the oracle.
     pub fn decision_point<'a>(

@@ -39,7 +39,7 @@
 //! ```
 
 mod baselines;
-pub mod common;
+mod common;
 pub mod experiment;
 pub mod intentional;
 mod pending;

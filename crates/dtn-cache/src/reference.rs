@@ -32,7 +32,7 @@ use dtn_sim::oracle::{OracleStats, PathOracle};
 use dtn_sim::probe::ProbeEvent;
 use dtn_trace::trace::Contact;
 
-use crate::common::{better_relay, DataRegistry};
+use crate::common::DataRegistry;
 use crate::intentional::{IntentionalConfig, ResponseStrategy};
 use crate::replacement::{make_room, NodeCacheMeta, ReplacementKind};
 use crate::routing::{ForwardingStrategy, RoutedMessage};
@@ -254,7 +254,7 @@ impl ReferenceIntentionalScheme {
                 };
                 let central = self.centrals[k];
                 let oracle = self.oracle.as_mut().expect("configured");
-                if !better_relay(oracle, ctx.rate_table(), now, from, to, central) {
+                if !oracle.forward(ctx.rate_table(), now, from, to, central) {
                     continue;
                 }
                 // The next selected relay: forward if it can hold the
@@ -330,7 +330,7 @@ impl ReferenceIntentionalScheme {
             };
             let central = self.centrals[pull.ncl];
             let oracle = self.oracle.as_mut().expect("configured");
-            if !better_relay(oracle, ctx.rate_table(), now, from, to, central) {
+            if !oracle.forward(ctx.rate_table(), now, from, to, central) {
                 continue;
             }
             if !ctx.try_transmit(query_size) {

@@ -24,8 +24,6 @@ use dtn_core::time::Time;
 use dtn_sim::engine::Link;
 use dtn_sim::oracle::PathOracle;
 
-use crate::common::better_relay;
-
 /// How a message travels toward its destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardingStrategy {
@@ -190,7 +188,7 @@ impl RoutedMessage {
                 ForwardingStrategy::Direct => {}
                 ForwardingStrategy::Greedy => {
                     if self.carried_by(to).is_none()
-                        && better_relay(oracle, link.rate_table(), now, from, to, self.destination)
+                        && oracle.forward(link.rate_table(), now, from, to, self.destination)
                         && link.try_transmit(self.size)
                     {
                         self.copies[idx].carrier = to;

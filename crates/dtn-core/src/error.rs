@@ -24,13 +24,6 @@ pub enum CoreError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// A node id referenced a node outside the graph.
-    NodeOutOfRange {
-        /// The offending node index.
-        node: u32,
-        /// Number of nodes in the graph.
-        len: usize,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -38,9 +31,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")
-            }
-            CoreError::NodeOutOfRange { node, len } => {
-                write!(f, "node n{node} out of range for graph of {len} nodes")
             }
         }
     }
@@ -59,9 +49,6 @@ mod tests {
             reason: "must be positive".into(),
         };
         assert!(e.to_string().contains("p_min"));
-        let e = CoreError::NodeOutOfRange { node: 9, len: 4 };
-        assert!(e.to_string().contains("n9"));
-        assert!(e.to_string().contains('4'));
     }
 
     #[test]

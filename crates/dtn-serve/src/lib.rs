@@ -51,6 +51,7 @@
 use std::time::Instant;
 
 use dtn_cache::intentional::IntentionalScheme;
+use dtn_cache::CachingScheme;
 use dtn_core::ids::{DataId, NodeId};
 use dtn_core::time::Time;
 use dtn_sim::decision::{PlacementDecision, RouteDecision};
@@ -248,7 +249,8 @@ impl<C: ContactSource> DecisionService<C> {
     ///
     /// [`ServeError::UnknownNode`] if the request's node id is outside
     /// the population; [`ServeError::NotConfigured`] until the scheme
-    /// has elected NCLs.
+    /// has elected NCLs. Both are refused before any work: the stream
+    /// is not ingested, so the engine clock does not move.
     pub fn decide(&mut self, at: Time, request: Request) -> Result<Decision, ServeError> {
         let node = match request {
             Request::Place { source, .. } => source,
@@ -258,13 +260,17 @@ impl<C: ContactSource> DecisionService<C> {
             self.unknown_node_requests += 1;
             return Err(ServeError::UnknownNode(node));
         }
+        // `configure` builds the oracle with the NCLs: none means neither.
+        if self.sim.scheme().oracle_stats().is_none() {
+            return Err(ServeError::NotConfigured);
+        }
         let at = at.max(self.sim.now());
         self.sim.run_until(at);
         let (scheme, rates, now, _) = self.sim.live_state();
         let started = Instant::now();
         let mut dp = scheme
             .decision_point(rates, now)
-            .ok_or(ServeError::NotConfigured)?;
+            .expect("refused above until configured");
         let oracle_epoch = dp.snapshot_epoch();
         let before = dp.oracle_stats();
         let answer = match request {
@@ -371,7 +377,6 @@ fn checksum_fold(mut h: u64, at: Time, request: &Request, answer: &Answer) -> u6
 mod tests {
     use super::*;
     use dtn_cache::intentional::IntentionalConfig;
-    use dtn_cache::CachingScheme;
     use dtn_core::time::Duration;
     use dtn_sim::engine::SimConfig;
     use dtn_trace::SyntheticTraceBuilder;
@@ -423,6 +428,27 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ServeError::NotConfigured);
         assert!(err.to_string().contains("not configured"));
+    }
+
+    #[test]
+    fn refused_request_leaves_the_stream_where_it_was() {
+        // A refusal does no work: the engine clock stays put, so a later
+        // `configure_at(mid)` elects from the rates counted to `mid`, not
+        // to the refused request's time.
+        let t = trace();
+        let mid = t.midpoint();
+        let scheme = IntentionalScheme::new(IntentionalConfig::default());
+        let sim = Simulator::new(&t, scheme, SimConfig::default());
+        let mut svc = DecisionService::new(sim, ServeConfig::default());
+        let request = Request::Route {
+            requester: NodeId(1),
+            data: DataId(1),
+        };
+        let err = svc.decide(mid + Duration::hours(1), request).unwrap_err();
+        assert_eq!(err, ServeError::NotConfigured);
+        assert_eq!(svc.sim().now(), Time::ZERO);
+        svc.configure_at(mid, 3600.0 * 6.0, None);
+        assert_eq!(svc.sim().now(), mid);
     }
 
     #[test]
@@ -630,8 +656,9 @@ mod tests {
     #[test]
     fn decisions_match_a_fresh_oracle_recomputation() {
         // Differential: the service's next-hop choice equals an
-        // independent recomputation through the public better_relay
-        // kernel on a fresh oracle over the same rates/time.
+        // independent recomputation through the §V-A rule,
+        // `PathOracle::forward`, on a fresh oracle over the same
+        // rates/time.
         let t = trace();
         let mut svc = service(&t);
         let mid = t.midpoint();
@@ -655,16 +682,7 @@ mod tests {
             let mut fresh = dtn_sim::oracle::PathOracle::new(20, horizon, Duration::hours(1));
             let mut best: Option<(NodeId, f64)> = None;
             for n in (0..20u32).map(NodeId) {
-                if n == NodeId(5)
-                    || !dtn_cache::common::better_relay(
-                        &mut fresh,
-                        rates,
-                        d.at,
-                        NodeId(5),
-                        n,
-                        plan.central,
-                    )
-                {
+                if n == NodeId(5) || !fresh.forward(rates, d.at, NodeId(5), n, plan.central) {
                     continue;
                 }
                 let w = if n == plan.central {

@@ -5,9 +5,9 @@
 //! choice to one comparison: *does the candidate carrier have a higher
 //! opportunistic-path weight to the destination than the current
 //! carrier?* (§V-A: "a relay forwards data to another node with higher
-//! metric than itself"). [`DecisionPoint`] owns that comparison —
-//! [`DecisionPoint::forward`] — plus the two request-level decisions a
-//! serving deployment asks for:
+//! metric than itself"), asked of [`PathOracle::forward`].
+//! [`DecisionPoint`] composes from the same oracle reads the two
+//! request-level decisions a serving deployment asks for:
 //!
 //! - [`DecisionPoint::place`]: where should a data item be cached?
 //!   The NCL set (the elected central nodes) plus, per NCL, the best
@@ -16,13 +16,10 @@
 //!   target with the highest opportunistic weight from the requester,
 //!   plus the best next relay toward it (§V-B pull).
 //!
-//! `dtn-cache`'s contact-time `better_relay` delegates to
-//! [`DecisionPoint::forward`], and the scheme-side decision API
-//! (`IntentionalScheme::decision_point`) borrows the scheme's *own*
-//! oracle and central set — so a decision answered online is computed
-//! by exactly the code path and exactly the state the engine uses at
-//! the next contact. That shared code path is what the serve-vs-engine
-//! differential tests pin.
+//! The scheme-side decision API (`IntentionalScheme::decision_point`)
+//! borrows the scheme's *own* oracle and central set, so a decision
+//! answered online reads exactly the weights the engine reads at the
+//! next contact — what the serve-vs-engine differential tests pin.
 //!
 //! All oracle reads go through the generation-versioned snapshot inside
 //! [`PathOracle`], and staleness is bounded by the oracle's refresh
@@ -143,26 +140,9 @@ impl<'a> DecisionPoint<'a> {
         self.oracle.stats()
     }
 
-    /// THE greedy relay rule (§V-A): forward a message carried by
-    /// `from` to `to` iff `to` has a strictly better opportunistic-path
-    /// weight to `dest`. The destination always accepts; a carrier at
-    /// the destination never forwards.
-    ///
-    /// This is the single decision the engine makes at every contact —
-    /// `dtn_cache::common::better_relay` is a thin wrapper over it.
-    pub fn forward(&mut self, from: NodeId, to: NodeId, dest: NodeId) -> bool {
-        if to == dest {
-            return true;
-        }
-        if from == dest {
-            return false;
-        }
-        self.weight(to, dest) > self.weight(from, dest)
-    }
-
     /// The best next relay from `carrier` toward `dest` among
     /// `candidates`: the candidate with the highest weight to `dest`
-    /// that the §V-A rule would accept ([`forward`](Self::forward)
+    /// that the §V-A rule would accept ([`PathOracle::forward`]
     /// answers true). Ties break toward the earlier candidate, so the
     /// answer is deterministic for a fixed candidate order. `None` when
     /// no candidate beats the carrier.
@@ -182,7 +162,7 @@ impl<'a> DecisionPoint<'a> {
             if c == carrier {
                 continue;
             }
-            // `forward(carrier, c, dest)`, with its weight kept.
+            // The §V-A rule for `carrier → c`, with `c`'s weight kept.
             let w = if c == dest {
                 f64::INFINITY
             } else if carrier == dest {
@@ -266,20 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_matches_the_greedy_relay_rule() {
-        let rates = rates_line();
-        let mut o = oracle();
-        let centrals = [NodeId(2)];
-        let mut dp = DecisionPoint::new(&mut o, &rates, Time(600), &centrals);
-        // Destination always accepts; carrier at destination never forwards.
-        assert!(dp.forward(NodeId(0), NodeId(2), NodeId(2)));
-        assert!(!dp.forward(NodeId(2), NodeId(0), NodeId(2)));
-        // 1 is closer to 2 than 0 is.
-        assert!(dp.forward(NodeId(0), NodeId(1), NodeId(2)));
-        assert!(!dp.forward(NodeId(1), NodeId(0), NodeId(2)));
-    }
-
-    #[test]
     fn place_plans_one_relay_per_ncl() {
         let rates = rates_line();
         let mut o = oracle();
@@ -320,23 +286,25 @@ mod tests {
         assert_eq!(r.next_hop, Some(NodeId(2)), "destination always accepts");
     }
 
-    /// `best_relay` as first written: ask `forward` about each candidate,
-    /// then read the accepted candidate's weight again.
+    /// `best_relay` as first written: ask the §V-A rule about each
+    /// candidate, then read the accepted candidate's weight again.
     fn best_relay_by_definition(
-        dp: &mut DecisionPoint<'_>,
+        oracle: &mut PathOracle,
+        rates: &RateTable,
+        now: Time,
         carrier: NodeId,
         dest: NodeId,
         candidates: &[NodeId],
     ) -> Option<NodeId> {
         let mut best: Option<(NodeId, f64)> = None;
         for &c in candidates {
-            if c == carrier || !dp.forward(carrier, c, dest) {
+            if c == carrier || !oracle.forward(rates, now, carrier, c, dest) {
                 continue;
             }
             let w = if c == dest {
                 f64::INFINITY
             } else {
-                dp.weight(c, dest)
+                oracle.weight(rates, now, c, dest)
             };
             if best.is_none_or(|(_, bw)| w > bw) {
                 best = Some((c, w));
@@ -372,7 +340,6 @@ mod tests {
         let mut hoisted_oracle = PathOracle::new(N as usize, 1000.0, Duration::hours(1));
         let mut literal_oracle = PathOracle::new(N as usize, 1000.0, Duration::hours(1));
         let mut hoisted = DecisionPoint::new(&mut hoisted_oracle, &rates, now, &[]);
-        let mut literal = DecisionPoint::new(&mut literal_oracle, &rates, now, &[]);
         assert_eq!(
             hoisted.weight(NodeId(6), NodeId(3)).to_bits(),
             hoisted.weight(NodeId(7), NodeId(3)).to_bits(),
@@ -383,7 +350,14 @@ mod tests {
             for &dest in &ascending {
                 for candidates in [&ascending, &descending, &without_ends, &Vec::new()] {
                     let got = hoisted.best_relay(carrier, dest, candidates);
-                    let want = best_relay_by_definition(&mut literal, carrier, dest, candidates);
+                    let want = best_relay_by_definition(
+                        &mut literal_oracle,
+                        &rates,
+                        now,
+                        carrier,
+                        dest,
+                        candidates,
+                    );
                     assert_eq!(got, want, "{carrier} → {dest} over {candidates:?}");
                     chose_a_relay += usize::from(got.is_some());
                 }
@@ -397,7 +371,7 @@ mod tests {
             Some(NodeId(7))
         );
         // Same answers from a third of the reads.
-        let (h, l) = (hoisted.oracle_stats(), literal.oracle_stats());
+        let (h, l) = (hoisted.oracle_stats(), literal_oracle.stats());
         assert_eq!(h.table_recomputes, l.table_recomputes);
         assert!(h.table_hits * 2 < l.table_hits, "{h:?} vs {l:?}");
     }

@@ -401,6 +401,27 @@ impl PathOracle {
         weight
     }
 
+    /// THE greedy relay rule (§V-A): forward a message carried by `from`
+    /// to `to` iff `to` has a strictly better path weight to `dest`. The
+    /// destination always accepts; a carrier at the destination never
+    /// forwards. Reads `to`'s weight, then `from`'s.
+    pub fn forward(
+        &mut self,
+        rates: &RateTable,
+        now: Time,
+        from: NodeId,
+        to: NodeId,
+        dest: NodeId,
+    ) -> bool {
+        if to == dest {
+            return true;
+        }
+        if from == dest {
+            return false;
+        }
+        self.weight(rates, now, to, dest) > self.weight(rates, now, from, dest)
+    }
+
     /// Drops the snapshot and every cached table (e.g. after a
     /// configuration change). The next query starts a new epoch.
     pub fn invalidate(&mut self) {
@@ -438,6 +459,23 @@ mod tests {
         let w2 = o.weight(&rates, now, NodeId(0), NodeId(2));
         let w3 = o.weight(&rates, now, NodeId(0), NodeId(3));
         assert!(w1 > w2 && w2 > w3 && w3 > 0.0);
+    }
+
+    #[test]
+    fn forward_is_the_greedy_relay_rule() {
+        let rates = rates_line();
+        let mut o = PathOracle::new(4, 1000.0, Duration::hours(1));
+        let now = Time(600);
+        let forward = |o: &mut PathOracle, from, to, dest| {
+            o.forward(&rates, now, NodeId(from), NodeId(to), NodeId(dest))
+        };
+        // The destination always accepts, even from far away; a carrier
+        // at the destination never forwards.
+        assert!(forward(&mut o, 0, 2, 2));
+        assert!(!forward(&mut o, 2, 0, 2));
+        // 1 is closer to 2 than 0 is.
+        assert!(forward(&mut o, 0, 1, 2));
+        assert!(!forward(&mut o, 1, 0, 2));
     }
 
     #[test]
