@@ -15,7 +15,7 @@
 //!   probabilistic data selection (Algorithm 1),
 //! - [`rate`] — online pairwise contact-rate estimation,
 //! - [`par`] — deterministic order-preserving parallel map used by the
-//!   NCL metric sweep,
+//!   NCL metric sweep and batched path searches,
 //! - [`hist`] — alloc-free fixed-bucket histograms for hot-loop
 //!   instrumentation (delays, hop counts, buffer occupancy),
 //! - [`sys`] — process-level introspection (the shared VmHWM peak-RSS

@@ -1,13 +1,15 @@
 //! Minimal deterministic data parallelism on scoped std threads.
 //!
-//! The NCL selection metric runs one single-source path search per node
-//! — an embarrassingly parallel workload — but this build environment
-//! cannot pull in `rayon`. This module provides the one primitive the
-//! crate needs: a parallel, **order-preserving** map over a slice, with
-//! a piece of per-worker state (`map_on`; [`map_slice`] is the
-//! stateless case).
+//! Two workloads here are embarrassingly parallel — the NCL selection
+//! metric (one single-source path search per node) and the oracle's
+//! batch of missing per-source tables (`path::shortest_paths_batch`) —
+//! but this build environment cannot pull in `rayon`. This module
+//! provides the primitive both run on: a parallel, **order-preserving**
+//! map over the items of an exact-size iterator, with a piece of
+//! per-worker state (`map_on`; [`map_slice`] is the stateless case over
+//! a slice).
 //!
-//! Items are handed out one at a time from a shared counter, so a few
+//! Items are handed out one at a time from a shared iterator, so a few
 //! items that cost a hundred times the rest (the members of one giant
 //! community in an NCL sweep) do not pin one worker while the others
 //! idle. Every result is returned with its index and put back in its
@@ -18,10 +20,11 @@
 //!
 //! The worker count is the machine's `available_parallelism`, capped at
 //! the item count so no worker is spawned without an item to take. One
-//! call is one `thread::scope`; the calling thread is one of the workers.
+//! call is one scope of spawned threads; the calling thread is one of
+//! the workers.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The machine's available parallelism, at least 1.
 pub(crate) fn workers() -> usize {
@@ -60,6 +63,10 @@ where
 /// workspace, say, expensive to build and reusable, which a caller that
 /// maps batch after batch keeps and pays for once.
 ///
+/// `items` is any exact-size iterator whose iterator can cross threads:
+/// a slice's `iter()` hands out shared references, a `iter_mut()` hands
+/// each item out mutably to exactly one worker.
+///
 /// `f` is called exactly once per item; which worker (and so which
 /// state) serves an item is not determined, so the result must not
 /// depend on what earlier calls left in the state. Runs as a serial loop
@@ -68,42 +75,45 @@ where
 /// # Panics
 ///
 /// Panics if there are items and no state to map them with.
-pub(crate) fn map_on<T, S, R, F>(items: &[T], states: &mut [S], f: F) -> Vec<R>
+pub(crate) fn map_on<I, S, R, F>(items: I, states: &mut [S], f: F) -> Vec<R>
 where
-    T: Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     S: Send,
     R: Send,
-    F: Fn(&mut S, &T) -> R + Sync,
+    F: Fn(&mut S, I::Item) -> R + Sync,
 {
-    let workers = states.len().min(items.len());
+    let items = items.into_iter();
+    let len = items.len();
+    let workers = states.len().min(len);
     if workers <= 1 {
         return match states.first_mut() {
-            Some(state) => items.iter().map(|item| f(state, item)).collect(),
+            Some(state) => items.map(|item| f(state, item)).collect(),
             None => {
-                assert!(
-                    items.is_empty(),
-                    "no state to map {} items with",
-                    items.len()
-                );
+                assert!(len == 0, "no state to map {len} items with");
                 Vec::new()
             }
         };
     }
 
-    // The hand-out publishes nothing but the index itself.
-    let next = AtomicUsize::new(0);
+    // The hand-out is the only shared state; it is locked to take the
+    // next item, never while `f` runs.
+    let next = Mutex::new(items.enumerate());
     let work = |state: &mut S| {
         let mut done: Vec<(usize, R)> = Vec::new();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else {
+            let handed = next
+                .lock()
+                .expect("no worker panics while taking an item")
+                .next();
+            let Some((i, item)) = handed else {
                 return done;
             };
             done.push((i, f(state, item)));
         }
     };
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
+    let mut out: Vec<Option<R>> = Vec::with_capacity(len);
+    out.resize_with(len, || None);
     std::thread::scope(|scope| {
         let (mine, theirs) = states[..workers]
             .split_first_mut()
@@ -223,6 +233,23 @@ mod tests {
                 let reached = calls.iter().filter(|&&m| m >= c).count();
                 assert_eq!(times, reached, "{workers} workers, count {c}");
             }
+        }
+    }
+
+    #[test]
+    fn map_on_hands_each_item_out_mutably_once() {
+        for workers in [1, 2, 5] {
+            let mut items: Vec<u64> = (0..300).collect();
+            let old = map_on(items.iter_mut(), &mut vec![(); workers], |(), x| {
+                let was = *x;
+                *x = was * 2 + 1;
+                was
+            });
+            assert_eq!(old, (0..300).collect::<Vec<_>>(), "{workers} workers");
+            assert!(items
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x == 2 * i as u64 + 1));
         }
     }
 

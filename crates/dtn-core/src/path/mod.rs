@@ -30,7 +30,9 @@
 //! buffer recycled from the previous search); a node settled at the hop
 //! bound keeps its weight and nothing else. Three extractors read the
 //! settled set out of the scratch: the dense, route-carrying
-//! [`PathTable`] ([`shortest_paths`], [`shortest_paths_until`]), the
+//! [`PathTable`] ([`shortest_paths`], [`shortest_paths_until_in`], and
+//! [`shortest_paths_batch`], which runs many such searches over the
+//! workers and refills caller-owned tables in place), the
 //! sparse [`SparseReach`] ([`bounded_shortest_paths`], the same loop
 //! under a hop bound) and the [`LazyReach`] ([`bounded_reach`], the
 //! bounded loop kept inside the ball of radius `max_hops − 1`, with the
@@ -44,7 +46,7 @@
 //! final, so a caller that only needs the weights to a few targets (the
 //! paper's nodes keep paths *to the K central nodes*, §IV Eq. 3) can stop
 //! the same loop as soon as the last target settles:
-//! [`shortest_paths_until`] returns a *partial* [`PathTable`] whose
+//! [`shortest_paths_until_in`] returns a *partial* [`PathTable`] whose
 //! settled entries carry exactly the bits the exhaustive search would
 //! have produced. The search is greedy from the source — a path's weight
 //! is not a sum of per-edge terms, so the tree rooted at a destination is
@@ -66,7 +68,7 @@ pub use naive::shortest_paths_naive;
 pub use reach::{LazyReach, SparseReach};
 pub use scratch::ReachScratch;
 pub use search::{
-    bounded_reach, bounded_shortest_paths, shortest_paths, shortest_paths_until,
+    bounded_reach, bounded_shortest_paths, shortest_paths, shortest_paths_batch,
     shortest_paths_until_in,
 };
 pub use table::PathTable;

@@ -22,7 +22,8 @@ use crate::ids::NodeId;
 /// is warm (heap, touched list, free list and — for [`bounded_reach`](super::bounded_reach) —
 /// the ball's queue and the pop order grown to the largest search it has
 /// served) a search costs `O(touched)` time and calls the allocator only
-/// for the table it returns.
+/// for the table it returns — not at all when it refills a table sized
+/// for the graph ([`shortest_paths_batch`](super::shortest_paths_batch)).
 #[derive(Debug, Default)]
 pub struct ReachScratch {
     pub(super) epoch: u64,
@@ -147,18 +148,28 @@ impl ReachScratch {
         }
     }
 
-    /// The last search's outcome as a dense, route-carrying table over
-    /// `n` nodes.
-    pub(super) fn path_table(&self, n: usize, source: NodeId, complete: bool) -> PathTable {
-        let mut table = PathTable {
-            source,
-            prev: vec![None; n],
-            rate_into: vec![0.0; n],
-            weight: vec![0.0; n],
-            settled: vec![false; n],
-            settled_count: self.settled_count,
-            complete,
-        };
+    /// Refills `table` with the last search's outcome, a dense,
+    /// route-carrying table over `n` nodes. The table's arrays are
+    /// cleared and regrown in place: one that already holds `n` nodes'
+    /// worth of capacity is refilled without allocating.
+    pub(super) fn path_table_into(
+        &self,
+        n: usize,
+        source: NodeId,
+        complete: bool,
+        table: &mut PathTable,
+    ) {
+        fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+            v.clear();
+            v.resize(n, value);
+        }
+        table.source = source;
+        table.settled_count = self.settled_count;
+        table.complete = complete;
+        refill(&mut table.prev, n, None);
+        refill(&mut table.rate_into, n, 0.0);
+        refill(&mut table.weight, n, 0.0);
+        refill(&mut table.settled, n, false);
         for &i in &self.touched {
             let i = i as usize;
             if self.prev[i] != u32::MAX {
@@ -170,7 +181,6 @@ impl ReachScratch {
                 table.weight[i] = self.weight[i];
             }
         }
-        table
     }
 
     /// The last search's settled set as `(destination, weight)` entries

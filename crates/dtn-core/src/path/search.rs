@@ -6,6 +6,7 @@ use super::{LazyReach, PathTable, ReachScratch, SparseReach};
 use crate::graph::Topology;
 use crate::hypoexp;
 use crate::ids::NodeId;
+use crate::par;
 
 /// Heap entry: the tentative best weight of a node. Routes live in the
 /// predecessor arrays, so labels are two words and never allocate.
@@ -67,12 +68,14 @@ impl Ord for Label {
 /// assert_eq!(table.path_to(NodeId(2)).unwrap().hops(), 2);
 /// ```
 pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> PathTable {
-    shortest_paths_until(graph, source, horizon, &[])
+    shortest_paths_until_in(graph, source, horizon, &[], &mut ReachScratch::new())
 }
 
 /// [`shortest_paths`] with a stop condition: the search ends as soon as
 /// every node of `targets` has settled, and the returned table is
-/// partial ([`PathTable::is_complete`] is `false`).
+/// partial ([`PathTable::is_complete`] is `false`). It runs through a
+/// caller-owned [`ReachScratch`]: a caller that searches repeatedly keeps
+/// one and pays only for the returned table's arrays per call.
 ///
 /// Exact, not approximate: the loop settles nodes in decreasing weight
 /// order and never revisits a settled node, so everything settled before
@@ -91,22 +94,6 @@ pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> P
 /// # Panics
 ///
 /// Panics on the same invalid inputs as [`shortest_paths`].
-pub fn shortest_paths_until<G: Topology>(
-    graph: &G,
-    source: NodeId,
-    horizon: f64,
-    targets: &[NodeId],
-) -> PathTable {
-    shortest_paths_until_in(graph, source, horizon, targets, &mut ReachScratch::new())
-}
-
-/// [`shortest_paths_until`] searching through a caller-owned
-/// [`ReachScratch`]: a caller that searches repeatedly keeps one scratch
-/// and pays only for the returned table's arrays per call.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`shortest_paths`].
 pub fn shortest_paths_until_in<G: Topology>(
     graph: &G,
     source: NodeId,
@@ -115,7 +102,58 @@ pub fn shortest_paths_until_in<G: Topology>(
     scratch: &mut ReachScratch,
 ) -> PathTable {
     let complete = search::<G, false>(graph, source, horizon, targets, usize::MAX, scratch);
-    scratch.path_table(graph.node_count(), source, complete)
+    let mut table = PathTable::default();
+    scratch.path_table_into(graph.node_count(), source, complete, &mut table);
+    table
+}
+
+/// Independent [`shortest_paths_until_in`] searches over one graph, run
+/// as one batch over the workers (`par::map_on`). A job
+/// `(source, stop, table)` searches from `source` — until every node of
+/// `targets` has settled if `stop`, to exhaustion otherwise, exactly the
+/// search `shortest_paths_until_in` runs with `targets` or `&[]` — and
+/// refills `table` with the result. Returns the CDF accumulators the
+/// searches built, summed ([`ReachScratch::accumulators_built`] of each).
+///
+/// `scratches` holds one workspace per worker, and its length is the
+/// worker count (capped at the job count; one job runs on the calling
+/// thread alone). An empty vector is filled with one per hardware thread
+/// of the machine. Keep it between calls: once every workspace is warm
+/// and every table has held this graph before, no worker allocates.
+/// Tables without room for the graph are grown here, on the calling
+/// thread, before any worker starts, so the memory stays with the
+/// caller's allocator.
+///
+/// # Panics
+///
+/// Panics on the same invalid inputs as [`shortest_paths`].
+pub fn shortest_paths_batch<G: Topology + Sync>(
+    graph: &G,
+    horizon: f64,
+    targets: &[NodeId],
+    jobs: &mut [(NodeId, bool, PathTable)],
+    scratches: &mut Vec<ReachScratch>,
+) -> usize {
+    if scratches.is_empty() {
+        scratches.resize_with(par::workers(), ReachScratch::new);
+    }
+    let n = graph.node_count();
+    for (_, _, table) in jobs.iter_mut() {
+        table.reserve(n);
+    }
+    par::map_on(
+        jobs.iter_mut(),
+        scratches,
+        |scratch, (source, stop, table)| {
+            let stop_at = if *stop { targets } else { &[] };
+            let complete =
+                search::<G, false>(graph, *source, horizon, stop_at, usize::MAX, scratch);
+            scratch.path_table_into(n, *source, complete, table);
+            scratch.accumulators_built()
+        },
+    )
+    .into_iter()
+    .sum()
 }
 
 /// [`shortest_paths`] with a hop bound and sparse output: the search
@@ -180,7 +218,7 @@ pub fn bounded_reach<G: Topology>(
 /// from `source`, relaxing only from nodes whose best path has fewer
 /// than `max_hops` hops — only those get a CDF accumulator, refilled
 /// from the scratch's free list — and leaves the settled set in `scratch` for
-/// [`ReachScratch::path_table`] / [`ReachScratch::sparse_reach`] /
+/// [`ReachScratch::path_table_into`] / [`ReachScratch::sparse_reach`] /
 /// [`ReachScratch::lazy_reach`] to read. Stops as soon as every in-range
 /// node of `targets` has settled and returns `false`; returns `true`
 /// when it ran to exhaustion (always, with no targets or an unreachable

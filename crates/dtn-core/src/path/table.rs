@@ -6,10 +6,13 @@ use crate::ids::NodeId;
 /// Best opportunistic paths from one source to every node, at a fixed
 /// time horizon.
 ///
-/// Produced by [`shortest_paths`](super::shortest_paths) (complete) or [`shortest_paths_until`](super::shortest_paths_until)
-/// (possibly partial). The table is what each mobile node maintains in
-/// the paper ("a node maintains its shortest opportunistic path to each
-/// NCL", §IV-A; optionally to all nodes, §V-C).
+/// Produced by [`shortest_paths`](super::shortest_paths) (complete),
+/// [`shortest_paths_until_in`](super::shortest_paths_until_in) (possibly
+/// partial) or refilled in place by
+/// [`shortest_paths_batch`](super::shortest_paths_batch). The table is
+/// what each mobile node maintains in the paper ("a node maintains its
+/// shortest opportunistic path to each NCL", §IV-A; optionally to all
+/// nodes, §V-C).
 ///
 /// The table stores the route *tree* compactly — a predecessor and an
 /// incoming rate per node plus the settled weight — so [`weight_to`] is
@@ -23,10 +26,13 @@ use crate::ids::NodeId;
 /// yet, and says so ([`settled_weight`] is `None`) rather than reporting
 /// it unreachable.
 ///
+/// The default table is empty — no nodes, answering nothing — and
+/// exists to be refilled by a batch.
+///
 /// [`weight_to`]: PathTable::weight_to
 /// [`path_to`]: PathTable::path_to
 /// [`settled_weight`]: PathTable::settled_weight
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PathTable {
     pub(super) source: NodeId,
     /// Predecessor on the best path; `None` for the source and for
@@ -47,9 +53,22 @@ pub struct PathTable {
 
 impl PathTable {
     /// Whether the search ran to exhaustion, so the table answers for
-    /// every node. `false` for a table [`shortest_paths_until`](super::shortest_paths_until) cut short.
+    /// every node. `false` for a table a search stopped at its targets
+    /// cut short.
     pub fn is_complete(&self) -> bool {
         self.complete
+    }
+
+    /// Capacity for `n` nodes in every array, so that a refill over as
+    /// many nodes allocates nothing.
+    pub(super) fn reserve(&mut self, n: usize) {
+        self.prev.reserve_exact(n.saturating_sub(self.prev.len()));
+        self.rate_into
+            .reserve_exact(n.saturating_sub(self.rate_into.len()));
+        self.weight
+            .reserve_exact(n.saturating_sub(self.weight.len()));
+        self.settled
+            .reserve_exact(n.saturating_sub(self.settled.len()));
     }
 
     /// How many nodes the search settled (the source included) — the

@@ -314,7 +314,13 @@ fn one_scratch_serves_alternating_graphs_targets_and_bounds() {
     assert!(!partial.is_complete());
     assert_eq!(
         table_bits(&partial),
-        table_bits(&shortest_paths_until(&small, NodeId(5), 700.0, &stop))
+        table_bits(&shortest_paths_until_in(
+            &small,
+            NodeId(5),
+            700.0,
+            &stop,
+            &mut ReachScratch::new()
+        ))
     );
     // n5 and n4 relaxed; the target n3 ended the search and built none.
     assert_eq!(
@@ -347,7 +353,7 @@ fn one_scratch_serves_alternating_graphs_targets_and_bounds() {
         let horizon = 900.0 + 400.0 * round as f64;
         let targets = target_sets[round / 3];
         let reused = shortest_paths_until_in(g, source, horizon, targets, &mut scratch);
-        let fresh = shortest_paths_until(g, source, horizon, targets);
+        let fresh = shortest_paths_until_in(g, source, horizon, targets, &mut ReachScratch::new());
         assert_eq!(table_bits(&reused), table_bits(&fresh), "round {round}");
         partial_tables += usize::from(!reused.is_complete());
 
@@ -525,6 +531,45 @@ fn warm_scratch_searches_without_allocating() {
     assert_eq!(warm.0.len(), 40, "a dense search builds one per node");
     pass(&mut scratch);
     assert_eq!(buffers(&scratch), warm);
+
+    // A batch over three workers, one table per source, early exit and
+    // exhaustive mixed. Each scratch first serves every job alone, so it
+    // has met the largest search any worker can hand it; from then on a
+    // batch moves or regrows no worker's buffer and no table's arrays —
+    // every table is refilled where it lies.
+    let tables = |jobs: &[(NodeId, bool, PathTable)]| -> Vec<_> {
+        jobs.iter()
+            .map(|(_, _, t)| {
+                let at = (t.prev.as_ptr(), t.rate_into.as_ptr(), t.weight.as_ptr());
+                let room = (t.prev.capacity(), t.weight.capacity(), t.settled.capacity());
+                (at, t.settled.as_ptr(), room)
+            })
+            .collect()
+    };
+    let targets = [NodeId(7), NodeId(31)];
+    let mut jobs: Vec<_> = g
+        .nodes()
+        .map(|s| (s, s.0 % 3 != 0, PathTable::default()))
+        .collect();
+    let mut scratches: Vec<ReachScratch> = (0..3).map(|_| ReachScratch::new()).collect();
+    for scratch in &mut scratches {
+        let mut alone = vec![std::mem::take(scratch)];
+        shortest_paths_batch(&g, 1800.0, &targets, &mut jobs, &mut alone);
+        *scratch = alone.pop().expect("one scratch");
+    }
+    let warm = (
+        scratches.iter().map(buffers).collect::<Vec<_>>(),
+        tables(&jobs),
+    );
+    assert!(warm.1.iter().all(|&(_, _, room)| room == (40, 40, 40)));
+    for _ in 0..2 {
+        shortest_paths_batch(&g, 1800.0, &targets, &mut jobs, &mut scratches);
+        let now = (
+            scratches.iter().map(buffers).collect::<Vec<_>>(),
+            tables(&jobs),
+        );
+        assert_eq!(now, warm);
+    }
 }
 
 #[test]

@@ -26,11 +26,15 @@
 //! a rebuild orphans every cached per-source table, so the first
 //! decision of the epoch that reads a source also runs that source's
 //! path search inline. The search stops as soon as the central nodes
-//! have settled — weights to the centrals are all a decision reads — so
-//! a cold `Place` over `N` candidates costs `N` short searches, not `N`
-//! exhaustive ones: on the `serve_churn` workload (200 nodes, 5 NCLs, a
-//! rebuild every 30 simulated minutes) that is ≈ 5 ms once per epoch
-//! against ≈ 10 µs warm, and it is the whole of the p99. Each
+//! have settled — weights to the centrals are all a decision reads —
+//! and the candidates a relay choice reads without a table are searched
+//! as one batch over the machine's workers, each refilling its source's
+//! table in place. Warm, a candidate's weight is one load from the
+//! oracle's per-epoch column of weights to the centrals. On the
+//! `serve_churn` workload (200 nodes, 5 NCLs, a rebuild every 30
+//! simulated minutes) a cold `Place` runs 200 short searches once per
+//! epoch — 199 of them as one batch, ≈ 2.4 ms on two idle cores against
+//! ≈ 4.4 ms on one — and a warm one takes ≈ 5–8 µs. Each
 //! [`Decision`] says what it paid ([`Decision::tables_recomputed`],
 //! [`Decision::snapshot_rebuilt`]); [`ServeStats::cold_decisions`]
 //! counts the ones that paid anything.

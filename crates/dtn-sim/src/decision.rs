@@ -24,14 +24,15 @@
 //! All oracle reads go through the generation-versioned snapshot inside
 //! [`PathOracle`], and staleness is bounded by the oracle's refresh
 //! interval. There is no background refresh: the first read after the
-//! interval elapses rebuilds the snapshot inline, and the first read of
-//! each source in the new epoch runs that source's path search inline —
-//! stopped as soon as the central nodes have settled, since weights *to
-//! the centrals* are all a decision asks for. A `Place` over `N`
-//! candidates therefore pays up to `N` early-exit searches once per
-//! epoch and one table read per candidate afterwards
-//! (the relay search reads the carrier's weight once, not once per
-//! candidate).
+//! interval elapses rebuilds the snapshot inline. The best next relay is
+//! the oracle's: `forward` hoisted over the candidates, which reads their
+//! weights to the destination with one [`PathOracle::weights_to`] call
+//! (and the carrier's once, not once per candidate). Warm, that is one
+//! column load per candidate; on the first decision of an epoch, the
+//! candidates without a table are searched as one batch over the
+//! machine's workers, each search stopped as soon as the central nodes
+//! have settled, since weights *to the centrals* are all a decision asks
+//! for.
 
 use dtn_core::ids::NodeId;
 use dtn_core::rate::RateTable;
@@ -140,49 +141,6 @@ impl<'a> DecisionPoint<'a> {
         self.oracle.stats()
     }
 
-    /// The best next relay from `carrier` toward `dest` among
-    /// `candidates`: the candidate with the highest weight to `dest`
-    /// that the §V-A rule would accept ([`PathOracle::forward`]
-    /// answers true). Ties break toward the earlier candidate, so the
-    /// answer is deterministic for a fixed candidate order. `None` when
-    /// no candidate beats the carrier.
-    ///
-    /// One oracle read per candidate: the carrier's own weight is the
-    /// same for all of them and is read once, the first time a candidate
-    /// needs comparing against it.
-    fn best_relay(
-        &mut self,
-        carrier: NodeId,
-        dest: NodeId,
-        candidates: &[NodeId],
-    ) -> Option<NodeId> {
-        let mut carrier_weight: Option<f64> = None;
-        let mut best: Option<(NodeId, f64)> = None;
-        for &c in candidates {
-            if c == carrier {
-                continue;
-            }
-            // The §V-A rule for `carrier → c`, with `c`'s weight kept.
-            let w = if c == dest {
-                f64::INFINITY
-            } else if carrier == dest {
-                continue;
-            } else {
-                let w = self.weight(c, dest);
-                let cw = *carrier_weight.get_or_insert_with(|| self.weight(carrier, dest));
-                if w > cw {
-                    w
-                } else {
-                    continue;
-                }
-            };
-            if best.is_none_or(|(_, bw)| w > bw) {
-                best = Some((c, w));
-            }
-        }
-        best.map(|(n, _)| n)
-    }
-
     /// `Place(data)` for a copy currently at `source`: the NCL set plus
     /// one [`RelayPlan`] per NCL over `candidates`.
     pub fn place(&mut self, source: NodeId, candidates: &[NodeId]) -> PlacementDecision {
@@ -194,7 +152,9 @@ impl<'a> DecisionPoint<'a> {
                 ncl: k,
                 central,
                 carrier_weight: self.weight(source, central),
-                next_hop: self.best_relay(source, central, candidates),
+                next_hop: self
+                    .oracle
+                    .best_relay(self.rates, self.now, source, central, candidates),
             })
             .collect();
         PlacementDecision { ncls, plan }
@@ -221,7 +181,9 @@ impl<'a> DecisionPoint<'a> {
             ncl,
             central,
             central_weight,
-            next_hop: self.best_relay(requester, central, candidates),
+            next_hop: self
+                .oracle
+                .best_relay(self.rates, self.now, requester, central, candidates),
         })
     }
 }
@@ -284,96 +246,6 @@ mod tests {
         let r = dp.route(NodeId(3), &nodes).expect("centrals elected");
         assert_eq!(r.ncl, 0);
         assert_eq!(r.next_hop, Some(NodeId(2)), "destination always accepts");
-    }
-
-    /// `best_relay` as first written: ask the §V-A rule about each
-    /// candidate, then read the accepted candidate's weight again.
-    fn best_relay_by_definition(
-        oracle: &mut PathOracle,
-        rates: &RateTable,
-        now: Time,
-        carrier: NodeId,
-        dest: NodeId,
-        candidates: &[NodeId],
-    ) -> Option<NodeId> {
-        let mut best: Option<(NodeId, f64)> = None;
-        for &c in candidates {
-            if c == carrier || !oracle.forward(rates, now, carrier, c, dest) {
-                continue;
-            }
-            let w = if c == dest {
-                f64::INFINITY
-            } else {
-                oracle.weight(rates, now, c, dest)
-            };
-            if best.is_none_or(|(_, bw)| w > bw) {
-                best = Some((c, w));
-            }
-        }
-        best.map(|(n, _)| n)
-    }
-
-    #[test]
-    fn best_relay_matches_its_definition_on_every_pair() {
-        // Nodes 0–5 meet at pseudo-random times; 6 and 7 each meet only
-        // node 0, at the same instants, so their weights tie toward
-        // every destination; 8 and 9 never meet anyone.
-        const N: u32 = 10;
-        let mut rates = RateTable::new(N as usize, Time::ZERO);
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for t in 1..=300u64 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let (a, b) = ((x >> 33) % 6, (x >> 43) % 6);
-            if a != b {
-                rates.record(NodeId(a as u32), NodeId(b as u32), Time(t * 10));
-            }
-        }
-        for t in [500, 1500, 2500] {
-            rates.record(NodeId(6), NodeId(0), Time(t));
-            rates.record(NodeId(7), NodeId(0), Time(t));
-        }
-        let now = Time(3100);
-        let ascending: Vec<NodeId> = (0..N).map(NodeId).collect();
-        let descending: Vec<NodeId> = ascending.iter().rev().copied().collect();
-        let without_ends: Vec<NodeId> = (1..N - 1).map(NodeId).collect();
-
-        let mut hoisted_oracle = PathOracle::new(N as usize, 1000.0, Duration::hours(1));
-        let mut literal_oracle = PathOracle::new(N as usize, 1000.0, Duration::hours(1));
-        let mut hoisted = DecisionPoint::new(&mut hoisted_oracle, &rates, now, &[]);
-        assert_eq!(
-            hoisted.weight(NodeId(6), NodeId(3)).to_bits(),
-            hoisted.weight(NodeId(7), NodeId(3)).to_bits(),
-            "the tie this test relies on"
-        );
-        let mut chose_a_relay = 0;
-        for &carrier in &ascending {
-            for &dest in &ascending {
-                for candidates in [&ascending, &descending, &without_ends, &Vec::new()] {
-                    let got = hoisted.best_relay(carrier, dest, candidates);
-                    let want = best_relay_by_definition(
-                        &mut literal_oracle,
-                        &rates,
-                        now,
-                        carrier,
-                        dest,
-                        candidates,
-                    );
-                    assert_eq!(got, want, "{carrier} → {dest} over {candidates:?}");
-                    chose_a_relay += usize::from(got.is_some());
-                }
-            }
-        }
-        assert!(chose_a_relay > 100, "degenerate fixture: {chose_a_relay}");
-        // Tied candidates: the earlier one in candidate order wins.
-        let tied = [NodeId(7), NodeId(6)];
-        assert_eq!(
-            hoisted.best_relay(NodeId(8), NodeId(3), &tied),
-            Some(NodeId(7))
-        );
-        // Same answers from a third of the reads.
-        let (h, l) = (hoisted.oracle_stats(), literal_oracle.stats());
-        assert_eq!(h.table_recomputes, l.table_recomputes);
-        assert!(h.table_hits * 2 < l.table_hits, "{h:?} vs {l:?}");
     }
 
     #[test]

@@ -1,0 +1,625 @@
+//! Cached opportunistic-path computations over the live rate table.
+//!
+//! Schemes repeatedly need "the weight of my best path to node X" — for
+//! relay selection toward central nodes (§V-A), for query multicast
+//! (§V-B), and for the probabilistic response decision (§V-C). Running a
+//! full label-setting search on every contact would dominate simulation
+//! time, so [`PathOracle`] memoises per-source [`PathTable`]s, mirroring
+//! the paper's observation that contact rates "remain relatively
+//! constant" over long periods (§III-B).
+//!
+//! Four structural properties keep the oracle cheap and correct:
+//!
+//! - **Searches stop at the targets.** The paper's nodes keep their
+//!   shortest opportunistic path *to the K central nodes* (§IV Eq. 3),
+//!   and that is what nearly every read asks for. The scheme names those
+//!   nodes with [`PathOracle::set_targets`]; the first read of an epoch
+//!   from a source to a target runs the label-setting search only until
+//!   the last target settles (the one loop of
+//!   `dtn-core/src/path/search.rs`) and caches the *partial* table.
+//!   Settled weights are final, so the answer is the exhaustive search's
+//!   to the bit. A read the partial table cannot answer — a non-target
+//!   destination, or [`PathOracle::table`] — runs the exhaustive search
+//!   and refills it.
+//! - **Many sources, one call.** [`PathOracle::weights_to`] reads one
+//!   destination's weight from many sources — a relay decision's
+//!   candidates. Every table that lands writes its weights to the
+//!   targets into a flat per-epoch column, so a warm read is one load;
+//!   the sources it cannot answer are searched as one
+//!   [`shortest_paths_batch`] over the machine's workers, each refilling
+//!   its source's table in place.
+//! - **One shared snapshot per epoch.** The [`ContactGraph`] is built
+//!   from the rate table once per refresh epoch and shared by the path
+//!   searches of *all* sources, instead of being rebuilt per source per
+//!   refresh (an `O(N²)` scan each time). Per-source tables are
+//!   recomputed lazily against the current snapshot.
+//! - **Generation-versioned invalidation.** A snapshot goes stale either
+//!   when the wall-clock refresh interval elapses *or* when the rate
+//!   table's [`RateTable::generation`] counter has grown past a
+//!   geometric threshold since the snapshot was taken. The second
+//!   condition closes a staleness hole: with a refresh interval longer
+//!   than the simulated time span, a wall-clock-only oracle would serve
+//!   the weights of the very first contacts forever, no matter how much
+//!   the observed network changed. The geometric rule (rebuild when the
+//!   contact count has roughly doubled) bounds the number of rebuilds by
+//!   `O(log contacts)` so per-contact `record` calls never cause
+//!   per-contact rebuilds.
+//!
+//! In scale mode ([`PathOracle::with_bounded_reach`]) the per-source
+//! cache holds hop-bounded [`LazyReach`]es instead of dense tables, and
+//! the first property takes another form: **a bounded search weighs a
+//! leaf of its bound only when a read asks for that leaf.** A relay
+//! decision compares weights to the K centrals and, for a response, to
+//! one requester, while an `h`-hop search in a sparse city settles
+//! mostly nodes exactly `h` hops out — leaves that relax nothing and so
+//! shape no other node's label. [`bounded_reach`] runs the search
+//! inside the ball of radius `h − 1` and keeps the path stages of the
+//! ball's rim (the [`LazyReach`] of `dtn-core/src/path/reach.rs`); a read of an inner node is a binary search, a read of a
+//! leaf replays that one label from its rim neighbours over the epoch's
+//! snapshot, and a read of anything else is 0. Every answer is the
+//! eager [`bounded_shortest_paths`](dtn_core::path::bounded_shortest_paths)
+//! answer to the bit (`tests/path_equivalence.rs`).
+
+use dtn_core::graph::{ContactGraph, CsrGraph};
+use dtn_core::ids::NodeId;
+use dtn_core::path::{bounded_reach, shortest_paths_batch, LazyReach, PathTable, ReachScratch};
+use dtn_core::rate::RateTable;
+use dtn_core::time::{Duration, Time};
+
+/// Minimum generation growth that can invalidate a snapshot, so sparse
+/// early traffic does not thrash the cache (rebuild when
+/// `gen_now > gen_snapshot + max(gen_snapshot, GENERATION_SLACK)`).
+const GENERATION_SLACK: u64 = 64;
+
+/// A cell of the target column that no table of this epoch has answered.
+const UNKNOWN: f64 = f64::NAN;
+/// A cell of the target column whose source is queued for a search in
+/// the running [`PathOracle::weights_to`] batch; no weight is `−∞`.
+const QUEUED: f64 = f64::NEG_INFINITY;
+
+/// The shared per-epoch graph: adjacency lists by default, CSR storage
+/// in scale mode (tighter memory, no per-node allocations).
+#[derive(Debug)]
+enum SnapshotGraph {
+    Adjacency(ContactGraph),
+    Csr(CsrGraph),
+}
+
+/// The contact-graph snapshot shared by all sources within one epoch.
+#[derive(Debug)]
+struct Snapshot {
+    built_at: Time,
+    generation: u64,
+    graph: SnapshotGraph,
+}
+
+/// Cumulative oracle work counters, for probes and diagnostics.
+///
+/// `table_hits` counts reads served from a cached per-source table (or
+/// its column entry) or reach; `table_recomputes` counts reads that had
+/// to run a path search first — early exit, exhaustive or bounded,
+/// including the exhaustive search that refills a partial table which
+/// could not answer — so on
+/// either branch the two sum to the reads that were not self-reads.
+/// `nodes_settled` sums the nodes those searches settled: exact and
+/// machine-independent, it is the counter that moves when a search does
+/// more or less work for the same `table_recomputes`. A dense search
+/// that stops at the targets settles the nodes heavier than the last
+/// target; a bounded search settles the ball of radius `max_hops − 1`
+/// around its source and nothing beyond it — the leaves of the bound
+/// never enter the search (a rim node that relaxed every neighbour again
+/// would read several times higher). `leaf_evaluations` counts what
+/// those leaves cost instead: the CDF evaluations bounded reads made to
+/// weigh the leaf they asked for, zero for a read of an inner node or of
+/// a node the bound does not reach. `accumulators_built` sums the CDF
+/// accumulators the searches built, one per settled node that relaxed
+/// its edges: it moves on per-settle work that leaves the settled set
+/// alone. `rebuilds` counts shared-snapshot constructions (equals
+/// [`PathOracle::snapshot_epoch`]); `invalidations` counts explicit
+/// [`PathOracle::invalidate`] calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OracleStats {
+    /// Shared contact-graph snapshot (re)builds.
+    pub rebuilds: u64,
+    /// Explicit `invalidate()` calls.
+    pub invalidations: u64,
+    /// Per-source path-table recomputations.
+    pub table_recomputes: u64,
+    /// Per-source path-table cache hits.
+    pub table_hits: u64,
+    /// Nodes settled, summed over every path search.
+    pub nodes_settled: u64,
+    /// CDF accumulators built, summed over every path search.
+    pub accumulators_built: u64,
+    /// CDF evaluations made by bounded reads that weighed a leaf.
+    pub leaf_evaluations: u64,
+}
+
+/// Memoised single-source opportunistic path tables over a shared,
+/// generation-versioned contact-graph snapshot.
+///
+/// # Example
+///
+/// ```
+/// use dtn_core::ids::NodeId;
+/// use dtn_core::rate::RateTable;
+/// use dtn_core::time::{Duration, Time};
+/// use dtn_sim::oracle::PathOracle;
+///
+/// let mut rates = RateTable::new(3, Time::ZERO);
+/// rates.record(NodeId(0), NodeId(1), Time(10));
+/// rates.record(NodeId(1), NodeId(2), Time(20));
+///
+/// let mut oracle = PathOracle::new(3, 3600.0, Duration::hours(6));
+/// let w = oracle.weight(&rates, Time(100), NodeId(0), NodeId(2));
+/// assert!(w > 0.0);
+/// // Self-weight is always 1.
+/// assert_eq!(oracle.weight(&rates, Time(100), NodeId(1), NodeId(1)), 1.0);
+/// ```
+#[derive(Debug)]
+pub struct PathOracle {
+    horizon: f64,
+    refresh: Duration,
+    snapshot: Option<Snapshot>,
+    /// Monotone snapshot counter (0 before the first snapshot); a cached
+    /// table is valid only for the epoch it was computed in.
+    epoch: u64,
+    /// Per source: the epoch its table was last searched in, and the
+    /// table, refilled in place by the next search from that source.
+    tables: Vec<(u64, PathTable)>,
+    /// The destinations the scheme reads weights to (its central nodes):
+    /// the stop set of the early-exit search. Empty = every search is
+    /// exhaustive.
+    targets: Vec<NodeId>,
+    /// Dense mode: `column[s · K + k]` is the weight from `s` to
+    /// `targets[k]` this epoch, written from each table as it lands —
+    /// [`UNKNOWN`] until then, or where the table does not answer it.
+    /// [`PathOracle::weights_to`] reads it one load per source.
+    column: Vec<f64>,
+    /// Scale mode (see [`PathOracle::with_bounded_reach`]): hop bound
+    /// for [`PathOracle::weight`] searches. `None` (the default) keeps
+    /// the exact dense path.
+    max_hops: Option<usize>,
+    /// Scale mode: direct-mapped cache of bounded reaches, indexed by
+    /// `source % len` — bounded memory no matter how many distinct
+    /// sources query within an epoch.
+    sparse: Vec<Option<(NodeId, u64, LazyReach)>>,
+    /// One search workspace per worker of a batch; the first is the
+    /// calling thread's and the only one a serial or bounded search uses.
+    scratches: Vec<ReachScratch>,
+    /// [`PathOracle::best_relay`]'s reads and their weights, kept from
+    /// one relay search to the next.
+    relay: (Vec<NodeId>, Vec<f64>),
+    stats: OracleStats,
+}
+
+impl PathOracle {
+    /// Creates an oracle for `nodes` nodes evaluating path weights at
+    /// `horizon` seconds and refreshing cached tables every `refresh`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes == 0` or `horizon` is not finite and positive.
+    pub fn new(nodes: usize, horizon: f64, refresh: Duration) -> Self {
+        assert!(nodes > 0, "oracle needs at least one node");
+        assert!(
+            horizon.is_finite() && horizon > 0.0,
+            "horizon must be finite and positive, got {horizon}"
+        );
+        PathOracle {
+            horizon,
+            refresh,
+            snapshot: None,
+            epoch: 0,
+            tables: (0..nodes).map(|_| (0, PathTable::default())).collect(),
+            targets: Vec::new(),
+            column: Vec::new(),
+            max_hops: None,
+            sparse: Vec::new(),
+            scratches: Vec::new(),
+            relay: (Vec::new(), Vec::new()),
+            stats: OracleStats::default(),
+        }
+    }
+
+    /// Switches the oracle into scale mode: [`PathOracle::weight`] runs
+    /// hop-bounded searches (`max_hops` relaxation levels) over the ball
+    /// of radius `max_hops − 1` around the source, whose results live in
+    /// a direct-mapped cache of `cache_slots` entries, and the shared
+    /// snapshot is stored as CSR. Memory per epoch is
+    /// `O(edges + cache_slots · reach)` instead of
+    /// `O(edges + sources · nodes)` — the difference between a 100k-node
+    /// population fitting in RAM or not — where a cached reach costs
+    /// 20 B per inner node plus `24 · (max_hops − 1) + 5` B per rim node
+    /// (an inner node settled one hop short of the bound): nothing per
+    /// leaf, which is where a 3-hop search in a sparse city ends five
+    /// times in six.
+    ///
+    /// Weights within `max_hops` hops are exact; destinations further
+    /// away read as unreachable (weight 0). Opportunistic path weights
+    /// decay multiplicatively per hop, so distant-tail truncation is the
+    /// standard accuracy/size trade (§V-A keeps paths short anyway).
+    /// [`PathOracle::table`] still serves exact dense tables when asked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_hops` or `cache_slots` is zero.
+    pub fn with_bounded_reach(mut self, max_hops: usize, cache_slots: usize) -> Self {
+        assert!(max_hops > 0, "a zero-hop search reaches nothing");
+        assert!(cache_slots > 0, "the sparse cache needs at least one slot");
+        self.max_hops = Some(max_hops);
+        self.sparse = (0..cache_slots.min(self.tables.len()))
+            .map(|_| None)
+            .collect();
+        self.column = Vec::new();
+        self
+    }
+
+    /// Names the destinations [`weight`](Self::weight) is mostly asked
+    /// about — the scheme's central nodes. A search started by a read
+    /// *to* one of them stops once all of them have settled.
+    ///
+    /// Purely a work hint: every answer is bit-identical with or without
+    /// it, so cached tables stay valid and nothing is invalidated (a new
+    /// set only empties the column of weights to the old one). Node ids
+    /// outside the population are ignored (they can never be a `dest`
+    /// the oracle answers for), never a panic. Has no effect on the
+    /// bounded-reach branch.
+    pub fn set_targets(&mut self, targets: &[NodeId]) {
+        let nodes = self.tables.len();
+        let in_range = targets.iter().filter(|t| t.index() < nodes);
+        if self.targets.iter().eq(in_range.clone()) {
+            return;
+        }
+        self.targets.clear();
+        self.targets.extend(in_range);
+        self.column.clear();
+        if self.max_hops.is_none() {
+            self.column.resize(nodes * self.targets.len(), UNKNOWN);
+        }
+    }
+
+    /// The horizon `T` used for path weights.
+    pub fn horizon(&self) -> f64 {
+        self.horizon
+    }
+
+    /// The current snapshot epoch: how many times the shared contact
+    /// graph has been (re)built. 0 until the first query. Exposed for
+    /// diagnostics and tests.
+    pub fn snapshot_epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Cumulative work counters (rebuilds, invalidations, per-source
+    /// table recomputes vs cache hits). Cheap to read; never reset.
+    pub fn stats(&self) -> OracleStats {
+        self.stats
+    }
+
+    /// Rebuilds the shared snapshot if it is missing, wall-clock stale,
+    /// or generation-stale with respect to `rates`.
+    fn refresh_snapshot(&mut self, rates: &RateTable, now: Time) {
+        let stale = match &self.snapshot {
+            None => true,
+            Some(s) => {
+                now.saturating_since(s.built_at) >= self.refresh
+                    || rates.generation()
+                        > s.generation
+                            .saturating_add(s.generation.max(GENERATION_SLACK))
+            }
+        };
+        if stale {
+            let graph = if self.max_hops.is_some() {
+                SnapshotGraph::Csr(CsrGraph::from_rate_table(rates, now))
+            } else {
+                SnapshotGraph::Adjacency(ContactGraph::from_rate_table(rates, now))
+            };
+            self.snapshot = Some(Snapshot {
+                built_at: now,
+                generation: rates.generation(),
+                graph,
+            });
+            self.epoch += 1;
+            self.stats.rebuilds += 1;
+            self.column.fill(UNKNOWN);
+        }
+    }
+
+    /// The cached table from `source` if it belongs to the current epoch
+    /// and is final for `dest` (`None`: for every node); otherwise a
+    /// fresh search against the shared snapshot refills it.
+    fn table_answering(
+        &mut self,
+        rates: &RateTable,
+        now: Time,
+        source: NodeId,
+        dest: Option<NodeId>,
+    ) -> &PathTable {
+        self.refresh_snapshot(rates, now);
+        let (epoch, table) = &self.tables[source.index()];
+        let current = *epoch == self.epoch;
+        let answers = current
+            && match dest {
+                Some(d) => table.settled_weight(d).is_some(),
+                None => table.is_complete(),
+            };
+        if answers {
+            self.stats.table_hits += 1;
+        } else {
+            // Stop early only on the first read of the epoch, and only
+            // when it asks for a target. A current table that could not
+            // answer is a partial one: the exhaustive search settles the
+            // matter for the rest of the epoch.
+            let stop = matches!(dest, Some(d) if !current && self.targets.contains(&d));
+            let table = std::mem::take(&mut self.tables[source.index()].1);
+            self.search(&mut [(source, stop, table)]);
+        }
+        &self.tables[source.index()].1
+    }
+
+    /// Runs one search per job `(source, stop at the targets, the
+    /// source's table)` against the current snapshot — one batch over the
+    /// workers ([`shortest_paths_batch`]), each search refilling its
+    /// table in place — files every table back under this epoch, writes
+    /// its target weights into the column and counts the work.
+    fn search(&mut self, jobs: &mut [(NodeId, bool, PathTable)]) {
+        let snapshot = self.snapshot.as_ref().expect("searched after a refresh");
+        let (horizon, targets) = (self.horizon, self.targets.as_slice());
+        let built = match &snapshot.graph {
+            SnapshotGraph::Adjacency(g) => {
+                shortest_paths_batch(g, horizon, targets, jobs, &mut self.scratches)
+            }
+            SnapshotGraph::Csr(g) => {
+                shortest_paths_batch(g, horizon, targets, jobs, &mut self.scratches)
+            }
+        };
+        self.stats.accumulators_built += built as u64;
+        for (source, _, table) in jobs {
+            self.stats.table_recomputes += 1;
+            self.stats.nodes_settled += table.settled_count() as u64;
+            fill_row(&mut self.column, &self.targets, *source, table);
+            self.tables[source.index()] = (self.epoch, std::mem::take(table));
+        }
+    }
+
+    /// The complete path table from `source`, recomputed against the
+    /// shared snapshot if the cached copy belongs to an older epoch or is
+    /// a partial table left by an early-exit [`weight`](Self::weight)
+    /// read.
+    ///
+    /// Always an exact, unbounded, exhaustive search — in scale mode this
+    /// is the expensive dense escape hatch (an `O(nodes)` table per
+    /// distinct source per epoch); hot paths should prefer
+    /// [`PathOracle::weight`].
+    pub fn table(&mut self, rates: &RateTable, now: Time, source: NodeId) -> &PathTable {
+        self.table_answering(rates, now, source, None)
+    }
+
+    /// The best-path weight from `source` to `dest` (1 if equal,
+    /// 0 if unreachable — including, in scale mode, destinations past
+    /// the hop bound).
+    ///
+    /// With `dest` one of the [targets](Self::set_targets) and no table
+    /// for `source` in the current epoch, the search stops once every
+    /// target has settled; the weight is the exhaustive search's, bit
+    /// for bit.
+    pub fn weight(&mut self, rates: &RateTable, now: Time, source: NodeId, dest: NodeId) -> f64 {
+        if source == dest {
+            return 1.0;
+        }
+        let Some(hops) = self.max_hops else {
+            return self
+                .table_answering(rates, now, source, Some(dest))
+                .weight_to(dest);
+        };
+        self.refresh_snapshot(rates, now);
+        let snapshot = self.snapshot.as_ref().expect("snapshot just refreshed");
+        if self.scratches.is_empty() {
+            // Bounded reads search one source at a time.
+            self.scratches.push(ReachScratch::new());
+        }
+        let scratch = &mut self.scratches[0];
+        let slot_index = source.index() % self.sparse.len();
+        let slot = &mut self.sparse[slot_index];
+        let valid = matches!(slot, Some((s, epoch, _)) if *s == source && *epoch == self.epoch);
+        if valid {
+            self.stats.table_hits += 1;
+        } else {
+            // A collision evicts the previous tenant (direct-mapped).
+            self.stats.table_recomputes += 1;
+            let reach = match &snapshot.graph {
+                SnapshotGraph::Adjacency(g) => {
+                    bounded_reach(g, source, self.horizon, hops, scratch)
+                }
+                SnapshotGraph::Csr(g) => bounded_reach(g, source, self.horizon, hops, scratch),
+            };
+            self.stats.nodes_settled += reach.settled_count() as u64;
+            self.stats.accumulators_built += scratch.accumulators_built() as u64;
+            *slot = Some((source, self.epoch, reach));
+        }
+        // The reach belongs to this epoch, so the snapshot is the graph
+        // it was searched on: a leaf's label is replayed over it.
+        let reach = &slot.as_ref().expect("just computed").2;
+        let (weight, evaluations) = match &snapshot.graph {
+            SnapshotGraph::Adjacency(g) => reach.weight_to(g, dest),
+            SnapshotGraph::Csr(g) => reach.weight_to(g, dest),
+        };
+        self.stats.leaf_evaluations += u64::from(evaluations);
+        weight
+    }
+
+    /// The weights from every node of `sources` to `dest`, in order, into
+    /// `out` (cleared first): what [`weight`](Self::weight) would answer
+    /// for each source in turn, to the bit, with the same work counted —
+    /// one hit or one search per read that is not a self-read, a source
+    /// listed twice read twice.
+    ///
+    /// With `dest` a [target](Self::set_targets) of the dense oracle this
+    /// is one staleness check, then one load per source from the epoch's
+    /// column of target weights. The sources it cannot answer are
+    /// searched as one batch over the machine's workers, each search the
+    /// one `weight` would run (early exit on a source's first search of
+    /// the epoch) and each refilling the source's own table in place. In
+    /// bounded mode, and for any other `dest`, the sources are read one
+    /// by one through `weight`.
+    pub fn weights_to(
+        &mut self,
+        rates: &RateTable,
+        now: Time,
+        sources: &[NodeId],
+        dest: NodeId,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        let k = self.targets.iter().position(|&t| t == dest);
+        let Some(k) = k.filter(|_| !self.column.is_empty()) else {
+            out.extend(sources.iter().map(|&s| self.weight(rates, now, s, dest)));
+            return;
+        };
+        self.refresh_snapshot(rates, now);
+        let width = self.targets.len();
+        let cell = |s: NodeId| s.index() * width + k;
+        let mut misses = Vec::new();
+        for (i, &s) in sources.iter().enumerate() {
+            let w = if s == dest { 1.0 } else { self.column[cell(s)] };
+            if w.is_nan() {
+                misses.push(i);
+            } else if s != dest {
+                self.stats.table_hits += 1;
+            }
+            out.push(w);
+        }
+        if misses.is_empty() {
+            return;
+        }
+        // A miss whose table of this epoch answers after all (the column
+        // was emptied by `set_targets`) is a hit; any other queues one
+        // search, and a source queued twice is searched once — its second
+        // read is the hit `weight` would count after the first.
+        let mut jobs = Vec::new();
+        for &i in &misses {
+            let s = sources[i];
+            let (epoch, table) = &mut self.tables[s.index()];
+            let current = *epoch == self.epoch;
+            if self.column[cell(s)] == QUEUED {
+                self.stats.table_hits += 1;
+            } else if current && table.settled_weight(dest).is_some() {
+                self.stats.table_hits += 1;
+                fill_row(&mut self.column, &self.targets, s, table);
+            } else {
+                jobs.push((s, !current, std::mem::take(table)));
+                self.column[cell(s)] = QUEUED;
+            }
+        }
+        self.search(&mut jobs);
+        for &i in &misses {
+            out[i] = self.column[cell(sources[i])];
+        }
+    }
+
+    /// THE greedy relay rule (§V-A): forward a message carried by `from`
+    /// to `to` iff `to` has a strictly better path weight to `dest`. The
+    /// destination always accepts; a carrier at the destination never
+    /// forwards. Reads `to`'s weight, then `from`'s.
+    pub fn forward(
+        &mut self,
+        rates: &RateTable,
+        now: Time,
+        from: NodeId,
+        to: NodeId,
+        dest: NodeId,
+    ) -> bool {
+        if to == dest {
+            return true;
+        }
+        if from == dest {
+            return false;
+        }
+        self.weight(rates, now, to, dest) > self.weight(rates, now, from, dest)
+    }
+
+    /// [`forward`](Self::forward) hoisted over a candidate list: the
+    /// candidate with the highest weight to `dest` among those the §V-A
+    /// rule would let `carrier` hand a message to. Ties break toward the
+    /// earlier candidate, so the answer is deterministic for a fixed
+    /// candidate order. `None` when no candidate beats the carrier.
+    ///
+    /// One read per candidate, all in one [`weights_to`](Self::weights_to)
+    /// call: the carrier's own weight is the same for all of them and is
+    /// read once, provided some candidate needs comparing against it. A
+    /// carrier at `dest` forwards nothing and reads nothing.
+    pub(crate) fn best_relay(
+        &mut self,
+        rates: &RateTable,
+        now: Time,
+        carrier: NodeId,
+        dest: NodeId,
+        candidates: &[NodeId],
+    ) -> Option<NodeId> {
+        if carrier == dest {
+            return None;
+        }
+        // The buffers leave the oracle for the read, which borrows it whole.
+        let (mut reads, mut weights) = std::mem::take(&mut self.relay);
+        reads.clear();
+        reads.push(carrier);
+        reads.extend(candidates.iter().filter(|&&c| c != carrier && c != dest));
+        weights.clear();
+        if reads.len() > 1 {
+            self.weights_to(rates, now, &reads, dest, &mut weights);
+        }
+        let mut read = weights.iter().copied();
+        // Read, and compared against, only when some candidate was read.
+        let carrier_weight = read.next().unwrap_or(f64::NAN);
+        let mut best: Option<(NodeId, f64)> = None;
+        for &c in candidates {
+            if c == carrier {
+                continue;
+            }
+            // The §V-A rule for `carrier → c`, with `c`'s weight kept.
+            let w = if c == dest {
+                f64::INFINITY
+            } else {
+                let w = read.next().expect("one weight per candidate read");
+                if w > carrier_weight {
+                    w
+                } else {
+                    continue;
+                }
+            };
+            if best.is_none_or(|(_, bw)| w > bw) {
+                best = Some((c, w));
+            }
+        }
+        self.relay = (reads, weights);
+        best.map(|(n, _)| n)
+    }
+
+    /// Drops the snapshot and every cached table (e.g. after a
+    /// configuration change). The next query starts a new epoch, which
+    /// no table belongs to; their arrays stay, to be refilled.
+    pub fn invalidate(&mut self) {
+        self.snapshot = None;
+        for slot in &mut self.sparse {
+            *slot = None;
+        }
+        self.stats.invalidations += 1;
+    }
+}
+
+/// Writes `source`'s row of the target column from its table of this
+/// epoch: the weight to each target the table is final for,
+/// [`UNKNOWN`] where it is not. A no-op without a column.
+fn fill_row(column: &mut [f64], targets: &[NodeId], source: NodeId, table: &PathTable) {
+    if column.is_empty() {
+        return;
+    }
+    let row = &mut column[source.index() * targets.len()..][..targets.len()];
+    for (cell, &t) in row.iter_mut().zip(targets) {
+        *cell = table.settled_weight(t).unwrap_or(UNKNOWN);
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,581 @@
+use super::*;
+
+fn rates_line() -> RateTable {
+    let mut r = RateTable::new(4, Time::ZERO);
+    for t in 1..=5u64 {
+        r.record(NodeId(0), NodeId(1), Time(t * 100));
+        r.record(NodeId(1), NodeId(2), Time(t * 100));
+        r.record(NodeId(2), NodeId(3), Time(t * 100));
+    }
+    r
+}
+
+#[test]
+fn weight_decreases_with_distance() {
+    let rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+    let now = Time(1000);
+    let w1 = o.weight(&rates, now, NodeId(0), NodeId(1));
+    let w2 = o.weight(&rates, now, NodeId(0), NodeId(2));
+    let w3 = o.weight(&rates, now, NodeId(0), NodeId(3));
+    assert!(w1 > w2 && w2 > w3 && w3 > 0.0);
+}
+
+#[test]
+fn forward_is_the_greedy_relay_rule() {
+    let rates = rates_line();
+    let mut o = PathOracle::new(4, 1000.0, Duration::hours(1));
+    let now = Time(600);
+    let forward = |o: &mut PathOracle, from, to, dest| {
+        o.forward(&rates, now, NodeId(from), NodeId(to), NodeId(dest))
+    };
+    // The destination always accepts, even from far away; a carrier
+    // at the destination never forwards.
+    assert!(forward(&mut o, 0, 2, 2));
+    assert!(!forward(&mut o, 2, 0, 2));
+    // 1 is closer to 2 than 0 is.
+    assert!(forward(&mut o, 0, 1, 2));
+    assert!(!forward(&mut o, 1, 0, 2));
+}
+
+/// `best_relay` as first written: ask the §V-A rule about each
+/// candidate, then read the accepted candidate's weight again.
+fn best_relay_by_definition(
+    oracle: &mut PathOracle,
+    rates: &RateTable,
+    now: Time,
+    carrier: NodeId,
+    dest: NodeId,
+    candidates: &[NodeId],
+) -> Option<NodeId> {
+    let mut best: Option<(NodeId, f64)> = None;
+    for &c in candidates {
+        if c == carrier || !oracle.forward(rates, now, carrier, c, dest) {
+            continue;
+        }
+        let w = if c == dest {
+            f64::INFINITY
+        } else {
+            oracle.weight(rates, now, c, dest)
+        };
+        if best.is_none_or(|(_, bw)| w > bw) {
+            best = Some((c, w));
+        }
+    }
+    best.map(|(n, _)| n)
+}
+
+#[test]
+fn best_relay_matches_its_definition_on_every_pair() {
+    // Nodes 0–5 meet at pseudo-random times; 6 and 7 each meet only
+    // node 0, at the same instants, so their weights tie toward
+    // every destination; 8 and 9 never meet anyone.
+    const N: u32 = 10;
+    let mut rates = RateTable::new(N as usize, Time::ZERO);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for t in 1..=300u64 {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let (a, b) = ((x >> 33) % 6, (x >> 43) % 6);
+        if a != b {
+            rates.record(NodeId(a as u32), NodeId(b as u32), Time(t * 10));
+        }
+    }
+    for t in [500, 1500, 2500] {
+        rates.record(NodeId(6), NodeId(0), Time(t));
+        rates.record(NodeId(7), NodeId(0), Time(t));
+    }
+    let now = Time(3100);
+    let ascending: Vec<NodeId> = (0..N).map(NodeId).collect();
+    let descending: Vec<NodeId> = ascending.iter().rev().copied().collect();
+    let without_ends: Vec<NodeId> = (1..N - 1).map(NodeId).collect();
+
+    // Without targets every read goes through `weight`; with them,
+    // reads to 0, 3 and 6 go through the column.
+    for targets in [&[][..], &[NodeId(3), NodeId(0), NodeId(6)]] {
+        let oracle = || {
+            let mut o = PathOracle::new(N as usize, 1000.0, Duration::hours(1));
+            o.set_targets(targets);
+            o
+        };
+        let (mut hoisted, mut literal) = (oracle(), oracle());
+        assert_eq!(
+            hoisted.weight(&rates, now, NodeId(6), NodeId(3)).to_bits(),
+            literal.weight(&rates, now, NodeId(7), NodeId(3)).to_bits(),
+            "the tie this test relies on"
+        );
+        let _ = hoisted.weight(&rates, now, NodeId(7), NodeId(3));
+        let _ = literal.weight(&rates, now, NodeId(6), NodeId(3));
+        let mut chose_a_relay = 0;
+        for &carrier in &ascending {
+            for &dest in &ascending {
+                for candidates in [&ascending, &descending, &without_ends, &Vec::new()] {
+                    let got = hoisted.best_relay(&rates, now, carrier, dest, candidates);
+                    let want = best_relay_by_definition(
+                        &mut literal,
+                        &rates,
+                        now,
+                        carrier,
+                        dest,
+                        candidates,
+                    );
+                    assert_eq!(got, want, "{carrier} → {dest} over {candidates:?}");
+                    chose_a_relay += usize::from(got.is_some());
+                }
+            }
+        }
+        assert!(chose_a_relay > 100, "degenerate fixture: {chose_a_relay}");
+        // Tied candidates: the earlier one in candidate order wins.
+        let tied = [NodeId(7), NodeId(6)];
+        assert_eq!(
+            hoisted.best_relay(&rates, now, NodeId(8), NodeId(3), &tied),
+            Some(NodeId(7))
+        );
+        // Same answers, same searches, from a third of the reads.
+        let (h, l) = (hoisted.stats(), literal.stats());
+        assert_eq!(
+            (h.table_recomputes, h.nodes_settled),
+            (l.table_recomputes, l.nodes_settled)
+        );
+        assert!(h.table_hits * 2 < l.table_hits, "{h:?} vs {l:?}");
+    }
+}
+
+#[test]
+fn cache_hit_reuses_table_until_refresh() {
+    let mut rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+    let w_before = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
+    // Add more contacts — too few to trip the generation threshold —
+    // and stay inside the refresh window: the cached table must still
+    // be served.
+    for t in 6..=50u64 {
+        rates.record(NodeId(0), NodeId(1), Time(t * 100));
+    }
+    let w_cached = o.weight(&rates, Time(1500), NodeId(0), NodeId(1));
+    assert_eq!(w_before, w_cached);
+    // After the refresh interval the new rates are picked up.
+    let w_fresh = o.weight(&rates, Time(1000 + 3600), NodeId(0), NodeId(1));
+    assert!(w_fresh > w_cached);
+}
+
+#[test]
+fn one_snapshot_serves_all_sources_within_an_epoch() {
+    let rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+    for s in 0..4u32 {
+        let _ = o.weight(&rates, Time(1000 + u64::from(s)), NodeId(s), NodeId(3));
+    }
+    // Four sources, one shared contact-graph build.
+    assert_eq!(o.snapshot_epoch(), 1);
+}
+
+#[test]
+fn generation_growth_invalidates_despite_endless_refresh_interval() {
+    // Regression: with a refresh interval longer than the whole
+    // simulated period, a wall-clock-only oracle would serve the
+    // weights of the first few contacts forever. Generation
+    // versioning must pick up the drastically changed rate table.
+    let mut rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(10_000));
+    let w_first = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
+    // Roughly an order of magnitude more contacts: far past the
+    // doubling threshold.
+    for t in 6..=150u64 {
+        rates.record(NodeId(0), NodeId(1), Time(t * 10));
+    }
+    let w_updated = o.weight(&rates, Time(1500), NodeId(0), NodeId(1));
+    assert!(o.snapshot_epoch() >= 2, "snapshot was never rebuilt");
+    assert!(
+        w_updated > w_first,
+        "stale weight {w_first} still served after massive rate change ({w_updated})"
+    );
+}
+
+#[test]
+fn generation_slack_and_doubling_thresholds_are_exact() {
+    // Pins the invalidation rule: a snapshot taken at generation g
+    // survives until generation g + max(g, GENERATION_SLACK)
+    // inclusive, and is rebuilt on the very next recorded contact.
+    let mut rates = RateTable::new(2, Time::ZERO);
+    // Wall-clock refresh effectively disabled; `now` held constant.
+    let mut o = PathOracle::new(2, 3600.0, Duration::hours(10_000));
+    let (a, b) = (NodeId(0), NodeId(1));
+    rates.record(a, b, Time(1));
+    let _ = o.weight(&rates, Time(10), a, b);
+    assert_eq!(o.snapshot_epoch(), 1); // snapshot at generation 1
+
+    // Slack regime (g = 1 < 64): stale only past generation 1 + 64.
+    while rates.generation() < 65 {
+        rates.record(a, b, Time(2));
+    }
+    let _ = o.weight(&rates, Time(10), a, b);
+    assert_eq!(o.snapshot_epoch(), 1, "gen 65 = 1 + max(1, 64): cached");
+    rates.record(a, b, Time(3));
+    let _ = o.weight(&rates, Time(10), a, b);
+    assert_eq!(o.snapshot_epoch(), 2, "gen 66 > 65: rebuilt");
+
+    // Doubling regime (g = 66 > 64): stale only past 66 + 66.
+    while rates.generation() < 132 {
+        rates.record(a, b, Time(4));
+    }
+    let _ = o.weight(&rates, Time(10), a, b);
+    assert_eq!(o.snapshot_epoch(), 2, "gen 132 = 66 + max(66, 64): cached");
+    rates.record(a, b, Time(5));
+    let _ = o.weight(&rates, Time(10), a, b);
+    assert_eq!(o.snapshot_epoch(), 3, "gen 133 > 132: rebuilt");
+}
+
+#[test]
+fn generation_rebuilds_are_amortised() {
+    // Querying after every single contact must not rebuild per
+    // contact: the doubling rule keeps rebuild count logarithmic.
+    let mut rates = RateTable::new(3, Time::ZERO);
+    let mut o = PathOracle::new(3, 3600.0, Duration::hours(10_000));
+    for t in 1..=2000u64 {
+        rates.record(NodeId(0), NodeId(1), Time(t));
+        let _ = o.weight(&rates, Time(t), NodeId(0), NodeId(1));
+    }
+    let epochs = o.snapshot_epoch();
+    assert!(
+        epochs <= 12,
+        "expected O(log contacts) snapshot rebuilds, got {epochs}"
+    );
+}
+
+#[test]
+fn invalidate_forces_recompute() {
+    let mut rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+    let w0 = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
+    for t in 6..=50u64 {
+        rates.record(NodeId(0), NodeId(1), Time(t * 10));
+    }
+    o.invalidate();
+    let w1 = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
+    assert!(w1 > w0);
+}
+
+#[test]
+fn stats_count_rebuilds_hits_and_recomputes() {
+    let rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+    assert_eq!(o.stats(), OracleStats::default());
+    let _ = o.weight(&rates, Time(1000), NodeId(0), NodeId(3)); // recompute
+    let _ = o.weight(&rates, Time(1001), NodeId(0), NodeId(2)); // hit
+    let _ = o.weight(&rates, Time(1002), NodeId(1), NodeId(3)); // recompute
+    let _ = o.weight(&rates, Time(1003), NodeId(1), NodeId(1)); // self: no table
+    let s = o.stats();
+    assert_eq!(s.rebuilds, 1);
+    assert_eq!(s.table_recomputes, 2);
+    assert_eq!(s.table_hits, 1);
+    assert_eq!(s.invalidations, 0);
+    assert_eq!(
+        s.nodes_settled, 8,
+        "two exhaustive searches of the 4-node line"
+    );
+    assert_eq!(
+        s.accumulators_built, 8,
+        "no hop bound, no target: every settled node relaxes"
+    );
+    o.invalidate();
+    let _ = o.weight(&rates, Time(1004), NodeId(0), NodeId(3));
+    let s = o.stats();
+    assert_eq!(s.invalidations, 1);
+    assert_eq!(s.rebuilds, 2);
+    assert_eq!(s.table_recomputes, 3);
+}
+
+/// Node 0 meets every other node often; the spokes never meet each
+/// other. Every spoke-to-spoke path runs through the hub.
+fn rates_star(nodes: u32) -> RateTable {
+    let mut r = RateTable::new(nodes as usize, Time::ZERO);
+    for t in 1..=5u64 {
+        for spoke in 1..nodes {
+            r.record(NodeId(0), NodeId(spoke), Time(t * 100 + u64::from(spoke)));
+        }
+    }
+    r
+}
+
+/// One interleaving of every kind of read and every kind of
+/// invalidation, returning the bits of everything the oracle said.
+fn drive(o: &mut PathOracle, retarget: impl Fn(&mut PathOracle, &[NodeId])) -> Vec<u64> {
+    const N: u32 = 12;
+    let mut rates = rates_star(N);
+    // A few spoke-to-spoke contacts so routes are not all via the hub.
+    for (a, b) in [(3, 4), (4, 5), (7, 9), (2, 11)] {
+        rates.record(NodeId(a), NodeId(b), Time(650));
+    }
+    let mut said = Vec::new();
+    let mut sweep = |o: &mut PathOracle, rates: &RateTable, now: Time| {
+        // Target reads from every source: early exit where allowed.
+        for s in 0..N {
+            for d in [0, 3] {
+                said.push(o.weight(rates, now, NodeId(s), NodeId(d)).to_bits());
+            }
+        }
+        // Non-target reads: a partial table cannot answer these.
+        for (s, d) in [(5, 7), (5, 0), (9, 10), (0, 4), (11, 2)] {
+            said.push(o.weight(rates, now, NodeId(s), NodeId(d)).to_bits());
+        }
+        // Whole tables, over a partial one (6) and a complete one (5).
+        for s in [6, 5] {
+            let table = o.table(rates, now, NodeId(s));
+            assert!(table.is_complete(), "table() handed out a partial table");
+            said.extend((0..N).map(|d| table.weight_to(NodeId(d)).to_bits()));
+        }
+        // And target reads again, now against whatever is cached.
+        for s in 0..N {
+            said.push(o.weight(rates, now, NodeId(s), NodeId(3)).to_bits());
+        }
+    };
+    retarget(o, &[NodeId(0), NodeId(3)]);
+    sweep(o, &rates, Time(1000));
+    // Wall-clock refresh.
+    sweep(o, &rates, Time(1000 + 3600));
+    assert_eq!(o.snapshot_epoch(), 2);
+    // Generation-triggered rebuild inside the refresh window.
+    for t in 0..400u64 {
+        rates.record(NodeId(1), NodeId(2), Time(4700 + t));
+    }
+    sweep(o, &rates, Time(5200));
+    assert_eq!(o.snapshot_epoch(), 3);
+    // Re-election: invalidate, new targets (one of them bogus).
+    o.invalidate();
+    retarget(o, &[NodeId(3), NodeId(8), NodeId(N + 5)]);
+    sweep(o, &rates, Time(5300));
+    assert_eq!(o.snapshot_epoch(), 4);
+    said
+}
+
+#[test]
+fn targets_change_work_never_answers() {
+    let oracle = || PathOracle::new(12, 3600.0, Duration::hours(1));
+    let mut plain = oracle();
+    let mut targeted = oracle();
+    let reference = drive(&mut plain, |_, _| {});
+    let answers = drive(&mut targeted, |o, targets| o.set_targets(targets));
+    assert_eq!(answers, reference, "a target set changed an answer");
+    let (p, t) = (plain.stats(), targeted.stats());
+    assert_eq!(p.rebuilds, t.rebuilds);
+    assert_eq!(p.invalidations, t.invalidations);
+    assert!(t.nodes_settled < p.nodes_settled, "{t:?} vs {p:?}");
+}
+
+/// Reads every list of `lists` to each of `dests`, through `weight`
+/// on `per_read` and through `weights_to` on `batched`, and holds the
+/// answers equal to the bit. Returns the reads that were not
+/// self-reads.
+fn read_both(
+    per_read: &mut PathOracle,
+    batched: &mut PathOracle,
+    rates: &RateTable,
+    now: Time,
+    dests: &[u32],
+    lists: &[Vec<NodeId>],
+) -> u64 {
+    let mut reads = 0;
+    let mut out = Vec::new();
+    for dest in dests.iter().copied().map(NodeId) {
+        for sources in lists {
+            let want: Vec<u64> = sources
+                .iter()
+                .map(|&s| per_read.weight(rates, now, s, dest).to_bits())
+                .collect();
+            batched.weights_to(rates, now, sources, dest, &mut out);
+            let got: Vec<u64> = out.iter().map(|w| w.to_bits()).collect();
+            assert_eq!(got, want, "to {dest} from {sources:?} at {now:?}");
+            reads += sources.iter().filter(|&&s| s != dest).count() as u64;
+        }
+    }
+    reads
+}
+
+#[test]
+fn weights_to_reads_what_weight_reads() {
+    const N: u32 = 12;
+    let lists = [
+        (0..N).map(NodeId).collect(),
+        [5, 9, 5, 0, 11, 9, 2, 3].map(NodeId).to_vec(),
+        vec![NodeId(6)],
+        Vec::new(),
+    ];
+    for width in [1, 2, 5] {
+        let mut per_read = PathOracle::new(N as usize, 3600.0, Duration::hours(1));
+        let mut batched = PathOracle::new(N as usize, 3600.0, Duration::hours(1));
+        batched.scratches = (0..width).map(|_| ReachScratch::new()).collect();
+        let mut rates = rates_star(N);
+        for (a, b) in [(3, 4), (4, 5), (7, 9), (2, 11)] {
+            rates.record(NodeId(a), NodeId(b), Time(650));
+        }
+        let mut reads = 0;
+        let mut both = |invalidate: bool, targets: Option<&[NodeId]>, rates: &RateTable, now| {
+            for o in [&mut per_read, &mut batched] {
+                if invalidate {
+                    o.invalidate();
+                }
+                if let Some(targets) = targets {
+                    o.set_targets(targets);
+                }
+                // Tables of every kind before the batch: partial (n1),
+                // complete (n4), complete over partial (n1 again).
+                let _ = o.weight(rates, now, NodeId(1), NodeId(3));
+                let _ = o.table(rates, now, NodeId(4));
+                let _ = o.weight(rates, now, NodeId(1), NodeId(10));
+            }
+            reads += 3;
+            // Targets, a non-target (7), a target again after it.
+            let dests = [0, 3, 7, 8, 3];
+            reads += read_both(&mut per_read, &mut batched, rates, now, &dests, &lists);
+            assert_eq!(
+                per_read.stats(),
+                batched.stats(),
+                "{width} workers at {now:?}"
+            );
+            (per_read.snapshot_epoch(), batched.snapshot_epoch())
+        };
+        let first = [NodeId(0), NodeId(3)];
+        assert_eq!(both(false, Some(&first), &rates, Time(1000)), (1, 1));
+        // The same set again changes nothing; a wall-clock refresh.
+        assert_eq!(both(false, Some(&first), &rates, Time(4600)), (2, 2));
+        // A generation rebuild inside the refresh window.
+        for t in 0..400u64 {
+            rates.record(NodeId(1), NodeId(2), Time(4700 + t));
+        }
+        assert_eq!(both(false, None, &rates, Time(5200)), (3, 3));
+        // New targets mid-epoch: the column empties, the tables stay.
+        let moved = [NodeId(3), NodeId(8)];
+        assert_eq!(both(false, Some(&moved), &rates, Time(5250)), (3, 3));
+        // Re-election: invalidate, new targets, one of them bogus.
+        let reelected = [NodeId(8), NodeId(0), NodeId(N + 5)];
+        assert_eq!(both(true, Some(&reelected), &rates, Time(5300)), (4, 4));
+        let s = batched.stats();
+        assert_eq!(s.table_hits + s.table_recomputes, reads, "{s:?}");
+        assert!(s.table_recomputes > 4 * u64::from(N), "{s:?}");
+    }
+}
+
+#[test]
+fn targets_cut_the_nodes_settled_per_recompute() {
+    // Spoke → hub with the hub as the only target: the spoke settles
+    // itself, then the hub, and stops. Without targets every one of
+    // the searches settles the whole star.
+    const N: u32 = 40;
+    let rates = rates_star(N);
+    let run = |targets: &[NodeId]| {
+        let mut o = PathOracle::new(N as usize, 3600.0, Duration::hours(1));
+        o.set_targets(targets);
+        for spoke in 1..N {
+            assert!(o.weight(&rates, Time(1000), NodeId(spoke), NodeId(0)) > 0.0);
+        }
+        o.stats()
+    };
+    let (plain, targeted) = (run(&[]), run(&[NodeId(0)]));
+    assert_eq!(plain.table_recomputes, u64::from(N - 1));
+    assert_eq!(targeted.table_recomputes, plain.table_recomputes);
+    assert_eq!(plain.nodes_settled, u64::from(N) * plain.table_recomputes);
+    assert_eq!(targeted.nodes_settled, 2 * targeted.table_recomputes);
+}
+
+#[test]
+fn out_of_range_targets_are_ignored() {
+    let rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+    o.set_targets(&[NodeId(4), NodeId(u32::MAX)]);
+    // No usable target: the search is exhaustive, the answer exact.
+    let w = o.weight(&rates, Time(1000), NodeId(0), NodeId(3));
+    assert!(w > 0.0);
+    assert_eq!(o.stats().nodes_settled, 4);
+    // Mixed: the in-range one still stops the search.
+    o.invalidate();
+    o.set_targets(&[NodeId(9), NodeId(1)]);
+    assert!(o.weight(&rates, Time(1000), NodeId(0), NodeId(1)) > 0.0);
+    assert_eq!(o.stats().nodes_settled, 4 + 2);
+}
+
+#[test]
+fn self_weight_is_one_without_computation() {
+    let rates = RateTable::new(2, Time::ZERO);
+    let mut o = PathOracle::new(2, 100.0, Duration::hours(1));
+    assert_eq!(o.weight(&rates, Time(0), NodeId(1), NodeId(1)), 1.0);
+}
+
+#[test]
+fn bounded_reach_matches_exact_weights_within_the_bound() {
+    // The 4-node line has diameter 3: a 4-hop bound must reproduce
+    // the dense oracle's weights bit for bit.
+    let rates = rates_line();
+    let mut exact = PathOracle::new(4, 3600.0, Duration::hours(1));
+    let mut scaled = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4, 4);
+    let now = Time(1000);
+    for s in 0..4u32 {
+        for d in 0..4u32 {
+            assert_eq!(
+                exact.weight(&rates, now, NodeId(s), NodeId(d)),
+                scaled.weight(&rates, now, NodeId(s), NodeId(d)),
+                "weight {s}→{d} diverged under the hop bound"
+            );
+        }
+    }
+}
+
+#[test]
+fn hop_bound_truncates_distant_weights_to_zero() {
+    let rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(1, 4);
+    let now = Time(1000);
+    // One hop: direct neighbor reachable, two hops away is not.
+    assert!(o.weight(&rates, now, NodeId(0), NodeId(1)) > 0.0);
+    assert_eq!(o.weight(&rates, now, NodeId(0), NodeId(2)), 0.0);
+    // One search, and it settled n0 alone: under one hop the source
+    // is its own rim and n1 a leaf, weighed by the read that asked
+    // for it. n2 has no rim neighbour and cost nothing.
+    let s = o.stats();
+    assert_eq!(
+        (s.table_recomputes, s.table_hits, s.nodes_settled),
+        (1, 1, 1)
+    );
+    assert_eq!((s.accumulators_built, s.leaf_evaluations), (1, 1));
+}
+
+#[test]
+fn direct_mapped_cache_hits_and_collides_as_sized() {
+    let rates = rates_line();
+    // One slot: alternating sources evict each other every call.
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4, 1);
+    let now = Time(1000);
+    let _ = o.weight(&rates, now, NodeId(0), NodeId(3));
+    let _ = o.weight(&rates, now, NodeId(0), NodeId(2)); // hit
+    let _ = o.weight(&rates, now, NodeId(1), NodeId(3)); // evicts 0
+    let _ = o.weight(&rates, now, NodeId(0), NodeId(1)); // evicts 1
+    let s = o.stats();
+    assert_eq!(s.table_recomputes, 3);
+    assert_eq!(s.table_hits, 1);
+    assert_eq!(s.rebuilds, 1, "collisions must not rebuild the snapshot");
+}
+
+#[test]
+fn scale_mode_still_serves_exact_dense_tables() {
+    let rates = rates_line();
+    let mut exact = PathOracle::new(4, 3600.0, Duration::hours(1));
+    let mut scaled = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(2, 2);
+    let now = Time(1000);
+    let te = exact.table(&rates, now, NodeId(0));
+    let ts = scaled.table(&rates, now, NodeId(0));
+    for d in 0..4u32 {
+        assert_eq!(te.weight_to(NodeId(d)), ts.weight_to(NodeId(d)));
+    }
+}
+
+#[test]
+fn invalidate_clears_the_sparse_cache() {
+    let mut rates = rates_line();
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4, 4);
+    let w0 = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
+    for t in 6..=50u64 {
+        rates.record(NodeId(0), NodeId(1), Time(t * 10));
+    }
+    o.invalidate();
+    let w1 = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
+    assert!(w1 > w0, "stale sparse reach served after invalidate");
+}

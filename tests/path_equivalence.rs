@@ -10,10 +10,13 @@
 //! floating-point operations — so weights must agree to the last bit
 //! (asserted here with a 1e-12 band and an exact route comparison).
 //!
-//! The same graphs also hold the early exit (`shortest_paths_until`)
+//! The same graphs also hold the early exit (`shortest_paths_until_in`)
 //! against the exhaustive search: whatever a partial table answers, it
 //! answers with the exhaustive table's bits and routes, and what it did
-//! not settle it reports as unanswered — never as unreachable. And they
+//! not settle it reports as unanswered — never as unreachable. The batch
+//! entry point (`shortest_paths_batch`) is held against those serial
+//! searches job for job, on 1, 2 and 5 workers, refilling the tables of
+//! a first batch with the other kind of search in a second. And they
 //! hold the hop-bounded search (`bounded_shortest_paths`) with a bound
 //! of at least `n` hops against the unbounded one, weight for weight.
 //!
@@ -42,8 +45,8 @@ use dtn_coop_cache::core::graph::{ContactGraph, CsrGraph, Topology};
 use dtn_coop_cache::core::hypoexp;
 use dtn_coop_cache::core::ids::NodeId;
 use dtn_coop_cache::core::path::{
-    bounded_reach, bounded_shortest_paths, shortest_paths, shortest_paths_naive,
-    shortest_paths_until, ReachScratch, SparseReach,
+    bounded_reach, bounded_shortest_paths, shortest_paths, shortest_paths_batch,
+    shortest_paths_naive, shortest_paths_until_in, PathTable, ReachScratch, SparseReach,
 };
 use dtn_coop_cache::core::rate::RateTable;
 use dtn_coop_cache::core::time::{Duration, Time};
@@ -338,7 +341,7 @@ fn assert_early_exit_exact(
     targets: &[NodeId],
 ) -> Result<(), String> {
     let full = shortest_paths(g, source, horizon);
-    let partial = shortest_paths_until(g, source, horizon, targets);
+    let partial = shortest_paths_until_in(g, source, horizon, targets, &mut ReachScratch::new());
     let in_range: Vec<NodeId> = targets
         .iter()
         .copied()
@@ -396,6 +399,60 @@ fn assert_early_exit_exact(
     Ok(())
 }
 
+/// [`shortest_paths_batch`] against the serial search it stands for: one
+/// job per node, every other one stopping at `targets`, on 1, 2 and 5
+/// workers; a second batch flips every job's stop flag and refills the
+/// first batch's tables in place. Each table must read, node for node,
+/// what `shortest_paths_until_in` returns, and the accumulators built
+/// must sum to the serial searches'.
+fn assert_batch_is_serial(
+    g: &ContactGraph,
+    horizon: f64,
+    targets: &[NodeId],
+) -> Result<(), String> {
+    for width in [1, 2, 5] {
+        let mut scratches: Vec<ReachScratch> = (0..width).map(|_| ReachScratch::new()).collect();
+        let mut jobs: Vec<(NodeId, bool, PathTable)> = g
+            .nodes()
+            .map(|s| (s, s.0 % 2 == 0, PathTable::default()))
+            .collect();
+        for pass in 0..2 {
+            for job in &mut jobs {
+                job.1 ^= pass == 1;
+            }
+            let built = shortest_paths_batch(g, horizon, targets, &mut jobs, &mut scratches);
+            let mut serial_built = 0;
+            for (source, stop, table) in &jobs {
+                let mut scratch = ReachScratch::new();
+                let stop_at = if *stop { targets } else { &[] };
+                let want = shortest_paths_until_in(g, *source, horizon, stop_at, &mut scratch);
+                serial_built += scratch.accumulators_built();
+                let context = format!("{width} workers, pass {pass}, {source}, stop {stop}");
+                if (table.is_complete(), table.settled_count())
+                    != (want.is_complete(), want.settled_count())
+                {
+                    return Err(format!("{context}: table shape differs"));
+                }
+                for v in g.nodes() {
+                    let (got, expected) = (table.settled_weight(v), want.settled_weight(v));
+                    if got.map(f64::to_bits) != expected.map(f64::to_bits) {
+                        return Err(format!("{context}: {v} reads {got:?}, serial {expected:?}"));
+                    }
+                    if got.is_some() && table.path_to(v) != want.path_to(v) {
+                        return Err(format!("{context}: route to {v} differs"));
+                    }
+                }
+            }
+            if built != serial_built {
+                return Err(format!(
+                    "{width} workers, pass {pass}: {built} accumulators vs {serial_built}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// [`assert_early_exit_exact`] over target sets that cover the edge
 /// cases on any graph: none, the source alone, each single node, a
 /// duplicated pair, everything, and an id outside the graph.
@@ -413,6 +470,7 @@ fn assert_early_exit_cases(g: &ContactGraph, source: NodeId, horizon: f64) {
     cases.extend(all.iter().map(|&v| vec![v]));
     for targets in &cases {
         assert_early_exit_exact(g, source, horizon, targets).unwrap();
+        assert_batch_is_serial(g, horizon, targets).unwrap();
     }
 }
 
@@ -427,7 +485,13 @@ fn line_graph_is_equivalent() {
     assert_early_exit_cases(&g, NodeId(0), 5000.0);
     assert_early_exit_cases(&g, NodeId(3), 5000.0);
     // On a line from one end the stop is visible: n2 settles third.
-    let partial = shortest_paths_until(&g, NodeId(0), 5000.0, &[NodeId(2)]);
+    let partial = shortest_paths_until_in(
+        &g,
+        NodeId(0),
+        5000.0,
+        &[NodeId(2)],
+        &mut ReachScratch::new(),
+    );
     assert!(!partial.is_complete());
     assert_eq!(partial.settled_count(), 3);
     assert_eq!(partial.settled_weight(NodeId(3)), None);
@@ -447,7 +511,13 @@ fn disconnected_components_are_equivalent() {
     }
     // A target in another component never settles: the search falls
     // through to exhaustion and the table is complete, weight 0.
-    let table = shortest_paths_until(&g, NodeId(0), 2000.0, &[NodeId(1), NodeId(5)]);
+    let table = shortest_paths_until_in(
+        &g,
+        NodeId(0),
+        2000.0,
+        &[NodeId(1), NodeId(5)],
+        &mut ReachScratch::new(),
+    );
     assert!(table.is_complete());
     assert_eq!(table.settled_weight(NodeId(5)), Some(0.0));
     assert!(table.path_to(NodeId(5)).is_none());
@@ -686,7 +756,9 @@ proptest! {
         let g = graph_from_edges(n, &edges);
         let source = NodeId(source % n as u32);
         let targets: Vec<NodeId> = targets.iter().map(|t| NodeId(t % n as u32)).collect();
-        if let Err(message) = assert_early_exit_exact(&g, source, horizon, &targets) {
+        if let Err(message) = assert_early_exit_exact(&g, source, horizon, &targets)
+            .and_then(|()| assert_batch_is_serial(&g, horizon, &targets))
+        {
             prop_assert!(false, "{}", message);
         }
     }
