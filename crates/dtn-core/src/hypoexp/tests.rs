@@ -1,0 +1,483 @@
+use super::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+thread_local! {
+    /// Calls of [`Factors::of`] on this thread.
+    pub(crate) static FRESH: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`HorizonAccumulator::push`] with the new stage's factors computed
+/// fresh.
+fn fresh_push(h: &mut HorizonAccumulator, rate: f64) {
+    let t = h.t;
+    h.push(rate, Factors::of(rate, t));
+}
+
+/// [`HorizonAccumulator::extended_cdf`] with the new stage's factors
+/// computed fresh.
+fn fresh_cdf(h: &HorizonAccumulator, rate: f64) -> f64 {
+    h.extended_cdf(rate, Factors::of(rate, h.t))
+}
+
+/// Monte-Carlo estimate of the hypoexponential CDF.
+fn mc_cdf(rates: &[f64], t: f64, samples: u32, seed: u64) -> f64 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut hits = 0u32;
+    for _ in 0..samples {
+        let total: f64 = rates
+            .iter()
+            .map(|&r| {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                -u.ln() / r
+            })
+            .sum();
+        if total <= t {
+            hits += 1;
+        }
+    }
+    f64::from(hits) / f64::from(samples)
+}
+
+#[test]
+fn zero_hops_is_certain() {
+    assert_eq!(cdf(&[], 0.0), 1.0);
+    assert_eq!(cdf(&[], 100.0), 1.0);
+}
+
+#[test]
+fn zero_time_is_impossible_with_hops() {
+    assert_eq!(cdf(&[1.0], 0.0), 0.0);
+    assert_eq!(cdf(&[1.0, 2.0], -5.0), 0.0);
+}
+
+#[test]
+fn single_hop_matches_exponential() {
+    let l = 1.0 / 3600.0;
+    for t in [60.0f64, 3600.0, 86_400.0] {
+        let expect = 1.0 - (-l * t).exp();
+        assert!((cdf(&[l], t) - expect).abs() < 1e-12);
+    }
+}
+
+#[test]
+fn equal_rates_match_erlang() {
+    let p = cdf(&[0.5, 0.5, 0.5], 4.0);
+    let e = erlang_cdf(0.5, 3, 4.0);
+    assert!((p - e).abs() < 1e-12, "{p} vs {e}");
+}
+
+#[test]
+fn distinct_rates_match_monte_carlo() {
+    let rates = [1.0 / 100.0, 1.0 / 350.0, 1.0 / 1000.0];
+    for t in [200.0, 1000.0, 4000.0] {
+        let exact = cdf(&rates, t);
+        let approx = mc_cdf(&rates, t, 200_000, 42);
+        assert!(
+            (exact - approx).abs() < 5e-3,
+            "t={t}: exact {exact} vs mc {approx}"
+        );
+    }
+}
+
+#[test]
+fn near_equal_rates_are_stable_and_accurate() {
+    // Rates that differ by 1e-9 relative — the naive closed form
+    // produces garbage here; the cluster-spreading path must not.
+    let base = 1.0 / 500.0;
+    let rates = [base, base * (1.0 + 1e-9), base * (1.0 - 1e-9)];
+    let t = 1500.0;
+    let exact = cdf(&rates, t);
+    let erlang = erlang_cdf(base, 3, t);
+    assert!(
+        (exact - erlang).abs() < 1e-2,
+        "stabilised {exact} vs erlang {erlang}"
+    );
+    assert!((0.0..=1.0).contains(&exact));
+}
+
+#[test]
+fn erlang_cdf_monotone_in_stages() {
+    // More stages → stochastically larger sum → smaller CDF.
+    let (rate, t) = (0.01, 300.0);
+    let mut prev = 1.0;
+    for k in 1..8 {
+        let p = erlang_cdf(rate, k, t);
+        assert!(p < prev, "k={k}: {p} !< {prev}");
+        prev = p;
+    }
+}
+
+#[test]
+#[should_panic(expected = "positive")]
+fn rejects_zero_rate() {
+    let _ = cdf(&[0.0], 1.0);
+}
+
+#[test]
+#[should_panic(expected = "NaN")]
+fn rejects_nan_time() {
+    let _ = cdf(&[1.0], f64::NAN);
+}
+
+#[test]
+fn accumulator_empty_is_certain() {
+    let acc = Accumulator::new();
+    assert!(acc.is_empty());
+    assert_eq!(acc.cdf_at(0.0), 1.0);
+    assert_eq!(acc.cdf_at(100.0), 1.0);
+}
+
+#[test]
+fn accumulator_matches_batch_bitwise() {
+    let sequences: [&[f64]; 6] = [
+        &[1e-3],
+        &[1e-3, 2e-3],
+        &[5e-4, 5e-4, 5e-4],
+        &[1e-2, 1e-5, 3e-3, 7e-4],
+        &[2e-3, 2e-3 * (1.0 + 1e-9)],
+        &[1e-4, 1e-4, 9e-2, 1e-4],
+    ];
+    for rates in sequences {
+        let mut acc = Accumulator::new();
+        for &r in rates {
+            acc.push(r);
+        }
+        for t in [0.0, 30.0, 900.0, 40_000.0] {
+            let batch = cdf(rates, t);
+            let inc = acc.cdf_at(t);
+            assert!(
+                batch == inc,
+                "rates {rates:?} t={t}: batch {batch} != incremental {inc}"
+            );
+        }
+    }
+}
+
+#[test]
+fn accumulator_extension_matches_push_bitwise() {
+    let prefix = [1e-3, 4e-3, 4e-3];
+    let extensions = [2e-3, 4e-3, 4e-3 * (1.0 + 1e-9), 1e-6];
+    let mut acc = Accumulator::new();
+    for &r in &prefix {
+        acc.push(r);
+    }
+    for &ext in &extensions {
+        for t in [0.0, 120.0, 5_000.0] {
+            let lazy = acc.extended_cdf(ext, t);
+            let mut materialised = acc.clone();
+            materialised.push(ext);
+            let eager = materialised.cdf_at(t);
+            assert!(
+                lazy == eager,
+                "ext {ext} t={t}: extended {lazy} != push+eval {eager}"
+            );
+        }
+    }
+    // From an empty accumulator too (the source-node case).
+    let empty = Accumulator::new();
+    assert_eq!(empty.extended_cdf(1e-3, 500.0), cdf(&[1e-3], 500.0));
+}
+
+#[test]
+fn horizon_accumulator_matches_extended_cdf_bitwise() {
+    let prefixes: [&[f64]; 6] = [
+        &[],
+        &[1e-3],
+        &[4e-3, 4e-3],
+        &[1e-2, 1e-5, 3e-3, 7e-4],
+        // Two stages a hair apart: the second is stored perturbed.
+        &[2e-3, 2e-3 * (1.0 + 1e-9), 6e-4],
+        // Two stored stages within REL_SEPARATION of one candidate.
+        &[5e-3, 5e-3 * (1.0 + 1.5e-4), 9e-5],
+    ];
+    // Exact duplicates take the Erlang branch; the rest sit on both
+    // sides of the separation scan: clear of every stage, within
+    // REL_SEPARATION of one stage (from above, from below, and by a
+    // relative 1e-9), of two stages at once, and equal to a stage as
+    // it is stored after perturbation.
+    let extensions = [
+        2e-3,
+        4e-3,
+        1e-6,
+        4e-3 * (1.0 + 1e-9),
+        1e-2 * (1.0 + 0.9 * REL_SEPARATION),
+        3e-3 * (1.0 - 0.9 * REL_SEPARATION),
+        1e-2 * (1.0 + 1.1 * REL_SEPARATION),
+        5e-3 * (1.0 + 0.75e-4),
+        2e-3 * (1.0 + 1e-9) * (1.0 + REL_PERTURBATION),
+    ];
+    // The hoisted evaluation reads the new stage's factors as a cache
+    // holds them, computed once per rate and horizon; a clustered stage
+    // is perturbed and must not read them at all, so it is handed NaNs.
+    let unused = Factors {
+        em1: f64::NAN,
+        exp: f64::NAN,
+    };
+    let (mut separated, mut clustered, mut erlang) = (0, 0, 0);
+    for prefix in prefixes {
+        for t in [0.0, 120.0, 5_000.0] {
+            let mut acc = Accumulator::new();
+            let mut hacc = HorizonAccumulator::new(t);
+            for &r in prefix {
+                acc.push(r);
+                fresh_push(&mut hacc, r);
+            }
+            for &ext in &extensions {
+                let stages = hacc.stages();
+                let new = if stages.all_equal && prefix.first().is_none_or(|&r| r == ext) {
+                    erlang += 1;
+                    Factors::of(ext, t)
+                } else if effective_rate(&acc.spread, ext) == ext {
+                    separated += 1;
+                    Factors::of(ext, t)
+                } else {
+                    clustered += 1;
+                    unused
+                };
+                let hoisted = stages.extended_cdf(ext, new);
+                let inline = acc.extended_cdf(ext, t);
+                assert!(
+                    hoisted.to_bits() == inline.to_bits(),
+                    "prefix {prefix:?} ext {ext} t={t}: hoisted {hoisted} != inline {inline}"
+                );
+            }
+        }
+    }
+    // Every branch was exercised; the two-stage cluster and the
+    // perturbed-stage collision are what their names say.
+    assert!(
+        separated > 0 && clustered > 0 && erlang > 0,
+        "{separated} / {clustered} / {erlang}"
+    );
+    let two = [5e-3, 5e-3 * (1.0 + 1.5e-4)];
+    let between = 5e-3 * (1.0 + 0.75e-4);
+    assert!(two
+        .iter()
+        .all(|&s: &f64| (between - s).abs() <= REL_SEPARATION * between.max(s)));
+    let mut acc = Accumulator::new();
+    acc.push(2e-3);
+    acc.push(2e-3 * (1.0 + 1e-9));
+    assert_eq!(
+        acc.spread[1],
+        2e-3 * (1.0 + 1e-9) * (1.0 + REL_PERTURBATION)
+    );
+}
+
+#[test]
+fn refilled_horizon_accumulator_equals_clone_and_push() {
+    // Everything an accumulator holds, floats by bit pattern.
+    fn bits(h: &HorizonAccumulator) -> (Vec<Vec<u64>>, bool, u64) {
+        let vecs = [&h.acc.rates, &h.acc.spread, &h.acc.coeffs, &h.em1];
+        let vecs = vecs.map(|v| v.iter().map(|x| x.to_bits()).collect());
+        (vecs.to_vec(), h.acc.all_equal, h.t.to_bits())
+    }
+    let t = 3_000.0;
+    // Equal rates (Erlang branch), a clustered pair, a plain tail.
+    let rates = [4e-3, 4e-3, 4e-3 * (1.0 + 1e-9), 1e-5, 2e-3];
+    // The recycled buffer starts out holding a longer, unrelated path
+    // evaluated at another time.
+    let mut recycled = HorizonAccumulator::new(17.0);
+    for r in [1e-2, 3e-4, 5e-3, 7e-4, 9e-3, 1e-6, 2e-2] {
+        fresh_push(&mut recycled, r);
+    }
+    let warm = recycled.buffers();
+    let mut parent = HorizonAccumulator::new(t);
+    for &r in &rates {
+        let mut cloned = parent.clone();
+        fresh_push(&mut cloned, r);
+        recycled.assign_extended(&parent, r, Factors::of(r, t));
+        assert_eq!(bits(&recycled), bits(&cloned), "extending by {r}");
+        assert_eq!(fresh_cdf(&recycled, 6e-4), fresh_cdf(&cloned, 6e-4));
+        assert_eq!(recycled.buffers(), warm, "a refill reallocated");
+        parent = cloned;
+    }
+    recycled.reset(t);
+    assert_eq!(bits(&recycled), bits(&HorizonAccumulator::new(t)));
+    assert_eq!(recycled.buffers(), warm, "a reset reallocated");
+}
+
+#[test]
+fn accumulator_extension_never_raises_cdf() {
+    // Monotonicity under extension is what makes label-setting exact;
+    // the incremental form must preserve it for shared prefixes.
+    let mut acc = Accumulator::new();
+    let t = 2_000.0;
+    let mut prev = acc.cdf_at(t);
+    for &r in &[3e-3, 3e-3, 1e-2, 3e-3 * (1.0 + 1e-8), 5e-4] {
+        let lazy = acc.extended_cdf(r, t);
+        assert!(lazy <= prev, "extension raised weight {prev} -> {lazy}");
+        acc.push(r);
+        prev = acc.cdf_at(t);
+        assert_eq!(prev, lazy);
+    }
+}
+
+mod properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn rate_strategy() -> impl Strategy<Value = f64> {
+        // Rates from ~1/month to ~1/10s, the realistic DTN range.
+        (1e-7f64..1e-1).prop_map(|x| x)
+    }
+
+    /// A rate sequence built to stress the closed form: the first
+    /// stage anywhere in the DTN range, each later stage either up
+    /// to 10⁶ times faster than the slowest, an exact duplicate of an
+    /// earlier one (Erlang branch while all are), within
+    /// `REL_SEPARATION` of one (perturbed), just outside it (largest
+    /// coefficients) or a relative 1e-9 away.
+    fn adversarial_rates(base: f64, stages: &[(u32, f64, usize)]) -> Vec<f64> {
+        let mut rates: Vec<f64> = Vec::with_capacity(stages.len());
+        for &(mode, u, pick) in stages {
+            let earlier = rates.get(pick % rates.len().max(1)).copied();
+            rates.push(match (earlier, mode) {
+                (None, _) | (_, 0) => base * 10f64.powf(6.0 * u),
+                (Some(r), 1) => r,
+                (Some(r), 2) => r * (1.0 + (2.0 * u - 1.0) * REL_SEPARATION),
+                (Some(r), 3) => r * (1.0 + (1.0 + 2.0 * u) * REL_SEPARATION),
+                (Some(r), _) => r * (1.0 + (2.0 * u - 1.0) * 1e-9),
+            });
+        }
+        rates
+    }
+
+    /// A horizon from 0 through `≪ 1/λ₁` to `≫ 1/λ_min`.
+    fn adversarial_horizon(rates: &[f64], mode: u32, u: f64) -> f64 {
+        let slowest = rates.iter().copied().fold(f64::INFINITY, f64::min);
+        match mode {
+            0 => 0.0,
+            1 => 10f64.powf(8.0 * u - 6.0) / slowest,
+            2 => 10f64.powf(13.0 * u - 12.0) / rates[0],
+            _ => 1e7 * u,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// What NCL selection prunes by: no weight the search can
+        /// compute for a path exceeds [`weight_cap`] of its first
+        /// stage — at every prefix, so at every stage count up to 6.
+        #[test]
+        fn weight_never_exceeds_its_first_stage_cap(
+            base_exp in -7.0f64..-1.0,
+            stages in prop::collection::vec((0u32..5, 0.0f64..1.0, 0usize..6), 1..7),
+            t_mode in 0u32..4,
+            t_u in 0.0f64..1.0,
+        ) {
+            let rates = adversarial_rates(10f64.powf(base_exp), &stages);
+            let t = adversarial_horizon(&rates, t_mode, t_u);
+            let mut path = HorizonAccumulator::new(t);
+            for (i, &rate) in rates.iter().enumerate() {
+                let weight = fresh_cdf(&path, rate);
+                fresh_push(&mut path, rate);
+                let cap = weight_cap(rates[0], t, Some(i + 1));
+                prop_assert!(weight <= cap,
+                    "{:?} at t={t}: weight {weight} above cap {cap}", &rates[..=i]);
+                // A faster first hop only raises the cap, and an
+                // unbounded path is capped by the clamp alone.
+                prop_assert!(cap <= weight_cap(2.0 * rates[0], t, Some(i + 1)));
+                prop_assert!(weight <= weight_cap(rates[0], t, None));
+            }
+        }
+
+        /// One more stage never raises the weight by more than the
+        /// cluster perturbation can: leaving the Erlang branch stores
+        /// the duplicates `REL_PERTURBATION` apart, which moves the
+        /// CDF by up to 3e-4 — far above [`WEIGHT_CAP_SLACK`], which
+        /// is why the cap rests on the first stage and not on this.
+        #[test]
+        fn one_more_stage_never_helps_beyond_the_perturbation(
+            base_exp in -7.0f64..-1.0,
+            stages in prop::collection::vec((0u32..5, 0.0f64..1.0, 0usize..6), 2..5),
+            t_mode in 0u32..4,
+            t_u in 0.0f64..1.0,
+        ) {
+            let rates = adversarial_rates(10f64.powf(base_exp), &stages);
+            let t = adversarial_horizon(&rates, t_mode, t_u);
+            let mut path = HorizonAccumulator::new(t);
+            let mut shorter = 1.0;
+            for (i, &rate) in rates.iter().enumerate() {
+                let weight = fresh_cdf(&path, rate);
+                fresh_push(&mut path, rate);
+                if i < FIRST_STAGE_CAP_STAGES {
+                    prop_assert!(weight <= shorter + REL_PERTURBATION,
+                        "{:?} at t={t}: {shorter} -> {weight}", &rates[..=i]);
+                }
+                shorter = weight;
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn cdf_is_probability(
+            rates in prop::collection::vec(rate_strategy(), 1..6),
+            t in 0.0f64..1e7,
+        ) {
+            let p = cdf(&rates, t);
+            prop_assert!((0.0..=1.0).contains(&p), "p={p}");
+        }
+
+        #[test]
+        fn cdf_monotone_in_time(
+            rates in prop::collection::vec(rate_strategy(), 1..6),
+            t1 in 0.0f64..1e6,
+            dt in 0.0f64..1e6,
+        ) {
+            let p1 = cdf(&rates, t1);
+            let p2 = cdf(&rates, t1 + dt);
+            prop_assert!(p2 >= p1 - 1e-9, "p({})={} > p({})={}", t1, p1, t1 + dt, p2);
+        }
+
+        #[test]
+        fn extra_hop_never_helps(
+            rates in prop::collection::vec(rate_strategy(), 1..5),
+            extra in rate_strategy(),
+            t in 1.0f64..1e6,
+        ) {
+            let base = cdf(&rates, t);
+            let mut longer = rates.clone();
+            longer.push(extra);
+            let ext = cdf(&longer, t);
+            prop_assert!(ext <= base + 1e-6, "extending path raised p: {base} -> {ext}");
+        }
+
+        #[test]
+        fn closed_form_tracks_monte_carlo(
+            rates in prop::collection::vec(1e-4f64..1e-1, 2..5),
+            t in 10.0f64..1e5,
+            seed in any::<u64>(),
+        ) {
+            let exact = cdf(&rates, t);
+            let approx = mc_cdf(&rates, t, 20_000, seed);
+            prop_assert!((exact - approx).abs() < 0.02,
+                "exact {exact} vs mc {approx} for rates {rates:?}, t={t}");
+        }
+
+        #[test]
+        fn incremental_and_batch_agree(
+            rates in prop::collection::vec(rate_strategy(), 1..7),
+            t in 0.0f64..1e6,
+        ) {
+            let mut acc = Accumulator::new();
+            let mut hacc = HorizonAccumulator::new(t);
+            for (i, &r) in rates.iter().enumerate() {
+                // Candidate evaluation (inline and with hoisted
+                // exponentials), materialisation and batch
+                // re-evaluation must all agree exactly at every prefix.
+                let lazy = acc.extended_cdf(r, t);
+                let hoisted = fresh_cdf(&hacc, r);
+                acc.push(r);
+                fresh_push(&mut hacc, r);
+                let eager = acc.cdf_at(t);
+                let batch = cdf(&rates[..=i], t);
+                prop_assert!(lazy == hoisted && lazy == eager && eager == batch,
+                    "prefix {:?} t={}: lazy {} hoisted {} eager {} batch {}",
+                    &rates[..=i], t, lazy, hoisted, eager, batch);
+            }
+        }
+    }
+}

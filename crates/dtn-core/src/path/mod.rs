@@ -19,15 +19,16 @@
 //! `naive.rs` the owned-path reference the differentials compare against;
 //! this file holds [`OpportunisticPath`] and re-exports the rest.
 //!
-//! There is one search loop. It is allocation-free on its hot path: heap
-//! labels carry only `(weight, node)`, the route tree lives in
-//! predecessor arrays of an epoch-stamped [`ReachScratch`], and each
-//! relaxation evaluates the candidate weight by extending the settled
-//! node's cached CDF accumulator ([`crate::hypoexp`]) — `O(r)`
-//! multiply-adds plus a single fresh exponential, without materialising
-//! the extended path. An accumulator is built only for a settled node
-//! that goes on to relax its edges (by extending its parent's, into a
-//! buffer recycled from the previous search); a node settled at the hop
+//! There is one search loop. It is allocation-free on its hot path: a
+//! heap key is `(weight, node)` packed into one integer, the route tree
+//! lives in predecessor arrays of an epoch-stamped [`ReachScratch`], and
+//! each relaxation evaluates the candidate weight by extending the
+//! settled node's cached CDF accumulator ([`crate::hypoexp`]) — `O(r)`
+//! multiply-adds, the new stage's exponentials read from the scratch's
+//! per-rate cache, without materialising the extended path. An
+//! accumulator is built only for a settled node that goes on to relax
+//! its edges (by extending its parent's, into a buffer recycled from the
+//! previous search); a node settled at the hop
 //! bound keeps its weight and nothing else. Three extractors read the
 //! settled set out of the scratch: the dense, route-carrying
 //! [`PathTable`] ([`shortest_paths`], [`shortest_paths_until_in`], and

@@ -1,6 +1,6 @@
 //! [`SparseReach`] and [`LazyReach`]: what a hop-bounded search returns.
 
-use super::search::Label;
+use super::search::Key;
 use crate::graph::Topology;
 use crate::hypoexp;
 use crate::ids::NodeId;
@@ -131,21 +131,17 @@ impl LazyReach {
             let Some((pos, slot, rate)) = next else {
                 break;
             };
-            let mine = Label {
-                weight: label,
-                node: dest,
-            };
-            let popped_first = |&i: &u32| {
-                let theirs = Label {
-                    weight: self.weights[i as usize],
-                    node: self.ids[i as usize],
-                };
-                mine > theirs
-            };
-            if self.pops[from..=pos].iter().any(popped_first) {
-                break;
+            // The heap's own order; a label of −∞ is not in the heap yet.
+            if label != f64::NEG_INFINITY {
+                let mine = Key::new(label, dest);
+                let popped_first =
+                    |&i: &u32| mine > Key::new(self.weights[i as usize], self.ids[i as usize]);
+                if self.pops[from..=pos].iter().any(popped_first) {
+                    break;
+                }
             }
-            let candidate = self.rim(slot).extended_cdf(rate);
+            let new = hypoexp::Factors::of(rate, self.horizon);
+            let candidate = self.rim(slot).extended_cdf(rate, new);
             if candidate > label {
                 label = candidate;
             }

@@ -3,11 +3,58 @@
 use std::collections::BinaryHeap;
 
 use super::reach::NOT_RIM;
-use super::search::Label;
+use super::search::Key;
 use super::{LazyReach, PathTable, SparseReach};
 use crate::graph::Topology;
-use crate::hypoexp;
+use crate::hypoexp::{self, Factors};
 use crate::ids::NodeId;
+
+/// The [`Factors`] of the rates a search has met, at its horizon, in a
+/// direct-mapped cache keyed by a rate's bits: §III-B's estimator gives
+/// every pair `count / elapsed` over one shared `elapsed`, so a snapshot
+/// has few distinct rates. A slot `[rate, em1, exp]` answers only the
+/// rate whose bits it holds. All-zero is empty (0 is never a rate), so
+/// the slots come zeroed from the allocator and a scratch that searches
+/// once pays no memset; a new horizon empties them all.
+#[derive(Debug, Default)]
+pub(super) struct FactorCache {
+    /// The horizon of every held factor.
+    at: f64,
+    pub(super) slots: Vec<[f64; 3]>,
+}
+
+impl FactorCache {
+    /// `log₂` of the slot count (24 KiB).
+    const BITS: u32 = 10;
+
+    pub(super) fn prepare(&mut self, horizon: f64) {
+        if self.slots.is_empty() {
+            self.slots = vec![[0.0; 3]; 1 << Self::BITS];
+        } else if self.at.to_bits() != horizon.to_bits() {
+            self.slots.fill([0.0; 3]);
+        }
+        self.at = horizon;
+    }
+
+    /// [`Factors::of`]`(rate, horizon)`, computed into `rate`'s slot
+    /// unless the slot holds `rate` already.
+    #[inline]
+    pub(super) fn get(&mut self, rate: f64) -> Factors {
+        let slot = &mut self.slots[Self::slot(rate)];
+        if slot[0].to_bits() != rate.to_bits() {
+            let Factors { em1, exp } = Factors::of(rate, self.at);
+            *slot = [rate, em1, exp];
+        }
+        let [_, em1, exp] = *slot;
+        Factors { em1, exp }
+    }
+
+    /// Fibonacci hashing: the top bits of the rate's bits times 2⁶⁴/φ.
+    #[inline]
+    pub(super) fn slot(rate: f64) -> usize {
+        (rate.to_bits().wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - Self::BITS)) as usize
+    }
+}
 
 /// Reusable workspace of the label-setting search — what
 /// [`bounded_shortest_paths`](super::bounded_shortest_paths), [`bounded_reach`](super::bounded_reach) and
@@ -18,8 +65,9 @@ use crate::ids::NodeId;
 /// bumping the epoch instead of clearing `O(N)` memory. The CDF
 /// accumulators are recycled the same way: the ones a search built go
 /// back on a free list when the next search starts and are refilled in
-/// place. Keep one scratch per thread and pass it to every call; once it
-/// is warm (heap, touched list, free list and — for [`bounded_reach`](super::bounded_reach) —
+/// place; each rate's exponentials stay cached until another horizon.
+/// Keep one scratch per thread and pass it to every call; once it is
+/// warm (heap, touched list, free list and — for [`bounded_reach`](super::bounded_reach) —
 /// the ball's queue and the pop order grown to the largest search it has
 /// served) a search costs `O(touched)` time and calls the allocator only
 /// for the table it returns — not at all when it refills a table sized
@@ -58,7 +106,8 @@ pub struct ReachScratch {
     /// `inner`, and the nodes of the current search in settle order.
     pub(super) queue: Vec<u32>,
     pub(super) pops: Vec<u32>,
-    pub(super) heap: BinaryHeap<Label>,
+    pub(super) heap: BinaryHeap<Key>,
+    pub(super) factors: FactorCache,
     /// Nodes the current search has settled, the source included.
     pub(super) settled_count: usize,
 }

@@ -1,38 +1,41 @@
 //! The one label-setting loop and the public searches that run it.
 
-use std::cmp::Ordering;
-
 use super::{LazyReach, PathTable, ReachScratch, SparseReach};
 use crate::graph::Topology;
 use crate::hypoexp;
 use crate::ids::NodeId;
 use crate::par;
 
-/// Heap entry: the tentative best weight of a node. Routes live in the
-/// predecessor arrays, so labels are two words and never allocate.
-#[derive(Debug)]
-pub(super) struct Label {
-    pub(super) weight: f64,
-    pub(super) node: NodeId,
-}
+/// Heap entry: the tentative best weight of a node and the node, packed
+/// into one integer, `weight.to_bits() << 32 | (u32::MAX − id)`. Routes
+/// live in the predecessor arrays, so keys never allocate.
+///
+/// For a finite, sign-positive weight — every weight a search can push:
+/// a candidate enters only if it beats the node's best so far, and
+/// [`hypoexp`] clamps to `[+0, 1]` — the bits order as the floats do, so
+/// the max-heap pops the heaviest label first and, among exact ties, the
+/// lowest id: `f64::total_cmp` then reversed id, in one integer compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) struct Key(u128);
 
-impl PartialEq for Label {
-    fn eq(&self, other: &Self) -> bool {
-        self.weight == other.weight && self.node == other.node
+impl Key {
+    #[inline]
+    pub(super) fn new(weight: f64, node: NodeId) -> Key {
+        debug_assert!(
+            weight.is_finite() && weight.is_sign_positive(),
+            "a search pushes only finite, sign-positive weights, got {weight}"
+        );
+        Key(u128::from(weight.to_bits()) << 32 | u128::from(u32::MAX - node.0))
     }
-}
-impl Eq for Label {}
-impl PartialOrd for Label {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    #[inline]
+    pub(super) fn weight(self) -> f64 {
+        f64::from_bits((self.0 >> 32) as u64)
     }
-}
-impl Ord for Label {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on weight; tie-break on node id for determinism.
-        self.weight
-            .total_cmp(&other.weight)
-            .then_with(|| other.node.cmp(&self.node))
+
+    #[inline]
+    pub(super) fn node(self) -> NodeId {
+        NodeId(u32::MAX - self.0 as u32)
     }
 }
 
@@ -41,11 +44,12 @@ impl Ord for Label {
 ///
 /// Runs a label-setting search in `O(E log E)` heap operations. Each
 /// relaxation evaluates the extended path's hypoexponential weight
-/// incrementally (`O(r)` multiply-adds plus one exponential,
-/// allocation-free) instead of rebuilding the coefficient set from
-/// scratch (`O(r²)` plus two clones per relaxation in the naive
-/// formulation, retained as [`shortest_paths_naive`](super::shortest_paths_naive)). Both evaluate the
-/// exact same arithmetic, so the computed weights are bit-identical.
+/// incrementally (`O(r)` multiply-adds, allocation-free, the new stage's
+/// exponentials read from the scratch's per-rate cache) instead of
+/// rebuilding the coefficient set from scratch (`O(r²)` plus two clones
+/// per relaxation in the naive formulation, retained as
+/// [`shortest_paths_naive`](super::shortest_paths_naive)). Both evaluate
+/// the exact same arithmetic, so the computed weights are bit-identical.
 ///
 /// # Panics
 ///
@@ -247,6 +251,7 @@ pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
     );
 
     scratch.prepare(n);
+    scratch.factors.prepare(horizon);
     // Targets still to settle; the search stops when the count hits zero.
     let mut outstanding = 0usize;
     for &t in targets {
@@ -262,16 +267,14 @@ pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
     }
     scratch.touch(source.index());
     scratch.best[source.index()] = 1.0;
-    scratch.heap.push(Label {
-        weight: 1.0,
-        node: source,
-    });
+    scratch.heap.push(Key::new(1.0, source));
 
     // The accumulators leave the scratch for the duration of the loop, so
     // a settled node's can be read while the per-node arrays are written.
     let mut accs = std::mem::take(&mut scratch.accs);
     let mut complete = true;
-    while let Some(Label { weight: w, node }) = scratch.heap.pop() {
+    while let Some(key) = scratch.heap.pop() {
+        let (w, node) = (key.weight(), key.node());
         let ni = node.index();
         if scratch.settled[ni] {
             continue;
@@ -314,7 +317,8 @@ pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
             free[0].reset(horizon);
         } else {
             let parent_acc = &mine[scratch.acc_slot[parent as usize] as usize];
-            free[0].assign_extended(parent_acc, scratch.rate_into[ni]);
+            let rate = scratch.rate_into[ni];
+            free[0].assign_extended(parent_acc, rate, scratch.factors.get(rate));
         }
         scratch.acc_slot[ni] = built as u32;
         scratch.accs_built += 1;
@@ -331,15 +335,12 @@ pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
             if scratch.settled[pi] {
                 continue;
             }
-            let cand = acc.extended_cdf(rate);
+            let cand = acc.extended_cdf(rate, scratch.factors.get(rate));
             if cand > scratch.best[pi] {
                 scratch.best[pi] = cand;
                 scratch.prev[pi] = ni as u32;
                 scratch.rate_into[pi] = rate;
-                scratch.heap.push(Label {
-                    weight: cand,
-                    node: peer,
-                });
+                scratch.heap.push(Key::new(cand, peer));
             }
         }
     }

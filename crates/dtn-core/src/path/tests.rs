@@ -1,4 +1,7 @@
-use super::search::search;
+use std::cmp::Ordering;
+
+use super::scratch::FactorCache;
+use super::search::{search, Key};
 use super::*;
 use crate::graph::ContactGraph;
 
@@ -496,8 +499,8 @@ fn warm_scratch_searches_without_allocating() {
     // Dense, early-exit, bounded and inner-only searches from every
     // source, twice over: the second pass finds every buffer the
     // first one grew and moves or regrows none of them — per-node
-    // arrays, heap, touched list, the ball's queue, the pop order,
-    // and each recycled accumulator's four vectors.
+    // arrays, the factor cache, heap, touched list, the ball's queue,
+    // the pop order, and each recycled accumulator's four vectors.
     let g = lcg_graph();
     let pass = |scratch: &mut ReachScratch| {
         for source in g.nodes() {
@@ -521,6 +524,7 @@ fn warm_scratch_searches_without_allocating() {
             s.best.as_ptr(),
             s.acc_slot.as_ptr(),
             s.inner.as_ptr(),
+            s.factors.slots.as_ptr(),
         );
         let lists = (s.touched.capacity(), s.queue.capacity(), s.pops.capacity());
         (accs, arrays, s.heap.capacity(), lists)
@@ -572,6 +576,88 @@ fn warm_scratch_searches_without_allocating() {
     }
 }
 
+/// Asserts that the table `scratch` gives for every source of `g` at
+/// `horizon` holds, per node, the route and the weight bits of the
+/// owned-path reference, which evaluates every path with no cache.
+fn assert_uncached_tables(g: &ContactGraph, horizon: f64, scratch: &mut ReachScratch) {
+    for source in g.nodes() {
+        let table = shortest_paths_until_in(g, source, horizon, &[], scratch);
+        let naive = shortest_paths_naive(g, source, horizon);
+        for dest in g.nodes() {
+            let want = naive[dest.index()].as_ref();
+            assert_eq!(
+                table.path_to(dest).map(|p| p.nodes().to_vec()),
+                want.map(|p| p.nodes().to_vec()),
+                "{source} to {dest} at {horizon}"
+            );
+            let want = want.map_or(0.0, |p| p.weight(horizon));
+            assert_eq!(table.weight_to(dest).to_bits(), want.to_bits());
+        }
+    }
+}
+
+#[test]
+fn colliding_rates_and_new_horizons_read_what_no_cache_reads() {
+    // Two rates a per cent apart (never clustered) that share a slot,
+    // on a ring with chords: a search that relaxes both evicts one for
+    // the other over and over.
+    let a = 2e-3;
+    let b = (1..)
+        .map(|k| a * (1.0 + 0.01 * f64::from(k)))
+        .find(|&r| FactorCache::slot(r) == FactorCache::slot(a))
+        .expect("some rate shares the slot");
+    let mut g = ContactGraph::new(12);
+    for i in 0..12u32 {
+        let (ring, chord) = if i % 2 == 0 { (a, b) } else { (b, a) };
+        g.set_rate(NodeId(i), NodeId((i + 1) % 12), ring);
+        g.set_rate(NodeId(i), NodeId((i + 5) % 12), chord);
+    }
+    // One scratch through three horizons, the first one again last, with
+    // the 40-node graph's palette of 90 rates: each horizon finds the
+    // cache full of the last one's factors.
+    let lcg = lcg_graph();
+    let mut scratch = ReachScratch::new();
+    for horizon in [1800.0, 700.0, 1800.0] {
+        assert_uncached_tables(&g, horizon, &mut scratch);
+        assert_uncached_tables(&lcg, horizon, &mut scratch);
+    }
+}
+
+#[test]
+fn a_warm_scratch_computes_no_factor_twice() {
+    // The 40-node graph with every rate that would share a slot replaced
+    // by the rate that holds it: its rates hold distinct slots.
+    let lcg = lcg_graph();
+    let mut held = std::collections::BTreeMap::new();
+    let mut g = ContactGraph::new(lcg.node_count());
+    for v in lcg.nodes() {
+        for &(peer, rate) in lcg.neighbors(v) {
+            g.set_rate(
+                v,
+                peer,
+                *held.entry(FactorCache::slot(rate)).or_insert(rate),
+            );
+        }
+    }
+    // Every search kind, twice through one scratch: each rate is
+    // computed once, by the first search that meets it, and never again.
+    // A search that bypassed the cache would compute one per relaxation.
+    let searches = |scratch: &mut ReachScratch| {
+        let fresh = || hypoexp::tests::FRESH.with(std::cell::Cell::get);
+        let before = fresh();
+        for source in g.nodes() {
+            search::<_, false>(&g, source, 1800.0, &[], usize::MAX, scratch);
+            search::<_, false>(&g, source, 1800.0, &[NodeId(7)], usize::MAX, scratch);
+            search::<_, false>(&g, source, 1800.0, &[], 2, scratch);
+            search::<_, true>(&g, source, 1800.0, &[], 3, scratch);
+        }
+        fresh() - before
+    };
+    let mut scratch = ReachScratch::new();
+    assert_eq!(searches(&mut scratch), held.len() as u64);
+    assert_eq!(searches(&mut scratch), 0);
+}
+
 #[test]
 #[should_panic(expected = "zero-hop")]
 fn bounded_rejects_zero_hops() {
@@ -597,6 +683,47 @@ fn rejects_bad_horizon() {
 mod properties {
     use super::*;
     use proptest::prelude::*;
+
+    /// The heap order before keys were packed: weight by `total_cmp`,
+    /// an exact tie to the lower id.
+    fn label_order(a: (f64, u32), b: (f64, u32)) -> Ordering {
+        a.0.total_cmp(&b.0).then_with(|| b.1.cmp(&a.1))
+    }
+
+    /// A weight a search can push: +0, 1, a subnormal, a few ulps
+    /// below 1, or anything between.
+    fn pushed_weight() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(1.0),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (1u64..1 << 12).prop_map(|ulps| f64::from_bits(1f64.to_bits() - ulps)),
+            0.0f64..1.0,
+        ]
+    }
+
+    fn id() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(0u32), Just(u32::MAX - 1), 0..u32::MAX]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// A packed key orders, and decodes, exactly as the two-word
+        /// label it replaced — exact weight ties across ids included.
+        #[test]
+        fn key_order_is_the_label_order(
+            a in pushed_weight(),
+            b in pushed_weight(),
+            tie in any::<bool>(),
+            ids in (id(), id()),
+        ) {
+            let b = if tie { a } else { b };
+            let (ka, kb) = (Key::new(a, NodeId(ids.0)), Key::new(b, NodeId(ids.1)));
+            prop_assert_eq!(ka.cmp(&kb), label_order((a, ids.0), (b, ids.1)));
+            prop_assert_eq!((ka.weight().to_bits(), ka.node()), (a.to_bits(), NodeId(ids.0)));
+        }
+    }
 
     proptest! {
         /// On random graphs the label-setting result must match brute

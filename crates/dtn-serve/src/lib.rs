@@ -33,8 +33,9 @@
 //! oracle's per-epoch column of weights to the centrals. On the
 //! `serve_churn` workload (200 nodes, 5 NCLs, a rebuild every 30
 //! simulated minutes) a cold `Place` runs 200 short searches once per
-//! epoch — 199 of them as one batch, ≈ 2.4 ms on two idle cores against
-//! ≈ 4.4 ms on one — and a warm one takes ≈ 5–8 µs. Each
+//! epoch — nearly all of them as one batch, a median ≈ 2.6–3.1 ms on
+//! two workers against ≈ 3.8 ms on one (a 2-vCPU host) — and a warm one
+//! takes ≈ 5 µs. Each
 //! [`Decision`] says what it paid ([`Decision::tables_recomputed`],
 //! [`Decision::snapshot_rebuilt`]); [`ServeStats::cold_decisions`]
 //! counts the ones that paid anything.
