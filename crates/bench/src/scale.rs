@@ -77,8 +77,6 @@ pub struct ScaleConfig {
     pub buffer_range: (u64, u64),
     /// Hop bound for NCL selection sweeps and the bounded-reach oracle.
     pub max_hops: usize,
-    /// Slots of the oracle's direct-mapped sparse-reach cache.
-    pub reach_cache_slots: usize,
     /// Seed for trace, buffers, workload, and protocol randomness.
     pub seed: u64,
     /// Run the full invariant audit after every contact (the audited
@@ -110,11 +108,6 @@ impl ScaleConfig {
             data_lifetime: Duration::hours(12),
             buffer_range: (8 << 20, 16 << 20),
             max_hops: 3,
-            // One slot per node: the direct-mapped cache (`source % slots`)
-            // becomes collision-free, so each source's bounded reach is
-            // computed once per snapshot epoch instead of once per
-            // forwarding decision. Memory stays O(active sources · reach).
-            reach_cache_slots: nodes,
             seed: 42,
             audit: false,
             // Silent below half a million contacts: smokes and tests
@@ -376,7 +369,7 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
         ncl_selection: SelectionStrategy::CommunityPathMetric {
             max_hops: Some(cfg.max_hops),
         },
-        bounded_reach: Some((cfg.max_hops, cfg.reach_cache_slots)),
+        bounded_reach: Some((cfg.max_hops, cfg.nodes)),
         ..IntentionalConfig::default()
     });
     let mut sim = Simulator::from_source(

@@ -91,9 +91,8 @@ mod state;
 pub use state::{IntentionalScheme, ReelectionStats};
 
 use std::cmp::Reverse;
-use std::mem;
 
-use dtn_core::graph::{ContactGraph, CsrGraph, Topology};
+use dtn_core::graph::CsrGraph;
 use dtn_core::ids::{IdMap, NodeId};
 use dtn_core::knapsack::KnapsackSolver;
 use dtn_core::ncl::{CentralityScore, SweepWork};
@@ -165,12 +164,13 @@ pub struct IntentionalConfig {
     /// Knapsack size quantum in bytes (see
     /// [`dtn_core::knapsack::KnapsackSolver`]).
     pub knapsack_quantum: u64,
-    /// Scale mode: `(max_hops, cache_slots)` switches the path oracle
-    /// into hop-bounded sparse searches with a direct-mapped reach cache
-    /// (see [`PathOracle::with_bounded_reach`]), and NCL selection runs
-    /// on CSR graph storage. `None` (the default) keeps the exact dense
-    /// oracle — required for bit-for-bit equivalence with the reference
-    /// scheme, so only city-scale harnesses set this.
+    /// Scale mode: `(max_hops, _)` switches the path oracle into
+    /// hop-bounded sparse searches, one reach per source per epoch (see
+    /// [`PathOracle::with_bounded_reach`]). The second value is ignored,
+    /// and kept only for the callers that still set it. `None` (the
+    /// default) keeps the exact dense oracle — required for bit-for-bit
+    /// equivalence with the reference scheme, so only city-scale
+    /// harnesses set this.
     pub bounded_reach: Option<(usize, usize)>,
 }
 
@@ -190,9 +190,9 @@ impl Default for IntentionalConfig {
 }
 
 /// The configured NCL selection over `graph`, with the work it took.
-fn select_ncls<G: Topology + Sync>(
+fn select_ncls(
     cfg: &IntentionalConfig,
-    graph: &G,
+    graph: &CsrGraph,
     horizon: f64,
 ) -> (Vec<CentralityScore>, SweepWork) {
     dtn_core::ncl::select_by_strategy_counted(graph, cfg.ncl_count, horizon, cfg.ncl_selection)
@@ -201,19 +201,8 @@ fn select_ncls<G: Topology + Sync>(
 impl Live {
     /// Elects the NCLs from the warm-up rates and builds empty caches.
     fn new(cfg: &IntentionalConfig, setup: &NetworkSetup<'_>) -> Live {
-        // Scale mode swaps the adjacency-list graph for CSR storage (one
-        // allocation, tighter cache lines); the selection arithmetic is
-        // identical either way.
-        let (rates, now) = (setup.rate_table, setup.now);
-        let (scores, ncl_work) = if cfg.bounded_reach.is_some() {
-            select_ncls(cfg, &CsrGraph::from_rate_table(rates, now), setup.horizon)
-        } else {
-            select_ncls(
-                cfg,
-                &ContactGraph::from_rate_table(rates, now),
-                setup.horizon,
-            )
-        };
+        let graph = CsrGraph::from_rate_table(setup.rate_table, setup.now);
+        let (scores, ncl_work) = select_ncls(cfg, &graph, setup.horizon);
         let centrals: Vec<NodeId> = scores.iter().map(|s| s.node).collect();
         let n = setup.capacities.len();
         let mut oracle =
@@ -221,8 +210,8 @@ impl Live {
         // Push, pull and cache exchange read weights *to the centrals*:
         // the oracle's searches stop once those have settled.
         oracle.set_targets(&centrals);
-        if let Some((hops, slots)) = cfg.bounded_reach {
-            oracle = oracle.with_bounded_reach(hops, slots);
+        if let Some((hops, _)) = cfg.bounded_reach {
+            oracle = oracle.with_bounded_reach(hops);
         }
         Live {
             cfg: cfg.clone(),
@@ -246,7 +235,6 @@ impl Live {
             ncl_query_load: vec![0; centrals.len()],
             last_oracle_epoch: 0,
             horizon: setup.horizon,
-            reelect_graph: ContactGraph::default(),
             reelection: ReelectionStats::default(),
             ncl_work,
             centrals,
@@ -272,11 +260,9 @@ impl Live {
     /// scheme's behaviour is untouched.
     fn reelect(&mut self, ctx: &mut SimCtx<'_>) {
         let now = ctx.now();
-        let mut graph = mem::take(&mut self.reelect_graph);
-        graph.refresh_from_current_rates(ctx.rate_table(), now);
+        let graph = CsrGraph::from_current_rates(ctx.rate_table(), now);
         let (scores, work) = select_ncls(&self.cfg, &graph, self.horizon);
         self.ncl_work += work;
-        self.reelect_graph = graph;
         let new_centrals = dtn_core::ncl::reassign_central_nodes(&self.centrals, &scores);
         self.reelection.elections += 1;
         let changed: Vec<(usize, NodeId, NodeId)> = self

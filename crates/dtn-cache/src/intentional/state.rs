@@ -6,7 +6,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use dtn_core::graph::ContactGraph;
 use dtn_core::ids::{DataId, IdMap, IdSet, NodeId, QueryId};
 use dtn_core::knapsack::{CacheItem, KnapsackSolver};
 use dtn_core::ncl::SweepWork;
@@ -139,8 +138,6 @@ pub(super) struct Live {
     /// Path horizon `T` of the initial selection; epoch re-elections
     /// score candidates with it too.
     pub(super) horizon: f64,
-    /// Scratch contact graph rebuilt in place on every re-election.
-    pub(super) reelect_graph: ContactGraph,
     /// Re-election counters (zero while epochs are off).
     pub(super) reelection: ReelectionStats,
     /// Work of every NCL selection since `configure`, its own included.

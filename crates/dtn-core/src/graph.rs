@@ -3,13 +3,15 @@
 //! Vertices are mobile nodes; an undirected edge `e_ij` with weight `λ_ij`
 //! models the Poisson contact process between nodes `i` and `j` (§III-B of
 //! the paper). The graph is the input to opportunistic-path search
-//! ([`crate::path`]) and NCL selection ([`crate::ncl`]).
+//! ([`crate::path`]) and NCL selection ([`crate::ncl`]); re-derived from
+//! the rates at every refresh, never edited, it is built as a [`CsrGraph`].
 
 use crate::ids::NodeId;
 use crate::rate::RateTable;
 use crate::time::Time;
 
-/// Undirected contact graph with exponential contact rates as edge weights.
+/// Undirected contact graph with exponential contact rates as edge
+/// weights, edited one pair at a time.
 ///
 /// # Example
 ///
@@ -59,29 +61,6 @@ impl ContactGraph {
             g.set_rate(a, b, rate);
         }
         g
-    }
-
-    /// Rebuilds this graph in place from a [`RateTable`], reusing the
-    /// per-node adjacency allocations — allocation-free once the graph
-    /// has reached its steady-state size. Edges are weighted by each
-    /// pair's regime-tracking rate `1 / max(ewma_gap, now − last_contact)`
-    /// instead of the cumulative time average. Pairs that have gone
-    /// silent see their rates decay, so the graph reflects the *current*
-    /// contact regime — the view online NCL re-election needs to demote
-    /// hubs that stopped meeting anyone.
-    pub fn refresh_from_current_rates(&mut self, table: &RateTable, now: Time) {
-        self.reset_for(table.node_count());
-        for (a, b, rate) in table.iter_current_rates(now) {
-            self.set_rate(a, b, rate);
-        }
-    }
-
-    /// Clears all edges and resizes to `nodes`, keeping allocations.
-    fn reset_for(&mut self, nodes: usize) {
-        self.adjacency.resize(nodes, Vec::new());
-        for list in &mut self.adjacency {
-            list.clear();
-        }
     }
 
     /// Number of nodes (including isolated ones).
@@ -154,9 +133,10 @@ impl ContactGraph {
 /// Read-only view of a contact graph, abstracting over its storage.
 ///
 /// Path search ([`crate::path`]) and NCL selection ([`crate::ncl`]) are
-/// generic over this trait, so they run unchanged on the pointer-rich
-/// [`ContactGraph`] (small networks, incremental edits) and on the
-/// compact [`CsrGraph`] (city-scale networks, build-once sweeps).
+/// generic over this trait. The product runs them on [`CsrGraph`]s only;
+/// tests, examples and the reference scheme run them on the
+/// [`ContactGraph`]s they write, which makes every differential against
+/// the reference a storage differential as well.
 pub trait Topology {
     /// Number of nodes (including isolated ones).
     fn node_count(&self) -> usize;
@@ -188,7 +168,7 @@ impl Topology for ContactGraph {
     }
 }
 
-/// Compressed-sparse-row contact graph for city-scale networks.
+/// Compressed-sparse-row contact graph: the one layout the product builds.
 ///
 /// Stores the same undirected weighted graph as [`ContactGraph`] in two
 /// flat arrays: `offsets[i]..offsets[i + 1]` indexes the entry slice of
@@ -196,8 +176,8 @@ impl Topology for ContactGraph {
 /// one `(NodeId, f64)` entry. Neighbors are sorted by ascending id,
 /// which [`CsrGraph::rate`] exploits with a binary search.
 ///
-/// The graph is build-once: there is no `set_rate`. Rebuild from edges
-/// (or a [`RateTable`]) when rates change.
+/// The graph is build-once: there is no `set_rate`. Rebuild from a
+/// [`RateTable`] (or edges) when rates change.
 ///
 /// # Example
 ///
@@ -234,7 +214,7 @@ impl CsrGraph {
         nodes: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId, f64)>,
     ) -> Self {
-        let mut directed: Vec<(NodeId, NodeId, f64)> = Vec::new();
+        let mut pairs: Vec<(NodeId, NodeId, f64)> = Vec::new();
         for (a, b, rate) in edges {
             assert_ne!(a, b, "a node does not contact itself");
             assert!(
@@ -245,40 +225,74 @@ impl CsrGraph {
                 a.index() < nodes && b.index() < nodes,
                 "node out of range for graph of {nodes} nodes"
             );
-            directed.push((a, b, rate));
-            directed.push((b, a, rate));
+            pairs.push((a.min(b), a.max(b), rate));
         }
-        // Stable by (source, neighbor): later duplicates stay adjacent
-        // and later-given rates win below.
-        directed.sort_by_key(|&(src, dst, _)| (src, dst));
-        let mut offsets = vec![0u32; nodes + 1];
-        let mut entries: Vec<(NodeId, f64)> = Vec::with_capacity(directed.len());
-        for &(src, dst, rate) in &directed {
-            if let Some(&mut (last, ref mut r)) = entries.last_mut() {
-                // `offsets[i + 1]` is node i's entry count during this
-                // pass, so a non-zero count means the trailing entry is
-                // `src`'s and a matching neighbor is a duplicate pair.
-                if offsets[src.index() + 1] > 0 && last == dst {
-                    *r = rate; // duplicate pair: replace, don't append
-                    continue;
-                }
+        // Stable, so of a pair given twice the later rate is the later
+        // entry, and it overwrites the one kept.
+        pairs.sort_by_key(|&(lo, hi, _)| (lo, hi));
+        pairs.dedup_by(|later, kept| {
+            let same = (later.0, later.1) == (kept.0, kept.1);
+            if same {
+                kept.2 = later.2;
             }
-            entries.push((dst, rate));
-            offsets[src.index() + 1] += 1;
+            same
+        });
+        CsrGraph::from_pairs(nodes, || pairs.iter().copied())
+    }
+
+    /// Builds the graph from every pair in a [`RateTable`] that has met
+    /// at least once, using the rates estimated at time `now`. Same rows,
+    /// entry for entry, as [`ContactGraph::from_rate_table`].
+    pub fn from_rate_table(table: &RateTable, now: Time) -> Self {
+        CsrGraph::from_pairs(table.node_count(), || table.iter_rates(now))
+    }
+
+    /// [`CsrGraph::from_rate_table`] with each pair weighted by its
+    /// regime-tracking rate `1 / max(ewma_gap, now − last_contact)`
+    /// instead of the cumulative time average. Pairs that have gone
+    /// silent see their rates decay, so the graph reflects the *current*
+    /// contact regime — the view online NCL re-election needs to demote
+    /// hubs that stopped meeting anyone.
+    pub fn from_current_rates(table: &RateTable, now: Time) -> Self {
+        CsrGraph::from_pairs(table.node_count(), || table.iter_current_rates(now))
+    }
+
+    /// The counting build. `pairs` yields every edge once, as
+    /// `(lo, hi, rate)` in ascending `(lo, hi)` order, and is walked
+    /// twice: once to count each node's half-edges, once to place them.
+    /// Every row comes out in ascending id without a sort, because the
+    /// pairs that end at `i` are walked before the pairs that start there.
+    fn from_pairs<I>(nodes: usize, pairs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (NodeId, NodeId, f64)>,
+    {
+        let mut offsets = vec![0u32; nodes + 1];
+        for (lo, hi, _) in pairs() {
+            offsets[lo.index() + 1] += 1;
+            offsets[hi.index() + 1] += 1;
         }
         for i in 0..nodes {
             offsets[i + 1] += offsets[i];
         }
+        let mut entries = vec![(NodeId(0), 0.0); offsets[nodes] as usize];
+        // `offsets[i]` is the next free entry of row `i` during this pass.
+        for (lo, hi, rate) in pairs() {
+            for (from, to) in [(lo, hi), (hi, lo)] {
+                entries[offsets[from.index()] as usize] = (to, rate);
+                offsets[from.index()] += 1;
+            }
+        }
+        // Each row's start has moved on to the next row's: shift back.
+        offsets.copy_within(0..nodes, 1);
+        offsets[0] = 0;
         CsrGraph { offsets, entries }
     }
 
-    /// Builds the graph from every pair in a [`RateTable`] that has met
-    /// at least once, using the rates estimated at time `now`. The CSR
-    /// counterpart of [`ContactGraph::from_rate_table`]; same edge set,
-    /// but neighbors come out sorted by id rather than in insertion
-    /// order.
-    pub fn from_rate_table(table: &RateTable, now: Time) -> Self {
-        CsrGraph::from_edges(table.node_count(), table.iter_rates(now))
+    /// A graph from its two arrays as given: NCL selection's induced
+    /// communities, whose rows keep the parent's (ascending) order.
+    pub(crate) fn from_rows(offsets: Vec<u32>, entries: Vec<(NodeId, f64)>) -> Self {
+        debug_assert_eq!(offsets.last().map(|&e| e as usize), Some(entries.len()));
+        CsrGraph { offsets, entries }
     }
 
     /// The contact rate of the pair, or `None` if they never meet.
@@ -349,24 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_matches_the_rate_table_and_drops_stale_edges() {
-        let mut t = RateTable::new(4, Time::ZERO);
-        t.record(NodeId(0), NodeId(1), Time(10));
-        let mut g = ContactGraph::new(2);
-        // A stale edge from a previous refresh must disappear.
-        g.set_rate(NodeId(0), NodeId(1), 0.9);
-        g.refresh_from_current_rates(&t, Time(100));
-        let fresh: Vec<_> = t.iter_current_rates(Time(100)).collect();
-        assert_eq!(g.node_count(), 4);
-        assert_eq!(edge_count(&g), fresh.len());
-        for (a, b, rate) in fresh {
-            assert_eq!(g.rate(a, b), Some(rate));
-        }
-        g.refresh_from_current_rates(&RateTable::new(4, Time::ZERO), Time(100));
-        assert_eq!(edge_count(&g), 0);
-    }
-
-    #[test]
     fn from_rate_table_carries_rates() {
         let mut t = RateTable::new(3, Time::ZERO);
         t.record(NodeId(0), NodeId(2), Time(10));
@@ -383,24 +379,67 @@ mod tests {
         assert_eq!(ids, vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
+    /// Every row of `g`: neighbour ids and rate bits, in order.
+    fn rows<G: Topology>(g: &G) -> Vec<Vec<(NodeId, u64)>> {
+        let row = |i| {
+            g.neighbors(NodeId(i))
+                .iter()
+                .map(|&(p, r)| (p, r.to_bits()))
+        };
+        (0..g.node_count() as u32)
+            .map(|i| row(i).collect())
+            .collect()
+    }
+
+    /// The premise of building every graph as CSR in one counting pass:
+    /// on seeded tables of 2–300 nodes — pairs that met once, pairs that
+    /// met often, pairs silent for a while — the counting builds list
+    /// every row exactly as the sorting build and the adjacency lists do,
+    /// for the cumulative and the current rates alike.
     #[test]
     fn csr_matches_contact_graph_from_rate_table() {
-        let mut t = RateTable::new(5, Time::ZERO);
-        t.record(NodeId(0), NodeId(1), Time(10));
-        t.record(NodeId(0), NodeId(1), Time(30));
-        t.record(NodeId(3), NodeId(1), Time(40));
-        t.record(NodeId(2), NodeId(4), Time(50));
-        let dense = ContactGraph::from_rate_table(&t, Time(100));
-        let csr = CsrGraph::from_rate_table(&t, Time(100));
-        assert_eq!(Topology::node_count(&csr), dense.node_count());
-        assert_eq!(edge_count(&csr), edge_count(&dense));
-        for a in dense.nodes() {
-            assert_eq!(Topology::degree(&csr, a), dense.degree(a));
-            for b in dense.nodes() {
-                if a != b {
-                    assert_eq!(csr.rate(a, b), dense.rate(a, b), "pair {a:?}-{b:?}");
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: u64| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 33) % bound
+        };
+        for n in [2u64, 3, 7, 40, 300] {
+            let mut t = RateTable::new(n as usize, Time::ZERO);
+            for at in 1..=3 * n {
+                let (a, b) = (NodeId(draw(n) as u32), NodeId(draw(n) as u32));
+                // A third of the pairs drawn meet again, a few times.
+                for again in 0..1 + draw(3) * draw(4) {
+                    if a != b {
+                        t.record(a, b, Time(10 * at + 7 * again));
+                    }
                 }
             }
+            let now = Time(40 * n);
+            let builds: [(CsrGraph, Vec<_>); 2] = [
+                (
+                    CsrGraph::from_rate_table(&t, now),
+                    t.iter_rates(now).collect(),
+                ),
+                (
+                    CsrGraph::from_current_rates(&t, now),
+                    t.iter_current_rates(now).collect(),
+                ),
+            ];
+            for (counted, pairs) in builds {
+                let mut lists = ContactGraph::new(n as usize);
+                for &(a, b, rate) in &pairs {
+                    lists.set_rate(a, b, rate);
+                }
+                let sorted = CsrGraph::from_edges(n as usize, pairs.iter().copied());
+                assert_eq!(rows(&counted), rows(&lists), "{n} nodes");
+                assert_eq!(rows(&counted), rows(&sorted), "{n} nodes");
+                assert_eq!(edge_count(&counted), pairs.len());
+                for (a, b, rate) in pairs {
+                    assert_eq!(counted.rate(b, a), Some(rate));
+                }
+            }
+            let adjacency = ContactGraph::from_rate_table(&t, now);
+            assert_eq!(rows(&CsrGraph::from_rate_table(&t, now)), rows(&adjacency));
         }
     }
 
@@ -443,6 +482,8 @@ mod tests {
         assert_eq!(Topology::degree(&g, NodeId(2)), 0);
         let empty = CsrGraph::default();
         assert_eq!(Topology::node_count(&empty), 0);
+        let unmet = CsrGraph::from_rate_table(&RateTable::new(4, Time::ZERO), Time(100));
+        assert_eq!((Topology::node_count(&unmet), edge_count(&unmet)), (4, 0));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! bit.
 
 use super::{top_k, CentralityScore, CommunityPartition};
-use crate::graph::Topology;
+use crate::graph::{CsrGraph, Topology};
 use crate::hypoexp::weight_cap;
 use crate::ids::NodeId;
 use crate::par;
@@ -45,36 +45,15 @@ impl std::ops::AddAssign for SweepWork {
     }
 }
 
-/// One community's induced subgraph in a flat, search-ready layout.
-///
-/// Local ids are positions in the ascending member list, and each local
-/// adjacency list preserves the *original* neighbor order of the parent
-/// graph (merely dropping non-members). With a single community this
-/// makes the induced graph structurally identical to the parent — same
-/// ids, same iteration order, same tie-breaks — which is what lets
-/// [`all_metrics`](super::all_metrics) be this sweep over one community
-/// and still sum Eq. 3 in the order its definition reads.
-struct InducedCommunity {
-    /// CSR offsets into `entries`, one more than there are members.
-    offsets: Vec<u32>,
-    /// `(local neighbor id, rate)` in the parent graph's neighbor order.
-    entries: Vec<(NodeId, f64)>,
-}
-
-impl Topology for InducedCommunity {
-    fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn neighbors(&self, node: NodeId) -> &[(NodeId, f64)] {
-        let lo = self.offsets[node.index()] as usize;
-        let hi = self.offsets[node.index() + 1] as usize;
-        &self.entries[lo..hi]
-    }
-}
-
 /// The graph as the sweep sees it: members bucketed by community, and
 /// the induced subgraph of every community a node has been evaluated in.
+///
+/// An induced subgraph is a [`CsrGraph`] whose local ids are positions in
+/// the ascending member list, each row the parent's row with non-members
+/// dropped, in the parent's order. With a single community it is the
+/// parent itself — same ids, same rows — which is what lets
+/// [`all_metrics`](super::all_metrics) be this sweep over one community
+/// and still sum Eq. 3 in the order its definition reads.
 struct Sweep<'a, G> {
     graph: &'a G,
     partition: &'a CommunityPartition,
@@ -89,7 +68,7 @@ struct Sweep<'a, G> {
     /// A node's position among its community's members: its local id.
     local_of: Vec<u32>,
     /// Per community, built when the first of its nodes is evaluated.
-    induced: Vec<Option<InducedCommunity>>,
+    induced: Vec<Option<CsrGraph>>,
 }
 
 impl<'a, G: Topology + Sync> Sweep<'a, G> {
@@ -170,12 +149,12 @@ impl<'a, G: Topology + Sync> Sweep<'a, G> {
             }
             offsets.push(entries.len() as u32);
         }
-        self.induced[c] = Some(InducedCommunity { offsets, entries });
+        self.induced[c] = Some(CsrGraph::from_rows(offsets, entries));
     }
 
     /// The induced subgraph of `node`'s community; `None` when the
     /// community is `node` alone.
-    fn induced_of(&self, node: NodeId) -> Option<&InducedCommunity> {
+    fn induced_of(&self, node: NodeId) -> Option<&CsrGraph> {
         (self.community_size(node) >= 2).then(|| {
             self.induced[self.partition.community_of(node) as usize]
                 .as_ref()

@@ -55,7 +55,7 @@ pub(super) const NOT_RIM: u32 = u32::MAX;
 /// node's weight directly and replays a leaf's label from the rim on
 /// demand. In a sparse city most of what an `h`-hop search settles are
 /// such leaves, and most of them are never read.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LazyReach {
     pub(super) horizon: f64,
     /// Stages of every rim node's path: `max_hops − 1`.

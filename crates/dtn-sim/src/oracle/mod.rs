@@ -28,11 +28,11 @@
 //!   the sources it cannot answer are searched as one
 //!   [`shortest_paths_batch`] over the machine's workers, each refilling
 //!   its source's table in place.
-//! - **One shared snapshot per epoch.** The [`ContactGraph`] is built
-//!   from the rate table once per refresh epoch and shared by the path
-//!   searches of *all* sources, instead of being rebuilt per source per
-//!   refresh (an `O(N²)` scan each time). Per-source tables are
-//!   recomputed lazily against the current snapshot.
+//! - **One shared snapshot per epoch.** The [`CsrGraph`] is built from
+//!   the rate table once per refresh epoch, in one counting pass, and
+//!   shared by the path searches of *all* sources, instead of being
+//!   rebuilt per source per refresh. Per-source tables are recomputed
+//!   lazily against the current snapshot.
 //! - **Generation-versioned invalidation.** A snapshot goes stale either
 //!   when the wall-clock refresh interval elapses *or* when the rate
 //!   table's [`RateTable::generation`] counter has grown past a
@@ -45,10 +45,10 @@
 //!   `O(log contacts)` so per-contact `record` calls never cause
 //!   per-contact rebuilds.
 //!
-//! In scale mode ([`PathOracle::with_bounded_reach`]) the per-source
-//! cache holds hop-bounded [`LazyReach`]es instead of dense tables, and
-//! the first property takes another form: **a bounded search weighs a
-//! leaf of its bound only when a read asks for that leaf.** A relay
+//! In scale mode ([`PathOracle::with_bounded_reach`]) a source's cached
+//! entry is a hop-bounded [`LazyReach`], tagged with its epoch like a
+//! dense table, and the first property takes another form: **a bounded
+//! search weighs a leaf of its bound only when a read asks for it.** A relay
 //! decision compares weights to the K centrals and, for a response, to
 //! one requester, while an `h`-hop search in a sparse city settles
 //! mostly nodes exactly `h` hops out — leaves that relax nothing and so
@@ -60,7 +60,7 @@
 //! eager [`bounded_shortest_paths`](dtn_core::path::bounded_shortest_paths)
 //! answer to the bit (`tests/path_equivalence.rs`).
 
-use dtn_core::graph::{ContactGraph, CsrGraph};
+use dtn_core::graph::CsrGraph;
 use dtn_core::ids::NodeId;
 use dtn_core::path::{bounded_reach, shortest_paths_batch, LazyReach, PathTable, ReachScratch};
 use dtn_core::rate::RateTable;
@@ -77,20 +77,12 @@ const UNKNOWN: f64 = f64::NAN;
 /// the running [`PathOracle::weights_to`] batch; no weight is `−∞`.
 const QUEUED: f64 = f64::NEG_INFINITY;
 
-/// The shared per-epoch graph: adjacency lists by default, CSR storage
-/// in scale mode (tighter memory, no per-node allocations).
-#[derive(Debug)]
-enum SnapshotGraph {
-    Adjacency(ContactGraph),
-    Csr(CsrGraph),
-}
-
 /// The contact-graph snapshot shared by all sources within one epoch.
 #[derive(Debug)]
 struct Snapshot {
     built_at: Time,
     generation: u64,
-    graph: SnapshotGraph,
+    graph: CsrGraph,
 }
 
 /// Cumulative oracle work counters, for probes and diagnostics.
@@ -180,10 +172,9 @@ pub struct PathOracle {
     /// for [`PathOracle::weight`] searches. `None` (the default) keeps
     /// the exact dense path.
     max_hops: Option<usize>,
-    /// Scale mode: direct-mapped cache of bounded reaches, indexed by
-    /// `source % len` — bounded memory no matter how many distinct
-    /// sources query within an epoch.
-    sparse: Vec<Option<(NodeId, u64, LazyReach)>>,
+    /// Scale mode, per source: the epoch its bounded reach was searched
+    /// in, and the reach. Empty in dense mode.
+    reaches: Vec<(u64, LazyReach)>,
     /// One search workspace per worker of a batch; the first is the
     /// calling thread's and the only one a serial or bounded search uses.
     scratches: Vec<ReachScratch>,
@@ -215,7 +206,7 @@ impl PathOracle {
             targets: Vec::new(),
             column: Vec::new(),
             max_hops: None,
-            sparse: Vec::new(),
+            reaches: Vec::new(),
             scratches: Vec::new(),
             relay: (Vec::new(), Vec::new()),
             stats: OracleStats::default(),
@@ -224,10 +215,9 @@ impl PathOracle {
 
     /// Switches the oracle into scale mode: [`PathOracle::weight`] runs
     /// hop-bounded searches (`max_hops` relaxation levels) over the ball
-    /// of radius `max_hops − 1` around the source, whose results live in
-    /// a direct-mapped cache of `cache_slots` entries, and the shared
-    /// snapshot is stored as CSR. Memory per epoch is
-    /// `O(edges + cache_slots · reach)` instead of
+    /// of radius `max_hops − 1` around the source, and keeps one reach
+    /// per source for the epoch it was searched in. Memory per epoch is
+    /// `O(edges + sources read · reach)` instead of
     /// `O(edges + sources · nodes)` — the difference between a 100k-node
     /// population fitting in RAM or not — where a cached reach costs
     /// 20 B per inner node plus `24 · (max_hops − 1) + 5` B per rim node
@@ -243,14 +233,11 @@ impl PathOracle {
     ///
     /// # Panics
     ///
-    /// Panics if `max_hops` or `cache_slots` is zero.
-    pub fn with_bounded_reach(mut self, max_hops: usize, cache_slots: usize) -> Self {
+    /// Panics if `max_hops` is zero.
+    pub fn with_bounded_reach(mut self, max_hops: usize) -> Self {
         assert!(max_hops > 0, "a zero-hop search reaches nothing");
-        assert!(cache_slots > 0, "the sparse cache needs at least one slot");
         self.max_hops = Some(max_hops);
-        self.sparse = (0..cache_slots.min(self.tables.len()))
-            .map(|_| None)
-            .collect();
+        self.reaches = vec![(0, LazyReach::default()); self.tables.len()];
         self.column = Vec::new();
         self
     }
@@ -310,15 +297,10 @@ impl PathOracle {
             }
         };
         if stale {
-            let graph = if self.max_hops.is_some() {
-                SnapshotGraph::Csr(CsrGraph::from_rate_table(rates, now))
-            } else {
-                SnapshotGraph::Adjacency(ContactGraph::from_rate_table(rates, now))
-            };
             self.snapshot = Some(Snapshot {
                 built_at: now,
                 generation: rates.generation(),
-                graph,
+                graph: CsrGraph::from_rate_table(rates, now),
             });
             self.epoch += 1;
             self.stats.rebuilds += 1;
@@ -365,15 +347,8 @@ impl PathOracle {
     /// its target weights into the column and counts the work.
     fn search(&mut self, jobs: &mut [(NodeId, bool, PathTable)]) {
         let snapshot = self.snapshot.as_ref().expect("searched after a refresh");
-        let (horizon, targets) = (self.horizon, self.targets.as_slice());
-        let built = match &snapshot.graph {
-            SnapshotGraph::Adjacency(g) => {
-                shortest_paths_batch(g, horizon, targets, jobs, &mut self.scratches)
-            }
-            SnapshotGraph::Csr(g) => {
-                shortest_paths_batch(g, horizon, targets, jobs, &mut self.scratches)
-            }
-        };
+        let (graph, horizon, targets) = (&snapshot.graph, self.horizon, &self.targets);
+        let built = shortest_paths_batch(graph, horizon, targets, jobs, &mut self.scratches);
         self.stats.accumulators_built += built as u64;
         for (source, _, table) in jobs {
             self.stats.table_recomputes += 1;
@@ -415,36 +390,25 @@ impl PathOracle {
         };
         self.refresh_snapshot(rates, now);
         let snapshot = self.snapshot.as_ref().expect("snapshot just refreshed");
+        let graph = &snapshot.graph;
         if self.scratches.is_empty() {
             // Bounded reads search one source at a time.
             self.scratches.push(ReachScratch::new());
         }
-        let scratch = &mut self.scratches[0];
-        let slot_index = source.index() % self.sparse.len();
-        let slot = &mut self.sparse[slot_index];
-        let valid = matches!(slot, Some((s, epoch, _)) if *s == source && *epoch == self.epoch);
-        if valid {
+        let (epoch, reach) = &mut self.reaches[source.index()];
+        if *epoch == self.epoch {
             self.stats.table_hits += 1;
         } else {
-            // A collision evicts the previous tenant (direct-mapped).
             self.stats.table_recomputes += 1;
-            let reach = match &snapshot.graph {
-                SnapshotGraph::Adjacency(g) => {
-                    bounded_reach(g, source, self.horizon, hops, scratch)
-                }
-                SnapshotGraph::Csr(g) => bounded_reach(g, source, self.horizon, hops, scratch),
-            };
+            let scratch = &mut self.scratches[0];
+            *reach = bounded_reach(graph, source, self.horizon, hops, scratch);
+            *epoch = self.epoch;
             self.stats.nodes_settled += reach.settled_count() as u64;
             self.stats.accumulators_built += scratch.accumulators_built() as u64;
-            *slot = Some((source, self.epoch, reach));
         }
         // The reach belongs to this epoch, so the snapshot is the graph
         // it was searched on: a leaf's label is replayed over it.
-        let reach = &slot.as_ref().expect("just computed").2;
-        let (weight, evaluations) = match &snapshot.graph {
-            SnapshotGraph::Adjacency(g) => reach.weight_to(g, dest),
-            SnapshotGraph::Csr(g) => reach.weight_to(g, dest),
-        };
+        let (weight, evaluations) = reach.weight_to(graph, dest);
         self.stats.leaf_evaluations += u64::from(evaluations);
         weight
     }
@@ -598,12 +562,9 @@ impl PathOracle {
 
     /// Drops the snapshot and every cached table (e.g. after a
     /// configuration change). The next query starts a new epoch, which
-    /// no table belongs to; their arrays stay, to be refilled.
+    /// no table or reach belongs to; their arrays stay, to be refilled.
     pub fn invalidate(&mut self) {
         self.snapshot = None;
-        for slot in &mut self.sparse {
-            *slot = None;
-        }
         self.stats.invalidations += 1;
     }
 }

@@ -506,7 +506,7 @@ fn bounded_reach_matches_exact_weights_within_the_bound() {
     // the dense oracle's weights bit for bit.
     let rates = rates_line();
     let mut exact = PathOracle::new(4, 3600.0, Duration::hours(1));
-    let mut scaled = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4, 4);
+    let mut scaled = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4);
     let now = Time(1000);
     for s in 0..4u32 {
         for d in 0..4u32 {
@@ -522,7 +522,7 @@ fn bounded_reach_matches_exact_weights_within_the_bound() {
 #[test]
 fn hop_bound_truncates_distant_weights_to_zero() {
     let rates = rates_line();
-    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(1, 4);
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(1);
     let now = Time(1000);
     // One hop: direct neighbor reachable, two hops away is not.
     assert!(o.weight(&rates, now, NodeId(0), NodeId(1)) > 0.0);
@@ -539,26 +539,10 @@ fn hop_bound_truncates_distant_weights_to_zero() {
 }
 
 #[test]
-fn direct_mapped_cache_hits_and_collides_as_sized() {
-    let rates = rates_line();
-    // One slot: alternating sources evict each other every call.
-    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4, 1);
-    let now = Time(1000);
-    let _ = o.weight(&rates, now, NodeId(0), NodeId(3));
-    let _ = o.weight(&rates, now, NodeId(0), NodeId(2)); // hit
-    let _ = o.weight(&rates, now, NodeId(1), NodeId(3)); // evicts 0
-    let _ = o.weight(&rates, now, NodeId(0), NodeId(1)); // evicts 1
-    let s = o.stats();
-    assert_eq!(s.table_recomputes, 3);
-    assert_eq!(s.table_hits, 1);
-    assert_eq!(s.rebuilds, 1, "collisions must not rebuild the snapshot");
-}
-
-#[test]
 fn scale_mode_still_serves_exact_dense_tables() {
     let rates = rates_line();
     let mut exact = PathOracle::new(4, 3600.0, Duration::hours(1));
-    let mut scaled = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(2, 2);
+    let mut scaled = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(2);
     let now = Time(1000);
     let te = exact.table(&rates, now, NodeId(0));
     let ts = scaled.table(&rates, now, NodeId(0));
@@ -568,14 +552,23 @@ fn scale_mode_still_serves_exact_dense_tables() {
 }
 
 #[test]
-fn invalidate_clears_the_sparse_cache() {
+fn invalidate_forces_a_bounded_recompute() {
     let mut rates = rates_line();
-    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4, 4);
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4);
     let w0 = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
+    // Each source keeps its reach for the epoch: one search per source
+    // read, and every later read from it a hit.
+    let _ = o.weight(&rates, Time(1000), NodeId(0), NodeId(3));
+    let _ = o.weight(&rates, Time(1000), NodeId(3), NodeId(0));
+    let _ = o.weight(&rates, Time(1000), NodeId(0), NodeId(2));
+    let s = o.stats();
+    assert_eq!((s.table_recomputes, s.table_hits, s.rebuilds), (2, 2, 1));
     for t in 6..=50u64 {
         rates.record(NodeId(0), NodeId(1), Time(t * 10));
     }
     o.invalidate();
     let w1 = o.weight(&rates, Time(1000), NodeId(0), NodeId(1));
-    assert!(w1 > w0, "stale sparse reach served after invalidate");
+    assert!(w1 > w0, "stale reach served after invalidate");
+    let s = o.stats();
+    assert_eq!((s.table_recomputes, s.table_hits, s.rebuilds), (3, 2, 2));
 }

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use dtn_core::graph::ContactGraph;
+use dtn_core::graph::CsrGraph;
 use dtn_core::ncl::{all_metrics, CentralityScore};
 use dtn_core::time::{Duration, Time};
 
@@ -97,7 +97,7 @@ impl fmt::Display for TraceStats {
 pub fn metric_distribution(trace: &ContactTrace, horizon: f64) -> Vec<CentralityScore> {
     let end = Time(trace.duration().as_secs());
     let table = trace.rate_table(end);
-    let graph = ContactGraph::from_rate_table(&table, end);
+    let graph = CsrGraph::from_rate_table(&table, end);
     let mut scores = all_metrics(&graph, horizon);
     scores.sort_by(|a, b| {
         b.metric

@@ -35,8 +35,10 @@
 //! a four-value palette (exact ties, decided by the id tie-break), from
 //! a band with λT ≫ 40 (weights that round to 1, where the pop order is
 //! not monotone at the ulp level) and from the continuous range. The
-//! bounded `PathOracle::weight` is held against the same reference
-//! across every way its cache turns over.
+//! oracle, which searches the CSR snapshot the product builds, is held
+//! against searches over adjacency lists of the same rates across every
+//! way its cache turns over: bounded `PathOracle::weight` against the
+//! eager reach, unbounded `weight` and `table` against `shortest_paths`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -583,93 +585,132 @@ fn lazy_reach_survives_a_non_monotone_pop_order() {
     assert!(reads.evaluations > reads.replayed, "{reads:?}");
 }
 
-/// The bounded `PathOracle::weight` equals the eager reach over the
-/// same rates, for all pairs, across everything that turns its cache
-/// over: a wall-clock refresh, a generation rebuild, `invalidate()`, and
-/// a one-slot cache where every change of source is a collision.
-#[test]
-fn bounded_oracle_reads_equal_the_eager_reach() {
-    const N: u32 = 60;
-    let horizon = 3600.0;
-    let mut rates = RateTable::new(N as usize, Time::ZERO);
+/// Seeded contacts on a ring with a few long chords, so that three hops
+/// do not span it; `meet` records `contacts` more from time `at` on.
+fn ring_meetings(nodes: u32) -> impl FnMut(&mut RateTable, usize, u64) {
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mut meet = |rates: &mut RateTable, contacts: usize, at: u64| {
+    move |rates: &mut RateTable, contacts: usize, at: u64| {
         for i in 0..contacts {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            // A ring plus a few long chords: three hops do not span it.
-            let a = (x >> 33) as u32 % N;
+            let a = (x >> 33) as u32 % nodes;
             let b = if (x >> 20).is_multiple_of(12) {
-                (x >> 8) as u32 % N
+                (x >> 8) as u32 % nodes
             } else {
-                (a + 1) % N
+                (a + 1) % nodes
             };
             if a != b {
                 rates.record(NodeId(a), NodeId(b), Time(at + i as u64));
             }
         }
-    };
-    meet(&mut rates, 160, 10);
-    for slots in [1, 7, N as usize] {
-        let mut rates = rates.clone();
-        let mut oracle =
-            PathOracle::new(N as usize, horizon, Duration::hours(1)).with_bounded_reach(3, slots);
-        let mut scratch = ReachScratch::new();
-        let mut sweep = |oracle: &mut PathOracle, rates: &RateTable, now: Time| {
-            let snapshot = CsrGraph::from_rate_table(rates, now);
-            let (mut zero, mut leaf) = (0, oracle.stats().leaf_evaluations);
-            // Destination-major, so that with few slots consecutive
-            // reads collide; source-major again for the hits.
-            for (s, d) in (0..N * N)
-                .map(|i| (i % N, i / N))
-                .chain((0..N * N).map(|i| (i / N, i % N)))
-            {
-                let want = match s == d {
-                    true => 1.0,
-                    false => bounded_shortest_paths(&snapshot, NodeId(s), horizon, 3, &mut scratch)
-                        .weight_to(NodeId(d)),
-                };
-                let got = oracle.weight(rates, now, NodeId(s), NodeId(d));
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{slots} slots, n{s} to n{d} at {now:?}"
-                );
-                zero += usize::from(want == 0.0);
-            }
-            leaf = oracle.stats().leaf_evaluations - leaf;
-            assert!(
-                zero > 0 && leaf > 0,
-                "bound never bit ({zero}) or no leaf was read ({leaf})"
-            );
-        };
-        sweep(&mut oracle, &rates, Time(1_000));
-        assert_eq!(oracle.snapshot_epoch(), 1);
-        // Wall-clock refresh, same rates read later.
-        sweep(&mut oracle, &rates, Time(1_000 + 3_600));
-        assert_eq!(oracle.snapshot_epoch(), 2);
-        // Generation rebuild inside the refresh window.
-        meet(&mut rates, 400, 4_700);
-        sweep(&mut oracle, &rates, Time(5_200));
-        assert_eq!(oracle.snapshot_epoch(), 3);
-        oracle.invalidate();
-        sweep(&mut oracle, &rates, Time(5_300));
-        assert_eq!(oracle.snapshot_epoch(), 4);
-        let stats = oracle.stats();
-        assert_eq!(
-            stats.table_hits + stats.table_recomputes,
-            4 * 2 * u64::from(N * (N - 1)),
-            "every read that is not a self-read is a hit or a recompute"
-        );
-        if slots == 1 {
-            // Destination-major reads change source every time.
-            assert!(
-                stats.table_recomputes >= 4 * u64::from(N * (N - 1)),
-                "{stats:?}"
-            );
-        }
     }
+}
+
+/// Runs `sweep` at the four points where an oracle's cache turns over —
+/// its first epoch, a wall-clock refresh, a generation rebuild inside the
+/// refresh window, and `invalidate()` — and checks the epoch count after
+/// each. The rates come from [`ring_meetings`] over `nodes` nodes.
+fn across_every_turnover(
+    oracle: &mut PathOracle,
+    nodes: u32,
+    mut sweep: impl FnMut(&mut PathOracle, &RateTable, Time),
+) {
+    let mut meet = ring_meetings(nodes);
+    let mut rates = RateTable::new(nodes as usize, Time::ZERO);
+    meet(&mut rates, 160, 10);
+    sweep(oracle, &rates, Time(1_000));
+    assert_eq!(oracle.snapshot_epoch(), 1);
+    sweep(oracle, &rates, Time(1_000 + 3_600));
+    assert_eq!(oracle.snapshot_epoch(), 2);
+    meet(&mut rates, 400, 4_700);
+    sweep(oracle, &rates, Time(5_200));
+    assert_eq!(oracle.snapshot_epoch(), 3);
+    oracle.invalidate();
+    sweep(oracle, &rates, Time(5_300));
+    assert_eq!(oracle.snapshot_epoch(), 4);
+}
+
+/// The bounded `PathOracle::weight`, which searches the product's CSR
+/// snapshot, equals the eager reach over the adjacency lists of the same
+/// rates, for all pairs, across everything that turns its per-source
+/// cache over.
+#[test]
+fn bounded_oracle_reads_equal_the_eager_reach() {
+    const N: u32 = 60;
+    let horizon = 3600.0;
+    let mut oracle = PathOracle::new(N as usize, horizon, Duration::hours(1)).with_bounded_reach(3);
+    let mut scratch = ReachScratch::new();
+    across_every_turnover(&mut oracle, N, |oracle, rates, now| {
+        let lists = ContactGraph::from_rate_table(rates, now);
+        let (mut zero, mut leaf) = (0, oracle.stats().leaf_evaluations);
+        // Destination-major, so that consecutive reads change source;
+        // source-major again for the hits.
+        for (s, d) in (0..N * N)
+            .map(|i| (i % N, i / N))
+            .chain((0..N * N).map(|i| (i / N, i % N)))
+        {
+            let want = match s == d {
+                true => 1.0,
+                false => bounded_shortest_paths(&lists, NodeId(s), horizon, 3, &mut scratch)
+                    .weight_to(NodeId(d)),
+            };
+            let got = oracle.weight(rates, now, NodeId(s), NodeId(d));
+            assert_eq!(got.to_bits(), want.to_bits(), "n{s} to n{d} at {now:?}");
+            zero += usize::from(want == 0.0);
+        }
+        leaf = oracle.stats().leaf_evaluations - leaf;
+        assert!(
+            zero > 0 && leaf > 0,
+            "bound never bit ({zero}) or no leaf was read ({leaf})"
+        );
+    });
+    let stats = oracle.stats();
+    assert_eq!(
+        stats.table_hits + stats.table_recomputes,
+        4 * 2 * u64::from(N * (N - 1)),
+        "every read that is not a self-read is a hit or a recompute"
+    );
+    assert_eq!(
+        stats.table_recomputes,
+        4 * u64::from(N),
+        "one reach per source per epoch"
+    );
+}
+
+/// The dense twin: unbounded `PathOracle::weight` and `table` over the CSR
+/// snapshot equal `shortest_paths` over the adjacency lists of the same
+/// rates, to the bit, across the same turnovers — with the centrals'
+/// early exit in play for the reads to a target.
+#[test]
+fn dense_oracle_reads_equal_the_exhaustive_search() {
+    const N: u32 = 60;
+    let horizon = 3600.0;
+    let mut oracle = PathOracle::new(N as usize, horizon, Duration::hours(1));
+    oracle.set_targets(&[NodeId(0), NodeId(31)]);
+    across_every_turnover(&mut oracle, N, |oracle, rates, now| {
+        let lists = ContactGraph::from_rate_table(rates, now);
+        for s in (0..N).map(NodeId) {
+            let want = shortest_paths(&lists, s, horizon);
+            // Target reads first (a partial table), then every node.
+            for d in [0, 31].into_iter().chain(0..N).map(NodeId) {
+                let got = oracle.weight(rates, now, s, d);
+                assert_eq!(got.to_bits(), want.weight_to(d).to_bits(), "{s} to {d}");
+            }
+            let table = oracle.table(rates, now, s);
+            for d in (0..N).map(NodeId) {
+                assert_eq!(
+                    table.weight_to(d).to_bits(),
+                    want.weight_to(d).to_bits(),
+                    "table of {s} at {d}"
+                );
+                assert_eq!(
+                    table.path_to(d).map(|p| p.nodes().to_vec()),
+                    want.path_to(d).map(|p| p.nodes().to_vec())
+                );
+            }
+        }
+    });
 }
 
 proptest! {
