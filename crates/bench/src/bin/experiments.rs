@@ -627,11 +627,12 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     });
     let (sweeps, violations) = audited.audit.expect("audit was enabled");
     eprintln!(
-        "[scale] audit: {sweeps} sweeps, {violations} violations; {} path searches settled {} nodes and built {} accumulators, {} leaf evaluations",
+        "[scale] audit: {sweeps} sweeps, {violations} violations; {} path searches settled {} nodes and built {} accumulators, {} leaf evaluations, reaches of {} B",
         audited.oracle.table_recomputes,
         audited.oracle.nodes_settled,
         audited.oracle.accumulators_built,
         audited.oracle.leaf_evaluations,
+        audited.oracle.reach_bytes,
     );
     let mut runs = Vec::new();
     for &nodes in &sizes {
@@ -647,10 +648,11 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
         );
         let report = run_scale(&cfg);
         eprintln!(
-            "[scale] {nodes}: {} contacts, {:.0} contacts/s, peak RSS {:.1} MiB",
+            "[scale] {nodes}: {} contacts, {:.0} contacts/s, peak RSS {:.1} MiB, reaches {:.1} MiB",
             report.contacts,
             report.contacts_per_sec,
             mib(report.peak_rss_bytes),
+            mib(report.oracle.reach_bytes),
         );
         runs.push((smoke, report));
     }
@@ -672,6 +674,7 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
         "Metrics keeps the exact delay sum and count only (O(1) in delivered queries); the delay distribution is RecordingProbe::delay_hist, present when a probe is installed.",
         "audited_case.ncl_*_exact are the work of the NCL selection inside configure, counted and gated the same way: searches_run nodes had their Eq. 3 metric computed by a path search, candidates_pruned nodes were never evaluated because an upper bound on their metric (nodes within the hop bound x weight of the fastest contact) was below the K-th best exact metric. A bound that stops pruning fails the gate on any machine: without the ball count the audited case reads 406 searches for 349, with the contact weight replaced by 1 it reads 627.",
         "RateTable holds an estimator (56 B) only for a pair that has met, at every population: O(N + pairs met), never O(N^2).",
+        "oracle_reach_bytes is the heap the bounded oracle's reaches held, summed over every reach built (each source's reach of an epoch replaces its last, so a sum over epochs bounds what is live at once). A reach keeps its inner ball, 24 B per node (id, weight, predecessor, pop position, pop order), and nothing per rim node: a leaf read rebuilds each rim path it tries from the predecessor chain. The audited case's reaches hold 6514128 B, gated as oracle_reach_bytes_exact; the layout that also copied each rim path (20 B per inner node, then 24 B per stage plus 5 B per rim node) held 11033296 B.",
     ];
     let doc = JsonValue::object()
         .with("benchmark", "crates/bench/src/scale.rs")

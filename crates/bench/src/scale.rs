@@ -17,7 +17,8 @@
 //!   `Workload::generate`'s per-epoch × per-node Bernoulli sweep is
 //!   `O(epochs · N)` and would dominate a 100k-node run.
 //!
-//! Reported numbers (contacts/sec, peak RSS) feed `BENCH_scale.json`;
+//! Reported numbers (contacts/sec, peak RSS and the bytes of it the
+//! oracle's cached reaches hold) feed `BENCH_scale.json`;
 //! the `experiments scale` subcommand drives it from the command line.
 
 use std::cell::Cell;
@@ -173,8 +174,9 @@ pub struct ScaleReport {
 
 impl ScaleReport {
     /// The report as one JSON object — a `report` member of
-    /// `BENCH_scale.json`. Wall-clock and memory numbers only: nothing
-    /// here is gated.
+    /// `BENCH_scale.json`. Wall-clock and memory numbers only, the heap
+    /// bytes of the oracle's reaches beside peak RSS: nothing here is
+    /// gated.
     pub fn to_json(&self) -> JsonValue {
         let audit = self.audit.map(|(sweeps, violations)| {
             JsonValue::object()
@@ -192,6 +194,7 @@ impl ScaleReport {
                 JsonValue::fixed(self.contacts_per_sec, 0),
             )
             .with("peak_rss_bytes", self.peak_rss_bytes)
+            .with("oracle_reach_bytes", self.oracle.reach_bytes)
             .with("queries_issued", self.queries_issued)
             .with("success_ratio", JsonValue::fixed(self.success_ratio, 4))
             .with("central_nodes", self.central_nodes)
@@ -217,6 +220,7 @@ impl ScaleReport {
                 "oracle_leaf_evaluations_exact",
                 self.oracle.leaf_evaluations,
             )
+            .with("oracle_reach_bytes_exact", self.oracle.reach_bytes)
             .with("ncl_searches_run_exact", self.ncl.searches_run)
             .with("ncl_candidates_pruned_exact", self.ncl.candidates_pruned)
             .with("ncl_communities_exact", self.ncl.communities)
@@ -517,6 +521,11 @@ mod tests {
             0 < oracle.leaf_evaluations && oracle.leaf_evaluations < oracle.nodes_settled,
             "{oracle:?}"
         );
+        // A reach holds its ball and nothing per rim node or leaf.
+        assert!(
+            0 < oracle.reach_bytes && oracle.reach_bytes <= 24 * oracle.nodes_settled,
+            "{oracle:?}"
+        );
         assert_eq!(run_scale(&tiny()).oracle, oracle, "counted, not timed");
         let json = report.to_json_exact();
         for (key, value) in [
@@ -524,11 +533,20 @@ mod tests {
             ("oracle_nodes_settled_exact", oracle.nodes_settled),
             ("oracle_accumulators_built_exact", oracle.accumulators_built),
             ("oracle_leaf_evaluations_exact", oracle.leaf_evaluations),
+            ("oracle_reach_bytes_exact", oracle.reach_bytes),
         ] {
             assert_eq!(json.get(key).and_then(JsonValue::as_u64), Some(value));
         }
-        // The sized runs of the document carry nothing that is gated.
+        // The sized runs of the document carry nothing that is gated,
+        // and their reach bytes ungated beside peak RSS.
         assert!(report.to_json().get("oracle_nodes_settled_exact").is_none());
+        assert_eq!(
+            report
+                .to_json()
+                .get("oracle_reach_bytes")
+                .and_then(JsonValue::as_u64),
+            Some(oracle.reach_bytes)
+        );
     }
 
     #[test]

@@ -366,77 +366,9 @@ impl HorizonAccumulator {
         });
     }
 
-    /// The accumulated stages as a borrowed view — what
-    /// [`extended_cdf`](Self::extended_cdf) evaluates, and what a caller
-    /// copies out to evaluate an extension after this accumulator has
-    /// been recycled.
-    #[inline]
-    pub(crate) fn stages(&self) -> Stages<'_> {
-        Stages {
-            spread: &self.acc.spread,
-            coeffs: &self.acc.coeffs,
-            em1: &self.em1,
-            all_equal: self.acc.all_equal,
-            t: self.t,
-        }
-    }
-
     /// CDF at the fixed time of the accumulated sequence extended by one
-    /// stage of `rate` — [`Stages::extended_cdf`] over
-    /// [`stages`](Self::stages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is non-positive or non-finite.
-    #[inline]
-    pub(crate) fn extended_cdf(&self, rate: f64, new: Factors) -> f64 {
-        self.stages().extended_cdf(rate, new)
-    }
-
-    /// Address and capacity of each of the four buffers — what a test
-    /// compares to show that a refill reallocated nothing.
-    #[cfg(test)]
-    pub(crate) fn buffers(&self) -> [(*const f64, usize); 4] {
-        [
-            &self.acc.rates,
-            &self.acc.spread,
-            &self.acc.coeffs,
-            &self.em1,
-        ]
-        .map(|v| (v.as_ptr(), v.capacity()))
-    }
-}
-
-/// Everything a [`HorizonAccumulator`] reads to evaluate a one-stage
-/// extension, borrowed: per stage the effective rate, the closed-form
-/// coefficient and the cached `1 − e^{−λ_k t}`, plus the Erlang flag and
-/// the evaluation time. The raw rates are not among them — the first
-/// stage is never perturbed (`spread[0]` *is* the first raw rate) and
-/// `all_equal` says whether the others equal it, which is all the Erlang
-/// branch asks.
-///
-/// The view exists so that the stages can live somewhere other than an
-/// accumulator's four vectors (the path search keeps the rim of a
-/// bounded search flat, [`crate::path::LazyReach`]) and still be
-/// evaluated by the one implementation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Stages<'a> {
-    /// Effective (possibly perturbed) rate per stage.
-    pub(crate) spread: &'a [f64],
-    /// Closed-form coefficient `C_k` per stage.
-    pub(crate) coeffs: &'a [f64],
-    /// `-(-spread[k] * t).exp_m1()` per stage.
-    pub(crate) em1: &'a [f64],
-    /// All raw rates are bitwise equal (Erlang fast path).
-    pub(crate) all_equal: bool,
-    /// The evaluation time.
-    pub(crate) t: f64,
-}
-
-impl Stages<'_> {
-    /// CDF at `t` of the stages extended by one stage of `rate` —
-    /// bit-identical to [`Accumulator::extended_cdf`] with the same
-    /// arguments, in `O(r)` multiply-adds. `new` is
+    /// stage of `rate` — bit-identical to [`Accumulator::extended_cdf`]
+    /// with the same arguments, in `O(r)` multiply-adds. `new` is
     /// [`Factors::of`]`(rate, t)`, which the Erlang branch and a
     /// separated stage read in place of an exponential; a clustered stage
     /// is perturbed and takes one fresh `exp_m1` of its effective rate.
@@ -450,14 +382,22 @@ impl Stages<'_> {
         if self.t <= 0.0 {
             return 0.0;
         }
-        if self.all_equal && (self.spread.is_empty() || rate == self.spread[0]) {
-            return erlang_tail(rate * self.t, self.spread.len() as u32 + 1, new.exp);
+        let Accumulator {
+            spread,
+            coeffs,
+            all_equal,
+            ..
+        } = &self.acc;
+        // The first stage is never perturbed, so `spread[0]` is the first
+        // raw rate: the Erlang test reads no buffer the loop does not.
+        if *all_equal && (spread.is_empty() || rate == spread[0]) {
+            return erlang_tail(rate * self.t, spread.len() as u32 + 1, new.exp);
         }
         // Separation scan first, as its own branchless max/compare
         // reduction: fused into the evaluation loop it forces an early
         // exit per iteration and defeats autovectorization.
         let mut clustered = false;
-        for &lk in self.spread {
+        for &lk in spread {
             clustered |= (rate - lk).abs() <= REL_SEPARATION * rate.max(lk);
         }
         // A clustered candidate (rare) is perturbed exactly as
@@ -465,7 +405,7 @@ impl Stages<'_> {
         // effective rate: the scan is `effective_rate`'s first pass,
         // which returns `rate` untouched when nothing trips it.
         let (eff, em1) = if clustered {
-            let eff = effective_rate(self.spread, rate);
+            let eff = effective_rate(spread, rate);
             (eff, -(-eff * self.t).exp_m1())
         } else {
             (rate, new.em1)
@@ -475,14 +415,27 @@ impl Stages<'_> {
         // f64 accumulation is never reassociated.
         let mut c_new = 1.0;
         let mut sum = 0.0;
-        for k in 0..self.spread.len() {
-            let lk = self.spread[k];
+        for k in 0..spread.len() {
+            let lk = spread[k];
             let inv = 1.0 / (lk - eff);
-            sum += (self.coeffs[k] * (-eff * inv)) * self.em1[k];
+            sum += (coeffs[k] * (-eff * inv)) * self.em1[k];
             c_new *= lk * inv;
         }
         sum += c_new * em1;
         clamp01(sum)
+    }
+
+    /// Address and capacity of each of the four buffers — what a test
+    /// compares to show that a refill reallocated nothing.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(*const f64, usize); 4] {
+        [
+            &self.acc.rates,
+            &self.acc.spread,
+            &self.acc.coeffs,
+            &self.em1,
+        ]
+        .map(|v| (v.as_ptr(), v.capacity()))
     }
 }
 

@@ -224,8 +224,7 @@ fn horizon_accumulator_matches_extended_cdf_bitwise() {
                 fresh_push(&mut hacc, r);
             }
             for &ext in &extensions {
-                let stages = hacc.stages();
-                let new = if stages.all_equal && prefix.first().is_none_or(|&r| r == ext) {
+                let new = if hacc.acc.all_equal && prefix.first().is_none_or(|&r| r == ext) {
                     erlang += 1;
                     Factors::of(ext, t)
                 } else if effective_rate(&acc.spread, ext) == ext {
@@ -235,7 +234,7 @@ fn horizon_accumulator_matches_extended_cdf_bitwise() {
                     clustered += 1;
                     unused
                 };
-                let hoisted = stages.extended_cdf(ext, new);
+                let hoisted = hacc.extended_cdf(ext, new);
                 let inline = acc.extended_cdf(ext, t);
                 assert!(
                     hoisted.to_bits() == inline.to_bits(),

@@ -1,8 +1,10 @@
 //! [`SparseReach`] and [`LazyReach`]: what a hop-bounded search returns.
 
+use super::scratch::FactorCache;
 use super::search::Key;
+use super::ReachScratch;
 use crate::graph::Topology;
-use crate::hypoexp;
+use crate::hypoexp::HorizonAccumulator;
 use crate::ids::NodeId;
 
 /// Best-path weights from one source, stored sparsely — only the nodes
@@ -35,8 +37,8 @@ impl SparseReach {
     }
 }
 
-/// `rim_of` entry of an inner node that is not a rim node.
-pub(super) const NOT_RIM: u32 = u32::MAX;
+/// `parents` entry of the source, which has no predecessor.
+pub(super) const NO_PARENT: u32 = u32::MAX;
 
 /// Best-path weights from one source under a hop bound, with the leaves
 /// of the bound weighed when a read asks for one, not when the search
@@ -49,33 +51,29 @@ pub(super) const NOT_RIM: u32 = u32::MAX;
 /// edges, so only inner nodes shape the search; every other node the
 /// eager search settles is a leaf whose label is the best one-hop
 /// extension of a *rim* node (an inner node settled with exactly `h − 1`
-/// hops) and influences no other label. The reach therefore holds the
-/// settled inner nodes, the order they popped in, and the CDF stages of
-/// each rim node's path; [`weight_to`](Self::weight_to) reads an inner
-/// node's weight directly and replays a leaf's label from the rim on
-/// demand. In a sparse city most of what an `h`-hop search settles are
-/// such leaves, and most of them are never read.
+/// hops) and influences no other label. In a sparse city most of what an
+/// `h`-hop search settles are such leaves, and most of them are never
+/// read.
+///
+/// The reach keeps the ball alone: per settled node its id, weight,
+/// predecessor, pop position and place in the pop order, 24 B. A rim
+/// node's path is a function of its predecessor chain and the graph, so
+/// [`weight_to`](Self::weight_to) rebuilds it when a leaf read needs it.
 #[derive(Debug, Clone, Default)]
 pub struct LazyReach {
     pub(super) horizon: f64,
-    /// Stages of every rim node's path: `max_hops − 1`.
-    pub(super) stages: usize,
-    /// The settled inner nodes in ascending id order (the source among
-    /// them) and, in parallel, their settled weights.
+    /// Hops of a rim node's path: `max_hops − 1`.
+    pub(super) rim_hops: usize,
+    /// The settled nodes in ascending id order (the source among them)
+    /// and, in parallel, their settled weights, the index of their
+    /// predecessor ([`NO_PARENT`] for the source) and where in `pops`
+    /// they popped.
     pub(super) ids: Vec<NodeId>,
     pub(super) weights: Vec<f64>,
-    /// The order the inner nodes popped in, as indexes into `ids`.
+    pub(super) parents: Vec<u32>,
+    pub(super) ranks: Vec<u32>,
+    /// The order the nodes popped in, as indexes into `ids`.
     pub(super) pops: Vec<u32>,
-    /// Per inner node, its rim slot — the index of its entries in the
-    /// three `rim_*` arrays — or [`NOT_RIM`].
-    pub(super) rim_of: Vec<u32>,
-    /// Per rim node, in pop order: where in `pops` it popped.
-    pub(super) rim_pops: Vec<u32>,
-    /// Per rim node: the `spread`, `coeffs` and `em1` of its path's
-    /// accumulator, `stages` values each, back to back.
-    pub(super) rim_stages: Vec<f64>,
-    /// Per rim node: the accumulator's Erlang flag.
-    pub(super) rim_all_equal: Vec<bool>,
 }
 
 impl LazyReach {
@@ -101,7 +99,22 @@ impl LazyReach {
     /// not just against that neighbour: settled weights are
     /// non-increasing in exact arithmetic only, and a one-ulp inversion
     /// between the two is enough to end the replay one candidate late.
-    pub fn weight_to<G: Topology>(&self, graph: &G, dest: NodeId) -> (f64, u32) {
+    ///
+    /// Each candidate's rim path is rebuilt in `scratch`, one push per hop
+    /// of its predecessor chain at the rate the predecessor's row of
+    /// `graph` lists: the search's own pushes, so the search's bits. A
+    /// warm scratch allocates nothing for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a leaf read finds an edge of a settled path missing from
+    /// `graph`: it is not the graph the reach was searched on.
+    pub fn weight_to<G: Topology>(
+        &self,
+        graph: &G,
+        dest: NodeId,
+        scratch: &mut ReachScratch,
+    ) -> (f64, u32) {
         if let Ok(i) = self.ids.binary_search(&dest) {
             return (self.weights[i], 0);
         }
@@ -114,6 +127,7 @@ impl LazyReach {
         let mut evaluations = 0;
         // `pops[..from]` were held against the label already.
         let mut from = 0;
+        let (path, factors) = scratch.replay_workspace(self.horizon);
         loop {
             // The rim neighbour of `dest` that pops next. A leaf has a
             // handful of neighbours and fewer on the rim, so selecting
@@ -122,13 +136,12 @@ impl LazyReach {
                 .neighbors(dest)
                 .iter()
                 .filter_map(|&(peer, rate)| {
-                    let slot = self.rim_of[self.ids.binary_search(&peer).ok()?];
-                    // `NOT_RIM` indexes past the end of any rim.
-                    let pos = *self.rim_pops.get(slot as usize)? as usize;
-                    (pos >= from).then_some((pos, slot as usize, rate))
+                    let i = self.ids.binary_search(&peer).ok()?;
+                    let pos = self.ranks[i] as usize;
+                    (pos >= from && self.hops(i) == self.rim_hops).then_some((pos, i, rate))
                 })
                 .min_by_key(|&(pos, ..)| pos);
-            let Some((pos, slot, rate)) = next else {
+            let Some((pos, rim, rate)) = next else {
                 break;
             };
             // The heap's own order; a label of −∞ is not in the heap yet.
@@ -140,8 +153,8 @@ impl LazyReach {
                     break;
                 }
             }
-            let new = hypoexp::Factors::of(rate, self.horizon);
-            let candidate = self.rim(slot).extended_cdf(rate, new);
+            self.rebuild(graph, rim, path, factors);
+            let candidate = path.extended_cdf(rate, factors.get(rate));
             if candidate > label {
                 label = candidate;
             }
@@ -151,29 +164,50 @@ impl LazyReach {
         (if evaluations == 0 { 0.0 } else { label }, evaluations)
     }
 
-    /// The path stages of the rim node in `slot`.
-    fn rim(&self, slot: usize) -> hypoexp::Stages<'_> {
-        let flat = &self.rim_stages[slot * 3 * self.stages..][..3 * self.stages];
-        let (spread, rest) = flat.split_at(self.stages);
-        let (coeffs, em1) = rest.split_at(self.stages);
-        hypoexp::Stages {
-            spread,
-            coeffs,
-            em1,
-            all_equal: self.rim_all_equal[slot],
-            t: self.horizon,
+    /// Hops of the path the node at index `i` settled with: the length
+    /// of its predecessor chain.
+    pub(super) fn hops(&self, mut i: usize) -> usize {
+        let mut hops = 0;
+        while self.parents[i] != NO_PARENT {
+            i = self.parents[i] as usize;
+            hops += 1;
         }
+        hops
+    }
+
+    /// Refills `path` with the accumulator the search built for the node
+    /// at index `i`: empty at the source, then one stage per hop of the
+    /// predecessor chain, source first, each of the rate the
+    /// predecessor's row of `graph` lists for its successor.
+    fn rebuild<G: Topology>(
+        &self,
+        graph: &G,
+        i: usize,
+        path: &mut HorizonAccumulator,
+        factors: &mut FactorCache,
+    ) {
+        let parent = self.parents[i];
+        if parent == NO_PARENT {
+            path.reset(self.horizon);
+            return;
+        }
+        let parent = parent as usize;
+        self.rebuild(graph, parent, path, factors);
+        let node = self.ids[i];
+        let &(_, rate) = graph
+            .neighbors(self.ids[parent])
+            .iter()
+            .find(|&&(peer, _)| peer == node)
+            .expect("a route runs along edges of the graph it was searched on");
+        path.push(rate, factors.get(rate));
     }
 
     /// Bytes of heap the reach owns.
-    #[cfg(test)]
-    pub(super) fn heap_bytes(&self) -> usize {
+    pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ids.capacity() * size_of::<NodeId>()
             + self.weights.capacity() * size_of::<f64>()
-            + (self.pops.capacity() + self.rim_of.capacity() + self.rim_pops.capacity())
+            + (self.parents.capacity() + self.ranks.capacity() + self.pops.capacity())
                 * size_of::<u32>()
-            + self.rim_stages.capacity() * size_of::<f64>()
-            + self.rim_all_equal.capacity()
     }
 }

@@ -2,11 +2,11 @@
 
 use std::collections::BinaryHeap;
 
-use super::reach::NOT_RIM;
+use super::reach::NO_PARENT;
 use super::search::Key;
 use super::{LazyReach, PathTable, SparseReach};
 use crate::graph::Topology;
-use crate::hypoexp::{self, Factors};
+use crate::hypoexp::{Factors, HorizonAccumulator};
 use crate::ids::NodeId;
 
 /// The [`Factors`] of the rates a search has met, at its horizon, in a
@@ -66,7 +66,8 @@ impl FactorCache {
 /// accumulators are recycled the same way: the ones a search built go
 /// back on a free list when the next search starts and are refilled in
 /// place; each rate's exponentials stay cached until another horizon.
-/// Keep one scratch per thread and pass it to every call; once it is
+/// Keep one scratch per thread and pass it to every call, a
+/// [`LazyReach`] read included; once it is
 /// warm (heap, touched list, free list and — for [`bounded_reach`](super::bounded_reach) —
 /// the ball's queue and the pop order grown to the largest search it has
 /// served) a search costs `O(touched)` time and calls the allocator only
@@ -98,8 +99,9 @@ pub struct ReachScratch {
     /// current search, the rest is the free list — buffers of earlier
     /// searches waiting to be refilled. Only a node that relaxes its
     /// edges gets one; it never shrinks, so its length is the most
-    /// accumulators any one search through this scratch has built.
-    pub(super) accs: Vec<hypoexp::HorizonAccumulator>,
+    /// accumulators any one search through this scratch has built. A
+    /// [`LazyReach`] read rebuilds its rim paths in the first.
+    pub(super) accs: Vec<HorizonAccumulator>,
     pub(super) accs_built: usize,
     pub(super) touched: Vec<u32>,
     /// [`bounded_reach`](super::bounded_reach) only: the breadth-first queue that marked
@@ -247,45 +249,52 @@ impl ReachScratch {
         SparseReach { entries }
     }
 
-    /// The last [`bounded_reach`](super::bounded_reach) search as a [`LazyReach`]: the settled
-    /// (inner) nodes by id, their pop order, and a flat copy of the CDF
-    /// stages of every node that settled with `max_hops − 1` hops — the
-    /// accumulators themselves return to the free list with the next
-    /// search. Every vector is allocated at its final size.
+    /// The last [`bounded_reach`](super::bounded_reach) search as a [`LazyReach`], each vector
+    /// allocated at its final size; the accumulators stay behind for the
+    /// next search to refill.
     pub(super) fn lazy_reach(&self, horizon: f64, max_hops: usize) -> LazyReach {
-        let is_rim = |node: u32| self.hops[node as usize] as usize + 1 == max_hops;
-        let rims = self.pops.iter().filter(|&&node| is_rim(node)).count();
-        // Only read where a rim node exists, whose path has this many hops.
-        let stages = max_hops - 1;
-        let mut ids: Vec<NodeId> = self.pops.iter().map(|&node| NodeId(node)).collect();
-        ids.sort_unstable();
-        let mut reach = LazyReach {
-            horizon,
-            stages,
-            weights: ids.iter().map(|v| self.weight[v.index()]).collect(),
-            pops: Vec::with_capacity(ids.len()),
-            rim_of: vec![NOT_RIM; ids.len()],
-            rim_pops: Vec::with_capacity(rims),
-            rim_stages: Vec::with_capacity(rims * 3 * stages),
-            rim_all_equal: Vec::with_capacity(rims),
-            ids,
+        let mut ranks: Vec<u32> = (0..self.pops.len() as u32).collect();
+        ranks.sort_unstable_by_key(|&pos| self.pops[pos as usize]);
+        let ids: Vec<NodeId> = ranks
+            .iter()
+            .map(|&pos| NodeId(self.pops[pos as usize]))
+            .collect();
+        let index = |node: u32| {
+            ids.binary_search(&NodeId(node))
+                .expect("every popped node is listed") as u32
         };
-        for (pos, &node) in self.pops.iter().enumerate() {
-            let i = reach
-                .ids
-                .binary_search(&NodeId(node))
-                .expect("every popped node is listed");
-            reach.pops.push(i as u32);
-            if is_rim(node) {
-                let path = self.accs[self.acc_slot[node as usize] as usize].stages();
-                reach.rim_of[i] = reach.rim_pops.len() as u32;
-                reach.rim_pops.push(pos as u32);
-                reach.rim_stages.extend_from_slice(path.spread);
-                reach.rim_stages.extend_from_slice(path.coeffs);
-                reach.rim_stages.extend_from_slice(path.em1);
-                reach.rim_all_equal.push(path.all_equal);
-            }
+        let mut pops = vec![0; ids.len()];
+        for (i, &pos) in ranks.iter().enumerate() {
+            pops[pos as usize] = i as u32;
         }
-        reach
+        LazyReach {
+            horizon,
+            rim_hops: max_hops - 1,
+            weights: ids.iter().map(|v| self.weight[v.index()]).collect(),
+            parents: ids
+                .iter()
+                .map(|v| match self.prev[v.index()] {
+                    u32::MAX => NO_PARENT,
+                    parent => index(parent),
+                })
+                .collect(),
+            ranks,
+            pops,
+            ids,
+        }
+    }
+
+    /// The free list's first accumulator and the factor cache at `horizon`,
+    /// where a [`LazyReach`] read rebuilds a rim path: no search reads that
+    /// accumulator between the one that built the reach and the next.
+    pub(super) fn replay_workspace(
+        &mut self,
+        horizon: f64,
+    ) -> (&mut HorizonAccumulator, &mut FactorCache) {
+        if self.accs.is_empty() {
+            self.accs.push(HorizonAccumulator::new(horizon));
+        }
+        self.factors.prepare(horizon);
+        (&mut self.accs[0], &mut self.factors)
     }
 }

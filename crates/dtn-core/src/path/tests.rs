@@ -414,7 +414,7 @@ fn lazy_reach_answers_every_read_as_the_eager_search_does() {
             assert_eq!(scratch.accumulators_built(), built, "same nodes relax");
             assert!(lazy.settled_count() <= eager.entries().len());
             for dest in g.nodes().chain([NodeId(40), NodeId(u32::MAX)]) {
-                let (w, evaluations) = lazy.weight_to(&g, dest);
+                let (w, evaluations) = lazy.weight_to(&g, dest, &mut scratch);
                 assert_eq!(
                     w.to_bits(),
                     eager.weight_to(dest).to_bits(),
@@ -452,7 +452,7 @@ fn lazy_search_settles_the_inner_ball_only() {
     );
     let full = shortest_paths(&star, NodeId(4), 2e3);
     for dest in star.nodes() {
-        let (w, evaluations) = reach.weight_to(&star, dest);
+        let (w, evaluations) = reach.weight_to(&star, dest, &mut scratch);
         assert_eq!(w.to_bits(), full.weight_to(dest).to_bits());
         assert_eq!(
             evaluations,
@@ -464,18 +464,18 @@ fn lazy_search_settles_the_inner_ball_only() {
     let reach = bounded_reach(&star, NodeId(4), 2e3, 1, &mut scratch);
     assert_eq!(reach.settled_count(), 1);
     assert_eq!(
-        reach.weight_to(&star, NodeId(0)),
+        reach.weight_to(&star, NodeId(0), &mut scratch),
         (full.weight_to(NodeId(0)), 1)
     );
-    assert_eq!(reach.weight_to(&star, NodeId(5)), (0.0, 0));
+    assert_eq!(reach.weight_to(&star, NodeId(5), &mut scratch), (0.0, 0));
 }
 
 #[test]
 fn lazy_reach_is_no_larger_than_the_sparse_reach_it_replaces() {
     // A sparse city in miniature: 1 500 nodes of mean degree 12 under
     // three hops, where most of what the eager search settles are
-    // leaves. The lazy reach pays 20 B per inner node and 24 B per
-    // stage of a rim node against 16 B per settled node.
+    // leaves. The lazy reach pays 24 B per inner node and nothing per
+    // leaf against 16 B per settled node.
     let g = lcg_graph_of(1500, 9000);
     let mut scratch = ReachScratch::new();
     let (mut lazy_bytes, mut eager_bytes) = (0, 0);
@@ -483,8 +483,6 @@ fn lazy_reach_is_no_larger_than_the_sparse_reach_it_replaces() {
         let eager = bounded_shortest_paths(&g, source, 1800.0, 3, &mut scratch);
         let lazy = bounded_reach(&g, source, 1800.0, 3, &mut scratch);
         assert!(lazy.settled_count() * 2 < eager.entries().len());
-        assert_eq!(lazy.ids.capacity(), lazy.ids.len());
-        assert_eq!(lazy.rim_stages.capacity(), lazy.rim_stages.len());
         lazy_bytes += lazy.heap_bytes();
         eager_bytes += eager.entries.capacity() * std::mem::size_of::<(NodeId, f64)>();
     }
@@ -495,12 +493,41 @@ fn lazy_reach_is_no_larger_than_the_sparse_reach_it_replaces() {
 }
 
 #[test]
+fn a_reach_costs_at_most_24_bytes_per_inner_node() {
+    // The same city under three and four hops. A reach owns its ball,
+    // every vector at its final size, and nothing per rim node. The
+    // layout that also copied each rim path (20 B per inner node, then
+    // 24 B per stage plus 5 B per rim node) is over the budget here.
+    let g = lcg_graph_of(1500, 9000);
+    let mut scratch = ReachScratch::new();
+    for max_hops in [3, 4] {
+        let (mut bytes, mut inner, mut rims) = (0, 0, 0);
+        for source in (0..1500).step_by(50).map(NodeId) {
+            let reach = bounded_reach(&g, source, 1800.0, max_hops, &mut scratch);
+            bytes += reach.heap_bytes();
+            inner += reach.settled_count();
+            rims += (0..reach.settled_count())
+                .filter(|&i| reach.hops(i) + 1 == max_hops)
+                .count();
+        }
+        assert!(
+            bytes <= 24 * inner,
+            "{max_hops} hops: {bytes} B for {inner} inner nodes"
+        );
+        let rim_copy = (24 * (max_hops - 1) + 5) * rims;
+        assert!(20 * inner + rim_copy > 24 * inner, "{rims} rim nodes");
+    }
+}
+
+#[test]
 fn warm_scratch_searches_without_allocating() {
     // Dense, early-exit, bounded and inner-only searches from every
-    // source, twice over: the second pass finds every buffer the
-    // first one grew and moves or regrows none of them — per-node
-    // arrays, the factor cache, heap, touched list, the ball's queue,
-    // the pop order, and each recycled accumulator's four vectors.
+    // source, and a lazy reach's read of every node, twice over: the
+    // second pass finds every buffer the first one grew and moves or
+    // regrows none of them — per-node arrays, the factor cache, heap,
+    // touched list, the ball's queue, the pop order, and each recycled
+    // accumulator's four vectors, the one leaf reads rebuild rim paths
+    // into among them.
     let g = lcg_graph();
     let pass = |scratch: &mut ReachScratch| {
         for source in g.nodes() {
@@ -514,7 +541,10 @@ fn warm_scratch_searches_without_allocating() {
                 scratch,
             );
             search::<_, false>(&g, source, 1800.0, &[], 2, scratch);
-            search::<_, true>(&g, source, 1800.0, &[], 3, scratch);
+            let reach = bounded_reach(&g, source, 1800.0, 3, scratch);
+            for dest in g.nodes() {
+                reach.weight_to(&g, dest, scratch);
+            }
         }
     };
     let buffers = |s: &ReachScratch| {

@@ -48,16 +48,14 @@
 //! In scale mode ([`PathOracle::with_bounded_reach`]) a source's cached
 //! entry is a hop-bounded [`LazyReach`], tagged with its epoch like a
 //! dense table, and the first property takes another form: **a bounded
-//! search weighs a leaf of its bound only when a read asks for it.** A relay
-//! decision compares weights to the K centrals and, for a response, to
-//! one requester, while an `h`-hop search in a sparse city settles
-//! mostly nodes exactly `h` hops out — leaves that relax nothing and so
-//! shape no other node's label. [`bounded_reach`] runs the search
-//! inside the ball of radius `h − 1` and keeps the path stages of the
-//! ball's rim (the [`LazyReach`] of `dtn-core/src/path/reach.rs`); a read of an inner node is a binary search, a read of a
-//! leaf replays that one label from its rim neighbours over the epoch's
-//! snapshot, and a read of anything else is 0. Every answer is the
-//! eager [`bounded_shortest_paths`](dtn_core::path::bounded_shortest_paths)
+//! search weighs a leaf of its bound only when a read asks for it.** An
+//! `h`-hop search in a sparse city settles mostly nodes exactly `h` hops
+//! out — leaves that relax nothing and so shape no other node's label.
+//! [`bounded_reach`] keeps the ball of radius `h − 1` and nothing else;
+//! a read of an inner node is a binary search, a read of a leaf replays
+//! that one label from its rim neighbours' paths, rebuilt over the
+//! epoch's snapshot, and a read of anything else is 0. Every answer is
+//! the eager [`bounded_shortest_paths`](dtn_core::path::bounded_shortest_paths)
 //! answer to the bit (`tests/path_equivalence.rs`).
 
 use dtn_core::graph::CsrGraph;
@@ -91,8 +89,8 @@ struct Snapshot {
 /// its column entry) or reach; `table_recomputes` counts reads that had
 /// to run a path search first — early exit, exhaustive or bounded,
 /// including the exhaustive search that refills a partial table which
-/// could not answer — so on
-/// either branch the two sum to the reads that were not self-reads.
+/// could not answer — so on either branch the two sum to the reads that
+/// were not self-reads.
 /// `nodes_settled` sums the nodes those searches settled: exact and
 /// machine-independent, it is the counter that moves when a search does
 /// more or less work for the same `table_recomputes`. A dense search
@@ -106,9 +104,9 @@ struct Snapshot {
 /// a node the bound does not reach. `accumulators_built` sums the CDF
 /// accumulators the searches built, one per settled node that relaxed
 /// its edges: it moves on per-settle work that leaves the settled set
-/// alone. `rebuilds` counts shared-snapshot constructions (equals
-/// [`PathOracle::snapshot_epoch`]); `invalidations` counts explicit
-/// [`PathOracle::invalidate`] calls.
+/// alone; `reach_bytes` the heap the bounded reaches hold. `rebuilds`
+/// counts snapshot builds (equals [`PathOracle::snapshot_epoch`]);
+/// `invalidations` counts explicit [`PathOracle::invalidate`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Shared contact-graph snapshot (re)builds.
@@ -125,6 +123,8 @@ pub struct OracleStats {
     pub accumulators_built: u64,
     /// CDF evaluations made by bounded reads that weighed a leaf.
     pub leaf_evaluations: u64,
+    /// Heap bytes of every bounded reach built, summed; 0 in dense mode.
+    pub reach_bytes: u64,
 }
 
 /// Memoised single-source opportunistic path tables over a shared,
@@ -220,10 +220,9 @@ impl PathOracle {
     /// `O(edges + sources read · reach)` instead of
     /// `O(edges + sources · nodes)` — the difference between a 100k-node
     /// population fitting in RAM or not — where a cached reach costs
-    /// 20 B per inner node plus `24 · (max_hops − 1) + 5` B per rim node
-    /// (an inner node settled one hop short of the bound): nothing per
-    /// leaf, which is where a 3-hop search in a sparse city ends five
-    /// times in six.
+    /// 24 B per node of the ball ([`OracleStats::reach_bytes`]) and
+    /// nothing per leaf, which is where a 3-hop search in a sparse city
+    /// ends five times in six.
     ///
     /// Weights within `max_hops` hops are exact; destinations further
     /// away read as unreachable (weight 0). Opportunistic path weights
@@ -392,7 +391,7 @@ impl PathOracle {
         let snapshot = self.snapshot.as_ref().expect("snapshot just refreshed");
         let graph = &snapshot.graph;
         if self.scratches.is_empty() {
-            // Bounded reads search one source at a time.
+            // Bounded reads search, and weigh leaves, one source at a time.
             self.scratches.push(ReachScratch::new());
         }
         let (epoch, reach) = &mut self.reaches[source.index()];
@@ -405,10 +404,11 @@ impl PathOracle {
             *epoch = self.epoch;
             self.stats.nodes_settled += reach.settled_count() as u64;
             self.stats.accumulators_built += scratch.accumulators_built() as u64;
+            self.stats.reach_bytes += reach.heap_bytes() as u64;
         }
         // The reach belongs to this epoch, so the snapshot is the graph
         // it was searched on: a leaf's label is replayed over it.
-        let (weight, evaluations) = reach.weight_to(graph, dest);
+        let (weight, evaluations) = reach.weight_to(graph, dest, &mut self.scratches[0]);
         self.stats.leaf_evaluations += u64::from(evaluations);
         weight
     }

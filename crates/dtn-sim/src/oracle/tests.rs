@@ -141,6 +141,34 @@ fn best_relay_matches_its_definition_on_every_pair() {
 }
 
 #[test]
+fn best_relay_hands_to_a_candidate_destination() {
+    // §V-A: the destination always accepts, whatever the carrier's or
+    // the other candidates' weights, so a candidate list that names it
+    // is answered by it, wherever it stands in the list; a carrier at
+    // the destination forwards nothing. `DecisionService::decide` names
+    // every node, so this is every answer it gives.
+    let rates = rates_line();
+    let now = Time(1000);
+    for hops in [None, Some(2)] {
+        let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+        if let Some(hops) = hops {
+            o = o.with_bounded_reach(hops);
+        }
+        let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        for candidates in [[n3, n1, n2], [n1, n3, n2], [n2, n1, n3]] {
+            assert_eq!(
+                o.best_relay(&rates, now, n0, n3, &candidates),
+                Some(n3),
+                "{candidates:?}, {hops:?} hops"
+            );
+            // So does a carrier next to the destination.
+            assert_eq!(o.best_relay(&rates, now, n2, n3, &candidates), Some(n3));
+        }
+        assert_eq!(o.best_relay(&rates, now, n3, n3, &[n0, n1, n2, n3]), None);
+    }
+}
+
+#[test]
 fn cache_hit_reuses_table_until_refresh() {
     let mut rates = rates_line();
     let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
@@ -277,6 +305,7 @@ fn stats_count_rebuilds_hits_and_recomputes() {
         s.accumulators_built, 8,
         "no hop bound, no target: every settled node relaxes"
     );
+    assert_eq!(s.reach_bytes, 0, "dense mode builds no reach");
     o.invalidate();
     let _ = o.weight(&rates, Time(1004), NodeId(0), NodeId(3));
     let s = o.stats();
@@ -536,6 +565,9 @@ fn hop_bound_truncates_distant_weights_to_zero() {
         (1, 1, 1)
     );
     assert_eq!((s.accumulators_built, s.leaf_evaluations), (1, 1));
+    // The reach is that one node: its id, weight, predecessor and pop
+    // position, and its place in the pop order.
+    assert_eq!(s.reach_bytes, 24);
 }
 
 #[test]

@@ -30,11 +30,13 @@
 //!
 //! The lazy reach (`bounded_reach`) is held against that eager search in
 //! turn: it settles the inner ball only and weighs a leaf when
-//! `weight_to` is asked for it, and every `(source, dest)` read must
-//! equal the eager reach's `to_bits` — over graphs whose rates come from
-//! a four-value palette (exact ties, decided by the id tie-break), from
-//! a band with λT ≫ 40 (weights that round to 1, where the pop order is
-//! not monotone at the ulp level) and from the continuous range. The
+//! `weight_to` is asked for it, rebuilding each rim path it tries from
+//! the predecessor chain, and every `(source, dest)` read must equal the
+//! eager reach's `to_bits` — over graphs whose rates come from a
+//! four-value palette (exact ties, decided by the id tie-break, and
+//! Erlang paths), from just beside it (perturbed stages), from a band
+//! with λT ≫ 40 (weights that round to 1, where the pop order is not
+//! monotone at the ulp level) and from the continuous range. The
 //! oracle, which searches the CSR snapshot the product builds, is held
 //! against searches over adjacency lists of the same rates across every
 //! way its cache turns over: bounded `PathOracle::weight` against the
@@ -286,9 +288,10 @@ struct LazyReads {
     evaluations: usize,
 }
 
-/// Holds `bounded_reach(..).weight_to` at bounds 1..=4 against
+/// Holds `bounded_reach(..).weight_to` at bounds 1..=5 against
 /// `bounded_shortest_paths(..).weight_to` for every `(source, dest)`
-/// pair of one graph, plus one id past it.
+/// pair of one graph, plus one id past it. A leaf read rebuilds the path
+/// of each rim neighbour it tries, up to four stages long.
 fn assert_lazy_equivalent<G: Topology>(
     g: &G,
     horizon: f64,
@@ -296,7 +299,7 @@ fn assert_lazy_equivalent<G: Topology>(
     reads: &mut LazyReads,
 ) -> Result<(), String> {
     let n = g.node_count() as u32;
-    for max_hops in 1..=4 {
+    for max_hops in 1..=5 {
         for source in (0..n).map(NodeId) {
             let eager = bounded_shortest_paths(g, source, horizon, max_hops, scratch);
             let lazy = bounded_reach(g, source, horizon, max_hops, scratch);
@@ -305,7 +308,7 @@ fn assert_lazy_equivalent<G: Topology>(
             }
             for dest in (0..=n).map(NodeId) {
                 let want = eager.weight_to(dest);
-                let (got, evaluations) = lazy.weight_to(g, dest);
+                let (got, evaluations) = lazy.weight_to(g, dest, scratch);
                 if got.to_bits() != want.to_bits() {
                     return Err(format!(
                         "{max_hops} hops, {source} to {dest}: lazy {got:?} vs eager {want:?} \
@@ -324,13 +327,20 @@ fn assert_lazy_equivalent<G: Topology>(
     Ok(())
 }
 
-/// The rate of a generated edge: a four-value palette (exact ties), a
-/// band with `λT` between 50 and 1 050 (every weight rounds to 1 or one
-/// ulp below it), or the drawn rate itself.
+/// The four-value palette of [`mixed_rate`].
+const PALETTE: [f64; 4] = [2e-4, 5e-4, 1e-3, 4e-3];
+
+/// The rate of a generated edge: a four-value palette (exact ties, and
+/// paths of equal stages on the Erlang branch), a band with `λT` between
+/// 50 and 1 050 (every weight rounds to 1 or one ulp below it), a palette
+/// value moved by less than the hypoexp module's relative separation of
+/// 1e-4 (a stage that lands next to a palette stage is perturbed), or
+/// the drawn rate itself.
 fn mixed_rate(kind: u32, drawn: f64, horizon: f64) -> f64 {
     match kind {
-        0..=3 => [2e-4, 5e-4, 1e-3, 4e-3][kind as usize],
+        0..=3 => PALETTE[kind as usize],
         4 | 5 => (50.0 + drawn * 1e4) / horizon,
+        7 | 8 => PALETTE[(drawn * 1e7) as usize % 4] * (1.0 + drawn * 9e-4),
         _ => drawn,
     }
 }
@@ -717,9 +727,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The lazy reach answers every read of every source as the eager
-    /// bounded search does, at bounds 1..=4, on both graph storages,
-    /// over rates that tie exactly, rates whose weights round to 1, and
-    /// ordinary ones.
+    /// bounded search does, at bounds 1..=5, on both graph storages (the
+    /// adjacency lists keep rows in insertion order, CSR in id order),
+    /// over rates that tie exactly, rates whose weights round to 1, rates
+    /// within the separation of a palette rate, and ordinary ones.
     #[test]
     fn lazy_reach_matches_the_eager_search_on_random_graphs(
         n in 2usize..48,

@@ -236,6 +236,7 @@ fn oracle_reads_are_conserved_on_a_bounded_run() {
             ("oracle_nodes_settled", oracle.nodes_settled),
             ("oracle_accumulators_built", oracle.accumulators_built),
             ("oracle_leaf_evaluations", oracle.leaf_evaluations),
+            ("oracle_reach_bytes", oracle.reach_bytes),
         ] {
             assert_eq!(
                 footer.get(key).and_then(JsonValue::as_u64),
@@ -248,7 +249,7 @@ fn oracle_reads_are_conserved_on_a_bounded_run() {
     let observed = run(true);
     assert_eq!(observed, run(false), "observing moved the oracle");
     assert!(
-        observed.table_hits > 0 && observed.leaf_evaluations > 0,
+        observed.table_hits > 0 && observed.leaf_evaluations > 0 && observed.reach_bytes > 0,
         "{observed:?}"
     );
     assert!(
