@@ -731,6 +731,7 @@ fn serve_cmd(opts: &Options) -> Result<(), String> {
     let notes = [
         "smoke.*_exact and smoke.decision_checksum are the determinism contract: a fresh `experiments serve --smoke` on any machine must reproduce them bit-identically (gated by `experiments compare`).",
         "smoke.oracle_table_recomputes_exact and smoke.oracle_nodes_settled_exact are the oracle's work over the pass, counted not timed. A path search that no longer stops once the central nodes have settled settles every node every time (nodes_settled = table_recomputes x nodes) and fails the same gate on any machine.",
+        "smoke.oracle_table_hits_exact counts the reads answered from a cached table. A decision reads its carrier's table once per central node and no candidate's weight, since every candidate list names the central node, which always accepts. A relay choice that reads the candidate list again reads 235940 (the value before that short-circuit) and fails the same gate.",
         "Serving latency and throughput are measured by the serve_churn workload of benchmark/ (dtn-serve.decide_p999_us, dtn-serve.budget_miss_ratio), not here.",
     ];
     let doc = JsonValue::object()

@@ -78,6 +78,9 @@ pub struct ServeBenchReport {
     /// Nodes those searches settled: the work counter that rises if the
     /// early exit at the central nodes is lost, on any machine.
     pub oracle_nodes_settled: u64,
+    /// Reads the oracle answered from a cached table: the counter that
+    /// rises if a relay choice reads its candidates' weights again.
+    pub oracle_table_hits: u64,
 }
 
 /// The deterministic request sequence: alternating `Place`/`Route`
@@ -176,6 +179,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchReport {
         decision_checksum: stats.checksum,
         oracle_table_recomputes: oracle.table_recomputes,
         oracle_nodes_settled: oracle.nodes_settled,
+        oracle_table_hits: oracle.table_hits,
     }
 }
 
@@ -198,6 +202,7 @@ impl ServeBenchReport {
                 self.oracle_table_recomputes,
             )
             .with("oracle_nodes_settled_exact", self.oracle_nodes_settled)
+            .with("oracle_table_hits_exact", self.oracle_table_hits)
     }
 }
 

@@ -23,19 +23,18 @@
 //! generation-versioned snapshot; staleness is bounded by the oracle's
 //! refresh interval. Nothing refreshes in the background. The first
 //! decision after the interval elapses rebuilds the snapshot inline, and
-//! a rebuild orphans every cached per-source table, so the first
-//! decision of the epoch that reads a source also runs that source's
-//! path search inline. The search stops as soon as the central nodes
-//! have settled — weights to the centrals are all a decision reads —
-//! and the candidates a relay choice reads without a table are searched
-//! as one batch over the machine's workers, each refilling its source's
-//! table in place. Warm, a candidate's weight is one load from the
-//! oracle's per-epoch column of weights to the centrals. On the
-//! `serve_churn` workload (200 nodes, 5 NCLs, a rebuild every 30
-//! simulated minutes) a cold `Place` runs 200 short searches once per
-//! epoch — nearly all of them as one batch, a median ≈ 2.6–3.1 ms on
-//! two workers against ≈ 3.8 ms on one (a 2-vCPU host) — and a warm one
-//! takes ≈ 5 µs. Each
+//! a rebuild orphans every cached per-source table. A decision names
+//! every node as a relay candidate, so each relay choice hands to its
+//! central node, which always accepts, without reading a weight; what a
+//! decision reads is its carrier's weight to each central node. Before
+//! reading, the first decision of an epoch searches every node without
+//! a table as one batch over the machine's workers, each search stopped
+//! as soon as the central nodes have settled and refilling its source's
+//! table in place; a later decision of the epoch reads one table per
+//! central. On the `serve_churn` workload (200 nodes, 5 NCLs, a rebuild
+//! every 30 simulated minutes, a 2-vCPU host) the cold decision runs
+//! those 200 short searches once per epoch, ≈ 2 ms, and a warm `Place`
+//! takes ≈ 0.5 µs. Each
 //! [`Decision`] says what it paid ([`Decision::tables_recomputed`],
 //! [`Decision::snapshot_rebuilt`]); [`ServeStats::cold_decisions`]
 //! counts the ones that paid anything.
@@ -603,6 +602,52 @@ mod tests {
         assert!(log
             .iter()
             .all(|d| !d.snapshot_rebuilt || d.tables_recomputed > 0));
+    }
+
+    #[test]
+    fn a_decision_searches_once_per_epoch_and_reads_only_its_carrier() {
+        // Every decision names the whole population as candidates, so
+        // each relay choice hands to its central without reading a
+        // weight. What is read is the carrier's table, once per central
+        // it is not: K hits, or K − 1 at a central. The first decision
+        // of an epoch searches the population first, as one batch; every
+        // later one searches nothing.
+        let t = trace();
+        let mut svc = service(&t);
+        let mid = t.midpoint();
+        svc.configure_at(mid, 3600.0 * 6.0, Some(Duration::minutes(30)));
+        let oracle = |svc: &DecisionService<_>| svc.sim().scheme().oracle_stats().unwrap();
+        let mut epoch = oracle(&svc).rebuilds;
+        let mut epochs_searched = 0;
+        for i in 0..400u64 {
+            let node = NodeId((i * 7 % 20) as u32);
+            let request = if i % 2 == 0 {
+                Request::Place {
+                    data: DataId(i),
+                    source: node,
+                }
+            } else {
+                Request::Route {
+                    requester: node,
+                    data: DataId(i),
+                }
+            };
+            let before = oracle(&svc);
+            svc.decide(Time(mid.0 + i * 100), request).unwrap();
+            let after = oracle(&svc);
+            let centrals = svc.sim().scheme().central_nodes();
+            let reads = centrals.len() - usize::from(centrals.contains(&node));
+            assert_eq!(after.table_hits - before.table_hits, reads as u64, "{i}");
+            let searched = after.table_recomputes - before.table_recomputes;
+            if after.rebuilds == epoch {
+                assert_eq!(searched, 0, "decision {i} is not its epoch's first");
+            } else {
+                assert_eq!(searched, 20, "decision {i} is its epoch's first");
+                epoch = after.rebuilds;
+                epochs_searched += 1;
+            }
+        }
+        assert!(epochs_searched > 1, "saw {epochs_searched} epochs");
     }
 
     #[test]

@@ -25,14 +25,14 @@
 //! [`PathOracle`], and staleness is bounded by the oracle's refresh
 //! interval. There is no background refresh: the first read after the
 //! interval elapses rebuilds the snapshot inline. The best next relay is
-//! the oracle's: `forward` hoisted over the candidates, which reads their
-//! weights to the destination with one [`PathOracle::weights_to`] call
-//! (and the carrier's once, not once per candidate). Warm, that is one
-//! column load per candidate; on the first decision of an epoch, the
-//! candidates without a table are searched as one batch over the
-//! machine's workers, each search stopped as soon as the central nodes
-//! have settled, since weights *to the centrals* are all a decision asks
-//! for.
+//! the oracle's: `forward` hoisted over the candidates. A list that names
+//! the destination — every list the decision service passes — is
+//! answered by it, as the destination always accepts, without a read; so
+//! a decision reads the carrier's weight to each central. It warms its
+//! candidates first: the epoch's first decision searches every one
+//! without a table as one batch over the machine's workers, each search
+//! stopped once the central nodes have settled; a later one pays an
+//! epoch compare.
 
 use dtn_core::ids::NodeId;
 use dtn_core::rate::RateTable;
@@ -144,6 +144,7 @@ impl<'a> DecisionPoint<'a> {
     /// `Place(data)` for a copy currently at `source`: the NCL set plus
     /// one [`RelayPlan`] per NCL over `candidates`.
     pub fn place(&mut self, source: NodeId, candidates: &[NodeId]) -> PlacementDecision {
+        self.oracle.warm(self.rates, self.now, candidates);
         let ncls = self.centrals.to_vec();
         let plan = ncls
             .iter()
@@ -165,6 +166,7 @@ impl<'a> DecisionPoint<'a> {
     /// next relay toward it over `candidates`. `None` when no central
     /// nodes are elected.
     pub fn route(&mut self, requester: NodeId, candidates: &[NodeId]) -> Option<RouteDecision> {
+        self.oracle.warm(self.rates, self.now, candidates);
         let mut best: Option<(usize, NodeId, f64)> = None;
         for (k, &central) in self.centrals.iter().enumerate() {
             let w = if requester == central {

@@ -27,7 +27,7 @@
 //!   targets into a flat per-epoch column, so a warm read is one load;
 //!   the sources it cannot answer are searched as one
 //!   [`shortest_paths_batch`] over the machine's workers, each refilling
-//!   its source's table in place.
+//!   its source's table in place — a decision's candidates included.
 //! - **One shared snapshot per epoch.** The [`CsrGraph`] is built from
 //!   the rate table once per refresh epoch, in one counting pass, and
 //!   shared by the path searches of *all* sources, instead of being
@@ -181,6 +181,8 @@ pub struct PathOracle {
     /// [`PathOracle::best_relay`]'s reads and their weights, kept from
     /// one relay search to the next.
     relay: (Vec<NodeId>, Vec<f64>),
+    /// The epoch [`PathOracle::warm`] last searched its sources in.
+    warmed: u64,
     stats: OracleStats,
 }
 
@@ -209,6 +211,7 @@ impl PathOracle {
             reaches: Vec::new(),
             scratches: Vec::new(),
             relay: (Vec::new(), Vec::new()),
+            warmed: 0,
             stats: OracleStats::default(),
         }
     }
@@ -482,6 +485,31 @@ impl PathOracle {
         }
     }
 
+    /// Searches every node of `sources` without a table of this epoch as
+    /// one batch, as [`weights_to`](Self::weights_to) queues its misses,
+    /// so their reads this epoch are hits. Once per epoch; a no-op
+    /// without a column (bounded mode, or no targets).
+    pub(crate) fn warm(&mut self, rates: &RateTable, now: Time, sources: &[NodeId]) {
+        if self.column.is_empty() {
+            return;
+        }
+        self.refresh_snapshot(rates, now);
+        if self.warmed == self.epoch {
+            return;
+        }
+        self.warmed = self.epoch;
+        let mut jobs = Vec::new();
+        for &s in sources {
+            let (epoch, table) = &mut self.tables[s.index()];
+            if *epoch != self.epoch {
+                // Filed now: a source listed twice is queued once.
+                *epoch = self.epoch;
+                jobs.push((s, true, std::mem::take(table)));
+            }
+        }
+        self.search(&mut jobs);
+    }
+
     /// THE greedy relay rule (§V-A): forward a message carried by `from`
     /// to `to` iff `to` has a strictly better path weight to `dest`. The
     /// destination always accepts; a carrier at the destination never
@@ -509,10 +537,11 @@ impl PathOracle {
     /// earlier candidate, so the answer is deterministic for a fixed
     /// candidate order. `None` when no candidate beats the carrier.
     ///
-    /// One read per candidate, all in one [`weights_to`](Self::weights_to)
-    /// call: the carrier's own weight is the same for all of them and is
-    /// read once, provided some candidate needs comparing against it. A
-    /// carrier at `dest` forwards nothing and reads nothing.
+    /// A carrier at `dest` forwards nothing; a list naming `dest` hands to
+    /// it, as the destination always accepts. Neither reads anything.
+    /// Otherwise one read per candidate, all in one [`weights_to`](Self::weights_to)
+    /// call: the carrier's own weight is read once, provided some
+    /// candidate needs comparing against it.
     pub(crate) fn best_relay(
         &mut self,
         rates: &RateTable,
@@ -524,11 +553,14 @@ impl PathOracle {
         if carrier == dest {
             return None;
         }
+        if candidates.contains(&dest) {
+            return Some(dest);
+        }
         // The buffers leave the oracle for the read, which borrows it whole.
         let (mut reads, mut weights) = std::mem::take(&mut self.relay);
         reads.clear();
         reads.push(carrier);
-        reads.extend(candidates.iter().filter(|&&c| c != carrier && c != dest));
+        reads.extend(candidates.iter().filter(|&&c| c != carrier));
         weights.clear();
         if reads.len() > 1 {
             self.weights_to(rates, now, &reads, dest, &mut weights);
@@ -542,17 +574,8 @@ impl PathOracle {
                 continue;
             }
             // The §V-A rule for `carrier → c`, with `c`'s weight kept.
-            let w = if c == dest {
-                f64::INFINITY
-            } else {
-                let w = read.next().expect("one weight per candidate read");
-                if w > carrier_weight {
-                    w
-                } else {
-                    continue;
-                }
-            };
-            if best.is_none_or(|(_, bw)| w > bw) {
+            let w = read.next().expect("one weight per candidate read");
+            if w > carrier_weight && best.is_none_or(|(_, bw)| w > bw) {
                 best = Some((c, w));
             }
         }

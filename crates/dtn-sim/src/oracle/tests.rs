@@ -108,7 +108,17 @@ fn best_relay_matches_its_definition_on_every_pair() {
         let mut chose_a_relay = 0;
         for &carrier in &ascending {
             for &dest in &ascending {
-                for candidates in [&ascending, &descending, &without_ends, &Vec::new()] {
+                // Lists that name the destination first, in the middle,
+                // last and twice, beside ones that may not name it.
+                let (a, b) = (NodeId((dest.0 + 3) % N), NodeId((dest.0 + 7) % N));
+                let naming = [
+                    vec![dest, a, b],
+                    vec![a, dest, b],
+                    vec![a, b, dest],
+                    vec![b, dest, a, dest],
+                ];
+                let plain = [&ascending, &descending, &without_ends, &Vec::new()];
+                for candidates in plain.into_iter().chain(&naming) {
                     let got = hoisted.best_relay(&rates, now, carrier, dest, candidates);
                     let want = best_relay_by_definition(
                         &mut literal,
@@ -147,24 +157,37 @@ fn best_relay_hands_to_a_candidate_destination() {
     // is answered by it, wherever it stands in the list; a carrier at
     // the destination forwards nothing. `DecisionService::decide` names
     // every node, so this is every answer it gives.
+    // Neither answer reads a weight: every `OracleStats` counter stays
+    // where it was, on a fresh oracle (no snapshot yet) and on one whose
+    // tables, or reaches, and target column are warm.
     let rates = rates_line();
     let now = Time(1000);
+    let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
     for hops in [None, Some(2)] {
-        let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
-        if let Some(hops) = hops {
-            o = o.with_bounded_reach(hops);
+        for warm in [false, true] {
+            let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+            if let Some(hops) = hops {
+                o = o.with_bounded_reach(hops);
+            }
+            o.set_targets(&[n3]);
+            if warm {
+                for s in [n0, n1, n2] {
+                    let _ = o.weight(&rates, now, s, n3);
+                }
+            }
+            let before = o.stats();
+            for candidates in [[n3, n1, n2], [n1, n3, n2], [n2, n1, n3], [n3, n1, n3]] {
+                assert_eq!(
+                    o.best_relay(&rates, now, n0, n3, &candidates),
+                    Some(n3),
+                    "{candidates:?}, {hops:?} hops"
+                );
+                // So does a carrier next to the destination.
+                assert_eq!(o.best_relay(&rates, now, n2, n3, &candidates), Some(n3));
+            }
+            assert_eq!(o.best_relay(&rates, now, n3, n3, &[n0, n1, n2, n3]), None);
+            assert_eq!(o.stats(), before, "{hops:?} hops, warm: {warm}");
         }
-        let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
-        for candidates in [[n3, n1, n2], [n1, n3, n2], [n2, n1, n3]] {
-            assert_eq!(
-                o.best_relay(&rates, now, n0, n3, &candidates),
-                Some(n3),
-                "{candidates:?}, {hops:?} hops"
-            );
-            // So does a carrier next to the destination.
-            assert_eq!(o.best_relay(&rates, now, n2, n3, &candidates), Some(n3));
-        }
-        assert_eq!(o.best_relay(&rates, now, n3, n3, &[n0, n1, n2, n3]), None);
     }
 }
 
@@ -481,6 +504,55 @@ fn weights_to_reads_what_weight_reads() {
         let s = batched.stats();
         assert_eq!(s.table_hits + s.table_recomputes, reads, "{s:?}");
         assert!(s.table_recomputes > 4 * u64::from(N), "{s:?}");
+    }
+}
+
+#[test]
+fn warm_runs_the_first_reads_searches_once_per_epoch() {
+    // A warmed oracle answers every read of the epoch from a table: the
+    // same answers, searches and settled nodes as the cold reads, every
+    // read a hit. Later warms of the epoch, and any warm without a
+    // column, do nothing.
+    const N: u32 = 12;
+    let rates = rates_star(N);
+    let targets = [NodeId(0), NodeId(3)];
+    let mut listed: Vec<NodeId> = (0..N).map(NodeId).collect();
+    listed.extend([5, 9, 5].map(NodeId));
+    for width in [1, 2] {
+        let (mut cold, mut warmed) = (
+            PathOracle::new(N as usize, 3600.0, Duration::hours(1)),
+            PathOracle::new(N as usize, 3600.0, Duration::hours(1)),
+        );
+        warmed.scratches = (0..width).map(|_| ReachScratch::new()).collect();
+        for o in [&mut cold, &mut warmed] {
+            o.set_targets(&targets);
+        }
+        for now in [Time(1000), Time(1000 + 3600)] {
+            warmed.warm(&rates, now, &listed);
+            let searched = warmed.stats();
+            warmed.warm(&rates, now, &listed);
+            assert_eq!(warmed.stats(), searched, "a second warm of the epoch");
+            for s in 0..N {
+                for &d in &targets {
+                    let want = cold.weight(&rates, now, NodeId(s), d);
+                    let got = warmed.weight(&rates, now, NodeId(s), d);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{s} → {d}");
+                }
+            }
+            let (c, w) = (cold.stats(), warmed.stats());
+            assert_eq!(
+                (w.rebuilds, w.table_recomputes, w.nodes_settled),
+                (c.rebuilds, c.table_recomputes, c.nodes_settled)
+            );
+            assert_eq!(w.table_hits, c.table_hits + c.table_recomputes);
+        }
+    }
+    let mut bounded = PathOracle::new(N as usize, 3600.0, Duration::hours(1)).with_bounded_reach(2);
+    bounded.set_targets(&targets);
+    let mut untargeted = PathOracle::new(N as usize, 3600.0, Duration::hours(1));
+    for o in [&mut bounded, &mut untargeted] {
+        o.warm(&rates, Time(1000), &listed);
+        assert_eq!(o.stats(), OracleStats::default());
     }
 }
 

@@ -122,22 +122,35 @@ impl Workload {
         // --- Query generation ------------------------------------------
         let constraint = config.effective_query_constraint();
         let mut queries: Vec<WorkloadEvent> = Vec::new();
+        // `items` is in creation order, and an item dead at one epoch is
+        // dead at every later one: the items alive at an epoch lie in the
+        // window `[lo, hi)` past the dead prefix and up to the first item
+        // not yet created.
+        let (mut lo, mut hi) = (0, 0);
+        let mut alive: Vec<&DataItem> = Vec::new();
+        let mut probability: Vec<f64> = Vec::new();
         let mut epoch = start + constraint; // first batch after data exists
         while epoch < end {
+            while hi < items.len() && items[hi].created_at <= epoch {
+                hi += 1;
+            }
+            while lo < hi && !items[lo].is_alive(epoch) {
+                lo += 1;
+            }
             // Items alive at this epoch, ranked by creation order
             // (rank 1 = oldest alive = most popular).
-            let alive: Vec<&DataItem> = items
-                .iter()
-                .filter(|d| d.created_at <= epoch && d.is_alive(epoch))
-                .collect();
+            alive.clear();
+            alive.extend(items[lo..hi].iter().filter(|d| d.is_alive(epoch)));
             if !alive.is_empty() {
                 let zipf = Zipf::new(alive.len(), config.zipf_exponent);
+                probability.clear();
+                probability.extend((1..=alive.len()).map(|rank| zipf.probability(rank)));
                 for node in 0..nodes {
-                    for (rank0, item) in alive.iter().enumerate() {
+                    for (item, &p) in alive.iter().zip(&probability) {
                         if item.source.index() == node {
                             continue; // a source holds its own data
                         }
-                        if rng.gen_bool(zipf.probability(rank0 + 1)) {
+                        if rng.gen_bool(p) {
                             queries.push(WorkloadEvent::IssueQuery {
                                 at: epoch,
                                 requester: NodeId(node as u32),
@@ -151,14 +164,18 @@ impl Workload {
             epoch += constraint;
         }
 
+        // Both lists are in time order: merge them, data generation
+        // before queries at a tie.
         let query_count = queries.len() as u64;
-        let mut events: Vec<WorkloadEvent> = items
-            .iter()
-            .map(|&item| WorkloadEvent::GenerateData { item })
-            .collect();
-        events.append(&mut queries);
-        // Stable order: by time, data generation before queries at ties.
-        events.sort_by_key(|e| (e.at(), matches!(e, WorkloadEvent::IssueQuery { .. })));
+        let mut events = Vec::with_capacity(items.len() + queries.len());
+        let mut data = items.iter().peekable();
+        for query in queries {
+            while let Some(&item) = data.next_if(|d| d.created_at <= query.at()) {
+                events.push(WorkloadEvent::GenerateData { item });
+            }
+            events.push(query);
+        }
+        events.extend(data.map(|&item| WorkloadEvent::GenerateData { item }));
 
         Workload {
             events,
@@ -339,6 +356,60 @@ mod tests {
         assert!(w.items().is_empty());
         assert_eq!(w.query_count(), 0);
         assert_eq!(w.avg_live_items(), 0.0);
+    }
+
+    /// FNV-1a over every field of every event, in list order.
+    fn fingerprint(w: &Workload) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in w.events() {
+            let fields = match *e {
+                WorkloadEvent::GenerateData { item } => [
+                    0,
+                    item.id.0,
+                    u64::from(item.source.0),
+                    item.size,
+                    item.created_at.0,
+                    item.expires_at.0,
+                ],
+                WorkloadEvent::IssueQuery {
+                    at,
+                    requester,
+                    data,
+                    constraint,
+                } => [1, at.0, u64::from(requester.0), data.0, constraint.0, 0],
+            };
+            fields.into_iter().for_each(&mut fold);
+        }
+        h
+    }
+
+    #[test]
+    fn three_lifetimes_over_a_fig10_window_keep_their_event_lists() {
+        // 97 nodes over the second half of a 49.2-day trace, the window
+        // the Fig. 10 cells use, at the shortest, a middle and the
+        // longest lifetime (4 303 items and 47 040 queries; 321 and
+        // 3 318; 35 and 205), pinned to the bit through every change to
+        // how the list is built.
+        let window = (Time(2_125_440), Time(4_250_880));
+        for (lifetime, want) in [
+            (8_640, 0xfcb6_21c1_60a9_e6dd),
+            (120_960, 0xeb6a_b142_6cfe_aaa4),
+            (1_555_200, 0x67fa_fc5d_eb81_f071),
+        ] {
+            let cfg = WorkloadConfig {
+                mean_lifetime: Duration(lifetime),
+                seed: 42,
+                ..WorkloadConfig::new(window)
+            };
+            let w = Workload::generate(97, &cfg);
+            assert_eq!(fingerprint(&w), want, "T_L = {lifetime} s");
+        }
     }
 
     #[test]
