@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use dtn_cache::experiment::configure_from_live_state;
 use dtn_cache::intentional::{IntentionalConfig, IntentionalScheme};
-use dtn_cache::CachingScheme;
+use dtn_cache::{CachingScheme, PendingWork};
 use dtn_core::ids::{DataId, NodeId};
 use dtn_core::ncl::{SelectionStrategy, SweepWork};
 use dtn_core::time::{Duration, Time};
@@ -170,6 +170,8 @@ pub struct ScaleReport {
     pub oracle: OracleStats,
     /// The work of the scheme's NCL selection, counted likewise.
     pub ncl: SweepWork,
+    /// The work of the scheme's in-flight messages, counted likewise.
+    pub pending: PendingWork,
 }
 
 impl ScaleReport {
@@ -201,8 +203,8 @@ impl ScaleReport {
             .with("audit", audit)
     }
 
-    /// [`to_json`](Self::to_json) plus the oracle's and the NCL
-    /// selection's work counters as `_exact` keys, which `experiments
+    /// [`to_json`](Self::to_json) plus the oracle's, the NCL selection's
+    /// and the in-flight arena's work counters as `_exact` keys, which `experiments
     /// compare` gates: the `audited_case` of `BENCH_scale.json`, the one
     /// run of the scale command whose size is fixed.
     pub fn to_json_exact(&self) -> JsonValue {
@@ -224,6 +226,8 @@ impl ScaleReport {
             .with("ncl_searches_run_exact", self.ncl.searches_run)
             .with("ncl_candidates_pruned_exact", self.ncl.candidates_pruned)
             .with("ncl_communities_exact", self.ncl.communities)
+            .with("pending_examined_exact", self.pending.examined)
+            .with("pending_inserted_exact", self.pending.inserted)
     }
 }
 
@@ -440,6 +444,7 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
             .map(|r| (r.sweeps(), r.violations_total())),
         oracle: sim.scheme().oracle_stats().expect("scheme configured"),
         ncl: sim.scheme().ncl_work().expect("scheme selects NCLs"),
+        pending: sim.scheme().pending_work(),
     };
     let observed = instruments.map(|i| ObserveRun::capture("scale", cfg.seed, &mut sim, i));
     (report, observed)
@@ -569,6 +574,24 @@ mod tests {
             assert_eq!(json.get(key).and_then(JsonValue::as_u64), Some(value));
         }
         assert!(report.to_json().get("ncl_searches_run_exact").is_none());
+    }
+
+    #[test]
+    fn exact_report_carries_the_arena_work() {
+        let report = run_scale(&tiny());
+        let pending = report.pending;
+        // A query's multicast is one pull record, however many centrals.
+        assert!(0 < pending.inserted, "{pending:?}");
+        assert!(pending.inserted < pending.examined, "{pending:?}");
+        assert_eq!(run_scale(&tiny()).pending, pending, "counted, not timed");
+        let json = report.to_json_exact();
+        for (key, value) in [
+            ("pending_examined_exact", pending.examined),
+            ("pending_inserted_exact", pending.inserted),
+        ] {
+            assert_eq!(json.get(key).and_then(JsonValue::as_u64), Some(value));
+        }
+        assert!(report.to_json().get("pending_examined_exact").is_none());
     }
 
     #[test]

@@ -299,6 +299,7 @@ mod tests {
     use super::super::{CacheDataPolicy, RandomCachePolicy};
     use super::*;
     use crate::experiment::configure_from_live_state;
+    use crate::pending::Carried;
     use dtn_core::ids::DataId;
     use dtn_core::time::Duration;
     use dtn_sim::engine::{SimConfig, Simulator, TraceSource, WorkloadEvent};
@@ -557,7 +558,7 @@ mod tests {
             assert!(scheme.caches.holds(NodeId(3), DataId(1)));
             // Query 0 left at its expiry; query 1 moved on to node 1.
             assert_eq!(scheme.queries.len(), 1);
-            assert!(scheme.queries.iter().all(|m| m.msg.carries(NodeId(1))));
+            assert!(scheme.queries.iter().all(|m| m.carries(NodeId(1))));
         }
         assert_eq!(sim.metrics().bytes_transmitted, 1024, "one query hop");
         let (m, _) = lockstep(&trace, RandomCachePolicy, greedy, events, audited(2));
@@ -585,21 +586,19 @@ mod tests {
             let carried = |slab: &crate::pending::RoutedSlab| {
                 slab.iter()
                     .filter(|m| m.query.expires_at > now)
-                    .filter(|m| m.msg.carries(a) || m.msg.carries(b))
+                    .filter(|m| m.carries(a) || m.carries(b))
                     .count() as u64
             };
             let expected = carried(&scheme.queries) + carried(&scheme.responses);
-            let before = (
-                scheme.queries.examined + scheme.responses.examined,
-                scheme.responses.inserted(),
-            );
             in_flight_total += (scheme.queries.len() + scheme.responses.len()) as u64;
+            let before = sim.scheme().inner.pending_work();
             sim.run_until(Time(now.0 + 1));
-            let scheme = sim.scheme().inner.live();
-            let examined = scheme.queries.examined + scheme.responses.examined - before.0;
-            // Responses spawned by this contact's queries are carried by
-            // an endpoint and take their first step in the same contact.
-            let spawned = scheme.responses.inserted() - before.1;
+            let after = sim.scheme().inner.pending_work();
+            let examined = after.examined - before.examined;
+            // No query is issued this second, so what went in flight is
+            // responses spawned by this contact's queries: carried by an
+            // endpoint, they take their first step in the same contact.
+            let spawned = after.inserted - before.inserted;
             assert_eq!(examined, expected + spawned, "contact {a}-{b} at {now}");
             examined_total += examined;
         }

@@ -43,7 +43,7 @@ use dtn_trace::trace::Contact;
 
 use crate::pending::{AdvanceScratch, CarrierSlab, InFlight, RoutedSlab};
 use crate::routing::ForwardingStrategy;
-use crate::{CachingScheme, NetworkSetup, PATH_REFRESH};
+use crate::{CachingScheme, NetworkSetup, PendingWork, PATH_REFRESH};
 
 use self::caches::Caches;
 
@@ -331,6 +331,15 @@ impl<P: IncidentalPolicy> CachingScheme for IncidentalScheme<P> {
     fn oracle_stats(&self) -> Option<OracleStats> {
         self.live.as_ref().map(|(l, _)| l.oracle.stats())
     }
+
+    fn pending_work(&self) -> PendingWork {
+        let mut work = PendingWork::default();
+        if let Some((l, _)) = &self.live {
+            work += l.queries.work();
+            work += l.responses.work();
+        }
+        work
+    }
 }
 
 #[cfg(test)]
@@ -349,6 +358,7 @@ impl<P> IncidentalScheme<P> {
 mod tests {
     use super::*;
     use crate::experiment::configure_from_live_state;
+    use crate::pending::Carried;
     use dtn_core::ids::QueryId;
     use dtn_core::time::Duration;
     use dtn_sim::engine::{SimConfig, Simulator, WorkloadEvent};
@@ -565,14 +575,15 @@ mod tests {
         // A message listed under a node that does not carry it.
         let stray = (0..16)
             .map(NodeId)
-            .find(|&n| scheme.queries.iter().any(|m| !m.msg.carries(n)))
+            .find(|&n| scheme.queries.iter().any(|m| !m.carries(n)))
             .expect("some node lacks some query");
         let id = scheme
             .queries
             .ids()
-            .find(|&id| !scheme.queries.get(id).msg.carries(stray))
+            .find(|&id| !scheme.queries.get(id).carries(stray))
             .expect("found above");
-        scheme.queries.list_mut(stray).push(id);
+        let listed = scheme.queries.entry_of(id);
+        scheme.queries.list_mut(stray).push(listed);
         assert!(broken(scheme) > 0, "stray carrier entry went undetected");
         scheme.queries.list_mut(stray).pop();
         assert_eq!(broken(scheme), 0);

@@ -57,30 +57,25 @@
 //!
 //! # Hot-loop layout
 //!
-//! A contact only involves two nodes, so this implementation indexes all
-//! per-contact state by carrier node instead of sweeping global vectors
-//! (see DESIGN.md §7 and [`reference`](crate::reference) for the
-//! original retain-based bookkeeping it is differentially tested
-//! against):
+//! A contact costs what its two endpoints carry (DESIGN.md §7; the
+//! retain-based [`reference`](crate::reference) is the other side of the
+//! differential):
 //!
-//! - pending pulls/broadcasts/responses ride one kind of arena
-//!   (`crate::pending::CarrierSlab`): monotone sequence numbers,
-//!   per-carrier lists, and a contact gathers only the two endpoints'
-//!   entries, sorted by sequence number to reproduce the original global
-//!   processing order;
-//! - expired messages, data items and response-decision memos are
-//!   garbage-collected from time-ordered heaps instead of full sweeps;
-//! - id-keyed maps hash with `dtn_core::ids::IdHasher`, not SipHash;
-//! - push copies and settled copies are indexed per holder node, and
-//!   NCL membership is a counter (`member_count`) instead of a scan of
-//!   every copy record;
-//! - the §V-D exchange is skipped outright when neither endpoint's cache
-//!   changed since the pair's last (provably empty) exchange, tracked by
-//!   per-node dirty generations.
+//! - pulls, broadcasts and responses ride `crate::pending::CarrierSlab`,
+//!   whose per-carrier lists are sorted by sequence number: a contact
+//!   merges its two endpoints' lists into the reference's global order.
+//!   A query's §V-B multicast is one pull record holding its `K` copies'
+//!   carriers, stepped in NCL order — the order `K` consecutive inserts
+//!   would give them;
+//! - expired messages, data items and response memos leave from
+//!   time-ordered heaps, not full sweeps;
+//! - push and settled copies are indexed per holder, and NCL membership
+//!   is a counter (`member_count`);
+//! - the §V-D exchange is skipped when neither endpoint's cache changed
+//!   since the pair's last (provably empty) exchange.
 //!
-//! Every shortcut preserves the reference implementation's RNG draw
-//! order, `try_transmit` charge order and event order bit-for-bit;
-//! `tests/scheme_equivalence.rs` enforces this.
+//! Every shortcut keeps the reference's RNG draw, `try_transmit` charge
+//! and event order bit for bit; `tests/scheme_equivalence.rs` holds it.
 
 mod pending;
 mod pull;
@@ -109,9 +104,9 @@ use crate::common::DataRegistry;
 use crate::pending::CarrierSlab;
 use crate::replacement::{NodeCacheMeta, ReplacementKind};
 use crate::routing::ForwardingStrategy;
-use crate::{CachingScheme, NetworkSetup, PATH_REFRESH};
+use crate::{CachingScheme, NetworkSetup, PendingWork, PATH_REFRESH};
 
-use self::pending::PullCopy;
+use self::pending::PullRecord;
 use self::state::{CopyState, Live, Scratch};
 
 /// How a caching node decides whether to return data (§V-C).
@@ -306,14 +301,11 @@ impl Scheme for IntentionalScheme {
         // The source holds one physical copy and owes one to each NCL.
         let k_count = live.centrals.len();
         if live.insert_physical(ctx, item.source, item) {
-            live.copies
-                .insert(item.id, vec![CopyState::Carried(item.source); k_count]);
-            let src = item.source.index();
+            let carried = CopyState::Carried(item.source);
+            live.copies.insert(item.id, vec![carried; k_count]);
             for k in 0..k_count {
-                live.carried_at[src].push((item.id, k as u32));
-                live.member_count[src * k_count + k] += 1;
+                live.index_copy(item.id, k, carried, true);
             }
-            live.cache_gen[src] += 1;
         } else {
             // The item never fits anywhere; it is lost.
             live.copies
@@ -331,16 +323,16 @@ impl Scheme for IntentionalScheme {
             ctx.mark_delivered(query.id);
             return;
         }
-        for ncl in 0..live.centrals.len() {
+        // One pull record for the multicast, no copy to a requester's own NCL.
+        let mut copies: Box<[_]> = vec![Some(query.requester); live.centrals.len()].into();
+        for ncl in 0..copies.len() {
             if live.centrals[ncl] == query.requester {
+                copies[ncl] = None;
                 live.handle_query_at_central(ctx, query, ncl);
-            } else {
-                live.pulls.insert(PullCopy {
-                    query,
-                    ncl,
-                    carrier: query.requester,
-                });
             }
+        }
+        if copies.iter().any(Option::is_some) {
+            live.pulls.insert(PullRecord { query, copies });
         }
     }
 
@@ -413,6 +405,16 @@ impl CachingScheme for IntentionalScheme {
 
     fn ncl_work(&self) -> Option<SweepWork> {
         Some(self.live().map(|l| l.ncl_work).unwrap_or_default())
+    }
+
+    fn pending_work(&self) -> PendingWork {
+        let mut work = PendingWork::default();
+        if let Some(l) = self.live() {
+            work += l.pulls.work();
+            work += l.broadcasts.work();
+            work += l.responses.work();
+        }
+        work
     }
 }
 

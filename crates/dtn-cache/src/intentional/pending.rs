@@ -1,4 +1,4 @@
-//! The pending messages only this scheme has: pull copies and NCL
+//! The pending messages only this scheme has: query pulls and NCL
 //! broadcasts. Like the responses they ride a
 //! [`CarrierSlab`](crate::pending::CarrierSlab).
 
@@ -7,23 +7,24 @@ use dtn_sim::message::Query;
 
 use crate::pending::Carried;
 
-/// A query copy traveling toward one central node.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct PullCopy {
+/// A query multicast toward the central nodes (§V-B): `copies[k]` is
+/// the carrier of its copy bound for NCL `k`'s central node, `None` once
+/// that copy has arrived or when the requester is that central node.
+/// One record per query, whatever `K`, and stepped in NCL order — the
+/// order the copies' consecutive insertions would give them.
+#[derive(Debug, Clone)]
+pub(super) struct PullRecord {
     pub(super) query: Query,
-    pub(super) ncl: usize,
-    pub(super) carrier: NodeId,
+    pub(super) copies: Box<[Option<NodeId>]>,
 }
 
-impl Carried for PullCopy {
+impl Carried for PullRecord {
     fn query(&self) -> &Query {
         &self.query
     }
-    fn carries(&self, node: NodeId) -> bool {
-        self.carrier == node
-    }
     fn carriers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        std::iter::once(self.carrier)
+        let copies = self.copies.iter().enumerate();
+        copies.filter_map(|(k, &c)| c.filter(|_| !self.copies[..k].contains(&c)))
     }
 }
 
@@ -38,9 +39,6 @@ pub(super) struct BroadcastCopy {
 impl Carried for BroadcastCopy {
     fn query(&self) -> &Query {
         &self.query
-    }
-    fn carries(&self, node: NodeId) -> bool {
-        self.holders.contains(&node)
     }
     fn carriers(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.holders.iter().copied()

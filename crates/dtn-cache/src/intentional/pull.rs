@@ -10,7 +10,10 @@ use super::pending::BroadcastCopy;
 use super::state::{Live, Scratch};
 
 impl Live {
-    /// §V-B: advance query copies toward their central nodes.
+    /// §V-B: advance query copies toward their central nodes, each
+    /// gathered record's copies in NCL order; a copy that reaches its
+    /// central node leaves the record, and a record with none left leaves
+    /// the slab.
     pub(super) fn advance_pulls(
         &mut self,
         ctx: &mut SimCtx<'_>,
@@ -23,34 +26,43 @@ impl Live {
         self.pulls.gather_open(ctx, a, b, &mut sx.open);
         sx.arrived.clear();
         for &id in &sx.open {
-            let pull = *self.pulls.get(id);
-            let (from, to) = if pull.carrier == a { (a, b) } else { (b, a) };
-            let central = self.centrals[pull.ncl];
-            if !self
-                .oracle
-                .forward(ctx.rate_table(), now, from, to, central)
-            {
-                continue;
-            }
-            if !ctx.try_transmit(query_size) {
-                continue;
-            }
-            self.pulls.update(id, [a, b], |p| p.carrier = to);
-            ctx.probe().emit(|| ProbeEvent::QueryRelay {
-                at: now,
-                query: pull.query.id,
-                from,
-                to,
-            });
-            if to == central {
-                sx.arrived.push(id);
+            for (ncl, &central) in self.centrals.iter().enumerate() {
+                let pull = self.pulls.get(id);
+                let query = pull.query;
+                let (from, to) = match pull.copies[ncl] {
+                    Some(c) if c == a => (a, b),
+                    Some(c) if c == b => (b, a),
+                    _ => continue,
+                };
+                let rates = ctx.rate_table();
+                if !self.oracle.forward(rates, now, from, to, central)
+                    || !ctx.try_transmit(query_size)
+                {
+                    continue;
+                }
+                let done = self.pulls.update(id, [a, b], |p| {
+                    p.copies[ncl] = Some(to).filter(|&to| to != central);
+                    p.copies.iter().all(Option::is_none)
+                });
+                ctx.probe().emit(|| ProbeEvent::QueryRelay {
+                    at: now,
+                    query: query.id,
+                    from,
+                    to,
+                });
+                if to == central {
+                    sx.arrived.push((query, ncl));
+                }
+                if done {
+                    self.pulls.remove(id);
+                    break;
+                }
             }
         }
         // Handle arrivals (immediate reply or NCL broadcast) in the
-        // order they advanced, dropping the delivered pull copies.
-        for &id in &sx.arrived {
-            let pull = self.pulls.remove(id).expect("arrived pull live");
-            self.handle_query_at_central(ctx, pull.query, pull.ncl);
+        // order they advanced.
+        for &(query, ncl) in &sx.arrived {
+            self.handle_query_at_central(ctx, query, ncl);
         }
     }
 

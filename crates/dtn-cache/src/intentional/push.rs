@@ -41,18 +41,10 @@ impl Live {
             if !item.is_alive(now) {
                 continue;
             }
-            let Some(state) = self.copies.get(&data).map(|s| s[k]) else {
-                continue;
-            };
-            let CopyState::Carried(holder) = state else {
-                continue;
-            };
-            let (from, to) = if holder == a {
-                (a, b)
-            } else if holder == b {
-                (b, a)
-            } else {
-                continue;
+            let (from, to) = match self.copies.get(&data).map(|s| s[k]) {
+                Some(CopyState::Carried(h)) if h == a => (a, b),
+                Some(CopyState::Carried(h)) if h == b => (b, a),
+                _ => continue,
             };
             let central = self.centrals[k];
             if !self

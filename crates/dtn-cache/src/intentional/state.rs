@@ -21,10 +21,10 @@ use dtn_sim::probe::ProbeEvent;
 use dtn_sim::profiler::Phase;
 
 use crate::common::DataRegistry;
-use crate::pending::{remove_entry, AdvanceScratch, CarrierSlab, RoutedSlab};
+use crate::pending::{AdvanceScratch, CarrierSlab, RoutedSlab};
 use crate::replacement::{make_room, NodeCacheMeta, ReplacementKind};
 
-use super::pending::{BroadcastCopy, PullCopy};
+use super::pending::{BroadcastCopy, PullRecord};
 use super::IntentionalConfig;
 
 /// Where one NCL's copy of a data item currently is.
@@ -104,7 +104,7 @@ pub(super) struct Live {
     pub(super) copies: IdMap<DataId, Vec<CopyState>>,
     /// In-flight pulls, broadcasts and responses, each listed under
     /// every node carrying a copy.
-    pub(super) pulls: CarrierSlab<PullCopy>,
+    pub(super) pulls: CarrierSlab<PullRecord>,
     pub(super) broadcasts: CarrierSlab<BroadcastCopy>,
     pub(super) responses: RoutedSlab,
     /// carried_at[n] — `(data, k)` push copies in `Carried(n)` state.
@@ -150,7 +150,7 @@ pub(super) struct Live {
 pub(super) struct Scratch {
     pub(super) copies: Vec<(DataId, u32)>,
     pub(super) open: Vec<u32>,
-    pub(super) arrived: Vec<u32>,
+    pub(super) arrived: Vec<(Query, usize)>,
     pub(super) spreads: Vec<(u32, NodeId)>,
     pub(super) decisions: Vec<(Query, NodeId)>,
     pub(super) advance: AdvanceScratch,
@@ -172,11 +172,6 @@ impl IntentionalScheme {
 
     pub(super) fn live(&self) -> Option<&Live> {
         self.live.as_ref().map(|(live, _)| live)
-    }
-
-    /// The configuration the scheme was built with.
-    pub fn config(&self) -> &IntentionalConfig {
-        &self.cfg
     }
 
     /// A [`DecisionPoint`] borrowing this scheme's own path oracle and
@@ -260,18 +255,12 @@ impl Live {
                     continue;
                 }
                 expect_member[holder.index() * k_count + k] += 1;
-                let list = match s {
-                    CopyState::Carried(_) => {
-                        carried_seen += 1;
-                        &self.carried_at[holder.index()]
-                    }
-                    CopyState::Settled(_) => {
-                        settled_seen += 1;
-                        &self.settled_at[holder.index()]
-                    }
-                    CopyState::Dropped => unreachable!("holder implies not dropped"),
+                let (seen, lists) = match s {
+                    CopyState::Settled(_) => (&mut settled_seen, &self.settled_at),
+                    _ => (&mut carried_seen, &self.carried_at),
                 };
-                if !list.contains(&(*data, k as u32)) {
+                *seen += 1;
+                if !lists[holder.index()].contains(&(*data, k as u32)) {
                     report.violate(AuditViolation {
                         law: AuditLaw::CopyConservation,
                         at,
@@ -338,20 +327,10 @@ impl Live {
             let Some(states) = self.copies.remove(&data) else {
                 continue;
             };
-            for (k, s) in states.iter().enumerate() {
-                let Some(h) = s.holder() else { continue };
-                match s {
-                    CopyState::Carried(_) => {
-                        remove_entry(&mut self.carried_at[h.index()], (data, k as u32));
-                    }
-                    CopyState::Settled(_) => {
-                        remove_entry(&mut self.settled_at[h.index()], (data, k as u32));
-                    }
-                    CopyState::Dropped => unreachable!("holder implies not dropped"),
-                }
-                let slot = h.index() * self.centrals.len() + k;
-                self.member_count[slot] -= 1;
-                self.cache_gen[h.index()] += 1;
+            for (k, &s) in states.iter().enumerate() {
+                let Some(h) = self.index_copy(data, k, s, false) else {
+                    continue;
+                };
                 if self.buffers[h.index()].remove(data).is_some() {
                     self.meta[h.index()].on_remove(data);
                 }
@@ -435,38 +414,40 @@ impl Live {
         let Some(states) = self.copies.get_mut(&data) else {
             return;
         };
-        let old = states[k];
-        if old == state {
-            return;
+        let old = std::mem::replace(&mut states[k], state);
+        if old != state {
+            self.index_copy(data, k, old, false);
+            self.index_copy(data, k, state, true);
         }
-        states[k] = state;
-        let k32 = k as u32;
-        match old {
-            CopyState::Carried(h) => {
-                remove_entry(&mut self.carried_at[h.index()], (data, k32));
-                self.member_count[h.index() * self.centrals.len() + k] -= 1;
-                self.cache_gen[h.index()] += 1;
-            }
-            CopyState::Settled(h) => {
-                remove_entry(&mut self.settled_at[h.index()], (data, k32));
-                self.member_count[h.index() * self.centrals.len() + k] -= 1;
-                self.cache_gen[h.index()] += 1;
-            }
-            CopyState::Dropped => {}
+    }
+
+    /// Lists NCL `k`'s copy of `data` in `state` under its holder
+    /// (`add`), or unlists it: the per-holder list, the membership
+    /// counter and the holder's dirty generation. The holder; `None` for
+    /// a dropped copy.
+    pub(super) fn index_copy(
+        &mut self,
+        data: DataId,
+        k: usize,
+        state: CopyState,
+        add: bool,
+    ) -> Option<NodeId> {
+        let (h, list) = match state {
+            CopyState::Carried(h) => (h, &mut self.carried_at[h.index()]),
+            CopyState::Settled(h) => (h, &mut self.settled_at[h.index()]),
+            CopyState::Dropped => return None,
+        };
+        let count = &mut self.member_count[h.index() * self.centrals.len() + k];
+        if add {
+            list.push((data, k as u32));
+            *count += 1;
+        } else {
+            let pos = list.iter().position(|&x| x == (data, k as u32));
+            list.swap_remove(pos.expect("index entry missing"));
+            *count -= 1;
         }
-        match state {
-            CopyState::Carried(h) => {
-                self.carried_at[h.index()].push((data, k32));
-                self.member_count[h.index() * self.centrals.len() + k] += 1;
-                self.cache_gen[h.index()] += 1;
-            }
-            CopyState::Settled(h) => {
-                self.settled_at[h.index()].push((data, k32));
-                self.member_count[h.index() * self.centrals.len() + k] += 1;
-                self.cache_gen[h.index()] += 1;
-            }
-            CopyState::Dropped => {}
-        }
+        self.cache_gen[h.index()] += 1;
+        Some(h)
     }
 
     /// §V-D: contact-time cache replacement between two caching nodes.
@@ -730,25 +711,25 @@ mod tests {
         };
         assert_eq!(broken(live), 0);
         let id = slab(live).ids().next().expect("a message in flight");
-        let msg = slab(live).get(id).clone();
+        let (msg, listed) = (slab(live).get(id).clone(), slab(live).entry_of(id));
         let carrier = msg.carriers().next().expect("carried by someone");
         let stray = (0..16).map(NodeId).find(|&n| !msg.carries(n));
         let stray = stray.expect("some node does not carry it");
 
-        slab(live).list_mut(stray).push(id);
+        slab(live).list_mut(stray).push(listed);
         assert!(
             broken(live) > 0,
             "entry under a non-carrier went undetected"
         );
         slab(live).list_mut(stray).pop();
 
-        slab(live).list_mut(carrier).push(id);
+        slab(live).list_mut(carrier).push(listed);
         assert!(broken(live) > 0, "double listing went undetected");
         slab(live).list_mut(carrier).pop();
         assert_eq!(broken(live), 0);
 
         slab(live).remove(id);
-        slab(live).list_mut(carrier).push(id);
+        slab(live).list_mut(carrier).push(listed);
         assert!(broken(live) > 0, "freed slot still listed went undetected");
         slab(live).list_mut(carrier).pop();
         assert_eq!(broken(live), 0);
@@ -824,10 +805,12 @@ mod tests {
     #[test]
     fn a_contact_examines_only_its_endpoints_messages() {
         // Fails by count if a gather ever walks a whole slab again: per
-        // contact, each slab looks at what the two endpoints carried
-        // going in plus what the contact itself put in flight (an
-        // arriving pull's broadcast, a response spawned on the spot —
-        // both carried by an endpoint, both stepped in the same contact).
+        // contact, each slab looks at the records the two endpoints
+        // carried going in — a query's pull record once, however many of
+        // its copies they hold — plus the records the contact itself put
+        // in flight (an arriving pull's broadcast, a response spawned on
+        // the spot — both carried by an endpoint, both stepped in the
+        // same contact).
         let mut contacts = busy_trace(71).contacts().to_vec();
         contacts.dedup_by_key(|c| c.start); // one contact a second
         let trace = ContactTrace::new(16, contacts, Duration::days(2));
@@ -850,11 +833,11 @@ mod tests {
         fn counts<T: Carried>(slab: &CarrierSlab<T>, c: &Contact) -> [u64; 4] {
             let open = slab.iter().filter(|m| m.query().expires_at > c.start);
             let carried = open.filter(|m| m.carries(c.a) || m.carries(c.b));
-            let (examined, inserted) = (slab.examined, slab.inserted());
+            let work = slab.work();
             [
                 carried.count() as u64,
-                examined,
-                inserted,
+                work.examined,
+                work.inserted,
                 slab.len() as u64,
             ]
         }

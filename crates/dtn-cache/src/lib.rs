@@ -51,8 +51,11 @@ use dtn_core::ids::NodeId;
 use dtn_core::ncl::SweepWork;
 use dtn_core::rate::RateTable;
 use dtn_core::time::{Duration, Time};
-use dtn_sim::engine::Scheme;
+use dtn_sim::audit::AuditReport;
+use dtn_sim::engine::{CacheStats, Epoch, Scheme, SimCtx};
+use dtn_sim::message::{DataItem, Query};
 use dtn_sim::oracle::OracleStats;
+use dtn_trace::trace::Contact;
 
 /// Which data-access scheme to run — the five lines of Fig. 10/11/13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,6 +143,25 @@ pub struct NetworkSetup<'a> {
     pub path_refresh: Option<Duration>,
 }
 
+/// What a scheme's in-flight arena did, counted over its message slabs —
+/// the same on every machine, like [`OracleStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PendingWork {
+    /// Messages the contacts looked at: each message either endpoint
+    /// carried, once per contact however many copies they held.
+    pub examined: u64,
+    /// Messages put in flight; a §V-B multicast to the `K` central nodes
+    /// is one.
+    pub inserted: u64,
+}
+
+impl std::ops::AddAssign for PendingWork {
+    fn add_assign(&mut self, other: Self) {
+        self.examined += other.examined;
+        self.inserted += other.inserted;
+    }
+}
+
 /// A [`Scheme`] that can be configured from warm-up network information.
 pub trait CachingScheme: Scheme {
     /// Installs NCLs, buffers and path oracles from the warm-up state.
@@ -169,37 +191,31 @@ pub trait CachingScheme: Scheme {
     fn ncl_work(&self) -> Option<SweepWork> {
         None
     }
+
+    /// Cumulative work of the scheme's in-flight messages since
+    /// [`configure`](Self::configure); zero until then.
+    fn pending_work(&self) -> PendingWork {
+        PendingWork::default()
+    }
 }
 
 impl Scheme for Box<dyn CachingScheme> {
-    fn on_data_generated(
-        &mut self,
-        ctx: &mut dtn_sim::engine::SimCtx<'_>,
-        item: dtn_sim::message::DataItem,
-    ) {
+    fn on_data_generated(&mut self, ctx: &mut SimCtx<'_>, item: DataItem) {
         (**self).on_data_generated(ctx, item);
     }
-    fn on_query_issued(
-        &mut self,
-        ctx: &mut dtn_sim::engine::SimCtx<'_>,
-        query: dtn_sim::message::Query,
-    ) {
+    fn on_query_issued(&mut self, ctx: &mut SimCtx<'_>, query: Query) {
         (**self).on_query_issued(ctx, query);
     }
-    fn on_contact(
-        &mut self,
-        ctx: &mut dtn_sim::engine::SimCtx<'_>,
-        contact: dtn_trace::trace::Contact,
-    ) {
+    fn on_contact(&mut self, ctx: &mut SimCtx<'_>, contact: Contact) {
         (**self).on_contact(ctx, contact);
     }
-    fn on_epoch(&mut self, ctx: &mut dtn_sim::engine::SimCtx<'_>, epoch: dtn_sim::engine::Epoch) {
+    fn on_epoch(&mut self, ctx: &mut SimCtx<'_>, epoch: Epoch) {
         (**self).on_epoch(ctx, epoch);
     }
-    fn cache_stats(&self, now: Time) -> dtn_sim::engine::CacheStats {
+    fn cache_stats(&self, now: Time) -> CacheStats {
         (**self).cache_stats(now)
     }
-    fn audit(&self, now: Time, report: &mut dtn_sim::audit::AuditReport) {
+    fn audit(&self, now: Time, report: &mut AuditReport) {
         (**self).audit(now, report);
     }
 }
@@ -219,6 +235,9 @@ impl CachingScheme for Box<dyn CachingScheme> {
     }
     fn ncl_work(&self) -> Option<SweepWork> {
         (**self).ncl_work()
+    }
+    fn pending_work(&self) -> PendingWork {
+        (**self).pending_work()
     }
 }
 

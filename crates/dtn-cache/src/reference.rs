@@ -26,7 +26,7 @@ use dtn_core::ncl::SweepWork;
 use dtn_core::sigmoid::ResponseFunction;
 use dtn_core::time::{Duration, Time};
 use dtn_sim::buffer::Buffer;
-use dtn_sim::engine::{CacheStats, Scheme, SimCtx};
+use dtn_sim::engine::{CacheStats, Link, Scheme, SimCtx};
 use dtn_sim::message::{DataItem, Query};
 use dtn_sim::oracle::{OracleStats, PathOracle};
 use dtn_sim::probe::ProbeEvent;
@@ -65,6 +65,38 @@ impl CopyState {
         } else {
             CopyState::Carried(node)
         }
+    }
+}
+
+/// What happened to a routed message during one contact.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ContactOutcome {
+    /// The destination received the message during this contact.
+    pub(crate) delivered: bool,
+    /// Relay hops performed: `(from, to)` pairs, destination hops
+    /// included.
+    pub(crate) transfers: Vec<(NodeId, NodeId)>,
+}
+
+impl RoutedMessage {
+    /// Advances the message over a contact between `a` and `b`,
+    /// collecting the relay hops into a [`ContactOutcome`] — for callers
+    /// that keep no carrier index (this scheme, the baselines' full-scan
+    /// reference, tests).
+    pub(crate) fn on_contact(
+        &mut self,
+        strategy: ForwardingStrategy,
+        oracle: &mut PathOracle,
+        now: Time,
+        a: NodeId,
+        b: NodeId,
+        link: &mut impl Link,
+    ) -> ContactOutcome {
+        let mut outcome = ContactOutcome::default();
+        outcome.delivered = self.advance(strategy, oracle, now, a, b, link, &mut |f, t| {
+            outcome.transfers.push((f, t))
+        });
+        outcome
     }
 }
 

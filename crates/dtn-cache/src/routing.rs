@@ -57,16 +57,6 @@ struct RoutedCopy {
     tokens: u32,
 }
 
-/// What happened to a message during one contact.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct ContactOutcome {
-    /// The destination received the message during this contact.
-    pub(crate) delivered: bool,
-    /// Relay hops performed: `(from, to)` pairs, destination hops
-    /// included.
-    pub(crate) transfers: Vec<(NodeId, NodeId)>,
-}
-
 /// A message with one destination and a set of carried copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RoutedMessage {
@@ -120,32 +110,8 @@ impl RoutedMessage {
         self.copies.iter().map(|c| c.carrier)
     }
 
-    /// Whether `node` currently carries a copy.
-    pub(crate) fn carries(&self, node: NodeId) -> bool {
-        self.carried_by(node).is_some()
-    }
-
     fn carried_by(&self, node: NodeId) -> Option<usize> {
         self.copies.iter().position(|c| c.carrier == node)
-    }
-
-    /// Advances the message over a contact between `a` and `b`,
-    /// collecting the relay hops into a [`ContactOutcome`] — for callers
-    /// that keep no carrier index (the reference scheme, tests).
-    pub(crate) fn on_contact(
-        &mut self,
-        strategy: ForwardingStrategy,
-        oracle: &mut PathOracle,
-        now: Time,
-        a: NodeId,
-        b: NodeId,
-        link: &mut impl Link,
-    ) -> ContactOutcome {
-        let mut outcome = ContactOutcome::default();
-        outcome.delivered = self.advance(strategy, oracle, now, a, b, link, &mut |f, t| {
-            outcome.transfers.push((f, t))
-        });
-        outcome
     }
 
     /// Advances the message over a contact between `a` and `b`;
@@ -225,6 +191,7 @@ impl RoutedMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ContactOutcome;
     use dtn_core::rate::RateTable;
     use dtn_core::time::Duration;
 

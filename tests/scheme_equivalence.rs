@@ -196,6 +196,28 @@ fn default_config_is_equivalent() {
 }
 
 #[test]
+fn starved_links_are_equivalent() {
+    // A contact carries a few messages at most, so the charge order
+    // decides which copy of a multicast moves: a query's copies must step
+    // in NCL order, as the reference's consecutive per-NCL copies do.
+    let trace = trace_with(16, 6_000, 25);
+    let cfg = IntentionalConfig {
+        ncl_count: 5,
+        ..IntentionalConfig::default()
+    };
+    let events = mixed_events(&trace, 16, 12, 80, 600);
+    for bandwidth in [2, 8] {
+        let sim_cfg = SimConfig {
+            bandwidth_bytes_per_sec: bandwidth,
+            query_size_bytes: 256,
+            seed: 25,
+            ..SimConfig::default()
+        };
+        assert_equivalent(&trace, &cfg, &events, &sim_cfg);
+    }
+}
+
+#[test]
 fn replacement_pressure_is_equivalent() {
     // Tight buffers: evictions, settles-on-full and §V-D moves all fire.
     let trace = trace_with(14, 5_000, 22);
