@@ -627,12 +627,13 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     });
     let (sweeps, violations) = audited.audit.expect("audit was enabled");
     eprintln!(
-        "[scale] audit: {sweeps} sweeps, {violations} violations; {} path searches settled {} nodes and built {} accumulators, {} leaf evaluations, reaches of {} B",
+        "[scale] audit: {sweeps} sweeps, {violations} violations; {} path searches settled {} nodes and built {} accumulators, {} leaf evaluations, reaches of {} B, a stream of {} B",
         audited.oracle.table_recomputes,
         audited.oracle.nodes_settled,
         audited.oracle.accumulators_built,
         audited.oracle.leaf_evaluations,
         audited.oracle.reach_bytes,
+        audited.stream_bytes,
     );
     let mut runs = Vec::new();
     for &nodes in &sizes {
@@ -648,11 +649,12 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
         );
         let report = run_scale(&cfg);
         eprintln!(
-            "[scale] {nodes}: {} contacts, {:.0} contacts/s, peak RSS {:.1} MiB, reaches {:.1} MiB",
+            "[scale] {nodes}: {} contacts, {:.0} contacts/s, peak RSS {:.1} MiB, reaches {:.1} MiB, stream {:.1} MiB",
             report.contacts,
             report.contacts_per_sec,
             mib(report.peak_rss_bytes),
             mib(report.oracle.reach_bytes),
+            mib(report.stream_bytes),
         );
         runs.push((smoke, report));
     }
@@ -675,6 +677,8 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
         "audited_case.ncl_*_exact are the work of the NCL selection inside configure, counted and gated the same way: searches_run nodes had their Eq. 3 metric computed by a path search, candidates_pruned nodes were never evaluated because an upper bound on their metric (nodes within the hop bound x weight of the fastest contact) was below the K-th best exact metric. A bound that stops pruning fails the gate on any machine: without the ball count the audited case reads 406 searches for 349, with the contact weight replaced by 1 it reads 627.",
         "RateTable holds an estimator (56 B) only for a pair that has met, at every population: O(N + pairs met), never O(N^2).",
         "oracle_reach_bytes is the heap the bounded oracle's reaches held, summed over every reach built (each source's reach of an epoch replaces its last, so a sum over epochs bounds what is live at once). A reach keeps its inner ball, 24 B per node (id, weight, predecessor, pop position, pop order), and nothing per rim node: a leaf read rebuilds each rim path it tries from the predecessor chain. The audited case's reaches hold 6514128 B, gated as oracle_reach_bytes_exact; the layout that also copied each rim path (20 B per inner node, then 24 B per stage plus 5 B per rim node) held 11033296 B.",
+        "audited_case.pending_*_exact are the in-flight arena's work over the audited run (pulls, NCL broadcasts, responses), counted and gated the same way: examined counts each message an endpoint carried once per contact, inserted the messages put in flight. A query's multicast to the K = 8 centrals is one pull record: with one slot per copy the audited case read 1425 inserted (1016 of them pulls, now 127) and 408585 examined (pulls 23057, now 11377).",
+        "stream_bytes is the heap the contact stream held when it opened (ContactStream::heap_bytes): 104 B per kept pair (its RNG, calibrated process values, three clocks, endpoints, and the ends of its contact in the merge heap and of the raw contact pulled ahead) plus a 16-B merge key (start, the pair's rank in (a, b) order), 120 B in all. The plan-wide constants live once on the stream and the rare equal-start group in one stream-wide store. The audited 2000-node city sweeps every pair exactly, so its value is deterministic and gated as stream_bytes_exact. The layout that copied the constants and a sampler into every pair, merged on a 32-B (start, a, b, end) entry and allocated a group buffer on a pair's first contact held 291 B per kept pair at 5000 nodes.",
     ];
     let doc = JsonValue::object()
         .with("benchmark", "crates/bench/src/scale.rs")

@@ -78,6 +78,8 @@ pub struct ObserveRun {
     pub ncl_query_load: Vec<u64>,
     /// The scheme's path-oracle work counters at the end of the run.
     pub oracle: Option<OracleStats>,
+    /// Heap bytes of the contact stream, for a run fed by one.
+    pub stream_bytes: Option<u64>,
 }
 
 /// The capture every instrumented harness rides on: one
@@ -125,6 +127,7 @@ impl ObserveRun {
             central_nodes: sim.scheme().central_nodes().to_vec(),
             ncl_query_load: sim.scheme().ncl_query_load().to_vec(),
             oracle: sim.scheme().oracle_stats(),
+            stream_bytes: None,
         }
     }
 
@@ -357,7 +360,9 @@ fn phase_line(e: &ProfileEntry) -> JsonValue {
 /// sanity-check a capture without replaying its event stream — and,
 /// when the scheme keeps a path oracle, its final work counters
 /// (`oracle_table_hits + oracle_table_recomputes` = reads that were not
-/// self-reads; `oracle_reach_bytes` the heap of the bounded reaches).
+/// self-reads; `oracle_reach_bytes` the heap of the bounded reaches) —
+/// and, for a streamed run, the heap of its contact stream
+/// (`stream_bytes`).
 fn footer_line(run: &ObserveRun) -> JsonValue {
     let m = &run.metrics;
     let windows = run.telemetry().windows().iter();
@@ -382,6 +387,9 @@ fn footer_line(run: &ObserveRun) -> JsonValue {
         line.set("oracle_accumulators_built", o.accumulators_built);
         line.set("oracle_leaf_evaluations", o.leaf_evaluations);
         line.set("oracle_reach_bytes", o.reach_bytes);
+    }
+    if let Some(bytes) = run.stream_bytes {
+        line.set("stream_bytes", bytes);
     }
     line
 }
@@ -771,6 +779,7 @@ mod tests {
                 reach_bytes: 60,
                 ..OracleStats::default()
             }),
+            stream_bytes: Some(1_200),
         }
     }
 
@@ -816,7 +825,7 @@ mod tests {
 {"type":"window","index":1,"start":350,"end":600,"contacts":0,"contacts_lost":0,"data_injected":0,"queries_issued":0,"deliveries":1,"duplicate_deliveries":1,"late_deliveries":1,"unknown_deliveries":1,"delay_sum_secs":450,"bytes_transmitted":0,"transfers_rejected":0,"replacements":1,"epochs":1,"reelections":1,"oracle_invalidations":1,"oracle_rebuilds":1,"oracle_recomputes":40,"oracle_hits":100,"cache_copies":2,"cache_bytes":1600,"ncl_load":[0,0],"ncl_hits":[0,1],"ncl_overflow":0,"overlays":["ncl-blackout"]}
 {"type":"phase","phase":"contact_commit","depth":0,"calls":3,"total_ns":900,"self_ns":600}
 {"type":"phase","phase":"knapsack_solve","depth":1,"calls":2,"total_ns":300,"self_ns":300}
-{"type":"footer","schema":"dtn-observe/3","queries_issued":1,"queries_satisfied":1,"total_delay_secs":450,"duplicate_deliveries":1,"late_deliveries":1,"data_generated":1,"bytes_transmitted":800,"transfers_rejected":1,"contacts_lost":1,"windows":2,"oracle_rebuilds":1,"oracle_table_hits":9,"oracle_table_recomputes":2,"oracle_nodes_settled":7,"oracle_accumulators_built":4,"oracle_leaf_evaluations":3,"oracle_reach_bytes":60}
+{"type":"footer","schema":"dtn-observe/3","queries_issued":1,"queries_satisfied":1,"total_delay_secs":450,"duplicate_deliveries":1,"late_deliveries":1,"data_generated":1,"bytes_transmitted":800,"transfers_rejected":1,"contacts_lost":1,"windows":2,"oracle_rebuilds":1,"oracle_table_hits":9,"oracle_table_recomputes":2,"oracle_nodes_settled":7,"oracle_accumulators_built":4,"oracle_leaf_evaluations":3,"oracle_reach_bytes":60,"stream_bytes":1200}
 "#;
 
     #[test]

@@ -18,7 +18,8 @@
 //!   `O(epochs · N)` and would dominate a 100k-node run.
 //!
 //! Reported numbers (contacts/sec, peak RSS and the bytes of it the
-//! oracle's cached reaches hold) feed `BENCH_scale.json`;
+//! oracle's cached reaches and the contact stream hold) feed
+//! `BENCH_scale.json`;
 //! the `experiments scale` subcommand drives it from the command line.
 
 use std::cell::Cell;
@@ -172,13 +173,17 @@ pub struct ScaleReport {
     pub ncl: SweepWork,
     /// The work of the scheme's in-flight messages, counted likewise.
     pub pending: PendingWork,
+    /// Heap bytes the contact stream held when it opened
+    /// ([`ContactStream::heap_bytes`](dtn_trace::synthetic::ContactStream::heap_bytes)):
+    /// its per-pair state and merge heap, fixed for the run.
+    pub stream_bytes: u64,
 }
 
 impl ScaleReport {
     /// The report as one JSON object — a `report` member of
     /// `BENCH_scale.json`. Wall-clock and memory numbers only, the heap
-    /// bytes of the oracle's reaches beside peak RSS: nothing here is
-    /// gated.
+    /// bytes of the oracle's reaches and of the contact stream beside
+    /// peak RSS: nothing here is gated.
     pub fn to_json(&self) -> JsonValue {
         let audit = self.audit.map(|(sweeps, violations)| {
             JsonValue::object()
@@ -197,6 +202,7 @@ impl ScaleReport {
             )
             .with("peak_rss_bytes", self.peak_rss_bytes)
             .with("oracle_reach_bytes", self.oracle.reach_bytes)
+            .with("stream_bytes", self.stream_bytes)
             .with("queries_issued", self.queries_issued)
             .with("success_ratio", JsonValue::fixed(self.success_ratio, 4))
             .with("central_nodes", self.central_nodes)
@@ -223,6 +229,7 @@ impl ScaleReport {
                 self.oracle.leaf_evaluations,
             )
             .with("oracle_reach_bytes_exact", self.oracle.reach_bytes)
+            .with("stream_bytes_exact", self.stream_bytes)
             .with("ncl_searches_run_exact", self.ncl.searches_run)
             .with("ncl_candidates_pruned_exact", self.ncl.candidates_pruned)
             .with("ncl_communities_exact", self.ncl.communities)
@@ -355,6 +362,7 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
     let counter = Rc::clone(&contacts_seen);
     let stream = cfg.builder().stream();
     let (nodes, duration) = (stream.node_count(), stream.duration());
+    let stream_bytes = stream.heap_bytes() as u64;
     let beat_every = cfg.heartbeat_every_contacts.map(|every| every.max(1));
     let end = Time(duration.as_secs());
     let mut heartbeat: Option<Heartbeat> = None;
@@ -445,8 +453,12 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
         oracle: sim.scheme().oracle_stats().expect("scheme configured"),
         ncl: sim.scheme().ncl_work().expect("scheme selects NCLs"),
         pending: sim.scheme().pending_work(),
+        stream_bytes,
     };
-    let observed = instruments.map(|i| ObserveRun::capture("scale", cfg.seed, &mut sim, i));
+    let observed = instruments.map(|i| ObserveRun {
+        stream_bytes: Some(stream_bytes),
+        ..ObserveRun::capture("scale", cfg.seed, &mut sim, i)
+    });
     (report, observed)
 }
 
@@ -552,6 +564,23 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(oracle.reach_bytes)
         );
+    }
+
+    #[test]
+    fn reports_carry_the_stream_bytes() {
+        let cfg = tiny();
+        let report = run_scale(&cfg);
+        let opened = cfg.builder().stream().heap_bytes() as u64;
+        assert!(opened > 0);
+        assert_eq!(report.stream_bytes, opened, "measured at open");
+        for (json, key) in [
+            (report.to_json(), "stream_bytes"),
+            (report.to_json_exact(), "stream_bytes_exact"),
+        ] {
+            assert_eq!(json.get(key).and_then(JsonValue::as_u64), Some(opened));
+        }
+        let (_, observed) = run_scale_observed(&cfg, true);
+        assert_eq!(observed.expect("observed").stream_bytes, Some(opened));
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! measure how far the Poisson-assuming machinery degrades under model
 //! mismatch.
 //!
-//! A `ContactProcess` is a resumable per-pair sampler: given the
-//! current session clock it returns the start of the next co-location
-//! session, drawing only from the pair's private RNG. Every process is
+//! A process is a resumable per-pair sampler, split in two: a
+//! `ProcessLaw` holds what every pair shares and a `PairLaw` the
+//! pair's calibrated values. Given the current session clock the law
+//! returns the start of the pair's next co-location session, drawing
+//! only from the pair's private RNG. Every process is
 //! **calibrated to the same mean session rate** — the expected number of
 //! sessions over the observation stays equal to the Poisson reference —
 //! so traces generated under different processes remain comparable in
@@ -181,188 +183,148 @@ impl ContactProcessKind {
         }
     }
 
-    /// Instantiates the per-pair sampler, calibrated so the mean
-    /// inter-session gap is `1 / rate`. `pair_seed` derives per-pair
-    /// constants (the duty-cycle phase) without consuming the pair's
-    /// contact RNG.
-    pub(crate) fn sampler(self, rate: f64, pair_seed: u64) -> PairSampler {
+    /// The half of the process every pair of a plan shares, derived once
+    /// per plan: the shape terms of each law's calibration.
+    pub(crate) fn law(self) -> ProcessLaw {
         match self {
-            ContactProcessKind::Poisson => PairSampler::Poisson(Poisson { rate }),
-            ContactProcessKind::Pareto { shape } => {
-                // E[x_m · U^(-1/α)] = x_m · α/(α−1).
-                let scale = (shape - 1.0) / (shape * rate);
-                PairSampler::Pareto(Pareto {
-                    scale,
-                    inv_shape: 1.0 / shape,
-                })
-            }
-            ContactProcessKind::Lognormal { sigma } => {
-                // E[exp(μ + σZ)] = exp(μ + σ²/2) = 1/rate.
-                let mu = -rate.ln() - 0.5 * sigma * sigma;
-                PairSampler::Lognormal(Lognormal { mu, sigma })
-            }
+            ContactProcessKind::Poisson => ProcessLaw::Poisson,
+            ContactProcessKind::Pareto { shape } => ProcessLaw::Pareto {
+                shape,
+                inv_shape: 1.0 / shape,
+            },
+            ContactProcessKind::Lognormal { sigma } => ProcessLaw::Lognormal { sigma },
             ContactProcessKind::BoundedPowerLaw { shape, cap } => {
                 // Truncated Pareto on [x_m, cap·x_m]:
                 // E = x_m · α/(α−1) · (1 − cap^(1−α)) / (1 − cap^(−α)).
                 let tail_mass = 1.0 - cap.powf(-shape);
                 let mean_factor = shape / (shape - 1.0) * (1.0 - cap.powf(1.0 - shape)) / tail_mass;
-                let scale = 1.0 / (rate * mean_factor);
-                PairSampler::BoundedPowerLaw(BoundedPowerLaw {
-                    scale,
+                ProcessLaw::BoundedPowerLaw {
+                    mean_factor,
                     inv_shape: 1.0 / shape,
                     tail_mass,
-                })
+                }
             }
-            ContactProcessKind::DutyCycled { period_secs, duty } => {
-                let on_len = duty * period_secs;
-                // Deterministic per-pair phase from the seed hash: no RNG
-                // draw, so the sampler's draw count matches Poisson's.
-                let phase =
-                    crate::synthetic::hash_uniform01(pair_seed ^ DUTY_PHASE_SALT) * period_secs;
-                PairSampler::DutyCycled(DutyCycled {
-                    inv_active_rate: duty / rate,
-                    period: period_secs,
-                    on_len,
-                    phase,
-                })
-            }
+            ContactProcessKind::DutyCycled { period_secs, duty } => ProcessLaw::DutyCycled {
+                duty,
+                period: period_secs,
+                on_len: duty * period_secs,
+            },
         }
     }
 }
 
-/// A resumable per-pair inter-contact sampler: advances the pair's
-/// session clock to the next co-location session, drawing only from the
-/// pair's private RNG.
-pub(crate) trait ContactProcess {
-    /// Given the current session clock `t` (seconds since trace start),
-    /// returns the start of the next session. Must be strictly
-    /// increasing in expectation and must never return less than `t`.
-    fn next_session(&mut self, t: f64, rng: &mut StdRng) -> f64;
-}
-
-/// The Poisson reference process: exponential gaps at `rate`.
+/// A process's plan-wide parameters ([`ContactProcessKind::law`]). With
+/// a pair's [`PairLaw`] it draws that pair's sessions: the per-pair
+/// sampler split in two, so a kept pair stores only what differs
+/// between pairs.
 #[derive(Debug, Clone, Copy)]
-pub struct Poisson {
-    rate: f64,
+pub(crate) enum ProcessLaw {
+    /// Exponential gaps; the pair holds its rate.
+    Poisson,
+    /// Pareto gaps `x_m · U^(-1/α)`; the pair holds `x_m`.
+    Pareto { shape: f64, inv_shape: f64 },
+    /// Lognormal gaps `exp(μ + σZ)` with Z a Box–Muller standard
+    /// normal; the pair holds μ.
+    Lognormal { sigma: f64 },
+    /// Truncated power-law gaps by inverse CDF on `[x_m, cap·x_m]`; the
+    /// pair holds `x_m`. `tail_mass` is `1 − cap^(−α)`, the CDF mass
+    /// between the bounds.
+    BoundedPowerLaw {
+        mean_factor: f64,
+        inv_shape: f64,
+        tail_mass: f64,
+    },
+    /// Periodic on/off availability: Poisson at `rate/duty` inside the
+    /// "on" window of each cycle, silent outside it. The pair holds
+    /// `duty/rate` and its phase. The exponential wait is drawn in
+    /// *active time* and mapped to wall-clock time by skipping the off
+    /// windows, so the process resumes exactly where it stopped.
+    DutyCycled { duty: f64, period: f64, on_len: f64 },
 }
 
-impl ContactProcess for Poisson {
-    fn next_session(&mut self, t: f64, rng: &mut StdRng) -> f64 {
-        // Draw order and arithmetic are frozen: this is the pre-trait
-        // generator's exact expression (tests/poisson_golden.rs).
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        t + -u.ln() / self.rate
-    }
-}
-
-/// Pareto gaps: `x_m · U^(-1/α)`.
+/// One pair's calibrated process values (16 B): the rate (Poisson),
+/// the minimum gap `x_m` (Pareto, bounded power law), μ (lognormal) or
+/// `duty/rate` (duty cycle) — plus the duty cycle's phase, 0 otherwise.
 #[derive(Debug, Clone, Copy)]
-pub struct Pareto {
-    scale: f64,
-    inv_shape: f64,
-}
-
-impl ContactProcess for Pareto {
-    fn next_session(&mut self, t: f64, rng: &mut StdRng) -> f64 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        t + self.scale * u.powf(-self.inv_shape)
-    }
-}
-
-/// Lognormal gaps: `exp(μ + σZ)` with Z a Box–Muller standard normal.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Lognormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl ContactProcess for Lognormal {
-    fn next_session(&mut self, t: f64, rng: &mut StdRng) -> f64 {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-        let z = (-2.0 * u1.ln()).sqrt() * u2.cos();
-        t + (self.mu + self.sigma * z).exp()
-    }
-}
-
-/// Truncated power-law gaps via inverse-CDF sampling on
-/// `[x_m, cap·x_m]`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BoundedPowerLaw {
-    scale: f64,
-    inv_shape: f64,
-    /// `1 − cap^(−α)`: the CDF mass between the truncation bounds.
-    tail_mass: f64,
-}
-
-impl ContactProcess for BoundedPowerLaw {
-    fn next_session(&mut self, t: f64, rng: &mut StdRng) -> f64 {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        t + self.scale * (1.0 - u * self.tail_mass).powf(-self.inv_shape)
-    }
-}
-
-/// Periodic on/off availability: Poisson at `rate/duty` inside the "on"
-/// window of each cycle, silent outside it. The exponential wait is
-/// drawn in *active time* and mapped to wall-clock time by skipping the
-/// off windows, so the process resumes exactly where it stopped.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DutyCycled {
-    inv_active_rate: f64,
-    period: f64,
-    on_len: f64,
+pub(crate) struct PairLaw {
+    value: f64,
     phase: f64,
 }
 
-impl ContactProcess for DutyCycled {
-    fn next_session(&mut self, t: f64, rng: &mut StdRng) -> f64 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let mut wait = -u.ln() * self.inv_active_rate; // active seconds
-        let mut t = t;
-        // Align to the containing or next on-window.
-        let x = (t - self.phase).rem_euclid(self.period);
-        if x >= self.on_len {
-            t += self.period - x;
-        } else {
-            let available = self.on_len - x;
-            if wait < available {
-                return t + wait;
-            }
-            wait -= available;
-            t += available + (self.period - self.on_len);
-        }
-        // `t` is now at an on-window start; consume whole windows.
-        let windows = (wait / self.on_len).floor();
-        t += windows * self.period;
-        wait -= windows * self.on_len;
-        t + wait
-    }
-}
-
-/// Enum dispatch over the five processes: one concrete, `Copy`-able
-/// sampler per planned pair, no boxing in the per-pair hot loop.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum PairSampler {
-    /// See [`Poisson`].
-    Poisson(Poisson),
-    /// See [`Pareto`].
-    Pareto(Pareto),
-    /// See [`Lognormal`].
-    Lognormal(Lognormal),
-    /// See [`BoundedPowerLaw`].
-    BoundedPowerLaw(BoundedPowerLaw),
-    /// See [`DutyCycled`].
-    DutyCycled(DutyCycled),
-}
-
-impl ContactProcess for PairSampler {
-    fn next_session(&mut self, t: f64, rng: &mut StdRng) -> f64 {
+impl ProcessLaw {
+    /// Calibrates a pair so its mean inter-session gap is `1 / rate`.
+    /// `pair_seed` derives per-pair constants (the duty-cycle phase)
+    /// without consuming the pair's contact RNG.
+    pub(crate) fn calibrate(self, rate: f64, pair_seed: u64) -> PairLaw {
+        let value = |value| PairLaw { value, phase: 0.0 };
         match self {
-            PairSampler::Poisson(p) => p.next_session(t, rng),
-            PairSampler::Pareto(p) => p.next_session(t, rng),
-            PairSampler::Lognormal(p) => p.next_session(t, rng),
-            PairSampler::BoundedPowerLaw(p) => p.next_session(t, rng),
-            PairSampler::DutyCycled(p) => p.next_session(t, rng),
+            ProcessLaw::Poisson => value(rate),
+            // E[x_m · U^(-1/α)] = x_m · α/(α−1).
+            ProcessLaw::Pareto { shape, .. } => value((shape - 1.0) / (shape * rate)),
+            // E[exp(μ + σZ)] = exp(μ + σ²/2) = 1/rate.
+            ProcessLaw::Lognormal { sigma } => value(-rate.ln() - 0.5 * sigma * sigma),
+            ProcessLaw::BoundedPowerLaw { mean_factor, .. } => value(1.0 / (rate * mean_factor)),
+            ProcessLaw::DutyCycled { duty, period, .. } => PairLaw {
+                value: duty / rate,
+                // Deterministic per-pair phase from the seed hash: no RNG
+                // draw, so the sampler's draw count matches Poisson's.
+                phase: crate::synthetic::hash_uniform01(pair_seed ^ DUTY_PHASE_SALT) * period,
+            },
+        }
+    }
+
+    /// Given the pair's session clock `t` (seconds since trace start),
+    /// returns the start of its next session, drawing only from the
+    /// pair's private RNG. Never less than `t`.
+    pub(crate) fn next_session(self, pair: &PairLaw, t: f64, rng: &mut StdRng) -> f64 {
+        match self {
+            ProcessLaw::Poisson => {
+                // Draw order and arithmetic are frozen: this is the
+                // pre-trait generator's exact expression
+                // (tests/poisson_golden.rs).
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                t + -u.ln() / pair.value
+            }
+            ProcessLaw::Pareto { inv_shape, .. } => {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                t + pair.value * u.powf(-inv_shape)
+            }
+            ProcessLaw::Lognormal { sigma } => {
+                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+                let z = (-2.0 * u1.ln()).sqrt() * u2.cos();
+                t + (pair.value + sigma * z).exp()
+            }
+            ProcessLaw::BoundedPowerLaw {
+                inv_shape,
+                tail_mass,
+                ..
+            } => {
+                let u: f64 = rng.gen_range(0.0..1.0);
+                t + pair.value * (1.0 - u * tail_mass).powf(-inv_shape)
+            }
+            ProcessLaw::DutyCycled { period, on_len, .. } => {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let mut wait = -u.ln() * pair.value; // active seconds
+                let mut t = t;
+                // Align to the containing or next on-window.
+                let x = (t - pair.phase).rem_euclid(period);
+                if x >= on_len {
+                    t += period - x;
+                } else {
+                    let available = on_len - x;
+                    if wait < available {
+                        return t + wait;
+                    }
+                    wait -= available;
+                    t += available + (period - on_len);
+                }
+                // `t` is now at an on-window start; consume whole windows.
+                let windows = (wait / on_len).floor();
+                t += windows * period;
+                wait -= windows * on_len;
+                t + wait
+            }
         }
     }
 }
@@ -372,15 +334,27 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// One pair's session clock: `kind` calibrated to `rate` for
+    /// `pair_seed`.
+    fn sampler(
+        kind: ContactProcessKind,
+        rate: f64,
+        pair_seed: u64,
+    ) -> impl FnMut(f64, &mut StdRng) -> f64 {
+        let law = kind.law();
+        let pair = law.calibrate(rate, pair_seed);
+        move |t, rng| law.next_session(&pair, t, rng)
+    }
+
     /// Mean gap over `n` draws from a fresh sampler.
     fn mean_gap(kind: ContactProcessKind, rate: f64, n: usize) -> f64 {
-        let mut sampler = kind.sampler(rate, 0xABCD);
+        let mut next_session = sampler(kind, rate, 0xABCD);
         let mut rng = StdRng::seed_from_u64(42);
         let mut t = 0.0;
         let mut prev = 0.0;
         let mut sum = 0.0;
         for _ in 0..n {
-            t = sampler.next_session(t, &mut rng);
+            t = next_session(t, &mut rng);
             sum += t - prev;
             prev = t;
         }
@@ -415,13 +389,13 @@ mod tests {
             period_secs: 1000.0,
             duty: 0.25,
         };
-        let mut sampler = kind.sampler(1.0 / 500.0, 0x1234);
+        let mut next_session = sampler(kind, 1.0 / 500.0, 0x1234);
         // Recover the phase the sampler derived for this pair seed.
         let phase = crate::synthetic::hash_uniform01(0x1234 ^ DUTY_PHASE_SALT) * 1000.0;
         let mut rng = StdRng::seed_from_u64(7);
         let mut t = 0.0;
         for _ in 0..5_000 {
-            let next = sampler.next_session(t, &mut rng);
+            let next = next_session(t, &mut rng);
             assert!(next >= t, "clock went backwards: {next} < {t}");
             t = next;
             let x = (t - phase).rem_euclid(1000.0);
@@ -438,13 +412,13 @@ mod tests {
             shape: 0.8,
             cap: 100.0,
         };
-        let mut sampler = kind.sampler(1.0 / 3600.0, 9);
+        let mut next_session = sampler(kind, 1.0 / 3600.0, 9);
         let mut rng = StdRng::seed_from_u64(3);
         let mut t = 0.0;
         let mut min_gap = f64::INFINITY;
         let mut max_gap: f64 = 0.0;
         for _ in 0..50_000 {
-            let next = sampler.next_session(t, &mut rng);
+            let next = next_session(t, &mut rng);
             let gap = next - t;
             min_gap = min_gap.min(gap);
             max_gap = max_gap.max(gap);

@@ -302,19 +302,19 @@ impl SyntheticTraceBuilder {
         let plan = self.plan();
         let mut contacts = Vec::new();
         for pair in &plan.pairs {
-            let mut gen = PairContacts::new(pair, &plan);
-            while let Some(c) = gen.next_raw() {
-                contacts.push(c);
+            let mut gen = PairContacts::new(pair, &plan.constants);
+            while let Some((start, end)) = gen.next_raw(&plan.constants) {
+                contacts.push(Contact::new(pair.a, pair.b, start, end));
             }
         }
         ContactTrace::new(plan.nodes, contacts, plan.trace_duration)
     }
 
     /// Generates the trace as a time-ordered contact iterator without
-    /// materializing it: memory stays `O(kept pairs)` (one lazy pair
-    /// process plus one in-flight contact each) regardless of how many
-    /// contacts the trace contains. City-scale runs feed this straight
-    /// into the simulator.
+    /// materializing it: 120 B per kept pair (one lazy pair process and
+    /// its merge key; [`ContactStream::heap_bytes`]) regardless of how
+    /// many contacts the trace contains. City-scale runs feed this
+    /// straight into the simulator.
     ///
     /// Yields exactly the contacts of [`SyntheticTraceBuilder::build`],
     /// in exactly `(start, a, b, end)` order.

@@ -8,7 +8,7 @@ use dtn_core::ids::NodeId;
 use dtn_core::time::Duration;
 
 use super::SyntheticTraceBuilder;
-use crate::process::ContactProcessKind;
+use crate::process::ProcessLaw;
 
 impl SyntheticTraceBuilder {
     /// Computes everything both generation paths share: calibrated
@@ -69,10 +69,16 @@ impl SyntheticTraceBuilder {
         TracePlan {
             nodes: self.nodes,
             trace_duration: duration,
-            span,
-            granularity_secs: self.granularity.as_secs().max(1),
-            burstiness: self.burstiness,
-            process: self.process,
+            constants: PlanConstants {
+                law: self.process.law(),
+                // Geometric runs with mean B continue with probability
+                // 1 − 1/B; the log is taken once here, not per session.
+                run_ln_continue: (self.burstiness > 1.0)
+                    .then(|| (1.0 - 1.0 / self.burstiness).ln()),
+                granularity_secs: self.granularity.as_secs().max(1),
+                duration_secs: duration.as_secs(),
+                span,
+            },
             pairs,
         }
     }
@@ -269,11 +275,25 @@ pub(crate) fn hash_uniform01(x: u64) -> f64 {
 pub(super) struct TracePlan {
     pub(super) nodes: usize,
     pub(super) trace_duration: Duration,
-    pub(super) span: f64,
-    pub(super) granularity_secs: u64,
-    pub(super) burstiness: f64,
-    pub(super) process: ContactProcessKind,
+    pub(super) constants: PlanConstants,
     pub(super) pairs: Vec<PlannedPair>,
+}
+
+/// What every pair's contact process reads and no pair owns: one copy
+/// per plan, held by the stream and read by `build()`'s loop alike.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PlanConstants {
+    /// The session law's shared parameters.
+    pub(super) law: ProcessLaw,
+    /// `ln(1 − 1/B)` for a burstiness B above 1; `None` when every
+    /// session is one contact.
+    pub(super) run_ln_continue: Option<f64>,
+    /// Re-detection spacing within a session, seconds (≥ 1).
+    pub(super) granularity_secs: u64,
+    /// Observation end: no contact starts at or after it.
+    pub(super) duration_secs: u64,
+    /// Session clock horizon (the duration, at least 1 s).
+    pub(super) span: f64,
 }
 
 /// One kept pair: endpoints, calibrated session rate, and the seed of

@@ -328,3 +328,103 @@ fn empty_pair_plan_yields_empty_stream() {
     let streamed: Vec<Contact> = builder.stream().collect();
     assert_eq!(streamed, built.contacts());
 }
+
+/// The city population the scale harness streams, at `nodes`.
+fn city(nodes: usize) -> SyntheticTraceBuilder {
+    SyntheticTraceBuilder::new(nodes)
+        .duration(Duration::days(2))
+        .target_contacts(25 * nodes as u64)
+        .communities((nodes / 500).clamp(4, 4096))
+        .community_boost(6.0)
+        .edge_density(12.0 / (nodes - 1) as f64)
+        .seed(42)
+}
+
+#[test]
+fn a_kept_pair_streams_from_at_most_128_bytes() {
+    // 1 500 nodes sweep every pair, 5 000 skip-sample them.
+    for nodes in [1_500, 5_000] {
+        let builder = city(nodes);
+        let pairs = builder.plan().pairs.len();
+        let stream = builder.stream();
+        let per_pair = stream.heap_bytes() / pairs;
+        assert!(pairs > 4 * nodes, "{nodes} nodes kept {pairs} pairs");
+        assert!(per_pair <= 128, "{nodes} nodes: {per_pair} B per kept pair");
+        // Draining parks no more than a few groups at a time.
+        let mut drained = stream;
+        for _ in drained.by_ref().take(10 * nodes) {}
+        assert!(drained.heap_bytes() / pairs <= 128);
+    }
+}
+
+/// Equal-start groups of a time-ordered contact list whose ends differ:
+/// runs of two or more contacts of one pair at one start, which the
+/// stream must send in order of end.
+fn equal_start_groups(contacts: &[Contact]) -> usize {
+    contacts
+        .chunk_by(|x, y| (x.start, x.a, x.b) == (y.start, y.a, y.b))
+        .filter(|run| run.first().map(|c| c.end) != run.last().map(|c| c.end))
+        .count()
+}
+
+#[test]
+fn equal_start_groups_stream_as_built_under_every_process() {
+    // Sessions a fraction of a second apart: most runs end on a start
+    // the next session truncates to again, and those ties come out by
+    // end, not by generation order.
+    for kind in ContactProcessKind::ALL {
+        for burstiness in [1.0, 3.0] {
+            let builder = SyntheticTraceBuilder::new(4)
+                .duration(Duration::hours(1))
+                .target_contacts(40_000)
+                .edge_density(1.0)
+                .burstiness(burstiness)
+                .contact_process(kind)
+                .seed(3);
+            let built = builder.build();
+            let groups = equal_start_groups(built.contacts());
+            assert!(groups > 0, "{}: no equal-start group", kind.name());
+            let streamed: Vec<Contact> = builder.stream().collect();
+            assert_eq!(
+                streamed,
+                built.contacts(),
+                "{}: stream != build",
+                kind.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn pairs_sharing_a_start_come_out_in_a_b_order() {
+    // A hand-made plan whose pairs are listed against `(a, b)` order, as
+    // the skip-sampled selection lists them: the merge ranks them.
+    let base = SyntheticTraceBuilder::new(4)
+        .duration(Duration::hours(1))
+        .target_contacts(20_000)
+        .edge_density(1.0)
+        .seed(5)
+        .plan();
+    let mut plan = base.clone();
+    plan.pairs.reverse();
+    plan.pairs.swap(1, 4);
+    let streamed: Vec<Contact> = ContactStream::new(plan).collect();
+    let expected: Vec<Contact> = ContactStream::new(base).collect();
+    assert_eq!(
+        streamed, expected,
+        "the merge follows (a, b), not plan order"
+    );
+    let shared = streamed
+        .windows(2)
+        .filter(|w| w[0].start == w[1].start && (w[0].a, w[0].b) != (w[1].a, w[1].b))
+        .count();
+    assert!(shared > 100, "only {shared} starts shared across pairs");
+    for w in streamed.windows(2) {
+        assert!(
+            (w[0].start, w[0].a, w[0].b, w[0].end) <= (w[1].start, w[1].a, w[1].b, w[1].end),
+            "{:?} before {:?}",
+            w[0],
+            w[1]
+        );
+    }
+}
