@@ -98,7 +98,8 @@ pub fn write_trace<W: Write>(trace: &ContactTrace, mut writer: W) -> std::io::Re
 ///
 /// # Errors
 ///
-/// Returns [`TraceReadError`] on I/O failure or malformed input.
+/// Returns [`TraceReadError`] on I/O failure or malformed input, a node
+/// count outside `1..=2^32` (ids are `u32`) included.
 pub fn read_trace<R: BufRead>(reader: R) -> Result<ContactTrace, TraceReadError> {
     let mut lines = reader.lines();
     let header = lines.next().ok_or_else(|| TraceReadError::Parse {
@@ -154,12 +155,13 @@ fn parse_header(header: &str) -> Option<(usize, u64)> {
     let mut duration = None;
     for token in rest.split_whitespace() {
         if let Some(v) = token.strip_prefix("nodes=") {
-            nodes = v.parse().ok();
+            // Every node needs a `u32` id.
+            nodes = v.parse::<u64>().ok().filter(|n| (1..=1 << 32).contains(n));
         } else if let Some(v) = token.strip_prefix("duration=") {
             duration = v.parse().ok();
         }
     }
-    Some((nodes?, duration?))
+    Some((usize::try_from(nodes?).ok()?, duration?))
 }
 
 #[cfg(test)]
@@ -194,6 +196,26 @@ mod tests {
     fn rejects_bad_header() {
         let err = read_trace(&b"nodes=3\n"[..]).unwrap_err();
         assert!(matches!(err, TraceReadError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn rejects_a_header_without_nodes() {
+        let err = read_trace(&b"# nodes=0 duration=100\n"[..]).unwrap_err();
+        assert!(
+            matches!(err, TraceReadError::Parse { line: 1, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_header_past_the_u32_ids() {
+        // Node 2^32 would read back as node 0.
+        let input = "# nodes=4294967297 duration=100\n4294967296,1,0,5\n";
+        let err = read_trace(input.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, TraceReadError::Parse { line: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]

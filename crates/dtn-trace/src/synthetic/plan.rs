@@ -17,7 +17,7 @@ impl SyntheticTraceBuilder {
     pub(super) fn plan(&self) -> TracePlan {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let duration = self.duration.mul_f64(self.scale);
-        let target = (self.target_contacts as f64 * self.scale).round().max(1.0);
+        let target = self.calibrated_contacts();
         let span = duration.as_secs_f64().max(1.0);
 
         // Per-node sociability: a truncated Pareto(shape, x_m = 1) upper
@@ -81,6 +81,11 @@ impl SyntheticTraceBuilder {
             },
             pairs,
         }
+    }
+
+    /// The expected contact count the plan calibrates to.
+    pub(super) fn calibrated_contacts(&self) -> f64 {
+        (self.target_contacts as f64 * self.scale).round().max(1.0)
     }
 
     /// Exact pair selection: enumerate all `C(N, 2)` affinities, binary

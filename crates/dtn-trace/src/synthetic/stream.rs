@@ -199,7 +199,7 @@ fn merge_key(start: Time, rank: u32) -> Reverse<u128> {
 /// in order and moves the pairs themselves, so the open reads them in
 /// order too. The plan keeps its own order until here, because its
 /// calibration sums affinities in it.
-fn rank(pairs: Vec<PlannedPair>, nodes: usize) -> Vec<PlannedPair> {
+pub(super) fn rank(pairs: Vec<PlannedPair>, nodes: usize) -> Vec<PlannedPair> {
     let pass = |pairs: Vec<PlannedPair>, endpoint: fn(&PlannedPair) -> NodeId| {
         let mut next = vec![0usize; nodes + 1];
         for p in &pairs {

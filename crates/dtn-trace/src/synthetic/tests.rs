@@ -428,3 +428,85 @@ fn pairs_sharing_a_start_come_out_in_a_b_order() {
         );
     }
 }
+
+/// The sorting build `build` replaced: every pair's raw contacts
+/// collected pair by pair and put through `ContactTrace::new`'s sort.
+fn sorted_reference(builder: &SyntheticTraceBuilder) -> ContactTrace {
+    let plan = builder.plan();
+    let mut contacts = Vec::new();
+    for pair in &plan.pairs {
+        let mut gen = PairContacts::new(pair, &plan.constants);
+        while let Some((start, end)) = gen.next_raw(&plan.constants) {
+            contacts.push(Contact::new(pair.a, pair.b, start, end));
+        }
+    }
+    ContactTrace::new(plan.nodes, contacts, plan.trace_duration)
+}
+
+/// Blocks `merge_blocks` cuts `builder`'s span into.
+fn blocks(builder: &SyntheticTraceBuilder) -> usize {
+    let pairs = builder.plan().pairs.len();
+    (builder.calibrated_contacts() as usize / BLOCK_CONTACTS.max(pairs)).max(1)
+}
+
+#[test]
+fn build_merges_what_a_sort_orders_under_every_process() {
+    let exact = SyntheticTraceBuilder::new(60)
+        .duration(Duration::days(2))
+        .target_contacts(20_000)
+        .communities(3)
+        .seed(37);
+    // Above the exact-sweep limit: pairs come out of the skip sampler
+    // against `(a, b)` order.
+    let sampled = SyntheticTraceBuilder::new(2_500)
+        .duration(Duration::hours(12))
+        .target_contacts(20_000)
+        .edge_density(0.001)
+        .seed(43);
+    let one_block = SyntheticTraceBuilder::new(10)
+        .duration(Duration::hours(6))
+        .target_contacts(1_500)
+        .seed(47);
+    assert!(blocks(&exact) >= 4 && blocks(&sampled) >= 4);
+    assert_eq!(blocks(&one_block), 1);
+    for base in [exact, sampled, one_block] {
+        for kind in ContactProcessKind::ALL {
+            for burstiness in [1.0, 3.0] {
+                let builder = base.clone().burstiness(burstiness).contact_process(kind);
+                let built = builder.build();
+                assert!(built.contact_count() > 500, "{}: degenerate", kind.name());
+                assert_eq!(
+                    built,
+                    sorted_reference(&builder),
+                    "{} at burstiness {burstiness}: build != sort",
+                    kind.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_built_trace_keeps_its_reserve_and_no_doubling_slack() {
+    // Calibrated at 9 000: the first seed falls short of the reserve, the
+    // second overruns it and grows by exactly what overran.
+    let builder = |seed| {
+        SyntheticTraceBuilder::new(30)
+            .duration(Duration::days(1))
+            .target_contacts(9_000)
+            .seed(seed)
+    };
+    let (short, over) = (builder(1), builder(3));
+    for (builder, overruns) in [(short, false), (over, true)] {
+        let reserve = builder.calibrated_contacts() as usize;
+        let contacts = builder.merge_blocks(builder.plan());
+        assert_eq!(
+            contacts.len() > reserve,
+            overruns,
+            "{} contacts",
+            contacts.len()
+        );
+        assert_eq!(contacts.capacity(), contacts.len().max(reserve));
+        assert_eq!(contacts, sorted_reference(&builder).contacts());
+    }
+}

@@ -49,6 +49,11 @@ impl Contact {
         self.end - self.start
     }
 
+    /// The key a trace orders its contacts by.
+    pub(crate) fn trace_order(&self) -> (Time, NodeId, NodeId, Time) {
+        (self.start, self.a, self.b, self.end)
+    }
+
     /// Whether `node` participates in this contact.
     pub fn involves(&self, node: NodeId) -> bool {
         self.a == node || self.b == node
@@ -119,10 +124,17 @@ impl ContactTrace {
             );
             max_end = max_end.max(c.end);
         }
-        contacts.sort_by_key(|c| (c.start, c.a, c.b, c.end));
+        contacts.sort_by_key(Contact::trace_order);
         let duration = Duration(duration.as_secs().max(max_end.as_secs()));
+        ContactTrace::from_sorted(node_count, contacts, duration)
+    }
+
+    /// Takes contacts already in [`Contact::trace_order`] without sorting
+    /// them again (checked in debug builds).
+    pub(crate) fn from_sorted(nodes: usize, contacts: Vec<Contact>, duration: Duration) -> Self {
+        debug_assert!(contacts.is_sorted_by_key(Contact::trace_order));
         ContactTrace {
-            node_count,
+            node_count: nodes,
             contacts,
             duration,
         }

@@ -11,7 +11,7 @@
 //! not query their own data (they hold it already).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use dtn_core::ids::{DataId, NodeId};
 use dtn_core::time::{Duration, Time};
@@ -78,8 +78,9 @@ impl Workload {
     /// # Panics
     ///
     /// Panics if the window is empty, `nodes == 0`, the generation
-    /// probability is outside `[0, 1]`, or the mean lifetime/size is
-    /// zero.
+    /// probability is outside `[0, 1]`, the mean lifetime/size is zero,
+    /// or the query period (the query constraint, `T_L/2` by default)
+    /// rounds to zero seconds.
     pub fn generate(nodes: usize, config: &WorkloadConfig) -> Self {
         assert!(nodes > 0, "workload needs at least one node");
         let (start, end) = config.window;
@@ -93,6 +94,11 @@ impl Workload {
             "mean lifetime must be positive"
         );
         assert!(config.mean_size > 0, "mean size must be positive");
+        let constraint = config.effective_query_constraint();
+        assert!(
+            constraint > Duration::ZERO,
+            "query period must be at least one second"
+        );
 
         let mut rng = StdRng::seed_from_u64(config.seed);
         let t_l = config.mean_lifetime;
@@ -102,11 +108,12 @@ impl Workload {
         // expiry of each node's current live item, if any
         let mut live_until: Vec<Option<Time>> = vec![None; nodes];
         let mut next_id = 0u64;
+        let generates = bernoulli_threshold(config.generation_probability);
         let mut epoch = start;
         while epoch < end {
             for (node, lives) in live_until.iter_mut().enumerate() {
                 let idle = lives.is_none_or(|t| t <= epoch);
-                if idle && rng.gen_bool(config.generation_probability) {
+                if idle && bernoulli(&mut rng, generates) {
                     let lifetime = t_l.mul_f64(rng.gen_range(0.5..1.5)).max(Duration(1));
                     let size = ((config.mean_size as f64 * rng.gen_range(0.5..1.5)) as u64).max(1);
                     let item =
@@ -120,7 +127,6 @@ impl Workload {
         }
 
         // --- Query generation ------------------------------------------
-        let constraint = config.effective_query_constraint();
         let mut queries: Vec<WorkloadEvent> = Vec::new();
         // `items` is in creation order, and an item dead at one epoch is
         // dead at every later one: the items alive at an epoch lie in the
@@ -128,7 +134,7 @@ impl Workload {
         // not yet created.
         let (mut lo, mut hi) = (0, 0);
         let mut alive: Vec<&DataItem> = Vec::new();
-        let mut probability: Vec<f64> = Vec::new();
+        let mut threshold: Vec<u64> = Vec::new();
         let mut epoch = start + constraint; // first batch after data exists
         while epoch < end {
             while hi < items.len() && items[hi].created_at <= epoch {
@@ -143,14 +149,16 @@ impl Workload {
             alive.extend(items[lo..hi].iter().filter(|d| d.is_alive(epoch)));
             if !alive.is_empty() {
                 let zipf = Zipf::new(alive.len(), config.zipf_exponent);
-                probability.clear();
-                probability.extend((1..=alive.len()).map(|rank| zipf.probability(rank)));
+                threshold.clear();
+                threshold.extend(
+                    (1..=alive.len()).map(|rank| bernoulli_threshold(zipf.probability(rank))),
+                );
                 for node in 0..nodes {
-                    for (item, &p) in alive.iter().zip(&probability) {
+                    for (item, &t) in alive.iter().zip(&threshold) {
                         if item.source.index() == node {
                             continue; // a source holds its own data
                         }
-                        if rng.gen_bool(p) {
+                        if bernoulli(&mut rng, t) {
                             queries.push(WorkloadEvent::IssueQuery {
                                 at: epoch,
                                 requester: NodeId(node as u32),
@@ -225,6 +233,19 @@ impl Workload {
             .sum();
         alive_secs / span
     }
+}
+
+/// The integer form of `gen_bool(p)` for `p ∈ [0, 1]`: a draw passes
+/// [`bernoulli`] when its top 53 bits are below `⌈p · 2^53⌉`. `gen_bool`
+/// tests those bits, scaled by `2^-53`, against `p`; both sides are
+/// exact, so this is the same predicate on the same one draw.
+fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli trial against a [`bernoulli_threshold`].
+fn bernoulli(rng: &mut StdRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
 }
 
 #[cfg(test)]
@@ -418,5 +439,46 @@ mod tests {
         let mut cfg = config(12, 1);
         cfg.window = (Time(100), Time(100));
         let _ = Workload::generate(10, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "query period")]
+    fn a_one_second_lifetime_has_no_query_period() {
+        // T_L/2 rounds to 0 s: the query loop would never advance.
+        let cfg = WorkloadConfig {
+            mean_lifetime: Duration(1),
+            ..WorkloadConfig::new((Time(0), Time(100)))
+        };
+        let _ = Workload::generate(4, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "query period")]
+    fn a_zero_query_constraint_panics() {
+        let cfg = WorkloadConfig {
+            query_constraint: Some(Duration::ZERO),
+            ..config(12, 1)
+        };
+        let _ = Workload::generate(4, &cfg);
+    }
+
+    #[test]
+    fn an_integer_trial_is_gen_bool_on_the_same_draw() {
+        let zipf = Zipf::new(19, 1.0);
+        let ps = (1..=19).map(|rank| zipf.probability(rank)).chain([
+            0.0,
+            1.0,
+            0.2,
+            0.5,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON,
+        ]);
+        for p in ps {
+            let (mut by_float, mut by_int) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            let t = bernoulli_threshold(p);
+            for _ in 0..2_000 {
+                assert_eq!(by_float.gen_bool(p), bernoulli(&mut by_int, t), "p = {p}");
+            }
+        }
     }
 }
