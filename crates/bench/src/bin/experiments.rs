@@ -678,7 +678,7 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
         "RateTable holds an estimator (56 B) only for a pair that has met, at every population: O(N + pairs met), never O(N^2).",
         "oracle_reach_bytes is the heap the bounded oracle's reaches held, summed over every reach built (each source's reach of an epoch replaces its last, so a sum over epochs bounds what is live at once). A reach keeps its inner ball, 24 B per node (id, weight, predecessor, pop position, pop order), and nothing per rim node: a leaf read rebuilds each rim path it tries from the predecessor chain. The audited case's reaches hold 6514128 B, gated as oracle_reach_bytes_exact; the layout that also copied each rim path (20 B per inner node, then 24 B per stage plus 5 B per rim node) held 11033296 B.",
         "audited_case.pending_*_exact are the in-flight arena's work over the audited run (pulls, NCL broadcasts, responses), counted and gated the same way: examined counts each message an endpoint carried once per contact, inserted the messages put in flight. A query's multicast to the K = 8 centrals is one pull record: with one slot per copy the audited case read 1425 inserted (1016 of them pulls, now 127) and 408585 examined (pulls 23057, now 11377).",
-        "stream_bytes is the heap the contact stream held when it opened (ContactStream::heap_bytes): 104 B per kept pair (its RNG, calibrated process values, three clocks, endpoints, and the ends of its contact in the merge heap and of the raw contact pulled ahead) plus a 16-B merge key (start, the pair's rank in (a, b) order), 120 B in all. The plan-wide constants live once on the stream and the rare equal-start group in one stream-wide store. The audited 2000-node city sweeps every pair exactly, so its value is deterministic and gated as stream_bytes_exact. The layout that copied the constants and a sampler into every pair, merged on a 32-B (start, a, b, end) entry and allocated a group buffer on a pair's first contact held 291 B per kept pair at 5000 nodes.",
+        "stream_bytes is the heap the contact stream held when it opened (ContactStream::heap_bytes): 88 B per kept pair (its RNG, calibrated process values, three clocks, endpoints, and the end of the contact it pulled past the last block) plus the block merge's two buffers, the block being filled and the sorted block being yielded (about max(4096, pairs / 4) contacts each, 24 B a contact), 107 B per kept pair in the audited case. The plan-wide constants live once on the stream. The audited 2000-node city sweeps every pair exactly, so its value is deterministic and gated as stream_bytes_exact. The k-way heap merge the stream used before it drained build()'s block merge read 1400760 here, 120 B per kept pair (a 104-B pair and a 16-B merge key); the layout before that, which copied the constants and a sampler into every pair, held 291 B per kept pair at 5000 nodes.",
     ];
     let doc = JsonValue::object()
         .with("benchmark", "crates/bench/src/scale.rs")

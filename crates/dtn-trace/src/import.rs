@@ -44,17 +44,38 @@ fn parse_err(line: usize, reason: impl Into<String>) -> TraceReadError {
     }
 }
 
+/// A time field: seconds, finite and non-negative, fractions truncated.
+/// An error names line number `line` and its text `t`.
+fn time_field(field: &str, line: usize, t: &str) -> Result<u64, TraceReadError> {
+    match field.parse::<f64>() {
+        Ok(secs) if secs.is_finite() && secs >= 0.0 => Ok(secs as u64),
+        Ok(_) => Err(parse_err(
+            line,
+            format!("time {field} is not finite and ≥ 0 in {t:?}"),
+        )),
+        Err(_) => Err(parse_err(line, format!("non-numeric time in {t:?}"))),
+    }
+}
+
+/// A node id field: a non-negative integer; errors as in [`time_field`].
+fn node_field(field: &str, line: usize, t: &str) -> Result<u64, TraceReadError> {
+    let reason = || format!("node {field:?} is not a non-negative integer in {t:?}");
+    field.parse().map_err(|_| parse_err(line, reason()))
+}
+
 /// Reads `a b start end` interval rows (whitespace or comma separated;
-/// `#`-comments and blank lines skipped). Times are in seconds;
-/// fractional timestamps are truncated. External node ids are
-/// renumbered densely in order of first appearance.
+/// `#`-comments and blank lines skipped). Times are finite,
+/// non-negative seconds; fractional timestamps are truncated. Node ids
+/// are non-negative integers, renumbered densely in order of first
+/// appearance.
 ///
 /// Zero-length and inverted intervals are **skipped** rather than
 /// rejected — public dumps contain both.
 ///
 /// # Errors
 ///
-/// Returns [`TraceReadError`] on I/O failure, non-numeric fields, or an
+/// Returns [`TraceReadError`] on I/O failure, a field outside its domain
+/// (a `NaN`, infinite or negative time, a fractional node id), or an
 /// empty input.
 ///
 /// # Example
@@ -86,15 +107,9 @@ pub fn read_intervals<R: BufRead>(reader: R) -> Result<ContactTrace, TraceReadEr
         if fields.len() < 4 {
             return Err(parse_err(line_no, format!("expected 4 fields, got {t:?}")));
         }
-        let num = |idx: usize, name: &str| -> Result<f64, TraceReadError> {
-            fields[idx]
-                .parse::<f64>()
-                .map_err(|_| parse_err(line_no, format!("non-numeric {name} in {t:?}")))
-        };
-        let a = num(0, "node a")? as u64;
-        let b = num(1, "node b")? as u64;
-        let start = num(2, "start")? as u64;
-        let end = num(3, "end")? as u64;
+        let node = |i: usize| node_field(fields[i], line_no, t);
+        let time = |i: usize| time_field(fields[i], line_no, t);
+        let (a, b, start, end) = (node(0)?, node(1)?, time(2)?, time(3)?);
         if a == b || end <= start {
             continue; // tolerated noise in public dumps
         }
@@ -116,12 +131,13 @@ pub fn read_intervals<R: BufRead>(reader: R) -> Result<ContactTrace, TraceReadEr
 /// Reads the ONE simulator's connectivity report:
 /// `<time> CONN <a> <b> up|down` lines. Each `up` opens a contact that
 /// the matching `down` closes; contacts still open at the end of input
-/// close at the last event time.
+/// close at the last event time. Times and node ids take the domains of
+/// [`read_intervals`].
 ///
 /// # Errors
 ///
-/// Returns [`TraceReadError`] on I/O failure, malformed lines, or an
-/// empty input.
+/// Returns [`TraceReadError`] on I/O failure, malformed lines, a field
+/// outside its domain, or an empty input.
 ///
 /// # Example
 ///
@@ -153,16 +169,9 @@ pub fn read_one_events<R: BufRead>(reader: R) -> Result<ContactTrace, TraceReadE
                 format!("expected `<time> CONN <a> <b> up|down`, got {t:?}"),
             ));
         }
-        let time = fields[0]
-            .parse::<f64>()
-            .map_err(|_| parse_err(line_no, format!("non-numeric time in {t:?}")))?
-            as u64;
-        let a_ext = fields[2]
-            .parse::<u64>()
-            .map_err(|_| parse_err(line_no, format!("non-numeric node in {t:?}")))?;
-        let b_ext = fields[3]
-            .parse::<u64>()
-            .map_err(|_| parse_err(line_no, format!("non-numeric node in {t:?}")))?;
+        let time = time_field(fields[0], line_no, t)?;
+        let a_ext = node_field(fields[2], line_no, t)?;
+        let b_ext = node_field(fields[3], line_no, t)?;
         if a_ext == b_ext {
             continue;
         }
@@ -187,7 +196,7 @@ pub fn read_one_events<R: BufRead>(reader: R) -> Result<ContactTrace, TraceReadE
         }
     }
     // Close dangling connections at the end of the report.
-    let close_at = Time(last_time + 1);
+    let close_at = Time(last_time.saturating_add(1));
     for ((a, b), start) in open {
         if close_at > start {
             contacts.push(Contact::new(a, b, start, close_at));
@@ -267,6 +276,56 @@ mod tests {
         assert!(read_one_events(&b"10 LINK 1 2 up\n"[..]).is_err());
         assert!(read_one_events(&b"10 CONN 1 2 sideways\n"[..]).is_err());
         assert!(read_one_events(&b"x CONN 1 2 up\n"[..]).is_err());
+    }
+
+    /// The `Parse` error's line, or a panic naming what was read.
+    fn parse_error_line(read: Result<ContactTrace, TraceReadError>) -> usize {
+        match read {
+            Err(TraceReadError::Parse { line, .. }) => line,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn intervals_reject_a_nan_node_id() {
+        let raw = "1 2 0 10\nNaN 2 20 30\n";
+        assert_eq!(parse_error_line(read_intervals(raw.as_bytes())), 2);
+    }
+
+    #[test]
+    fn intervals_reject_an_infinite_end() {
+        let raw = "1 2 0 10\n1 3 20 inf\n";
+        assert_eq!(parse_error_line(read_intervals(raw.as_bytes())), 2);
+    }
+
+    #[test]
+    fn intervals_reject_negative_times_and_ids() {
+        assert_eq!(parse_error_line(read_intervals(&b"1 2 -5 10\n"[..])), 1);
+        assert_eq!(parse_error_line(read_intervals(&b"1 -5 0 10\n"[..])), 1);
+    }
+
+    #[test]
+    fn intervals_reject_fractional_node_ids() {
+        // Truncated, `1.2` and `1.7` would be one node and the line a
+        // self-contact.
+        let raw = "1 2 0 10\n1.2 1.7 20 30\n";
+        assert_eq!(parse_error_line(read_intervals(raw.as_bytes())), 2);
+    }
+
+    #[test]
+    fn one_events_reject_an_infinite_time() {
+        let raw = "10 CONN 1 2 up\ninf CONN 3 4 up\n";
+        assert_eq!(parse_error_line(read_one_events(raw.as_bytes())), 2);
+    }
+
+    #[test]
+    fn one_events_close_dangling_at_the_last_second_without_overflow() {
+        // 2^64 s saturates to the last representable second.
+        let raw = "10 CONN 1 2 up\n18446744073709551616 CONN 3 4 up\n";
+        let t = read_one_events(raw.as_bytes()).expect("valid");
+        assert_eq!(t.contact_count(), 1);
+        assert_eq!(t.contacts()[0].start, Time(10));
+        assert_eq!(t.contacts()[0].end, Time(u64::MAX));
     }
 
     #[test]

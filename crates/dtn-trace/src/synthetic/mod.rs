@@ -21,8 +21,9 @@
 //!
 //! This file holds the builder and its two entry points; `plan.rs`
 //! computes what both share (calibration, kept pairs, per-pair seeds) and
-//! `stream.rs` turns a plan into contacts (one lazy generator per pair,
-//! merged by a heap); `build` merges the same generators by time block.
+//! `stream.rs` turns a plan into contacts: one lazy generator per pair,
+//! merged by time block, which `build` drains into one `Vec` and
+//! [`ContactStream`] holds open.
 
 use dtn_core::ids::NodeId;
 use dtn_core::time::{Duration, Time};
@@ -40,7 +41,7 @@ pub(crate) use plan::hash_uniform01;
 pub use stream::ContactStream;
 
 use plan::TracePlan;
-use stream::PairContacts;
+use stream::BlockMerge;
 
 /// Builder for synthetic contact traces.
 ///
@@ -293,12 +294,13 @@ impl SyntheticTraceBuilder {
 
     /// Generates the trace, materialized in memory.
     ///
-    /// This is the small-N reference path: it draws the exact same
-    /// per-pair contact processes as [`SyntheticTraceBuilder::stream`]
-    /// (both run off one shared internal plan) and merges them by time
-    /// block, already in trace order. The two paths yield identical
-    /// contact sequences for every configuration and seed; the streaming
-    /// path just never holds more than `O(pairs)` state.
+    /// Draws the exact same per-pair contact processes as
+    /// [`SyntheticTraceBuilder::stream`] through the same block merge
+    /// (both run off one shared internal plan), drained into one `Vec`
+    /// reserved at the calibrated contact count, already in trace order.
+    /// The two paths yield identical contact sequences for every
+    /// configuration and seed; the streaming path just never holds more
+    /// than `O(pairs)` state.
     pub fn build(&self) -> ContactTrace {
         let plan = self.plan();
         let (nodes, duration) = (plan.nodes, plan.trace_duration);
@@ -306,45 +308,20 @@ impl SyntheticTraceBuilder {
     }
 
     /// `build`'s contacts in `(start, a, b, end)` order, in a `Vec`
-    /// reserved at the calibrated count. A block of time holds about
-    /// `max(BLOCK_CONTACTS, pairs)` contacts, so visiting every pair once
-    /// a block costs no more than the contacts do; each pair, in `(a, b)`
-    /// order, keeps the contact it pulled past the block for the next.
+    /// reserved at the calibrated count before the merge's first block.
     fn merge_blocks(&self, plan: TracePlan) -> Vec<Contact> {
-        let c = plan.constants;
-        let mut pairs: Vec<_> = stream::rank(plan.pairs, plan.nodes)
-            .iter()
-            .map(|p| {
-                let mut gen = PairContacts::new(p, &c);
-                (p.a, p.b, gen.next_raw(&c), gen)
-            })
-            .collect();
         let expected = self.calibrated_contacts() as usize;
-        let blocks = (expected / BLOCK_CONTACTS.max(pairs.len())).max(1) as u128;
-        // Block `k` is `[at(k), at(k + 1))`; the last one closes at the
-        // observation end, before which every contact starts.
-        let at = |k: u128| (u128::from(c.duration_secs) * k / blocks) as u64;
+        let mut merge = BlockMerge::new(plan, expected);
         let mut contacts = Vec::with_capacity(expected);
-        let mut block = Vec::with_capacity(expected / blocks as usize * 5 / 4); // rarely regrows
-        for k in 0..blocks {
-            let (lo, hi) = (at(k), at(k + 1));
-            block.clear();
-            for (a, b, ahead, gen) in &mut pairs {
-                while let Some((start, end)) = ahead.filter(|&(start, _)| start.as_secs() < hi) {
-                    block.push(Contact::new(*a, *b, start, end));
-                    *ahead = gen.next_raw(&c);
-                }
-            }
-            append_in_order(&mut contacts, &block, lo, hi);
-        }
+        while merge.fill(&mut contacts) {}
         contacts
     }
 
     /// Generates the trace as a time-ordered contact iterator without
-    /// materializing it: 120 B per kept pair (one lazy pair process and
-    /// its merge key; [`ContactStream::heap_bytes`]) regardless of how
-    /// many contacts the trace contains. City-scale runs feed this
-    /// straight into the simulator.
+    /// materializing it: under 120 B per kept pair (one lazy pair process
+    /// and its share of two block buffers; [`ContactStream::heap_bytes`])
+    /// regardless of how many contacts the trace contains. City-scale
+    /// runs feed this straight into the simulator.
     ///
     /// Yields exactly the contacts of [`SyntheticTraceBuilder::build`],
     /// in exactly `(start, a, b, end)` order.
@@ -359,45 +336,7 @@ impl SyntheticTraceBuilder {
     /// assert_eq!(streamed, builder.build().contacts());
     /// ```
     pub fn stream(&self) -> ContactStream {
-        ContactStream::new(self.plan())
-    }
-}
-
-/// The fewest expected contacts in a block of `build`'s merge.
-const BLOCK_CONTACTS: usize = 4096;
-
-/// Appends one block's contacts, listed pair by pair and starting in
-/// `[lo, hi)`, to `out` in `(start, a, b, end)` order: a stable counting
-/// pass by start bucket (a power of two seconds wide, about one contact
-/// each), then a sort of each bucket, one pass unless two pairs' starts
-/// or an equal-start group of one pair are out of order there.
-/// `out` grows by exactly what overruns its reserve.
-fn append_in_order(out: &mut Vec<Contact>, block: &[Contact], lo: u64, hi: u64) {
-    let width = (hi - lo).div_ceil(block.len().max(1) as u64);
-    let shift = width.next_power_of_two().trailing_zeros();
-    let bucket = |c: &Contact| ((c.start.as_secs() - lo) >> shift) as usize;
-    // Bucket `i` is counted at `offsets[i + 1]`, then starts at
-    // `offsets[i]` and, once scattered, ends there.
-    let mut offsets = vec![0; ((hi - lo) >> shift) as usize + 2];
-    for c in block {
-        offsets[bucket(c) + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let base = out.len();
-    out.reserve_exact(block.len());
-    out.extend_from_slice(block);
-    let dest = &mut out[base..];
-    for c in block {
-        let slot = &mut offsets[bucket(c)];
-        dest[*slot] = *c;
-        *slot += 1;
-    }
-    let mut from = 0;
-    for &to in &offsets {
-        dest[from..to].sort_unstable_by_key(Contact::trace_order);
-        from = to;
+        ContactStream::new(self.plan(), self.calibrated_contacts() as usize)
     }
 }
 

@@ -1,14 +1,14 @@
-//! [`ContactStream`]: the lazy per-pair contact generators and their
-//! k-way merge.
+//! The lazy per-pair contact generators and the one merge that puts
+//! them in trace order a block of time at a time: `build()` drains it
+//! into the trace's `Vec`, [`ContactStream`] a block at a time.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::mem::size_of;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dtn_core::ids::{IdMap, NodeId};
+use dtn_core::ids::NodeId;
 use dtn_core::time::{Duration, Time};
 
 use super::plan::{PlanConstants, PlannedPair, TracePlan};
@@ -47,9 +47,10 @@ impl PairContacts {
 
     /// The next raw contact's `(start, end)` in generation order (starts
     /// nondecreasing; `(start, end)` may be locally inverted across run
-    /// boundaries when truncation ties two starts — [`PairStream`]
-    /// restores full order). `None` once the session clock passes the
-    /// span; the generator is spent then and is not called again.
+    /// boundaries when truncation ties two starts — the block merge's
+    /// per-bucket sort restores full order). `None` once the session
+    /// clock passes the span; the generator is spent then and is not
+    /// called again.
     pub(super) fn next_raw(&mut self, c: &PlanConstants) -> Option<(Time, Time)> {
         let g = c.granularity_secs;
         loop {
@@ -91,185 +92,163 @@ impl PairContacts {
             return Some((Time(start), Time(end)));
         }
     }
-
-    /// Start of the contact [`next_raw`](Self::next_raw) returned last:
-    /// every return leaves the slot clock one granularity past it.
-    fn last_start(&self, c: &PlanConstants) -> Time {
-        Time(self.session_t - c.granularity_secs)
-    }
 }
 
-/// One kept pair of the merge (104 B): its endpoints and generator, the
-/// end of its contact waiting in the heap (whose key holds the start),
-/// and the end of the raw contact pulled ahead to see whether the next
-/// start ties. Contacts come out in `(start, end)` order: an equal-start
-/// group — a truncation tie at a run boundary, rare — is sorted by end
-/// and its rest parked in the stream's group store, keyed by rank.
-struct PairStream {
+/// One kept pair of the merge (88 B): its endpoints, its generator and,
+/// as `ahead`, the end of the contact it pulled past the last block.
+struct KeptPair {
     a: NodeId,
     b: NodeId,
     gen: PairContacts,
-    head_end: Time,
-    /// End of the raw contact pulled ahead, `Time::ZERO` once the
-    /// generator is spent (every contact ends after 0). Its start is
-    /// `gen.last_start()`.
-    next_end: Time,
-    /// Whether the rest of an equal-start group waits in the store.
-    grouped: bool,
+    /// `Time::ZERO` once the generator is spent (every contact ends after
+    /// 0). The contact starts a granularity before the generator's slot
+    /// clock, where every `next_raw` leaves it.
+    ahead: Time,
 }
 
-impl PairStream {
-    fn open(pair: &PlannedPair, c: &PlanConstants) -> Self {
-        let mut stream = PairStream {
-            a: pair.a,
-            b: pair.b,
-            gen: PairContacts::new(pair, c),
-            head_end: Time::ZERO,
-            next_end: Time::ZERO,
-            grouped: false,
+/// The fewest expected contacts in a block. A block holds about
+/// `max(BLOCK_CONTACTS, pairs / 4)`: few enough that a stream's two block
+/// buffers stay small beside its pairs, and enough that visiting every
+/// pair once a block costs about what the contacts do.
+pub(super) const BLOCK_CONTACTS: usize = 4096;
+
+/// Every kept pair's generator, merged into `(start, a, b, end)` order
+/// one block of time at a time.
+pub(super) struct BlockMerge {
+    constants: PlanConstants,
+    /// The kept pairs in `(a, b)` order.
+    pairs: Vec<KeptPair>,
+    /// The blocks left to fill, of the `0..n` the span is cut into.
+    todo: Range<u64>,
+    /// A block's expected contacts and a quarter more, so a block
+    /// buffer rarely regrows.
+    capacity: usize,
+    /// The block being filled, pair by pair. Allocated by the first fill,
+    /// after the caller's output.
+    block: Vec<Contact>,
+}
+
+impl BlockMerge {
+    /// Opens every kept pair's generator; `expected` is the calibrated
+    /// contact count, which sizes the blocks.
+    pub(super) fn new(plan: TracePlan, expected: usize) -> Self {
+        // In `(a, b)` order a block lists each start's contacts nearly in
+        // trace order, which leaves the bucket sorts little to do. The
+        // plan keeps its own order until here: its calibration sums in it.
+        let (c, mut pairs) = (plan.constants, plan.pairs);
+        pairs.sort_unstable_by_key(|p| (p.a, p.b));
+        let pairs: Vec<KeptPair> = pairs
+            .iter()
+            .map(|p| {
+                let mut gen = PairContacts::new(p, &c);
+                let ahead = gen.next_raw(&c).map_or(Time::ZERO, |(_, end)| end);
+                let (a, b) = (p.a, p.b);
+                KeptPair { a, b, gen, ahead }
+            })
+            .collect();
+        let blocks = (expected / BLOCK_CONTACTS.max(pairs.len() / 4)).max(1);
+        BlockMerge {
+            constants: c,
+            pairs,
+            todo: 0..blocks as u64,
+            capacity: expected / blocks * 5 / 4,
+            block: Vec::new(),
+        }
+    }
+
+    /// Appends the next block's contacts to `out` in `(start, a, b, end)`
+    /// order; `false`, appending nothing, once every block has been.
+    pub(super) fn fill(&mut self, out: &mut Vec<Contact>) -> bool {
+        let Some(k) = self.todo.next() else {
+            return false;
         };
-        stream.next_end = stream.pull(c);
-        stream
-    }
-
-    /// Generates the next raw contact and returns its end, or
-    /// `Time::ZERO` when the generator is spent.
-    fn pull(&mut self, c: &PlanConstants) -> Time {
-        self.gen.next_raw(c).map_or(Time::ZERO, |(_, end)| end)
-    }
-
-    /// Whether the contact pulled ahead starts at `start`.
-    fn pulled_ties(&self, start: Time, c: &PlanConstants) -> bool {
-        self.next_end != Time::ZERO && self.gen.last_start(c) == start
-    }
-
-    /// The pair's next contact `(start, end)` in full `(start, end)`
-    /// order, given the start of the contact it sent last. Buffering
-    /// each group of equal starts and sorting it by end reproduces
-    /// exactly what the materialized path's global sort does within the
-    /// pair (equal ends at one start are equal contacts).
-    fn advance(
-        &mut self,
-        rank: u32,
-        sent: Time,
-        groups: &mut IdMap<u32, Vec<Time>>,
-        c: &PlanConstants,
-    ) -> Option<(Time, Time)> {
-        if self.grouped {
-            let rest = groups.get_mut(&rank).expect("a grouped pair has its group");
-            let end = rest.pop().expect("a stored group is never empty");
-            if rest.is_empty() {
-                groups.remove(&rank);
-                self.grouped = false;
+        let (c, n) = (&self.constants, u128::from(self.todo.end));
+        // Block `k` is `[at(k), at(k + 1))`; the last one closes at the
+        // observation end, before which every contact starts.
+        let at = |k| (u128::from(c.duration_secs) * u128::from(k) / n) as u64;
+        let (lo, hi, g) = (at(k), at(k + 1), c.granularity_secs);
+        self.block.clear();
+        self.block.reserve_exact(self.capacity);
+        for pair in &mut self.pairs {
+            while pair.ahead != Time::ZERO && pair.gen.session_t - g < hi {
+                let start = Time(pair.gen.session_t - g);
+                self.block
+                    .push(Contact::new(pair.a, pair.b, start, pair.ahead));
+                pair.ahead = pair.gen.next_raw(c).map_or(Time::ZERO, |(_, end)| end);
             }
-            return Some((sent, end));
         }
-        if self.next_end == Time::ZERO {
-            return None;
-        }
-        let (start, end) = (self.gen.last_start(c), self.next_end);
-        self.next_end = self.pull(c);
-        if !self.pulled_ties(start, c) {
-            return Some((start, end));
-        }
-        let mut rest = vec![end];
-        while self.pulled_ties(start, c) {
-            rest.push(self.next_end);
-            self.next_end = self.pull(c);
-        }
-        // Descending, so each `pop` sends the next end up.
-        rest.sort_unstable_by(|x, y| y.cmp(x));
-        let first = rest.pop().expect("a group holds two contacts or more");
-        groups.insert(rank, rest);
-        self.grouped = true;
-        Some((start, first))
+        append_in_order(out, &self.block, lo, hi);
+        true
     }
 }
 
-/// The merge's heap key: start, then the pair's rank in `(a, b)` order.
-/// No two entries belong to one pair, so `(start, a, b)` decides every
-/// comparison and `end` never does.
-fn merge_key(start: Time, rank: u32) -> Reverse<u128> {
-    Reverse((u128::from(start.as_secs()) << 32) | u128::from(rank))
-}
-
-/// The kept pairs in `(a, b)` order, which makes a pair's index in the
-/// stream its rank: two stable counting passes (by `b`, then by `a`),
-/// `O(pairs + nodes)` and no comparison sort. Each pass reads its input
-/// in order and moves the pairs themselves, so the open reads them in
-/// order too. The plan keeps its own order until here, because its
-/// calibration sums affinities in it.
-pub(super) fn rank(pairs: Vec<PlannedPair>, nodes: usize) -> Vec<PlannedPair> {
-    let pass = |pairs: Vec<PlannedPair>, endpoint: fn(&PlannedPair) -> NodeId| {
-        let mut next = vec![0usize; nodes + 1];
-        for p in &pairs {
-            next[endpoint(p).index() + 1] += 1;
-        }
-        for v in 1..=nodes {
-            next[v] += next[v - 1];
-        }
-        let mut sorted = pairs.clone();
-        for p in pairs {
-            let slot = &mut next[endpoint(&p).index()];
-            sorted[*slot] = p;
-            *slot += 1;
-        }
-        sorted
-    };
-    pass(pass(pairs, |p| p.b), |p| p.a)
+/// Appends one block's contacts, listed pair by pair and starting in
+/// `[lo, hi)`, to `out` in `(start, a, b, end)` order: a stable counting
+/// pass by start bucket (a power of two seconds wide, about one contact
+/// each), then a sort of each bucket, one pass unless two pairs' starts
+/// or an equal-start group of one pair are out of order there.
+/// `out` grows by exactly what overruns its reserve.
+fn append_in_order(out: &mut Vec<Contact>, block: &[Contact], lo: u64, hi: u64) {
+    let width = (hi - lo).div_ceil(block.len().max(1) as u64);
+    let shift = width.next_power_of_two().trailing_zeros();
+    let bucket = |c: &Contact| ((c.start.as_secs() - lo) >> shift) as usize;
+    // Bucket `i` is counted at `offsets[i + 1]`, then starts at
+    // `offsets[i]` and, once scattered, ends there.
+    let mut offsets = vec![0; ((hi - lo) >> shift) as usize + 2];
+    for c in block {
+        offsets[bucket(c) + 1] += 1;
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let base = out.len();
+    out.reserve_exact(block.len());
+    out.extend_from_slice(block);
+    let dest = &mut out[base..];
+    for c in block {
+        let slot = &mut offsets[bucket(c)];
+        dest[*slot] = *c;
+        *slot += 1;
+    }
+    let mut from = 0;
+    for &to in &offsets {
+        dest[from..to].sort_unstable_by_key(Contact::trace_order);
+        from = to;
+    }
 }
 
 /// A time-ordered stream of synthetic contacts, produced by
 /// [`SyntheticTraceBuilder::stream`](super::SyntheticTraceBuilder::stream).
 ///
-/// A k-way heap merge over one lazy per-pair contact process per kept
-/// pair. A kept pair costs 120 B ([`heap_bytes`](Self::heap_bytes)): 104
-/// B of generator and merge state and a 16-B heap key, whatever the
-/// contact count — which is what lets 100k–1M-node traces feed a
-/// simulation without ever existing in RAM. The plan-wide constants are
-/// held once, and the rare equal-start group sits in one stream-wide
-/// store. Yields exactly the contacts of
-/// [`SyntheticTraceBuilder::build`](super::SyntheticTraceBuilder::build)
+/// The block merge [`SyntheticTraceBuilder::build`](super::SyntheticTraceBuilder::build)
+/// drains, held open: one lazy per-pair contact process per kept pair
+/// and one block of contacts in trace order at a time. A kept pair costs
+/// under 120 B ([`heap_bytes`](Self::heap_bytes)): 88 B of generator and
+/// merge state and its share of two block buffers, whatever the contact
+/// count — which is what lets 100k–1M-node traces feed a simulation
+/// without ever existing in RAM. Yields exactly the contacts of `build`
 /// in `(start, a, b, end)` order.
 pub struct ContactStream {
     nodes: usize,
     trace_duration: Duration,
-    constants: PlanConstants,
-    /// The kept pairs in `(a, b)` order: an index is the pair's rank.
-    pairs: Vec<PairStream>,
-    /// One [`merge_key`] per pair with a contact pending.
-    heap: BinaryHeap<Reverse<u128>>,
-    /// The unsent rest of each open equal-start group, by rank.
-    groups: IdMap<u32, Vec<Time>>,
+    merge: BlockMerge,
+    /// The block being yielded, in trace order, and its next contact.
+    block: Vec<Contact>,
+    cursor: usize,
 }
 
 impl ContactStream {
-    pub(super) fn new(plan: TracePlan) -> Self {
-        let c = plan.constants;
-        assert!(
-            u32::try_from(plan.pairs.len()).is_ok(),
-            "a stream ranks at most 2^32 pairs"
-        );
-        let mut pairs: Vec<PairStream> = rank(plan.pairs, plan.nodes)
-            .iter()
-            .map(|p| PairStream::open(p, &c))
-            .collect();
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut groups = IdMap::default();
-        for (rank, pair) in (0u32..).zip(pairs.iter_mut()) {
-            if let Some((start, end)) = pair.advance(rank, Time::ZERO, &mut groups, &c) {
-                pair.head_end = end;
-                keys.push(merge_key(start, rank));
-            }
-        }
-        ContactStream {
+    pub(super) fn new(plan: TracePlan, expected: usize) -> Self {
+        let mut stream = ContactStream {
             nodes: plan.nodes,
             trace_duration: plan.trace_duration,
-            constants: c,
-            pairs,
-            heap: BinaryHeap::from(keys),
-            groups,
-        }
+            merge: BlockMerge::new(plan, expected),
+            block: Vec::new(),
+            cursor: 0,
+        };
+        // Opened with its first block, so `heap_bytes` counts both buffers.
+        stream.merge.fill(&mut stream.block);
+        stream
     }
 
     /// Number of nodes of the (virtual) trace.
@@ -283,18 +262,10 @@ impl ContactStream {
         self.trace_duration
     }
 
-    /// Bytes of heap the stream holds: the pairs, the merge heap's
-    /// slots, and the open equal-start groups (the group table counted
-    /// by its capacity, one control byte per slot).
+    /// Bytes of heap the stream holds: the pairs and both block buffers.
     pub fn heap_bytes(&self) -> usize {
-        self.pairs.capacity() * size_of::<PairStream>()
-            + self.heap.capacity() * size_of::<Reverse<u128>>()
-            + self.groups.capacity() * (size_of::<(u32, Vec<Time>)>() + 1)
-            + self
-                .groups
-                .values()
-                .map(|rest| rest.capacity() * size_of::<Time>())
-                .sum::<usize>()
+        let blocks = self.merge.block.capacity() + self.block.capacity();
+        self.merge.pairs.capacity() * size_of::<KeptPair>() + blocks * size_of::<Contact>()
     }
 }
 
@@ -302,22 +273,14 @@ impl Iterator for ContactStream {
     type Item = Contact;
 
     fn next(&mut self) -> Option<Contact> {
-        // The popped pair's next contact replaces its key in place: one
-        // sift down, not a pop and a push.
-        let mut top = self.heap.peek_mut()?;
-        let Reverse(key) = *top;
-        let (start, rank) = (Time((key >> 32) as u64), key as u32);
-        let pair = &mut self.pairs[rank as usize];
-        let contact = Contact::new(pair.a, pair.b, start, pair.head_end);
-        match pair.advance(rank, start, &mut self.groups, &self.constants) {
-            Some((next_start, end)) => {
-                pair.head_end = end;
-                *top = merge_key(next_start, rank);
-            }
-            None => {
-                PeekMut::pop(top);
+        while self.cursor == self.block.len() {
+            self.block.clear();
+            self.cursor = 0;
+            if !self.merge.fill(&mut self.block) {
+                return None;
             }
         }
-        Some(contact)
+        self.cursor += 1;
+        Some(self.block[self.cursor - 1])
     }
 }

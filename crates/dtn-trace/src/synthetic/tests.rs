@@ -341,7 +341,7 @@ fn city(nodes: usize) -> SyntheticTraceBuilder {
 }
 
 #[test]
-fn a_kept_pair_streams_from_at_most_128_bytes() {
+fn a_kept_pair_streams_from_at_most_120_bytes() {
     // 1 500 nodes sweep every pair, 5 000 skip-sample them.
     for nodes in [1_500, 5_000] {
         let builder = city(nodes);
@@ -349,11 +349,11 @@ fn a_kept_pair_streams_from_at_most_128_bytes() {
         let stream = builder.stream();
         let per_pair = stream.heap_bytes() / pairs;
         assert!(pairs > 4 * nodes, "{nodes} nodes kept {pairs} pairs");
-        assert!(per_pair <= 128, "{nodes} nodes: {per_pair} B per kept pair");
-        // Draining parks no more than a few groups at a time.
+        assert!(per_pair <= 120, "{nodes} nodes: {per_pair} B per kept pair");
+        // A block past the reserve may regrow a buffer, rarely.
         let mut drained = stream;
         for _ in drained.by_ref().take(10 * nodes) {}
-        assert!(drained.heap_bytes() / pairs <= 128);
+        assert!(drained.heap_bytes() / pairs <= 120);
     }
 }
 
@@ -398,7 +398,7 @@ fn equal_start_groups_stream_as_built_under_every_process() {
 #[test]
 fn pairs_sharing_a_start_come_out_in_a_b_order() {
     // A hand-made plan whose pairs are listed against `(a, b)` order, as
-    // the skip-sampled selection lists them: the merge ranks them.
+    // the skip-sampled selection lists them: the merge orders them.
     let base = SyntheticTraceBuilder::new(4)
         .duration(Duration::hours(1))
         .target_contacts(20_000)
@@ -408,8 +408,8 @@ fn pairs_sharing_a_start_come_out_in_a_b_order() {
     let mut plan = base.clone();
     plan.pairs.reverse();
     plan.pairs.swap(1, 4);
-    let streamed: Vec<Contact> = ContactStream::new(plan).collect();
-    let expected: Vec<Contact> = ContactStream::new(base).collect();
+    let streamed: Vec<Contact> = ContactStream::new(plan, 20_000).collect();
+    let expected: Vec<Contact> = ContactStream::new(base, 20_000).collect();
     assert_eq!(
         streamed, expected,
         "the merge follows (a, b), not plan order"
@@ -435,7 +435,7 @@ fn sorted_reference(builder: &SyntheticTraceBuilder) -> ContactTrace {
     let plan = builder.plan();
     let mut contacts = Vec::new();
     for pair in &plan.pairs {
-        let mut gen = PairContacts::new(pair, &plan.constants);
+        let mut gen = stream::PairContacts::new(pair, &plan.constants);
         while let Some((start, end)) = gen.next_raw(&plan.constants) {
             contacts.push(Contact::new(pair.a, pair.b, start, end));
         }
@@ -443,10 +443,10 @@ fn sorted_reference(builder: &SyntheticTraceBuilder) -> ContactTrace {
     ContactTrace::new(plan.nodes, contacts, plan.trace_duration)
 }
 
-/// Blocks `merge_blocks` cuts `builder`'s span into.
+/// Blocks the merge cuts `builder`'s span into, on both paths.
 fn blocks(builder: &SyntheticTraceBuilder) -> usize {
     let pairs = builder.plan().pairs.len();
-    (builder.calibrated_contacts() as usize / BLOCK_CONTACTS.max(pairs)).max(1)
+    (builder.calibrated_contacts() as usize / stream::BLOCK_CONTACTS.max(pairs / 4)).max(1)
 }
 
 #[test]
@@ -467,18 +467,34 @@ fn build_merges_what_a_sort_orders_under_every_process() {
         .duration(Duration::hours(6))
         .target_contacts(1_500)
         .seed(47);
+    // Blocks of under two hours: at burstiness 3 many runs of
+    // re-detections straddle a block edge.
+    let many_blocks = SyntheticTraceBuilder::new(40)
+        .duration(Duration::hours(12))
+        .target_contacts(40_000)
+        .granularity(Duration::secs(300))
+        .seed(53);
     assert!(blocks(&exact) >= 4 && blocks(&sampled) >= 4);
+    assert!(blocks(&many_blocks) >= 8);
     assert_eq!(blocks(&one_block), 1);
-    for base in [exact, sampled, one_block] {
+    for base in [exact, sampled, one_block, many_blocks] {
         for kind in ContactProcessKind::ALL {
             for burstiness in [1.0, 3.0] {
                 let builder = base.clone().burstiness(burstiness).contact_process(kind);
                 let built = builder.build();
                 assert!(built.contact_count() > 500, "{}: degenerate", kind.name());
+                let sorted = sorted_reference(&builder);
                 assert_eq!(
                     built,
-                    sorted_reference(&builder),
+                    sorted,
                     "{} at burstiness {burstiness}: build != sort",
+                    kind.name()
+                );
+                let streamed: Vec<Contact> = builder.stream().collect();
+                assert_eq!(
+                    streamed,
+                    sorted.contacts(),
+                    "{} at burstiness {burstiness}: stream != sort",
                     kind.name()
                 );
             }
