@@ -677,7 +677,6 @@ mod tests {
     use super::*;
     use dtn_core::ids::{DataId, QueryId};
     use dtn_core::time::Time;
-    use dtn_sim::telemetry::TelemetryConfig;
 
     /// `ev!(Kind @ t, field: value, ..)` — one sample event per line.
     macro_rules! ev {
@@ -725,13 +724,7 @@ mod tests {
     /// two-lane window series and an overlay, a two-row profile.
     fn sample_run(figure: &str, overlay: &str) -> ObserveRun {
         use dtn_sim::probe::Probe;
-        let mut telemetry = Telemetry::try_new(&TelemetryConfig {
-            window: Duration(250),
-            origin: Time(100),
-            horizon: Duration(500),
-            ncl_slots: 2,
-        })
-        .expect("positive width");
+        let mut telemetry = Telemetry::spanning(Time(100), Duration(500), 2, 2);
         telemetry.mark_overlay(overlay, Time(300), Time(450));
         let mut probe = RecordingProbe::new().with_telemetry(telemetry);
         for event in one_of_each_kind() {

@@ -124,10 +124,9 @@ pub struct ProcessDiagnostics {
     pub hill_tail: Option<f64>,
     /// The tail exponent the process was configured with, if it has one.
     pub configured_tail: Option<f64>,
-    /// Contact-weighted mean gap CV² as the live [`RateTable`] sees it
-    /// (1 ≈ Poisson, ≫ 1 heavy-tailed, ≪ 1 periodic).
-    ///
-    /// [`RateTable`]: dtn_core::rate::RateTable
+    /// Gap-weighted mean of the per-pair inter-contact gap CV²
+    /// (1 ≈ Poisson, ≫ 1 heavy-tailed, ≪ 1 periodic; 0 when no pair has
+    /// two gaps).
     pub mean_gap_cv2: f64,
     /// Contacts in the diagnostic trace.
     pub contacts: u64,
@@ -410,14 +409,63 @@ fn aggregate(runs: &[SingleRun]) -> RegimeOutcome {
 /// repetition share one trace and one workload.
 pub const MATRIX_SEED: u64 = 42;
 
+/// Mean, weighted by gap count, of each pair's squared coefficient of
+/// variation of its inter-contact gaps (`Var(gap) / E[gap]²`: ≈ 1 for a
+/// Poisson pair, well above 1 for heavy tails, near 0 for periodic
+/// schedules), or `None` if no pair has two gaps. Weighting by gap count
+/// keeps barely-observed pairs, whose two-gap CV² is mostly noise, from
+/// dominating.
+///
+/// A gap runs from one contact start of the pair to the next, in trace
+/// order up to the trace's end, and only positive gaps count; each
+/// pair's population variance comes from its running sum and square
+/// sum, and pairs are summed in ascending `(a, b)` order — the
+/// arithmetic and order the committed `BENCH_regimes.json` was recorded
+/// with, so it reproduces to the bit.
+fn mean_gap_cv2(trace: &ContactTrace) -> Option<f64> {
+    use std::collections::btree_map::{BTreeMap, Entry};
+    let end = Time(trace.duration().as_secs());
+    // Per pair: the latest start, then the count, sum and square sum of
+    // its positive gaps.
+    let mut pairs: BTreeMap<(NodeId, NodeId), (Time, u64, f64, f64)> = BTreeMap::new();
+    for c in trace.contacts().iter().take_while(|c| c.start < end) {
+        match pairs.entry((c.a, c.b)) {
+            Entry::Vacant(pair) => {
+                pair.insert((c.start, 0, 0.0, 0.0));
+            }
+            Entry::Occupied(mut pair) => {
+                let (last, count, sum, sq) = pair.get_mut();
+                let gap = c.start.saturating_since(*last).as_secs_f64();
+                if gap > 0.0 {
+                    *count += 1;
+                    *sum += gap;
+                    *sq += gap * gap;
+                }
+                *last = (*last).max(c.start);
+            }
+        }
+    }
+    let (mut weighted, mut weight) = (0.0, 0.0);
+    for &(_, count, sum, sq) in pairs.values() {
+        let n = count as f64;
+        let mean = sum / n;
+        if count < 2 || mean <= 0.0 {
+            continue;
+        }
+        let var = (sq / n - mean * mean).max(0.0);
+        weighted += var / (mean * mean) * n;
+        weight += n;
+    }
+    (weight > 0.0).then(|| weighted / weight)
+}
+
 /// Runs the diagnostics pass for one process on an unperturbed trace.
 fn diagnose(process: ContactProcessKind, scale: f64) -> ProcessDiagnostics {
     let trace = trace_builder(process, scale, MATRIX_SEED).build();
     let gaps = analysis::aggregate_intercontact_times(&trace);
     let exp_fit_r2 = analysis::fit_exponential(&gaps).map_or(0.0, |f| f.log_ccdf_r2);
     let hill_tail = stats::tail_exponent(&gaps, 0.1);
-    let end = Time(trace.duration().as_secs());
-    let mean_gap_cv2 = trace.rate_table(end).mean_gap_cv2().unwrap_or(0.0);
+    let mean_gap_cv2 = mean_gap_cv2(&trace).unwrap_or(0.0);
     ProcessDiagnostics {
         process,
         exp_fit_r2,
@@ -535,8 +583,8 @@ pub fn report_to_json(report: &RegimeReport) -> JsonValue {
          adaptive policies can re-elect around it.",
         "process_diagnostics quantify estimator stress on unperturbed traces: exp_fit_r2 \
          is the log-CCDF exponential fit (Poisson = 1), hill_tail the Hill estimator over \
-         the top decile of inter-contact gaps, mean_gap_cv2 the contact-weighted squared \
-         coefficient of gap variation as the live RateTable measures it (Poisson = 1).",
+         the top decile of inter-contact gaps, mean_gap_cv2 the squared coefficient of \
+         variation of each pair's start-to-start gaps, weighted by gap count (Poisson = 1).",
     ];
     JsonValue::object()
         .with("benchmark", "crates/bench/src/regimes.rs")
@@ -626,6 +674,100 @@ mod tests {
         assert_eq!(totals[Counter::Deliveries], run.metrics.queries_satisfied);
         // The profiler ran.
         assert!(run.profile.as_ref().is_some_and(|p| p.total_ns() > 0));
+    }
+
+    /// A trace of one-second contacts between the given pairs, starting
+    /// at the given times.
+    fn trace_of(contacts: impl IntoIterator<Item = (u32, u32, u64)>) -> ContactTrace {
+        use dtn_trace::trace::Contact;
+        let contacts: Vec<Contact> = contacts
+            .into_iter()
+            .map(|(a, b, at)| Contact::new(NodeId(a), NodeId(b), Time(at), Time(at + 1)))
+            .collect();
+        ContactTrace::new(3, contacts, Duration::ZERO)
+    }
+
+    fn one_pair(starts: impl IntoIterator<Item = u64>) -> ContactTrace {
+        trace_of(starts.into_iter().map(|at| (0, 1, at)))
+    }
+
+    #[test]
+    fn gap_cv2_separates_periodic_exponential_and_heavy_tails() {
+        // Periodic: identical gaps, zero variance.
+        let cv2 = mean_gap_cv2(&one_pair((1..=20u64).map(|i| i * 100))).expect("19 gaps");
+        assert!(cv2 < 1e-9, "periodic gaps must score ~0, got {cv2}");
+
+        // Exponential: inverse-CDF samples on a uniform grid have the
+        // exponential's unit squared coefficient of variation.
+        let n = 4000;
+        let expo = one_pair((0..n).scan(0.0f64, |t, i| {
+            let u = (i as f64 + 0.5) / n as f64;
+            *t += -u.ln() * 100.0;
+            Some(*t as u64)
+        }));
+        let cv2 = mean_gap_cv2(&expo).expect("many gaps");
+        assert!((cv2 - 1.0).abs() < 0.1, "exponential CV² ≈ 1, got {cv2}");
+
+        // Heavy tail: Pareto(α = 1.5) gaps via the inverse CDF. Infinite
+        // theoretical variance; any long sample run scores far above 1.
+        let heavy = one_pair((0..n).scan(0.0f64, |t, i| {
+            let u = 1.0 - (i as f64 + 0.5) / n as f64;
+            *t += 30.0 * u.powf(-1.0 / 1.5);
+            Some(*t as u64)
+        }));
+        let cv2 = mean_gap_cv2(&heavy).expect("many gaps");
+        assert!(cv2 > 2.0, "Pareto gaps must score well above 1, got {cv2}");
+    }
+
+    #[test]
+    fn gap_cv2_needs_two_positive_gaps() {
+        assert_eq!(mean_gap_cv2(&one_pair([100])), None, "no gap yet");
+        assert_eq!(
+            mean_gap_cv2(&one_pair([100, 200])),
+            None,
+            "one gap has no variance estimate"
+        );
+        // A zero gap does not count.
+        assert_eq!(mean_gap_cv2(&one_pair([100, 200, 200])), None);
+        assert!(
+            mean_gap_cv2(&one_pair([100, 200, 200, 300])).is_some(),
+            "two positive gaps suffice"
+        );
+    }
+
+    #[test]
+    fn gap_cv2_weights_pairs_by_gap_count() {
+        // Pair (0,1): 10 periodic gaps, CV² = 0. Pair (1,2): gaps of 100
+        // and 300 s, mean 200, variance 10 000 ⇒ CV² = 0.25. Pair (0,2)
+        // never meets and contributes nothing.
+        let trace = trace_of((1..=11u64).map(|i| (0, 1, i * 50)).chain([
+            (2, 1, 100),
+            (1, 2, 200),
+            (1, 2, 500),
+        ]));
+        let mean = mean_gap_cv2(&trace).expect("two pairs have dispersion");
+        let expect = (0.0 * 10.0 + 0.25 * 2.0) / 12.0;
+        assert!((mean - expect).abs() < 1e-9, "got {mean}, want {expect}");
+    }
+
+    #[test]
+    fn gap_cv2_reproduces_the_committed_diagnostics() {
+        // The bits the per-pair rate estimator's gap moments gave on
+        // `diagnose`'s traces at the committed scale, before the
+        // diagnostic moved here.
+        let want = [
+            ("poisson", 0x3fee4ff62c07c8be),
+            ("pareto", 0x400432c27f53c769),
+            ("lognormal", 0x4013acf09368d6fb),
+            ("bounded-power-law", 0x402599cd698670e8),
+            ("duty-cycled", 0x40590f2701370950),
+        ];
+        for (process, (name, bits)) in ContactProcessKind::ALL.into_iter().zip(want) {
+            assert_eq!(process.name(), name);
+            let trace = trace_builder(process, 0.1, MATRIX_SEED).build();
+            let cv2 = mean_gap_cv2(&trace).expect("pairs with two gaps");
+            assert_eq!(cv2.to_bits(), bits, "{name}: {cv2}");
+        }
     }
 
     #[test]

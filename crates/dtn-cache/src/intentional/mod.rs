@@ -71,8 +71,8 @@
 //!   time-ordered heaps, not full sweeps;
 //! - push and settled copies are indexed per holder, and NCL membership
 //!   is a counter (`member_count`);
-//! - the §V-D exchange is skipped when neither endpoint's cache changed
-//!   since the pair's last (provably empty) exchange.
+//! - the §V-D exchange pools its two endpoints' settled copies from
+//!   those indexes, and an empty pool returns before any oracle read.
 //!
 //! Every shortcut keeps the reference's RNG draw, `try_transmit` charge
 //! and event order bit for bit; `tests/scheme_equivalence.rs` holds it.
@@ -212,7 +212,7 @@ impl Live {
             cfg: cfg.clone(),
             oracle,
             buffers: setup.capacities.iter().map(|&c| Buffer::new(c)).collect(),
-            meta: vec![NodeCacheMeta::default(); n],
+            meta: vec![NodeCacheMeta::new(cfg.replacement); n],
             registry: DataRegistry::default(),
             copies: IdMap::default(),
             pulls: CarrierSlab::new(n),
@@ -221,8 +221,6 @@ impl Live {
             carried_at: vec![Vec::new(); n],
             settled_at: vec![Vec::new(); n],
             member_count: vec![0; n * centrals.len()],
-            cache_gen: vec![0; n],
-            pair_clean: IdMap::default(),
             data_gc: Default::default(),
             responded: IdMap::default(),
             responded_gc: Default::default(),

@@ -116,13 +116,6 @@ pub(super) struct Live {
     /// `is_member` in O(1). Flat storage: one allocation instead of one
     /// per node, which matters at city-scale populations.
     pub(super) member_count: Vec<u32>,
-    /// Dirty generation per node, bumped on every copy-state change
-    /// touching the node; drives the §V-D exchange skip.
-    pub(super) cache_gen: Vec<u64>,
-    /// Last all-pools-empty exchange per ordered node pair:
-    /// `(cache_gen_lo, cache_gen_hi, buffer_gen_lo, buffer_gen_hi)`.
-    /// A pair whose generations are unchanged is skipped.
-    pub(super) pair_clean: IdMap<(NodeId, NodeId), (u64, u64, u64, u64)>,
     /// Expiry heap over data items (replaces the all-buffer dead scan).
     pub(super) data_gc: BinaryHeap<Reverse<(Time, DataId)>>,
     /// Nodes that already made their response decision, per query.
@@ -361,12 +354,7 @@ impl Live {
             return true;
         }
         if !buf.fits(item.size) {
-            let evicted = make_room(
-                self.cfg.replacement,
-                buf,
-                &mut self.meta[node.index()],
-                item.size,
-            );
+            let evicted = make_room(buf, &mut self.meta[node.index()], item.size);
             if !evicted.is_empty() {
                 ctx.note_replacements(evicted.len() as u64);
                 let at = ctx.now();
@@ -409,7 +397,7 @@ impl Live {
     }
 
     /// Routes every copy-state transition, keeping the per-node copy
-    /// indexes, membership counters and dirty generations in sync.
+    /// indexes and membership counters in sync.
     pub(super) fn set_copy(&mut self, data: DataId, k: usize, state: CopyState) {
         let Some(states) = self.copies.get_mut(&data) else {
             return;
@@ -422,9 +410,8 @@ impl Live {
     }
 
     /// Lists NCL `k`'s copy of `data` in `state` under its holder
-    /// (`add`), or unlists it: the per-holder list, the membership
-    /// counter and the holder's dirty generation. The holder; `None` for
-    /// a dropped copy.
+    /// (`add`), or unlists it: the per-holder list and the membership
+    /// counter. The holder; `None` for a dropped copy.
     pub(super) fn index_copy(
         &mut self,
         data: DataId,
@@ -446,7 +433,6 @@ impl Live {
             list.swap_remove(pos.expect("index entry missing"));
             *count -= 1;
         }
-        self.cache_gen[h.index()] += 1;
         Some(h)
     }
 
@@ -459,12 +445,6 @@ impl Live {
     /// removed from the network when no participant can hold them
     /// ("in cases of limited cache space, some cached data with lower
     /// popularity may be removed", §V-D-2).
-    ///
-    /// When a previous meeting of this pair found every NCL pool empty
-    /// and neither node's copy state or buffer changed since (dirty
-    /// generations match), the whole exchange is provably a no-op — the
-    /// reference implementation returns before any oracle or RNG use on
-    /// empty pools — and is skipped.
     pub(super) fn exchange_caches(
         &mut self,
         ctx: &mut SimCtx<'_>,
@@ -475,32 +455,14 @@ impl Live {
         if self.cfg.replacement != ReplacementKind::UtilityKnapsack {
             return;
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let gens = (
-            self.cache_gen[key.0.index()],
-            self.cache_gen[key.1.index()],
-            self.buffers[key.0.index()].generation(),
-            self.buffers[key.1.index()].generation(),
-        );
-        if self.pair_clean.get(&key) == Some(&gens) {
-            return;
-        }
         let now = ctx.now();
-        let mut all_empty = true;
         for k in 0..self.centrals.len() {
-            if !self.exchange_ncl(ctx, sx, a, b, k, now) {
-                all_empty = false;
-            }
-        }
-        if all_empty {
-            self.pair_clean.insert(key, gens);
-        } else {
-            self.pair_clean.remove(&key);
+            self.exchange_ncl(ctx, sx, a, b, k, now);
         }
     }
 
-    /// Runs the §V-D exchange for NCL `k`. Returns whether the pooled
-    /// item set was empty (used for the pair-skip memo).
+    /// Runs the §V-D exchange for NCL `k`. An empty pool returns before
+    /// any oracle read, RNG draw or transmission.
     fn exchange_ncl(
         &mut self,
         ctx: &mut SimCtx<'_>,
@@ -509,7 +471,7 @@ impl Live {
         b: NodeId,
         k: usize,
         now: Time,
-    ) -> bool {
+    ) {
         let Scratch {
             copies: cand,
             pool,
@@ -555,7 +517,7 @@ impl Live {
             }
         }
         if pool.is_empty() {
-            return true;
+            return;
         }
         // Nothing to optimise if only one node participates and already
         // holds everything — still run when both hold copies or the
@@ -663,7 +625,6 @@ impl Live {
             }
         }
         ctx.note_replacements(moves);
-        false
     }
 }
 

@@ -219,12 +219,7 @@ impl ReferenceIntentionalScheme {
             return true;
         }
         if !buf.fits(item.size) {
-            let evicted = make_room(
-                self.cfg.replacement,
-                buf,
-                &mut self.meta[node.index()],
-                item.size,
-            );
+            let evicted = make_room(buf, &mut self.meta[node.index()], item.size);
             if !evicted.is_empty() {
                 ctx.note_replacements(evicted.len() as u64);
                 for id in evicted {
@@ -807,11 +802,7 @@ impl CachingScheme for ReferenceIntentionalScheme {
             setup.path_refresh.unwrap_or(PATH_REFRESH),
         ));
         self.buffers = setup.capacities.iter().map(|&c| Buffer::new(c)).collect();
-        self.meta = setup
-            .capacities
-            .iter()
-            .map(|_| NodeCacheMeta::default())
-            .collect();
+        self.meta = vec![NodeCacheMeta::new(self.cfg.replacement); setup.capacities.len()];
     }
 
     fn central_nodes(&self) -> &[NodeId] {

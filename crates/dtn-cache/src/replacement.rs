@@ -7,8 +7,9 @@
 //! **Greedy-Dual-Size** \[6\].
 //!
 //! This module implements the evict-on-insert side: a `NodeCacheMeta`
-//! keeps per-item bookkeeping (insertion time, last use, GDS credit)
-//! and `make_room` frees space according to the selected policy.
+//! keeps each cached item's eviction key under its policy (insertion
+//! time, last use or GDS credit) and `make_room` frees space in key
+//! order.
 
 use dtn_core::ids::{DataId, IdMap};
 use dtn_core::time::Time;
@@ -55,47 +56,61 @@ impl std::fmt::Display for ReplacementKind {
     }
 }
 
-/// Per-node bookkeeping for the evict-on-insert policies.
-#[derive(Debug, Clone, Default)]
+/// Per-node bookkeeping for one evict-on-insert policy: each item's
+/// eviction key under that policy, and nothing under the knapsack.
+#[derive(Debug, Clone)]
 pub(crate) struct NodeCacheMeta {
-    inserted: IdMap<DataId, Time>,
-    last_used: IdMap<DataId, Time>,
-    gds_credit: IdMap<DataId, f64>,
+    kind: ReplacementKind,
+    /// FIFO: the insert time. LRU: the last use. GDS: the credit
+    /// `L + popularity / size`. Empty under the knapsack, which never
+    /// evicts on insert.
+    keys: IdMap<DataId, f64>,
+    /// GDS's `L`: the highest credit evicted so far.
     gds_floor: f64,
 }
 
 impl NodeCacheMeta {
+    /// The bookkeeping of one node's cache under `kind`.
+    pub(crate) fn new(kind: ReplacementKind) -> Self {
+        NodeCacheMeta {
+            kind,
+            keys: IdMap::default(),
+            gds_floor: 0.0,
+        }
+    }
+
     /// Records that `id` was inserted now with the given popularity and
     /// size (popularity/size feeds the GDS credit).
     pub(crate) fn on_insert(&mut self, id: DataId, now: Time, popularity: f64, size: u64) {
-        self.inserted.insert(id, now);
-        self.last_used.insert(id, now);
-        self.gds_credit
-            .insert(id, self.gds_floor + popularity / size.max(1) as f64);
+        match self.kind {
+            ReplacementKind::Fifo | ReplacementKind::Lru => {
+                self.keys.insert(id, now.as_secs_f64());
+            }
+            ReplacementKind::GreedyDualSize => self.set_credit(id, popularity, size),
+            ReplacementKind::UtilityKnapsack => {}
+        }
     }
 
     /// Records a use (query hit) of `id`, refreshing LRU recency and GDS
     /// credit.
     pub(crate) fn on_use(&mut self, id: DataId, now: Time, popularity: f64, size: u64) {
-        self.last_used.insert(id, now);
-        self.gds_credit
-            .insert(id, self.gds_floor + popularity / size.max(1) as f64);
+        match self.kind {
+            ReplacementKind::Lru => {
+                self.keys.insert(id, now.as_secs_f64());
+            }
+            ReplacementKind::GreedyDualSize => self.set_credit(id, popularity, size),
+            ReplacementKind::Fifo | ReplacementKind::UtilityKnapsack => {}
+        }
     }
 
     /// Forgets `id` after removal.
     pub(crate) fn on_remove(&mut self, id: DataId) {
-        self.inserted.remove(&id);
-        self.last_used.remove(&id);
-        self.gds_credit.remove(&id);
+        self.keys.remove(&id);
     }
 
-    fn eviction_key(&self, kind: ReplacementKind, id: DataId) -> f64 {
-        match kind {
-            ReplacementKind::Fifo => self.inserted.get(&id).map_or(0.0, |t| t.as_secs_f64()),
-            ReplacementKind::Lru => self.last_used.get(&id).map_or(0.0, |t| t.as_secs_f64()),
-            ReplacementKind::GreedyDualSize => self.gds_credit.get(&id).copied().unwrap_or(0.0),
-            ReplacementKind::UtilityKnapsack => 0.0,
-        }
+    fn set_credit(&mut self, id: DataId, popularity: f64, size: u64) {
+        self.keys
+            .insert(id, self.gds_floor + popularity / size.max(1) as f64);
     }
 }
 
@@ -104,27 +119,22 @@ impl NodeCacheMeta {
 /// an empty vector without evicting anything if the buffer could never
 /// fit `needed` bytes even when empty.
 ///
-/// For [`ReplacementKind::UtilityKnapsack`] this function refuses to
-/// evict (the paper's scheme never evicts on insert — forwarding stops
-/// instead, §V-A) and returns an empty vector unless the item already
-/// fits.
-pub(crate) fn make_room(
-    kind: ReplacementKind,
-    buffer: &mut Buffer,
-    meta: &mut NodeCacheMeta,
-    needed: u64,
-) -> Vec<DataId> {
+/// Under a meta built for [`ReplacementKind::UtilityKnapsack`] this
+/// function refuses to evict (the paper's scheme never evicts on
+/// insert — forwarding stops instead, §V-A) and returns an empty vector
+/// unless the item already fits.
+pub(crate) fn make_room(buffer: &mut Buffer, meta: &mut NodeCacheMeta, needed: u64) -> Vec<DataId> {
     if buffer.fits(needed) || needed > buffer.capacity() {
         return Vec::new();
     }
-    if kind == ReplacementKind::UtilityKnapsack {
+    if meta.kind == ReplacementKind::UtilityKnapsack {
         return Vec::new();
     }
     // Sort candidates by ascending eviction key (FIFO/LRU: oldest time
     // first; GDS: lowest credit first).
     let mut candidates: Vec<(f64, DataId)> = buffer
         .iter()
-        .map(|d| (meta.eviction_key(kind, d.id), d.id))
+        .map(|d| (meta.keys.get(&d.id).copied().unwrap_or(0.0), d.id))
         .collect();
     candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
 
@@ -135,7 +145,7 @@ pub(crate) fn make_room(
         }
         buffer.remove(id);
         meta.on_remove(id);
-        if kind == ReplacementKind::GreedyDualSize {
+        if meta.kind == ReplacementKind::GreedyDualSize {
             // Standard GDS aging: the evicted credit becomes the floor
             // added to future insertions.
             meta.gds_floor = meta.gds_floor.max(key);
@@ -156,94 +166,103 @@ mod tests {
         DataItem::new(DataId(id), NodeId(0), size, Time(0), Duration(100_000))
     }
 
-    fn filled_buffer(meta: &mut NodeCacheMeta) -> Buffer {
-        // Three 30-byte items inserted at t = 10, 20, 30.
+    /// Three 30-byte items inserted at t = 10, 20, 30 under `kind`.
+    fn filled_buffer(kind: ReplacementKind) -> (Buffer, NodeCacheMeta) {
         let mut buf = Buffer::new(100);
+        let mut meta = NodeCacheMeta::new(kind);
         for (i, t) in [(1u64, 10u64), (2, 20), (3, 30)] {
             buf.insert(item(i, 30)).unwrap();
             meta.on_insert(DataId(i), Time(t), 0.5, 30);
         }
-        buf
+        (buf, meta)
     }
 
     #[test]
     fn fifo_evicts_oldest_insertion() {
-        let mut meta = NodeCacheMeta::default();
-        let mut buf = filled_buffer(&mut meta);
+        let (mut buf, mut meta) = filled_buffer(ReplacementKind::Fifo);
         // Use item 1 recently — FIFO must ignore that.
         meta.on_use(DataId(1), Time(99), 0.5, 30);
-        let evicted = make_room(ReplacementKind::Fifo, &mut buf, &mut meta, 30);
+        let evicted = make_room(&mut buf, &mut meta, 30);
         assert_eq!(evicted, vec![DataId(1)]);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut meta = NodeCacheMeta::default();
-        let mut buf = filled_buffer(&mut meta);
+        let (mut buf, mut meta) = filled_buffer(ReplacementKind::Lru);
         meta.on_use(DataId(1), Time(99), 0.5, 30);
-        let evicted = make_room(ReplacementKind::Lru, &mut buf, &mut meta, 30);
+        let evicted = make_room(&mut buf, &mut meta, 30);
         assert_eq!(evicted, vec![DataId(2)]);
     }
 
     #[test]
     fn gds_evicts_lowest_credit_and_ages() {
-        let mut meta = NodeCacheMeta::default();
+        let mut meta = NodeCacheMeta::new(ReplacementKind::GreedyDualSize);
         let mut buf = Buffer::new(100);
         buf.insert(item(1, 50)).unwrap();
         meta.on_insert(DataId(1), Time(0), 0.9, 50); // credit 0.018
         buf.insert(item(2, 10)).unwrap();
         meta.on_insert(DataId(2), Time(0), 0.5, 10); // credit 0.05
-        let evicted = make_room(ReplacementKind::GreedyDualSize, &mut buf, &mut meta, 60);
+        let evicted = make_room(&mut buf, &mut meta, 60);
         assert_eq!(evicted, vec![DataId(1)], "lowest credit goes first");
         assert!(meta.gds_floor > 0.0, "floor inflates after eviction");
         // A new low-popularity insert now starts above the old credit.
         meta.on_insert(DataId(3), Time(5), 0.0, 10);
-        assert!(meta.gds_credit[&DataId(3)] >= meta.gds_floor);
+        assert!(meta.keys[&DataId(3)] >= meta.gds_floor);
     }
 
     #[test]
     fn a_lone_item_is_evicted_to_fit_a_larger_one() {
         let mut buf = Buffer::new(100);
-        let mut meta = NodeCacheMeta::default();
+        let mut meta = NodeCacheMeta::new(ReplacementKind::Lru);
         buf.insert(item(1, 80)).unwrap();
         meta.on_insert(DataId(1), Time(0), 0.1, 80);
-        let evicted = make_room(ReplacementKind::Lru, &mut buf, &mut meta, 50);
+        let evicted = make_room(&mut buf, &mut meta, 50);
         assert_eq!(evicted, vec![DataId(1)]);
         assert!(buf.fits(50));
     }
 
     #[test]
     fn evicts_multiple_items_when_needed() {
-        let mut meta = NodeCacheMeta::default();
-        let mut buf = filled_buffer(&mut meta);
-        let evicted = make_room(ReplacementKind::Fifo, &mut buf, &mut meta, 70);
+        let (mut buf, mut meta) = filled_buffer(ReplacementKind::Fifo);
+        let evicted = make_room(&mut buf, &mut meta, 70);
         assert_eq!(evicted, vec![DataId(1), DataId(2)]);
         assert!(buf.fits(70));
     }
 
     #[test]
     fn noop_when_already_fits() {
-        let mut meta = NodeCacheMeta::default();
-        let mut buf = filled_buffer(&mut meta);
-        assert!(make_room(ReplacementKind::Lru, &mut buf, &mut meta, 10).is_empty());
+        let (mut buf, mut meta) = filled_buffer(ReplacementKind::Lru);
+        assert!(make_room(&mut buf, &mut meta, 10).is_empty());
         assert_eq!(buf.len(), 3);
     }
 
     #[test]
     fn refuses_impossible_requests() {
-        let mut meta = NodeCacheMeta::default();
-        let mut buf = filled_buffer(&mut meta);
+        let (mut buf, mut meta) = filled_buffer(ReplacementKind::Lru);
         // 200 bytes can never fit a 100-byte buffer: don't evict anything.
-        assert!(make_room(ReplacementKind::Lru, &mut buf, &mut meta, 200).is_empty());
+        assert!(make_room(&mut buf, &mut meta, 200).is_empty());
         assert_eq!(buf.len(), 3);
     }
 
     #[test]
     fn knapsack_kind_never_evicts_on_insert() {
-        let mut meta = NodeCacheMeta::default();
-        let mut buf = filled_buffer(&mut meta);
-        assert!(make_room(ReplacementKind::UtilityKnapsack, &mut buf, &mut meta, 30).is_empty());
+        let (mut buf, mut meta) = filled_buffer(ReplacementKind::UtilityKnapsack);
+        assert!(make_room(&mut buf, &mut meta, 30).is_empty());
         assert_eq!(buf.len(), 3);
+    }
+
+    #[test]
+    fn a_knapsack_meta_stays_empty() {
+        // The knapsack never evicts on insert, so its meta has no key to
+        // keep through inserts, uses and removes.
+        let (_, mut meta) = filled_buffer(ReplacementKind::UtilityKnapsack);
+        assert!(meta.keys.is_empty());
+        meta.on_use(DataId(2), Time(40), 0.9, 30);
+        meta.on_insert(DataId(4), Time(50), 0.9, 30);
+        assert!(meta.keys.is_empty());
+        meta.on_remove(DataId(1));
+        assert!(meta.keys.is_empty());
+        assert_eq!(meta.gds_floor, 0.0);
     }
 
     #[test]

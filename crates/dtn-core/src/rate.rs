@@ -21,12 +21,6 @@ struct RateEstimator {
     last_contact: Time,
     /// Exponentially weighted moving average of inter-contact gaps.
     ewma_gap_secs: Option<f64>,
-    /// Number of positive inter-contact gaps folded into the moments.
-    gap_count: u64,
-    /// Running sum of positive inter-contact gaps, in seconds.
-    gap_sum_secs: f64,
-    /// Running sum of squared positive inter-contact gaps.
-    gap_sq_sum_secs: f64,
 }
 
 /// Smoothing factor of the EWMA inter-contact estimator: the weight of
@@ -40,9 +34,6 @@ impl RateEstimator {
             contacts: 1,
             last_contact: at,
             ewma_gap_secs: None,
-            gap_count: 0,
-            gap_sum_secs: 0.0,
-            gap_sq_sum_secs: 0.0,
         }
     }
 
@@ -54,9 +45,6 @@ impl RateEstimator {
                 Some(ewma) => EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * ewma,
                 None => gap,
             });
-            self.gap_count += 1;
-            self.gap_sum_secs += gap;
-            self.gap_sq_sum_secs += gap * gap;
         }
         self.last_contact = self.last_contact.max(at);
         self.contacts += 1;
@@ -107,30 +95,6 @@ impl RateEstimator {
             }
         };
         Some(1.0 / gap.max(silence))
-    }
-
-    /// Squared coefficient of variation of the observed inter-contact
-    /// gaps, `Var(gap) / E[gap]²` — a dispersion diagnostic for the
-    /// paper's Poisson contact model (§III-B).
-    ///
-    /// An exponential (Poisson) pair scores ≈ 1; heavy-tailed
-    /// inter-contact laws (Pareto, bounded power law) score well above
-    /// 1; near-periodic schedules score near 0. NCL selection and the
-    /// delay predictions that flow from `λ_ij` assume exponential gaps,
-    /// so a `gap_cv2` far from 1 warns that those predictions are
-    /// optimistic. `None` until three gapped contacts (two gaps) have
-    /// been observed.
-    fn gap_cv2(&self) -> Option<f64> {
-        if self.gap_count < 2 {
-            return None;
-        }
-        let n = self.gap_count as f64;
-        let mean = self.gap_sum_secs / n;
-        if mean <= 0.0 {
-            return None;
-        }
-        let var = (self.gap_sq_sum_secs / n - mean * mean).max(0.0);
-        Some(var / (mean * mean))
     }
 }
 
@@ -231,33 +195,6 @@ impl RateTable {
     #[inline]
     pub fn contact_count(&self, a: NodeId, b: NodeId) -> u64 {
         self.estimator(a, b).map_or(0, |e| e.contacts)
-    }
-
-    /// Contact-weighted mean, over all pairs with a defined dispersion,
-    /// of the squared coefficient of variation of the pair's
-    /// inter-contact gaps (`Var(gap) / E[gap]²`: ≈ 1 for a Poisson pair,
-    /// well above 1 for heavy tails, near 0 for periodic schedules), or
-    /// `None` if no pair has one.
-    ///
-    /// Weighting by gap count makes the aggregate answer "how
-    /// Poisson-like is the traffic the estimator actually sees", rather
-    /// than letting barely-observed pairs (whose two-gap CV² is mostly
-    /// noise) dominate a flat average.
-    pub fn mean_gap_cv2(&self) -> Option<f64> {
-        let mut weighted = 0.0;
-        let mut weight = 0.0;
-        for (_, _, e) in self.iter_estimators() {
-            if let Some(cv2) = e.gap_cv2() {
-                let w = e.gap_count as f64;
-                weighted += cv2 * w;
-                weight += w;
-            }
-        }
-        if weight > 0.0 {
-            Some(weighted / weight)
-        } else {
-            None
-        }
     }
 
     /// Total contacts recorded across all pairs.
@@ -451,69 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn gap_cv2_separates_periodic_exponential_and_heavy_tails() {
-        // Periodic: identical gaps, zero variance.
-        let periodic = met_at((1..=20u64).map(|i| i * 100));
-        let cv2 = periodic.gap_cv2().expect("19 gaps");
-        assert!(cv2 < 1e-9, "periodic gaps must score ~0, got {cv2}");
-
-        // Exponential: inverse-CDF samples on a uniform grid have the
-        // exponential's unit squared coefficient of variation.
-        let n = 4000;
-        let expo = met_at((0..n).scan(0.0f64, |t, i| {
-            let u = (i as f64 + 0.5) / n as f64;
-            *t += -u.ln() * 100.0;
-            Some(*t as u64)
-        }));
-        let cv2 = expo.gap_cv2().expect("many gaps");
-        assert!((cv2 - 1.0).abs() < 0.1, "exponential CV² ≈ 1, got {cv2}");
-
-        // Heavy tail: Pareto(α = 1.5) gaps via the inverse CDF. Infinite
-        // theoretical variance; any long sample run scores far above 1.
-        let heavy = met_at((0..n).scan(0.0f64, |t, i| {
-            let u = 1.0 - (i as f64 + 0.5) / n as f64;
-            *t += 30.0 * u.powf(-1.0 / 1.5);
-            Some(*t as u64)
-        }));
-        let cv2 = heavy.gap_cv2().expect("many gaps");
-        assert!(cv2 > 2.0, "Pareto gaps must score well above 1, got {cv2}");
-    }
-
-    #[test]
-    fn gap_cv2_needs_two_gaps() {
-        let mut e = met_at([100]);
-        assert_eq!(e.gap_cv2(), None, "no gap yet");
-        e.record_contact(Time(200));
-        assert_eq!(e.gap_cv2(), None, "one gap has no variance estimate");
-        // A zero gap does not count toward the moments.
-        e.record_contact(Time(200));
-        assert_eq!(e.gap_cv2(), None);
-        e.record_contact(Time(300));
-        assert!(e.gap_cv2().is_some(), "two positive gaps suffice");
-    }
-
-    #[test]
-    fn table_mean_gap_cv2_weights_by_gap_count() {
-        let mut t = RateTable::new(3, Time::ZERO);
-        // Pair (0,1): 10 periodic gaps, CV² = 0.
-        for i in 1..=11u64 {
-            t.record(NodeId(0), NodeId(1), Time(i * 50));
-        }
-        // Pair (1,2): 2 gaps of 100 and 300 s.
-        // mean 200, var 10_000 ⇒ CV² = 0.25.
-        t.record(NodeId(1), NodeId(2), Time(100));
-        t.record(NodeId(1), NodeId(2), Time(200));
-        t.record(NodeId(1), NodeId(2), Time(500));
-        // Pair (0,2): never met — contributes nothing.
-        let mean = t.mean_gap_cv2().expect("two pairs have dispersion");
-        let expect = (0.0 * 10.0 + 0.25 * 2.0) / 12.0;
-        assert!((mean - expect).abs() < 1e-9, "got {mean}, want {expect}");
-
-        let empty = RateTable::new(2, Time::ZERO);
-        assert_eq!(empty.mean_gap_cv2(), None);
-    }
-
-    #[test]
     fn table_is_symmetric() {
         let mut t = RateTable::new(4, Time::ZERO);
         t.record(NodeId(1), NodeId(3), Time(10));
@@ -566,15 +440,12 @@ mod tests {
         assert_eq!(rates[0].1, NodeId(1));
     }
 
-    /// One pair's contact log folded into the estimator's moments, in
+    /// One pair's contact log folded into the estimator's state, in
     /// recording order and with the estimator's arithmetic.
     struct Folded {
         contacts: u64,
         last: Time,
         ewma: Option<f64>,
-        gaps: Vec<f64>,
-        sum: f64,
-        sq: f64,
     }
 
     fn fold(log: &[Time]) -> Folded {
@@ -592,12 +463,8 @@ mod tests {
             contacts: log.len() as u64,
             last,
             ewma: gaps
-                .iter()
-                .copied()
+                .into_iter()
                 .reduce(|ewma, gap| EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * ewma),
-            sum: gaps.iter().fold(0.0, |s, g| s + g),
-            sq: gaps.iter().fold(0.0, |s, g| s + g * g),
-            gaps,
         }
     }
 
@@ -616,16 +483,6 @@ mod tests {
                 None => return None,
             };
             Some(1.0 / gap.max(silence))
-        }
-
-        fn cv2(&self) -> Option<f64> {
-            if self.gaps.len() < 2 {
-                return None;
-            }
-            let n = self.gaps.len() as f64;
-            let mean = self.sum / n;
-            let var = (self.sq / n - mean * mean).max(0.0);
-            Some(var / (mean * mean))
         }
     }
 
@@ -668,20 +525,6 @@ mod tests {
                 .collect();
             let total: u64 = folded.iter().map(|(_, f)| f.contacts).sum();
             assert_eq!(table.total_contacts(), total, "seed {seed}");
-
-            let (mut weighted, mut weight) = (0.0, 0.0);
-            for (_, f) in &folded {
-                if let Some(cv2) = f.cv2() {
-                    weighted += cv2 * f.gaps.len() as f64;
-                    weight += f.gaps.len() as f64;
-                }
-            }
-            let cv2 = (weight > 0.0).then(|| weighted / weight);
-            assert_eq!(
-                table.mean_gap_cv2().map(f64::to_bits),
-                cv2.map(f64::to_bits),
-                "seed {seed}"
-            );
 
             let bits = |r: Option<f64>| r.map(f64::to_bits);
             for now in [
@@ -750,10 +593,12 @@ mod tests {
     }
 
     #[test]
-    fn a_met_pair_costs_at_most_56_bytes() {
-        // A per-pair observation start or an optional last contact puts
-        // the estimator back at 64 or 72 bytes.
-        assert!(std::mem::size_of::<RateEstimator>() <= 56);
+    fn a_met_pair_costs_at_most_32_bytes() {
+        // The count, the last contact and the EWMA. A per-pair
+        // observation start, an optional last contact, or gap moments
+        // kept for a diagnostic (the regime harness computes its CV²
+        // from the trace) push the estimator to 40 bytes or more.
+        assert!(std::mem::size_of::<RateEstimator>() <= 32);
     }
 
     #[test]

@@ -9,12 +9,7 @@
 //! Items live in a dense `Vec` of slots with a `DataId → slot` index on
 //! the side: `contains`/`get` are a single hash lookup, iteration is a
 //! cache-friendly slice walk in a deterministic order, and removal is a
-//! `swap_remove` plus one index fix-up. A monotone [`generation`]
-//! counter increments on every successful insert or remove so callers
-//! (e.g. the cache-exchange skip in `dtn-cache`) can cheaply detect
-//! "content unchanged since I last looked".
-//!
-//! [`generation`]: Buffer::generation
+//! `swap_remove` plus one index fix-up.
 
 use dtn_core::ids::{DataId, IdMap};
 use dtn_core::time::Time;
@@ -48,9 +43,6 @@ pub struct Buffer {
     slots: Vec<DataItem>,
     /// `DataId → position in slots`.
     index: IdMap<DataId, usize>,
-    /// Bumped on every successful insert and remove (not on duplicate
-    /// inserts or missing removes).
-    generation: u64,
 }
 
 /// Error returned when an item does not fit into a buffer.
@@ -82,7 +74,6 @@ impl Buffer {
             used: 0,
             slots: Vec::new(),
             index: IdMap::default(),
-            generation: 0,
         }
     }
 
@@ -111,15 +102,6 @@ impl Buffer {
         self.slots.is_empty()
     }
 
-    /// Monotone counter of content changes: bumped by every successful
-    /// [`insert`](Self::insert) and [`remove`](Self::remove) (duplicate
-    /// inserts and removes of absent ids do not count). Two reads
-    /// returning the same value guarantee the stored item set is
-    /// unchanged in between.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Whether the item would fit right now.
     pub fn fits(&self, size: u64) -> bool {
         size <= self.free()
@@ -146,7 +128,6 @@ impl Buffer {
         self.used += item.size;
         self.index.insert(item.id, self.slots.len());
         self.slots.push(item);
-        self.generation += 1;
         Ok(())
     }
 
@@ -158,7 +139,6 @@ impl Buffer {
             self.index.insert(moved.id, pos);
         }
         self.used -= item.size;
-        self.generation += 1;
         Some(item)
     }
 
@@ -194,7 +174,6 @@ impl Buffer {
                 self.index.insert(moved.id, pos);
             }
             self.used -= item.size;
-            self.generation += 1;
             dropped += 1;
             // Re-examine `pos`: the swapped-in tail item is unchecked.
         }
@@ -296,25 +275,6 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert!(b.contains(DataId(2)));
         assert_eq!(b.used(), 10);
-    }
-
-    #[test]
-    fn generation_counts_content_changes_only() {
-        let mut b = Buffer::new(100);
-        assert_eq!(b.generation(), 0);
-        b.insert(item(1, 10, 50)).expect("fits");
-        assert_eq!(b.generation(), 1);
-        b.insert(item(1, 10, 50)).expect("duplicate");
-        assert_eq!(b.generation(), 1, "duplicate insert must not bump");
-        assert!(b.remove(DataId(9)).is_none());
-        assert_eq!(b.generation(), 1, "missing remove must not bump");
-        b.remove(DataId(1)).expect("present");
-        assert_eq!(b.generation(), 2);
-        b.insert(item(2, 10, 50)).expect("fits");
-        b.insert(item(3, 10, 1)).expect("fits");
-        assert_eq!(b.generation(), 4);
-        assert_eq!(b.drop_expired(Time(10)), 1);
-        assert_eq!(b.generation(), 5);
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub use probe::{
     RecordingProbe,
 };
 pub use profiler::{Phase, ProfileEntry, ProfileReport, Profiler};
-pub use telemetry::{Counter, Telemetry, TelemetryConfig, WindowStats};
+pub use telemetry::{Counter, Telemetry, WindowStats};

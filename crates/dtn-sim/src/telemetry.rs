@@ -36,60 +36,6 @@ use crate::probe::{ProbeEvent, QueryTrace};
 /// the process dies.
 const MAX_OVERRUN: usize = 4;
 
-/// Layout of a [`Telemetry`] recorder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Window width in simulation time.
-    pub window: Duration,
-    /// Simulation time of window 0's left edge. Events before the
-    /// origin (there should be none — install telemetry at or before
-    /// the measurement start) clamp into window 0.
-    pub origin: Time,
-    /// Expected span of the recording, used to preallocate the window
-    /// array. Overrunning it still works (the array grows, up to four
-    /// times) but is noted at the foot of [`Telemetry::render_table`].
-    pub horizon: Duration,
-    /// Per-NCL slot count for the load/hit columns; slots at or beyond
-    /// this land in the per-window overflow counter.
-    pub ncl_slots: usize,
-}
-
-impl TelemetryConfig {
-    /// A layout dividing `[origin, origin + horizon]` into `windows`
-    /// equal windows (rounded up to whole seconds).
-    pub fn spanning(origin: Time, horizon: Duration, windows: u64, ncl_slots: usize) -> Self {
-        TelemetryConfig {
-            window: Duration(horizon.0.div_ceil(windows.max(1)).max(1)),
-            origin,
-            horizon,
-            ncl_slots,
-        }
-    }
-}
-
-/// Why a [`TelemetryConfig`] cannot drive a recorder.
-///
-/// `Duration` is unsigned, so a *negative* width is unrepresentable by
-/// construction; zero is the one degenerate layout left to reject —
-/// every event would divide into the same (infinite-rate) window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TelemetryError {
-    /// The window width was zero.
-    ZeroWindowWidth,
-}
-
-impl std::fmt::Display for TelemetryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TelemetryError::ZeroWindowWidth => {
-                write!(f, "telemetry window width must be positive (got 0)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TelemetryError {}
-
 /// Declares the window counters once: the enum, [`Counter::ALL`] and
 /// the export names are derived from this list, so a new counter is a
 /// one-line addition here plus the fold arm that bumps it.
@@ -245,32 +191,36 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A recorder with the given layout; the window array is
-    /// preallocated to cover `config.horizon`. Rejects a zero window
-    /// width with a structured [`TelemetryError`].
-    pub fn try_new(config: &TelemetryConfig) -> Result<Self, TelemetryError> {
-        if config.window.0 == 0 {
-            return Err(TelemetryError::ZeroWindowWidth);
-        }
-        let prealloc = (config.horizon.0 / config.window.0 + 1) as usize;
-        Ok(Telemetry {
-            window_secs: config.window.0,
-            origin: config.origin,
-            ncl_slots: config.ncl_slots,
-            preallocated: prealloc,
-            windows: (0..prealloc)
-                .map(|_| WindowStats::empty(config.ncl_slots))
-                .collect(),
-            overlays: Vec::new(),
-        })
+    /// A recorder dividing `[origin, origin + horizon]` into `windows`
+    /// equal windows, each rounded up to whole seconds and at least 1 s
+    /// wide.
+    ///
+    /// Events before the origin (there should be none — install
+    /// telemetry at or before the measurement start) clamp into window
+    /// 0. The window array is preallocated to cover the horizon;
+    /// overrunning it still works (the array grows, up to four times)
+    /// but is noted at the foot of [`Telemetry::render_table`]. NCL
+    /// slots at or beyond `ncl_slots` land in the per-window overflow
+    /// counter.
+    pub fn spanning(origin: Time, horizon: Duration, windows: u64, ncl_slots: usize) -> Self {
+        let width = horizon.0.div_ceil(windows.max(1)).max(1);
+        Telemetry::with_width(origin, width, horizon, ncl_slots)
     }
 
-    /// A recorder dividing `[origin, origin + horizon]` into `windows`
-    /// equal windows ([`TelemetryConfig::spanning`], which cannot
-    /// produce the one layout [`Telemetry::try_new`] rejects).
-    pub fn spanning(origin: Time, horizon: Duration, windows: u64, ncl_slots: usize) -> Self {
-        let config = TelemetryConfig::spanning(origin, horizon, windows, ncl_slots);
-        Telemetry::try_new(&config).expect("`spanning` rounds the width up to at least 1 s")
+    /// A recorder of `width`-second windows (`width > 0`) from `origin`,
+    /// preallocated to cover `horizon`.
+    fn with_width(origin: Time, width: u64, horizon: Duration, ncl_slots: usize) -> Self {
+        let prealloc = (horizon.0 / width + 1) as usize;
+        Telemetry {
+            window_secs: width,
+            origin,
+            ncl_slots,
+            preallocated: prealloc,
+            windows: (0..prealloc)
+                .map(|_| WindowStats::empty(ncl_slots))
+                .collect(),
+            overlays: Vec::new(),
+        }
     }
 
     /// Declares that an overlay regime was active over `[start, end)`;
@@ -493,13 +443,7 @@ mod tests {
     }
 
     fn telemetry_from(origin: u64, window: u64, horizon: u64, slots: usize) -> Recorder {
-        let series = Telemetry::try_new(&TelemetryConfig {
-            window: Duration(window),
-            origin: Time(origin),
-            horizon: Duration(horizon),
-            ncl_slots: slots,
-        })
-        .expect("positive width");
+        let series = Telemetry::with_width(Time(origin), window, Duration(horizon), slots);
         Recorder(
             RecordingProbe::new()
                 .without_event_stream()
@@ -712,27 +656,14 @@ mod tests {
 
     #[test]
     fn spanning_layout_rounds_width_up() {
-        let cfg = TelemetryConfig::spanning(Time(0), Duration(1001), 10, 4);
-        assert_eq!(cfg.window.0, 101);
-        assert_eq!(cfg.ncl_slots, 4);
-    }
-
-    #[test]
-    fn zero_width_window_is_a_structured_error() {
-        let cfg = TelemetryConfig {
-            window: Duration(0),
-            origin: Time(0),
-            horizon: Duration(1000),
-            ncl_slots: 1,
-        };
-        let err = Telemetry::try_new(&cfg).expect_err("zero width rejected");
-        assert_eq!(err, TelemetryError::ZeroWindowWidth);
-        assert!(err.to_string().contains("positive"), "{err}");
-        // `spanning` can never produce the degenerate layout, even from
-        // degenerate inputs.
-        let cfg = TelemetryConfig::spanning(Time(0), Duration(0), 0, 1);
-        assert!(cfg.window.0 > 0);
-        assert!(Telemetry::try_new(&cfg).is_ok());
+        let t = Telemetry::spanning(Time(0), Duration(1001), 10, 4);
+        assert_eq!(t.window_secs(), 101);
+        assert_eq!(t.ncl_slots, 4);
+        // Degenerate inputs still give a positive width.
+        assert_eq!(
+            Telemetry::spanning(Time(0), Duration(0), 0, 1).window_secs(),
+            1
+        );
     }
 
     #[test]

@@ -63,6 +63,52 @@ impl WorkloadConfig {
     }
 }
 
+/// Why a [`WorkloadConfig`] cannot drive [`Workload::try_generate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WorkloadError {
+    /// The population is empty.
+    NoNodes,
+    /// The window `[start, end)` is empty.
+    EmptyWindow,
+    /// `p_G` is not a probability (outside `[0, 1]`, or NaN).
+    GenerationProbability(f64),
+    /// The mean lifetime `T_L` is zero.
+    ZeroLifetime,
+    /// The mean size `s_avg` is zero.
+    ZeroSize,
+    /// The Zipf exponent is negative or not finite.
+    ZipfExponent(f64),
+    /// The query period (the query constraint, `T_L/2` by default) is
+    /// under one second, so the query loop would never advance.
+    NoQueryPeriod,
+    /// An item's expiry (up to `window.1 + 1.5·T_L`) or a query epoch
+    /// (up to `window.1 + constraint`) does not fit in [`Time`].
+    TimeOverflow,
+}
+
+impl std::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkloadError::NoNodes => write!(f, "workload needs at least one node"),
+            WorkloadError::EmptyWindow => write!(f, "workload window must be non-empty"),
+            WorkloadError::GenerationProbability(p) => {
+                write!(f, "p_G must be a probability, got {p}")
+            }
+            WorkloadError::ZeroLifetime => write!(f, "mean lifetime must be positive"),
+            WorkloadError::ZeroSize => write!(f, "mean size must be positive"),
+            WorkloadError::ZipfExponent(s) => {
+                write!(f, "Zipf exponent must be finite and non-negative, got {s}")
+            }
+            WorkloadError::NoQueryPeriod => write!(f, "query period must be at least one second"),
+            WorkloadError::TimeOverflow => {
+                write!(f, "item expiries or query epochs overflow the time range")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WorkloadError {}
+
 /// A generated workload: the event list plus summary statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
@@ -77,31 +123,55 @@ impl Workload {
     ///
     /// # Panics
     ///
-    /// Panics if the window is empty, `nodes == 0`, the generation
-    /// probability is outside `[0, 1]`, the mean lifetime/size is zero,
-    /// or the query period (the query constraint, `T_L/2` by default)
-    /// rounds to zero seconds.
+    /// Panics where [`Workload::try_generate`] returns an error.
     pub fn generate(nodes: usize, config: &WorkloadConfig) -> Self {
-        assert!(nodes > 0, "workload needs at least one node");
+        Workload::try_generate(nodes, config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Generates the workload for `nodes` nodes, checking every field of
+    /// `config` first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`WorkloadError`] that `nodes` and `config`
+    /// raise, before drawing anything.
+    pub fn try_generate(nodes: usize, config: &WorkloadConfig) -> Result<Self, WorkloadError> {
         let (start, end) = config.window;
-        assert!(start < end, "workload window must be non-empty");
-        assert!(
-            (0.0..=1.0).contains(&config.generation_probability),
-            "p_G must be a probability"
-        );
-        assert!(
-            config.mean_lifetime > Duration::ZERO,
-            "mean lifetime must be positive"
-        );
-        assert!(config.mean_size > 0, "mean size must be positive");
         let constraint = config.effective_query_constraint();
-        assert!(
-            constraint > Duration::ZERO,
-            "query period must be at least one second"
-        );
+        let t_l = config.mean_lifetime;
+        let s = config.zipf_exponent;
+        if nodes == 0 {
+            return Err(WorkloadError::NoNodes);
+        }
+        if start >= end {
+            return Err(WorkloadError::EmptyWindow);
+        }
+        if !(0.0..=1.0).contains(&config.generation_probability) {
+            return Err(WorkloadError::GenerationProbability(
+                config.generation_probability,
+            ));
+        }
+        if t_l == Duration::ZERO {
+            return Err(WorkloadError::ZeroLifetime);
+        }
+        if config.mean_size == 0 {
+            return Err(WorkloadError::ZeroSize);
+        }
+        if !(s.is_finite() && s >= 0.0) {
+            return Err(WorkloadError::ZipfExponent(s));
+        }
+        if constraint == Duration::ZERO {
+            return Err(WorkloadError::NoQueryPeriod);
+        }
+        // A drawn lifetime is `T_L · u` for some `u < 1.5`, rounded, so
+        // `T_L.mul_f64(1.5)` bounds it; every generation epoch is below
+        // `end` and every item is created at one.
+        let longest = t_l.mul_f64(1.5);
+        if end.0.checked_add(longest.0).is_none() || end.0.checked_add(constraint.0).is_none() {
+            return Err(WorkloadError::TimeOverflow);
+        }
 
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let t_l = config.mean_lifetime;
 
         // --- Data generation ------------------------------------------
         let mut items: Vec<DataItem> = Vec::new();
@@ -185,12 +255,12 @@ impl Workload {
         }
         events.extend(data.map(|&item| WorkloadEvent::GenerateData { item }));
 
-        Workload {
+        Ok(Workload {
             events,
             items,
             query_count,
             window: config.window,
-        }
+        })
     }
 
     /// The time-ordered event list, ready for
@@ -435,31 +505,140 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "window must be non-empty")]
-    fn empty_window_panics() {
+    fn generate_panics_with_the_error() {
         let mut cfg = config(12, 1);
         cfg.window = (Time(100), Time(100));
         let _ = Workload::generate(10, &cfg);
     }
 
     #[test]
-    #[should_panic(expected = "query period")]
+    fn an_empty_window_is_an_error() {
+        let mut cfg = config(12, 1);
+        cfg.window = (Time(100), Time(100));
+        assert_eq!(
+            Workload::try_generate(10, &cfg),
+            Err(WorkloadError::EmptyWindow)
+        );
+        cfg.window = (Time(100), Time(50));
+        assert_eq!(
+            Workload::try_generate(10, &cfg),
+            Err(WorkloadError::EmptyWindow)
+        );
+    }
+
+    #[test]
     fn a_one_second_lifetime_has_no_query_period() {
         // T_L/2 rounds to 0 s: the query loop would never advance.
         let cfg = WorkloadConfig {
             mean_lifetime: Duration(1),
             ..WorkloadConfig::new((Time(0), Time(100)))
         };
-        let _ = Workload::generate(4, &cfg);
+        assert_eq!(
+            Workload::try_generate(4, &cfg),
+            Err(WorkloadError::NoQueryPeriod)
+        );
     }
 
     #[test]
-    #[should_panic(expected = "query period")]
-    fn a_zero_query_constraint_panics() {
+    fn a_zero_query_constraint_is_an_error() {
         let cfg = WorkloadConfig {
             query_constraint: Some(Duration::ZERO),
             ..config(12, 1)
         };
-        let _ = Workload::generate(4, &cfg);
+        assert_eq!(
+            Workload::try_generate(4, &cfg),
+            Err(WorkloadError::NoQueryPeriod)
+        );
+    }
+
+    #[test]
+    fn a_nan_or_negative_zipf_exponent_is_an_error() {
+        // Either used to pass the up-front checks and panic inside
+        // `Zipf::new` once an item was alive at a query epoch (p_G = 1),
+        // or return a workload when none ever was (p_G = 0).
+        for p_g in [1.0, 0.0] {
+            for s in [f64::NAN, -0.5, f64::INFINITY] {
+                let cfg = WorkloadConfig {
+                    zipf_exponent: s,
+                    generation_probability: p_g,
+                    ..config(12, 1)
+                };
+                let err = Workload::try_generate(8, &cfg).expect_err("exponent rejected");
+                assert!(
+                    matches!(err, WorkloadError::ZipfExponent(got) if got.to_bits() == s.to_bits()),
+                    "s = {s}, p_G = {p_g}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_lifetime_past_the_time_range_is_an_error() {
+        // The item's expiry used to overflow: a debug panic in `Time`'s
+        // add, and in release an item expiring before it was created.
+        let cfg = WorkloadConfig {
+            mean_lifetime: Duration(u64::MAX - 1000),
+            generation_probability: 1.0,
+            ..WorkloadConfig::new((Time(10), Time(100_000)))
+        };
+        assert_eq!(
+            Workload::try_generate(3, &cfg),
+            Err(WorkloadError::TimeOverflow)
+        );
+        // So does a query epoch past the range, whatever the lifetime.
+        let cfg = WorkloadConfig {
+            query_constraint: Some(Duration(u64::MAX - 50_000)),
+            ..config(12, 1)
+        };
+        assert_eq!(
+            Workload::try_generate(3, &cfg),
+            Err(WorkloadError::TimeOverflow)
+        );
+        // The longest lifetime whose expiries fit still generates.
+        let end = 100_000u64;
+        let cfg = WorkloadConfig {
+            mean_lifetime: Duration((u64::MAX - end) / 2),
+            generation_probability: 1.0,
+            query_constraint: Some(Duration::hours(1)),
+            ..WorkloadConfig::new((Time(10), Time(end)))
+        };
+        let w = Workload::try_generate(3, &cfg).expect("expiries fit");
+        assert_eq!(w.items().len(), 3);
+        assert!(w.items().iter().all(|d| d.expires_at() > d.created_at));
+    }
+
+    #[test]
+    fn every_other_field_is_checked_up_front() {
+        assert_eq!(
+            Workload::try_generate(0, &config(12, 1)),
+            Err(WorkloadError::NoNodes)
+        );
+        for p in [-0.1, 1.5, f64::NAN] {
+            let cfg = WorkloadConfig {
+                generation_probability: p,
+                ..config(12, 1)
+            };
+            let err = Workload::try_generate(4, &cfg).expect_err("p_G rejected");
+            assert!(
+                matches!(err, WorkloadError::GenerationProbability(got) if got.to_bits() == p.to_bits()),
+                "p_G = {p}: {err:?}"
+            );
+        }
+        let cfg = WorkloadConfig {
+            mean_lifetime: Duration::ZERO,
+            ..config(12, 1)
+        };
+        assert_eq!(
+            Workload::try_generate(4, &cfg),
+            Err(WorkloadError::ZeroLifetime)
+        );
+        let cfg = WorkloadConfig {
+            mean_size: 0,
+            ..config(12, 1)
+        };
+        let err = Workload::try_generate(4, &cfg).expect_err("size rejected");
+        assert_eq!(err, WorkloadError::ZeroSize);
+        assert!(err.to_string().contains("mean size"), "{err}");
     }
 
     #[test]

@@ -22,5 +22,5 @@
 pub mod generator;
 pub mod zipf;
 
-pub use generator::{Workload, WorkloadConfig};
+pub use generator::{Workload, WorkloadConfig, WorkloadError};
 pub use zipf::Zipf;

@@ -3,8 +3,8 @@
 //!
 //! `IntentionalScheme` indexes pending pulls/broadcasts/responses and
 //! push copies per carrier node, garbage-collects expirations from
-//! heaps, reuses knapsack scratch buffers and skips provably-empty §V-D
-//! exchanges via dirty generations. `ReferenceIntentionalScheme` keeps
+//! heaps, reuses knapsack scratch buffers and pools each §V-D exchange
+//! from the per-holder copy indexes. `ReferenceIntentionalScheme` keeps
 //! the original global vectors and full retain sweeps. Both must make
 //! the same `try_transmit` calls in the same order and draw the same
 //! RNG values, so every run must produce bit-identical `Metrics` —
