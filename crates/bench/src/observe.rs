@@ -67,8 +67,7 @@ pub struct ObserveRun {
     pub seed: u64,
     /// Engine metrics of the run.
     pub metrics: Metrics,
-    /// The recorder with events, traces, counters, histograms and the
-    /// window series.
+    /// The recorder with events, traces, counts and the window series.
     pub probe: RecordingProbe,
     /// The hierarchical phase profile of the run.
     pub profile: Option<ProfileReport>,
@@ -490,6 +489,62 @@ fn render_trace(out: &mut String, t: &QueryTrace) {
     }
 }
 
+/// The post-mortem's distributions, each sorted ascending.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Distributions {
+    /// `delivered_at − issued_at` of every delivered query, in seconds.
+    pub delay_secs: Vec<u64>,
+    /// Hops of every delivered query recorded at or before its delivery
+    /// (duplicate copies keep moving afterwards; those hops are not the
+    /// delivery's).
+    pub hops: Vec<u64>,
+    /// Cached bytes of every engine sample at or after the capture's
+    /// origin — the samples the recorder saw.
+    pub occupancy_bytes: Vec<u64>,
+}
+
+/// Reads the delay, hop and occupancy distributions of `run` off its
+/// query traces and its engine samples.
+pub fn distributions(run: &ObserveRun) -> Distributions {
+    let mut delay_secs = Vec::new();
+    let mut hops = Vec::new();
+    for t in run.probe.traces() {
+        if let Some(at) = t.delivered_at {
+            delay_secs.push(at.0 - t.issued_at.0);
+            hops.push(t.hops.iter().filter(|h| h.at <= at).count() as u64);
+        }
+    }
+    let origin = run.telemetry().origin();
+    let samples = run.metrics.samples.iter().filter(|s| s.at >= origin);
+    let mut occupancy_bytes: Vec<u64> = samples.map(|s| s.bytes).collect();
+    for values in [&mut delay_secs, &mut hops, &mut occupancy_bytes] {
+        values.sort_unstable();
+    }
+    Distributions {
+        delay_secs,
+        hops,
+        occupancy_bytes,
+    }
+}
+
+/// One post-mortem line for an ascending `sorted`: n, the exact mean,
+/// the nearest-rank p50/p90/p99 and the max. Nothing for an empty one.
+fn render_distribution(out: &mut String, label: &str, unit: &str, sorted: &[u64]) {
+    let Some(&max) = sorted.last() else {
+        return;
+    };
+    let n = sorted.len();
+    let rank = |pct: usize| sorted[(pct * n).div_ceil(100) - 1];
+    let mean = sorted.iter().sum::<u64>() as f64 / n as f64;
+    let _ = writeln!(
+        out,
+        "{label}: n={n} mean={mean:.1}{unit} p50={}{unit} p90={}{unit} p99={}{unit} max={max}{unit}",
+        rank(50),
+        rank(90),
+        rank(99),
+    );
+}
+
 /// Renders the human-readable post-mortem of one observed run.
 pub fn render_report(run: &ObserveRun) -> String {
     let mut out = String::new();
@@ -608,19 +663,15 @@ pub fn render_report(run: &ObserveRun) -> String {
         );
     }
 
-    // Histograms (alloc-free fixed buckets, recorded in the hot loop).
-    if run.probe.delay_hist().count() > 0 {
-        let _ = writeln!(out, "\n{}", run.probe.delay_hist().render("delay", "s"));
-    }
-    if run.probe.hop_hist().count() > 0 {
-        let _ = writeln!(out, "{}", run.probe.hop_hist().render("hops/query", ""));
-    }
-    if run.probe.occupancy_hist().count() > 0 {
-        let _ = writeln!(
-            out,
-            "{}",
-            run.probe.occupancy_hist().render("cache occupancy", "B")
-        );
+    // Distributions, read off the traces and the engine's samples.
+    let d = distributions(run);
+    out.push('\n');
+    for (label, unit, values) in [
+        ("delay", "s", &d.delay_secs),
+        ("hops/query", "", &d.hops),
+        ("cache occupancy", "B", &d.occupancy_bytes),
+    ] {
+        render_distribution(&mut out, label, unit, values);
     }
 
     // Top-k slowest satisfied queries, full lifecycle each.
@@ -846,6 +897,34 @@ mod tests {
     }
 
     #[test]
+    fn distributions_stop_at_the_delivery_and_start_at_the_origin() {
+        use dtn_sim::metrics::CacheSample;
+        use dtn_sim::probe::Probe;
+        let mut run = sample_run("fig10", "ncl-blackout");
+        // A duplicate copy keeps moving after the delivery at t=560.
+        run.probe
+            .record(&ev!(QueryRelay @ 600, query: QueryId(7), from: NodeId(3), to: NodeId(4)));
+        // The capture's origin is t=100: the warm-up sample is not its.
+        let sample = |at, bytes| CacheSample {
+            at: Time(at),
+            copies: 1,
+            distinct: 1,
+            bytes,
+        };
+        run.metrics.samples = vec![sample(50, 9), sample(100, 1_600), sample(500, 800)];
+        let d = distributions(&run);
+        assert_eq!(d.delay_secs, [450]);
+        assert_eq!(d.hops, [2]);
+        assert_eq!(d.occupancy_bytes, [800, 1_600]);
+        let report = render_report(&run);
+        assert!(
+            report.contains("delay: n=1 mean=450.0s p50=450s p90=450s p99=450s max=450s"),
+            "{report}"
+        );
+        assert!(report.contains("cache occupancy: n=2 mean=1200.0B p50=800B p90=1600B"));
+    }
+
+    #[test]
     fn hostile_names_are_escaped_not_interpolated() {
         // A quote or backslash in a figure name or overlay kind used to
         // be pasted raw into the line, leaving the capture unparseable.
@@ -885,11 +964,11 @@ mod tests {
             run.probe.total_decomposition().total_secs(),
             run.metrics.total_delay_secs
         );
-        // The probe's delay histogram mirrors the delivery count.
-        assert_eq!(
-            run.probe.delay_hist().count(),
-            run.metrics.queries_satisfied
-        );
+        // The derived delay distribution has one value per satisfied
+        // query and sums to the metric delay.
+        let delays = distributions(&run).delay_secs;
+        assert_eq!(delays.len() as u64, run.metrics.queries_satisfied);
+        assert_eq!(delays.iter().sum::<u64>(), run.metrics.total_delay_secs);
         // The window series conserves the same totals window by window
         // (the full matrix lives in tests/telemetry_conservation).
         let totals = run.telemetry().totals();

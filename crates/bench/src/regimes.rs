@@ -282,7 +282,8 @@ fn build_overlay(slot: &str, plan: &RunPlan, trace: &ContactTrace) -> Option<Reg
         },
         other => panic!("unknown overlay slot {other:?}"),
     };
-    Some(RegimeOverlay::new(plan.w_start, plan.w_end, kind))
+    let overlay = RegimeOverlay::new(plan.w_start, plan.w_end, kind);
+    Some(overlay.expect("the plan's window and every slot's regime are non-degenerate"))
 }
 
 struct SingleRun {

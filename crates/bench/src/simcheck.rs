@@ -500,7 +500,10 @@ pub fn run_streaming_case(params: &CaseParams) -> Result<CaseStats, String> {
 /// rotates with the seed, the window covers the middle of the workload
 /// half, and the blackout targets the top central nodes of the
 /// mid-trace rate table — the same nodes the scheme is about to elect.
-fn process_case_overlay(params: &CaseParams, trace: &ContactTrace) -> RegimeOverlay {
+fn process_case_overlay(
+    params: &CaseParams,
+    trace: &ContactTrace,
+) -> Result<RegimeOverlay, String> {
     let mid = trace.midpoint();
     let half = trace.duration().as_secs() - mid.as_secs();
     let start = Time(mid.as_secs() + half * 15 / 100);
@@ -529,7 +532,7 @@ fn process_case_overlay(params: &CaseParams, trace: &ContactTrace) -> RegimeOver
             size: if params.tight_buffers { 400 } else { 20_000 },
         },
     };
-    RegimeOverlay::new(start, end, kind)
+    RegimeOverlay::new(start, end, kind).map_err(|e| format!("seed {}: {e}", params.seed))
 }
 
 /// Runs one non-Poisson process case: the seed's protocol configuration
@@ -553,7 +556,7 @@ pub fn run_process_case(
         .contact_process(process)
         .seed(params.seed)
         .build();
-    let overlay = process_case_overlay(params, &trace);
+    let overlay = process_case_overlay(params, &trace)?;
     let mut events = workload(params, &trace);
     // Famine fillers start above the workload's item-id range.
     events.extend(overlay.workload_events(params.nodes, params.items));

@@ -16,8 +16,6 @@
 //! - [`rate`] — online pairwise contact-rate estimation,
 //! - [`par`] — deterministic order-preserving parallel map used by the
 //!   NCL metric sweep and batched path searches,
-//! - [`hist`] — alloc-free fixed-bucket histograms for hot-loop
-//!   instrumentation (delays, hop counts, buffer occupancy),
 //! - [`sys`] — process-level introspection (the shared VmHWM peak-RSS
 //!   sampler behind bench reports and the city-scale progress line).
 //!
@@ -44,7 +42,6 @@
 
 pub mod error;
 pub mod graph;
-pub mod hist;
 pub mod hypoexp;
 pub mod ids;
 pub mod knapsack;

@@ -197,9 +197,11 @@ impl RateTable {
         self.estimator(a, b).map_or(0, |e| e.contacts)
     }
 
-    /// Total contacts recorded across all pairs.
+    /// Total contacts recorded across all pairs: the
+    /// [`generation`](RateTable::generation), since
+    /// [`record`](RateTable::record) is the one writer of both.
     pub fn total_contacts(&self) -> u64 {
-        self.iter_estimators().map(|(_, _, e)| e.contacts).sum()
+        self.generation
     }
 
     /// Iterates over all pairs that have met at least once, yielding

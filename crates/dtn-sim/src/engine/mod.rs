@@ -270,7 +270,7 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
     /// # Panics
     ///
     /// Panics if any event is earlier than the current time.
-    pub fn add_workload(&mut self, mut events: Vec<WorkloadEvent>) {
+    pub fn add_workload(&mut self, events: Vec<WorkloadEvent>) {
         for e in &events {
             assert!(
                 e.at() >= self.shared.now,
@@ -279,38 +279,10 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
                 self.shared.now
             );
         }
-        if events.is_empty() {
-            return;
-        }
-        // Stable sort: equal-time new events keep their submission order.
-        events.sort_by_key(WorkloadEvent::at);
-        let tail_start = self.next_workload;
-        if self.workload.len() == tail_start {
-            self.workload.append(&mut events);
-            return;
-        }
-        // The unprocessed tail is already sorted (invariant of this
-        // method), so merge instead of re-sorting the whole tail. Tail
-        // events win ties, matching what a stable sort of
-        // `tail ++ events` would produce.
-        let mut merged = Vec::with_capacity(self.workload.len() - tail_start + events.len());
-        {
-            let tail = &self.workload[tail_start..];
-            let (mut i, mut j) = (0, 0);
-            while i < tail.len() && j < events.len() {
-                if tail[i].at() <= events[j].at() {
-                    merged.push(tail[i]);
-                    i += 1;
-                } else {
-                    merged.push(events[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&tail[i..]);
-            merged.extend_from_slice(&events[j..]);
-        }
-        self.workload.truncate(tail_start);
-        self.workload.append(&mut merged);
+        // A stable sort of `tail ++ events`: the unprocessed tail wins
+        // ties, and equal-time new events keep their submission order.
+        self.workload.extend(events);
+        self.workload[self.next_workload..].sort_by_key(WorkloadEvent::at);
     }
 
     /// Processes every event strictly before `until`, then advances the

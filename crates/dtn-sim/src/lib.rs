@@ -32,7 +32,7 @@ pub use engine::{
 pub use message::{DataItem, Query};
 pub use metrics::Metrics;
 pub use oracle::{OracleStats, PathOracle};
-pub use overlay::{OverlayKind, OverlaySource, RegimeOverlay};
+pub use overlay::{OverlayError, OverlayKind, OverlaySource, RegimeOverlay};
 pub use probe::{
     DelayDecomposition, FieldValue, HopPhase, HopRecord, Probe, ProbeEvent, ProbeSink, QueryTrace,
     RecordingProbe,

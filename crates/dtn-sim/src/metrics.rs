@@ -72,8 +72,8 @@ impl Metrics {
 
     /// Exact mean response delay in fractional seconds
     /// (`total_delay_secs / queries_satisfied`, no integer truncation);
-    /// 0 if no query was satisfied. The delay *distribution* is the
-    /// probe layer's: `RecordingProbe::delay_hist`.
+    /// 0 if no query was satisfied. The delay *distribution* is read off
+    /// a recording probe's query traces (`bench::observe::distributions`).
     fn avg_delay_secs_f64(&self) -> f64 {
         if self.queries_satisfied == 0 {
             0.0

@@ -100,7 +100,8 @@ fn rotate(i: u32, nodes: usize) -> NodeId {
 ///     Time(1000),
 ///     Time(2000),
 ///     OverlayKind::NclBlackout { nodes: vec![NodeId(3)] },
-/// );
+/// )
+/// .expect("a non-empty window over one node");
 /// let hit = Contact::new(NodeId(3), NodeId(5), Time(1500), Time(1560));
 /// let spared = Contact::new(NodeId(4), NodeId(5), Time(1500), Time(1560));
 /// assert!(blackout.drops(&hit));
@@ -119,31 +120,47 @@ pub struct RegimeOverlay {
     pub kind: OverlayKind,
 }
 
+/// Why [`RegimeOverlay::new`] refused an overlay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OverlayError {
+    /// The window `[start, end)` is empty.
+    EmptyWindow,
+    /// A blackout names no node.
+    NoBlackoutNodes,
+    /// A flash crowd issues no request.
+    NoRequests,
+    /// A famine injects no item, or items of zero size.
+    EmptyFamine,
+}
+
+impl std::fmt::Display for OverlayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            OverlayError::EmptyWindow => "overlay window must be non-empty",
+            OverlayError::NoBlackoutNodes => "blackout needs at least one node",
+            OverlayError::NoRequests => "flash crowd needs at least one request",
+            OverlayError::EmptyFamine => "famine needs items of nonzero size",
+        })
+    }
+}
+
+impl std::error::Error for OverlayError {}
+
 impl RegimeOverlay {
-    /// Creates an overlay active on `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty or the kind is degenerate (no
-    /// blackout nodes, zero flash-crowd requests, zero famine items).
-    pub fn new(start: Time, end: Time, kind: OverlayKind) -> Self {
-        assert!(end > start, "overlay window must be non-empty");
-        match &kind {
-            OverlayKind::FlashCrowd { requests, .. } => {
-                assert!(*requests > 0, "flash crowd needs at least one request");
+    /// Creates an overlay active on `[start, end)`, refusing an empty
+    /// window and a degenerate kind (no blackout nodes, zero flash-crowd
+    /// requests, zero famine items or a zero item size).
+    pub fn new(start: Time, end: Time, kind: OverlayKind) -> Result<Self, OverlayError> {
+        let refused = match &kind {
+            _ if end <= start => OverlayError::EmptyWindow,
+            OverlayKind::FlashCrowd { requests: 0, .. } => OverlayError::NoRequests,
+            OverlayKind::NclBlackout { nodes } if nodes.is_empty() => OverlayError::NoBlackoutNodes,
+            OverlayKind::BufferFamine { items, size } if *items == 0 || *size == 0 => {
+                OverlayError::EmptyFamine
             }
-            OverlayKind::NclBlackout { nodes } => {
-                assert!(!nodes.is_empty(), "blackout needs at least one node");
-            }
-            OverlayKind::Partition { .. } => {}
-            OverlayKind::BufferFamine { items, size } => {
-                assert!(
-                    *items > 0 && *size > 0,
-                    "famine needs items of nonzero size"
-                );
-            }
-        }
-        RegimeOverlay { start, end, kind }
+            _ => return Ok(RegimeOverlay { start, end, kind }),
+        };
+        Err(refused)
     }
 
     /// Whether the overlay window covers `at` (start inclusive, end
@@ -169,7 +186,8 @@ impl RegimeOverlay {
     }
 
     /// The workload half of the regime, fully deterministic (no RNG):
-    /// flash-crowd queries spread evenly over the window, famine filler
+    /// flash-crowd queries spread evenly and in order over the window
+    /// (query `i` at `start + span · i / requests`), famine filler
     /// items generated at the window start with lifetimes ending at the
     /// heal. Contact-only overlays return no events.
     ///
@@ -185,10 +203,13 @@ impl RegimeOverlay {
                 requests,
                 constraint,
             } => {
-                let span = self.end.as_secs() - self.start.as_secs();
+                let span = u128::from(self.end.saturating_since(self.start).as_secs());
                 (0..*requests)
                     .map(|i| WorkloadEvent::IssueQuery {
-                        at: Time(self.start.as_secs() + span * u64::from(i) / u64::from(*requests)),
+                        // `span · i` can overflow a u64; the quotient,
+                        // below `span`, cannot.
+                        at: self.start
+                            + Duration((span * u128::from(i) / u128::from(*requests)) as u64),
                         requester: rotate(i, nodes),
                         data: *item,
                         constraint: *constraint,
@@ -311,7 +332,8 @@ mod tests {
             OverlayKind::NclBlackout {
                 nodes: vec![NodeId(3)],
             },
-        );
+        )
+        .unwrap();
         let mut src = OverlaySource::new(source(contacts), vec![overlay]);
         let kept = drain(&mut src);
         assert_eq!(
@@ -329,7 +351,8 @@ mod tests {
             contact(2, 7, 1300), // cross: dropped
             contact(4, 5, 1400), // straddles the cut boundary: dropped
         ];
-        let overlay = RegimeOverlay::new(Time(1000), Time(2000), OverlayKind::Partition { cut: 5 });
+        let overlay =
+            RegimeOverlay::new(Time(1000), Time(2000), OverlayKind::Partition { cut: 5 }).unwrap();
         let mut src = OverlaySource::new(source(contacts), vec![overlay]);
         let kept = drain(&mut src);
         assert_eq!(kept.len(), 2);
@@ -347,7 +370,8 @@ mod tests {
                 requests: 4,
                 constraint: Duration::hours(1),
             },
-        );
+        )
+        .unwrap();
         let famine = RegimeOverlay::new(
             Time(1000),
             Time(2000),
@@ -355,7 +379,8 @@ mod tests {
                 items: 3,
                 size: 1_000_000,
             },
-        );
+        )
+        .unwrap();
         let mut src = OverlaySource::new(source(contacts.clone()), vec![flash, famine]);
         assert_eq!(drain(&mut src), contacts);
         assert_eq!(src.dropped(), 0);
@@ -371,7 +396,8 @@ mod tests {
                 requests: 5,
                 constraint: Duration::hours(1),
             },
-        );
+        )
+        .unwrap();
         let events = overlay.workload_events(10, 100);
         assert_eq!(events, overlay.workload_events(10, 100), "deterministic");
         assert_eq!(events.len(), 5);
@@ -402,7 +428,8 @@ mod tests {
                 items: 3,
                 size: 500,
             },
-        );
+        )
+        .unwrap();
         let events = overlay.workload_events(10, 777);
         assert_eq!(events.len(), 3);
         for (i, e) in events.iter().enumerate() {
@@ -421,7 +448,8 @@ mod tests {
             OverlayKind::NclBlackout {
                 nodes: vec![NodeId(0)],
             },
-        );
+        )
+        .unwrap();
         assert!(blackout.workload_events(10, 0).is_empty());
     }
 
@@ -435,14 +463,15 @@ mod tests {
             contact(6, 7, 1400), // high side intra: survives
         ];
         let overlays = vec![
-            RegimeOverlay::new(Time(1000), Time(2000), OverlayKind::Partition { cut: 5 }),
+            RegimeOverlay::new(Time(1000), Time(2000), OverlayKind::Partition { cut: 5 }).unwrap(),
             RegimeOverlay::new(
                 Time(1000),
                 Time(2000),
                 OverlayKind::NclBlackout {
                     nodes: vec![NodeId(3)],
                 },
-            ),
+            )
+            .unwrap(),
         ];
         let mut src = OverlaySource::new(source(contacts), overlays);
         let kept = drain(&mut src);
@@ -455,19 +484,76 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window must be non-empty")]
-    fn empty_window_panics() {
-        let _ = RegimeOverlay::new(Time(100), Time(100), OverlayKind::Partition { cut: 1 });
+    fn degenerate_overlays_are_refused() {
+        let new = |start, end, kind| RegimeOverlay::new(Time(start), Time(end), kind);
+        let cut = OverlayKind::Partition { cut: 1 };
+        assert_eq!(new(100, 100, cut.clone()), Err(OverlayError::EmptyWindow));
+        assert_eq!(new(100, 50, cut.clone()), Err(OverlayError::EmptyWindow));
+        assert!(new(100, 101, cut).is_ok());
+        assert_eq!(
+            new(0, 100, OverlayKind::NclBlackout { nodes: vec![] }),
+            Err(OverlayError::NoBlackoutNodes)
+        );
+        let storm = |requests| OverlayKind::FlashCrowd {
+            item: DataId(0),
+            requests,
+            constraint: Duration(1),
+        };
+        assert_eq!(new(0, 100, storm(0)), Err(OverlayError::NoRequests));
+        assert!(new(0, 100, storm(1)).is_ok());
+        let famine = |items, size| OverlayKind::BufferFamine { items, size };
+        assert_eq!(new(0, 100, famine(0, 10)), Err(OverlayError::EmptyFamine));
+        assert_eq!(new(0, 100, famine(3, 0)), Err(OverlayError::EmptyFamine));
+        assert!(new(0, 100, famine(3, 10)).is_ok());
+        // The window is checked first, and every refusal explains itself.
+        let err = new(7, 7, storm(0)).unwrap_err();
+        assert_eq!(err, OverlayError::EmptyWindow);
+        assert_eq!(err.to_string(), "overlay window must be non-empty");
     }
 
     #[test]
-    #[should_panic(expected = "at least one node")]
-    fn empty_blackout_panics() {
-        let _ = RegimeOverlay::new(
+    fn a_long_flash_crowd_window_issues_its_queries_in_order() {
+        // span · i overflowed u64 here: debug builds panicked, release
+        // builds placed the fourth query before the third.
+        let overlay = RegimeOverlay::new(
             Time(0),
-            Time(100),
-            OverlayKind::NclBlackout { nodes: vec![] },
-        );
+            Time(u64::MAX / 2),
+            OverlayKind::FlashCrowd {
+                item: DataId(1),
+                requests: 4,
+                constraint: Duration(1),
+            },
+        )
+        .unwrap();
+        let times: Vec<Time> = overlay
+            .workload_events(10, 0)
+            .iter()
+            .map(WorkloadEvent::at)
+            .collect();
+        assert_eq!(times.len(), 4);
+        assert!(times.windows(2).all(|w| w[0] < w[1]), "{times:?}");
+        assert!(times.iter().all(|&at| overlay.active_at(at)), "{times:?}");
+        assert_eq!(times[3].0 as u128, u128::from(u64::MAX / 2) * 3 / 4);
+    }
+
+    #[test]
+    fn a_hand_built_reversed_window_issues_its_queries_at_the_start() {
+        // The fields are public, so `new`'s window check can be skipped.
+        let overlay = RegimeOverlay {
+            start: Time(500),
+            end: Time(100),
+            kind: OverlayKind::FlashCrowd {
+                item: DataId(1),
+                requests: 3,
+                constraint: Duration(1),
+            },
+        };
+        let times: Vec<Time> = overlay
+            .workload_events(10, 0)
+            .iter()
+            .map(WorkloadEvent::at)
+            .collect();
+        assert_eq!(times, vec![Time(500); 3]);
     }
 
     #[test]

@@ -16,17 +16,17 @@
 //! [`RecordingProbe`] is the one recorder: it counts every event kind,
 //! assembles a per-query [`QueryTrace`] (issue → first-central-arrival
 //! → broadcast fan-out → response → delivery, with per-hop timestamps),
-//! buckets delays/hops/occupancy into alloc-free [`Histogram`]s, can
-//! retain the raw event stream, and — when a [`Telemetry`] series is
+//! can retain the raw event stream, and — when a [`Telemetry`] series is
 //! installed — folds the same stream into fixed simulation-time
-//! windows. Nothing here serialises: `bench::observe::write_jsonl` is
-//! the capture emitter and walks events through [`ProbeEvent::fields`].
+//! windows. It keeps nothing derived from those: a delay or hop
+//! distribution is read off the traces (`bench::observe::distributions`).
+//! Nothing here serialises: `bench::observe::write_jsonl` is the capture
+//! emitter and walks events through [`ProbeEvent::fields`].
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use dtn_core::hist::Histogram;
 use dtn_core::ids::{DataId, NodeId, QueryId};
 use dtn_core::time::Time;
 
@@ -70,8 +70,8 @@ field_from! {
 }
 
 /// Declares the event vocabulary once: the enum, the kind-name table,
-/// `kind()`, `at()` and the payload walk are all derived from this one
-/// list, so a new kind is a one-line addition here.
+/// the counter index, `kind()`, `at()` and the payload walk are all
+/// derived from this one list, so a new kind is a one-line addition here.
 macro_rules! probe_events {
     ($(
         $(#[$doc:meta])*
@@ -95,11 +95,19 @@ macro_rules! probe_events {
             /// Every event kind, in the order of the counter table.
             pub const KINDS: [&'static str; [$($kind),*].len()] = [$($kind),*];
 
+            /// Position of this event's kind in [`ProbeEvent::KINDS`].
+            fn kind_index(&self) -> usize {
+                enum Index {
+                    $($variant,)*
+                }
+                match self {
+                    $(ProbeEvent::$variant { .. } => Index::$variant as usize,)*
+                }
+            }
+
             /// Stable snake-case name of this event's kind.
             pub fn kind(&self) -> &'static str {
-                match self {
-                    $(ProbeEvent::$variant { .. } => $kind,)*
-                }
+                Self::KINDS[self.kind_index()]
             }
 
             /// The event's timestamp.
@@ -380,18 +388,16 @@ impl QueryTrace {
     }
 }
 
-/// The one recorder: per-kind counters, per-query lifecycle traces,
-/// alloc-free delay/hop/occupancy histograms; optionally the raw event
-/// stream and a windowed [`Telemetry`] series folded from it.
+/// The one recorder: per-kind counts and per-query lifecycle traces;
+/// optionally the raw event stream and a windowed [`Telemetry`] series
+/// folded from it.
 #[derive(Debug)]
 pub struct RecordingProbe {
     keep_events: bool,
     events: Vec<ProbeEvent>,
-    counters: BTreeMap<&'static str, u64>,
+    /// Events seen per kind, indexed like [`ProbeEvent::KINDS`].
+    counts: [u64; ProbeEvent::KINDS.len()],
     traces: BTreeMap<u64, QueryTrace>,
-    delay_hist: Histogram,
-    hop_hist: Histogram,
-    occupancy_hist: Histogram,
     oracle_rebuilds: u64,
     oracle_table_hits: u64,
     oracle_table_recomputes: u64,
@@ -405,17 +411,13 @@ impl Default for RecordingProbe {
 }
 
 impl RecordingProbe {
-    /// A recorder with default bucket layouts: delays in 30-minute
-    /// buckets over 2 days, hops 0–15, occupancy in 1-MiB buckets.
+    /// A recorder that keeps the raw event stream and no window series.
     pub fn new() -> Self {
         RecordingProbe {
             keep_events: true,
             events: Vec::new(),
-            counters: BTreeMap::new(),
+            counts: [0; ProbeEvent::KINDS.len()],
             traces: BTreeMap::new(),
-            delay_hist: Histogram::new(1800, 96),
-            hop_hist: Histogram::new(1, 16),
-            occupancy_hist: Histogram::new(1 << 20, 64),
             oracle_rebuilds: 0,
             oracle_table_hits: 0,
             oracle_table_recomputes: 0,
@@ -423,7 +425,7 @@ impl RecordingProbe {
         }
     }
 
-    /// Disables raw-event retention (traces/counters/histograms only) —
+    /// Disables raw-event retention (traces and counts only) —
     /// for long runs where the full stream would dominate memory.
     pub fn without_event_stream(mut self) -> Self {
         self.keep_events = false;
@@ -448,14 +450,13 @@ impl RecordingProbe {
         &self.events
     }
 
-    /// Per-kind event counts (only kinds seen at least once).
-    pub fn counters(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counters
-    }
-
-    /// Count of one kind (0 when never seen).
+    /// Count of one kind (0 when never seen, and for a name that is not
+    /// a kind).
     pub fn count(&self, kind: &str) -> u64 {
-        self.counters.get(kind).copied().unwrap_or(0)
+        ProbeEvent::KINDS
+            .iter()
+            .position(|&k| k == kind)
+            .map_or(0, |i| self.counts[i])
     }
 
     /// All assembled query traces, in query-id order.
@@ -466,21 +467,6 @@ impl RecordingProbe {
     /// The trace of one query, if it was observed.
     pub fn trace(&self, query: QueryId) -> Option<&QueryTrace> {
         self.traces.get(&query.0)
-    }
-
-    /// Delay histogram over satisfied queries (exact mean/sum).
-    pub fn delay_hist(&self) -> &Histogram {
-        &self.delay_hist
-    }
-
-    /// Hops-per-satisfied-query histogram.
-    pub fn hop_hist(&self) -> &Histogram {
-        &self.hop_hist
-    }
-
-    /// Cached-bytes occupancy histogram (one entry per engine sample).
-    pub fn occupancy_hist(&self) -> &Histogram {
-        &self.occupancy_hist
     }
 
     /// Latest cumulative oracle counters seen on `oracle_rebuilt`
@@ -510,7 +496,7 @@ impl RecordingProbe {
 
 impl Probe for RecordingProbe {
     fn record(&mut self, event: &ProbeEvent) {
-        *self.counters.entry(event.kind()).or_insert(0) += 1;
+        self.counts[event.kind_index()] += 1;
         // The window fold turns the cumulative oracle counters into
         // per-window deltas against the values seen so far.
         let oracle_before = (self.oracle_table_recomputes, self.oracle_table_hits);
@@ -581,18 +567,13 @@ impl Probe for RecordingProbe {
             ProbeEvent::Delivery {
                 at,
                 query,
-                outcome: DeliveryOutcome::Accepted { delay },
+                outcome: DeliveryOutcome::Accepted { .. },
             } => {
-                self.delay_hist.record(delay.as_secs());
                 if let Some(t) = self.traces.get_mut(&query.0) {
                     if t.delivered_at.is_none() {
                         t.delivered_at = Some(at);
-                        self.hop_hist.record(t.hops.len() as u64);
                     }
                 }
-            }
-            ProbeEvent::CacheSampled { bytes, .. } => {
-                self.occupancy_hist.record(bytes);
             }
             ProbeEvent::OracleRebuilt {
                 epoch,
@@ -685,8 +666,6 @@ mod tests {
         assert_eq!(d.ncl_secs, 100); // 300 → 400
         assert_eq!(d.response_secs, 200); // 400 → 600
         assert_eq!(d.total_secs(), 500);
-        assert_eq!(p.delay_hist().sum(), 500);
-        assert_eq!(p.hop_hist().count(), 1);
         assert_eq!(p.count("query_injected"), 1);
         assert_eq!(p.count("delivery"), 1);
     }
@@ -737,7 +716,6 @@ mod tests {
             outcome: DeliveryOutcome::Duplicate,
         });
         assert_eq!(p.trace(QueryId(4)).unwrap().delivered_at, Some(Time(500)));
-        assert_eq!(p.delay_hist().count(), 1);
         assert_eq!(p.count("delivery"), 2);
     }
 
@@ -771,6 +749,61 @@ mod tests {
         let rec = Rc::try_unwrap(rec).expect("sole owner").into_inner();
         assert_eq!(rec.count("query_injected"), 1);
         assert!(rec.trace(QueryId(9)).is_some());
+    }
+
+    /// One event of every kind, in declaration order.
+    #[rustfmt::skip]
+    fn one_of_each_kind() -> Vec<ProbeEvent> {
+        let (n, m, d, q, at) = (NodeId(1), NodeId(2), DataId(3), QueryId(4), Time(5));
+        vec![
+            ProbeEvent::ContactBegin { at, a: n, b: m, budget: 9 },
+            ProbeEvent::ContactEnd { at, a: n, b: m, bytes_used: 9 },
+            ProbeEvent::ContactLost { at, a: n, b: m },
+            ProbeEvent::DataInjected { at, data: d, source: n, size: 9 },
+            ev_query(4, 5, 50),
+            ProbeEvent::EpochFired { at, index: 1 },
+            ProbeEvent::TransmitAccepted { at, bytes: 9 },
+            ProbeEvent::TransmitRejected { at, bytes: 9 },
+            delivered(4, 6, 1),
+            ProbeEvent::CacheSampled { at, copies: 1, bytes: 9 },
+            ProbeEvent::PushRelay { at, data: d, from: n, to: m, ncl: 0 },
+            ProbeEvent::PushSettled { at, data: d, node: m, ncl: 0 },
+            ProbeEvent::QueryRelay { at, query: q, from: n, to: m },
+            ProbeEvent::QueryAtCentral { at, query: q, ncl: 0 },
+            ProbeEvent::BroadcastSpread { at, query: q, node: m },
+            ProbeEvent::ResponseDecision { at, query: q, node: m, probability: 0.5, responded: true },
+            ProbeEvent::ResponseSpawned { at, query: q, node: m },
+            ProbeEvent::ResponseRelay { at, query: q, from: m, to: n },
+            ProbeEvent::ReplacementEvicted { at, node: m, data: d },
+            ProbeEvent::CentralReelected { at, ncl: 0, old: n, new: m },
+            ProbeEvent::OracleRebuilt { at, epoch: 1, table_recomputes: 0, table_hits: 0 },
+            ProbeEvent::OracleInvalidated { at },
+        ]
+    }
+
+    #[test]
+    fn count_reads_each_kind_by_its_name() {
+        let one_of_each = one_of_each_kind();
+        let kinds: Vec<_> = one_of_each.iter().map(ProbeEvent::kind).collect();
+        assert_eq!(
+            kinds,
+            ProbeEvent::KINDS,
+            "one event of every kind, in order"
+        );
+        let mut p = RecordingProbe::new();
+        let mut want = std::collections::BTreeMap::new();
+        // Every kind once, every third kind a second time.
+        for (i, e) in one_of_each.iter().enumerate() {
+            for _ in 0..1 + usize::from(i % 3 == 0) {
+                p.record(e);
+                *want.entry(e.kind()).or_insert(0u64) += 1;
+            }
+        }
+        for kind in ProbeEvent::KINDS {
+            assert_eq!(p.count(kind), want[kind], "{kind}");
+        }
+        assert_eq!(p.count("no_such_kind"), 0);
+        assert_eq!(RecordingProbe::new().count("delivery"), 0);
     }
 
     #[test]

@@ -165,15 +165,17 @@ fn every_overlay_kind_runs_audit_clean() {
                 requests: 12,
                 constraint: Duration::hours(4),
             },
-        ),
+        )
+        .unwrap(),
         RegimeOverlay::new(
             window.0,
             window.1,
             OverlayKind::NclBlackout {
                 nodes: vec![NodeId(0), NodeId(1)],
             },
-        ),
-        RegimeOverlay::new(window.0, window.1, OverlayKind::Partition { cut: 8 }),
+        )
+        .unwrap(),
+        RegimeOverlay::new(window.0, window.1, OverlayKind::Partition { cut: 8 }).unwrap(),
         RegimeOverlay::new(
             window.0,
             window.1,
@@ -181,7 +183,8 @@ fn every_overlay_kind_runs_audit_clean() {
                 items: 6,
                 size: 2_000,
             },
-        ),
+        )
+        .unwrap(),
     ];
     for overlay in overlays {
         let name = overlay.kind.name();
