@@ -99,6 +99,9 @@ impl LazyReach {
     /// not just against that neighbour: settled weights are
     /// non-increasing in exact arithmetic only, and a one-ulp inversion
     /// between the two is enough to end the replay one candidate late.
+    /// The rim neighbours are collected in one pass over `dest`'s row and
+    /// sorted by pop position, so a read costs one scan of the row
+    /// (`O(degree · log inner)`) however many candidates it weighs.
     ///
     /// Each candidate's rim path is rebuilt in `scratch`, one push per hop
     /// of its predecessor chain at the rate the predecessor's row of
@@ -121,29 +124,23 @@ impl LazyReach {
         if dest.index() >= graph.node_count() {
             return (0.0, 0);
         }
+        // The rim neighbours of `dest` in the order they popped, from one
+        // pass over its row: a central's row is long, and most reads name
+        // a central.
+        let (rims, path, factors) = scratch.replay_workspace(self.horizon);
+        rims.extend(graph.neighbors(dest).iter().filter_map(|&(peer, rate)| {
+            let i = self.ids.binary_search(&peer).ok()?;
+            (self.hops(i) == self.rim_hops).then_some((self.ranks[i], i as u32, rate))
+        }));
+        rims.sort_unstable_by_key(|&(pos, ..)| pos);
         // The loop's `best` before any relaxation: heavier than nothing,
         // so the first candidate replaces it and no pop is held below it.
         let mut label = f64::NEG_INFINITY;
         let mut evaluations = 0;
         // `pops[..from]` were held against the label already.
         let mut from = 0;
-        let (path, factors) = scratch.replay_workspace(self.horizon);
-        loop {
-            // The rim neighbour of `dest` that pops next. A leaf has a
-            // handful of neighbours and fewer on the rim, so selecting
-            // the minimum again per candidate beats sorting them.
-            let next = graph
-                .neighbors(dest)
-                .iter()
-                .filter_map(|&(peer, rate)| {
-                    let i = self.ids.binary_search(&peer).ok()?;
-                    let pos = self.ranks[i] as usize;
-                    (pos >= from && self.hops(i) == self.rim_hops).then_some((pos, i, rate))
-                })
-                .min_by_key(|&(pos, ..)| pos);
-            let Some((pos, rim, rate)) = next else {
-                break;
-            };
+        for &(pos, rim, rate) in rims.iter() {
+            let pos = pos as usize;
             // The heap's own order; a label of −∞ is not in the heap yet.
             if label != f64::NEG_INFINITY {
                 let mine = Key::new(label, dest);
@@ -153,7 +150,7 @@ impl LazyReach {
                     break;
                 }
             }
-            self.rebuild(graph, rim, path, factors);
+            self.rebuild(graph, rim as usize, path, factors);
             let candidate = path.extended_cdf(rate, factors.get(rate));
             if candidate > label {
                 label = candidate;

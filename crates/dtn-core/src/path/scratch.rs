@@ -73,7 +73,12 @@ impl FactorCache {
 /// served) a search costs `O(touched)` time and calls the allocator only
 /// for the table it returns — not at all when it refills a table sized
 /// for the graph ([`shortest_paths_batch`](super::shortest_paths_batch)).
+// A batch hands each worker its own element of a slice of scratches.
+// Aligned, no cache line holds two of them, which the workers' heap and
+// list lengths would fight over (`serve_churn` 1.11×, 8 of 10 pairs on
+// two vCPUs).
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct ReachScratch {
     pub(super) epoch: u64,
     pub(super) stamp: Vec<u64>,
@@ -92,7 +97,9 @@ pub struct ReachScratch {
     pub(super) rate_into: Vec<f64>,
     /// Where in `accs` a node's accumulator lives. Written when a node
     /// that will relax settles, read only through such a node's children
-    /// in the same search — never stamped, never cleared.
+    /// in the same search — never stamped, never cleared. Dead once the
+    /// search ends, so [`lazy_reach`](Self::lazy_reach) reuses it to map
+    /// a settled node to its index in the reach.
     pub(super) acc_slot: Vec<u32>,
     /// CDF accumulators of settled paths (with their cached per-stage
     /// exponentials), in settle order: `accs[..accs_built]` belong to the
@@ -108,6 +115,9 @@ pub struct ReachScratch {
     /// `inner`, and the nodes of the current search in settle order.
     pub(super) queue: Vec<u32>,
     pub(super) pops: Vec<u32>,
+    /// [`LazyReach::weight_to`] only: the leaf's rim neighbours as
+    /// `(pop position, index in the reach, rate)`.
+    pub(super) rims: Vec<(u32, u32, f64)>,
     pub(super) heap: BinaryHeap<Key>,
     pub(super) factors: FactorCache,
     /// Nodes the current search has settled, the source included.
@@ -251,22 +261,27 @@ impl ReachScratch {
 
     /// The last [`bounded_reach`](super::bounded_reach) search as a [`LazyReach`], each vector
     /// allocated at its final size; the accumulators stay behind for the
-    /// next search to refill.
-    pub(super) fn lazy_reach(&self, horizon: f64, max_hops: usize) -> LazyReach {
-        let mut ranks: Vec<u32> = (0..self.pops.len() as u32).collect();
-        ranks.sort_unstable_by_key(|&pos| self.pops[pos as usize]);
-        let ids: Vec<NodeId> = ranks
-            .iter()
-            .map(|&pos| NodeId(self.pops[pos as usize]))
-            .collect();
-        let index = |node: u32| {
-            ids.binary_search(&NodeId(node))
-                .expect("every popped node is listed") as u32
-        };
-        let mut pops = vec![0; ids.len()];
-        for (i, &pos) in ranks.iter().enumerate() {
-            pops[pos as usize] = i as u32;
+    /// next search to refill. Linear after one sort of the bare ids: a
+    /// node's index in the reach is scattered into `acc_slot`, so ranks,
+    /// parents and the pop order are one lookup each.
+    pub(super) fn lazy_reach(&mut self, horizon: f64, max_hops: usize) -> LazyReach {
+        let mut ids: Vec<NodeId> = self.pops.iter().map(|&v| NodeId(v)).collect();
+        ids.sort_unstable();
+        for (i, v) in ids.iter().enumerate() {
+            self.acc_slot[v.index()] = i as u32;
         }
+        let index = &self.acc_slot;
+        let mut ranks = vec![0; ids.len()];
+        let pops = self
+            .pops
+            .iter()
+            .enumerate()
+            .map(|(pos, &v)| {
+                let i = index[v as usize];
+                ranks[i as usize] = pos as u32;
+                i
+            })
+            .collect();
         LazyReach {
             horizon,
             rim_hops: max_hops - 1,
@@ -275,7 +290,7 @@ impl ReachScratch {
                 .iter()
                 .map(|v| match self.prev[v.index()] {
                     u32::MAX => NO_PARENT,
-                    parent => index(parent),
+                    parent => index[parent as usize],
                 })
                 .collect(),
             ranks,
@@ -284,17 +299,23 @@ impl ReachScratch {
         }
     }
 
-    /// The free list's first accumulator and the factor cache at `horizon`,
-    /// where a [`LazyReach`] read rebuilds a rim path: no search reads that
-    /// accumulator between the one that built the reach and the next.
+    /// The rim list, emptied, then the free list's first accumulator and
+    /// the factor cache at `horizon`, where a [`LazyReach`] read rebuilds a
+    /// rim path: no search reads that accumulator between the one that
+    /// built the reach and the next.
     pub(super) fn replay_workspace(
         &mut self,
         horizon: f64,
-    ) -> (&mut HorizonAccumulator, &mut FactorCache) {
+    ) -> (
+        &mut Vec<(u32, u32, f64)>,
+        &mut HorizonAccumulator,
+        &mut FactorCache,
+    ) {
         if self.accs.is_empty() {
             self.accs.push(HorizonAccumulator::new(horizon));
         }
         self.factors.prepare(horizon);
-        (&mut self.accs[0], &mut self.factors)
+        self.rims.clear();
+        (&mut self.rims, &mut self.accs[0], &mut self.factors)
     }
 }

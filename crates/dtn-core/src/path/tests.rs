@@ -525,9 +525,9 @@ fn warm_scratch_searches_without_allocating() {
     // source, and a lazy reach's read of every node, twice over: the
     // second pass finds every buffer the first one grew and moves or
     // regrows none of them — per-node arrays, the factor cache, heap,
-    // touched list, the ball's queue, the pop order, and each recycled
-    // accumulator's four vectors, the one leaf reads rebuild rim paths
-    // into among them.
+    // touched list, the ball's queue, the pop order, a leaf's rim list,
+    // and each recycled accumulator's four vectors, the one leaf reads
+    // rebuild rim paths into among them.
     let g = lcg_graph();
     let pass = |scratch: &mut ReachScratch| {
         for source in g.nodes() {
@@ -556,7 +556,12 @@ fn warm_scratch_searches_without_allocating() {
             s.inner.as_ptr(),
             s.factors.slots.as_ptr(),
         );
-        let lists = (s.touched.capacity(), s.queue.capacity(), s.pops.capacity());
+        let lists = (
+            s.touched.capacity(),
+            s.queue.capacity(),
+            s.pops.capacity(),
+            s.rims.capacity(),
+        );
         (accs, arrays, s.heap.capacity(), lists)
     };
     let mut scratch = ReachScratch::new();

@@ -1,5 +1,6 @@
 //! Engine configuration: the paper's §VI-A link and buffer model.
 
+use dtn_core::error::CoreError;
 use dtn_core::time::Duration;
 
 /// Bytes per megabit, for converting the paper's "Mb" figures.
@@ -70,6 +71,42 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// Checks the fields the engine cannot run with: a zero bandwidth, an
+    /// inverted buffer range, a contact-loss probability outside `[0, 1]`
+    /// (NaN included), and a zero sample or epoch interval, which would
+    /// never advance the engine's catch-up loops past the clock.
+    /// [`Simulator::from_source`](super::Simulator::from_source) panics
+    /// on what this refuses.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        let refuse = |name, reason: &str| {
+            Err(CoreError::InvalidParameter {
+                name,
+                reason: reason.into(),
+            })
+        };
+        if self.bandwidth_bytes_per_sec == 0 {
+            return refuse("bandwidth_bytes_per_sec", "bandwidth must be positive");
+        }
+        if self.buffer_range.0 > self.buffer_range.1 {
+            return refuse("buffer_range", "buffer range must be ordered");
+        }
+        if !(0.0..=1.0).contains(&self.contact_loss_probability) {
+            return refuse(
+                "contact_loss_probability",
+                "contact loss must be a probability",
+            );
+        }
+        if self.sample_interval == Duration(0) {
+            return refuse("sample_interval", "sample interval must be positive");
+        }
+        if self.epoch_interval == Some(Duration(0)) {
+            return refuse("epoch_interval", "epoch interval must be positive");
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::tests::{two_node_trace, DirectDelivery};
@@ -95,31 +132,70 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn invalid_loss_probability_panics() {
-        let trace = two_node_trace();
-        let cfg = SimConfig {
-            contact_loss_probability: 1.5,
-            ..SimConfig::default()
-        };
-        let _ = Simulator::new(&trace, DirectDelivery::default(), cfg);
+    /// The name `validate` refuses `cfg` under.
+    fn refused(cfg: SimConfig) -> &'static str {
+        match cfg.validate() {
+            Err(CoreError::InvalidParameter { name, .. }) => name,
+            Ok(()) => panic!("accepted {cfg:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "sample interval must be positive")]
-    fn zero_sample_interval_panics() {
-        let trace = two_node_trace();
-        let cfg = SimConfig {
-            sample_interval: Duration(0),
-            ..SimConfig::default()
-        };
-        let _ = Simulator::new(&trace, DirectDelivery::default(), cfg);
+    fn validate_refuses_what_the_engine_cannot_run() {
+        assert_eq!(SimConfig::default().validate(), Ok(()));
+        let base = SimConfig::default;
+        let cases = [
+            (
+                SimConfig {
+                    bandwidth_bytes_per_sec: 0,
+                    ..base()
+                },
+                "bandwidth_bytes_per_sec",
+            ),
+            (
+                SimConfig {
+                    buffer_range: (2, 1),
+                    ..base()
+                },
+                "buffer_range",
+            ),
+            (
+                SimConfig {
+                    contact_loss_probability: 1.5,
+                    ..base()
+                },
+                "contact_loss_probability",
+            ),
+            (
+                SimConfig {
+                    contact_loss_probability: f64::NAN,
+                    ..base()
+                },
+                "contact_loss_probability",
+            ),
+            (
+                SimConfig {
+                    sample_interval: Duration(0),
+                    ..base()
+                },
+                "sample_interval",
+            ),
+            (
+                SimConfig {
+                    epoch_interval: Some(Duration(0)),
+                    ..base()
+                },
+                "epoch_interval",
+            ),
+        ];
+        for (cfg, name) in cases {
+            assert_eq!(refused(cfg), name);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "epoch interval must be positive")]
-    fn zero_epoch_interval_panics() {
+    #[should_panic(expected = "epoch_interval")]
+    fn from_source_panics_on_what_validate_refuses() {
         let trace = two_node_trace();
         let cfg = SimConfig {
             epoch_interval: Some(Duration(0)),

@@ -99,30 +99,12 @@ impl<'t, S: Scheme> Simulator<S, TraceSource<'t>> {
 }
 
 impl<S: Scheme, C: ContactSource> Simulator<S, C> {
-    /// Creates a simulator over any [`ContactSource`] driving `scheme`.
+    /// Creates a simulator over any [`ContactSource`] driving `scheme`;
+    /// panics on a `config` that [`SimConfig::validate`] refuses.
     pub fn from_source(source: C, scheme: S, config: SimConfig) -> Self {
-        assert!(
-            config.bandwidth_bytes_per_sec > 0,
-            "bandwidth must be positive"
-        );
-        assert!(
-            config.buffer_range.0 <= config.buffer_range.1,
-            "buffer range must be ordered"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.contact_loss_probability),
-            "contact loss must be a probability"
-        );
-        // A zero interval would never advance `next_sample`/`next_epoch`
-        // past the clock: the catch-up loops would spin forever.
-        assert!(
-            config.sample_interval > Duration(0),
-            "sample interval must be positive"
-        );
-        assert!(
-            config.epoch_interval != Some(Duration(0)),
-            "epoch interval must be positive"
-        );
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let mut rng = StdRng::seed_from_u64(config.seed);
         let buffer_capacities = (0..source.node_count())
             .map(|_| rng.gen_range(config.buffer_range.0..=config.buffer_range.1))

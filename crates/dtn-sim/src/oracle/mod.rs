@@ -56,7 +56,9 @@
 //! that one label from its rim neighbours' paths, rebuilt over the
 //! epoch's snapshot, and a read of anything else is 0. Every answer is
 //! the eager [`bounded_shortest_paths`](dtn_core::path::bounded_shortest_paths)
-//! answer to the bit (`tests/path_equivalence.rs`).
+//! answer to the bit (`tests/path_equivalence.rs`). Of the first
+//! property the target column carries over: a pair's later reads of a
+//! target in the epoch load what its first read stored.
 
 use dtn_core::graph::CsrGraph;
 use dtn_core::ids::NodeId;
@@ -90,7 +92,8 @@ struct Snapshot {
 /// to run a path search first — early exit, exhaustive or bounded,
 /// including the exhaustive search that refills a partial table which
 /// could not answer — so on either branch the two sum to the reads that
-/// were not self-reads.
+/// were not self-reads (a read of a node past the population counts
+/// nothing either: it is 0).
 /// `nodes_settled` sums the nodes those searches settled: exact and
 /// machine-independent, it is the counter that moves when a search does
 /// more or less work for the same `table_recomputes`. A dense search
@@ -101,7 +104,8 @@ struct Snapshot {
 /// would read several times higher). `leaf_evaluations` counts what
 /// those leaves cost instead: the CDF evaluations bounded reads made to
 /// weigh the leaf they asked for, zero for a read of an inner node or of
-/// a node the bound does not reach. `accumulators_built` sums the CDF
+/// a node the bound does not reach, and zero for a read of a target the
+/// column already answers. `accumulators_built` sums the CDF
 /// accumulators the searches built, one per settled node that relaxed
 /// its edges: it moves on per-settle work that leaves the settled set
 /// alone; `reach_bytes` the heap the bounded reaches hold. `rebuilds`
@@ -163,10 +167,11 @@ pub struct PathOracle {
     /// the stop set of the early-exit search. Empty = every search is
     /// exhaustive.
     targets: Vec<NodeId>,
-    /// Dense mode: `column[s · K + k]` is the weight from `s` to
-    /// `targets[k]` this epoch, written from each table as it lands —
-    /// [`UNKNOWN`] until then, or where the table does not answer it.
-    /// [`PathOracle::weights_to`] reads it one load per source.
+    /// `column[s · K + k]` is the weight from `s` to `targets[k]` this
+    /// epoch, [`UNKNOWN`] until known. Dense mode writes it from each
+    /// table as it lands, and [`PathOracle::weights_to`] reads it; scale
+    /// mode writes a cell on the pair's first bounded read, never from a
+    /// (dense, so unbounded) table.
     column: Vec<f64>,
     /// Scale mode (see [`PathOracle::with_bounded_reach`]): hop bound
     /// for [`PathOracle::weight`] searches. `None` (the default) keeps
@@ -233,6 +238,10 @@ impl PathOracle {
     /// standard accuracy/size trade (§V-A keeps paths short anyway).
     /// [`PathOracle::table`] still serves exact dense tables when asked.
     ///
+    /// [Targets](Self::set_targets) named before or after this call keep
+    /// their column (`N × K × 8` B, emptied here); the `weights_to` batch
+    /// and the decision warm-up stay dense-only.
+    ///
     /// # Panics
     ///
     /// Panics if `max_hops` is zero.
@@ -240,7 +249,8 @@ impl PathOracle {
         assert!(max_hops > 0, "a zero-hop search reaches nothing");
         self.max_hops = Some(max_hops);
         self.reaches = vec![(0, LazyReach::default()); self.tables.len()];
-        self.column = Vec::new();
+        // Whatever a dense read wrote is not a bounded weight.
+        self.column.fill(UNKNOWN);
         self
     }
 
@@ -252,8 +262,10 @@ impl PathOracle {
     /// it, so cached tables stay valid and nothing is invalidated (a new
     /// set only empties the column of weights to the old one). Node ids
     /// outside the population are ignored (they can never be a `dest`
-    /// the oracle answers for), never a panic. Has no effect on the
-    /// bounded-reach branch.
+    /// the oracle answers for), never a panic. On the bounded-reach
+    /// branch the search is unchanged and only the column applies: the
+    /// first read of a (source, target) pair in an epoch stores the
+    /// weight the reach answered, and its later reads load it.
     pub fn set_targets(&mut self, targets: &[NodeId]) {
         let nodes = self.tables.len();
         let in_range = targets.iter().filter(|t| t.index() < nodes);
@@ -263,9 +275,7 @@ impl PathOracle {
         self.targets.clear();
         self.targets.extend(in_range);
         self.column.clear();
-        if self.max_hops.is_none() {
-            self.column.resize(nodes * self.targets.len(), UNKNOWN);
-        }
+        self.column.resize(nodes * self.targets.len(), UNKNOWN);
     }
 
     /// The horizon `T` used for path weights.
@@ -355,7 +365,9 @@ impl PathOracle {
         for (source, _, table) in jobs {
             self.stats.table_recomputes += 1;
             self.stats.nodes_settled += table.settled_count() as u64;
-            fill_row(&mut self.column, &self.targets, *source, table);
+            if self.max_hops.is_none() {
+                fill_row(&mut self.column, &self.targets, *source, table);
+            }
             self.tables[source.index()] = (self.epoch, std::mem::take(table));
         }
     }
@@ -375,7 +387,8 @@ impl PathOracle {
 
     /// The best-path weight from `source` to `dest` (1 if equal,
     /// 0 if unreachable — including, in scale mode, destinations past
-    /// the hop bound).
+    /// the hop bound, and in either mode a `source` or `dest` past the
+    /// population, which counts no work).
     ///
     /// With `dest` one of the [targets](Self::set_targets) and no table
     /// for `source` in the current epoch, the search stops once every
@@ -385,12 +398,24 @@ impl PathOracle {
         if source == dest {
             return 1.0;
         }
+        if source.index().max(dest.index()) >= self.tables.len() {
+            return 0.0;
+        }
         let Some(hops) = self.max_hops else {
             return self
                 .table_answering(rates, now, source, Some(dest))
                 .weight_to(dest);
         };
         self.refresh_snapshot(rates, now);
+        let cell = self
+            .targets
+            .iter()
+            .position(|&t| t == dest)
+            .map(|k| source.index() * self.targets.len() + k);
+        if let Some(w) = cell.map(|c| self.column[c]).filter(|w| !w.is_nan()) {
+            self.stats.table_hits += 1;
+            return w;
+        }
         let snapshot = self.snapshot.as_ref().expect("snapshot just refreshed");
         let graph = &snapshot.graph;
         if self.scratches.is_empty() {
@@ -413,6 +438,9 @@ impl PathOracle {
         // it was searched on: a leaf's label is replayed over it.
         let (weight, evaluations) = reach.weight_to(graph, dest, &mut self.scratches[0]);
         self.stats.leaf_evaluations += u64::from(evaluations);
+        if let Some(c) = cell {
+            self.column[c] = weight;
+        }
         weight
     }
 
@@ -429,7 +457,8 @@ impl PathOracle {
     /// one `weight` would run (early exit on a source's first search of
     /// the epoch) and each refilling the source's own table in place. In
     /// bounded mode, and for any other `dest`, the sources are read one
-    /// by one through `weight`.
+    /// by one through `weight`, as they are when one is past the
+    /// population (it reads 0).
     pub fn weights_to(
         &mut self,
         rates: &RateTable,
@@ -440,7 +469,9 @@ impl PathOracle {
     ) {
         out.clear();
         let k = self.targets.iter().position(|&t| t == dest);
-        let Some(k) = k.filter(|_| !self.column.is_empty()) else {
+        let nodes = self.tables.len();
+        let dense = self.max_hops.is_none() && sources.iter().all(|s| s.index() < nodes);
+        let Some(k) = k.filter(|_| dense) else {
             out.extend(sources.iter().map(|&s| self.weight(rates, now, s, dest)));
             return;
         };
@@ -490,7 +521,7 @@ impl PathOracle {
     /// so their reads this epoch are hits. Once per epoch; a no-op
     /// without a column (bounded mode, or no targets).
     pub(crate) fn warm(&mut self, rates: &RateTable, now: Time, sources: &[NodeId]) {
-        if self.column.is_empty() {
+        if self.max_hops.is_some() || self.column.is_empty() {
             return;
         }
         self.refresh_snapshot(rates, now);
@@ -513,7 +544,8 @@ impl PathOracle {
     /// THE greedy relay rule (§V-A): forward a message carried by `from`
     /// to `to` iff `to` has a strictly better path weight to `dest`. The
     /// destination always accepts; a carrier at the destination never
-    /// forwards. Reads `to`'s weight, then `from`'s.
+    /// forwards. Reads `to`'s weight, then `from`'s: a `to` past the
+    /// population reads 0, so it accepts nothing but as the destination.
     pub fn forward(
         &mut self,
         rates: &RateTable,

@@ -350,7 +350,9 @@ fn rates_star(nodes: u32) -> RateTable {
 }
 
 /// One interleaving of every kind of read and every kind of
-/// invalidation, returning the bits of everything the oracle said.
+/// invalidation, returning the bits of everything the oracle said. Every
+/// read that is not a self-read, and every `table` call, must count as a
+/// hit or a recompute.
 fn drive(o: &mut PathOracle, retarget: impl Fn(&mut PathOracle, &[NodeId])) -> Vec<u64> {
     const N: u32 = 12;
     let mut rates = rates_star(N);
@@ -359,16 +361,23 @@ fn drive(o: &mut PathOracle, retarget: impl Fn(&mut PathOracle, &[NodeId])) -> V
         rates.record(NodeId(a), NodeId(b), Time(650));
     }
     let mut said = Vec::new();
+    let mut reads = 0;
     let mut sweep = |o: &mut PathOracle, rates: &RateTable, now: Time| {
+        // The two `table` calls below.
+        reads += 2;
+        let mut read = |o: &mut PathOracle, s: u32, d: u32| {
+            reads += u64::from(s != d);
+            o.weight(rates, now, NodeId(s), NodeId(d)).to_bits()
+        };
         // Target reads from every source: early exit where allowed.
         for s in 0..N {
             for d in [0, 3] {
-                said.push(o.weight(rates, now, NodeId(s), NodeId(d)).to_bits());
+                said.push(read(o, s, d));
             }
         }
         // Non-target reads: a partial table cannot answer these.
         for (s, d) in [(5, 7), (5, 0), (9, 10), (0, 4), (11, 2)] {
-            said.push(o.weight(rates, now, NodeId(s), NodeId(d)).to_bits());
+            said.push(read(o, s, d));
         }
         // Whole tables, over a partial one (6) and a complete one (5).
         for s in [6, 5] {
@@ -378,7 +387,7 @@ fn drive(o: &mut PathOracle, retarget: impl Fn(&mut PathOracle, &[NodeId])) -> V
         }
         // And target reads again, now against whatever is cached.
         for s in 0..N {
-            said.push(o.weight(rates, now, NodeId(s), NodeId(3)).to_bits());
+            said.push(read(o, s, 3));
         }
     };
     retarget(o, &[NodeId(0), NodeId(3)]);
@@ -392,11 +401,17 @@ fn drive(o: &mut PathOracle, retarget: impl Fn(&mut PathOracle, &[NodeId])) -> V
     }
     sweep(o, &rates, Time(5200));
     assert_eq!(o.snapshot_epoch(), 3);
+    // New targets mid-epoch.
+    retarget(o, &[NodeId(3), NodeId(8)]);
+    sweep(o, &rates, Time(5250));
+    assert_eq!(o.snapshot_epoch(), 3);
     // Re-election: invalidate, new targets (one of them bogus).
     o.invalidate();
     retarget(o, &[NodeId(3), NodeId(8), NodeId(N + 5)]);
     sweep(o, &rates, Time(5300));
     assert_eq!(o.snapshot_epoch(), 4);
+    let s = o.stats();
+    assert_eq!(s.table_hits + s.table_recomputes, reads, "{s:?}");
     said
 }
 
@@ -412,6 +427,149 @@ fn targets_change_work_never_answers() {
     assert_eq!(p.rebuilds, t.rebuilds);
     assert_eq!(p.invalidations, t.invalidations);
     assert!(t.nodes_settled < p.nodes_settled, "{t:?} vs {p:?}");
+}
+
+#[test]
+fn targets_change_bounded_work_never_answers() {
+    // The bounded twin: a target's weight is kept in the column from its
+    // first read of the epoch, so later reads of it weigh no leaf. Two
+    // hops from a spoke is a leaf behind the hub, node 3 among them.
+    let oracle = || PathOracle::new(12, 3600.0, Duration::hours(1)).with_bounded_reach(2);
+    let mut plain = oracle();
+    let mut targeted = oracle();
+    let reference = drive(&mut plain, |_, _| {});
+    let answers = drive(&mut targeted, |o, targets| o.set_targets(targets));
+    assert_eq!(answers, reference, "a target set changed an answer");
+    let (p, t) = (plain.stats(), targeted.stats());
+    assert!(t.leaf_evaluations < p.leaf_evaluations, "{t:?} vs {p:?}");
+    // The column saves leaf work and nothing else is counted otherwise.
+    let leaf_evaluations = p.leaf_evaluations;
+    assert_eq!(
+        OracleStats {
+            leaf_evaluations,
+            ..t
+        },
+        p
+    );
+}
+
+#[test]
+fn a_bounded_table_leaves_the_column_bounded() {
+    // n3 is three hops from n0 on the line: 0 under a two-hop bound, and
+    // a positive weight in the exact table `table()` hands out. Neither
+    // order of the two reads may put the table's weight in the column.
+    let rates = rates_line();
+    let now = Time(1000);
+    let mut fresh = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(2);
+    let want = fresh.weight(&rates, now, NodeId(0), NodeId(3));
+    assert_eq!(want, 0.0);
+    for table_first in [false, true] {
+        let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(2);
+        o.set_targets(&[NodeId(3)]);
+        if !table_first {
+            assert_eq!(
+                o.weight(&rates, now, NodeId(0), NodeId(3)).to_bits(),
+                want.to_bits()
+            );
+        }
+        assert!(o.table(&rates, now, NodeId(0)).weight_to(NodeId(3)) > 0.0);
+        for _ in 0..2 {
+            let got = o.weight(&rates, now, NodeId(0), NodeId(3));
+            assert_eq!(got.to_bits(), want.to_bits(), "table first: {table_first}");
+        }
+    }
+}
+
+#[test]
+fn a_bounded_central_weighs_its_leaf_once_an_epoch() {
+    // Whether the targets are named before the switch to scale mode, as
+    // the scheme does, or after it, and whether or not a dense read came
+    // first: every source reads every central twice an epoch, the second
+    // read is a load, and the leaves cost at most one evaluation a
+    // (source, central) pair — the answers those of an oracle without
+    // targets.
+    const N: u32 = 12;
+    let rates = rates_star(N);
+    let centrals = [NodeId(0), NodeId(3), NodeId(8)];
+    let oracle = || PathOracle::new(N as usize, 3600.0, Duration::hours(1));
+    let mut before = oracle();
+    before.set_targets(&centrals);
+    let mut dense_first = oracle();
+    dense_first.set_targets(&centrals);
+    assert!(dense_first.weight(&rates, Time(1000), NodeId(5), NodeId(3)) > 0.0);
+    let mut plain = oracle().with_bounded_reach(2);
+    let mut after = oracle().with_bounded_reach(2);
+    after.set_targets(&centrals);
+    let mut oracles = [
+        before.with_bounded_reach(2),
+        dense_first.with_bounded_reach(2),
+        after,
+    ];
+    for now in [Time(1000), Time(1000 + 3600)] {
+        for o in &mut oracles {
+            let start = o.stats();
+            let mut reads = 0;
+            for round in 0..2 {
+                for s in (0..N).map(NodeId) {
+                    for &c in &centrals {
+                        let want = plain.weight(&rates, now, s, c);
+                        let got = o.weight(&rates, now, s, c);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{s} to {c}, round {round}");
+                        reads += u64::from(s != c);
+                    }
+                }
+            }
+            let s = o.stats();
+            let leaves = s.leaf_evaluations - start.leaf_evaluations;
+            assert!(
+                leaves > 0 && leaves <= u64::from(N) * 3,
+                "{leaves} evaluations"
+            );
+            let hits = s.table_hits - start.table_hits;
+            let searched = s.table_recomputes - start.table_recomputes;
+            assert_eq!((hits + searched, searched), (reads, u64::from(N)));
+        }
+    }
+}
+
+#[test]
+fn an_out_of_range_node_reads_unreachable_in_dense_mode() {
+    let rates = rates_line();
+    let now = Time(1000);
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+    o.set_targets(&[NodeId(3)]);
+    let (far, near) = (NodeId(4), NodeId(1));
+    assert_eq!(o.weight(&rates, now, near, far), 0.0);
+    assert_eq!(o.weight(&rates, now, far, near), 0.0);
+    assert_eq!(o.weight(&rates, now, far, NodeId(3)), 0.0);
+    assert!(!o.forward(&rates, now, near, far, NodeId(3)));
+    let mut out = Vec::new();
+    o.weights_to(&rates, now, &[far, NodeId(u32::MAX)], NodeId(3), &mut out);
+    assert_eq!(out, [0.0, 0.0]);
+    o.weights_to(&rates, now, &[near, far], NodeId(9), &mut out);
+    assert_eq!(out, [0.0, 0.0]);
+    // The one read counted is `forward`'s of the carrier's own weight.
+    let s = o.stats();
+    assert_eq!((s.table_hits, s.table_recomputes), (0, 1), "{s:?}");
+}
+
+#[test]
+fn an_out_of_range_node_reads_unreachable_in_bounded_mode() {
+    let rates = rates_line();
+    let now = Time(1000);
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(2);
+    o.set_targets(&[NodeId(1)]);
+    let (far, near) = (NodeId(4), NodeId(2));
+    assert_eq!(o.weight(&rates, now, near, far), 0.0);
+    assert_eq!(o.weight(&rates, now, far, near), 0.0);
+    assert_eq!(o.weight(&rates, now, far, NodeId(1)), 0.0);
+    assert!(!o.forward(&rates, now, near, far, NodeId(1)));
+    let mut out = Vec::new();
+    o.weights_to(&rates, now, &[far, NodeId(u32::MAX)], NodeId(1), &mut out);
+    assert_eq!(out, [0.0, 0.0]);
+    // The one read counted is `forward`'s of the carrier's own weight.
+    let s = o.stats();
+    assert_eq!((s.table_hits, s.table_recomputes), (0, 1), "{s:?}");
 }
 
 /// Reads every list of `lists` to each of `dests`, through `weight`

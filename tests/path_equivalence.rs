@@ -595,6 +595,33 @@ fn lazy_reach_survives_a_non_monotone_pop_order() {
     assert!(reads.evaluations > reads.replayed, "{reads:?}");
 }
 
+/// A leaf whose adjacency row lists its three rim neighbours out of the
+/// order they pop in: n1, n2, n3 pop in that order from n0 under two
+/// hops, and n4's row reads n3, n1, n2. Each candidate's label stays
+/// below the next rim weight, so the replay weighs all three, in pop
+/// order, whatever order the row keeps them in.
+#[test]
+fn a_leaf_replays_its_rim_in_pop_order_not_row_order() {
+    let horizon = 3600.0;
+    let mut g = ContactGraph::new(5);
+    for (rim, rate) in [(1, 1e-3), (2, 5e-4), (3, 2e-4)] {
+        g.set_rate(NodeId(0), NodeId(rim), rate);
+    }
+    for (rim, rate) in [(3, 5e-3), (1, 1e-4), (2, 1e-4)] {
+        g.set_rate(NodeId(4), NodeId(rim), rate);
+    }
+    let row: Vec<u32> = g.neighbors(NodeId(4)).iter().map(|&(v, _)| v.0).collect();
+    assert_eq!(row, [3, 1, 2]);
+    let mut scratch = ReachScratch::new();
+    let eager = bounded_shortest_paths(&g, NodeId(0), horizon, 2, &mut scratch);
+    let lazy = bounded_reach(&g, NodeId(0), horizon, 2, &mut scratch);
+    let (w, evaluations) = lazy.weight_to(&g, NodeId(4), &mut scratch);
+    assert_eq!(evaluations, 3);
+    assert_eq!(w.to_bits(), eager.weight_to(NodeId(4)).to_bits());
+    let mut reads = LazyReads::default();
+    assert_lazy_equivalent(&g, horizon, &mut scratch, &mut reads).unwrap();
+}
+
 /// Seeded contacts on a ring with a few long chords, so that three hops
 /// do not span it; `meet` records `contacts` more from time `at` on.
 fn ring_meetings(nodes: u32) -> impl FnMut(&mut RateTable, usize, u64) {
