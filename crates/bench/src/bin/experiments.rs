@@ -1,8 +1,9 @@
 //! Regenerates every table and figure of the paper as text tables.
 //!
 //! ```text
-//! experiments [--scale F] [--seeds N] <command>
-//! commands: table1 fig4 fig7 fig9 fig10 fig11 fig12 fig13 all
+//! experiments [--scale F] [--seeds N] [--csv DIR] <command>
+//! commands: table1 fig4 fig7 fig9 fig10 fig11 fig12 fig13
+//!           ablation ncl bounds churn all
 //!           observe <target> [--out report.jsonl]
 //!           timeline <target> [--out report.jsonl]
 //!           compare <a.jsonl|BENCH_a.json> <b> [--threshold-pct P]
@@ -13,17 +14,18 @@
 //!
 //! `--scale` shrinks trace duration and contact count proportionally
 //! (default 0.1 — a laptop-friendly run preserving contact density);
-//! `--seeds` sets repetitions per point (default 3); `--epoch SECS`
-//! narrows the `churn` sweep to frozen NCLs vs one re-election cadence.
+//! `--seeds` sets repetitions per point (default 3); `--csv DIR` writes
+//! one CSV file per metric of every sweep figure; `--epoch SECS` narrows
+//! the `churn` sweep to frozen NCLs vs one re-election cadence.
 //! What a run costs in wall clock and memory is measured by
 //! `benchmark/` (see `benchmark/README.md`), not by this binary.
 //!
-//! `observe <target>` re-runs a target's base configuration — any
-//! figure, the `regimes` blackout cell, or the `scale` streaming smoke
-//! city — with the probe layer recording every protocol event, prints a
-//! post-mortem (probe counters, per-NCL hit rates, delay decomposition,
-//! slowest queries), and streams the full capture (events, traces,
-//! telemetry windows, phase profile) as versioned JSONL to `--out`.
+//! `observe <target>` re-runs a sweep figure's base point, the
+//! `regimes` blackout cell or the `scale` streaming smoke city with the
+//! probe layer recording every protocol event, prints a post-mortem
+//! (probe counters, per-NCL hit rates, delay decomposition, slowest
+//! queries), and streams the full capture (events, traces, telemetry
+//! windows, phase profile) as versioned JSONL to `--out`.
 //! `timeline <target>` runs the same capture but renders the over-time
 //! view: the windowed telemetry table and the hierarchical phase
 //! profile.
@@ -41,8 +43,6 @@ use std::process::ExitCode;
 
 use bench::figures;
 use bench::json::JsonValue;
-use dtn_cache::replacement::ReplacementKind;
-use dtn_cache::SchemeKind;
 use dtn_core::ncl::metric_skew;
 use dtn_core::time::Duration;
 
@@ -152,13 +152,13 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
+/// The commands before the sweep figures that `all` runs.
+const TABLES: [&str; 4] = ["table1", "fig4", "fig7", "fig9"];
+
 fn main() -> ExitCode {
     let result = parse_args().and_then(|opts| {
         let commands: Vec<&str> = if opts.command == "all" {
-            vec![
-                "table1", "fig4", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13", "ablation",
-                "ncl", "bounds", "churn",
-            ]
+            TABLES.into_iter().chain(figures::SWEEPS).collect()
         } else {
             vec![opts.command.as_str()]
         };
@@ -180,14 +180,6 @@ fn run(cmd: &str, opts: &Options) -> Result<(), String> {
         "fig4" => fig4(opts),
         "fig7" => fig7(),
         "fig9" => fig9(opts),
-        "fig10" => fig10(opts),
-        "fig11" => fig11(opts),
-        "fig12" => fig12(opts),
-        "fig13" => fig13(opts),
-        "ablation" => ablation(opts),
-        "ncl" => ncl(opts),
-        "bounds" => bounds(opts),
-        "churn" => churn(opts),
         "observe" => return observe(opts),
         "timeline" => return timeline(opts),
         "compare" => return compare(opts),
@@ -195,23 +187,27 @@ fn run(cmd: &str, opts: &Options) -> Result<(), String> {
         "regimes" => return regimes_cmd(opts),
         "serve" => return serve_cmd(opts),
         "help" => {
+            let sweeps = figures::SWEEPS.join("|");
             println!(
                 "usage: experiments [--scale F] [--seeds N] [--csv DIR] [--epoch SECS] \
-                 <table1|fig4|fig7|fig9|fig10|fig11|fig12|fig13|ablation|ncl|bounds|churn|all>\n\
-                 \x20      experiments observe <{targets}> [--out report.jsonl] [--scale F] \
-                 [--seeds SEED]\n\
-                 \x20      experiments timeline <{targets}> [--out report.jsonl] [--scale F] \
-                 [--seeds SEED]\n\
+                 <{tables}|{sweeps}|all>\n\
+                 \x20      experiments observe <{sweeps}|regimes|scale> [--out report.jsonl] \
+                 [--scale F] [--seeds SEED]\n\
+                 \x20      experiments timeline <{sweeps}|regimes|scale> [--out report.jsonl] \
+                 [--scale F] [--seeds SEED]\n\
                  \x20      experiments compare <a.jsonl|BENCH_a.json> <b> [--threshold-pct P]\n\
                  \x20      experiments scale [NODES,NODES,...] [--out BENCH_scale.json]\n\
                  \x20      experiments regimes [PROCESS,...] [--out BENCH_regimes.json] \
                  [--scale F] [--seeds N]\n\
                  \x20      experiments serve [--smoke] [--differential] \
                  [--out BENCH_serve.json]",
-                targets = bench::observe::TARGETS.join("|")
+                tables = TABLES.join("|"),
             );
         }
-        other => return Err(format!("unknown command {other:?}; try --help")),
+        other => match figures::sweep(other, opts.scale, opts.epoch) {
+            Some(figure) => sweep(&figure, opts),
+            None => return Err(format!("unknown command {other:?}; try --help")),
+        },
     }
     Ok(())
 }
@@ -221,24 +217,24 @@ fn header(title: &str, opts: &Options) {
     println!("== {title} (scale {}, {} seeds) ==", opts.scale, opts.seeds);
 }
 
-/// Writes one CSV file into the `--csv` directory, if configured.
-fn write_csv(opts: &Options, name: &str, header: &str, rows: &[String]) {
-    let Some(dir) = &opts.csv_dir else { return };
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
+/// Runs a sweep figure, writes its CSV files into the `--csv` directory
+/// if one is configured, and prints one table per metric.
+fn sweep(figure: &figures::Figure, opts: &Options) {
+    header(figure.title, opts);
+    let cells = figure.run(opts.seeds);
+    if let Some(dir) = &opts.csv_dir {
+        if let Err(e) = fs::create_dir_all(dir) {
+            eprintln!("warning: cannot create {}: {e}", dir.display());
+        }
+        for (name, body) in figure.csv(&cells) {
+            let path = dir.join(name);
+            match fs::write(&path, body) {
+                Ok(()) => println!("[csv] wrote {}", path.display()),
+                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+            }
+        }
     }
-    let path = dir.join(name);
-    let mut body = String::from(header);
-    body.push('\n');
-    for row in rows {
-        body.push_str(row);
-        body.push('\n');
-    }
-    match fs::write(&path, body) {
-        Ok(()) => println!("[csv] wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    print!("{}", figure.render(&cells));
 }
 
 fn table1(opts: &Options) {
@@ -318,209 +314,6 @@ fn fig9(opts: &Options) {
     }
 }
 
-fn comparison_tables(opts: &Options, fig: &str, rows: &[figures::ComparisonRow], x_label: &str) {
-    // CSV: one file per sub-figure, schemes as columns.
-    for (suffix, field) in [("a_success", 0), ("b_delay_hours", 1), ("c_copies", 2)] {
-        let mut csv_rows = Vec::new();
-        for row in rows {
-            let mut line = row.label.clone();
-            for report in &row.reports {
-                let v = match field {
-                    0 => report.success_ratio,
-                    1 => report.avg_delay_hours,
-                    _ => report.avg_copies_per_item,
-                };
-                line.push_str(&format!(",{v:.6}"));
-            }
-            csv_rows.push(line);
-        }
-        let header = std::iter::once(x_label.to_string())
-            .chain(SchemeKind::ALL.iter().map(|k| k.name().to_string()))
-            .collect::<Vec<_>>()
-            .join(",");
-        write_csv(opts, &format!("{fig}{suffix}.csv"), &header, &csv_rows);
-    }
-
-    for (title, field) in [
-        ("(a) successful ratio", 0),
-        ("(b) data access delay (hours)", 1),
-        ("(c) caching overhead (copies/item)", 2),
-    ] {
-        println!("\n{title}");
-        print!("{x_label:>8}");
-        for kind in SchemeKind::ALL {
-            print!(" {:>12}", kind.name());
-        }
-        println!();
-        for row in rows {
-            print!("{:>8}", row.label);
-            for report in &row.reports {
-                let v = match field {
-                    0 => report.success_ratio,
-                    1 => report.avg_delay_hours,
-                    _ => report.avg_copies_per_item,
-                };
-                print!(" {v:>12.3}");
-            }
-            println!();
-        }
-    }
-}
-
-fn fig10(opts: &Options) {
-    header("Fig. 10: performance vs data lifetime (MIT Reality)", opts);
-    let rows = figures::fig10(opts.scale, opts.seeds);
-    comparison_tables(opts, "fig10", &rows, "T_L");
-}
-
-fn fig11(opts: &Options) {
-    header("Fig. 11: performance vs data size (MIT Reality)", opts);
-    let rows = figures::fig11(opts.scale, opts.seeds);
-    comparison_tables(opts, "fig11", &rows, "s_avg");
-}
-
-fn fig12(opts: &Options) {
-    header("Fig. 12: cache replacement strategies (MIT Reality)", opts);
-    let rows = figures::fig12(opts.scale, opts.seeds);
-    for (title, field) in [
-        ("(a) successful ratio", 0),
-        ("(b) data access delay (hours)", 1),
-        ("(c) replacement overhead (ops/item)", 2),
-    ] {
-        println!("\n{title}");
-        print!("{:>8}", "s_avg");
-        for kind in ReplacementKind::ALL {
-            print!(" {:>18}", kind.name());
-        }
-        println!();
-        for row in &rows {
-            print!("{:>8}", row.label);
-            for report in &row.reports {
-                let v = match field {
-                    0 => report.success_ratio,
-                    1 => report.avg_delay_hours,
-                    _ => report.avg_replacements_per_item,
-                };
-                print!(" {v:>18.3}");
-            }
-            println!();
-        }
-    }
-}
-
-fn ablation(opts: &Options) {
-    header(
-        "Ablation: probabilistic selection & response strategy (MIT Reality)",
-        opts,
-    );
-    let sizes = figures::ablation_sizes_mb();
-    let rows = figures::ablation(opts.scale, opts.seeds);
-    print!("{:<28}", "variant");
-    for mb in &sizes {
-        print!(
-            " {:>12} {:>12}",
-            format!("succ@{mb}Mb"),
-            format!("delay@{mb}Mb")
-        );
-    }
-    println!();
-    for row in &rows {
-        print!("{:<28}", row.label);
-        for report in &row.reports {
-            print!(
-                " {:>12.3} {:>12.2}",
-                report.success_ratio, report.avg_delay_hours
-            );
-        }
-        println!();
-    }
-}
-
-fn bounds(opts: &Options) {
-    header(
-        "Bounds: the paper's schemes vs epidemic flooding (MIT Reality)",
-        opts,
-    );
-    let rows = figures::bounds(opts.scale, opts.seeds);
-    println!(
-        "{:<14} {:>10} {:>12} {:>18}",
-        "scheme", "success", "delay (h)", "MB/satisfied query"
-    );
-    for row in &rows {
-        println!(
-            "{:<14} {:>10.3} {:>12.2} {:>18.1}",
-            row.scheme.name(),
-            row.report.success_ratio,
-            row.report.avg_delay_hours,
-            row.report.bytes_per_satisfied_query / 1e6,
-        );
-    }
-}
-
-fn ncl(opts: &Options) {
-    header("NCL selection strategies (§IV design choice)", opts);
-    let presets = figures::ncl_study_presets();
-    let rows = figures::ncl_strategies(opts.scale, opts.seeds);
-    print!("{:<24}", "strategy");
-    for p in &presets {
-        print!(" {:>14} {:>12}", format!("succ {}", p.name()), "delay (h)");
-    }
-    println!();
-    for row in &rows {
-        print!("{:<24}", row.label);
-        for report in &row.reports {
-            print!(
-                " {:>14.3} {:>12.2}",
-                report.success_ratio, report.avg_delay_hours
-            );
-        }
-        println!();
-    }
-}
-
-fn churn(opts: &Options) {
-    header(
-        "Churn: NCL re-election cadence on a regime-shift trace",
-        opts,
-    );
-    let rows = match opts.epoch {
-        Some(d) => figures::churn_with(opts.scale, opts.seeds, vec![None, Some(d)]),
-        None => figures::churn(opts.scale, opts.seeds),
-    };
-    println!(
-        "{:<8} {:>10} {:>12} {:>14}",
-        "epoch", "success", "delay (h)", "copies/item"
-    );
-    for row in &rows {
-        println!(
-            "{:<8} {:>10.3} {:>12.2} {:>14.3}",
-            row.label,
-            row.report.success_ratio,
-            row.report.avg_delay_hours,
-            row.report.avg_copies_per_item,
-        );
-    }
-    let csv_rows: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            format!(
-                "{},{},{:.6},{:.6},{:.6}",
-                row.label,
-                row.epoch_interval.map_or(0, |d| d.as_secs()),
-                row.report.success_ratio,
-                row.report.avg_delay_hours,
-                row.report.avg_copies_per_item,
-            )
-        })
-        .collect();
-    write_csv(
-        opts,
-        "churn.csv",
-        "epoch,epoch_secs,success_ratio,delay_hours,copies_per_item",
-        &csv_rows,
-    );
-}
-
 /// Writes a `BENCH_*.json` document to `--out`, or prints it.
 fn write_document(opts: &Options, command: &str, doc: &JsonValue) -> Result<(), String> {
     let text = doc.pretty() + "\n";
@@ -539,8 +332,8 @@ fn write_document(opts: &Options, command: &str, doc: &JsonValue) -> Result<(), 
 fn captured_run(opts: &Options, command: &str) -> Result<bench::observe::ObserveRun, String> {
     let target = opts.figure.as_deref().ok_or_else(|| {
         format!(
-            "{command} needs a target: one of {}",
-            bench::observe::TARGETS.join(", ")
+            "{command} needs a target: one of {}, regimes, scale",
+            figures::SWEEPS.join(", ")
         )
     })?;
     let run = bench::observe::observe_any(target, opts.scale, u64::from(opts.seeds))?;
@@ -810,36 +603,6 @@ fn regimes_cmd(opts: &Options) -> Result<(), String> {
         return Err(format!("audited regime runs found {violations} violations"));
     }
     Ok(())
-}
-
-fn fig13(opts: &Options) {
-    header("Fig. 13: impact of the number of NCLs (Infocom06)", opts);
-    let sizes = figures::fig13_sizes_mb();
-    let rows = figures::fig13(opts.scale, opts.seeds);
-    for (title, field) in [
-        ("(a) successful ratio", 0),
-        ("(b) data access delay (hours)", 1),
-        ("(c) caching overhead (copies/item)", 2),
-    ] {
-        println!("\n{title}");
-        print!("{:>4}", "K");
-        for mb in &sizes {
-            print!(" {:>12}", format!("s_avg={mb}Mb"));
-        }
-        println!();
-        for row in &rows {
-            print!("{:>4}", row.ncl_count);
-            for report in &row.reports {
-                let v = match field {
-                    0 => report.success_ratio,
-                    1 => report.avg_delay_hours,
-                    _ => report.avg_copies_per_item,
-                };
-                print!(" {v:>12.3}");
-            }
-            println!();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -431,10 +431,10 @@ fn exact_key_regressions(a: &BTreeMap<String, &str>, b: &BTreeMap<String, &str>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{observe_figure, write_jsonl};
+    use crate::observe::{observe_any, write_jsonl};
 
     fn capture(seed: u64) -> String {
-        let run = observe_figure("fig10", 0.02, seed).expect("known figure");
+        let run = observe_any("fig10", 0.02, seed).expect("known target");
         let mut buf = Vec::new();
         write_jsonl(&run, &mut buf).expect("in-memory write");
         String::from_utf8(buf).expect("utf8")

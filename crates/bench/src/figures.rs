@@ -1,11 +1,15 @@
 //! Per-figure experiment definitions (DESIGN.md §4).
 //!
-//! Every function regenerates the data behind one table or figure of the
-//! paper. A global `scale` parameter shrinks trace duration and contact
+//! Table I and Fig. 4, 7 and 9 are one function each. Every sweep figure
+//! (Fig. 10–13 and the ablation, NCL, bounds and churn studies) is one
+//! [`Figure`] from [`sweep`]: a base point, two axes that edit it, and
+//! the metrics it reports. A global `scale` parameter shrinks trace duration and contact
 //! counts proportionally (contact density preserved) so the same code
 //! runs as a full reproduction or a quick check.
 //! Data lifetimes scale with the trace so the lifetime-to-duration ratio
 //! — the quantity that shapes the curves — is preserved.
+
+use std::fmt::Write as _;
 
 use dtn_cache::experiment::ExperimentConfig;
 use dtn_cache::replacement::ReplacementKind;
@@ -166,471 +170,435 @@ pub fn fig9b() -> Vec<(f64, Vec<f64>)> {
         .collect()
 }
 
-// ------------------------------------------------------- Fig. 10/11/13
+// ------------------------------------------------------- Sweep figures
 
-/// One parameter point of a scheme-comparison figure: the five schemes'
-/// averaged metrics at one x-axis value.
-#[derive(Debug, Clone)]
-pub struct ComparisonRow {
-    /// Human-readable x-axis label (e.g. "1w" or "100Mb").
-    pub label: String,
-    /// Reports in [`SchemeKind::ALL`] order.
-    pub reports: Vec<AveragedReport>,
+/// `d × scale`, never below `floor`: how a duration shrinks with the trace.
+fn scaled(d: Duration, scale: f64, floor: Duration) -> Duration {
+    Duration((d.as_secs() as f64 * scale) as u64).max(floor)
 }
 
 /// The Fig. 10 lifetime sweep, scaled with the trace so the
 /// lifetime/duration ratio matches the paper's 123-day window.
 fn lifetimes_mit(scale: f64) -> Vec<Duration> {
-    [
-        Duration::hours(12),
-        Duration::days(1),
-        Duration::days(3),
-        Duration::weeks(1),
-        Duration::weeks(2),
-        Duration::days(30),
-        Duration::days(90),
-    ]
-    .into_iter()
-    .map(|d| Duration((d.as_secs() as f64 * scale) as u64).max(Duration::hours(1)))
-    .collect()
+    // 12 h, 1 d, 3 d, 1 week, 2 weeks, 30 d, 90 d.
+    let hours = [12, 24, 72, 168, 336, 720, 2160];
+    hours
+        .map(|h| scaled(Duration::hours(h), scale, Duration::hours(1)))
+        .to_vec()
 }
 
 /// Base configuration of the §VI-B MIT Reality experiments, scaled.
-pub(crate) fn mit_config(scale: f64) -> ExperimentConfig {
+fn mit_config(scale: f64) -> ExperimentConfig {
     ExperimentConfig {
         ncl_count: 8,
-        mean_data_lifetime: Duration((Duration::weeks(1).as_secs() as f64 * scale) as u64)
-            .max(Duration::hours(1)),
+        mean_data_lifetime: scaled(Duration::weeks(1), scale, Duration::hours(1)),
         ..ExperimentConfig::default()
     }
 }
 
-/// Regenerates Fig. 10: data-access performance vs average data
-/// lifetime `T_L` on MIT Reality (all five schemes; success ratio,
-/// delay, caching overhead).
-pub fn fig10(scale: f64, seeds: u32) -> Vec<ComparisonRow> {
-    let trace = preset_trace(TracePreset::MitReality, scale, 42);
-    let lifetimes = lifetimes_mit(scale);
-    let mut points = Vec::new();
-    for &lifetime in &lifetimes {
-        let cfg = ExperimentConfig {
-            mean_data_lifetime: lifetime,
-            ..mit_config(scale)
+/// One cell of a sweep before it meets its trace.
+#[derive(Debug, Clone)]
+pub(crate) struct Point {
+    /// Index into the figure's [`Figure::traces`].
+    pub(crate) trace: usize,
+    /// Which scheme runs.
+    pub(crate) scheme: SchemeKind,
+    /// The experiment configuration.
+    pub(crate) config: ExperimentConfig,
+}
+
+/// What an axis entry does to the base point.
+type Edit = Box<dyn Fn(&mut Point)>;
+
+/// One axis of a sweep: a heading and, per entry, a label and the edit
+/// the entry makes to the figure's base point.
+struct Axis {
+    /// The heading: a row axis's heads the label column and the CSV's
+    /// first column; a column axis's ends each sub-table's title.
+    label: &'static str,
+    /// `(label, edit)` per entry, in print order.
+    entries: Vec<(String, Edit)>,
+}
+
+impl Axis {
+    /// An axis over `values`: `name` labels an entry, `edit` applies it.
+    fn over<T: Copy + 'static>(
+        label: &'static str,
+        values: impl IntoIterator<Item = T>,
+        name: impl Fn(T) -> String,
+        edit: impl Fn(&mut Point, T) + Copy + 'static,
+    ) -> Self {
+        let entry =
+            |v: T| -> (String, Edit) { (name(v), Box::new(move |p: &mut Point| edit(p, v))) };
+        Axis {
+            label,
+            entries: values.into_iter().map(entry).collect(),
+        }
+    }
+}
+
+/// What a sweep reports per cell: one sub-table and one CSV file each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Metric {
+    /// Successful ratio.
+    Success,
+    /// Data access delay, hours.
+    Delay,
+    /// Caching overhead, copies per item.
+    Copies,
+    /// Replacement operations per item.
+    Replacements,
+    /// Megabytes transmitted per satisfied query.
+    MbPerQuery,
+}
+
+impl Metric {
+    /// The CSV file's suffix and the sub-table's title.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Metric::Success => ("success", "successful ratio"),
+            Metric::Delay => ("delay_hours", "data access delay (hours)"),
+            Metric::Copies => ("copies", "caching overhead (copies/item)"),
+            Metric::Replacements => ("replacements", "replacement overhead (ops/item)"),
+            Metric::MbPerQuery => ("mb_per_query", "MB per satisfied query"),
+        }
+    }
+
+    fn of(self, r: &AveragedReport) -> f64 {
+        match self {
+            Metric::Success => r.success_ratio,
+            Metric::Delay => r.avg_delay_hours,
+            Metric::Copies => r.avg_copies_per_item,
+            Metric::Replacements => r.avg_replacements_per_item,
+            Metric::MbPerQuery => r.bytes_per_satisfied_query / 1e6,
+        }
+    }
+}
+
+/// One sweep figure (DESIGN.md §4): a base point, a row axis and a column
+/// axis whose entries edit it, and the metrics it reports. A cell is the
+/// base point edited by its row's entry, then its column's; cells run
+/// row-major.
+pub struct Figure {
+    /// The command name, and the stem of the figure's CSV files.
+    pub(crate) name: &'static str,
+    /// The printed heading.
+    pub title: &'static str,
+    /// The traces a [`Point`] indexes (one, bar the NCL study's two).
+    pub(crate) traces: Vec<ContactTrace>,
+    /// The point every cell edits, and the one `observe` captures.
+    pub(crate) base: Point,
+    /// The row axis.
+    rows: Axis,
+    /// The column axis.
+    columns: Axis,
+    /// The sub-tables (a), (b), … in order.
+    metrics: Vec<Metric>,
+}
+
+impl Figure {
+    /// Every cell's sweep point, row-major.
+    fn points(&self) -> Vec<SweepPoint<'_>> {
+        let mut points = Vec::new();
+        for (_, row) in &self.rows.entries {
+            for (_, column) in &self.columns.entries {
+                let mut p = self.base.clone();
+                row(&mut p);
+                column(&mut p);
+                points.push(SweepPoint {
+                    trace: &self.traces[p.trace],
+                    scheme: p.scheme,
+                    config: p.config,
+                });
+            }
+        }
+        points
+    }
+
+    /// Runs every cell over `seeds` repetitions: one report per cell,
+    /// row-major.
+    pub fn run(&self, seeds: u32) -> Vec<AveragedReport> {
+        averaged_sweep(&self.points(), seeds)
+    }
+
+    /// Each row's label beside its cells.
+    fn rows_of<'a>(
+        &'a self,
+        cells: &'a [AveragedReport],
+    ) -> impl Iterator<Item = (&'a str, &'a [AveragedReport])> {
+        let labels = self.rows.entries.iter().map(|(label, _)| label.as_str());
+        labels.zip(cells.chunks(self.columns.entries.len()))
+    }
+
+    /// One text table per metric of `cells` (as [`Figure::run`] returns
+    /// them), values at three decimals.
+    pub fn render(&self, cells: &[AveragedReport]) -> String {
+        let labels = self.rows.entries.iter().map(|(label, _)| label.len());
+        let first = labels.fold(self.rows.label.len(), usize::max);
+        let widths = self.columns.entries.iter().map(|(label, _)| label.len());
+        let width = widths.fold(12, usize::max);
+        let mut out = String::new();
+        for (letter, metric) in ('a'..).zip(&self.metrics) {
+            let title = metric.names().1;
+            let _ = write!(out, "\n({letter}) {title} by {}\n", self.columns.label);
+            let _ = write!(out, "{:<first$}", self.rows.label);
+            for (label, _) in &self.columns.entries {
+                let _ = write!(out, " {label:>width$}");
+            }
+            for (label, row) in self.rows_of(cells) {
+                let _ = write!(out, "\n{label:<first$}");
+                for cell in row {
+                    let _ = write!(out, " {:>width$.3}", metric.of(cell));
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// One CSV file per metric of `cells`: `(file name, contents)`, the
+    /// file `{name}{letter}_{metric}.csv`, the row axis's label then the
+    /// column labels as its header, values at six decimals.
+    pub fn csv(&self, cells: &[AveragedReport]) -> Vec<(String, String)> {
+        let columns = self.columns.entries.iter().map(|(label, _)| label.as_str());
+        let header = std::iter::once(self.rows.label).chain(columns);
+        let header = header.collect::<Vec<_>>().join(",");
+        let file = |(letter, metric): (char, &Metric)| {
+            let mut body = format!("{header}\n");
+            for (label, row) in self.rows_of(cells) {
+                body.push_str(label);
+                for cell in row {
+                    let _ = write!(body, ",{:.6}", metric.of(cell));
+                }
+                body.push('\n');
+            }
+            let name = format!("{}{letter}_{}.csv", self.name, metric.names().0);
+            (name, body)
         };
-        for &scheme in &SchemeKind::ALL {
-            points.push(SweepPoint {
-                trace: &trace,
-                scheme,
-                config: cfg.clone(),
-            });
-        }
+        ('a'..).zip(&self.metrics).map(file).collect()
     }
-    let mut results = averaged_sweep(&points, seeds).into_iter();
-    lifetimes
-        .into_iter()
-        .map(|lifetime| ComparisonRow {
-            label: human_duration(lifetime),
-            reports: results.by_ref().take(SchemeKind::ALL.len()).collect(),
-        })
-        .collect()
 }
 
-/// The Fig. 11/12 data-size sweep: 20–200 Mb.
-pub fn sizes_mb() -> Vec<u64> {
-    vec![20, 50, 100, 150, 200]
-}
+/// The sweep figures, in the order `experiments all` runs them.
+pub const SWEEPS: [&str; 8] = [
+    "fig10", "fig11", "fig12", "fig13", "ablation", "ncl", "bounds", "churn",
+];
 
-/// Regenerates Fig. 11: data-access performance vs average data size
-/// `s_avg` on MIT Reality.
-pub fn fig11(scale: f64, seeds: u32) -> Vec<ComparisonRow> {
-    let trace = preset_trace(TracePreset::MitReality, scale, 42);
-    let sizes = sizes_mb();
-    let mut points = Vec::new();
-    for &mb in &sizes {
-        let cfg = ExperimentConfig {
-            mean_data_size: megabits(mb),
-            ..mit_config(scale)
-        };
-        for &scheme in &SchemeKind::ALL {
-            points.push(SweepPoint {
-                trace: &trace,
-                scheme,
-                config: cfg.clone(),
-            });
-        }
-    }
-    let mut results = averaged_sweep(&points, seeds).into_iter();
-    sizes
-        .into_iter()
-        .map(|mb| ComparisonRow {
-            label: format!("{mb}Mb"),
-            reports: results.by_ref().take(SchemeKind::ALL.len()).collect(),
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------- Fig. 12
-
-/// One data-size point of Fig. 12: the four replacement policies'
-/// averaged metrics inside the intentional scheme.
-#[derive(Debug, Clone)]
-pub struct ReplacementRow {
-    /// Mean data size label.
-    pub label: String,
-    /// Reports in [`ReplacementKind::ALL`] order.
-    pub reports: Vec<AveragedReport>,
-}
-
-/// Regenerates Fig. 12: cache-replacement strategies vs data size on
-/// MIT Reality (`T_L` = 1 week).
-pub fn fig12(scale: f64, seeds: u32) -> Vec<ReplacementRow> {
-    let trace = preset_trace(TracePreset::MitReality, scale, 42);
-    let sizes = sizes_mb();
-    let mut points = Vec::new();
-    for &mb in &sizes {
-        for &replacement in &ReplacementKind::ALL {
-            points.push(SweepPoint {
-                trace: &trace,
-                scheme: SchemeKind::Intentional,
-                config: ExperimentConfig {
-                    mean_data_size: megabits(mb),
-                    replacement,
-                    ..mit_config(scale)
-                },
-            });
-        }
-    }
-    let mut results = averaged_sweep(&points, seeds).into_iter();
-    sizes
-        .into_iter()
-        .map(|mb| ReplacementRow {
-            label: format!("{mb}Mb"),
-            reports: results.by_ref().take(ReplacementKind::ALL.len()).collect(),
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------- Fig. 13
-
-/// One `(K, s_avg)` point of Fig. 13.
-#[derive(Debug, Clone)]
-pub struct Fig13Row {
-    /// Number of NCLs.
-    pub ncl_count: usize,
-    /// Reports per data size, in [`fig13_sizes_mb`] order.
-    pub reports: Vec<AveragedReport>,
-}
-
-/// The data sizes of the Fig. 13 curves.
-pub fn fig13_sizes_mb() -> Vec<u64> {
-    vec![50, 100, 200]
-}
-
-/// Regenerates Fig. 13: impact of the number of NCLs `K` on Infocom06
-/// (`T_L` = 3 h), for several node-buffer conditions.
-pub fn fig13(scale: f64, seeds: u32) -> Vec<Fig13Row> {
-    let trace = preset_trace(TracePreset::Infocom06, scale, 42);
-    let lifetime =
-        Duration((Duration::hours(3).as_secs() as f64 * scale) as u64).max(Duration::minutes(30));
-    let sizes = fig13_sizes_mb();
-    let mut points = Vec::new();
-    for k in 1..=10usize {
-        for &mb in &sizes {
-            points.push(SweepPoint {
-                trace: &trace,
-                scheme: SchemeKind::Intentional,
-                config: ExperimentConfig {
-                    ncl_count: k,
-                    mean_data_lifetime: lifetime,
-                    mean_data_size: megabits(mb),
-                    ..ExperimentConfig::default()
-                },
-            });
-        }
-    }
-    let mut results = averaged_sweep(&points, seeds).into_iter();
-    (1..=10)
-        .map(|ncl_count| Fig13Row {
-            ncl_count,
-            reports: results.by_ref().take(sizes.len()).collect(),
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------- Ablations
-
-/// One ablation variant of the intentional scheme.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// Variant description.
-    pub label: String,
-    /// Averaged metrics of the variant per data size (see
-    /// [`ablation_sizes_mb`]).
-    pub reports: Vec<AveragedReport>,
-}
-
-/// The data sizes used by the ablation study.
-pub fn ablation_sizes_mb() -> Vec<u64> {
-    vec![50, 150]
-}
-
-/// Ablation study of the paper's two probabilistic design choices
-/// (DESIGN.md §4, "Ablation"):
-///
-/// 1. Algorithm 1's probabilistic knapsack selection vs the
-///    deterministic basic strategy (§V-D-2 vs §V-D-3),
-/// 2. the sigmoid response function vs path-aware response
-///    probabilities (§V-C's two information regimes).
-pub fn ablation(scale: f64, seeds: u32) -> Vec<AblationRow> {
+/// The named sweep figure at `scale` (trace seeds pinned to 42), or
+/// `None` for a name not in [`SWEEPS`]. `epoch` narrows churn's rows to
+/// frozen NCLs vs that one cadence (the `--epoch` flag); the other
+/// figures ignore it.
+pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> {
     use dtn_cache::intentional::ResponseStrategy;
     use dtn_cache::routing::ForwardingStrategy;
-    let trace = preset_trace(TracePreset::MitReality, scale, 42);
-    let greedy = ForwardingStrategy::Greedy;
-    let variants: Vec<(String, bool, ResponseStrategy, ForwardingStrategy)> = vec![
-        (
-            "paper (Alg.1 + sigmoid)".into(),
-            true,
-            ResponseStrategy::default(),
-            greedy,
-        ),
-        (
-            "deterministic knapsack".into(),
-            false,
-            ResponseStrategy::default(),
-            greedy,
-        ),
-        (
-            "path-aware response".into(),
-            true,
-            ResponseStrategy::PathAware,
-            greedy,
-        ),
-        (
-            "deterministic + path-aware".into(),
-            false,
-            ResponseStrategy::PathAware,
-            greedy,
-        ),
-        (
-            "spray-and-wait responses (L=4)".into(),
-            true,
-            ResponseStrategy::default(),
-            ForwardingStrategy::SprayAndWait { initial_copies: 4 },
-        ),
-        (
-            "epidemic responses".into(),
-            true,
-            ResponseStrategy::default(),
-            ForwardingStrategy::Epidemic,
-        ),
-        (
-            "direct-delivery responses".into(),
-            true,
-            ResponseStrategy::default(),
-            ForwardingStrategy::Direct,
-        ),
-    ];
-    let sizes = ablation_sizes_mb();
-    let mut points = Vec::new();
-    for &(_, probabilistic, response, routing) in &variants {
-        for &mb in &sizes {
-            points.push(SweepPoint {
-                trace: &trace,
-                scheme: SchemeKind::Intentional,
-                config: ExperimentConfig {
-                    mean_data_size: megabits(mb),
-                    probabilistic_selection: probabilistic,
-                    response,
-                    response_routing: routing,
-                    ..mit_config(scale)
-                },
-            });
-        }
-    }
-    let mut results = averaged_sweep(&points, seeds).into_iter();
-    variants
-        .into_iter()
-        .map(|(label, _, _, _)| AblationRow {
-            label,
-            reports: results.by_ref().take(sizes.len()).collect(),
-        })
-        .collect()
-}
-
-// ------------------------------------------------------ Bounds study
-
-/// One scheme's averaged metrics in the bounds comparison.
-#[derive(Debug, Clone)]
-pub struct BoundsRow {
-    /// The scheme.
-    pub scheme: SchemeKind,
-    /// Averaged metrics on the study configuration.
-    pub report: AveragedReport,
-}
-
-/// Compares the paper's five schemes against the epidemic-flooding
-/// upper bound on the MIT Reality configuration, including the network
-/// cost per satisfied query (flooding buys delivery with bandwidth).
-pub fn bounds(scale: f64, seeds: u32) -> Vec<BoundsRow> {
-    let trace = preset_trace(TracePreset::MitReality, scale, 42);
-    let cfg = mit_config(scale);
-    let points: Vec<SweepPoint<'_>> = SchemeKind::ALL_WITH_BOUNDS
-        .iter()
-        .map(|&scheme| SweepPoint {
-            trace: &trace,
-            scheme,
-            config: cfg.clone(),
-        })
-        .collect();
-    SchemeKind::ALL_WITH_BOUNDS
-        .iter()
-        .zip(averaged_sweep(&points, seeds))
-        .map(|(&scheme, report)| BoundsRow { scheme, report })
-        .collect()
-}
-
-// -------------------------------------------------- NCL strategy study
-
-/// One NCL-selection strategy's averaged metrics, per trace preset.
-#[derive(Debug, Clone)]
-pub struct NclStrategyRow {
-    /// Strategy description.
-    pub label: String,
-    /// One report per entry of [`ncl_study_presets`].
-    pub reports: Vec<AveragedReport>,
-}
-
-/// The traces the NCL-strategy study runs on.
-pub fn ncl_study_presets() -> Vec<TracePreset> {
-    vec![TracePreset::MitReality, TracePreset::Infocom06]
-}
-
-/// Compares the paper's probabilistic NCL selection metric (Eq. 3)
-/// against degree centrality, raw contact frequency and a random pick —
-/// the §IV design-choice ablation.
-pub fn ncl_strategies(scale: f64, seeds: u32) -> Vec<NclStrategyRow> {
     use dtn_core::ncl::SelectionStrategy;
-    let strategies: Vec<(String, SelectionStrategy)> = vec![
-        ("path metric (paper)".into(), SelectionStrategy::PathMetric),
-        (
-            "degree centrality".into(),
-            SelectionStrategy::DegreeCentrality,
-        ),
-        (
-            "contact frequency".into(),
-            SelectionStrategy::ContactFrequency,
-        ),
-        ("random".into(), SelectionStrategy::Random { seed: 9 }),
-    ];
-    let traces: Vec<(TracePreset, ContactTrace)> = ncl_study_presets()
-        .into_iter()
-        .map(|p| (p, preset_trace(p, scale, 42)))
-        .collect();
-    let mut points = Vec::new();
-    for &(_, strategy) in &strategies {
-        for (preset, trace) in &traces {
-            let lifetime = match preset {
-                TracePreset::Infocom06 => Duration::hours(3),
-                _ => Duration::weeks(1),
-            };
-            points.push(SweepPoint {
-                trace,
-                scheme: SchemeKind::Intentional,
-                config: ExperimentConfig {
-                    ncl_count: preset.default_ncl_count(),
-                    mean_data_lifetime: Duration((lifetime.as_secs() as f64 * scale) as u64)
-                        .max(Duration::minutes(30)),
-                    ncl_selection: strategy,
-                    ..ExperimentConfig::default()
-                },
-            });
-        }
-    }
-    let mut results = averaged_sweep(&points, seeds).into_iter();
-    strategies
-        .into_iter()
-        .map(|(label, _)| NclStrategyRow {
-            label,
-            reports: results.by_ref().take(traces.len()).collect(),
-        })
-        .collect()
-}
+    use Metric::{Copies, Delay, MbPerQuery, Replacements, Success};
 
-// -------------------------------------------------- Epoch churn study
-
-/// One epoch-interval point of the churn study.
-#[derive(Debug, Clone)]
-pub struct ChurnRow {
-    /// Human-readable epoch cadence ("frozen" for no epochs).
-    pub label: String,
-    /// The swept maintenance-epoch interval (`None` = frozen NCLs).
-    pub epoch_interval: Option<Duration>,
-    /// Averaged intentional-scheme metrics at this cadence.
-    pub report: AveragedReport,
-}
-
-/// The epoch cadences of the churn sweep, scaled with the trace. The
-/// leading `None` is the frozen-NCL baseline every other point is read
-/// against.
-pub fn churn_intervals(scale: f64) -> Vec<Option<Duration>> {
-    let mut intervals = vec![None];
-    intervals.extend(
-        [
-            Duration::hours(2),
-            Duration::hours(6),
-            Duration::hours(12),
-            Duration::days(1),
-        ]
-        .into_iter()
-        .map(|d| {
-            Some(Duration((d.as_secs() as f64 * scale.max(0.25)) as u64).max(Duration::minutes(30)))
-        }),
-    );
-    intervals
-}
-
-/// The churn study: delivery ratio and delay of the intentional scheme
-/// vs the maintenance-epoch interval, on a two-regime synthetic trace
-/// whose hubs move at the midpoint (so warm-up-frozen NCLs are stale
-/// for the whole measurement phase). Fast cadences adapt quickly but
-/// churn the central set and migrate more cache copies; `None` never
-/// adapts — the gap between the two is what online re-election buys.
-pub fn churn(scale: f64, seeds: u32) -> Vec<ChurnRow> {
-    churn_with(scale, seeds, churn_intervals(scale))
-}
-
-/// [`churn`] with caller-chosen epoch cadences — the `--epoch` flag of
-/// `experiments` narrows the sweep to frozen-vs-one-cadence this way.
-pub fn churn_with(scale: f64, seeds: u32, intervals: Vec<Option<Duration>>) -> Vec<ChurnRow> {
-    let s = scale.max(0.05);
-    let half = Duration((Duration::days(2).as_secs() as f64 * s) as u64).max(Duration::hours(4));
-    let trace = regime_shift_trace(30, (10_000.0 * s) as u64, 42, half);
-    let base = ExperimentConfig {
-        ncl_count: 4,
-        mean_data_lifetime: Duration((half.as_secs() as f64 * 0.9) as u64),
-        ..ExperimentConfig::default()
+    let mit = || vec![preset_trace(TracePreset::MitReality, scale, 42)];
+    let intentional = |config| Point {
+        trace: 0,
+        scheme: SchemeKind::Intentional,
+        config,
     };
-    let points: Vec<SweepPoint<'_>> = intervals
-        .iter()
-        .map(|&epoch_interval| SweepPoint {
-            trace: &trace,
-            scheme: SchemeKind::Intentional,
-            config: ExperimentConfig {
-                epoch_interval,
-                ..base.clone()
-            },
-        })
-        .collect();
-    let results = averaged_sweep(&points, seeds);
-    intervals
-        .into_iter()
-        .zip(results)
-        .map(|(epoch_interval, report)| ChurnRow {
-            label: epoch_interval.map_or_else(|| "frozen".into(), human_duration),
-            epoch_interval,
-            report,
-        })
-        .collect()
+    let schemes = |kinds: &[SchemeKind]| {
+        let name = |k: SchemeKind| k.name().to_string();
+        Axis::over("scheme", kinds.to_vec(), name, |p, k| p.scheme = k)
+    };
+    let sizes = |label, mbs: &[u64]| {
+        let size = |p: &mut Point, mb| p.config.mean_data_size = megabits(mb);
+        Axis::over(label, mbs.to_vec(), |mb| format!("{mb}Mb"), size)
+    };
+    const SIZES_MB: [u64; 5] = [20, 50, 100, 150, 200];
+    let figure = match name {
+        // Fig. 10: data-access performance vs average data lifetime T_L.
+        "fig10" => Figure {
+            name: "fig10",
+            title: "Fig. 10: performance vs data lifetime (MIT Reality)",
+            traces: mit(),
+            base: intentional(mit_config(scale)),
+            rows: Axis::over("T_L", lifetimes_mit(scale), human_duration, |p, d| {
+                p.config.mean_data_lifetime = d;
+            }),
+            columns: schemes(&SchemeKind::ALL),
+            metrics: vec![Success, Delay, Copies],
+        },
+        // Fig. 11: … vs average data size s_avg.
+        "fig11" => Figure {
+            name: "fig11",
+            title: "Fig. 11: performance vs data size (MIT Reality)",
+            traces: mit(),
+            base: intentional(mit_config(scale)),
+            rows: sizes("s_avg", &SIZES_MB),
+            columns: schemes(&SchemeKind::ALL),
+            metrics: vec![Success, Delay, Copies],
+        },
+        // Fig. 12: the replacement policies inside the intentional scheme.
+        "fig12" => Figure {
+            name: "fig12",
+            title: "Fig. 12: cache replacement strategies (MIT Reality)",
+            traces: mit(),
+            base: intentional(mit_config(scale)),
+            rows: sizes("s_avg", &SIZES_MB),
+            columns: Axis::over(
+                "policy",
+                ReplacementKind::ALL,
+                |k| k.name().to_string(),
+                |p, k| p.config.replacement = k,
+            ),
+            metrics: vec![Success, Delay, Replacements],
+        },
+        // Fig. 13: the number of NCLs K on Infocom06 (T_L = 3 h), for
+        // several node-buffer conditions.
+        "fig13" => Figure {
+            name: "fig13",
+            title: "Fig. 13: impact of the number of NCLs (Infocom06)",
+            traces: vec![preset_trace(TracePreset::Infocom06, scale, 42)],
+            base: intentional(ExperimentConfig {
+                ncl_count: TracePreset::Infocom06.default_ncl_count(),
+                mean_data_lifetime: scaled(Duration::hours(3), scale, Duration::minutes(30)),
+                ..ExperimentConfig::default()
+            }),
+            rows: Axis::over(
+                "K",
+                1..=10,
+                |k: usize| k.to_string(),
+                |p, k| p.config.ncl_count = k,
+            ),
+            columns: sizes("s_avg", &[50, 100, 200]),
+            metrics: vec![Success, Delay, Copies],
+        },
+        // The paper's two probabilistic design choices (Algorithm 1's
+        // knapsack vs §V-D-2's deterministic one; the sigmoid vs
+        // path-aware response of §V-C) and the response routing.
+        "ablation" => {
+            use ForwardingStrategy::{Direct, Epidemic, Greedy};
+            let (paper, aware) = (ResponseStrategy::default(), ResponseStrategy::PathAware);
+            let spray = ForwardingStrategy::SprayAndWait { initial_copies: 4 };
+            let variants = [
+                ("paper (Alg.1 + sigmoid)", true, paper, Greedy),
+                ("deterministic knapsack", false, paper, Greedy),
+                ("path-aware response", true, aware, Greedy),
+                ("deterministic + path-aware", false, aware, Greedy),
+                ("spray-and-wait responses (L=4)", true, paper, spray),
+                ("epidemic responses", true, paper, Epidemic),
+                ("direct-delivery responses", true, paper, Direct),
+            ];
+            Figure {
+                name: "ablation",
+                title: "Ablation: probabilistic selection & response strategy (MIT Reality)",
+                traces: mit(),
+                base: intentional(mit_config(scale)),
+                rows: Axis::over(
+                    "variant",
+                    variants,
+                    |v| v.0.to_string(),
+                    |p, v| {
+                        let c = &mut p.config;
+                        (_, c.probabilistic_selection, c.response, c.response_routing) = v;
+                    },
+                ),
+                columns: sizes("s_avg", &[50, 150]),
+                metrics: vec![Success, Delay],
+            }
+        }
+        // The paper's NCL metric (Eq. 3) vs degree centrality, raw contact
+        // frequency and a random pick (§IV), on two traces.
+        "ncl" => {
+            let presets = [TracePreset::MitReality, TracePreset::Infocom06];
+            let on = move |p: &mut Point, (trace, preset): (usize, TracePreset)| {
+                let lifetime = match preset {
+                    TracePreset::Infocom06 => Duration::hours(3),
+                    _ => Duration::weeks(1),
+                };
+                p.trace = trace;
+                p.config.ncl_count = preset.default_ncl_count();
+                p.config.mean_data_lifetime = scaled(lifetime, scale, Duration::minutes(30));
+            };
+            let mut base = intentional(ExperimentConfig::default());
+            on(&mut base, (0, presets[0]));
+            let strategies = [
+                ("path metric (paper)", SelectionStrategy::PathMetric),
+                ("degree centrality", SelectionStrategy::DegreeCentrality),
+                ("contact frequency", SelectionStrategy::ContactFrequency),
+                ("random", SelectionStrategy::Random { seed: 9 }),
+            ];
+            Figure {
+                name: "ncl",
+                title: "NCL selection strategies (§IV design choice)",
+                traces: presets.map(|p| preset_trace(p, scale, 42)).to_vec(),
+                base,
+                rows: Axis::over(
+                    "strategy",
+                    strategies,
+                    |s| s.0.to_string(),
+                    |p, s| {
+                        p.config.ncl_selection = s.1;
+                    },
+                ),
+                columns: Axis::over(
+                    "trace",
+                    presets.into_iter().enumerate(),
+                    |(_, p)| p.name().to_string(),
+                    on,
+                ),
+                metrics: vec![Success, Delay],
+            }
+        }
+        // The five schemes against the epidemic-flooding upper bound,
+        // with what each pays per satisfied query.
+        "bounds" => Figure {
+            name: "bounds",
+            title: "Bounds: the paper's schemes vs epidemic flooding (MIT Reality)",
+            traces: mit(),
+            base: intentional(mit_config(scale)),
+            rows: schemes(&SchemeKind::ALL_WITH_BOUNDS),
+            columns: Axis::over(
+                "trace",
+                [TracePreset::MitReality],
+                |p| p.name().into(),
+                |_, _| {},
+            ),
+            metrics: vec![Success, Delay, MbPerQuery],
+        },
+        // The intentional scheme vs the maintenance-epoch interval on a
+        // two-regime trace whose hubs move at the midpoint, so warm-up-
+        // frozen NCLs (the leading row) are stale for the whole
+        // measurement phase.
+        "churn" => {
+            let s = scale.max(0.05);
+            let half = scaled(Duration::days(2), s, Duration::hours(4));
+            let cadences = [
+                Duration::hours(2),
+                Duration::hours(6),
+                Duration::hours(12),
+                Duration::days(1),
+            ];
+            let cadence = |d| Some(scaled(d, scale.max(0.25), Duration::minutes(30)));
+            let intervals: Vec<Option<Duration>> = match epoch {
+                Some(d) => vec![None, Some(d)],
+                None => std::iter::once(None).chain(cadences.map(cadence)).collect(),
+            };
+            let label = |i: Option<Duration>| i.map_or_else(|| "frozen".into(), human_duration);
+            Figure {
+                name: "churn",
+                title: "Churn: NCL re-election cadence on a regime-shift trace",
+                traces: vec![regime_shift_trace(30, (10_000.0 * s) as u64, 42, half)],
+                base: intentional(ExperimentConfig {
+                    ncl_count: 4,
+                    mean_data_lifetime: scaled(half, 0.9, Duration(0)),
+                    epoch_interval: Some(scaled(half, 0.25, Duration::minutes(30))),
+                    ..ExperimentConfig::default()
+                }),
+                rows: Axis::over("epoch", intervals, label, |p, i| {
+                    p.config.epoch_interval = i
+                }),
+                columns: schemes(&[SchemeKind::Intentional]),
+                metrics: vec![Success, Delay, Copies],
+            }
+        }
+        _ => return None,
+    };
+    Some(figure)
 }
 
 #[cfg(test)]
@@ -693,27 +661,180 @@ mod tests {
         assert_eq!(human_duration(Duration((1.4 * 86_400.0) as u64)), "1.4d");
     }
 
+    /// A report whose success ratio and bytes per satisfied query are
+    /// `success` and `bytes`; every other metric reads 0.
+    fn report(success: f64, bytes: f64) -> AveragedReport {
+        AveragedReport {
+            scheme: SchemeKind::NoCache,
+            success_ratio: success,
+            avg_delay_hours: 0.0,
+            avg_copies_per_item: 0.0,
+            avg_replacements_per_item: 0.0,
+            queries_issued: 0.0,
+            bytes_per_satisfied_query: bytes,
+            seeds: 1,
+        }
+    }
+
+    /// `averaged_sweep` over the one point a cell names, on one seed.
+    fn alone(trace: &ContactTrace, scheme: SchemeKind, config: ExperimentConfig) -> AveragedReport {
+        let point = SweepPoint {
+            trace,
+            scheme,
+            config,
+        };
+        averaged_sweep(&[point], 1).remove(0)
+    }
+
     #[test]
-    fn churn_intervals_start_frozen_and_stay_sorted() {
-        let intervals = churn_intervals(1.0);
-        assert_eq!(intervals.len(), 5);
-        assert!(intervals[0].is_none());
-        let cadences: Vec<u64> = intervals[1..]
-            .iter()
-            .map(|i| i.expect("swept cadence").as_secs())
-            .collect();
-        assert!(cadences.windows(2).all(|w| w[0] < w[1]));
-        // Scaling shrinks cadences but never below the floor.
-        for i in churn_intervals(0.01).into_iter().flatten() {
-            assert!(i >= Duration::minutes(30));
+    fn every_figure_has_its_rows_columns_and_metrics() {
+        let shapes = [
+            ("fig10", 7, 5, 3),
+            ("fig11", 5, 5, 3),
+            ("fig12", 5, 4, 3),
+            ("fig13", 10, 3, 3),
+            ("ablation", 7, 2, 2),
+            ("ncl", 4, 2, 2),
+            ("bounds", 6, 1, 3),
+            ("churn", 5, 1, 3),
+        ];
+        assert_eq!(shapes.map(|s| s.0), SWEEPS);
+        for (name, rows, columns, metrics) in shapes {
+            let fig = sweep(name, TINY, None).expect(name);
+            assert_eq!(fig.name, name);
+            let shape = (fig.rows.entries.len(), fig.columns.entries.len());
+            assert_eq!((shape, fig.metrics.len()), ((rows, columns), metrics));
+            assert_eq!(fig.points().len(), rows * columns, "{name}");
+            let files = fig.csv(&vec![report(0.5, 1e6); rows * columns]);
+            assert_eq!(files.len(), metrics, "{name}");
+            for (file, body) in &files {
+                assert!(file.starts_with(name), "{file}");
+                assert_eq!(body.lines().count(), rows + 1, "{file}");
+            }
+        }
+        assert!(sweep("fig99", TINY, None).is_none());
+        // `--epoch` narrows churn to frozen vs the one cadence.
+        let narrowed = sweep("churn", TINY, Some(Duration::hours(1))).expect("churn");
+        let labels: Vec<&str> = narrowed.rows.entries.iter().map(|e| e.0.as_str()).collect();
+        assert_eq!(labels, ["frozen", "1h"]);
+    }
+
+    #[test]
+    fn each_cell_is_the_point_its_row_and_column_name() {
+        // Bounds: one row per scheme on the MIT base point.
+        let bounds = sweep("bounds", TINY, None).expect("bounds");
+        let trace = preset_trace(TracePreset::MitReality, TINY, 42);
+        let cells = bounds.run(1);
+        assert_eq!(cells.len(), SchemeKind::ALL_WITH_BOUNDS.len());
+        for (cell, scheme) in cells.iter().zip(SchemeKind::ALL_WITH_BOUNDS) {
+            assert_eq!(cell, &alone(&trace, scheme, mit_config(TINY)), "{scheme}");
+        }
+        // Churn: frozen, then the cadences 2 h, 6 h, 12 h and 1 d scaled
+        // by max(scale, 0.25) = 0.25, on a trace of halves 2 d × 0.05
+        // floored at 4 h.
+        let churn = sweep("churn", TINY, None).expect("churn");
+        let trace = regime_shift_trace(30, 500, 42, Duration::hours(4));
+        let epochs = [None, Some(Duration::minutes(30))]
+            .into_iter()
+            .chain([90, 180, 360].map(|m| Some(Duration::minutes(m))));
+        let labels: Vec<&str> = churn.rows.entries.iter().map(|e| e.0.as_str()).collect();
+        assert_eq!(labels, ["frozen", "0.5h", "1.5h", "3h", "6h"]);
+        for (cell, epoch_interval) in churn.run(1).iter().zip(epochs) {
+            let config = ExperimentConfig {
+                ncl_count: 4,
+                mean_data_lifetime: Duration(12_960),
+                epoch_interval,
+                ..ExperimentConfig::default()
+            };
+            assert_eq!(cell, &alone(&trace, SchemeKind::Intentional, config));
+        }
+    }
+
+    /// A 2 × 2 grid over `traces`: schemes down, data sizes across.
+    fn grid(traces: Vec<ContactTrace>, metrics: Vec<Metric>) -> Figure {
+        let schemes = [SchemeKind::NoCache, SchemeKind::Intentional];
+        Figure {
+            name: "grid",
+            title: "a 2 x 2 grid",
+            traces,
+            base: Point {
+                trace: 0,
+                scheme: SchemeKind::NoCache,
+                config: ExperimentConfig {
+                    ncl_count: 2,
+                    mean_data_lifetime: Duration::hours(6),
+                    buffer_range: (8 << 20, 16 << 20),
+                    ..ExperimentConfig::default()
+                },
+            },
+            rows: Axis::over("scheme", schemes, |k| k.name().into(), |p, k| p.scheme = k),
+            columns: Axis::over(
+                "size",
+                [1u64, 2],
+                |mb| format!("{mb}MiB"),
+                |p, mb| {
+                    p.config.mean_data_size = mb << 20;
+                },
+            ),
+            metrics,
         }
     }
 
     #[test]
-    fn fig13_row_shape() {
-        // One tiny smoke run: K ∈ {1..10} would be slow, so check the
-        // static shape helpers only.
-        assert_eq!(fig13_sizes_mb().len(), 3);
-        assert_eq!(sizes_mb().len(), 5);
+    fn a_grid_runs_row_major() {
+        let trace = SyntheticTraceBuilder::new(12)
+            .duration(Duration::days(1))
+            .target_contacts(2_000)
+            .seed(3)
+            .build();
+        let fig = grid(vec![trace.clone()], vec![Metric::Success]);
+        let cells = fig.run(1);
+        let mut expected = Vec::new();
+        for scheme in [SchemeKind::NoCache, SchemeKind::Intentional] {
+            for mb in [1u64, 2] {
+                let config = ExperimentConfig {
+                    mean_data_size: mb << 20,
+                    ..fig.base.config.clone()
+                };
+                expected.push(alone(&trace, scheme, config));
+            }
+        }
+        assert_eq!(cells, expected);
+    }
+
+    #[test]
+    fn a_grid_writes_one_csv_per_metric() {
+        let fig = grid(Vec::new(), vec![Metric::Success, Metric::MbPerQuery]);
+        let cells = [
+            report(0.125, 1e6),
+            report(0.25, 2.5e6),
+            report(0.5, 0.0),
+            report(1.0, 31_250_000.0),
+        ];
+        let files = fig.csv(&cells);
+        let expected = [
+            (
+                "grida_success.csv",
+                "scheme,1MiB,2MiB\nNoCache,0.125000,0.250000\nIntentional,0.500000,1.000000\n",
+            ),
+            (
+                "gridb_mb_per_query.csv",
+                "scheme,1MiB,2MiB\nNoCache,1.000000,2.500000\nIntentional,0.000000,31.250000\n",
+            ),
+        ];
+        let files: Vec<(&str, &str)> = files
+            .iter()
+            .map(|(f, b)| (f.as_str(), b.as_str()))
+            .collect();
+        assert_eq!(files, expected);
+        let table = fig.render(&cells);
+        assert!(
+            table.starts_with("\n(a) successful ratio by size\n"),
+            "{table}"
+        );
+        assert!(
+            table.contains("\nIntentional        0.500        1.000\n"),
+            "{table}"
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each `figN_*` function returns structured rows; the `experiments`
-//! binary formats them as text tables. See DESIGN.md §4 for the
+//! Each table and single-series figure is a function returning
+//! structured rows; each sweep figure is one [`figures::Figure`] that
+//! runs, prints and writes itself. The `experiments` binary drives both. See DESIGN.md §4 for the
 //! experiment index and EXPERIMENTS.md for recorded results. What a run
 //! costs is measured by the repo's one benchmark (`benchmark/`), not
 //! here.
@@ -16,4 +17,4 @@ pub mod scale;
 pub mod serve;
 pub mod simcheck;
 
-pub use runner::{averaged_run, averaged_sweep, AveragedReport, SweepPoint};
+pub use runner::{averaged_sweep, AveragedReport, SweepPoint};

@@ -1,9 +1,9 @@
 //! The `observe`/`timeline` capture layer: one fully-instrumented
 //! experiment run behind one versioned JSONL emitter.
 //!
-//! Re-runs a figure's base configuration (intentional scheme, same
-//! warm-up → configure → workload protocol as
-//! [`dtn_cache::experiment::run_experiment`]) with a
+//! Re-runs the base point of a sweep figure's definition
+//! ([`crate::figures::sweep`]; the warm-up → configure → workload
+//! protocol of [`dtn_cache::experiment::run_experiment`]) with a
 //! [`RecordingProbe`] carrying a windowed [`Telemetry`] series, plus
 //! the hierarchical phase profiler, then
 //!
@@ -16,7 +16,7 @@
 //!   over-time timeline view ([`render_timeline`]).
 //!
 //! [`observe_any`] is the single entry point every subcommand routes
-//! through: the five figures plus the `regimes` blackout cell and the
+//! through: every sweep figure plus the `regimes` blackout cell and the
 //! `scale` streaming smoke run, so every target shares the emitter.
 //!
 //! The probe is installed *after* `configure` for figure runs, so the
@@ -30,7 +30,7 @@ use std::io::{self, Write as _};
 use std::path::Path;
 use std::rc::Rc;
 
-use dtn_cache::experiment::{build_scheme, prepare_experiment, ExperimentConfig};
+use dtn_cache::experiment::{build_scheme, prepare_experiment};
 use dtn_cache::{CachingScheme, SchemeKind};
 use dtn_core::ids::NodeId;
 use dtn_core::time::Duration;
@@ -41,11 +41,8 @@ use dtn_sim::probe::{FieldValue, ProbeEvent, QueryTrace, RecordingProbe};
 use dtn_sim::profiler::{ProfileEntry, ProfileReport};
 use dtn_sim::telemetry::{Counter, Telemetry, WindowStats};
 use dtn_sim::DeliveryOutcome;
-use dtn_trace::synthetic::regime_shift_trace;
-use dtn_trace::trace::ContactTrace;
-use dtn_trace::TracePreset;
 
-use crate::figures::{mit_config, preset_trace};
+use crate::figures::{sweep, Figure, Point, SWEEPS};
 use crate::json::JsonValue;
 
 /// Version tag of the JSONL run capture, carried by its header and
@@ -138,69 +135,21 @@ impl ObserveRun {
     }
 }
 
-/// The figures `observe` knows base configurations for.
-pub const FIGURES: [&str; 5] = ["fig10", "fig11", "fig12", "fig13", "churn"];
-
-/// Every target [`observe_any`] accepts: the figures plus the hostile-
-/// regime blackout cell and the city-scale streaming smoke run.
-pub const TARGETS: [&str; 7] = [
-    "fig10", "fig11", "fig12", "fig13", "churn", "regimes", "scale",
-];
-
-/// The trace and base configuration behind one figure, at `scale`
-/// (trace seeds are pinned to the figures' 42).
-fn figure_setup(figure: &str, scale: f64) -> Option<(ContactTrace, ExperimentConfig)> {
-    match figure {
-        // The three MIT Reality sweeps share one base point.
-        "fig10" | "fig11" | "fig12" => Some((
-            preset_trace(TracePreset::MitReality, scale, 42),
-            mit_config(scale),
-        )),
-        "fig13" => {
-            let lifetime = Duration((Duration::hours(3).as_secs() as f64 * scale) as u64)
-                .max(Duration::minutes(30));
-            Some((
-                preset_trace(TracePreset::Infocom06, scale, 42),
-                ExperimentConfig {
-                    ncl_count: TracePreset::Infocom06.default_ncl_count(),
-                    mean_data_lifetime: lifetime,
-                    ..ExperimentConfig::default()
-                },
-            ))
-        }
-        // The churn study's regime-shift trace with online re-election:
-        // exercises epoch, re-election and oracle-invalidation events.
-        "churn" => {
-            let s = scale.max(0.05);
-            let half =
-                Duration((Duration::days(2).as_secs() as f64 * s) as u64).max(Duration::hours(4));
-            let trace = regime_shift_trace(30, (10_000.0 * s) as u64, 42, half);
-            let cfg = ExperimentConfig {
-                ncl_count: 4,
-                mean_data_lifetime: Duration((half.as_secs() as f64 * 0.9) as u64),
-                epoch_interval: Some(
-                    Duration((half.as_secs() as f64 * 0.25) as u64).max(Duration::minutes(30)),
-                ),
-                ..ExperimentConfig::default()
-            };
-            Some((trace, cfg))
-        }
-        _ => None,
-    }
-}
-
-/// Runs the named figure's base configuration once with a recording
-/// probe covering the measurement phase. `Err` names the unknown figure.
-pub fn observe_figure(figure: &str, scale: f64, seed: u64) -> Result<ObserveRun, String> {
-    let (trace, config) = figure_setup(figure, scale)
-        .ok_or_else(|| format!("unknown figure {figure:?}; expected one of {FIGURES:?}"))?;
+/// Runs the base point of a sweep figure (DESIGN.md §4) once with a
+/// recording probe covering the measurement phase.
+fn observe_base(figure: &Figure, seed: u64) -> ObserveRun {
+    let Point {
+        trace,
+        scheme,
+        ref config,
+    } = figure.base;
+    let trace = &figure.traces[trace];
     let engine = SimConfig {
         seed,
         profile: true,
         ..SimConfig::default()
     };
-    let scheme = build_scheme(SchemeKind::Intentional, &config);
-    let mut sim = prepare_experiment(&trace, scheme, &config, engine);
+    let mut sim = prepare_experiment(trace, build_scheme(scheme, config), config, engine);
 
     // Warm-up and configure ran unobserved: the recording probe and the
     // windowed flight recorder cover the measurement half only.
@@ -214,21 +163,30 @@ pub fn observe_figure(figure: &str, scale: f64, seed: u64) -> Result<ObserveRun,
     let instruments =
         Instruments::install(&mut sim, RecordingProbe::new().with_telemetry(telemetry));
     sim.run_to_end();
-    Ok(ObserveRun::capture(figure, seed, &mut sim, instruments))
+    ObserveRun {
+        scheme,
+        ..ObserveRun::capture(figure.name, seed, &mut sim, instruments)
+    }
 }
 
-/// The unified capture entry point: figures run through
-/// [`observe_figure`], `regimes` runs the instrumented
-/// NCL-blackout cell, `scale` runs the instrumented streaming smoke
-/// city. Every target returns the same [`ObserveRun`] and therefore
-/// shares one JSONL emitter and one report/timeline renderer.
+/// The unified capture entry point: a sweep figure runs its base point,
+/// `regimes` the instrumented NCL-blackout cell, `scale` the
+/// instrumented streaming smoke city. Every target returns the same
+/// [`ObserveRun`] and therefore shares one JSONL emitter and one
+/// report/timeline renderer.
 pub fn observe_any(target: &str, scale: f64, seed: u64) -> Result<ObserveRun, String> {
     match target {
         "regimes" => Ok(crate::regimes::observe_blackout(scale, seed)),
         "scale" => Ok(crate::scale::observe_city_smoke(seed)),
-        _ => observe_figure(target, scale, seed),
+        _ => sweep(target, scale, None)
+            .map(|figure| observe_base(&figure, seed))
+            .ok_or_else(|| {
+                format!(
+                    "unknown target {target:?}; expected one of {}, regimes, scale",
+                    SWEEPS.join(", ")
+                )
+            }),
     }
-    .map_err(|_| format!("unknown target {target:?}; expected one of {TARGETS:?}"))
 }
 
 /// The `run` header line: what ran, the window layout, and the delay
@@ -646,17 +604,22 @@ pub fn render_report(run: &ObserveRun) -> String {
         }
     );
 
-    // Oracle cache behavior relayed from the scheme.
-    let (rebuilds, recomputes, hits) = run.probe.oracle_counters();
-    if rebuilds + recomputes + hits > 0 {
+    // The path oracle's work over the whole run, as the footer has it.
+    if let Some(o) = run
+        .oracle
+        .filter(|o| o.rebuilds + o.table_recomputes + o.table_hits > 0)
+    {
         let _ = writeln!(out, "\n-- path oracle --");
-        let served = recomputes + hits;
+        let served = o.table_recomputes + o.table_hits;
         let _ = writeln!(
             out,
-            "snapshots rebuilt: {rebuilds}; path tables: {recomputes} recomputed, \
-             {hits} reused ({:.1}% hit rate)",
+            "snapshots rebuilt: {}; path tables: {} recomputed, \
+             {} reused ({:.1}% hit rate)",
+            o.rebuilds,
+            o.table_recomputes,
+            o.table_hits,
             if served > 0 {
-                hits as f64 / served as f64 * 100.0
+                o.table_hits as f64 / served as f64 * 100.0
             } else {
                 0.0
             }
@@ -724,331 +687,4 @@ pub fn render_timeline(run: &ObserveRun) -> String {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use dtn_core::ids::{DataId, QueryId};
-    use dtn_core::time::Time;
-
-    /// `ev!(Kind @ t, field: value, ..)` — one sample event per line.
-    macro_rules! ev {
-        ($kind:ident @ $at:expr $(, $field:ident: $value:expr)*) => {
-            ProbeEvent::$kind { at: Time($at), $($field: $value),* }
-        };
-    }
-
-    /// One sample of each of the 22 event kinds (all four delivery
-    /// outcomes), telling one query's whole lifecycle.
-    #[rustfmt::skip]
-    fn one_of_each_kind() -> Vec<ProbeEvent> {
-        let (q, n, m, d) = (QueryId(7), NodeId(3), NodeId(4), DataId(9));
-        let accepted = DeliveryOutcome::Accepted { delay: Duration(450) };
-        vec![
-            ev!(ContactBegin @ 100, a: n, b: m, budget: 5000),
-            ev!(DataInjected @ 101, data: d, source: n, size: 800),
-            ev!(QueryInjected @ 110, query: q, requester: m, data: d, expires_at: Time(900)),
-            ev!(TransmitAccepted @ 111, bytes: 800),
-            ev!(TransmitRejected @ 112, bytes: 9000),
-            ev!(PushRelay @ 113, data: d, from: n, to: m, ncl: 1),
-            ev!(PushSettled @ 114, data: d, node: m, ncl: 1),
-            ev!(QueryRelay @ 120, query: q, from: m, to: n),
-            ev!(QueryAtCentral @ 130, query: q, ncl: 1),
-            ev!(BroadcastSpread @ 140, query: q, node: n),
-            ev!(ResponseDecision @ 150, query: q, node: n, probability: 0.8125, responded: true),
-            ev!(ResponseSpawned @ 150, query: q, node: n),
-            ev!(ResponseRelay @ 300, query: q, from: n, to: m),
-            ev!(ContactEnd @ 310, a: n, b: m, bytes_used: 1600),
-            ev!(ContactLost @ 320, a: n, b: m),
-            ev!(EpochFired @ 400, index: 2),
-            ev!(CentralReelected @ 400, ncl: 0, old: n, new: m),
-            ev!(OracleInvalidated @ 400),
-            ev!(OracleRebuilt @ 410, epoch: 3, table_recomputes: 40, table_hits: 100),
-            ev!(ReplacementEvicted @ 420, node: m, data: d),
-            ev!(CacheSampled @ 500, copies: 2, bytes: 1600),
-            ev!(Delivery @ 560, query: q, outcome: accepted),
-            ev!(Delivery @ 570, query: q, outcome: DeliveryOutcome::Duplicate),
-            ev!(Delivery @ 580, query: QueryId(8), outcome: DeliveryOutcome::Late),
-            ev!(Delivery @ 590, query: QueryId(99), outcome: DeliveryOutcome::Unknown),
-        ]
-    }
-
-    /// A hand-fed capture: the samples above through a recorder with a
-    /// two-lane window series and an overlay, a two-row profile.
-    fn sample_run(figure: &str, overlay: &str) -> ObserveRun {
-        use dtn_sim::probe::Probe;
-        let mut telemetry = Telemetry::spanning(Time(100), Duration(500), 2, 2);
-        telemetry.mark_overlay(overlay, Time(300), Time(450));
-        let mut probe = RecordingProbe::new().with_telemetry(telemetry);
-        for event in one_of_each_kind() {
-            probe.record(&event);
-        }
-        let row = |phase, depth, calls, total_ns, self_ns| ProfileEntry {
-            phase,
-            depth,
-            calls,
-            total_ns,
-            self_ns,
-        };
-        ObserveRun {
-            figure: figure.to_string(),
-            scheme: SchemeKind::Intentional,
-            seed: 7,
-            metrics: Metrics {
-                queries_issued: 1,
-                queries_satisfied: 1,
-                total_delay_secs: 450,
-                duplicate_deliveries: 1,
-                late_deliveries: 1,
-                data_generated: 1,
-                bytes_transmitted: 800,
-                transfers_rejected: 1,
-                contacts_lost: 1,
-                ..Metrics::default()
-            },
-            probe,
-            profile: Some(ProfileReport {
-                entries: vec![
-                    row("contact_commit", 0, 3, 900, 600),
-                    row("knapsack_solve", 1, 2, 300, 300),
-                ],
-            }),
-            central_nodes: vec![NodeId(3), NodeId(4)],
-            ncl_query_load: vec![0, 1],
-            oracle: Some(OracleStats {
-                rebuilds: 1,
-                table_hits: 9,
-                table_recomputes: 2,
-                nodes_settled: 7,
-                accumulators_built: 4,
-                leaf_evaluations: 3,
-                reach_bytes: 60,
-                ..OracleStats::default()
-            }),
-            stream_bytes: Some(1_200),
-        }
-    }
-
-    fn emitted(run: &ObserveRun) -> String {
-        let mut buf = Vec::new();
-        write_jsonl(run, &mut buf).expect("in-memory write");
-        String::from_utf8(buf).expect("utf8")
-    }
-
-    /// What the `dtn-observe/2` emitters (`ProbeEvent::to_json`,
-    /// `QueryTrace::to_json`, `Telemetry::to_jsonl`,
-    /// `ProfileReport::to_jsonl`, the header/footer `format!`s) wrote
-    /// for [`sample_run`], with the tag bumped and the header's
-    /// `telemetry_schema` and footer-duplicated totals dropped.
-    const SAMPLE_CAPTURE: &str = r#"{"type":"run","schema":"dtn-observe/3","figure":"fig10","scheme":"Intentional","seed":7,"window_secs":250,"origin":100,"pull_secs":20,"ncl_secs":20,"response_secs":410}
-{"type":"event","kind":"contact_begin","at":100,"a":3,"b":4,"budget":5000}
-{"type":"event","kind":"data_injected","at":101,"data":9,"source":3,"size":800}
-{"type":"event","kind":"query_injected","at":110,"query":7,"requester":4,"data":9,"expires_at":900}
-{"type":"event","kind":"transmit_accepted","at":111,"bytes":800}
-{"type":"event","kind":"transmit_rejected","at":112,"bytes":9000}
-{"type":"event","kind":"push_relay","at":113,"data":9,"from":3,"to":4,"ncl":1}
-{"type":"event","kind":"push_settled","at":114,"data":9,"node":4,"ncl":1}
-{"type":"event","kind":"query_relay","at":120,"query":7,"from":4,"to":3}
-{"type":"event","kind":"query_at_central","at":130,"query":7,"ncl":1}
-{"type":"event","kind":"broadcast_spread","at":140,"query":7,"node":3}
-{"type":"event","kind":"response_decision","at":150,"query":7,"node":3,"probability":0.812500,"responded":true}
-{"type":"event","kind":"response_spawned","at":150,"query":7,"node":3}
-{"type":"event","kind":"response_relay","at":300,"query":7,"from":3,"to":4}
-{"type":"event","kind":"contact_end","at":310,"a":3,"b":4,"bytes_used":1600}
-{"type":"event","kind":"contact_lost","at":320,"a":3,"b":4}
-{"type":"event","kind":"epoch_fired","at":400,"index":2}
-{"type":"event","kind":"central_reelected","at":400,"ncl":0,"old":3,"new":4}
-{"type":"event","kind":"oracle_invalidated","at":400}
-{"type":"event","kind":"oracle_rebuilt","at":410,"epoch":3,"table_recomputes":40,"table_hits":100}
-{"type":"event","kind":"replacement_evicted","at":420,"node":4,"data":9}
-{"type":"event","kind":"cache_sampled","at":500,"copies":2,"bytes":1600}
-{"type":"event","kind":"delivery","at":560,"query":7,"outcome":"accepted","delay_secs":450}
-{"type":"event","kind":"delivery","at":570,"query":7,"outcome":"duplicate"}
-{"type":"event","kind":"delivery","at":580,"query":8,"outcome":"late"}
-{"type":"event","kind":"delivery","at":590,"query":99,"outcome":"unknown"}
-{"type":"trace","query":7,"requester":4,"data":9,"issued_at":110,"expires_at":900,"first_central_at":130,"first_central_ncl":1,"broadcast_fanout":1,"first_response_at":150,"responder":3,"delivered_at":560,"pull_secs":20,"ncl_secs":20,"response_secs":410,"hops":[{"at":120,"phase":"pull","from":4,"to":3},{"at":300,"phase":"response","from":3,"to":4}]}
-{"type":"window","index":0,"start":100,"end":350,"contacts":1,"contacts_lost":1,"data_injected":1,"queries_issued":1,"deliveries":0,"duplicate_deliveries":0,"late_deliveries":0,"unknown_deliveries":0,"delay_sum_secs":0,"bytes_transmitted":800,"transfers_rejected":1,"replacements":0,"epochs":0,"reelections":0,"oracle_invalidations":0,"oracle_rebuilds":0,"oracle_recomputes":0,"oracle_hits":0,"ncl_load":[0,1],"ncl_hits":[0,0],"ncl_overflow":0,"overlays":["ncl-blackout"]}
-{"type":"window","index":1,"start":350,"end":600,"contacts":0,"contacts_lost":0,"data_injected":0,"queries_issued":0,"deliveries":1,"duplicate_deliveries":1,"late_deliveries":1,"unknown_deliveries":1,"delay_sum_secs":450,"bytes_transmitted":0,"transfers_rejected":0,"replacements":1,"epochs":1,"reelections":1,"oracle_invalidations":1,"oracle_rebuilds":1,"oracle_recomputes":40,"oracle_hits":100,"cache_copies":2,"cache_bytes":1600,"ncl_load":[0,0],"ncl_hits":[0,1],"ncl_overflow":0,"overlays":["ncl-blackout"]}
-{"type":"phase","phase":"contact_commit","depth":0,"calls":3,"total_ns":900,"self_ns":600}
-{"type":"phase","phase":"knapsack_solve","depth":1,"calls":2,"total_ns":300,"self_ns":300}
-{"type":"footer","schema":"dtn-observe/3","queries_issued":1,"queries_satisfied":1,"total_delay_secs":450,"duplicate_deliveries":1,"late_deliveries":1,"data_generated":1,"bytes_transmitted":800,"transfers_rejected":1,"contacts_lost":1,"windows":2,"oracle_rebuilds":1,"oracle_table_hits":9,"oracle_table_recomputes":2,"oracle_nodes_settled":7,"oracle_accumulators_built":4,"oracle_leaf_evaluations":3,"oracle_reach_bytes":60,"stream_bytes":1200}
-"#;
-
-    #[test]
-    fn every_line_type_round_trips_and_keeps_its_fields() {
-        let text = emitted(&sample_run("fig10", "ncl-blackout"));
-        // Field for field, value for value, what the per-type emitters
-        // wrote — for all 22 kinds, a trace with hops, windows with NCL
-        // lanes and overlays, phase rows, header and footer.
-        for (got, want) in text.lines().zip(SAMPLE_CAPTURE.lines()) {
-            assert_eq!(got, want);
-        }
-        assert_eq!(text.lines().count(), SAMPLE_CAPTURE.lines().count());
-        // The expected text names the 22 kinds this schema was frozen
-        // with (a later kind adds a line type's worth of text, not a
-        // change to these).
-        let kinds: std::collections::BTreeSet<&str> =
-            one_of_each_kind().iter().map(ProbeEvent::kind).collect();
-        assert_eq!(kinds.len(), 22);
-        assert!(kinds.iter().all(|kind| ProbeEvent::KINDS.contains(kind)));
-        // The round-trip law: parse(emit(x)) re-emits byte-identically.
-        for line in text.lines() {
-            let parsed = JsonValue::parse(line).expect("emitted line parses");
-            assert_eq!(parsed.compact(), line);
-        }
-    }
-
-    #[test]
-    fn distributions_stop_at_the_delivery_and_start_at_the_origin() {
-        use dtn_sim::metrics::CacheSample;
-        use dtn_sim::probe::Probe;
-        let mut run = sample_run("fig10", "ncl-blackout");
-        // A duplicate copy keeps moving after the delivery at t=560.
-        run.probe
-            .record(&ev!(QueryRelay @ 600, query: QueryId(7), from: NodeId(3), to: NodeId(4)));
-        // The capture's origin is t=100: the warm-up sample is not its.
-        let sample = |at, bytes| CacheSample {
-            at: Time(at),
-            copies: 1,
-            distinct: 1,
-            bytes,
-        };
-        run.metrics.samples = vec![sample(50, 9), sample(100, 1_600), sample(500, 800)];
-        let d = distributions(&run);
-        assert_eq!(d.delay_secs, [450]);
-        assert_eq!(d.hops, [2]);
-        assert_eq!(d.occupancy_bytes, [800, 1_600]);
-        let report = render_report(&run);
-        assert!(
-            report.contains("delay: n=1 mean=450.0s p50=450s p90=450s p99=450s max=450s"),
-            "{report}"
-        );
-        assert!(report.contains("cache occupancy: n=2 mean=1200.0B p50=800B p90=1600B"));
-    }
-
-    #[test]
-    fn hostile_names_are_escaped_not_interpolated() {
-        // A quote or backslash in a figure name or overlay kind used to
-        // be pasted raw into the line, leaving the capture unparseable.
-        let (figure, overlay) = ("fig\"10\\", "ncl \"black\\out\"\n");
-        let text = emitted(&sample_run(figure, overlay));
-        let mut overlays_seen = 0;
-        for line in text.lines() {
-            let v = JsonValue::parse(line).expect("every line still parses");
-            assert_eq!(v.compact(), line);
-            if v.get("type").and_then(JsonValue::as_str) == Some("run") {
-                assert_eq!(v.get("figure").and_then(JsonValue::as_str), Some(figure));
-            }
-            if let Some(JsonValue::Arr(kinds)) = v.get("overlays") {
-                assert_eq!(kinds, &[JsonValue::from(overlay)]);
-                overlays_seen += 1;
-            }
-        }
-        assert_eq!(overlays_seen, 2);
-    }
-
-    #[test]
-    fn observed_run_covers_every_satisfied_query() {
-        let run = observe_figure("fig10", 0.02, 7).expect("known figure");
-        assert!(run.metrics.queries_issued > 0, "workload generated queries");
-        // Every issued query has an assembled trace; every satisfied one
-        // carries a delivery timestamp.
-        assert_eq!(
-            run.probe.traces().count() as u64,
-            run.metrics.queries_issued
-        );
-        assert_eq!(
-            run.probe.traces().filter(|t| t.delivered()).count() as u64,
-            run.metrics.queries_satisfied
-        );
-        // The per-phase decomposition sums exactly to the metric delay.
-        assert_eq!(
-            run.probe.total_decomposition().total_secs(),
-            run.metrics.total_delay_secs
-        );
-        // The derived delay distribution has one value per satisfied
-        // query and sums to the metric delay.
-        let delays = distributions(&run).delay_secs;
-        assert_eq!(delays.len() as u64, run.metrics.queries_satisfied);
-        assert_eq!(delays.iter().sum::<u64>(), run.metrics.total_delay_secs);
-        // The window series conserves the same totals window by window
-        // (the full matrix lives in tests/telemetry_conservation).
-        let totals = run.telemetry().totals();
-        assert_eq!(totals[Counter::QueriesIssued], run.metrics.queries_issued);
-        assert_eq!(totals[Counter::Deliveries], run.metrics.queries_satisfied);
-        assert_eq!(totals[Counter::DelaySumSecs], run.metrics.total_delay_secs);
-        assert_eq!(
-            totals[Counter::BytesTransmitted],
-            run.metrics.bytes_transmitted
-        );
-        // The profiler ran and charged the contact loop.
-        let profile = run.profile.as_ref().expect("observe profiles its runs");
-        assert!(profile.entries.iter().any(|e| e.phase == "contact_commit"));
-        assert!(profile.total_ns() > 0);
-    }
-
-    #[test]
-    fn real_capture_round_trips_in_file_order() {
-        let run = observe_figure("fig10", 0.02, 7).expect("known figure");
-        let text = emitted(&run);
-        // The round-trip law holds on a real run too, and the line types
-        // come in file order: header, events, traces, windows, phases,
-        // footer.
-        let mut types = Vec::new();
-        for line in text.lines() {
-            let v = JsonValue::parse(line).expect("emitted line parses");
-            assert_eq!(v.compact(), line);
-            let ty = v.get("type").and_then(JsonValue::as_str).expect("typed");
-            if types.last() != Some(&ty.to_string()) {
-                types.push(ty.to_string());
-            }
-        }
-        assert_eq!(
-            types,
-            ["run", "event", "trace", "window", "phase", "footer"]
-        );
-        let last = JsonValue::parse(text.lines().last().expect("footer")).expect("parses");
-        assert_eq!(
-            last.get("queries_satisfied").and_then(JsonValue::as_u64),
-            Some(run.metrics.queries_satisfied)
-        );
-    }
-
-    #[test]
-    fn timeline_renders_windows_and_profile() {
-        let run = observe_figure("fig10", 0.02, 7).expect("known figure");
-        let timeline = render_timeline(&run);
-        assert!(timeline.contains("timeline fig10"));
-        assert!(timeline.contains("t_start"), "{timeline}");
-        assert!(timeline.contains("phase profile"), "{timeline}");
-        assert!(timeline.contains("contact_commit"), "{timeline}");
-    }
-
-    #[test]
-    fn observe_any_rejects_unknown_targets() {
-        let err = observe_any("fig99", 0.02, 1).unwrap_err();
-        assert!(err.contains("regimes") && err.contains("scale"), "{err}");
-    }
-
-    #[test]
-    fn report_renders_decomposition_and_ncl_table() {
-        let run = observe_figure("fig10", 0.02, 7).expect("known figure");
-        let report = render_report(&run);
-        assert!(report.contains("delay decomposition"));
-        assert!(report.contains("exact match"), "{report}");
-        assert!(report.contains("NCL query arrivals"));
-        assert!(report.contains("probe counters"));
-        assert!(!report.contains("MISMATCH"), "{report}");
-    }
-
-    #[test]
-    fn unknown_figure_is_an_error() {
-        assert!(observe_figure("fig99", 0.02, 1).is_err());
-    }
-
-    #[test]
-    fn churn_run_observes_reelections() {
-        let run = observe_figure("churn", 0.05, 3).expect("known figure");
-        // Epochs fire on the churn setup; re-elections and oracle
-        // invalidations surface through the probe vocabulary.
-        assert!(run.probe.count("epoch_fired") > 0, "no epochs observed");
-    }
-}
+mod tests;

@@ -7,8 +7,7 @@
 //! job list and fans it out over [`dtn_core::par::map_slice`], which is
 //! order-preserving — so the per-point aggregation below consumes seed
 //! results in exactly the order a serial loop would produce, and every
-//! figure's numbers are independent of thread scheduling. [`averaged_run`]
-//! is the single-point convenience wrapper.
+//! figure's numbers are independent of thread scheduling.
 
 use dtn_cache::experiment::{run_experiment, ExperimentConfig, ExperimentReport};
 use dtn_cache::SchemeKind;
@@ -86,30 +85,6 @@ pub fn averaged_sweep(points: &[SweepPoint<'_>], seeds: u32) -> Vec<AveragedRepo
         .collect()
 }
 
-/// Runs one (trace, scheme, config) point across `seeds` repetitions in
-/// parallel and averages the metrics.
-///
-/// # Panics
-///
-/// Panics if `seeds == 0` or a worker panics.
-pub fn averaged_run(
-    trace: &ContactTrace,
-    scheme: SchemeKind,
-    config: &ExperimentConfig,
-    seeds: u32,
-) -> AveragedReport {
-    averaged_sweep(
-        &[SweepPoint {
-            trace,
-            scheme,
-            config: config.clone(),
-        }],
-        seeds,
-    )
-    .pop()
-    .expect("one point in, one report out")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,10 +109,18 @@ mod tests {
         }
     }
 
+    fn point(trace: &ContactTrace, scheme: SchemeKind) -> SweepPoint<'_> {
+        SweepPoint {
+            trace,
+            scheme,
+            config: small_config(),
+        }
+    }
+
     #[test]
     fn averages_over_seeds() {
         let trace = small_trace();
-        let avg = averaged_run(&trace, SchemeKind::Intentional, &small_config(), 2);
+        let avg = averaged_sweep(&[point(&trace, SchemeKind::Intentional)], 2).remove(0);
         assert_eq!(avg.seeds, 2);
         assert!((0.0..=1.0).contains(&avg.success_ratio));
         assert!(avg.queries_issued > 0.0);
@@ -145,23 +128,15 @@ mod tests {
 
     #[test]
     fn sweep_matches_individual_runs() {
-        // The fanned-out grid must aggregate exactly like per-point
-        // averaged_run calls, in input order.
+        // The fanned-out grid must aggregate exactly like one sweep per
+        // point, in input order.
         let trace = small_trace();
-        let cfg = small_config();
-        let points: Vec<SweepPoint<'_>> = [SchemeKind::NoCache, SchemeKind::Intentional]
-            .iter()
-            .map(|&scheme| SweepPoint {
-                trace: &trace,
-                scheme,
-                config: cfg.clone(),
-            })
-            .collect();
+        let points = [SchemeKind::NoCache, SchemeKind::Intentional].map(|k| point(&trace, k));
         let swept = averaged_sweep(&points, 2);
         assert_eq!(swept.len(), 2);
         for (point, report) in points.iter().zip(&swept) {
-            let single = averaged_run(&trace, point.scheme, &point.config, 2);
-            assert_eq!(&single, report, "{} diverged", point.scheme);
+            let single = averaged_sweep(std::slice::from_ref(point), 2);
+            assert_eq!(&single[0], report, "{} diverged", point.scheme);
         }
     }
 
@@ -169,6 +144,6 @@ mod tests {
     #[should_panic(expected = "at least one seed")]
     fn zero_seeds_panics() {
         let trace = SyntheticTraceBuilder::new(4).seed(1).build();
-        let _ = averaged_run(&trace, SchemeKind::NoCache, &ExperimentConfig::default(), 0);
+        let _ = averaged_sweep(&[point(&trace, SchemeKind::NoCache)], 0);
     }
 }
