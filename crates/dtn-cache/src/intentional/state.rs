@@ -9,11 +9,9 @@ use std::collections::BinaryHeap;
 use dtn_core::ids::{DataId, IdMap, IdSet, NodeId, QueryId};
 use dtn_core::knapsack::{CacheItem, KnapsackSolver};
 use dtn_core::ncl::SweepWork;
-use dtn_core::rate::RateTable;
 use dtn_core::time::Time;
 use dtn_sim::audit::{check_buffers, AuditLaw, AuditReport, AuditViolation};
 use dtn_sim::buffer::Buffer;
-use dtn_sim::decision::DecisionPoint;
 use dtn_sim::engine::SimCtx;
 use dtn_sim::message::{DataItem, Query};
 use dtn_sim::oracle::PathOracle;
@@ -167,24 +165,15 @@ impl IntentionalScheme {
         self.live.as_ref().map(|(live, _)| live)
     }
 
-    /// A [`DecisionPoint`] borrowing this scheme's own path oracle and
-    /// elected central set — the scheme-side decision API for the online
-    /// serving mode. Decisions answered through it read exactly the
-    /// weights the engine's [`PathOracle::forward`] reads at the next
-    /// contact. `None` until [`configure`](crate::CachingScheme::configure)
-    /// has elected central nodes and built the oracle.
-    pub fn decision_point<'a>(
-        &'a mut self,
-        rates: &'a RateTable,
-        now: Time,
-    ) -> Option<DecisionPoint<'a>> {
+    /// This scheme's own path oracle and elected central nodes, in NCL
+    /// order, lent to the online serving mode: a decision answered
+    /// through them reads exactly the weights the engine's
+    /// [`PathOracle::forward`] reads at the next contact. `None` until
+    /// [`configure`](crate::CachingScheme::configure) has elected central
+    /// nodes and built the oracle.
+    pub fn decision_point(&mut self) -> Option<(&mut PathOracle, &[NodeId])> {
         let (live, _) = self.live.as_mut()?;
-        Some(DecisionPoint::new(
-            &mut live.oracle,
-            rates,
-            now,
-            &live.centrals,
-        ))
+        Some((&mut live.oracle, &live.centrals))
     }
 
     /// Counters accumulated by epoch-based NCL re-election. All zero

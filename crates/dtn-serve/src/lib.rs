@@ -9,39 +9,36 @@
 //! request kinds against the engine's exact live state:
 //!
 //! - [`Request::Place`]: where should a new data item be cached? →
-//!   the elected NCL set plus, per NCL, the best next relay from the
-//!   source under the §V-A greedy rule ([`PlacementDecision`]).
+//!   the elected NCL set plus, per NCL, the next hop toward its central
+//!   node ([`PlacementDecision`]).
 //! - [`Request::Route`]: where should a query go? → the central node
 //!   with the highest opportunistic weight from the requester plus the
-//!   best next relay toward it ([`RouteDecision`]).
+//!   next hop toward it ([`RouteDecision`]).
+//!
+//! A next hop is the central node itself (§V-A: the destination always
+//! accepts) unless the carrier is that central. A relay chosen among the
+//! carrier's current contacts would be a different answer.
 //!
 //! # Snapshot reads, and who pays for a new snapshot
 //!
-//! Every decision reads through the scheme's
-//! [`DecisionPoint`](dtn_sim::decision::DecisionPoint), whose oracle
-//! reads go to the [`PathOracle`](dtn_sim::oracle::PathOracle)'s
-//! generation-versioned snapshot; staleness is bounded by the oracle's
-//! refresh interval. Nothing refreshes in the background. The first
-//! decision after the interval elapses rebuilds the snapshot inline, and
-//! a rebuild orphans every cached per-source table. A decision names
-//! every node as a relay candidate, so each relay choice hands to its
-//! central node, which always accepts, without reading a weight; what a
-//! decision reads is its carrier's weight to each central node. Before
-//! reading, the first decision of an epoch searches every node without
-//! a table as one batch over the machine's workers, each search stopped
-//! as soon as the central nodes have settled and refilling its source's
-//! table in place; a later decision of the epoch reads one table per
-//! central. On the `serve_churn` workload (200 nodes, 5 NCLs, a rebuild
-//! every 30 simulated minutes, a 2-vCPU host) the cold decision runs
-//! those 200 short searches once per epoch, ≈ 2 ms, and a warm `Place`
-//! takes ≈ 0.5 µs. Each
-//! [`Decision`] says what it paid ([`Decision::tables_recomputed`],
+//! A decision reads the scheme's own [`PathOracle`] and centrals
+//! (`IntentionalScheme::decision_point`), as the engine does at the next
+//! contact: the carrier's weight to each central, through the oracle's
+//! generation-versioned snapshot. Staleness is bounded by the refresh
+//! interval; nothing refreshes in the background. The first decision
+//! after the interval rebuilds the snapshot inline, orphaning every
+//! per-source table, and [`PathOracle::warm`] then searches every node
+//! without a table as one batch over the machine's workers, each search
+//! stopped once the centrals have settled; a later decision of the epoch
+//! reads one table per central. On the `serve_churn` workload (200
+//! nodes, 5 NCLs, a rebuild every 30 simulated minutes, a 2-vCPU host)
+//! the cold decision runs those 200 short searches once per epoch,
+//! ≈ 2 ms, and a warm `Place` takes ≈ 0.5 µs. Each [`Decision`] says
+//! what it paid ([`Decision::tables_recomputed`],
 //! [`Decision::snapshot_rebuilt`]); [`ServeStats::cold_decisions`]
-//! counts the ones that paid anything.
-//! Epoch-driven NCL re-election arrives through the engine's own epoch
-//! channel: [`DecisionService::decide`] ingests the contact stream up
-//! to the request time before answering, so re-elections are visible to
-//! the very next decision.
+//! counts the ones that paid anything. [`DecisionService::decide`]
+//! ingests the stream up to the request time before answering, so an
+//! epoch's NCL re-election is visible to the very next decision.
 //!
 //! # Latency accounting
 //!
@@ -57,9 +54,10 @@ use std::time::Instant;
 use dtn_cache::intentional::IntentionalScheme;
 use dtn_cache::CachingScheme;
 use dtn_core::ids::{DataId, NodeId};
+use dtn_core::rate::RateTable;
 use dtn_core::time::Time;
-use dtn_sim::decision::{PlacementDecision, RouteDecision};
 use dtn_sim::engine::{ContactSource, Simulator};
+use dtn_sim::oracle::PathOracle;
 
 /// Serving-loop configuration.
 #[derive(Debug, Clone)]
@@ -84,6 +82,44 @@ pub enum Request {
     Place { data: DataId, source: NodeId },
     /// Where should `requester`'s query for `data` go?
     Route { requester: NodeId, data: DataId },
+}
+
+/// One NCL's slice of a placement decision.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RelayPlan {
+    /// NCL index (position in the central-node set).
+    pub ncl: usize,
+    /// The central node this NCL's copy is pushed toward.
+    pub central: NodeId,
+    /// Opportunistic-path weight from the current carrier to `central`.
+    pub carrier_weight: f64,
+    /// The central node itself, which always accepts (§V-A); `None` when
+    /// the carrier already *is* the central node.
+    pub next_hop: Option<NodeId>,
+}
+
+/// Answer to `Place(data)`: the NCL set and one relay plan per NCL.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlacementDecision {
+    /// The elected central nodes, in NCL order.
+    pub ncls: Vec<NodeId>,
+    /// Per-NCL relay plan for the copy currently at the source.
+    pub plan: Vec<RelayPlan>,
+}
+
+/// Answer to `Route(query)`: the central target and next hop.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteDecision {
+    /// NCL index of the chosen central target.
+    pub ncl: usize,
+    /// The central node with the highest opportunistic weight from the
+    /// requester (ties break toward the lower NCL index — the paper's
+    /// NCL priority order).
+    pub central: NodeId,
+    /// Weight from the requester to that central node.
+    pub central_weight: f64,
+    /// The next hop toward `central`, as in [`RelayPlan::next_hop`].
+    pub next_hop: Option<NodeId>,
 }
 
 /// A decision answer.
@@ -148,7 +184,9 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Aggregate serving statistics.
+/// Aggregate serving statistics. Every [`DecisionService::decide`] call
+/// lands in exactly one of `decisions`, `unknown_node_requests` and
+/// `not_configured_requests`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
     /// Decisions served.
@@ -162,6 +200,9 @@ pub struct ServeStats {
     pub max_service_ns: u64,
     /// Requests refused with [`ServeError::UnknownNode`].
     pub unknown_node_requests: u64,
+    /// Requests refused with [`ServeError::NotConfigured`]; like an
+    /// unknown node, never in the checksum.
+    pub not_configured_requests: u64,
     /// Decisions that paid for oracle work inline: a snapshot rebuild or
     /// at least one path search. By cause, not by clock — a cold decision
     /// on a small population can still be inside the budget.
@@ -189,13 +230,13 @@ fn fold_option_node(hash: u64, node: Option<NodeId>) -> u64 {
 /// The online decision service: the real engine plus a serving loop.
 pub struct DecisionService<C: ContactSource> {
     sim: Simulator<IntentionalScheme, C>,
-    nodes: Vec<NodeId>,
     cfg: ServeConfig,
     decisions: u64,
     budget_violations: u64,
     checksum: u64,
     max_service_ns: u64,
     unknown_node_requests: u64,
+    not_configured_requests: u64,
     cold_decisions: u64,
     log: Option<Vec<Decision>>,
 }
@@ -206,16 +247,15 @@ impl<C: ContactSource> DecisionService<C> {
     /// ([`configure_at`](Self::configure_at) or an external
     /// `configure`).
     pub fn new(sim: Simulator<IntentionalScheme, C>, cfg: ServeConfig) -> Self {
-        let nodes = (0..sim.source().node_count() as u32).map(NodeId).collect();
         DecisionService {
             sim,
-            nodes,
             cfg,
             decisions: 0,
             budget_violations: 0,
             checksum: FNV_OFFSET,
             max_service_ns: 0,
             unknown_node_requests: 0,
+            not_configured_requests: 0,
             cold_decisions: 0,
             log: None,
         }
@@ -246,8 +286,8 @@ impl<C: ContactSource> DecisionService<C> {
 
     /// Serves one decision: ingests the contact stream (and any epoch
     /// re-elections) up to the request time, then answers from the
-    /// scheme's live decision point. Only the answer computation counts
-    /// toward the decision's service time.
+    /// scheme's own oracle and central set. Only the answer computation
+    /// counts toward the decision's service time.
     ///
     /// # Errors
     ///
@@ -260,28 +300,33 @@ impl<C: ContactSource> DecisionService<C> {
             Request::Place { source, .. } => source,
             Request::Route { requester, .. } => requester,
         };
-        if node.index() >= self.nodes.len() {
+        if node.index() >= self.sim.source().node_count() {
             self.unknown_node_requests += 1;
             return Err(ServeError::UnknownNode(node));
         }
         // `configure` builds the oracle with the NCLs: none means neither.
         if self.sim.scheme().oracle_stats().is_none() {
+            self.not_configured_requests += 1;
             return Err(ServeError::NotConfigured);
         }
         let at = at.max(self.sim.now());
         self.sim.run_until(at);
         let (scheme, rates, now, _) = self.sim.live_state();
         let started = Instant::now();
-        let mut dp = scheme
-            .decision_point(rates, now)
+        let (oracle, centrals) = scheme
+            .decision_point()
             .expect("refused above until configured");
-        let oracle_epoch = dp.snapshot_epoch();
-        let before = dp.oracle_stats();
+        let oracle_epoch = oracle.snapshot_epoch();
+        let before = oracle.stats();
         let answer = match request {
-            Request::Place { source, .. } => Answer::Place(dp.place(source, &self.nodes)),
-            Request::Route { requester, .. } => Answer::Route(dp.route(requester, &self.nodes)),
+            Request::Place { source, .. } => {
+                Answer::Place(place(oracle, rates, now, centrals, source))
+            }
+            Request::Route { requester, .. } => {
+                Answer::Route(route(oracle, rates, now, centrals, requester))
+            }
         };
-        let after = dp.oracle_stats();
+        let after = oracle.stats();
         let service_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let tables_recomputed = after.table_recomputes - before.table_recomputes;
         let snapshot_rebuilt = after.rebuilds > before.rebuilds;
@@ -318,6 +363,7 @@ impl<C: ContactSource> DecisionService<C> {
             checksum: self.checksum,
             max_service_ns: self.max_service_ns,
             unknown_node_requests: self.unknown_node_requests,
+            not_configured_requests: self.not_configured_requests,
             cold_decisions: self.cold_decisions,
         }
     }
@@ -337,6 +383,61 @@ impl<C: ContactSource> DecisionService<C> {
     pub fn sim_mut(&mut self) -> &mut Simulator<IntentionalScheme, C> {
         &mut self.sim
     }
+}
+
+/// `Place(data)` for a copy at `source`: one [`RelayPlan`] per NCL.
+fn place(
+    oracle: &mut PathOracle,
+    rates: &RateTable,
+    now: Time,
+    centrals: &[NodeId],
+    source: NodeId,
+) -> PlacementDecision {
+    oracle.warm(rates, now);
+    let plan = centrals
+        .iter()
+        .enumerate()
+        .map(|(ncl, &central)| RelayPlan {
+            ncl,
+            central,
+            carrier_weight: oracle.weight(rates, now, source, central),
+            next_hop: (source != central).then_some(central),
+        })
+        .collect();
+    PlacementDecision {
+        ncls: centrals.to_vec(),
+        plan,
+    }
+}
+
+/// `Route(query)` for `requester`: the central heaviest from it (itself,
+/// if it is one) and the next hop toward it; `None` without centrals.
+fn route(
+    oracle: &mut PathOracle,
+    rates: &RateTable,
+    now: Time,
+    centrals: &[NodeId],
+    requester: NodeId,
+) -> Option<RouteDecision> {
+    oracle.warm(rates, now);
+    let mut best: Option<(usize, NodeId, f64)> = None;
+    for (ncl, &central) in centrals.iter().enumerate() {
+        let w = if requester == central {
+            f64::INFINITY
+        } else {
+            oracle.weight(rates, now, requester, central)
+        };
+        if best.is_none_or(|(_, _, bw)| w > bw) {
+            best = Some((ncl, central, w));
+        }
+    }
+    let (ncl, central, central_weight) = best?;
+    Some(RouteDecision {
+        ncl,
+        central,
+        central_weight,
+        next_hop: (requester != central).then_some(central),
+    })
 }
 
 /// Folds one decision into the stream checksum: request identity, the
@@ -378,373 +479,4 @@ fn checksum_fold(mut h: u64, at: Time, request: &Request, answer: &Answer) -> u6
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use dtn_cache::intentional::IntentionalConfig;
-    use dtn_core::time::Duration;
-    use dtn_sim::engine::SimConfig;
-    use dtn_trace::SyntheticTraceBuilder;
-
-    fn trace() -> dtn_trace::ContactTrace {
-        SyntheticTraceBuilder::new(20)
-            .duration(Duration::days(1))
-            .target_contacts(4_000)
-            .edge_density(0.4)
-            .seed(7)
-            .build()
-    }
-
-    fn service(
-        trace: &dtn_trace::ContactTrace,
-    ) -> DecisionService<dtn_sim::engine::TraceSource<'_>> {
-        service_with(trace, None)
-    }
-
-    fn service_with(
-        trace: &dtn_trace::ContactTrace,
-        bounded_reach: Option<(usize, usize)>,
-    ) -> DecisionService<dtn_sim::engine::TraceSource<'_>> {
-        let scheme = IntentionalScheme::new(IntentionalConfig {
-            ncl_count: 3,
-            bounded_reach,
-            ..IntentionalConfig::default()
-        });
-        let sim = Simulator::new(trace, scheme, SimConfig::default());
-        let mut svc = DecisionService::new(sim, ServeConfig::default()).with_decision_log();
-        svc.configure_at(trace.midpoint(), 3600.0 * 6.0, None);
-        svc
-    }
-
-    #[test]
-    fn unconfigured_service_refuses_decisions() {
-        let t = trace();
-        let scheme = IntentionalScheme::new(IntentionalConfig::default());
-        let sim = Simulator::new(&t, scheme, SimConfig::default());
-        let mut svc = DecisionService::new(sim, ServeConfig::default());
-        let err = svc
-            .decide(
-                Time(10),
-                Request::Place {
-                    data: DataId(1),
-                    source: NodeId(0),
-                },
-            )
-            .unwrap_err();
-        assert_eq!(err, ServeError::NotConfigured);
-        assert!(err.to_string().contains("not configured"));
-    }
-
-    #[test]
-    fn refused_request_leaves_the_stream_where_it_was() {
-        // A refusal does no work: the engine clock stays put, so a later
-        // `configure_at(mid)` elects from the rates counted to `mid`, not
-        // to the refused request's time.
-        let t = trace();
-        let mid = t.midpoint();
-        let scheme = IntentionalScheme::new(IntentionalConfig::default());
-        let sim = Simulator::new(&t, scheme, SimConfig::default());
-        let mut svc = DecisionService::new(sim, ServeConfig::default());
-        let request = Request::Route {
-            requester: NodeId(1),
-            data: DataId(1),
-        };
-        let err = svc.decide(mid + Duration::hours(1), request).unwrap_err();
-        assert_eq!(err, ServeError::NotConfigured);
-        assert_eq!(svc.sim().now(), Time::ZERO);
-        svc.configure_at(mid, 3600.0 * 6.0, None);
-        assert_eq!(svc.sim().now(), mid);
-    }
-
-    #[test]
-    fn stale_configure_time_elects_from_the_engine_clock() {
-        // The engine has already ingested the first half; a caller clock
-        // still at t=600 must not date the live rate table back to 600.
-        let t = trace();
-        let mid = t.midpoint();
-        let centrals_configured_at = |now: Time| {
-            let scheme = IntentionalScheme::new(IntentionalConfig {
-                ncl_count: 4,
-                ..IntentionalConfig::default()
-            });
-            let sim = Simulator::new(&t, scheme, SimConfig::default());
-            let mut svc = DecisionService::new(sim, ServeConfig::default());
-            svc.sim_mut().run_until(mid);
-            svc.configure_at(now, 3600.0 * 6.0, None);
-            svc.sim().scheme().central_nodes().to_vec()
-        };
-        assert_eq!(
-            centrals_configured_at(Time(600)),
-            centrals_configured_at(mid)
-        );
-    }
-
-    #[test]
-    fn unknown_node_is_refused_without_touching_the_decision_stream() {
-        let t = trace();
-        for bounded_reach in [None, Some((3, 20))] {
-            let mut svc = service_with(&t, bounded_reach);
-            let at = Time(t.midpoint().0 + 60);
-            let good = Request::Route {
-                requester: NodeId(1),
-                data: DataId(1),
-            };
-            svc.decide(at, good).expect("configured");
-            let before = svc.stats();
-            for bad in [NodeId(20), NodeId(u32::MAX)] {
-                for request in [
-                    Request::Place {
-                        data: DataId(2),
-                        source: bad,
-                    },
-                    Request::Route {
-                        requester: bad,
-                        data: DataId(2),
-                    },
-                ] {
-                    let err = svc.decide(at, request).unwrap_err();
-                    assert_eq!(err, ServeError::UnknownNode(bad));
-                    assert!(err.to_string().contains("unknown node"));
-                }
-            }
-            let after = svc.stats();
-            assert_eq!(after.unknown_node_requests, 4);
-            assert_eq!(after.decisions, before.decisions);
-            assert_eq!(after.checksum, before.checksum);
-            assert_eq!(svc.decisions().len(), 1);
-            // The service keeps answering after a refusal.
-            svc.decide(at, good).expect("still serving");
-        }
-    }
-
-    #[test]
-    fn serves_place_and_route_with_latency_accounting() {
-        let t = trace();
-        let mut svc = service(&t);
-        let mid = t.midpoint();
-        for i in 0..40u64 {
-            let at = Time(mid.0 + i * 60);
-            let req = if i % 2 == 0 {
-                Request::Place {
-                    data: DataId(i),
-                    source: NodeId((i % 20) as u32),
-                }
-            } else {
-                Request::Route {
-                    requester: NodeId((i % 20) as u32),
-                    data: DataId(i / 2),
-                }
-            };
-            let d = svc.decide(at, req).expect("configured");
-            assert_eq!(d.at, at);
-            match (&req, &d.answer) {
-                (Request::Place { .. }, Answer::Place(p)) => {
-                    assert_eq!(p.ncls.len(), 3);
-                    assert_eq!(p.plan.len(), 3);
-                }
-                (Request::Route { .. }, Answer::Route(r)) => {
-                    assert!(r.is_some());
-                }
-                _ => panic!("answer kind mismatch"),
-            }
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.decisions, 40);
-        assert_eq!(svc.decisions().len(), 40);
-        assert!(stats.max_service_ns > 0);
-    }
-
-    #[test]
-    fn every_decision_says_what_it_paid_for() {
-        // Reconfigured with a path refresh every 30 min over the 12 h
-        // serving window: many epochs, each orphaning every table.
-        let t = trace();
-        let mut svc = service(&t);
-        let mid = t.midpoint();
-        svc.configure_at(mid, 3600.0 * 6.0, Some(Duration::minutes(30)));
-        let oracle = |svc: &DecisionService<_>| svc.sim().scheme().oracle_stats().unwrap();
-        let before = oracle(&svc);
-        for i in 0..400u64 {
-            let node = NodeId((i * 7 % 20) as u32);
-            let request = if i % 2 == 0 {
-                Request::Place {
-                    data: DataId(i),
-                    source: node,
-                }
-            } else {
-                Request::Route {
-                    requester: node,
-                    data: DataId(i),
-                }
-            };
-            svc.decide(Time(mid.0 + i * 100), request).unwrap();
-        }
-        let after = oracle(&svc);
-        let log = svc.decisions();
-        // No workload is fed, so the engine's contact handling never
-        // reads the oracle: the log accounts for all of its work.
-        let searched: u64 = log.iter().map(|d| d.tables_recomputed).sum();
-        let rebuilt = log.iter().filter(|d| d.snapshot_rebuilt).count() as u64;
-        assert_eq!(searched, after.table_recomputes - before.table_recomputes);
-        assert_eq!(rebuilt, after.rebuilds - before.rebuilds);
-        assert!(
-            rebuilt > 1,
-            "the window spans several epochs, saw {rebuilt}"
-        );
-        let cold = log
-            .iter()
-            .filter(|d| d.snapshot_rebuilt || d.tables_recomputed > 0)
-            .count() as u64;
-        let stats = svc.stats();
-        assert_eq!(stats.cold_decisions, cold);
-        assert!(cold < stats.decisions, "warm decisions exist");
-        // A rebuild orphans every table: the decision that rebuilt also
-        // searched.
-        assert!(log
-            .iter()
-            .all(|d| !d.snapshot_rebuilt || d.tables_recomputed > 0));
-    }
-
-    #[test]
-    fn a_decision_searches_once_per_epoch_and_reads_only_its_carrier() {
-        // Every decision names the whole population as candidates, so
-        // each relay choice hands to its central without reading a
-        // weight. What is read is the carrier's table, once per central
-        // it is not: K hits, or K − 1 at a central. The first decision
-        // of an epoch searches the population first, as one batch; every
-        // later one searches nothing.
-        let t = trace();
-        let mut svc = service(&t);
-        let mid = t.midpoint();
-        svc.configure_at(mid, 3600.0 * 6.0, Some(Duration::minutes(30)));
-        let oracle = |svc: &DecisionService<_>| svc.sim().scheme().oracle_stats().unwrap();
-        let mut epoch = oracle(&svc).rebuilds;
-        let mut epochs_searched = 0;
-        for i in 0..400u64 {
-            let node = NodeId((i * 7 % 20) as u32);
-            let request = if i % 2 == 0 {
-                Request::Place {
-                    data: DataId(i),
-                    source: node,
-                }
-            } else {
-                Request::Route {
-                    requester: node,
-                    data: DataId(i),
-                }
-            };
-            let before = oracle(&svc);
-            svc.decide(Time(mid.0 + i * 100), request).unwrap();
-            let after = oracle(&svc);
-            let centrals = svc.sim().scheme().central_nodes();
-            let reads = centrals.len() - usize::from(centrals.contains(&node));
-            assert_eq!(after.table_hits - before.table_hits, reads as u64, "{i}");
-            let searched = after.table_recomputes - before.table_recomputes;
-            if after.rebuilds == epoch {
-                assert_eq!(searched, 0, "decision {i} is not its epoch's first");
-            } else {
-                assert_eq!(searched, 20, "decision {i} is its epoch's first");
-                epoch = after.rebuilds;
-                epochs_searched += 1;
-            }
-        }
-        assert!(epochs_searched > 1, "saw {epochs_searched} epochs");
-    }
-
-    #[test]
-    fn identical_streams_produce_identical_checksums() {
-        let t = trace();
-        let run = || {
-            let mut svc = service(&t);
-            let mid = t.midpoint();
-            for i in 0..30u64 {
-                let at = Time(mid.0 + i * 120);
-                svc.decide(
-                    at,
-                    Request::Route {
-                        requester: NodeId((i % 20) as u32),
-                        data: DataId(i),
-                    },
-                )
-                .unwrap();
-            }
-            (svc.stats().checksum, svc.decisions().to_vec())
-        };
-        let (c1, d1) = run();
-        let (c2, d2) = run();
-        assert_eq!(c1, c2);
-        assert_eq!(d1.len(), d2.len());
-        for (a, b) in d1.iter().zip(&d2) {
-            assert_eq!(a.answer, b.answer);
-        }
-    }
-
-    #[test]
-    fn out_of_order_request_is_clamped_to_the_stream_position() {
-        let t = trace();
-        let mut svc = service(&t);
-        let mid = t.midpoint();
-        svc.decide(
-            Time(mid.0 + 600),
-            Request::Route {
-                requester: NodeId(1),
-                data: DataId(1),
-            },
-        )
-        .unwrap();
-        let d = svc
-            .decide(
-                Time(mid.0 + 60),
-                Request::Route {
-                    requester: NodeId(2),
-                    data: DataId(2),
-                },
-            )
-            .unwrap();
-        assert_eq!(d.at, Time(mid.0 + 600), "stream never rewinds");
-    }
-
-    #[test]
-    fn decisions_match_a_fresh_oracle_recomputation() {
-        // Differential: the service's next-hop choice equals an
-        // independent recomputation through the §V-A rule,
-        // `PathOracle::forward`, on a fresh oracle over the same
-        // rates/time.
-        let t = trace();
-        let mut svc = service(&t);
-        let mid = t.midpoint();
-        let centrals = svc.sim().scheme().central_nodes().to_vec();
-        let d = svc
-            .decide(
-                Time(mid.0 + 300),
-                Request::Place {
-                    data: DataId(3),
-                    source: NodeId(5),
-                },
-            )
-            .unwrap();
-        let Answer::Place(p) = &d.answer else {
-            panic!("place answer expected")
-        };
-        assert_eq!(p.ncls, centrals);
-        let rates = svc.sim().rate_table();
-        let horizon = 3600.0 * 6.0;
-        for plan in &p.plan {
-            let mut fresh = dtn_sim::oracle::PathOracle::new(20, horizon, Duration::hours(1));
-            let mut best: Option<(NodeId, f64)> = None;
-            for n in (0..20u32).map(NodeId) {
-                if n == NodeId(5) || !fresh.forward(rates, d.at, NodeId(5), n, plan.central) {
-                    continue;
-                }
-                let w = if n == plan.central {
-                    f64::INFINITY
-                } else {
-                    fresh.weight(rates, d.at, n, plan.central)
-                };
-                if best.is_none_or(|(_, bw)| w > bw) {
-                    best = Some((n, w));
-                }
-            }
-            assert_eq!(plan.next_hop, best.map(|(n, _)| n));
-        }
-    }
-}
+mod tests;

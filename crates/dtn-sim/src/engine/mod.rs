@@ -167,8 +167,8 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
     }
 
     /// Split borrow of the engine's live state: the scheme (mutably, so
-    /// it can be configured, or hand out a `DecisionPoint` over its own
-    /// oracle) plus the live rate table, the current simulation time and
+    /// it can be configured, or lend its own oracle to a served decision)
+    /// plus the live rate table, the current simulation time and
     /// the per-node buffer capacities — everything NCL election and
     /// online decisions read, with no copy and no caller-supplied clock.
     pub fn live_state(&mut self) -> (&mut S, &RateTable, Time, &[u64]) {

@@ -13,7 +13,6 @@
 
 pub mod audit;
 pub mod buffer;
-pub mod decision;
 pub mod engine;
 pub mod message;
 pub mod metrics;
@@ -25,7 +24,6 @@ pub mod telemetry;
 
 pub use audit::{AuditLaw, AuditReport, AuditViolation};
 pub use buffer::Buffer;
-pub use decision::{DecisionPoint, PlacementDecision, RelayPlan, RouteDecision};
 pub use engine::{
     megabits, CacheStats, DeliveryOutcome, Scheme, SimConfig, SimCtx, Simulator, WorkloadEvent,
 };

@@ -21,13 +21,11 @@
 //!   to the bit. A read the partial table cannot answer — a non-target
 //!   destination, or [`PathOracle::table`] — runs the exhaustive search
 //!   and refills it.
-//! - **Many sources, one call.** [`PathOracle::weights_to`] reads one
-//!   destination's weight from many sources — a relay decision's
-//!   candidates. Every table that lands writes its weights to the
-//!   targets into a flat per-epoch column, so a warm read is one load;
-//!   the sources it cannot answer are searched as one
-//!   [`shortest_paths_batch`] over the machine's workers, each refilling
-//!   its source's table in place — a decision's candidates included.
+//! - **One batch an epoch.** [`PathOracle::warm`] searches every node
+//!   without a table of this epoch as one [`shortest_paths_batch`] over
+//!   the machine's workers, each search stopped at the targets and
+//!   refilling its source's table in place, so every later read of the
+//!   epoch is a hit. A served decision warms before it reads.
 //! - **One shared snapshot per epoch.** The [`CsrGraph`] is built from
 //!   the rate table once per refresh epoch, in one counting pass, and
 //!   shared by the path searches of *all* sources, instead of being
@@ -56,9 +54,9 @@
 //! that one label from its rim neighbours' paths, rebuilt over the
 //! epoch's snapshot, and a read of anything else is 0. Every answer is
 //! the eager [`bounded_shortest_paths`](dtn_core::path::bounded_shortest_paths)
-//! answer to the bit (`tests/path_equivalence.rs`). Of the first
-//! property the target column carries over: a pair's later reads of a
-//! target in the epoch load what its first read stored.
+//! answer to the bit (`tests/path_equivalence.rs`). The targets keep a
+//! column there, and only there: a pair's later reads of a target in the
+//! epoch load what its first read stored.
 
 use dtn_core::graph::CsrGraph;
 use dtn_core::ids::NodeId;
@@ -71,11 +69,8 @@ use dtn_core::time::{Duration, Time};
 /// `gen_now > gen_snapshot + max(gen_snapshot, GENERATION_SLACK)`).
 const GENERATION_SLACK: u64 = 64;
 
-/// A cell of the target column that no table of this epoch has answered.
+/// A cell of the target column that no read of this epoch has answered.
 const UNKNOWN: f64 = f64::NAN;
-/// A cell of the target column whose source is queued for a search in
-/// the running [`PathOracle::weights_to`] batch; no weight is `−∞`.
-const QUEUED: f64 = f64::NEG_INFINITY;
 
 /// The contact-graph snapshot shared by all sources within one epoch.
 #[derive(Debug)]
@@ -167,11 +162,10 @@ pub struct PathOracle {
     /// the stop set of the early-exit search. Empty = every search is
     /// exhaustive.
     targets: Vec<NodeId>,
-    /// `column[s · K + k]` is the weight from `s` to `targets[k]` this
-    /// epoch, [`UNKNOWN`] until known. Dense mode writes it from each
-    /// table as it lands, and [`PathOracle::weights_to`] reads it; scale
-    /// mode writes a cell on the pair's first bounded read, never from a
-    /// (dense, so unbounded) table.
+    /// Scale mode: `column[s · K + k]` is the weight from `s` to
+    /// `targets[k]` this epoch, [`UNKNOWN`] until the pair's first
+    /// bounded read stores it; never written from a (dense, so
+    /// unbounded) table. Empty in dense mode.
     column: Vec<f64>,
     /// Scale mode (see [`PathOracle::with_bounded_reach`]): hop bound
     /// for [`PathOracle::weight`] searches. `None` (the default) keeps
@@ -183,10 +177,7 @@ pub struct PathOracle {
     /// One search workspace per worker of a batch; the first is the
     /// calling thread's and the only one a serial or bounded search uses.
     scratches: Vec<ReachScratch>,
-    /// [`PathOracle::best_relay`]'s reads and their weights, kept from
-    /// one relay search to the next.
-    relay: (Vec<NodeId>, Vec<f64>),
-    /// The epoch [`PathOracle::warm`] last searched its sources in.
+    /// The epoch [`PathOracle::warm`] last searched in.
     warmed: u64,
     stats: OracleStats,
 }
@@ -215,7 +206,6 @@ impl PathOracle {
             max_hops: None,
             reaches: Vec::new(),
             scratches: Vec::new(),
-            relay: (Vec::new(), Vec::new()),
             warmed: 0,
             stats: OracleStats::default(),
         }
@@ -238,9 +228,9 @@ impl PathOracle {
     /// standard accuracy/size trade (§V-A keeps paths short anyway).
     /// [`PathOracle::table`] still serves exact dense tables when asked.
     ///
-    /// [Targets](Self::set_targets) named before or after this call keep
-    /// their column (`N × K × 8` B, emptied here); the `weights_to` batch
-    /// and the decision warm-up stay dense-only.
+    /// [Targets](Self::set_targets) named before or after this call get
+    /// their column (`N × K × 8` B); [`warm`](Self::warm) stays
+    /// dense-only.
     ///
     /// # Panics
     ///
@@ -249,8 +239,7 @@ impl PathOracle {
         assert!(max_hops > 0, "a zero-hop search reaches nothing");
         self.max_hops = Some(max_hops);
         self.reaches = vec![(0, LazyReach::default()); self.tables.len()];
-        // Whatever a dense read wrote is not a bounded weight.
-        self.column.fill(UNKNOWN);
+        self.column = vec![UNKNOWN; self.tables.len() * self.targets.len()];
         self
     }
 
@@ -265,7 +254,8 @@ impl PathOracle {
     /// the oracle answers for), never a panic. On the bounded-reach
     /// branch the search is unchanged and only the column applies: the
     /// first read of a (source, target) pair in an epoch stores the
-    /// weight the reach answered, and its later reads load it.
+    /// weight the reach answered, and its later reads load it. Dense
+    /// mode keeps no column.
     pub fn set_targets(&mut self, targets: &[NodeId]) {
         let nodes = self.tables.len();
         let in_range = targets.iter().filter(|t| t.index() < nodes);
@@ -275,7 +265,9 @@ impl PathOracle {
         self.targets.clear();
         self.targets.extend(in_range);
         self.column.clear();
-        self.column.resize(nodes * self.targets.len(), UNKNOWN);
+        if self.max_hops.is_some() {
+            self.column.resize(nodes * self.targets.len(), UNKNOWN);
+        }
     }
 
     /// The horizon `T` used for path weights.
@@ -355,8 +347,8 @@ impl PathOracle {
     /// Runs one search per job `(source, stop at the targets, the
     /// source's table)` against the current snapshot — one batch over the
     /// workers ([`shortest_paths_batch`]), each search refilling its
-    /// table in place — files every table back under this epoch, writes
-    /// its target weights into the column and counts the work.
+    /// table in place — files every table back under this epoch and
+    /// counts the work.
     fn search(&mut self, jobs: &mut [(NodeId, bool, PathTable)]) {
         let snapshot = self.snapshot.as_ref().expect("searched after a refresh");
         let (graph, horizon, targets) = (&snapshot.graph, self.horizon, &self.targets);
@@ -365,9 +357,6 @@ impl PathOracle {
         for (source, _, table) in jobs {
             self.stats.table_recomputes += 1;
             self.stats.nodes_settled += table.settled_count() as u64;
-            if self.max_hops.is_none() {
-                fill_row(&mut self.column, &self.targets, *source, table);
-            }
             self.tables[source.index()] = (self.epoch, std::mem::take(table));
         }
     }
@@ -444,84 +433,14 @@ impl PathOracle {
         weight
     }
 
-    /// The weights from every node of `sources` to `dest`, in order, into
-    /// `out` (cleared first): what [`weight`](Self::weight) would answer
-    /// for each source in turn, to the bit, with the same work counted —
-    /// one hit or one search per read that is not a self-read, a source
-    /// listed twice read twice.
-    ///
-    /// With `dest` a [target](Self::set_targets) of the dense oracle this
-    /// is one staleness check, then one load per source from the epoch's
-    /// column of target weights. The sources it cannot answer are
-    /// searched as one batch over the machine's workers, each search the
-    /// one `weight` would run (early exit on a source's first search of
-    /// the epoch) and each refilling the source's own table in place. In
-    /// bounded mode, and for any other `dest`, the sources are read one
-    /// by one through `weight`, as they are when one is past the
-    /// population (it reads 0).
-    pub fn weights_to(
-        &mut self,
-        rates: &RateTable,
-        now: Time,
-        sources: &[NodeId],
-        dest: NodeId,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        let k = self.targets.iter().position(|&t| t == dest);
-        let nodes = self.tables.len();
-        let dense = self.max_hops.is_none() && sources.iter().all(|s| s.index() < nodes);
-        let Some(k) = k.filter(|_| dense) else {
-            out.extend(sources.iter().map(|&s| self.weight(rates, now, s, dest)));
-            return;
-        };
-        self.refresh_snapshot(rates, now);
-        let width = self.targets.len();
-        let cell = |s: NodeId| s.index() * width + k;
-        let mut misses = Vec::new();
-        for (i, &s) in sources.iter().enumerate() {
-            let w = if s == dest { 1.0 } else { self.column[cell(s)] };
-            if w.is_nan() {
-                misses.push(i);
-            } else if s != dest {
-                self.stats.table_hits += 1;
-            }
-            out.push(w);
-        }
-        if misses.is_empty() {
-            return;
-        }
-        // A miss whose table of this epoch answers after all (the column
-        // was emptied by `set_targets`) is a hit; any other queues one
-        // search, and a source queued twice is searched once — its second
-        // read is the hit `weight` would count after the first.
-        let mut jobs = Vec::new();
-        for &i in &misses {
-            let s = sources[i];
-            let (epoch, table) = &mut self.tables[s.index()];
-            let current = *epoch == self.epoch;
-            if self.column[cell(s)] == QUEUED {
-                self.stats.table_hits += 1;
-            } else if current && table.settled_weight(dest).is_some() {
-                self.stats.table_hits += 1;
-                fill_row(&mut self.column, &self.targets, s, table);
-            } else {
-                jobs.push((s, !current, std::mem::take(table)));
-                self.column[cell(s)] = QUEUED;
-            }
-        }
-        self.search(&mut jobs);
-        for &i in &misses {
-            out[i] = self.column[cell(sources[i])];
-        }
-    }
-
-    /// Searches every node of `sources` without a table of this epoch as
-    /// one batch, as [`weights_to`](Self::weights_to) queues its misses,
-    /// so their reads this epoch are hits. Once per epoch; a no-op
-    /// without a column (bounded mode, or no targets).
-    pub(crate) fn warm(&mut self, rates: &RateTable, now: Time, sources: &[NodeId]) {
-        if self.max_hops.is_some() || self.column.is_empty() {
+    /// Searches every node without a table of this epoch as one batch
+    /// over the machine's workers, each search stopped once the targets
+    /// have settled (a source's first search of the epoch, as its first
+    /// [`weight`](Self::weight) read would run it), so every read of the
+    /// epoch is a hit. Once per epoch; a no-op in bounded mode or
+    /// without targets.
+    pub fn warm(&mut self, rates: &RateTable, now: Time) {
+        if self.max_hops.is_some() || self.targets.is_empty() {
             return;
         }
         self.refresh_snapshot(rates, now);
@@ -529,13 +448,11 @@ impl PathOracle {
             return;
         }
         self.warmed = self.epoch;
+        let epoch = self.epoch;
         let mut jobs = Vec::new();
-        for &s in sources {
-            let (epoch, table) = &mut self.tables[s.index()];
-            if *epoch != self.epoch {
-                // Filed now: a source listed twice is queued once.
-                *epoch = self.epoch;
-                jobs.push((s, true, std::mem::take(table)));
+        for (s, (searched, table)) in self.tables.iter_mut().enumerate() {
+            if *searched != epoch {
+                jobs.push((NodeId(s as u32), true, std::mem::take(table)));
             }
         }
         self.search(&mut jobs);
@@ -563,77 +480,12 @@ impl PathOracle {
         self.weight(rates, now, to, dest) > self.weight(rates, now, from, dest)
     }
 
-    /// [`forward`](Self::forward) hoisted over a candidate list: the
-    /// candidate with the highest weight to `dest` among those the §V-A
-    /// rule would let `carrier` hand a message to. Ties break toward the
-    /// earlier candidate, so the answer is deterministic for a fixed
-    /// candidate order. `None` when no candidate beats the carrier.
-    ///
-    /// A carrier at `dest` forwards nothing; a list naming `dest` hands to
-    /// it, as the destination always accepts. Neither reads anything.
-    /// Otherwise one read per candidate, all in one [`weights_to`](Self::weights_to)
-    /// call: the carrier's own weight is read once, provided some
-    /// candidate needs comparing against it.
-    pub(crate) fn best_relay(
-        &mut self,
-        rates: &RateTable,
-        now: Time,
-        carrier: NodeId,
-        dest: NodeId,
-        candidates: &[NodeId],
-    ) -> Option<NodeId> {
-        if carrier == dest {
-            return None;
-        }
-        if candidates.contains(&dest) {
-            return Some(dest);
-        }
-        // The buffers leave the oracle for the read, which borrows it whole.
-        let (mut reads, mut weights) = std::mem::take(&mut self.relay);
-        reads.clear();
-        reads.push(carrier);
-        reads.extend(candidates.iter().filter(|&&c| c != carrier));
-        weights.clear();
-        if reads.len() > 1 {
-            self.weights_to(rates, now, &reads, dest, &mut weights);
-        }
-        let mut read = weights.iter().copied();
-        // Read, and compared against, only when some candidate was read.
-        let carrier_weight = read.next().unwrap_or(f64::NAN);
-        let mut best: Option<(NodeId, f64)> = None;
-        for &c in candidates {
-            if c == carrier {
-                continue;
-            }
-            // The §V-A rule for `carrier → c`, with `c`'s weight kept.
-            let w = read.next().expect("one weight per candidate read");
-            if w > carrier_weight && best.is_none_or(|(_, bw)| w > bw) {
-                best = Some((c, w));
-            }
-        }
-        self.relay = (reads, weights);
-        best.map(|(n, _)| n)
-    }
-
     /// Drops the snapshot and every cached table (e.g. after a
     /// configuration change). The next query starts a new epoch, which
     /// no table or reach belongs to; their arrays stay, to be refilled.
     pub fn invalidate(&mut self) {
         self.snapshot = None;
         self.stats.invalidations += 1;
-    }
-}
-
-/// Writes `source`'s row of the target column from its table of this
-/// epoch: the weight to each target the table is final for,
-/// [`UNKNOWN`] where it is not. A no-op without a column.
-fn fill_row(column: &mut [f64], targets: &[NodeId], source: NodeId, table: &PathTable) {
-    if column.is_empty() {
-        return;
-    }
-    let row = &mut column[source.index() * targets.len()..][..targets.len()];
-    for (cell, &t) in row.iter_mut().zip(targets) {
-        *cell = table.settled_weight(t).unwrap_or(UNKNOWN);
     }
 }
 

@@ -38,159 +38,6 @@ fn forward_is_the_greedy_relay_rule() {
     assert!(!forward(&mut o, 1, 0, 2));
 }
 
-/// `best_relay` as first written: ask the §V-A rule about each
-/// candidate, then read the accepted candidate's weight again.
-fn best_relay_by_definition(
-    oracle: &mut PathOracle,
-    rates: &RateTable,
-    now: Time,
-    carrier: NodeId,
-    dest: NodeId,
-    candidates: &[NodeId],
-) -> Option<NodeId> {
-    let mut best: Option<(NodeId, f64)> = None;
-    for &c in candidates {
-        if c == carrier || !oracle.forward(rates, now, carrier, c, dest) {
-            continue;
-        }
-        let w = if c == dest {
-            f64::INFINITY
-        } else {
-            oracle.weight(rates, now, c, dest)
-        };
-        if best.is_none_or(|(_, bw)| w > bw) {
-            best = Some((c, w));
-        }
-    }
-    best.map(|(n, _)| n)
-}
-
-#[test]
-fn best_relay_matches_its_definition_on_every_pair() {
-    // Nodes 0–5 meet at pseudo-random times; 6 and 7 each meet only
-    // node 0, at the same instants, so their weights tie toward
-    // every destination; 8 and 9 never meet anyone.
-    const N: u32 = 10;
-    let mut rates = RateTable::new(N as usize, Time::ZERO);
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    for t in 1..=300u64 {
-        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        let (a, b) = ((x >> 33) % 6, (x >> 43) % 6);
-        if a != b {
-            rates.record(NodeId(a as u32), NodeId(b as u32), Time(t * 10));
-        }
-    }
-    for t in [500, 1500, 2500] {
-        rates.record(NodeId(6), NodeId(0), Time(t));
-        rates.record(NodeId(7), NodeId(0), Time(t));
-    }
-    let now = Time(3100);
-    let ascending: Vec<NodeId> = (0..N).map(NodeId).collect();
-    let descending: Vec<NodeId> = ascending.iter().rev().copied().collect();
-    let without_ends: Vec<NodeId> = (1..N - 1).map(NodeId).collect();
-
-    // Without targets every read goes through `weight`; with them,
-    // reads to 0, 3 and 6 go through the column.
-    for targets in [&[][..], &[NodeId(3), NodeId(0), NodeId(6)]] {
-        let oracle = || {
-            let mut o = PathOracle::new(N as usize, 1000.0, Duration::hours(1));
-            o.set_targets(targets);
-            o
-        };
-        let (mut hoisted, mut literal) = (oracle(), oracle());
-        assert_eq!(
-            hoisted.weight(&rates, now, NodeId(6), NodeId(3)).to_bits(),
-            literal.weight(&rates, now, NodeId(7), NodeId(3)).to_bits(),
-            "the tie this test relies on"
-        );
-        let _ = hoisted.weight(&rates, now, NodeId(7), NodeId(3));
-        let _ = literal.weight(&rates, now, NodeId(6), NodeId(3));
-        let mut chose_a_relay = 0;
-        for &carrier in &ascending {
-            for &dest in &ascending {
-                // Lists that name the destination first, in the middle,
-                // last and twice, beside ones that may not name it.
-                let (a, b) = (NodeId((dest.0 + 3) % N), NodeId((dest.0 + 7) % N));
-                let naming = [
-                    vec![dest, a, b],
-                    vec![a, dest, b],
-                    vec![a, b, dest],
-                    vec![b, dest, a, dest],
-                ];
-                let plain = [&ascending, &descending, &without_ends, &Vec::new()];
-                for candidates in plain.into_iter().chain(&naming) {
-                    let got = hoisted.best_relay(&rates, now, carrier, dest, candidates);
-                    let want = best_relay_by_definition(
-                        &mut literal,
-                        &rates,
-                        now,
-                        carrier,
-                        dest,
-                        candidates,
-                    );
-                    assert_eq!(got, want, "{carrier} → {dest} over {candidates:?}");
-                    chose_a_relay += usize::from(got.is_some());
-                }
-            }
-        }
-        assert!(chose_a_relay > 100, "degenerate fixture: {chose_a_relay}");
-        // Tied candidates: the earlier one in candidate order wins.
-        let tied = [NodeId(7), NodeId(6)];
-        assert_eq!(
-            hoisted.best_relay(&rates, now, NodeId(8), NodeId(3), &tied),
-            Some(NodeId(7))
-        );
-        // Same answers, same searches, from a third of the reads.
-        let (h, l) = (hoisted.stats(), literal.stats());
-        assert_eq!(
-            (h.table_recomputes, h.nodes_settled),
-            (l.table_recomputes, l.nodes_settled)
-        );
-        assert!(h.table_hits * 2 < l.table_hits, "{h:?} vs {l:?}");
-    }
-}
-
-#[test]
-fn best_relay_hands_to_a_candidate_destination() {
-    // §V-A: the destination always accepts, whatever the carrier's or
-    // the other candidates' weights, so a candidate list that names it
-    // is answered by it, wherever it stands in the list; a carrier at
-    // the destination forwards nothing. `DecisionService::decide` names
-    // every node, so this is every answer it gives.
-    // Neither answer reads a weight: every `OracleStats` counter stays
-    // where it was, on a fresh oracle (no snapshot yet) and on one whose
-    // tables, or reaches, and target column are warm.
-    let rates = rates_line();
-    let now = Time(1000);
-    let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
-    for hops in [None, Some(2)] {
-        for warm in [false, true] {
-            let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
-            if let Some(hops) = hops {
-                o = o.with_bounded_reach(hops);
-            }
-            o.set_targets(&[n3]);
-            if warm {
-                for s in [n0, n1, n2] {
-                    let _ = o.weight(&rates, now, s, n3);
-                }
-            }
-            let before = o.stats();
-            for candidates in [[n3, n1, n2], [n1, n3, n2], [n2, n1, n3], [n3, n1, n3]] {
-                assert_eq!(
-                    o.best_relay(&rates, now, n0, n3, &candidates),
-                    Some(n3),
-                    "{candidates:?}, {hops:?} hops"
-                );
-                // So does a carrier next to the destination.
-                assert_eq!(o.best_relay(&rates, now, n2, n3, &candidates), Some(n3));
-            }
-            assert_eq!(o.best_relay(&rates, now, n3, n3, &[n0, n1, n2, n3]), None);
-            assert_eq!(o.stats(), before, "{hops:?} hops, warm: {warm}");
-        }
-    }
-}
-
 #[test]
 fn cache_hit_reuses_table_until_refresh() {
     let mut rates = rates_line();
@@ -481,6 +328,25 @@ fn a_bounded_table_leaves_the_column_bounded() {
 }
 
 #[test]
+fn the_column_is_bounded_modes_alone() {
+    // Dense reads, tables and warms write no column; scale mode sizes it
+    // for the targets named before or after the switch.
+    let rates = rates_star(12);
+    let targets = [NodeId(0), NodeId(3)];
+    let mut dense = PathOracle::new(12, 3600.0, Duration::hours(1));
+    dense.set_targets(&targets);
+    dense.warm(&rates, Time(1000));
+    let _ = dense.weight(&rates, Time(1000), NodeId(5), NodeId(3));
+    let _ = dense.table(&rates, Time(1000), NodeId(7));
+    assert!(dense.column.is_empty());
+    let bounded = dense.with_bounded_reach(2);
+    assert_eq!(bounded.column.len(), 12 * 2);
+    let mut after = PathOracle::new(12, 3600.0, Duration::hours(1)).with_bounded_reach(2);
+    after.set_targets(&targets);
+    assert_eq!(after.column.len(), 12 * 2);
+}
+
+#[test]
 fn a_bounded_central_weighs_its_leaf_once_an_epoch() {
     // Whether the targets are named before the switch to scale mode, as
     // the scheme does, or after it, and whether or not a dense read came
@@ -543,11 +409,6 @@ fn an_out_of_range_node_reads_unreachable_in_dense_mode() {
     assert_eq!(o.weight(&rates, now, far, near), 0.0);
     assert_eq!(o.weight(&rates, now, far, NodeId(3)), 0.0);
     assert!(!o.forward(&rates, now, near, far, NodeId(3)));
-    let mut out = Vec::new();
-    o.weights_to(&rates, now, &[far, NodeId(u32::MAX)], NodeId(3), &mut out);
-    assert_eq!(out, [0.0, 0.0]);
-    o.weights_to(&rates, now, &[near, far], NodeId(9), &mut out);
-    assert_eq!(out, [0.0, 0.0]);
     // The one read counted is `forward`'s of the carrier's own weight.
     let s = o.stats();
     assert_eq!((s.table_hits, s.table_recomputes), (0, 1), "{s:?}");
@@ -564,118 +425,20 @@ fn an_out_of_range_node_reads_unreachable_in_bounded_mode() {
     assert_eq!(o.weight(&rates, now, far, near), 0.0);
     assert_eq!(o.weight(&rates, now, far, NodeId(1)), 0.0);
     assert!(!o.forward(&rates, now, near, far, NodeId(1)));
-    let mut out = Vec::new();
-    o.weights_to(&rates, now, &[far, NodeId(u32::MAX)], NodeId(1), &mut out);
-    assert_eq!(out, [0.0, 0.0]);
     // The one read counted is `forward`'s of the carrier's own weight.
     let s = o.stats();
     assert_eq!((s.table_hits, s.table_recomputes), (0, 1), "{s:?}");
-}
-
-/// Reads every list of `lists` to each of `dests`, through `weight`
-/// on `per_read` and through `weights_to` on `batched`, and holds the
-/// answers equal to the bit. Returns the reads that were not
-/// self-reads.
-fn read_both(
-    per_read: &mut PathOracle,
-    batched: &mut PathOracle,
-    rates: &RateTable,
-    now: Time,
-    dests: &[u32],
-    lists: &[Vec<NodeId>],
-) -> u64 {
-    let mut reads = 0;
-    let mut out = Vec::new();
-    for dest in dests.iter().copied().map(NodeId) {
-        for sources in lists {
-            let want: Vec<u64> = sources
-                .iter()
-                .map(|&s| per_read.weight(rates, now, s, dest).to_bits())
-                .collect();
-            batched.weights_to(rates, now, sources, dest, &mut out);
-            let got: Vec<u64> = out.iter().map(|w| w.to_bits()).collect();
-            assert_eq!(got, want, "to {dest} from {sources:?} at {now:?}");
-            reads += sources.iter().filter(|&&s| s != dest).count() as u64;
-        }
-    }
-    reads
-}
-
-#[test]
-fn weights_to_reads_what_weight_reads() {
-    const N: u32 = 12;
-    let lists = [
-        (0..N).map(NodeId).collect(),
-        [5, 9, 5, 0, 11, 9, 2, 3].map(NodeId).to_vec(),
-        vec![NodeId(6)],
-        Vec::new(),
-    ];
-    for width in [1, 2, 5] {
-        let mut per_read = PathOracle::new(N as usize, 3600.0, Duration::hours(1));
-        let mut batched = PathOracle::new(N as usize, 3600.0, Duration::hours(1));
-        batched.scratches = (0..width).map(|_| ReachScratch::new()).collect();
-        let mut rates = rates_star(N);
-        for (a, b) in [(3, 4), (4, 5), (7, 9), (2, 11)] {
-            rates.record(NodeId(a), NodeId(b), Time(650));
-        }
-        let mut reads = 0;
-        let mut both = |invalidate: bool, targets: Option<&[NodeId]>, rates: &RateTable, now| {
-            for o in [&mut per_read, &mut batched] {
-                if invalidate {
-                    o.invalidate();
-                }
-                if let Some(targets) = targets {
-                    o.set_targets(targets);
-                }
-                // Tables of every kind before the batch: partial (n1),
-                // complete (n4), complete over partial (n1 again).
-                let _ = o.weight(rates, now, NodeId(1), NodeId(3));
-                let _ = o.table(rates, now, NodeId(4));
-                let _ = o.weight(rates, now, NodeId(1), NodeId(10));
-            }
-            reads += 3;
-            // Targets, a non-target (7), a target again after it.
-            let dests = [0, 3, 7, 8, 3];
-            reads += read_both(&mut per_read, &mut batched, rates, now, &dests, &lists);
-            assert_eq!(
-                per_read.stats(),
-                batched.stats(),
-                "{width} workers at {now:?}"
-            );
-            (per_read.snapshot_epoch(), batched.snapshot_epoch())
-        };
-        let first = [NodeId(0), NodeId(3)];
-        assert_eq!(both(false, Some(&first), &rates, Time(1000)), (1, 1));
-        // The same set again changes nothing; a wall-clock refresh.
-        assert_eq!(both(false, Some(&first), &rates, Time(4600)), (2, 2));
-        // A generation rebuild inside the refresh window.
-        for t in 0..400u64 {
-            rates.record(NodeId(1), NodeId(2), Time(4700 + t));
-        }
-        assert_eq!(both(false, None, &rates, Time(5200)), (3, 3));
-        // New targets mid-epoch: the column empties, the tables stay.
-        let moved = [NodeId(3), NodeId(8)];
-        assert_eq!(both(false, Some(&moved), &rates, Time(5250)), (3, 3));
-        // Re-election: invalidate, new targets, one of them bogus.
-        let reelected = [NodeId(8), NodeId(0), NodeId(N + 5)];
-        assert_eq!(both(true, Some(&reelected), &rates, Time(5300)), (4, 4));
-        let s = batched.stats();
-        assert_eq!(s.table_hits + s.table_recomputes, reads, "{s:?}");
-        assert!(s.table_recomputes > 4 * u64::from(N), "{s:?}");
-    }
 }
 
 #[test]
 fn warm_runs_the_first_reads_searches_once_per_epoch() {
     // A warmed oracle answers every read of the epoch from a table: the
     // same answers, searches and settled nodes as the cold reads, every
-    // read a hit. Later warms of the epoch, and any warm without a
-    // column, do nothing.
+    // read a hit. Later warms of the epoch, and any warm in bounded mode
+    // or without targets, do nothing.
     const N: u32 = 12;
     let rates = rates_star(N);
     let targets = [NodeId(0), NodeId(3)];
-    let mut listed: Vec<NodeId> = (0..N).map(NodeId).collect();
-    listed.extend([5, 9, 5].map(NodeId));
     for width in [1, 2] {
         let (mut cold, mut warmed) = (
             PathOracle::new(N as usize, 3600.0, Duration::hours(1)),
@@ -686,9 +449,9 @@ fn warm_runs_the_first_reads_searches_once_per_epoch() {
             o.set_targets(&targets);
         }
         for now in [Time(1000), Time(1000 + 3600)] {
-            warmed.warm(&rates, now, &listed);
+            warmed.warm(&rates, now);
             let searched = warmed.stats();
-            warmed.warm(&rates, now, &listed);
+            warmed.warm(&rates, now);
             assert_eq!(warmed.stats(), searched, "a second warm of the epoch");
             for s in 0..N {
                 for &d in &targets {
@@ -709,7 +472,7 @@ fn warm_runs_the_first_reads_searches_once_per_epoch() {
     bounded.set_targets(&targets);
     let mut untargeted = PathOracle::new(N as usize, 3600.0, Duration::hours(1));
     for o in [&mut bounded, &mut untargeted] {
-        o.warm(&rates, Time(1000), &listed);
+        o.warm(&rates, Time(1000));
         assert_eq!(o.stats(), OracleStats::default());
     }
 }
