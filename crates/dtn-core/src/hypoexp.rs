@@ -154,6 +154,7 @@ impl Accumulator {
         &self.rates
     }
 
+    #[inline]
     fn assert_rate(rate: f64) {
         assert!(
             rate.is_finite() && rate > 0.0,
@@ -504,6 +505,7 @@ fn erlang_tail(lt: f64, k: u32, exp: f64) -> f64 {
     clamp01(1.0 - exp * sum)
 }
 
+#[inline]
 fn clamp01(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
 }

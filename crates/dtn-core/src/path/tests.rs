@@ -694,6 +694,53 @@ fn a_warm_scratch_computes_no_factor_twice() {
 }
 
 #[test]
+fn early_exit_searches_compute_each_of_300_rates_once() {
+    // 200 nodes and 1 500 edges whose rates are `count / elapsed` over
+    // one elapsed, as §III-B's estimator gives them: 320 distinct rates,
+    // the most a `serve_churn` snapshot holds, about a third of the
+    // slots. Each search stops at two targets. The table keeps every
+    // rate it has computed, so each is computed once, by the first
+    // search that meets it.
+    let mut g = ContactGraph::new(200);
+    let mut x = 99u64;
+    for _ in 0..1_500 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let (a, b) = ((x >> 33) as u32 % 200, (x >> 13) as u32 % 200);
+        if a != b {
+            g.set_rate(
+                NodeId(a),
+                NodeId(b),
+                (1 + (x >> 40) % 320) as f64 / 86_400.0,
+            );
+        }
+    }
+    let rates: std::collections::BTreeSet<u64> = g
+        .nodes()
+        .flat_map(|v| g.neighbors(v).iter().map(|&(_, r)| r.to_bits()))
+        .collect();
+    assert!(rates.len() >= 300, "{} distinct rates", rates.len());
+    let fresh = || hypoexp::tests::FRESH.with(std::cell::Cell::get);
+    let mut scratch = ReachScratch::new();
+    let before = fresh();
+    for source in g.nodes() {
+        let targets = [
+            NodeId((source.0 + 67) % 200),
+            NodeId((source.0 + 131) % 200),
+        ];
+        search::<_, false>(&g, source, 1800.0, &targets, usize::MAX, &mut scratch);
+    }
+    let computed = fresh() - before;
+    assert!(computed <= rates.len() as u64, "{computed} computed");
+    assert!(computed <= 5 * 200, "{computed} computed over 200 searches");
+    for source in g.nodes() {
+        search::<_, false>(&g, source, 1800.0, &[], usize::MAX, &mut scratch);
+    }
+    assert_eq!(fresh() - before, rates.len() as u64, "every rate once");
+}
+
+#[test]
 #[should_panic(expected = "zero-hop")]
 fn bounded_rejects_zero_hops() {
     let g = line_graph(&[0.1]);

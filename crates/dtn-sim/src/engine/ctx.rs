@@ -14,12 +14,31 @@ use crate::profiler::{Phase, Profiler};
 
 use super::DeliveryOutcome;
 
-/// Internal record of an issued query.
+/// Internal record of an issued query: 24 B.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct QueryRecord {
     pub(super) issued_at: Time,
     pub(super) expires_at: Time,
-    pub(super) satisfied_at: Option<Time>,
+    /// [`QueryRecord::OPEN`] until the first in-time delivery.
+    satisfied_at: Time,
+}
+
+impl QueryRecord {
+    /// `satisfied_at` of an unsatisfied query. No delivery lands on it:
+    /// one at `u64::MAX` is at or past every expiry, so it is late.
+    const OPEN: Time = Time(u64::MAX);
+
+    pub(super) fn new(issued_at: Time, expires_at: Time) -> Self {
+        QueryRecord {
+            issued_at,
+            expires_at,
+            satisfied_at: Self::OPEN,
+        }
+    }
+
+    pub(super) fn satisfied_at(&self) -> Option<Time> {
+        (self.satisfied_at != Self::OPEN).then_some(self.satisfied_at)
+    }
 }
 
 /// Engine state shared with schemes through [`SimCtx`].
@@ -156,7 +175,7 @@ impl SimCtx<'_> {
             let Some(rec) = self.shared.queries.get_mut(query.0 as usize) else {
                 break 'classify DeliveryOutcome::Unknown;
             };
-            if rec.satisfied_at.is_some() {
+            if rec.satisfied_at().is_some() {
                 self.shared.metrics.duplicate_deliveries += 1;
                 break 'classify DeliveryOutcome::Duplicate;
             }
@@ -164,7 +183,7 @@ impl SimCtx<'_> {
                 self.shared.metrics.late_deliveries += 1;
                 break 'classify DeliveryOutcome::Late;
             }
-            rec.satisfied_at = Some(now);
+            rec.satisfied_at = now;
             let delay = now - rec.issued_at;
             self.shared.metrics.queries_satisfied += 1;
             self.shared.metrics.total_delay_secs += delay.as_secs();
@@ -189,7 +208,7 @@ impl SimCtx<'_> {
         self.shared
             .queries
             .get(query.0 as usize)
-            .is_some_and(|r| r.satisfied_at.is_none() && self.shared.now < r.expires_at)
+            .is_some_and(|r| r.satisfied_at().is_none() && self.shared.now < r.expires_at)
     }
 
     /// Counts `count` cache-replacement operations (Fig. 12(c) metric).

@@ -19,6 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use dtn_core::error::CoreError;
 use dtn_core::ids::{NodeId, QueryId};
 use dtn_core::rate::RateTable;
 use dtn_core::time::{Duration, Time};
@@ -32,6 +33,7 @@ use crate::profiler::{Phase, ProfileReport, Profiler};
 
 mod config;
 mod ctx;
+mod queue;
 mod scheme;
 mod source;
 #[cfg(test)]
@@ -43,6 +45,7 @@ pub use scheme::{CacheStats, DeliveryOutcome, Epoch, Scheme, WorkloadEvent};
 pub use source::{ContactSource, StreamSource, TraceSource};
 
 use ctx::{QueryRecord, Shared};
+use queue::WorkloadQueue;
 
 /// The discrete-event simulator.
 ///
@@ -80,8 +83,7 @@ pub struct Simulator<S, C> {
     source: C,
     scheme: S,
     shared: Shared,
-    workload: Vec<WorkloadEvent>,
-    next_workload: usize,
+    workload: WorkloadQueue,
     next_sample: Time,
     sample_interval: Duration,
     next_epoch: Time,
@@ -126,8 +128,7 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
                 audit: config.audit.then(|| Box::new(AuditState::default())),
                 profiler: config.profile.then(|| Box::new(Profiler::new())),
             },
-            workload: Vec::new(),
-            next_workload: 0,
+            workload: WorkloadQueue::default(),
             next_sample: Time::ZERO + config.sample_interval,
             sample_interval: config.sample_interval,
             next_epoch: config.epoch_interval.map_or(Time::ZERO, |i| Time::ZERO + i),
@@ -247,24 +248,46 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
     }
 
     /// Appends workload events. Events must not be in the past; they are
-    /// sorted internally.
+    /// sorted internally: the unprocessed tail wins ties, and equal-time
+    /// new events keep their submission order.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] naming the first event earlier
+    /// than the current time, or if more than `u32::MAX` events would be
+    /// pending at once. Nothing is queued then.
+    pub fn try_add_workload(&mut self, events: Vec<WorkloadEvent>) -> Result<(), CoreError> {
+        let now = self.shared.now;
+        let reason = match events.iter().position(|e| e.at() < now) {
+            Some(i) => format!(
+                "workload event {i} at {:?} is in the past (now {now:?})",
+                events[i].at()
+            ),
+            None if self.workload.len() + events.len() > u32::MAX as usize => {
+                "more than u32::MAX events would be pending".into()
+            }
+            None => {
+                self.workload.push(events);
+                return Ok(());
+            }
+        };
+        Err(CoreError::InvalidParameter {
+            name: "events",
+            reason,
+        })
+    }
+
+    /// [`try_add_workload`](Self::try_add_workload), panicking on its
+    /// error.
     ///
     /// # Panics
     ///
-    /// Panics if any event is earlier than the current time.
+    /// Panics where [`try_add_workload`](Self::try_add_workload) errs:
+    /// an event earlier than the current time.
     pub fn add_workload(&mut self, events: Vec<WorkloadEvent>) {
-        for e in &events {
-            assert!(
-                e.at() >= self.shared.now,
-                "workload event at {:?} is in the past (now {:?})",
-                e.at(),
-                self.shared.now
-            );
+        if let Err(e) = self.try_add_workload(events) {
+            panic!("{e}");
         }
-        // A stable sort of `tail ++ events`: the unprocessed tail wins
-        // ties, and equal-time new events keep their submission order.
-        self.workload.extend(events);
-        self.workload[self.next_workload..].sort_by_key(WorkloadEvent::at);
     }
 
     /// Processes every event strictly before `until`, then advances the
@@ -272,10 +295,9 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
     pub fn run_until(&mut self, until: Time) {
         loop {
             let next_c = self.source.peek();
-            let next_w = self.workload.get(self.next_workload).copied();
             // Workload events win ties so data generated at time t can be
             // pushed during a contact starting at the same instant.
-            let (event_time, is_workload) = match (next_c.map(|c| c.start), next_w.map(|e| e.at()))
+            let (event_time, is_workload) = match (next_c.map(|c| c.start), self.workload.peek_at())
             {
                 (None, None) => break,
                 (Some(c), None) => (c, false),
@@ -295,9 +317,12 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
             self.sample_if_due();
             self.fire_epoch_if_due();
             if is_workload {
-                self.next_workload += 1;
+                let event = self
+                    .workload
+                    .pop()
+                    .expect("is_workload implies a workload event");
                 self.prof_enter(Phase::Workload);
-                self.dispatch_workload(next_w.expect("is_workload implies a workload event"));
+                self.dispatch_workload(event);
                 self.prof_exit();
             } else {
                 self.source.advance();
@@ -339,12 +364,15 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
                 data,
                 constraint,
             } => {
-                let id = QueryId(self.shared.queries.len() as u64);
-                self.shared.queries.push(QueryRecord {
-                    issued_at: at,
-                    expires_at: at + constraint,
-                    satisfied_at: None,
-                });
+                let queries = &mut self.shared.queries;
+                if queries.len() == queries.capacity() {
+                    // Reserved once, at the first query, for every query
+                    // queued: a record vector reserved at `add_workload`
+                    // would hold its bytes from set-up on.
+                    queries.reserve_exact(1 + self.workload.queries_pending());
+                }
+                let id = QueryId(queries.len() as u64);
+                queries.push(QueryRecord::new(at, at + constraint));
                 self.shared.metrics.queries_issued += 1;
                 self.shared.probe.emit(|| ProbeEvent::QueryInjected {
                     at,
@@ -529,7 +557,7 @@ impl<S: Scheme, C: ContactSource> Simulator<S, C> {
         }
         let (mut satisfied, mut expired, mut in_flight, mut delay) = (0u64, 0u64, 0u64, 0u64);
         for rec in &self.shared.queries {
-            match rec.satisfied_at {
+            match rec.satisfied_at() {
                 Some(at) => {
                     satisfied += 1;
                     delay += at.saturating_since(rec.issued_at).as_secs();

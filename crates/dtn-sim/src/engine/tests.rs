@@ -213,7 +213,7 @@ fn interleaved_add_workload_preserves_tie_order() {
         gen_event(4, 0, 10, 450, 9000),
     ]);
     sim.add_workload(vec![gen_event(5, 0, 10, 500, 9000)]);
-    let ids: Vec<u64> = sim.workload[sim.next_workload..]
+    let ids: Vec<u64> = pending(&sim)
         .iter()
         .map(|e| match e {
             WorkloadEvent::GenerateData { item } => item.id.0,
@@ -223,6 +223,146 @@ fn interleaved_add_workload_preserves_tie_order() {
     assert_eq!(ids, vec![4, 2, 3, 5]);
     sim.run_to_end();
     assert_eq!(sim.metrics().data_generated, 5);
+}
+
+/// The events `sim` has yet to dispatch, in dispatch order.
+fn pending<S, C>(sim: &Simulator<S, C>) -> Vec<WorkloadEvent> {
+    let mut queue = sim.workload.clone();
+    std::iter::from_fn(|| queue.pop()).collect()
+}
+
+/// `d<id>` for a data event, `q<data>` for a query.
+fn label(event: &WorkloadEvent) -> String {
+    match event {
+        WorkloadEvent::GenerateData { item } => format!("d{}", item.id.0),
+        WorkloadEvent::IssueQuery { data, .. } => format!("q{}", data.0),
+    }
+}
+
+#[test]
+fn queries_and_items_interleave_as_one_stable_sort() {
+    // Three calls, data and query events at equal times, a consumed
+    // prefix before the second: the two arrays merge into the order a
+    // stable time sort of `tail ++ events` gives after each call.
+    let calls = [
+        vec![
+            gen_event(1, 0, 10, 300, 9000),
+            query_event(500, 1, 10, 9000),
+            gen_event(2, 0, 10, 500, 9000),
+            query_event(300, 1, 11, 9000),
+        ],
+        vec![
+            gen_event(3, 0, 10, 500, 9000),
+            query_event(450, 1, 12, 9000),
+            query_event(500, 0, 13, 9000),
+        ],
+        vec![
+            query_event(500, 1, 14, 9000),
+            gen_event(4, 0, 10, 450, 9000),
+            gen_event(5, 0, 10, 500, 9000),
+        ],
+    ];
+    let trace = two_node_trace();
+    let mut sim = Simulator::new(&trace, DirectDelivery::default(), SimConfig::default());
+    let mut model: Vec<WorkloadEvent> = Vec::new();
+    for (i, events) in calls.into_iter().enumerate() {
+        model.extend(events.iter().copied());
+        model.sort_by_key(WorkloadEvent::at);
+        sim.add_workload(events);
+        assert_eq!(pending(&sim), model, "after call {i}");
+        if i == 0 {
+            assert_eq!(
+                pending(&sim).iter().map(label).collect::<Vec<_>>(),
+                ["d1", "q11", "q10", "d2"]
+            );
+            sim.run_until(Time(400));
+            model.drain(..2);
+            assert_eq!(pending(&sim), model, "after the consumed prefix");
+        }
+    }
+    assert_eq!(
+        pending(&sim).iter().map(label).collect::<Vec<_>>(),
+        ["q12", "d4", "q10", "d2", "d3", "q13", "q14", "d5"]
+    );
+    sim.run_to_end();
+    assert_eq!(sim.metrics().data_generated, 5);
+    assert_eq!(sim.metrics().queries_issued, 5);
+    assert!(pending(&sim).is_empty());
+}
+
+#[test]
+fn a_queued_query_costs_32_bytes_and_its_record_24() {
+    use super::ctx::QueryRecord;
+    use super::queue::QueuedQuery;
+    use std::mem::size_of;
+    assert_eq!(size_of::<WorkloadEvent>(), 48);
+    assert!(size_of::<QueuedQuery>() <= 32);
+    assert_eq!(size_of::<DataItem>(), 40);
+    assert_eq!(size_of::<QueryRecord>(), 24);
+    // paper_fig10's T_L = 12 h cell (8 640 s at trace scale 0.2, seed
+    // 42) queues 47 040 queries and 4 303 items: 2 464 464 B as
+    // `WorkloadEvent`s.
+    let (queries, items) = (47_040, 4_303);
+    let mut events: Vec<_> = (0..queries)
+        .map(|i| query_event(100 + i, 1, i % 7, 600))
+        .collect();
+    events.extend((0..items).map(|i| gen_event(i, 0, 10, 100 + 10 * i, 600)));
+    let trace = two_node_trace();
+    let mut sim = Simulator::new(&trace, DirectDelivery::default(), SimConfig::default());
+    sim.add_workload(events);
+    let queue = &sim.workload;
+    let bytes = queue.queries.capacity() * size_of::<QueuedQuery>()
+        + queue.items.capacity() * size_of::<DataItem>();
+    assert_eq!(bytes, queries as usize * 32 + items as usize * 40);
+    assert!(bytes <= 1_700_000, "{bytes} B of queue");
+    assert_eq!(sim.shared.queries.capacity(), 0, "no record before a query");
+}
+
+#[test]
+fn query_records_are_reserved_once_for_every_query_issued() {
+    // Two calls, the second after the first call's queries were
+    // dispatched; the audit's query-conservation law holds at every
+    // sweep, and the records end at exactly one slot per query.
+    let trace = two_node_trace();
+    let cfg = SimConfig {
+        audit: true,
+        epoch_interval: Some(Duration(700)),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(&trace, RedundantDelivery::default(), cfg);
+    sim.add_workload((0..5).map(|i| query_event(100 + i, 1, i, 9000)).collect());
+    sim.run_until(Time(200));
+    assert_eq!(sim.shared.queries.capacity(), 5);
+    sim.add_workload((0..3).map(|i| query_event(3000 + i, 0, i, 400)).collect());
+    sim.run_to_end();
+    let m = sim.metrics();
+    assert_eq!(m.queries_issued, 8);
+    assert_eq!(sim.shared.queries.capacity(), 8);
+    assert_eq!(m.queries_satisfied, 5, "the second call's expire first");
+    let report = sim.audit_report().expect("audit enabled");
+    assert!(report.is_clean(), "{}", report.summary());
+    assert!(report.sweeps() > 2);
+}
+
+#[test]
+fn a_past_event_is_a_typed_error_and_queues_nothing() {
+    let trace = two_node_trace();
+    let mut sim = Simulator::new(&trace, DirectDelivery::default(), SimConfig::default());
+    sim.run_until(Time(5000));
+    let err = sim
+        .try_add_workload(vec![
+            query_event(6000, 0, 1, 50),
+            gen_event(1, 0, 10, 4000, 50),
+            query_event(100, 0, 1, 50),
+        ])
+        .unwrap_err();
+    let CoreError::InvalidParameter { name, reason } = &err;
+    assert_eq!(*name, "events");
+    assert!(reason.contains("event 1 at Time(4000)"), "{reason}");
+    assert!(pending(&sim).is_empty());
+    sim.try_add_workload(vec![query_event(5000, 0, 1, 50)])
+        .expect("now is not the past");
+    assert_eq!(pending(&sim).len(), 1);
 }
 
 #[test]
