@@ -10,6 +10,7 @@
 //!           scale [NODES,...] [--out BENCH_scale.json]
 //!           regimes [PROCESS,...] [--out BENCH_regimes.json]
 //!           serve [--smoke] [--differential] [--out BENCH_serve.json]
+//!           verdicts [FIG]
 //! ```
 //!
 //! `--scale` shrinks trace duration and contact count proportionally
@@ -17,6 +18,10 @@
 //! `--seeds` sets repetitions per point (default 3); `--csv DIR` writes
 //! one CSV file per metric of every sweep figure; `--epoch SECS` narrows
 //! the `churn` sweep to frozen NCLs vs one re-election cadence.
+//!
+//! `verdicts [FIG]` runs a figure (every one with claims without one) and grades
+//! each of its paper claims by a sign test over the paired seeds; with
+//! `--csv DIR` it writes them to `DIR/verdicts.csv`.
 //! What a run costs in wall clock and memory is measured by
 //! `benchmark/` (see `benchmark/README.md`), not by this binary.
 //!
@@ -186,6 +191,7 @@ fn run(cmd: &str, opts: &Options) -> Result<(), String> {
         "scale" => return scale_cmd(opts),
         "regimes" => return regimes_cmd(opts),
         "serve" => return serve_cmd(opts),
+        "verdicts" => return verdicts(opts),
         "help" => {
             let sweeps = figures::SWEEPS.join("|");
             println!(
@@ -200,7 +206,9 @@ fn run(cmd: &str, opts: &Options) -> Result<(), String> {
                  \x20      experiments regimes [PROCESS,...] [--out BENCH_regimes.json] \
                  [--scale F] [--seeds N]\n\
                  \x20      experiments serve [--smoke] [--differential] \
-                 [--out BENCH_serve.json]",
+                 [--out BENCH_serve.json]\n\
+                 \x20      experiments verdicts [fig10|fig11|fig12|fig13|ablation|ncl|churn] [--scale F] \
+                 [--seeds N] [--csv DIR]",
                 tables = TABLES.join("|"),
             );
         }
@@ -235,6 +243,53 @@ fn sweep(figure: &figures::Figure, opts: &Options) {
         }
     }
     print!("{}", figure.render(&cells));
+}
+
+/// The `verdicts [FIG]` command: runs the figure (every figure with
+/// claims — Fig. 10–13, ablation, NCL, churn — when none is named), prints each claim's grade as a table, and with `--csv DIR`
+/// writes every grade to `DIR/verdicts.csv`.
+fn verdicts(opts: &Options) -> Result<(), String> {
+    let names = match opts.figure.as_deref() {
+        Some(name) => vec![name],
+        None => vec![
+            "fig10", "fig11", "fig12", "fig13", "ablation", "ncl", "churn",
+        ],
+    };
+    let mut csv = String::new();
+    for name in names {
+        let figure = figures::sweep(name, opts.scale, opts.epoch)
+            .ok_or_else(|| format!("unknown figure {name:?}"))?;
+        header(&format!("verdicts: {}", figure.title), opts);
+        let graded = figure.verdicts(&figure.run(opts.seeds));
+        // One header line for the whole file.
+        let skip = usize::from(!csv.is_empty());
+        for line in graded.lines().skip(skip) {
+            csv.push_str(line);
+            csv.push('\n');
+        }
+        for line in graded.lines() {
+            let fields: Vec<&str> = line.split(',').collect();
+            println!(
+                "{:<46} {:>6} {:>7} {:>10} {:>3}/{:<3} {:>6}  {}",
+                fields[1],
+                fields[2],
+                fields[3],
+                fields[4],
+                fields[5],
+                fields[6],
+                fields[7],
+                fields[8]
+            );
+        }
+    }
+    if let Some(dir) = &opts.csv_dir {
+        let path = dir.join("verdicts.csv");
+        fs::create_dir_all(dir)
+            .and_then(|()| fs::write(&path, csv))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("[csv] wrote {}", path.display());
+    }
+    Ok(())
 }
 
 fn table1(opts: &Options) {

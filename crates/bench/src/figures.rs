@@ -26,6 +26,9 @@ use dtn_workload::{Workload, WorkloadConfig, Zipf};
 
 use crate::runner::{averaged_sweep, AveragedReport, SweepPoint};
 
+mod verdicts;
+use verdicts::{claim, Claim};
+
 /// Builds the synthetic stand-in for a preset trace at the given scale.
 pub fn preset_trace(preset: TracePreset, scale: f64, seed: u64) -> ContactTrace {
     SyntheticTraceBuilder::from_preset(preset)
@@ -264,6 +267,11 @@ impl Metric {
         }
     }
 
+    /// Whether a larger value is the better one (success alone).
+    fn higher_is_better(self) -> bool {
+        self == Metric::Success
+    }
+
     fn of(self, r: &AveragedReport) -> f64 {
         match self {
             Metric::Success => r.success_ratio,
@@ -276,9 +284,9 @@ impl Metric {
 }
 
 /// One sweep figure (DESIGN.md §4): a base point, a row axis and a column
-/// axis whose entries edit it, and the metrics it reports. A cell is the
-/// base point edited by its row's entry, then its column's; cells run
-/// row-major.
+/// axis whose entries edit it, the metrics it reports and the paper claims
+/// it grades. A cell is the base point edited by its row's entry, then its
+/// column's; cells run row-major.
 pub struct Figure {
     /// The command name, and the stem of the figure's CSV files.
     pub(crate) name: &'static str,
@@ -294,6 +302,9 @@ pub struct Figure {
     columns: Axis,
     /// The sub-tables (a), (b), … in order.
     metrics: Vec<Metric>,
+    /// What `experiments verdicts` grades (paper claims for Fig. 10–13, the
+    /// extensions' own for ablation, NCL and churn); empty for bounds.
+    claims: Vec<Claim>,
 }
 
 impl Figure {
@@ -421,6 +432,15 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
             }),
             columns: schemes(&SchemeKind::ALL),
             metrics: vec![Success, Delay, Copies],
+            claims: vec![
+                claim(Success, "Intentional", "NoCache", 1.0),
+                claim(Success, "Intentional", "NoCache", 3.0),
+                claim(Success, "Intentional", "BundleCache", 1.0),
+                claim(Success, "Intentional", "BundleCache", 1.5),
+                claim(Success, "Intentional", "CacheData", 1.0),
+                claim(Success, "CacheData", "RandomCache", 1.0),
+                claim(Copies, "CacheData", "Intentional", 0.7),
+            ],
         },
         // Fig. 11: … vs average data size s_avg.
         "fig11" => Figure {
@@ -431,6 +451,9 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
             rows: sizes("s_avg", &SIZES_MB),
             columns: schemes(&SchemeKind::ALL),
             metrics: vec![Success, Delay, Copies],
+            claims: ["BundleCache", "CacheData", "RandomCache"]
+                .map(|b| claim(Success, "Intentional", b, 1.0))
+                .into(),
         },
         // Fig. 12: the replacement policies inside the intentional scheme.
         "fig12" => Figure {
@@ -446,6 +469,9 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
                 |p, k| p.config.replacement = k,
             ),
             metrics: vec![Success, Delay, Replacements],
+            claims: ["FIFO", "LRU", "Greedy-Dual-Size"]
+                .map(|b| claim(Success, "Utility-Knapsack", b, 1.0))
+                .into(),
         },
         // Fig. 13: the number of NCLs K on Infocom06 (T_L = 3 h), for
         // several node-buffer conditions.
@@ -466,6 +492,11 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
             ),
             columns: sizes("s_avg", &[50, 100, 200]),
             metrics: vec![Success, Delay, Copies],
+            // The paper's "K = 1 loses 25% of K = 2" is K = 2 ≥ 4/3 × K = 1.
+            claims: vec![
+                claim(Success, "2", "1", 1.0),
+                claim(Success, "2", "1", 4.0 / 3.0),
+            ],
         },
         // The paper's two probabilistic design choices (Algorithm 1's
         // knapsack vs §V-D-2's deterministic one; the sigmoid vs
@@ -499,6 +530,16 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
                 ),
                 columns: sizes("s_avg", &[50, 150]),
                 metrics: vec![Success, Delay],
+                claims: vec![
+                    claim(
+                        Success,
+                        "spray-and-wait responses (L=4)",
+                        variants[0].0,
+                        1.0,
+                    ),
+                    claim(Delay, "spray-and-wait responses (L=4)", variants[0].0, 1.0),
+                    claim(Success, "epidemic responses", variants[0].0, 1.0),
+                ],
             }
         }
         // The paper's NCL metric (Eq. 3) vs degree centrality, raw contact
@@ -542,6 +583,10 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
                     on,
                 ),
                 metrics: vec![Success, Delay],
+                claims: strategies[..3]
+                    .iter()
+                    .map(|s| claim(Success, s.0, "random", 1.0))
+                    .collect(),
             }
         }
         // The five schemes against the epidemic-flooding upper bound,
@@ -559,6 +604,7 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
                 |_, _| {},
             ),
             metrics: vec![Success, Delay, MbPerQuery],
+            claims: Vec::new(),
         },
         // The intentional scheme vs the maintenance-epoch interval on a
         // two-regime trace whose hubs move at the midpoint, so warm-up-
@@ -579,6 +625,9 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
                 None => std::iter::once(None).chain(cadences.map(cadence)).collect(),
             };
             let label = |i: Option<Duration>| i.map_or_else(|| "frozen".into(), human_duration);
+            let claims = (intervals[1..].iter())
+                .map(|&i| claim(Success, label(i), "frozen", 1.0))
+                .collect();
             Figure {
                 name: "churn",
                 title: "Churn: NCL re-election cadence on a regime-shift trace",
@@ -594,6 +643,7 @@ pub fn sweep(name: &str, scale: f64, epoch: Option<Duration>) -> Option<Figure> 
                 }),
                 columns: schemes(&[SchemeKind::Intentional]),
                 metrics: vec![Success, Delay, Copies],
+                claims,
             }
         }
         _ => return None,
@@ -663,7 +713,7 @@ mod tests {
 
     /// A report whose success ratio and bytes per satisfied query are
     /// `success` and `bytes`; every other metric reads 0.
-    fn report(success: f64, bytes: f64) -> AveragedReport {
+    pub(super) fn report(success: f64, bytes: f64) -> AveragedReport {
         AveragedReport {
             scheme: SchemeKind::NoCache,
             success_ratio: success,
@@ -673,6 +723,7 @@ mod tests {
             queries_issued: 0.0,
             bytes_per_satisfied_query: bytes,
             seeds: 1,
+            per_seed: Vec::new(),
         }
     }
 
@@ -688,18 +739,20 @@ mod tests {
 
     #[test]
     fn every_figure_has_its_rows_columns_and_metrics() {
+        // Name, rows, columns, metrics, and the lines its verdicts grade:
+        // each claim at every entry of the axis its labels do not name.
         let shapes = [
-            ("fig10", 7, 5, 3),
-            ("fig11", 5, 5, 3),
-            ("fig12", 5, 4, 3),
-            ("fig13", 10, 3, 3),
-            ("ablation", 7, 2, 2),
-            ("ncl", 4, 2, 2),
-            ("bounds", 6, 1, 3),
-            ("churn", 5, 1, 3),
+            ("fig10", 7, 5, 3, 7 * 7),
+            ("fig11", 5, 5, 3, 3 * 5),
+            ("fig12", 5, 4, 3, 3 * 5),
+            ("fig13", 10, 3, 3, 2 * 3),
+            ("ablation", 7, 2, 2, 3 * 2),
+            ("ncl", 4, 2, 2, 3 * 2),
+            ("bounds", 6, 1, 3, 0),
+            ("churn", 5, 1, 3, 4),
         ];
         assert_eq!(shapes.map(|s| s.0), SWEEPS);
-        for (name, rows, columns, metrics) in shapes {
+        for (name, rows, columns, metrics, graded) in shapes {
             let fig = sweep(name, TINY, None).expect(name);
             assert_eq!(fig.name, name);
             let shape = (fig.rows.entries.len(), fig.columns.entries.len());
@@ -711,6 +764,12 @@ mod tests {
                 assert!(file.starts_with(name), "{file}");
                 assert_eq!(body.lines().count(), rows + 1, "{file}");
             }
+            let cell = AveragedReport {
+                per_seed: vec![report(0.5, 1e6); 2],
+                ..report(0.5, 1e6)
+            };
+            let verdicts = fig.verdicts(&vec![cell; rows * columns]);
+            assert_eq!(verdicts.lines().count(), graded + 1, "{name}");
         }
         assert!(sweep("fig99", TINY, None).is_none());
         // `--epoch` narrows churn to frozen vs the one cadence.
@@ -751,7 +810,7 @@ mod tests {
     }
 
     /// A 2 × 2 grid over `traces`: schemes down, data sizes across.
-    fn grid(traces: Vec<ContactTrace>, metrics: Vec<Metric>) -> Figure {
+    pub(super) fn grid(traces: Vec<ContactTrace>, metrics: Vec<Metric>) -> Figure {
         let schemes = [SchemeKind::NoCache, SchemeKind::Intentional];
         Figure {
             name: "grid",
@@ -777,6 +836,7 @@ mod tests {
                 },
             ),
             metrics,
+            claims: vec![claim(Metric::Success, "Intentional", "NoCache", 1.0)],
         }
     }
 

@@ -45,9 +45,22 @@ pub struct AveragedReport {
     pub bytes_per_satisfied_query: f64,
     /// Number of seeds averaged.
     pub seeds: u32,
+    /// The same metrics of each seed alone, in seed order — what a
+    /// verdict pairs across schemes. Empty in each of these.
+    pub per_seed: Vec<AveragedReport>,
 }
 
+/// The mean of `runs` (`seeds` of them) and, beside it, each run alone.
 fn aggregate(point: &SweepPoint<'_>, runs: &[ExperimentReport], seeds: u32) -> AveragedReport {
+    let mut report = averaged(point, runs, seeds);
+    report.per_seed = runs
+        .iter()
+        .map(|run| averaged(point, std::slice::from_ref(run), 1))
+        .collect();
+    report
+}
+
+fn averaged(point: &SweepPoint<'_>, runs: &[ExperimentReport], seeds: u32) -> AveragedReport {
     let mean = |f: fn(&ExperimentReport) -> f64| runs.iter().map(f).sum::<f64>() / f64::from(seeds);
     AveragedReport {
         scheme: point.scheme,
@@ -58,6 +71,7 @@ fn aggregate(point: &SweepPoint<'_>, runs: &[ExperimentReport], seeds: u32) -> A
         queries_issued: mean(|r| r.queries_issued as f64),
         bytes_per_satisfied_query: mean(|r| r.bytes_per_satisfied_query),
         seeds,
+        per_seed: Vec::new(),
     }
 }
 
@@ -122,6 +136,10 @@ mod tests {
         let trace = small_trace();
         let avg = averaged_sweep(&[point(&trace, SchemeKind::Intentional)], 2).remove(0);
         assert_eq!(avg.seeds, 2);
+        // The mean is the mean of the seeds it keeps.
+        let seeds: Vec<f64> = avg.per_seed.iter().map(|r| r.success_ratio).collect();
+        assert_eq!(seeds.len(), 2);
+        assert_eq!(avg.success_ratio, (seeds[0] + seeds[1]) / 2.0);
         assert!((0.0..=1.0).contains(&avg.success_ratio));
         assert!(avg.queries_issued > 0.0);
     }

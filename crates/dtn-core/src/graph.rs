@@ -137,7 +137,11 @@ impl ContactGraph {
 /// tests, examples and the reference scheme run them on the
 /// [`ContactGraph`]s they write, which makes every differential against
 /// the reference a storage differential as well.
-pub trait Topology {
+///
+/// Sealed: those two are its only implementations, and each refuses a
+/// rate that is not finite and positive when it is built or edited, so
+/// a search reads every rate unchecked.
+pub trait Topology: sealed::Sealed {
     /// Number of nodes (including isolated ones).
     fn node_count(&self) -> usize;
 
@@ -156,6 +160,14 @@ pub trait Topology {
     fn degree(&self, node: NodeId) -> usize {
         self.neighbors(node).len()
     }
+}
+
+mod sealed {
+    /// What keeps [`Topology`](super::Topology) to this module's two
+    /// implementations.
+    pub trait Sealed {}
+    impl Sealed for super::ContactGraph {}
+    impl Sealed for super::CsrGraph {}
 }
 
 impl Topology for ContactGraph {
@@ -262,12 +274,19 @@ impl CsrGraph {
     /// twice: once to count each node's half-edges, once to place them.
     /// Every row comes out in ascending id without a sort, because the
     /// pairs that end at `i` are walked before the pairs that start there.
+    /// Every rate is finite and positive: [`from_edges`](Self::from_edges)
+    /// checks its own, and a rate table yields `count / elapsed` or
+    /// `1 / max(gap, silence)` over whole seconds.
     fn from_pairs<I>(nodes: usize, pairs: impl Fn() -> I) -> Self
     where
         I: Iterator<Item = (NodeId, NodeId, f64)>,
     {
         let mut offsets = vec![0u32; nodes + 1];
-        for (lo, hi, _) in pairs() {
+        for (lo, hi, rate) in pairs() {
+            debug_assert!(
+                rate.is_finite() && rate > 0.0,
+                "contact rate must be finite and positive, got {rate}"
+            );
             offsets[lo.index() + 1] += 1;
             offsets[hi.index() + 1] += 1;
         }

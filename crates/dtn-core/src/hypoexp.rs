@@ -276,18 +276,18 @@ impl Factors {
 /// path search's working representation of a settled node's path.
 ///
 /// Extending a path ([`push`]) appends one factor and evaluating a
-/// candidate stage ([`extended_cdf`]) reuses them all; the new stage's
-/// own [`Factors`] come from the caller, so neither computes an
+/// candidate stage (through its [`view`]) reuses them all; the new
+/// stage's own [`Factors`] come from the caller, so neither computes an
 /// exponential unless that stage is perturbed off a cluster.
 ///
 /// The cached factors are the exact bit patterns the inline expression
 /// `-(-λ_k t).exp_m1()` produces (`exp_m1` is deterministic), and the
 /// evaluation replays [`Accumulator::push`]'s arithmetic op for op, so
-/// [`extended_cdf`] is bit-identical to a
+/// [`PathView::extended_cdf`] is bit-identical to a
 /// `clone → push → cdf_at` round trip on the underlying accumulator.
 ///
 /// [`push`]: HorizonAccumulator::push
-/// [`extended_cdf`]: HorizonAccumulator::extended_cdf
+/// [`view`]: HorizonAccumulator::view
 #[derive(Debug, Clone)]
 pub(crate) struct HorizonAccumulator {
     acc: Accumulator,
@@ -367,63 +367,19 @@ impl HorizonAccumulator {
         });
     }
 
-    /// CDF at the fixed time of the accumulated sequence extended by one
-    /// stage of `rate` — bit-identical to [`Accumulator::extended_cdf`]
-    /// with the same arguments, in `O(r)` multiply-adds. `new` is
-    /// [`Factors::of`]`(rate, t)`, which the Erlang branch and a
-    /// separated stage read in place of an exponential; a clustered stage
-    /// is perturbed and takes one fresh `exp_m1` of its effective rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is non-positive or non-finite.
-    #[inline]
-    pub(crate) fn extended_cdf(&self, rate: f64, new: Factors) -> f64 {
-        Accumulator::assert_rate(rate);
-        if self.t <= 0.0 {
-            return 0.0;
+    /// The accumulated path as its evaluator reads it: a settle takes it
+    /// once and weighs every edge it relaxes through
+    /// [`PathView::extended_cdf`].
+    #[inline(always)]
+    pub(crate) fn view(&self) -> PathView<'_> {
+        let stages = self.acc.spread.len();
+        PathView {
+            spread: &self.acc.spread,
+            coeffs: &self.acc.coeffs[..stages],
+            em1: &self.em1[..stages],
+            t: self.t,
+            erlang: self.acc.all_equal,
         }
-        let Accumulator {
-            spread,
-            coeffs,
-            all_equal,
-            ..
-        } = &self.acc;
-        // The first stage is never perturbed, so `spread[0]` is the first
-        // raw rate: the Erlang test reads no buffer the loop does not.
-        if *all_equal && (spread.is_empty() || rate == spread[0]) {
-            return erlang_tail(rate * self.t, spread.len() as u32 + 1, new.exp);
-        }
-        // Separation scan first, as its own branchless max/compare
-        // reduction: fused into the evaluation loop it forces an early
-        // exit per iteration and defeats autovectorization.
-        let mut clustered = false;
-        for &lk in spread {
-            clustered |= (rate - lk).abs() <= REL_SEPARATION * rate.max(lk);
-        }
-        // A clustered candidate (rare) is perturbed exactly as
-        // [`Accumulator::push`] would. A separated one is its own
-        // effective rate: the scan is `effective_rate`'s first pass,
-        // which returns `rate` untouched when nothing trips it.
-        let (eff, em1) = if clustered {
-            let eff = effective_rate(spread, rate);
-            (eff, -(-eff * self.t).exp_m1())
-        } else {
-            (rate, new.em1)
-        };
-        // Flat evaluation: independent multiply-adds per stage, one
-        // running product, the operation order of `Accumulator::push` —
-        // f64 accumulation is never reassociated.
-        let mut c_new = 1.0;
-        let mut sum = 0.0;
-        for k in 0..spread.len() {
-            let lk = spread[k];
-            let inv = 1.0 / (lk - eff);
-            sum += (coeffs[k] * (-eff * inv)) * self.em1[k];
-            c_new *= lk * inv;
-        }
-        sum += c_new * em1;
-        clamp01(sum)
     }
 
     /// Address and capacity of each of the four buffers — what a test
@@ -438,6 +394,88 @@ impl HorizonAccumulator {
         ]
         .map(|v| (v.as_ptr(), v.capacity()))
     }
+}
+
+/// A [`HorizonAccumulator`] borrowed for evaluation: its stages'
+/// effective rates, coefficients and cached `1 − e^{−λ_k t}`, sliced to
+/// one length, with the time and the Erlang flag beside them. `Copy`, so
+/// a search takes it once per settled node and reads no `Vec` header
+/// while it weighs that node's row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PathView<'a> {
+    spread: &'a [f64],
+    coeffs: &'a [f64],
+    em1: &'a [f64],
+    t: f64,
+    /// Every raw rate is bitwise the first (the Erlang fast path).
+    erlang: bool,
+}
+
+impl PathView<'_> {
+    /// CDF at the fixed time of the path extended by one stage of
+    /// `rate` — bit-identical to [`Accumulator::extended_cdf`] with the
+    /// same arguments, in `O(r)` multiply-adds. `new` is
+    /// [`Factors::of`]`(rate, t)`, which the Erlang branch and a
+    /// separated stage read in place of an exponential; a clustered stage
+    /// is perturbed and takes one fresh `exp_m1` of its effective rate.
+    ///
+    /// Checks nothing: every rate a search reads comes from a
+    /// [`Topology`](crate::graph::Topology), whose two implementations
+    /// refuse a rate that is not finite and positive when they are
+    /// built, and the search asserts its horizon once.
+    #[inline(always)]
+    pub(crate) fn extended_cdf(self, rate: f64, new: Factors) -> f64 {
+        let PathView {
+            spread,
+            coeffs,
+            em1,
+            t,
+            erlang,
+        } = self;
+        // The first stage is never perturbed, so `spread[0]` is the first
+        // raw rate: the Erlang test reads no buffer the loop does not.
+        if erlang && spread.first().is_none_or(|&first| rate == first) {
+            return erlang_tail(rate * t, spread.len() as u32 + 1, new.exp);
+        }
+        // Separation scan first, as its own branchless max/compare
+        // reduction: fused into the evaluation loop it forces an early
+        // exit per iteration and defeats autovectorization.
+        let mut clustered = false;
+        for &lk in spread {
+            clustered |= (rate - lk).abs() <= REL_SEPARATION * rate.max(lk);
+        }
+        // A separated candidate is its own effective rate: the scan is
+        // `effective_rate`'s first pass, which returns `rate` untouched
+        // when nothing trips it.
+        let (eff, eff_em1) = if clustered {
+            perturbed(spread, rate, t)
+        } else {
+            (rate, new.em1)
+        };
+        // Flat evaluation over the zipped stages: independent
+        // multiply-adds per stage, one running product, the operation
+        // order of `Accumulator::push` — f64 accumulation is never
+        // reassociated.
+        let mut c_new = 1.0;
+        let mut sum = 0.0;
+        for ((&lk, &ck), &ek) in spread.iter().zip(coeffs).zip(em1) {
+            let inv = 1.0 / (lk - eff);
+            sum += (ck * (-eff * inv)) * ek;
+            c_new *= lk * inv;
+        }
+        sum += c_new * eff_em1;
+        clamp01(sum)
+    }
+}
+
+/// A clustered candidate (rare) perturbed exactly as
+/// [`Accumulator::push`] would perturb it, with its fresh
+/// `1 − e^{−λt}`.
+#[cold]
+#[inline(never)]
+fn perturbed(spread: &[f64], rate: f64, t: f64) -> (f64, f64) {
+    let eff = effective_rate(spread, rate);
+    (eff, -(-eff * t).exp_m1())
 }
 
 /// Probability that a sum of independent exponentials with the given
@@ -493,6 +531,7 @@ fn erlang_cdf(rate: f64, k: u32, t: f64) -> f64 {
 }
 
 /// [`erlang_cdf`] at `t > 0` from `lt = λt` and `e^{−λt}`.
+#[inline]
 fn erlang_tail(lt: f64, k: u32, exp: f64) -> f64 {
     // Accumulate the truncated Poisson series term-by-term to avoid
     // computing large factorials explicitly.

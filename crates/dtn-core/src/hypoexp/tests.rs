@@ -14,10 +14,10 @@ fn fresh_push(h: &mut HorizonAccumulator, rate: f64) {
     h.push(rate, Factors::of(rate, t));
 }
 
-/// [`HorizonAccumulator::extended_cdf`] with the new stage's factors
-/// computed fresh.
+/// [`PathView::extended_cdf`] with the new stage's factors computed
+/// fresh.
 fn fresh_cdf(h: &HorizonAccumulator, rate: f64) -> f64 {
-    h.extended_cdf(rate, Factors::of(rate, h.t))
+    h.view().extended_cdf(rate, Factors::of(rate, h.t))
 }
 
 /// Monte-Carlo estimate of the hypoexponential CDF.
@@ -179,6 +179,10 @@ fn accumulator_extension_matches_push_bitwise() {
     assert_eq!(empty.extended_cdf(1e-3, 500.0), cdf(&[1e-3], 500.0));
 }
 
+/// The view's evaluator against the reference [`Accumulator::extended_cdf`],
+/// bit for bit, on every branch it takes: the empty path, the Erlang
+/// branch, a separated candidate, a candidate clustered against one
+/// stored stage and against two, and paths that store a perturbed stage.
 #[test]
 fn horizon_accumulator_matches_extended_cdf_bitwise() {
     let prefixes: [&[f64]; 6] = [
@@ -207,15 +211,19 @@ fn horizon_accumulator_matches_extended_cdf_bitwise() {
         5e-3 * (1.0 + 0.75e-4),
         2e-3 * (1.0 + 1e-9) * (1.0 + REL_PERTURBATION),
     ];
-    // The hoisted evaluation reads the new stage's factors as a cache
-    // holds them, computed once per rate and horizon; a clustered stage
-    // is perturbed and must not read them at all, so it is handed NaNs.
+    // The view reads the new stage's factors as a cache holds them,
+    // computed once per rate and horizon; a clustered stage is perturbed
+    // and must not read them at all, so it is handed NaNs.
     let unused = Factors {
         em1: f64::NAN,
         exp: f64::NAN,
     };
-    let (mut separated, mut clustered, mut erlang) = (0, 0, 0);
+    // Evaluations per branch: empty path, Erlang, separated, clustered
+    // against one stage, against two, and over a stored perturbed stage.
+    let mut branches = [0; 6];
     for prefix in prefixes {
+        // t = 0 included: the view has no early return for it, and every
+        // factor it multiplies is 0.
         for t in [0.0, 120.0, 5_000.0] {
             let mut acc = Accumulator::new();
             let mut hacc = HorizonAccumulator::new(t);
@@ -223,32 +231,45 @@ fn horizon_accumulator_matches_extended_cdf_bitwise() {
                 acc.push(r);
                 fresh_push(&mut hacc, r);
             }
+            let view = hacc.view();
             for &ext in &extensions {
-                let new = if hacc.acc.all_equal && prefix.first().is_none_or(|&r| r == ext) {
-                    erlang += 1;
+                let near = acc
+                    .spread
+                    .iter()
+                    .filter(|&&s| (ext - s).abs() <= REL_SEPARATION * ext.max(s));
+                let new = if prefix.is_empty() {
+                    branches[0] += 1;
                     Factors::of(ext, t)
-                } else if effective_rate(&acc.spread, ext) == ext {
-                    separated += 1;
+                } else if hacc.acc.all_equal && prefix[0] == ext {
+                    branches[1] += 1;
                     Factors::of(ext, t)
                 } else {
-                    clustered += 1;
-                    unused
+                    match near.count() {
+                        0 => branches[2] += 1,
+                        1 => branches[3] += 1,
+                        _ => branches[4] += 1,
+                    }
+                    if acc.spread != acc.rates {
+                        branches[5] += 1;
+                    }
+                    if effective_rate(&acc.spread, ext) == ext {
+                        Factors::of(ext, t)
+                    } else {
+                        unused
+                    }
                 };
-                let hoisted = hacc.extended_cdf(ext, new);
-                let inline = acc.extended_cdf(ext, t);
+                let viewed = view.extended_cdf(ext, new);
+                let reference = acc.extended_cdf(ext, t);
                 assert!(
-                    hoisted.to_bits() == inline.to_bits(),
-                    "prefix {prefix:?} ext {ext} t={t}: hoisted {hoisted} != inline {inline}"
+                    viewed.to_bits() == reference.to_bits(),
+                    "prefix {prefix:?} ext {ext} t={t}: view {viewed} != reference {reference}"
                 );
             }
         }
     }
-    // Every branch was exercised; the two-stage cluster and the
-    // perturbed-stage collision are what their names say.
-    assert!(
-        separated > 0 && clustered > 0 && erlang > 0,
-        "{separated} / {clustered} / {erlang}"
-    );
+    assert!(branches.iter().all(|&n| n > 0), "{branches:?}");
+    // The two-stage cluster and the perturbed-stage collision are what
+    // their names say.
     let two = [5e-3, 5e-3 * (1.0 + 1.5e-4)];
     let between = 5e-3 * (1.0 + 0.75e-4);
     assert!(two

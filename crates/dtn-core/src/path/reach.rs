@@ -151,7 +151,7 @@ impl LazyReach {
                 }
             }
             self.rebuild(graph, rim as usize, path, factors);
-            let candidate = path.extended_cdf(rate, factors.get(rate));
+            let candidate = path.view().extended_cdf(rate, factors.get(rate));
             if candidate > label {
                 label = candidate;
             }

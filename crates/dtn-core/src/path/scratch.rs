@@ -229,17 +229,17 @@ impl ReachScratch {
         &self.queue
     }
 
-    /// First-touch initialization of node `i` in the current epoch.
+    /// First-touch initialization of node `i` in the current epoch: the
+    /// fields a read can reach before the search writes them. `weight`
+    /// and `hops` are written when the node settles, and `rate_into`
+    /// with every `prev` but the source's, which no read follows.
     #[inline]
     pub(super) fn touch(&mut self, i: usize) {
         if self.stamp[i] != self.epoch {
             self.stamp[i] = self.epoch;
             self.settled[i] = false;
             self.best[i] = f64::NEG_INFINITY;
-            self.weight[i] = 0.0;
-            self.hops[i] = 0;
             self.prev[i] = u32::MAX;
-            self.rate_into[i] = 0.0;
             self.touched.push(i as u32);
         }
     }
@@ -247,7 +247,9 @@ impl ReachScratch {
     /// Refills `table` with the last search's outcome, a dense,
     /// route-carrying table over `n` nodes. The table's arrays are
     /// cleared and regrown in place: one that already holds `n` nodes'
-    /// worth of capacity is refilled without allocating.
+    /// worth of capacity is refilled without allocating. Routes are
+    /// scattered for settled nodes alone: [`PathTable::path_to`] walks
+    /// settled chains only, and an unsettled node's label is not final.
     pub(super) fn path_table_into(
         &self,
         n: usize,
@@ -261,20 +263,20 @@ impl ReachScratch {
         }
         table.source = source;
         table.settled_count = self.settled_count;
-        table.complete = complete;
+        table.partial = !complete;
         refill(&mut table.prev, n, None);
         refill(&mut table.rate_into, n, 0.0);
         refill(&mut table.weight, n, 0.0);
         refill(&mut table.settled, n, false);
         for &i in &self.touched {
             let i = i as usize;
-            if self.prev[i] != u32::MAX {
-                table.prev[i] = Some(NodeId(self.prev[i]));
-                table.rate_into[i] = self.rate_into[i];
-            }
             if self.settled[i] {
                 table.settled[i] = true;
                 table.weight[i] = self.weight[i];
+                if self.prev[i] != u32::MAX {
+                    table.prev[i] = Some(NodeId(self.prev[i]));
+                    table.rate_into[i] = self.rate_into[i];
+                }
             }
         }
     }

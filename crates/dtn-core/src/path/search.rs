@@ -322,7 +322,7 @@ pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
         }
         scratch.acc_slot[ni] = built as u32;
         scratch.accs_built += 1;
-        let acc = &accs[built];
+        let path = accs[built].view();
         // Only a node one hop short of the bound has neighbours outside
         // the ball; they are the leaves a `LazyReach` weighs on demand.
         let rim = INNER_ONLY && hops as usize + 1 == max_hops;
@@ -335,7 +335,7 @@ pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
             if scratch.settled[pi] {
                 continue;
             }
-            let cand = acc.extended_cdf(rate, scratch.factors.get(rate));
+            let cand = path.extended_cdf(rate, scratch.factors.get(rate));
             if cand > scratch.best[pi] {
                 scratch.best[pi] = cand;
                 scratch.prev[pi] = ni as u32;

@@ -26,8 +26,9 @@ use crate::ids::NodeId;
 /// yet, and says so ([`settled_weight`] is `None`) rather than reporting
 /// it unreachable.
 ///
-/// The default table is empty — no nodes, answering nothing — and
-/// exists to be refilled by a batch.
+/// The default table is complete and has no nodes: every read answers
+/// weight 0 and no route. A batch refills it, and the oracle answers it
+/// for a source past its population.
 ///
 /// [`weight_to`]: PathTable::weight_to
 /// [`path_to`]: PathTable::path_to
@@ -35,8 +36,8 @@ use crate::ids::NodeId;
 #[derive(Debug, Clone, Default)]
 pub struct PathTable {
     pub(super) source: NodeId,
-    /// Predecessor on the best path; `None` for the source and for
-    /// unreachable nodes. Final only for settled nodes.
+    /// Predecessor on the best path; `None` for the source and for every
+    /// node not settled.
     pub(super) prev: Vec<Option<NodeId>>,
     /// Rate of the edge `prev[v] → v`; meaningless unless `prev[v]` is set.
     pub(super) rate_into: Vec<f64>,
@@ -47,8 +48,9 @@ pub struct PathTable {
     pub(super) settled: Vec<bool>,
     /// How many entries of `settled` are set, counted by the search.
     pub(super) settled_count: usize,
-    /// The search ran to exhaustion: unsettled means unreachable.
-    pub(super) complete: bool,
+    /// The search stopped at its targets: unsettled means unknown, not
+    /// unreachable. Cleared, so complete, by default.
+    pub(super) partial: bool,
 }
 
 impl PathTable {
@@ -56,7 +58,7 @@ impl PathTable {
     /// every node. `false` for a table a search stopped at its targets
     /// cut short.
     pub fn is_complete(&self) -> bool {
-        self.complete
+        !self.partial
     }
 
     /// Capacity for `n` nodes in every array, so that a refill over as
@@ -77,26 +79,30 @@ impl PathTable {
         self.settled_count
     }
 
+    /// Whether the search settled `dest`; `false` past the table's nodes.
+    fn is_settled(&self, dest: NodeId) -> bool {
+        self.settled.get(dest.index()).is_some_and(|&s| s)
+    }
+
     /// Refuses a read the table cannot answer: a partial table asked
     /// about a node it never settled.
-    fn assert_final_for(&self, dest: NodeId) {
-        assert!(
-            self.complete || self.settled[dest.index()],
+    fn never_settled(&self, dest: NodeId) -> ! {
+        panic!(
             "partial path table from {} never settled {dest}",
             self.source
-        );
+        )
     }
 
     /// The weight of the best path to `dest` if the table is final for
     /// it: the settled weight, or 0 for a node a complete table never
-    /// reached. `None` when a partial table stopped before settling
-    /// `dest` — the answer is unknown, not zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dest` is out of range.
+    /// reached, one past its nodes included. `None` when a partial table
+    /// stopped before settling `dest` — the answer is unknown, not zero.
     pub fn settled_weight(&self, dest: NodeId) -> Option<f64> {
-        (self.complete || self.settled[dest.index()]).then(|| self.weight[dest.index()])
+        if self.is_settled(dest) {
+            Some(self.weight[dest.index()])
+        } else {
+            (!self.partial).then_some(0.0)
+        }
     }
 
     /// The weight of the best path to `dest`: 1 for the source itself,
@@ -105,12 +111,13 @@ impl PathTable {
     ///
     /// # Panics
     ///
-    /// Panics if `dest` is out of range, or if the table is partial and
-    /// never settled `dest` (read partial tables through
-    /// [`settled_weight`](Self::settled_weight)).
+    /// Panics if the table is partial and never settled `dest` (read
+    /// partial tables through [`settled_weight`](Self::settled_weight)).
     pub fn weight_to(&self, dest: NodeId) -> f64 {
-        self.assert_final_for(dest);
-        self.weight[dest.index()]
+        match self.settled_weight(dest) {
+            Some(weight) => weight,
+            None => self.never_settled(dest),
+        }
     }
 
     /// The best path to `dest`, if one exists, reconstructed from the
@@ -120,8 +127,10 @@ impl PathTable {
     ///
     /// Panics on the same reads as [`weight_to`](Self::weight_to).
     pub fn path_to(&self, dest: NodeId) -> Option<OpportunisticPath> {
-        self.assert_final_for(dest);
-        if !self.settled[dest.index()] {
+        if !self.is_settled(dest) {
+            if self.partial {
+                self.never_settled(dest);
+            }
             return None;
         }
         let mut nodes = vec![dest];

@@ -262,7 +262,7 @@ fn table_bits(t: &PathTable) -> TableBits {
             (t.settled[i], w, t.prev[i], r)
         })
         .collect();
-    (t.complete, t.settled_count, nodes)
+    (t.is_complete(), t.settled_count, nodes)
 }
 
 /// A 40-node graph with 110 LCG-chosen edges.
@@ -370,6 +370,79 @@ fn one_scratch_serves_alternating_graphs_targets_and_bounds() {
         );
     }
     assert!(partial_tables > 0, "no search stopped early");
+}
+
+/// Asserts that `table` from `source` at `horizon` routes every node it
+/// settled from `source` to that node, along a path whose weight is the
+/// table's to the bit, and routes no other node.
+fn assert_routes(table: &PathTable, source: NodeId, horizon: f64) {
+    for v in (0..table.settled.len() as u32).map(NodeId) {
+        match table.settled_weight(v) {
+            Some(w) if table.settled[v.index()] => {
+                let path = table.path_to(v).expect("a settled node has a route");
+                assert_eq!((path.source(), path.destination()), (source, v));
+                assert_eq!(path.weight(horizon).to_bits(), w.to_bits(), "route to {v}");
+            }
+            Some(w) => {
+                assert_eq!((w, table.path_to(v)), (0.0, None), "unreached {v}");
+            }
+            None => assert!(!table.is_complete()),
+        }
+    }
+}
+
+/// A scratch that served a larger graph — other rates, horizons,
+/// weights, hops and routes in every slot the smaller one reuses — then
+/// serves the smaller one: a partial table, a complete table, a
+/// `SparseReach` and a `LazyReach` with leaf reads, each bit-equal to a
+/// fresh scratch's, every table's routes followed to their weights. The
+/// large searches before each source leave that source with a
+/// predecessor and every slot with a label of the other graph.
+#[test]
+fn a_reused_scratch_reads_nothing_stale() {
+    let base = lcg_graph_of(64, 260);
+    let mut large = ContactGraph::new(64);
+    for v in base.nodes() {
+        for &(peer, rate) in base.neighbors(v) {
+            if v < peer {
+                large.set_rate(v, peer, rate * 1.37);
+            }
+        }
+    }
+    let small = lcg_graph();
+    let horizon = 1500.0;
+    let targets = [NodeId(3), NodeId(29)];
+    let mut scratch = ReachScratch::new();
+    let (mut partial, mut leaves) = (0, 0);
+    for source in small.nodes() {
+        let dirty = NodeId((source.0 * 11 + 5) % 64);
+        shortest_paths_until_in(&large, dirty, 4000.0, &[], &mut scratch);
+        let reach = bounded_reach(&large, dirty, 4000.0, 4, &mut scratch);
+        for dest in large.nodes() {
+            reach.weight_to(&large, dest, &mut scratch);
+        }
+        for stop in [&targets[..], &[]] {
+            let reused = shortest_paths_until_in(&small, source, horizon, stop, &mut scratch);
+            let fresh =
+                shortest_paths_until_in(&small, source, horizon, stop, &mut ReachScratch::new());
+            assert_eq!(table_bits(&reused), table_bits(&fresh), "from {source}");
+            assert_routes(&reused, source, horizon);
+            partial += usize::from(!reused.is_complete());
+        }
+        let reused = bounded_shortest_paths(&small, source, horizon, 3, &mut scratch);
+        let fresh = bounded_shortest_paths(&small, source, horizon, 3, &mut ReachScratch::new());
+        assert_eq!(reach_bits(&reused), reach_bits(&fresh), "from {source}");
+        let mut other = ReachScratch::new();
+        let reused = bounded_reach(&small, source, horizon, 3, &mut scratch);
+        let fresh = bounded_reach(&small, source, horizon, 3, &mut other);
+        for dest in small.nodes() {
+            let (w, evaluations) = reused.weight_to(&small, dest, &mut scratch);
+            let (expected, _) = fresh.weight_to(&small, dest, &mut other);
+            assert_eq!(w.to_bits(), expected.to_bits(), "{source} to {dest}");
+            leaves += usize::from(evaluations > 0);
+        }
+    }
+    assert!(partial > 0 && leaves > 0, "{partial} / {leaves}");
 }
 
 #[test]

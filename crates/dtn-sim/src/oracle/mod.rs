@@ -58,6 +58,8 @@
 //! column there, and only there: a pair's later reads of a target in the
 //! epoch load what its first read stored.
 
+use std::sync::LazyLock;
+
 use dtn_core::graph::CsrGraph;
 use dtn_core::ids::NodeId;
 use dtn_core::path::{bounded_reach, shortest_paths_batch, LazyReach, PathTable, ReachScratch};
@@ -71,6 +73,11 @@ const GENERATION_SLACK: u64 = 64;
 
 /// A cell of the target column that no read of this epoch has answered.
 const UNKNOWN: f64 = f64::NAN;
+
+/// What [`PathOracle::table`] answers for a source past the population:
+/// a complete table of no nodes, which reads weight 0 and no route for
+/// every destination.
+static NO_TABLE: LazyLock<PathTable> = LazyLock::new(PathTable::default);
 
 /// The contact-graph snapshot shared by all sources within one epoch.
 #[derive(Debug)]
@@ -369,8 +376,13 @@ impl PathOracle {
     /// Always an exact, unbounded, exhaustive search — in scale mode this
     /// is the expensive dense escape hatch (an `O(nodes)` table per
     /// distinct source per epoch); hot paths should prefer
-    /// [`PathOracle::weight`].
+    /// [`PathOracle::weight`]. A `source` past the population reads a
+    /// complete table of no nodes — weight 0 and no route to anything, as
+    /// [`weight`](Self::weight) answers it — and counts no work.
     pub fn table(&mut self, rates: &RateTable, now: Time, source: NodeId) -> &PathTable {
+        if source.index() >= self.tables.len() {
+            return &NO_TABLE;
+        }
         self.table_answering(rates, now, source, None)
     }
 

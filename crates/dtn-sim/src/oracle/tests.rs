@@ -430,6 +430,41 @@ fn an_out_of_range_node_reads_unreachable_in_bounded_mode() {
     assert_eq!((s.table_hits, s.table_recomputes), (0, 1), "{s:?}");
 }
 
+/// `table` of a source past the population in oracle `o` over the line
+/// of four: complete, weight 0 and no route to every node and to a node
+/// past the population too, no work counted — and an in-range source
+/// still searches.
+fn assert_an_out_of_range_source_reads_an_empty_table(mut o: PathOracle) {
+    let rates = rates_line();
+    let now = Time(1000);
+    for far in [NodeId(4), NodeId(u32::MAX)] {
+        let table = o.table(&rates, now, far);
+        assert!(table.is_complete());
+        for dest in (0..6).map(NodeId).chain([far]) {
+            assert_eq!(table.settled_weight(dest), Some(0.0), "{far} to {dest}");
+            assert_eq!((table.weight_to(dest), table.path_to(dest)), (0.0, None));
+        }
+        assert_eq!(table.iter_weights().count(), 0);
+    }
+    assert_eq!(o.stats(), OracleStats::default());
+    assert_eq!(o.table(&rates, now, NodeId(3)).settled_count(), 4);
+    assert_eq!(o.stats().table_recomputes, 1);
+}
+
+#[test]
+fn an_out_of_range_source_reads_an_empty_table_in_dense_mode() {
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1));
+    o.set_targets(&[NodeId(3)]);
+    assert_an_out_of_range_source_reads_an_empty_table(o);
+}
+
+#[test]
+fn an_out_of_range_source_reads_an_empty_table_in_bounded_mode() {
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(2);
+    o.set_targets(&[NodeId(1)]);
+    assert_an_out_of_range_source_reads_an_empty_table(o);
+}
+
 #[test]
 fn warm_runs_the_first_reads_searches_once_per_epoch() {
     // A warmed oracle answers every read of the epoch from a table: the
