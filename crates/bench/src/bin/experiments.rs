@@ -469,10 +469,9 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     // mark, so only the first run's value is certainly its own, and the
     // audited case is the one whose counters and memory are compared.
     eprintln!("[scale] audited 2000-node case...");
-    let audited = run_scale(&ScaleConfig {
-        audit: true,
-        ..ScaleConfig::city(2_000)
-    });
+    let mut audited = ScaleConfig::city(2_000);
+    audited.audit = true;
+    let audited = run_scale(&audited);
     let (sweeps, violations) = audited.audit.expect("audit was enabled");
     eprintln!(
         "[scale] audit: {sweeps} sweeps, {violations} violations; {} path searches settled {} nodes and built {} accumulators, {} leaf evaluations, reaches of {} B, a stream of {} B",

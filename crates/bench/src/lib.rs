@@ -16,5 +16,3 @@ pub mod runner;
 pub mod scale;
 pub mod serve;
 pub mod simcheck;
-
-pub use runner::{averaged_sweep, AveragedReport, SweepPoint};

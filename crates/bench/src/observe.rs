@@ -34,13 +34,12 @@ use dtn_cache::experiment::{build_scheme, prepare_experiment};
 use dtn_cache::{CachingScheme, SchemeKind};
 use dtn_core::ids::NodeId;
 use dtn_core::time::Duration;
-use dtn_sim::engine::{ContactSource, Scheme, SimConfig, Simulator};
+use dtn_sim::engine::{ContactSource, DeliveryOutcome, Scheme, SimConfig, Simulator};
 use dtn_sim::metrics::Metrics;
 use dtn_sim::oracle::OracleStats;
 use dtn_sim::probe::{FieldValue, ProbeEvent, QueryTrace, RecordingProbe};
 use dtn_sim::profiler::{ProfileEntry, ProfileReport};
 use dtn_sim::telemetry::{Counter, Telemetry, WindowStats};
-use dtn_sim::DeliveryOutcome;
 
 use crate::figures::{sweep, Figure, Point, SWEEPS};
 use crate::json::JsonValue;

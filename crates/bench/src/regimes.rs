@@ -20,7 +20,7 @@ use dtn_cache::experiment::configure_from_live_state;
 use dtn_cache::intentional::{IntentionalConfig, IntentionalScheme};
 use dtn_core::graph::ContactGraph;
 use dtn_core::ids::{DataId, NodeId};
-use dtn_core::ncl::select_central_nodes;
+use dtn_core::ncl::{select_by_strategy, SelectionStrategy};
 use dtn_core::time::{Duration, Time};
 use dtn_sim::engine::{SimConfig, Simulator, TraceSource, WorkloadEvent};
 use dtn_sim::message::DataItem;
@@ -267,7 +267,8 @@ fn build_overlay(slot: &str, plan: &RunPlan, trace: &ContactTrace) -> Option<Reg
         "ncl-blackout" => {
             let table = trace.rate_table(plan.mid);
             let graph = ContactGraph::from_rate_table(&table, plan.mid);
-            let nodes: Vec<NodeId> = select_central_nodes(&graph, NCL_COUNT, 7_200.0)
+            let strategy = SelectionStrategy::PathMetric;
+            let nodes: Vec<NodeId> = select_by_strategy(&graph, NCL_COUNT, 7_200.0, strategy)
                 .into_iter()
                 .map(|s| s.node)
                 .collect();

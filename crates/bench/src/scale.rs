@@ -47,48 +47,38 @@ use dtn_core::sys::peak_rss_bytes;
 use crate::json::JsonValue;
 use crate::observe::{Instruments, ObserveRun, TIMELINE_WINDOWS};
 
-/// All knobs of one city-scale run.
+/// One city-scale run: a population ([`city`](Self::city), thinned by
+/// [`smoke`](Self::smoke)), its seed and whether it is audited. The
+/// trace, the workload and the scheme's knobs follow from those.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
-    /// Population size.
-    pub nodes: usize,
-    /// Trace duration; the first half is warm-up.
-    pub duration: Duration,
-    /// Calibration target for the total contact count.
-    pub target_contacts: u64,
-    /// Community count of the synthetic population.
-    pub communities: usize,
-    /// Intra-community contact boost.
-    pub community_boost: f64,
-    /// Mean contact-graph degree; sets the builder's `edge_density` to
-    /// `degree / (nodes - 1)` so the kept-pair count stays `O(N)`
-    /// instead of `O(N²)`.
-    pub mean_degree: f64,
-    /// Number of NCLs `K`.
-    pub ncl_count: usize,
-    /// Data items generated in the measurement phase.
-    pub data_items: usize,
-    /// Queries issued in the measurement phase.
-    pub queries: usize,
-    /// Data size in bytes (fixed — this benchmark stresses the event
-    /// loop, not the buffer economy).
-    pub data_size: u64,
-    /// Data lifetime; the query constraint is half of it.
-    pub data_lifetime: Duration,
-    /// Per-node buffer capacity range in bytes.
-    pub buffer_range: (u64, u64),
-    /// Hop bound for NCL selection sweeps and the bounded-reach oracle.
-    pub max_hops: usize,
+    nodes: usize,
+    smoke: bool,
     /// Seed for trace, buffers, workload, and protocol randomness.
     pub seed: u64,
     /// Run the full invariant audit after every contact (the audited
     /// mid-size configuration; far too slow for 100k nodes).
     pub audit: bool,
-    /// Print a heartbeat to stderr every N streamed contacts (contacts/s,
-    /// peak RSS, ETA). City runs at 10⁵–10⁶ nodes take minutes; the
-    /// heartbeat is the only sign of life before the report prints.
-    pub heartbeat_every_contacts: Option<u64>,
 }
+
+/// Trace duration; the first half is warm-up.
+const DURATION: Duration = Duration(2 * 86_400);
+/// Number of NCLs `K`.
+const NCL_COUNT: usize = 8;
+/// Hop bound for NCL selection sweeps and the bounded-reach oracle.
+const MAX_HOPS: usize = 3;
+/// Data size in bytes (fixed — this benchmark stresses the event loop,
+/// not the buffer economy).
+const DATA_SIZE: u64 = 1 << 20;
+/// Data lifetime; the query constraint is half of it.
+const DATA_LIFETIME: Duration = Duration(12 * 3_600);
+/// Per-node buffer capacity range in bytes.
+const BUFFER_RANGE: (u64, u64) = (8 << 20, 16 << 20);
+/// A heartbeat goes to stderr every this many streamed contacts
+/// (contacts/s, peak RSS, ETA): city runs at 10⁵–10⁶ nodes take minutes,
+/// and it is the only sign of life before the report prints. Smokes and
+/// tests finish before the first beat.
+const HEARTBEAT_EVERY_CONTACTS: u64 = 500_000;
 
 impl ScaleConfig {
     /// A city-scale population: clustered communities, sparse contact
@@ -98,43 +88,50 @@ impl ScaleConfig {
     pub fn city(nodes: usize) -> Self {
         ScaleConfig {
             nodes,
-            duration: Duration::days(2),
-            target_contacts: 25 * nodes as u64,
-            communities: (nodes / 500).clamp(4, 4096),
-            community_boost: 6.0,
-            mean_degree: 12.0,
-            ncl_count: 8,
-            data_items: (nodes / 100).clamp(64, 1024),
-            queries: (nodes / 50).clamp(128, 2048),
-            data_size: 1 << 20,
-            data_lifetime: Duration::hours(12),
-            buffer_range: (8 << 20, 16 << 20),
-            max_hops: 3,
+            smoke: false,
             seed: 42,
             audit: false,
-            // Silent below half a million contacts: smokes and tests
-            // finish before the first beat would fire.
-            heartbeat_every_contacts: Some(500_000),
         }
     }
 
     /// Thins a configuration to completion-smoke density (~5 contacts
-    /// per node, capped workload) — the 1M-node recipe.
-    pub fn smoke(mut self) -> Self {
-        self.target_contacts = 5 * self.nodes as u64;
-        self.mean_degree = 8.0;
-        self.data_items = self.data_items.min(128);
-        self.queries = self.queries.min(256);
-        self
+    /// per node over mean degree 8, capped workload) — the 1M-node
+    /// recipe.
+    pub fn smoke(self) -> Self {
+        ScaleConfig {
+            smoke: true,
+            ..self
+        }
+    }
+
+    /// The calibration target for the total contact count and the mean
+    /// contact-graph degree, which sets the builder's `edge_density` to
+    /// `degree / (nodes - 1)` so the kept-pair count stays `O(N)`
+    /// instead of `O(N²)`.
+    fn density(&self) -> (u64, f64) {
+        let (per_node, degree) = if self.smoke { (5, 8.0) } else { (25, 12.0) };
+        (per_node * self.nodes as u64, degree)
+    }
+
+    /// Data items generated and queries issued in the measurement phase.
+    fn workload_size(&self) -> (usize, usize) {
+        let items = (self.nodes / 100).clamp(64, 1024);
+        let queries = (self.nodes / 50).clamp(128, 2048);
+        if self.smoke {
+            (items.min(128), queries.min(256))
+        } else {
+            (items, queries)
+        }
     }
 
     fn builder(&self) -> SyntheticTraceBuilder {
+        let (target_contacts, mean_degree) = self.density();
         SyntheticTraceBuilder::new(self.nodes)
-            .duration(self.duration)
-            .target_contacts(self.target_contacts)
-            .communities(self.communities)
-            .community_boost(self.community_boost)
-            .edge_density((self.mean_degree / (self.nodes - 1) as f64).min(1.0))
+            .duration(DURATION)
+            .target_contacts(target_contacts)
+            .communities((self.nodes / 500).clamp(4, 4096))
+            .community_boost(6.0)
+            .edge_density((mean_degree / (self.nodes - 1) as f64).min(1.0))
             .seed(self.seed)
     }
 }
@@ -247,23 +244,24 @@ fn scale_workload(cfg: &ScaleConfig, start: Time, end: Time) -> Vec<WorkloadEven
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0005_CA1E_D017);
     let span = end.0 - start.0;
     let nodes = cfg.nodes as u32;
-    let mut item_times = Vec::with_capacity(cfg.data_items);
-    let mut events = Vec::with_capacity(cfg.data_items + cfg.queries);
-    for i in 0..cfg.data_items {
+    let (data_items, queries) = cfg.workload_size();
+    let mut item_times = Vec::with_capacity(data_items);
+    let mut events = Vec::with_capacity(data_items + queries);
+    for i in 0..data_items {
         let at = Time(start.0 + rng.gen_range(0..span / 2));
         let item = DataItem::new(
             DataId(i as u64),
             NodeId(rng.gen_range(0..nodes)),
-            cfg.data_size.max(1),
+            DATA_SIZE,
             at,
-            cfg.data_lifetime,
+            DATA_LIFETIME,
         );
         item_times.push(at);
         events.push(WorkloadEvent::GenerateData { item });
     }
-    for _ in 0..cfg.queries {
+    for _ in 0..queries {
         let u: f64 = rng.gen_range(0.0..1.0);
-        let j = (((u * u) * cfg.data_items as f64) as usize).min(cfg.data_items - 1);
+        let j = (((u * u) * data_items as f64) as usize).min(data_items - 1);
         let created = item_times[j];
         if created.0 + 1 >= end.0 {
             continue;
@@ -272,7 +270,7 @@ fn scale_workload(cfg: &ScaleConfig, start: Time, end: Time) -> Vec<WorkloadEven
             at: Time(rng.gen_range(created.0 + 1..end.0)),
             requester: NodeId(rng.gen_range(0..nodes)),
             data: DataId(j as u64),
-            constraint: Duration((cfg.data_lifetime.as_secs() / 2).max(1)),
+            constraint: Duration(DATA_LIFETIME.as_secs() / 2),
         });
     }
     // Same ordering contract as `Workload::generate`: by time, items
@@ -363,36 +361,33 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
     let stream = cfg.builder().stream();
     let (nodes, duration) = (stream.node_count(), stream.duration());
     let stream_bytes = stream.heap_bytes() as u64;
-    let beat_every = cfg.heartbeat_every_contacts.map(|every| every.max(1));
     let end = Time(duration.as_secs());
     let mut heartbeat: Option<Heartbeat> = None;
     let source = StreamSource::new(
         stream.inspect(move |contact| {
             let seen = counter.get() + 1;
             counter.set(seen);
-            if let Some(every) = beat_every {
-                let hb = heartbeat.get_or_insert_with(|| Heartbeat::start(contact.start));
-                if seen.is_multiple_of(every) {
-                    hb.beat(seen, contact.start, end);
-                }
+            let hb = heartbeat.get_or_insert_with(|| Heartbeat::start(contact.start));
+            if seen.is_multiple_of(HEARTBEAT_EVERY_CONTACTS) {
+                hb.beat(seen, contact.start, end);
             }
         }),
         nodes,
         duration,
     );
     let scheme = IntentionalScheme::new(IntentionalConfig {
-        ncl_count: cfg.ncl_count,
+        ncl_count: NCL_COUNT,
         ncl_selection: SelectionStrategy::CommunityPathMetric {
-            max_hops: Some(cfg.max_hops),
+            max_hops: Some(MAX_HOPS),
         },
-        bounded_reach: Some((cfg.max_hops, cfg.nodes)),
+        bounded_reach: Some((MAX_HOPS, cfg.nodes)),
         ..IntentionalConfig::default()
     });
     let mut sim = Simulator::from_source(
         source,
         scheme,
         SimConfig {
-            buffer_range: cfg.buffer_range,
+            buffer_range: BUFFER_RANGE,
             audit: cfg.audit,
             seed: cfg.seed,
             profile: observe,
@@ -400,32 +395,32 @@ pub fn run_scale_observed(cfg: &ScaleConfig, observe: bool) -> (ScaleReport, Opt
         },
     );
     let instruments = observe.then(|| {
-        let telemetry = Telemetry::spanning(Time(0), cfg.duration, TIMELINE_WINDOWS, cfg.ncl_count);
+        let telemetry = Telemetry::spanning(Time(0), DURATION, TIMELINE_WINDOWS, NCL_COUNT);
         Instruments::install(&mut sim, RecordingProbe::new().with_telemetry(telemetry))
     });
 
     // Phase 1: warm-up over the first half of the stream.
     let started = Instant::now();
-    let mid = Time(cfg.duration.as_secs() / 2);
+    let mid = Time(DURATION.as_secs() / 2);
     sim.run_until(mid);
     let warmup_secs = started.elapsed().as_secs_f64();
 
     // Phase 2: community-scoped NCL selection from accumulated rates.
     let configure_started = Instant::now();
-    let horizon = cfg.data_lifetime.as_secs_f64().max(3600.0);
+    let horizon = DATA_LIFETIME.as_secs_f64().max(3600.0);
     // Every snapshot rebuild invalidates all ~N cached reaches, and
     // recomputing them (not the contact loop itself) dominates the
     // measured phase. Pin the wall-clock refresh to the whole trace:
     // the oracle's generation-doubling rule still rebuilds when the
     // observed contact count doubles, which bounds staleness the way
     // §III-B's "rates remain relatively constant" assumes.
-    configure_from_live_state(&mut sim, horizon, Some(cfg.duration));
+    configure_from_live_state(&mut sim, horizon, Some(DURATION));
     let central_nodes = sim.scheme().central_nodes().len();
     let configure_secs = configure_started.elapsed().as_secs_f64();
 
     // Phase 3: direct workload over the second half.
     let measured_started = Instant::now();
-    sim.add_workload(scale_workload(cfg, mid, Time(cfg.duration.as_secs())));
+    sim.add_workload(scale_workload(cfg, mid, Time(DURATION.as_secs())));
     sim.run_to_end();
     let measured_secs = measured_started.elapsed().as_secs_f64();
 
@@ -478,11 +473,7 @@ mod tests {
     use dtn_sim::telemetry::Counter;
 
     fn tiny() -> ScaleConfig {
-        ScaleConfig {
-            data_items: 48,
-            queries: 96,
-            ..ScaleConfig::city(400)
-        }
+        ScaleConfig::city(400)
     }
 
     #[test]
@@ -675,8 +666,9 @@ mod tests {
     fn smoke_preset_thins_the_run() {
         let city = ScaleConfig::city(10_000);
         let smoke = ScaleConfig::city(10_000).smoke();
-        assert!(smoke.target_contacts < city.target_contacts);
-        assert!(smoke.queries <= city.queries);
+        assert!(smoke.density().0 < city.density().0);
+        assert!(smoke.density().1 < city.density().1);
+        assert!(smoke.workload_size().1 <= city.workload_size().1);
     }
 
     #[test]

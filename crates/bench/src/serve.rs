@@ -18,7 +18,7 @@ use dtn_core::time::{Duration, Time};
 use dtn_serve::{Answer, DecisionService, Request, ServeConfig};
 use dtn_sim::engine::{SimConfig, Simulator};
 use dtn_trace::synthetic::SyntheticTraceBuilder;
-use dtn_trace::ContactTrace;
+use dtn_trace::trace::ContactTrace;
 
 use crate::json::JsonValue;
 

@@ -31,7 +31,7 @@ use dtn_cache::replacement::ReplacementKind;
 use dtn_cache::routing::ForwardingStrategy;
 use dtn_cache::{CachingScheme, SchemeKind};
 use dtn_core::ids::{DataId, NodeId};
-use dtn_core::ncl::SelectionStrategy;
+use dtn_core::ncl::{select_by_strategy, SelectionStrategy};
 use dtn_core::time::{Duration, Time};
 use dtn_sim::audit::{check_delay_decomposition, AuditReport};
 use dtn_sim::engine::{
@@ -518,7 +518,8 @@ fn process_case_overlay(
             let table = trace.rate_table(mid);
             let graph = dtn_core::graph::ContactGraph::from_rate_table(&table, mid);
             let count = 1 + (params.seed as usize / 4) % 3;
-            let nodes: Vec<NodeId> = dtn_core::ncl::select_central_nodes(&graph, count, 7200.0)
+            let strategy = SelectionStrategy::PathMetric;
+            let nodes: Vec<NodeId> = select_by_strategy(&graph, count, 7200.0, strategy)
                 .into_iter()
                 .map(|s| s.node)
                 .collect();

@@ -611,9 +611,10 @@ impl ReferenceIntentionalScheme {
         let cap_first = self.buffers[first.index()].free();
         let chosen_first = if self.cfg.probabilistic_selection {
             self.solver
-                .probabilistic_select(&items, cap_first, ctx.rng())
+                .probabilistic_select_in(&items, cap_first, ctx.rng())
+                .to_vec()
         } else {
-            self.solver.solve(&items, cap_first).indices
+            self.solver.solve_in(&items, cap_first).indices.clone()
         };
         let first_set: HashSet<usize> = chosen_first.iter().copied().collect();
         let rest: Vec<usize> = (0..items.len())
@@ -623,9 +624,13 @@ impl ReferenceIntentionalScheme {
         let cap_second = self.buffers[second.index()].free();
         let chosen_second_local = if self.cfg.probabilistic_selection {
             self.solver
-                .probabilistic_select(&rest_items, cap_second, ctx.rng())
+                .probabilistic_select_in(&rest_items, cap_second, ctx.rng())
+                .to_vec()
         } else {
-            self.solver.solve(&rest_items, cap_second).indices
+            self.solver
+                .solve_in(&rest_items, cap_second)
+                .indices
+                .clone()
         };
         let second_set: HashSet<usize> = chosen_second_local.iter().map(|&j| rest[j]).collect();
 

@@ -42,9 +42,8 @@ pub struct Selection {
 ///
 /// The solver owns reusable scratch buffers (DP table, decision bits,
 /// Algorithm-1 pools), so a long-lived solver performs no per-call heap
-/// allocation once the buffers have grown to the working-set size: the
-/// `*_in` methods return borrowed results, and the owned-result methods
-/// merely copy out of the scratch.
+/// allocation once the buffers have grown to the working-set size: both
+/// entry points return borrowed results.
 ///
 /// # Example
 ///
@@ -58,7 +57,7 @@ pub struct Selection {
 ///     CacheItem { size: 3, utility: 0.5 },
 /// ];
 /// // capacity 6: the two small items (1.1) beat the big one (0.9)
-/// let sel = solver.solve(&items, 6);
+/// let sel = solver.solve_in(&items, 6);
 /// assert_eq!(sel.indices, vec![1, 2]);
 /// ```
 #[derive(Debug, Clone)]
@@ -130,21 +129,9 @@ impl KnapsackSolver {
     }
 
     /// Solves the 0/1 knapsack exactly (at quantum granularity) by
-    /// dynamic programming: maximise `Σ u_i` subject to `Σ s_i ≤ capacity`.
-    ///
-    /// Equivalent to [`solve_in`](Self::solve_in) but returns an owned
-    /// `Selection` (one clone of the scratch result).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an item has zero size or a utility that is negative or
-    /// not finite.
-    pub fn solve(&mut self, items: &[CacheItem], capacity: u64) -> Selection {
-        self.solve_in(items, capacity).clone()
-    }
-
-    /// Solves the 0/1 knapsack into the solver's internal scratch and
-    /// returns a borrow of the result — zero heap allocation once the
+    /// dynamic programming — maximise `Σ u_i` subject to
+    /// `Σ s_i ≤ capacity` — into the solver's internal scratch, and
+    /// returns a borrow of the result: zero heap allocation once the
     /// scratch has grown to the working-set size.
     ///
     /// When every positive-utility item individually fits and their total
@@ -157,7 +144,8 @@ impl KnapsackSolver {
     ///
     /// # Panics
     ///
-    /// Same as [`solve`](Self::solve).
+    /// Panics if an item has zero size or a utility that is negative or
+    /// not finite.
     pub fn solve_in(&mut self, items: &[CacheItem], capacity: u64) -> &Selection {
         validate_items(items);
         self.out.indices.clear();
@@ -268,24 +256,6 @@ impl KnapsackSolver {
         );
     }
 
-    /// Algorithm 1: probabilistic data selection.
-    ///
-    /// Equivalent to
-    /// [`probabilistic_select_in`](Self::probabilistic_select_in) but
-    /// returns an owned `Vec` (one copy of the scratch result).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid items as [`solve`](Self::solve).
-    pub fn probabilistic_select<R: Rng + ?Sized>(
-        &mut self,
-        items: &[CacheItem],
-        capacity: u64,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        self.probabilistic_select_in(items, capacity, rng).to_vec()
-    }
-
     /// Algorithm 1: probabilistic data selection, into internal scratch.
     ///
     /// Repeatedly solves the knapsack over the not-yet-selected items and
@@ -303,7 +273,7 @@ impl KnapsackSolver {
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid items as [`solve`](Self::solve).
+    /// Panics on the same invalid items as [`solve_in`](Self::solve_in).
     pub fn probabilistic_select_in<R: Rng + ?Sized>(
         &mut self,
         items: &[CacheItem],
@@ -429,24 +399,24 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let mut s = KnapsackSolver::new(1);
-        assert_eq!(s.solve(&[], 10), Selection::default());
+        assert_eq!(s.solve_in(&[], 10), &Selection::default());
         let it = items(&[(5, 0.5)]);
-        assert_eq!(s.solve(&it, 0), Selection::default());
+        assert_eq!(s.solve_in(&it, 0), &Selection::default());
     }
 
     #[test]
     fn single_item_fits_or_not() {
         let mut s = KnapsackSolver::new(1);
         let it = items(&[(5, 0.5)]);
-        assert_eq!(s.solve(&it, 5).indices, vec![0]);
-        assert!(s.solve(&it, 4).indices.is_empty());
+        assert_eq!(s.solve_in(&it, 5).indices, vec![0]);
+        assert!(s.solve_in(&it, 4).indices.is_empty());
     }
 
     #[test]
     fn classic_instance_is_optimal() {
         let mut s = KnapsackSolver::new(1);
         let it = items(&[(4, 0.9), (3, 0.6), (3, 0.5), (2, 0.1)]);
-        let sel = s.solve(&it, 6);
+        let sel = s.solve_in(&it, 6);
         assert_eq!(sel.indices, vec![1, 2]);
         assert!((sel.total_utility - 1.1).abs() < 1e-12);
         assert_eq!(sel.total_size, 6);
@@ -458,7 +428,7 @@ mod tests {
         // must treat a 1500-byte item as 2 units and never overpack.
         let mut s = KnapsackSolver::new(1000);
         let it = items(&[(1500, 0.9), (1500, 0.8), (1500, 0.7)]);
-        let sel = s.solve(&it, 4000);
+        let sel = s.solve_in(&it, 4000);
         assert!(sel.total_size <= 4000);
         assert_eq!(sel.indices.len(), 2);
     }
@@ -468,7 +438,7 @@ mod tests {
         let mut s = KnapsackSolver::new(1);
         let it = items(&[(3, 0.2), (5, 0.9), (2, 0.3), (4, 0.55), (1, 0.05)]);
         for cap in 0..=15 {
-            let dp = s.solve(&it, cap).total_utility;
+            let dp = s.solve_in(&it, cap).total_utility;
             let bf = brute_force(&it, cap);
             assert!((dp - bf).abs() < 1e-9, "cap {cap}: {dp} vs {bf}");
         }
@@ -490,9 +460,9 @@ mod tests {
         for it in cases {
             let total: u64 = it.iter().map(|x| x.size).sum();
             for cap in 0..=total + 2 {
-                let fast = s.solve(it, cap);
+                let fast = s.solve_in(it, cap);
                 let full = solve_forced_dp(&mut KnapsackSolver::new(1), it, cap);
-                assert_eq!(fast, full, "cap {cap} items {it:?}");
+                assert_eq!(fast, &full, "cap {cap} items {it:?}");
             }
         }
     }
@@ -538,11 +508,11 @@ mod tests {
         let it = items(&[(4, 0.9), (3, 0.8), (3, 0.7), (2, 0.95)]);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..50 {
-            let sel = s.probabilistic_select(&it, 6, &mut rng);
+            let sel = s.probabilistic_select_in(&it, 6, &mut rng);
             let total: u64 = sel.iter().map(|&i| it[i].size).sum();
             assert!(total <= 6, "selection {sel:?} overflows");
             // no duplicates
-            let mut sorted = sel.clone();
+            let mut sorted = sel.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), sel.len());
@@ -554,7 +524,7 @@ mod tests {
         let mut s = KnapsackSolver::new(1);
         let it = items(&[(2, 1.0), (2, 1.0)]);
         let mut rng = StdRng::seed_from_u64(1);
-        let sel = s.probabilistic_select(&it, 4, &mut rng);
+        let sel = s.probabilistic_select_in(&it, 4, &mut rng);
         assert_eq!(sel.len(), 2);
     }
 
@@ -563,7 +533,7 @@ mod tests {
         let mut s = KnapsackSolver::new(1);
         let it = items(&[(2, 0.0), (3, 0.0)]);
         let mut rng = StdRng::seed_from_u64(1);
-        let sel = s.probabilistic_select(&it, 10, &mut rng);
+        let sel = s.probabilistic_select_in(&it, 10, &mut rng);
         assert!(sel.is_empty());
     }
 
@@ -576,7 +546,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let mut hits = 0;
         for _ in 0..500 {
-            if !s.probabilistic_select(&it, 2, &mut rng).is_empty() {
+            if !s.probabilistic_select_in(&it, 2, &mut rng).is_empty() {
                 hits += 1;
             }
         }
@@ -593,14 +563,14 @@ mod tests {
         let it = items(&[(4, 0.9), (3, 0.8), (3, 0.7), (2, 0.95), (6, 0.4)]);
         let mut fresh = KnapsackSolver::new(1);
         let mut rng_a = StdRng::seed_from_u64(123);
-        let fresh_sel = fresh.probabilistic_select(&it, 9, &mut rng_a);
+        let fresh_sel = fresh.probabilistic_select_in(&it, 9, &mut rng_a);
 
         let mut warm = KnapsackSolver::new(1);
-        let _ = warm.solve(&items(&[(1, 0.5), (2, 0.25)]), 3);
+        let _ = warm.solve_in(&items(&[(1, 0.5), (2, 0.25)]), 3);
         let mut throwaway = StdRng::seed_from_u64(77);
-        let _ = warm.probabilistic_select(&it, 5, &mut throwaway);
+        let _ = warm.probabilistic_select_in(&it, 5, &mut throwaway);
         let mut rng_b = StdRng::seed_from_u64(123);
-        let warm_sel = warm.probabilistic_select(&it, 9, &mut rng_b);
+        let warm_sel = warm.probabilistic_select_in(&it, 9, &mut rng_b);
         assert_eq!(fresh_sel, warm_sel);
     }
 
@@ -608,7 +578,7 @@ mod tests {
     #[should_panic(expected = "positive size")]
     fn zero_size_item_panics() {
         let mut s = KnapsackSolver::new(1);
-        let _ = s.solve(&items(&[(0, 0.5)]), 10);
+        let _ = s.solve_in(&items(&[(0, 0.5)]), 10);
     }
 
     #[test]
@@ -629,7 +599,7 @@ mod tests {
             ) {
                 let it = items(&specs);
                 let mut s = KnapsackSolver::new(1);
-                let dp = s.solve(&it, cap);
+                let dp = s.solve_in(&it, cap);
                 let bf = brute_force(&it, cap);
                 prop_assert!((dp.total_utility - bf).abs() < 1e-9,
                     "{} vs {}", dp.total_utility, bf);
@@ -643,9 +613,9 @@ mod tests {
             ) {
                 let it = items(&specs);
                 let mut s = KnapsackSolver::new(1);
-                let fast = s.solve(&it, cap);
+                let fast = s.solve_in(&it, cap);
                 let full = solve_forced_dp(&mut KnapsackSolver::new(1), &it, cap);
-                prop_assert_eq!(fast, full);
+                prop_assert_eq!(fast, &full);
             }
 
             #[test]
@@ -657,10 +627,10 @@ mod tests {
                 let it = items(&specs);
                 let mut s = KnapsackSolver::new(1);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let sel = s.probabilistic_select(&it, cap, &mut rng);
+                let sel = s.probabilistic_select_in(&it, cap, &mut rng);
                 let total: u64 = sel.iter().map(|&i| it[i].size).sum();
                 prop_assert!(total <= cap);
-                let mut sorted = sel.clone();
+                let mut sorted = sel.to_vec();
                 sorted.sort_unstable();
                 sorted.dedup();
                 prop_assert_eq!(sorted.len(), sel.len(), "duplicate selections");

@@ -26,7 +26,7 @@
 //! ```
 //! use dtn_core::graph::ContactGraph;
 //! use dtn_core::ids::NodeId;
-//! use dtn_core::ncl::select_central_nodes;
+//! use dtn_core::ncl::{select_by_strategy, SelectionStrategy};
 //!
 //! let mut g = ContactGraph::new(4);
 //! // node 0 contacts everyone often; the others contact only node 0.
@@ -36,7 +36,7 @@
 //! g.set_rate(NodeId(1), NodeId(2), 1.0 / 86_400.0);
 //!
 //! let horizon = 6.0 * 3600.0; // T = 6 hours
-//! let ncls = select_central_nodes(&g, 2, horizon);
+//! let ncls = select_by_strategy(&g, 2, horizon, SelectionStrategy::PathMetric);
 //! assert_eq!(ncls[0].node, NodeId(0));
 //! ```
 
@@ -53,8 +53,3 @@ pub mod rate;
 pub mod sigmoid;
 pub mod sys;
 pub mod time;
-
-pub use error::CoreError;
-pub use graph::ContactGraph;
-pub use ids::{DataId, NodeId, QueryId};
-pub use time::{Duration, Time};

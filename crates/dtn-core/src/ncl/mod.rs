@@ -83,40 +83,6 @@ fn top_k(mut scores: Vec<CentralityScore>, k: usize) -> Vec<CentralityScore> {
     scores
 }
 
-/// Selects the top `k` central nodes by metric value, best first —
-/// the best `k` of [`all_metrics`], found without scoring every node.
-///
-/// Ties are broken by node id so that selection is deterministic. If the
-/// graph has fewer than `k` nodes, all of them are returned.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, the graph has fewer than two nodes, or `horizon`
-/// is invalid.
-///
-/// # Example
-///
-/// ```
-/// use dtn_core::graph::ContactGraph;
-/// use dtn_core::ids::NodeId;
-/// use dtn_core::ncl::select_central_nodes;
-///
-/// let mut g = ContactGraph::new(4);
-/// g.set_rate(NodeId(2), NodeId(0), 0.01);
-/// g.set_rate(NodeId(2), NodeId(1), 0.01);
-/// g.set_rate(NodeId(2), NodeId(3), 0.01);
-/// let top = select_central_nodes(&g, 1, 600.0);
-/// assert_eq!(top[0].node, NodeId(2));
-/// ```
-pub fn select_central_nodes<G: Topology + Sync>(
-    graph: &G,
-    k: usize,
-    horizon: f64,
-) -> Vec<CentralityScore> {
-    let everyone = CommunityPartition::single(graph.node_count());
-    select_central_nodes_scoped(graph, &everyone, k, horizon, None)
-}
-
 /// Alternative central-node selection strategies, for comparing the
 /// paper's probabilistic metric (Eq. 3) against simpler centralities.
 ///
@@ -149,7 +115,11 @@ pub enum SelectionStrategy {
     },
 }
 
-/// Selects the top `k` central nodes under the given strategy.
+/// Selects the top `k` central nodes under the given strategy, best
+/// first; ties are broken by ascending node id so that selection is
+/// deterministic, and all the nodes are returned if there are fewer
+/// than `k`. Under [`SelectionStrategy::PathMetric`] this is the best
+/// `k` of [`all_metrics`], found without scoring every node.
 ///
 /// The returned `metric` values are comparable only *within* one
 /// strategy: path weights for [`SelectionStrategy::PathMetric`],

@@ -327,9 +327,9 @@ struct Candidate {
 /// merging the per-community rankings into one list (metric descending,
 /// node id ascending) — `top_k(scoped_metrics(..))` to the bit, without
 /// evaluating the nodes that cannot be in it.
-/// [`select_central_nodes`](super::select_central_nodes) is this
-/// selection with `partition` = [`CommunityPartition::single`] and no
-/// hop bound.
+/// [`SelectionStrategy::PathMetric`](super::SelectionStrategy::PathMetric)
+/// is this selection with `partition` = [`CommunityPartition::single`]
+/// and no hop bound.
 ///
 /// # Panics
 ///

@@ -15,7 +15,7 @@ fn star(n: usize, rate: f64) -> ContactGraph {
 #[test]
 fn star_center_is_most_central() {
     let g = star(6, 1e-3);
-    let top = select_central_nodes(&g, 3, 3600.0);
+    let top = select_by_strategy(&g, 3, 3600.0, SelectionStrategy::PathMetric);
     assert_eq!(top[0].node, NodeId(0));
     assert!(top[0].metric > top[1].metric);
 }
@@ -50,7 +50,7 @@ fn select_is_deterministic_under_ties() {
     g.set_rate(NodeId(0), NodeId(1), 1e-3);
     g.set_rate(NodeId(1), NodeId(2), 1e-3);
     g.set_rate(NodeId(0), NodeId(2), 1e-3);
-    let top = select_central_nodes(&g, 2, 3600.0);
+    let top = select_by_strategy(&g, 2, 3600.0, SelectionStrategy::PathMetric);
     assert_eq!(top[0].node, NodeId(0));
     assert_eq!(top[1].node, NodeId(1));
 }
@@ -58,7 +58,7 @@ fn select_is_deterministic_under_ties() {
 #[test]
 fn truncates_to_available_nodes() {
     let g = star(3, 1e-3);
-    let top = select_central_nodes(&g, 10, 3600.0);
+    let top = select_by_strategy(&g, 10, 3600.0, SelectionStrategy::PathMetric);
     assert_eq!(top.len(), 3);
 }
 
@@ -75,7 +75,7 @@ fn skew_of_star_is_large() {
 #[should_panic(expected = "at least one")]
 fn zero_k_panics() {
     let g = star(3, 1e-3);
-    let _ = select_central_nodes(&g, 0, 600.0);
+    let _ = select_by_strategy(&g, 0, 600.0, SelectionStrategy::PathMetric);
 }
 
 #[test]
@@ -113,14 +113,6 @@ fn random_strategy_is_deterministic_and_seed_sensitive() {
     let a_nodes: Vec<_> = a.iter().map(|s| s.node).collect();
     let c_nodes: Vec<_> = c.iter().map(|s| s.node).collect();
     assert_ne!(a_nodes, c_nodes, "different seeds pick differently");
-}
-
-#[test]
-fn path_metric_strategy_delegates() {
-    let g = star(6, 1e-3);
-    let via_strategy = select_by_strategy(&g, 2, 3600.0, SelectionStrategy::PathMetric);
-    let direct = select_central_nodes(&g, 2, 3600.0);
-    assert_eq!(via_strategy, direct);
 }
 
 #[test]

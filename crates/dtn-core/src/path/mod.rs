@@ -16,7 +16,7 @@
 //! One concept per file: `search.rs` holds the one label-setting loop
 //! and the public searches that run it, `scratch.rs` the workspace it
 //! runs through, `table.rs` and `reach.rs` what a search returns,
-//! `naive.rs` the owned-path reference the differentials compare against;
+//! `naive.rs` the test-only owned-path reference the unit tests use;
 //! this file holds [`OpportunisticPath`] and re-exports the rest.
 //!
 //! There is one search loop. It is allocation-free on its hot path: a
@@ -40,8 +40,6 @@
 //! leaves beyond it weighed when a read asks for one). Concrete
 //! [`OpportunisticPath`] values are reconstructed lazily by
 //! [`PathTable::path_to`].
-//! [`shortest_paths_naive`] retains the original owned-path formulation
-//! as a differential-testing reference.
 //!
 //! Nodes settle in decreasing weight order and a settled weight is
 //! final, so a caller that only needs the weights to a few targets (the
@@ -57,6 +55,7 @@
 use crate::hypoexp;
 use crate::ids::NodeId;
 
+#[cfg(test)]
 mod naive;
 mod reach;
 mod scratch;
@@ -65,7 +64,6 @@ mod table;
 #[cfg(test)]
 mod tests;
 
-pub use naive::shortest_paths_naive;
 pub use reach::{LazyReach, SparseReach};
 pub use scratch::ReachScratch;
 pub use search::{
@@ -108,14 +106,6 @@ impl OpportunisticPath {
             "an r-hop path visits r+1 nodes"
         );
         OpportunisticPath { nodes, rates }
-    }
-
-    /// The trivial zero-hop path from a node to itself (weight 1).
-    fn trivial(node: NodeId) -> Self {
-        OpportunisticPath {
-            nodes: vec![node],
-            rates: Vec::new(),
-        }
     }
 
     /// The node sequence `A, N₁, …, B`.

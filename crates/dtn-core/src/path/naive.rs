@@ -1,4 +1,4 @@
-//! The owned-path reference search the differentials compare against.
+//! The owned-path reference search the unit tests compare against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -14,14 +14,9 @@ use crate::ids::NodeId;
 /// scratch. Returns the best path per destination (`None` when
 /// unreachable; the source maps to its trivial path).
 ///
-/// This exists for differential testing (`tests/path_equivalence.rs`
-/// asserts [`shortest_paths`](super::shortest_paths) matches it exactly). Simulation and
-/// selection code should always use [`shortest_paths`](super::shortest_paths).
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`shortest_paths`](super::shortest_paths).
-pub fn shortest_paths_naive(
+/// The unit tests assert that [`shortest_paths`](super::shortest_paths)
+/// matches it exactly; it panics on the same invalid inputs.
+pub(super) fn shortest_paths_naive(
     graph: &ContactGraph,
     source: NodeId,
     horizon: f64,
@@ -67,7 +62,7 @@ pub fn shortest_paths_naive(
     heap.push(OwnedLabel {
         weight: 1.0,
         node: source,
-        path: OpportunisticPath::trivial(source),
+        path: OpportunisticPath::new(vec![source], Vec::new()),
     });
     best[source.index()] = 1.0;
 

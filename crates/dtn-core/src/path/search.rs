@@ -47,9 +47,9 @@ impl Key {
 /// incrementally (`O(r)` multiply-adds, allocation-free, the new stage's
 /// exponentials read from the scratch's per-rate cache) instead of
 /// rebuilding the coefficient set from scratch (`O(r²)` plus two clones
-/// per relaxation in the naive formulation, retained as
-/// [`shortest_paths_naive`](super::shortest_paths_naive)). Both evaluate
-/// the exact same arithmetic, so the computed weights are bit-identical.
+/// per relaxation in the naive formulation, which the unit tests keep
+/// as their reference). Both evaluate the exact same arithmetic, so the
+/// computed weights are bit-identical.
 ///
 /// # Panics
 ///

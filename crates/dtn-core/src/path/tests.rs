@@ -1,5 +1,6 @@
 use std::cmp::Ordering;
 
+use super::naive::shortest_paths_naive;
 use super::scratch::FactorCache;
 use super::search::{search, Key};
 use super::*;

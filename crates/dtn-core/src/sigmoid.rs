@@ -29,7 +29,7 @@ use crate::time::Duration;
 /// let f = ResponseFunction::new(0.45, 0.8, Duration::hours(10))?;
 /// assert!((f.probability(Duration::ZERO) - 0.45).abs() < 1e-9);
 /// assert!((f.probability(Duration::hours(10)) - 0.8).abs() < 1e-9);
-/// # Ok::<(), dtn_core::CoreError>(())
+/// # Ok::<(), dtn_core::error::CoreError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseFunction {

@@ -231,13 +231,7 @@ fn fold_option_node(hash: u64, node: Option<NodeId>) -> u64 {
 pub struct DecisionService<C: ContactSource> {
     sim: Simulator<IntentionalScheme, C>,
     cfg: ServeConfig,
-    decisions: u64,
-    budget_violations: u64,
-    checksum: u64,
-    max_service_ns: u64,
-    unknown_node_requests: u64,
-    not_configured_requests: u64,
-    cold_decisions: u64,
+    stats: ServeStats,
     log: Option<Vec<Decision>>,
 }
 
@@ -250,13 +244,15 @@ impl<C: ContactSource> DecisionService<C> {
         DecisionService {
             sim,
             cfg,
-            decisions: 0,
-            budget_violations: 0,
-            checksum: FNV_OFFSET,
-            max_service_ns: 0,
-            unknown_node_requests: 0,
-            not_configured_requests: 0,
-            cold_decisions: 0,
+            stats: ServeStats {
+                decisions: 0,
+                budget_violations: 0,
+                checksum: FNV_OFFSET,
+                max_service_ns: 0,
+                unknown_node_requests: 0,
+                not_configured_requests: 0,
+                cold_decisions: 0,
+            },
             log: None,
         }
     }
@@ -301,12 +297,12 @@ impl<C: ContactSource> DecisionService<C> {
             Request::Route { requester, .. } => requester,
         };
         if node.index() >= self.sim.source().node_count() {
-            self.unknown_node_requests += 1;
+            self.stats.unknown_node_requests += 1;
             return Err(ServeError::UnknownNode(node));
         }
         // `configure` builds the oracle with the NCLs: none means neither.
         if self.sim.scheme().oracle_stats().is_none() {
-            self.not_configured_requests += 1;
+            self.stats.not_configured_requests += 1;
             return Err(ServeError::NotConfigured);
         }
         let at = at.max(self.sim.now());
@@ -331,16 +327,17 @@ impl<C: ContactSource> DecisionService<C> {
         let tables_recomputed = after.table_recomputes - before.table_recomputes;
         let snapshot_rebuilt = after.rebuilds > before.rebuilds;
 
-        self.decisions += 1;
-        self.cold_decisions += u64::from(snapshot_rebuilt || tables_recomputed > 0);
-        self.max_service_ns = self.max_service_ns.max(service_ns);
+        let stats = &mut self.stats;
+        stats.decisions += 1;
+        stats.cold_decisions += u64::from(snapshot_rebuilt || tables_recomputed > 0);
+        stats.max_service_ns = stats.max_service_ns.max(service_ns);
         if service_ns > self.cfg.latency_budget_ns {
-            self.budget_violations += 1;
+            stats.budget_violations += 1;
         }
-        self.checksum = checksum_fold(self.checksum, at, &request, &answer);
+        stats.checksum = checksum_fold(stats.checksum, at, &request, &answer);
 
         let decision = Decision {
-            seq: self.decisions - 1,
+            seq: stats.decisions - 1,
             at,
             request,
             answer,
@@ -357,15 +354,7 @@ impl<C: ContactSource> DecisionService<C> {
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            decisions: self.decisions,
-            budget_violations: self.budget_violations,
-            checksum: self.checksum,
-            max_service_ns: self.max_service_ns,
-            unknown_node_requests: self.unknown_node_requests,
-            not_configured_requests: self.not_configured_requests,
-            cold_decisions: self.cold_decisions,
-        }
+        self.stats
     }
 
     /// Recorded decisions (empty slice when the log is off).

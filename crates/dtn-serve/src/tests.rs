@@ -2,9 +2,10 @@ use super::*;
 use dtn_cache::intentional::IntentionalConfig;
 use dtn_core::time::Duration;
 use dtn_sim::engine::SimConfig;
-use dtn_trace::SyntheticTraceBuilder;
+use dtn_trace::synthetic::SyntheticTraceBuilder;
+use dtn_trace::trace::ContactTrace;
 
-fn trace() -> dtn_trace::ContactTrace {
+fn trace() -> ContactTrace {
     SyntheticTraceBuilder::new(20)
         .duration(Duration::days(1))
         .target_contacts(4_000)
@@ -13,12 +14,12 @@ fn trace() -> dtn_trace::ContactTrace {
         .build()
 }
 
-fn service(trace: &dtn_trace::ContactTrace) -> DecisionService<dtn_sim::engine::TraceSource<'_>> {
+fn service(trace: &ContactTrace) -> DecisionService<dtn_sim::engine::TraceSource<'_>> {
     service_with(trace, None)
 }
 
 fn service_with(
-    trace: &dtn_trace::ContactTrace,
+    trace: &ContactTrace,
     bounded_reach: Option<(usize, usize)>,
 ) -> DecisionService<dtn_sim::engine::TraceSource<'_>> {
     let scheme = IntentionalScheme::new(IntentionalConfig {

@@ -21,19 +21,3 @@ pub mod overlay;
 pub mod probe;
 pub mod profiler;
 pub mod telemetry;
-
-pub use audit::{AuditLaw, AuditReport, AuditViolation};
-pub use buffer::Buffer;
-pub use engine::{
-    megabits, CacheStats, DeliveryOutcome, Scheme, SimConfig, SimCtx, Simulator, WorkloadEvent,
-};
-pub use message::{DataItem, Query};
-pub use metrics::Metrics;
-pub use oracle::{OracleStats, PathOracle};
-pub use overlay::{OverlayError, OverlayKind, OverlaySource, RegimeOverlay};
-pub use probe::{
-    DelayDecomposition, FieldValue, HopPhase, HopRecord, Probe, ProbeEvent, ProbeSink, QueryTrace,
-    RecordingProbe,
-};
-pub use profiler::{Phase, ProfileEntry, ProfileReport, Profiler};
-pub use telemetry::{Counter, Telemetry, WindowStats};

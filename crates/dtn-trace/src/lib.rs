@@ -32,11 +32,6 @@ pub mod stats;
 pub mod synthetic;
 pub mod trace;
 
-pub use process::ContactProcessKind;
-pub use stats::TraceStats;
-pub use synthetic::SyntheticTraceBuilder;
-pub use trace::{Contact, ContactTrace};
-
 use dtn_core::time::Duration;
 
 /// The four traces of the paper's Table I, as calibration presets for the

@@ -19,8 +19,8 @@
 //! assert!(w.query_count() > 0);
 //! ```
 
-pub mod generator;
-pub mod zipf;
+mod generator;
+mod zipf;
 
 pub use generator::{Workload, WorkloadConfig, WorkloadError};
 pub use zipf::Zipf;

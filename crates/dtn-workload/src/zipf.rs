@@ -15,7 +15,7 @@ use rand::Rng;
 /// # Example
 ///
 /// ```
-/// use dtn_workload::zipf::Zipf;
+/// use dtn_workload::Zipf;
 ///
 /// let z = Zipf::new(100, 1.0);
 /// // Rank 1 is the most popular...

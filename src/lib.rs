@@ -52,7 +52,7 @@ pub mod prelude {
     pub use dtn_cache::SchemeKind;
     pub use dtn_core::graph::ContactGraph;
     pub use dtn_core::ids::{DataId, NodeId, QueryId};
-    pub use dtn_core::ncl::select_central_nodes;
+    pub use dtn_core::ncl::{select_by_strategy, SelectionStrategy};
     pub use dtn_core::time::{Duration, Time};
     pub use dtn_sim::overlay::{OverlayKind, OverlaySource, RegimeOverlay};
     pub use dtn_trace::process::ContactProcessKind;

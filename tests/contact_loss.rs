@@ -8,7 +8,7 @@ use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::sim::engine::{SimConfig, Simulator};
 use dtn_coop_cache::workload::{Workload, WorkloadConfig};
 
-fn run_with_loss(loss: f64, seed: u64) -> dtn_coop_cache::sim::Metrics {
+fn run_with_loss(loss: f64, seed: u64) -> dtn_coop_cache::sim::metrics::Metrics {
     let trace = SyntheticTraceBuilder::new(18)
         .duration(Duration::days(2))
         .target_contacts(9_000)

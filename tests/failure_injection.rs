@@ -33,7 +33,7 @@ fn run_with_sim_config(
     kind: SchemeKind,
     config: &ExperimentConfig,
     sim_config: SimConfig,
-) -> dtn_coop_cache::sim::Metrics {
+) -> dtn_coop_cache::sim::metrics::Metrics {
     let scheme = build_scheme(kind, config);
     let mut sim = Simulator::new(trace, scheme, sim_config);
     let mid = trace.midpoint();

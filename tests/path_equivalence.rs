@@ -1,14 +1,14 @@
 //! Differential test: the allocation-free incremental path engine must
-//! be indistinguishable from the retained naive reference.
+//! be indistinguishable from an owned-path reference.
 //!
 //! `shortest_paths` grows per-node hypoexponential accumulators along
 //! the search tree and evaluates candidate weights with `extended_cdf`;
-//! `shortest_paths_naive` clones owned paths and re-evaluates the full
-//! CDF from scratch on every relaxation. Both are exact label-setting
-//! searches over the same weight function, and the accumulator is
-//! constructed so that incremental and batch evaluation run identical
-//! floating-point operations — so weights must agree to the last bit
-//! (asserted here with a 1e-12 band and an exact route comparison).
+//! [`bounded_reference`] carries an owned route and rate vector in every
+//! label and re-evaluates the full CDF from scratch on every relaxation.
+//! Both are exact label-setting searches over the same weight function,
+//! and the accumulator is constructed so that incremental and batch
+//! evaluation run identical floating-point operations — so with no hop
+//! bound routes must be equal and weights must agree to the last bit.
 //!
 //! The same graphs also hold the early exit (`shortest_paths_until_in`)
 //! against the exhaustive search: whatever a partial table answers, it
@@ -20,13 +20,11 @@
 //! hold the hop-bounded search (`bounded_shortest_paths`) with a bound
 //! of at least `n` hops against the unbounded one, weight for weight.
 //!
-//! Under a bound that bites (1–4 hops) the search has its own reference,
-//! [`bounded_reference`], written here the way `shortest_paths_naive` is
-//! written in the crate: the search builds a CDF accumulator only for
-//! the nodes it relaxes from and recycles those between searches, the
-//! reference carries an owned rate vector in every label and knows
-//! neither trick. Leaves of the bound and interior nodes must agree
-//! `to_bits`, on adjacency-list and CSR storage alike.
+//! Under a bound that bites (1–4 hops) the same reference holds the
+//! bounded search: the search builds a CDF accumulator only for the
+//! nodes it relaxes from and recycles those between searches, the
+//! reference knows neither trick. Leaves of the bound and interior nodes
+//! must agree `to_bits`, on adjacency-list and CSR storage alike.
 //!
 //! The lazy reach (`bounded_reach`) is held against that eager search in
 //! turn: it settles the inner ball only and weighs a leaf when
@@ -50,7 +48,7 @@ use dtn_coop_cache::core::hypoexp;
 use dtn_coop_cache::core::ids::NodeId;
 use dtn_coop_cache::core::path::{
     bounded_reach, bounded_shortest_paths, shortest_paths, shortest_paths_batch,
-    shortest_paths_naive, shortest_paths_until_in, PathTable, ReachScratch, SparseReach,
+    shortest_paths_until_in, PathTable, ReachScratch, SparseReach,
 };
 use dtn_coop_cache::core::rate::RateTable;
 use dtn_coop_cache::core::time::{Duration, Time};
@@ -92,18 +90,19 @@ fn reach_bits(reach: &SparseReach) -> Vec<(NodeId, u64)> {
         .collect()
 }
 
-/// Compares the optimized search against the naive reference for every
-/// destination: same reachability, same route, same weight. The
-/// hop-bounded search with a bound no path can reach (`max_hops ≥ n`) is
-/// the same loop read through the sparse extractor, so it must list the
-/// same settled set with the same bits.
+/// Compares the optimized search against [`bounded_reference`] with no
+/// hop bound for every destination: same reachability, same route, same
+/// weight bits. The hop-bounded search with a bound no path can reach
+/// (`max_hops ≥ n`) is the same loop read through the sparse extractor,
+/// so it must list the same settled set with the same bits.
 fn assert_equivalent(g: &ContactGraph, source: NodeId, horizon: f64) -> Result<(), String> {
     let table = shortest_paths(g, source, horizon);
-    let naive = shortest_paths_naive(g, source, horizon);
+    let reference = bounded_reference(g, source, horizon, usize::MAX);
+    let mut settled = reference.iter().peekable();
     for dest in g.nodes() {
         let optimized = table.path_to(dest);
-        let reference = naive[dest.index()].as_ref();
-        match (optimized, reference) {
+        let want = settled.next_if(|(v, _, _)| *v == dest);
+        match (optimized, want) {
             (None, None) => {
                 if table.weight_to(dest) != 0.0 {
                     return Err(format!(
@@ -112,17 +111,16 @@ fn assert_equivalent(g: &ContactGraph, source: NodeId, horizon: f64) -> Result<(
                     ));
                 }
             }
-            (Some(p), Some(r)) => {
-                if p.nodes() != r.nodes() {
+            (Some(p), Some((_, bits, route))) => {
+                if p.nodes() != route.as_slice() {
                     return Err(format!(
-                        "route to n{dest} differs: {:?} vs {:?}",
-                        p.nodes(),
-                        r.nodes()
+                        "route to n{dest} differs: {:?} vs {route:?}",
+                        p.nodes()
                     ));
                 }
                 let w_opt = table.weight_to(dest);
-                let w_ref = r.weight(horizon);
-                if (w_opt - w_ref).abs() > 1e-12 {
+                if w_opt.to_bits() != *bits {
+                    let w_ref = f64::from_bits(*bits);
                     return Err(format!("weight to n{dest} differs: {w_opt} vs {w_ref}"));
                 }
                 // Lazily reconstructed paths must reproduce the cached
@@ -136,9 +134,9 @@ fn assert_equivalent(g: &ContactGraph, source: NodeId, horizon: f64) -> Result<(
             }
             (a, b) => {
                 return Err(format!(
-                    "reachability to n{dest} differs: optimized {:?} vs naive {:?}",
+                    "reachability to n{dest} differs: optimized {:?} vs reference {:?}",
                     a.map(|p| p.nodes().to_vec()),
-                    b.map(|p| p.nodes().to_vec())
+                    b.map(|(_, _, route)| route)
                 ));
             }
         }
@@ -168,21 +166,23 @@ fn assert_equivalent(g: &ContactGraph, source: NodeId, horizon: f64) -> Result<(
 }
 
 /// The hop-bounded search in its owned-path formulation: every label
-/// carries the rates of its tentative path, every relaxation re-evaluates
-/// the batch `hypoexp::cdf` over the extended rate vector, and a path
-/// that already has `max_hops` hops settles without relaxing anything.
-/// Same max-heap order and id tie-break as the crate's loop. Returns the
-/// settled `(node, weight bits)` in ascending id order — what
-/// `SparseReach::entries` lists.
+/// carries the route and the rates of its tentative path, every
+/// relaxation re-evaluates the batch `hypoexp::cdf` over the extended
+/// rate vector, and a path that already has `max_hops` hops settles
+/// without relaxing anything. Same max-heap order and id tie-break as
+/// the crate's loop. Returns the settled `(node, weight bits, route)` in
+/// ascending id order — what `SparseReach::entries` lists, plus each
+/// node's route from `source`.
 fn bounded_reference<G: Topology>(
     g: &G,
     source: NodeId,
     horizon: f64,
     max_hops: usize,
-) -> Vec<(NodeId, u64)> {
+) -> Vec<(NodeId, u64, Vec<NodeId>)> {
     struct Label {
         weight: f64,
         node: NodeId,
+        route: Vec<NodeId>,
         rates: Vec<f64>,
     }
     impl PartialEq for Label {
@@ -213,11 +213,13 @@ fn bounded_reference<G: Topology>(
     heap.push(Label {
         weight: 1.0,
         node: source,
+        route: vec![source],
         rates: Vec::new(),
     });
     while let Some(Label {
         weight,
         node,
+        route,
         rates,
     }) = heap.pop()
     {
@@ -225,12 +227,8 @@ fn bounded_reference<G: Topology>(
             continue;
         }
         settled[node.index()] = true;
-        out.push((node, weight.to_bits()));
-        if rates.len() >= max_hops {
-            continue;
-        }
         for &(peer, rate) in g.neighbors(node) {
-            if settled[peer.index()] {
+            if rates.len() >= max_hops || settled[peer.index()] {
                 continue;
             }
             let mut extended = rates.clone();
@@ -238,15 +236,19 @@ fn bounded_reference<G: Topology>(
             let w = hypoexp::cdf(&extended, horizon);
             if w > best[peer.index()] {
                 best[peer.index()] = w;
+                let mut to_peer = route.clone();
+                to_peer.push(peer);
                 heap.push(Label {
                     weight: w,
                     node: peer,
+                    route: to_peer,
                     rates: extended,
                 });
             }
         }
+        out.push((node, weight.to_bits(), route));
     }
-    out.sort_unstable_by_key(|&(v, _)| v);
+    out.sort_unstable_by_key(|&(v, _, _)| v);
     out
 }
 
@@ -264,7 +266,10 @@ fn assert_bounded_equivalent<G: Topology>(
         let got = reach_bits(&bounded_shortest_paths(
             g, source, horizon, max_hops, scratch,
         ));
-        let want = bounded_reference(g, source, horizon, max_hops);
+        let want: Vec<(NodeId, u64)> = bounded_reference(g, source, horizon, max_hops)
+            .into_iter()
+            .map(|(v, bits, _)| (v, bits))
+            .collect();
         if got != want {
             return Err(format!(
                 "{max_hops}-hop search from {source} differs from the reference: \

@@ -68,12 +68,14 @@ fn walkthrough_trace() -> ContactTrace {
         Time(14_000),
         Time(14_100),
     )); // hub delivers the response
-    ContactTrace::new(4, contacts, dtn_coop_cache::core::Duration(20_000))
+    ContactTrace::new(4, contacts, Duration(20_000))
 }
 
 /// Runs the walkthrough; returns the metrics and the §V milestones the
 /// probe recorded during the evaluation phase.
-fn run_walkthrough(response: ResponseStrategy) -> (dtn_coop_cache::sim::Metrics, Vec<ProbeEvent>) {
+fn run_walkthrough(
+    response: ResponseStrategy,
+) -> (dtn_coop_cache::sim::metrics::Metrics, Vec<ProbeEvent>) {
     let trace = walkthrough_trace();
     let scheme = IntentionalScheme::new(IntentionalConfig {
         ncl_count: 1,
@@ -85,7 +87,7 @@ fn run_walkthrough(response: ResponseStrategy) -> (dtn_coop_cache::sim::Metrics,
         scheme,
         SimConfig {
             seed: 5,
-            sample_interval: dtn_coop_cache::core::Duration(1_000),
+            sample_interval: Duration(1_000),
             ..SimConfig::default()
         },
     );
@@ -108,19 +110,13 @@ fn run_walkthrough(response: ResponseStrategy) -> (dtn_coop_cache::sim::Metrics,
     let instruments = Instruments::install(&mut sim, RecordingProbe::new());
     sim.add_workload(vec![
         WorkloadEvent::GenerateData {
-            item: DataItem::new(
-                DataId(0),
-                NodeId(0),
-                1000,
-                Time(10_500),
-                dtn_coop_cache::core::Duration(9_000),
-            ),
+            item: DataItem::new(DataId(0), NodeId(0), 1000, Time(10_500), Duration(9_000)),
         },
         WorkloadEvent::IssueQuery {
             at: Time(11_500),
             requester: NodeId(3),
             data: DataId(0),
-            constraint: dtn_coop_cache::core::Duration(8_000),
+            constraint: Duration(8_000),
         },
     ]);
     sim.run_to_end();

@@ -12,8 +12,8 @@
 use dtn_coop_cache::cache::experiment::configure_from_live_state;
 use dtn_coop_cache::cache::intentional::{IntentionalConfig, IntentionalScheme};
 use dtn_coop_cache::prelude::*;
+use dtn_coop_cache::sim::audit::AuditLaw;
 use dtn_coop_cache::sim::engine::{ContactSource, SimConfig, Simulator, TraceSource};
-use dtn_coop_cache::sim::AuditLaw;
 use dtn_trace::trace::Contact;
 
 /// A contact source that replays a literal contact list verbatim — no

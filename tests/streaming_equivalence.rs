@@ -7,7 +7,7 @@
 //!   order (proptest over builder configurations, plus a large-N
 //!   time-ordering regression through the sampled pair-selection path);
 //! - [`select_central_nodes_scoped`] over a single community — which is
-//!   what the global [`select_central_nodes`] runs — must equal Eq. 3 as
+//!   what the `PathMetric` strategy runs — must equal Eq. 3 as
 //!   the paper defines it bit for bit, and at multi-community scale its
 //!   metric distribution must stay as skewed as §IV-B expects;
 //! - the pruned selection every strategy entry point runs must be the
@@ -18,8 +18,8 @@
 use dtn_coop_cache::core::graph::{ContactGraph, CsrGraph, Topology};
 use dtn_coop_cache::core::ncl::{
     all_metrics, label_propagation_communities, metric_skew, scoped_metrics, select_by_strategy,
-    select_by_strategy_counted, select_central_nodes, select_central_nodes_scoped, CentralityScore,
-    CommunityPartition, SelectionStrategy,
+    select_by_strategy_counted, select_central_nodes_scoped, CentralityScore, CommunityPartition,
+    SelectionStrategy,
 };
 use dtn_coop_cache::core::path::shortest_paths;
 use dtn_coop_cache::prelude::*;
@@ -121,9 +121,9 @@ fn eq3<G: Topology>(graph: &G, i: NodeId, horizon: f64) -> f64 {
 }
 
 /// With one community and no hop bound, the scoped sweep — the one
-/// implementation behind `all_metrics`, `select_central_nodes` and the
-/// `PathMetric` strategy — must be Eq. 3 exactly: same nodes, same
-/// metric bits, on adjacency-list and CSR storage alike.
+/// implementation behind `all_metrics` and the `PathMetric` strategy —
+/// must be Eq. 3 exactly: same nodes, same metric bits, on
+/// adjacency-list and CSR storage alike.
 #[test]
 fn scoped_selection_matches_global_on_single_community() {
     fn check<G: Topology + Sync>(g: &G, what: &str) {
@@ -138,14 +138,13 @@ fn scoped_selection_matches_global_on_single_community() {
         by_definition.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let partition = CommunityPartition::single(n);
         for k in [1, 3, 8] {
-            let global = select_central_nodes(g, k, 7_200.0);
             let scoped = select_central_nodes_scoped(g, &partition, k, 7_200.0, None);
             let by_strategy = select_by_strategy(g, k, 7_200.0, SelectionStrategy::PathMetric);
             let want: Vec<_> = by_definition[..k.min(n)]
                 .iter()
                 .map(|&(node, metric)| (node, metric.to_bits()))
                 .collect();
-            for selected in [&global, &scoped, &by_strategy] {
+            for selected in [&scoped, &by_strategy] {
                 let got: Vec<_> = selected
                     .iter()
                     .map(|s| (s.node, s.metric.to_bits()))

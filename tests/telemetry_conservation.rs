@@ -212,12 +212,8 @@ fn oracle_reads_are_conserved_on_a_bounded_run() {
     // counters; observing changes no answer, so the scheme makes the same
     // reads and every counter is equal; and within a run each source's
     // reach is searched at most once per snapshot epoch.
-    let cfg = ScaleConfig {
-        data_items: 48,
-        queries: 96,
-        heartbeat_every_contacts: None,
-        ..ScaleConfig::city(400)
-    };
+    let nodes = 400;
+    let cfg = ScaleConfig::city(nodes);
     let run = |observe| {
         let (report, observed) = run_scale_observed(&cfg, observe);
         let Some(observed) = observed else {
@@ -253,7 +249,7 @@ fn oracle_reads_are_conserved_on_a_bounded_run() {
         "{observed:?}"
     );
     assert!(
-        observed.table_recomputes <= observed.rebuilds * cfg.nodes as u64,
+        observed.table_recomputes <= observed.rebuilds * nodes as u64,
         "a source searched twice in one epoch: {observed:?}"
     );
 }

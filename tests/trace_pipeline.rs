@@ -2,7 +2,7 @@
 //! selection, across crates.
 
 use dtn_coop_cache::core::graph::ContactGraph;
-use dtn_coop_cache::core::ncl::select_central_nodes;
+use dtn_coop_cache::core::ncl::{select_by_strategy, SelectionStrategy};
 use dtn_coop_cache::core::time::Time;
 use dtn_coop_cache::prelude::*;
 use dtn_coop_cache::trace::io::{read_trace, write_trace};
@@ -55,7 +55,7 @@ fn ncl_selection_agrees_between_stats_and_core() {
     // …and via the core API directly.
     let end = Time(trace.duration().as_secs());
     let graph = ContactGraph::from_rate_table(&trace.rate_table(end), end);
-    let top = select_central_nodes(&graph, 4, horizon);
+    let top = select_by_strategy(&graph, 4, horizon, SelectionStrategy::PathMetric);
     let stats_top: Vec<_> = dist.iter().take(4).map(|s| s.node).collect();
     let core_top: Vec<_> = top.iter().map(|s| s.node).collect();
     assert_eq!(stats_top, core_top);
