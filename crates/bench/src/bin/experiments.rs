@@ -524,7 +524,7 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
         "audited_case.ncl_*_exact are the work of the NCL selection inside configure, counted and gated the same way: searches_run nodes had their Eq. 3 metric computed by a path search, candidates_pruned nodes were never evaluated because an upper bound on their metric (nodes within the hop bound x weight of the fastest contact) was below the K-th best exact metric. A bound that stops pruning fails the gate on any machine: without the ball count the audited case reads 406 searches for 349, with the contact weight replaced by 1 it reads 627.",
         "RateTable holds an estimator (32 B) only for a pair that has met, at every population: O(N + pairs met), never O(N^2).",
         "100k vs 10k contacts/s, three alternating pairs on 2 vCPUs: 0.24 (10k 1.4-1.8x and 100k 1.9-2.4x the parent's), against 0.18 at the parent, where a central read replayed its leaf every time and a leaf read rescanned the leaf's row once per rim candidate. 100k measured_secs read 0.42-0.52x the parent's in every pair.",
-        "oracle_reach_bytes is the heap the bounded oracle's reaches held, summed over every reach built (each source's reach of an epoch replaces its last, so a sum over epochs bounds what is live at once). A reach keeps its inner ball, 24 B per node (id, weight, predecessor, pop position, pop order), and nothing per rim node: a leaf read rebuilds each rim path it tries from the predecessor chain. The audited case's reaches hold 6514128 B, gated as oracle_reach_bytes_exact; the layout that also copied each rim path (20 B per inner node, then 24 B per stage plus 5 B per rim node) held 11033296 B.",
+        "oracle_reach_bytes is the heap the bounded oracle's reaches held, summed over every reach built (each source's reach of an epoch replaces its last, so a sum over epochs bounds what is live at once). A reach keeps its inner ball, 20 B per node (id, weight, predecessor, pop order), and nothing per rim node: a leaf read marks its rim neighbours in the scratch, walks the pop order once and rebuilds each rim path it tries from the predecessor chain. The audited case's reaches hold 5428440 B (271422 nodes x 20 B), gated as oracle_reach_bytes_exact; with each node's pop position kept as well they held 6514128 B (24 B a node), and the layout that also copied each rim path (20 B per inner node, then 24 B per stage plus 5 B per rim node) held 11033296 B.",
         "audited_case.pending_*_exact are the in-flight arena's work over the audited run (pulls, NCL broadcasts, responses), counted and gated the same way: examined counts each message an endpoint carried once per contact, inserted the messages put in flight. A query's multicast to the K = 8 centrals is one pull record: with one slot per copy the audited case read 1425 inserted (1016 of them pulls, now 127) and 408585 examined (pulls 23057, now 11377).",
         "stream_bytes is the heap the contact stream held when it opened (ContactStream::heap_bytes): 88 B per kept pair (its RNG, calibrated process values, three clocks, endpoints, and the end of the contact it pulled past the last block) plus the block merge's two buffers, the block being filled and the sorted block being yielded (about max(4096, pairs / 4) contacts each, 24 B a contact), 107 B per kept pair in the audited case. The plan-wide constants live once on the stream. The audited 2000-node city sweeps every pair exactly, so its value is deterministic and gated as stream_bytes_exact. The k-way heap merge the stream used before it drained build()'s block merge read 1400760 here, 120 B per kept pair (a 104-B pair and a 16-B merge key); the layout before that, which copied the constants and a sampler into every pair, held 291 B per kept pair at 5000 nodes.",
     ];

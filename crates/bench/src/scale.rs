@@ -529,9 +529,10 @@ mod tests {
             0 < oracle.leaf_evaluations && oracle.leaf_evaluations < oracle.nodes_settled,
             "{oracle:?}"
         );
-        // A reach holds its ball and nothing per rim node or leaf.
+        // A reach holds its ball, 20 B a node, and nothing per rim node
+        // or leaf.
         assert!(
-            0 < oracle.reach_bytes && oracle.reach_bytes <= 24 * oracle.nodes_settled,
+            0 < oracle.reach_bytes && oracle.reach_bytes == 20 * oracle.nodes_settled,
             "{oracle:?}"
         );
         assert_eq!(run_scale(&tiny()).oracle, oracle, "counted, not timed");

@@ -107,7 +107,7 @@ use crate::routing::ForwardingStrategy;
 use crate::{CachingScheme, NetworkSetup, PendingWork, PATH_REFRESH};
 
 use self::pending::PullRecord;
-use self::state::{CopyState, Live, Scratch};
+use self::state::{CopyFates, CopyState, Fate, Live, Scratch};
 
 /// How a caching node decides whether to return data (§V-C).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -230,6 +230,7 @@ impl Live {
             horizon: setup.horizon,
             reelection: ReelectionStats::default(),
             ncl_work,
+            fates: CopyFates::default(),
             centrals,
         }
     }
@@ -282,6 +283,17 @@ impl Live {
                 old,
                 new,
             });
+            // The copies settled at either central change fate with it.
+            for (node, from, to) in [
+                (old, Fate::AtCentral, Fate::AtRelay),
+                (new, Fate::AtRelay, Fate::AtCentral),
+            ] {
+                for &(_, kk) in &self.settled_at[node.index()] {
+                    if kk as usize == k {
+                        self.fates.shift(Some(from), to);
+                    }
+                }
+            }
             let (copies, bytes) = self.migrate_ncl(now, k);
             self.reelection.migrated_copies += copies;
             self.reelection.migrated_bytes += bytes;
@@ -303,6 +315,7 @@ impl Scheme for IntentionalScheme {
             live.copies.insert(item.id, vec![carried; k_count]);
             for k in 0..k_count {
                 live.index_copy(item.id, k, carried, true);
+                live.fates.shift(None, Fate::InFlight);
             }
         } else {
             // The item never fits anywhere; it is lost.
@@ -804,6 +817,50 @@ mod tests {
                 "seed {seed} diverged from reference"
             );
         }
+    }
+
+    #[test]
+    fn every_pushed_copy_ends_in_exactly_one_fate() {
+        // Tight buffers under the knapsack exchange and under LRU's
+        // evict-on-insert, half the items short-lived: the ledger's
+        // law holds at every audit sweep, an item that fits at its source
+        // pushes K copies, and each fate is reached.
+        let trace = busy_trace(17);
+        let mid = trace.midpoint();
+        let mut events = mixed_workload(&trace, 12, 400);
+        events.extend((12..24u64).map(|i| {
+            let at = mid + Duration::minutes(7 * i);
+            gen_event(i, (i % 16) as u32, 400, at, Duration::minutes(10))
+        }));
+        let mut reached = [0u64; 5];
+        for replacement in [ReplacementKind::UtilityKnapsack, ReplacementKind::Lru] {
+            let sim_cfg = SimConfig {
+                buffer_range: (1000, 1200),
+                seed: 17,
+                audit: true,
+                ..SimConfig::default()
+            };
+            let cfg = IntentionalConfig {
+                ncl_count: 3,
+                replacement,
+                ..IntentionalConfig::default()
+            };
+            let sim = run_sim(&trace, IntentionalScheme::new(cfg), events.clone(), sim_cfg);
+            let report = sim.audit_report().expect("audit enabled");
+            assert!(report.is_clean(), "{}", report.summary());
+            let fates = sim.scheme().live().expect("configure ran").fates;
+            // K copies an item; LRU always makes room at the source,
+            // the knapsack policy evicts nothing there.
+            assert_eq!(fates.pushed % 3, 0);
+            if replacement == ReplacementKind::Lru {
+                assert_eq!(fates.pushed, 3 * 24);
+            }
+            assert_eq!(fates.fates.iter().sum::<u64>(), fates.pushed);
+            for (total, n) in reached.iter_mut().zip(fates.fates) {
+                *total += n;
+            }
+        }
+        assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
     }
 
     #[test]

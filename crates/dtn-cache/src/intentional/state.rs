@@ -55,6 +55,51 @@ impl CopyState {
     }
 }
 
+/// How a pushed copy ends (§V-A–D): each copy the push sends toward a
+/// central is in exactly one fate, moved as its [`CopyState`] changes.
+/// Read after a run, the counts say where the pushed copies went. The
+/// first three are the fates a copy the copy table lists can be in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Fate {
+    /// Still being pushed.
+    InFlight,
+    /// Settled at its NCL's central node.
+    AtCentral,
+    /// Settled anywhere else: where §V-A stopped its push because the
+    /// next relay's buffer was full, or where the §V-D exchange put it.
+    AtRelay,
+    /// Dropped to make room for another item, or by a §V-D exchange
+    /// that neither node could keep it in.
+    Displaced,
+    /// Its item expired while it was still being pushed.
+    ExpiredInTransit,
+}
+
+/// The copy-fate ledger: copies pushed, and how many are in each
+/// [`Fate`]. The copy-fates audit law holds `pushed` to their sum, and
+/// the first three fates to the copy table once the copies that left it
+/// are added.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct CopyFates {
+    pub(super) pushed: u64,
+    pub(super) fates: [u64; 5],
+    /// Of the first three fates, the copies that were in one when their
+    /// item expired and left the copy table; an in-flight one moves to
+    /// [`Fate::ExpiredInTransit`] then, so that entry stays 0.
+    pub(super) expired: [u64; 3],
+}
+
+impl CopyFates {
+    /// Moves one copy from fate `from` (`None`: a new push) to `to`.
+    pub(super) fn shift(&mut self, from: Option<Fate>, to: Fate) {
+        match from {
+            Some(from) => self.fates[from as usize] -= 1,
+            None => self.pushed += 1,
+        }
+        self.fates[to as usize] += 1;
+    }
+}
+
 /// Counters accumulated by epoch-based NCL re-election (see
 /// [`IntentionalScheme::reelection_stats`]). All zero while
 /// `epoch_interval` is off.
@@ -133,6 +178,8 @@ pub(super) struct Live {
     pub(super) reelection: ReelectionStats,
     /// Work of every NCL selection since `configure`, its own included.
     pub(super) ncl_work: SweepWork,
+    /// How each pushed copy ended.
+    pub(super) fates: CopyFates,
 }
 
 /// Per-contact scratch, lent to each phase of [`Live`] (contents mean
@@ -223,8 +270,13 @@ impl Live {
         let mut expect_member = vec![0u32; n * k_count];
         let mut carried_seen = 0usize;
         let mut settled_seen = 0usize;
+        // Copies in flight, settled at the central and elsewhere.
+        let mut listed = [0u64; 3];
         for (data, states) in &self.copies {
             for (k, s) in states.iter().enumerate() {
+                if let Some(n) = listed.get_mut(self.fate(k, *s) as usize) {
+                    *n += 1;
+                }
                 let Some(holder) = s.holder() else { continue };
                 if !self.buffers[holder.index()].contains(*data) {
                     report.violate(AuditViolation {
@@ -282,6 +334,24 @@ impl Live {
                 ),
             });
         }
+        let CopyFates {
+            pushed,
+            fates,
+            expired,
+        } = self.fates;
+        let counted: [u64; 3] = std::array::from_fn(|f| fates[f].wrapping_sub(expired[f]));
+        if fates.iter().sum::<u64>() != pushed || counted != listed {
+            report.violate(AuditViolation {
+                law: AuditLaw::CopyFates,
+                at,
+                node: None,
+                item: None,
+                detail: format!(
+                    "{pushed} copies pushed, fates {fates:?}; in flight, at the \
+                     central and elsewhere: ledger {counted:?}, copy table {listed:?}"
+                ),
+            });
+        }
         self.pulls.audit("pull", at, report);
         self.broadcasts.audit("broadcast", at, report);
         self.responses.audit("response", at, report);
@@ -310,6 +380,16 @@ impl Live {
                 continue;
             };
             for (k, &s) in states.iter().enumerate() {
+                match self.fate(k, s) {
+                    Fate::InFlight => self
+                        .fates
+                        .shift(Some(Fate::InFlight), Fate::ExpiredInTransit),
+                    fate => {
+                        if let Some(n) = self.fates.expired.get_mut(fate as usize) {
+                            *n += 1;
+                        }
+                    }
+                }
                 let Some(h) = self.index_copy(data, k, s, false) else {
                     continue;
                 };
@@ -395,6 +475,18 @@ impl Live {
         if old != state {
             self.index_copy(data, k, old, false);
             self.index_copy(data, k, state, true);
+            let (from, to) = (self.fate(k, old), self.fate(k, state));
+            self.fates.shift(Some(from), to);
+        }
+    }
+
+    /// The [`Fate`] NCL `k`'s copy is in while in `state`.
+    pub(super) fn fate(&self, k: usize, state: CopyState) -> Fate {
+        match state {
+            CopyState::Carried(_) => Fate::InFlight,
+            CopyState::Settled(h) if h == self.centrals[k] => Fate::AtCentral,
+            CopyState::Settled(_) => Fate::AtRelay,
+            CopyState::Dropped => Fate::Displaced,
         }
     }
 
@@ -747,6 +839,32 @@ mod tests {
             report.summary()
         );
         live.member_count[0] -= 1;
+
+        // A copy counted in two fates; a copy counted settled at its
+        // central that the copy table does not list there: the fate
+        // ledger must trip.
+        let seeds: [fn(&mut CopyFates); 2] = [
+            |f| f.fates[Fate::AtRelay as usize] += 1,
+            |f| {
+                f.pushed += 1;
+                f.fates[Fate::AtCentral as usize] += 1;
+            },
+        ];
+        for (i, seed) in seeds.into_iter().enumerate() {
+            let saved = live.fates;
+            seed(&mut live.fates);
+            let mut report = AuditReport::default();
+            live.audit_into(now, &mut report);
+            assert!(
+                report
+                    .violations()
+                    .iter()
+                    .any(|v| v.law == AuditLaw::CopyFates),
+                "seeded fate drift {i} went undetected: {}",
+                report.summary()
+            );
+            live.fates = saved;
+        }
 
         seed_carrier_list_corruption(live, now, |l| &mut l.pulls);
         seed_carrier_list_corruption(live, now, |l| &mut l.broadcasts);

@@ -56,8 +56,8 @@ pub(super) const NO_PARENT: u32 = u32::MAX;
 /// read.
 ///
 /// The reach keeps the ball alone: per settled node its id, weight,
-/// predecessor, pop position and place in the pop order, 24 B. A rim
-/// node's path is a function of its predecessor chain and the graph, so
+/// predecessor and place in the pop order, 20 B. A rim node's path is a
+/// function of its predecessor chain and the graph, so
 /// [`weight_to`](Self::weight_to) rebuilds it when a leaf read needs it.
 #[derive(Debug, Clone, Default)]
 pub struct LazyReach {
@@ -65,15 +65,13 @@ pub struct LazyReach {
     /// Hops of a rim node's path: `max_hops − 1`.
     pub(super) rim_hops: usize,
     /// The settled nodes in ascending id order (the source among them)
-    /// and, in parallel, their settled weights, the index of their
-    /// predecessor ([`NO_PARENT`] for the source) and where in `pops`
-    /// they popped.
-    pub(super) ids: Vec<NodeId>,
-    pub(super) weights: Vec<f64>,
-    pub(super) parents: Vec<u32>,
-    pub(super) ranks: Vec<u32>,
+    /// and, in parallel, their settled weights and the index of their
+    /// predecessor ([`NO_PARENT`] for the source).
+    pub(super) ids: Box<[NodeId]>,
+    pub(super) weights: Box<[f64]>,
+    pub(super) parents: Box<[u32]>,
     /// The order the nodes popped in, as indexes into `ids`.
-    pub(super) pops: Vec<u32>,
+    pub(super) pops: Box<[u32]>,
 }
 
 impl LazyReach {
@@ -99,9 +97,12 @@ impl LazyReach {
     /// not just against that neighbour: settled weights are
     /// non-increasing in exact arithmetic only, and a one-ulp inversion
     /// between the two is enough to end the replay one candidate late.
-    /// The rim neighbours are collected in one pass over `dest`'s row and
-    /// sorted by pop position, so a read costs one scan of the row
-    /// (`O(degree · log inner)`) however many candidates it weighs.
+    /// The rim neighbours are marked in `scratch` by their index in the
+    /// reach from one pass over `dest`'s row, and one walk of the pop
+    /// order holds the label against each pop, then weighs the pop if it
+    /// is marked, and stops after the last marked one: a read costs one
+    /// scan of the row (`O(degree · log inner)`) and of the pops up to
+    /// its last candidate, however many candidates it weighs.
     ///
     /// Each candidate's rim path is rebuilt in `scratch`, one push per hop
     /// of its predecessor chain at the rate the predecessor's row of
@@ -124,39 +125,45 @@ impl LazyReach {
         if dest.index() >= graph.node_count() {
             return (0.0, 0);
         }
-        // The rim neighbours of `dest` in the order they popped, from one
-        // pass over its row: a central's row is long, and most reads name
-        // a central.
-        let (rims, path, factors) = scratch.replay_workspace(self.horizon);
-        rims.extend(graph.neighbors(dest).iter().filter_map(|&(peer, rate)| {
-            let i = self.ids.binary_search(&peer).ok()?;
-            (self.hops(i) == self.rim_hops).then_some((self.ranks[i], i as u32, rate))
-        }));
-        rims.sort_unstable_by_key(|&(pos, ..)| pos);
+        // Mark the rim neighbours of `dest`, each with its edge's rate,
+        // in one pass over its row: a central's row is long, and most
+        // reads name a central.
+        let (marks, stamp, path, factors) = scratch.replay_workspace(self.horizon, self.ids.len());
+        let mut left = 0;
+        for &(peer, rate) in graph.neighbors(dest) {
+            if let Ok(i) = self.ids.binary_search(&peer) {
+                if self.hops(i) == self.rim_hops {
+                    marks[i] = (stamp, rate);
+                    left += 1;
+                }
+            }
+        }
         // The loop's `best` before any relaxation: heavier than nothing,
         // so the first candidate replaces it and no pop is held below it.
         let mut label = f64::NEG_INFINITY;
         let mut evaluations = 0;
-        // `pops[..from]` were held against the label already.
-        let mut from = 0;
-        for &(pos, rim, rate) in rims.iter() {
-            let pos = pos as usize;
-            // The heap's own order; a label of −∞ is not in the heap yet.
-            if label != f64::NEG_INFINITY {
-                let mine = Key::new(label, dest);
-                let popped_first =
-                    |&i: &u32| mine > Key::new(self.weights[i as usize], self.ids[i as usize]);
-                if self.pops[from..=pos].iter().any(popped_first) {
-                    break;
-                }
+        for &i in self.pops.iter() {
+            if left == 0 {
+                break;
             }
-            self.rebuild(graph, rim as usize, path, factors);
+            let i = i as usize;
+            // The heap's own order; a label of −∞ is not in the heap yet.
+            if label != f64::NEG_INFINITY
+                && Key::new(label, dest) > Key::new(self.weights[i], self.ids[i])
+            {
+                break;
+            }
+            let (mark, rate) = marks[i];
+            if mark != stamp {
+                continue;
+            }
+            left -= 1;
+            self.rebuild(graph, i, path, factors);
             let candidate = path.view().extended_cdf(rate, factors.get(rate));
             if candidate > label {
                 label = candidate;
             }
             evaluations += 1;
-            from = pos + 1;
         }
         (if evaluations == 0 { 0.0 } else { label }, evaluations)
     }
@@ -202,9 +209,8 @@ impl LazyReach {
     /// Bytes of heap the reach owns.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.ids.capacity() * size_of::<NodeId>()
-            + self.weights.capacity() * size_of::<f64>()
-            + (self.parents.capacity() + self.ranks.capacity() + self.pops.capacity())
-                * size_of::<u32>()
+        self.ids.len() * size_of::<NodeId>()
+            + self.weights.len() * size_of::<f64>()
+            + (self.parents.len() + self.pops.len()) * size_of::<u32>()
     }
 }

@@ -149,9 +149,10 @@ pub struct ReachScratch {
     /// `inner`, and the nodes of the current search in settle order.
     pub(super) queue: Vec<u32>,
     pub(super) pops: Vec<u32>,
-    /// [`LazyReach::weight_to`] only: the leaf's rim neighbours as
-    /// `(pop position, index in the reach, rate)`.
-    pub(super) rims: Vec<(u32, u32, f64)>,
+    /// [`LazyReach::weight_to`] only: by index in the reach, the epoch
+    /// of the read that marked the node a rim neighbour of its leaf, and
+    /// the rate of their edge.
+    pub(super) marks: Vec<(u64, f64)>,
     pub(super) heap: BinaryHeap<Key>,
     pub(super) factors: FactorCache,
     /// Nodes the current search has settled, the source included.
@@ -296,29 +297,18 @@ impl ReachScratch {
         SparseReach { entries }
     }
 
-    /// The last [`bounded_reach`](super::bounded_reach) search as a [`LazyReach`], each vector
+    /// The last [`bounded_reach`](super::bounded_reach) search as a [`LazyReach`], each slice
     /// allocated at its final size; the accumulators stay behind for the
     /// next search to refill. Linear after one sort of the bare ids: a
-    /// node's index in the reach is scattered into `acc_slot`, so ranks,
-    /// parents and the pop order are one lookup each.
+    /// node's index in the reach is scattered into `acc_slot`, so parents
+    /// and the pop order are one lookup each.
     pub(super) fn lazy_reach(&mut self, horizon: f64, max_hops: usize) -> LazyReach {
-        let mut ids: Vec<NodeId> = self.pops.iter().map(|&v| NodeId(v)).collect();
+        let mut ids: Box<[NodeId]> = self.pops.iter().map(|&v| NodeId(v)).collect();
         ids.sort_unstable();
         for (i, v) in ids.iter().enumerate() {
             self.acc_slot[v.index()] = i as u32;
         }
         let index = &self.acc_slot;
-        let mut ranks = vec![0; ids.len()];
-        let pops = self
-            .pops
-            .iter()
-            .enumerate()
-            .map(|(pos, &v)| {
-                let i = index[v as usize];
-                ranks[i as usize] = pos as u32;
-                i
-            })
-            .collect();
         LazyReach {
             horizon,
             rim_hops: max_hops - 1,
@@ -330,21 +320,23 @@ impl ReachScratch {
                     parent => index[parent as usize],
                 })
                 .collect(),
-            ranks,
-            pops,
+            pops: self.pops.iter().map(|&v| index[v as usize]).collect(),
             ids,
         }
     }
 
-    /// The rim list, emptied, then the free list's first accumulator and
-    /// the factor cache at `horizon`, where a [`LazyReach`] read rebuilds a
-    /// rim path: no search reads that accumulator between the one that
-    /// built the reach and the next.
+    /// A new epoch that stamps the marks of a [`LazyReach`] read over a
+    /// reach of `len` nodes, then the free list's first accumulator and
+    /// the factor cache at `horizon`, where the read rebuilds a rim path:
+    /// no search reads that accumulator between the one that built the
+    /// reach and the next, and each search starts an epoch of its own.
     pub(super) fn replay_workspace(
         &mut self,
         horizon: f64,
+        len: usize,
     ) -> (
-        &mut Vec<(u32, u32, f64)>,
+        &mut [(u64, f64)],
+        u64,
         &mut HorizonAccumulator,
         &mut FactorCache,
     ) {
@@ -352,7 +344,15 @@ impl ReachScratch {
             self.accs.push(HorizonAccumulator::new(horizon));
         }
         self.factors.prepare(horizon);
-        self.rims.clear();
-        (&mut self.rims, &mut self.accs[0], &mut self.factors)
+        if self.marks.len() < len {
+            self.marks.resize(len, (0, 0.0));
+        }
+        self.epoch += 1;
+        (
+            &mut self.marks,
+            self.epoch,
+            &mut self.accs[0],
+            &mut self.factors,
+        )
     }
 }

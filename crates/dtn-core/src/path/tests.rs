@@ -548,7 +548,7 @@ fn lazy_search_settles_the_inner_ball_only() {
 fn lazy_reach_is_no_larger_than_the_sparse_reach_it_replaces() {
     // A sparse city in miniature: 1 500 nodes of mean degree 12 under
     // three hops, where most of what the eager search settles are
-    // leaves. The lazy reach pays 24 B per inner node and nothing per
+    // leaves. The lazy reach pays 20 B per inner node and nothing per
     // leaf against 16 B per settled node.
     let g = lcg_graph_of(1500, 9000);
     let mut scratch = ReachScratch::new();
@@ -567,11 +567,11 @@ fn lazy_reach_is_no_larger_than_the_sparse_reach_it_replaces() {
 }
 
 #[test]
-fn a_reach_costs_at_most_24_bytes_per_inner_node() {
+fn a_reach_costs_at_most_20_bytes_per_inner_node() {
     // The same city under three and four hops. A reach owns its ball,
-    // every vector at its final size, and nothing per rim node. The
-    // layout that also copied each rim path (20 B per inner node, then
-    // 24 B per stage plus 5 B per rim node) is over the budget here.
+    // every slice at its final size, and nothing per rim node: not the
+    // pop position of each node (24 B per inner node before), nor a copy
+    // of each rim path (24 B per stage plus 5 B per rim node before that).
     let g = lcg_graph_of(1500, 9000);
     let mut scratch = ReachScratch::new();
     for max_hops in [3, 4] {
@@ -584,12 +584,12 @@ fn a_reach_costs_at_most_24_bytes_per_inner_node() {
                 .filter(|&i| reach.hops(i) + 1 == max_hops)
                 .count();
         }
-        assert!(
-            bytes <= 24 * inner,
+        assert_eq!(
+            bytes,
+            20 * inner,
             "{max_hops} hops: {bytes} B for {inner} inner nodes"
         );
-        let rim_copy = (24 * (max_hops - 1) + 5) * rims;
-        assert!(20 * inner + rim_copy > 24 * inner, "{rims} rim nodes");
+        assert!(rims > 0, "{max_hops} hops: no rim to weigh a leaf from");
     }
 }
 
@@ -599,7 +599,7 @@ fn warm_scratch_searches_without_allocating() {
     // source, and a lazy reach's read of every node, twice over: the
     // second pass finds every buffer the first one grew and moves or
     // regrows none of them — per-node arrays, the factor cache, heap,
-    // touched list, the ball's queue, the pop order, a leaf's rim list,
+    // touched list, the ball's queue, the pop order, a leaf read's marks,
     // and each recycled accumulator's four vectors, the one leaf reads
     // rebuild rim paths into among them.
     let g = lcg_graph();
@@ -634,7 +634,7 @@ fn warm_scratch_searches_without_allocating() {
             s.touched.capacity(),
             s.queue.capacity(),
             s.pops.capacity(),
-            s.rims.capacity(),
+            s.marks.capacity(),
         );
         (accs, arrays, s.heap.capacity(), lists)
     };

@@ -36,6 +36,11 @@ pub enum AuditLaw {
     /// holder physically stores the bytes, and per-NCL member counts
     /// match the per-copy states.
     CopyConservation,
+    /// Every copy a scheme pushed toward a central is in exactly one
+    /// fate — settled at the central, settled elsewhere, displaced,
+    /// expired in transit, or still in flight — so `pushed` is their sum
+    /// and the in-flight count is the copies still being pushed.
+    CopyFates,
     /// A buffer's used-byte counter equals the sum of its stored item
     /// sizes and never exceeds its capacity.
     BufferAccounting,
@@ -71,6 +76,7 @@ impl AuditLaw {
     pub fn name(self) -> &'static str {
         match self {
             AuditLaw::CopyConservation => "copy-conservation",
+            AuditLaw::CopyFates => "copy-fates",
             AuditLaw::BufferAccounting => "buffer-accounting",
             AuditLaw::LinkBudget => "link-budget",
             AuditLaw::QueryConservation => "query-conservation",

@@ -242,7 +242,7 @@ fn label(event: &WorkloadEvent) -> String {
 #[test]
 fn queries_and_items_interleave_as_one_stable_sort() {
     // Three calls, data and query events at equal times, a consumed
-    // prefix before the second: the two arrays merge into the order a
+    // prefix before the second: the arrays merge into the order a
     // stable time sort of `tail ++ events` gives after each call.
     let calls = [
         vec![
@@ -288,34 +288,118 @@ fn queries_and_items_interleave_as_one_stable_sort() {
     assert_eq!(sim.metrics().data_generated, 5);
     assert_eq!(sim.metrics().queries_issued, 5);
     assert!(pending(&sim).is_empty());
+
+    // Runs: queries at one instant split by an item between them, by a
+    // second constraint, and by a call that lands while a run is half
+    // consumed.
+    let mut sim = Simulator::new(&trace, DirectDelivery::default(), SimConfig::default());
+    let first = vec![
+        query_event(600, 1, 20, 900),
+        query_event(600, 0, 21, 900),
+        gen_event(6, 0, 10, 600, 9000),
+        query_event(600, 1, 22, 900),
+        query_event(600, 1, 23, 700),
+        query_event(600, 0, 24, 900),
+        query_event(700, 1, 25, 900),
+        query_event(700, 0, 26, 900),
+        query_event(700, 1, 27, 900),
+        query_event(700, 0, 28, 900),
+    ];
+    let mut model = first.clone();
+    sim.add_workload(first);
+    assert_eq!(pending(&sim), model);
+    let runs = |sim: &Simulator<_, _>| sim.workload.runs.len();
+    // [q20 q21] d6 [q22] [q23] [q24] [q25 .. q28]: the item and the
+    // 700-s constraint each split the 600-s batch.
+    assert_eq!(runs(&sim), 5);
+    sim.run_until(Time(650));
+    model.drain(..6);
+    for _ in 0..2 {
+        sim.workload.pop().expect("the 700-s run is pending");
+    }
+    model.drain(..2);
+    assert_eq!(pending(&sim), model, "half the run consumed");
+    let second = vec![
+        query_event(700, 1, 29, 900),
+        gen_event(7, 0, 10, 700, 9000),
+        query_event(680, 0, 30, 900),
+    ];
+    model.extend(second.iter().copied());
+    model.sort_by_key(WorkloadEvent::at);
+    sim.add_workload(second);
+    assert_eq!(pending(&sim), model, "after a call mid-run");
+    assert_eq!(
+        pending(&sim).iter().map(label).collect::<Vec<_>>(),
+        ["q30", "q27", "q28", "q29", "d7"]
+    );
+    // [q30] [q27 q28 q29] d7: the run's tail and the new equal-time
+    // query are one run again.
+    assert_eq!(runs(&sim), 2);
+    sim.run_to_end();
+    assert_eq!(sim.metrics().queries_issued, 9);
+    assert!(pending(&sim).is_empty());
 }
 
 #[test]
-fn a_queued_query_costs_32_bytes_and_its_record_24() {
+fn a_queued_query_costs_12_bytes_and_its_batch_24() {
     use super::ctx::QueryRecord;
-    use super::queue::QueuedQuery;
+    use super::queue::Run;
     use std::mem::size_of;
     assert_eq!(size_of::<WorkloadEvent>(), 48);
-    assert!(size_of::<QueuedQuery>() <= 32);
+    assert_eq!(size_of::<Run>(), 24);
+    assert_eq!(size_of::<NodeId>() + size_of::<DataId>(), 12);
     assert_eq!(size_of::<DataItem>(), 40);
     assert_eq!(size_of::<QueryRecord>(), 24);
+    let queue_bytes = |sim: &Simulator<_, _>| {
+        let queue = &sim.workload;
+        queue.runs.capacity() * size_of::<Run>()
+            + queue.requesters.capacity() * size_of::<NodeId>()
+            + queue.data.capacity() * size_of::<DataId>()
+            + queue.items.capacity() * size_of::<DataItem>()
+    };
     // paper_fig10's T_L = 12 h cell (8 640 s at trace scale 0.2, seed
     // 42) queues 47 040 queries and 4 303 items: 2 464 464 B as
-    // `WorkloadEvent`s.
-    let (queries, items) = (47_040, 4_303);
-    let mut events: Vec<_> = (0..queries)
-        .map(|i| query_event(100 + i, 1, i % 7, 600))
-        .collect();
-    events.extend((0..items).map(|i| gen_event(i, 0, 10, 100 + 10 * i, 600)));
+    // `WorkloadEvent`s, 1 677 400 B as 32-B query records. Its queries
+    // come in 491 batches, one every T_L/2 = 4 320 s from 4 320 s into
+    // the window on; items are created every T_L from the window's
+    // start, before that instant's batch.
+    let (start, batches, queries, items) = (2_125_440, 491, 47_040u64, 4_303u64);
+    let share = |total: u64, i: u64, of: u64| total * (i + 1) / of - total * i / of;
+    let mut events = Vec::new();
+    let (mut query, mut item) = (0, 0);
+    for instant in 0..=batches {
+        let at = start + 4_320 * instant;
+        if instant % 2 == 0 {
+            for _ in 0..share(items, instant / 2, batches / 2 + 1) {
+                events.push(gen_event(item, (item % 97) as u32, 10, at, 8_640));
+                item += 1;
+            }
+        }
+        if instant > 0 {
+            for _ in 0..share(queries, instant - 1, batches) {
+                events.push(query_event(at, (query % 97) as u32, query % 4_303, 4_320));
+                query += 1;
+            }
+        }
+    }
+    assert_eq!((query, item), (queries, items));
     let trace = two_node_trace();
     let mut sim = Simulator::new(&trace, DirectDelivery::default(), SimConfig::default());
     sim.add_workload(events);
-    let queue = &sim.workload;
-    let bytes = queue.queries.capacity() * size_of::<QueuedQuery>()
-        + queue.items.capacity() * size_of::<DataItem>();
-    assert_eq!(bytes, queries as usize * 32 + items as usize * 40);
-    assert!(bytes <= 1_700_000, "{bytes} B of queue");
+    assert!(sim.workload.runs.len() <= batches as usize);
+    let bytes = queue_bytes(&sim);
+    assert_eq!(
+        bytes,
+        sim.workload.runs.len() * 24 + queries as usize * 12 + items as usize * 40
+    );
+    assert!(bytes <= 748_384, "{bytes} B of queue");
     assert_eq!(sim.shared.queries.capacity(), 0, "no record before a query");
+
+    // The worst case, no two queries in one run: 36 B a query.
+    // `city_5k` queues 128 queries at distinct instants.
+    let mut sim = Simulator::new(&trace, DirectDelivery::default(), SimConfig::default());
+    sim.add_workload((0..128).map(|i| query_event(100 + i, 1, 0, 600)).collect());
+    assert_eq!(queue_bytes(&sim), 128 * 36);
 }
 
 #[test]

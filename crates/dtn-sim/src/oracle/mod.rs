@@ -225,7 +225,7 @@ impl PathOracle {
     /// `O(edges + sources read · reach)` instead of
     /// `O(edges + sources · nodes)` — the difference between a 100k-node
     /// population fitting in RAM or not — where a cached reach costs
-    /// 24 B per node of the ball ([`OracleStats::reach_bytes`]) and
+    /// 20 B per node of the ball ([`OracleStats::reach_bytes`]) and
     /// nothing per leaf, which is where a 3-hop search in a sparse city
     /// ends five times in six.
     ///

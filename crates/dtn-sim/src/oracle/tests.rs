@@ -593,9 +593,9 @@ fn hop_bound_truncates_distant_weights_to_zero() {
         (1, 1, 1)
     );
     assert_eq!((s.accumulators_built, s.leaf_evaluations), (1, 1));
-    // The reach is that one node: its id, weight, predecessor and pop
-    // position, and its place in the pop order.
-    assert_eq!(s.reach_bytes, 24);
+    // The reach is that one node: its id, weight, predecessor and its
+    // place in the pop order.
+    assert_eq!(s.reach_bytes, 20);
 }
 
 #[test]

@@ -197,16 +197,20 @@ impl Workload {
         }
 
         // --- Query generation ------------------------------------------
-        let mut queries: Vec<WorkloadEvent> = Vec::new();
+        // Each hit is `(requester, index into items)`, 8 B; `batches`
+        // holds each epoch that drew a hit and where its hits end.
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        let mut batches: Vec<(Time, usize)> = Vec::new();
         // `items` is in creation order, and an item dead at one epoch is
         // dead at every later one: the items alive at an epoch lie in the
         // window `[lo, hi)` past the dead prefix and up to the first item
         // not yet created.
         let (mut lo, mut hi) = (0, 0);
-        let mut alive: Vec<&DataItem> = Vec::new();
+        let mut alive: Vec<u32> = Vec::new();
         let mut threshold: Vec<u64> = Vec::new();
         let mut epoch = start + constraint; // first batch after data exists
         while epoch < end {
+            let drawn = hits.len();
             while hi < items.len() && items[hi].created_at <= epoch {
                 hi += 1;
             }
@@ -214,9 +218,14 @@ impl Workload {
                 lo += 1;
             }
             // Items alive at this epoch, ranked by creation order
-            // (rank 1 = oldest alive = most popular).
+            // (rank 1 = oldest alive = most popular). An index fits in
+            // `u32`: 2^32 items would be 160 GB of them.
             alive.clear();
-            alive.extend(items[lo..hi].iter().filter(|d| d.is_alive(epoch)));
+            alive.extend(
+                (lo..hi)
+                    .filter(|&i| items[i].is_alive(epoch))
+                    .map(|i| i as u32),
+            );
             if !alive.is_empty() {
                 let zipf = Zipf::new(alive.len(), config.zipf_exponent);
                 threshold.clear();
@@ -224,36 +233,45 @@ impl Workload {
                     (1..=alive.len()).map(|rank| bernoulli_threshold(zipf.probability(rank))),
                 );
                 for node in 0..nodes {
-                    for (item, &t) in alive.iter().zip(&threshold) {
-                        if item.source.index() == node {
+                    for (&i, &t) in alive.iter().zip(&threshold) {
+                        if items[i as usize].source.index() == node {
                             continue; // a source holds its own data
                         }
                         if bernoulli(&mut rng, t) {
-                            queries.push(WorkloadEvent::IssueQuery {
-                                at: epoch,
-                                requester: NodeId(node as u32),
-                                data: item.id,
-                                constraint,
-                            });
+                            hits.push((node as u32, i));
                         }
                     }
                 }
             }
+            if hits.len() > drawn {
+                batches.push((epoch, hits.len()));
+            }
             epoch += constraint;
         }
 
-        // Both lists are in time order: merge them, data generation
-        // before queries at a tie.
-        let query_count = queries.len() as u64;
-        let mut events = Vec::with_capacity(items.len() + queries.len());
+        // Both lists are in time order: write them out once, each
+        // epoch's new items before its queries.
+        let mut events = Vec::with_capacity(items.len() + hits.len());
         let mut data = items.iter().peekable();
-        for query in queries {
-            while let Some(&item) = data.next_if(|d| d.created_at <= query.at()) {
+        let mut from = 0;
+        for &(at, to) in &batches {
+            while let Some(&item) = data.next_if(|d| d.created_at <= at) {
                 events.push(WorkloadEvent::GenerateData { item });
             }
-            events.push(query);
+            events.extend(
+                hits[from..to]
+                    .iter()
+                    .map(|&(node, i)| WorkloadEvent::IssueQuery {
+                        at,
+                        requester: NodeId(node),
+                        data: items[i as usize].id,
+                        constraint,
+                    }),
+            );
+            from = to;
         }
         events.extend(data.map(|&item| WorkloadEvent::GenerateData { item }));
+        let query_count = hits.len() as u64;
 
         Ok(Workload {
             events,
@@ -500,6 +518,15 @@ mod tests {
             };
             let w = Workload::generate(97, &cfg);
             assert_eq!(fingerprint(&w), want, "T_L = {lifetime} s");
+        }
+    }
+
+    #[test]
+    fn the_event_list_is_written_at_its_length() {
+        for t_l in [6, 12, 48] {
+            let w = Workload::generate(20, &config(t_l, 3));
+            assert!(w.query_count() > 0);
+            assert_eq!(w.events.capacity(), w.events.len(), "T_L = {t_l} h");
         }
     }
 
