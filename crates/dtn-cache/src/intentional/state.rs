@@ -75,13 +75,19 @@ pub(super) enum Fate {
     ExpiredInTransit,
 }
 
-/// The copy-fate ledger: copies pushed, and how many are in each
-/// [`Fate`]. The copy-fates audit law holds `pushed` to their sum, and
-/// the first three fates to the copy table once the copies that left it
-/// are added.
+/// The copy-fate ledger: items generated, copies pushed or lost at
+/// birth, and how many pushed copies are in each [`Fate`]. The
+/// copy-fates audit law holds K copies of every item generated to
+/// `pushed + lost_at_birth`, `pushed` to the fates' sum, and the first
+/// three fates to the copy table once the copies that left it are added.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(super) struct CopyFates {
+    /// Items generated since `configure`.
+    pub(super) generated: u64,
     pub(super) pushed: u64,
+    /// Copies of items whose source could not hold them (K per item):
+    /// never pushed, so in no fate.
+    pub(super) lost_at_birth: u64,
     pub(super) fates: [u64; 5],
     /// Of the first three fates, the copies that were in one when their
     /// item expired and left the copy table; an in-flight one moves to
@@ -335,20 +341,27 @@ impl Live {
             });
         }
         let CopyFates {
+            generated,
             pushed,
+            lost_at_birth,
             fates,
             expired,
         } = self.fates;
+        let owed = generated * self.centrals.len() as u64;
         let counted: [u64; 3] = std::array::from_fn(|f| fates[f].wrapping_sub(expired[f]));
-        if fates.iter().sum::<u64>() != pushed || counted != listed {
+        if owed != pushed + lost_at_birth
+            || fates.iter().sum::<u64>() != pushed
+            || counted != listed
+        {
             report.violate(AuditViolation {
                 law: AuditLaw::CopyFates,
                 at,
                 node: None,
                 item: None,
                 detail: format!(
-                    "{pushed} copies pushed, fates {fates:?}; in flight, at the \
-                     central and elsewhere: ledger {counted:?}, copy table {listed:?}"
+                    "{owed} copies owed, {pushed} pushed, {lost_at_birth} lost at birth, \
+                     fates {fates:?}; in flight, at the central and elsewhere: ledger \
+                     {counted:?}, copy table {listed:?}"
                 ),
             });
         }
@@ -604,9 +617,8 @@ impl Live {
         // holds everything — still run when both hold copies or the
         // better-placed node differs.
         let central = self.centrals[k];
-        let wa = self.oracle.weight(ctx.rate_table(), now, a, central);
-        let wb = self.oracle.weight(ctx.rate_table(), now, b, central);
-        let (first, second) = if wa >= wb { (a, b) } else { (b, a) };
+        let b_heavier = self.oracle.heavier(ctx.rate_table(), now, b, a, central);
+        let (first, second) = if b_heavier { (b, a) } else { (a, b) };
 
         // Extract the pooled physical copies, remembering prior holders.
         for (item, holder) in pool.iter() {
@@ -841,14 +853,15 @@ mod tests {
         live.member_count[0] -= 1;
 
         // A copy counted in two fates; a copy counted settled at its
-        // central that the copy table does not list there: the fate
-        // ledger must trip.
-        let seeds: [fn(&mut CopyFates); 2] = [
+        // central that the copy table does not list there; a copy lost at
+        // birth that no item owed: the fate ledger must trip.
+        let seeds: [fn(&mut CopyFates); 3] = [
             |f| f.fates[Fate::AtRelay as usize] += 1,
             |f| {
                 f.pushed += 1;
                 f.fates[Fate::AtCentral as usize] += 1;
             },
+            |f| f.lost_at_birth += 1,
         ];
         for (i, seed) in seeds.into_iter().enumerate() {
             let saved = live.fates;

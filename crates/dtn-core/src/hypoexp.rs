@@ -66,10 +66,12 @@ const WEIGHT_CAP_SLACK: f64 = 1e-7;
 /// is at most its first stage's, `1 − e^{−λ₁t}`; perturbing a clustered
 /// rate only ever raises a *later* stage, which keeps that true of the
 /// path actually evaluated. What the cap adds is the evaluation's own
-/// rounding, which the property tests hold below [`WEIGHT_CAP_SLACK`]
-/// for short paths; a longer path is capped by the clamp to 1 alone.
-/// NCL selection ([`crate::ncl`]) prunes by this bound.
-pub(crate) fn weight_cap(first_rate: f64, t: f64, max_stages: Option<usize>) -> f64 {
+/// rounding, which the property tests hold below an absolute 1e-7 for
+/// paths of up to three stages; a longer path (or `None`) is capped by
+/// the clamp to 1 alone, plus that slack.
+/// NCL selection ([`crate::ncl`]) prunes by this bound, and the bounded
+/// path oracle decides a comparison of two weights by it.
+pub fn weight_cap(first_rate: f64, t: f64, max_stages: Option<usize>) -> f64 {
     let first = match max_stages {
         Some(stages) if stages <= FIRST_STAGE_CAP_STAGES => -(-first_rate * t).exp_m1(),
         _ => 1.0,

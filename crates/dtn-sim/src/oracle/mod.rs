@@ -60,7 +60,8 @@
 
 use std::sync::LazyLock;
 
-use dtn_core::graph::CsrGraph;
+use dtn_core::graph::{CsrGraph, Topology};
+use dtn_core::hypoexp::weight_cap;
 use dtn_core::ids::NodeId;
 use dtn_core::path::{bounded_reach, shortest_paths_batch, LazyReach, PathTable, ReachScratch};
 use dtn_core::rate::RateTable;
@@ -470,10 +471,67 @@ impl PathOracle {
         self.search(&mut jobs);
     }
 
+    /// Whether `a`'s path weight to `dest` is strictly heavier than
+    /// `b`'s: `weight(a, dest) > weight(b, dest)`, to the bit.
+    ///
+    /// Dense mode reads both weights. On the bounded-reach branch no path
+    /// out of a node weighs more than [`weight_cap`] of its fastest
+    /// contact in the snapshot (and `dest` weighs 1 to itself), so one
+    /// side's weight often settles the comparison: the side already
+    /// answered this epoch is read first (`b` if neither or both are),
+    /// and the other side is searched only if that weight falls inside
+    /// the other's cap — `true` when `w_a` exceeds `b`'s cap, `false`
+    /// when `w_b` reaches `a`'s. Past three hops the cap is the clamp to
+    /// 1 and both sides are read, as they are when a node is past the
+    /// population.
+    pub fn heavier(
+        &mut self,
+        rates: &RateTable,
+        now: Time,
+        a: NodeId,
+        b: NodeId,
+        dest: NodeId,
+    ) -> bool {
+        let capped = self.max_hops.is_some()
+            && a.index().max(b.index()).max(dest.index()) < self.tables.len();
+        if !capped {
+            let wb = self.weight(rates, now, b, dest);
+            return self.weight(rates, now, a, dest) > wb;
+        }
+        self.refresh_snapshot(rates, now);
+        if self.answered(a, dest) && !self.answered(b, dest) {
+            let wa = self.weight(rates, now, a, dest);
+            wa > self.cap(b, dest) || wa > self.weight(rates, now, b, dest)
+        } else {
+            let wb = self.weight(rates, now, b, dest);
+            wb < self.cap(a, dest) && self.weight(rates, now, a, dest) > wb
+        }
+    }
+
+    /// Whether reading `source`'s weight to `dest` searches nothing this
+    /// epoch: a self-read, or a source whose reach is current (a column
+    /// cell is set only by reading a current reach).
+    fn answered(&self, source: NodeId, dest: NodeId) -> bool {
+        source == dest || self.reaches[source.index()].0 == self.epoch
+    }
+
+    /// No less than any weight a bounded read from `source` to `dest`
+    /// can answer this epoch: 1 for a self-read, else [`weight_cap`] of
+    /// the source's fastest rate in the snapshot.
+    fn cap(&self, source: NodeId, dest: NodeId) -> f64 {
+        if source == dest {
+            return 1.0;
+        }
+        let snapshot = self.snapshot.as_ref().expect("capped after a refresh");
+        let row = snapshot.graph.neighbors(source);
+        let fastest = row.iter().map(|&(_, rate)| rate).fold(0.0, f64::max);
+        weight_cap(fastest, self.horizon, self.max_hops)
+    }
+
     /// THE greedy relay rule (§V-A): forward a message carried by `from`
-    /// to `to` iff `to` has a strictly better path weight to `dest`. The
-    /// destination always accepts; a carrier at the destination never
-    /// forwards. Reads `to`'s weight, then `from`'s: a `to` past the
+    /// to `to` iff `to` has a strictly better path weight to `dest`
+    /// ([`heavier`](Self::heavier)). The destination always accepts; a
+    /// carrier at the destination never forwards. A `to` past the
     /// population reads 0, so it accepts nothing but as the destination.
     pub fn forward(
         &mut self,
@@ -489,7 +547,7 @@ impl PathOracle {
         if from == dest {
             return false;
         }
-        self.weight(rates, now, to, dest) > self.weight(rates, now, from, dest)
+        self.heavier(rates, now, to, from, dest)
     }
 
     /// Drops the snapshot and every cached table (e.g. after a

@@ -632,3 +632,55 @@ fn invalidate_forces_a_bounded_recompute() {
     let s = o.stats();
     assert_eq!((s.table_recomputes, s.table_hits, s.rebuilds), (3, 2, 2));
 }
+
+/// Central 0, a carrier 1 that meets it fifty times and a leaf 2 that
+/// has met the carrier once.
+fn rates_fast_carrier_slow_leaf() -> RateTable {
+    let mut r = RateTable::new(3, Time::ZERO);
+    for t in 1..=50u64 {
+        r.record(NodeId(0), NodeId(1), Time(t * 10));
+    }
+    r.record(NodeId(1), NodeId(2), Time(700));
+    r
+}
+
+#[test]
+fn a_comparison_the_first_hop_cap_decides_searches_one_side() {
+    let rates = rates_fast_carrier_slow_leaf();
+    let now = Time(1000);
+    let (carrier, leaf, central) = (NodeId(1), NodeId(2), NodeId(0));
+    // The carrier's weight to the central (λT = 180) is above anything
+    // the leaf's one slow contact (λT = 3.6) can carry: the carrier's
+    // reach decides, and the leaf's is never built.
+    let mut o = PathOracle::new(3, 3600.0, Duration::hours(1)).with_bounded_reach(3);
+    assert!(!o.forward(&rates, now, carrier, leaf, central));
+    assert_eq!(o.stats().table_recomputes, 1);
+    // Asked the other way round with the leaf not yet searched, the
+    // answered side (the carrier) is read first and decides again.
+    assert!(o.heavier(&rates, now, carrier, leaf, central));
+    assert_eq!((o.stats().table_recomputes, o.stats().table_hits), (1, 1));
+    // Dense mode reads both sides.
+    let mut dense = PathOracle::new(3, 3600.0, Duration::hours(1));
+    assert!(!dense.forward(&rates, now, carrier, leaf, central));
+    assert_eq!(dense.stats().table_recomputes, 2);
+    // Past three hops the cap is the clamp: both sides again.
+    let mut deep = PathOracle::new(3, 3600.0, Duration::hours(1)).with_bounded_reach(4);
+    assert!(!deep.forward(&rates, now, carrier, leaf, central));
+    assert_eq!(deep.stats().table_recomputes, 2);
+}
+
+#[test]
+fn a_comparison_with_the_destination_searches_at_most_one_side() {
+    let rates = rates_fast_carrier_slow_leaf();
+    let now = Time(1000);
+    let mut o = PathOracle::new(3, 3600.0, Duration::hours(1)).with_bounded_reach(3);
+    // The destination weighs 1 to itself: no path is heavier, and a
+    // source whose cap is below 1 is lighter without a search.
+    assert!(!o.heavier(&rates, now, NodeId(2), NodeId(0), NodeId(0)));
+    assert!(o.heavier(&rates, now, NodeId(0), NodeId(2), NodeId(0)));
+    assert_eq!(o.stats().table_recomputes, 0);
+    // The carrier's cap is above 1 and its weight rounds to 1: only its
+    // read can tell that the destination is not heavier.
+    assert!(!o.heavier(&rates, now, NodeId(0), NodeId(1), NodeId(0)));
+    assert_eq!(o.stats().table_recomputes, 1);
+}

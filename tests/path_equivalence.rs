@@ -755,6 +755,65 @@ fn dense_oracle_reads_equal_the_exhaustive_search() {
     });
 }
 
+/// Holds every bounded read from every source of `g`, leaf replays
+/// included, at bounds 1..=3 below `hypoexp::weight_cap` of the source's
+/// fastest contact: the bound `PathOracle::heavier` decides by.
+fn assert_capped<G: Topology>(
+    g: &G,
+    horizon: f64,
+    scratch: &mut ReachScratch,
+) -> Result<(), String> {
+    let n = g.node_count() as u32;
+    for max_hops in 1..=3 {
+        for source in (0..n).map(NodeId) {
+            let fastest = g
+                .neighbors(source)
+                .iter()
+                .map(|&(_, r)| r)
+                .fold(0.0, f64::max);
+            let cap = hypoexp::weight_cap(fastest, horizon, Some(max_hops));
+            let reach = bounded_reach(g, source, horizon, max_hops, scratch);
+            for dest in (0..n).map(NodeId).filter(|&d| d != source) {
+                let (weight, evaluations) = reach.weight_to(g, dest, scratch);
+                if weight > cap {
+                    return Err(format!(
+                        "{max_hops} hops, {source} to {dest}: {weight:?} above the cap {cap:?} \
+                         after {evaluations} evaluations"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// When the rates of [`compared_rates`] are read.
+const COMPARED_AT: Time = Time(1_000_000);
+
+/// A rate table whose cumulative rates at [`COMPARED_AT`] are contact
+/// counts over 10⁶ s: per edge `(a, b, kind, drawn)`, a four-count
+/// palette for kinds 0–3 (exact ties), 10 000 or 10 001 contacts for
+/// kinds 4 and 5 (rates 1e-4 apart, inside the hypoexp module's
+/// relative separation), else `drawn` contacts. A pair listed twice
+/// adds its counts.
+fn compared_rates(n: usize, edges: &[(u32, u32, u32, u64)]) -> RateTable {
+    let mut rates = RateTable::new(n, Time::ZERO);
+    for &(a, b, kind, drawn) in edges {
+        let (a, b) = (NodeId(a % n as u32), NodeId(b % n as u32));
+        let contacts = match kind {
+            0..=3 => [1, 3, 10, 40][kind as usize],
+            4 | 5 => 10_000 + u64::from(kind - 4),
+            _ => drawn,
+        };
+        if a != b {
+            for _ in 0..contacts {
+                rates.record(a, b, Time(1));
+            }
+        }
+    }
+    rates
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -844,6 +903,83 @@ proptest! {
             .and_then(|()| assert_batch_is_serial(&g, horizon, &targets))
         {
             prop_assert!(false, "{}", message);
+        }
+    }
+
+    /// What the comparison prunes by holds on every graph the lazy reach
+    /// is held on: no bounded read of up to three hops answers above the
+    /// first-hop cap of its source, on either storage.
+    #[test]
+    fn a_bounded_weight_never_exceeds_its_first_hop_cap(
+        n in 2usize..48,
+        edges in prop::collection::vec((0u32..48, 0u32..48, 0u32..12, 1e-6f64..1e-1), 1..160),
+        horizon in 50.0f64..1e6,
+    ) {
+        let edges: Vec<(u32, u32, f64)> = edges
+            .iter()
+            .map(|&(a, b, kind, drawn)| (a, b, mixed_rate(kind, drawn, horizon)))
+            .collect();
+        let mut scratch = ReachScratch::new();
+        for result in [
+            assert_capped(&graph_from_edges(n, &edges), horizon, &mut scratch),
+            assert_capped(&csr_from_edges(n, &edges), horizon, &mut scratch),
+        ] {
+            if let Err(message) = result {
+                prop_assert!(false, "{}", message);
+            }
+        }
+    }
+
+    /// The bounded `PathOracle::heavier`, at bounds 1..=5 and horizons
+    /// from 100 s to 10⁹ s (weights near 0 through weights that round to
+    /// 1), answers `weight(a, d) > weight(b, d)` of a fresh oracle for
+    /// every triple, one id past the population included, from every
+    /// starting state — neither side searched this epoch, either one,
+    /// both — with node 0 a target, and builds no more reaches than the
+    /// two reads would from the same state.
+    #[test]
+    fn bounded_comparisons_equal_two_fresh_reads(
+        n in 2usize..9,
+        edges in prop::collection::vec((0u32..9, 0u32..9, 0u32..8, 1u64..2_000), 1..30),
+        exponent in 2.0f64..9.0,
+        max_hops in 1usize..=5,
+    ) {
+        let rates = compared_rates(n, &edges);
+        let horizon = 10f64.powf(exponent);
+        let now = COMPARED_AT;
+        let oracle = || {
+            let mut o = PathOracle::new(n, horizon, Duration::hours(1)).with_bounded_reach(max_hops);
+            o.set_targets(&[NodeId(0)]);
+            o
+        };
+        let ids: Vec<NodeId> = (0..=n as u32).map(NodeId).collect();
+        let mut fresh = oracle();
+        let weights: Vec<Vec<f64>> = ids
+            .iter()
+            .map(|&s| ids.iter().map(|&d| fresh.weight(&rates, now, s, d)).collect())
+            .collect();
+        let triples = ids.iter().flat_map(|&a| ids.iter().map(move |&b| (a, b)));
+        for (a, b, d) in triples.flat_map(|(a, b)| ids.iter().map(move |&d| (a, b, d))) {
+            let want = weights[a.index()][d.index()] > weights[b.index()][d.index()];
+            for searched in [&[][..], &[a], &[b], &[a, b]] {
+                let (mut compared, mut read) = (oracle(), oracle());
+                for o in [&mut compared, &mut read] {
+                    for &s in searched {
+                        o.weight(&rates, now, s, d);
+                    }
+                }
+                let before = compared.stats().table_recomputes;
+                let got = compared.heavier(&rates, now, a, b, d);
+                prop_assert_eq!(got, want, "{} over {} to {}, {:?} searched", a, b, d, searched);
+                read.weight(&rates, now, a, d);
+                read.weight(&rates, now, b, d);
+                prop_assert!(
+                    compared.stats().table_recomputes - before
+                        <= read.stats().table_recomputes - before,
+                    "{} over {} to {}, {:?} searched: more reaches than two reads",
+                    a, b, d, searched
+                );
+            }
         }
     }
 }
