@@ -474,12 +474,14 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     let audited = run_scale(&audited);
     let (sweeps, violations) = audited.audit.expect("audit was enabled");
     eprintln!(
-        "[scale] audit: {sweeps} sweeps, {violations} violations; {} path searches settled {} nodes and built {} accumulators, {} leaf evaluations, reaches of {} B, a stream of {} B",
+        "[scale] audit: {sweeps} sweeps, {violations} violations; {} path searches settled {} nodes and built {} accumulators, {} leaf evaluations, reaches of {} B, {} destination balls of {} B, a stream of {} B",
         audited.oracle.table_recomputes,
         audited.oracle.nodes_settled,
         audited.oracle.accumulators_built,
         audited.oracle.leaf_evaluations,
         audited.oracle.reach_bytes,
+        audited.oracle.balls_built,
+        audited.oracle.ball_bytes,
         audited.stream_bytes,
     );
     let mut runs = Vec::new();
@@ -496,11 +498,12 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
         );
         let report = run_scale(&cfg);
         eprintln!(
-            "[scale] {nodes}: {} contacts, {:.0} contacts/s, peak RSS {:.1} MiB, reaches {:.1} MiB, stream {:.1} MiB",
+            "[scale] {nodes}: {} contacts, {:.0} contacts/s, peak RSS {:.1} MiB, reaches {:.1} MiB, balls {:.2} MiB, stream {:.1} MiB",
             report.contacts,
             report.contacts_per_sec,
             mib(report.peak_rss_bytes),
             mib(report.oracle.reach_bytes),
+            mib(report.oracle.ball_bytes),
             mib(report.stream_bytes),
         );
         runs.push((smoke, report));
@@ -517,14 +520,14 @@ fn scale_cmd(opts: &Options) -> Result<(), String> {
     // host's throughput.
     let memory_notes = [
         "peak_rss_bytes is VmHWM, the process-lifetime high-water mark: a run reads the larger of its own peak and every earlier run's. The audited case runs first, so its value is its own (a 2000-node city sits below the trace plan's 2048-node exact pair sweep); the sized runs follow in ascending order, and one whose own peak is below the audited case's reads the audited case's.",
-        "audited_case.oracle_*_exact are the path oracle's work over the audited run, counted not timed, and gated by `experiments compare`. nodes_settled counts the ball of radius max_hops - 1 around each searched source: the leaves of the hop bound never enter the search and are weighed by the reads that ask for one (leaf_evaluations). A read of a central keeps its weight in the oracle's N x K target column, so the pair's later reads of the epoch are loads and weigh no leaf: the audited case read 3186 leaf evaluations before the column, 2555 with it, and 1641 since comparisons search one side; a column filled when a reach is built, or left unread, moves that gate. A comparison of two weights (PathOracle::heavier, behind forward and the section V-D exchange) reads first the side already searched this epoch, else the carrier, and searches the other only if that weight falls inside the other's first-hop cap: with that prune dropped the audited case reads 848 searches settling 271422 nodes, not 483 settling 194165. A rim node that relaxes every neighbour again, not just the inner ones, reads nodes_settled about 2.3x higher for the same table_recomputes and fails that gate on any machine.",
+        "audited_case.oracle_*_exact are the path oracle's work over the audited run, counted not timed, and gated by `experiments compare`. nodes_settled counts the ball of radius max_hops - 1 around each searched source: the leaves of the hop bound never enter the search and are weighed by the reads that ask for one (leaf_evaluations). A read of a central keeps its weight in the oracle's N x K target column, so the pair's later reads of the epoch are loads and weigh no leaf: the audited case read 3186 leaf evaluations before the column, 2555 with it, 1641 once comparisons searched one side, and 1530 since a destination's ball bounds them too; a column filled when a reach is built, or left unread, moves that gate. A comparison of two weights (PathOracle::heavier, behind forward and the section V-D exchange) reads first the side already searched this epoch, else the carrier, and searches the other only if that weight falls inside the other's first-hop cap and, up to three hops, inside the best product of stage CDFs over its walks into the destination's 2-hop ball (balls_built: one ball per destination and epoch, 16 B a node, its heap in ball_bytes): with the ball dropped the audited case reads 483 searches settling 194165 nodes, not 356 settling 158749, and with the cap dropped too 848 settling 271422. A rim node that relaxes every neighbour again, not just the inner ones, reads nodes_settled about 2.3x higher for the same table_recomputes and fails that gate on any machine.",
         "(retired 1-core box) sparse-reach cache resized from 4096 fixed slots to one slot per node: direct-mapped collisions had nearly every forwarding decision recompute a bounded Dijkstra; 10k-node city run went 17314 -> 28396 contacts/s.",
         "(retired 1-core box) oracle wall-clock refresh pinned to the trace duration in the scale harness (generation-doubling rebuilds still fire): each snapshot rebuild invalidates all ~N cached reaches, and recomputing them dominated the measured phase; 30k-node city run went 6534 -> 15275 contacts/s (measured phase 114.5s -> 48.8s).",
         "Metrics keeps the exact delay sum and count only (O(1) in delivered queries); the delay distribution is read off the recorder's query traces (bench::observe::distributions), present when a probe is installed.",
         "audited_case.ncl_*_exact are the work of the NCL selection inside configure, counted and gated the same way: searches_run nodes had their Eq. 3 metric computed by a path search, candidates_pruned nodes were never evaluated because an upper bound on their metric (nodes within the hop bound x weight of the fastest contact) was below the K-th best exact metric. A bound that stops pruning fails the gate on any machine: without the ball count the audited case reads 406 searches for 349, with the contact weight replaced by 1 it reads 627.",
         "RateTable holds an estimator (32 B) only for a pair that has met, at every population: O(N + pairs met), never O(N^2).",
-        "100k vs 10k contacts/s, two alternating pairs on 2 vCPUs: 0.25-0.28 (10k 1.33-1.40x and 100k 1.14-1.25x the parent's), against 0.30-0.31 at the parent, which searched both sides of every forward and section V-D exchange comparison. 100k measured_secs read 0.80-0.88x the parent's, peak RSS 626-631 -> 430 MiB, of which the reaches 454.8 -> 259.6 MiB; 10k peak RSS 51.4-51.6 -> 37.7-37.8 MiB.",
-        "oracle_reach_bytes is the heap the bounded oracle's reaches held, summed over every reach built (each source's reach of an epoch replaces its last, so a sum over epochs bounds what is live at once). A reach keeps its inner ball, 20 B per node (id, weight, predecessor, pop order), and nothing per rim node: a leaf read marks its rim neighbours in the scratch, walks the pop order once and rebuilds each rim path it tries from the predecessor chain. The audited case's reaches hold 3883300 B (194165 nodes x 20 B), gated as oracle_reach_bytes_exact (5428440 B for 271422 nodes while both sides of every comparison were searched); with each node's pop position kept as well they held 24 B a node (6514128 B then), and the layout that also copied each rim path (20 B per inner node, then 24 B per stage plus 5 B per rim node) held 11033296 B then.",
+        "100k vs 10k contacts/s, two alternating pairs on 2 vCPUs: 0.34 in both (10k 1.11-1.26x and 100k 1.12-1.30x the parent's), against 0.29-0.38 at the parent, whose comparisons read no destination ball. 100k measured_secs read 0.77-0.90x the parent's, peak RSS 430-434 -> 373-377 MiB, of which the reaches 259.6 -> 199.2 MiB and the destination balls 3.4 MiB; 10k peak RSS 37.6-37.9 -> 34.3 MiB.",
+        "oracle_reach_bytes is the heap the bounded oracle's reaches held, summed over every reach built (each source's reach of an epoch replaces its last, so a sum over epochs bounds what is live at once). A reach keeps its inner ball, 20 B per node (id, weight, predecessor, pop order), and nothing per rim node: a leaf read marks its rim neighbours in the scratch, walks the pop order once and rebuilds each rim path it tries from the predecessor chain. The audited case's reaches hold 3174980 B (158749 nodes x 20 B), gated as oracle_reach_bytes_exact (3883300 B for 194165 nodes before a destination's ball bounded comparisons, 5428440 B for 271422 nodes while both sides of every comparison were searched); with each node's pop position kept as well they held 24 B a node (6514128 B then), and the layout that also copied each rim path (20 B per inner node, then 24 B per stage plus 5 B per rim node) held 11033296 B then.",
         "audited_case.pending_*_exact are the in-flight arena's work over the audited run (pulls, NCL broadcasts, responses), counted and gated the same way: examined counts each message an endpoint carried once per contact, inserted the messages put in flight. A query's multicast to the K = 8 centrals is one pull record: with one slot per copy the audited case read 1425 inserted (1016 of them pulls, now 127) and 408585 examined (pulls 23057, now 11377).",
         "stream_bytes is the heap the contact stream held when it opened (ContactStream::heap_bytes): 88 B per kept pair (its RNG, calibrated process values, three clocks, endpoints, and the end of the contact it pulled past the last block) plus the block merge's two buffers, the block being filled and the sorted block being yielded (about max(4096, pairs / 4) contacts each, 24 B a contact), 107 B per kept pair in the audited case. The plan-wide constants live once on the stream. The audited 2000-node city sweeps every pair exactly, so its value is deterministic and gated as stream_bytes_exact. The k-way heap merge the stream used before it drained build()'s block merge read 1400760 here, 120 B per kept pair (a 104-B pair and a 16-B merge key); the layout before that, which copied the constants and a sampler into every pair, held 291 B per kept pair at 5000 nodes.",
     ];

@@ -316,7 +316,8 @@ fn phase_line(e: &ProfileEntry) -> JsonValue {
 /// sanity-check a capture without replaying its event stream — and,
 /// when the scheme keeps a path oracle, its final work counters
 /// (`oracle_table_hits + oracle_table_recomputes` = reads that were not
-/// self-reads; `oracle_reach_bytes` the heap of the bounded reaches) —
+/// self-reads; `oracle_reach_bytes` the heap of the bounded reaches,
+/// `oracle_ball_bytes` that of the destination balls) —
 /// and, for a streamed run, the heap of its contact stream
 /// (`stream_bytes`).
 fn footer_line(run: &ObserveRun) -> JsonValue {
@@ -343,6 +344,8 @@ fn footer_line(run: &ObserveRun) -> JsonValue {
         line.set("oracle_accumulators_built", o.accumulators_built);
         line.set("oracle_leaf_evaluations", o.leaf_evaluations);
         line.set("oracle_reach_bytes", o.reach_bytes);
+        line.set("oracle_balls_built", o.balls_built);
+        line.set("oracle_ball_bytes", o.ball_bytes);
     }
     if let Some(bytes) = run.stream_bytes {
         line.set("stream_bytes", bytes);

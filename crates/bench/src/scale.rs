@@ -179,8 +179,8 @@ pub struct ScaleReport {
 impl ScaleReport {
     /// The report as one JSON object — a `report` member of
     /// `BENCH_scale.json`. Wall-clock and memory numbers only, the heap
-    /// bytes of the oracle's reaches and of the contact stream beside
-    /// peak RSS: nothing here is gated.
+    /// bytes of the oracle's reaches and destination balls and of the
+    /// contact stream beside peak RSS: nothing here is gated.
     pub fn to_json(&self) -> JsonValue {
         let audit = self.audit.map(|(sweeps, violations)| {
             JsonValue::object()
@@ -199,6 +199,7 @@ impl ScaleReport {
             )
             .with("peak_rss_bytes", self.peak_rss_bytes)
             .with("oracle_reach_bytes", self.oracle.reach_bytes)
+            .with("oracle_ball_bytes", self.oracle.ball_bytes)
             .with("stream_bytes", self.stream_bytes)
             .with("queries_issued", self.queries_issued)
             .with("success_ratio", JsonValue::fixed(self.success_ratio, 4))
@@ -226,6 +227,8 @@ impl ScaleReport {
                 self.oracle.leaf_evaluations,
             )
             .with("oracle_reach_bytes_exact", self.oracle.reach_bytes)
+            .with("oracle_balls_built_exact", self.oracle.balls_built)
+            .with("oracle_ball_bytes_exact", self.oracle.ball_bytes)
             .with("stream_bytes_exact", self.stream_bytes)
             .with("ncl_searches_run_exact", self.ncl.searches_run)
             .with("ncl_candidates_pruned_exact", self.ncl.candidates_pruned)
@@ -535,6 +538,13 @@ mod tests {
             0 < oracle.reach_bytes && oracle.reach_bytes == 20 * oracle.nodes_settled,
             "{oracle:?}"
         );
+        // Comparisons the first-hop cap leaves open read a destination's
+        // ball, 16 B a node, built once an epoch.
+        assert!(
+            0 < oracle.balls_built && oracle.ball_bytes.is_multiple_of(16),
+            "{oracle:?}"
+        );
+        assert!(oracle.ball_bytes > 16 * oracle.balls_built, "{oracle:?}");
         assert_eq!(run_scale(&tiny()).oracle, oracle, "counted, not timed");
         let json = report.to_json_exact();
         for (key, value) in [
@@ -543,6 +553,8 @@ mod tests {
             ("oracle_accumulators_built_exact", oracle.accumulators_built),
             ("oracle_leaf_evaluations_exact", oracle.leaf_evaluations),
             ("oracle_reach_bytes_exact", oracle.reach_bytes),
+            ("oracle_balls_built_exact", oracle.balls_built),
+            ("oracle_ball_bytes_exact", oracle.ball_bytes),
         ] {
             assert_eq!(json.get(key).and_then(JsonValue::as_u64), Some(value));
         }

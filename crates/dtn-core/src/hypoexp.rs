@@ -79,6 +79,30 @@ pub fn weight_cap(first_rate: f64, t: f64, max_stages: Option<usize>) -> f64 {
     first + WEIGHT_CAP_SLACK
 }
 
+/// How much [`product_cap`] raises a stage's rate: enough to cover what
+/// [`effective_rate`] does to a stage of a path of up to three stages.
+/// Each earlier stage nudges it at most once, to at most
+/// `(1 + REL_PERTURBATION) / (1 − REL_SEPARATION)` times its value, so a
+/// third stage moves at most 1.0022 times its rate.
+const STAGE_RATE_INFLATION: f64 = 1.0025;
+
+/// An upper bound on every weight the path search can give a path of at
+/// most three stages whose first stage has a rate of at most `rate`, at
+/// horizon `t`, when `rest` bounds the stages after it: 1 for none, else
+/// the `product_cap` of the second stage with its own `rest`.
+///
+/// A sum of independent delays is at most `t` only if each delay is, so
+/// a path's CDF is at most the product of its stage CDFs. Each stage is
+/// weighed at its rate times 1.0025, which covers the perturbation a
+/// clustered later stage gets, and adds [`weight_cap`]'s slack for the
+/// evaluation's rounding (so a three-stage product carries it three
+/// times). Unlike [`weight_cap`] it bounds a path by where it goes: the
+/// bounded path oracle takes the best product over the walks from a
+/// node into a destination's 2-hop ball.
+pub fn product_cap(rate: f64, t: f64, rest: f64) -> f64 {
+    -(-rate * STAGE_RATE_INFLATION * t).exp_m1() * rest + WEIGHT_CAP_SLACK
+}
+
 /// Effective rate for a new stage: `rate` nudged upward until it is
 /// well-separated from every rate in `spread`, the effective rates
 /// already backing the coefficients. Deterministic, and a function of

@@ -429,6 +429,34 @@ mod properties {
                 shorter = weight;
             }
         }
+
+        /// What the bounded oracle's destination ball prunes by: every
+        /// stage the evaluator weighs, perturbed or not, is covered by
+        /// its [`product_cap`] factor, and no weight of up to three
+        /// stages exceeds the nested product of its stages.
+        #[test]
+        fn weight_never_exceeds_its_stage_product(
+            base_exp in -7.0f64..-1.0,
+            stages in prop::collection::vec((0u32..5, 0.0f64..1.0, 0usize..6), 1..4),
+            t_mode in 0u32..4,
+            t_u in 0.0f64..1.0,
+        ) {
+            let rates = adversarial_rates(10f64.powf(base_exp), &stages);
+            let t = adversarial_horizon(&rates, t_mode, t_u);
+            let mut path = HorizonAccumulator::new(t);
+            let mut acc = Accumulator::new();
+            for (i, &rate) in rates.iter().enumerate() {
+                let weight = fresh_cdf(&path, rate);
+                fresh_push(&mut path, rate);
+                acc.push(rate);
+                let stage = -(-acc.spread[i] * t).exp_m1();
+                prop_assert!(stage <= product_cap(rate, t, 1.0),
+                    "{:?} at t={t}: stage {i} weighed at {}", &rates[..=i], acc.spread[i]);
+                let cap = rates[..=i].iter().rev().fold(1.0, |rest, &r| product_cap(r, t, rest));
+                prop_assert!(weight <= cap,
+                    "{:?} at t={t}: weight {weight} above the product {cap}", &rates[..=i]);
+            }
+        }
     }
 
     proptest! {

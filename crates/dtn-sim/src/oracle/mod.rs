@@ -57,12 +57,23 @@
 //! answer to the bit (`tests/path_equivalence.rs`). The targets keep a
 //! column there, and only there: a pair's later reads of a target in the
 //! epoch load what its first read stored.
+//!
+//! Most bounded reads answer one question — is the met node's weight to
+//! `d` above the carrier's? — and [`PathOracle::heavier`] answers it
+//! searching one side when an upper bound on the other side settles it:
+//! first the other node's first-hop [`weight_cap`], then, up to three
+//! hops, a bound that knows where `d` is. A sum of independent delays is
+//! at most `T` only if each delay is, so a path weighs no more than the
+//! product of its stage CDFs; the best such product ([`product_cap`])
+//! over a node's walks of at most three edges to `d` is one scan of the
+//! node's row against `d`'s 2-hop ball, which the oracle builds once per
+//! destination and epoch, for the destinations a comparison bounds.
 
 use std::sync::LazyLock;
 
 use dtn_core::graph::{CsrGraph, Topology};
-use dtn_core::hypoexp::weight_cap;
-use dtn_core::ids::NodeId;
+use dtn_core::hypoexp::{product_cap, weight_cap};
+use dtn_core::ids::{IdMap, NodeId};
 use dtn_core::path::{bounded_reach, shortest_paths_batch, LazyReach, PathTable, ReachScratch};
 use dtn_core::rate::RateTable;
 use dtn_core::time::{Duration, Time};
@@ -111,8 +122,12 @@ struct Snapshot {
 /// column already answers. `accumulators_built` sums the CDF
 /// accumulators the searches built, one per settled node that relaxed
 /// its edges: it moves on per-settle work that leaves the settled set
-/// alone; `reach_bytes` the heap the bounded reaches hold. `rebuilds`
-/// counts snapshot builds (equals [`PathOracle::snapshot_epoch`]);
+/// alone; `reach_bytes` the heap the bounded reaches hold. `balls_built`
+/// counts the destination balls [`PathOracle::heavier`] built to bound a
+/// side it would otherwise search (one per destination and epoch, none
+/// in dense mode or past three hops), `ball_bytes` the heap they hold,
+/// summed like `reach_bytes`. `rebuilds` counts snapshot builds (equals
+/// [`PathOracle::snapshot_epoch`]);
 /// `invalidations` counts explicit [`PathOracle::invalidate`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
@@ -132,6 +147,10 @@ pub struct OracleStats {
     pub leaf_evaluations: u64,
     /// Heap bytes of every bounded reach built, summed; 0 in dense mode.
     pub reach_bytes: u64,
+    /// Destination balls built to bound a comparison; 0 in dense mode.
+    pub balls_built: u64,
+    /// Heap bytes of every destination ball built, summed.
+    pub ball_bytes: u64,
 }
 
 /// Memoised single-source opportunistic path tables over a shared,
@@ -182,6 +201,10 @@ pub struct PathOracle {
     /// Scale mode, per source: the epoch its bounded reach was searched
     /// in, and the reach. Empty in dense mode.
     reaches: Vec<(u64, LazyReach)>,
+    /// Scale mode, per destination a comparison of this epoch bounded:
+    /// its ball ([`destination_ball`]). Emptied when the snapshot is
+    /// rebuilt.
+    balls: IdMap<NodeId, Box<[(NodeId, f64)]>>,
     /// One search workspace per worker of a batch; the first is the
     /// calling thread's and the only one a serial or bounded search uses.
     scratches: Vec<ReachScratch>,
@@ -213,6 +236,7 @@ impl PathOracle {
             column: Vec::new(),
             max_hops: None,
             reaches: Vec::new(),
+            balls: IdMap::default(),
             scratches: Vec::new(),
             warmed: 0,
             stats: OracleStats::default(),
@@ -317,6 +341,7 @@ impl PathOracle {
             self.epoch += 1;
             self.stats.rebuilds += 1;
             self.column.fill(UNKNOWN);
+            self.balls.clear();
         }
     }
 
@@ -474,15 +499,21 @@ impl PathOracle {
     /// Whether `a`'s path weight to `dest` is strictly heavier than
     /// `b`'s: `weight(a, dest) > weight(b, dest)`, to the bit.
     ///
-    /// Dense mode reads both weights. On the bounded-reach branch no path
-    /// out of a node weighs more than [`weight_cap`] of its fastest
-    /// contact in the snapshot (and `dest` weighs 1 to itself), so one
-    /// side's weight often settles the comparison: the side already
-    /// answered this epoch is read first (`b` if neither or both are),
-    /// and the other side is searched only if that weight falls inside
-    /// the other's cap — `true` when `w_a` exceeds `b`'s cap, `false`
-    /// when `w_b` reaches `a`'s. Past three hops the cap is the clamp to
-    /// 1 and both sides are read, as they are when a node is past the
+    /// Dense mode reads both weights. On the bounded-reach branch one
+    /// side's weight often settles the comparison, against an upper
+    /// bound on the other side's: the side already answered this epoch
+    /// is read first (`b` if neither or both are), and the other side is
+    /// searched only if that weight falls inside the other's bound —
+    /// `true` when `w_a` exceeds `b`'s, `false` when `w_b` reaches `a`'s.
+    /// The bound is first [`weight_cap`] of the node's fastest contact in
+    /// the snapshot (no path out of a node weighs more than its first
+    /// stage, and `dest` weighs 1 to itself); if that leaves the
+    /// comparison open, then the best [`product_cap`] product over the
+    /// node's walks of at most three edges to `dest` (a path weighs no
+    /// more than the product of its stage CDFs), read from `dest`'s
+    /// 2-hop ball, built once an epoch, through one scan of the node's
+    /// row. Past three hops the cap is the clamp to 1, no ball is built,
+    /// and both sides are read, as they are when a node is past the
     /// population.
     pub fn heavier(
         &mut self,
@@ -501,10 +532,14 @@ impl PathOracle {
         self.refresh_snapshot(rates, now);
         if self.answered(a, dest) && !self.answered(b, dest) {
             let wa = self.weight(rates, now, a, dest);
-            wa > self.cap(b, dest) || wa > self.weight(rates, now, b, dest)
+            wa > self.cap(b, dest)
+                || wa > self.bound(b, dest)
+                || wa > self.weight(rates, now, b, dest)
         } else {
             let wb = self.weight(rates, now, b, dest);
-            wb < self.cap(a, dest) && self.weight(rates, now, a, dest) > wb
+            wb < self.cap(a, dest)
+                && (self.answered(a, dest) || wb < self.bound(a, dest))
+                && self.weight(rates, now, a, dest) > wb
         }
     }
 
@@ -526,6 +561,36 @@ impl PathOracle {
         let row = snapshot.graph.neighbors(source);
         let fastest = row.iter().map(|&(_, rate)| rate).fold(0.0, f64::max);
         weight_cap(fastest, self.horizon, self.max_hops)
+    }
+
+    /// No less than any weight a bounded read of at most three hops from
+    /// `source` to `dest` can answer this epoch: 1 for a self-read, else
+    /// the best [`product_cap`] over `source`'s contacts `y` with `y`'s
+    /// entry in `dest`'s ball, which is built first if this epoch has
+    /// none. Past three hops it bounds nothing, and builds nothing.
+    fn bound(&mut self, source: NodeId, dest: NodeId) -> f64 {
+        if self.max_hops.is_some_and(|h| h > 3) {
+            return f64::INFINITY;
+        }
+        if source == dest {
+            return 1.0;
+        }
+        let snapshot = self.snapshot.as_ref().expect("bounded after a refresh");
+        let (graph, horizon, stats) = (&snapshot.graph, self.horizon, &mut self.stats);
+        let ball = self.balls.entry(dest).or_insert_with(|| {
+            let ball = destination_ball(graph, dest, horizon);
+            stats.balls_built += 1;
+            stats.ball_bytes += std::mem::size_of_val::<[_]>(&ball) as u64;
+            ball
+        });
+        graph
+            .neighbors(source)
+            .iter()
+            .filter_map(|&(y, rate)| {
+                let i = ball.binary_search_by_key(&y, |&(node, _)| node).ok()?;
+                Some(product_cap(rate, horizon, ball[i].1))
+            })
+            .fold(0.0, f64::max)
     }
 
     /// THE greedy relay rule (§V-A): forward a message carried by `from`
@@ -557,6 +622,37 @@ impl PathOracle {
         self.snapshot = None;
         self.stats.invalidations += 1;
     }
+}
+
+/// `dest`'s 2-hop ball over `graph`: every node with a walk of at most
+/// two edges to `dest`, sorted by id, with the best [`product_cap`]
+/// product over those walks at `horizon` — the bound on the rest of a
+/// three-stage path that enters the ball there. `dest` itself is at 1.
+fn destination_ball(graph: &CsrGraph, dest: NodeId, horizon: f64) -> Box<[(NodeId, f64)]> {
+    let stage = |&(y, rate): &(NodeId, f64), rest| (y, product_cap(rate, horizon, rest));
+    let first: Vec<_> = graph
+        .neighbors(dest)
+        .iter()
+        .map(|e| stage(e, 1.0))
+        .collect();
+    let second = first.iter().flat_map(|&(z, rest)| {
+        let row = graph.neighbors(z).iter().filter(|&&(y, _)| y != dest);
+        row.map(move |e| stage(e, rest))
+    });
+    // Per node, the best walk so far; every product is positive, so 0
+    // marks a node not yet in the ball.
+    let mut best = vec![0.0; graph.node_count()];
+    let mut ball = vec![dest];
+    best[dest.index()] = 1.0;
+    for (y, walk) in first.iter().copied().chain(second) {
+        let at = &mut best[y.index()];
+        if *at == 0.0 {
+            ball.push(y);
+        }
+        *at = walk.max(*at);
+    }
+    ball.sort_unstable();
+    ball.iter().map(|&y| (y, best[y.index()])).collect()
 }
 
 #[cfg(test)]

@@ -684,3 +684,115 @@ fn a_comparison_with_the_destination_searches_at_most_one_side() {
     assert!(!o.heavier(&rates, now, NodeId(0), NodeId(1), NodeId(0)));
     assert_eq!(o.stats().table_recomputes, 1);
 }
+
+/// Central 0; a carrier 1 that meets it five times; a node 2 that met
+/// the central once and meets a node 3, which never met the central,
+/// fifty times.
+fn rates_fast_detour() -> RateTable {
+    let mut r = RateTable::new(4, Time::ZERO);
+    for t in 1..=50u64 {
+        r.record(NodeId(2), NodeId(3), Time(t * 10));
+    }
+    for t in 1..=5u64 {
+        r.record(NodeId(0), NodeId(1), Time(t * 100));
+    }
+    r.record(NodeId(0), NodeId(2), Time(700));
+    r
+}
+
+#[test]
+fn a_comparison_the_destination_ball_decides_searches_one_side() {
+    let rates = rates_fast_detour();
+    let now = Time(1000);
+    let (central, carrier, met) = (NodeId(0), NodeId(1), NodeId(2));
+    let mut o = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(3);
+    // The carrier's weight (λT = 18) is inside the met node's first-hop
+    // cap (its contact with 3, λT = 180), so the cap leaves the
+    // comparison open; every path from 2 to the central runs through its
+    // one slow contact with it (λT = 3.6), and the central's ball says
+    // so: the met node's reach is never built.
+    assert!(!o.forward(&rates, now, carrier, met, central));
+    let carried = o.weight(&rates, now, carrier, central);
+    assert!(carried < weight_cap(0.05, 3600.0, Some(3)));
+    assert!(carried > o.bound(met, central));
+    let s = o.stats();
+    assert_eq!((s.table_recomputes, s.balls_built), (1, 1));
+    // The ball holds the central and the three nodes within two hops.
+    assert_eq!(s.ball_bytes, 4 * 16);
+    // A second comparison toward the central reads the same ball.
+    assert!(!o.forward(&rates, now, carrier, NodeId(3), central));
+    let s = o.stats();
+    assert_eq!((s.table_recomputes, s.balls_built), (1, 1));
+    // Without the ball (past three hops) the met node is searched too.
+    let mut deep = PathOracle::new(4, 3600.0, Duration::hours(1)).with_bounded_reach(4);
+    assert!(!deep.forward(&rates, now, carrier, met, central));
+    assert_eq!(
+        (deep.stats().table_recomputes, deep.stats().balls_built),
+        (2, 0)
+    );
+    // Dense mode builds no ball either.
+    let mut dense = PathOracle::new(4, 3600.0, Duration::hours(1));
+    assert!(!dense.forward(&rates, now, carrier, met, central));
+    assert_eq!(
+        (dense.stats().table_recomputes, dense.stats().balls_built),
+        (2, 0)
+    );
+}
+
+mod bound {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A rate table of `n` nodes from `(a, b, kind, drawn)` edges read at
+    /// 10⁶ s: contact counts from a palette (kinds 0–3, exact ties), three
+    /// counts within a relative 1e-4 (kinds 4–6, clustered stages that
+    /// the evaluator perturbs), else `drawn`.
+    fn rates(n: usize, edges: &[(u32, u32, u32, u64)]) -> RateTable {
+        let mut r = RateTable::new(n, Time::ZERO);
+        for &(a, b, kind, drawn) in edges {
+            let (a, b) = (NodeId(a % n as u32), NodeId(b % n as u32));
+            let contacts = match kind {
+                0..=3 => [1, 3, 10, 40][kind as usize],
+                4..=6 => 10_000 + u64::from(kind - 4),
+                _ => drawn,
+            };
+            if a != b {
+                for _ in 0..contacts {
+                    r.record(a, b, Time(1));
+                }
+            }
+        }
+        r
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// No bounded read of up to three hops — a leaf's replay
+        /// included — answers above the bound the destination's ball
+        /// gives its source, at horizons whose weights run from near 0
+        /// to rounding to 1.
+        #[test]
+        fn no_bounded_read_exceeds_its_destination_bound(
+            n in 2usize..20,
+            edges in prop::collection::vec((0u32..20, 0u32..20, 0u32..10, 1u64..2_000), 1..40),
+            exponent in 2.0f64..9.0,
+        ) {
+            let rates = rates(n, &edges);
+            let now = Time(1_000_000);
+            for max_hops in 1..=3 {
+                let mut o = PathOracle::new(n, 10f64.powf(exponent), Duration::hours(1))
+                    .with_bounded_reach(max_hops);
+                let ids = (0..n as u32).map(NodeId);
+                for (x, d) in ids.clone().flat_map(|x| ids.clone().map(move |d| (x, d))) {
+                    if x != d {
+                        let weight = o.weight(&rates, now, x, d);
+                        let bound = o.bound(x, d);
+                        prop_assert!(weight <= bound,
+                            "{} hops, {} to {}: {:?} above {:?}", max_hops, x, d, weight, bound);
+                    }
+                }
+            }
+        }
+    }
+}

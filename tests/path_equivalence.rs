@@ -792,17 +792,18 @@ const COMPARED_AT: Time = Time(1_000_000);
 
 /// A rate table whose cumulative rates at [`COMPARED_AT`] are contact
 /// counts over 10⁶ s: per edge `(a, b, kind, drawn)`, a four-count
-/// palette for kinds 0–3 (exact ties), 10 000 or 10 001 contacts for
-/// kinds 4 and 5 (rates 1e-4 apart, inside the hypoexp module's
-/// relative separation), else `drawn` contacts. A pair listed twice
-/// adds its counts.
+/// palette for kinds 0–3 (exact ties), 10 000, 10 001 or 10 002
+/// contacts for kinds 4–6 (rates 1e-4 apart, inside the hypoexp
+/// module's relative separation: a path through them is perturbed,
+/// twice for the third stage), else `drawn` contacts. A pair listed
+/// twice adds its counts.
 fn compared_rates(n: usize, edges: &[(u32, u32, u32, u64)]) -> RateTable {
     let mut rates = RateTable::new(n, Time::ZERO);
     for &(a, b, kind, drawn) in edges {
         let (a, b) = (NodeId(a % n as u32), NodeId(b % n as u32));
         let contacts = match kind {
             0..=3 => [1, 3, 10, 40][kind as usize],
-            4 | 5 => 10_000 + u64::from(kind - 4),
+            4..=6 => 10_000 + u64::from(kind - 4),
             _ => drawn,
         };
         if a != b {
@@ -812,6 +813,42 @@ fn compared_rates(n: usize, edges: &[(u32, u32, u32, u64)]) -> RateTable {
         }
     }
     rates
+}
+
+/// `heavier(a, b, d)` on fresh oracles from `oracle`, from every starting
+/// state — neither side searched this epoch, either one, both — answers
+/// `want` and builds no more reaches than the two reads would from the
+/// same state.
+fn assert_heavier_from_every_state(
+    oracle: &dyn Fn() -> PathOracle,
+    rates: &RateTable,
+    (a, b, d): (NodeId, NodeId, NodeId),
+    want: bool,
+) -> Result<(), String> {
+    let now = COMPARED_AT;
+    for searched in [&[][..], &[a], &[b], &[a, b]] {
+        let (mut compared, mut read) = (oracle(), oracle());
+        for o in [&mut compared, &mut read] {
+            for &s in searched {
+                o.weight(rates, now, s, d);
+            }
+        }
+        let before = compared.stats().table_recomputes;
+        let got = compared.heavier(rates, now, a, b, d);
+        read.weight(rates, now, a, d);
+        read.weight(rates, now, b, d);
+        let (built, read) = (
+            compared.stats().table_recomputes - before,
+            read.stats().table_recomputes - before,
+        );
+        if got != want || built > read {
+            return Err(format!(
+                "{a} over {b} to {d}, {searched:?} searched: {got} for {want}, \
+                 {built} reaches for two reads' {read}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -961,24 +998,37 @@ proptest! {
         let triples = ids.iter().flat_map(|&a| ids.iter().map(move |&b| (a, b)));
         for (a, b, d) in triples.flat_map(|(a, b)| ids.iter().map(move |&d| (a, b, d))) {
             let want = weights[a.index()][d.index()] > weights[b.index()][d.index()];
-            for searched in [&[][..], &[a], &[b], &[a, b]] {
-                let (mut compared, mut read) = (oracle(), oracle());
-                for o in [&mut compared, &mut read] {
-                    for &s in searched {
-                        o.weight(&rates, now, s, d);
-                    }
-                }
-                let before = compared.stats().table_recomputes;
-                let got = compared.heavier(&rates, now, a, b, d);
-                prop_assert_eq!(got, want, "{} over {} to {}, {:?} searched", a, b, d, searched);
-                read.weight(&rates, now, a, d);
-                read.weight(&rates, now, b, d);
-                prop_assert!(
-                    compared.stats().table_recomputes - before
-                        <= read.stats().table_recomputes - before,
-                    "{} over {} to {}, {:?} searched: more reaches than two reads",
-                    a, b, d, searched
-                );
+            if let Err(message) = assert_heavier_from_every_state(&oracle, &rates, (a, b, d), want) {
+                prop_assert!(false, "{}", message);
+            }
+        }
+    }
+
+    /// The same comparison where the destination's ball has work: up to
+    /// 24 nodes and few edges, so most pairs are two or three hops apart
+    /// and a node's fastest contact often leads away from the
+    /// destination, which its first-hop cap cannot see. Sampled triples,
+    /// one id past the population included, from every starting state,
+    /// at bounds 1..=5: `heavier` answers two fresh reads and builds no
+    /// more reaches than they would.
+    #[test]
+    fn destination_bounded_comparisons_equal_two_fresh_reads(
+        n in 6usize..24,
+        edges in prop::collection::vec((0u32..24, 0u32..24, 0u32..10, 1u64..2_000), 4..40),
+        triples in prop::collection::vec((0u32..25, 0u32..25, 0u32..25), 1..24),
+        exponent in 2.0f64..8.0,
+        max_hops in 1usize..=5,
+    ) {
+        let rates = compared_rates(n, &edges);
+        let horizon = 10f64.powf(exponent);
+        let (now, id) = (COMPARED_AT, |i: u32| NodeId(i % (n as u32 + 1)));
+        let oracle = || PathOracle::new(n, horizon, Duration::hours(1)).with_bounded_reach(max_hops);
+        let mut fresh = oracle();
+        for &(a, b, d) in &triples {
+            let (a, b, d) = (id(a), id(b), id(d));
+            let want = fresh.weight(&rates, now, a, d) > fresh.weight(&rates, now, b, d);
+            if let Err(message) = assert_heavier_from_every_state(&oracle, &rates, (a, b, d), want) {
+                prop_assert!(false, "{}", message);
             }
         }
     }

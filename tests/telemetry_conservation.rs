@@ -233,6 +233,8 @@ fn oracle_reads_are_conserved_on_a_bounded_run() {
             ("oracle_accumulators_built", oracle.accumulators_built),
             ("oracle_leaf_evaluations", oracle.leaf_evaluations),
             ("oracle_reach_bytes", oracle.reach_bytes),
+            ("oracle_balls_built", oracle.balls_built),
+            ("oracle_ball_bytes", oracle.ball_bytes),
         ] {
             assert_eq!(
                 footer.get(key).and_then(JsonValue::as_u64),
