@@ -106,22 +106,16 @@ impl ContactGraph {
             .map(|(_, r)| *r)
     }
 
-    /// Neighbors of `node` with their contact rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
+    /// Neighbors of `node` with their contact rates; none for a node
+    /// out of range.
     pub fn neighbors(&self, node: NodeId) -> &[(NodeId, f64)] {
-        &self.adjacency[node.index()]
+        self.adjacency.get(node.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// Number of distinct nodes `node` ever meets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
+    /// Number of distinct nodes `node` ever meets; 0 for a node out of
+    /// range.
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency[node.index()].len()
+        self.neighbors(node).len()
     }
 
     /// Iterates over all node ids of the graph.
@@ -145,18 +139,12 @@ pub trait Topology: sealed::Sealed {
     /// Number of nodes (including isolated ones).
     fn node_count(&self) -> usize;
 
-    /// Neighbors of `node` with their contact rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
+    /// Neighbors of `node` with their contact rates; none for a node
+    /// out of range.
     fn neighbors(&self, node: NodeId) -> &[(NodeId, f64)];
 
-    /// Number of distinct nodes `node` ever meets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
+    /// Number of distinct nodes `node` ever meets; 0 for a node out of
+    /// range.
     fn degree(&self, node: NodeId) -> usize {
         self.neighbors(node).len()
     }
@@ -333,9 +321,10 @@ impl Topology for CsrGraph {
     }
 
     fn neighbors(&self, node: NodeId) -> &[(NodeId, f64)] {
-        let lo = self.offsets[node.index()] as usize;
-        let hi = self.offsets[node.index() + 1] as usize;
-        &self.entries[lo..hi]
+        match self.offsets.get(node.index()..node.index() + 2) {
+            Some(&[lo, hi]) => &self.entries[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -503,6 +492,48 @@ mod tests {
         assert_eq!(Topology::node_count(&empty), 0);
         let unmet = CsrGraph::from_rate_table(&RateTable::new(4, Time::ZERO), Time(100));
         assert_eq!((Topology::node_count(&unmet), edge_count(&unmet)), (4, 0));
+    }
+
+    /// Both storages answer every read alike, ids past the graph included:
+    /// an out-of-range node has an empty row, degree 0 and no rate.
+    #[test]
+    fn both_storages_answer_every_read_alike_past_the_graph() {
+        let edges = [
+            (NodeId(0), NodeId(3), 0.3),
+            (NodeId(2), NodeId(1), 0.1),
+            (NodeId(3), NodeId(2), 0.2),
+            (NodeId(1), NodeId(0), 0.4),
+        ];
+        let n = 5u32;
+        let csr = CsrGraph::from_edges(n as usize, edges);
+        let mut lists = ContactGraph::new(n as usize);
+        for (a, b, rate) in edges {
+            lists.set_rate(a, b, rate);
+        }
+        for a in (0..n + 2).map(NodeId) {
+            let mut row = ContactGraph::neighbors(&lists, a).to_vec();
+            row.sort_by_key(|&(p, _)| p);
+            assert_eq!(Topology::neighbors(&csr, a), row, "{a}");
+            assert_eq!(
+                Topology::neighbors(&lists, a),
+                ContactGraph::neighbors(&lists, a)
+            );
+            assert_eq!(
+                Topology::degree(&csr, a),
+                ContactGraph::degree(&lists, a),
+                "{a}"
+            );
+            assert_eq!(
+                Topology::degree(&lists, a),
+                ContactGraph::degree(&lists, a),
+                "{a}"
+            );
+            for b in (0..n + 2).map(NodeId) {
+                assert_eq!(csr.rate(a, b), lists.rate(a, b), "{a}–{b}");
+            }
+        }
+        assert_eq!(csr.rate(NodeId(6), NodeId(0)), None);
+        assert_eq!(Topology::degree(&CsrGraph::default(), NodeId(0)), 0);
     }
 
     #[test]

@@ -68,12 +68,14 @@ const WEIGHT_CAP_SLACK: f64 = 1e-7;
 /// path actually evaluated. What the cap adds is the evaluation's own
 /// rounding, which the property tests hold below an absolute 1e-7 for
 /// paths of up to three stages; a longer path (or `None`) is capped by
-/// the clamp to 1 alone, plus that slack.
+/// the clamp to 1 alone, plus that slack. At a `t` that is not positive,
+/// or NaN, where a search weighs every path 0, the first stage's CDF
+/// reads 0.
 /// NCL selection ([`crate::ncl`]) prunes by this bound, and the bounded
 /// path oracle decides a comparison of two weights by it.
 pub fn weight_cap(first_rate: f64, t: f64, max_stages: Option<usize>) -> f64 {
     let first = match max_stages {
-        Some(stages) if stages <= FIRST_STAGE_CAP_STAGES => -(-first_rate * t).exp_m1(),
+        Some(stages) if stages <= FIRST_STAGE_CAP_STAGES => (-(-first_rate * t).exp_m1()).max(0.0),
         _ => 1.0,
     };
     first + WEIGHT_CAP_SLACK
@@ -195,6 +197,13 @@ impl Accumulator {
     /// Panics if `rate` is non-positive or non-finite.
     pub fn push(&mut self, rate: f64) {
         Self::assert_rate(rate);
+        self.push_admitted(rate);
+    }
+
+    /// [`push`](Self::push) of a rate already known finite and positive —
+    /// one a sealed [`Topology`](crate::graph::Topology) refused otherwise
+    /// when it was built — returning its effective rate.
+    fn push_admitted(&mut self, rate: f64) -> f64 {
         if !self.rates.is_empty() && rate != self.rates[0] {
             self.all_equal = false;
         }
@@ -213,16 +222,12 @@ impl Accumulator {
         self.rates.push(rate);
         self.spread.push(eff);
         self.coeffs.push(c_new);
+        eff
     }
 
     /// CDF of the accumulated stage sequence at time `t` — the path
-    /// weight `p(t)`, clamped to `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is NaN.
+    /// weight `p(t)`, clamped to `[0, 1]`. [`cdf`] checks `t`.
     fn cdf_at(&self, t: f64) -> f64 {
-        assert!(!t.is_nan(), "time must not be NaN");
         if t <= 0.0 {
             return if self.rates.is_empty() { 1.0 } else { 0.0 };
         }
@@ -323,13 +328,9 @@ pub(crate) struct HorizonAccumulator {
 }
 
 impl HorizonAccumulator {
-    /// An empty accumulator evaluating at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is NaN.
+    /// An empty accumulator evaluating at time `t`, which the search
+    /// has checked.
     pub(crate) fn new(t: f64) -> Self {
-        assert!(!t.is_nan(), "time must not be NaN");
         HorizonAccumulator {
             acc: Accumulator::new(),
             t,
@@ -339,12 +340,7 @@ impl HorizonAccumulator {
 
     /// Makes `self` the empty accumulator at time `t` —
     /// `*self = HorizonAccumulator::new(t)` with the buffers kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is NaN.
     pub(crate) fn reset(&mut self, t: f64) {
-        assert!(!t.is_nan(), "time must not be NaN");
         self.acc.rates.clear();
         self.acc.spread.clear();
         self.acc.coeffs.clear();
@@ -357,10 +353,6 @@ impl HorizonAccumulator {
     /// `*self = parent.clone(); self.push(rate, new)` to the bit, but
     /// refilling the buffers `self` already owns. The derived `Clone::clone_from`
     /// would not: it drops the four vectors and clones fresh ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is non-positive or non-finite.
     pub(crate) fn assign_extended(&mut self, parent: &Self, rate: f64, new: Factors) {
         let refill = |dst: &mut Vec<f64>, src: &[f64]| {
             dst.clear();
@@ -377,14 +369,11 @@ impl HorizonAccumulator {
 
     /// Appends one exponential stage, extending the exponential cache by
     /// `new.em1` (`new` is [`Factors::of`]`(rate, t)`), or by one fresh
-    /// `exp_m1` of the effective rate if the stage is perturbed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is non-positive or non-finite.
+    /// `exp_m1` of the effective rate if the stage is perturbed. Checks
+    /// nothing: `rate` is an edge of a sealed
+    /// [`Topology`](crate::graph::Topology).
     pub(crate) fn push(&mut self, rate: f64, new: Factors) {
-        self.acc.push(rate);
-        let eff = *self.acc.spread.last().expect("push appended a stage");
+        let eff = self.acc.push_admitted(rate);
         // A perturbed rate lands strictly above `rate`.
         self.em1.push(if eff == rate {
             new.em1
@@ -448,7 +437,8 @@ impl PathView<'_> {
     /// Checks nothing: every rate a search reads comes from a
     /// [`Topology`](crate::graph::Topology), whose two implementations
     /// refuse a rate that is not finite and positive when they are
-    /// built, and the search asserts its horizon once.
+    /// built, and a search weighs no edge at a horizon that is not
+    /// finite and positive.
     #[inline(always)]
     pub(crate) fn extended_cdf(self, rate: f64, new: Factors) -> f64 {
         let PathView {
@@ -540,19 +530,11 @@ pub fn cdf(rates: &[f64], t: f64) -> f64 {
     acc.cdf_at(t)
 }
 
-/// Erlang CDF: sum of `k` i.i.d. exponentials with rate `rate`.
+/// Erlang CDF: sum of `k ≥ 1` i.i.d. exponentials with rate `rate`, at
+/// `t > 0` — what its two callers pass, each after its own checks.
 ///
 /// `P(Y ≤ t) = 1 − e^{−λt} Σ_{n=0}^{k−1} (λt)^n / n!`
-///
-/// # Panics
-///
-/// Panics if `rate` is non-positive or `k == 0`.
 fn erlang_cdf(rate: f64, k: u32, t: f64) -> f64 {
-    assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
-    assert!(k > 0, "Erlang shape must be at least 1");
-    if t <= 0.0 {
-        return 0.0;
-    }
     erlang_tail(rate * t, k, (-(rate * t)).exp())
 }
 

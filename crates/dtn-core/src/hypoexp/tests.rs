@@ -108,6 +108,28 @@ fn erlang_cdf_monotone_in_stages() {
     }
 }
 
+/// The Erlang CDF at `x = λt`, `P(Poisson(x) ≥ k)`, as the upper-tail
+/// series `e^{−x} Σ_{n≥k} xⁿ/n!`: every term positive, each one's log
+/// `−x + n ln x − ln n!` the last one's plus `ln x − ln n`, summed against
+/// the largest. No cancellation, so it is accurate where `1 − e^{−x} Σ_{n<k}`
+/// is not (small `x`), at the price of a term per `n` past the mode.
+fn erlang_upper_tail(x: f64, k: u32) -> f64 {
+    let ln_fact: f64 = (1..=k).map(|i| f64::from(i).ln()).sum();
+    let mut logs = vec![-x + f64::from(k) * x.ln() - ln_fact];
+    let mut top = logs[0];
+    for n in k + 1.. {
+        let last = logs[logs.len() - 1];
+        // Past the mode the terms only fall: stop 50 nats below the top.
+        if f64::from(n) > x + 1.0 && last < top - 50.0 {
+            break;
+        }
+        let log = last + x.ln() - f64::from(n).ln();
+        top = top.max(log);
+        logs.push(log);
+    }
+    top.exp() * logs.iter().map(|&l| (l - top).exp()).sum::<f64>()
+}
+
 #[test]
 #[should_panic(expected = "positive")]
 fn rejects_zero_rate() {
@@ -456,6 +478,26 @@ mod properties {
                 prop_assert!(weight <= cap,
                     "{:?} at t={t}: weight {weight} above the product {cap}", &rates[..=i]);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        /// The Erlang branch against the series without cancellation:
+        /// within 1e-9 absolute for up to six equal stages, `λt` from
+        /// 1e-12 to 700.
+        #[test]
+        fn erlang_branch_tracks_the_upper_tail_series(
+            k in 1u32..=6,
+            ln_x in (1e-12f64).ln()..=700f64.ln(),
+        ) {
+            let x = ln_x.exp();
+            let (got, want) = (erlang_tail(x, k, (-x).exp()), erlang_upper_tail(x, k));
+            prop_assert!((got - want).abs() <= 1e-9, "k={k}, x={x}: {got} vs {want}");
+            // The series itself, where a closed form is accurate: one stage.
+            let one = erlang_upper_tail(x, 1) / -(-x).exp_m1();
+            prop_assert!((one - 1.0).abs() <= 1e-9, "x={x}: {one}");
         }
     }
 

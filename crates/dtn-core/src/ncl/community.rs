@@ -26,14 +26,9 @@ pub struct CommunityPartition {
 impl CommunityPartition {
     /// Builds a partition from raw labels, compacting them to
     /// `0..count` in order of first appearance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels` is empty.
     pub(super) fn from_labels(labels: &[u32]) -> Self {
-        assert!(!labels.is_empty(), "a partition needs at least one node");
-        let max_label = *labels.iter().max().expect("non-empty") as usize;
-        let mut compact: Vec<u32> = vec![u32::MAX; max_label + 1];
+        let labels_used = labels.iter().max().map_or(0, |&max| max as usize + 1);
+        let mut compact: Vec<u32> = vec![u32::MAX; labels_used];
         let mut assignment = Vec::with_capacity(labels.len());
         let mut count = 0u32;
         for &label in labels {
@@ -51,12 +46,11 @@ impl CommunityPartition {
     }
 
     /// All `nodes` in one community — the partition under which scoped
-    /// selection is exactly global selection.
+    /// selection is exactly global selection. No nodes, no community.
     pub fn single(nodes: usize) -> Self {
-        assert!(nodes > 0, "a partition needs at least one node");
         CommunityPartition {
             assignment: vec![0; nodes],
-            count: 1,
+            count: nodes.min(1),
         }
     }
 
@@ -91,18 +85,14 @@ impl CommunityPartition {
 /// community-scoped NCL selection near-linear where the global sweep is
 /// `O(N · Dijkstra)`.
 ///
-/// Deterministic: fixed sweep order and tie-breaks, no randomness.
-///
-/// # Panics
-///
-/// Panics if the graph has no nodes or `max_rounds == 0`.
+/// Deterministic: fixed sweep order and tie-breaks, no randomness. With
+/// `max_rounds == 0` every node is a community of its own, and a graph
+/// of no nodes has no community.
 pub fn label_propagation_communities<G: Topology>(
     graph: &G,
     max_rounds: usize,
 ) -> CommunityPartition {
     let n = graph.node_count();
-    assert!(n > 0, "a partition needs at least one node");
-    assert!(max_rounds > 0, "need at least one propagation round");
     let mut labels: Vec<u32> = (0..n as u32).collect();
     // Scratch: summed rate per candidate label, reset via touched list.
     let mut weight_of: Vec<f64> = vec![0.0; n];

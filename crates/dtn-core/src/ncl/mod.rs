@@ -55,11 +55,9 @@ pub struct CentralityScore {
 /// Contacts are symmetric, so `p_ij = p_ji` and one single-source search
 /// from `i` covers every term of its sum; the per-node searches are
 /// independent and run on all available hardware threads
-/// ([`crate::par`]), in an order-preserving map.
-///
-/// # Panics
-///
-/// Panics if the graph has fewer than two nodes or `horizon` is invalid.
+/// ([`crate::par`]), in an order-preserving map. A graph of fewer than
+/// two nodes, or a horizon that is not finite and positive, scores
+/// every node 0.
 pub fn all_metrics<G: Topology + Sync>(graph: &G, horizon: f64) -> Vec<CentralityScore> {
     let everyone = CommunityPartition::single(graph.node_count());
     scoped_metrics(graph, &everyone, horizon, None)
@@ -67,13 +65,8 @@ pub fn all_metrics<G: Topology + Sync>(graph: &G, horizon: f64) -> Vec<Centralit
 
 /// The best `k` of `scores`, best first: metric descending, ties broken
 /// by ascending node id so that selection is deterministic. All of them
-/// if there are fewer than `k`.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
+/// if there are fewer than `k`, none if `k == 0`.
 fn top_k(mut scores: Vec<CentralityScore>, k: usize) -> Vec<CentralityScore> {
-    assert!(k > 0, "must select at least one central node");
     scores.sort_by(|a, b| {
         b.metric
             .total_cmp(&a.metric)
@@ -127,10 +120,9 @@ pub enum SelectionStrategy {
 /// summed rates for [`SelectionStrategy::ContactFrequency`] and a
 /// rank-derived placeholder for [`SelectionStrategy::Random`].
 ///
-/// # Panics
-///
-/// Panics if `k == 0`, the graph has fewer than two nodes, or
-/// `horizon` is invalid for the path-metric strategy.
+/// `k == 0` selects no nodes. On a graph of fewer than two nodes every
+/// metric but the random placeholder is 0, and at a horizon that is not
+/// finite and positive every path metric is.
 ///
 /// # Example
 ///
@@ -157,10 +149,7 @@ pub fn select_by_strategy<G: Topology + Sync>(
 
 /// [`select_by_strategy`] together with the path-search work the
 /// selection did — all zero for the strategies that search no paths.
-///
-/// # Panics
-///
-/// As [`select_by_strategy`].
+/// Its answers are [`select_by_strategy`]'s.
 pub fn select_by_strategy_counted<G: Topology + Sync>(
     graph: &G,
     k: usize,
@@ -168,7 +157,6 @@ pub fn select_by_strategy_counted<G: Topology + Sync>(
     strategy: SelectionStrategy,
 ) -> (Vec<CentralityScore>, SweepWork) {
     let n = graph.node_count();
-    assert!(n >= 2, "selection needs at least two nodes, got {n}");
     let swept = |partition: &CommunityPartition, max_hops| {
         sweep::select_scoped_counted(graph, partition, k, horizon, max_hops, par::workers())
     };
@@ -182,7 +170,7 @@ pub fn select_by_strategy_counted<G: Topology + Sync>(
         }
         SelectionStrategy::DegreeCentrality => map_slice(&nodes(), |&node| CentralityScore {
             node,
-            metric: graph.degree(node) as f64 / (n - 1) as f64,
+            metric: graph.degree(node) as f64 / (n.max(2) - 1) as f64,
         }),
         SelectionStrategy::ContactFrequency => map_slice(&nodes(), |&node| CentralityScore {
             node,

@@ -76,8 +76,7 @@ impl<'a, G: Topology + Sync> Sweep<'a, G> {
     ///
     /// # Panics
     ///
-    /// Panics if the graph has fewer than two nodes or the partition does
-    /// not cover exactly this graph's nodes.
+    /// Panics if the partition does not cover exactly this graph's nodes.
     fn new(
         graph: &'a G,
         partition: &'a CommunityPartition,
@@ -86,7 +85,6 @@ impl<'a, G: Topology + Sync> Sweep<'a, G> {
         workers: usize,
     ) -> Self {
         let n = graph.node_count();
-        assert!(n >= 2, "the metric needs at least two nodes, got {n}");
         assert_eq!(
             partition.node_count(),
             n,
@@ -121,6 +119,12 @@ impl<'a, G: Topology + Sync> Sweep<'a, G> {
             local_of,
             induced: (0..partition.count()).map(|_| None).collect(),
         }
+    }
+
+    /// Eq. 3's normalisation `N − 1`; 1 on a graph of fewer than two
+    /// nodes, where no node reaches another and every metric is 0.
+    fn norm(&self) -> f64 {
+        (self.graph.node_count().max(2) - 1) as f64
     }
 
     /// Number of members of `node`'s community, `node` included.
@@ -165,8 +169,8 @@ impl<'a, G: Topology + Sync> Sweep<'a, G> {
     /// The evaluator: `node`'s community-scoped Eq. 3 metric, by one path
     /// search from it in its community's induced subgraph.
     fn metric(&self, node: NodeId, scratch: &mut ReachScratch) -> f64 {
-        // A one-node community reaches nobody: metric 0, and the searches
-        // would reject a one-node graph anyway.
+        // A one-node community reaches nobody: metric 0, and it has no
+        // induced graph to search.
         let Some(induced) = self.induced_of(node) else {
             return 0.0;
         };
@@ -190,7 +194,7 @@ impl<'a, G: Topology + Sync> Sweep<'a, G> {
                     .sum()
             }
         };
-        sum / (self.graph.node_count() - 1) as f64
+        sum / self.norm()
     }
 
     /// The fan-out: `score` of every item of `batch`, in batch order, the
@@ -256,7 +260,7 @@ impl<'a, G: Topology + Sync> Sweep<'a, G> {
     ) -> Option<f64> {
         let node = candidate.node;
         let others = self.reach(node, space);
-        let bound = others as f64 * candidate.cap / (self.graph.node_count() - 1) as f64;
+        let bound = others as f64 * candidate.cap / self.norm();
         if floor > bound {
             return None;
         }
@@ -287,13 +291,12 @@ struct Workspace {
 /// across communities when rankings are merged. With `max_hops` set,
 /// each per-community search is additionally hop-bounded. The per-node
 /// searches are independent and run on all available hardware threads
-/// ([`crate::par`]).
+/// ([`crate::par`]). A graph of fewer than two nodes, a horizon that is
+/// not finite and positive, or `max_hops == Some(0)` scores every node 0.
 ///
 /// # Panics
 ///
-/// Panics if the graph has fewer than two nodes, the partition does not
-/// cover exactly this graph's nodes, `horizon` is invalid, or
-/// `max_hops == Some(0)`.
+/// Panics if the partition does not cover exactly this graph's nodes.
 pub fn scoped_metrics<G: Topology + Sync>(
     graph: &G,
     partition: &CommunityPartition,
@@ -329,11 +332,11 @@ struct Candidate {
 /// evaluating the nodes that cannot be in it.
 /// [`SelectionStrategy::PathMetric`](super::SelectionStrategy::PathMetric)
 /// is this selection with `partition` = [`CommunityPartition::single`]
-/// and no hop bound.
+/// and no hop bound. `k == 0` selects no nodes.
 ///
 /// # Panics
 ///
-/// As [`scoped_metrics`], plus `k == 0`.
+/// As [`scoped_metrics`].
 pub fn select_central_nodes_scoped<G: Topology + Sync>(
     graph: &G,
     partition: &CommunityPartition,
@@ -362,7 +365,8 @@ pub fn select_central_nodes_scoped<G: Topology + Sync>(
 /// searched only if that bound is not below the floor either. A node
 /// with bound 0 is a candidate like any other, so a selection short of
 /// `k` positive metrics is padded with the zeros the sweep itself
-/// produces.
+/// produces. With `k == 0` the floor is +∞ from the start, and nothing
+/// is searched.
 pub(super) fn select_scoped_counted<G: Topology + Sync>(
     graph: &G,
     partition: &CommunityPartition,
@@ -371,7 +375,6 @@ pub(super) fn select_scoped_counted<G: Topology + Sync>(
     max_hops: Option<usize>,
     workers: usize,
 ) -> (Vec<CentralityScore>, SweepWork) {
-    assert!(k > 0, "must select at least one central node");
     let mut sweep = Sweep::new(graph, partition, horizon, max_hops, workers);
     let n = graph.node_count();
     let mut candidates: Vec<Candidate> = (0..n as u32)
@@ -383,7 +386,7 @@ pub(super) fn select_scoped_counted<G: Topology + Sync>(
             let contacts = graph.neighbors(node).iter().filter(in_community);
             let fastest = contacts.map(|&(_, rate)| rate).fold(0.0, f64::max);
             let cap = weight_cap(fastest, horizon, max_hops);
-            let bound = (sweep.community_size(node) - 1) as f64 * cap / (n - 1) as f64;
+            let bound = (sweep.community_size(node) - 1) as f64 * cap / sweep.norm();
             Candidate { node, cap, bound }
         })
         .collect();
@@ -397,7 +400,7 @@ pub(super) fn select_scoped_counted<G: Topology + Sync>(
     };
     for batch in candidates.chunks(BATCH) {
         let floor = if best.len() == k {
-            best[k - 1].metric
+            best.last().map_or(f64::INFINITY, |last| last.metric)
         } else {
             f64::NEG_INFINITY
         };

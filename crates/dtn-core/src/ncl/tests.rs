@@ -72,10 +72,19 @@ fn skew_of_star_is_large() {
 }
 
 #[test]
-#[should_panic(expected = "at least one")]
-fn zero_k_panics() {
+fn zero_k_selects_no_nodes() {
     let g = star(3, 1e-3);
-    let _ = select_by_strategy(&g, 0, 600.0, SelectionStrategy::PathMetric);
+    let strategies = [
+        SelectionStrategy::PathMetric,
+        SelectionStrategy::CommunityPathMetric { max_hops: Some(2) },
+        SelectionStrategy::DegreeCentrality,
+        SelectionStrategy::Random { seed: 3 },
+    ];
+    for strategy in strategies {
+        let (top, work) = select_by_strategy_counted(&g, 0, 600.0, strategy);
+        assert!(top.is_empty(), "{strategy:?}");
+        assert_eq!(work.searches_run, 0, "{strategy:?}");
+    }
 }
 
 #[test]
@@ -194,10 +203,45 @@ fn reassign_ignores_ranked_overflow_beyond_slot_count() {
 }
 
 #[test]
-#[should_panic(expected = "at least two nodes")]
-fn single_node_graph_panics() {
-    let g = ContactGraph::new(1);
-    let _ = all_metrics(&g, 600.0);
+fn graphs_of_fewer_than_two_nodes_score_zero() {
+    for n in [0, 1] {
+        let g = ContactGraph::new(n);
+        let zero = |scores: Vec<CentralityScore>| {
+            assert_eq!(scores.len(), n, "{n} nodes");
+            assert!(scores.iter().all(|s| s.metric == 0.0), "{scores:?}");
+        };
+        zero(all_metrics(&g, 600.0));
+        let strategies = [
+            SelectionStrategy::PathMetric,
+            SelectionStrategy::CommunityPathMetric { max_hops: None },
+            SelectionStrategy::DegreeCentrality,
+            SelectionStrategy::ContactFrequency,
+        ];
+        for strategy in strategies {
+            zero(select_by_strategy(&g, 3, 600.0, strategy));
+        }
+    }
+}
+
+/// At a horizon that is not finite and positive every search settles its
+/// source alone: every metric is 0, and the pruned selection is the
+/// sweep's top `k` of zeros, in id order.
+#[test]
+fn a_degenerate_horizon_scores_every_node_zero() {
+    let g = two_stars();
+    for horizon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert!(all_metrics(&g, horizon).iter().all(|s| s.metric == 0.0));
+        for max_hops in [None, Some(0), Some(2)] {
+            let p = CommunityPartition::single(10);
+            let top = select_central_nodes_scoped(&g, &p, 3, horizon, max_hops);
+            let ids: Vec<_> = top.iter().map(|s| (s.node.0, s.metric)).collect();
+            assert_eq!(
+                ids,
+                [(0, 0.0), (1, 0.0), (2, 0.0)],
+                "{horizon} {max_hops:?}"
+            );
+        }
+    }
 }
 
 /// Two star communities bridged by one weak edge.

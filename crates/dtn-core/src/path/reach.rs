@@ -62,8 +62,9 @@ pub(super) const NO_PARENT: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 pub struct LazyReach {
     pub(super) horizon: f64,
-    /// Hops of a rim node's path: `max_hops − 1`.
-    pub(super) rim_hops: usize,
+    /// The hop bound: a rim node's path has `max_hops − 1` hops, and
+    /// under a bound of 0 no node is on the rim.
+    pub(super) max_hops: usize,
     /// The settled nodes in ascending id order (the source among them)
     /// and, in parallel, their settled weights and the index of their
     /// predecessor ([`NO_PARENT`] for the source).
@@ -84,8 +85,9 @@ impl LazyReach {
     /// The weight of the best bounded path to `dest` over `graph` — the
     /// graph the reach was searched on — and how many CDF evaluations
     /// the read made: none for an inner node (`O(log inner)` binary
-    /// search) and none for a node with no rim neighbour, which the
-    /// bound does not reach (weight 0).
+    /// search) and none for a node with no rim neighbour (one out of
+    /// range, or any under a bound of 0), which the bound does not reach
+    /// (weight 0).
     ///
     /// Otherwise `dest` is a leaf and its label is replayed as the eager
     /// search built it: its rim neighbours relax it in the order they
@@ -122,9 +124,6 @@ impl LazyReach {
         if let Ok(i) = self.ids.binary_search(&dest) {
             return (self.weights[i], 0);
         }
-        if dest.index() >= graph.node_count() {
-            return (0.0, 0);
-        }
         // Mark the rim neighbours of `dest`, each with its edge's rate,
         // in one pass over its row: a central's row is long, and most
         // reads name a central.
@@ -132,7 +131,7 @@ impl LazyReach {
         let mut left = 0;
         for &(peer, rate) in graph.neighbors(dest) {
             if let Ok(i) = self.ids.binary_search(&peer) {
-                if self.hops(i) == self.rim_hops {
+                if self.hops(i) + 1 == self.max_hops {
                     marks[i] = (stamp, rate);
                     left += 1;
                 }

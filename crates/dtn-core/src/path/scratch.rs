@@ -311,7 +311,7 @@ impl ReachScratch {
         let index = &self.acc_slot;
         LazyReach {
             horizon,
-            rim_hops: max_hops - 1,
+            max_hops,
             weights: ids.iter().map(|v| self.weight[v.index()]).collect(),
             parents: ids
                 .iter()

@@ -51,10 +51,10 @@ impl Key {
 /// as their reference). Both evaluate the exact same arithmetic, so the
 /// computed weights are bit-identical.
 ///
-/// # Panics
-///
-/// Panics if `source` is out of range or `horizon` is not finite and
-/// positive.
+/// A `source` out of range settles nothing: the complete table of no
+/// nodes, every read 0. At a `horizon` that is not finite and positive
+/// the source settles alone (Eq. 2 at `T ≤ 0`: weight 1 at the source,
+/// 0 and no route everywhere else).
 ///
 /// # Example
 ///
@@ -93,11 +93,8 @@ pub fn shortest_paths<G: Topology>(graph: &G, source: NodeId, horizon: f64) -> P
 /// target is unreachable (it never settles): the table comes back
 /// complete and the target reads weight 0. Duplicate targets count once;
 /// the source is a valid target (it settles first); targets out of range
-/// for the graph are ignored.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`shortest_paths`].
+/// for the graph are ignored. An out-of-range source or a degenerate
+/// horizon answers as in [`shortest_paths`].
 pub fn shortest_paths_until_in<G: Topology>(
     graph: &G,
     source: NodeId,
@@ -126,11 +123,8 @@ pub fn shortest_paths_until_in<G: Topology>(
 /// and every table has held this graph before, no worker allocates.
 /// Tables without room for the graph are grown here, on the calling
 /// thread, before any worker starts, so the memory stays with the
-/// caller's allocator.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`shortest_paths`].
+/// caller's allocator. A job's out-of-range source or a degenerate
+/// horizon answers as in [`shortest_paths`].
 pub fn shortest_paths_batch<G: Topology + Sync>(
     graph: &G,
     horizon: f64,
@@ -171,12 +165,9 @@ pub fn shortest_paths_batch<G: Topology + Sync>(
 /// the paper's multi-hop analysis itself applies ("opportunistic paths
 /// with at most r hops", §III-B). Work and memory are `O(touched)`
 /// rather than `O(N)`, which is what makes per-source caching viable at
-/// city scale.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range, `horizon` is not finite and
-/// positive, or `max_hops == 0`.
+/// city scale. An out-of-range source or a degenerate horizon answers
+/// as in [`shortest_paths`], and `max_hops == 0` reaches the source
+/// alone.
 pub fn bounded_shortest_paths<G: Topology>(
     graph: &G,
     source: NodeId,
@@ -184,7 +175,6 @@ pub fn bounded_shortest_paths<G: Topology>(
     max_hops: usize,
     scratch: &mut ReachScratch,
 ) -> SparseReach {
-    assert!(max_hops > 0, "a zero-hop search reaches nothing");
     search::<G, false>(graph, source, horizon, &[], max_hops, scratch);
     scratch.sparse_reach()
 }
@@ -203,9 +193,9 @@ pub fn bounded_shortest_paths<G: Topology>(
 /// nothing, and so change no other node's label — the nodes inside
 /// settle with the bits and in the order the eager search gives them.
 ///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`bounded_shortest_paths`].
+/// Degenerate inputs answer as in [`bounded_shortest_paths`], and a
+/// reach that holds the source alone weighs no leaf: every read but the
+/// source's is 0.
 pub fn bounded_reach<G: Topology>(
     graph: &G,
     source: NodeId,
@@ -213,9 +203,20 @@ pub fn bounded_reach<G: Topology>(
     max_hops: usize,
     scratch: &mut ReachScratch,
 ) -> LazyReach {
-    assert!(max_hops > 0, "a zero-hop search reaches nothing");
+    let max_hops = hop_bound(horizon, max_hops);
     search::<G, true>(graph, source, horizon, &[], max_hops, scratch);
     scratch.lazy_reach(horizon, max_hops)
+}
+
+/// The hop bound a search at `horizon` runs under: `max_hops`, or 0 —
+/// the source alone — at a horizon that is not finite and positive,
+/// where no path of a hop or more has weight.
+fn hop_bound(horizon: f64, max_hops: usize) -> usize {
+    if horizon.is_finite() && horizon > 0.0 {
+        max_hops
+    } else {
+        0
+    }
 }
 
 /// The one label-setting loop. Settles nodes in decreasing weight order
@@ -226,7 +227,8 @@ pub fn bounded_reach<G: Topology>(
 /// [`ReachScratch::lazy_reach`] to read. Stops as soon as every in-range
 /// node of `targets` has settled and returns `false`; returns `true`
 /// when it ran to exhaustion (always, with no targets or an unreachable
-/// one).
+/// one). A `source` out of range settles nothing, and [`hop_bound`]
+/// keeps a degenerate horizon from weighing any edge.
 ///
 /// With `INNER_ONLY`, the search stays inside the ball of radius
 /// `max_hops − 1` around `source` ([`bounded_reach`] says why that
@@ -240,17 +242,12 @@ pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
     max_hops: usize,
     scratch: &mut ReachScratch,
 ) -> bool {
-    assert!(
-        horizon.is_finite() && horizon > 0.0,
-        "horizon must be finite and positive, got {horizon}"
-    );
+    let max_hops = hop_bound(horizon, max_hops);
     let n = graph.node_count();
-    assert!(
-        source.index() < n,
-        "source n{source} out of range for graph of {n} nodes"
-    );
-
     scratch.prepare(n);
+    if source.index() >= n {
+        return true;
+    }
     scratch.factors.prepare(horizon);
     // Targets still to settle; the search stops when the count hits zero.
     let mut outstanding = 0usize;
@@ -263,7 +260,7 @@ pub(super) fn search<G: Topology, const INNER_ONLY: bool>(
         }
     }
     if INNER_ONLY {
-        scratch.mark_inner(graph, source, max_hops - 1);
+        scratch.mark_inner(graph, source, max_hops.saturating_sub(1));
     }
     scratch.touch(source.index());
     scratch.best[source.index()] = 1.0;

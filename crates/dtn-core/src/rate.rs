@@ -132,13 +132,9 @@ pub struct RateTable {
 }
 
 impl RateTable {
-    /// Creates a table for `nodes` nodes, all pairs observed from `since`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
+    /// Creates a table for `nodes` nodes, all pairs observed from `since`;
+    /// `nodes == 0` gives a table no contact can enter.
     pub fn new(nodes: usize, since: Time) -> Self {
-        assert!(nodes > 0, "rate table needs at least one node");
         RateTable {
             rows: vec![Vec::new(); nodes],
             since,
@@ -155,10 +151,17 @@ impl RateTable {
     ///
     /// # Panics
     ///
-    /// Panics if `a == b` or either node is out of range.
+    /// Panics if `a == b` or either node is out of range: the one check of
+    /// a pair, since the table holds only the pairs it admitted here.
     #[inline]
     pub fn record(&mut self, a: NodeId, b: NodeId, at: Time) {
-        let (lo, hi) = self.pair(a, b);
+        assert_ne!(a, b, "a node does not contact itself");
+        let (lo, hi) = (a.min(b), a.max(b));
+        assert!(
+            hi.index() < self.rows.len(),
+            "node {hi} out of range for table of {} nodes",
+            self.rows.len()
+        );
         let row = &mut self.rows[lo.index()];
         match row.binary_search_by_key(&hi, |&(h, _)| h) {
             Ok(i) => row[i].1.record_contact(at),
@@ -177,21 +180,15 @@ impl RateTable {
         self.generation
     }
 
-    /// The estimated contact rate of the pair, if they have ever met.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either node is out of range.
+    /// The estimated contact rate of the pair, if they have ever met:
+    /// `None` for a self-pair or a node out of range, which never met.
     #[inline]
     pub fn rate(&self, a: NodeId, b: NodeId, now: Time) -> Option<f64> {
         self.estimator(a, b).and_then(|e| e.rate(self.since, now))
     }
 
-    /// Cumulative number of contacts recorded for the pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either node is out of range.
+    /// Cumulative number of contacts recorded for the pair: 0 for a
+    /// self-pair or a node out of range.
     #[inline]
     pub fn contact_count(&self, a: NodeId, b: NodeId) -> u64 {
         self.estimator(a, b).map_or(0, |e| e.contacts)
@@ -231,31 +228,16 @@ impl RateTable {
             .flat_map(|(lo, row)| row.iter().map(move |(hi, e)| (NodeId(lo), *hi, e)))
     }
 
-    /// The pair's estimator; `None` when the pair has never met.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either node is out of range.
+    /// The pair's estimator; `None` when the pair has never met. Row
+    /// `lo` holds only admitted pairs, each with `hi > lo` and in range,
+    /// so a self-pair or a node out of range finds none.
     #[inline]
     fn estimator(&self, a: NodeId, b: NodeId) -> Option<&RateEstimator> {
-        let (lo, hi) = self.pair(a, b);
-        let row = &self.rows[lo.index()];
+        let (lo, hi) = (a.min(b), a.max(b));
+        let row = self.rows.get(lo.index())?;
         row.binary_search_by_key(&hi, |&(h, _)| h)
             .ok()
             .map(|i| &row[i].1)
-    }
-
-    /// Validates a pair and returns it as `(lo, hi)`.
-    #[inline]
-    fn pair(&self, a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        assert_ne!(a, b, "a node does not contact itself");
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        assert!(
-            hi.index() < self.rows.len(),
-            "node {hi} out of range for table of {} nodes",
-            self.rows.len()
-        );
-        (lo, hi)
     }
 
     /// Estimators held: one per pair that has met.
@@ -611,9 +593,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_panics() {
-        let t = RateTable::new(3, Time::ZERO);
-        let _ = t.rate(NodeId(0), NodeId(5), Time(10));
+    fn self_and_out_of_range_pairs_never_met() {
+        let mut t = RateTable::new(3, Time::ZERO);
+        t.record(NodeId(1), NodeId(2), Time(10));
+        for (a, b) in [(0, 5), (5, 0), (2, 3), (5, 9), (1, 1), (2, 2), (7, 7)] {
+            let (a, b) = (NodeId(a), NodeId(b));
+            assert_eq!(t.rate(a, b, Time(100)), None, "{a}–{b}");
+            assert_eq!(t.contact_count(a, b), 0, "{a}–{b}");
+        }
+        let empty = RateTable::new(0, Time::ZERO);
+        assert_eq!(empty.node_count(), 0);
+        assert_eq!(empty.rate(NodeId(0), NodeId(1), Time(100)), None);
+        assert_eq!(empty.iter_rates(Time(100)).count(), 0);
     }
 }
